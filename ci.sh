@@ -14,9 +14,12 @@
 #                     enabled; payload digests double as a check that
 #                     data-plane pooling never leaks one message's bytes
 #                     into another)
-#   6b. program-mode equivalence (closure vs program digests under -race:
-#                     500 random workloads both ways, the heat/MPI twin
-#                     tests, and the Table II program-mode campaign)
+#   6b. driver equivalence (closure vs program digests under -race: both
+#                     modes run the same step machines, one through
+#                     Env.Block and one stepped by the scheduler; 500
+#                     random workloads both ways, the pre-fold closure
+#                     goldens, the heat/MPI twin tests as a smoke, and the
+#                     Table II program-mode campaign)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -73,12 +76,17 @@ go test -race ./...
 echo "== differential harness (500 seeds, Validate on, -race)"
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialSeqVsParallel$' ./internal/mpitest/
 
-echo "== program-mode equivalence (closure vs prog digests, -race)"
-# Program mode must be observationally identical to closure mode: the
-# differential harness runs every random workload both ways (Workers in
-# {1,2,4}) and compares digests, and the Table II campaign smoke pins
+echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
+# Closure and program mode run one set of step machines through two
+# drivers, and must be observationally identical: the differential harness
+# runs all 500 random workloads both ways (Workers in {1,2,4}; the
+# override is honoured unclamped) and compares digests, the golden tests
+# pin the closure side to outcomes recorded before the closure bodies were
+# folded onto the step machines, the named twin tests are the smoke for
+# the drivers themselves, and the Table II campaign smoke pins
 # row-identical results in program mode under the race detector.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
+go test -race -count=1 -run '^(TestClosureOutcomesMatchGolden|TestClosureRunsMatchGolden)$' ./internal/mpitest/ ./internal/heat/
 go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure)$' ./internal/mpi/
 go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure)$' ./internal/heat/
 go test -race -count=1 -run '^TestRunTableIIProgModeMatchesClosure$' .
@@ -109,8 +117,9 @@ echo "$bench" | awk '
 
 echo "== BenchmarkPingPong allocation gate"
 # Pre-pooling the round-trip cost 20 (eager) / 26 (rendezvous) allocs/op;
-# the pooled data plane runs at 6/6. Gate at half the old numbers so noise
-# cannot flake the build but a real regression cannot hide.
+# the pooled data plane ran at 6/6, and 2/2 since blocking waits run on the
+# per-process step state. Gate at half the old numbers so noise cannot
+# flake the build but a real regression cannot hide.
 bench=$(go test -run '^$' -bench '^BenchmarkPingPong$' -benchmem -benchtime 1000x ./internal/mpi/)
 echo "$bench"
 echo "$bench" | awk '

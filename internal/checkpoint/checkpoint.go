@@ -233,19 +233,27 @@ func (fs *FS) scheduleDrains(name string, size int) {
 // (wrapped) for files that exist but miss information, and
 // fsmodel.ErrNotExist (wrapped) for missing files.
 func (fs *FS) Read(prefix string, iteration, rank int) (Meta, []byte, error) {
-	name := FileName(prefix, iteration, rank)
-	tier, wait := fs.readGate(name)
-	if wait > 0 {
-		fs.env.Sleep(wait)
+	return fs.restore(prefix, rank, iteration, false)
+}
+
+// restore drives a RestoreStep to completion on the calling closure VP.
+func (fs *FS) restore(prefix string, rank, iteration int, chargeOnly bool) (Meta, []byte, error) {
+	var rs RestoreState
+	rs.Begin(prefix, rank, iteration, chargeOnly)
+	for {
+		done, park, err := fs.RestoreStep(&rs)
+		if done {
+			return rs.meta, rs.payload, err
+		}
+		fs.env.Block(park)
 	}
-	return fs.readWithTier(name, tier, iteration, rank)
 }
 
 // readGate resolves which tier a read of name is served from and how long
 // the reader must wait first: when the only surviving copy is a drain
 // still in flight, the read blocks until it lands (interruptible — a
 // failure can strike mid-wait). Splitting the gate from the read body
-// lets program-mode restores park on the wait instead of sleeping.
+// lets RestoreStep park on the wait.
 func (fs *FS) readGate(name string) (tier fsmodel.Model, wait vclock.Duration) {
 	tier = fs.model
 	if fs.Tiered() {
@@ -290,25 +298,15 @@ func (fs *FS) readWithTier(name string, tier fsmodel.Model, iteration, rank int)
 // tier holding a copy. Modelled-mode restarts use it the way WriteSized
 // models payload-free checkpoint writes.
 func (fs *FS) ChargeRestore(prefix string, rank, iteration int) error {
-	for hops := 0; hops < 1000; hops++ { // bound against base-pointer cycles
-		meta, _, err := fs.Read(prefix, iteration, rank)
-		if err != nil {
-			return err
-		}
-		if !meta.Incremental {
-			return nil
-		}
-		iteration = meta.BaseIteration
-	}
-	return fmt.Errorf("%w: restore chain from iteration %d too long", ErrCorrupted, iteration)
+	_, _, err := fs.restore(prefix, rank, iteration, true)
+	return err
 }
 
-// RestoreState carries one checkpoint restore across program steps: the
-// step form of Read (chargeOnly=false, one file, payload kept) and of
-// ChargeRestore (chargeOnly=true, the whole delta chain, costs only).
-// The only blocking point — waiting for an in-flight drain to land — is
-// parked on instead of slept through. Zero value ready after Begin;
-// reused restore after restore.
+// RestoreState carries one checkpoint restore across steps: a Read
+// (chargeOnly=false, one file, payload kept) or a ChargeRestore
+// (chargeOnly=true, the whole delta chain, costs only). The only blocking
+// point is waiting for an in-flight drain to land. Zero value ready after
+// Begin; reused restore after restore.
 type RestoreState struct {
 	prefix     string
 	rank       int
@@ -338,9 +336,12 @@ func (rs *RestoreState) Meta() Meta { return rs.meta }
 // chargeOnly=false RestoreStep reports done.
 func (rs *RestoreState) Payload() []byte { return rs.payload }
 
-// RestoreStep advances the restore; call it from every program step until
-// it reports done, returning the park value meanwhile. Errors are the
-// same as Read's.
+// RestoreStep advances the restore — the one implementation of the read
+// and of the chain walk; call it from every step until it reports done,
+// parking on the park value meanwhile (a Prog returns it from Step; Read
+// and ChargeRestore hand it to Env.Block). It returns ErrCorrupted
+// (wrapped) for files that exist but miss information, and
+// fsmodel.ErrNotExist (wrapped) for missing files.
 func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 	for {
 		if rs.hops >= 1000 { // bound against base-pointer cycles

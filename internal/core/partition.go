@@ -326,11 +326,12 @@ func (p *partition) kill(v *vp) {
 	p.live--
 }
 
-// blockReasonString renders a Block reason for a deadlock report: plain
-// strings pass through, and hot-path callers that parked with a lazy
-// reason (anything implementing BlockReason() string) are formatted only
-// here — never on the block fast path.
-func blockReasonString(r any) string {
+// BlockReasonString renders a Block reason (equally, a Program's park
+// value) for a deadlock report or a layer's own diagnostic: plain strings
+// pass through, and hot-path callers that parked with a lazy reason
+// (anything implementing BlockReason() string) are formatted only here —
+// never on the block fast path.
+func BlockReasonString(r any) string {
 	switch x := r.(type) {
 	case nil:
 		return ""
@@ -350,7 +351,7 @@ func (p *partition) blockedReport() []string {
 	for r := p.lo; r < p.hi; r++ {
 		v := &p.eng.vps[r]
 		if v.state == vpBlocked {
-			out = append(out, fmt.Sprintf("rank %d blocked at %v: %s", v.rank, v.clock, blockReasonString(v.blockReason)))
+			out = append(out, fmt.Sprintf("rank %d blocked at %v: %s", v.rank, v.clock, BlockReasonString(v.blockReason)))
 		}
 	}
 	return out

@@ -19,14 +19,14 @@ import "xsim/internal/vclock"
 //
 // Inside Step the full Ctx API is available except Block itself — a
 // Program parks by returning, and Ctx.Block panics with a diagnostic if
-// called without a carrier. Blocking primitives come in park-shaped
-// forms instead: Ctx.SleepPark arms the timer Sleep would block on and
-// hands back the park value to return from Step, and the MPI layer's
-// step states (WaitState, RecvState, CollectiveState, ...) park on the
-// same completion events their closure counterparts block on, so the two
-// modes stay digest-identical. FailNow/Exitf/Abort work unchanged: they
-// unwind via panic, which the scheduler recovers and classifies exactly
-// as it does for carrier-run bodies.
+// called without a carrier. Blocking primitives are park-shaped instead:
+// Ctx.SleepPark arms the sleep timer and hands back the park value to
+// return from Step, and the MPI layer's step states (WaitState, RecvState,
+// CollectiveState, ...) do the same for waits and collectives. Closure
+// bodies run those same primitives and hand the park value to Block, so
+// the two modes are digest-identical by construction. FailNow/Exitf/Abort
+// work unchanged: they unwind via panic, which the scheduler recovers and
+// classifies exactly as it does for carrier-run bodies.
 type Program interface {
 	Step(c *Ctx, wake any) (park any, done bool)
 }
@@ -42,8 +42,8 @@ func (p *partition) stepProgram(v *vp) bool {
 		v.clock = vclock.Max(v.clock, v.wakeAt)
 	} else {
 		// Resume from a park: mirror Block's wake-side bookkeeping
-		// (including Sleep's post-Block clearing of the sleeping flag,
-		// which guards against stale timers from abandoned sleeps).
+		// (including clearing the sleeping flag, which guards against
+		// stale timers from abandoned sleeps).
 		v.state = vpRunning
 		v.blockReason = nil
 		v.sleeping = false

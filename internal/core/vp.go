@@ -82,7 +82,7 @@ type vp struct {
 	// blockReason is the value passed to Block, rendered only if a
 	// deadlock report is ever printed: a string, or a value implementing
 	// BlockReason() string for callers that want to avoid formatting a
-	// reason on every block (see blockReasonString).
+	// reason on every block (see BlockReasonString).
 	blockReason any
 
 	// gate is the bidirectional handoff channel: the scheduler sends
@@ -220,27 +220,21 @@ func (c *Ctx) WaitTime() vclock.Duration { return c.vp.waited }
 // order while the VP sleeps, so a sleeping VP fails or aborts at the
 // scheduled time rather than at the end of the phase. Use Elapse to model
 // native computation (the simulator cannot regain control mid-compute) and
-// Sleep for interruptible waiting.
+// Sleep for interruptible waiting. It is SleepPark driven on a carrier:
+// arm the timer, block on the park value.
 func (c *Ctx) Sleep(d vclock.Duration) {
-	v := c.vp
-	if d <= 0 {
-		v.checkUnwind()
-		return
+	if park, ok := c.SleepPark(d); ok {
+		c.Block(park)
 	}
-	v.sleepSeq++
-	c.Emit(Event{Time: v.clock.Add(d), Kind: kindTimer, Target: v.rank, stamp: v.sleepSeq})
-	v.sleeping = true
-	c.Block("sleep")
-	v.sleeping = false
 }
 
-// SleepPark is the program-mode counterpart of Sleep: it schedules the
-// timer event that will wake the VP after d and returns the park value
-// the Program must return from Step (ok true). For d <= 0 it returns
-// (nil, false) after the same activation check Sleep performs — the
-// program should treat that as an already-elapsed sleep and continue
-// without parking. The scheduler clears the sleeping flag on resume,
-// mirroring Sleep's post-Block bookkeeping.
+// SleepPark is the one body of a sleep: it schedules the timer event that
+// will wake the VP after d and returns the park value to block on (a
+// closure VP passes it to Block, a Program returns it from Step) with ok
+// true. For d <= 0 it returns (nil, false) after an activation check — the
+// sleep has already elapsed and the caller continues without parking. The
+// resume (Block's return, or the scheduler's next Step) clears the
+// sleeping flag, which guards against stale timers from abandoned sleeps.
 func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 	v := c.vp
 	if d <= 0 {
@@ -292,6 +286,7 @@ func (c *Ctx) Block(reason any) any {
 	<-v.gate               // wait for SchedCtx.Wake's resume
 	v.state = vpRunning
 	v.blockReason = nil
+	v.sleeping = false
 	if v.killed {
 		panic(unwindSentinel{DeathKilled})
 	}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 
-	"xsim/internal/checkpoint"
 	"xsim/internal/mpi"
 	"xsim/internal/vclock"
 )
@@ -307,146 +306,15 @@ func (t *Tracker) setPhase(rank int, p Phase) {
 	}
 }
 
-// Run executes the heat application inside one simulated MPI process. It
-// is the paper's application loop: restart from the last valid checkpoint
-// if one exists, then iterate with compute, halo-exchange, checkpoint,
-// barrier and delete phases, and finalise cleanly.
+// Run executes the heat application inside one simulated MPI process (a
+// closure VP). It is the paper's application loop: restart from the last
+// valid checkpoint if one exists, then iterate with compute,
+// halo-exchange, checkpoint, barrier and delete phases, and finalise
+// cleanly. The loop itself is written once, as the resumable heatRunner
+// (prog.go) that NewProg hands to program mode; Run drives the same runner
+// to completion on the calling VP.
 func Run(env *mpi.Env, cfg Config) {
-	if err := cfg.Validate(env.Size()); err != nil {
-		panic(err)
-	}
-	world := env.World()
-	rank := env.Rank()
-	tr := cfg.Tracker
-	tr.setPhase(rank, PhaseInit)
-
-	fs, err := checkpoint.NewFS(env)
-	if err != nil {
-		panic(err)
-	}
-	st := newState(&cfg, rank)
-
-	// Restart support: load the newest valid checkpoint, deleting any
-	// corrupted ones encountered (the cleanup script outside the
-	// simulation already removed incomplete sets). The candidate
-	// iterations follow from the checkpoint cadence, so each rank probes
-	// them directly instead of scanning the store.
-	startIter := 0
-	candidates := cfg.checkpointIterations()
-	if cfg.ProactiveTrigger > 0 {
-		// Proactive checkpoints land off the regular cadence, so every
-		// iteration is a restart candidate.
-		candidates = make([]int, cfg.Iterations)
-		for i := range candidates {
-			candidates[i] = i + 1
-		}
-	}
-	if it, ok := fs.LatestValidAmong(cfg.prefix(), rank, candidates); ok {
-		if cfg.RealCompute {
-			_, payload, err := fs.Read(cfg.prefix(), it, rank)
-			if err != nil {
-				panic(fmt.Sprintf("heat: rank %d cannot reload checkpoint %d: %v", rank, it, err))
-			}
-			st.restore(payload)
-		} else if fs.Tiered() || cfg.DeltaFraction > 0 {
-			// Tier-aware restore: read the whole delta chain, each file
-			// from the fastest tier holding a surviving copy.
-			if err := fs.ChargeRestore(cfg.prefix(), rank, it); err != nil {
-				panic(fmt.Sprintf("heat: rank %d cannot reload checkpoint %d: %v", rank, it, err))
-			}
-		} else {
-			env.Elapse(env.FSModel().ReadCost(cfg.payloadBytes()))
-		}
-		startIter = it
-	}
-	if tr != nil {
-		tr.startIter[rank] = startIter
-	}
-	prevCkpt := startIter // previous checkpoint iteration (0 = none)
-	incr := !cfg.RealCompute && cfg.DeltaFraction > 0
-	var chain []int // current incremental chain, base (full checkpoint) first
-	if incr && startIter > 0 {
-		chain = checkpoint.Chain(env.FSStore(), cfg.prefix(), rank, startIter)
-	}
-
-	// Initialise the ghost layers of the (initial or restored) state so
-	// the first computation phase sees its neighbours' boundaries.
-	tr.setPhase(rank, PhaseHalo)
-	st.haloExchange(env, world)
-
-	proactiveDone := false
-	for iter := startIter + 1; iter <= cfg.Iterations; iter++ {
-		if cfg.onIter != nil {
-			cfg.onIter(rank, iter)
-		}
-		if tr != nil {
-			tr.iters[rank] = iter
-		}
-		tr.setPhase(rank, PhaseCompute)
-		st.computeIteration(env)
-
-		if iter%cfg.ExchangeInterval == 0 || iter == cfg.Iterations {
-			tr.setPhase(rank, PhaseHalo)
-			st.haloExchange(env, world)
-		}
-		// Proactive fault tolerance: a failure predictor fired, so write
-		// an extra checkpoint now to minimise the progress a restart
-		// would lose.
-		proactive := cfg.ProactiveTrigger > 0 && !proactiveDone &&
-			env.Now() >= cfg.ProactiveTrigger
-		if proactive {
-			proactiveDone = true
-		}
-		if proactive || iter%cfg.CheckpointInterval == 0 || iter == cfg.Iterations {
-			tr.setPhase(rank, PhaseCheckpoint)
-			meta := checkpoint.Meta{Iteration: iter, Rank: rank}
-			full := !incr || len(chain) == 0 || len(chain) >= cfg.fullEvery()
-			switch {
-			case cfg.RealCompute:
-				err = fs.Write(cfg.prefix(), meta, st.encode())
-			case full:
-				err = fs.WriteSized(cfg.prefix(), meta, cfg.payloadBytes())
-			default:
-				err = fs.WriteIncrementalSized(cfg.prefix(), meta, chain[len(chain)-1], cfg.deltaBytes())
-			}
-			if err != nil {
-				panic(fmt.Sprintf("heat: rank %d checkpoint %d: %v", rank, iter, err))
-			}
-			// A global barrier synchronises all processes so the
-			// previous checkpoint can be deleted safely.
-			tr.setPhase(rank, PhaseBarrier)
-			if err := world.Barrier(); err != nil {
-				panic(fmt.Sprintf("heat: rank %d barrier after checkpoint %d: %v", rank, iter, err))
-			}
-			tr.setPhase(rank, PhaseDelete)
-			if incr {
-				// A full checkpoint supersedes the previous chain; a delta
-				// extends the chain and deletes nothing (every link is
-				// still needed for restore).
-				if full {
-					for _, old := range chain {
-						if old != iter {
-							fs.Delete(cfg.prefix(), old, rank)
-						}
-					}
-					chain = append(chain[:0], iter)
-				} else {
-					chain = append(chain, iter)
-				}
-			} else if prevCkpt > 0 && prevCkpt != iter {
-				fs.Delete(cfg.prefix(), prevCkpt, rank)
-			}
-			if tr != nil {
-				tr.ckpts[rank]++
-			}
-			prevCkpt = iter
-		}
-	}
-	tr.setPhase(rank, PhaseDone)
-	if cfg.OnFinal != nil && cfg.RealCompute {
-		cfg.OnFinal(rank, st.TotalHeat())
-	}
-	env.Finalize()
+	env.RunProg(&heatRunner{cfg: &cfg})
 }
 
 // state holds one rank's grid (real mode) or just its geometry (modelled
@@ -539,47 +407,6 @@ func (s *state) faceSize(d direction) int {
 		return 8 * s.nx * s.nz
 	default:
 		return 8 * s.nx * s.ny
-	}
-}
-
-// haloExchange swaps boundary faces with the six neighbours: receives are
-// posted first, then sends, then everything completes — the standard
-// deadlock-free pattern. In modelled mode the messages carry sizes only.
-func (s *state) haloExchange(env *mpi.Env, world *mpi.Comm) {
-	reqs := make([]*mpi.Request, 0, 12)
-	recvs := make([]*mpi.Request, 0, 6)
-	for _, d := range directions {
-		req, err := world.Irecv(s.neighbor(d.dx, d.dy, d.dz), oppositeTag(d.tag))
-		if err != nil {
-			panic(fmt.Sprintf("heat: halo irecv: %v", err))
-		}
-		recvs = append(recvs, req)
-		reqs = append(reqs, req)
-	}
-	for _, d := range directions {
-		var req *mpi.Request
-		var err error
-		if s.cfg.RealCompute {
-			req, err = world.Isend(s.neighbor(d.dx, d.dy, d.dz), d.tag, s.packFace(d))
-		} else {
-			req, err = world.IsendN(s.neighbor(d.dx, d.dy, d.dz), d.tag, s.faceSize(d))
-		}
-		if err != nil {
-			panic(fmt.Sprintf("heat: halo isend: %v", err))
-		}
-		reqs = append(reqs, req)
-	}
-	if err := world.Waitall(reqs); err != nil {
-		panic(fmt.Sprintf("heat: halo waitall: %v", err))
-	}
-	if s.cfg.RealCompute {
-		for i, d := range directions {
-			msg, err := world.Wait(recvs[i])
-			if err != nil {
-				panic(fmt.Sprintf("heat: halo wait: %v", err))
-			}
-			s.unpackFace(d, msg.Data)
-		}
 	}
 }
 

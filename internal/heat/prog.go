@@ -8,19 +8,18 @@ import (
 )
 
 // NewProg returns a program-mode factory for the heat application: the
-// step-based twin of Run, observationally identical phase for phase
-// (restart probe, restore, halo exchange, compute, checkpoint, barrier,
-// delete) so closure- and program-mode experiments produce the same
-// virtual timelines. Program mode is what lets the headline experiments
-// run at 256k–1M ranks: a parked rank is a few hundred bytes of state
-// instead of a goroutine stack.
+// same heatRunner Run drives on a closure VP, stepped by the scheduler
+// instead, so closure- and program-mode experiments produce the same
+// virtual timelines by construction. Program mode is what lets the
+// headline experiments run at 256k–1M ranks: a parked rank is a few
+// hundred bytes of state instead of a goroutine stack.
 func NewProg(cfg Config) func(rank int) mpi.Prog {
 	// One shared, read-only Config for every rank: at a million VPs an
 	// embedded copy per runner is ~180 bytes/rank for identical data.
 	return func(rank int) mpi.Prog { return &heatRunner{cfg: &cfg} }
 }
 
-// heatRunner phases; the order mirrors Run's control flow.
+// heatRunner phases, in control-flow order.
 const (
 	hpInit = iota
 	hpRestore
@@ -33,7 +32,8 @@ const (
 	hpFinish
 )
 
-// heatRunner is one rank's resumable heat application.
+// heatRunner is one rank's heat application — the only implementation of
+// the application loop — as a resumable state machine.
 type heatRunner struct {
 	cfg *Config // shared across ranks; read-only after NewProg
 	pc  int
@@ -57,8 +57,10 @@ type heatRunner struct {
 	csArmed    bool
 }
 
-// haloStep posts (once) and completes the six-face exchange of
-// state.haloExchange as a resumable step.
+// haloStep swaps boundary faces with the six neighbours as a resumable
+// step: receives are posted first, then sends, then everything completes —
+// the standard deadlock-free pattern. In modelled mode the messages carry
+// sizes only.
 func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	s := p.st
 	if !p.haloPosted {
@@ -94,8 +96,9 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 		panic(fmt.Sprintf("heat: halo waitall: %v", err))
 	}
 	if s.cfg.RealCompute {
-		// The requests are complete, so these waits cannot block; they
-		// charge the same per-receive wait call the closure path does.
+		// The requests are complete, so these waits cannot block; each
+		// charges the per-receive wait call an MPI application pays to
+		// read a face out of its request.
 		for i, d := range directions {
 			msg, err := world.Wait(p.reqs[i])
 			if err != nil {
@@ -104,11 +107,10 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 			s.unpackFace(d, msg.Data)
 		}
 	}
-	// Recycle the completed requests (the closure path drops them to the
-	// garbage collector; freeing charges nothing and keeps steady-state
-	// allocation flat at oversubscription scale) and drop the references:
-	// the truncated slice's backing array must not pin a dozen dead
-	// Requests per parked rank until the next exchange.
+	// Recycle the completed requests (freeing charges nothing and keeps
+	// steady-state allocation flat at oversubscription scale) and drop the
+	// references: the truncated slice's backing array must not pin a dozen
+	// dead Requests per parked rank until the next exchange.
 	for i := range p.reqs {
 		world.Free(p.reqs[i])
 		p.reqs[i] = nil
@@ -118,7 +120,7 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	return true, nil
 }
 
-// Step advances the application; the body is Run's loop unrolled into
+// Step advances the application: the paper's loop, unrolled into
 // resumable phases.
 func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 	cfg := p.cfg
@@ -138,8 +140,15 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			}
 			p.fs = fs
 			p.st = newState(cfg, rank)
+			// Restart support: load the newest valid checkpoint, deleting
+			// any corrupted ones encountered (the cleanup script outside
+			// the simulation already removed incomplete sets). The
+			// candidate iterations follow from the checkpoint cadence, so
+			// each rank probes them directly instead of scanning the store.
 			candidates := cfg.checkpointIterations()
 			if cfg.ProactiveTrigger > 0 {
+				// Proactive checkpoints land off the regular cadence, so
+				// every iteration is a restart candidate.
 				candidates = make([]int, cfg.Iterations)
 				for i := range candidates {
 					candidates[i] = i + 1
@@ -155,6 +164,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			case cfg.RealCompute:
 				p.rs.Begin(cfg.prefix(), rank, it, false)
 			case fs.Tiered() || cfg.DeltaFraction > 0:
+				// Tier-aware restore: read the whole delta chain, each file
+				// from the fastest tier holding a surviving copy.
 				p.rs.Begin(cfg.prefix(), rank, it, true)
 			default:
 				env.Elapse(env.FSModel().ReadCost(cfg.payloadBytes()))
@@ -180,11 +191,14 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			if tr != nil {
 				tr.startIter[rank] = p.startIter
 			}
-			p.prevCkpt = p.startIter
+			p.prevCkpt = p.startIter // previous checkpoint iteration (0 = none)
 			p.incr = !cfg.RealCompute && cfg.DeltaFraction > 0
 			if p.incr && p.startIter > 0 {
+				// The current incremental chain, base (full checkpoint) first.
 				p.chain = checkpoint.Chain(env.FSStore(), cfg.prefix(), rank, p.startIter)
 			}
+			// Initialise the ghost layers of the (initial or restored) state
+			// so the first computation phase sees its neighbours' boundaries.
 			tr.setPhase(rank, PhaseHalo)
 			p.pc = hpInitialHalo
 		case hpInitialHalo:
@@ -222,6 +236,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.pc = hpMaybeCkpt
 		case hpMaybeCkpt:
 			iter := p.iter
+			// Proactive fault tolerance: a failure predictor fired, so write
+			// an extra checkpoint now to minimise the progress a restart
+			// would lose.
 			proactive := cfg.ProactiveTrigger > 0 && !p.proactiveDone &&
 				env.Now() >= cfg.ProactiveTrigger
 			if proactive {
@@ -249,6 +266,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			tr.setPhase(rank, PhaseBarrier)
 			p.pc = hpBarrier
 		case hpBarrier:
+			// A global barrier synchronises all processes so the previous
+			// checkpoint can be deleted safely.
 			if !p.csArmed {
 				p.csArmed = true
 				p.cs.BeginBarrier()
@@ -264,6 +283,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			iter := p.iter
 			tr.setPhase(rank, PhaseDelete)
 			if p.incr {
+				// A full checkpoint supersedes the previous chain; a delta
+				// extends the chain and deletes nothing (every link is
+				// still needed for restore).
 				if p.full {
 					for _, old := range p.chain {
 						if old != iter {

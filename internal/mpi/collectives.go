@@ -24,46 +24,46 @@ const (
 
 // Collectives are built from the same point-to-point primitives the
 // application uses, so they inherit the pooled-event discipline for free:
-// sendTag/recvTag emit by value and only envelope payloads cross the
-// engine boundary. Their requests never escape to the application, so
-// they are recycled on return, and every hop's message is released (or
-// its payload detached) once consumed — a long reduction chain runs on a
-// handful of pooled objects.
+// internal sends and receives emit by value and only envelope payloads
+// cross the engine boundary. Their requests never escape to the
+// application, so they are recycled at completion, and every hop's message
+// is released (or its payload detached) once consumed — a long reduction
+// chain runs on a handful of pooled objects.
+//
+// Every algorithm has one body, the CollectiveState step machine in
+// prog_coll.go. The methods below are its closure-mode form: arm the
+// process's scratch CollectiveState, run CollectiveStep, Block on the park
+// value until it reports done.
 
-// sendTag performs a blocking internal send (raw error, no handler),
-// recycling the request.
-func (c *Comm) sendTag(dst, tag, size int, data []byte) error {
-	req := c.isendTag(dst, tag, size, data)
-	err := c.env.wait(req)
-	c.env.ps.dp.putReq(req)
-	return err
+// finishReq recycles a completed request that never escaped to the
+// application and hands its received message (nil for sends) to the
+// caller, who must Release it (or detach its Data) once consumed. On error
+// the message, if any, is released here and nil is returned.
+func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
+	msg := req.msg
+	req.msg = nil
+	ps.dp.putReq(req)
+	if err != nil {
+		msg.Release()
+		return nil, err
+	}
+	return msg, nil
 }
 
-// sendTagOwned is sendTag for a pooled buffer whose ownership transfers to
-// the MPI layer: the payload travels with no copy at either end.
-func (c *Comm) sendTagOwned(dst, tag, size int, data []byte) error {
-	req := c.isendOwned(dst, tag, size, data)
-	err := c.env.wait(req)
-	c.env.ps.dp.putReq(req)
+// sendTag performs a blocking internal send (raw error, no handler),
+// recycling the request. With recvTag it is the closure-mode hop the ULFM
+// operations are written in.
+func (c *Comm) sendTag(dst, tag, size int, data []byte) error {
+	req := c.isendTag(dst, tag, size, data)
+	_, err := c.env.ps.finishReq(req, c.env.wait(req))
 	return err
 }
 
 // recvTag performs a blocking internal receive (raw error, no handler),
-// recycling the request. The caller owns the returned message: it must
-// Release it (or detach its Data) once consumed.
+// recycling the request. The caller owns the returned message.
 func (c *Comm) recvTag(src, tag int) (*Message, error) {
 	req := c.irecvTag(src, tag)
-	err := c.env.wait(req)
-	msg := req.msg
-	req.msg = nil
-	c.env.ps.dp.putReq(req)
-	if err != nil {
-		if msg != nil {
-			msg.Release()
-		}
-		return nil, err
-	}
-	return msg, nil
+	return c.env.ps.finishReq(req, c.env.wait(req))
 }
 
 // detachData takes the payload out of a message that is about to escape to
@@ -76,92 +76,40 @@ func detachData(msg *Message) []byte {
 	return data
 }
 
-// Barrier blocks until every member reaches it. With the paper's linear
-// algorithm, every rank reports to rank 0, which then releases every rank;
-// a failure anywhere is detected here by timeout — the paper's "failure
-// during the checkpoint phase is detected in the following barrier".
-func (c *Comm) Barrier() error {
-	c.env.w.m.countCollective(c.env.Rank())
-	return c.handleError(c.barrier())
+// drive runs the collective armed in the closure scratch to completion on
+// the calling closure VP and returns its results (all nil on error). It
+// leaves the scratch disarmed, so between collectives the process pins
+// neither the results nor, after a failed exchange, its requests.
+func (c *Comm) drive(cs *CollectiveState) (data []byte, acc []float64, out [][]byte, err error) {
+	for {
+		done, park, err := c.CollectiveStep(cs)
+		if !done {
+			c.env.Block(park)
+			continue
+		}
+		if err == nil {
+			data, acc, out = cs.data, cs.acc, cs.out
+		}
+		cs.arm(collNone)
+		return data, acc, out, err
+	}
 }
 
-func (c *Comm) barrier() error {
-	if err := c.checkRevoked("barrier"); err != nil {
-		return err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		// A zero-byte reduce-to-0 followed by a broadcast.
-		if err := c.treeGatherSignal(tagBarrierIn); err != nil {
-			return err
-		}
-		return c.treeBcastSignal(tagBarrierOut)
-	}
-	n := c.Size()
-	if c.rank == 0 {
-		for r := 1; r < n; r++ {
-			m, err := c.recvTag(r, tagBarrierIn)
-			if err != nil {
-				return err
-			}
-			m.Release()
-		}
-		for r := 1; r < n; r++ {
-			if err := c.sendTag(r, tagBarrierOut, 0, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.sendTag(0, tagBarrierIn, 0, nil); err != nil {
-		return err
-	}
-	m, err := c.recvTag(0, tagBarrierOut)
-	if err != nil {
-		return err
-	}
-	m.Release()
-	return nil
+// Barrier blocks until every member reaches it.
+func (c *Comm) Barrier() error {
+	cs := &c.env.closure().coll
+	cs.BeginBarrier()
+	_, _, _, err := c.drive(cs)
+	return err
 }
 
 // Bcast broadcasts root's data to every member; every rank returns the
 // broadcast payload. Non-root callers pass nil.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.bcast(root, data, len(data), tagBcast)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) bcast(root int, data []byte, size, tag int) ([]byte, error) {
-	if err := c.checkRevoked("bcast"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return data, nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		return c.treeBcast(root, data, size, tag)
-	}
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendTag(r, tag, size, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	msg, err := c.recvTag(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	return detachData(msg), nil
+	cs := &c.env.closure().coll
+	cs.BeginBcast(root, data)
+	out, _, _, err := c.drive(cs)
+	return out, err
 }
 
 // ReduceOp folds src into dst elementwise; both slices have equal length.
@@ -192,322 +140,54 @@ var (
 // Reduce folds every member's contribution at root with op. The root
 // returns the reduction, others return nil.
 func (c *Comm) Reduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.reduce(root, contrib, op)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) reduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	if err := c.checkRevoked("reduce"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return append([]float64(nil), contrib...), nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		return c.treeReduce(root, contrib, op)
-	}
-	if c.rank != root {
-		return nil, c.sendTagOwned(root, tagReduce, 8*len(contrib), encodeF64sPool(c.env.ps.dp, contrib))
-	}
-	acc := append([]float64(nil), contrib...)
-	// Linear: fold contributions in rank order, which keeps the result
-	// deterministic even for non-associative floating-point ops. Each hop
-	// decodes into the per-process scratch and releases its message — the
-	// whole fold reuses one buffer and one float slice.
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		msg, err := c.recvTag(r, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		vals := c.env.ps.scratchF64(len(contrib))
-		if err := decodeF64sInto(vals, msg.Data); err != nil {
-			return nil, err
-		}
-		op(acc, vals)
-		msg.Release()
-	}
-	return acc, nil
-}
-
-// treeReduce folds contributions along a binomial tree rooted at root.
-// The fold order differs from the linear algorithm's, so results for
-// non-associative floating-point operations may differ in the last bits —
-// the usual MPI caveat.
-func (c *Comm) treeReduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	acc := append([]float64(nil), contrib...)
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % n
-			return nil, c.sendTagOwned(parent, tagReduce, 8*len(acc), encodeF64sPool(c.env.ps.dp, acc))
-		}
-		if child := vrank | mask; child < n {
-			msg, err := c.recvTag((child+root)%n, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			vals := c.env.ps.scratchF64(len(acc))
-			if err := decodeF64sInto(vals, msg.Data); err != nil {
-				return nil, err
-			}
-			op(acc, vals)
-			msg.Release()
-		}
-	}
-	return acc, nil
+	cs := &c.env.closure().coll
+	cs.BeginReduce(root, contrib, op)
+	_, acc, _, err := c.drive(cs)
+	return acc, err
 }
 
 // Allreduce folds every member's contribution and distributes the result
-// to every member (implemented as a reduce to rank 0 plus a broadcast,
-// matching linear-algorithm MPI implementations).
+// to every member.
 func (c *Comm) Allreduce(contrib []float64, op ReduceOp) ([]float64, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.allreduce(contrib, op)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) allreduce(contrib []float64, op ReduceOp) ([]float64, error) {
-	acc, err := c.reduce(0, contrib, op)
-	if err != nil {
-		return nil, err
-	}
-	dp := c.env.ps.dp
-	var buf []byte
-	if c.rank == 0 {
-		buf = encodeF64sPool(dp, acc)
-	}
-	buf, err = c.bcast(0, buf, 8*len(contrib), tagBcast)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank == 0 {
-		// The root already holds the reduction, and decode(encode(x)) is
-		// bit-identical for float64: skip the round-trip and release the
-		// broadcast buffer (bcast copied it per send).
-		dp.putBuf(buf)
-		return acc, nil
-	}
-	out, err := decodeF64s(buf, len(contrib))
-	dp.putBuf(buf)
-	return out, err
+	cs := &c.env.closure().coll
+	cs.BeginAllreduce(contrib, op)
+	_, acc, _, err := c.drive(cs)
+	return acc, err
 }
 
 // Gather collects every member's data at root in rank order. The root
 // returns one slice per rank, others return nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.gather(root, data, tagGather)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) gather(root int, data []byte, tag int) ([][]byte, error) {
-	if err := c.checkRevoked("gather"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.rank != root {
-		return nil, c.sendTag(root, tag, len(data), data)
-	}
-	out := make([][]byte, c.Size())
-	out[root] = append([]byte(nil), data...)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		msg, err := c.recvTag(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = detachData(msg)
-	}
-	return out, nil
+	cs := &c.env.closure().coll
+	cs.BeginGather(root, data)
+	_, _, out, err := c.drive(cs)
+	return out, err
 }
 
 // Scatter distributes parts[i] from root to rank i; every rank returns its
 // part. Non-root callers pass nil.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.scatter(root, parts)
-	return out, c.handleError(err)
+	cs := &c.env.closure().coll
+	cs.BeginScatter(root, parts)
+	out, _, _, err := c.drive(cs)
+	return out, err
 }
 
-func (c *Comm) scatter(root int, parts [][]byte) ([]byte, error) {
-	if err := c.checkRevoked("scatter"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", c.Size(), len(parts))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendTag(r, tagScatter, len(parts[r]), parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]byte(nil), parts[root]...), nil
-	}
-	msg, err := c.recvTag(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return detachData(msg), nil
-}
-
-// Allgather collects every member's data at every member, in rank order
-// (gather to rank 0 plus a broadcast of the framed result).
+// Allgather collects every member's data at every member, in rank order.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.allgather(data)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) allgather(data []byte) ([][]byte, error) {
-	parts, err := c.gather(0, data, tagAllgather)
-	if err != nil {
-		return nil, err
-	}
-	dp := c.env.ps.dp
-	var framed []byte
-	if c.rank == 0 {
-		framed = framePool(dp, parts)
-		// The gathered per-rank buffers are folded into the frame now;
-		// release the pooled ones (rank 0's own part is a fresh copy).
-		for r, p := range parts {
-			if r != c.rank {
-				dp.putBuf(p)
-			}
-		}
-	}
-	framed, err = c.bcast(0, framed, len(framed), tagAllgather)
-	if err != nil {
-		return nil, err
-	}
-	out, err := unframe(framed)
-	dp.putBuf(framed)
+	cs := &c.env.closure().coll
+	cs.BeginAllgather(data)
+	_, _, out, err := c.drive(cs)
 	return out, err
 }
 
 // Alltoall sends parts[i] to rank i and returns one received slice per
-// rank. Receives are posted before sends so the exchange cannot deadlock
-// under the rendezvous protocol.
+// rank.
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.alltoall(parts)
-	return out, c.handleError(err)
-}
-
-func (c *Comm) alltoall(parts [][]byte) ([][]byte, error) {
-	if err := c.checkRevoked("alltoall"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if len(parts) != c.Size() {
-		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", c.Size(), len(parts))
-	}
-	n := c.Size()
-	recvs := make([]*Request, 0, n-1)
-	reqs := make([]*Request, 0, 2*(n-1))
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		req := c.irecvTag(r, tagAlltoall)
-		recvs = append(recvs, req)
-		reqs = append(reqs, req)
-	}
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		reqs = append(reqs, c.isendTag(r, tagAlltoall, len(parts[r]), parts[r]))
-	}
-	if err := c.env.wait(reqs...); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	i := 0
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		out[r] = detachData(recvs[i].msg)
-		recvs[i].msg = nil
-		i++
-	}
-	// None of the requests escaped; recycle them all.
-	dp := c.env.ps.dp
-	for _, req := range reqs {
-		dp.putReq(req)
-	}
-	return out, nil
-}
-
-// --- Binomial-tree algorithms (collective-algorithm ablation) -----------
-
-// treeBcast broadcasts along a binomial tree rooted at root (the standard
-// MPICH-style algorithm).
-func (c *Comm) treeBcast(root int, data []byte, size, tag int) ([]byte, error) {
-	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	mask := 1
-	for ; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % n
-			msg, err := c.recvTag(parent, tag)
-			if err != nil {
-				return nil, err
-			}
-			data = detachData(msg)
-			break
-		}
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < n {
-			child := (vrank + mask + root) % n
-			if err := c.sendTag(child, tag, size, data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return data, nil
-}
-
-// treeBcastSignal broadcasts a zero-byte release along a binomial tree
-// rooted at rank 0.
-func (c *Comm) treeBcastSignal(tag int) error {
-	_, err := c.treeBcast(0, nil, 0, tag)
-	return err
-}
-
-// treeGatherSignal gathers a zero-byte arrival signal to rank 0 along a
-// binomial tree (the reduce direction of a tree barrier).
-func (c *Comm) treeGatherSignal(tag int) error {
-	n := c.Size()
-	vrank := c.rank
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			return c.sendTag(vrank-mask, tag, 0, nil)
-		}
-		if child := vrank | mask; child < n {
-			m, err := c.recvTag(child, tag)
-			if err != nil {
-				return err
-			}
-			m.Release()
-		}
-	}
-	return nil
+	cs := &c.env.closure().coll
+	cs.BeginAlltoall(parts)
+	_, _, out, err := c.drive(cs)
+	return out, err
 }
 
 // encodeF64s encodes floats little-endian.
@@ -520,7 +200,7 @@ func encodeF64s(vals []float64) []byte {
 }
 
 // encodeF64sPool is encodeF64s into a pooled buffer; the caller owns it
-// (transfer it with sendTagOwned or release it with putBuf).
+// (transfer it with hopSendOwned or release it with putBuf).
 func encodeF64sPool(dp *dpPool, vals []float64) []byte {
 	buf := dp.getBuf(8 * len(vals))
 	for i, v := range vals {

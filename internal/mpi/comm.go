@@ -241,19 +241,10 @@ func (c *Comm) Recv(src, tag int) (*Message, error) {
 	if err != nil {
 		return nil, c.handleError(err)
 	}
-	err = c.env.wait(req)
 	// The request never escapes; the message does (the caller owns it and
 	// may hand its buffer back with Message.Release).
-	msg := req.msg
-	req.msg = nil
-	c.env.ps.dp.putReq(req)
-	if err != nil {
-		if msg != nil {
-			msg.Release()
-		}
-		return nil, c.handleError(err)
-	}
-	return msg, nil
+	msg, err := c.env.ps.finishReq(req, c.env.wait(req))
+	return msg, c.handleError(err)
 }
 
 // Irecv posts a nonblocking receive; complete it with Wait or Waitall.

@@ -322,13 +322,67 @@ type Env struct {
 	ps    *procState
 	world *Comm
 
-	finalized  bool
+	finalized bool
+	// prog marks a process executing as a program VP (World.RunProgs): it
+	// has no goroutine to park, so Block refuses with a typed
+	// ClosureOnlyError. The two flags sit together so the scratch pointer
+	// below adds nothing to the per-rank bundle a million program VPs pay.
+	prog       bool
 	nextCommID int
-	// prog marks a process executing as a program VP (World.RunProgs):
-	// blocking calls panic with a typed ClosureOnlyError instead of
-	// reaching core.Ctx.Block, directing the caller at the step-based
-	// states (WaitState, RecvState, CollectiveState, SleepState, ...).
-	prog bool
+	// scratch holds the step states the closure-mode blocking calls drive
+	// (see closure); nil until the first call that has to park, so a
+	// program VP, which parks through states of its own, never pays for it.
+	scratch *closureScratch
+}
+
+// closureScratch is the step state behind the closure-mode blocking calls:
+// Env.wait, Comm.Probe and the collective methods are loops that run the
+// same step functions a Prog does on these states and Block on the park
+// values. A process blocks in one call at a time, so one of each suffices.
+type closureScratch struct {
+	wait  WaitState
+	probe ProbeState
+	coll  CollectiveState
+}
+
+// closure returns the process's closure-mode step states, allocating them
+// on first use.
+func (e *Env) closure() *closureScratch {
+	if e.scratch == nil {
+		e.scratch = new(closureScratch)
+	}
+	return e.scratch
+}
+
+// Block is the MPI layer's one blocking primitive. A blocking call is a
+// loop: run the operation's step function (WaitStep, CollectiveStep,
+// RestoreStep, a Prog's Step, ...) and, until it reports done, hand the
+// park value it returned to Block, which parks the calling closure VP
+// until a handler wakes it and returns the wake value. A program VP has no
+// goroutine to park — it must return the park value from Prog.Step
+// instead — so there Block panics with a *ClosureOnlyError naming the
+// operation the park value describes.
+func (e *Env) Block(park any) any {
+	if e.prog {
+		panic(&ClosureOnlyError{Op: core.BlockReasonString(park), Rank: e.Rank()})
+	}
+	return e.ctx.Block(park)
+}
+
+// RunProg drives p to completion on the calling closure VP: Step, Block on
+// the park value, Step again with the wake value. It is how an application
+// written once as a Prog also runs in closure mode (World.Run), where the
+// scheduler does not step it; p must call Finalize before reporting done,
+// as under RunProgs.
+func (e *Env) RunProg(p Prog) {
+	var wake any
+	for {
+		park, done := p.Step(e, wake)
+		if done {
+			return
+		}
+		wake = e.Block(park)
+	}
 }
 
 // Rank returns the process's world rank.
@@ -353,14 +407,17 @@ func (e *Env) Elapse(d vclock.Duration) { e.ctx.Elapse(d) }
 func (e *Env) Compute(ops float64) { e.ctx.Elapse(e.w.cfg.Proc.ComputeTime(ops)) }
 
 // Sleep advances the virtual clock by d while yielding to the simulator
-// (interruptible by failures and aborts, unlike Elapse). Programs use
-// SleepStep instead: a positive-duration Sleep blocks, which a program
-// VP cannot do.
+// (interruptible by failures and aborts, unlike Elapse): SleepStep driven
+// on the calling closure VP.
 func (e *Env) Sleep(d vclock.Duration) {
-	if e.prog && d > 0 {
-		panic(&ClosureOnlyError{Op: "sleep", Rank: e.Rank()})
+	var ss SleepState
+	for {
+		done, park := e.SleepStep(&ss, d)
+		if done {
+			return
+		}
+		e.Block(park)
 	}
-	e.ctx.Sleep(d)
 }
 
 // Finalize marks a clean MPI exit. Applications that return without

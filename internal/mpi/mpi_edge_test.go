@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xsim/internal/core"
 	"xsim/internal/vclock"
 )
 
@@ -329,4 +330,141 @@ func TestFailedPeersSnapshotIsolated(t *testing.T) {
 			t.Error("snapshot mutation leaked into the failed-peer list")
 		}
 	})
+}
+
+// oneCollProg runs a single armed collective to completion in program
+// mode and records its error.
+type oneCollProg struct {
+	begin func(*CollectiveState)
+	errs  []error
+	armed bool
+	cs    CollectiveState
+}
+
+func (p *oneCollProg) Step(e *Env, wake any) (any, bool) {
+	c := e.World()
+	if !p.armed {
+		p.armed = true
+		c.SetErrorHandler(ErrorsReturn)
+		p.begin(&p.cs)
+	}
+	done, park, err := c.CollectiveStep(&p.cs)
+	if !done {
+		return park, false
+	}
+	p.errs[e.Rank()] = err
+	e.Finalize()
+	return nil, true
+}
+
+// TestCollectiveRootOutOfRange pins the root check of the rooted
+// collectives, in both execution modes. Unchecked, root -1 read as
+// AnySource on the internal tag and the run ended in a deadlock report;
+// root n addressed an event to a rank that does not exist and panicked
+// the engine. Every rank must get an error instead, and the run must end
+// cleanly.
+func TestCollectiveRootOutOfRange(t *testing.T) {
+	const n = 4
+	parts := make([][]byte, n)
+	for _, tc := range []struct {
+		name    string
+		closure func(c *Comm, root int) error
+		begin   func(cs *CollectiveState, root int)
+	}{
+		{"bcast",
+			func(c *Comm, root int) error { _, err := c.Bcast(root, []byte{1}); return err },
+			func(cs *CollectiveState, root int) { cs.BeginBcast(root, []byte{1}) }},
+		{"reduce",
+			func(c *Comm, root int) error { _, err := c.Reduce(root, []float64{1}, OpSum); return err },
+			func(cs *CollectiveState, root int) { cs.BeginReduce(root, []float64{1}, OpSum) }},
+		{"gather",
+			func(c *Comm, root int) error { _, err := c.Gather(root, []byte{1}); return err },
+			func(cs *CollectiveState, root int) { cs.BeginGather(root, []byte{1}) }},
+		{"scatter",
+			func(c *Comm, root int) error { _, err := c.Scatter(root, parts); return err },
+			func(cs *CollectiveState, root int) { cs.BeginScatter(root, parts) }},
+	} {
+		for _, root := range []int{-1, n} {
+			for _, mode := range []string{"closure", "prog"} {
+				for _, opt := range []worldOpt{func(*WorldConfig) {}, withTree()} {
+					errs := make([]error, n)
+					var res *core.Result
+					var err error
+					if mode == "closure" {
+						res, err = runWorldErr(t, n, 1, nil, func(e *Env) {
+							c := e.World()
+							c.SetErrorHandler(ErrorsReturn)
+							errs[e.Rank()] = tc.closure(c, root)
+						}, opt)
+					} else {
+						res, err = runProgWorldErr(t, n, 1, nil, func(int) Prog {
+							return &oneCollProg{begin: func(cs *CollectiveState) { tc.begin(cs, root) }, errs: errs}
+						}, opt)
+					}
+					if err != nil {
+						t.Fatalf("%s root %d (%s): run ended in %v", tc.name, root, mode, err)
+					}
+					if res.Completed != n {
+						t.Errorf("%s root %d (%s): completed = %d, want %d", tc.name, root, mode, res.Completed, n)
+					}
+					for r, e := range errs {
+						if e == nil || !strings.Contains(e.Error(), "root rank") {
+							t.Errorf("%s root %d (%s) rank %d: err = %v, want a root-range error", tc.name, root, mode, r, e)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFailedCollectiveLeavesScratchEmpty pins what the closure scratch
+// holds after a collective that returned an error: nothing. An alltoall
+// with a failed peer ends with 2(n-1) requests (and their messages) in the
+// machine's request sets; the process must not keep them alive until its
+// next collective — or, if there is none, for the rest of its life.
+func TestFailedCollectiveLeavesScratchEmpty(t *testing.T) {
+	const n = 4
+	checked := 0
+	res, err := runWorldErr(t, n, 1, map[int]vclock.Time{3: 0}, func(e *Env) {
+		c := e.World()
+		c.SetErrorHandler(ErrorsReturn)
+		if e.Rank() == 3 {
+			e.Elapse(vclock.Second) // fails at the first clock update
+		}
+		if _, err := c.Alltoall(make([][]byte, n)); err == nil {
+			t.Errorf("rank %d: alltoall with a failed peer succeeded", e.Rank())
+		}
+		// A receive from the failed rank through the wait scratch, too.
+		if _, err := c.Recv(3, 0); err == nil {
+			t.Errorf("rank %d: recv from a failed peer succeeded", e.Rank())
+		}
+		sc := e.scratch
+		for name, reqs := range map[string][]*Request{
+			"coll.reqs":     sc.coll.reqs[:cap(sc.coll.reqs)],
+			"coll.recvs":    sc.coll.recvs[:cap(sc.coll.recvs)],
+			"coll.ws.reqs":  sc.coll.ws.reqs[:cap(sc.coll.ws.reqs)],
+			"coll.hop.reqs": sc.coll.hop.ws.reqs[:cap(sc.coll.hop.ws.reqs)],
+			"wait.reqs":     sc.wait.reqs[:cap(sc.wait.reqs)],
+		} {
+			for i, r := range reqs {
+				if r != nil {
+					t.Errorf("rank %d: %s[%d] still holds a request after the failed call", e.Rank(), name, i)
+				}
+			}
+		}
+		if sc.coll.hop.req != nil || sc.coll.parts != nil || sc.coll.out != nil || sc.coll.data != nil {
+			t.Errorf("rank %d: collective scratch still holds operands or results: %+v", e.Rank(), sc.coll)
+		}
+		if cap(sc.coll.reqs) < 2*(n-1) {
+			t.Errorf("rank %d: alltoall did not run through the scratch (cap %d)", e.Rank(), cap(sc.coll.reqs))
+		}
+		checked++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 || checked != n-1 {
+		t.Fatalf("failed = %d, survivors checked = %d", res.Failed, checked)
+	}
 }

@@ -403,7 +403,8 @@ func (ps *procState) drainUnexpected() {
 // releaseIndexes drops the per-rank matching structures a dead rank no
 // longer needs: the posted-receive index, the unexpected-message map
 // shells (their queues were just emptied by drainUnexpected), the
-// collective scratch, and the pending-lookup spill map. Every one of
+// collective scratch, the closure-mode step states, and the
+// pending-lookup spill map. Every one of
 // them is recreated on demand by its writer, so releasing an empty
 // structure is behavior-neutral — and only empty ones are released: a
 // failed rank that still has receives posted (or requests pending) keeps
@@ -415,6 +416,7 @@ func (ps *procState) releaseIndexes() {
 	ps.unexpBySrc = nil
 	ps.unexpByComm = nil
 	ps.f64s = nil
+	ps.env.scratch = nil
 	if ps.postedWild.head == nil {
 		empty := true
 		ps.posted.each(func(_ matchKey, q *reqQ) {
@@ -778,61 +780,25 @@ func (ps *procState) BlockReason() string {
 
 // wait blocks until every request completes, advancing the clock to the
 // latest completion time. It returns the first error among the requests in
-// request order. Internal: public wrappers apply the error handler.
+// request order. Internal: public wrappers apply the error handler. It is
+// waitStep driven on the calling closure VP — except that a wait whose
+// requests have all completed already (every eager Send, any Wait after a
+// Waitall) finishes without touching the closure scratch, which is also
+// what lets a program VP make such calls.
 func (e *Env) wait(reqs ...*Request) error {
 	e.chargeCall()
+	if done, err := e.completeWait(reqs); done {
+		return err
+	}
+	ws := &e.closure().wait
+	ws.Begin(reqs...)
+	ws.charged = true // the call overhead was charged above
 	for {
-		allDone := true
-		var latest vclock.Time
-		for _, r := range reqs {
-			if !r.done {
-				allDone = false
-				break
-			}
-			if r.completeAt > latest {
-				latest = r.completeAt
-			}
+		done, park, err := e.waitStep(ws)
+		if done {
+			return err
 		}
-		if allDone {
-			e.ctx.AdvanceTo(latest)
-			if e.w.cfg.Tracer != nil {
-				for _, r := range reqs {
-					ev := trace.Event{At: r.completeAt, Kind: trace.KindComplete, Rank: int32(e.Rank()), Peer: int32(r.peer()), Size: int64(r.size)}
-					if r.kind == sendReq {
-						ev.Flags |= trace.FlagSendOp
-					} else if r.msg != nil {
-						ev.Size = int64(r.msg.Size)
-					}
-					if r.err != nil {
-						ev.Flags |= trace.FlagError
-						ev.Detail = r.opName() + " err=" + r.err.Error()
-					}
-					e.w.cfg.Tracer.Record(ev)
-				}
-			}
-			for _, r := range reqs {
-				if r.err != nil {
-					return r.err
-				}
-			}
-			return nil
-		}
-		// Before blocking, arm failure-detection timeouts for pending
-		// requests that involve already-known-failed peers; requests
-		// whose peer fails later are armed by the notification handler.
-		for _, r := range reqs {
-			if !r.done {
-				e.ps.armTimeout(e.w, r, vpEmitter{e.ctx})
-			}
-		}
-		if e.prog {
-			// A program VP has no goroutine to block; the step-based
-			// WaitState is the program-mode form of this wait.
-			panic(&ClosureOnlyError{Op: waitReason(reqs), Rank: e.Rank()})
-		}
-		e.ps.waitingOn = reqs
-		e.ctx.Block(e.ps)
-		e.ps.waitingOn = nil
+		e.Block(park)
 	}
 }
 

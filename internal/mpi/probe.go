@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 
-	"xsim/internal/trace"
 	"xsim/internal/vclock"
 )
 
@@ -91,42 +90,15 @@ func (c *Comm) Iprobe(src, tag int) (*Message, bool, error) {
 // Probe blocks until a matching message has arrived and returns its
 // envelope information without consuming it (MPI_Probe). Probing a failed
 // process completes in error after the detection timeout, like a receive.
+// It is ProbeStep driven on the calling closure VP.
 func (c *Comm) Probe(src, tag int) (*Message, error) {
-	e := c.env
-	e.chargeCall()
-	if err := c.checkRevoked("probe"); err != nil {
-		return nil, c.handleError(err)
-	}
-	worldSrc, err := c.probeSrc(src)
-	if err != nil {
-		return nil, c.handleError(err)
-	}
-	postClock := e.ctx.NowQuiet()
+	st := &c.env.closure().probe
 	for {
-		if env := e.ps.peekUnexpected(c.id, worldSrc, tag); env != nil {
-			return &Message{Src: env.srcCommRank, Tag: env.tag, Size: env.size}, nil
+		done, park, msg, err := c.ProbeStep(st, src, tag)
+		if done {
+			return msg, err
 		}
-		// A relevant failed peer means no message can come: complete in
-		// error after the detection timeout, like a receive would.
-		if peer, tof, ok := e.ps.relevantFailure(worldSrc); ok {
-			at := vclock.Max(postClock, tof).Add(e.w.cfg.Net.Timeout(e.Rank(), peer))
-			now := vclock.Max(at, e.ctx.NowQuiet())
-			e.ctx.AdvanceTo(now)
-			e.w.trace(trace.Event{At: now, Kind: trace.KindDetect, Rank: int32(e.Rank()), Peer: int32(peer), Aux: int64(tof)})
-			e.w.m.recordDetection(e.Rank(), peer, now)
-			return nil, c.handleError(&ProcFailedError{Rank: peer, FailedAt: tof, Op: "probe"})
-		}
-		if e.prog {
-			// A program VP cannot block; ProbeStep is the program-mode
-			// form of this probe.
-			panic(&ClosureOnlyError{Op: fmt.Sprintf("probe: src %d tag %d (comm %d)", worldSrc, tag, c.id), Rank: e.Rank()})
-		}
-		pr := &probeRec{comm: c.id, src: worldSrc, tag: tag}
-		e.ps.probes = append(e.ps.probes, pr)
-		// Block with the procState: the reason string is formatted lazily
-		// (procState.BlockReason) only if a deadlock report prints it.
-		e.ctx.Block(e.ps)
-		e.ps.removeProbe(pr)
+		c.env.Block(park)
 	}
 }
 

@@ -8,34 +8,41 @@ import (
 	"xsim/internal/vclock"
 )
 
-// This file is the MPI layer's program execution mode: the state-machine
-// counterpart of World.Run for the core engine's Program VPs
-// (core.RunPrograms). A parked program owns no goroutine and no stack, so
-// this is the mode that scales a world to millions of simulated MPI
-// processes.
+// This file holds the MPI layer's blocking operations, each written once
+// as a step function over a small resumable state, and the program
+// execution mode built on them (World.RunProgs over the core engine's
+// Program VPs). A parked program owns no goroutine and no stack, so that
+// is the mode that scales a world to millions of simulated MPI processes.
 //
-// The programming model: a Prog's Step runs MPI calls that complete
-// without blocking — Irecv, Isend/IsendN (rendezvous sends included),
-// Elapse/Compute — and expresses every blocking point as a step state it
-// parks on by returning: WaitState for Wait/Waitall (rendezvous sends
-// park on the clear-to-send exactly like a blocked closure), RecvState
-// and SendState for blocking point-to-point, ProbeState for MPI_Probe,
+// One body, two drivers. A blocking point is a step state: WaitState for
+// Wait/Waitall (rendezvous sends park on the clear-to-send), RecvState and
+// SendState for blocking point-to-point, ProbeState for MPI_Probe,
 // SleepState for interruptible sleeps (checkpoint I/O charging), and
 // CollectiveState (prog_coll.go) for barrier/bcast/reduce/allreduce/
-// gather/scatter/allgather/alltoall over the same reserved-tag traffic
-// as the closure algorithms — the two modes are digest-identical.
-// Closure-style blocking entry points (Comm.Recv, rendezvous Comm.Send,
-// Comm.Probe, the collective methods, Env.Sleep) cannot run on a program
-// VP and panic with a typed *ClosureOnlyError naming the op and rank.
-// Comm.Abort and Env.FailNow keep their closure semantics — they unwind
-// the VP via panic, which the scheduler classifies, so programs may call
-// them directly.
+// gather/scatter/allgather/alltoall. Its *Step function either finishes
+// the operation or returns a park value.
+//
+//   - A Prog's Step runs MPI calls that complete without blocking — Irecv,
+//     Isend/IsendN (rendezvous sends included), Elapse/Compute — calls the
+//     *Step functions, and returns their park values to the scheduler.
+//   - The closure-style blocking entry points (Comm.Wait/Waitall/Recv,
+//     rendezvous Comm.Send, Comm.Probe, the collective methods, Env.Sleep)
+//     call the same *Step functions and hand the park values to Env.Block,
+//     which parks the VP's goroutine. Env.RunProg does that for a whole
+//     Prog.
+//
+// Env.Block is the only place the two differ: a program VP has no
+// goroutine to park, so it panics there with a typed *ClosureOnlyError
+// naming the op and rank. Closure-style calls that finish without parking
+// (an eager Send, a Wait on completed requests) work on a program VP too.
+// Comm.Abort and Env.FailNow unwind the VP via panic, which the scheduler
+// classifies, so programs may call them directly.
 
 // Prog is a resumable MPI program: one simulated process expressed as
 // explicit steps between waits. Step is called once to start (wake == nil)
 // and once per resume; it returns (park, false) to park — park must be the
-// value handed back by WaitallStep/WaitStep — or (_, true) when the
-// process is finished, after calling Env.Finalize.
+// value handed back by a *Step function — or (_, true) when the process is
+// finished, after calling Env.Finalize.
 type Prog interface {
 	Step(e *Env, wake any) (park any, done bool)
 }
@@ -56,14 +63,15 @@ func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
 	})
 }
 
-// ClosureOnlyError is the panic value raised when a program VP calls a
-// blocking MPI entry point (Comm.Recv, a rendezvous Comm.Send, Comm.Probe,
-// a collective method, Env.Sleep): a program has no goroutine to block, so
-// the call names the op and rank and points at the step-based equivalent.
-// It doubles as the typed error path for ops that stay closure-only.
+// ClosureOnlyError is the panic value Env.Block raises when a program VP
+// reaches it — through a blocking MPI entry point (Comm.Recv, a rendezvous
+// Comm.Send, Comm.Probe, a collective method, Env.Sleep, Env.RunProg) that
+// had to park: a program has no goroutine to block, so the error names the
+// op and rank and points at the step-based form. It doubles as the typed
+// error path for ops that stay closure-only.
 type ClosureOnlyError struct {
 	// Op describes the blocking operation (e.g. "MPI wait: recv from 3
-	// tag 0 (comm 0)", "probe: src 1 tag -1 (comm 0)", "sleep").
+	// tag 0 (comm 0)", "MPI probe: src 1 tag -1 (comm 0)", "sleep").
 	Op string
 	// Rank is the world rank of the offending process.
 	Rank int
@@ -105,14 +113,14 @@ func (pv *progVP) Step(c *core.Ctx, wake any) (park any, done bool) {
 	return park, done
 }
 
-// WaitState carries one wait (a Wait or Waitall) across program steps: the
-// request set being waited on, whether the per-call overhead has been
-// charged, and a pending count maintained by request completion
-// (completeRequest decrements it through Request.waiter), so a wake that
-// does not finish the wait re-parks in O(1) instead of re-scanning the
-// request set. It is embedded in the user's program state and reused wait
-// after wait; Begin never allocates once the request slice has grown to
-// the program's steady-state width.
+// WaitState carries one wait (a Wait or Waitall) across steps: the request
+// set being waited on, whether the per-call overhead has been charged, and
+// a pending count maintained by request completion (completeRequest
+// decrements it through Request.waiter), so a wake that does not finish
+// the wait re-parks in O(1) instead of re-scanning the request set. It is
+// embedded in the user's program state (or the closure scratch) and reused
+// wait after wait; Begin never allocates once the request slice has grown
+// to the process's steady-state width.
 type WaitState struct {
 	reqs    []*Request
 	charged bool
@@ -130,19 +138,58 @@ func (ws *WaitState) Begin(reqs ...*Request) {
 	ws.pending = 0
 }
 
-// waitStep is one scheduling quantum of Env.wait, shaped for programs: it
-// either completes the wait (done == true: the clock has advanced to the
-// latest completion and err is the first request error in request order)
-// or arms failure-detection timeouts and returns the park value the
-// program must return from Step. Wake-ups deliver no value — a wake with
-// requests still pending re-parks in O(1) off the pending count, and the
-// final wake re-examines the request set exactly like the closure loop.
+// completeWait finishes a wait whose requests have all completed: it
+// advances the clock to the latest completion, traces the completions, and
+// returns done with the first request error in request order. With any
+// request still pending it reports done == false and does nothing.
+func (e *Env) completeWait(reqs []*Request) (done bool, err error) {
+	var latest vclock.Time
+	for _, r := range reqs {
+		if !r.done {
+			return false, nil
+		}
+		if r.completeAt > latest {
+			latest = r.completeAt
+		}
+	}
+	e.ctx.AdvanceTo(latest)
+	if e.w.cfg.Tracer != nil {
+		for _, r := range reqs {
+			ev := trace.Event{At: r.completeAt, Kind: trace.KindComplete, Rank: int32(e.Rank()), Peer: int32(r.peer()), Size: int64(r.size)}
+			if r.kind == sendReq {
+				ev.Flags |= trace.FlagSendOp
+			} else if r.msg != nil {
+				ev.Size = int64(r.msg.Size)
+			}
+			if r.err != nil {
+				ev.Flags |= trace.FlagError
+				ev.Detail = r.opName() + " err=" + r.err.Error()
+			}
+			e.w.cfg.Tracer.Record(ev)
+		}
+	}
+	for _, r := range reqs {
+		if r.err != nil {
+			return true, r.err
+		}
+	}
+	return true, nil
+}
+
+// waitStep is the one implementation of a wait, one scheduling quantum at
+// a time: it either completes the wait (done == true: the clock has
+// advanced to the latest completion and err is the first request error in
+// request order) or arms failure-detection timeouts and returns the park
+// value to park on — a Prog returns it from Step, Env.wait hands it to
+// Block. Wake-ups deliver no value: a wake with requests still pending
+// re-parks in O(1) off the pending count, and the final wake re-examines
+// the request set.
 func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 	if ws.charged && ws.pending > 0 {
 		// O(1) re-park: a completion woke the VP but the wait is not
 		// done. No re-scan and no timeout re-arm is needed — timeouts
 		// for peers that failed while parked are armed by the
-		// failure-notification handler, as in closure mode.
+		// failure-notification handler.
 		e.ps.waitingOn = ws.reqs
 		return false, e.ps, nil
 	}
@@ -150,18 +197,7 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		e.chargeCall()
 		ws.charged = true
 	}
-	allDone := true
-	var latest vclock.Time
-	for _, r := range ws.reqs {
-		if !r.done {
-			allDone = false
-			break
-		}
-		if r.completeAt > latest {
-			latest = r.completeAt
-		}
-	}
-	if !allDone {
+	if done, err = e.completeWait(ws.reqs); !done {
 		// Before parking, register each pending request with this wait
 		// (completion decrements pending in O(1)) and arm
 		// failure-detection timeouts for requests that involve
@@ -180,31 +216,9 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		return false, e.ps, nil
 	}
 	e.ps.waitingOn = nil
-	e.ctx.AdvanceTo(latest)
-	if e.w.cfg.Tracer != nil {
-		for _, r := range ws.reqs {
-			ev := trace.Event{At: r.completeAt, Kind: trace.KindComplete, Rank: int32(e.Rank()), Peer: int32(r.peer()), Size: int64(r.size)}
-			if r.kind == sendReq {
-				ev.Flags |= trace.FlagSendOp
-			} else if r.msg != nil {
-				ev.Size = int64(r.msg.Size)
-			}
-			if r.err != nil {
-				ev.Flags |= trace.FlagError
-				ev.Detail = r.opName() + " err=" + r.err.Error()
-			}
-			e.w.cfg.Tracer.Record(ev)
-		}
-	}
-	for _, r := range ws.reqs {
-		if r.err != nil {
-			err = r.err
-			break
-		}
-	}
 	// Drop the request references (capacity stays for the next Begin): an
 	// idle WaitState must not pin completed — and possibly recycled —
-	// requests in memory while the program is parked elsewhere. At a
+	// requests in memory while the process is parked elsewhere. At a
 	// million ranks those stale pointers are the difference between a
 	// parked rank costing its state machine and costing its state machine
 	// plus a dozen dead Requests.
@@ -246,19 +260,18 @@ func (c *Comm) WaitStep(ws *WaitState) (done bool, park any, msg *Message, err e
 	return true, nil, req.msg, nil
 }
 
-// SleepState carries one interruptible sleep across program steps: the
-// step form of Env.Sleep, used e.g. to charge checkpoint-restore gate
-// delays. Zero value ready; reused sleep after sleep.
+// SleepState carries one interruptible sleep across steps, used e.g. to
+// charge checkpoint-restore gate delays. Zero value ready; reused sleep
+// after sleep.
 type SleepState struct {
 	armed bool
 }
 
 // SleepStep advances the sleep. The first call arms the wake timer and
-// returns the park value to return from Step (or done immediately for
-// d <= 0); the resume call reports done. The clock advances to the wake
-// time on resume, with events due before the deadline (failure
-// activations, aborts, message arrivals) processed in order — exactly
-// Env.Sleep's semantics.
+// returns the park value to park on (or done immediately for d <= 0); the
+// resume call reports done. The clock advances to the wake time on resume,
+// with events due before the deadline (failure activations, aborts,
+// message arrivals) processed in order.
 func (e *Env) SleepStep(ss *SleepState, d vclock.Duration) (done bool, park any) {
 	if ss.armed {
 		ss.armed = false
@@ -274,50 +287,28 @@ func (e *Env) SleepStep(ss *SleepState, d vclock.Duration) (done bool, park any)
 
 // RecvState carries one blocking receive across program steps: the step
 // form of Comm.Recv. Zero value ready; reused receive after receive.
-type RecvState struct {
-	ws  WaitState
-	req *Request
-}
+type RecvState struct{ hop hopState }
 
 // RecvStep advances a blocking receive from src (or AnySource) with tag
 // (or AnyTag). The first call posts the receive; src and tag are ignored
 // on resume calls. On done the caller owns msg (Release it once
 // consumed); a failed-process receive completes in error after the
-// detection timeout, through the communicator's error handler, exactly
-// like Recv.
+// detection timeout, through the communicator's error handler.
 func (c *Comm) RecvStep(rs *RecvState, src, tag int) (done bool, park any, msg *Message, err error) {
-	if rs.req == nil {
+	if !rs.hop.inFlight() {
 		req, err := c.irecv(src, tag)
 		if err != nil {
 			return true, nil, nil, c.handleError(err)
 		}
-		rs.req = req
-		rs.ws.Begin(req)
+		rs.hop.post(req)
 	}
-	done, park, err = c.env.waitStep(&rs.ws)
-	if !done {
-		return false, park, nil, nil
-	}
-	req := rs.req
-	rs.req = nil
-	msg = req.msg
-	req.msg = nil
-	c.env.ps.dp.putReq(req)
-	if err != nil {
-		if msg != nil {
-			msg.Release()
-		}
-		return true, nil, nil, c.handleError(err)
-	}
-	return true, nil, msg, nil
+	done, park, msg, err = c.hopStep(&rs.hop)
+	return done, park, msg, c.handleError(err)
 }
 
 // SendState carries one blocking send across program steps: the step form
 // of Comm.Send/SendN. Zero value ready; reused send after send.
-type SendState struct {
-	ws  WaitState
-	req *Request
-}
+type SendState struct{ hop hopState }
 
 // SendStep advances a blocking send of data to dst with tag. Eager sends
 // complete on the first call; larger-than-threshold sends post the
@@ -334,27 +325,21 @@ func (c *Comm) SendNStep(ss *SendState, dst, tag, size int) (done bool, park any
 }
 
 func (c *Comm) sendStep(ss *SendState, dst, tag, size int, data []byte) (done bool, park any, err error) {
-	if ss.req == nil {
+	if !ss.hop.inFlight() {
 		req, err := c.isend(dst, tag, size, data)
 		if err != nil {
 			return true, nil, c.handleError(err)
 		}
-		ss.req = req
-		ss.ws.Begin(req)
+		ss.hop.post(req)
 	}
-	done, park, err = c.env.waitStep(&ss.ws)
-	if !done {
-		return false, park, nil
-	}
-	c.env.ps.dp.putReq(ss.req)
-	ss.req = nil
-	return true, nil, c.handleError(err)
+	done, park, _, err = c.hopStep(&ss.hop)
+	return done, park, c.handleError(err)
 }
 
-// ProbeState carries one blocking probe across program steps: the step
-// form of Comm.Probe. Zero value ready; reused probe after probe. The
-// embedded probe record is registered by address, so a ProbeState must
-// not be copied while a probe is in flight.
+// ProbeState carries one blocking probe (MPI_Probe) across steps. Zero
+// value ready; reused probe after probe. The embedded probe record is
+// registered by address, so a ProbeState must not be copied while a probe
+// is in flight.
 type ProbeState struct {
 	begun     bool
 	parked    bool
@@ -368,7 +353,7 @@ type ProbeState struct {
 // AnySource) with tag (or AnyTag); src and tag are ignored on resume
 // calls. On done msg carries the envelope information without consuming
 // the message; probing a failed process completes in error after the
-// detection timeout, like Probe.
+// detection timeout, like a receive.
 func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg *Message, err error) {
 	e := c.env
 	if !st.begun {

@@ -2,46 +2,54 @@ package mpi
 
 import "fmt"
 
-// This file is the program-mode form of the collectives: CollectiveState
-// drives the exact linear and binomial-tree algorithms of collectives.go
-// as resumable state machines over the same reserved-tag traffic, hop for
-// hop and charge for charge, so closure and program mode stay
-// digest-identical. Each internal hop (the sendTag/sendTagOwned/recvTag
-// of the closure algorithms) is a hopState: post the request, park on its
-// WaitState, recycle it at completion.
+// This file holds the collective algorithms, each written once as a
+// resumable state machine: CollectiveState carries the linear (the paper's
+// configuration) and binomial-tree (ablation) algorithms over the reserved
+// negative-tag traffic. A Prog steps the machine from its own Step; the
+// closure-mode methods in collectives.go drive the same machine and Block
+// on its park values, so the two modes cannot diverge. Each internal
+// blocking hop is a hopState: post the request, park on its WaitState,
+// recycle it at completion.
 
-// hopState is one internal blocking hop of a collective algorithm.
+// hopState is one blocking hop — post a request, wait for it, recycle it:
+// an internal hop of a collective algorithm, or the whole of a blocking
+// point-to-point operation (RecvState, SendState).
 type hopState struct {
 	ws  WaitState
 	req *Request
 }
 
 // inFlight reports whether a hop has been posted and not yet completed;
-// the per-kind machines use it to distinguish "start the next hop" from
-// "resume the parked one".
+// the machines use it to distinguish "start the next hop" from "resume the
+// parked one".
 func (h *hopState) inFlight() bool { return h.req != nil }
 
-// hopSend posts the hop of a closure sendTag.
+// post starts the hop on a freshly posted request.
+func (h *hopState) post(req *Request) {
+	h.req = req
+	h.ws.Begin(req)
+}
+
+// hopSend posts a send hop; the caller keeps ownership of data.
 func (c *Comm) hopSend(h *hopState, dst, tag, size int, data []byte) {
-	h.req = c.isendTag(dst, tag, size, data)
-	h.ws.Begin(h.req)
+	h.post(c.isendTag(dst, tag, size, data))
 }
 
-// hopSendOwned posts the hop of a closure sendTagOwned (pooled buffer,
-// ownership transfers to the MPI layer).
+// hopSendOwned posts a send hop whose data is a pooled buffer: ownership
+// transfers to the MPI layer and the payload travels with no copy at
+// either end.
 func (c *Comm) hopSendOwned(h *hopState, dst, tag, size int, data []byte) {
-	h.req = c.isendOwned(dst, tag, size, data)
-	h.ws.Begin(h.req)
+	h.post(c.isendOwned(dst, tag, size, data))
 }
 
-// hopRecv posts the hop of a closure recvTag.
+// hopRecv posts a receive hop.
 func (c *Comm) hopRecv(h *hopState, src, tag int) {
-	h.req = c.irecvTag(src, tag)
-	h.ws.Begin(h.req)
+	h.post(c.irecvTag(src, tag))
 }
 
-// hopStep advances the hop; on done the caller owns msg (nil for sends)
-// exactly as after sendTag/recvTag, and the request has been recycled.
+// hopStep advances the hop (raw error, no handler); on done the request
+// has been recycled and the caller owns msg (nil for sends): it must
+// Release it, or detach its Data, once consumed.
 func (c *Comm) hopStep(h *hopState) (done bool, park any, msg *Message, err error) {
 	done, park, err = c.env.waitStep(&h.ws)
 	if !done {
@@ -49,16 +57,8 @@ func (c *Comm) hopStep(h *hopState) (done bool, park any, msg *Message, err erro
 	}
 	req := h.req
 	h.req = nil
-	msg = req.msg
-	req.msg = nil
-	c.env.ps.dp.putReq(req)
-	if err != nil {
-		if msg != nil {
-			msg.Release()
-		}
-		return true, nil, nil, err
-	}
-	return true, nil, msg, nil
+	msg, err = c.env.ps.finishReq(req, err)
+	return true, nil, msg, err
 }
 
 // collKind identifies the armed collective.
@@ -76,11 +76,11 @@ const (
 	collAlltoall
 )
 
-// CollectiveState carries one collective operation across program steps:
-// the step form of Barrier/Bcast/Reduce/Allreduce/Gather/Scatter/
-// Allgather/Alltoall. Arm it with the matching Begin method, then call
-// CollectiveStep from every step until it reports done; read the result
-// with Bytes/Floats/Parts. Zero value ready; reused collective after
+// CollectiveState carries one collective operation (Barrier, Bcast,
+// Reduce, Allreduce, Gather, Scatter, Allgather or Alltoall) across steps.
+// Arm it with the matching Begin method, then call CollectiveStep from
+// every step until it reports done; read the result with
+// Bytes/Floats/Parts. Zero value ready; reused collective after
 // collective. One state drives one collective at a time.
 type CollectiveState struct {
 	kind    collKind
@@ -113,7 +113,11 @@ type CollectiveState struct {
 }
 
 // arm resets the machine for a new collective, keeping the slice
-// capacities (request sets, wait sets) the state has already grown.
+// capacities (request sets, wait sets) the state has already grown but
+// none of their contents: an alltoall that ended in error left its
+// requests — and through them their messages — in reqs/recvs, and a state
+// that is armed again (or disarmed, as the closure scratch is after every
+// collective) must not pin them for the life of the process.
 func (cs *CollectiveState) arm(kind collKind) {
 	cs.kind = kind
 	cs.counted = false
@@ -130,7 +134,9 @@ func (cs *CollectiveState) arm(kind collKind) {
 	cs.op = nil
 	cs.acc = nil
 	cs.out = nil
+	clear(cs.reqs)
 	cs.reqs = cs.reqs[:0]
+	clear(cs.recvs)
 	cs.recvs = cs.recvs[:0]
 }
 
@@ -207,14 +213,21 @@ func (cs *CollectiveState) Floats() []float64 { return cs.acc }
 func (cs *CollectiveState) Parts() [][]byte { return cs.out }
 
 // CollectiveStep advances the armed collective. It returns done == false
-// with the park value to return from Step, or done == true with the
-// operation's error after the communicator's error handler ran (with
-// ErrorsAreFatal a process-failure error aborts and this call does not
-// return), exactly like the closure methods.
+// with the park value to park on, or done == true with the operation's
+// error after the communicator's error handler ran (with ErrorsAreFatal an
+// error aborts and this call does not return).
 func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err error) {
 	if !cs.counted {
 		c.env.w.m.countCollective(c.env.Rank())
 		cs.counted = true
+		// Every member passes the same root, so every member rejects a bad
+		// one here, before any traffic: unchecked, a negative root reads as
+		// AnySource on the internal tag (and deadlocks), and one past the
+		// end addresses an event to a rank that does not exist. Unrooted
+		// collectives leave root at 0.
+		if cs.root < 0 || cs.root >= c.n {
+			return true, nil, c.handleError(fmt.Errorf("mpi: collective root rank %d out of range [0,%d)", cs.root, c.n))
+		}
 	}
 	switch cs.kind {
 	case collBarrier:
@@ -252,7 +265,11 @@ const (
 	phaseTreeGather    = 30
 )
 
-// stepBarrier mirrors Comm.barrier.
+// stepBarrier is the barrier. With the paper's linear algorithm every rank
+// reports to rank 0, which then releases every rank; a failure anywhere is
+// detected here by timeout — the paper's "failure during the checkpoint
+// phase is detected in the following barrier". The tree form is a
+// zero-byte gather to rank 0 followed by a zero-byte broadcast.
 func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
 	for {
@@ -331,11 +348,11 @@ func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error)
 			}
 			msg.Release()
 			return true, nil, nil
-		case phaseTreeGather: // tree: gather the arrival signal (treeGatherSignal)
+		case phaseTreeGather: // tree: gather the zero-byte arrival signal to rank 0
 			vrank := c.rank
 			for cs.mask < n {
 				if vrank&cs.mask != 0 {
-					// Report to the parent; the closure returns right after.
+					// Report to the parent; this rank's gather ends there.
 					if !cs.hop.inFlight() {
 						c.hopSend(&cs.hop, vrank-cs.mask, tagBarrierIn, 0, nil)
 					}
@@ -364,7 +381,7 @@ func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error)
 				cs.mask <<= 1
 			}
 			// Release wave: a zero-byte tree bcast from rank 0 without a
-			// fresh entry charge (treeBcastSignal).
+			// fresh entry charge.
 			cs.root = 0
 			cs.tag = tagBarrierOut
 			cs.size = 0
@@ -379,8 +396,9 @@ func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error)
 	}
 }
 
-// stepBcast mirrors Comm.bcast(root, data, size, tag); the result lands
-// in cs.data.
+// stepBcast broadcasts cs.data (cs.size bytes, on cs.tag) from cs.root;
+// the result lands in cs.data. Linear: the root sends to every other rank
+// in rank order.
 func (c *Comm) stepBcast(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
 	for {
@@ -441,9 +459,10 @@ func (c *Comm) stepBcast(cs *CollectiveState) (done bool, park any, err error) {
 	}
 }
 
-// stepTreeBcast mirrors Comm.treeBcast: phase phaseTreeBcastRecv walks
-// the mask to this rank's parent bit and receives (at most one hop),
-// phase phaseTreeBcastSend forwards to the children. The result lands in
+// stepTreeBcast broadcasts along a binomial tree rooted at cs.root (the
+// standard MPICH-style algorithm): phase phaseTreeBcastRecv walks the mask
+// to this rank's parent bit and receives (at most one hop), phase
+// phaseTreeBcastSend forwards to the children. The result lands in
 // cs.data.
 func (c *Comm) stepTreeBcast(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
@@ -495,8 +514,8 @@ func (c *Comm) stepTreeBcast(cs *CollectiveState) (done bool, park any, err erro
 	}
 }
 
-// stepReduce mirrors Comm.reduce(root, contrib, op); the result lands in
-// cs.acc (root only).
+// stepReduce folds cs.contrib at cs.root with cs.op; the result lands in
+// cs.acc (root only, nil elsewhere).
 func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
 	for {
@@ -528,7 +547,12 @@ func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) 
 				return false, park, nil
 			}
 			return true, nil, err
-		case 2: // linear root: fold contributions in rank order
+		case 2:
+			// Linear root: fold contributions in rank order, which keeps the
+			// result deterministic even for non-associative floating-point
+			// ops. Each hop decodes into the per-process scratch and releases
+			// its message — the whole fold reuses one buffer and one float
+			// slice.
 			for cs.r < n {
 				if cs.r == cs.root {
 					cs.r++
@@ -553,7 +577,11 @@ func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) 
 				cs.r++
 			}
 			return true, nil, nil
-		case phaseTreeReduce: // tree: mirror Comm.treeReduce
+		case phaseTreeReduce:
+			// Tree: fold along a binomial tree rooted at cs.root. The fold
+			// order differs from the linear algorithm's, so results for
+			// non-associative floating-point operations may differ in the
+			// last bits — the usual MPI caveat.
 			vrank := (c.rank - cs.root + n) % n
 			if cs.mask == 0 {
 				cs.mask = 1
@@ -568,7 +596,7 @@ func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) 
 					if !hd {
 						return false, park, nil
 					}
-					cs.acc = nil // non-roots return nil, like the closure
+					cs.acc = nil // only the root holds a result
 					return true, nil, err
 				}
 				if child := vrank | cs.mask; child < n {
@@ -598,9 +626,9 @@ func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) 
 	}
 }
 
-// stepAllreduce mirrors Comm.allreduce: a reduce to rank 0 (sub 0)
-// followed by a broadcast of the encoded result (sub 1). The result lands
-// in cs.acc on every rank.
+// stepAllreduce is a reduce to rank 0 (sub 0) followed by a broadcast of
+// the encoded result (sub 1), matching linear-algorithm MPI
+// implementations. The result lands in cs.acc on every rank.
 func (c *Comm) stepAllreduce(cs *CollectiveState) (done bool, park any, err error) {
 	if cs.sub == 0 {
 		cs.root = 0
@@ -646,7 +674,7 @@ func (c *Comm) stepAllreduce(cs *CollectiveState) (done bool, park any, err erro
 	return true, nil, err
 }
 
-// stepGather mirrors Comm.gather(root, data, tag); the per-rank result
+// stepGather collects cs.data at cs.root on cs.tag; the per-rank result
 // lands in cs.out (root only).
 func (c *Comm) stepGather(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
@@ -700,8 +728,8 @@ func (c *Comm) stepGather(cs *CollectiveState) (done bool, park any, err error) 
 	}
 }
 
-// stepScatter mirrors Comm.scatter(root, parts); this rank's part lands
-// in cs.data.
+// stepScatter distributes cs.parts[i] from cs.root to rank i; this rank's
+// part lands in cs.data.
 func (c *Comm) stepScatter(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
 	for {
@@ -759,9 +787,9 @@ func (c *Comm) stepScatter(cs *CollectiveState) (done bool, park any, err error)
 	}
 }
 
-// stepAllgather mirrors Comm.allgather: a gather to rank 0 (sub 0)
-// followed by a broadcast of the framed result (sub 1). The per-rank
-// result lands in cs.out on every rank.
+// stepAllgather is a gather to rank 0 (sub 0) followed by a broadcast of
+// the framed result (sub 1). The per-rank result lands in cs.out on every
+// rank.
 func (c *Comm) stepAllgather(cs *CollectiveState) (done bool, park any, err error) {
 	dp := c.env.ps.dp
 	if cs.sub == 0 {
@@ -810,9 +838,10 @@ func (c *Comm) stepAllgather(cs *CollectiveState) (done bool, park any, err erro
 	return true, nil, err
 }
 
-// stepAlltoall mirrors Comm.alltoall: receives posted before sends, one
-// wait over all of them, then the per-rank payload detach. The result
-// lands in cs.out.
+// stepAlltoall sends cs.parts[i] to rank i: every receive is posted before
+// any send, so the exchange cannot deadlock under the rendezvous protocol;
+// then one wait over all of them, then the per-rank payload detach. The
+// result lands in cs.out.
 func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
 	switch cs.phase {
@@ -847,8 +876,9 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 			return false, park, nil
 		}
 		if err != nil {
-			// Like the closure, error paths leave the requests to the
-			// garbage collector.
+			// Some requests may still be in flight, so none is recycled:
+			// they fall to the garbage collector once the next arm drops
+			// the references.
 			return true, nil, err
 		}
 		out := make([][]byte, n)

@@ -236,7 +236,7 @@ func (p *stepOpsProg) Step(e *Env, wake any) (any, bool) {
 			p.pc = 3
 		case 3: // probe/recv pairing
 			if rank%2 == 0 {
-				if p.ss.req == nil && p.pm == nil {
+				if !p.ss.hop.inFlight() && p.pm == nil {
 					e.Elapse(vclock.Duration(rank+1) * vclock.Microsecond)
 				}
 				done, park, err := c.SendStep(&p.ss, rank+1, 7, stepPat(rank, 2))

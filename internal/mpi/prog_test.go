@@ -203,35 +203,96 @@ func TestProgRendezvousSendPanicsWithDiagnostic(t *testing.T) {
 	}
 }
 
-// closureOnlyProg drives one closure-mode-only entry point per op name.
-type closureOnlyProg struct{ op string }
+// closureOnlyProg calls one closure-style entry point from a program VP
+// and records, per rank, what the call panicked with (nil if it returned).
+// Only a *ClosureOnlyError is swallowed; simulator unwinds pass through.
+type closureOnlyProg struct {
+	call func(e *Env) error
+	got  []any
+	// scratch records whether the call allocated the closure scratch.
+	scratch []bool
+}
 
 func (p closureOnlyProg) Step(e *Env, wake any) (any, bool) {
-	c := e.World()
-	switch p.op {
-	case "recv":
-		if e.Rank() == 0 {
-			_, _ = c.Recv(1, 0)
+	func() {
+		defer func() {
+			r := recover()
+			if _, ok := r.(*ClosureOnlyError); r != nil && !ok {
+				panic(r)
+			}
+			p.got[e.Rank()] = r
+		}()
+		if err := p.call(e); err != nil {
+			p.got[e.Rank()] = err
 		}
-	case "sleep":
-		e.Sleep(vclock.Millisecond)
-	case "probe":
-		if e.Rank() == 0 {
-			_, _ = c.Probe(1, 0)
-		}
-	case "barrier":
-		_ = c.Barrier()
-	}
+	}()
+	p.scratch[e.Rank()] = e.scratch != nil
 	e.Finalize()
 	return nil, true
 }
 
+// TestProgClosureOnlyEntriesPanicTyped pins Env.Block's refusal on a
+// program VP: every closure-style entry point that has to park surfaces a
+// *ClosureOnlyError naming the operation and the rank, and the ones that
+// finish without parking still work — without allocating the closure
+// scratch, which at a million program VPs would be the largest per-rank
+// object.
 func TestProgClosureOnlyEntriesPanicTyped(t *testing.T) {
-	for _, op := range []string{"recv", "sleep", "probe", "barrier"} {
-		t.Run(op, func(t *testing.T) {
-			_, err := runProgWorldErr(t, 2, 1, nil, func(rank int) Prog { return closureOnlyProg{op: op} })
-			if err == nil || !strings.Contains(err.Error(), "closure-mode-only") {
-				t.Fatalf("op %s: err = %v, want the typed closure-only diagnostic", op, err)
+	onRank0 := func(f func(c *Comm) error) func(*Env) error {
+		return func(e *Env) error {
+			if e.Rank() != 0 {
+				return nil
+			}
+			return f(e.World())
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		call   func(e *Env) error
+		wantOp string // substring of ClosureOnlyError.Op; "" = the call must succeed
+	}{
+		{"recv", onRank0(func(c *Comm) error { _, err := c.Recv(1, 0); return err }), "MPI wait: recv from 1"},
+		{"rendezvous-send", onRank0(func(c *Comm) error { return c.SendN(1, 0, 1<<20) }), "MPI wait: send to 1"},
+		{"probe", onRank0(func(c *Comm) error { _, err := c.Probe(1, 0); return err }), "MPI probe: src 1"},
+		{"barrier", func(e *Env) error { return e.World().Barrier() }, "MPI wait: recv from 1 tag"},
+		{"sleep", func(e *Env) error { e.Sleep(vclock.Millisecond); return nil }, "sleep"},
+		{"run-prog", func(e *Env) error { e.RunProg(&parkedRecvProg{}); return nil }, "MPI wait: recv from -1 tag 7"},
+		{"eager-send", onRank0(func(c *Comm) error { return c.Send(1, 0, []byte("x")) }), ""},
+		{"wait-completed", onRank0(func(c *Comm) error {
+			r, err := c.Isend(1, 0, []byte("x"))
+			if err == nil {
+				_, err = c.Wait(r)
+			}
+			return err
+		}), ""},
+		{"sleep-zero", func(e *Env) error { e.Sleep(0); return nil }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, scratch := make([]any, 2), make([]bool, 2)
+			res, err := runProgWorldErr(t, 2, 1, nil, func(rank int) Prog {
+				return closureOnlyProg{call: tc.call, got: got, scratch: scratch}
+			})
+			if err != nil || res.Completed != 2 {
+				t.Fatalf("run: %v, %+v", err, res)
+			}
+			if tc.wantOp == "" {
+				if got[0] != nil {
+					t.Fatalf("call that need not park ended in %v", got[0])
+				}
+				if scratch[0] {
+					t.Error("call that need not park allocated the closure scratch on a program VP")
+				}
+				return
+			}
+			coe, ok := got[0].(*ClosureOnlyError)
+			if !ok {
+				t.Fatalf("rank 0 got %#v, want a *ClosureOnlyError", got[0])
+			}
+			if coe.Rank != 0 || !strings.Contains(coe.Op, tc.wantOp) {
+				t.Errorf("ClosureOnlyError{Op: %q, Rank: %d}, want rank 0 and an op containing %q", coe.Op, coe.Rank, tc.wantOp)
+			}
+			if !strings.Contains(coe.Error(), "closure-mode-only") || !strings.Contains(coe.Error(), "rank 0") {
+				t.Errorf("Error() = %q, want the rank and the closure-mode-only hint", coe.Error())
 			}
 		})
 	}

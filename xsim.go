@@ -78,8 +78,8 @@ type (
 	Prog = mpi.Prog
 	// WaitState, SleepState, RecvState, SendState, ProbeState and
 	// CollectiveState are the resumable blocking-operation states a Prog
-	// parks on; each is the step-based twin of the corresponding
-	// closure-mode call.
+	// parks on; the corresponding closure-mode calls drive the same step
+	// functions on states of their own.
 	WaitState       = mpi.WaitState
 	SleepState      = mpi.SleepState
 	RecvState       = mpi.RecvState
@@ -87,7 +87,7 @@ type (
 	ProbeState      = mpi.ProbeState
 	CollectiveState = mpi.CollectiveState
 	// ClosureOnlyError is the typed panic value raised when a program
-	// VP enters an operation that only closure mode can block on.
+	// VP enters a closure-mode call that has to block (Env.Block).
 	ClosureOnlyError = mpi.ClosureOnlyError
 )
 
@@ -378,8 +378,8 @@ func (s *Sim) RunContext(ctx context.Context, app App) (*Result, error) {
 // called once per rank and the returned Prog is stepped to completion.
 // Program mode trades the per-rank goroutine (and its stack) for a few
 // hundred bytes of parked state, which is what makes 256k–1M-rank
-// experiments practical; a conforming Prog is observationally identical
-// to its closure twin.
+// experiments practical; the same Prog run in closure mode (Env.RunProg)
+// is observationally identical.
 func (s *Sim) RunProgs(newProg func(rank int) Prog) (*Result, error) {
 	return s.RunProgsContext(context.Background(), newProg)
 }
@@ -562,10 +562,10 @@ func RunHeat(hc HeatConfig) App {
 }
 
 // RunHeatProg is RunHeat in program mode: the per-rank factory passed to
-// Sim.RunProgs. The program-mode heat application is observationally
-// identical to the closure one (same checkpoints, barriers, halo traffic
-// and virtual timeline) while a parked rank costs a few hundred bytes
-// instead of a goroutine stack.
+// Sim.RunProgs. It is the same state machine RunHeat drives on a
+// goroutine (same checkpoints, barriers, halo traffic and virtual
+// timeline), stepped by the scheduler instead, so a parked rank costs a
+// few hundred bytes instead of a goroutine stack.
 func RunHeatProg(hc HeatConfig) func(rank int) Prog {
 	return heat.NewProg(hc)
 }
