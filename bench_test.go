@@ -37,7 +37,7 @@ func benchRanks() int {
 func BenchmarkTableI(b *testing.B) {
 	var mean, median, max float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunTableI(TableIConfig{RunSpec: RunSpec{Seed: 2013}})
+		res, err := RunTableIContext(context.Background(), TableIConfig{RunSpec: RunSpec{Seed: 2013}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkTableII(b *testing.B) {
 	var tab *TableII
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = RunTableII(TableIIConfig{RunSpec: RunSpec{Ranks: ranks, Seed: 133}})
+		tab, err = RunTableIIContext(context.Background(), TableIIConfig{RunSpec: RunSpec{Ranks: ranks, Seed: 133}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkFirstImpressions(b *testing.B) {
 	var fi *FirstImpressions
 	for i := 0; i < b.N; i++ {
 		var err error
-		fi, err = RunFirstImpressions(FirstImpressionsConfig{
+		fi, err = RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
 			RunSpec: RunSpec{Ranks: 64, Seed: 1},
 			Trials:  8, Iterations: 200, Interval: 25,
 		})
@@ -290,7 +290,7 @@ func BenchmarkAblationCheckpointIO(b *testing.B) {
 					MTTFs:     []Duration{6000 * Second},
 				}
 				mode.conf(&cfg)
-				tab, err := RunTableII(cfg)
+				tab, err := RunTableIIContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -359,7 +359,7 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	var s *IntervalSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = RunIntervalSweep(IntervalSweepConfig{RunSpec: RunSpec{Ranks: 64}, Seeds: []int64{133, 134}})
+		s, err = RunIntervalSweepContext(context.Background(), IntervalSweepConfig{RunSpec: RunSpec{Ranks: 64}, Seeds: []int64{133, 134}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -66,8 +66,8 @@ func (s *CampaignSet) MeanE2() Duration {
 // within one simulation window and returns the finished results.
 func RunCampaigns(ctx context.Context, cfg CampaignSetConfig) (*CampaignSet, error) {
 	cfg.defaults(cfg.Template.Base.Ranks)
-	if cfg.Template.AppFor == nil && cfg.Template.AppForPredicted == nil {
-		return nil, fmt.Errorf("xsim: RunCampaigns requires Template.AppFor")
+	if err := cfg.Template.checkApp(); err != nil {
+		return nil, err
 	}
 	if cfg.Template.Base.Store != nil {
 		return nil, fmt.Errorf("xsim: RunCampaigns forbids a shared Template.Base.Store (each campaign gets a fresh one)")

@@ -10,9 +10,8 @@ import (
 	"time"
 )
 
-// campaignTemplate builds a small heat campaign template whose random
-// failures strike often enough to exercise restarts.
-func campaignTemplate(t *testing.T, iterations int) Campaign {
+// campaignHeat is the 8-rank heat workload campaignTemplate runs.
+func campaignHeat(t *testing.T, iterations int) HeatConfig {
 	t.Helper()
 	hc, err := HeatWorkloadFor(8)
 	if err != nil {
@@ -21,6 +20,14 @@ func campaignTemplate(t *testing.T, iterations int) Campaign {
 	hc.Iterations = iterations
 	hc.ExchangeInterval = iterations / 5
 	hc.CheckpointInterval = iterations / 5
+	return hc
+}
+
+// campaignTemplate builds a small heat campaign template whose random
+// failures strike often enough to exercise restarts.
+func campaignTemplate(t *testing.T, iterations int) Campaign {
+	t.Helper()
+	hc := campaignHeat(t, iterations)
 	return Campaign{
 		Base:             Config{Ranks: 8},
 		MTTF:             100 * Second,
@@ -85,6 +92,33 @@ func TestRunCampaignsExplicitSeedsAndMean(t *testing.T) {
 	}
 	if mean := set.MeanE2(); mean <= 0 {
 		t.Fatalf("MeanE2 = %v", mean)
+	}
+}
+
+// TestRunCampaignsProgModeMatchesClosure pins that a template carrying only
+// the program-mode hook is accepted, like Campaign.RunContext accepts it,
+// and that the set is per-seed identical to its closure-mode twin.
+func TestRunCampaignsProgModeMatchesClosure(t *testing.T) {
+	run := func(prog bool) string {
+		tpl := campaignTemplate(t, 50)
+		if prog {
+			hc := campaignHeat(t, 50)
+			tpl.AppFor = nil
+			tpl.ProgFor = func(int) func(rank int) Prog { return RunHeatProg(hc) }
+		}
+		set, err := RunCampaigns(context.Background(), CampaignSetConfig{
+			RunSpec: RunSpec{Seed: 42, Pool: 2}, Template: tpl, Count: 8,
+		})
+		if err != nil {
+			t.Fatalf("prog=%v: %v", prog, err)
+		}
+		return campaignDigest(set)
+	}
+	if closure, prog := run(false), run(true); closure != prog {
+		t.Fatalf("campaign digests differ across execution modes:\nclosure: %s\nprog:    %s", closure, prog)
+	}
+	if _, err := RunCampaigns(context.Background(), CampaignSetConfig{Template: Campaign{Base: Config{Ranks: 8}}}); err == nil {
+		t.Fatal("a template without any application hook should be rejected")
 	}
 }
 

@@ -44,8 +44,8 @@
 #                     strictly beats the flat shared PFS; the buddy-copy
 #                     drain fallback and replica-aware cleanup run under
 #                     -race)
-#   11. campaign-service smoke (a -race build of xsim-server serves a
-#                     Table II campaign whose result is bit-for-bit the
+#   11. campaign-service smoke (a -race build of xsim-server serves one
+#                     campaign per kind, each result bit-for-bit the
 #                     CLI's `xsim-run -campaign` output; resubmission is a
 #                     cache hit with zero new simulations per /metrics;
 #                     SIGTERM drains and exits cleanly)
@@ -99,63 +99,44 @@ go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/
 go test -run '^$' -fuzz '^FuzzCampaignSpecDecode$' -fuzztime 10s .
 
-echo "== BenchmarkHandoff allocation gate"
-bench=$(go test -run '^$' -bench '^BenchmarkHandoff$' -benchmem -benchtime 1000x ./internal/core/)
-echo "$bench"
-echo "$bench" | awk '
-	/^BenchmarkHandoff/ {
-		seen = 1
-		for (i = 1; i <= NF; i++) {
-			if ($i == "allocs/op" && $(i-1) != "0") {
-				print "FAIL: handoff hot path allocates (" $(i-1) " allocs/op, want 0)" > "/dev/stderr"
-				exit 1
+# bench_gate <pkg> <bench-regex> <unit> <max> <expected-rows> [benchtime]
+# runs the benchmarks matching the regex and fails when any row reports
+# more than <max> of <unit>, or when the number of rows that ran differs
+# from <expected-rows> (a renamed benchmark must not pass by vanishing).
+bench_gate() {
+	bench=$(go test -run '^$' -bench "$2" -benchmem -benchtime "${6:-1x}" "$1")
+	echo "$bench"
+	echo "$bench" | awk -v unit="$3" -v max="$4" -v want="$5" -v re="$2" '
+		/^Benchmark/ {
+			rows++
+			for (i = 2; i <= NF; i++) {
+				if ($i == unit && $(i-1) + 0 > max + 0) {
+					print "FAIL: " $1 " reports " $(i-1) " " unit ", want <= " max > "/dev/stderr"
+					exit 1
+				}
 			}
 		}
-	}
-	END { if (!seen) { print "FAIL: BenchmarkHandoff did not run" > "/dev/stderr"; exit 1 } }
-'
+		END { if (rows != want) { print "FAIL: " rows + 0 " rows matched " re ", want " want > "/dev/stderr"; exit 1 } }
+	'
+}
+
+echo "== BenchmarkHandoff allocation gate"
+bench_gate ./internal/core/ '^BenchmarkHandoff$' allocs/op 0 1 1000x
 
 echo "== BenchmarkPingPong allocation gate"
 # Pre-pooling the round-trip cost 20 (eager) / 26 (rendezvous) allocs/op;
 # the pooled data plane ran at 6/6, and 2/2 since blocking waits run on the
 # per-process step state. Gate at half the old numbers so noise cannot
 # flake the build but a real regression cannot hide.
-bench=$(go test -run '^$' -bench '^BenchmarkPingPong$' -benchmem -benchtime 1000x ./internal/mpi/)
-echo "$bench"
-echo "$bench" | awk '
-	/^BenchmarkPingPong\/eager/    { kind = "eager"; limit = 10 }
-	/^BenchmarkPingPong\/rendezvous/ { kind = "rendezvous"; limit = 13 }
-	/^BenchmarkPingPong\// {
-		seen++
-		for (i = 1; i <= NF; i++) {
-			if ($i == "allocs/op" && $(i-1) + 0 > limit) {
-				print "FAIL: ping-pong " kind " path allocates (" $(i-1) " allocs/op, want <= " limit ")" > "/dev/stderr"
-				exit 1
-			}
-		}
-	}
-	END { if (seen != 2) { print "FAIL: BenchmarkPingPong sub-benchmarks did not run" > "/dev/stderr"; exit 1 } }
-'
+bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^eager$' allocs/op 10 1 1000x
+bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^rendezvous$' allocs/op 13 1 1000x
 
 echo "== bytes-per-VP budget gate (program mode, 256k ranks)"
 # PR 6 carried the residual cost of one virtual process from ~2.3 KB to
 # under 1 KB (bounded carriers + program VPs + slimmed per-process MPI
 # state). Gate at 1024 bytes/vp so a regression that reintroduces a
 # per-VP map, goroutine, or unbounded pool fails loudly.
-bench=$(go test -run '^$' -bench '^BenchmarkBytesPerVP/prog/ranks=262144$' -benchtime 1x ./internal/mpi/)
-echo "$bench"
-echo "$bench" | awk '
-	/^BenchmarkBytesPerVP\/prog\/ranks=262144/ {
-		seen = 1
-		for (i = 1; i <= NF; i++) {
-			if ($i == "bytes/vp" && $(i-1) + 0 > 1024) {
-				print "FAIL: program-mode VP footprint is " $(i-1) " bytes/vp, want <= 1024" > "/dev/stderr"
-				exit 1
-			}
-		}
-	}
-	END { if (!seen) { print "FAIL: BenchmarkBytesPerVP/prog/ranks=262144 did not run" > "/dev/stderr"; exit 1 } }
-'
+bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 1024 1
 
 echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # The full Table II loop (halo exchange + checkpoint + barrier every other
@@ -165,20 +146,7 @@ echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # (retained-bytes/vp); the mid-run peak is reported alongside for the
 # closure-vs-program comparison but is dominated by the all-ranks halo
 # burst, which is reused capacity, not per-rank state.
-bench=$(go test -run '^$' -bench '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' -benchtime 1x ./internal/heat/)
-echo "$bench"
-echo "$bench" | awk '
-	/^BenchmarkHeatCkptBytesPerVP\/prog\/ranks=262144/ {
-		seen = 1
-		for (i = 1; i <= NF; i++) {
-			if ($i == "retained-bytes/vp" && $(i-1) + 0 > 1280) {
-				print "FAIL: checkpointing program-mode footprint is " $(i-1) " retained-bytes/vp, want <= 1280" > "/dev/stderr"
-				exit 1
-			}
-		}
-	}
-	END { if (!seen) { print "FAIL: BenchmarkHeatCkptBytesPerVP/prog/ranks=262144 did not run" > "/dev/stderr"; exit 1 } }
-'
+bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp 1280 1
 
 echo "== campaign-parallelism smoke (pool=4 vs pool=1 digests, -race)"
 go test -race -count=1 -run '^(TestRunCampaignsDeterministicAcrossPools|TestTableIIPoolMatchesSequential|TestTableIPoolMatchesSequential)$' .
@@ -200,9 +168,6 @@ trap cleanup_smoke EXIT
 
 go build -race -o "$smoke_dir/xsim-server" ./cmd/xsim-server
 go build -o "$smoke_dir/xsim-run" ./cmd/xsim-run
-cat > "$smoke_dir/campaign.json" <<'EOF'
-{"version":1,"kind":"table2","ranks":64,"seed":133,"table2":{"iterations":200,"intervals":[100,50],"mttf_seconds":[1000]}}
-EOF
 
 addr=localhost:18462
 "$smoke_dir/xsim-server" -addr "$addr" -workers 2 &
@@ -214,30 +179,36 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ok" ] || { echo "FAIL: xsim-server never became healthy" >&2; exit 1; }
 
-id=$(curl -fsS -X POST -H 'X-Tenant: ci' --data-binary @"$smoke_dir/campaign.json" \
-	"$addr/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-[ -n "$id" ] || { echo "FAIL: submit returned no campaign id" >&2; exit 1; }
+# One cheap spec per campaign kind: the files whose outcome bytes
+# TestCampaignSurfaceMatchesGolden pins.
+kinds=0
+for spec in testdata/surface/*.json; do
+	kinds=$((kinds + 1))
+	id=$(curl -fsS -X POST -H 'X-Tenant: ci' --data-binary @"$spec" \
+		"$addr/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+	[ -n "$id" ] || { echo "FAIL: submitting $spec returned no campaign id" >&2; exit 1; }
 
-# The NDJSON stream must carry progress events and end at the terminal line.
-curl -fsS --no-buffer "$addr/v1/campaigns/$id/events" > "$smoke_dir/events.ndjson"
-grep -q '"event":"progress"' "$smoke_dir/events.ndjson"
-grep -q '"event":"done"' "$smoke_dir/events.ndjson"
-grep -q '"state":"completed"' "$smoke_dir/events.ndjson"
+	# The NDJSON stream must carry progress events and end at the terminal line.
+	curl -fsS --no-buffer "$addr/v1/campaigns/$id/events" > "$smoke_dir/events.ndjson"
+	grep -q '"event":"progress"' "$smoke_dir/events.ndjson"
+	grep -q '"event":"done"' "$smoke_dir/events.ndjson"
+	grep -q '"state":"completed"' "$smoke_dir/events.ndjson"
 
-# Transport equivalence: the served result must be bit-for-bit the CLI's.
-curl -fsS "$addr/v1/campaigns/$id/result" > "$smoke_dir/server-result.json"
-"$smoke_dir/xsim-run" -campaign "$smoke_dir/campaign.json" > "$smoke_dir/cli-result.json"
-cmp "$smoke_dir/server-result.json" "$smoke_dir/cli-result.json"
+	# Transport equivalence: the served result must be bit-for-bit the CLI's.
+	curl -fsS "$addr/v1/campaigns/$id/result" > "$smoke_dir/server-result.json"
+	"$smoke_dir/xsim-run" -campaign "$spec" > "$smoke_dir/cli-result.json"
+	cmp "$smoke_dir/server-result.json" "$smoke_dir/cli-result.json"
+done
 
-# Resubmission (different tenant, extra execution knobs) is a cache hit
-# that runs zero new simulations.
+# Resubmitting the table2 spec (different tenant, extra execution knobs) is
+# a cache hit that runs zero new simulations.
 curl -fsS -X POST -H 'X-Tenant: ci2' --data-binary \
 	'{"version":1,"kind":"table2","ranks":64,"seed":133,"workers":2,"pool":1,"table2":{"iterations":200,"intervals":[100,50],"mttf_seconds":[1000]}}' \
 	"$addr/v1/campaigns" | grep -q '"cached": *true'
 curl -fsS "$addr/metrics" > "$smoke_dir/metrics.txt"
-grep -q '^xsim_sim_runs_total 1$' "$smoke_dir/metrics.txt"
+grep -q "^xsim_sim_runs_total $kinds\$" "$smoke_dir/metrics.txt"
 grep -q '^xsim_cache_hits_total 1$' "$smoke_dir/metrics.txt"
-grep -q '^xsim_cache_misses_total 1$' "$smoke_dir/metrics.txt"
+grep -q "^xsim_cache_misses_total $kinds\$" "$smoke_dir/metrics.txt"
 
 # Graceful drain: SIGTERM must exit 0 (the -race build also verifies the
 # shutdown path is data-race free).

@@ -60,21 +60,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The experiment families all end the same way: run, then render.
+	var table interface{ Render() string }
 	switch {
 	case *ioAblation:
-		cfg := xsim.CheckpointIOAblationConfig{
-			RunSpec:           spec,
-			Iterations:        *iterations,
-			CheckpointPayload: *payloadMB << 20,
-		}
 		fmt.Printf("checkpoint-I/O ablation: Table II with the I/O cost on\n")
 		fmt.Printf("(%d simulated MPI ranks, %d iterations, %d MiB/rank checkpoints, seed %d)\n\n",
 			spec.Ranks, *iterations, *payloadMB, spec.Seed)
-		tab, err := xsim.RunCheckpointIOAblationContext(ctx, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(tab.Render())
+		table, err = xsim.RunCheckpointIOAblationContext(ctx, xsim.CheckpointIOAblationConfig{
+			RunSpec:           spec,
+			Iterations:        *iterations,
+			CheckpointPayload: *payloadMB << 20,
+		})
 	case *table2:
 		cfg := xsim.TableIIConfig{
 			RunSpec:    spec,
@@ -85,36 +82,28 @@ func main() {
 		}
 		fmt.Printf("Table II: varying the checkpoint interval and system MTTF\n")
 		fmt.Printf("(%d simulated MPI ranks, %d iterations, seed %d)\n\n", spec.Ranks, *iterations, spec.Seed)
-		tab, err := xsim.RunTableIIContext(ctx, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(tab.Render())
+		table, err = xsim.RunTableIIContext(ctx, cfg)
 	case *sweep:
-		cfg := xsim.IntervalSweepConfig{
+		table, err = xsim.RunIntervalSweepContext(ctx, xsim.IntervalSweepConfig{
 			RunSpec:    spec,
 			Iterations: *iterations,
 			MTTF:       xsim.Seconds(*mttfSecs),
-		}
-		s, err := xsim.RunIntervalSweepContext(ctx, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(s.Render())
+		})
 	case *phases:
-		fi, err := xsim.RunFirstImpressionsContext(ctx, xsim.FirstImpressionsConfig{
+		table, err = xsim.RunFirstImpressionsContext(ctx, xsim.FirstImpressionsConfig{
 			RunSpec:    spec,
 			Iterations: *iterations,
 			Interval:   *interval,
 			Trials:     *trials,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(fi.Render())
 	default:
 		runSingle(ctx, spec, *iterations, *interval, *mttfSecs, *failures, *withIO)
+		return
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(table.Render())
 }
 
 // runSingle runs one heat campaign (with restarts if failures strike) and

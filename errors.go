@@ -16,9 +16,9 @@ import (
 var (
 	// ErrAborted is wrapped by errors reporting a simulation that ended
 	// with failed or aborted ranks where the caller required clean
-	// completion (see Result.Err and the E1 runs of the experiment
-	// drivers), and by a Campaign that exhausted MaxRuns without the
-	// application completing.
+	// completion (see Result.Err), and by a Campaign that exhausted
+	// MaxRuns without the application completing — which is also how the
+	// experiment drivers' single-run E1 campaigns report an unclean run.
 	ErrAborted = errors.New("xsim: application did not complete cleanly")
 	// ErrCancelled is wrapped by errors reporting a run cut short by
 	// context cancellation or a per-run deadline. The partial Result (when

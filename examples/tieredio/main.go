@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 		cfg.Ranks, cfg.Iterations, 256)
 	fmt.Printf("(node-local memory -> burst buffer -> shared PFS; seed %d)\n\n", cfg.Seed)
 
-	tab, err := xsim.RunCheckpointIOAblation(cfg)
+	tab, err := xsim.RunCheckpointIOAblationContext(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"xsim/internal/checkpoint"
@@ -52,12 +53,6 @@ func (cfg *TableIConfig) defaults() {
 	}
 }
 
-// RunTableI reproduces Table I; it is RunTableIContext without
-// cancellation.
-func RunTableI(cfg TableIConfig) (*TableIResult, error) {
-	return RunTableIContext(context.Background(), cfg)
-}
-
 // RunTableIContext reproduces Table I: bit flips are injected into victim
 // process images until the victims fail, and the injections-to-failure
 // distribution is summarised. Victims fan out across the campaign pool;
@@ -102,7 +97,8 @@ type TableIIConfig struct {
 	MaxRuns int
 }
 
-// TableIIRow is one row of Table II.
+// TableIIRow is one row of Table II. The fields carry no JSON tags:
+// recorded benchmark outcomes marshal the row under its Go field names.
 type TableIIRow struct {
 	// MTTFs is the system MTTF (0 for the no-failure baseline rows).
 	MTTFs Duration
@@ -131,26 +127,35 @@ type TableII struct {
 	Stats CampaignStats
 }
 
-// paperTableIIDefaults fills the paper's parameters.
+// defaults fills the paper's parameters.
 func (cfg *TableIIConfig) defaults() {
 	cfg.RunSpec.defaults(32768)
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 1000
 	}
 	if len(cfg.Intervals) == 0 {
-		cfg.Intervals = []int{cfg.Iterations / 2, cfg.Iterations / 4, cfg.Iterations / 8}
+		cfg.Intervals = defaultIntervals(cfg.Iterations)
 	}
 	if len(cfg.MTTFs) == 0 {
 		cfg.MTTFs = []Duration{6000 * Second, 3000 * Second}
 	}
 }
 
-// expCell is one fanned-out unit of an experiment grid: either a single
-// no-failure run (res) or a failure/restart campaign (camp).
-type expCell struct {
-	res  *Result
-	camp *CampaignResult
+// defaultIntervals returns the paper's checkpoint intervals for a run of
+// the given length: 50 %, 25 % and 12.5 % of the iteration count. Each is
+// floored at one iteration and repeats are dropped, so a run shorter than
+// eight iterations sweeps fewer intervals instead of an invalid zero.
+func defaultIntervals(iterations int) []int {
+	out := make([]int, 0, 3)
+	for _, div := range []int{2, 4, 8} {
+		if c := max(iterations/div, 1); len(out) == 0 || c != out[len(out)-1] {
+			out = append(out, c)
+		}
+	}
+	return out
 }
+
+// --- The heat grid: the one shape behind Table II, sweep and ablation ----
 
 // setHeatApp installs the heat application on the campaign in the
 // requested execution mode.
@@ -162,163 +167,199 @@ func setHeatApp(camp *Campaign, hc HeatConfig, prog bool) {
 	}
 }
 
-// runHeatE1 executes one no-failure heat run and returns its Result.
-func runHeatE1(ctx context.Context, simCfg Config, hc HeatConfig, prog bool) (*Result, error) {
-	sim, err := New(simCfg)
+// ioArm is one storage configuration of the heat grid. Table II and the
+// interval sweep run the single unnamed free arm; the checkpoint-I/O
+// ablation runs four named ones.
+type ioArm struct {
+	// name fills the arm's Arm column and prefixes its progress labels
+	// ("" = no prefix).
+	name  string
+	model fsmodel.Model
+	hier  fsmodel.Hierarchy
+	// delta is the incremental-checkpoint fraction (0 = full checkpoints).
+	delta float64
+}
+
+// gridCell is one failure/restart campaign of the heat grid.
+type gridCell struct {
+	arm      int // index into heatGrid.arms
+	interval int // index into heatGrid.intervals
+	mttf     Duration
+	seed     int64
+	label    string // progress label, without the arm prefix
+}
+
+// heatGrid is the experiment shape Table II, the interval sweep and the
+// checkpoint-I/O ablation share: per storage arm, the heat application
+// without failures at the baseline interval (a single final checkpoint)
+// and at every swept interval — the E1 runs — then an explicit ordered
+// list of failure/restart campaigns, each at one (arm, interval).
+type heatGrid struct {
+	RunSpec
+	base      HeatConfig
+	arms      []ioArm
+	intervals []int
+	cells     []gridCell
+	// maxRuns caps failure/restart cycles per cell.
+	maxRuns int
+}
+
+// newHeatGrid returns a grid of the paper's heat workload over the given
+// intervals with the free arm and no cells.
+func newHeatGrid(rs RunSpec, iterations int, intervals []int) (*heatGrid, error) {
+	base, err := HeatWorkloadFor(rs.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	if prog {
-		res, err = sim.RunProgsContext(ctx, RunHeatProg(hc))
-	} else {
-		res, err = sim.RunContext(ctx, RunHeat(hc))
-	}
-	if err != nil {
-		return res, err
-	}
-	if err := res.Err(); err != nil {
-		return res, fmt.Errorf("xsim: E1 run with interval %d: %w", hc.CheckpointInterval, err)
-	}
-	return res, nil
+	base.Iterations = iterations
+	return &heatGrid{RunSpec: rs, base: base, arms: []ioArm{{}}, intervals: intervals}, nil
 }
 
-// RunTableII reproduces Table II; it is RunTableIIContext without
-// cancellation.
-func RunTableII(cfg TableIIConfig) (*TableII, error) {
-	return RunTableIIContext(context.Background(), cfg)
+// sweepMTTFs appends the arm's (MTTF, interval) campaign cells in row
+// order. A cell's seed mixes in the MTTF, so different MTTFs draw
+// independent failure sequences, but not the arm: every arm faces
+// identical failures and the arms' E2 columns are directly comparable.
+func (g *heatGrid) sweepMTTFs(arm int, mttfs []Duration) {
+	for _, mttf := range mttfs {
+		for i, c := range g.intervals {
+			g.cells = append(g.cells, gridCell{
+				arm: arm, interval: i, mttf: mttf,
+				seed:  g.Seed + int64(mttf),
+				label: fmt.Sprintf("mttf=%.0fs c=%d", mttf.Seconds(), c),
+			})
+		}
+	}
+}
+
+// run fans the grid out across the campaign pool and returns one row per
+// task: per arm the baseline E1 row and an E1 row per interval, then the
+// cells in list order, each with its (arm, interval) E1 filled in. The
+// tasks are independent and a cell's failure draws depend only on its
+// seed, so the rows are identical at any pool size; they are assembled in
+// the fixed task order (the order progress events number), never in
+// completion order. On error (a failed task, or cancellation) the pooled
+// stats come back without rows.
+func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, CampaignStats, error) {
+	var (
+		tasks []runner.Task[*CampaignResult]
+		rows  []CheckpointIOAblationRow // rows[i] is completed from task i's result
+	)
+	// Every task is a restart campaign of the heat application on arm a
+	// at interval c. An E1 run is the campaign no failure strikes (MTTF
+	// 0): it gets a single run, which must complete.
+	add := func(a ioArm, c int, mttf Duration, seed int64, maxRuns int, label string) {
+		simCfg := g.baseConfig()
+		simCfg.FSModel = a.model
+		simCfg.FSHierarchy = a.hier
+		hc := g.base
+		hc.ExchangeInterval = c
+		hc.CheckpointInterval = c
+		hc.DeltaFraction = a.delta
+		camp := Campaign{Base: simCfg, MTTF: mttf, Seed: seed, MaxRuns: maxRuns, CheckpointPrefix: "heat"}
+		setHeatApp(&camp, hc, g.ProgMode)
+		if a.name != "" {
+			label = a.name + " " + label
+		}
+		tasks = append(tasks, runner.Task[*CampaignResult]{
+			Spec: runner.Spec{Index: len(tasks), Label: label, Seed: seed},
+			Run:  camp.RunContext,
+		})
+		rows = append(rows, CheckpointIOAblationRow{Arm: a.name, TableIIRow: TableIIRow{MTTFs: mttf, C: c}})
+	}
+	e1s := append([]int{g.base.Iterations}, g.intervals...)
+	for _, a := range g.arms {
+		for _, c := range e1s {
+			add(a, c, 0, 0, 1, fmt.Sprintf("E1 c=%d", c))
+		}
+	}
+	for _, cell := range g.cells {
+		add(g.arms[cell.arm], g.intervals[cell.interval], cell.mttf, cell.seed, g.maxRuns, cell.label)
+	}
+
+	results, rstats, err := runner.Run(ctx, g.runnerConfig(), tasks)
+	stats := CampaignStats{Runner: rstats}
+	for _, camp := range results {
+		stats.absorbCampaign(camp)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	nE1 := len(g.arms) * len(e1s)
+	for i, camp := range results {
+		row := &rows[i]
+		row.Runs = len(camp.Runs)
+		if i < nE1 {
+			row.E1 = camp.E2
+			continue
+		}
+		cell := g.cells[i-nE1]
+		row.E1 = rows[cell.arm*len(e1s)+1+cell.interval].E1
+		row.E2 = camp.E2
+		row.F = camp.Failures
+		row.MTTFa = camp.MTTFa()
+	}
+	return rows, stats, nil
 }
 
 // RunTableIIContext reproduces Table II: the heat application runs at
 // Ranks simulated MPI processes with the checkpoint interval and the
 // system MTTF varied; each cell reports E1 (no failures), E2 (with
-// failures and restarts), F, and MTTFa. The baseline, the per-interval E1
-// runs, and every (MTTF, interval) campaign cell are independent and fan
-// out across the campaign pool; each cell's failure draws depend only on
-// Seed and its MTTF, so the table is identical at any pool size. On error
+// failures and restarts), F, and MTTFa. It is the heat grid's free arm
+// (charging FSModel when set) with one cell per (MTTF, interval), fanned
+// out across the campaign pool and identical at any pool size. On error
 // (a failed cell, or cancellation) the partial table keeps its pooled
 // Stats but no Rows.
 func RunTableIIContext(ctx context.Context, cfg TableIIConfig) (*TableII, error) {
 	cfg.defaults()
-	base, err := HeatWorkloadFor(cfg.Ranks)
+	g, err := newHeatGrid(cfg.RunSpec, cfg.Iterations, cfg.Intervals)
 	if err != nil {
 		return nil, err
 	}
-	base.Iterations = cfg.Iterations
+	g.arms[0].model = cfg.FSModel
+	g.maxRuns = cfg.MaxRuns
+	g.sweepMTTFs(0, cfg.MTTFs)
 
-	simCfg := cfg.baseConfig()
-	simCfg.FSModel = cfg.FSModel
-
-	heatAt := func(interval int) HeatConfig {
-		hc := base
-		hc.ExchangeInterval = interval
-		hc.CheckpointInterval = interval
-		return hc
-	}
-	e1Task := func(index, interval int) runner.Task[expCell] {
-		return runner.Task[expCell]{
-			Spec: runner.Spec{Index: index, Label: fmt.Sprintf("E1 c=%d", interval)},
-			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, heatAt(interval), cfg.ProgMode)
-				return expCell{res: res}, err
-			},
+	rows, stats, err := g.run(ctx)
+	table := &TableII{Config: cfg, Stats: stats}
+	// The paper's table prints the baseline and the campaign cells; the
+	// per-interval E1 runs appear only as the cells' E1 column.
+	for i, r := range rows {
+		if i == 0 || i > len(cfg.Intervals) {
+			table.Rows = append(table.Rows, r.TableIIRow)
 		}
 	}
-
-	// Task order: baseline E1, per-interval E1s, then the campaign grid in
-	// row order. Rows are assembled from this fixed order, never from
-	// completion order.
-	tasks := []runner.Task[expCell]{e1Task(0, cfg.Iterations)}
-	for _, c := range cfg.Intervals {
-		tasks = append(tasks, e1Task(len(tasks), c))
-	}
-	campStart := len(tasks)
-	for _, mttf := range cfg.MTTFs {
-		for _, c := range cfg.Intervals {
-			hc := heatAt(c)
-			// Mix the MTTF into the seed so different MTTF sweeps draw
-			// independent failure sequences.
-			seed := cfg.Seed + int64(mttf)
-			tasks = append(tasks, runner.Task[expCell]{
-				Spec: runner.Spec{
-					Index: len(tasks),
-					Label: fmt.Sprintf("mttf=%.0fs c=%d", mttf.Seconds(), c),
-					Seed:  seed,
-				},
-				Run: func(ctx context.Context) (expCell, error) {
-					camp := Campaign{
-						Base:             simCfg,
-						MTTF:             mttf,
-						Seed:             seed,
-						MaxRuns:          cfg.MaxRuns,
-						CheckpointPrefix: "heat",
-					}
-					setHeatApp(&camp, hc, cfg.ProgMode)
-					res, err := camp.RunContext(ctx)
-					return expCell{camp: res}, err
-				},
-			})
-		}
-	}
-
-	cells, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
-	table := &TableII{Config: cfg, Stats: CampaignStats{Runner: rstats}}
-	for _, c := range cells {
-		table.Stats.absorb(c.res)
-		table.Stats.absorbCampaign(c.camp)
-	}
-	if err != nil {
-		return table, err
-	}
-
-	table.Rows = append(table.Rows, TableIIRow{C: cfg.Iterations, E1: cells[0].res.SimTime, Runs: 1})
-	e1ByC := make(map[int]Time, len(cfg.Intervals))
-	for i, c := range cfg.Intervals {
-		e1ByC[c] = cells[1+i].res.SimTime
-	}
-	i := campStart
-	for _, mttf := range cfg.MTTFs {
-		for _, c := range cfg.Intervals {
-			res := cells[i].camp
-			i++
-			table.Rows = append(table.Rows, TableIIRow{
-				MTTFs: mttf,
-				C:     c,
-				E1:    e1ByC[c],
-				E2:    res.E2,
-				F:     res.Failures,
-				MTTFa: res.MTTFa(),
-				Runs:  len(res.Runs),
-			})
-		}
-	}
-	return table, nil
+	return table, err
 }
 
-// Render prints the table in the paper's layout.
-func (t *TableII) Render() string {
-	header := []string{"MTTF_s", "C", "E1", "E2", "F", "MTTF_a"}
-	var rows [][]string
+// tableIIHeader names the columns TableIIRow.columns renders.
+var tableIIHeader = []string{"MTTF_s", "C", "E1", "E2", "F", "MTTF_a"}
+
+// columns renders the row in the paper's layout; a no-failure row shows
+// dashes for the columns only a campaign cell has.
+func (r TableIIRow) columns() []string {
 	secs := func(v vclock.Time) string {
 		if v == 0 {
 			return "—"
 		}
 		return fmt.Sprintf("%.0f s", v.Seconds())
 	}
-	for _, r := range t.Rows {
-		mttf := "—"
-		e2 := "—"
-		f := "0"
-		mttfa := "—"
-		if r.MTTFs > 0 {
-			mttf = fmt.Sprintf("%.0f s", r.MTTFs.Seconds())
-			e2 = secs(r.E2)
-			f = fmt.Sprintf("%d", r.F)
-			mttfa = fmt.Sprintf("%.0f s", r.MTTFa.Seconds())
-		}
-		rows = append(rows, []string{mttf, fmt.Sprintf("%d", r.C), secs(r.E1), e2, f, mttfa})
+	mttf, e2, f, mttfa := "—", "—", "0", "—"
+	if r.MTTFs > 0 {
+		mttf = fmt.Sprintf("%.0f s", r.MTTFs.Seconds())
+		e2 = secs(r.E2)
+		f = fmt.Sprintf("%d", r.F)
+		mttfa = fmt.Sprintf("%.0f s", r.MTTFa.Seconds())
 	}
-	return stats.Table(header, rows)
+	return []string{mttf, fmt.Sprintf("%d", r.C), secs(r.E1), e2, f, mttfa}
+}
+
+// Render prints the table in the paper's layout.
+func (t *TableII) Render() string {
+	rows := make([][]string, len(t.Rows))
+	for i, r := range t.Rows {
+		rows[i] = r.columns()
+	}
+	return stats.Table(tableIIHeader, rows)
 }
 
 // --- §V-D First impressions: failure-mode classification -----------------
@@ -364,7 +405,8 @@ func (cfg *FirstImpressionsConfig) defaults() {
 		cfg.Iterations = 1000
 	}
 	if cfg.Interval == 0 {
-		cfg.Interval = cfg.Iterations / 8
+		// The shortest of the paper's three intervals (12.5 %).
+		cfg.Interval = slices.Min(defaultIntervals(cfg.Iterations))
 	}
 	if cfg.Trials == 0 {
 		cfg.Trials = 10
@@ -385,12 +427,6 @@ type firstImpressionsTrial struct {
 	detectedIn map[string]int
 	checkpoint string
 	camp       *CampaignResult
-}
-
-// RunFirstImpressions reproduces the paper's §V-D observations; it is
-// RunFirstImpressionsContext without cancellation.
-func RunFirstImpressions(cfg FirstImpressionsConfig) (*FirstImpressions, error) {
-	return RunFirstImpressionsContext(context.Background(), cfg)
 }
 
 // RunFirstImpressionsContext reproduces the paper's §V-D observations:
@@ -431,13 +467,12 @@ func RunFirstImpressionsContext(ctx context.Context, cfg FirstImpressionsConfig)
 				setHeatApp(&camp, hc, cfg.ProgMode)
 				res, err := camp.RunContext(ctx)
 				out := firstImpressionsTrial{camp: res}
-				// The single run usually aborts; that is the point. Only
-				// cancellation is a real failure of the trial itself.
-				if err != nil && errors.Is(err, ErrCancelled) {
+				// The single run usually aborts, exhausting MaxRuns; that
+				// is the point. Anything else (cancellation, a panicking
+				// or deadlocked application) is a failure of the trial
+				// itself, not an observation.
+				if err != nil && !errors.Is(err, ErrAborted) {
 					return out, err
-				}
-				if res == nil || len(res.Runs) == 0 {
-					return out, nil
 				}
 				run := res.Runs[0]
 				if run.Failed == 0 {
@@ -542,11 +577,7 @@ func sortedKeys(m map[string]int) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }
 
@@ -595,9 +626,13 @@ type ReplicationCrossoverConfig struct {
 	MaxRuns int
 }
 
+// crossoverDefaultRanks is the crossover's default world size; the wire
+// layer checks degree divisibility against it when a spec leaves ranks 0.
+const crossoverDefaultRanks = 24
+
 // defaults fills the zero fields.
 func (cfg *ReplicationCrossoverConfig) defaults() {
-	cfg.RunSpec.defaults(24)
+	cfg.RunSpec.defaults(crossoverDefaultRanks)
 	if len(cfg.Degrees) == 0 {
 		cfg.Degrees = []int{2, 3}
 	}
@@ -673,12 +708,6 @@ func (t *ReplicationCrossover) Row(mttf Duration, arm string, degree int) *Repli
 	return nil
 }
 
-// RunReplicationCrossover runs the crossover study; it is
-// RunReplicationCrossoverContext without cancellation.
-func RunReplicationCrossover(cfg ReplicationCrossoverConfig) (*ReplicationCrossover, error) {
-	return RunReplicationCrossoverContext(context.Background(), cfg)
-}
-
 // RunReplicationCrossoverContext runs the crossover study. It first
 // measures the failure-free unreplicated solve time, then fans one
 // failure/restart campaign per (MTTF, arm, degree) cell across the
@@ -714,22 +743,19 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 
 	table := &ReplicationCrossover{Config: cfg}
 
-	// E1: the failure-free unreplicated solve, measured (not assumed) so
-	// the Daly parameters include the simulated communication time.
-	e1cfg := cfg.baseConfig()
-	sim, err := New(e1cfg)
+	// E1: the failure-free unreplicated solve — the campaign no failure
+	// strikes, in a single run that must complete — measured (not assumed)
+	// so the Daly parameters include the simulated communication time.
+	e1, err := Campaign{
+		Base:    cfg.baseConfig(),
+		MaxRuns: 1,
+		AppFor:  func(int) App { return RunReplicatedStencil(stencil(1, 0)) },
+	}.RunContext(ctx)
+	table.Stats.absorbCampaign(e1)
 	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunContext(ctx, RunReplicatedStencil(stencil(1, 0)))
-	if err != nil {
-		return table, err
-	}
-	table.Stats.absorb(res)
-	if err := res.Err(); err != nil {
 		return table, fmt.Errorf("xsim: crossover E1 run: %w", err)
 	}
-	solve := Duration(res.SimTime)
+	solve := Duration(e1.E2)
 	table.Solve = solve
 	perIter := solve / Duration(cfg.Iterations)
 
@@ -788,7 +814,7 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 		}
 	}
 
-	tasks := make([]runner.Task[expCell], len(specs))
+	tasks := make([]runner.Task[*CampaignResult], len(specs))
 	for i, spec := range specs {
 		spec := spec
 		sc := stencil(spec.row.Degree, spec.row.Interval)
@@ -796,13 +822,13 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 		// of the cell (compute + checkpoint overhead + restart).
 		horizon := Duration(spec.row.Degree)*solve + ckptOverhead(spec.row.Interval) +
 			cfg.RestartCost + solve
-		tasks[i] = runner.Task[expCell]{
+		tasks[i] = runner.Task[*CampaignResult]{
 			Spec: runner.Spec{
 				Index: i,
 				Label: fmt.Sprintf("mttf=%.0fs %s r=%d", spec.row.MTTF.Seconds(), spec.row.Arm, spec.row.Degree),
 				Seed:  spec.seed,
 			},
-			Run: func(ctx context.Context) (expCell, error) {
+			Run: func(ctx context.Context) (*CampaignResult, error) {
 				base := cfg.baseConfig()
 				base.Store = NewStore()
 				camp := Campaign{
@@ -823,23 +849,22 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 					SetCompleteFor:   ReplicatedSetComplete(cfg.Ranks, spec.row.Degree),
 					AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 				}
-				res, err := camp.RunContext(ctx)
-				return expCell{camp: res}, err
+				return camp.RunContext(ctx)
 			},
 		}
 	}
 
 	cells, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
 	table.Stats.Runner = rstats
-	for _, c := range cells {
-		table.Stats.absorbCampaign(c.camp)
+	for _, camp := range cells {
+		table.Stats.absorbCampaign(camp)
 	}
 	if err != nil {
 		return table, err
 	}
 	for i, spec := range specs {
 		row := spec.row
-		camp := cells[i].camp
+		camp := cells[i]
 		row.E2 = camp.E2
 		row.F = camp.Failures
 		row.Runs = len(camp.Runs)
@@ -867,9 +892,6 @@ const (
 	// tiered hierarchy.
 	IOArmTieredIncr = "tiered-incr"
 )
-
-// ioAblationArms lists the sweep's arms in report order.
-var ioAblationArms = []string{IOArmFree, IOArmFlatPFS, IOArmTiered, IOArmTieredIncr}
 
 // CheckpointIOAblationConfig parameterises the checkpoint-I/O ablation:
 // the Table II sweep rerun with the file-system cost enabled, once per
@@ -915,7 +937,7 @@ func (cfg *CheckpointIOAblationConfig) defaults() {
 		cfg.Iterations = 1000
 	}
 	if len(cfg.Intervals) == 0 {
-		cfg.Intervals = []int{cfg.Iterations / 2, cfg.Iterations / 4, cfg.Iterations / 8}
+		cfg.Intervals = defaultIntervals(cfg.Iterations)
 	}
 	if len(cfg.MTTFs) == 0 {
 		cfg.MTTFs = []Duration{6000 * Second}
@@ -937,25 +959,12 @@ func (cfg *CheckpointIOAblationConfig) defaults() {
 	}
 }
 
-// CheckpointIOAblationRow is one cell of the ablation: Table II's columns
-// plus the storage arm.
+// CheckpointIOAblationRow is one cell of the ablation: the storage arm
+// plus Table II's columns (MTTFs is 0 on the no-failure E1 rows).
 type CheckpointIOAblationRow struct {
 	// Arm is the storage configuration (IOArmFree … IOArmTieredIncr).
 	Arm string
-	// MTTFs is the system MTTF (0 for the no-failure E1 rows).
-	MTTFs Duration
-	// C is the checkpoint interval in iterations.
-	C int
-	// E1 is the simulated execution time without failures.
-	E1 Time
-	// E2 is the simulated execution time with failures and restarts.
-	E2 Time
-	// F is the number of injected failures experienced.
-	F int
-	// MTTFa is the experienced application mean-time-to-failure.
-	MTTFa Duration
-	// Runs is the number of application runs (1 + restarts).
-	Runs int
+	TableIIRow
 }
 
 // CheckpointIOAblation is the ablation result.
@@ -1003,188 +1012,45 @@ func (t *CheckpointIOAblation) Recovered(arm string, mttf Duration, c int) float
 	return float64(flat.E2-a.E2) / float64(flat.E2-free.E2)
 }
 
-// RunCheckpointIOAblation runs the ablation; it is
-// RunCheckpointIOAblationContext without cancellation.
-func RunCheckpointIOAblation(cfg CheckpointIOAblationConfig) (*CheckpointIOAblation, error) {
-	return RunCheckpointIOAblationContext(context.Background(), cfg)
-}
-
 // RunCheckpointIOAblationContext reruns the Table II sweep with checkpoint
 // I/O cost enabled, once per storage arm: free (the paper's zero-cost
 // assumption), a flat shared PFS, the multi-tier hierarchy with staged
-// writes, and the hierarchy plus incremental checkpoints. Every arm sweeps
-// the same intervals and MTTFs, and a campaign cell's failure draws depend
-// only on Seed and its MTTF — not the arm — so all arms face identical
-// failure sequences and their E2 columns are directly comparable. Cells
-// fan out across the campaign pool; rows are assembled from the fixed
-// sweep order, so the table is identical at any pool size.
+// writes, and the hierarchy plus incremental checkpoints. It is the heat
+// grid with four arms sweeping the same intervals and MTTFs — Table II is
+// its free arm — so all arms face identical failure sequences and the
+// table is identical at any pool size. On error the partial result keeps
+// its pooled Stats but no Rows.
 func RunCheckpointIOAblationContext(ctx context.Context, cfg CheckpointIOAblationConfig) (*CheckpointIOAblation, error) {
 	cfg.defaults()
-	base, err := HeatWorkloadFor(cfg.Ranks)
+	g, err := newHeatGrid(cfg.RunSpec, cfg.Iterations, cfg.Intervals)
 	if err != nil {
 		return nil, err
 	}
-	base.Iterations = cfg.Iterations
-	base.CheckpointPayload = cfg.CheckpointPayload
-	base.FullEvery = cfg.FullEvery
-
-	type armSpec struct {
-		name  string
-		model fsmodel.Model
-		hier  fsmodel.Hierarchy
-		delta float64
+	g.base.CheckpointPayload = cfg.CheckpointPayload
+	g.base.FullEvery = cfg.FullEvery
+	g.arms = []ioArm{
+		{name: IOArmFree},
+		{name: IOArmFlatPFS, model: cfg.Flat},
+		{name: IOArmTiered, hier: cfg.Tiers},
+		{name: IOArmTieredIncr, hier: cfg.Tiers, delta: cfg.DeltaFraction},
 	}
-	arms := []armSpec{
-		{IOArmFree, fsmodel.Model{}, nil, 0},
-		{IOArmFlatPFS, cfg.Flat, nil, 0},
-		{IOArmTiered, fsmodel.Model{}, cfg.Tiers, 0},
-		{IOArmTieredIncr, fsmodel.Model{}, cfg.Tiers, cfg.DeltaFraction},
+	g.maxRuns = cfg.MaxRuns
+	for arm := range g.arms {
+		g.sweepMTTFs(arm, cfg.MTTFs)
 	}
-	simFor := func(a armSpec) Config {
-		c := cfg.baseConfig()
-		c.FSModel = a.model
-		c.FSHierarchy = a.hier
-		return c
-	}
-	heatAt := func(a armSpec, interval int) HeatConfig {
-		hc := base
-		hc.ExchangeInterval = interval
-		hc.CheckpointInterval = interval
-		hc.DeltaFraction = a.delta
-		return hc
-	}
-
-	// Task order: per arm a baseline E1 and the per-interval E1s, then the
-	// campaign grid in (arm, MTTF, interval) row order. Rows are assembled
-	// from this fixed order, never from completion order.
-	var tasks []runner.Task[expCell]
-	e1Task := func(a armSpec, interval int) {
-		simCfg := simFor(a)
-		hc := heatAt(a, interval)
-		tasks = append(tasks, runner.Task[expCell]{
-			Spec: runner.Spec{Index: len(tasks), Label: fmt.Sprintf("%s E1 c=%d", a.name, interval)},
-			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, hc, cfg.ProgMode)
-				return expCell{res: res}, err
-			},
-		})
-	}
-	for _, a := range arms {
-		e1Task(a, cfg.Iterations)
-		for _, c := range cfg.Intervals {
-			e1Task(a, c)
-		}
-	}
-	campStart := len(tasks)
-	for _, a := range arms {
-		for _, mttf := range cfg.MTTFs {
-			for _, c := range cfg.Intervals {
-				a, mttf := a, mttf
-				simCfg := simFor(a)
-				hc := heatAt(a, c)
-				// The seed mixes in the MTTF but not the arm: every arm
-				// faces the same failure sequences.
-				seed := cfg.Seed + int64(mttf)
-				tasks = append(tasks, runner.Task[expCell]{
-					Spec: runner.Spec{
-						Index: len(tasks),
-						Label: fmt.Sprintf("%s mttf=%.0fs c=%d", a.name, mttf.Seconds(), c),
-						Seed:  seed,
-					},
-					Run: func(ctx context.Context) (expCell, error) {
-						camp := Campaign{
-							Base:             simCfg,
-							MTTF:             mttf,
-							Seed:             seed,
-							MaxRuns:          cfg.MaxRuns,
-							CheckpointPrefix: "heat",
-						}
-						setHeatApp(&camp, hc, cfg.ProgMode)
-						res, err := camp.RunContext(ctx)
-						return expCell{camp: res}, err
-					},
-				})
-			}
-		}
-	}
-
-	cells, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
-	table := &CheckpointIOAblation{Config: cfg, Stats: CampaignStats{Runner: rstats}}
-	for _, c := range cells {
-		table.Stats.absorb(c.res)
-		table.Stats.absorbCampaign(c.camp)
-	}
-	if err != nil {
-		return table, err
-	}
-
-	i := 0
-	for _, a := range arms {
-		table.Rows = append(table.Rows, CheckpointIOAblationRow{
-			Arm: a.name, C: cfg.Iterations, E1: cells[i].res.SimTime, Runs: 1,
-		})
-		i++
-		for _, c := range cfg.Intervals {
-			table.Rows = append(table.Rows, CheckpointIOAblationRow{
-				Arm: a.name, C: c, E1: cells[i].res.SimTime, Runs: 1,
-			})
-			i++
-		}
-	}
-	i = campStart
-	for _, a := range arms {
-		for _, mttf := range cfg.MTTFs {
-			for _, c := range cfg.Intervals {
-				camp := cells[i].camp
-				i++
-				e1 := Time(0)
-				if r := t0Row(table, a.name, c); r != nil {
-					e1 = r.E1
-				}
-				table.Rows = append(table.Rows, CheckpointIOAblationRow{
-					Arm:   a.name,
-					MTTFs: mttf,
-					C:     c,
-					E1:    e1,
-					E2:    camp.E2,
-					F:     camp.Failures,
-					MTTFa: camp.MTTFa(),
-					Runs:  len(camp.Runs),
-				})
-			}
-		}
-	}
-	return table, nil
-}
-
-// t0Row returns the arm's no-failure E1 row at interval c.
-func t0Row(t *CheckpointIOAblation, arm string, c int) *CheckpointIOAblationRow {
-	return t.Row(arm, 0, c)
+	rows, stats, err := g.run(ctx)
+	return &CheckpointIOAblation{Config: cfg, Rows: rows, Stats: stats}, err
 }
 
 // Render prints the ablation, one Table II-shaped block per arm, followed
 // by the recovered-overhead summary the tiered arms exist to demonstrate.
 func (t *CheckpointIOAblation) Render() string {
-	header := []string{"arm", "MTTF_s", "C", "E1", "E2", "F", "MTTF_a"}
-	var rows [][]string
-	secs := func(v vclock.Time) string {
-		if v == 0 {
-			return "—"
-		}
-		return fmt.Sprintf("%.0f s", v.Seconds())
-	}
-	for _, r := range t.Rows {
-		mttf, e2, f, mttfa := "—", "—", "0", "—"
-		if r.MTTFs > 0 {
-			mttf = fmt.Sprintf("%.0f s", r.MTTFs.Seconds())
-			e2 = secs(r.E2)
-			f = fmt.Sprintf("%d", r.F)
-			mttfa = fmt.Sprintf("%.0f s", r.MTTFa.Seconds())
-		}
-		rows = append(rows, []string{r.Arm, mttf, fmt.Sprintf("%d", r.C), secs(r.E1), e2, f, mttfa})
+	rows := make([][]string, len(t.Rows))
+	for i, r := range t.Rows {
+		rows[i] = append([]string{r.Arm}, r.columns()...)
 	}
 	var b strings.Builder
-	b.WriteString(stats.Table(header, rows))
+	b.WriteString(stats.Table(append([]string{"arm"}, tableIIHeader...), rows))
 	b.WriteString("\nrecovered fraction of flat-PFS overhead (1 = I/O free again):\n")
 	for _, arm := range []string{IOArmTiered, IOArmTieredIncr} {
 		for _, c := range t.Config.Intervals {

@@ -16,22 +16,9 @@ import (
 // WriteCSV).
 type TraceBuffer = trace.Buffer
 
-// TraceEvent is one recorded trace event.
-type TraceEvent = trace.Event
-
-// TraceKind classifies a trace event.
-type TraceKind = trace.Kind
-
-// Trace event kinds, re-exported for OfKind queries.
-const (
-	TraceUser     = trace.KindUser
-	TraceSend     = trace.KindSend
-	TraceRecvPost = trace.KindRecvPost
-	TraceComplete = trace.KindComplete
-	TraceFailure  = trace.KindFailure
-	TraceDetect   = trace.KindDetect
-	TraceAbort    = trace.KindAbort
-)
+// TraceComplete is the completed-operation trace event kind, re-exported
+// for OfKind queries.
+const TraceComplete = trace.KindComplete
 
 // NewTrace returns a trace buffer retaining at most max events (<= 0 for
 // unbounded).
@@ -61,55 +48,33 @@ type (
 	LogNormal = reliability.LogNormal
 )
 
-// PaperReliabilityNode returns a plausible compute-node reliability model
-// whose 32,768-node system MTTF lands in the paper's 3,000–6,000 s regime.
-func PaperReliabilityNode() ReliabilityNode { return reliability.PaperNode() }
-
-// RedundantComm is a redMPI-style dual-redundant communicator: every
-// logical rank is two replicas, and receivers digest-compare messages with
-// their partner replica to detect silent data corruption online.
-type RedundantComm = redundancy.Comm
-
 // SDCError reports a detected silent data corruption in a redundant
 // communicator.
 type SDCError = redundancy.SDCError
 
-// WrapRedundant builds the dual-redundant communicator for this process;
-// the world size must be even (the upper half mirrors the lower half).
-func WrapRedundant(env *Env) (*RedundantComm, error) { return redundancy.Wrap(env) }
-
 // WrapReplicated builds an r-way replicated communicator: the world splits
-// into Ranks/degree logical ranks of degree replicas each. Degree 2 is
-// WrapRedundant.
-func WrapReplicated(env *Env, degree int) (*RedundantComm, error) {
+// into Ranks/degree logical ranks of degree replicas each, and receivers
+// digest-compare messages across replicas to detect silent data corruption
+// online. Degree 2 is the redMPI-style dual-redundant communicator (the
+// upper half of the world mirrors the lower half).
+func WrapReplicated(env *Env, degree int) (*redundancy.Comm, error) {
 	return redundancy.WrapN(env, degree)
 }
 
-// ReplicaProtocol selects how a replicated communicator moves messages:
-// ReplicaParallel (the default) sends one payload copy within each replica
-// sphere and cross-checks digests, ReplicaMirror sends every copy to every
-// receiver replica, which buys failover through surviving replicas (and
-// majority-vote correction at degree ≥ 3) for r² message traffic.
-type ReplicaProtocol = redundancy.Protocol
-
-// Replica protocols.
-const (
-	ReplicaParallel = redundancy.Parallel
-	ReplicaMirror   = redundancy.Mirror
-)
+// ReplicaMirror is the replicated communicator's failover protocol: where
+// the default sends one payload copy within each replica sphere and
+// cross-checks digests, it sends every copy to every receiver replica,
+// which buys failover through surviving replicas (and majority-vote
+// correction at degree ≥ 3) for r² message traffic.
+const ReplicaMirror = redundancy.Mirror
 
 // ReplicaFailedError reports that an operation found no live replica of a
 // logical rank — the replica group is exhausted and failover is impossible.
 type ReplicaFailedError = redundancy.ReplicaFailedError
 
-// TagRangeError reports a user message tag outside [0, ReservedTagBase):
-// the tags above are reserved for the replication layer's collective and
-// digest traffic.
+// TagRangeError reports a user message tag at or above the replication
+// layer's reserved range, which carries its collective and digest traffic.
 type TagRangeError = redundancy.TagRangeError
-
-// ReservedTagBase is the first reserved message tag; user tags passed to a
-// replicated communicator must be below it.
-const ReservedTagBase = redundancy.UserTagLimit
 
 // PowerModel is the per-node power model (compute/idle/overhead watts).
 type PowerModel = powermodel.Model
@@ -124,15 +89,11 @@ func PaperPower() PowerModel { return powermodel.Paper() }
 // This file re-exports the extension surfaces (ULFM recovery and
 // soft-error injection) so applications only import the xsim package.
 
-// RecoveryWork is one attempt of an application phase in a ULFM recovery
-// loop; see RunWithRecovery.
-type RecoveryWork = ulfm.Work
-
 // RunWithRecovery runs work on c, recovering from process failures by
 // revoking the communicator, shrinking it to the survivors, and retrying —
 // the user-level failure mitigation alternative to checkpoint/restart (the
 // paper's ULFM future work). See internal/ulfm for details.
-func RunWithRecovery(c *Comm, maxAttempts int, work RecoveryWork) (*Comm, error) {
+func RunWithRecovery(c *Comm, maxAttempts int, work ulfm.Work) (*Comm, error) {
 	return ulfm.RunWithRecovery(c, maxAttempts, work)
 }
 
@@ -151,8 +112,8 @@ func FlipFloat64(vals []float64, idx, bit int) (old, flipped float64) {
 }
 
 // FSModel is the flat file-system cost model (metadata latency,
-// per-client and aggregate bandwidth); Config.FSModel and every FSTier
-// carry one.
+// per-client and aggregate bandwidth); Config.FSModel and every tier of
+// an FSHierarchy carry one.
 type FSModel = fsmodel.Model
 
 // PaperPFS returns the parallel-file-system cost model used by the
@@ -165,10 +126,6 @@ func PaperPFS() fsmodel.Model { return fsmodel.PaperPFS() }
 // saturate — the configuration that breaks the zero-cost checkpoint
 // assumption at scale.
 func PaperPFSShared() fsmodel.Model { return fsmodel.PaperPFSShared() }
-
-// FSTier is one level of a hierarchical checkpoint store: a cost model
-// plus capacity and volatility.
-type FSTier = fsmodel.Tier
 
 // FSHierarchy is an ordered list of storage tiers, fastest (node-local)
 // first, stable backing store (PFS) last.

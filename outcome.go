@@ -1,6 +1,6 @@
-// outcome.go defines the wire form of campaign results and the dispatch
-// that executes a CampaignSpec. A CampaignOutcome carries only the
-// deterministic portion of a driver's result — the simulated rows,
+// outcome.go defines the wire form of campaign results and the execution
+// of a CampaignSpec through the kind table. A CampaignOutcome carries only
+// the deterministic portion of a driver's result — the simulated rows,
 // points, and histograms that depend solely on the spec and seed — never
 // wall-clock accounting, so the same spec produces byte-identical
 // canonical outcomes whether it ran via the CLI, the campaign service, or
@@ -10,8 +10,6 @@ package xsim
 import (
 	"context"
 	"fmt"
-
-	"xsim/internal/stats"
 )
 
 // RunOptions carries the non-serializable execution hooks a caller
@@ -47,7 +45,8 @@ type CampaignOutcome struct {
 	IOAblation *IOAblationOutcome       `json:"io_ablation,omitempty"`
 }
 
-// WireSummary is the wire form of a sample summary (stats.Summary).
+// WireSummary is the wire form of a sample summary: stats.Summary's fields
+// under JSON names, so one converts to the other.
 type WireSummary struct {
 	N      int     `json:"n"`
 	Sum    float64 `json:"sum"`
@@ -57,11 +56,6 @@ type WireSummary struct {
 	Median float64 `json:"median"`
 	Mode   float64 `json:"mode"`
 	StdDev float64 `json:"stddev"`
-}
-
-func wireSummary(s stats.Summary) WireSummary {
-	return WireSummary{N: s.N, Sum: s.Sum, Min: s.Min, Max: s.Max,
-		Mean: s.Mean, Median: s.Median, Mode: s.Mode, StdDev: s.StdDev}
 }
 
 // TableIOutcome is the wire form of the Table I bit-flip campaign result.
@@ -136,16 +130,11 @@ type CrossoverOutcome struct {
 	Rows    []WireCrossoverRow `json:"rows"`
 }
 
-// WireIOAblationRow is one checkpoint-I/O-ablation cell on the wire.
+// WireIOAblationRow is one checkpoint-I/O-ablation cell on the wire: the
+// storage arm plus Table II's columns, flattened into one JSON object.
 type WireIOAblationRow struct {
-	Arm         string  `json:"arm"`
-	MTTFSeconds float64 `json:"mttf_seconds"`
-	C           int     `json:"c"`
-	E1NS        int64   `json:"e1_ns"`
-	E2NS        int64   `json:"e2_ns"`
-	F           int     `json:"f"`
-	MTTFaNS     int64   `json:"mttfa_ns"`
-	Runs        int     `json:"runs"`
+	Arm string `json:"arm"`
+	WireTableIIRow
 }
 
 // IOAblationOutcome is the wire form of the checkpoint-I/O ablation.
@@ -173,10 +162,10 @@ func (s *CampaignSpec) Run(ctx context.Context) (*CampaignOutcome, error) {
 }
 
 // RunWith normalizes and validates the spec (leaving the receiver
-// untouched), dispatches to the kind's experiment driver, and converts
-// the result to its deterministic wire form. Validation failures return
-// the same typed *SpecError values the decode path produces; driver
-// errors (including cancellation) pass through unwrapped.
+// untouched), runs the experiment driver of the kind's table row, and
+// converts the result to its deterministic wire form. Validation failures
+// return the same typed *SpecError values the decode path produces;
+// driver errors (including cancellation) pass through unwrapped.
 func (s *CampaignSpec) RunWith(ctx context.Context, opt RunOptions) (*CampaignOutcome, error) {
 	c := s.clone()
 	c.Normalize()
@@ -184,119 +173,129 @@ func (s *CampaignSpec) RunWith(ctx context.Context, opt RunOptions) (*CampaignOu
 		return nil, err
 	}
 	out := &CampaignOutcome{Version: SpecVersion, Kind: c.Kind}
-	switch c.Kind {
-	case KindTableI:
-		res, err := RunTableIContext(ctx, c.tableIConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.TableI = &TableIOutcome{
-			Victims:       res.Victims,
-			Injections:    res.Injections,
-			Survived:      res.Survived,
-			ToFailure:     res.ToFailure,
-			KillsByRegion: res.KillsByRegion,
-			Summary:       wireSummary(res.Summary),
-		}
-	case KindTableII:
-		res, err := RunTableIIContext(ctx, c.tableIIConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.SimTimeNS = int64(res.Stats.SimTime)
-		t := &TableIIOutcome{Rows: make([]WireTableIIRow, 0, len(res.Rows))}
-		for _, r := range res.Rows {
-			t.Rows = append(t.Rows, WireTableIIRow{
-				MTTFSeconds: durationToSeconds(r.MTTFs),
-				C:           r.C,
-				E1NS:        int64(r.E1),
-				E2NS:        int64(r.E2),
-				F:           r.F,
-				MTTFaNS:     int64(r.MTTFa),
-				Runs:        r.Runs,
-			})
-		}
-		out.TableII = t
-	case KindIntervalSweep:
-		res, err := RunIntervalSweepContext(ctx, c.sweepConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.SimTimeNS = int64(res.Stats.SimTime)
-		sw := &IntervalSweepOutcome{
-			BaselineNS:       int64(res.Baseline),
-			CheckpointCostNS: int64(res.CheckpointCost),
-			DalyOptimalIters: res.DalyOptimal,
-			BestMeasured:     res.BestMeasured,
-			Points:           make([]WireSweepPoint, 0, len(res.Points)),
-		}
-		for _, p := range res.Points {
-			sw.Points = append(sw.Points, WireSweepPoint{
-				C:        p.C,
-				E1NS:     int64(p.E1),
-				MeanE2NS: int64(p.MeanE2),
-				MeanF:    p.MeanF,
-				DalyNS:   int64(p.Daly),
-			})
-		}
-		out.Sweep = sw
-	case KindFirstImpressions:
-		res, err := RunFirstImpressionsContext(ctx, c.phasesConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.SimTimeNS = int64(res.Stats.SimTime)
-		out.Phases = &FirstImpressionsOutcome{
-			Trials:             res.Trials,
-			FailedIn:           res.FailedIn,
-			DetectedIn:         res.DetectedIn,
-			CheckpointOutcomes: res.CheckpointOutcomes,
-		}
-	case KindCrossover:
-		res, err := RunReplicationCrossoverContext(ctx, c.crossoverConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.SimTimeNS = int64(res.Stats.SimTime)
-		co := &CrossoverOutcome{
-			SolveNS: int64(res.Solve),
-			Rows:    make([]WireCrossoverRow, 0, len(res.Rows)),
-		}
-		for _, r := range res.Rows {
-			co.Rows = append(co.Rows, WireCrossoverRow{
-				MTTFSeconds: durationToSeconds(r.MTTF),
-				Arm:         r.Arm,
-				Degree:      r.Degree,
-				Interval:    r.Interval,
-				E2NS:        int64(r.E2),
-				F:           r.F,
-				Runs:        r.Runs,
-				PredictedNS: int64(r.Predicted),
-			})
-		}
-		out.Crossover = co
-	case KindIOAblation:
-		res, err := RunCheckpointIOAblationContext(ctx, c.ioAblationConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		out.SimTimeNS = int64(res.Stats.SimTime)
-		io := &IOAblationOutcome{Rows: make([]WireIOAblationRow, 0, len(res.Rows))}
-		for _, r := range res.Rows {
-			io.Rows = append(io.Rows, WireIOAblationRow{
-				Arm:         r.Arm,
-				MTTFSeconds: durationToSeconds(r.MTTFs),
-				C:           r.C,
-				E1NS:        int64(r.E1),
-				E2NS:        int64(r.E2),
-				F:           r.F,
-				MTTFaNS:     int64(r.MTTFa),
-				Runs:        r.Runs,
-			})
-		}
-		out.IOAblation = io
-	default:
-		return nil, &SpecError{Field: "kind", Msg: fmt.Sprintf("unknown campaign kind %q", c.Kind)}
+	// Validate accepted the kind, so its row exists.
+	if err := kindRow(c.Kind).run(ctx, c, opt, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+func runTableI(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunTableIContext(ctx, resolveTableI(s, opt))
+	if err != nil {
+		return err
+	}
+	out.TableI = &TableIOutcome{
+		Victims:       res.Victims,
+		Injections:    res.Injections,
+		Survived:      res.Survived,
+		ToFailure:     res.ToFailure,
+		KillsByRegion: res.KillsByRegion,
+		Summary:       WireSummary(res.Summary),
+	}
+	return nil
+}
+
+// wireTableIIRow converts a Table II row to wire form.
+func wireTableIIRow(r TableIIRow) WireTableIIRow {
+	return WireTableIIRow{
+		MTTFSeconds: r.MTTFs.Seconds(),
+		C:           r.C,
+		E1NS:        int64(r.E1),
+		E2NS:        int64(r.E2),
+		F:           r.F,
+		MTTFaNS:     int64(r.MTTFa),
+		Runs:        r.Runs,
+	}
+}
+
+func runTableII(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunTableIIContext(ctx, resolveTableII(s, opt))
+	if err != nil {
+		return err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
+	for i, r := range res.Rows {
+		out.TableII.Rows[i] = wireTableIIRow(r)
+	}
+	return nil
+}
+
+func runSweep(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunIntervalSweepContext(ctx, resolveSweep(s, opt))
+	if err != nil {
+		return err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.Sweep = &IntervalSweepOutcome{
+		BaselineNS:       int64(res.Baseline),
+		CheckpointCostNS: int64(res.CheckpointCost),
+		DalyOptimalIters: res.DalyOptimal,
+		BestMeasured:     res.BestMeasured,
+		Points:           make([]WireSweepPoint, len(res.Points)),
+	}
+	for i, p := range res.Points {
+		out.Sweep.Points[i] = WireSweepPoint{
+			C:        p.C,
+			E1NS:     int64(p.E1),
+			MeanE2NS: int64(p.MeanE2),
+			MeanF:    p.MeanF,
+			DalyNS:   int64(p.Daly),
+		}
+	}
+	return nil
+}
+
+func runPhases(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunFirstImpressionsContext(ctx, resolvePhases(s, opt))
+	if err != nil {
+		return err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.Phases = &FirstImpressionsOutcome{
+		Trials:             res.Trials,
+		FailedIn:           res.FailedIn,
+		DetectedIn:         res.DetectedIn,
+		CheckpointOutcomes: res.CheckpointOutcomes,
+	}
+	return nil
+}
+
+func runCrossover(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunReplicationCrossoverContext(ctx, resolveCrossover(s, opt))
+	if err != nil {
+		return err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.Crossover = &CrossoverOutcome{
+		SolveNS: int64(res.Solve),
+		Rows:    make([]WireCrossoverRow, len(res.Rows)),
+	}
+	for i, r := range res.Rows {
+		out.Crossover.Rows[i] = WireCrossoverRow{
+			MTTFSeconds: r.MTTF.Seconds(),
+			Arm:         r.Arm,
+			Degree:      r.Degree,
+			Interval:    r.Interval,
+			E2NS:        int64(r.E2),
+			F:           r.F,
+			Runs:        r.Runs,
+			PredictedNS: int64(r.Predicted),
+		}
+	}
+	return nil
+}
+
+func runIOAblation(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+	res, err := RunCheckpointIOAblationContext(ctx, resolveIOAblation(s, opt))
+	if err != nil {
+		return err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.IOAblation = &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(res.Rows))}
+	for i, r := range res.Rows {
+		out.IOAblation.Rows[i] = WireIOAblationRow{Arm: r.Arm, WireTableIIRow: wireTableIIRow(r.TableIIRow)}
+	}
+	return nil
 }

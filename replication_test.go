@@ -1,6 +1,7 @@
 package xsim
 
 import (
+	"context"
 	"testing"
 
 	"xsim/internal/checkpoint"
@@ -224,7 +225,7 @@ func smokeCrossoverConfig() ReplicationCrossoverConfig {
 }
 
 func TestReplicationCrossoverSmoke(t *testing.T) {
-	table, err := RunReplicationCrossover(smokeCrossoverConfig())
+	table, err := RunReplicationCrossoverContext(context.Background(), smokeCrossoverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestReplicationCrossoverSmoke(t *testing.T) {
 func TestReplicationCrossoverValidatesDegrees(t *testing.T) {
 	cfg := smokeCrossoverConfig()
 	cfg.Degrees = []int{5} // 12 % 5 != 0
-	if _, err := RunReplicationCrossover(cfg); err == nil {
+	if _, err := RunReplicationCrossoverContext(context.Background(), cfg); err == nil {
 		t.Fatal("expected divisibility error")
 	}
 	cfg.Degrees = []int{1}
-	if _, err := RunReplicationCrossover(cfg); err == nil {
+	if _, err := RunReplicationCrossoverContext(context.Background(), cfg); err == nil {
 		t.Fatal("expected degree >= 2 error")
 	}
 }
@@ -275,7 +276,7 @@ func TestReplicationCrossoverFrontier(t *testing.T) {
 		Degrees: []int{2},
 		MTTFs:   []Duration{50 * Second, 1600 * Second},
 	}
-	table, err := RunReplicationCrossover(cfg)
+	table, err := RunReplicationCrossoverContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

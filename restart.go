@@ -124,6 +124,15 @@ func (r *CampaignResult) MTTFa() Duration {
 	return Duration(r.E2-r.Start) / Duration(r.Failures+1)
 }
 
+// checkApp reports a campaign with none of its three application hooks
+// set.
+func (c *Campaign) checkApp() error {
+	if c.AppFor == nil && c.AppForPredicted == nil && c.ProgFor == nil {
+		return fmt.Errorf("xsim: Campaign.AppFor, AppForPredicted or ProgFor is required")
+	}
+	return nil
+}
+
 // Run executes the campaign; it is RunContext without cancellation.
 func (c Campaign) Run() (*CampaignResult, error) {
 	return c.RunContext(context.Background())
@@ -137,8 +146,8 @@ func (c Campaign) Run() (*CampaignResult, error) {
 // next simulation window; the partial CampaignResult accompanies an
 // error wrapping ErrCancelled.
 func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
-	if c.AppFor == nil && c.AppForPredicted == nil && c.ProgFor == nil {
-		return nil, fmt.Errorf("xsim: Campaign.AppFor is required")
+	if err := c.checkApp(); err != nil {
+		return nil, err
 	}
 	maxRuns := c.MaxRuns
 	if maxRuns == 0 {

@@ -65,14 +65,6 @@ func (s *RunSpec) defaults(defaultRanks int) {
 	}
 }
 
-// logf returns the spec's logger, never nil.
-func (s *RunSpec) logf() func(format string, args ...any) {
-	if s.Logf != nil {
-		return s.Logf
-	}
-	return func(string, ...any) {}
-}
-
 // baseConfig returns the per-run simulation Config the spec describes.
 func (s *RunSpec) baseConfig() Config {
 	return Config{
@@ -123,16 +115,6 @@ type CampaignStats struct {
 	// MPI sums the per-run MPI-layer counters; FailureMetric records are
 	// concatenated.
 	MPI MPIMetrics
-}
-
-// absorb accumulates one run's result into the campaign stats.
-func (cs *CampaignStats) absorb(res *Result) {
-	if res == nil {
-		return
-	}
-	cs.SimTime += res.SimTime.Sub(res.StartClock)
-	cs.Engine.Add(res.Engine)
-	cs.MPI.Add(res.MPI)
 }
 
 // absorbCampaign accumulates a whole restart chain's pooled metrics.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"xsim/internal/daly"
-	"xsim/internal/runner"
 	"xsim/internal/stats"
 )
 
@@ -85,96 +84,40 @@ func (cfg *IntervalSweepConfig) defaults() {
 	}
 }
 
-// RunIntervalSweep measures E2 across checkpoint intervals; it is
-// RunIntervalSweepContext without cancellation.
-func RunIntervalSweep(cfg IntervalSweepConfig) (*IntervalSweep, error) {
-	return RunIntervalSweepContext(context.Background(), cfg)
-}
-
 // RunIntervalSweepContext measures E2 across checkpoint intervals and fits
-// Daly's model to the same scenario. The baseline, the per-interval E1
-// runs, and every (interval, seed) campaign are independent and fan out
-// across the campaign pool; each campaign's failure draws depend only on
-// its seed, so the sweep is identical at any pool size. On error (a
-// failed point, or cancellation) the partial sweep keeps its pooled Stats
-// but no Points.
+// Daly's model to the same scenario. It is the heat grid's free arm with
+// one cell per (interval, seed), interval-major; each campaign's failure
+// draws depend only on its seed, so the sweep is identical at any pool
+// size. On error (a failed point, or cancellation) the partial sweep keeps
+// its pooled Stats but no Points.
 func RunIntervalSweepContext(ctx context.Context, cfg IntervalSweepConfig) (*IntervalSweep, error) {
 	cfg.defaults()
-	base, err := HeatWorkloadFor(cfg.Ranks)
+	g, err := newHeatGrid(cfg.RunSpec, cfg.Iterations, cfg.Intervals)
 	if err != nil {
 		return nil, err
 	}
-	base.Iterations = cfg.Iterations
-
-	simCfg := cfg.baseConfig()
-	heatAt := func(interval int) HeatConfig {
-		hc := base
-		hc.ExchangeInterval = interval
-		hc.CheckpointInterval = interval
-		return hc
-	}
-	e1Task := func(index, interval int) runner.Task[expCell] {
-		return runner.Task[expCell]{
-			Spec: runner.Spec{Index: index, Label: fmt.Sprintf("E1 c=%d", interval)},
-			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, heatAt(interval), cfg.ProgMode)
-				return expCell{res: res}, err
-			},
-		}
-	}
-
-	// Task order: baseline E1, per-interval E1s, then interval-major
-	// (interval, seed) campaigns. Points are assembled from this fixed
-	// order, never from completion order.
-	tasks := []runner.Task[expCell]{e1Task(0, cfg.Iterations)}
-	for _, c := range cfg.Intervals {
-		tasks = append(tasks, e1Task(len(tasks), c))
-	}
-	campStart := len(tasks)
-	for _, c := range cfg.Intervals {
+	for i, c := range cfg.Intervals {
 		for _, seed := range cfg.Seeds {
-			hc := heatAt(c)
-			tasks = append(tasks, runner.Task[expCell]{
-				Spec: runner.Spec{
-					Index: len(tasks),
-					Label: fmt.Sprintf("c=%d seed=%d", c, seed),
-					Seed:  seed,
-				},
-				Run: func(ctx context.Context) (expCell, error) {
-					camp := Campaign{
-						Base:             simCfg,
-						MTTF:             cfg.MTTF,
-						Seed:             seed,
-						CheckpointPrefix: "heat",
-					}
-					setHeatApp(&camp, hc, cfg.ProgMode)
-					res, err := camp.RunContext(ctx)
-					return expCell{camp: res}, err
-				},
+			g.cells = append(g.cells, gridCell{
+				interval: i, mttf: cfg.MTTF, seed: seed,
+				label: fmt.Sprintf("c=%d seed=%d", c, seed),
 			})
 		}
 	}
-
-	cells, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
-	sweep := &IntervalSweep{Config: cfg, Stats: CampaignStats{Runner: rstats}}
-	for _, c := range cells {
-		sweep.Stats.absorb(c.res)
-		sweep.Stats.absorbCampaign(c.camp)
-	}
+	rows, stats, err := g.run(ctx)
+	sweep := &IntervalSweep{Config: cfg, Stats: stats}
 	if err != nil {
 		return sweep, err
 	}
 
-	sweep.Baseline = cells[0].res.SimTime
-	i := campStart
-	for ci, c := range cfg.Intervals {
-		point := IntervalSweepPoint{C: c, E1: cells[1+ci].res.SimTime}
+	sweep.Baseline = rows[0].E1
+	cells := rows[1+len(cfg.Intervals):]
+	for i, c := range cfg.Intervals {
+		point := IntervalSweepPoint{C: c, E1: rows[1+i].E1}
 		var sumE2, sumF float64
-		for range cfg.Seeds {
-			res := cells[i].camp
-			i++
-			sumE2 += Duration(res.E2).Seconds()
-			sumF += float64(res.Failures)
+		for _, r := range cells[i*len(cfg.Seeds):][:len(cfg.Seeds)] {
+			sumE2 += Duration(r.E2).Seconds()
+			sumF += float64(r.F)
 		}
 		point.MeanE2 = Seconds(sumE2 / float64(len(cfg.Seeds)))
 		point.MeanF = sumF / float64(len(cfg.Seeds))

@@ -12,6 +12,8 @@ package xsim
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -37,30 +39,24 @@ type CampaignKind string
 // The campaign kinds: one per Run-family experiment driver.
 const (
 	// KindTableI is the paper's Table I bit-flip injection campaign
-	// (RunTableI).
+	// (RunTableIContext).
 	KindTableI CampaignKind = "table1"
 	// KindTableII is the paper's Table II checkpoint-interval × MTTF
-	// sweep (RunTableII).
+	// sweep (RunTableIIContext).
 	KindTableII CampaignKind = "table2"
 	// KindIntervalSweep is the checkpoint-interval sweep against Daly's
-	// model (RunIntervalSweep).
+	// model (RunIntervalSweepContext).
 	KindIntervalSweep CampaignKind = "interval-sweep"
 	// KindFirstImpressions is the §V-D failure-mode classification
-	// (RunFirstImpressions).
+	// (RunFirstImpressionsContext).
 	KindFirstImpressions CampaignKind = "first-impressions"
 	// KindCrossover is the replication-vs-checkpoint crossover study
-	// (RunReplicationCrossover).
+	// (RunReplicationCrossoverContext).
 	KindCrossover CampaignKind = "replication-crossover"
 	// KindIOAblation is the Table II rerun with checkpoint-I/O cost on
-	// (RunCheckpointIOAblation).
+	// (RunCheckpointIOAblationContext).
 	KindIOAblation CampaignKind = "io-ablation"
 )
-
-// campaignKinds lists every known kind.
-var campaignKinds = []CampaignKind{
-	KindTableI, KindTableII, KindIntervalSweep,
-	KindFirstImpressions, KindCrossover, KindIOAblation,
-}
 
 // SpecError is a typed validation error naming the offending wire field;
 // the campaign service maps it to a 400 response, and the CLI drivers to
@@ -236,6 +232,55 @@ func specDecodeError(err error) error {
 	return &SpecError{Msg: msg}
 }
 
+// --- the kind table -------------------------------------------------------
+
+// campaignKind is one row of the kind table: everything the wire layer
+// knows about one campaign family. Normalize, Validate (with its one-of
+// rule) and RunWith all walk campaignKinds, so a kind is enumerated in
+// exactly one place; DESIGN.md § Campaign service lists what adding one
+// takes.
+type campaignKind struct {
+	kind CampaignKind
+	// block is the JSON name of the kind's parameter block in CampaignSpec
+	// and of its result block in CampaignOutcome.
+	block   string
+	present func(*CampaignSpec) bool
+	// normalize resolves the block with no hooks attached.
+	normalize func(*CampaignSpec)
+	// validate range-checks the block; it is only called with the block
+	// present, and its checker names every field under the block.
+	validate func(*CampaignSpec, specChecker) []error
+	// run executes the normalized, validated spec and fills the outcome's
+	// SimTimeNS and result block.
+	run func(context.Context, *CampaignSpec, RunOptions, *CampaignOutcome) error
+}
+
+// campaignKinds is the kind table.
+var campaignKinds = []campaignKind{
+	{KindTableI, "table1", func(s *CampaignSpec) bool { return s.TableI != nil },
+		func(s *CampaignSpec) { resolveTableI(s, RunOptions{}) }, validateTableI, runTableI},
+	{KindTableII, "table2", func(s *CampaignSpec) bool { return s.TableII != nil },
+		func(s *CampaignSpec) { resolveTableII(s, RunOptions{}) }, validateTableII, runTableII},
+	{KindIntervalSweep, "interval_sweep", func(s *CampaignSpec) bool { return s.Sweep != nil },
+		func(s *CampaignSpec) { resolveSweep(s, RunOptions{}) }, validateSweep, runSweep},
+	{KindFirstImpressions, "first_impressions", func(s *CampaignSpec) bool { return s.Phases != nil },
+		func(s *CampaignSpec) { resolvePhases(s, RunOptions{}) }, validatePhases, runPhases},
+	{KindCrossover, "replication_crossover", func(s *CampaignSpec) bool { return s.Crossover != nil },
+		func(s *CampaignSpec) { resolveCrossover(s, RunOptions{}) }, validateCrossover, runCrossover},
+	{KindIOAblation, "io_ablation", func(s *CampaignSpec) bool { return s.IOAblation != nil },
+		func(s *CampaignSpec) { resolveIOAblation(s, RunOptions{}) }, validateIOAblation, runIOAblation},
+}
+
+// kindRow returns the table row of kind, or nil when the kind is unknown.
+func kindRow(kind CampaignKind) *campaignKind {
+	for i := range campaignKinds {
+		if campaignKinds[i].kind == kind {
+			return &campaignKinds[i]
+		}
+	}
+	return nil
+}
+
 // --- normalization --------------------------------------------------------
 
 // clone deep-copies the spec (slices and parameter blocks included)
@@ -274,17 +319,11 @@ func (s *CampaignSpec) fromRunSpec(rs RunSpec) {
 	s.CallOverheadNS = int64(rs.CallOverhead)
 }
 
-// secondsToDuration converts wire float seconds to virtual time.
-func secondsToDuration(s float64) Duration { return Seconds(s) }
-
-// durationToSeconds converts virtual time to wire float seconds.
-func durationToSeconds(d Duration) float64 { return d.Seconds() }
-
 // secondsSlice converts a Duration slice to wire float seconds.
 func secondsSlice(ds []Duration) []float64 {
 	out := make([]float64, len(ds))
 	for i, d := range ds {
-		out[i] = durationToSeconds(d)
+		out[i] = d.Seconds()
 	}
 	return out
 }
@@ -293,115 +332,57 @@ func secondsSlice(ds []Duration) []float64 {
 func durationSlice(ss []float64) []Duration {
 	out := make([]Duration, len(ss))
 	for i, s := range ss {
-		out[i] = secondsToDuration(s)
+		out[i] = Seconds(s)
 	}
 	return out
 }
 
+// ensure allocates *block when the spec came without it.
+func ensure[T any](block **T) *T {
+	if *block == nil {
+		*block = new(T)
+	}
+	return *block
+}
+
 // Normalize fills the spec's zero fields with the same defaults the
-// experiment drivers apply — it builds the driver config, runs its
-// defaults path, and copies the result back — so a spec submitted over
-// the wire and a config built from CLI flags describe runs identically,
-// and the canonical encoding always carries explicit defaults. A spec of
-// unknown kind or version is left untouched for Validate to reject.
+// experiment drivers apply — the kind's table row builds the driver
+// config, runs its defaults path, and copies the result back — so a spec
+// submitted over the wire and a config built from CLI flags describe runs
+// identically, and the canonical encoding always carries explicit
+// defaults. A spec of unknown kind or version is left untouched for
+// Validate to reject.
 func (s *CampaignSpec) Normalize() {
 	if s.Version == 0 {
 		s.Version = SpecVersion
 	}
-	switch s.Kind {
-	case KindTableI:
-		if s.TableI == nil {
-			s.TableI = &TableIParams{}
-		}
-		cfg := s.tableIConfig(RunOptions{})
-		cfg.defaults()
-		*s.TableI = TableIParams{Victims: cfg.Victims, MaxInjections: cfg.MaxInjections}
-	case KindTableII:
-		if s.TableII == nil {
-			s.TableII = &TableIIParams{}
-		}
-		cfg := s.tableIIConfig(RunOptions{})
-		cfg.defaults()
-		s.fromRunSpec(cfg.RunSpec)
-		s.TableII.Iterations = cfg.Iterations
-		s.TableII.Intervals = cfg.Intervals
-		s.TableII.MTTFSeconds = secondsSlice(cfg.MTTFs)
-		s.TableII.MaxRuns = cfg.MaxRuns
-	case KindIntervalSweep:
-		if s.Sweep == nil {
-			s.Sweep = &IntervalSweepParams{}
-		}
-		cfg := s.sweepConfig(RunOptions{})
-		cfg.defaults()
-		s.fromRunSpec(cfg.RunSpec)
-		s.Sweep.Iterations = cfg.Iterations
-		s.Sweep.Intervals = cfg.Intervals
-		s.Sweep.MTTFSeconds = durationToSeconds(cfg.MTTF)
-		s.Sweep.Seeds = cfg.Seeds
-	case KindFirstImpressions:
-		if s.Phases == nil {
-			s.Phases = &FirstImpressionsParams{}
-		}
-		cfg := s.phasesConfig(RunOptions{})
-		cfg.defaults()
-		s.fromRunSpec(cfg.RunSpec)
-		s.Phases.Iterations = cfg.Iterations
-		s.Phases.Interval = cfg.Interval
-		s.Phases.Trials = cfg.Trials
-		s.Phases.MTTFSeconds = durationToSeconds(cfg.MTTF)
-	case KindCrossover:
-		if s.Crossover == nil {
-			s.Crossover = &CrossoverParams{}
-		}
-		cfg := s.crossoverConfig(RunOptions{})
-		cfg.defaults()
-		s.fromRunSpec(cfg.RunSpec)
-		p := s.Crossover
-		p.Degrees = cfg.Degrees
-		p.MTTFSeconds = secondsSlice(cfg.MTTFs)
-		p.Iterations = cfg.Iterations
-		p.ComputeSeconds = durationToSeconds(cfg.ComputePerIteration)
-		p.HaloBytes = cfg.HaloBytes
-		p.CheckpointSeconds = durationToSeconds(cfg.CheckpointCost)
-		p.RestartSeconds = durationToSeconds(cfg.RestartCost)
-		p.MaxRuns = cfg.MaxRuns
-	case KindIOAblation:
-		if s.IOAblation == nil {
-			s.IOAblation = &IOAblationParams{}
-		}
-		cfg := s.ioAblationConfig(RunOptions{})
-		cfg.defaults()
-		s.fromRunSpec(cfg.RunSpec)
-		p := s.IOAblation
-		p.Iterations = cfg.Iterations
-		p.Intervals = cfg.Intervals
-		p.MTTFSeconds = secondsSlice(cfg.MTTFs)
-		p.PayloadBytes = cfg.CheckpointPayload
-		p.DeltaFraction = cfg.DeltaFraction
-		p.FullEvery = cfg.FullEvery
-		p.MaxRuns = cfg.MaxRuns
+	if k := kindRow(s.Kind); k != nil {
+		k.normalize(s)
 	}
 }
 
-// --- config construction --------------------------------------------------
+// Each kind has one resolve function holding both directions of its
+// Params↔Config mapping: it builds the driver config from the kind's
+// block (created when missing), applies the driver's own defaults, and
+// writes them back, so the block and trunk end up explicit and the
+// returned config is the one they describe. Resolving twice changes
+// nothing, which is what lets Normalize and RunWith share it.
 
-func (s *CampaignSpec) tableIConfig(opt RunOptions) TableIConfig {
-	p := s.TableI
-	if p == nil {
-		p = &TableIParams{}
-	}
-	return TableIConfig{
+func resolveTableI(s *CampaignSpec, opt RunOptions) TableIConfig {
+	p := ensure(&s.TableI)
+	cfg := TableIConfig{
 		RunSpec:       s.runSpec(opt),
 		Victims:       p.Victims,
 		MaxInjections: p.MaxInjections,
 	}
+	cfg.defaults()
+	p.Victims = cfg.Victims
+	p.MaxInjections = cfg.MaxInjections
+	return cfg
 }
 
-func (s *CampaignSpec) tableIIConfig(opt RunOptions) TableIIConfig {
-	p := s.TableII
-	if p == nil {
-		p = &TableIIParams{}
-	}
+func resolveTableII(s *CampaignSpec, opt RunOptions) TableIIConfig {
+	p := ensure(&s.TableII)
 	cfg := TableIIConfig{
 		RunSpec:    s.runSpec(opt),
 		Iterations: p.Iterations,
@@ -412,61 +393,80 @@ func (s *CampaignSpec) tableIIConfig(opt RunOptions) TableIIConfig {
 	if p.PaperIO {
 		cfg.FSModel = PaperPFS()
 	}
+	cfg.defaults()
+	s.fromRunSpec(cfg.RunSpec)
+	p.Iterations = cfg.Iterations
+	p.Intervals = cfg.Intervals
+	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
+	p.MaxRuns = cfg.MaxRuns
 	return cfg
 }
 
-func (s *CampaignSpec) sweepConfig(opt RunOptions) IntervalSweepConfig {
-	p := s.Sweep
-	if p == nil {
-		p = &IntervalSweepParams{}
-	}
-	return IntervalSweepConfig{
+func resolveSweep(s *CampaignSpec, opt RunOptions) IntervalSweepConfig {
+	p := ensure(&s.Sweep)
+	cfg := IntervalSweepConfig{
 		RunSpec:    s.runSpec(opt),
 		Iterations: p.Iterations,
 		Intervals:  p.Intervals,
-		MTTF:       secondsToDuration(p.MTTFSeconds),
+		MTTF:       Seconds(p.MTTFSeconds),
 		Seeds:      p.Seeds,
 	}
+	cfg.defaults()
+	s.fromRunSpec(cfg.RunSpec)
+	p.Iterations = cfg.Iterations
+	p.Intervals = cfg.Intervals
+	p.MTTFSeconds = cfg.MTTF.Seconds()
+	p.Seeds = cfg.Seeds
+	return cfg
 }
 
-func (s *CampaignSpec) phasesConfig(opt RunOptions) FirstImpressionsConfig {
-	p := s.Phases
-	if p == nil {
-		p = &FirstImpressionsParams{}
-	}
-	return FirstImpressionsConfig{
+func resolvePhases(s *CampaignSpec, opt RunOptions) FirstImpressionsConfig {
+	p := ensure(&s.Phases)
+	cfg := FirstImpressionsConfig{
 		RunSpec:    s.runSpec(opt),
 		Iterations: p.Iterations,
 		Interval:   p.Interval,
 		Trials:     p.Trials,
-		MTTF:       secondsToDuration(p.MTTFSeconds),
+		MTTF:       Seconds(p.MTTFSeconds),
 	}
+	cfg.defaults()
+	s.fromRunSpec(cfg.RunSpec)
+	p.Iterations = cfg.Iterations
+	p.Interval = cfg.Interval
+	p.Trials = cfg.Trials
+	p.MTTFSeconds = cfg.MTTF.Seconds()
+	return cfg
 }
 
-func (s *CampaignSpec) crossoverConfig(opt RunOptions) ReplicationCrossoverConfig {
-	p := s.Crossover
-	if p == nil {
-		p = &CrossoverParams{}
-	}
-	return ReplicationCrossoverConfig{
+func resolveCrossover(s *CampaignSpec, opt RunOptions) ReplicationCrossoverConfig {
+	p := ensure(&s.Crossover)
+	cfg := ReplicationCrossoverConfig{
 		RunSpec:             s.runSpec(opt),
 		Degrees:             p.Degrees,
 		MTTFs:               durationSlice(p.MTTFSeconds),
 		Iterations:          p.Iterations,
-		ComputePerIteration: secondsToDuration(p.ComputeSeconds),
+		ComputePerIteration: Seconds(p.ComputeSeconds),
 		HaloBytes:           p.HaloBytes,
-		CheckpointCost:      secondsToDuration(p.CheckpointSeconds),
-		RestartCost:         secondsToDuration(p.RestartSeconds),
+		CheckpointCost:      Seconds(p.CheckpointSeconds),
+		RestartCost:         Seconds(p.RestartSeconds),
 		MaxRuns:             p.MaxRuns,
 	}
+	cfg.defaults()
+	s.fromRunSpec(cfg.RunSpec)
+	p.Degrees = cfg.Degrees
+	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
+	p.Iterations = cfg.Iterations
+	p.ComputeSeconds = cfg.ComputePerIteration.Seconds()
+	p.HaloBytes = cfg.HaloBytes
+	p.CheckpointSeconds = cfg.CheckpointCost.Seconds()
+	p.RestartSeconds = cfg.RestartCost.Seconds()
+	p.MaxRuns = cfg.MaxRuns
+	return cfg
 }
 
-func (s *CampaignSpec) ioAblationConfig(opt RunOptions) CheckpointIOAblationConfig {
-	p := s.IOAblation
-	if p == nil {
-		p = &IOAblationParams{}
-	}
-	return CheckpointIOAblationConfig{
+func resolveIOAblation(s *CampaignSpec, opt RunOptions) CheckpointIOAblationConfig {
+	p := ensure(&s.IOAblation)
+	cfg := CheckpointIOAblationConfig{
 		RunSpec:           s.runSpec(opt),
 		Iterations:        p.Iterations,
 		Intervals:         p.Intervals,
@@ -476,9 +476,63 @@ func (s *CampaignSpec) ioAblationConfig(opt RunOptions) CheckpointIOAblationConf
 		FullEvery:         p.FullEvery,
 		MaxRuns:           p.MaxRuns,
 	}
+	cfg.defaults()
+	s.fromRunSpec(cfg.RunSpec)
+	p.Iterations = cfg.Iterations
+	p.Intervals = cfg.Intervals
+	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
+	p.PayloadBytes = cfg.CheckpointPayload
+	p.DeltaFraction = cfg.DeltaFraction
+	p.FullEvery = cfg.FullEvery
+	p.MaxRuns = cfg.MaxRuns
+	return cfg
 }
 
 // --- validation -----------------------------------------------------------
+
+// specChecker collects Validate's violations as *SpecError values. The
+// checker a kind's validator receives names every field under the kind's
+// block; it travels by value and comes back as the grown errs, append
+// style, so a clean spec validates without allocating.
+type specChecker struct {
+	block string
+	errs  []error
+}
+
+func (v *specChecker) bad(field, format string, args ...any) {
+	if v.block != "" {
+		field = v.block + "." + field
+	}
+	v.errs = append(v.errs, &SpecError{Field: field, Msg: fmt.Sprintf(format, args...)})
+}
+
+func (v *specChecker) nonNegative(field string, n int) {
+	if n < 0 {
+		v.bad(field, "must be non-negative, got %d", n)
+	}
+}
+
+func (v *specChecker) intervals(field string, intervals []int) {
+	for i, c := range intervals {
+		if c <= 0 {
+			v.bad(fmt.Sprintf("%s[%d]", field, i), "checkpoint interval must be positive, got %d", c)
+		}
+	}
+}
+
+func (v *specChecker) seconds(field string, x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+		v.bad(field, "must be a non-negative finite number of seconds, got %v", x)
+	}
+}
+
+func (v *specChecker) positiveSeconds(field string, xs []float64) {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+			v.bad(fmt.Sprintf("%s[%d]", field, i), "must be a positive finite number of seconds, got %v", x)
+		}
+	}
+}
 
 // Validate checks the spec's wire-level semantics: version, a known kind,
 // the one-of rule for parameter blocks, and field ranges. Violations are
@@ -487,157 +541,104 @@ func (s *CampaignSpec) ioAblationConfig(opt RunOptions) CheckpointIOAblationConf
 // Validation does not require Normalize: zero fields mean "use the
 // default" and are always valid.
 func (s *CampaignSpec) Validate() error {
-	var errs []error
-	bad := func(field, format string, args ...any) {
-		errs = append(errs, &SpecError{Field: field, Msg: fmt.Sprintf(format, args...)})
-	}
+	var v specChecker
 	if s.Version != SpecVersion {
-		bad("version", "unsupported spec version %d (this build speaks %d)", s.Version, SpecVersion)
+		v.bad("version", "unsupported spec version %d (this build speaks %d)", s.Version, SpecVersion)
 	}
-	known := false
-	for _, k := range campaignKinds {
-		if s.Kind == k {
-			known = true
+	if kindRow(s.Kind) == nil {
+		known := make([]CampaignKind, len(campaignKinds))
+		for i, k := range campaignKinds {
+			known[i] = k.kind
 		}
+		v.bad("kind", "unknown campaign kind %q (known: %v)", s.Kind, known)
 	}
-	if !known {
-		bad("kind", "unknown campaign kind %q (known: %v)", s.Kind, campaignKinds)
-	}
-	if s.Ranks < 0 {
-		bad("ranks", "must be non-negative, got %d", s.Ranks)
-	}
-	if s.Workers < 0 {
-		bad("workers", "must be non-negative, got %d", s.Workers)
-	}
-	if s.Pool < 0 {
-		bad("pool", "must be non-negative, got %d", s.Pool)
-	}
+	v.nonNegative("ranks", s.Ranks)
+	v.nonNegative("workers", s.Workers)
+	v.nonNegative("pool", s.Pool)
 	if s.CallOverheadNS < 0 {
-		bad("call_overhead_ns", "must be non-negative, got %d", s.CallOverheadNS)
+		v.bad("call_overhead_ns", "must be non-negative, got %d", s.CallOverheadNS)
 	}
 
-	// One-of: only the block matching Kind may be present.
-	blocks := []struct {
-		field string
-		kind  CampaignKind
-		set   bool
-	}{
-		{"table1", KindTableI, s.TableI != nil},
-		{"table2", KindTableII, s.TableII != nil},
-		{"interval_sweep", KindIntervalSweep, s.Sweep != nil},
-		{"first_impressions", KindFirstImpressions, s.Phases != nil},
-		{"replication_crossover", KindCrossover, s.Crossover != nil},
-		{"io_ablation", KindIOAblation, s.IOAblation != nil},
-	}
-	for _, b := range blocks {
-		if b.set && b.kind != s.Kind {
-			bad(b.field, "parameter block does not match kind %q", s.Kind)
+	// One-of: only the block matching Kind may be present, and that block
+	// is range-checked.
+	for i := range campaignKinds {
+		k := &campaignKinds[i]
+		if !k.present(s) {
+			continue
 		}
+		if k.kind != s.Kind {
+			v.bad(k.block, "parameter block does not match kind %q", s.Kind)
+			continue
+		}
+		v.errs = k.validate(s, specChecker{block: k.block, errs: v.errs})
 	}
+	return errors.Join(v.errs...)
+}
 
-	checkIntervals := func(field string, intervals []int) {
-		for i, c := range intervals {
-			if c <= 0 {
-				bad(fmt.Sprintf("%s[%d]", field, i), "checkpoint interval must be positive, got %d", c)
-			}
+func validateTableI(s *CampaignSpec, v specChecker) []error {
+	v.nonNegative("victims", s.TableI.Victims)
+	v.nonNegative("max_injections", s.TableI.MaxInjections)
+	return v.errs
+}
+
+func validateTableII(s *CampaignSpec, v specChecker) []error {
+	p := s.TableII
+	v.nonNegative("iterations", p.Iterations)
+	v.intervals("intervals", p.Intervals)
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
+}
+
+func validateSweep(s *CampaignSpec, v specChecker) []error {
+	p := s.Sweep
+	v.nonNegative("iterations", p.Iterations)
+	v.intervals("intervals", p.Intervals)
+	v.seconds("mttf_seconds", p.MTTFSeconds)
+	return v.errs
+}
+
+func validatePhases(s *CampaignSpec, v specChecker) []error {
+	p := s.Phases
+	v.nonNegative("iterations", p.Iterations)
+	v.nonNegative("interval", p.Interval)
+	v.nonNegative("trials", p.Trials)
+	v.seconds("mttf_seconds", p.MTTFSeconds)
+	return v.errs
+}
+
+func validateCrossover(s *CampaignSpec, v specChecker) []error {
+	p := s.Crossover
+	ranks := cmp.Or(s.Ranks, crossoverDefaultRanks)
+	for i, r := range p.Degrees {
+		if r < 2 {
+			v.bad(fmt.Sprintf("degrees[%d]", i), "replication degree must be at least 2, got %d", r)
+		} else if ranks%r != 0 {
+			v.bad(fmt.Sprintf("degrees[%d]", i), "ranks %d must be divisible by degree %d", ranks, r)
 		}
 	}
-	checkSeconds := func(field string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			bad(field, "must be a non-negative finite number of seconds, got %v", v)
-		}
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("iterations", p.Iterations)
+	v.seconds("compute_seconds", p.ComputeSeconds)
+	v.seconds("checkpoint_seconds", p.CheckpointSeconds)
+	v.seconds("restart_seconds", p.RestartSeconds)
+	v.nonNegative("halo_bytes", p.HaloBytes)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
+}
+
+func validateIOAblation(s *CampaignSpec, v specChecker) []error {
+	p := s.IOAblation
+	v.nonNegative("iterations", p.Iterations)
+	v.intervals("intervals", p.Intervals)
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("payload_bytes", p.PayloadBytes)
+	if p.DeltaFraction < 0 || p.DeltaFraction > 1 || math.IsNaN(p.DeltaFraction) {
+		v.bad("delta_fraction", "must be in [0, 1], got %v", p.DeltaFraction)
 	}
-	checkSecondsSlice := func(field string, vs []float64) {
-		for i, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				bad(fmt.Sprintf("%s[%d]", field, i), "must be a positive finite number of seconds, got %v", v)
-			}
-		}
-	}
-	switch {
-	case s.Kind == KindTableI && s.TableI != nil:
-		if s.TableI.Victims < 0 {
-			bad("table1.victims", "must be non-negative, got %d", s.TableI.Victims)
-		}
-		if s.TableI.MaxInjections < 0 {
-			bad("table1.max_injections", "must be non-negative, got %d", s.TableI.MaxInjections)
-		}
-	case s.Kind == KindTableII && s.TableII != nil:
-		p := s.TableII
-		if p.Iterations < 0 {
-			bad("table2.iterations", "must be non-negative, got %d", p.Iterations)
-		}
-		checkIntervals("table2.intervals", p.Intervals)
-		checkSecondsSlice("table2.mttf_seconds", p.MTTFSeconds)
-		if p.MaxRuns < 0 {
-			bad("table2.max_runs", "must be non-negative, got %d", p.MaxRuns)
-		}
-	case s.Kind == KindIntervalSweep && s.Sweep != nil:
-		p := s.Sweep
-		if p.Iterations < 0 {
-			bad("interval_sweep.iterations", "must be non-negative, got %d", p.Iterations)
-		}
-		checkIntervals("interval_sweep.intervals", p.Intervals)
-		checkSeconds("interval_sweep.mttf_seconds", p.MTTFSeconds)
-	case s.Kind == KindFirstImpressions && s.Phases != nil:
-		p := s.Phases
-		if p.Iterations < 0 {
-			bad("first_impressions.iterations", "must be non-negative, got %d", p.Iterations)
-		}
-		if p.Interval < 0 {
-			bad("first_impressions.interval", "must be non-negative, got %d", p.Interval)
-		}
-		if p.Trials < 0 {
-			bad("first_impressions.trials", "must be non-negative, got %d", p.Trials)
-		}
-		checkSeconds("first_impressions.mttf_seconds", p.MTTFSeconds)
-	case s.Kind == KindCrossover && s.Crossover != nil:
-		p := s.Crossover
-		ranks := s.Ranks
-		if ranks == 0 {
-			ranks = 24 // the crossover's default world size
-		}
-		for i, r := range p.Degrees {
-			if r < 2 {
-				bad(fmt.Sprintf("replication_crossover.degrees[%d]", i), "replication degree must be at least 2, got %d", r)
-			} else if ranks%r != 0 {
-				bad(fmt.Sprintf("replication_crossover.degrees[%d]", i), "ranks %d must be divisible by degree %d", ranks, r)
-			}
-		}
-		checkSecondsSlice("replication_crossover.mttf_seconds", p.MTTFSeconds)
-		if p.Iterations < 0 {
-			bad("replication_crossover.iterations", "must be non-negative, got %d", p.Iterations)
-		}
-		checkSeconds("replication_crossover.compute_seconds", p.ComputeSeconds)
-		checkSeconds("replication_crossover.checkpoint_seconds", p.CheckpointSeconds)
-		checkSeconds("replication_crossover.restart_seconds", p.RestartSeconds)
-		if p.HaloBytes < 0 {
-			bad("replication_crossover.halo_bytes", "must be non-negative, got %d", p.HaloBytes)
-		}
-		if p.MaxRuns < 0 {
-			bad("replication_crossover.max_runs", "must be non-negative, got %d", p.MaxRuns)
-		}
-	case s.Kind == KindIOAblation && s.IOAblation != nil:
-		p := s.IOAblation
-		if p.Iterations < 0 {
-			bad("io_ablation.iterations", "must be non-negative, got %d", p.Iterations)
-		}
-		checkIntervals("io_ablation.intervals", p.Intervals)
-		checkSecondsSlice("io_ablation.mttf_seconds", p.MTTFSeconds)
-		if p.PayloadBytes < 0 {
-			bad("io_ablation.payload_bytes", "must be non-negative, got %d", p.PayloadBytes)
-		}
-		if p.DeltaFraction < 0 || p.DeltaFraction > 1 || math.IsNaN(p.DeltaFraction) {
-			bad("io_ablation.delta_fraction", "must be in [0, 1], got %v", p.DeltaFraction)
-		}
-		if p.FullEvery < 0 {
-			bad("io_ablation.full_every", "must be non-negative, got %d", p.FullEvery)
-		}
-		if p.MaxRuns < 0 {
-			bad("io_ablation.max_runs", "must be non-negative, got %d", p.MaxRuns)
-		}
-	}
-	return errors.Join(errs...)
+	v.nonNegative("full_every", p.FullEvery)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
 }
 
 // --- canonical encoding ---------------------------------------------------

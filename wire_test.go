@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,7 +243,7 @@ func TestSpecRunMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunTableI(TableIConfig{
+	direct, err := RunTableIContext(context.Background(), TableIConfig{
 		RunSpec: RunSpec{Seed: 2013}, Victims: 10, MaxInjections: 50,
 	})
 	if err != nil {
@@ -281,7 +284,7 @@ func TestSpecRunTableII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunTableII(TableIIConfig{
+	direct, err := RunTableIIContext(context.Background(), TableIIConfig{
 		RunSpec:    RunSpec{Ranks: 64, Seed: 133},
 		Iterations: 200,
 		Intervals:  []int{100, 50},
@@ -316,7 +319,7 @@ func TestRunSpecProgressEvents(t *testing.T) {
 		},
 		Victims: 5, MaxInjections: 50,
 	}
-	if _, err := RunTableI(cfg); err != nil {
+	if _, err := RunTableIContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) < 10 { // 5 victims × (started + completed)
@@ -358,6 +361,159 @@ func TestNormalizeFillsDriverDefaults(t *testing.T) {
 	cross.Normalize()
 	if cross.Ranks != 24 || cross.Crossover == nil || len(cross.Crossover.MTTFSeconds) == 0 {
 		t.Errorf("crossover defaults = ranks %d, %+v", cross.Ranks, cross.Crossover)
+	}
+}
+
+// TestShortRunsDeriveValidIntervals pins the derived interval defaults on
+// runs shorter than eight iterations: iterations/2,/4,/8 used to reach 0,
+// which rejected table2 naming an interval the client never wrote and made
+// first-impressions report an empty success (every rank panicked on the
+// zero interval and the trial swallowed the error).
+func TestShortRunsDeriveValidIntervals(t *testing.T) {
+	t2 := &CampaignSpec{Version: 1, Kind: KindTableII, Ranks: 8, TableII: &TableIIParams{Iterations: 4}}
+	canon, err := t2.Canonical()
+	if err != nil {
+		t.Fatalf("table2 with iterations 4: %v", err)
+	}
+	if !strings.Contains(string(canon), `"intervals":[2,1]`) {
+		t.Errorf("table2 intervals for iterations 4: %s", canon)
+	}
+
+	fi := &CampaignSpec{Version: 1, Kind: KindFirstImpressions, Ranks: 64,
+		Phases: &FirstImpressionsParams{Iterations: 4}}
+	out, err := fi.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Phases.Trials == 0 || out.SimTimeNS == 0 {
+		t.Errorf("first-impressions with iterations 4 observed nothing: %+v", out.Phases)
+	}
+
+	// A trial that dies of anything but the expected abort is an error of
+	// the study, not an observation to skip.
+	_, err = RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
+		RunSpec: RunSpec{Ranks: 8}, Iterations: 4, Interval: -1, Trials: 2,
+	})
+	var runErr *RunError
+	if !errors.As(err, &runErr) {
+		t.Errorf("first-impressions with a panicking application: err = %v, want a *RunError", err)
+	}
+}
+
+// TestKindTableConsistent pins the kind table against the types it
+// indexes: every row's block name is the JSON name of exactly one
+// CampaignSpec and one CampaignOutcome field, Normalize creates exactly
+// that spec block, RunWith fills exactly that outcome block, and the row's
+// validator names every violation under the block.
+func TestKindTableConsistent(t *testing.T) {
+	// blocks maps each pointer field's JSON name to its index.
+	blocks := func(typ reflect.Type) map[string]int {
+		m := map[string]int{}
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Pointer {
+				name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				m[name] = i
+			}
+		}
+		return m
+	}
+	// setBlocks lists the JSON names of v's non-nil block fields.
+	setBlocks := func(v reflect.Value, fields map[string]int) []string {
+		var set []string
+		for name, i := range fields {
+			if !v.Field(i).IsNil() {
+				set = append(set, name)
+			}
+		}
+		return set
+	}
+	specBlocks := blocks(reflect.TypeOf(CampaignSpec{}))
+	outcomeBlocks := blocks(reflect.TypeOf(CampaignOutcome{}))
+	if len(specBlocks) != len(campaignKinds) || len(outcomeBlocks) != len(campaignKinds) {
+		t.Fatalf("%d kinds, %d spec blocks, %d outcome blocks", len(campaignKinds), len(specBlocks), len(outcomeBlocks))
+	}
+
+	specs, err := filepath.Glob(filepath.Join(surfaceDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := map[CampaignKind]bool{}
+	for _, path := range specs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := DecodeCampaignSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kindRow(spec.Kind)
+		if k == nil {
+			t.Fatalf("%s: kind %q has no table row", path, spec.Kind)
+		}
+		ran[k.kind] = true
+		out, err := spec.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if set := setBlocks(reflect.ValueOf(*out), outcomeBlocks); !reflect.DeepEqual(set, []string{k.block}) {
+			t.Errorf("%s: outcome blocks %v, want only %q", path, set, k.block)
+		}
+	}
+
+	for _, k := range campaignKinds {
+		if !ran[k.kind] {
+			t.Errorf("kind %q has no spec under %s", k.kind, surfaceDir)
+		}
+		bare := &CampaignSpec{Kind: k.kind}
+		bare.Normalize()
+		if set := setBlocks(reflect.ValueOf(*bare), specBlocks); !reflect.DeepEqual(set, []string{k.block}) {
+			t.Errorf("kind %q: Normalize set blocks %v, want only %q", k.kind, set, k.block)
+		}
+		if !k.present(bare) {
+			t.Errorf("kind %q: present is false after Normalize", k.kind)
+		}
+
+		// Drive every field of the block negative (NaN for floats): each
+		// validator must object, and only under its own block.
+		hostile := &CampaignSpec{Version: SpecVersion, Kind: k.kind}
+		hostile.Normalize()
+		block := reflect.ValueOf(hostile).Elem().Field(specBlocks[k.block]).Elem()
+		for i := 0; i < block.NumField(); i++ {
+			switch f := block.Field(i); f.Kind() {
+			case reflect.Int:
+				f.SetInt(-1)
+			case reflect.Float64:
+				f.SetFloat(math.NaN())
+			case reflect.Slice:
+				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+				if f.Type().Elem().Kind() == reflect.Float64 {
+					f.Index(0).SetFloat(math.NaN())
+				}
+			}
+		}
+		errs := k.validate(hostile, specChecker{block: k.block})
+		if len(errs) == 0 {
+			t.Errorf("kind %q: validator accepted a hostile block", k.kind)
+		}
+		for _, err := range errs {
+			var se *SpecError
+			if !errors.As(err, &se) || !strings.HasPrefix(se.Field, k.block+".") {
+				t.Errorf("kind %q: violation %v is not named under %q", k.kind, err, k.block)
+			}
+		}
+	}
+
+	// The crossover's divisibility check and its driver agree on the world
+	// size a spec without ranks gets.
+	cross := &CampaignSpec{Version: SpecVersion, Kind: KindCrossover}
+	cross.Normalize()
+	for degree := 2; degree <= cross.Ranks; degree++ {
+		spec := &CampaignSpec{Version: SpecVersion, Kind: KindCrossover,
+			Crossover: &CrossoverParams{Degrees: []int{degree}}}
+		if got, want := spec.Validate() == nil, cross.Ranks%degree == 0; got != want {
+			t.Errorf("degree %d at the default %d ranks: valid = %v, want %v", degree, cross.Ranks, got, want)
+		}
 	}
 }
 

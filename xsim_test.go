@@ -1,6 +1,7 @@
 package xsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -295,7 +296,7 @@ func TestSavedExitTime(t *testing.T) {
 }
 
 func TestRunTableIShape(t *testing.T) {
-	res, err := RunTableI(TableIConfig{RunSpec: RunSpec{Seed: 2013}})
+	res, err := RunTableIContext(context.Background(), TableIConfig{RunSpec: RunSpec{Seed: 2013}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestRunTableIShape(t *testing.T) {
 // the documented seed.
 func runSmallTableII(t *testing.T) *TableII {
 	t.Helper()
-	tab, err := RunTableII(TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133}})
+	tab, err := RunTableIIContext(context.Background(), TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestRunTableIIDeterministic(t *testing.T) {
 // execution modes.
 func TestRunTableIIProgModeMatchesClosure(t *testing.T) {
 	ref := runSmallTableII(t)
-	tab, err := RunTableII(TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133, ProgMode: true}})
+	tab, err := RunTableIIContext(context.Background(), TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133, ProgMode: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestRunTableIIProgModeMatchesClosure(t *testing.T) {
 }
 
 func TestFirstImpressions(t *testing.T) {
-	fi, err := RunFirstImpressions(FirstImpressionsConfig{
+	fi, err := RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
 		RunSpec: RunSpec{Ranks: 64, Seed: 1},
 		Trials:  6, Iterations: 200, Interval: 25,
 	})
@@ -442,7 +443,7 @@ func TestFirstImpressions(t *testing.T) {
 }
 
 func TestIntervalSweepShape(t *testing.T) {
-	s, err := RunIntervalSweep(IntervalSweepConfig{
+	s, err := RunIntervalSweepContext(context.Background(), IntervalSweepConfig{
 		RunSpec: RunSpec{Ranks: 64},
 		Seeds:   []int64{133, 134}, Intervals: []int{500, 125, 31},
 	})
