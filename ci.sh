@@ -18,16 +18,19 @@
 #                     modes run the same step machines, one through
 #                     Env.Block and one stepped by the scheduler; 500
 #                     random workloads both ways, the pre-fold closure
-#                     goldens, the heat/MPI twin tests as a smoke, and the
+#                     goldens, the per-hop collective golden and leak
+#                     tests, the heat/MPI twin tests as a smoke, and the
 #                     Table II program-mode campaign)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
 #                     must stay at 0 allocs/op — Validate must cost nothing
 #                     when off)
-#   8b. BenchmarkPingPong allocation gate (the MPI data plane recycles
-#                     envelopes/requests/payload buffers; a regression that
-#                     reintroduces per-message allocation fails here)
+#   8b. BenchmarkPingPong and BenchmarkAllreduce allocation gates (the MPI
+#                     data plane recycles envelopes/requests/payload
+#                     buffers, point-to-point and through the collective
+#                     hops; a regression that reintroduces per-message
+#                     allocation fails here)
 #   8c. bytes-per-VP budget gate (a 256k-rank program-mode world must
 #                     stay within 1 KiB of resident memory per virtual
 #                     process after one exchange step — the paper's
@@ -87,7 +90,7 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # row-identical results in program mode under the race detector.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
 go test -race -count=1 -run '^(TestClosureOutcomesMatchGolden|TestClosureRunsMatchGolden)$' ./internal/mpitest/ ./internal/heat/
-go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure)$' ./internal/mpi/
+go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure|TestCollectiveHopsMatchGolden|TestCollectiveStateDoesNotGrow|TestReduceLengthMismatchReleasesMessage|TestFailedCollectiveLeavesScratchEmpty)$' ./internal/mpi/
 go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure)$' ./internal/heat/
 go test -race -count=1 -run '^TestRunTableIIProgModeMatchesClosure$' .
 
@@ -130,6 +133,13 @@ echo "== BenchmarkPingPong allocation gate"
 # flake the build but a real regression cannot hide.
 bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^eager$' allocs/op 10 1 1000x
 bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^rendezvous$' allocs/op 13 1 1000x
+
+echo "== BenchmarkAllreduce allocation gate"
+# The collective hop path: every fan of every collective posts through one
+# send hop and one receive hop. 16 ranks run at 39 allocs/op; 47 leaves half
+# an allocation per rank of slack, so a give/take hook that starts
+# capturing, or a payload built again on every resume, fails here.
+bench_gate ./internal/mpi/ '^BenchmarkAllreduce$' allocs/op 47 1 1000x
 
 echo "== bytes-per-VP budget gate (program mode, 256k ranks)"
 # PR 6 carried the residual cost of one virtual process from ~2.3 KB to

@@ -200,7 +200,7 @@ func encodeF64s(vals []float64) []byte {
 }
 
 // encodeF64sPool is encodeF64s into a pooled buffer; the caller owns it
-// (transfer it with hopSendOwned or release it with putBuf).
+// (transfer it with an owned send or release it with putBuf).
 func encodeF64sPool(dp *dpPool, vals []float64) []byte {
 	buf := dp.getBuf(8 * len(vals))
 	for i, v := range vals {

@@ -468,3 +468,31 @@ func TestFailedCollectiveLeavesScratchEmpty(t *testing.T) {
 		t.Fatalf("failed = %d, survivors checked = %d", res.Failed, checked)
 	}
 }
+
+// TestReduceLengthMismatchReleasesMessage pins the error path of the
+// folding take: a contribution of the wrong length is reported, and the
+// pooled payload it arrived in goes back to the pool first. It used to
+// stay checked out for the life of the partition.
+func TestReduceLengthMismatchReleasesMessage(t *testing.T) {
+	for _, opt := range []worldOpt{func(*WorldConfig) {}, withTree()} {
+		checked := false
+		runWorld(t, 2, 1, func(e *Env) {
+			c := e.World()
+			c.SetErrorHandler(ErrorsReturn)
+			_, err := c.Reduce(0, make([]float64, 2+e.Rank()), OpSum)
+			if e.Rank() != 0 {
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "reduce payload") {
+				t.Errorf("reduce of 2 and 3 floats: err = %v, want a payload-length error", err)
+			}
+			if out := e.ps.dp.bufOut; out != 0 {
+				t.Errorf("%d pooled payload bytes still checked out after the failed reduce", out)
+			}
+			checked = true
+		}, opt)
+		if !checked {
+			t.Error("rank 0 never returned from the reduce")
+		}
+	}
+}

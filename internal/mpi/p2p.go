@@ -559,13 +559,9 @@ func (c *Comm) isendTag(dstCommRank, tag, size int, data []byte) *Request {
 	return c.isendDP(dstCommRank, tag, size, data, false)
 }
 
-// isendOwned posts a send whose data is a pooled buffer the caller
-// transfers to the MPI layer: no copy at post or transfer time. Internal
-// senders (encoded reductions, framed gathers) use it for zero-copy hops.
-func (c *Comm) isendOwned(dstCommRank, tag, size int, data []byte) *Request {
-	return c.isendDP(dstCommRank, tag, size, data, true)
-}
-
+// isendDP is isendTag with the ownership of data explicit: owned data is a
+// pooled buffer the caller transfers to the MPI layer, with no copy at post
+// or transfer time. The collective send hop uses it for encoded reductions.
 func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Request {
 	e := c.env
 	dp := e.ps.dp

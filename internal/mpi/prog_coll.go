@@ -3,13 +3,37 @@ package mpi
 import "fmt"
 
 // This file holds the collective algorithms, each written once as a
-// resumable state machine: CollectiveState carries the linear (the paper's
-// configuration) and binomial-tree (ablation) algorithms over the reserved
-// negative-tag traffic. A Prog steps the machine from its own Step; the
-// closure-mode methods in collectives.go drive the same machine and Block
-// on its park values, so the two modes cannot diverge. Each internal
-// blocking hop is a hopState: post the request, park on its WaitState,
-// recycle it at completion.
+// resumable state machine over the reserved negative-tag traffic. A Prog
+// steps the machine from its own Step; the closure-mode methods in
+// collectives.go drive the same machine and Block on its park values, so
+// the two modes cannot diverge.
+//
+// Every collective except alltoall is data: a row of collTable listing one
+// or two fans. A fan moves one message between the root and every other
+// member — a fan-in toward the root, a fan-out away from it — linearly (the
+// paper's configuration) or, where the row allows it, along a binomial tree
+// (ablation). stepFan holds the only rank-order loop and the only tree
+// walks, and sendHop/recvHop the only two blocking hop sites (post the
+// request, park on its WaitState, recycle it at completion), so detection,
+// release-on-error and revocation inside a collective are each decided
+// once.
+//
+// What travels is the row's business, through two hooks per fan:
+//
+//   - give returns the payload for one peer. It runs once, when the hop is
+//     posted, and never again when a parked hop resumes, so a pooled payload
+//     is built exactly once. It says whether the buffer is pooled and
+//     transfers to the MPI layer (owned: no copy at either end) or stays the
+//     caller's and is copied.
+//   - take consumes the message received from one peer. The receive hop
+//     owns the message and releases it after take returns, whatever take
+//     reports: a take that keeps the payload steals msg.Data, and one that
+//     fails leaks nothing.
+//
+// A nil hook is a bare signal: nothing to send, nothing to keep. Optional
+// glue runs between fans: enter once the first fan is charged, turn once
+// the second is (it builds what the root fans out), leave after both
+// completed (it decodes the result).
 
 // hopState is one blocking hop — post a request, wait for it, recycle it:
 // an internal hop of a collective algorithm, or the whole of a blocking
@@ -28,23 +52,6 @@ func (h *hopState) inFlight() bool { return h.req != nil }
 func (h *hopState) post(req *Request) {
 	h.req = req
 	h.ws.Begin(req)
-}
-
-// hopSend posts a send hop; the caller keeps ownership of data.
-func (c *Comm) hopSend(h *hopState, dst, tag, size int, data []byte) {
-	h.post(c.isendTag(dst, tag, size, data))
-}
-
-// hopSendOwned posts a send hop whose data is a pooled buffer: ownership
-// transfers to the MPI layer and the payload travels with no copy at
-// either end.
-func (c *Comm) hopSendOwned(h *hopState, dst, tag, size int, data []byte) {
-	h.post(c.isendOwned(dst, tag, size, data))
-}
-
-// hopRecv posts a receive hop.
-func (c *Comm) hopRecv(h *hopState, src, tag int) {
-	h.post(c.irecvTag(src, tag))
 }
 
 // hopStep advances the hop (raw error, no handler); on done the request
@@ -85,18 +92,18 @@ const (
 type CollectiveState struct {
 	kind    collKind
 	counted bool
-	// phase/sub/r/mask are the resumable algorithm counters: phase is the
-	// per-algorithm program counter, sub sequences composite collectives
-	// (allreduce = reduce+bcast, allgather = gather+bcast), r is the
-	// linear rank cursor, mask the tree mask.
-	phase int
-	sub   int
+	// fan/phase/r/mask are the resumable counters: fan indexes the row's
+	// fan in progress, phase is the stage within it (for alltoall, within
+	// the exchange), r is the linear rank cursor, mask the tree mask.
+	fan   uint8
+	phase uint8
 	r     int
 	mask  int
 
-	// Operands (set by Begin) and results.
+	// Operands (set by Begin) and results. size is the simulated size
+	// every sender of data charges: what this rank passed to Begin, or what
+	// turn derived from it.
 	root    int
-	tag     int
 	size    int
 	data    []byte
 	parts   [][]byte
@@ -119,25 +126,9 @@ type CollectiveState struct {
 // that is armed again (or disarmed, as the closure scratch is after every
 // collective) must not pin them for the life of the process.
 func (cs *CollectiveState) arm(kind collKind) {
-	cs.kind = kind
-	cs.counted = false
-	cs.phase = 0
-	cs.sub = 0
-	cs.r = 0
-	cs.mask = 0
-	cs.root = 0
-	cs.tag = 0
-	cs.size = 0
-	cs.data = nil
-	cs.parts = nil
-	cs.contrib = nil
-	cs.op = nil
-	cs.acc = nil
-	cs.out = nil
 	clear(cs.reqs)
-	cs.reqs = cs.reqs[:0]
 	clear(cs.recvs)
-	cs.recvs = cs.recvs[:0]
+	*cs = CollectiveState{kind: kind, hop: cs.hop, ws: cs.ws, reqs: cs.reqs[:0], recvs: cs.recvs[:0]}
 }
 
 // BeginBarrier arms a Barrier.
@@ -150,7 +141,6 @@ func (cs *CollectiveState) BeginBcast(root int, data []byte) {
 	cs.root = root
 	cs.data = data
 	cs.size = len(data)
-	cs.tag = tagBcast
 }
 
 // BeginReduce arms a Reduce of contrib at root with op. Floats returns
@@ -175,7 +165,7 @@ func (cs *CollectiveState) BeginGather(root int, data []byte) {
 	cs.arm(collGather)
 	cs.root = root
 	cs.data = data
-	cs.tag = tagGather
+	cs.size = len(data)
 }
 
 // BeginScatter arms a Scatter of parts from root; non-root callers pass
@@ -191,6 +181,7 @@ func (cs *CollectiveState) BeginScatter(root int, parts [][]byte) {
 func (cs *CollectiveState) BeginAllgather(data []byte) {
 	cs.arm(collAllgather)
 	cs.data = data
+	cs.size = len(data)
 }
 
 // BeginAlltoall arms an Alltoall of parts[i] to rank i; Parts returns
@@ -230,24 +221,12 @@ func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err err
 		}
 	}
 	switch cs.kind {
-	case collBarrier:
-		done, park, err = c.stepBarrier(cs)
-	case collBcast:
-		done, park, err = c.stepBcast(cs)
-	case collReduce:
-		done, park, err = c.stepReduce(cs)
-	case collAllreduce:
-		done, park, err = c.stepAllreduce(cs)
-	case collGather:
-		done, park, err = c.stepGather(cs)
-	case collScatter:
-		done, park, err = c.stepScatter(cs)
-	case collAllgather:
-		done, park, err = c.stepAllgather(cs)
+	case collNone:
+		panic("mpi: CollectiveStep without a Begin")
 	case collAlltoall:
 		done, park, err = c.stepAlltoall(cs)
 	default:
-		panic("mpi: CollectiveStep without a Begin")
+		done, park, err = c.stepFans(cs, &collTable[cs.kind])
 	}
 	if done && err != nil {
 		err = c.handleError(err)
@@ -255,587 +234,342 @@ func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err err
 	return done, park, err
 }
 
-// Tree-phase numbers shared by the machines: the binomial-tree broadcast
-// is reachable both from stepBcast and (as the release wave, without a
-// fresh entry charge) from the tree barrier.
+// fan is one wave of a collective: one message between the root and every
+// other member, all on one tag.
+type fan struct {
+	// in: the members send toward the root (fan-in); otherwise the root
+	// sends toward the members (fan-out).
+	in  bool
+	tag int
+	// tree: the fan follows WorldConfig.Collectives onto the binomial tree;
+	// false keeps it linear whatever the configuration.
+	tree bool
+	// call is the MPI call the fan is charged as when it begins: one
+	// revocation check, one call overhead. "" charges nothing — the fan is
+	// the second half of the call the first fan paid for.
+	call string
+	give func(c *Comm, cs *CollectiveState, peer int) (size int, data []byte, owned bool)
+	take func(c *Comm, cs *CollectiveState, peer int, msg *Message) error
+}
+
+// collSpec is one collective: its fans in order, and the glue around them.
+type collSpec struct {
+	fans               []fan
+	enter, turn, leave func(c *Comm, cs *CollectiveState) error
+}
+
+// collTable is every fan-built collective, indexed by collKind; a new
+// rooted collective is one row plus its hooks. The unrooted ones run at
+// root 0, where arm leaves cs.root.
+//
+// Barrier: every rank reports to rank 0, which then releases every rank; a
+// failure anywhere is detected here by timeout — the paper's "failure
+// during the checkpoint phase is detected in the following barrier". The
+// release is part of the same call and charges nothing.
+//
+// Allreduce and Allgather are Reduce's and Gather's fan-in followed by
+// Bcast's fan-out of the encoded result, matching linear-algorithm MPI
+// implementations: two calls, each charged and each checking revocation.
+// Allgather's broadcast stays on its own tag; Gather and Scatter are
+// linear under either configuration.
+var collTable = [...]collSpec{
+	collBarrier: {fans: []fan{
+		{in: true, tag: tagBarrierIn, tree: true, call: "barrier"},
+		{tag: tagBarrierOut, tree: true}}},
+	collBcast: {fans: []fan{
+		{tag: tagBcast, tree: true, call: "bcast", give: giveData, take: takeData}}},
+	collReduce: {enter: enterFold, fans: []fan{
+		{in: true, tag: tagReduce, tree: true, call: "reduce", give: giveFold, take: takeFold}}},
+	collAllreduce: {enter: enterFold, turn: turnAllreduce, leave: leaveAllreduce, fans: []fan{
+		{in: true, tag: tagReduce, tree: true, call: "reduce", give: giveFold, take: takeFold},
+		{tag: tagBcast, tree: true, call: "bcast", give: giveData, take: takeData}}},
+	collGather: {enter: enterGather, fans: []fan{
+		{in: true, tag: tagGather, call: "gather", give: giveData, take: takePart}}},
+	collScatter: {enter: enterScatter, fans: []fan{
+		{tag: tagScatter, call: "scatter", give: givePart, take: takeData}}},
+	collAllgather: {enter: enterGather, turn: turnAllgather, leave: leaveAllgather, fans: []fan{
+		{in: true, tag: tagAllgather, call: "gather", give: giveData, take: takePart},
+		{tag: tagAllgather, tree: true, call: "bcast", give: giveData, take: takeData}}},
+}
+
+// Stages of one fan (cs.phase).
 const (
-	phaseTreeBcastRecv = 10
-	phaseTreeBcastSend = 11
-	phaseTreeReduce    = 20
-	phaseTreeGather    = 30
+	fanBegin   uint8 = iota // charge the call, run the glue, reset the cursors
+	fanRun                  // linear loop, walk toward the root, or receive from the tree parent
+	fanForward              // tree fan-out only: forward to the children
 )
 
-// stepBarrier is the barrier. With the paper's linear algorithm every rank
-// reports to rank 0, which then releases every rank; a failure anywhere is
-// detected here by timeout — the paper's "failure during the checkpoint
-// phase is detected in the following barrier". The tree form is a
-// zero-byte gather to rank 0 followed by a zero-byte broadcast.
-func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error) {
-	n := c.Size()
-	for {
-		switch cs.phase {
-		case 0:
-			if err := c.checkRevoked("barrier"); err != nil {
-				return true, nil, err
-			}
-			c.env.chargeCall()
-			if n == 1 {
-				return true, nil, nil
-			}
-			if c.env.w.cfg.Collectives == Tree {
-				cs.mask = 1
-				cs.phase = phaseTreeGather
-			} else if c.rank == 0 {
-				cs.r = 1
-				cs.phase = 1
-			} else {
-				cs.phase = 3
-			}
-		case 1: // linear rank 0: collect arrivals in rank order
-			for cs.r < n {
-				if !cs.hop.inFlight() {
-					c.hopRecv(&cs.hop, cs.r, tagBarrierIn)
-				}
-				hd, park, msg, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
+// stepFans runs the row's fans in order, then its leave glue.
+func (c *Comm) stepFans(cs *CollectiveState, spec *collSpec) (done bool, park any, err error) {
+	for ; int(cs.fan) < len(spec.fans); cs.fan++ {
+		f := &spec.fans[cs.fan]
+		if cs.phase == fanBegin {
+			if f.call != "" {
+				if err := c.checkRevoked(f.call); err != nil {
 					return true, nil, err
 				}
-				msg.Release()
-				cs.r++
+				c.env.chargeCall()
 			}
-			cs.r = 1
-			cs.phase = 2
-		case 2: // linear rank 0: release everyone
-			for cs.r < n {
-				if !cs.hop.inFlight() {
-					c.hopSend(&cs.hop, cs.r, tagBarrierOut, 0, nil)
-				}
-				hd, park, _, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
+			glue := spec.enter
+			if cs.fan > 0 {
+				glue = spec.turn
+			}
+			if glue != nil {
+				if err := glue(c, cs); err != nil {
 					return true, nil, err
 				}
-				cs.r++
 			}
-			return true, nil, nil
-		case 3: // linear non-root: report to rank 0
-			if !cs.hop.inFlight() {
-				c.hopSend(&cs.hop, 0, tagBarrierIn, 0, nil)
-			}
-			hd, park, _, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			if err != nil {
-				return true, nil, err
-			}
-			cs.phase = 4
-		case 4: // linear non-root: wait for the release
-			if !cs.hop.inFlight() {
-				c.hopRecv(&cs.hop, 0, tagBarrierOut)
-			}
-			hd, park, msg, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			if err != nil {
-				return true, nil, err
-			}
-			msg.Release()
-			return true, nil, nil
-		case phaseTreeGather: // tree: gather the zero-byte arrival signal to rank 0
-			vrank := c.rank
-			for cs.mask < n {
-				if vrank&cs.mask != 0 {
-					// Report to the parent; this rank's gather ends there.
-					if !cs.hop.inFlight() {
-						c.hopSend(&cs.hop, vrank-cs.mask, tagBarrierIn, 0, nil)
-					}
-					hd, park, _, err := c.hopStep(&cs.hop)
-					if !hd {
-						return false, park, nil
-					}
-					if err != nil {
-						return true, nil, err
-					}
-					break
-				}
-				if child := vrank | cs.mask; child < n {
-					if !cs.hop.inFlight() {
-						c.hopRecv(&cs.hop, child, tagBarrierIn)
-					}
-					hd, park, msg, err := c.hopStep(&cs.hop)
-					if !hd {
-						return false, park, nil
-					}
-					if err != nil {
-						return true, nil, err
-					}
-					msg.Release()
-				}
-				cs.mask <<= 1
-			}
-			// Release wave: a zero-byte tree bcast from rank 0 without a
-			// fresh entry charge.
-			cs.root = 0
-			cs.tag = tagBarrierOut
-			cs.size = 0
-			cs.data = nil
-			cs.mask = 0
-			cs.phase = phaseTreeBcastRecv
-		case phaseTreeBcastRecv, phaseTreeBcastSend:
-			return c.stepTreeBcast(cs)
-		default:
-			panic(fmt.Sprintf("mpi: barrier state machine in phase %d", cs.phase))
+			cs.r, cs.mask, cs.phase = 0, 1, fanRun
 		}
+		if done, park, err := c.stepFan(cs, f); !done || err != nil {
+			return done, park, err
+		}
+		cs.phase = fanBegin
 	}
+	if spec.leave != nil {
+		return true, nil, spec.leave(c, cs)
+	}
+	return true, nil, nil
 }
 
-// stepBcast broadcasts cs.data (cs.size bytes, on cs.tag) from cs.root;
-// the result lands in cs.data. Linear: the root sends to every other rank
-// in rank order.
-func (c *Comm) stepBcast(cs *CollectiveState) (done bool, park any, err error) {
+// stepFan moves one message between cs.root and every other member, one
+// blocking hop at a time.
+func (c *Comm) stepFan(cs *CollectiveState, f *fan) (done bool, park any, err error) {
 	n := c.Size()
-	for {
-		switch cs.phase {
-		case 0:
-			if err := c.checkRevoked("bcast"); err != nil {
-				return true, nil, err
-			}
-			c.env.chargeCall()
-			if n == 1 {
-				return true, nil, nil
-			}
-			if c.env.w.cfg.Collectives == Tree {
-				cs.phase = phaseTreeBcastRecv
-			} else if c.rank == cs.root {
-				cs.r = 0
-				cs.phase = 1
-			} else {
-				cs.phase = 2
-			}
-		case 1: // linear root: send to everyone in rank order
-			for cs.r < n {
-				if cs.r == cs.root {
-					cs.r++
-					continue
-				}
-				if !cs.hop.inFlight() {
-					c.hopSend(&cs.hop, cs.r, cs.tag, cs.size, cs.data)
-				}
-				hd, park, _, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
-					return true, nil, err
-				}
-				cs.r++
-			}
-			return true, nil, nil
-		case 2: // linear non-root: receive from the root
-			if !cs.hop.inFlight() {
-				c.hopRecv(&cs.hop, cs.root, cs.tag)
-			}
-			hd, park, msg, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			if err != nil {
-				return true, nil, err
-			}
-			cs.data = detachData(msg)
-			return true, nil, nil
-		case phaseTreeBcastRecv, phaseTreeBcastSend:
-			return c.stepTreeBcast(cs)
-		default:
-			panic(fmt.Sprintf("mpi: bcast state machine in phase %d", cs.phase))
+	if !f.tree || c.env.w.cfg.Collectives != Tree {
+		// Linear: a member exchanges one message with the root, and the root
+		// serves the members in rank order — which keeps a folding fan-in
+		// deterministic even for non-associative floating-point ops.
+		hop := (*Comm).recvHop
+		if (c.rank == cs.root) != f.in {
+			hop = (*Comm).sendHop
 		}
-	}
-}
-
-// stepTreeBcast broadcasts along a binomial tree rooted at cs.root (the
-// standard MPICH-style algorithm): phase phaseTreeBcastRecv walks the mask
-// to this rank's parent bit and receives (at most one hop), phase
-// phaseTreeBcastSend forwards to the children. The result lands in
-// cs.data.
-func (c *Comm) stepTreeBcast(cs *CollectiveState) (done bool, park any, err error) {
-	n := c.Size()
-	vrank := (c.rank - cs.root + n) % n
-	for {
-		switch cs.phase {
-		case phaseTreeBcastRecv:
-			if cs.mask == 0 {
-				cs.mask = 1
-			}
-			for cs.mask < n && vrank&cs.mask == 0 {
-				cs.mask <<= 1
-			}
-			if cs.mask < n {
-				if !cs.hop.inFlight() {
-					c.hopRecv(&cs.hop, (vrank-cs.mask+cs.root)%n, cs.tag)
-				}
-				hd, park, msg, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
-					return true, nil, err
-				}
-				cs.data = detachData(msg)
-			}
-			cs.mask >>= 1
-			cs.phase = phaseTreeBcastSend
-		case phaseTreeBcastSend:
-			for cs.mask > 0 {
-				if vrank+cs.mask < n {
-					if !cs.hop.inFlight() {
-						c.hopSend(&cs.hop, (vrank+cs.mask+cs.root)%n, cs.tag, cs.size, cs.data)
-					}
-					hd, park, _, err := c.hopStep(&cs.hop)
-					if !hd {
-						return false, park, nil
-					}
-					if err != nil {
-						return true, nil, err
-					}
-				}
-				cs.mask >>= 1
-			}
-			return true, nil, nil
-		default:
-			panic(fmt.Sprintf("mpi: tree bcast state machine in phase %d", cs.phase))
+		if c.rank != cs.root {
+			return hop(c, cs, f, cs.root)
 		}
-	}
-}
-
-// stepReduce folds cs.contrib at cs.root with cs.op; the result lands in
-// cs.acc (root only, nil elsewhere).
-func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) {
-	n := c.Size()
-	for {
-		switch cs.phase {
-		case 0:
-			if err := c.checkRevoked("reduce"); err != nil {
-				return true, nil, err
+		for ; cs.r < n; cs.r++ {
+			if cs.r == cs.root {
+				continue
 			}
-			c.env.chargeCall()
-			if n == 1 {
-				cs.acc = append([]float64(nil), cs.contrib...)
-				return true, nil, nil
+			if done, park, err := hop(c, cs, f, cs.r); !done || err != nil {
+				return done, park, err
 			}
-			if c.env.w.cfg.Collectives == Tree {
-				cs.phase = phaseTreeReduce
-			} else if c.rank != cs.root {
-				cs.phase = 1
-			} else {
-				cs.acc = append([]float64(nil), cs.contrib...)
-				cs.r = 0
-				cs.phase = 2
-			}
-		case 1: // linear non-root: ship the encoded contribution
-			if !cs.hop.inFlight() {
-				c.hopSendOwned(&cs.hop, cs.root, tagReduce, 8*len(cs.contrib), encodeF64sPool(c.env.ps.dp, cs.contrib))
-			}
-			hd, park, _, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			return true, nil, err
-		case 2:
-			// Linear root: fold contributions in rank order, which keeps the
-			// result deterministic even for non-associative floating-point
-			// ops. Each hop decodes into the per-process scratch and releases
-			// its message — the whole fold reuses one buffer and one float
-			// slice.
-			for cs.r < n {
-				if cs.r == cs.root {
-					cs.r++
-					continue
-				}
-				if !cs.hop.inFlight() {
-					c.hopRecv(&cs.hop, cs.r, tagReduce)
-				}
-				hd, park, msg, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
-					return true, nil, err
-				}
-				vals := c.env.ps.scratchF64(len(cs.contrib))
-				if err := decodeF64sInto(vals, msg.Data); err != nil {
-					return true, nil, err
-				}
-				cs.op(cs.acc, vals)
-				msg.Release()
-				cs.r++
-			}
-			return true, nil, nil
-		case phaseTreeReduce:
-			// Tree: fold along a binomial tree rooted at cs.root. The fold
-			// order differs from the linear algorithm's, so results for
-			// non-associative floating-point operations may differ in the
-			// last bits — the usual MPI caveat.
-			vrank := (c.rank - cs.root + n) % n
-			if cs.mask == 0 {
-				cs.mask = 1
-				cs.acc = append([]float64(nil), cs.contrib...)
-			}
-			for cs.mask < n {
-				if vrank&cs.mask != 0 {
-					if !cs.hop.inFlight() {
-						c.hopSendOwned(&cs.hop, (vrank-cs.mask+cs.root)%n, tagReduce, 8*len(cs.acc), encodeF64sPool(c.env.ps.dp, cs.acc))
-					}
-					hd, park, _, err := c.hopStep(&cs.hop)
-					if !hd {
-						return false, park, nil
-					}
-					cs.acc = nil // only the root holds a result
-					return true, nil, err
-				}
-				if child := vrank | cs.mask; child < n {
-					if !cs.hop.inFlight() {
-						c.hopRecv(&cs.hop, (child+cs.root)%n, tagReduce)
-					}
-					hd, park, msg, err := c.hopStep(&cs.hop)
-					if !hd {
-						return false, park, nil
-					}
-					if err != nil {
-						return true, nil, err
-					}
-					vals := c.env.ps.scratchF64(len(cs.acc))
-					if err := decodeF64sInto(vals, msg.Data); err != nil {
-						return true, nil, err
-					}
-					cs.op(cs.acc, vals)
-					msg.Release()
-				}
-				cs.mask <<= 1
-			}
-			return true, nil, nil
-		default:
-			panic(fmt.Sprintf("mpi: reduce state machine in phase %d", cs.phase))
 		}
-	}
-}
-
-// stepAllreduce is a reduce to rank 0 (sub 0) followed by a broadcast of
-// the encoded result (sub 1), matching linear-algorithm MPI
-// implementations. The result lands in cs.acc on every rank.
-func (c *Comm) stepAllreduce(cs *CollectiveState) (done bool, park any, err error) {
-	if cs.sub == 0 {
-		cs.root = 0
-		done, park, err := c.stepReduce(cs)
-		if !done {
-			return false, park, nil
-		}
-		if err != nil {
-			return true, nil, err
-		}
-		cs.sub = 1
-		cs.phase = 0
-		cs.r = 0
-		cs.mask = 0
-		cs.tag = tagBcast
-		cs.size = 8 * len(cs.contrib)
-		if c.rank == 0 {
-			cs.data = encodeF64sPool(c.env.ps.dp, cs.acc)
-		} else {
-			cs.data = nil
-		}
-	}
-	done, park, err = c.stepBcast(cs)
-	if !done {
-		return false, park, nil
-	}
-	dp := c.env.ps.dp
-	buf := cs.data
-	cs.data = nil
-	if err != nil {
-		return true, nil, err
-	}
-	if c.rank == 0 {
-		// The root already holds the reduction, and decode(encode(x)) is
-		// bit-identical for float64: skip the round-trip and release the
-		// broadcast buffer (bcast copied it per send).
-		dp.putBuf(buf)
 		return true, nil, nil
 	}
-	out, err := decodeF64s(buf, len(cs.contrib))
-	dp.putBuf(buf)
-	cs.acc = out
+	// Binomial tree rooted at cs.root (the standard MPICH-style algorithm),
+	// walked over ranks renumbered so the root is 0.
+	vrank := (c.rank - cs.root + n) % n
+	if f.in {
+		// Toward the root: take from each child in mask order, then give to
+		// the parent, where this rank's part ends. A folding fan-in folds in
+		// a different order than the linear one, so results for
+		// non-associative floating-point operations may differ in the last
+		// bits — the usual MPI caveat.
+		for ; cs.mask < n; cs.mask <<= 1 {
+			if vrank&cs.mask != 0 {
+				return c.sendHop(cs, f, (vrank-cs.mask+cs.root)%n)
+			}
+			if child := vrank | cs.mask; child < n {
+				if done, park, err := c.recvHop(cs, f, (child+cs.root)%n); !done || err != nil {
+					return done, park, err
+				}
+			}
+		}
+		return true, nil, nil
+	}
+	// From the root: walk the mask up to this rank's parent bit and take
+	// from the parent (the root has none), then give to each child on the
+	// way back down.
+	if cs.phase == fanRun {
+		for cs.mask < n && vrank&cs.mask == 0 {
+			cs.mask <<= 1
+		}
+		if cs.mask < n {
+			if done, park, err := c.recvHop(cs, f, (vrank-cs.mask+cs.root)%n); !done || err != nil {
+				return done, park, err
+			}
+		}
+		cs.mask >>= 1
+		cs.phase = fanForward
+	}
+	for ; cs.mask > 0; cs.mask >>= 1 {
+		if vrank+cs.mask < n {
+			if done, park, err := c.sendHop(cs, f, (vrank+cs.mask+cs.root)%n); !done || err != nil {
+				return done, park, err
+			}
+		}
+	}
+	return true, nil, nil
+}
+
+// sendHop is the blocking send of a fan: post what give returns unless the
+// hop is already in flight, then wait.
+func (c *Comm) sendHop(cs *CollectiveState, f *fan, peer int) (done bool, park any, err error) {
+	if !cs.hop.inFlight() {
+		var size int
+		var data []byte
+		var owned bool
+		if f.give != nil {
+			size, data, owned = f.give(c, cs, peer)
+		}
+		cs.hop.post(c.isendDP(peer, f.tag, size, data, owned))
+	}
+	done, park, _, err = c.hopStep(&cs.hop)
+	return done, park, err
+}
+
+// recvHop is the blocking receive of a fan: post unless in flight, wait,
+// hand the message to take, release it.
+func (c *Comm) recvHop(cs *CollectiveState, f *fan, peer int) (done bool, park any, err error) {
+	if !cs.hop.inFlight() {
+		cs.hop.post(c.irecvTag(peer, f.tag))
+	}
+	done, park, msg, err := c.hopStep(&cs.hop)
+	if !done || err != nil {
+		return done, park, err
+	}
+	if f.take != nil {
+		err = f.take(c, cs, peer, msg)
+	}
+	msg.Release()
 	return true, nil, err
 }
 
-// stepGather collects cs.data at cs.root on cs.tag; the per-rank result
-// lands in cs.out (root only).
-func (c *Comm) stepGather(cs *CollectiveState) (done bool, park any, err error) {
-	n := c.Size()
-	for {
-		switch cs.phase {
-		case 0:
-			if err := c.checkRevoked("gather"); err != nil {
-				return true, nil, err
-			}
-			c.env.chargeCall()
-			if c.rank != cs.root {
-				cs.phase = 1
-			} else {
-				cs.out = make([][]byte, n)
-				cs.out[cs.root] = append([]byte(nil), cs.data...)
-				cs.r = 0
-				cs.phase = 2
-			}
-		case 1: // non-root: ship this rank's data
-			if !cs.hop.inFlight() {
-				c.hopSend(&cs.hop, cs.root, cs.tag, len(cs.data), cs.data)
-			}
-			hd, park, _, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			return true, nil, err
-		case 2: // root: collect in rank order
-			for cs.r < n {
-				if cs.r == cs.root {
-					cs.r++
-					continue
-				}
-				if !cs.hop.inFlight() {
-					c.hopRecv(&cs.hop, cs.r, cs.tag)
-				}
-				hd, park, msg, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
-					return true, nil, err
-				}
-				cs.out[cs.r] = detachData(msg)
-				cs.r++
-			}
-			return true, nil, nil
-		default:
-			panic(fmt.Sprintf("mpi: gather state machine in phase %d", cs.phase))
-		}
-	}
+// giveData and takeData move cs.data: the root's operand on the way out,
+// the received payload (detached from the pool's custody) at a member, who
+// forwards it down the tree as it came. The simulated size is cs.size, not
+// the payload's length: a Bcast or Allgather member armed with nil forwards
+// at size 0, as the written-out tree broadcast did — the hop golden pins it.
+func giveData(_ *Comm, cs *CollectiveState, _ int) (int, []byte, bool) {
+	return cs.size, cs.data, false
 }
 
-// stepScatter distributes cs.parts[i] from cs.root to rank i; this rank's
-// part lands in cs.data.
-func (c *Comm) stepScatter(cs *CollectiveState) (done bool, park any, err error) {
-	n := c.Size()
-	for {
-		switch cs.phase {
-		case 0:
-			if err := c.checkRevoked("scatter"); err != nil {
-				return true, nil, err
-			}
-			c.env.chargeCall()
-			if c.rank == cs.root {
-				if len(cs.parts) != n {
-					return true, nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", n, len(cs.parts))
-				}
-				cs.r = 0
-				cs.phase = 1
-			} else {
-				cs.phase = 2
-			}
-		case 1: // root: send each part in rank order
-			for cs.r < n {
-				if cs.r == cs.root {
-					cs.r++
-					continue
-				}
-				if !cs.hop.inFlight() {
-					c.hopSend(&cs.hop, cs.r, tagScatter, len(cs.parts[cs.r]), cs.parts[cs.r])
-				}
-				hd, park, _, err := c.hopStep(&cs.hop)
-				if !hd {
-					return false, park, nil
-				}
-				if err != nil {
-					return true, nil, err
-				}
-				cs.r++
-			}
-			cs.data = append([]byte(nil), cs.parts[cs.root]...)
-			return true, nil, nil
-		case 2: // non-root: receive this rank's part
-			if !cs.hop.inFlight() {
-				c.hopRecv(&cs.hop, cs.root, tagScatter)
-			}
-			hd, park, msg, err := c.hopStep(&cs.hop)
-			if !hd {
-				return false, park, nil
-			}
-			if err != nil {
-				return true, nil, err
-			}
-			cs.data = detachData(msg)
-			return true, nil, nil
-		default:
-			panic(fmt.Sprintf("mpi: scatter state machine in phase %d", cs.phase))
-		}
-	}
+func takeData(_ *Comm, cs *CollectiveState, _ int, msg *Message) error {
+	cs.data, msg.Data = msg.Data, nil
+	return nil
 }
 
-// stepAllgather is a gather to rank 0 (sub 0) followed by a broadcast of
-// the framed result (sub 1). The per-rank result lands in cs.out on every
-// rank.
-func (c *Comm) stepAllgather(cs *CollectiveState) (done bool, park any, err error) {
-	dp := c.env.ps.dp
-	if cs.sub == 0 {
-		cs.root = 0
-		cs.tag = tagAllgather
-		done, park, err := c.stepGather(cs)
-		if !done {
-			return false, park, nil
-		}
-		if err != nil {
-			return true, nil, err
-		}
-		cs.sub = 1
-		cs.phase = 0
-		cs.r = 0
-		cs.mask = 0
-		if c.rank == 0 {
-			framed := framePool(dp, cs.out)
-			// The gathered per-rank buffers are folded into the frame now;
-			// release the pooled ones (rank 0's own part is a fresh copy).
-			for r, p := range cs.out {
-				if r != c.rank {
-					dp.putBuf(p)
-				}
+// givePart and takePart move one rank's slice: parts[peer] out of a
+// scatter's root, the peer's payload into a gather's out[peer].
+func givePart(_ *Comm, cs *CollectiveState, peer int) (int, []byte, bool) {
+	return len(cs.parts[peer]), cs.parts[peer], false
+}
+
+func takePart(_ *Comm, cs *CollectiveState, peer int, msg *Message) error {
+	cs.out[peer], msg.Data = msg.Data, nil
+	return nil
+}
+
+// enterFold starts the root's accumulator as a copy of its contribution.
+func enterFold(c *Comm, cs *CollectiveState) error {
+	if c.rank == cs.root {
+		cs.acc = append([]float64(nil), cs.contrib...)
+	}
+	return nil
+}
+
+// giveFold ships what this rank has folded so far — its bare contribution
+// if nothing was folded into it (every linear member, every tree leaf) —
+// encoded into a pooled buffer the message takes with it, and drops the
+// accumulator: only the root holds a result.
+func giveFold(c *Comm, cs *CollectiveState, _ int) (int, []byte, bool) {
+	vals := cs.acc
+	if vals == nil {
+		vals = cs.contrib
+	}
+	cs.acc = nil
+	return 8 * len(vals), encodeF64sPool(c.env.ps.dp, vals), true
+}
+
+// takeFold folds one contribution into the accumulator (an interior tree
+// node starts its own at the first child). It decodes into the per-process
+// scratch, so a whole fold reuses one float slice and, with recvHop's
+// release, one buffer.
+func takeFold(c *Comm, cs *CollectiveState, _ int, msg *Message) error {
+	if cs.acc == nil {
+		cs.acc = append([]float64(nil), cs.contrib...)
+	}
+	vals := c.env.ps.scratchF64(len(cs.contrib))
+	if err := decodeF64sInto(vals, msg.Data); err != nil {
+		return err
+	}
+	cs.op(cs.acc, vals)
+	return nil
+}
+
+// turnAllreduce encodes the reduction for the broadcast; every rank
+// forwards it at its full size.
+func turnAllreduce(c *Comm, cs *CollectiveState) error {
+	cs.size = 8 * len(cs.contrib)
+	if c.rank == cs.root {
+		cs.data = encodeF64sPool(c.env.ps.dp, cs.acc)
+	}
+	return nil
+}
+
+// leaveAllreduce decodes the broadcast into the result and returns its
+// buffer to the pool (the fan-out copied it per send). The root already
+// holds the reduction, and decode(encode(x)) is bit-identical for float64,
+// so it skips the round-trip.
+func leaveAllreduce(c *Comm, cs *CollectiveState) (err error) {
+	buf := cs.data
+	cs.data = nil
+	if c.rank != cs.root {
+		cs.acc, err = decodeF64s(buf, len(cs.contrib))
+	}
+	c.env.ps.dp.putBuf(buf)
+	return err
+}
+
+// enterGather starts the root's result with a copy of its own part.
+func enterGather(c *Comm, cs *CollectiveState) error {
+	if c.rank == cs.root {
+		cs.out = make([][]byte, c.n)
+		cs.out[cs.root] = append([]byte(nil), cs.data...)
+	}
+	return nil
+}
+
+// enterScatter checks the root's operand and keeps its own part.
+func enterScatter(c *Comm, cs *CollectiveState) error {
+	if c.rank != cs.root {
+		return nil
+	}
+	if len(cs.parts) != c.n {
+		return fmt.Errorf("mpi: scatter needs %d parts, got %d", c.n, len(cs.parts))
+	}
+	cs.data = append([]byte(nil), cs.parts[cs.root]...)
+	return nil
+}
+
+// turnAllgather frames the gathered parts for the broadcast. The parts are
+// folded into the frame, so the pooled ones go back (the root's own is a
+// fresh copy).
+func turnAllgather(c *Comm, cs *CollectiveState) error {
+	cs.data, cs.size = nil, 0
+	if c.rank == cs.root {
+		dp := c.env.ps.dp
+		cs.data = framePool(dp, cs.out)
+		cs.size = len(cs.data)
+		for r, p := range cs.out {
+			if r != c.rank {
+				dp.putBuf(p)
 			}
-			cs.data = framed
-			cs.size = len(framed)
-		} else {
-			cs.data = nil
-			cs.size = 0
 		}
 		cs.out = nil
 	}
-	done, park, err = c.stepBcast(cs)
-	if !done {
-		return false, park, nil
-	}
+	return nil
+}
+
+// leaveAllgather unframes the broadcast into the result and returns its
+// buffer to the pool.
+func leaveAllgather(c *Comm, cs *CollectiveState) (err error) {
 	framed := cs.data
 	cs.data = nil
-	if err != nil {
-		return true, nil, err
-	}
-	out, err := unframe(framed)
-	dp.putBuf(framed)
-	cs.out = out
-	return true, nil, err
+	cs.out, err = unframe(framed)
+	c.env.ps.dp.putBuf(framed)
+	return err
 }
 
 // stepAlltoall sends cs.parts[i] to rank i: every receive is posted before

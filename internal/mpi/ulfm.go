@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"xsim/internal/core"
 )
@@ -100,85 +99,103 @@ func decodeRanks(buf []byte) ([]int, error) {
 	return out, nil
 }
 
+// survivorExchange is the body Shrink and Agree share. The lowest-ranked
+// member not known failed collects one report from every other such member
+// and folds it; a report that times out reveals a further failure, and that
+// member is marked failed. decide then turns what was folded, and the
+// members still not failed, into the decision; it goes to those members, and
+// the sends tolerate deaths: a member that died after the decision was
+// taken is skipped and the survivors proceed. Every other member reports
+// and waits for the decision. All members return the decision's bytes. The
+// simplification relative to full ULFM is that the collecting survivor must
+// stay alive throughout.
+func (c *Comm) survivorExchange(op, prep string, reportTag, resultTag int, report []byte,
+	fold func(failed map[int]bool, report []byte) error,
+	decide func(live []int) []byte,
+) ([]byte, error) {
+	c.env.chargeCall()
+	failed := make(map[int]bool)
+	for _, cr := range c.FailedInComm() {
+		failed[cr] = true
+	}
+	root := 0
+	for root < c.n && failed[root] {
+		root++
+	}
+	if root == c.n {
+		return nil, fmt.Errorf("mpi: %s %s comm %d: no survivors", op, prep, c.id)
+	}
+	if c.rank != root {
+		if err := c.sendTag(root, reportTag, len(report), report); err != nil {
+			return nil, fmt.Errorf("mpi: %s report to root failed: %w", op, err)
+		}
+		msg, err := c.recvTag(root, resultTag)
+		if err != nil {
+			return nil, fmt.Errorf("mpi: %s result from root failed: %w", op, err)
+		}
+		decision := append([]byte(nil), msg.Data...)
+		msg.Release()
+		return decision, nil
+	}
+	for cr := 0; cr < c.n; cr++ {
+		if cr == root || failed[cr] {
+			continue
+		}
+		msg, err := c.recvTag(cr, reportTag)
+		if err != nil {
+			if _, ok := err.(*ProcFailedError); ok {
+				failed[cr] = true
+				continue
+			}
+			return nil, err
+		}
+		err = fold(failed, msg.Data)
+		msg.Release() // fold copied out what it keeps
+		if err != nil {
+			return nil, err
+		}
+	}
+	var live []int
+	for cr := 0; cr < c.n; cr++ {
+		if !failed[cr] {
+			live = append(live, cr)
+		}
+	}
+	decision := decide(live)
+	for _, cr := range live {
+		if cr == root {
+			continue
+		}
+		if err := c.sendTag(cr, resultTag, len(decision), decision); err != nil {
+			if _, ok := err.(*ProcFailedError); !ok {
+				return nil, err
+			}
+		}
+	}
+	return decision, nil
+}
+
 // Shrink builds a new communicator containing the surviving members
 // (MPI_Comm_shrink). It is collective among the survivors: each reports
 // its locally known failed set to the lowest-ranked survivor, which unions
 // them (treating report timeouts as further failures), decides the new
 // membership, and distributes it. Survivors return the new communicator
-// with their new rank; the simplification relative to full ULFM is that
-// the root survivor must stay alive through the shrink.
+// with their new rank; the root survivor must stay alive through the
+// shrink.
 func (c *Comm) Shrink() (*Comm, error) {
-	e := c.env
-	e.chargeCall()
-	failed := make(map[int]bool)
-	for _, cr := range c.FailedInComm() {
-		failed[cr] = true
-	}
-	root := -1
-	for cr := 0; cr < c.n; cr++ {
-		if !failed[cr] {
-			root = cr
-			break
-		}
-	}
-	if root < 0 {
-		return nil, fmt.Errorf("mpi: shrink of comm %d: no survivors", c.id)
-	}
-	if c.rank == root {
-		for cr := 0; cr < c.n; cr++ {
-			if cr == root || failed[cr] {
-				continue
-			}
-			msg, err := c.recvTag(cr, tagShrinkReport)
-			if err != nil {
-				// A survivor candidate died before reporting: the
-				// timeout reveals it; treat it as failed.
-				if _, ok := err.(*ProcFailedError); ok {
-					failed[cr] = true
-					continue
-				}
-				return nil, err
-			}
-			reported, err := decodeRanks(msg.Data)
-			msg.Release() // decodeRanks copied the payload out
-			if err != nil {
-				return nil, err
-			}
-			for _, fr := range reported {
+	decision, err := c.survivorExchange("shrink", "of", tagShrinkReport, tagShrinkResult, encodeRanks(c.FailedInComm()),
+		func(failed map[int]bool, report []byte) error {
+			ranks, err := decodeRanks(report)
+			for _, fr := range ranks {
 				failed[fr] = true
 			}
-		}
-		var live []int
-		for cr := 0; cr < c.n; cr++ {
-			if !failed[cr] {
-				live = append(live, cr)
-			}
-		}
-		sort.Ints(live)
-		payload := encodeRanks(live)
-		for _, cr := range live {
-			if cr == root {
-				continue
-			}
-			if err := c.sendTag(cr, tagShrinkResult, len(payload), payload); err != nil {
-				if _, ok := err.(*ProcFailedError); ok {
-					continue // died after deciding membership; survivors proceed
-				}
-				return nil, err
-			}
-		}
-		return c.commFromCommRanks(live), nil
-	}
-	report := encodeRanks(c.FailedInComm())
-	if err := c.sendTag(root, tagShrinkReport, len(report), report); err != nil {
-		return nil, fmt.Errorf("mpi: shrink report to root failed: %w", err)
-	}
-	msg, err := c.recvTag(root, tagShrinkResult)
+			return err
+		},
+		encodeRanks)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: shrink result from root failed: %w", err)
+		return nil, err
 	}
-	live, err := decodeRanks(msg.Data)
-	msg.Release()
+	live, err := decodeRanks(decision)
 	if err != nil {
 		return nil, err
 	}
@@ -197,69 +214,24 @@ func (c *Comm) commFromCommRanks(commRanks []int) *Comm {
 
 // Agree performs a simplified fault-tolerant agreement (MPI_Comm_agree):
 // the survivors' flags are combined with bitwise AND and every survivor
-// receives the result, even if other members failed. The root survivor
-// must stay alive through the agreement.
+// whose flag arrived receives the result, even if other members failed.
+// The root survivor must stay alive through the agreement.
 func (c *Comm) Agree(flag uint32) (uint32, error) {
-	e := c.env
-	e.chargeCall()
-	failed := make(map[int]bool)
-	for _, cr := range c.FailedInComm() {
-		failed[cr] = true
-	}
-	root := -1
-	for cr := 0; cr < c.n; cr++ {
-		if !failed[cr] {
-			root = cr
-			break
-		}
-	}
-	if root < 0 {
-		return 0, fmt.Errorf("mpi: agree on comm %d: no survivors", c.id)
-	}
-	if c.rank == root {
-		acc := flag
-		var live []int
-		for cr := 0; cr < c.n; cr++ {
-			if cr == root || failed[cr] {
-				continue
+	acc := flag
+	decision, err := c.survivorExchange("agree", "on", tagAgreeReport, tagAgreeResult, binary.LittleEndian.AppendUint32(nil, flag),
+		func(_ map[int]bool, report []byte) error {
+			if len(report) != 4 {
+				return fmt.Errorf("mpi: agree report is %d bytes", len(report))
 			}
-			msg, err := c.recvTag(cr, tagAgreeReport)
-			if err != nil {
-				if _, ok := err.(*ProcFailedError); ok {
-					continue
-				}
-				return 0, err
-			}
-			if len(msg.Data) != 4 {
-				return 0, fmt.Errorf("mpi: agree report is %d bytes", len(msg.Data))
-			}
-			acc &= binary.LittleEndian.Uint32(msg.Data)
-			msg.Release()
-			live = append(live, cr)
-		}
-		payload := binary.LittleEndian.AppendUint32(nil, acc)
-		for _, cr := range live {
-			if err := c.sendTag(cr, tagAgreeResult, 4, payload); err != nil {
-				if _, ok := err.(*ProcFailedError); ok {
-					continue
-				}
-				return 0, err
-			}
-		}
-		return acc, nil
-	}
-	report := binary.LittleEndian.AppendUint32(nil, flag)
-	if err := c.sendTag(root, tagAgreeReport, 4, report); err != nil {
-		return 0, fmt.Errorf("mpi: agree report to root failed: %w", err)
-	}
-	msg, err := c.recvTag(root, tagAgreeResult)
+			acc &= binary.LittleEndian.Uint32(report)
+			return nil
+		},
+		func([]int) []byte { return binary.LittleEndian.AppendUint32(nil, acc) })
 	if err != nil {
-		return 0, fmt.Errorf("mpi: agree result from root failed: %w", err)
+		return 0, err
 	}
-	if len(msg.Data) != 4 {
-		return 0, fmt.Errorf("mpi: agree result is %d bytes", len(msg.Data))
+	if len(decision) != 4 {
+		return 0, fmt.Errorf("mpi: agree result is %d bytes", len(decision))
 	}
-	out := binary.LittleEndian.Uint32(msg.Data)
-	msg.Release()
-	return out, nil
+	return binary.LittleEndian.Uint32(decision), nil
 }

@@ -11,7 +11,6 @@
 //   - context.Context cancellation and per-run deadlines,
 //   - panic isolation — a crashing run becomes a typed *RunError carrying
 //     the run's Spec instead of killing the whole campaign,
-//   - bounded retry for transient harness errors,
 //   - deterministic seed derivation (campaign seed + run index), so a
 //     campaign's results are identical regardless of pool size or
 //     completion order,
@@ -68,9 +67,6 @@ type State int
 const (
 	// StateStarted means the run was handed to a pool worker.
 	StateStarted State = iota
-	// StateRetrying means an attempt failed with a transient error and
-	// the run will be attempted again.
-	StateRetrying
 	// StateCompleted means the run finished successfully.
 	StateCompleted
 	// StateFailed means the run failed terminally (error, panic, or
@@ -83,8 +79,6 @@ func (s State) String() string {
 	switch s {
 	case StateStarted:
 		return "started"
-	case StateRetrying:
-		return "retrying"
 	case StateCompleted:
 		return "completed"
 	case StateFailed:
@@ -97,18 +91,19 @@ func (s State) String() string {
 // Progress is one streaming progress report. Callbacks are invoked
 // serially (never concurrently), but from pool worker goroutines.
 type Progress struct {
-	Spec    Spec
-	State   State
-	Attempt int // 1-based attempt number
-	// Err is the attempt's error for StateRetrying/StateFailed.
+	Spec  Spec
+	State State
+	// Attempt is always 1: a deterministic simulation has no transient
+	// failure to retry. The field stays because progress streams carry it.
+	Attempt int
+	// Err is the run's error for StateFailed.
 	Err error
-	// Elapsed is the attempt's wall time (zero for StateStarted).
+	// Elapsed is the run's wall time (zero for StateStarted).
 	Elapsed time.Duration
 	// Wait is the run's queue wait: the wall time between the campaign
-	// starting and this run's first attempt being handed to a pool
-	// worker. Fairness metrics need it separated from Elapsed — a run
-	// can spend seconds queued behind other tenants and milliseconds
-	// executing.
+	// starting and this run being handed to a pool worker. Fairness
+	// metrics need it separated from Elapsed — a run can spend seconds
+	// queued behind other tenants and milliseconds executing.
 	Wait time.Duration
 	// Done, Failed, Total summarise the campaign so far: Done counts
 	// finished runs (completed or failed), Failed the terminal failures.
@@ -121,17 +116,15 @@ type Stats struct {
 	// runs that later failed. Skipped counts runs never started because
 	// the campaign was cancelled first.
 	Started, Completed, Failed, Skipped int
-	// Retries counts extra attempts beyond each run's first.
-	Retries int
-	// Panics counts attempts that ended in a recovered panic.
+	// Panics counts runs that ended in a recovered panic.
 	Panics int
 	// Wall is the campaign's total wall-clock time.
 	Wall time.Duration
-	// RunWall sums every attempt's wall time — the serial-equivalent
+	// RunWall sums every run's wall time — the serial-equivalent
 	// cost; RunWall/Wall approximates the achieved pool speedup.
 	RunWall time.Duration
 	// QueueWait sums every started run's queue wait (campaign start to
-	// first attempt). QueueWait/Started is the mean pool-queueing delay,
+	// hand-off). QueueWait/Started is the mean pool-queueing delay,
 	// the half of the latency RunWall does not explain.
 	QueueWait time.Duration
 }
@@ -148,17 +141,6 @@ type Config struct {
 	// RunTimeout, when positive, is each run's deadline; a run that
 	// exceeds it fails with a cancellation error.
 	RunTimeout time.Duration
-	// Retries is the number of extra attempts for runs failing with a
-	// transient error (see MarkTransient); terminal errors never retry.
-	Retries int
-	// RetryBackoff, when positive, is the base delay before the first
-	// retry; attempt n waits RetryBackoff·2^(n-1) scaled by a seeded
-	// jitter factor in [0.5, 1.5) derived from the run's spec, so the
-	// delays are reproducible per run yet decorrelated across a
-	// campaign. Zero keeps retries immediate (the historical
-	// behaviour). Delays are capped at 30 s and cut short by
-	// cancellation.
-	RetryBackoff time.Duration
 	// OnProgress, when set, receives serialized progress reports.
 	OnProgress func(Progress)
 	// Logf, when set, receives a one-line summary per completed or
@@ -196,13 +178,13 @@ func DeriveSeed(campaignSeed int64, index int) int64 {
 }
 
 // RunError is the typed error a failing run becomes: it carries the run's
-// spec, the attempt count, and the underlying cause, so a campaign error
-// names the grid cell instead of killing the campaign anonymously.
+// spec, the attempt count (1, or 0 for a run skipped by cancellation), and
+// the underlying cause, so a campaign error names the grid cell instead of
+// killing the campaign anonymously.
 type RunError struct {
 	Spec     Spec
 	Attempts int
-	// Err is the final attempt's error; for a recovered panic it is a
-	// *PanicError.
+	// Err is the run's error; for a recovered panic it is a *PanicError.
 	Err error
 }
 
@@ -223,30 +205,6 @@ type PanicError struct {
 
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("run panicked: %v", e.Value) }
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// MarkTransient wraps err so the pool's bounded retry applies to it.
-// Deterministic simulation errors should stay terminal; this is for
-// harness-level failures (resource exhaustion, flaky I/O) that a retry
-// can plausibly clear.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
 
 // Run executes the tasks across the pool and returns their results in
 // task order. Individual run failures do not stop the campaign: the
@@ -304,16 +262,18 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 				stats.Started++
 				stats.QueueWait += wait
 				mu.Unlock()
-				res, attempts, runWall, err := runOne(ctx, cfg, t, wait, report)
+				report(Progress{Spec: t.Spec, State: StateStarted, Attempt: 1, Wait: wait})
+				runStart := time.Now()
+				res, err := runOne(ctx, cfg.RunTimeout, t)
+				runWall := time.Since(runStart)
 				mu.Lock()
 				stats.RunWall += runWall
-				stats.Retries += attempts - 1
 				if _, isPanic := asPanic(err); isPanic {
 					stats.Panics++
 				}
 				if err != nil {
 					stats.Failed++
-					errs[i] = &RunError{Spec: t.Spec, Attempts: attempts, Err: err}
+					errs[i] = &RunError{Spec: t.Spec, Attempts: 1, Err: err}
 				} else {
 					stats.Completed++
 					results[i] = res
@@ -324,7 +284,7 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 				if err != nil {
 					state = StateFailed
 				}
-				report(Progress{Spec: t.Spec, State: state, Attempt: attempts, Err: err, Elapsed: runWall, Wait: wait})
+				report(Progress{Spec: t.Spec, State: state, Attempt: 1, Err: err, Elapsed: runWall, Wait: wait})
 			}
 		}()
 	}
@@ -352,83 +312,9 @@ feed:
 	return results, stats, errors.Join(errs...)
 }
 
-// runOne executes one task with per-attempt panic isolation, deadline,
-// bounded transient retry, and backed-off re-attempts. It returns the
-// result, the number of attempts, the summed attempt wall time, and the
-// final error.
-func runOne[T any](ctx context.Context, cfg Config, t *Task[T], wait time.Duration, report func(Progress)) (res T, attempts int, wall time.Duration, err error) {
-	for attempts = 1; ; attempts++ {
-		report(Progress{Spec: t.Spec, State: StateStarted, Attempt: attempts, Wait: wait})
-		attemptStart := time.Now()
-		res, err = runAttempt(ctx, cfg.RunTimeout, t)
-		wall += time.Since(attemptStart)
-		if err == nil || ctx.Err() != nil || !IsTransient(err) || attempts > cfg.Retries {
-			return res, attempts, wall, err
-		}
-		report(Progress{Spec: t.Spec, State: StateRetrying, Attempt: attempts, Err: err, Elapsed: time.Since(attemptStart), Wait: wait})
-		if !sleepBackoff(ctx, BackoffDelay(cfg.RetryBackoff, t.Spec.Seed, t.Spec.Index, attempts)) {
-			// Cancelled mid-backoff: the transient error stands, and the
-			// ctx.Err() check above ends the loop on the next iteration.
-			return res, attempts, wall, err
-		}
-	}
-}
-
-// maxBackoff caps a single retry delay: exponential growth past tens of
-// seconds only postpones the terminal failure report.
-const maxBackoff = 30 * time.Second
-
-// BackoffDelay is the pre-retry delay for the given attempt (1-based):
-// base·2^(attempt-1) scaled by a jitter factor in [0.5, 1.5) derived
-// deterministically from the run's seed and index via a splitmix64
-// finalizer. A zero base means no delay. The derivation depends only on
-// (base, seed, index, attempt) — never on pool size or wall time — so a
-// re-run campaign backs off identically.
-func BackoffDelay(base time.Duration, seed int64, index, attempt int) time.Duration {
-	if base <= 0 || attempt < 1 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := base << shift
-	if d <= 0 || d > maxBackoff {
-		d = maxBackoff
-	}
-	// splitmix64 over (seed, index, attempt): the same mix DeriveSeed
-	// uses, with the attempt folded in so consecutive retries of one run
-	// jitter independently.
-	z := uint64(seed) ^ uint64(index+1)*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	// Map the top 53 bits to [0.5, 1.5).
-	jitter := 0.5 + float64(z>>11)/float64(1<<53)
-	if jittered := time.Duration(float64(d) * jitter); jittered < maxBackoff {
-		return jittered
-	}
-	return maxBackoff
-}
-
-// sleepBackoff waits for d, returning false if ctx was cancelled first.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
-}
-
-// runAttempt is one attempt: it applies the per-run deadline and converts
-// a panic into a *PanicError instead of unwinding the pool worker.
-func runAttempt[T any](ctx context.Context, timeout time.Duration, t *Task[T]) (res T, err error) {
+// runOne executes one task: it applies the per-run deadline and converts a
+// panic into a *PanicError instead of unwinding the pool worker.
+func runOne[T any](ctx context.Context, timeout time.Duration, t *Task[T]) (res T, err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, timeout,

@@ -69,26 +69,6 @@ func TestRunIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestRunRetriesTransientErrors(t *testing.T) {
-	var attempts atomic.Int32
-	tasks := []Task[int]{{
-		Spec: Spec{Index: 0},
-		Run: func(ctx context.Context) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, MarkTransient(errors.New("flaky"))
-			}
-			return 42, nil
-		},
-	}}
-	res, stats, err := Run(context.Background(), Config{Retries: 3}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != 42 || attempts.Load() != 3 || stats.Retries != 2 {
-		t.Fatalf("res %v attempts %d stats %+v", res, attempts.Load(), stats)
-	}
-}
-
 func TestRunDoesNotRetryTerminalErrors(t *testing.T) {
 	var attempts atomic.Int32
 	terminal := errors.New("deterministic failure")
@@ -99,30 +79,16 @@ func TestRunDoesNotRetryTerminalErrors(t *testing.T) {
 			return 0, terminal
 		},
 	}}
-	_, _, err := Run(context.Background(), Config{Retries: 5}, tasks)
+	_, _, err := Run(context.Background(), Config{}, tasks)
 	if !errors.Is(err, terminal) {
 		t.Fatalf("err %v does not wrap the terminal cause", err)
 	}
 	if attempts.Load() != 1 {
 		t.Fatalf("terminal error was attempted %d times, want 1", attempts.Load())
 	}
-}
-
-func TestRunRetryBudgetIsBounded(t *testing.T) {
-	var attempts atomic.Int32
-	tasks := []Task[int]{{
-		Spec: Spec{Index: 0},
-		Run: func(ctx context.Context) (int, error) {
-			attempts.Add(1)
-			return 0, MarkTransient(errors.New("always flaky"))
-		},
-	}}
-	_, stats, err := Run(context.Background(), Config{Retries: 2}, tasks)
-	if err == nil {
-		t.Fatal("want failure after the retry budget")
-	}
-	if attempts.Load() != 3 || stats.Retries != 2 || stats.Failed != 1 {
-		t.Fatalf("attempts %d stats %+v", attempts.Load(), stats)
+	var re *RunError
+	if !errors.As(err, &re) || re.Attempts != 1 {
+		t.Fatalf("RunError = %+v, want Attempts 1", re)
 	}
 }
 
@@ -250,5 +216,48 @@ func TestRunErrorNamesTheSpec(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}
+	}
+}
+
+func TestRunSplitsQueueWaitFromRunWall(t *testing.T) {
+	// One worker, two tasks: the second task's wait includes the first
+	// task's run time, and the split shows up both in per-run progress
+	// and the pooled stats.
+	block := 30 * time.Millisecond
+	tasks := []Task[int]{
+		{Spec: Spec{Index: 0}, Run: func(ctx context.Context) (int, error) {
+			time.Sleep(block)
+			return 0, nil
+		}},
+		{Spec: Spec{Index: 1}, Run: func(ctx context.Context) (int, error) {
+			return 1, nil
+		}},
+	}
+	var started []Progress
+	cfg := Config{Pool: 1, OnProgress: func(p Progress) {
+		if p.State == StateStarted {
+			started = append(started, p)
+		}
+	}}
+	_, stats, err := Run(context.Background(), cfg, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(started) != 2 {
+		t.Fatalf("started events = %d, want 2", len(started))
+	}
+	// Pool=1 runs tasks in order; the second run queued behind the
+	// first's sleep.
+	var second Progress
+	for _, p := range started {
+		if p.Spec.Index == 1 {
+			second = p
+		}
+	}
+	if second.Wait < block/2 {
+		t.Fatalf("second run's queue wait = %v, want ≥ %v", second.Wait, block/2)
+	}
+	if stats.QueueWait < second.Wait {
+		t.Fatalf("stats.QueueWait = %v < second run's wait %v", stats.QueueWait, second.Wait)
 	}
 }

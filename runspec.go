@@ -47,9 +47,9 @@ type RunSpec struct {
 	// headline experiments practical at 256k–1M ranks.
 	ProgMode bool
 	// OnProgress, when set, receives one serialized ProgressEvent per
-	// run state change of the campaign pool (started, retrying,
-	// completed, failed) — the wire-typed feed the campaign service
-	// streams to clients. Callbacks are never concurrent.
+	// run state change of the campaign pool (started, completed, failed)
+	// — the wire-typed feed the campaign service streams to clients.
+	// Callbacks are never concurrent.
 	OnProgress func(ProgressEvent)
 }
 

@@ -710,14 +710,15 @@ type ProgressEvent struct {
 	Index int    `json:"index"`
 	Label string `json:"label,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
-	// State is "started", "retrying", "completed", or "failed".
+	// State is "started", "completed", or "failed".
 	State string `json:"state"`
-	// Attempt is the 1-based attempt number.
+	// Attempt is always 1 (runs are never retried); the field stays so
+	// recorded streams keep their bytes.
 	Attempt int `json:"attempt"`
-	// Error carries the attempt's error text for retrying/failed states.
+	// Error carries the run's error text for the failed state.
 	Error string `json:"error,omitempty"`
-	// ElapsedNS is the attempt's execution wall time in nanoseconds;
-	// WaitNS the run's queue wait before its first attempt.
+	// ElapsedNS is the run's execution wall time in nanoseconds; WaitNS
+	// its queue wait before a pool worker took it.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	WaitNS    int64 `json:"wait_ns"`
 	// Done, Failed, Total summarise the campaign so far.
