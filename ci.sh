@@ -19,8 +19,11 @@
 #                     Env.Block and one stepped by the scheduler; 500
 #                     random workloads both ways, the pre-fold closure
 #                     goldens, the per-hop collective golden and leak
-#                     tests, the heat/MPI twin tests as a smoke, and the
-#                     Table II program-mode campaign)
+#                     tests, the heat/MPI twin tests as a smoke, the
+#                     Table II program-mode campaign, and the O(1) compute
+#                     phase: the injection-instant golden in both modes,
+#                     the clock-step primitive against its Elapse loop,
+#                     and the host cost independent of the phase length)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -87,11 +90,16 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # pin the closure side to outcomes recorded before the closure bodies were
 # folded onto the step machines, the named twin tests are the smoke for
 # the drivers themselves, and the Table II campaign smoke pins
-# row-identical results in program mode under the race detector.
+# row-identical results in program mode under the race detector. A heat
+# compute phase is one clock advance in both modes: the injection golden
+# pins where a failure at any instant lands, the quick test holds the
+# primitive to the loop of Elapse calls it replaces, and the host-cost
+# test fails if a phase is ever stepped per iteration again.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
 go test -race -count=1 -run '^(TestClosureOutcomesMatchGolden|TestClosureRunsMatchGolden)$' ./internal/mpitest/ ./internal/heat/
 go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure|TestCollectiveHopsMatchGolden|TestCollectiveStateDoesNotGrow|TestReduceLengthMismatchReleasesMessage|TestFailedCollectiveLeavesScratchEmpty)$' ./internal/mpi/
-go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure)$' ./internal/heat/
+go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure|TestComputeInjectionMatchesGolden|TestComputePhaseHostCostIndependentOfIterations)$' ./internal/heat/
+go test -race -count=1 -run '^(TestElapseStepsEdges|TestQuickElapseStepsMatchesElapseLoop)$' ./internal/core/
 go test -race -count=1 -run '^TestRunTableIIProgModeMatchesClosure$' .
 
 echo "== fuzz smoke (10s per target)"

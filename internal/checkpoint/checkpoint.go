@@ -456,30 +456,38 @@ func (fs *FS) LatestValid(prefix string, rank int) (int, bool) {
 // instead of scanning the store.
 func (fs *FS) LatestValidAmong(prefix string, rank int, iters []int) (int, bool) {
 	for i := len(iters) - 1; i >= 0; i-- {
-		it := iters[i]
-		name := FileName(prefix, it, rank)
-		if !fs.store.Exists(name) {
-			continue
+		if fs.ProbeValid(prefix, rank, iters[i]) {
+			return iters[i], true
 		}
-		fs.env.Elapse(fs.model.MetadataCost())
-		data, complete, err := fs.store.Open(name)
-		if err != nil {
-			continue
-		}
-		meta, _, err := decode(data, complete)
-		if err != nil {
-			// Corrupted: delete and keep looking at older sets.
-			fs.Delete(prefix, it, rank)
-			continue
-		}
-		// A delta checkpoint is only restorable if its chain back to a
-		// full checkpoint is intact.
-		if meta.Incremental && !ChainValid(fs.store, prefix, rank, it) {
-			continue
-		}
-		return it, true
 	}
 	return 0, false
+}
+
+// ProbeValid is LatestValid's test of one candidate: it reports whether
+// rank's checkpoint of the iteration exists and can be restored, charging
+// the metadata operation when a file is there to open and deleting the
+// file when it is corrupted. An application whose candidates follow a rule
+// (a checkpoint cadence) walks them newest first through ProbeValid and
+// needs no list of them.
+func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
+	name := FileName(prefix, iteration, rank)
+	if !fs.store.Exists(name) {
+		return false
+	}
+	fs.env.Elapse(fs.model.MetadataCost())
+	data, complete, err := fs.store.Open(name)
+	if err != nil {
+		return false
+	}
+	meta, _, err := decode(data, complete)
+	if err != nil {
+		// Corrupted: delete it; the caller keeps looking at older sets.
+		fs.Delete(prefix, iteration, rank)
+		return false
+	}
+	// A delta checkpoint is only restorable if its chain back to a
+	// full checkpoint is intact.
+	return !meta.Incremental || ChainValid(fs.store, prefix, rank, iteration)
 }
 
 // ChainValid reports whether the checkpoint at iteration can be restored:

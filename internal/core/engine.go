@@ -34,6 +34,22 @@ import (
 // surviving VPs, and the Result holds the partial state.
 var ErrStopped = errors.New("core: run cancelled")
 
+// panicError is the error Run returns when a VP body panicked: the rank,
+// the panic value and the stack as text, and, when the body panicked with
+// an error (an application refusing its configuration with a typed one),
+// that error underneath for errors.As.
+type panicError struct {
+	msg string
+	val any
+}
+
+func (e *panicError) Error() string { return "core: " + e.msg }
+
+func (e *panicError) Unwrap() error {
+	err, _ := e.val.(error)
+	return err
+}
+
 // ErrDeadlock is wrapped by the error Run returns when the simulation
 // ended with live VPs blocked forever.
 var ErrDeadlock = errors.New("core: deadlock detected")
@@ -332,7 +348,7 @@ func (e *Engine) run() (*Result, error) {
 		p.drainCarriers()
 	}
 
-	var firstPanic string
+	var firstPanic *vp
 	var sum vclock.Time
 	res.MinClock = vclock.Never
 	for i := range e.vps {
@@ -349,8 +365,8 @@ func (e *Engine) run() (*Result, error) {
 		case DeathAborted:
 			res.Aborted++
 		case DeathPanicked:
-			if firstPanic == "" {
-				firstPanic = v.panicMsg
+			if firstPanic == nil {
+				firstPanic = v
 			}
 		}
 		if v.clock < res.MinClock {
@@ -365,8 +381,8 @@ func (e *Engine) run() (*Result, error) {
 	e.logf("[sim] shutdown: %d completed, %d failed, %d aborted; process times min %v max %v avg %v",
 		res.Completed, res.Failed, res.Aborted, res.MinClock, res.MaxClock, res.AvgClock)
 
-	if firstPanic != "" {
-		return res, fmt.Errorf("core: %s", firstPanic)
+	if firstPanic != nil {
+		return res, &panicError{msg: firstPanic.panicMsg, val: firstPanic.panicVal}
 	}
 	if cancelled && alive > 0 {
 		return res, fmt.Errorf("%w with %d VPs still alive at %v", ErrStopped, alive, res.MaxClock)

@@ -198,13 +198,41 @@ func (c *Ctx) NowQuiet() vclock.Time { return c.vp.clock }
 
 // Elapse advances the VP's virtual clock by d, modelling computation or
 // other local activity. Negative durations are ignored. The clock update
-// is an activation point for pending failures and aborts.
+// is an activation point for pending failures and aborts. A run of equal
+// clock updates with nothing between them — the iterations of a compute
+// phase — is one ElapseSteps call instead of a loop over Elapse.
 func (c *Ctx) Elapse(d vclock.Duration) {
 	if d > 0 {
 		c.vp.clock = c.vp.clock.Add(d)
 		c.vp.busy += d
 	}
 	c.vp.checkUnwind()
+}
+
+// ElapseSteps is up to n consecutive Elapse(d) calls in O(1). It advances
+// the clock, and the busy time, by taken × d and returns taken: n, or
+// fewer when a pending failure or abort would have unwound the VP inside
+// the loop, in which case the taken-th step is the one whose clock update
+// reaches it (the first at or past the earlier of the two times, found by
+// one ceiling division). The total is a multiple of the already-rounded d,
+// so clocks are bit-identical to the loop's.
+//
+// Unlike Elapse it is not itself an activation point: the caller first
+// records what the taken steps were (an iteration count, a tracker) and
+// then calls Elapse(0), where the VP unwinds at exactly the clock, and with
+// exactly the record, the loop's last Elapse would have left.
+func (c *Ctx) ElapseSteps(d vclock.Duration, n int) (taken int) {
+	v := c.vp
+	if n <= 0 {
+		return 0
+	}
+	taken = min(n, vclock.StepsToReach(v.clock, d, vclock.Min(v.tof, v.abortAt)))
+	if d > 0 {
+		total := vclock.Duration(taken) * d
+		v.clock = v.clock.Add(total)
+		v.busy += total
+	}
+	return taken
 }
 
 // BusyTime returns the virtual time this VP has spent executing.

@@ -43,7 +43,7 @@ func benchConfig(n int, sample func()) Config {
 		CheckpointInterval: 2,
 		PointCost:          1000,
 		CheckpointPayload:  1 << 20,
-		onIter: func(rank, iter int) {
+		onPhase: func(rank, iter int) {
 			if rank == 0 && iter == 3 {
 				sample()
 			}

@@ -80,11 +80,11 @@ type Config struct {
 	// FullEvery bounds the incremental chain length (default 4); only
 	// meaningful with DeltaFraction > 0.
 	FullEvery int
-	// onIter, when set, is called at the top of every iteration (before
-	// the compute phase) with the rank and 1-based iteration number. It
+	// onPhase, when set, is called at the top of every compute phase with
+	// the rank and the 1-based number of the phase's first iteration. It
 	// is package-private: the scale benchmarks use it to sample the
 	// simulator's resident footprint at a deterministic mid-run point.
-	onIter func(rank, iter int)
+	onPhase func(rank, iter int)
 	// ProactiveTrigger, when non-zero, makes every rank write one extra
 	// off-interval checkpoint at the first iteration boundary at or past
 	// this virtual time — proactive fault tolerance driven by a failure
@@ -158,6 +158,40 @@ func (c *Config) Validate(worldSize int) error {
 	return nil
 }
 
+// ClockRangeError reports a configuration whose modelled compute alone
+// would run the virtual clock out of its range. A compute phase costs the
+// host the same whatever its length, so nothing else stops such a run: it
+// would finish at once with a wrapped clock.
+type ClockRangeError struct {
+	// Iterations of PerIteration modelled compute each, starting at Start.
+	Iterations   int
+	PerIteration vclock.Duration
+	Start        vclock.Time
+	// Max is the largest iteration count that fits.
+	Max int
+}
+
+func (e *ClockRangeError) Error() string {
+	return fmt.Sprintf("heat: %d iterations of %v modelled compute from %v overrun the virtual clock (at most %d fit)",
+		e.Iterations, e.PerIteration, e.Start, e.Max)
+}
+
+// CheckClockRange returns a *ClockRangeError when Iterations iterations of
+// perIteration modelled compute, on a clock that starts at start, take more
+// than half of what is left of the clock's range. The other half is
+// headroom for what the check does not model: communication, checkpoint
+// I/O, waiting, and the detection timeout a failure adds.
+func (c *Config) CheckClockRange(start vclock.Time, perIteration vclock.Duration) error {
+	if perIteration <= 0 {
+		return nil
+	}
+	room := vclock.Never.Sub(max(start, 0)) / 2
+	if fit := int64(room / perIteration); int64(c.Iterations) > fit {
+		return &ClockRangeError{Iterations: c.Iterations, PerIteration: perIteration, Start: start, Max: int(fit)}
+	}
+	return nil
+}
+
 // Local returns the per-rank cube dimensions.
 func (c *Config) Local() (nx, ny, nz int) {
 	return c.NX / c.PX, c.NY / c.PY, c.NZ / c.PZ
@@ -167,6 +201,12 @@ func (c *Config) Local() (nx, ny, nz int) {
 func (c *Config) PointsPerRank() int {
 	nx, ny, nz := c.Local()
 	return nx * ny * nz
+}
+
+// iterationTime returns the modelled compute time of one iteration on the
+// world's processor model.
+func (c *Config) iterationTime(env *mpi.Env) vclock.Duration {
+	return env.ComputeTime(float64(c.PointsPerRank()) * c.PointCost)
 }
 
 // CheckpointBytes returns the per-rank checkpoint payload size: the cube's
@@ -207,19 +247,6 @@ func (c *Config) prefix() string {
 		return "heat"
 	}
 	return c.Prefix
-}
-
-// checkpointIterations returns every iteration at which this
-// configuration writes a checkpoint, ascending.
-func (c *Config) checkpointIterations() []int {
-	var out []int
-	for it := c.CheckpointInterval; it <= c.Iterations; it += c.CheckpointInterval {
-		out = append(out, it)
-	}
-	if len(out) == 0 || out[len(out)-1] != c.Iterations {
-		out = append(out, c.Iterations)
-	}
-	return out
 }
 
 // Phase identifies where in its cycle a rank currently is; the paper's
@@ -360,12 +387,9 @@ func (s *state) neighbor(dx, dy, dz int) int {
 	return x + y*cfg.PX + z*cfg.PX*cfg.PY
 }
 
-// computeIteration runs (or models) one stencil sweep over the cube.
-func (s *state) computeIteration(env *mpi.Env) {
-	env.Compute(float64(s.cfg.PointsPerRank()) * s.cfg.PointCost)
-	if !s.cfg.RealCompute {
-		return
-	}
+// stencil runs one sweep of the explicit update over the cube (real
+// compute); the runner has already charged its modelled time.
+func (s *state) stencil() {
 	a := s.cfg.Alpha
 	for k := 1; k <= s.nz; k++ {
 		for j := 1; j <= s.ny; j++ {

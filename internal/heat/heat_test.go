@@ -21,17 +21,21 @@ var fastProc = procmodel.Model{ReferenceHz: 1.7e9, Slowdown: 1}
 
 func testWorld(t *testing.T, n, workers int, store *fsmodel.Store, start vclock.Time, failures fault.Schedule) *mpi.World {
 	t.Helper()
+	return testWorldWith(t, n, workers, start, failures, mpi.WorldConfig{FSStore: store})
+}
+
+// testWorldWith builds an n-rank world on the test network and fastProc
+// with the failures applied; cfg supplies the storage side.
+func testWorldWith(t *testing.T, n, workers int, start vclock.Time, failures fault.Schedule, cfg mpi.WorldConfig) *mpi.World {
+	t.Helper()
 	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond, StartClock: start})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := &netmodel.Model{
-		Topo:           topology.NewFullyConnected(n),
-		System:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		OnNode:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		EagerThreshold: 256 * 1024,
-	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: fastProc, FSStore: store, FSModel: fsmodel.Model{}})
+	link := netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond}
+	cfg.Net = &netmodel.Model{Topo: topology.NewFullyConnected(n), System: link, OnNode: link, EagerThreshold: 256 * 1024}
+	cfg.Proc = fastProc
+	w, err := mpi.NewWorld(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

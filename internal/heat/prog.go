@@ -5,6 +5,7 @@ import (
 
 	"xsim/internal/checkpoint"
 	"xsim/internal/mpi"
+	"xsim/internal/vclock"
 )
 
 // NewProg returns a program-mode factory for the heat application: the
@@ -120,6 +121,45 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	return true, nil
 }
 
+// latestCheckpoint returns the newest iteration this rank can restart
+// from. The candidates follow from the checkpoint cadence — every multiple
+// of the interval, and the last iteration — so the rank probes them
+// directly, newest first, instead of scanning the store or listing them;
+// proactive checkpoints land off the cadence, which makes every iteration
+// a candidate.
+func (p *heatRunner) latestCheckpoint(rank int) (int, bool) {
+	cfg := p.cfg
+	every := cfg.CheckpointInterval
+	if cfg.ProactiveTrigger > 0 {
+		every = 1
+	}
+	for it := cfg.Iterations; it > 0; it = (it - 1) / every * every {
+		if p.fs.ProbeValid(cfg.prefix(), rank, it) {
+			return it, true
+		}
+	}
+	return 0, false
+}
+
+// phaseLength returns how many iterations the compute phase starting after
+// p.iter runs: up to and including the first that does anything besides
+// compute — a halo exchange, a cadence checkpoint, the last iteration, or,
+// with a proactive trigger armed, the first whose end clock reaches it.
+// Real compute runs its stencil between clock updates, one iteration at a
+// time.
+func (p *heatRunner) phaseLength(env *mpi.Env, perIter vclock.Duration) int {
+	cfg := p.cfg
+	if cfg.RealCompute {
+		return 1
+	}
+	until := func(every int) int { return every - p.iter%every }
+	n := min(until(cfg.ExchangeInterval), until(cfg.CheckpointInterval), cfg.Iterations-p.iter)
+	if cfg.ProactiveTrigger > 0 && !p.proactiveDone {
+		n = min(n, vclock.StepsToReach(env.Now(), perIter, cfg.ProactiveTrigger))
+	}
+	return n
+}
+
 // Step advances the application: the paper's loop, unrolled into
 // resumable phases.
 func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
@@ -133,6 +173,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			if err := cfg.Validate(env.Size()); err != nil {
 				panic(err)
 			}
+			if err := cfg.CheckClockRange(env.Now(), cfg.iterationTime(env)); err != nil {
+				panic(err)
+			}
 			tr.setPhase(rank, PhaseInit)
 			fs, err := checkpoint.NewFS(env)
 			if err != nil {
@@ -142,19 +185,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.st = newState(cfg, rank)
 			// Restart support: load the newest valid checkpoint, deleting
 			// any corrupted ones encountered (the cleanup script outside
-			// the simulation already removed incomplete sets). The
-			// candidate iterations follow from the checkpoint cadence, so
-			// each rank probes them directly instead of scanning the store.
-			candidates := cfg.checkpointIterations()
-			if cfg.ProactiveTrigger > 0 {
-				// Proactive checkpoints land off the regular cadence, so
-				// every iteration is a restart candidate.
-				candidates = make([]int, cfg.Iterations)
-				for i := range candidates {
-					candidates[i] = i + 1
-				}
-			}
-			it, ok := fs.LatestValidAmong(cfg.prefix(), rank, candidates)
+			// the simulation already removed incomplete sets).
+			it, ok := p.latestCheckpoint(rank)
 			if !ok {
 				p.pc = hpAfterRestore
 				continue
@@ -209,19 +241,29 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.iter = p.startIter
 			p.pc = hpIterStart
 		case hpIterStart:
-			p.iter++
-			if p.iter > cfg.Iterations {
+			if p.iter >= cfg.Iterations {
 				p.pc = hpFinish
 				continue
 			}
-			if cfg.onIter != nil {
-				cfg.onIter(rank, p.iter)
+			if cfg.onPhase != nil {
+				cfg.onPhase(rank, p.iter+1)
 			}
+			tr.setPhase(rank, PhaseCompute)
+			// A compute phase: every iteration up to and including the next
+			// one that also exchanges or checkpoints, each the same modelled
+			// cost, taken as one clock advance. When a failure or abort
+			// activates inside the phase the advance stops at the end of the
+			// iteration it strikes in, and Elapse(0), the activation point,
+			// unwinds the rank with that iteration on record.
+			perIter := cfg.iterationTime(env)
+			p.iter += env.ElapseSteps(perIter, p.phaseLength(env, perIter))
 			if tr != nil {
 				tr.iters[rank] = p.iter
 			}
-			tr.setPhase(rank, PhaseCompute)
-			p.st.computeIteration(env)
+			env.Elapse(0)
+			if cfg.RealCompute {
+				p.st.stencil()
+			}
 			if p.iter%cfg.ExchangeInterval == 0 || p.iter == cfg.Iterations {
 				tr.setPhase(rank, PhaseHalo)
 				p.pc = hpIterHalo

@@ -9,32 +9,13 @@ import (
 	"xsim/internal/fault"
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
-	"xsim/internal/netmodel"
-	"xsim/internal/topology"
 	"xsim/internal/vclock"
 )
 
 // testWorldH is testWorld with a multi-tier storage hierarchy.
 func testWorldH(t *testing.T, n, workers int, store *fsmodel.Store, h fsmodel.Hierarchy, start vclock.Time, failures fault.Schedule) *mpi.World {
 	t.Helper()
-	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond, StartClock: start})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := &netmodel.Model{
-		Topo:           topology.NewFullyConnected(n),
-		System:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		OnNode:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		EagerThreshold: 256 * 1024,
-	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: fastProc, FSStore: store, FSHierarchy: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Apply(eng, failures); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return testWorldWith(t, n, workers, start, failures, mpi.WorldConfig{FSStore: store, FSHierarchy: h})
 }
 
 // compareRuns fails the test when two runs are observationally different.

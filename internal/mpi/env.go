@@ -403,8 +403,21 @@ func (e *Env) Now() vclock.Time { return e.ctx.Now() }
 func (e *Env) Elapse(d vclock.Duration) { e.ctx.Elapse(d) }
 
 // Compute advances the virtual clock by the processor model's time for ops
-// work units (reference-core cycles).
-func (e *Env) Compute(ops float64) { e.ctx.Elapse(e.w.cfg.Proc.ComputeTime(ops)) }
+// work units (reference-core cycles). An application that repeats the same
+// work with nothing in between converts it once with ComputeTime and takes
+// the whole run of repetitions in one ElapseSteps.
+func (e *Env) Compute(ops float64) { e.ctx.Elapse(e.ComputeTime(ops)) }
+
+// ComputeTime returns the processor model's time for ops work units,
+// rounded to the clock's resolution, without advancing the clock.
+func (e *Env) ComputeTime(ops float64) vclock.Duration { return e.w.cfg.Proc.ComputeTime(ops) }
+
+// ElapseSteps advances the virtual clock as up to n consecutive Elapse(d)
+// calls would, in O(1), and returns how many it took: fewer than n when a
+// pending failure or abort activates at the end of that step. It does not
+// unwind; the caller records its progress and then calls Elapse(0), the
+// activation point. See core.Ctx.ElapseSteps.
+func (e *Env) ElapseSteps(d vclock.Duration, n int) int { return e.ctx.ElapseSteps(d, n) }
 
 // Sleep advances the virtual clock by d while yielding to the simulator
 // (interruptible by failures and aborts, unlike Elapse): SleepStep driven

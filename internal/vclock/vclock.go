@@ -66,6 +66,27 @@ func FromSeconds(s float64) Duration { return Duration(math.Round(s * float64(Se
 // virtual time, rounding to the nearest nanosecond.
 func TimeFromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 
+// StepsToReach returns the smallest k >= 1 for which t advanced by k equal
+// steps of d is at or past target: the number of Elapse(d) calls, starting
+// at clock t, up to and including the first after which the clock has
+// reached target. A clock already at or past target takes one step, and
+// math.MaxInt means no step ever gets there (d <= 0 with t before target)
+// or the count does not fit an int. It is one ceiling division, done
+// unsigned because target may be Never.
+func StepsToReach(t Time, d Duration, target Time) int {
+	if t >= target {
+		return 1
+	}
+	if d <= 0 {
+		return math.MaxInt
+	}
+	gap := uint64(target) - uint64(t) // target > t, so the true difference, in (0, 2^64)
+	if k := (gap-1)/uint64(d) + 1; k < math.MaxInt {
+		return int(k)
+	}
+	return math.MaxInt
+}
+
 // String renders the time as seconds with microsecond precision, e.g.
 // "5248.000107s", or "never" for the Never sentinel.
 func (t Time) String() string {

@@ -106,3 +106,51 @@ func TestQuickMaxMin(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStepsToReach(t *testing.T) {
+	for _, tc := range []struct {
+		t      Time
+		d      Duration
+		target Time
+		want   int
+	}{
+		{0, 10, 0, 1},  // already there: the next step is the first at or past it
+		{5, 10, 3, 1},  // already past
+		{0, 10, 1, 1},  // reached inside the first step
+		{0, 10, 10, 1}, // exactly on the first step
+		{0, 10, 11, 2}, // one tick past a step
+		{0, 10, 100, 10},
+		{7, 10, 100, 10}, // 7+9·10 = 97 < 100 <= 107
+		{0, 0, 0, 1},
+		{0, 0, 1, math.MaxInt},  // a zero step never gets there
+		{0, -5, 1, math.MaxInt}, // nor does a negative one
+		{0, 1, Never, math.MaxInt},
+		{-4, 2, Never, 1<<62 + 2}, // the gap overflows int64, not the unsigned division
+		{0, Duration(Never), Never, 1},
+		{1, Duration(Never), Never, 1},
+	} {
+		if got := StepsToReach(tc.t, tc.d, tc.target); got != tc.want {
+			t.Errorf("StepsToReach(%d, %d, %d) = %d, want %d", tc.t, tc.d, tc.target, got, tc.want)
+		}
+	}
+}
+
+// Property: StepsToReach agrees with stepping the clock one d at a time.
+func TestQuickStepsToReachMatchesLoop(t *testing.T) {
+	f := func(start int16, step uint8, ahead uint16) bool {
+		tm, d := Time(start), Duration(step)+1
+		target := tm.Add(Duration(ahead) - 100) // some targets already passed
+		k := 0
+		for c := tm; ; {
+			c = c.Add(d)
+			k++
+			if c >= target {
+				break
+			}
+		}
+		return StepsToReach(tm, d, target) == k
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"math"
 	"strings"
 
+	"xsim/internal/procmodel"
 	"xsim/internal/runner"
 )
 
@@ -512,6 +513,21 @@ func (v *specChecker) nonNegative(field string, n int) {
 	}
 }
 
+// heatIterations range-checks the iteration count of a kind that runs the
+// paper's heat workload on the paper's processor model (a wire spec can
+// change neither): a count whose modelled compute overruns the virtual
+// clock is refused here, before the campaign is queued or its result
+// cached, with the error the application itself would refuse it with.
+func (v *specChecker) heatIterations(field string, n int) {
+	v.nonNegative(field, n)
+	hc := PaperHeatWorkload()
+	hc.Iterations = n
+	perIter := procmodel.Paper().ComputeTime(float64(hc.PointsPerRank()) * hc.PointCost)
+	if err := hc.CheckClockRange(0, perIter); err != nil {
+		v.bad(field, "%v", err)
+	}
+}
+
 func (v *specChecker) intervals(field string, intervals []int) {
 	for i, c := range intervals {
 		if c <= 0 {
@@ -583,7 +599,7 @@ func validateTableI(s *CampaignSpec, v specChecker) []error {
 
 func validateTableII(s *CampaignSpec, v specChecker) []error {
 	p := s.TableII
-	v.nonNegative("iterations", p.Iterations)
+	v.heatIterations("iterations", p.Iterations)
 	v.intervals("intervals", p.Intervals)
 	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
 	v.nonNegative("max_runs", p.MaxRuns)
@@ -592,7 +608,7 @@ func validateTableII(s *CampaignSpec, v specChecker) []error {
 
 func validateSweep(s *CampaignSpec, v specChecker) []error {
 	p := s.Sweep
-	v.nonNegative("iterations", p.Iterations)
+	v.heatIterations("iterations", p.Iterations)
 	v.intervals("intervals", p.Intervals)
 	v.seconds("mttf_seconds", p.MTTFSeconds)
 	return v.errs
@@ -600,7 +616,7 @@ func validateSweep(s *CampaignSpec, v specChecker) []error {
 
 func validatePhases(s *CampaignSpec, v specChecker) []error {
 	p := s.Phases
-	v.nonNegative("iterations", p.Iterations)
+	v.heatIterations("iterations", p.Iterations)
 	v.nonNegative("interval", p.Interval)
 	v.nonNegative("trials", p.Trials)
 	v.seconds("mttf_seconds", p.MTTFSeconds)
@@ -629,7 +645,7 @@ func validateCrossover(s *CampaignSpec, v specChecker) []error {
 
 func validateIOAblation(s *CampaignSpec, v specChecker) []error {
 	p := s.IOAblation
-	v.nonNegative("iterations", p.Iterations)
+	v.heatIterations("iterations", p.Iterations)
 	v.intervals("intervals", p.Intervals)
 	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
 	v.nonNegative("payload_bytes", p.PayloadBytes)

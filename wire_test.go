@@ -134,6 +134,38 @@ func TestValidateKindSpecificRanges(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesClockOverrun: a heat kind whose iteration count times
+// the paper's per-iteration compute overruns the virtual clock is refused
+// at Validate (and so never reaches the queue or the result cache), since a
+// compute phase costs the host nothing per iteration and the run would
+// otherwise return at once with a wrapped clock.
+func TestValidateRefusesClockOverrun(t *testing.T) {
+	for _, kind := range []CampaignKind{KindTableII, KindIntervalSweep, KindFirstImpressions, KindIOAblation} {
+		block := kindRow(kind).block
+		decode := func(iterations int) *CampaignSpec {
+			doc := fmt.Sprintf(`{"version":1,"kind":%q,"ranks":8,%q:{"iterations":%d}}`, kind, block, iterations)
+			spec, err := DecodeCampaignSpec([]byte(doc))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			return spec
+		}
+		spec := decode(1 << 40)
+		err := spec.Validate()
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != block+".iterations" || !strings.Contains(se.Msg, "overrun the virtual clock") {
+			t.Errorf("%s: Validate = %v, want a *SpecError on %s.iterations naming the clock overrun", kind, err, block)
+		}
+		if _, err := spec.CacheKey(); !IsSpecError(err) {
+			t.Errorf("%s: CacheKey = %v, want the spec refused before it is addressable", kind, err)
+		}
+		// A million iterations (two simulated months) is well inside the range.
+		if _, err := decode(1_000_000).CacheKey(); err != nil {
+			t.Errorf("%s: a million iterations refused: %v", kind, err)
+		}
+	}
+}
+
 // TestCanonicalIsByteStable pins the cache-key foundation: documents that
 // differ only in field order, whitespace, or reliance on defaults
 // canonicalise to identical bytes.
