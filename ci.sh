@@ -52,9 +52,12 @@
 #                     -race)
 #   11. campaign-service smoke (a -race build of xsim-server serves one
 #                     campaign per kind, each result bit-for-bit the
-#                     CLI's `xsim-run -campaign` output; resubmission is a
-#                     cache hit with zero new simulations per /metrics;
-#                     SIGTERM drains and exits cleanly)
+#                     CLI's `xsim-run -campaign` output, and for table2
+#                     also the output of the same campaign spelled as
+#                     `xsim-run table2 <flags> -json`: three transports,
+#                     one byte string; resubmission is a cache hit with
+#                     zero new simulations per /metrics; SIGTERM drains
+#                     and exits cleanly)
 set -eu
 
 cd "$(dirname "$0")"
@@ -175,7 +178,7 @@ go test -race -count=1 -run '^(TestReplicationCrossoverSmoke|TestReplicatedStenc
 echo "== checkpoint-I/O ablation smoke (free < tiered < flat-pfs, -race)"
 go test -race -count=1 -run '^(TestCheckpointIOAblationSmoke|TestDrainInterruptedByFailureFallsBackATier|TestReplicaAwareCleanupKeepsCoveredSets)$' . ./internal/checkpoint/
 
-echo "== campaign-service smoke (server vs CLI bit-for-bit, cache hit, drain)"
+echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
 smoke_dir=$(mktemp -d)
 server_pid=""
 cleanup_smoke() {
@@ -214,9 +217,15 @@ for spec in testdata/surface/*.json; do
 
 	# Transport equivalence: the served result must be bit-for-bit the CLI's.
 	curl -fsS "$addr/v1/campaigns/$id/result" > "$smoke_dir/server-result.json"
-	"$smoke_dir/xsim-run" -campaign "$spec" > "$smoke_dir/cli-result.json"
-	cmp "$smoke_dir/server-result.json" "$smoke_dir/cli-result.json"
+	"$smoke_dir/xsim-run" -campaign "$spec" > "$smoke_dir/cli-$(basename "$spec")"
+	cmp "$smoke_dir/server-result.json" "$smoke_dir/cli-$(basename "$spec")"
 done
+
+# The third transport: the table2 spec spelled as flags (the flag set is
+# generated from the wire spec) must print the bytes its file form did.
+"$smoke_dir/xsim-run" table2 -ranks 64 -seed 133 -iterations 200 -intervals 100,50 \
+	-mttf-seconds 1000 -json > "$smoke_dir/flags-result.json"
+cmp "$smoke_dir/cli-table2.json" "$smoke_dir/flags-result.json"
 
 # Resubmitting the table2 spec (different tenant, extra execution knobs) is
 # a cache hit that runs zero new simulations.

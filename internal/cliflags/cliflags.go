@@ -1,109 +1,94 @@
-// Package cliflags centralises the flag→RunSpec construction the four
-// CLI drivers used to duplicate: every binary registers the same trunk
-// flags (-ranks, -workers, -pool, -seed, -v) with per-binary defaults,
-// and Spec() hands back the xsim.RunSpec they describe after one shared
-// validation pass. The RunSpec then flows into the experiment configs
-// whose defaults() methods fill everything else — the very same defaults
-// path xsim.CampaignSpec.Normalize runs for the server's JSON body — so
-// a flag-built campaign and a wire-built campaign can never disagree on
-// a default.
+// Package cliflags is the flag form of a wire document: Bind walks a
+// struct's JSON tags and registers one flag per field, so a command line
+// and a JSON body are two spellings of the same value and a field added
+// to the struct is a flag with no further edit. The wire's `snake_case`
+// name becomes the `-kebab-case` flag, the field's `help` tag its usage
+// text; ints, floats, bools and comma-separated slices of the first two
+// are all the wire uses and all Bind knows.
 package cliflags
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-
-	"xsim"
+	"reflect"
+	"strings"
 )
 
-// Options selects which trunk flags a binary registers and their
-// defaults.
-type Options struct {
-	// Ranks is the -ranks default; 0 omits the flag (drivers whose
-	// campaigns do not simulate an MPI world, like xsim-bitflip).
-	Ranks int
-	// RanksHelp overrides the -ranks help text.
-	RanksHelp string
-	// Workers is the -workers default; 0 omits the flag.
-	Workers int
-	// Seed is the -seed default.
-	Seed int64
-	// NoSeed omits -seed (single-run drivers that draw nothing random).
-	NoSeed bool
-	// NoPool omits -pool (drivers that run exactly one simulation).
-	NoPool bool
+// Bind registers on fs one flag per JSON-tagged scalar or slice field of
+// the struct dst points to, descending into every parameter block (a
+// pointer to a struct) that defaults carries, which is allocated in dst
+// when missing. Parsed values land in dst; a flag left unset leaves its
+// field zero, which on the wire means "use the default", so defaults
+// that follow another field keep following it. defaults, a value of
+// dst's type, only supplies the defaults -help prints. Fields of any
+// other type (a string, a block defaults leaves nil) get no flag.
+func Bind(fs *flag.FlagSet, dst, defaults any) {
+	bind(fs, reflect.ValueOf(dst).Elem(), reflect.ValueOf(defaults).Elem())
 }
 
-// Flags holds the registered trunk flag values until Spec() is called.
-type Flags struct {
-	opt     Options
-	ranks   int
-	workers int
-	pool    int
-	seed    int64
-	prog    bool
-	verbose bool
-}
-
-// Register installs the trunk flags on fs (call before fs.Parse).
-func Register(fs *flag.FlagSet, opt Options) *Flags {
-	f := &Flags{opt: opt}
-	if opt.Ranks != 0 {
-		help := opt.RanksHelp
-		if help == "" {
-			help = "simulated MPI ranks"
+func bind(fs *flag.FlagSet, dst, defaults reflect.Value) {
+	t := dst.Type()
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		f, d := dst.Field(i), defaults.Field(i)
+		switch {
+		case name == "" || name == "-":
+		case f.Kind() == reflect.Pointer && f.Type().Elem().Kind() == reflect.Struct:
+			if d.IsNil() {
+				continue
+			}
+			if f.IsNil() {
+				f.Set(reflect.New(f.Type().Elem()))
+			}
+			bind(fs, f.Elem(), d.Elem())
+		case bindable(f.Type()):
+			name = strings.ReplaceAll(name, "_", "-")
+			fs.Var(field{f}, name, t.Field(i).Tag.Get("help"))
+			fs.Lookup(name).DefValue = field{d}.String()
 		}
-		fs.IntVar(&f.ranks, "ranks", opt.Ranks, help)
 	}
-	if opt.Workers != 0 {
-		fs.IntVar(&f.workers, "workers", opt.Workers, "engine partitions executing in parallel")
-	}
-	if !opt.NoPool {
-		fs.IntVar(&f.pool, "pool", 0, "independent simulations in flight (0 = GOMAXPROCS/workers)")
-	}
-	if !opt.NoSeed {
-		fs.Int64Var(&f.seed, "seed", opt.Seed, "random seed")
-	}
-	if opt.Ranks != 0 {
-		fs.BoolVar(&f.prog, "prog", false, "run ranks as program-mode state machines (identical results, far less memory at high rank counts)")
-	}
-	fs.BoolVar(&f.verbose, "v", false, "print simulator informational messages")
-	return f
 }
 
-// Verbose reports whether -v was set.
-func (f *Flags) Verbose() bool { return f.verbose }
+// bindable reports whether t is a scalar the wire uses or a slice of one.
+func bindable(t reflect.Type) bool {
+	if t.Kind() == reflect.Slice {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Int, reflect.Int64, reflect.Float64, reflect.Bool:
+		return true
+	}
+	return false
+}
 
-// Logf returns log.Printf when -v was set, else nil (the RunSpec
-// convention for discarding messages).
-func (f *Flags) Logf() func(format string, args ...any) {
-	if f.verbose {
-		return log.Printf
+// field is the flag.Value of one struct field. A flag's text is the
+// field's JSON value, a slice's without the brackets, so the wire's own
+// codec reads and prints it.
+type field struct{ v reflect.Value }
+
+// String is also called by the flag package on a zero field, to learn
+// what "no default" looks like.
+func (f field) String() string {
+	if !f.v.IsValid() || f.v.Kind() == reflect.Slice && f.v.Len() == 0 {
+		return ""
+	}
+	text, _ := json.Marshal(f.v.Interface()) // numbers and bools cannot fail
+	return strings.Trim(string(text), "[]")
+}
+
+// Set replaces the field; an empty list clears a slice back to "use the
+// default".
+func (f field) Set(s string) error {
+	if f.v.Kind() == reflect.Slice {
+		s = "[" + s + "]"
+	}
+	if json.Unmarshal([]byte(s), f.v.Addr().Interface()) != nil {
+		// The flag package prints the text and the flag's name around this.
+		return fmt.Errorf("not a JSON %s", strings.ReplaceAll(f.v.Type().String(), "[]", "list of "))
 	}
 	return nil
 }
 
-// Spec validates the trunk flags and returns the RunSpec they describe.
-// Experiment-specific defaults stay zero here: each driver config's
-// defaults() method fills them, identically for flag-built and
-// wire-built campaigns.
-func (f *Flags) Spec() (xsim.RunSpec, error) {
-	if f.ranks < 0 {
-		return xsim.RunSpec{}, fmt.Errorf("-ranks must be non-negative, got %d", f.ranks)
-	}
-	if f.workers < 0 {
-		return xsim.RunSpec{}, fmt.Errorf("-workers must be non-negative, got %d", f.workers)
-	}
-	if f.pool < 0 {
-		return xsim.RunSpec{}, fmt.Errorf("-pool must be non-negative, got %d", f.pool)
-	}
-	return xsim.RunSpec{
-		Ranks:    f.ranks,
-		Workers:  f.workers,
-		Pool:     f.pool,
-		Seed:     f.seed,
-		ProgMode: f.prog,
-		Logf:     f.Logf(),
-	}, nil
-}
+// IsBoolFlag lets a bool field be set by the bare flag.
+func (f field) IsBoolFlag() bool { return f.v.Kind() == reflect.Bool }

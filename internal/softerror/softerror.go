@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"xsim/internal/runner"
 	"xsim/internal/stats"
@@ -266,23 +267,31 @@ func (r *CampaignResult) Table() string {
 	return stats.Table([]string{"Field", "Value", "Description"}, rows)
 }
 
-// Histogram renders the injections-to-failure distribution as a text
-// histogram (the shape behind Table I's summary statistics).
-func (r *CampaignResult) Histogram(buckets, barWidth int) string {
+// Render prints the whole campaign report: the paper's Table I, the
+// victims that outlived the cap (they record it, so it is the maximum),
+// the fatal flips per region of the default image, and the
+// injections-to-failure distribution (the shape behind Table I's summary
+// statistics) with its percentiles.
+func (r *CampaignResult) Render() string {
+	var b strings.Builder
+	b.WriteString("Table I: fault (bit flip) injection results\n\n")
+	b.WriteString(r.Table())
+	if r.Survived > 0 {
+		fmt.Fprintf(&b, "\n%d victims survived the %.0f-injection cap\n", r.Survived, r.Summary.Max)
+	}
+	b.WriteString("\nfatal flips by image region:\n")
+	for _, region := range DefaultVictim().Regions {
+		fmt.Fprintf(&b, "  %-10s %d\n", region.Name, r.KillsByRegion[region.Name])
+	}
 	xs := make([]float64, len(r.ToFailure))
 	for i, n := range r.ToFailure {
 		xs[i] = float64(n)
 	}
-	return stats.Histogram(xs, buckets, barWidth)
-}
-
-// Percentile returns the p-th percentile of injections-to-failure.
-func (r *CampaignResult) Percentile(p float64) float64 {
-	xs := make([]float64, len(r.ToFailure))
-	for i, n := range r.ToFailure {
-		xs[i] = float64(n)
-	}
-	return stats.Percentile(xs, p)
+	b.WriteString("\ninjections-to-failure distribution:\n")
+	b.WriteString(stats.Histogram(xs, 10, 40))
+	fmt.Fprintf(&b, "\np50 = %.0f, p90 = %.0f, p99 = %.0f injections\n",
+		stats.Percentile(xs, 50), stats.Percentile(xs, 90), stats.Percentile(xs, 99))
+	return b.String()
 }
 
 // FlipFloat64 flips one bit of a float64 in place and returns the old and

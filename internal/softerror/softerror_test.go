@@ -1,6 +1,7 @@
 package softerror
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -166,6 +167,33 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestRenderIsTheWholeReport: Render wraps the paper's table in what the
+// Table I command line has always printed, and names the cap only when a
+// victim reached it.
+func TestRenderIsTheWholeReport(t *testing.T) {
+	res, err := RunCampaign(CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := res.Render()
+	for _, want := range []string{"Table I: fault (bit flip) injection results\n\n" + res.Table() + "\nfatal flips",
+		"  heap       43\n", "injections-to-failure distribution:\n", "p50 = 14, p90 = "} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "survived") {
+		t.Errorf("no victim survived, yet:\n%s", report)
+	}
+	res, err = RunCampaign(CampaignConfig{Victims: 40, MaxInjections: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\n%d victims survived the 5-injection cap\n", res.Survived); res.Survived == 0 || !strings.Contains(res.Render(), want) {
+		t.Errorf("report missing %q:\n%s", want, res.Render())
 	}
 }
 

@@ -167,23 +167,32 @@ func (s *CampaignSpec) Run(ctx context.Context) (*CampaignOutcome, error) {
 // return the same typed *SpecError values the decode path produces;
 // driver errors (including cancellation) pass through unwrapped.
 func (s *CampaignSpec) RunWith(ctx context.Context, opt RunOptions) (*CampaignOutcome, error) {
+	out, _, err := s.RunRendered(ctx, opt)
+	return out, err
+}
+
+// RunRendered is RunWith that also hands back the driver's own result,
+// whose Render is the human-readable table of the same campaign (what
+// `xsim-run <kind>` prints).
+func (s *CampaignSpec) RunRendered(ctx context.Context, opt RunOptions) (*CampaignOutcome, interface{ Render() string }, error) {
 	c := s.clone()
 	c.Normalize()
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := &CampaignOutcome{Version: SpecVersion, Kind: c.Kind}
 	// Validate accepted the kind, so its row exists.
-	if err := kindRow(c.Kind).run(ctx, c, opt, out); err != nil {
-		return nil, err
+	res, err := kindRow(c.Kind).run(ctx, c, opt, out)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	return out, res, nil
 }
 
-func runTableI(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runTableI(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunTableIContext(ctx, resolveTableI(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.TableI = &TableIOutcome{
 		Victims:       res.Victims,
@@ -193,7 +202,7 @@ func runTableI(ctx context.Context, s *CampaignSpec, opt RunOptions, out *Campai
 		KillsByRegion: res.KillsByRegion,
 		Summary:       WireSummary(res.Summary),
 	}
-	return nil
+	return res, nil
 }
 
 // wireTableIIRow converts a Table II row to wire form.
@@ -209,23 +218,23 @@ func wireTableIIRow(r TableIIRow) WireTableIIRow {
 	}
 }
 
-func runTableII(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runTableII(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunTableIIContext(ctx, resolveTableII(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
 	for i, r := range res.Rows {
 		out.TableII.Rows[i] = wireTableIIRow(r)
 	}
-	return nil
+	return res, nil
 }
 
-func runSweep(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runSweep(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunIntervalSweepContext(ctx, resolveSweep(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.Sweep = &IntervalSweepOutcome{
@@ -244,13 +253,13 @@ func runSweep(ctx context.Context, s *CampaignSpec, opt RunOptions, out *Campaig
 			DalyNS:   int64(p.Daly),
 		}
 	}
-	return nil
+	return res, nil
 }
 
-func runPhases(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runPhases(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunFirstImpressionsContext(ctx, resolvePhases(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.Phases = &FirstImpressionsOutcome{
@@ -259,13 +268,13 @@ func runPhases(ctx context.Context, s *CampaignSpec, opt RunOptions, out *Campai
 		DetectedIn:         res.DetectedIn,
 		CheckpointOutcomes: res.CheckpointOutcomes,
 	}
-	return nil
+	return res, nil
 }
 
-func runCrossover(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runCrossover(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunReplicationCrossoverContext(ctx, resolveCrossover(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.Crossover = &CrossoverOutcome{
@@ -284,18 +293,18 @@ func runCrossover(ctx context.Context, s *CampaignSpec, opt RunOptions, out *Cam
 			PredictedNS: int64(r.Predicted),
 		}
 	}
-	return nil
+	return res, nil
 }
 
-func runIOAblation(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) error {
+func runIOAblation(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
 	res, err := RunCheckpointIOAblationContext(ctx, resolveIOAblation(s, opt))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.IOAblation = &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(res.Rows))}
 	for i, r := range res.Rows {
 		out.IOAblation.Rows[i] = WireIOAblationRow{Arm: r.Arm, WireTableIIRow: wireTableIIRow(r.TableIIRow)}
 	}
-	return nil
+	return res, nil
 }

@@ -96,6 +96,20 @@ var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, e
 	},
 }
 
+// surfaceCacheKeys are the surface specs' content addresses, recorded at
+// the last commit whose wire campaigns ran closure VPs. How a campaign is
+// executed is not part of its canonical form, so the switch to program VPs
+// must leave them, and every result stored under them, valid.
+var surfaceCacheKeys = map[string]string{
+	"first-impressions":     "1aaaf187e73b0b5fefac38dc522e043c3ed07183db5dcffd53e6428c5047e1b1",
+	"interval-sweep":        "87f1863357abc7236f3a046610113466c1a0458f20e0a082cf71d63ab1c97a0d",
+	"io-ablation":           "fea6cd2f3742e11a9316fd71c2ebf9d638e01cc3571d56d7872fee851c2c93f7",
+	"replication-crossover": "648dd8172ad707f4a80dde3c82df6bb01a43cef4b805d990fe7d3b3f0689cb20",
+	"table1":                "fd8e9451decb062424165b99902ccd9cd591cbd61223c5d198ab32e77e233d46",
+	"table2-paper-io":       "0c3c74c704a17e8961043c2c2b336507cdb33a81db8e9d39c1e12e13e20f0ac0",
+	"table2":                "2de772ea005f0697700edf797e0c32b74bb5441de0f74cbce78a721ddb27dbc4",
+}
+
 // progressLines records a campaign's progress feed in golden form.
 func progressLines(into *[]string) func(ProgressEvent) {
 	return func(ev ProgressEvent) {
@@ -133,9 +147,12 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 			}
 			spec.Pool = 1
 			var wireFeed, driverFeed []string
-			out, err := spec.RunWith(context.Background(), RunOptions{OnProgress: progressLines(&wireFeed)})
+			out, table, err := spec.RunRendered(context.Background(), RunOptions{OnProgress: progressLines(&wireFeed)})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if key, err := spec.CacheKey(); err != nil || key != surfaceCacheKeys[name] {
+				t.Errorf("cache key %s (err %v), want %s: stored results would be orphaned", key, err, surfaceCacheKeys[name])
 			}
 			canon, err := out.Canonical()
 			if err != nil {
@@ -144,6 +161,11 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 			render, err := driver(context.Background(), RunSpec{Pool: 1, OnProgress: progressLines(&driverFeed)})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The renderer the wire dispatch hands back is the driver's own
+			// (Table I's wraps its table in the full injection report).
+			if got := table.Render(); !strings.Contains(got, render) {
+				t.Errorf("RunRendered's table lacks the driver's rendering:\n got:\n%s\n want:\n%s", got, render)
 			}
 			if w, d := strings.Join(wireFeed, "\n"), strings.Join(driverFeed, "\n"); w != d {
 				t.Errorf("progress feeds differ:\n wire:\n%s\n driver:\n%s", w, d)
@@ -158,5 +180,34 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 				t.Errorf("campaign surface diverges from %s:\n got:\n%s\n want:\n%s", goldenPath, got, want)
 			}
 		})
+	}
+}
+
+// TestWireCampaignsRunProgramVPs pins the execution mode of the one front
+// door: every heat kind resolves to a program-mode config, and a small
+// table2 campaign steps state machines without ever borrowing a carrier
+// goroutine. (That the results are those of the closure-mode driver calls
+// is TestCampaignSurfaceMatchesGolden; the crossover's replicated stencil
+// is closure-only and ignores the mode.)
+func TestWireCampaignsRunProgramVPs(t *testing.T) {
+	spec := &CampaignSpec{Ranks: 16}
+	for kind, prog := range map[CampaignKind]bool{
+		KindTableII:          resolveTableII(spec, RunOptions{}).ProgMode,
+		KindIntervalSweep:    resolveSweep(spec, RunOptions{}).ProgMode,
+		KindFirstImpressions: resolvePhases(spec, RunOptions{}).ProgMode,
+		KindIOAblation:       resolveIOAblation(spec, RunOptions{}).ProgMode,
+	} {
+		if !prog {
+			t.Errorf("%s resolves to a closure-mode config", kind)
+		}
+	}
+	spec = &CampaignSpec{Kind: KindTableII, Ranks: 16, Seed: 133,
+		TableII: &TableIIParams{Iterations: 40, Intervals: []int{20}, MTTFSeconds: []float64{100}}}
+	tab, err := RunTableIIContext(context.Background(), resolveTableII(spec, RunOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := tab.Stats.Engine; e.ProgramSteps == 0 || e.CarriersSpawned != 0 {
+		t.Errorf("engine ran %d program steps and spawned %d carriers, want only program steps", e.ProgramSteps, e.CarriersSpawned)
 	}
 }

@@ -99,22 +99,22 @@ func IsSpecError(err error) bool {
 // differing only in knobs share one cache entry.
 type CampaignSpec struct {
 	// Version must be SpecVersion.
-	Version int `json:"version"`
+	Version int `json:"version" help:"wire-format version"`
 	// Kind selects the campaign family and its parameter block.
 	Kind CampaignKind `json:"kind"`
 	// Ranks is the simulated MPI world size (kind-specific default;
 	// unused by table1, which simulates victim process images).
-	Ranks int `json:"ranks"`
+	Ranks int `json:"ranks" help:"simulated MPI ranks (unused by table1)"`
 	// Seed drives every random draw of the campaign; derived per-cell
 	// seeds make results identical at any pool size.
-	Seed int64 `json:"seed"`
+	Seed int64 `json:"seed" help:"seed of every random draw of the campaign"`
 	// CallOverheadNS is the per-MPI-call CPU cost in virtual
 	// nanoseconds (0 = the paper's calibrated overhead).
-	CallOverheadNS int64 `json:"call_overhead_ns"`
+	CallOverheadNS int64 `json:"call_overhead_ns" help:"CPU cost per MPI call in virtual ns"`
 	// Workers is each run's engine parallelism (execution knob).
-	Workers int `json:"workers"`
+	Workers int `json:"workers" help:"engine partitions per run (0 = sequential; cannot change results)"`
 	// Pool caps concurrently simulated runs (execution knob).
-	Pool int `json:"pool"`
+	Pool int `json:"pool" help:"runs in flight (0 = GOMAXPROCS/workers; cannot change results)"`
 
 	// Exactly the block matching Kind may be set; Normalize creates and
 	// fills it with explicit defaults.
@@ -129,63 +129,63 @@ type CampaignSpec struct {
 // TableIParams parameterises a table1 campaign (TableIConfig's wire
 // form).
 type TableIParams struct {
-	Victims       int `json:"victims"`
-	MaxInjections int `json:"max_injections"`
+	Victims       int `json:"victims" help:"victim application instances"`
+	MaxInjections int `json:"max_injections" help:"injection cap per victim"`
 }
 
 // TableIIParams parameterises a table2 campaign (TableIIConfig's wire
 // form). PaperIO enables the paper's flat parallel-file-system cost model
 // for checkpoints (Table II proper charges nothing).
 type TableIIParams struct {
-	Iterations  int       `json:"iterations"`
-	Intervals   []int     `json:"intervals"`
-	MTTFSeconds []float64 `json:"mttf_seconds"`
-	MaxRuns     int       `json:"max_runs"`
-	PaperIO     bool      `json:"paper_io"`
+	Iterations  int       `json:"iterations" help:"total iteration count"`
+	Intervals   []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
+	MTTFSeconds []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	MaxRuns     int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
+	PaperIO     bool      `json:"paper_io" help:"charge checkpoints the paper's flat parallel-file-system cost"`
 }
 
 // IntervalSweepParams parameterises an interval-sweep campaign
 // (IntervalSweepConfig's wire form).
 type IntervalSweepParams struct {
-	Iterations  int     `json:"iterations"`
-	Intervals   []int   `json:"intervals"`
-	MTTFSeconds float64 `json:"mttf_seconds"`
-	Seeds       []int64 `json:"seeds"`
+	Iterations  int     `json:"iterations" help:"total iteration count"`
+	Intervals   []int   `json:"intervals" help:"checkpoint intervals to sweep"`
+	MTTFSeconds float64 `json:"mttf_seconds" help:"system MTTF in seconds"`
+	Seeds       []int64 `json:"seeds" help:"one restart campaign per interval and seed (the trunk seed is unused)"`
 }
 
 // FirstImpressionsParams parameterises a first-impressions campaign
 // (FirstImpressionsConfig's wire form).
 type FirstImpressionsParams struct {
-	Iterations  int     `json:"iterations"`
-	Interval    int     `json:"interval"`
-	Trials      int     `json:"trials"`
-	MTTFSeconds float64 `json:"mttf_seconds"`
+	Iterations  int     `json:"iterations" help:"total iteration count"`
+	Interval    int     `json:"interval" help:"checkpoint and halo-exchange interval (unset: 1/8 of iterations)"`
+	Trials      int     `json:"trials" help:"independent single-failure runs"`
+	MTTFSeconds float64 `json:"mttf_seconds" help:"spread of the random failure times in seconds (unset: a quarter of the run)"`
 }
 
 // CrossoverParams parameterises a replication-crossover campaign
 // (ReplicationCrossoverConfig's wire form).
 type CrossoverParams struct {
-	Degrees           []int     `json:"degrees"`
-	MTTFSeconds       []float64 `json:"mttf_seconds"`
-	Iterations        int       `json:"iterations"`
-	ComputeSeconds    float64   `json:"compute_seconds"`
-	HaloBytes         int       `json:"halo_bytes"`
-	CheckpointSeconds float64   `json:"checkpoint_seconds"`
-	RestartSeconds    float64   `json:"restart_seconds"`
-	MaxRuns           int       `json:"max_runs"`
+	Degrees           []int     `json:"degrees" help:"replication degrees; each must divide ranks"`
+	MTTFSeconds       []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	Iterations        int       `json:"iterations" help:"stencil iterations"`
+	ComputeSeconds    float64   `json:"compute_seconds" help:"compute per iteration in seconds"`
+	HaloBytes         int       `json:"halo_bytes" help:"halo message size"`
+	CheckpointSeconds float64   `json:"checkpoint_seconds" help:"cost of one checkpoint in seconds"`
+	RestartSeconds    float64   `json:"restart_seconds" help:"cost of one restart in seconds"`
+	MaxRuns           int       `json:"max_runs" help:"cap on failure/restart cycles per cell"`
 }
 
 // IOAblationParams parameterises an io-ablation campaign
 // (CheckpointIOAblationConfig's wire form; the storage arms themselves
 // are fixed to the paper's models).
 type IOAblationParams struct {
-	Iterations    int       `json:"iterations"`
-	Intervals     []int     `json:"intervals"`
-	MTTFSeconds   []float64 `json:"mttf_seconds"`
-	PayloadBytes  int       `json:"payload_bytes"`
-	DeltaFraction float64   `json:"delta_fraction"`
-	FullEvery     int       `json:"full_every"`
-	MaxRuns       int       `json:"max_runs"`
+	Iterations    int       `json:"iterations" help:"total iteration count"`
+	Intervals     []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
+	MTTFSeconds   []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	PayloadBytes  int       `json:"payload_bytes" help:"modelled checkpoint payload per rank"`
+	DeltaFraction float64   `json:"delta_fraction" help:"share of the payload an incremental checkpoint writes"`
+	FullEvery     int       `json:"full_every" help:"incremental arm: every n-th checkpoint is a full one"`
+	MaxRuns       int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
 }
 
 // --- decoding -------------------------------------------------------------
@@ -251,10 +251,14 @@ type campaignKind struct {
 	// validate range-checks the block; it is only called with the block
 	// present, and its checker names every field under the block.
 	validate func(*CampaignSpec, specChecker) []error
-	// run executes the normalized, validated spec and fills the outcome's
-	// SimTimeNS and result block.
-	run func(context.Context, *CampaignSpec, RunOptions, *CampaignOutcome) error
+	// run executes the normalized, validated spec, fills the outcome's
+	// SimTimeNS and result block, and hands back the driver result, which
+	// prints itself as the table the CLI shows.
+	run func(context.Context, *CampaignSpec, RunOptions, *CampaignOutcome) (renderer, error)
 }
+
+// renderer is what every experiment driver's result is.
+type renderer = interface{ Render() string }
 
 // campaignKinds is the kind table.
 var campaignKinds = []campaignKind{
@@ -301,7 +305,9 @@ func (s *CampaignSpec) clone() *CampaignSpec {
 }
 
 // runSpec builds the RunSpec trunk the spec describes, attaching the
-// caller's logger and progress hook.
+// caller's logger and progress hook. A wire campaign always runs its heat
+// ranks as program VPs: the two modes are digest-identical, so the choice
+// is not part of the document.
 func (s *CampaignSpec) runSpec(opt RunOptions) RunSpec {
 	return RunSpec{
 		Ranks:        s.Ranks,
@@ -309,6 +315,7 @@ func (s *CampaignSpec) runSpec(opt RunOptions) RunSpec {
 		Seed:         s.Seed,
 		CallOverhead: Duration(s.CallOverheadNS),
 		Pool:         s.Pool,
+		ProgMode:     true,
 		Logf:         opt.Logf,
 		OnProgress:   opt.OnProgress,
 	}
