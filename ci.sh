@@ -23,7 +23,10 @@
 #                     Table II program-mode campaign, and the O(1) compute
 #                     phase: the injection-instant golden in both modes,
 #                     the clock-step primitive against its Elapse loop,
-#                     and the host cost independent of the phase length)
+#                     and the host cost independent of the phase length;
+#                     and the paths on which a message has no object of
+#                     its own: the by-value event queue, headers matched
+#                     on arrival, messages built on demand)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -41,6 +44,10 @@
 #   8d. checkpointing-workload memory gate (the full Table II loop in
 #                     program mode at 256k ranks must finish within
 #                     1.25 KiB of live memory per virtual process)
+#   8e. BenchmarkHaloBurst mallocs-per-message gate (16,384 ranks post
+#                     a six-neighbour exchange at one virtual instant: a
+#                     message matched on arrival is a queue slot and two
+#                     pooled requests, never five heap objects again)
 #   9. campaign-parallelism smoke (a pooled campaign under -race must
 #                     produce bit-identical results to the sequential one:
 #                     pool=4 vs pool=1 digests for the Table II grid and a
@@ -103,6 +110,12 @@ go test -race -count=1 -run '^(TestClosureOutcomesMatchGolden|TestClosureRunsMat
 go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure|TestCollectiveHopsMatchGolden|TestCollectiveStateDoesNotGrow|TestReduceLengthMismatchReleasesMessage|TestFailedCollectiveLeavesScratchEmpty)$' ./internal/mpi/
 go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure|TestComputeInjectionMatchesGolden|TestComputePhaseHostCostIndependentOfIterations)$' ./internal/heat/
 go test -race -count=1 -run '^(TestElapseStepsEdges|TestQuickElapseStepsMatchesElapseLoop)$' ./internal/core/
+# An in-flight message is a slot of the by-value event queue, an envelope
+# object only while unexpected, a Message only once read: the queue against
+# a sorted reference and under a handler that grows it mid-dispatch, and
+# every message path in both modes with Validate on.
+go test -race -count=1 -run '^(TestEventHeapOrder|TestEventHeapPopClearsSlots|TestHandlerEmitsWhileItsEventIsDispatched|TestRunReleasesQueueStorage)$' ./internal/core/
+go test -race -count=1 -run '^(TestUnexpectedThenPostedDeliversAllThreeForms|TestWildcardReceivesKeepArrivalOrder|TestDroppedMessagesReturnTheirBuffers|TestPostedIdxTiers|TestValidateDetectsPendingBitMismatch|TestDeterminismCrossCheck)$' ./internal/mpi/
 go test -race -count=1 -run '^TestRunTableIIProgModeMatchesClosure$' .
 
 echo "== fuzz smoke (10s per target)"
@@ -139,17 +152,19 @@ bench_gate ./internal/core/ '^BenchmarkHandoff$' allocs/op 0 1 1000x
 
 echo "== BenchmarkPingPong allocation gate"
 # Pre-pooling the round-trip cost 20 (eager) / 26 (rendezvous) allocs/op;
-# the pooled data plane ran at 6/6, and 2/2 since blocking waits run on the
-# per-process step state. Gate at half the old numbers so noise cannot
-# flake the build but a real regression cannot hide.
+# the pooled data plane ran at 6/6, 2/2 once blocking waits ran on the
+# per-process step state, and 0/0 since the handler context is passed by
+# value. Gate at half the old numbers so noise cannot flake the build but a
+# real regression cannot hide.
 bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^eager$' allocs/op 10 1 1000x
 bench_gate ./internal/mpi/ '^BenchmarkPingPong$/^rendezvous$' allocs/op 13 1 1000x
 
 echo "== BenchmarkAllreduce allocation gate"
 # The collective hop path: every fan of every collective posts through one
-# send hop and one receive hop. 16 ranks run at 39 allocs/op; 47 leaves half
-# an allocation per rank of slack, so a give/take hook that starts
-# capturing, or a payload built again on every resume, fails here.
+# send hop and one receive hop. 16 ranks ran at 39 allocs/op when 47 was
+# chosen (half an allocation per rank of slack) and run at 16 now, so a
+# give/take hook that starts capturing, or a payload built again on every
+# resume, still fails here.
 bench_gate ./internal/mpi/ '^BenchmarkAllreduce$' allocs/op 47 1 1000x
 
 echo "== bytes-per-VP budget gate (program mode, 256k ranks)"
@@ -168,6 +183,14 @@ echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # closure-vs-program comparison but is dominated by the all-ranks halo
 # burst, which is reused capacity, not per-rank state.
 bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp 1280 1
+
+echo "== BenchmarkHaloBurst mallocs-per-message gate"
+# The parent of the by-value event queue read 4.2 here (request, request,
+# envelope, event, message header, per message); a message matched on
+# arrival now allocates nothing but what its two requests miss in the pool,
+# and the run reads 0.23. 2.5 fails the build if any one of the three
+# objects comes back per message.
+bench_gate ./internal/mpi/ '^BenchmarkHaloBurst$' mallocs/msg 2.5 1 1x
 
 echo "== campaign-parallelism smoke (pool=4 vs pool=1 digests, -race)"
 go test -race -count=1 -run '^(TestRunCampaignsDeterministicAcrossPools|TestTableIIPoolMatchesSequential|TestTableIPoolMatchesSequential)$' .

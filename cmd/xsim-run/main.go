@@ -30,6 +30,10 @@
 //	xsim-run -app allreduce -ranks 1024 -failures "7@0.001"
 //	xsim-run -app heat -ranks 64 -iterations 100 -interval 25 -failures "17@120"
 //
+// Beside a kind's fields and -app's own flags, -cpuprofile FILE and
+// -memprofile FILE write runtime/pprof profiles of the run (go tool pprof
+// reads them), so a slow run can say where the host time and memory went.
+//
 // SIGINT cancels at the next simulation window. Exit status: 0 success,
 // 2 a bad command line or spec, 130 cancelled, 1 anything else (the
 // application aborted, deadlocked, or I/O failed).
@@ -45,6 +49,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"xsim"
@@ -125,6 +131,67 @@ func logger(verbose bool, stderr io.Writer) func(format string, args ...any) {
 	return log.New(stderr, "", 0).Printf
 }
 
+// profiles is the pair of profiling flags every simulation mode takes.
+// They describe the host process, not the simulated system, so they are
+// flags of the command and not fields of the wire spec.
+type profiles struct{ cpu, mem string }
+
+func (p *profiles) bind(fs *flag.FlagSet) {
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write an allocation profile, taken when the run ends, to this file")
+}
+
+// createProfile creates the file a profiling flag names; no path, no file.
+func createProfile(flagName, path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", errUsage, flagName, err)
+	}
+	return f, nil
+}
+
+// start creates both files (a usage error if it cannot: nothing has run
+// yet) and starts the CPU profile. The caller defers finish on its named
+// error, so the CPU profile is stopped and the allocation profile written
+// on whatever path the run leaves by; a failure to write one is reported
+// unless the run already failed.
+func (p *profiles) start() (finish func(*error), err error) {
+	cpu, err := createProfile("-cpuprofile", p.cpu)
+	mem, merr := createProfile("-memprofile", p.mem)
+	if err == nil {
+		err = merr
+	}
+	if err == nil && cpu != nil {
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			err = fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	if err != nil {
+		cpu.Close() // Close of a nil *os.File is an error, not a panic
+		mem.Close()
+		return nil, err
+	}
+	return func(runErr *error) {
+		keep := func(err error) {
+			if *runErr == nil {
+				*runErr = err
+			}
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			keep(cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC() // bring the live-heap figures up to date
+			keep(pprof.Lookup("allocs").WriteTo(mem, 0))
+			keep(mem.Close())
+		}
+	}, nil
+}
+
 // kindFlags returns the flag form of a campaign kind. The flag set is the
 // wire spec's own: the trunk's fields plus the fields of the kind's
 // parameter block, bound to an otherwise empty spec, with the normalized
@@ -143,16 +210,23 @@ func kindFlags(kind xsim.CampaignKind, stderr io.Writer) (*flag.FlagSet, *xsim.C
 }
 
 // runKind runs one campaign described by flags.
-func runKind(ctx context.Context, kind xsim.CampaignKind, args []string, stdout, stderr io.Writer) error {
+func runKind(ctx context.Context, kind xsim.CampaignKind, args []string, stdout, stderr io.Writer) (err error) {
 	fs, spec, err := kindFlags(kind, stderr)
 	if err != nil {
 		return err
 	}
 	asJSON := fs.Bool("json", false, "print the canonical outcome JSON (as -campaign and xsim-server do) instead of the table")
 	verbose := fs.Bool("v", false, "print simulator informational messages")
+	var prof profiles
+	prof.bind(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	finish, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer finish(&err)
 	return runCampaign(ctx, spec, *asJSON, logger(*verbose, stderr), stdout)
 }
 
@@ -177,8 +251,10 @@ func runCampaign(ctx context.Context, spec *xsim.CampaignSpec, asJSON bool, logf
 }
 
 // runApp runs a demo application, or with -campaign a spec file.
-func runApp(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func runApp(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := newFlagSet("xsim-run", stderr)
+	var prof profiles
+	prof.bind(fs)
 	var (
 		app        = fs.String("app", "ring", "application: ring, allreduce, ulfm, heat")
 		ranks      = fs.Int("ranks", 64, "simulated MPI ranks")
@@ -200,6 +276,11 @@ func runApp(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err := parse(fs, args); err != nil {
 		return err
 	}
+	finish, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer finish(&err)
 	logf := logger(*verbose, stderr)
 
 	if *campaign != "" {

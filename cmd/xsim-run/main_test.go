@@ -104,6 +104,40 @@ func TestExitStatusTable(t *testing.T) {
 	}
 }
 
+// TestProfileFlagsWriteBothFiles runs a small campaign, and a demo
+// application, with -cpuprofile and -memprofile and checks that both files
+// hold a profile afterwards and that the run printed what it prints without
+// them; a profile that cannot be created is a usage error before anything
+// runs.
+func TestProfileFlagsWriteBothFiles(t *testing.T) {
+	for _, argv := range []string{"table2 -ranks 64 -iterations 20", "-app ring -ranks 8"} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+		args := strings.Fields(argv)
+		_, plain, _ := runArgs(context.Background(), args...)
+		status, stdout, stderr := runArgs(context.Background(), append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+		if status != 0 || stderr != "" {
+			t.Fatalf("%s: status %d, stderr %q", argv, status, stderr)
+		}
+		if strings.HasPrefix(argv, "table2") && stdout != plain { // -app prints its wall time
+			t.Errorf("%s: output differs under profiling:\n%s\nvs\n%s", argv, stdout, plain)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: profile %s: %v, empty=%v", argv, filepath.Base(path), err, err == nil)
+			}
+		}
+
+		missing := filepath.Join(dir, "no-such-dir", "x.prof")
+		for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+			status, stdout, stderr := runArgs(context.Background(), append(args, flagName, missing)...)
+			if status != 2 || stdout != "" || !strings.Contains(stderr, flagName) {
+				t.Errorf("%s %s into a missing directory: status %d, stdout %q, stderr %q", argv, flagName, status, stdout, stderr)
+			}
+		}
+	}
+}
+
 // surfaceArgv spells each spec file of testdata/surface as a command line.
 var surfaceArgv = map[string]string{
 	"table1":                "table1 -seed 2013 -victims 10 -max-injections 50",

@@ -50,17 +50,17 @@ func registerPingBench(eng *Engine) {
 // BenchmarkEventHeap measures the event queue under a churning load.
 func BenchmarkEventHeap(b *testing.B) {
 	var h eventHeap
-	evs := make([]*Event, 1024)
+	evs := make([]Event, 1024)
 	for i := range evs {
-		evs[i] = &Event{Time: vclock.Time(i * 7919 % 1024), Src: i % 16, Seq: uint64(i)}
+		evs[i] = Event{Time: vclock.Time(i * 7919 % 1024), Src: i % 16, Seq: uint64(i)}
 	}
+	var out Event
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := evs[i%1024]
-		h.push(ev)
+		h.push(&evs[i%1024])
 		if h.len() > 512 {
-			h.pop()
+			h.popInto(&out)
 		}
 	}
 }

@@ -173,8 +173,8 @@ func New(cfg Config) (*Engine, error) {
 			eng:      eng,
 			lo:       lo,
 			hi:       hi,
-			crossOut: make([][]*Event, cfg.Workers),
-			inbox:    make([][]*Event, cfg.Workers),
+			crossOut: make([][]Event, cfg.Workers),
+			inbox:    make([][]Event, cfg.Workers),
 			live:     hi - lo,
 			validate: cfg.Validate,
 		}
@@ -318,7 +318,11 @@ func (e *Engine) run() (*Result, error) {
 	}
 
 	// Termination, cancellation, or deadlock: any VP still alive either
-	// was cut short by Cancel or is blocked forever.
+	// was cut short by Cancel or is blocked forever. Nothing queued will be
+	// processed any more.
+	for _, p := range e.parts {
+		p.releaseQueues()
+	}
 	cancelled := e.stop.Load()
 	res := &Result{
 		FinalClocks: make([]vclock.Time, len(e.vps)),
@@ -394,8 +398,8 @@ func (e *Engine) run() (*Result, error) {
 	return res, nil
 }
 
-// route delivers an event emitted at senderClock by from's current VP or
-// handler to the partition owning its target.
+// route delivers a copy of an event emitted at senderClock by from's current
+// VP or handler to the partition owning its target.
 func (e *Engine) route(from *partition, senderClock vclock.Time, ev *Event) {
 	if ev.Target < 0 || ev.Target >= len(e.vps) {
 		panic(fmt.Sprintf("core: event target %d out of range", ev.Target))
@@ -409,8 +413,8 @@ func (e *Engine) progMode() bool {
 	return e.progFor != nil
 }
 
-// routeToPartition delivers an event to an explicit partition, enforcing
-// the lookahead constraint for cross-partition delivery.
+// routeToPartition delivers a copy of an event to an explicit partition,
+// enforcing the lookahead constraint for cross-partition delivery.
 func (e *Engine) routeToPartition(from *partition, senderClock vclock.Time, to *partition, ev *Event) {
 	if to == from {
 		from.eventQ.push(ev)
@@ -422,7 +426,7 @@ func (e *Engine) routeToPartition(from *partition, senderClock vclock.Time, to *
 			from.id, to.id, e.cfg.Lookahead, senderClock)
 	}
 	from.crossEvents++
-	from.crossOut[to.id] = append(from.crossOut[to.id], ev)
+	from.crossOut[to.id] = append(from.crossOut[to.id], *ev)
 }
 
 // NumVPs returns the number of simulated processes.

@@ -39,10 +39,12 @@ const BroadcastTarget = -1
 // order; the ordering key is (Time, Src, Seq), which is unique because each
 // source numbers its events sequentially.
 //
-// Events are pooled: the engine recycles an event into the dispatching
-// partition's free list as soon as its handler returns. Handlers must not
-// retain the *Event pointer (or aliases of it) past the handler call;
-// retaining the Payload value is safe, since payloads are never recycled.
+// Events are values owned by the event queue: Emit copies its argument
+// into the queue's array, and the dispatcher copies the earliest entry out
+// again before its handler runs. There is no per-event object, so nothing
+// is allocated or recycled per event. The *Event a handler receives is
+// valid for the duration of that call only; retaining the Payload value is
+// safe.
 type Event struct {
 	// Time is the virtual time at which the event takes effect.
 	Time vclock.Time
@@ -55,13 +57,17 @@ type Event struct {
 	// Target is the rank of the VP the event concerns, or BroadcastTarget
 	// for partition-level events.
 	Target int
-	// Payload carries handler-specific data.
+	// Payload carries handler-specific data that needs an object.
 	Payload any
-
-	// stamp carries the engine's internal timer generation (Ctx.Sleep)
-	// without boxing it through Payload.
-	stamp uint64
+	// Words carries handler-specific scalars by value, so that a small
+	// fixed header (the MPI layer's message envelope, the engine's own
+	// timer generation) travels inside the event and needs no Payload
+	// object. Their meaning belongs to the event's Kind.
+	Words [EventWords]uint64
 }
+
+// EventWords is the number of scalar payload words an Event carries.
+const EventWords = 5
 
 // eventDesc renders an event for invariant-violation dumps. Only called
 // on failure paths — never on the steady-state event path.
@@ -82,49 +88,55 @@ func (e *Event) before(o *Event) bool {
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap of events ordered by the
-// deterministic key. A 4-ary layout halves the tree depth of a binary heap
-// and keeps the four children of a node on one cache line; compared to
-// container/heap it avoids the interface{} indirection and per-push
-// boxing, so push and pop inline into the scheduler loop.
+// deterministic key. The events themselves are the array elements, so a
+// comparison reads two slots of one contiguous array and never follows a
+// pointer, and a queued event costs its slot and nothing else. A 4-ary
+// layout halves the tree depth of a binary heap, which matters twice here:
+// fewer comparisons, and fewer slot-sized copies per sift.
 type eventHeap struct {
-	a []*Event
+	a []Event
 	// hi is the high-water depth, for Engine.Metrics.
 	hi int
+	// pushes counts events stored; grows counts the pushes that found the
+	// array full and had to grow it (Engine.Metrics).
+	pushes, grows uint64
 }
 
 // len returns the number of queued events.
 func (h *eventHeap) len() int { return len(h.a) }
 
-// push inserts an event.
+// push stores a copy of *ev.
 func (h *eventHeap) push(ev *Event) {
-	a := append(h.a, ev)
+	h.pushes++
+	if len(h.a) == cap(h.a) {
+		h.grows++
+	}
+	a := append(h.a, Event{})
 	if len(a) > h.hi {
 		h.hi = len(a)
 	}
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !ev.before(a[parent]) {
+		if !ev.before(&a[parent]) {
 			break
 		}
 		a[i] = a[parent]
 		i = parent
 	}
-	a[i] = ev
+	a[i] = *ev
 	h.a = a
 }
 
-// pop removes and returns the earliest event; it panics on an empty heap.
-// The vacated tail slot is nilled so the heap's backing array never retains
-// a reference to a popped (and possibly recycled) event.
-func (h *eventHeap) pop() *Event {
+// popInto removes the earliest event and stores it in *dst; it panics on an
+// empty heap. The vacated tail slot is zeroed, so the storage between len
+// and cap never retains a popped event's Payload.
+func (h *eventHeap) popInto(dst *Event) {
 	a := h.a
 	n := len(a) - 1
-	root := a[0]
-	moved := a[n]
-	a[n] = nil
-	a = a[:n]
+	*dst = a[0]
 	if n > 0 {
+		moved := &a[n]
 		i := 0
 		for {
 			c := i<<2 + 1
@@ -137,7 +149,7 @@ func (h *eventHeap) pop() *Event {
 			}
 			min := c
 			for j := c + 1; j < end; j++ {
-				if a[j].before(a[min]) {
+				if a[j].before(&a[min]) {
 					min = j
 				}
 			}
@@ -147,18 +159,20 @@ func (h *eventHeap) pop() *Event {
 			a[i] = a[min]
 			i = min
 		}
-		a[i] = moved
+		a[i] = *moved
 	}
-	h.a = a
-	return root
+	a[n] = Event{}
+	h.a = a[:n]
 }
 
 // peek returns the earliest event without removing it, or nil if empty.
+// The pointer aims into the heap's array: it is valid until the next push
+// or pop.
 func (h *eventHeap) peek() *Event {
 	if len(h.a) == 0 {
 		return nil
 	}
-	return h.a[0]
+	return &h.a[0]
 }
 
 // readyEntry is a VP that can resume execution at a known virtual time.

@@ -3,7 +3,7 @@ package core
 import "xsim/internal/vclock"
 
 // MetricsSnapshot exposes the engine's internal counters, making the
-// scheduler's performance claims (pooled events, coordinator-free windows)
+// scheduler's performance claims (by-value events, coordinator-free windows)
 // continuously observable instead of one-off benchmark lore. Counters are
 // accumulated per partition without synchronisation — each is only touched
 // by its partition's worker — and aggregated here after Run.
@@ -12,9 +12,11 @@ type MetricsSnapshot struct {
 	// quantities as Result.EventsProcessed/Resumes).
 	EventsDispatched uint64
 	Resumes          uint64
-	// PoolHits and PoolMisses count event allocations served from the
-	// per-partition free list vs fresh heap allocations. After warm-up,
-	// PoolMisses stops growing — that is the 0 allocs/op steady state.
+	// PoolHits and PoolMisses count events stored in a partition's event
+	// queue without growing its array vs by growing it (events are values
+	// in that array; the names are the ones the benchmark harness reads).
+	// PoolMisses stops growing once the queue has reached the run's
+	// largest burst.
 	PoolHits   uint64
 	PoolMisses uint64
 	// CrossEvents counts events routed between partitions (always 0 with
@@ -97,8 +99,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 	for _, p := range e.parts {
 		m.EventsDispatched += p.events
 		m.Resumes += p.resumes
-		m.PoolHits += p.poolHits
-		m.PoolMisses += p.poolMisses
+		m.PoolHits += p.eventQ.pushes - p.eventQ.grows
+		m.PoolMisses += p.eventQ.grows
 		m.CrossEvents += p.crossEvents
 		if p.eventQ.hi > m.EventHeapHighWater {
 			m.EventHeapHighWater = p.eventQ.hi

@@ -314,15 +314,16 @@ func (p *partition) publishCross() {
 }
 
 // collectCross drains the inbox buffers other partitions published this
-// round into the event queue, then truncates them (clearing references)
-// for their owners to reuse. The heap orders merged events by the
-// deterministic key, so drain order does not matter.
+// round into the event queue, then truncates them (zeroed, so no Payload
+// stays referenced) for their owners to reuse. The heap orders merged
+// events by the deterministic key, so drain order does not matter.
 func (p *partition) collectCross() {
 	for q, evs := range p.inbox {
 		if len(evs) == 0 {
 			continue
 		}
-		for i, ev := range evs {
+		for i := range evs {
+			ev := &evs[i]
 			if p.validate && ev.Time < p.watermark {
 				// Horizon safety: the window protocol promises that no
 				// cross-partition event can arrive in a partition's past.
@@ -331,7 +332,7 @@ func (p *partition) collectCross() {
 					q, p.id, p.watermark)
 			}
 			p.eventQ.push(ev)
-			evs[i] = nil
+			*ev = Event{}
 		}
 		p.inbox[q] = evs[:0]
 	}

@@ -33,11 +33,11 @@ type partition struct {
 	eventQ eventHeap
 	ready  readyHeap
 
-	// free is the partition's event free list: dispatched events are
-	// recycled here and handed back out by Emit, so the steady-state
-	// event path allocates nothing. Events that cross partitions simply
-	// migrate from the emitter's pool to the dispatcher's.
-	free []*Event
+	// cur holds the event being dispatched: it is copied out of eventQ
+	// before its handler runs, because the handler emits and a push may
+	// move the queue's array. A field rather than a local so that handing
+	// its address to a handler allocates nothing.
+	cur Event
 
 	// sctx is the partition's reusable handler context; it is passed to
 	// every handler invocation, valid only for the duration of the call.
@@ -46,13 +46,13 @@ type partition struct {
 	// crossOut buffers events destined for other partitions during a
 	// window. At the window barrier each buffer is swapped (not copied)
 	// into the destination partition's inbox slot.
-	crossOut [][]*Event
+	crossOut [][]Event
 
 	// inbox[src] is the buffer partition src published for this
 	// partition in the current round; it is drained into eventQ after
 	// the exchange barrier. Buffers ping-pong between crossOut and inbox
 	// so the steady-state exchange allocates nothing.
-	inbox [][]*Event
+	inbox [][]Event
 
 	// watermark is the virtual time of the item currently being
 	// processed; wakes and handler emissions must not go backwards past
@@ -78,8 +78,6 @@ type partition struct {
 	// touched only by the partition's own worker.
 	events      uint64
 	resumes     uint64
-	poolHits    uint64
-	poolMisses  uint64
 	crossEvents uint64
 	rounds      uint64
 	widthSum    vclock.Duration
@@ -110,33 +108,19 @@ func (p *partition) nextSeq() uint64 {
 	return p.seq
 }
 
-// newEvent returns a zeroed event from the partition's free list, or a
-// fresh allocation if the list is empty. Must only be called from the
-// partition's own execution context (its scheduler or its running VP).
-func (p *partition) newEvent() *Event {
-	if n := len(p.free) - 1; n >= 0 {
-		ev := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		p.poolHits++
-		return ev
-	}
-	p.poolMisses++
-	return new(Event)
-}
-
-// maxFreeEvents bounds the event free list so one burst (every rank
-// emitting at a window edge) does not pin its peak working set forever;
-// the cap comfortably covers steady-state traffic, and surplus recycles
-// fall to the garbage collector.
-const maxFreeEvents = 4096
-
-// recycle zeroes a dispatched event and returns it to the free list. The
-// event must no longer be referenced by any queue or handler.
-func (p *partition) recycle(ev *Event) {
-	*ev = Event{}
-	if len(p.free) < maxFreeEvents {
-		p.free = append(p.free, ev)
+// releaseQueues drops the storage of the partition's queues once the run
+// is over. The event queue grows to the largest burst the run produced
+// (every rank's halo messages in flight at one virtual instant) and the
+// ready heap to the partition's VP count; neither is needed to read the
+// results, and kept they would be the largest block of dead memory a
+// finished engine holds.
+func (p *partition) releaseQueues() {
+	p.eventQ.a = nil
+	p.ready.a = nil
+	p.cur = Event{}
+	for i := range p.crossOut {
+		p.crossOut[i] = nil
+		p.inbox[i] = nil
 	}
 }
 
@@ -164,20 +148,20 @@ const stopStrideMask = 1<<10 - 1
 // processWindow processes all pending items with virtual time strictly
 // before horizon, in deterministic (time, src, seq) order, preferring
 // events over VP resumes on equal times. Items generated during the window
-// that still fall before the horizon are processed too. Dispatched events
-// are recycled into the partition's free list once their handler returns.
-// A Cancel observed mid-window returns early; the run is being torn down,
-// so the unprocessed remainder of the window is irrelevant.
+// that still fall before the horizon are processed too. A Cancel observed
+// mid-window returns early; the run is being torn down, so the unprocessed
+// remainder of the window is irrelevant.
 func (p *partition) processWindow(horizon vclock.Time) {
 	for n := uint(0); ; n++ {
 		if n&stopStrideMask == 0 && p.eng.stop.Load() {
 			return
 		}
-		ev := p.eventQ.peek()
+		next := p.eventQ.peek()
 		re, haveReady := p.ready.peek()
 		switch {
-		case ev != nil && ev.Time < horizon && (!haveReady || ev.Time <= re.at):
-			p.eventQ.pop()
+		case next != nil && next.Time < horizon && (!haveReady || next.Time <= re.at):
+			ev := &p.cur
+			p.eventQ.popInto(ev)
 			if p.validate && ev.Time < p.watermark {
 				check.Failf("watermark-monotonic", ev.Target, ev.Time, eventDesc(ev),
 					"partition %d dispatched an event before its watermark %v", p.id, p.watermark)
@@ -185,7 +169,7 @@ func (p *partition) processWindow(horizon vclock.Time) {
 			p.watermark = ev.Time
 			p.events++
 			p.dispatch(ev)
-			p.recycle(ev)
+			ev.Payload = nil
 		case haveReady && re.at < horizon:
 			p.ready.pop()
 			if p.validate && re.at < p.watermark {
@@ -209,7 +193,7 @@ func (p *partition) dispatch(ev *Event) {
 		return
 	case kindTimer:
 		v := &p.eng.vps[ev.Target]
-		if v.state == vpBlocked && v.sleeping && ev.stamp == v.sleepSeq {
+		if v.state == vpBlocked && v.sleeping && ev.Words[0] == v.sleepSeq {
 			p.wake(v, ev.Time, nil)
 		}
 		return
@@ -425,18 +409,17 @@ func (s *SchedCtx) SetAbortAt(rank int, t vclock.Time) {
 // partition, so same-virtual-time tie-breaks are identical at every
 // worker count. Its Time must not precede the current event time, and
 // cross-partition targets must respect the engine lookahead. The event
-// value is copied into a pooled event, so the argument never escapes.
+// value is copied into the destination queue, so the argument never
+// escapes.
 func (s *SchedCtx) EmitFor(onBehalf int, ev Event) {
 	v := s.local(onBehalf)
 	if ev.Time < s.part.watermark {
 		check.Failf("emit-before-now", onBehalf, ev.Time, eventDesc(&ev),
 			"handler on partition %d emitted an event before the current event time %v", s.part.id, s.part.watermark)
 	}
-	pe := s.part.newEvent()
-	*pe = ev
-	pe.Src = handlerSrc(onBehalf)
-	pe.Seq = v.nextSeq()
-	s.eng.route(s.part, s.part.watermark, pe)
+	ev.Src = handlerSrc(onBehalf)
+	ev.Seq = v.nextSeq()
+	s.eng.route(s.part, s.part.watermark, &ev)
 }
 
 // Logf writes an informational message through the engine's logger. The

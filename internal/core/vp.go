@@ -270,7 +270,8 @@ func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 		return nil, false
 	}
 	v.sleepSeq++
-	c.Emit(Event{Time: v.clock.Add(d), Kind: kindTimer, Target: v.rank, stamp: v.sleepSeq})
+	// The timer generation rides in the event's first scalar word.
+	c.Emit(Event{Time: v.clock.Add(d), Kind: kindTimer, Target: v.rank, Words: [EventWords]uint64{v.sleepSeq}})
 	v.sleeping = true
 	return "sleep", true
 }
@@ -332,19 +333,18 @@ func (c *Ctx) Block(reason any) any {
 // engine; its Time must not be before the VP's current clock, and events
 // that cross partitions must respect the engine's lookahead (Time at least
 // clock+lookahead) — both are programming errors that panic. The event
-// value is copied into a pooled event drawn from the VP's partition, so
-// the argument never escapes and steady-state emission allocates nothing.
+// value is copied into the destination partition's queue, so the argument
+// never escapes and emission allocates nothing beyond the queue's own
+// amortised growth.
 func (c *Ctx) Emit(ev Event) {
 	v := c.vp
 	if ev.Time < v.clock {
 		check.Failf("emit-before-now", v.rank, ev.Time, eventDesc(&ev),
 			"rank %d emitted an event before its clock %v", v.rank, v.clock)
 	}
-	pe := v.part.newEvent()
-	*pe = ev
-	pe.Src = v.rank
-	pe.Seq = v.nextSeq()
-	c.eng.route(v.part, v.clock, pe)
+	ev.Src = v.rank
+	ev.Seq = v.nextSeq()
+	c.eng.route(v.part, v.clock, &ev)
 }
 
 // EmitBroadcast schedules one copy of ev per partition with Target set to
@@ -356,12 +356,10 @@ func (c *Ctx) EmitBroadcast(ev Event) {
 			"rank %d broadcast an event before its clock %v", v.rank, v.clock)
 	}
 	ev.Target = BroadcastTarget
+	ev.Src = v.rank
 	for _, p := range c.eng.parts {
-		pe := v.part.newEvent()
-		*pe = ev
-		pe.Src = v.rank
-		pe.Seq = v.nextSeq()
-		c.eng.routeToPartition(v.part, v.clock, p, pe)
+		ev.Seq = v.nextSeq()
+		c.eng.routeToPartition(v.part, v.clock, p, &ev)
 	}
 }
 

@@ -40,14 +40,14 @@ const (
 // caller, who must Release it (or detach its Data) once consumed. On error
 // the message, if any, is released here and nil is returned.
 func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
-	msg := req.msg
-	req.msg = nil
-	ps.dp.putReq(req)
+	var msg *Message
 	if err != nil {
-		msg.Release()
-		return nil, err
+		req.releaseMsg(ps.dp)
+	} else {
+		msg = req.TakeMsg()
 	}
-	return msg, nil
+	ps.dp.putReq(req)
+	return msg, err
 }
 
 // sendTag performs a blocking internal send (raw error, no handler),

@@ -259,7 +259,7 @@ func (c *Comm) Wait(r *Request) (*Message, error) {
 	if err := c.env.wait(r); err != nil {
 		return nil, c.handleError(err)
 	}
-	return r.msg, nil
+	return r.Msg(), nil
 }
 
 // Waitall blocks until every request completes; it returns the first error
@@ -269,8 +269,9 @@ func (c *Comm) Waitall(reqs []*Request) error {
 }
 
 // Free recycles a completed request back to the process's data-plane
-// pool, releasing any still-attached received message. The caller must
-// not touch the request afterwards. Freeing is optional — dropped
+// pool, releasing any still-attached received message — or, for a receive
+// nobody read, just its payload buffer: no Message ever exists for it. The
+// caller must not touch the request afterwards. Freeing is optional — dropped
 // requests fall to the garbage collector — but long-running programs at
 // oversubscription scale free their requests to keep steady-state
 // allocation flat. Requests still in flight are ignored.
@@ -278,9 +279,9 @@ func (c *Comm) Free(r *Request) {
 	if r == nil || !r.done {
 		return
 	}
-	r.msg.Release()
-	r.msg = nil
-	c.env.ps.dp.putReq(r)
+	dp := c.env.ps.dp
+	r.releaseMsg(dp)
+	dp.putReq(r)
 }
 
 // String describes the communicator.

@@ -287,8 +287,9 @@ type procState struct {
 	// failed list, filled in by notification events; nil until the first
 	// notification arrives).
 	failedPeers map[int]vclock.Time
-	// waitingOn is the request set the VP is currently blocked on.
-	waitingOn []*Request
+	// waiting is the wait the VP is currently parked in, nil when it is not
+	// parked in one.
+	waiting *WaitState
 	// probes holds outstanding blocking probes (at most one: a process
 	// blocks in a single Probe at a time; kept as a slice for symmetry).
 	probes []*probeRec

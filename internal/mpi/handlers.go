@@ -6,12 +6,18 @@ import (
 	"xsim/internal/vclock"
 )
 
-// Event handlers in this file receive pooled *core.Event pointers: the
-// engine recycles the event as soon as the handler returns, so handlers
-// read what they need (Time, Payload) during the call and never store the
-// event itself. Payload values (*envelope, ctsMsg, notifications, ...) are
-// independent allocations and may be retained — the unexpected-message
-// queue and pending-request tables do exactly that.
+// Event handlers in this file receive a *core.Event that is valid for the
+// call only: events are values owned by the engine's queue, and the engine
+// hands each handler its own copy of the one being dispatched. Handlers
+// read what they need (Time, Words, Payload) during the call and never
+// store the event itself. Payload values (payload boxes, CTS and data
+// records, notifications) are independent objects and may be retained.
+//
+// Two objects of the point-to-point path exist only on demand. An envelope
+// object means "unexpected": a header that matches a posted receive on
+// arrival is rebuilt on handleEnvelope's stack and never becomes one. A
+// Message means "somebody asked": matching records the header in the
+// Request, and Request.Msg builds the Message when it is read.
 
 // localState returns the procState of a local, still-alive rank, or nil.
 func localState(s *core.SchedCtx, rank int) *procState {
@@ -22,60 +28,70 @@ func localState(s *core.SchedCtx, rank int) *procState {
 	return ps
 }
 
-// wakeIfWaiting resumes a VP blocked on a wait containing req.
-func wakeIfWaiting(s *core.SchedCtx, ps *procState, req *Request, at vclock.Time) {
-	rank := ps.env.Rank()
-	if !s.Blocked(rank) {
+// wakeIfWaiting resumes the rank if it is parked in ws, the wait a request
+// that just completed at time at was registered with (completeRequest's
+// result; nil when nobody waits on the request).
+func wakeIfWaiting(s *core.SchedCtx, ps *procState, ws *WaitState, at vclock.Time) {
+	if ws == nil || ws != ps.waiting {
 		return
 	}
-	for _, r := range ps.waitingOn {
-		if r == req {
-			s.Wake(rank, at, nil)
-			return
-		}
+	if rank := ps.env.Rank(); s.Blocked(rank) {
+		s.Wake(rank, at, nil)
 	}
 }
 
-// handleEnvelope delivers a message envelope at the receiver: match the
-// first compatible posted receive, or queue it as unexpected. Envelopes to
-// failed processes are deleted — once a simulated MPI process fails, all
-// messages directed to it are dropped.
+// handleEnvelope delivers a message envelope at the receiver — eager,
+// eager with a payload box, or rendezvous ready-to-send alike: match the
+// first compatible posted receive, or queue it as unexpected, which is the
+// only case that needs an envelope object. Envelopes to failed processes
+// are deleted — once a simulated MPI process fails, all messages directed
+// to it are dropped.
 func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
-	env := ev.Payload.(*envelope)
-	ps := localState(s, env.dst)
+	var h envHeader
+	box := h.take(ev)
+	ps := localState(s, h.dst)
 	if ps == nil {
-		dropEnvelope(w.pools[s.Partition()], env)
+		dp := w.pools[s.Partition()]
+		dp.putBuf(h.data)
+		if box != nil {
+			dp.putEnv(box)
+		}
 		return
 	}
 	// Endpoint contention: eager payloads serialise through the
 	// receiver's NIC in arrival order (rendezvous payloads pay at the
 	// data delivery instead — their envelope is control-sized).
-	if !env.rendezvous {
-		if occ := w.cfg.Net.EjectOccupancy(env.size); occ > 0 {
+	if !h.rendezvous {
+		if occ := w.cfg.Net.EjectOccupancy(h.size); occ > 0 {
 			start := vclock.Max(ev.Time, ps.ejectFreeAt)
 			ps.ejectFreeAt = start.Add(occ)
-			env.dataAt = vclock.Max(env.dataAt, ps.ejectFreeAt)
+			h.dataAt = vclock.Max(h.dataAt, ps.ejectFreeAt)
 		}
 	}
-	if req := ps.takePosted(env); req != nil {
-		matchEnvelope(w, ps, req, env, schedEmitter{s, env.dst})
-		ps.releaseEnvelope(env)
+	if req := ps.takePosted(&h); req != nil {
+		ws := matchEnvelope(w, ps, req, &h, schedEmitter(s, h.dst))
+		if box != nil {
+			ps.dp.putEnv(box)
+		}
 		if w.cfg.Validate {
 			ps.checkIndexes("envelope-match")
 		}
-		if req.done {
-			wakeIfWaiting(s, ps, req, req.completeAt)
-		}
+		wakeIfWaiting(s, ps, ws, req.completeAt)
 		return
 	}
+	env := box
+	if env == nil {
+		env = ps.dp.getEnv()
+	}
+	env.envHeader = h
 	ps.addUnexpected(env)
 	if w.cfg.Validate {
 		ps.checkIndexes("envelope-unexpected")
 	}
 	// A blocked probe matching this envelope wakes to inspect it.
 	for _, pr := range ps.probes {
-		if pr.matchesEnvelope(env) && s.Blocked(env.dst) {
-			s.Wake(env.dst, ev.Time, nil)
+		if pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
+			s.Wake(h.dst, ev.Time, nil)
 			break
 		}
 	}
@@ -130,11 +146,11 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 		Payload: dm,
 	})
 	ps.dp.putCts(cts)
-	completeRequest(ps, req, start.Add(net.SendOverhead(req.src, req.dst, req.size)), nil)
+	ws := completeRequest(ps, req, start.Add(net.SendOverhead(req.src, req.dst, req.size)), nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("cts")
 	}
-	wakeIfWaiting(s, ps, req, req.completeAt)
+	wakeIfWaiting(s, ps, ws, req.completeAt)
 }
 
 // handleData delivers a rendezvous payload at the receiver.
@@ -158,19 +174,19 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		return
 	}
 	at := ev.Time
-	if occ := w.cfg.Net.EjectOccupancy(req.msg.Size); occ > 0 {
+	if occ := w.cfg.Net.EjectOccupancy(req.size); occ > 0 {
 		start := vclock.Max(at, ps.ejectFreeAt)
 		ps.ejectFreeAt = start.Add(occ)
 		at = ps.ejectFreeAt
 	}
-	req.msg.Data = dm.data
+	req.data = dm.data
 	dm.data = nil
 	ps.dp.putDm(dm)
-	completeRequest(ps, req, at, nil)
+	ws := completeRequest(ps, req, at, nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("data")
 	}
-	wakeIfWaiting(s, ps, req, req.completeAt)
+	wakeIfWaiting(s, ps, ws, req.completeAt)
 }
 
 // handleReqTimeout fires a failure-detection timeout: if the request is
@@ -187,13 +203,13 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 	if req == nil || req.done {
 		return
 	}
-	completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: to.peer, FailedAt: to.failedAt, Op: req.opName()})
+	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: to.peer, FailedAt: to.failedAt, Op: req.opName()})
 	w.trace(trace.Event{At: ev.Time, Kind: trace.KindDetect, Rank: int32(ev.Target), Peer: int32(to.peer), Aux: int64(to.failedAt)})
 	w.m.recordDetection(ev.Target, to.peer, ev.Time)
 	if w.cfg.Validate {
 		ps.checkIndexes("timeout")
 	}
-	wakeIfWaiting(s, ps, req, req.completeAt)
+	wakeIfWaiting(s, ps, ws, req.completeAt)
 }
 
 // handleFailNotify processes the simulator-internal failure notification
@@ -220,7 +236,7 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 		// so walking it directly is deterministic and allocation-free.
 		for req := ps.pendHead; req != nil; req = req.nNext {
 			if req.involves(fn.rank) {
-				ps.armTimeout(w, req, schedEmitter{s, rank})
+				ps.armTimeout(w, req, schedEmitter(s, rank))
 			}
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes

@@ -169,10 +169,13 @@ type MetricsSnapshot struct {
 	UnexpectedMax int
 
 	// Data-plane pool behaviour (see internal/mpi/pool.go), summed across
-	// partitions. PoolHits/PoolMisses count object free-list reuse
-	// (envelopes, requests, messages, rendezvous control records);
-	// BufHits/BufMisses count payload-buffer reuse. Counters are run
-	// totals, not digest material: they vary with the partition layout.
+	// partitions. PoolHits/PoolMisses count the pooled objects the run
+	// asked for (requests, rendezvous control records, and the on-demand
+	// envelopes and messages) that were served without allocating, from a
+	// free list, vs by allocating; a message that needs no object counts
+	// in neither. BufHits/BufMisses count payload-buffer reuse. Counters
+	// are run totals, not digest material: they vary with the partition
+	// layout.
 	PoolHits   uint64
 	PoolMisses uint64
 	BufHits    uint64

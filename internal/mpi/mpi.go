@@ -96,7 +96,7 @@ func (e *RevokedError) Error() string {
 }
 
 // reqKind distinguishes request flavours.
-type reqKind int
+type reqKind uint8
 
 const (
 	recvReq reqKind = iota
@@ -106,7 +106,6 @@ const (
 // Request is a nonblocking operation handle (MPI_Request).
 type Request struct {
 	id   uint64
-	kind reqKind
 	comm *Comm
 
 	// Matching fields in world ranks; src may be AnySource, tag AnyTag.
@@ -114,15 +113,31 @@ type Request struct {
 	tag      int
 
 	postClock vclock.Time
-	size      int
-	data      []byte
+	// size and data are the payload: of a send as posted (data until the
+	// transfer takes it), of a receive as matched (data from the payload's
+	// arrival until somebody reads the message or frees the request).
+	size int
+	data []byte
+
+	// msgSrc and msgTag complete the received-message header of a matched
+	// receive: the sender's rank in the communicator and the tag it sent.
+	msgSrc, msgTag int
 
 	// Completion state.
-	done       bool
 	completeAt vclock.Time
-	msg        *Message
 	err        error
+	// msg is the received message once somebody asked for it (Msg);
+	// until then the header lives in the fields above and no Message
+	// exists.
+	msg *Message
 
+	kind reqKind
+	done bool
+	// matched marks a receive bound to a message header (matchEnvelope)
+	// whose message has not been taken from the request.
+	matched bool
+	// pending mirrors membership of the process's pending list.
+	pending bool
 	// awaitingData marks a recv matched to a rendezvous envelope whose
 	// data transfer is still in flight.
 	awaitingData bool
@@ -137,7 +152,6 @@ type Request struct {
 	// per (comm, src) key (or the wildcard list), in post order.
 	posted       bool
 	wild         bool
-	postKey      matchKey
 	postSeq      uint64
 	postQ        *reqQ
 	pNext, pPrev *Request
@@ -147,22 +161,32 @@ type Request struct {
 	// order) alongside the id-keyed map.
 	nNext, nPrev *Request
 
-	// waiter points at the program-mode WaitState tracking this request,
-	// so completion can decrement its pending count in O(1) instead of
-	// the wait re-scanning the request set on every wake; nil for
-	// requests not under a program wait (closure mode, free-standing
-	// Isends). Cleared at completion and by putReq's zeroing.
+	// waiter points at the WaitState tracking this request, so completion
+	// can decrement its pending count, and tell whether to wake the rank,
+	// in O(1) instead of a scan of the request set; nil for requests not
+	// under a parked wait. Cleared at completion and by putReq's zeroing.
 	waiter *WaitState
 }
 
 // Done reports whether the request has completed (successfully or not).
 func (r *Request) Done() bool { return r.done }
 
-// Msg returns the received message of a completed receive request (nil
-// for sends and for requests still in flight). The message follows the
-// usual ownership rules: the caller may keep it until Message.Release or
-// until the request is handed to Comm.Free.
-func (r *Request) Msg() *Message { return r.msg }
+// Msg returns the received message of a completed receive request,
+// building the pooled header from the request on first use (the payload
+// buffer moves to it). It is nil for sends, for receives that completed
+// without a match, while the request is in flight, and after TakeMsg. The
+// message follows the usual ownership rules: the caller may keep it until
+// Message.Release or until the request is handed to Comm.Free.
+func (r *Request) Msg() *Message {
+	if r.msg == nil && r.matched && r.done {
+		dp := r.comm.env.ps.dp
+		m := dp.getMsg()
+		m.Src, m.Tag, m.Size, m.Data, m.pool = r.msgSrc, r.msgTag, r.size, r.data, dp
+		r.data = nil
+		r.msg = m
+	}
+	return r.msg
+}
 
 // Err returns the request's error after completion, nil on success.
 func (r *Request) Err() error { return r.err }
@@ -173,12 +197,26 @@ func (r *Request) Err() error { return r.err }
 // It returns nil for sends, for requests still in flight, and when the
 // message was already taken.
 func (r *Request) TakeMsg() *Message {
-	if !r.done {
-		return nil
+	m := r.Msg()
+	if m != nil {
+		r.msg = nil
+		r.matched = false
 	}
-	m := r.msg
-	r.msg = nil
 	return m
+}
+
+// releaseMsg drops whatever the request still holds of a received message:
+// the materialised Message if somebody read it, else just the payload
+// buffer, without ever building a header.
+func (r *Request) releaseMsg(dp *dpPool) {
+	if r.msg != nil {
+		r.msg.Release()
+		r.msg = nil
+	} else if r.kind == recvReq && r.data != nil {
+		dp.putBuf(r.data)
+		r.data = nil
+	}
+	r.matched = false
 }
 
 // opName names the request's operation for error messages.

@@ -285,8 +285,8 @@ func TestIsendIrecvWaitall(t *testing.T) {
 				t.Errorf("waitall: %v", err)
 			}
 			for i, r := range reqs {
-				if !r.Done() || r.msg.Tag != 3-i {
-					t.Errorf("req %d: done=%v tag=%d", i, r.Done(), r.msg.Tag)
+				if !r.Done() || r.Msg().Tag != 3-i {
+					t.Errorf("req %d: done=%v tag=%d", i, r.Done(), r.Msg().Tag)
 				}
 			}
 		}

@@ -8,34 +8,45 @@ import (
 	"xsim/internal/vclock"
 )
 
-// envelope is the matching unit travelling between processes. Both eager
+// envHeader is the matching unit travelling between processes. Both eager
 // messages and rendezvous ready-to-send envelopes are control-sized, so
 // envelopes from one sender arrive in send order and MPI's non-overtaking
 // matching rule holds; an eager payload becomes available at dataAt, while
 // a rendezvous payload is transferred only after the receiver matches.
 //
-// Envelopes are pooled (dpPool): the sender's partition allocates one per
-// message, and the receiver's partition recycles it when it is matched,
-// dropped at a dead rank, or drained at finalize. While unexpected, an
-// envelope sits in two intrusive lists at once — its (comm, src) FIFO
-// (sNext/sPrev) and its communicator's arrival-order list (aNext/aPrev) —
-// so wildcard matching walks arrivals directly instead of scanning every
-// source.
-type envelope struct {
+// In flight a header is not an object: its scalars ride in the envelope
+// event's Words (put) and handleEnvelope rebuilds it on its stack (take). Matching a posted receive reads it there and the message
+// never owns anything but its queue slot.
+type envHeader struct {
 	commID      int
 	src, dst    int // world ranks
 	srcCommRank int // sender's rank within the communicator
 	tag         int
 	size        int
 
-	// Eager fields. data is a pooled buffer owned by the envelope until
-	// matching transfers it to the receiver's Message.
+	// Eager fields. data is a pooled buffer owned by the header until
+	// matching transfers it to the receiving request.
 	data   []byte
 	dataAt vclock.Time
 
 	// Rendezvous fields.
 	rendezvous bool
 	sendReqID  uint64
+}
+
+// envelope is a header as a pooled object (dpPool), which means one of two
+// things. The message is unexpected: no receive was posted when it arrived,
+// so it waits in two intrusive lists at once — its (comm, src) FIFO
+// (sNext/sPrev) and its communicator's arrival-order list (aNext/aPrev), so
+// wildcard matching walks arrivals directly instead of scanning every
+// source — until a receive takes it, its rank dies, or finalize drains it.
+// Or it is the box an eager payload buffer travels in: a []byte cannot sit
+// in an event's Payload without a slice header allocated per message, so a
+// payload-carrying eager send takes an envelope from the sender's pool,
+// fills in data alone, and the receiver either releases it on a match or
+// keeps that very object if the message turns out unexpected.
+type envelope struct {
+	envHeader
 
 	// arriveSeq orders unexpected envelopes at the receiver.
 	arriveSeq uint64
@@ -44,6 +55,59 @@ type envelope struct {
 	// arrival list.
 	sNext, sPrev *envelope
 	aNext, aPrev *envelope
+}
+
+// Layout of an envelope event's scalar words. The source and destination
+// world ranks are the event's own Src (the sending VP emitted it) and
+// Target.
+const (
+	envWordComm    = iota // commID<<1 | rendezvous bit
+	envWordCommSrc        // sender's rank within the communicator
+	envWordTag
+	envWordSize
+	envWordData // eager: dataAt; rendezvous: sendReqID
+)
+
+// put writes the header into the envelope event that carries it to its
+// destination. box is the pooled envelope holding h.data, nil for
+// payload-free messages. (Header and event are filled in place through
+// pointers: both are large enough that returning them by value shows up
+// as copying in the per-message profile.)
+func (h *envHeader) put(ev *core.Event, at vclock.Time, box *envelope) {
+	ev.Time, ev.Kind, ev.Target = at, kindEnvelope, h.dst
+	ev.Words[envWordComm] = uint64(h.commID) << 1
+	ev.Words[envWordCommSrc] = uint64(h.srcCommRank)
+	ev.Words[envWordTag] = uint64(h.tag)
+	ev.Words[envWordSize] = uint64(h.size)
+	if h.rendezvous {
+		ev.Words[envWordComm] |= 1
+		ev.Words[envWordData] = h.sendReqID
+	} else {
+		ev.Words[envWordData] = uint64(h.dataAt)
+	}
+	if box != nil {
+		ev.Payload = box
+	}
+}
+
+// take rebuilds the header an envelope event carries, and returns the
+// payload box if the message has one (its data is then the header's).
+func (h *envHeader) take(ev *core.Event) (box *envelope) {
+	h.commID = int(ev.Words[envWordComm] >> 1)
+	h.src, h.dst = ev.Src, ev.Target
+	h.srcCommRank = int(ev.Words[envWordCommSrc])
+	h.tag = int(ev.Words[envWordTag])
+	h.size = int(ev.Words[envWordSize])
+	if ev.Words[envWordComm]&1 != 0 {
+		h.rendezvous = true
+		h.sendReqID = ev.Words[envWordData]
+	} else {
+		h.dataAt = vclock.Time(ev.Words[envWordData])
+	}
+	if box, _ = ev.Payload.(*envelope); box != nil {
+		h.data = box.data
+	}
+	return box
 }
 
 // ctsMsg is the rendezvous clear-to-send control message (receiver→sender).
@@ -174,22 +238,39 @@ func (q *envArrQ) unlink(e *envelope) {
 }
 
 // postedInline is the number of (comm, src) posted-receive queues kept
-// inline in procState before spilling to a map. A 1-D halo exchange uses
-// exactly 2 distinct sources, so the dominant oversubscription shape pays
-// no allocation and no hashing — and at a million ranks every inline slot
-// is ~32 bytes/rank of resident footprint, so the array stays minimal.
+// inline in procState. A 1-D halo exchange uses exactly 2 distinct sources,
+// so that shape pays no allocation and no hashing — and at a million ranks
+// every inline slot is ~32 bytes/rank of resident footprint, so the array
+// stays minimal.
 const postedInline = 2
 
-// postedIdx indexes the per-(comm, src) posted-receive queues: a linear
-// inline array of queue values with a map spill for ranks that receive
-// from many distinct sources. Queue addresses are stable either way (the
-// inline array lives in procState, which never moves; spill queues are
-// individually allocated), so Request.postQ may point at them.
+// postedLinear is the number of further queues kept in one linearly scanned
+// block before the index falls back on a map. The paper's application is a
+// 3-D stencil with six sources: two inline and four in the block, one
+// allocation and no hashing. Only fan-in roots (a linear barrier's root
+// receives from every rank) ever reach the map.
+const postedLinear = 6
+
+// postedSpill holds the queues beyond the inline ones: a fixed block
+// scanned linearly, then a map.
+type postedSpill struct {
+	n    int
+	keys [postedLinear]matchKey
+	qs   [postedLinear]reqQ
+	more map[matchKey]*reqQ
+}
+
+// postedIdx indexes the per-(comm, src) posted-receive queues: an inline
+// array of queue values, then a spill block, then a map, in the order the
+// keys first appeared. Queue addresses are stable wherever a queue lives
+// (the inline array is part of procState, which never moves; the block is
+// allocated once; map queues are allocated one by one), so Request.postQ
+// may point at them.
 type postedIdx struct {
 	n     int
 	keys  [postedInline]matchKey
 	qs    [postedInline]reqQ
-	spill map[matchKey]*reqQ
+	spill *postedSpill
 }
 
 // get returns the queue for k, or nil if none was ever created.
@@ -199,30 +280,42 @@ func (ix *postedIdx) get(k matchKey) *reqQ {
 			return &ix.qs[i]
 		}
 	}
-	if ix.spill != nil {
-		return ix.spill[k]
+	if sp := ix.spill; sp != nil {
+		for i := 0; i < sp.n; i++ {
+			if sp.keys[i] == k {
+				return &sp.qs[i]
+			}
+		}
+		return sp.more[k]
 	}
 	return nil
 }
 
-// getOrAdd returns the queue for k, creating it (inline while room, in the
-// spill map after) on first use. Queues are retained once created, like
-// the map entries they replace.
+// getOrAdd returns the queue for k, creating it on first use in the first
+// tier with room. Queues are retained once created.
 func (ix *postedIdx) getOrAdd(k matchKey) *reqQ {
 	if q := ix.get(k); q != nil {
 		return q
 	}
 	if ix.n < postedInline {
 		ix.keys[ix.n] = k
-		q := &ix.qs[ix.n]
 		ix.n++
-		return q
+		return &ix.qs[ix.n-1]
 	}
 	if ix.spill == nil {
-		ix.spill = make(map[matchKey]*reqQ)
+		ix.spill = new(postedSpill)
+	}
+	sp := ix.spill
+	if sp.n < postedLinear {
+		sp.keys[sp.n] = k
+		sp.n++
+		return &sp.qs[sp.n-1]
+	}
+	if sp.more == nil {
+		sp.more = make(map[matchKey]*reqQ)
 	}
 	q := new(reqQ)
-	ix.spill[k] = q
+	sp.more[k] = q
 	return q
 }
 
@@ -231,8 +324,13 @@ func (ix *postedIdx) each(f func(matchKey, *reqQ)) {
 	for i := 0; i < ix.n; i++ {
 		f(ix.keys[i], &ix.qs[i])
 	}
-	for k, q := range ix.spill {
-		f(k, q)
+	if sp := ix.spill; sp != nil {
+		for i := 0; i < sp.n; i++ {
+			f(sp.keys[i], &sp.qs[i])
+		}
+		for k, q := range sp.more {
+			f(k, q)
+		}
 	}
 }
 
@@ -240,11 +338,11 @@ func (ix *postedIdx) each(f func(matchKey, *reqQ)) {
 // AnyTag only spans the application tag space: internal messages (negative
 // tags — barriers, collectives, ULFM) must never be intercepted by user
 // wildcards, mirroring MPI's separate collective context.
-func tagOK(r *Request, env *envelope) bool {
+func tagOK(r *Request, h *envHeader) bool {
 	if r.tag == AnyTag {
-		return env.tag >= 0
+		return h.tag >= 0
 	}
-	return r.tag == env.tag
+	return r.tag == h.tag
 }
 
 // addPosted files a receive request into the posted index.
@@ -255,8 +353,7 @@ func (ps *procState) addPosted(r *Request) {
 	r.wild = r.src == AnySource
 	q := &ps.postedWild
 	if !r.wild {
-		r.postKey = matchKey{r.comm.id, r.src}
-		q = ps.posted.getOrAdd(r.postKey)
+		q = ps.posted.getOrAdd(matchKey{r.comm.id, r.src})
 	}
 	q.push(r)
 	r.postQ = q
@@ -274,23 +371,23 @@ func (ps *procState) removePosted(r *Request) {
 	r.postQ = nil
 }
 
-// takePosted finds and unfiles the posted receive an arriving envelope
+// takePosted finds and unfiles the posted receive an arriving header
 // matches: the earliest-posted compatible request, considering both the
 // exact-source list and wildcard receives (MPI's matching rule). Each list
 // is in post order, so the first compatible entry of each is its
 // candidate; the lower post sequence of the two wins.
-func (ps *procState) takePosted(env *envelope) *Request {
+func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
-	if q := ps.posted.get(matchKey{env.commID, env.src}); q != nil {
+	if q := ps.posted.get(matchKey{h.commID, h.src}); q != nil {
 		for r := q.head; r != nil; r = r.pNext {
-			if tagOK(r, env) {
+			if tagOK(r, h) {
 				best = r
 				break
 			}
 		}
 	}
 	for r := ps.postedWild.head; r != nil; r = r.pNext {
-		if r.comm.id == env.commID && tagOK(r, env) {
+		if r.comm.id == h.commID && tagOK(r, h) {
 			if best == nil || r.postSeq < best.postSeq {
 				best = r
 			}
@@ -348,7 +445,7 @@ func (ps *procState) takeUnexpected(req *Request) *envelope {
 	if req.src != AnySource {
 		if q := ps.unexpBySrc[matchKey{req.comm.id, req.src}]; q != nil {
 			for env := q.head; env != nil; env = env.sNext {
-				if tagOK(req, env) {
+				if tagOK(req, &env.envHeader) {
 					ps.removeUnexpected(env)
 					return env
 				}
@@ -358,28 +455,13 @@ func (ps *procState) takeUnexpected(req *Request) *envelope {
 	}
 	if q := ps.unexpByComm[req.comm.id]; q != nil {
 		for env := q.head; env != nil; env = env.aNext {
-			if tagOK(req, env) {
+			if tagOK(req, &env.envHeader) {
 				ps.removeUnexpected(env)
 				return env
 			}
 		}
 	}
 	return nil
-}
-
-// releaseEnvelope recycles a consumed envelope whose payload (if any) was
-// transferred elsewhere.
-func (ps *procState) releaseEnvelope(env *envelope) {
-	env.data = nil
-	ps.dp.putEnv(env)
-}
-
-// dropEnvelope releases an envelope and its payload buffer (unmatched
-// paths: dead receiver, finalize drain).
-func dropEnvelope(dp *dpPool, env *envelope) {
-	dp.putBuf(env.data)
-	env.data = nil
-	dp.putEnv(env)
 }
 
 // drainUnexpected releases every queued unexpected envelope and its
@@ -390,7 +472,8 @@ func (ps *procState) drainUnexpected() {
 		for env := q.head; env != nil; {
 			next := env.aNext
 			ps.env.w.m.unexpectedDelta(env.dst, -1)
-			dropEnvelope(ps.dp, env)
+			ps.dp.putBuf(env.data)
+			ps.dp.putEnv(env)
 			env = next
 		}
 		q.head, q.tail = nil, nil
@@ -411,7 +494,7 @@ func (ps *procState) drainUnexpected() {
 // those structures, and with them the matching semantics for whatever is
 // still in flight. At a million ranks the released maps are the dominant
 // retained cost of a finished rank that ever received from more than
-// postedInline distinct peers.
+// postedInline distinct peers (the spill block and map go with the index).
 func (ps *procState) releaseIndexes() {
 	ps.unexpBySrc = nil
 	ps.unexpByComm = nil
@@ -444,6 +527,7 @@ const pendSpillThreshold = 32
 // failure-notification scan depends on) and, once the set has ever grown
 // past the spill threshold, into the lookup map.
 func (ps *procState) addPending(r *Request) {
+	r.pending = true
 	r.nPrev = ps.pendTail
 	r.nNext = nil
 	if ps.pendTail != nil {
@@ -478,11 +562,12 @@ func (ps *procState) findPending(id uint64) *Request {
 }
 
 // unlinkPending removes a request from the pending list (and spill map);
-// it is a no-op for requests that are not pending.
+// it is a no-op for requests that are not pending (eager sends never are).
 func (ps *procState) unlinkPending(r *Request) {
-	if ps.findPending(r.id) != r {
+	if !r.pending {
 		return
 	}
+	r.pending = false
 	if ps.pendSpill != nil {
 		delete(ps.pendSpill, r.id)
 	}
@@ -500,38 +585,44 @@ func (ps *procState) unlinkPending(r *Request) {
 	r.nNext, r.nPrev = nil, nil
 }
 
-// emitter abstracts the two contexts that can emit events and read the
-// current virtual time: a running VP (its own Ctx) and an event handler
-// (SchedCtx). Message matching runs in both.
+// emitter is whichever of the two contexts message matching runs in, each
+// of which can emit events and read the current virtual time: a running VP
+// (ctx), or an event handler (s) acting for the local rank the engine
+// derives the emitted event's deterministic ordering key from (see
+// core.SchedCtx.EmitFor), which keeps same-virtual-time tie-breaks
+// independent of the partition layout. It is a plain struct passed by
+// value: as an interface it cost one boxed adapter per matched message.
 //
-// Pooled-event discipline: emit takes the core.Event by value and the
-// engine copies it into a pooled event, so the MPI layer never holds a
-// *core.Event of its own. Anything that must outlive the emit call or the
-// handler invocation — envelopes, CTS records, notifications — travels as
-// a Payload; the engine never recycles payloads, but the MPI layer
+// Events are values: emit takes the core.Event by value and the engine
+// copies it into the destination's event queue, so the MPI layer never
+// holds a *core.Event of its own. A message envelope's header travels in
+// the event's scalar words; what needs an object — payload boxes, CTS and
+// data records, notifications — travels as a Payload, and the MPI layer
 // recycles its own pooled payload objects at their consumption points.
-type emitter interface {
-	emit(ev core.Event)
-	now() vclock.Time
-}
-
-// vpEmitter adapts a VP context.
-type vpEmitter struct{ ctx *core.Ctx }
-
-func (v vpEmitter) emit(ev core.Event) { v.ctx.Emit(ev) }
-func (v vpEmitter) now() vclock.Time   { return v.ctx.NowQuiet() }
-
-// schedEmitter adapts a handler context. rank is the local rank the
-// handler is acting for; the engine derives the emitted event's
-// deterministic ordering key from it (see core.SchedCtx.EmitFor), keeping
-// same-virtual-time tie-breaks independent of the partition layout.
-type schedEmitter struct {
+type emitter struct {
+	ctx  *core.Ctx
 	s    *core.SchedCtx
 	rank int
 }
 
-func (h schedEmitter) emit(ev core.Event) { h.s.EmitFor(h.rank, ev) }
-func (h schedEmitter) now() vclock.Time   { return h.s.Now() }
+func vpEmitter(ctx *core.Ctx) emitter { return emitter{ctx: ctx} }
+
+func schedEmitter(s *core.SchedCtx, rank int) emitter { return emitter{s: s, rank: rank} }
+
+func (em emitter) emit(ev core.Event) {
+	if em.s != nil {
+		em.s.EmitFor(em.rank, ev)
+	} else {
+		em.ctx.Emit(ev)
+	}
+}
+
+func (em emitter) now() vclock.Time {
+	if em.s != nil {
+		return em.s.Now()
+	}
+	return em.ctx.NowQuiet()
+}
 
 // isend posts a nonblocking send and returns its request. Internal: the
 // public wrappers apply the communicator's error handler.
@@ -577,13 +668,8 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	req.tag = tag
 	req.size = size
 	req.postClock = e.ctx.NowQuiet()
-	env := dp.getEnv()
-	env.commID = c.id
-	env.src = src
-	env.dst = dst
-	env.srcCommRank = c.rank
-	env.tag = tag
-	env.size = size
+	h := envHeader{commID: c.id, src: src, dst: dst, srcCommRank: c.rank, tag: tag, size: size}
+	var ev core.Event
 	t0 := req.postClock
 	eager := net.Eager(size)
 	e.w.m.countSend(src, size, !eager)
@@ -598,14 +684,18 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		// The payload travels with the envelope: transfer an owned
 		// buffer outright, or copy the caller's bytes into a pooled one
 		// (the caller may reuse its buffer immediately — a broadcast
-		// root does exactly that).
+		// root does exactly that). Only then does the message need an
+		// object, the box its buffer rides in (see envelope).
+		var box *envelope
 		if data != nil {
-			if owned {
-				env.data = data
-			} else {
-				buf := dp.getBuf(len(data))
+			buf := data
+			if !owned {
+				buf = dp.getBuf(len(data))
 				copy(buf, data)
-				env.data = buf
+			}
+			if buf != nil {
+				box = dp.getEnv()
+				box.data = buf
 			}
 		}
 		// Endpoint contention: the payload queues behind earlier
@@ -615,23 +705,25 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 			inject = vclock.Max(t0, e.ps.injectFreeAt)
 			e.ps.injectFreeAt = inject.Add(occ)
 		}
-		env.dataAt = inject.Add(net.TransferTime(src, dst, size))
+		h.dataAt = inject.Add(net.TransferTime(src, dst, size))
 		// An eager send completes locally once the message is injected;
 		// it never waits on the receiver (fire-and-forget buffering).
 		req.done = true
-		e.ctx.Emit(core.Event{Time: t0.Add(net.ControlTime(src, dst)), Kind: kindEnvelope, Target: dst, Payload: env})
+		h.put(&ev, t0.Add(net.ControlTime(src, dst)), box)
+		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, size))
 		req.completeAt = e.ctx.NowQuiet()
 	} else {
 		// Rendezvous: send the ready-to-send envelope and wait for the
 		// receiver's clear-to-send before transferring the payload. No
 		// snapshot is taken here — the payload is read at CTS time.
-		env.rendezvous = true
-		env.sendReqID = req.id
+		h.rendezvous = true
+		h.sendReqID = req.id
 		req.data = data
 		req.ownedData = owned
 		e.ps.addPending(req)
-		e.ctx.Emit(core.Event{Time: t0.Add(net.ControlTime(src, dst)), Kind: kindEnvelope, Target: dst, Payload: env})
+		h.put(&ev, t0.Add(net.ControlTime(src, dst)), nil)
+		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, 0))
 	}
 	return req
@@ -674,8 +766,8 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	// Match the earliest compatible unexpected envelope first (arrival
 	// order preserves MPI's non-overtaking rule).
 	if env := e.ps.takeUnexpected(req); env != nil {
-		matchEnvelope(e.w, e.ps, req, env, vpEmitter{e.ctx})
-		e.ps.releaseEnvelope(env)
+		matchEnvelope(e.w, e.ps, req, &env.envHeader, vpEmitter(e.ctx))
+		e.ps.dp.putEnv(env)
 		if e.w.cfg.Validate {
 			e.ps.checkIndexes("irecv-match")
 		}
@@ -688,56 +780,61 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	return req
 }
 
-// matchEnvelope binds a receive request to an envelope. For eager
-// envelopes the request completes when the payload has arrived (the
-// envelope's pooled payload buffer transfers to the request's Message);
-// for rendezvous envelopes a clear-to-send goes back to the sender and the
-// request completes when the payload delivery event fires. The caller
-// recycles the envelope afterwards (releaseEnvelope).
-func matchEnvelope(w *World, ps *procState, req *Request, env *envelope, em emitter) {
-	req.src = env.src
-	msg := ps.dp.getMsg()
-	msg.Src = env.srcCommRank
-	msg.Tag = env.tag
-	msg.Size = env.size
-	msg.pool = ps.dp
-	req.msg = msg
-	if env.rendezvous {
+// matchEnvelope binds a receive request to a message header, which the
+// request now describes: the sender's rank, the tag and the size are
+// recorded in the request (and, for an eager message, the pooled payload
+// buffer moves there too), so whoever wants a *Message gets it built from
+// the request (Request.Msg) and a receive nobody reads never has one.
+// An eager request completes when the payload has arrived; for a
+// rendezvous header a clear-to-send goes back to the sender and the request
+// completes when the payload delivery event fires. It returns the wait the
+// request was registered with if this completed it (see completeRequest).
+func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitter) *WaitState {
+	req.src = h.src
+	req.matched = true
+	req.msgSrc = h.srcCommRank
+	req.msgTag = h.tag
+	req.size = h.size
+	if h.rendezvous {
 		req.awaitingData = true
 		net := w.cfg.Net
 		cts := ps.dp.getCts()
-		cts.sendReqID = env.sendReqID
+		cts.sendReqID = h.sendReqID
 		cts.recvReqID = req.id
-		cts.recvRank = env.dst
+		cts.recvRank = h.dst
 		// The clear-to-send leaves once both the envelope has arrived
 		// (em.now() when matching on arrival) and the receive is posted
 		// (postClock when the envelope waited in the unexpected queue).
 		em.emit(core.Event{
-			Time:    vclock.Max(em.now(), req.postClock).Add(net.ControlTime(env.dst, env.src)),
+			Time:    vclock.Max(em.now(), req.postClock).Add(net.ControlTime(h.dst, h.src)),
 			Kind:    kindCts,
-			Target:  env.src,
+			Target:  h.src,
 			Payload: cts,
 		})
-		return
+		return nil
 	}
-	msg.Data = env.data
-	env.data = nil
-	completeRequest(ps, req, vclock.Max(req.postClock, env.dataAt), nil)
+	req.data = h.data
+	h.data = nil
+	return completeRequest(ps, req, vclock.Max(req.postClock, h.dataAt), nil)
 }
 
 // completeRequest finalises a request at virtual time at. A send still
 // owning a pooled buffer (an owned rendezvous send dying before its
-// clear-to-send) releases it here.
-func completeRequest(ps *procState, req *Request, at vclock.Time, err error) {
+// clear-to-send) releases it here. It returns the WaitState the request
+// was registered with, nil for a request nobody is parked on: a handler
+// wakes the rank exactly when that is the wait the rank is parked in
+// (wakeIfWaiting).
+func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *WaitState {
 	req.done = true
 	req.completeAt = at
 	req.err = err
 	req.awaitingData = false
-	if req.waiter != nil {
-		req.waiter.pending--
+	ws := req.waiter
+	if ws != nil {
+		ws.pending--
 		req.waiter = nil
 	}
-	if req.data != nil {
+	if req.kind == sendReq && req.data != nil {
 		if req.ownedData {
 			ps.dp.putBuf(req.data)
 		}
@@ -745,6 +842,7 @@ func completeRequest(ps *procState, req *Request, at vclock.Time, err error) {
 	}
 	ps.unlinkPending(req)
 	ps.removePosted(req)
+	return ws
 }
 
 // waitReason describes a wait for deadlock reports. It is only called if
@@ -764,8 +862,8 @@ func waitReason(reqs []*Request) string {
 // reports: the wait fast path parks with the procState itself instead of
 // formatting a string per block.
 func (ps *procState) BlockReason() string {
-	if len(ps.waitingOn) > 0 {
-		return waitReason(ps.waitingOn)
+	if ps.waiting != nil && len(ps.waiting.reqs) > 0 {
+		return waitReason(ps.waiting.reqs)
 	}
 	if n := len(ps.probes); n > 0 {
 		pr := ps.probes[n-1]

@@ -1,15 +1,25 @@
 package mpi
 
 // The data-plane pools. One dpPool per engine partition holds free lists
-// for every object the point-to-point fast path would otherwise allocate
-// per message — envelopes, requests, received-message headers, the
-// rendezvous control records — plus a size-classed payload buffer pool,
-// following the pooled-event discipline the core engine established: a
-// pool is only ever touched by its partition's execution context (the
-// partition worker inside a handler, or the VP goroutine currently running
-// on that partition), so gets and puts need no locks, and objects that
-// travel between ranks simply migrate from the sender's pool to the
-// receiver's, exactly like the core's pooled events.
+// for the objects the point-to-point path still needs — requests, the
+// rendezvous control records, and the two that exist only on demand — plus
+// a size-classed payload buffer pool. A pool is only ever touched by its
+// partition's execution context (the partition worker inside a handler, or
+// the VP currently running on that partition), so gets and puts need no
+// locks, and objects that travel between ranks simply migrate from the
+// sender's pool to the receiver's.
+//
+// What is not here is the message itself. In flight it is a slot in the
+// engine's event queue, its header in the event's scalar words; matched on
+// arrival, the header goes straight into the receive request. An envelope
+// object is taken only for a message that has to wait in the unexpected
+// queue (or to box an eager payload buffer for the trip), and a Message
+// only when somebody reads a completed receive: a payload-free exchange
+// whose receives are posted first takes two requests per message from the
+// pool and nothing else. Pooling those per-message objects instead did not
+// work at scale: every rank posts at the same virtual instant, the burst
+// is hundreds of thousands of objects deep, and a free list deep enough to
+// hold it is slower to walk than the allocator is to bump.
 //
 // Payload buffers carry ownership-transfer semantics:
 //
@@ -35,7 +45,9 @@ const (
 	maxBufShift = 20
 	nBufClasses = maxBufShift - minBufShift + 1
 
-	// Free-list caps bound how much memory an idle pool pins.
+	// Free-list caps bound how much memory an idle pool pins. What is
+	// pooled recycles within one rank's step (a rank frees its requests and
+	// posts the next exchange), so the cap need not cover a burst.
 	maxFreeObjs        = 4096
 	maxFreeBufsPerSize = 64
 )

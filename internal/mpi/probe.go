@@ -21,7 +21,7 @@ type probeRec struct {
 }
 
 // matchesEnvelope reports whether the probe accepts an envelope.
-func (p *probeRec) matchesEnvelope(env *envelope) bool {
+func (p *probeRec) matchesEnvelope(env *envHeader) bool {
 	if p.comm != env.commID {
 		return false
 	}
@@ -154,6 +154,6 @@ func (c *Comm) Cancel(r *Request) bool {
 	if r.done {
 		return false
 	}
-	completeRequest(e.ps, r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()})
+	_ = completeRequest(e.ps, r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()}) // the caller is running, not parked
 	return true
 }

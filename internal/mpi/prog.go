@@ -131,8 +131,15 @@ type WaitState struct {
 
 // Begin arms the wait for a new request set. Call it once per wait, then
 // call WaitStep/WaitallStep from every step until it reports done. A
-// request must appear at most once in the set.
+// request must appear at most once in the set. A set abandoned mid-wait is
+// unregistered first: a completion wakes the rank parked on the wait the
+// request is registered with, and must not mistake this one for it.
 func (ws *WaitState) Begin(reqs ...*Request) {
+	for _, r := range ws.reqs {
+		if r.waiter == ws {
+			r.waiter = nil
+		}
+	}
 	ws.reqs = append(ws.reqs[:0], reqs...)
 	ws.charged = false
 	ws.pending = 0
@@ -158,8 +165,6 @@ func (e *Env) completeWait(reqs []*Request) (done bool, err error) {
 			ev := trace.Event{At: r.completeAt, Kind: trace.KindComplete, Rank: int32(e.Rank()), Peer: int32(r.peer()), Size: int64(r.size)}
 			if r.kind == sendReq {
 				ev.Flags |= trace.FlagSendOp
-			} else if r.msg != nil {
-				ev.Size = int64(r.msg.Size)
 			}
 			if r.err != nil {
 				ev.Flags |= trace.FlagError
@@ -190,7 +195,7 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		// done. No re-scan and no timeout re-arm is needed — timeouts
 		// for peers that failed while parked are armed by the
 		// failure-notification handler.
-		e.ps.waitingOn = ws.reqs
+		e.ps.waiting = ws
 		return false, e.ps, nil
 	}
 	if !ws.charged {
@@ -209,13 +214,13 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 					r.waiter = ws
 					ws.pending++
 				}
-				e.ps.armTimeout(e.w, r, vpEmitter{e.ctx})
+				e.ps.armTimeout(e.w, r, vpEmitter(e.ctx))
 			}
 		}
-		e.ps.waitingOn = ws.reqs
+		e.ps.waiting = ws
 		return false, e.ps, nil
 	}
-	e.ps.waitingOn = nil
+	e.ps.waiting = nil
 	// Drop the request references (capacity stays for the next Begin): an
 	// idle WaitState must not pin completed — and possibly recycled —
 	// requests in memory while the process is parked elsewhere. At a
@@ -257,7 +262,7 @@ func (c *Comm) WaitStep(ws *WaitState) (done bool, park any, msg *Message, err e
 	if err != nil {
 		return true, nil, nil, c.handleError(err)
 	}
-	return true, nil, req.msg, nil
+	return true, nil, req.Msg(), nil
 }
 
 // SleepState carries one interruptible sleep across steps, used e.g. to

@@ -622,8 +622,7 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 			if r == c.rank {
 				continue
 			}
-			out[r] = detachData(cs.recvs[i].msg)
-			cs.recvs[i].msg = nil
+			out[r] = detachData(cs.recvs[i].TakeMsg())
 			i++
 		}
 		// None of the requests escaped; recycle them all and drop the

@@ -51,8 +51,8 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 		for req := ps.pendHead; req != nil; {
 			next := req.nNext
 			if req.comm.id == rn.commID {
-				completeRequest(ps, req, ev.Time, &RevokedError{Comm: rn.commID})
-				wakeIfWaiting(s, ps, req, req.completeAt)
+				ws := completeRequest(ps, req, ev.Time, &RevokedError{Comm: rn.commID})
+				wakeIfWaiting(s, ps, ws, req.completeAt)
 			}
 			req = next
 		}

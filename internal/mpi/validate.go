@@ -37,8 +37,9 @@ func (ps *procState) fail(invariant, where, format string, args ...any) {
 //     envelopes; and the total count matches the metrics layer's
 //     queue-depth gauge;
 //   - the pending table holds only incomplete requests under their own
-//     ids, and the id-ordered pending list threads exactly the table's
-//     entries in ascending id order.
+//     ids, the id-ordered pending list threads exactly the table's entries
+//     in ascending id order, and every one of them carries the pending bit
+//     unlinkPending trusts instead of searching the list.
 //
 // Emptied intrusive queue structs are deliberately retained in their maps
 // (they are reused by later traffic), so an empty list is not a violation.
@@ -50,9 +51,9 @@ func (ps *procState) checkIndexes(where string) {
 	ps.posted.each(func(k matchKey, q *reqQ) {
 		ps.checkPostedList(where, fmt.Sprintf("%+v", k), q)
 		for r := q.head; r != nil; r = r.pNext {
-			if r.postKey != k || r.comm.id != k.comm || r.src != k.src {
-				ps.fail("posted-index", where, "request %d filed under %+v has key %+v (comm %d, src %d)",
-					r.id, k, r.postKey, r.comm.id, r.src)
+			if r.comm.id != k.comm || r.src != k.src {
+				ps.fail("posted-index", where, "request %d filed under %+v is a receive on comm %d from %d",
+					r.id, k, r.comm.id, r.src)
 			}
 		}
 	})
@@ -119,6 +120,8 @@ func (ps *procState) checkIndexes(where string) {
 			ps.fail("pending-index", where, "nil request pending under id %d", id)
 		case r.id != id:
 			ps.fail("pending-index", where, "request %d pending under id %d", r.id, id)
+		case !r.pending:
+			ps.fail("pending-index", where, "request %d is in the spill map without its pending bit", id)
 		}
 	}
 	listed := 0
@@ -132,6 +135,8 @@ func (ps *procState) checkIndexes(where string) {
 			ps.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
 		case r.nPrev != prev:
 			ps.fail("pending-index", where, "broken nPrev link in pending list at request %d", r.id)
+		case !r.pending:
+			ps.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
 		case ps.findPending(r.id) != r:
 			ps.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
 		}
@@ -167,8 +172,8 @@ func (ps *procState) checkPostedList(where, key string, q *reqQ) {
 			ps.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key)
 		case r.postQ != q:
 			ps.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key)
-		case ps.findPending(r.id) != r:
-			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup", r.id)
+		case !r.pending || ps.findPending(r.id) != r:
+			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.pending)
 		case prev != nil && r.postSeq <= lastSeq:
 			ps.fail("posted-index", where, "posted list %q out of post order: seq %d after %d", key, r.postSeq, lastSeq)
 		case r.pPrev != prev:

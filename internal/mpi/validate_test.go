@@ -65,3 +65,27 @@ func TestValidateDetectsPostedIndexCorruption(t *testing.T) {
 		t.Errorf("error %q does not mention the posted-index invariant", err)
 	}
 }
+
+// unlinkPending trusts a request's pending bit instead of searching the
+// pending list for it; a bit that disagrees with the list (a stand-in for a
+// future bookkeeping bug) is caught by the next index sweep.
+func TestValidateDetectsPendingBitMismatch(t *testing.T) {
+	_, err := runWorldErr(t, 2, 1, nil, func(e *Env) {
+		if e.Rank() != 0 {
+			return
+		}
+		c := e.World()
+		r, err := c.Isend(1, 3, make([]byte, 4096)) // rendezvous: pending until the clear-to-send
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.pending = false                        // still linked: completion would leave it in the list
+		if _, err := c.Irecv(1, 4); err != nil { // triggers the sweep
+			t.Error(err)
+		}
+	}, withValidate())
+	if err == nil || !strings.Contains(err.Error(), "without its pending bit") {
+		t.Fatalf("err = %v, want a pending-index violation naming the bit", err)
+	}
+}

@@ -467,11 +467,11 @@ func (r *Result) MetricsReport() string {
 	var sb strings.Builder
 	sb.WriteString("engine:\n")
 	sb.WriteString(stats.Table(
-		[]string{"events", "resumes", "pool-hits", "pool-misses", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
+		[]string{"events", "resumes", "eventq-stores", "eventq-grows", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
 		[][]string{{
 			fmt.Sprint(r.Engine.EventsDispatched),
 			fmt.Sprint(r.Engine.Resumes),
-			fmt.Sprint(r.Engine.PoolHits),
+			fmt.Sprint(r.Engine.PoolHits + r.Engine.PoolMisses),
 			fmt.Sprint(r.Engine.PoolMisses),
 			fmt.Sprint(r.Engine.CrossEvents),
 			fmt.Sprint(r.Engine.EventHeapHighWater),
