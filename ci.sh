@@ -14,19 +14,12 @@
 #                     enabled; payload digests double as a check that
 #                     data-plane pooling never leaks one message's bytes
 #                     into another)
-#   6b. driver equivalence (closure vs program digests under -race: both
-#                     modes run the same step machines, one through
-#                     Env.Block and one stepped by the scheduler; 500
-#                     random workloads both ways, the pre-fold closure
-#                     goldens, the per-hop collective golden and leak
-#                     tests, the heat/MPI twin tests as a smoke, the
-#                     Table II program-mode campaign, and the O(1) compute
-#                     phase: the injection-instant golden in both modes,
-#                     the clock-step primitive against its Elapse loop,
-#                     and the host cost independent of the phase length;
-#                     and the paths on which a message has no object of
-#                     its own: the by-value event queue, headers matched
-#                     on arrival, messages built on demand)
+#   6b. driver equivalence (500 random MPI workloads under -race, closure
+#                     vs program mode: both run the same step machines,
+#                     one through Env.Block and one stepped by the
+#                     scheduler, and their digests must agree; the goldens,
+#                     twin tests and message-path tests that pin each side
+#                     already ran under -race in 5)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -96,27 +89,8 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # Closure and program mode run one set of step machines through two
 # drivers, and must be observationally identical: the differential harness
 # runs all 500 random workloads both ways (Workers in {1,2,4}; the
-# override is honoured unclamped) and compares digests, the golden tests
-# pin the closure side to outcomes recorded before the closure bodies were
-# folded onto the step machines, the named twin tests are the smoke for
-# the drivers themselves, and the Table II campaign smoke pins
-# row-identical results in program mode under the race detector. A heat
-# compute phase is one clock advance in both modes: the injection golden
-# pins where a failure at any instant lands, the quick test holds the
-# primitive to the loop of Elapse calls it replaces, and the host-cost
-# test fails if a phase is ever stepped per iteration again.
+# override is honoured unclamped) and compares digests.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
-go test -race -count=1 -run '^(TestClosureOutcomesMatchGolden|TestClosureRunsMatchGolden)$' ./internal/mpitest/ ./internal/heat/
-go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure|TestCollectiveHopsMatchGolden|TestCollectiveStateDoesNotGrow|TestReduceLengthMismatchReleasesMessage|TestFailedCollectiveLeavesScratchEmpty)$' ./internal/mpi/
-go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure|TestComputeInjectionMatchesGolden|TestComputePhaseHostCostIndependentOfIterations)$' ./internal/heat/
-go test -race -count=1 -run '^(TestElapseStepsEdges|TestQuickElapseStepsMatchesElapseLoop)$' ./internal/core/
-# An in-flight message is a slot of the by-value event queue, an envelope
-# object only while unexpected, a Message only once read: the queue against
-# a sorted reference and under a handler that grows it mid-dispatch, and
-# every message path in both modes with Validate on.
-go test -race -count=1 -run '^(TestEventHeapOrder|TestEventHeapPopClearsSlots|TestHandlerEmitsWhileItsEventIsDispatched|TestRunReleasesQueueStorage)$' ./internal/core/
-go test -race -count=1 -run '^(TestUnexpectedThenPostedDeliversAllThreeForms|TestWildcardReceivesKeepArrivalOrder|TestDroppedMessagesReturnTheirBuffers|TestPostedIdxTiers|TestValidateDetectsPendingBitMismatch|TestDeterminismCrossCheck)$' ./internal/mpi/
-go test -race -count=1 -run '^TestRunTableIIProgModeMatchesClosure$' .
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/mpi/

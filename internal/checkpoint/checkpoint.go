@@ -270,26 +270,17 @@ func (fs *FS) readGate(name string) (tier fsmodel.Model, wait vclock.Duration) {
 }
 
 // readWithTier is the body of Read after the tier gate: metadata charge,
-// open, decode, read charge, validation.
-func (fs *FS) readWithTier(name string, tier fsmodel.Model, iteration, rank int) (Meta, []byte, error) {
+// open and validation, read charge.
+func (fs *FS) readWithTier(prefix string, tier fsmodel.Model, iteration, rank int) (Meta, []byte, error) {
 	fs.env.Elapse(tier.MetadataCost())
-	data, complete, err := fs.store.Open(name)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	meta, payload, err := decode(data, complete)
+	meta, payload, err := openValid(fs.store, prefix, iteration, rank)
 	if err == nil {
 		fs.env.Elapse(tier.ReadCostAmong(headerLen+meta.PayloadSize, fs.clients))
-	} else {
-		fs.env.Elapse(tier.ReadCostAmong(len(data), fs.clients))
+	} else if n := fs.store.Size(FileName(prefix, iteration, rank)); n >= 0 {
+		// A file that is there was read before it was rejected.
+		fs.env.Elapse(tier.ReadCostAmong(n, fs.clients))
 	}
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: %s", err, name)
-	}
-	if meta.Iteration != iteration || meta.Rank != rank {
-		return Meta{}, nil, fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, name, meta)
-	}
-	return meta, payload, nil
+	return meta, payload, err
 }
 
 // ChargeRestore charges the virtual time of restoring iteration's
@@ -359,7 +350,7 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 			}
 			rs.wait = 0
 		}
-		meta, payload, err := fs.readWithTier(rs.name, rs.tier, rs.iteration, rs.rank)
+		meta, payload, err := fs.readWithTier(rs.prefix, rs.tier, rs.iteration, rs.rank)
 		if err != nil {
 			return true, nil, err
 		}
@@ -388,7 +379,29 @@ func (fs *FS) Delete(prefix string, iteration, rank int) {
 	fs.store.Delete(name)
 }
 
-// decode parses and validates a checkpoint file.
+// openValid opens rank's checkpoint of the iteration and returns its
+// decoded contents if they can be trusted: committed, well-formed, and
+// written for this iteration and rank. Every reader and every probe goes
+// through it, so a file is restorable exactly when Read accepts it. It
+// returns ErrCorrupted (wrapped) for a file that fails any of that and
+// fsmodel.ErrNotExist (wrapped) for a missing one, and charges nothing.
+func openValid(store *fsmodel.Store, prefix string, iteration, rank int) (Meta, []byte, error) {
+	name := FileName(prefix, iteration, rank)
+	data, complete, err := store.Open(name)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	meta, payload, err := decode(data, complete)
+	if err != nil {
+		return Meta{}, nil, fmt.Errorf("%w: %s", err, name)
+	}
+	if meta.Iteration != iteration || meta.Rank != rank {
+		return Meta{}, nil, fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, name, meta)
+	}
+	return meta, payload, nil
+}
+
+// decode parses and validates a checkpoint file's bytes.
 func decode(data []byte, complete bool) (Meta, []byte, error) {
 	if !complete {
 		return Meta{}, nil, fmt.Errorf("%w (uncommitted)", ErrCorrupted)
@@ -475,11 +488,7 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 		return false
 	}
 	fs.env.Elapse(fs.model.MetadataCost())
-	data, complete, err := fs.store.Open(name)
-	if err != nil {
-		return false
-	}
-	meta, _, err := decode(data, complete)
+	meta, _, err := openValid(fs.store, prefix, iteration, rank)
 	if err != nil {
 		// Corrupted: delete it; the caller keeps looking at older sets.
 		fs.Delete(prefix, iteration, rank)
@@ -496,24 +505,7 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 // requirement). It inspects the store directly without charging virtual
 // time.
 func ChainValid(store *fsmodel.Store, prefix string, rank, iteration int) bool {
-	for hops := 0; hops < 1000; hops++ { // bound against base-pointer cycles
-		data, complete, err := store.Open(FileName(prefix, iteration, rank))
-		if err != nil {
-			return false
-		}
-		meta, _, err := decode(data, complete)
-		if err != nil {
-			return false
-		}
-		if !meta.Incremental {
-			return true
-		}
-		if meta.BaseIteration >= iteration {
-			return false // corrupt base pointer
-		}
-		iteration = meta.BaseIteration
-	}
-	return false
+	return Chain(store, prefix, rank, iteration) != nil
 }
 
 // Chain returns the iterations of the checkpoint chain ending at
@@ -521,15 +513,11 @@ func ChainValid(store *fsmodel.Store, prefix string, rank, iteration int) bool {
 // and including iteration. For a full checkpoint the chain is just
 // {iteration}. It returns nil if any link is missing, corrupt, or cyclic,
 // and inspects the store directly without charging virtual time (a
-// bookkeeping scan, like ChainValid).
+// bookkeeping scan).
 func Chain(store *fsmodel.Store, prefix string, rank, iteration int) []int {
 	var rev []int
 	for hops := 0; hops < 1000; hops++ { // bound against base-pointer cycles
-		data, complete, err := store.Open(FileName(prefix, iteration, rank))
-		if err != nil {
-			return nil
-		}
-		meta, _, err := decode(data, complete)
+		meta, _, err := openValid(store, prefix, iteration, rank)
 		if err != nil {
 			return nil
 		}
@@ -574,11 +562,7 @@ func Iterations(store *fsmodel.Store, prefix string) []int {
 // well-formed file for every one of n ranks.
 func SetComplete(store *fsmodel.Store, prefix string, iteration, n int) bool {
 	for r := 0; r < n; r++ {
-		data, complete, err := store.Open(FileName(prefix, iteration, r))
-		if err != nil {
-			return false
-		}
-		if _, _, err := decode(data, complete); err != nil {
+		if _, _, err := openValid(store, prefix, iteration, r); err != nil {
 			return false
 		}
 	}

@@ -382,3 +382,56 @@ func TestNewFSWithoutStore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// misname commits src's bytes under dst's name: a well-framed checkpoint
+// whose header disagrees with its file name.
+func misname(t *testing.T, store *fsmodel.Store, src, dst string) {
+	t.Helper()
+	data, _, err := store.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := store.Create(dst)
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMisnamedCheckpointIsNotRestorable: what Read rejects, the restart
+// probes must reject too. Iteration 20's bytes under iteration 40's name
+// are not a checkpoint of iteration 40, as a full checkpoint or as the base
+// a delta builds on.
+func TestMisnamedCheckpointIsNotRestorable(t *testing.T) {
+	store := fsmodel.NewStore()
+	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
+		fs, err := NewFS(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Write("heat", Meta{Iteration: 20, Rank: 0}, []byte("state at 20")); err != nil {
+			t.Fatal(err)
+		}
+		misname(t, store, FileName("heat", 20, 0), FileName("heat", 40, 0))
+		if _, _, err := fs.Read("heat", 40, 0); !errors.Is(err, ErrCorrupted) {
+			t.Fatalf("Read of the impostor: %v, want ErrCorrupted", err)
+		}
+		if SetComplete(store, "heat", 40, 1) {
+			t.Error("SetComplete(40) accepts the impostor")
+		}
+		if err := fs.WriteIncremental("heat", Meta{Iteration: 50, Rank: 0}, 40, []byte("delta")); err != nil {
+			t.Fatal(err)
+		}
+		if ChainValid(store, "heat", 0, 50) || Chain(store, "heat", 0, 50) != nil {
+			t.Error("a delta on the impostor counts as a restorable chain")
+		}
+		if it, ok := fs.LatestValid("heat", 0); !ok || it != 20 {
+			t.Errorf("LatestValid = %d, %v, want 20", it, ok)
+		}
+		if store.Exists(FileName("heat", 40, 0)) {
+			t.Error("LatestValid left the impostor in the store")
+		}
+	})
+}

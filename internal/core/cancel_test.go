@@ -57,18 +57,21 @@ func TestCancelStopsSequentialRun(t *testing.T) {
 }
 
 func TestCancelStopsParallelRun(t *testing.T) {
-	eng := newTestEngine(t, Config{NumVPs: 8, Workers: 4, Lookahead: vclock.Millisecond})
-	registerPing(eng)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		eng.Cancel()
-	}()
-	res, err := eng.Run(pingPongBody(eng, vclock.Millisecond))
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if res.Deadlocked {
-		t.Fatal("a cancelled run must not be reported as a deadlock")
+	// 8 VPs: Workers 3 gives uneven partitions, 8 one VP each.
+	for _, workers := range []int{3, 4, 8} {
+		eng := newTestEngine(t, Config{NumVPs: 8, Workers: workers, Lookahead: vclock.Millisecond})
+		registerPing(eng)
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			eng.Cancel()
+		}()
+		res, err := eng.Run(pingPongBody(eng, vclock.Millisecond))
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("workers=%d: err = %v, want ErrStopped", workers, err)
+		}
+		if res.Deadlocked {
+			t.Fatalf("workers=%d: a cancelled run must not be reported as a deadlock", workers)
+		}
 	}
 }
 

@@ -106,15 +106,11 @@ type Engine struct {
 	body    func(*Ctx)
 	progFor func(*Ctx) Program
 
-	// tree, winGate and reduced coordinate the parallel window protocol
-	// (parallel.go): the combining tree folds per-partition next-item
-	// times into the global (min1, argmin, min2) triple, winGate releases
-	// the round once the root has it, and bar is the reusable barrier for
-	// the cross-event exchange.
-	tree    *reduceTree
-	winGate releaseGate
-	reduced minTriple
-	bar     barrier
+	// round is the parallel window protocol's barrier (parallel.go): each
+	// round passes it twice, once to fold per-partition next-item times
+	// into the global (min1, argmin, min2) triple and once for the
+	// cross-event exchange.
+	round roundSync
 
 	// stop is the cooperative cancellation flag (Cancel). Partitions poll
 	// it at window boundaries and every stopStride processed items, so a

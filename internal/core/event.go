@@ -57,12 +57,15 @@ type Event struct {
 	// Target is the rank of the VP the event concerns, or BroadcastTarget
 	// for partition-level events.
 	Target int
-	// Payload carries handler-specific data that needs an object.
+	// Payload carries what cannot ride in Words: a pointer to an object
+	// the emitter hands over to the handler (for the MPI layer, only the
+	// pooled box of a message's payload bytes). Storing a non-pointer
+	// value here allocates per event; scalars belong in Words.
 	Payload any
-	// Words carries handler-specific scalars by value, so that a small
-	// fixed header (the MPI layer's message envelope, the engine's own
-	// timer generation) travels inside the event and needs no Payload
-	// object. Their meaning belongs to the event's Kind.
+	// Words carries handler-specific scalars by value, so that whatever an
+	// event has to say (the MPI layer's message envelope and every control
+	// message, the engine's own timer generation) travels inside it and
+	// needs no Payload object. Their meaning belongs to the event's Kind.
 	Words [EventWords]uint64
 }
 

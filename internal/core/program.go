@@ -32,8 +32,8 @@ type Program interface {
 }
 
 // stepProgram advances a Program VP by one Step on the scheduler stack,
-// replicating the bookkeeping a carrier resume performs around Block.
-// Returns true when the VP died (completed, failed, killed, or panicked).
+// with the bookkeeping a carrier resume performs around Block. Returns
+// true when the VP died (completed, failed, killed, or panicked).
 func (p *partition) stepProgram(v *vp) bool {
 	var wake any
 	if v.state == vpCreated {
@@ -41,18 +41,7 @@ func (p *partition) stepProgram(v *vp) bool {
 		v.state = vpRunning
 		v.clock = vclock.Max(v.clock, v.wakeAt)
 	} else {
-		// Resume from a park: mirror Block's wake-side bookkeeping
-		// (including clearing the sleeping flag, which guards against
-		// stale timers from abandoned sleeps).
-		v.state = vpRunning
-		v.blockReason = nil
-		v.sleeping = false
-		wake = v.wakeVal
-		v.wakeVal = nil
-		if v.wakeAt > v.clock {
-			v.waited += v.wakeAt.Sub(v.clock)
-			v.clock = v.wakeAt
-		}
+		wake = v.resumed()
 	}
 	p.progSteps++
 	park, done, died := p.runStep(v, wake)

@@ -221,62 +221,67 @@ func TestCancelMidWindowLeavesNoCarriers(t *testing.T) {
 	}
 }
 
-// TestReduceTreeMatchesFlatScan drives the combining-tree reduction with
-// concurrent workers across several rounds and widths, checking every
-// worker receives exactly the triple a flat O(P) scan would compute.
-func TestReduceTreeMatchesFlatScan(t *testing.T) {
+// TestRoundSyncMatchesFlatScan drives the round barrier with concurrent
+// workers across several widths, alternating fold rounds with
+// fold-ignoring rounds as workerLoop does, and checks every worker leaves
+// each fold round with the global minimum and derives exactly the
+// min-over-others a per-worker flat scan would compute.
+func TestRoundSyncMatchesFlatScan(t *testing.T) {
+	const rounds = 50
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 33} {
-		e := &Engine{tree: buildReduceTree(n)}
-		e.winGate.init()
-		for round := 0; round < 50; round++ {
-			vals := make([]vclock.Time, n)
-			for i := range vals {
+	for n := 1; n <= 33; n++ {
+		vals := make([][]vclock.Time, rounds)
+		for r := range vals {
+			vals[r] = make([]vclock.Time, n)
+			for i := range vals[r] {
 				if rng.Intn(4) == 0 {
-					vals[i] = vclock.Never
+					vals[r][i] = vclock.Never
 				} else {
-					vals[i] = vclock.Time(rng.Intn(8)) // dense: force ties
+					vals[r][i] = vclock.Time(rng.Intn(8)) // dense: force ties
 				}
 			}
-			// Flat reference: (min1, argmin1, min2) with lowest-index
-			// argmin on ties is not guaranteed by the tree, so compare the
-			// derived quantities every worker actually uses.
-			flatOther := func(id int) vclock.Time {
-				m := vclock.Never
-				for j, v := range vals {
-					if j != id && v < m {
-						m = v
-					}
+		}
+		var s roundSync
+		s.init(n)
+		got := make([][]minTriple, n)
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func(id int) {
+				defer wg.Done()
+				got[id] = make([]minTriple, rounds)
+				for r := 0; r < rounds; r++ {
+					got[id][r] = s.arrive(id, vals[r][id])
+					s.arrive(id, vclock.Never) // the exchange pass
 				}
-				return m
-			}
+			}(i)
+		}
+		wg.Wait()
+		for r := 0; r < rounds; r++ {
 			flatMin := vclock.Never
-			for _, v := range vals {
+			for _, v := range vals[r] {
 				if v < flatMin {
 					flatMin = v
 				}
 			}
-			got := make([]minTriple, n)
-			var wg sync.WaitGroup
-			wg.Add(n)
-			for i := 0; i < n; i++ {
-				go func(id int) {
-					defer wg.Done()
-					got[id] = e.reduce(id, vals[id])
-				}(i)
-			}
-			wg.Wait()
-			for id, g := range got {
+			for id := 0; id < n; id++ {
+				g := got[id][r]
 				if g.min1 != flatMin {
-					t.Fatalf("n=%d round=%d worker %d: min1 = %v, want %v (vals %v)", n, round, id, g.min1, flatMin, vals)
+					t.Fatalf("n=%d round=%d worker %d: min1 = %v, want %v (vals %v)", n, r, id, g.min1, flatMin, vals[r])
+				}
+				flatOther := vclock.Never
+				for j, v := range vals[r] {
+					if j != id && v < flatOther {
+						flatOther = v
+					}
 				}
 				other := g.min1
 				if g.arg1 == id {
 					other = g.min2
 				}
-				if other != flatOther(id) {
+				if other != flatOther {
 					t.Fatalf("n=%d round=%d worker %d: derived otherMin = %v, want %v (triple %+v, vals %v)",
-						n, round, id, other, flatOther(id), g, vals)
+						n, r, id, other, flatOther, g, vals[r])
 				}
 			}
 		}

@@ -313,19 +313,29 @@ func (c *Ctx) Block(reason any) any {
 	v.blockReason = reason
 	v.gate <- yieldBlocked // hand control to the scheduler
 	<-v.gate               // wait for SchedCtx.Wake's resume
-	v.state = vpRunning
-	v.blockReason = nil
-	v.sleeping = false
 	if v.killed {
 		panic(unwindSentinel{DeathKilled})
 	}
+	val := v.resumed()
+	v.checkUnwind()
+	return val
+}
+
+// resumed is the wake side of a park, for both drivers (Block on a carrier,
+// stepProgram on the scheduler stack): the VP runs again, its block reason
+// and sleeping flag are cleared (the latter guards against stale timers
+// from abandoned sleeps), and its clock advances to the wake time, the
+// difference counted as waited. It returns the waker's value.
+func (v *vp) resumed() any {
+	v.state = vpRunning
+	v.blockReason = nil
+	v.sleeping = false
 	val := v.wakeVal
 	v.wakeVal = nil // don't retain the value past this resume
 	if v.wakeAt > v.clock {
 		v.waited += v.wakeAt.Sub(v.clock)
 		v.clock = v.wakeAt
 	}
-	v.checkUnwind()
 	return val
 }
 

@@ -540,3 +540,58 @@ func TestNeighborPeriodic(t *testing.T) {
 		t.Errorf("-z neighbour (wrap) = %d, want 4", got)
 	}
 }
+
+// TestRestartSkipsMisnamedCheckpoint: a checkpoint set whose files hold an
+// older iteration's bytes is not a restart point. Every rank finds
+// iteration 20's state under iteration 40's name, rejects it, and resumes
+// from 20 — in both execution modes, with modelled and with real compute.
+func TestRestartSkipsMisnamedCheckpoint(t *testing.T) {
+	const n = 8
+	for _, real := range []bool{false, true} {
+		for _, prog := range []bool{false, true} {
+			cfg := smallReal(n)
+			if !real {
+				cfg.RealCompute = false
+				cfg.CheckpointPayload = 1000
+			}
+			run := func(store *fsmodel.Store, cfg Config) {
+				t.Helper()
+				w := testWorld(t, n, 1, store, 0, nil)
+				var res *core.Result
+				var err error
+				if prog {
+					res, err = w.RunProgs(NewProg(cfg))
+				} else {
+					res, err = w.Run(func(e *mpi.Env) { Run(e, cfg) })
+				}
+				if err != nil || res.Completed != n {
+					t.Fatalf("real=%v prog=%v: %v, %+v", real, prog, err, res)
+				}
+			}
+			store := fsmodel.NewStore()
+			run(store, cfg) // 20 iterations: sets 10 and 20
+			for r := 0; r < n; r++ {
+				data, _, err := store.Open(checkpoint.FileName("heat", 20, r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := store.Create(checkpoint.FileName("heat", 40, r))
+				if _, err := w.Write(data); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.Iterations = 40
+			tr := NewTracker(n)
+			cfg.Tracker = tr
+			run(store, cfg)
+			for r := 0; r < n; r++ {
+				if got := tr.StartIterOf(r); got != 20 {
+					t.Errorf("real=%v prog=%v: rank %d restarted from %d, want 20", real, prog, r, got)
+				}
+			}
+		}
+	}
+}

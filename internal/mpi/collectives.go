@@ -46,7 +46,7 @@ func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
 	} else {
 		msg = req.TakeMsg()
 	}
-	ps.dp.putReq(req)
+	ps.dp.reqs.put(req)
 	return msg, err
 }
 

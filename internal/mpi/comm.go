@@ -143,9 +143,9 @@ func (c *Comm) Abort(code int) {
 	e.Logf("MPI_Abort invoked (rank %d, time %v, code %d)", e.Rank(), at, code)
 	e.w.trace(trace.Event{At: at, Kind: trace.KindAbort, Rank: int32(e.Rank()), Peer: -1, Aux: int64(code)})
 	e.ctx.EmitBroadcast(core.Event{
-		Time:    at.Add(e.w.cfg.NotifyDelay),
-		Kind:    kindAbortNotify,
-		Payload: abortNotify{origin: e.Rank(), at: at, code: code},
+		Time:  at.Add(e.w.cfg.NotifyDelay),
+		Kind:  kindAbortNotify,
+		Words: [core.EventWords]uint64{uint64(at)},
 	})
 	e.ctx.AbortNow()
 }
@@ -205,7 +205,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	req, err := c.isend(dst, tag, len(data), data)
 	if err == nil {
 		err = c.env.wait(req)
-		c.env.ps.dp.putReq(req)
+		c.env.ps.dp.reqs.put(req)
 	}
 	return c.handleError(err)
 }
@@ -216,7 +216,7 @@ func (c *Comm) SendN(dst, tag, size int) error {
 	req, err := c.isend(dst, tag, size, nil)
 	if err == nil {
 		err = c.env.wait(req)
-		c.env.ps.dp.putReq(req)
+		c.env.ps.dp.reqs.put(req)
 	}
 	return c.handleError(err)
 }
@@ -281,7 +281,7 @@ func (c *Comm) Free(r *Request) {
 	}
 	dp := c.env.ps.dp
 	r.releaseMsg(dp)
-	dp.putReq(r)
+	dp.reqs.put(r)
 }
 
 // String describes the communicator.

@@ -106,16 +106,16 @@ func runDeterminismWorkload(t *testing.T, seed int64, workers int) determinismOu
 
 // TestDeterminismCrossCheck is the tentpole's safety net: the same randomized
 // MPI workload (mixed p2p, ANY_SOURCE, collectives, injected failures) must
-// produce identical per-rank results at Workers ∈ {1, 2, 3, 4, 5} (12 ranks,
-// so 5 partitions are uneven: 3, 3, 2, 2, 2), and identical
-// engine work counts run-to-run at a fixed worker count. (Event counts are
+// produce identical per-rank results at Workers ∈ {1, 2, 3, 4, 5, 12} (12
+// ranks, so 5 partitions are uneven: 3, 3, 2, 2, 2, and 12 are one VP each,
+// the widest round the engine can run), and identical engine work counts run-to-run at a fixed worker count. (Event counts are
 // not compared across worker counts: simulator-internal failure notifications
 // are delivered once per partition, so their number legitimately scales with
 // the partition count.)
 func TestDeterminismCrossCheck(t *testing.T) {
 	for seed := int64(100); seed < 106; seed++ {
 		ref := runDeterminismWorkload(t, seed, 1)
-		for _, workers := range []int{2, 3, 4, 5} {
+		for _, workers := range []int{2, 3, 4, 5, 12} {
 			got := runDeterminismWorkload(t, seed, workers)
 			for r := range ref.clocks {
 				if got.clocks[r] != ref.clocks[r] {
@@ -134,7 +134,7 @@ func TestDeterminismCrossCheck(t *testing.T) {
 		}
 		// Run-to-run: the processed event and resume counts are part of
 		// the deterministic contract at a fixed worker count.
-		for _, workers := range []int{1, 2, 3, 4, 5} {
+		for _, workers := range []int{1, 2, 3, 4, 5, 12} {
 			a := runDeterminismWorkload(t, seed, workers)
 			b := runDeterminismWorkload(t, seed, workers)
 			if a.events != b.events || a.resume != b.resume {

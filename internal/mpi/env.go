@@ -236,12 +236,10 @@ func (w *World) onDeath(c *core.Ctx, reason core.DeathReason) {
 	c.Logf("simulated MPI process failure injected (rank %d, time of failure %v)", c.Rank(), at)
 	w.trace(trace.Event{At: at, Kind: trace.KindFailure, Rank: int32(c.Rank()), Peer: -1})
 	w.m.recordFailure(c.Rank(), at, at.Add(w.cfg.NotifyDelay))
-	// EmitBroadcast copies the event value into one pooled event per
-	// partition; the shared failNotify payload is never recycled.
 	c.EmitBroadcast(core.Event{
-		Time:    at.Add(w.cfg.NotifyDelay),
-		Kind:    kindFailNotify,
-		Payload: failNotify{rank: c.Rank(), at: at},
+		Time:  at.Add(w.cfg.NotifyDelay),
+		Kind:  kindFailNotify,
+		Words: [core.EventWords]uint64{uint64(c.Rank()), uint64(at)},
 	})
 }
 

@@ -10,14 +10,16 @@ import (
 // call only: events are values owned by the engine's queue, and the engine
 // hands each handler its own copy of the one being dispatched. Handlers
 // read what they need (Time, Words, Payload) during the call and never
-// store the event itself. Payload values (payload boxes, CTS and data
-// records, notifications) are independent objects and may be retained.
+// store the event itself. Every kind's scalars are in Words (layout beside
+// envHeader.put); the only Payload is the box of an envelope or data event
+// that carries bytes, a pooled object its handler releases or keeps.
 //
 // Two objects of the point-to-point path exist only on demand. An envelope
-// object means "unexpected": a header that matches a posted receive on
-// arrival is rebuilt on handleEnvelope's stack and never becomes one. A
-// Message means "somebody asked": matching records the header in the
-// Request, and Request.Msg builds the Message when it is read.
+// object means "unexpected" (or "payload box"): a header that matches a
+// posted receive on arrival is rebuilt on handleEnvelope's stack and never
+// becomes one. A Message means "somebody asked": matching records the
+// header in the Request, and Request.Msg builds the Message when it is
+// read.
 
 // localState returns the procState of a local, still-alive rank, or nil.
 func localState(s *core.SchedCtx, rank int) *procState {
@@ -54,7 +56,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 		dp := w.pools[s.Partition()]
 		dp.putBuf(h.data)
 		if box != nil {
-			dp.putEnv(box)
+			dp.envs.put(box)
 		}
 		return
 	}
@@ -71,7 +73,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	if req := ps.takePosted(&h); req != nil {
 		ws := matchEnvelope(w, ps, req, &h, schedEmitter(s, h.dst))
 		if box != nil {
-			ps.dp.putEnv(box)
+			ps.dp.envs.put(box)
 		}
 		if w.cfg.Validate {
 			ps.checkIndexes("envelope-match")
@@ -81,7 +83,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	}
 	env := box
 	if env == nil {
-		env = ps.dp.getEnv()
+		env = ps.dp.envs.get()
 	}
 	env.envHeader = h
 	ps.addUnexpected(env)
@@ -102,16 +104,14 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 // injected. A clear-to-send reaching a failed sender is dropped; the
 // receiver's request is released by the failure notification timeout.
 func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
-	cts := ev.Payload.(*ctsMsg)
+	sendReqID, recvReqID, recvRank := ev.Words[0], ev.Words[1], int(ev.Words[2])
 	sender := ev.Target
 	ps := localState(s, sender)
 	if ps == nil {
-		w.pools[s.Partition()].putCts(cts)
 		return
 	}
-	req := ps.findPending(cts.sendReqID)
+	req := ps.findPending(sendReqID)
 	if req == nil || req.done {
-		ps.dp.putCts(cts)
 		return
 	}
 	net := w.cfg.Net
@@ -122,30 +122,30 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 		start = vclock.Max(start, ps.injectFreeAt)
 		ps.injectFreeAt = start.Add(occ)
 	}
+	delivery := core.Event{
+		Time:   start.Add(net.TransferTime(req.src, req.dst, req.size)),
+		Kind:   kindData,
+		Target: recvRank,
+		Words:  [core.EventWords]uint64{recvReqID},
+	}
 	// The payload is read now, at clear-to-send time — the copy elided
 	// at post. An owned buffer transfers outright; the caller's buffer
 	// is copied into a pooled one (the sender is either blocked in Wait
 	// or, for Isend, has promised not to touch it — MPI's contract).
-	dm := ps.dp.getDm()
-	dm.recvReqID = cts.recvReqID
+	// Either way it travels boxed, like an eager payload.
 	if req.data != nil {
+		box := ps.dp.envs.get()
 		if req.ownedData {
-			dm.data = req.data
+			box.data = req.data
 		} else {
-			buf := ps.dp.getBuf(len(req.data))
-			copy(buf, req.data)
-			dm.data = buf
+			box.data = ps.dp.getBuf(len(req.data))
+			copy(box.data, req.data)
 		}
+		delivery.Payload = box
 		req.data = nil
 		req.ownedData = false
 	}
-	s.EmitFor(sender, core.Event{
-		Time:    start.Add(net.TransferTime(req.src, req.dst, req.size)),
-		Kind:    kindData,
-		Target:  cts.recvRank,
-		Payload: dm,
-	})
-	ps.dp.putCts(cts)
+	s.EmitFor(sender, delivery)
 	ws := completeRequest(ps, req, start.Add(net.SendOverhead(req.src, req.dst, req.size)), nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("cts")
@@ -155,22 +155,22 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 
 // handleData delivers a rendezvous payload at the receiver.
 func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
-	dm := ev.Payload.(*dataMsg)
+	dp := w.pools[s.Partition()]
+	var data []byte
+	if box, _ := ev.Payload.(*envelope); box != nil {
+		data = box.data
+		dp.envs.put(box)
+	}
 	ps := localState(s, ev.Target)
 	if ps == nil {
-		dp := w.pools[s.Partition()]
-		dp.putBuf(dm.data)
-		dm.data = nil
-		dp.putDm(dm)
+		dp.putBuf(data)
 		return
 	}
-	req := ps.findPending(dm.recvReqID)
+	req := ps.findPending(ev.Words[0])
 	if req == nil || req.done || !req.awaitingData {
 		// The request already completed in error (failure detection
 		// timed out first); drop the late payload.
-		ps.dp.putBuf(dm.data)
-		dm.data = nil
-		ps.dp.putDm(dm)
+		dp.putBuf(data)
 		return
 	}
 	at := ev.Time
@@ -179,9 +179,7 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		ps.ejectFreeAt = start.Add(occ)
 		at = ps.ejectFreeAt
 	}
-	req.data = dm.data
-	dm.data = nil
-	ps.dp.putDm(dm)
+	req.data = data
 	ws := completeRequest(ps, req, at, nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("data")
@@ -194,18 +192,18 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 // communication timeout, which is how the simulated MPI layer detects
 // process failures.
 func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
-	to := ev.Payload.(reqTimeout)
+	reqID, peer, failedAt := ev.Words[0], int(ev.Words[1]), vclock.Time(ev.Words[2])
 	ps := localState(s, ev.Target)
 	if ps == nil {
 		return
 	}
-	req := ps.findPending(to.reqID)
+	req := ps.findPending(reqID)
 	if req == nil || req.done {
 		return
 	}
-	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: to.peer, FailedAt: to.failedAt, Op: req.opName()})
-	w.trace(trace.Event{At: ev.Time, Kind: trace.KindDetect, Rank: int32(ev.Target), Peer: int32(to.peer), Aux: int64(to.failedAt)})
-	w.m.recordDetection(ev.Target, to.peer, ev.Time)
+	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})
+	w.trace(trace.Event{At: ev.Time, Kind: trace.KindDetect, Rank: int32(ev.Target), Peer: int32(peer), Aux: int64(failedAt)})
+	w.m.recordDetection(ev.Target, peer, ev.Time)
 	if w.cfg.Validate {
 		ps.checkIndexes("timeout")
 	}
@@ -219,30 +217,30 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 // releasing (and failing) unmatched receives, MPI_ANY_SOURCE receives, and
 // waited-on sends, per the paper's detection design.
 func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
-	fn := ev.Payload.(failNotify)
+	failed, tof := int(ev.Words[0]), vclock.Time(ev.Words[1])
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		ps := localState(s, rank)
 		if ps == nil {
 			continue
 		}
-		if old, ok := ps.failedPeers[fn.rank]; !ok || fn.at < old {
+		if old, ok := ps.failedPeers[failed]; !ok || tof < old {
 			if ps.failedPeers == nil {
 				ps.failedPeers = make(map[int]vclock.Time)
 			}
-			ps.failedPeers[fn.rank] = fn.at
+			ps.failedPeers[failed] = tof
 		}
 		// The pending list is id-ordered and armTimeout never unlinks,
 		// so walking it directly is deterministic and allocation-free.
 		for req := ps.pendHead; req != nil; req = req.nNext {
-			if req.involves(fn.rank) {
+			if req.involves(failed) {
 				ps.armTimeout(w, req, schedEmitter(s, rank))
 			}
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes
 		// to observe the failure.
 		for _, pr := range ps.probes {
-			if (pr.src == fn.rank || pr.src == AnySource) && s.Blocked(rank) {
+			if (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
 				s.Wake(rank, ev.Time, nil)
 				break
 			}
@@ -254,15 +252,15 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 // one partition: every local process unwinds at its first clock update at
 // or past the abort time; blocked processes are released immediately.
 func (w *World) handleAbortNotify(s *core.SchedCtx, ev *core.Event) {
-	an := ev.Payload.(abortNotify)
+	at := vclock.Time(ev.Words[0])
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		if !s.Alive(rank) {
 			continue
 		}
-		s.SetAbortAt(rank, an.at)
+		s.SetAbortAt(rank, at)
 		if s.Blocked(rank) {
-			s.Wake(rank, vclock.Max(an.at, ev.Time), nil)
+			s.Wake(rank, vclock.Max(at, ev.Time), nil)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (m *Message) Release() {
 	data := m.Data
 	m.Data = nil
 	p.putBuf(data)
-	p.putMsg(m)
+	p.msgs.put(m)
 }
 
 // ProcFailedError reports that an operation involved a failed simulated MPI
@@ -164,7 +164,7 @@ type Request struct {
 	// waiter points at the WaitState tracking this request, so completion
 	// can decrement its pending count, and tell whether to wake the rank,
 	// in O(1) instead of a scan of the request set; nil for requests not
-	// under a parked wait. Cleared at completion and by putReq's zeroing.
+	// under a parked wait. Cleared at completion and by the free list's zeroing.
 	waiter *WaitState
 }
 
@@ -180,7 +180,7 @@ func (r *Request) Done() bool { return r.done }
 func (r *Request) Msg() *Message {
 	if r.msg == nil && r.matched && r.done {
 		dp := r.comm.env.ps.dp
-		m := dp.getMsg()
+		m := dp.msgs.get()
 		m.Src, m.Tag, m.Size, m.Data, m.pool = r.msgSrc, r.msgTag, r.size, r.data, dp
 		r.data = nil
 		r.msg = m

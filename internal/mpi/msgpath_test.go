@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xsim/internal/core"
@@ -329,40 +330,268 @@ func TestDroppedMessagesReturnTheirBuffers(t *testing.T) {
 // TestUnreadReceiveCreatesNoMessage is the modelled halo exchange's unit
 // cost: a receive that is posted, matched on arrival, waited for and freed
 // without anybody reading it takes its two requests from the pool and
-// nothing else — no envelope, no Message, no allocation.
+// nothing else — no envelope, no Message, no allocation — whether the
+// message is eager or a payload-free rendezvous, whose clear-to-send and
+// data delivery are queue entries too.
 func TestUnreadReceiveCreatesNoMessage(t *testing.T) {
-	_, w := newWorldT(t, 1, 1, nil)
-	w.cfg.Validate = false // the sweeps format their keys
-	const runs = 200
-	var allocs float64
-	var gets uint64
-	if _, err := w.Run(func(e *Env) {
-		defer e.Finalize()
-		c, dp := e.World(), e.ps.dp
-		reqs := make([]*Request, 2)
-		exchange := func() {
-			reqs[0], _ = c.Irecv(0, 5)
-			reqs[1], _ = c.IsendN(0, 5, 64)
-			if err := c.Waitall(reqs); err != nil {
-				t.Error(err)
+	for _, size := range []int{64, 4096} { // testNet's eager threshold is 1 KiB
+		_, w := newWorldT(t, 1, 1, nil)
+		w.cfg.Validate = false // the sweeps format their keys
+		const runs = 200
+		var allocs float64
+		var gets uint64
+		if _, err := w.Run(func(e *Env) {
+			defer e.Finalize()
+			c, dp := e.World(), e.ps.dp
+			poolGets := func() uint64 {
+				return dp.envs.hits + dp.envs.misses + dp.reqs.hits + dp.reqs.misses + dp.msgs.hits + dp.msgs.misses
 			}
-			c.Free(reqs[0])
-			c.Free(reqs[1])
+			reqs := make([]*Request, 2)
+			exchange := func() {
+				reqs[0], _ = c.Irecv(0, 5)
+				reqs[1], _ = c.IsendN(0, 5, size)
+				if err := c.Waitall(reqs); err != nil {
+					t.Error(err)
+				}
+				c.Free(reqs[0])
+				c.Free(reqs[1])
+			}
+			exchange()
+			before := poolGets()
+			allocs = testing.AllocsPerRun(runs, exchange)
+			gets = poolGets() - before
+			if len(dp.msgs.free) != 0 || len(dp.envs.free) != 0 {
+				t.Errorf("size %d: pool holds %d message headers and %d envelopes after a run that should have made none", size, len(dp.msgs.free), len(dp.envs.free))
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-		exchange()
-		before := dp.objHits + dp.objMisses
-		allocs = testing.AllocsPerRun(runs, exchange)
-		gets = dp.objHits + dp.objMisses - before
-		if len(dp.msgs) != 0 || len(dp.envs) != 0 {
-			t.Errorf("pool holds %d message headers and %d envelopes after a run that should have made none", len(dp.msgs), len(dp.envs))
+		if allocs != 0 {
+			t.Errorf("size %d: %.1f allocations per exchange, want 0", size, allocs)
 		}
-	}); err != nil {
-		t.Fatal(err)
+		if want := uint64(2 * (runs + 1)); gets != want { // AllocsPerRun warms up once
+			t.Errorf("size %d: %d pool gets for %d exchanges, want %d: two requests each and nothing else", size, gets, runs+1, want)
+		}
 	}
-	if allocs != 0 {
-		t.Errorf("%.1f allocations per exchange, want 0", allocs)
+}
+
+// controlCase is one script whose control messages (clear-to-send, data
+// delivery, timeout, failure/abort/revoke notification) travel as bare
+// queue entries. The expected errors and clocks were recorded from a run in
+// which each of them still was a record of its own.
+type controlCase struct {
+	name     string
+	n        int
+	failures map[int]vclock.Time
+	script   func(t *testing.T, mode string, rank int, errs []error) []stage
+	check    func(t *testing.T, mode string, errs []error, res *core.Result)
+}
+
+func recvAndWait(t *testing.T, errs []error, rank int, comm func(e *Env) *Comm, src, tag int) []stage {
+	var reqs []*Request
+	return []stage{
+		do(func(e *Env) {
+			c := comm(e)
+			c.SetErrorHandler(ErrorsReturn)
+			e.World().SetErrorHandler(ErrorsReturn) // waitAll waits through the world communicator
+			r, err := c.Irecv(src, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = []*Request{r}
+		}),
+		waitAll(&reqs, func(err error) { errs[rank] = err }),
 	}
-	if want := uint64(2 * (runs + 1)); gets != want { // AllocsPerRun warms up once
-		t.Errorf("%d pool gets for %d exchanges, want %d: two requests each and nothing else", gets, runs+1, want)
+}
+
+func sendAndWait(t *testing.T, errs []error, rank int, dst, tag int, data []byte) []stage {
+	var reqs []*Request
+	return []stage{
+		do(func(e *Env) {
+			r, err := e.World().Isend(dst, tag, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = []*Request{r}
+		}),
+		waitAll(&reqs, func(err error) { errs[rank] = err }),
+	}
+}
+
+func world(e *Env) *Comm { return e.World() }
+
+// envsOut is the number of envelopes checked out of a pool: every one it
+// ever made is a miss, and the tests here stay far below the list's cap.
+func envsOut(dp *dpPool) int { return int(dp.envs.misses) - len(dp.envs.free) }
+
+func wantProcFailed(t *testing.T, mode string, err error, rank int, failedAt vclock.Time) {
+	t.Helper()
+	var pf *ProcFailedError
+	if !errors.As(err, &pf) || pf.Rank != rank || pf.FailedAt != failedAt {
+		t.Errorf("%s: error %v, want rank %d failed at %v", mode, err, rank, failedAt)
+	}
+}
+
+func wantClocks(t *testing.T, mode string, res *core.Result, want ...vclock.Time) {
+	t.Helper()
+	for r, at := range want {
+		if res.FinalClocks[r] != at {
+			t.Errorf("%s: rank %d ended at %d, want %d", mode, r, res.FinalClocks[r], at)
+		}
+	}
+}
+
+var controlCases = []controlCase{
+	{
+		// Both rendezvous forms into receives posted first: the payload
+		// arrives boxed, the payload-free delivery as a bare queue entry.
+		name: "rendezvous", n: 2,
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			big := pattern(4096, 8)
+			var reqs []*Request
+			post := func(e *Env) {
+				c := e.World()
+				var r1, r2 *Request
+				if rank == 0 {
+					r1, _ = c.Isend(1, 1, big)
+					r2, _ = c.IsendN(1, 2, 2048)
+				} else {
+					r1, _ = c.Irecv(0, 1)
+					r2, _ = c.Irecv(0, 2)
+				}
+				reqs = []*Request{r1, r2}
+			}
+			read := func(e *Env) {
+				if rank == 0 {
+					return
+				}
+				m1, m2 := reqs[0].TakeMsg(), reqs[1].TakeMsg()
+				if !bytes.Equal(m1.Data, big) || m2.Size != 2048 || m2.Data != nil {
+					t.Errorf("%s: delivered %d bytes and a payload-free %+v", mode, len(m1.Data), m2)
+				}
+				m1.Release()
+				m2.Release()
+			}
+			return []stage{do(post), waitAll(&reqs, func(err error) { errs[rank] = err }), do(read)}
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			if errs[0] != nil || errs[1] != nil || res.Completed != 2 {
+				t.Errorf("%s: waits returned %v, %d ranks completed", mode, errs, res.Completed)
+			}
+		},
+	},
+	{
+		// The sender dies blocked in its wait; the receive posted afterwards
+		// matches the ready-to-send still queued and answers a dead rank.
+		name: "cts-to-dead-sender", n: 2,
+		failures: map[int]vclock.Time{0: vclock.Time(500 * vclock.Microsecond)},
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			if rank == 0 {
+				return sendAndWait(t, errs, rank, 1, 1, pattern(4096, 5))
+			}
+			return append([]stage{sleepFor(vclock.Millisecond)}, recvAndWait(t, errs, rank, world, 0, 1)...)
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			wantProcFailed(t, mode, errs[1], 0, vclock.Time(500*vclock.Microsecond))
+			wantClocks(t, mode, res, 500000, 101000000)
+		},
+	},
+	{
+		// The receiver dies between its clear-to-send and the payload.
+		name: "data-to-dead-receiver", n: 2,
+		failures: map[int]vclock.Time{1: vclock.Time(20 * vclock.Microsecond)},
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			if rank == 1 {
+				return recvAndWait(t, errs, rank, world, 0, 1)
+			}
+			return append(sendAndWait(t, errs, rank, 1, 1, pattern(64<<10, 6)), sleepFor(vclock.Millisecond))
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			if errs[0] != nil {
+				t.Errorf("%s: send completed at clear-to-send time with %v", mode, errs[0])
+			}
+			wantClocks(t, mode, res, 1067536, 20000)
+		},
+	},
+	{
+		// A wildcard receive armed against dead rank 2 matches rank 0's
+		// ready-to-send just before its timeout; the timeout wins and the
+		// payload arrives for a request that is gone.
+		name: "data-after-timeout", n: 3,
+		failures: map[int]vclock.Time{2: 0},
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			switch rank {
+			case 0:
+				return append([]stage{sleepFor(100900 * vclock.Microsecond)}, sendAndWait(t, errs, rank, 1, 1, pattern(1<<20, 7))...)
+			case 1:
+				s := append([]stage{sleepFor(vclock.Millisecond)}, recvAndWait(t, errs, rank, world, AnySource, 1)...)
+				return append(s, sleepFor(5*vclock.Millisecond))
+			}
+			return []stage{sleepFor(vclock.Second)}
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			if errs[0] != nil {
+				t.Errorf("%s: send completed with %v", mode, errs[0])
+			}
+			wantProcFailed(t, mode, errs[1], 2, 0)
+			wantClocks(t, mode, res, 101950576, 106000000, 0)
+		},
+	},
+	{
+		name: "revoke", n: 3,
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			var d *Comm
+			dup := do(func(e *Env) { d = e.World().Dup().Dup() })
+			if rank == 0 {
+				return []stage{dup, sleepFor(vclock.Millisecond), do(func(e *Env) { d.Revoke() })}
+			}
+			return append([]stage{dup}, recvAndWait(t, errs, rank, func(*Env) *Comm { return d }, 0, 1)...)
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			for r := 1; r < 3; r++ {
+				var rv *RevokedError
+				if !errors.As(errs[r], &rv) || rv.Comm != 2 {
+					t.Errorf("%s: rank %d's receive completed with %v, want communicator 2 revoked", mode, r, errs[r])
+				}
+			}
+			wantClocks(t, mode, res, 1000000, 1001000, 1001000)
+		},
+	},
+	abortCase(3), abortCase(-3),
+}
+
+func abortCase(code int) controlCase {
+	return controlCase{
+		name: fmt.Sprintf("abort(%d)", code), n: 3,
+		script: func(t *testing.T, mode string, rank int, errs []error) []stage {
+			if rank == 0 {
+				return []stage{sleepFor(vclock.Millisecond), do(func(e *Env) { e.World().Abort(code) })}
+			}
+			return recvAndWait(t, errs, rank, world, 0, 1)
+		},
+		check: func(t *testing.T, mode string, errs []error, res *core.Result) {
+			if res.Aborted != 3 {
+				t.Errorf("%s: %d ranks aborted, want 3", mode, res.Aborted)
+			}
+			wantClocks(t, mode, res, 1000000, 1001000, 1001000)
+		},
+	}
+}
+
+// TestControlMessagesAreQueueEntries runs every control case in both modes
+// with Validate on and checks that nothing the dropped or late control
+// messages carried stays checked out of the pool.
+func TestControlMessagesAreQueueEntries(t *testing.T) {
+	for _, tc := range controlCases {
+		errs := make([]error, tc.n)
+		runBothModes(t, tc.n, tc.failures, func(mode string, rank int) []stage {
+			return tc.script(t, tc.name+"/"+mode, rank, errs)
+		}, func(mode string, w *World, res *core.Result) {
+			tc.check(t, tc.name+"/"+mode, errs, res)
+			if dp := w.pools[0]; dp.bufOut != 0 || envsOut(dp) != 0 {
+				t.Errorf("%s/%s: %d payload bytes and %d envelopes never came back to the pool", tc.name, mode, dp.bufOut, envsOut(dp))
+			}
+			clear(errs)
+		})
 	}
 }

@@ -15,8 +15,9 @@ import (
 // a rendezvous payload is transferred only after the receiver matches.
 //
 // In flight a header is not an object: its scalars ride in the envelope
-// event's Words (put) and handleEnvelope rebuilds it on its stack (take). Matching a posted receive reads it there and the message
-// never owns anything but its queue slot.
+// event's Words (put) and handleEnvelope rebuilds it on its stack (take).
+// Matching a posted receive reads it there and the message never owns
+// anything but its queue slot.
 type envHeader struct {
 	commID      int
 	src, dst    int // world ranks
@@ -40,11 +41,12 @@ type envHeader struct {
 // (sNext/sPrev) and its communicator's arrival-order list (aNext/aPrev), so
 // wildcard matching walks arrivals directly instead of scanning every
 // source — until a receive takes it, its rank dies, or finalize drains it.
-// Or it is the box an eager payload buffer travels in: a []byte cannot sit
-// in an event's Payload without a slice header allocated per message, so a
-// payload-carrying eager send takes an envelope from the sender's pool,
-// fills in data alone, and the receiver either releases it on a match or
-// keeps that very object if the message turns out unexpected.
+// Or it is the box a payload buffer travels in: a []byte cannot sit in an
+// event's Payload without a slice header allocated per message, so an eager
+// send or a rendezvous delivery that carries bytes takes an envelope from
+// the sender's pool and fills in data alone. The receiver releases the box
+// on arrival, or, for an eager message that turns out unexpected, keeps
+// that very object as the queue entry.
 type envelope struct {
 	envHeader
 
@@ -57,9 +59,21 @@ type envelope struct {
 	aNext, aPrev *envelope
 }
 
-// Layout of an envelope event's scalar words. The source and destination
-// world ranks are the event's own Src (the sending VP emitted it) and
-// Target.
+// Everything the MPI layer has in flight is an event, its scalars in the
+// event's Words; the only Payload any of them carries is a payload box. The
+// word layout of the seven kinds:
+//
+//	kindEnvelope     the envWord constants below; Payload: box, if any bytes
+//	kindCts          send request id, receive request id, receiver's world rank
+//	kindData         receive request id; Payload: box, if any bytes
+//	kindReqTimeout   request id, failed peer, its time of failure
+//	kindFailNotify   failed rank, its time of failure
+//	kindAbortNotify  abort time
+//	kindRevoke       communicator id
+//
+// An envelope's source and destination world ranks are the event's own Src
+// (the sending VP emitted it) and Target. The other six are few enough
+// scalars to be written and read by position.
 const (
 	envWordComm    = iota // commID<<1 | rendezvous bit
 	envWordCommSrc        // sender's rank within the communicator
@@ -108,43 +122,6 @@ func (h *envHeader) take(ev *core.Event) (box *envelope) {
 		h.data = box.data
 	}
 	return box
-}
-
-// ctsMsg is the rendezvous clear-to-send control message (receiver→sender).
-// Pooled: allocated by the receiver's partition, recycled by the sender's
-// once consumed.
-type ctsMsg struct {
-	sendReqID uint64
-	recvReqID uint64
-	recvRank  int // world rank of the receiver
-}
-
-// dataMsg is the rendezvous payload delivery (sender→receiver). Pooled
-// like ctsMsg; its data buffer transfers to the receiver's Message.
-type dataMsg struct {
-	recvReqID uint64
-	data      []byte
-}
-
-// reqTimeout fires the failure-detection timeout of a pending request.
-// Carried by value: timeouts only exist on the failure path.
-type reqTimeout struct {
-	reqID    uint64
-	peer     int
-	failedAt vclock.Time
-}
-
-// failNotify is the simulator-internal failure notification payload.
-type failNotify struct {
-	rank int
-	at   vclock.Time
-}
-
-// abortNotify is the simulator-internal abort notification payload.
-type abortNotify struct {
-	origin int
-	at     vclock.Time
-	code   int
 }
 
 // matchKey indexes posted receives and unexpected envelopes by
@@ -334,15 +311,16 @@ func (ix *postedIdx) each(f func(matchKey, *reqQ)) {
 	}
 }
 
-// tagOK reports whether a posted receive's tag accepts an envelope's tag.
-// AnyTag only spans the application tag space: internal messages (negative
-// tags — barriers, collectives, ULFM) must never be intercepted by user
-// wildcards, mirroring MPI's separate collective context.
-func tagOK(r *Request, h *envHeader) bool {
-	if r.tag == AnyTag {
-		return h.tag >= 0
+// tagMatches reports whether a receive or probe for tag want accepts a
+// message tagged got. AnyTag only spans the application tag space: internal
+// messages (negative tags — barriers, collectives, ULFM) must never be
+// intercepted by user wildcards, mirroring MPI's separate collective
+// context.
+func tagMatches(want, got int) bool {
+	if want == AnyTag {
+		return got >= 0
 	}
-	return r.tag == h.tag
+	return want == got
 }
 
 // addPosted files a receive request into the posted index.
@@ -380,14 +358,14 @@ func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
 	if q := ps.posted.get(matchKey{h.commID, h.src}); q != nil {
 		for r := q.head; r != nil; r = r.pNext {
-			if tagOK(r, h) {
+			if tagMatches(r.tag, h.tag) {
 				best = r
 				break
 			}
 		}
 	}
 	for r := ps.postedWild.head; r != nil; r = r.pNext {
-		if r.comm.id == h.commID && tagOK(r, h) {
+		if r.comm.id == h.commID && tagMatches(r.tag, h.tag) {
 			if best == nil || r.postSeq < best.postSeq {
 				best = r
 			}
@@ -434,34 +412,42 @@ func (ps *procState) removeUnexpected(env *envelope) {
 	ps.env.w.m.unexpectedDelta(env.dst, -1)
 }
 
-// takeUnexpected finds and removes the earliest-arrived envelope a freshly
-// posted receive matches. Both branches are head-pops in the common case:
-// each list is in arrival order, so the first compatible entry is the
-// earliest arrival — the exact-source branch walks the (comm, src) FIFO,
-// and the wildcard branch walks the communicator's arrival list directly,
-// making MPI_ANY_SOURCE matching O(compatible-head) instead of a scan over
-// every source.
-func (ps *procState) takeUnexpected(req *Request) *envelope {
-	if req.src != AnySource {
-		if q := ps.unexpBySrc[matchKey{req.comm.id, req.src}]; q != nil {
+// peekUnexpected finds (without consuming) the earliest-arrived unexpected
+// envelope matching (comm, src, tag); src is a world rank or AnySource.
+// Both branches are head hits in the common case: each list is in arrival
+// order, so the first compatible entry is the earliest arrival — the
+// exact-source branch walks the (comm, src) FIFO, and the wildcard branch
+// walks the communicator's arrival list directly, making MPI_ANY_SOURCE
+// matching O(compatible-head) instead of a scan over every source.
+func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
+	if src != AnySource {
+		if q := ps.unexpBySrc[matchKey{comm, src}]; q != nil {
 			for env := q.head; env != nil; env = env.sNext {
-				if tagOK(req, &env.envHeader) {
-					ps.removeUnexpected(env)
+				if tagMatches(tag, env.tag) {
 					return env
 				}
 			}
 		}
 		return nil
 	}
-	if q := ps.unexpByComm[req.comm.id]; q != nil {
+	if q := ps.unexpByComm[comm]; q != nil {
 		for env := q.head; env != nil; env = env.aNext {
-			if tagOK(req, &env.envHeader) {
-				ps.removeUnexpected(env)
+			if tagMatches(tag, env.tag) {
 				return env
 			}
 		}
 	}
 	return nil
+}
+
+// takeUnexpected finds and removes the earliest-arrived envelope a freshly
+// posted receive matches.
+func (ps *procState) takeUnexpected(req *Request) *envelope {
+	env := ps.peekUnexpected(req.comm.id, req.src, req.tag)
+	if env != nil {
+		ps.removeUnexpected(env)
+	}
+	return env
 }
 
 // drainUnexpected releases every queued unexpected envelope and its
@@ -473,7 +459,7 @@ func (ps *procState) drainUnexpected() {
 			next := env.aNext
 			ps.env.w.m.unexpectedDelta(env.dst, -1)
 			ps.dp.putBuf(env.data)
-			ps.dp.putEnv(env)
+			ps.dp.envs.put(env)
 			env = next
 		}
 		q.head, q.tail = nil, nil
@@ -595,10 +581,9 @@ func (ps *procState) unlinkPending(r *Request) {
 //
 // Events are values: emit takes the core.Event by value and the engine
 // copies it into the destination's event queue, so the MPI layer never
-// holds a *core.Event of its own. A message envelope's header travels in
-// the event's scalar words; what needs an object — payload boxes, CTS and
-// data records, notifications — travels as a Payload, and the MPI layer
-// recycles its own pooled payload objects at their consumption points.
+// holds a *core.Event of its own. What an event says travels in its scalar
+// words (layout beside envHeader.put); the one object it may carry is a
+// payload box, recycled by whoever consumes the event.
 type emitter struct {
 	ctx  *core.Ctx
 	s    *core.SchedCtx
@@ -659,7 +644,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	net := e.w.cfg.Net
 	src := e.Rank()
 	dst := c.WorldRank(dstCommRank)
-	req := dp.getReq()
+	req := dp.reqs.get()
 	req.id = e.ps.newReqID()
 	req.kind = sendReq
 	req.comm = c
@@ -694,7 +679,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 				copy(buf, data)
 			}
 			if buf != nil {
-				box = dp.getEnv()
+				box = dp.envs.get()
 				box.data = buf
 			}
 		}
@@ -753,7 +738,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	if srcCommRank != AnySource {
 		src = c.WorldRank(srcCommRank)
 	}
-	req := e.ps.dp.getReq()
+	req := e.ps.dp.reqs.get()
 	req.id = e.ps.newReqID()
 	req.kind = recvReq
 	req.comm = c
@@ -767,7 +752,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	// order preserves MPI's non-overtaking rule).
 	if env := e.ps.takeUnexpected(req); env != nil {
 		matchEnvelope(e.w, e.ps, req, &env.envHeader, vpEmitter(e.ctx))
-		e.ps.dp.putEnv(env)
+		e.ps.dp.envs.put(env)
 		if e.w.cfg.Validate {
 			e.ps.checkIndexes("irecv-match")
 		}
@@ -798,18 +783,14 @@ func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitt
 	if h.rendezvous {
 		req.awaitingData = true
 		net := w.cfg.Net
-		cts := ps.dp.getCts()
-		cts.sendReqID = h.sendReqID
-		cts.recvReqID = req.id
-		cts.recvRank = h.dst
 		// The clear-to-send leaves once both the envelope has arrived
 		// (em.now() when matching on arrival) and the receive is posted
 		// (postClock when the envelope waited in the unexpected queue).
 		em.emit(core.Event{
-			Time:    vclock.Max(em.now(), req.postClock).Add(net.ControlTime(h.dst, h.src)),
-			Kind:    kindCts,
-			Target:  h.src,
-			Payload: cts,
+			Time:   vclock.Max(em.now(), req.postClock).Add(net.ControlTime(h.dst, h.src)),
+			Kind:   kindCts,
+			Target: h.src,
+			Words:  [core.EventWords]uint64{h.sendReqID, req.id, uint64(h.dst)},
 		})
 		return nil
 	}
@@ -932,9 +913,9 @@ func (ps *procState) armTimeout(w *World, req *Request, em emitter) {
 	at := vclock.Max(best, em.now())
 	req.timeoutScheduled = true
 	em.emit(core.Event{
-		Time:    at,
-		Kind:    kindReqTimeout,
-		Target:  self,
-		Payload: reqTimeout{reqID: req.id, peer: bestPeer, failedAt: bestTof},
+		Time:   at,
+		Kind:   kindReqTimeout,
+		Target: self,
+		Words:  [core.EventWords]uint64{req.id, uint64(bestPeer), uint64(bestTof)},
 	})
 }

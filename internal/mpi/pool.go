@@ -1,25 +1,26 @@
 package mpi
 
-// The data-plane pools. One dpPool per engine partition holds free lists
-// for the objects the point-to-point path still needs — requests, the
-// rendezvous control records, and the two that exist only on demand — plus
-// a size-classed payload buffer pool. A pool is only ever touched by its
-// partition's execution context (the partition worker inside a handler, or
-// the VP currently running on that partition), so gets and puts need no
-// locks, and objects that travel between ranks simply migrate from the
-// sender's pool to the receiver's.
+// The data-plane pools. One dpPool per engine partition holds three free
+// lists of one generic type — requests, envelopes and message headers, the
+// only objects the point-to-point path has — plus a size-classed payload
+// buffer pool. A pool is only ever touched by its partition's execution
+// context (the partition worker inside a handler, or the VP currently
+// running on that partition), so gets and puts need no locks, and objects
+// that travel between ranks simply migrate from the sender's pool to the
+// receiver's.
 //
-// What is not here is the message itself. In flight it is a slot in the
-// engine's event queue, its header in the event's scalar words; matched on
-// arrival, the header goes straight into the receive request. An envelope
+// What is not here is anything in flight. A message, a clear-to-send, a
+// rendezvous delivery, a timeout or a notification is a slot in the
+// engine's event queue with its scalars in the event's words. An envelope
 // object is taken only for a message that has to wait in the unexpected
-// queue (or to box an eager payload buffer for the trip), and a Message
-// only when somebody reads a completed receive: a payload-free exchange
-// whose receives are posted first takes two requests per message from the
-// pool and nothing else. Pooling those per-message objects instead did not
-// work at scale: every rank posts at the same virtual instant, the burst
-// is hundreds of thousands of objects deep, and a free list deep enough to
-// hold it is slower to walk than the allocator is to bump.
+// queue or to box a payload buffer for the trip, and a Message only when
+// somebody reads a completed receive: a payload-free exchange whose
+// receives are posted first takes two requests per message from the pool
+// and nothing else, eager or rendezvous. Pooling per-message objects
+// instead did not work at scale: every rank posts at the same virtual
+// instant, the burst is hundreds of thousands of objects deep, and a free
+// list deep enough to hold it is slower to walk than the allocator is to
+// bump.
 //
 // Payload buffers carry ownership-transfer semantics:
 //
@@ -52,20 +53,57 @@ const (
 	maxFreeBufsPerSize = 64
 )
 
+// freeList is a LIFO of zeroed objects, capped at maxFreeObjs.
+type freeList[T any] struct {
+	free         []*T
+	hits, misses uint64
+}
+
+// get returns a zeroed object, from the list if it holds one.
+func (l *freeList[T]) get() *T {
+	if n := len(l.free) - 1; n >= 0 {
+		x := l.free[n]
+		l.free[n] = nil
+		l.free = l.free[:n]
+		l.hits++
+		return x
+	}
+	l.misses++
+	return new(T)
+}
+
+// put zeroes x and keeps it for the next get. References x held are
+// dropped, not released: the caller has transferred or returned them.
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	if len(l.free) < maxFreeObjs {
+		l.free = append(l.free, x)
+	}
+}
+
 // dpPool is one partition's data-plane free lists.
 type dpPool struct {
-	envs []*envelope
-	reqs []*Request
-	msgs []*Message
-	cts  []*ctsMsg
-	dms  []*dataMsg
+	// envs: the caller of put must have transferred or released env.data
+	// first (putBuf) — put drops the reference without returning the
+	// buffer.
+	envs freeList[envelope]
+	// reqs: only internal requests that never escape to the application
+	// (blocking Send/Recv wrappers, collective internals) or ones the
+	// application has freed may be put: the next get hands the same
+	// pointer to an unrelated operation. The request must be complete and
+	// out of every index — stale in-flight events cannot resurrect it
+	// because handlers look requests up by id in the pending table, and a
+	// recycled request is reissued under a fresh id.
+	reqs freeList[Request]
+	// msgs: headers only, not their Data — detach or release that
+	// separately.
+	msgs freeList[Message]
 
 	bufs [nBufClasses][][]byte
 
-	// Counters, partition-confined like the lists; World.Metrics sums
-	// them after the run.
-	objHits   uint64
-	objMisses uint64
+	// Buffer counters, partition-confined like the lists; World.Metrics
+	// sums them (and the lists' hits and misses) after the run.
 	bufHits   uint64
 	bufMisses uint64
 	// bufOut tracks pooled payload bytes currently checked out;
@@ -135,115 +173,5 @@ func (p *dpPool) bufCheckout(n int64) {
 	p.bufOut += n
 	if p.bufOut > p.bufHighWater {
 		p.bufHighWater = p.bufOut
-	}
-}
-
-// getEnv returns a zeroed envelope from the free list.
-func (p *dpPool) getEnv() *envelope {
-	if n := len(p.envs) - 1; n >= 0 {
-		e := p.envs[n]
-		p.envs[n] = nil
-		p.envs = p.envs[:n]
-		p.objHits++
-		return e
-	}
-	p.objMisses++
-	return new(envelope)
-}
-
-// putEnv recycles an envelope. The caller must have transferred or
-// released env.data first — putEnv drops the reference without returning
-// the buffer.
-func (p *dpPool) putEnv(e *envelope) {
-	*e = envelope{}
-	if len(p.envs) < maxFreeObjs {
-		p.envs = append(p.envs, e)
-	}
-}
-
-// getReq returns a zeroed request from the free list.
-func (p *dpPool) getReq() *Request {
-	if n := len(p.reqs) - 1; n >= 0 {
-		r := p.reqs[n]
-		p.reqs[n] = nil
-		p.reqs = p.reqs[:n]
-		p.objHits++
-		return r
-	}
-	p.objMisses++
-	return new(Request)
-}
-
-// putReq recycles a request. Only internal requests that never escape to
-// the application (blocking Send/Recv wrappers, collective internals) may
-// be recycled: the next getReq hands the same pointer to an unrelated
-// operation. The request must be complete and out of every index — stale
-// in-flight events cannot resurrect it because handlers look requests up
-// by id in the pending table, and a recycled request is reissued under a
-// fresh id.
-func (p *dpPool) putReq(r *Request) {
-	*r = Request{}
-	if len(p.reqs) < maxFreeObjs {
-		p.reqs = append(p.reqs, r)
-	}
-}
-
-// getMsg returns a zeroed message header from the free list.
-func (p *dpPool) getMsg() *Message {
-	if n := len(p.msgs) - 1; n >= 0 {
-		m := p.msgs[n]
-		p.msgs[n] = nil
-		p.msgs = p.msgs[:n]
-		p.objHits++
-		return m
-	}
-	p.objMisses++
-	return new(Message)
-}
-
-// putMsg recycles a message header (not its Data — detach or release that
-// separately).
-func (p *dpPool) putMsg(m *Message) {
-	*m = Message{}
-	if len(p.msgs) < maxFreeObjs {
-		p.msgs = append(p.msgs, m)
-	}
-}
-
-func (p *dpPool) getCts() *ctsMsg {
-	if n := len(p.cts) - 1; n >= 0 {
-		c := p.cts[n]
-		p.cts[n] = nil
-		p.cts = p.cts[:n]
-		p.objHits++
-		return c
-	}
-	p.objMisses++
-	return new(ctsMsg)
-}
-
-func (p *dpPool) putCts(c *ctsMsg) {
-	*c = ctsMsg{}
-	if len(p.cts) < maxFreeObjs {
-		p.cts = append(p.cts, c)
-	}
-}
-
-func (p *dpPool) getDm() *dataMsg {
-	if n := len(p.dms) - 1; n >= 0 {
-		d := p.dms[n]
-		p.dms[n] = nil
-		p.dms = p.dms[:n]
-		p.objHits++
-		return d
-	}
-	p.objMisses++
-	return new(dataMsg)
-}
-
-func (p *dpPool) putDm(d *dataMsg) {
-	*d = dataMsg{}
-	if len(p.dms) < maxFreeObjs {
-		p.dms = append(p.dms, d)
 	}
 }

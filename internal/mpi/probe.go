@@ -28,42 +28,7 @@ func (p *probeRec) matchesEnvelope(env *envHeader) bool {
 	if p.src != AnySource && p.src != env.src {
 		return false
 	}
-	if p.tag == AnyTag {
-		return env.tag >= 0 // wildcards never see internal traffic
-	}
-	return p.tag == env.tag
-}
-
-// peekUnexpected finds (without consuming) the earliest-arrived unexpected
-// envelope matching (comm, src, tag); src is a world rank or AnySource.
-// Both branches walk arrival-ordered lists, so the first compatible entry
-// is the answer (the AnySource branch walks the communicator's arrival
-// list directly, like takeUnexpected).
-func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
-	match := func(env *envelope) bool {
-		if tag == AnyTag {
-			return env.tag >= 0 // wildcards never see internal traffic
-		}
-		return tag == env.tag
-	}
-	if src != AnySource {
-		if q := ps.unexpBySrc[matchKey{comm, src}]; q != nil {
-			for env := q.head; env != nil; env = env.sNext {
-				if match(env) {
-					return env
-				}
-			}
-		}
-		return nil
-	}
-	if q := ps.unexpByComm[comm]; q != nil {
-		for env := q.head; env != nil; env = env.aNext {
-			if match(env) {
-				return env
-			}
-		}
-	}
-	return nil
+	return tagMatches(p.tag, env.tag)
 }
 
 // Iprobe checks without blocking whether a matching message has arrived

@@ -22,17 +22,11 @@ const (
 	tagAgreeResult
 )
 
-// revokeNotify is the simulator-internal revocation notification payload.
-type revokeNotify struct {
-	commID int
-	origin int
-}
-
 // handleRevoke processes a communicator revocation at one partition:
 // every local process marks the communicator revoked, and pending
 // operations on it complete with RevokedError.
 func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
-	rn := ev.Payload.(revokeNotify)
+	commID := int(ev.Words[0])
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		ps := localState(s, rank)
@@ -42,16 +36,16 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 		if ps.revoked == nil {
 			ps.revoked = make(map[int]bool)
 		}
-		if ps.revoked[rn.commID] {
+		if ps.revoked[commID] {
 			continue
 		}
-		ps.revoked[rn.commID] = true
+		ps.revoked[commID] = true
 		// completeRequest unlinks the request from the pending list, so
 		// capture the successor before completing each one.
 		for req := ps.pendHead; req != nil; {
 			next := req.nNext
-			if req.comm.id == rn.commID {
-				ws := completeRequest(ps, req, ev.Time, &RevokedError{Comm: rn.commID})
+			if req.comm.id == commID {
+				ws := completeRequest(ps, req, ev.Time, &RevokedError{Comm: commID})
 				wakeIfWaiting(s, ps, ws, req.completeAt)
 			}
 			req = next
@@ -68,9 +62,9 @@ func (c *Comm) Revoke() {
 	c.markRevoked()
 	e.Logf("MPI_Comm_revoke on comm %d", c.id)
 	e.ctx.EmitBroadcast(core.Event{
-		Time:    e.ctx.NowQuiet().Add(e.w.cfg.NotifyDelay),
-		Kind:    kindRevoke,
-		Payload: revokeNotify{commID: c.id, origin: e.Rank()},
+		Time:  e.ctx.NowQuiet().Add(e.w.cfg.NotifyDelay),
+		Kind:  kindRevoke,
+		Words: [core.EventWords]uint64{uint64(c.id)},
 	})
 }
 
