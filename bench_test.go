@@ -37,7 +37,7 @@ func benchRanks() int {
 func BenchmarkTableI(b *testing.B) {
 	var mean, median, max float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunTableIContext(context.Background(), TableIConfig{RunSpec: RunSpec{Seed: 2013}})
+		res, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013}, TableIParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,10 +77,8 @@ func BenchmarkFirstImpressions(b *testing.B) {
 	var fi *FirstImpressions
 	for i := 0; i < b.N; i++ {
 		var err error
-		fi, err = RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
-			RunSpec: RunSpec{Ranks: 64, Seed: 1},
-			Trials:  8, Iterations: 200, Interval: 25,
-		})
+		fi, err = RunFirstImpressionsContext(context.Background(), RunSpec{Ranks: 64, Seed: 1},
+			FirstImpressionsParams{Trials: 8, Iterations: 200, Interval: 25})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,7 +357,7 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	var s *IntervalSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = RunIntervalSweepContext(context.Background(), IntervalSweepConfig{RunSpec: RunSpec{Ranks: 64}, Seeds: []int64{133, 134}})
+		s, err = RunIntervalSweepContext(context.Background(), RunSpec{Ranks: 64}, IntervalSweepParams{Seeds: []int64{133, 134}})
 		if err != nil {
 			b.Fatal(err)
 		}

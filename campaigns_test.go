@@ -214,13 +214,8 @@ func TestTableIIPoolMatchesSequential(t *testing.T) {
 // strictly fastest, the tiered arm strictly beats the flat shared PFS,
 // and the recovered-overhead fractions are meaningful (in (0, 1]).
 func TestCheckpointIOAblationSmoke(t *testing.T) {
-	cfg := CheckpointIOAblationConfig{
-		RunSpec:    RunSpec{Ranks: 64, Seed: 133},
-		Iterations: 60,
-		Intervals:  []int{20},
-		MTTFs:      []Duration{150 * Second},
-	}
-	tab, err := RunCheckpointIOAblationContext(context.Background(), cfg)
+	tab, err := RunCheckpointIOAblationContext(context.Background(), RunSpec{Ranks: 64, Seed: 133},
+		IOAblationParams{Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +249,7 @@ func TestCheckpointIOAblationSmoke(t *testing.T) {
 	// The campaign cells face identical failure sequences (the draws
 	// depend on seed and MTTF, not the arm), so F matches across arms
 	// and the E2 ordering mirrors E1.
-	mttf := cfg.MTTFs[0]
+	mttf := tab.MTTFs[0]
 	cells := make([]*CheckpointIOAblationRow, 0, 4)
 	for _, arm := range []string{IOArmFree, IOArmFlatPFS, IOArmTiered, IOArmTieredIncr} {
 		cell := tab.Row(arm, mttf, c)
@@ -284,9 +279,7 @@ func TestCheckpointIOAblationSmoke(t *testing.T) {
 
 func TestTableIPoolMatchesSequential(t *testing.T) {
 	run := func(pool int) *TableIResult {
-		res, err := RunTableIContext(context.Background(), TableIConfig{
-			RunSpec: RunSpec{Seed: 2013, Pool: pool},
-		})
+		res, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013, Pool: pool}, TableIParams{})
 		if err != nil {
 			t.Fatalf("pool=%d: %v", pool, err)
 		}

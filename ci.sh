@@ -41,16 +41,7 @@
 #                     a six-neighbour exchange at one virtual instant: a
 #                     message matched on arrival is a queue slot and two
 #                     pooled requests, never five heap objects again)
-#   9. campaign-parallelism smoke (a pooled campaign under -race must
-#                     produce bit-identical results to the sequential one:
-#                     pool=4 vs pool=1 digests for the Table II grid and a
-#                     50-seed campaign set)
-#   10. checkpoint-I/O ablation smoke (with the I/O cost on, the free arm
-#                     stays strictly fastest and the tiered hierarchy
-#                     strictly beats the flat shared PFS; the buddy-copy
-#                     drain fallback and replica-aware cleanup run under
-#                     -race)
-#   11. campaign-service smoke (a -race build of xsim-server serves one
+#   9. campaign-service smoke (a -race build of xsim-server serves one
 #                     campaign per kind, each result bit-for-bit the
 #                     CLI's `xsim-run -campaign` output, and for table2
 #                     also the output of the same campaign spelled as
@@ -165,15 +156,6 @@ echo "== BenchmarkHaloBurst mallocs-per-message gate"
 # and the run reads 0.23. 2.5 fails the build if any one of the three
 # objects comes back per message.
 bench_gate ./internal/mpi/ '^BenchmarkHaloBurst$' mallocs/msg 2.5 1 1x
-
-echo "== campaign-parallelism smoke (pool=4 vs pool=1 digests, -race)"
-go test -race -count=1 -run '^(TestRunCampaignsDeterministicAcrossPools|TestTableIIPoolMatchesSequential|TestTableIPoolMatchesSequential)$' .
-
-echo "== replication-crossover smoke (r in {2,3}, one MTTF point, -race)"
-go test -race -count=1 -run '^(TestReplicationCrossoverSmoke|TestReplicatedStencilFailoverRun|TestMirrorFailoverSurvivesReplicaDeath|TestParallelPartnerDeathMidDigestExchange)$' . ./internal/redundancy/
-
-echo "== checkpoint-I/O ablation smoke (free < tiered < flat-pfs, -race)"
-go test -race -count=1 -run '^(TestCheckpointIOAblationSmoke|TestDrainInterruptedByFailureFallsBackATier|TestReplicaAwareCleanupKeepsCoveredSets)$' . ./internal/checkpoint/
 
 echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
 smoke_dir=$(mktemp -d)

@@ -42,6 +42,8 @@ func TestBadCommandLinesExitTwoBeforeAnythingRuns(t *testing.T) {
 		{[]string{"table2", "-version", "2"}, `"version": unsupported spec version 2`},
 		{[]string{"table2", "stray"}, `unexpected argument "stray"`},
 		{[]string{"replication-crossover", "-degrees", "5"}, `"replication_crossover.degrees[0]": ranks 24 must be divisible by degree 5`},
+		{[]string{"io-ablation", "-ranks", "8", "-iterations", "8", "-intervals", "4", "-mttf-seconds", "20", "-delta-fraction", "1"},
+			`"io_ablation.delta_fraction": heat: DeltaFraction 1 outside [0, 1)`},
 		{[]string{"table3"}, "(known: [table1 table2 interval-sweep first-impressions replication-crossover io-ablation])"},
 		{[]string{"-app", "nope"}, `unknown app "nope"`},
 		{[]string{"-app", "heat", "-metrics"}, "-app heat is a restart chain"},

@@ -36,17 +36,17 @@ import (
 )
 
 func main() {
-	cfg := xsim.CheckpointIOAblationConfig{
-		RunSpec:    xsim.RunSpec{Ranks: 256, Seed: 133},
-		Iterations: 200,
-		Intervals:  []int{50, 25},
-		MTTFs:      []xsim.Duration{500 * xsim.Second},
+	rs := xsim.RunSpec{Ranks: 256, Seed: 133}
+	p := xsim.IOAblationParams{
+		Iterations:  200,
+		Intervals:   []int{50, 25},
+		MTTFSeconds: []float64{500},
 	}
 	fmt.Printf("checkpoint-I/O ablation: %d ranks, %d iterations, %d MiB per rank\n",
-		cfg.Ranks, cfg.Iterations, 256)
-	fmt.Printf("(node-local memory -> burst buffer -> shared PFS; seed %d)\n\n", cfg.Seed)
+		rs.Ranks, p.Iterations, 256)
+	fmt.Printf("(node-local memory -> burst buffer -> shared PFS; seed %d)\n\n", rs.Seed)
 
-	tab, err := xsim.RunCheckpointIOAblationContext(context.Background(), cfg)
+	tab, err := xsim.RunCheckpointIOAblationContext(context.Background(), rs, p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package xsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"xsim/internal/daly"
 	"xsim/internal/fault"
 	"xsim/internal/fsmodel"
+	"xsim/internal/heat"
 	"xsim/internal/runner"
 	"xsim/internal/softerror"
 	"xsim/internal/stats"
@@ -29,28 +31,49 @@ const PaperCallOverhead = Duration(2900 * Microsecond)
 
 // --- Table I: fault (bit flip) injection ---------------------------------
 
-// TableIConfig parameterises the Table I reproduction (the Finject bit
-// flip campaign the paper reports). Only the RunSpec's Seed, Logf, and
-// Pool apply: the victims are process-image models, not simulations.
-type TableIConfig struct {
-	RunSpec
-	// Victims is the number of victim application instances (paper: 100).
-	Victims int
-	// MaxInjections is the per-victim cap (paper: an arbitrary 100).
-	MaxInjections int
+// TableIParams parameterises a table1 campaign, the Table I reproduction
+// (the Finject bit flip campaign the paper reports). Of the trunk only
+// Seed, Logf, Pool and OnProgress apply: the victims are process-image
+// models, not simulations.
+type TableIParams struct {
+	Victims       int `json:"victims" help:"victim application instances"`
+	MaxInjections int `json:"max_injections" help:"injection cap per victim"`
 }
 
 // TableIResult is the campaign result, re-exported.
 type TableIResult = softerror.CampaignResult
 
-// defaults fills the paper's Table I parameters.
-func (cfg *TableIConfig) defaults() {
-	if cfg.Victims == 0 {
-		cfg.Victims = 100
+// defaults fills the paper's Table I parameters (100 victims, an arbitrary
+// cap of 100 injections each).
+func (p *TableIParams) defaults(*RunSpec) {
+	if p.Victims == 0 {
+		p.Victims = 100
 	}
-	if cfg.MaxInjections == 0 {
-		cfg.MaxInjections = 100
+	if p.MaxInjections == 0 {
+		p.MaxInjections = 100
 	}
+}
+
+func (p *TableIParams) validate(_ int, v specChecker) []error {
+	v.nonNegative("victims", p.Victims)
+	v.nonNegative("max_injections", p.MaxInjections)
+	return v.errs
+}
+
+func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+	res, err := RunTableIContext(ctx, rs, *p)
+	if err != nil {
+		return nil, err
+	}
+	out.TableI = &TableIOutcome{
+		Victims:       res.Victims,
+		Injections:    res.Injections,
+		Survived:      res.Survived,
+		ToFailure:     res.ToFailure,
+		KillsByRegion: res.KillsByRegion,
+		Summary:       WireSummary(res.Summary),
+	}
+	return res, nil
 }
 
 // RunTableIContext reproduces Table I: bit flips are injected into victim
@@ -58,19 +81,80 @@ func (cfg *TableIConfig) defaults() {
 // distribution is summarised. Victims fan out across the campaign pool;
 // each victim's random sequence depends only on Seed and its index, so
 // the distribution is identical at any pool size.
-func RunTableIContext(ctx context.Context, cfg TableIConfig) (*TableIResult, error) {
-	cfg.defaults()
+func RunTableIContext(ctx context.Context, rs RunSpec, p TableIParams) (*TableIResult, error) {
+	p.defaults(&rs)
 	return softerror.RunCampaignContext(ctx, softerror.CampaignConfig{
-		Victims:       cfg.Victims,
-		MaxInjections: cfg.MaxInjections,
-		Seed:          cfg.Seed,
-		Pool:          cfg.Pool,
-		Logf:          cfg.Logf,
-		OnProgress:    cfg.runnerOnProgress(),
+		Victims:       p.Victims,
+		MaxInjections: p.MaxInjections,
+		Seed:          rs.Seed,
+		Pool:          rs.Pool,
+		Logf:          rs.Logf,
+		OnProgress:    rs.runnerOnProgress(),
 	})
 }
 
 // --- Table II: varying the checkpoint interval and system MTTF -----------
+
+// TableIIParams parameterises a table2 campaign. PaperIO enables the
+// paper's flat parallel-file-system cost model for checkpoints (Table II
+// proper charges nothing).
+type TableIIParams struct {
+	Iterations  int       `json:"iterations" help:"total iteration count"`
+	Intervals   []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
+	MTTFSeconds []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	MaxRuns     int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
+	PaperIO     bool      `json:"paper_io" help:"charge checkpoints the paper's flat parallel-file-system cost"`
+}
+
+// config maps the block to Table II's Go configuration: the one
+// Params→Config mapping left, one direction. Table II keeps a config of
+// its own because the benchmark harness constructs it, and because its Go
+// form says what a document cannot: any fsmodel.Model where the wire has
+// paper_io, and Duration-exact MTTFs, which feed the cell seed.
+func (p *TableIIParams) config(rs RunSpec) TableIIConfig {
+	cfg := TableIIConfig{
+		RunSpec:    rs,
+		Iterations: p.Iterations,
+		Intervals:  p.Intervals,
+		MTTFs:      durationSlice(p.MTTFSeconds),
+		MaxRuns:    p.MaxRuns,
+	}
+	if p.PaperIO {
+		cfg.FSModel = PaperPFS()
+	}
+	return cfg
+}
+
+// defaults are TableIIConfig's, reached through the block.
+func (p *TableIIParams) defaults(rs *RunSpec) {
+	cfg := p.config(*rs)
+	cfg.defaults()
+	*rs = cfg.RunSpec
+	p.Iterations = cfg.Iterations
+	p.Intervals = cfg.Intervals
+	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
+}
+
+func (p *TableIIParams) validate(_ int, v specChecker) []error {
+	v.heatIterations("iterations", p.Iterations)
+	v.intervals("intervals", p.Intervals)
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
+}
+
+func (p *TableIIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+	res, err := RunTableIIContext(ctx, p.config(rs))
+	if err != nil {
+		return nil, err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
+	for i, r := range res.Rows {
+		out.TableII.Rows[i] = wireTableIIRow(r)
+	}
+	return res, nil
+}
 
 // TableIIConfig parameterises the Table II reproduction.
 type TableIIConfig struct {
@@ -364,26 +448,20 @@ func (t *TableII) Render() string {
 
 // --- §V-D First impressions: failure-mode classification -----------------
 
-// FirstImpressionsConfig parameterises the failure-mode study: repeated
-// single-failure runs of the heat application, classifying in which phase
-// the failure struck, in which phase the survivors detected it (and
-// aborted), and the state the checkpoint files were left in.
-type FirstImpressionsConfig struct {
-	// RunSpec carries the shared simulation parameters (Ranks defaults to
-	// 512) and the campaign-pool controls.
-	RunSpec
-	// Iterations and Interval describe the workload.
-	Iterations int
-	Interval   int
-	// Trials is the number of independent single-failure runs.
-	Trials int
-	// MTTF spreads the random failure times (default 6,000 s).
-	MTTF Duration
+// FirstImpressionsParams parameterises a first-impressions campaign, the
+// failure-mode study: repeated single-failure runs of the heat application
+// (Ranks defaults to 512), classifying in which phase the failure struck,
+// in which phase the survivors detected it (and aborted), and the state
+// the checkpoint files were left in.
+type FirstImpressionsParams struct {
+	Iterations  int     `json:"iterations" help:"total iteration count"`
+	Interval    int     `json:"interval" help:"checkpoint and halo-exchange interval (unset: 1/8 of iterations)"`
+	Trials      int     `json:"trials" help:"independent single-failure runs"`
+	MTTFSeconds float64 `json:"mttf_seconds" help:"spread of the random failure times in seconds (unset: a quarter of the run)"`
 }
 
 // FirstImpressions aggregates the failure-mode study.
 type FirstImpressions struct {
-	Config FirstImpressionsConfig
 	// Trials is the number of runs in which the failure activated.
 	Trials int
 	// FailedIn histograms the phase the failed rank was in.
@@ -399,25 +477,49 @@ type FirstImpressions struct {
 }
 
 // defaults fills the zero fields.
-func (cfg *FirstImpressionsConfig) defaults() {
-	cfg.RunSpec.defaults(512)
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 1000
+func (p *FirstImpressionsParams) defaults(rs *RunSpec) {
+	rs.defaults(512)
+	if p.Iterations == 0 {
+		p.Iterations = 1000
 	}
-	if cfg.Interval == 0 {
+	if p.Interval == 0 {
 		// The shortest of the paper's three intervals (12.5 %).
-		cfg.Interval = slices.Min(defaultIntervals(cfg.Iterations))
+		p.Interval = slices.Min(defaultIntervals(p.Iterations))
 	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 10
+	if p.Trials == 0 {
+		p.Trials = 10
 	}
-	if cfg.MTTF == 0 {
+	p.MTTFSeconds = clockSeconds(p.MTTFSeconds)
+	if p.MTTFSeconds == 0 {
 		// Scale the MTTF to the run: one iteration is ≈5.25 simulated
 		// seconds, and failures draw uniform within [0, 2×MTTF), so a
 		// quarter of the expected execution time guarantees the failure
 		// activates within the run.
-		cfg.MTTF = Duration(cfg.Iterations) * Seconds(5.25) / 4
+		p.MTTFSeconds = (Duration(p.Iterations) * Seconds(5.25) / 4).Seconds()
 	}
+}
+
+func (p *FirstImpressionsParams) validate(_ int, v specChecker) []error {
+	v.heatIterations("iterations", p.Iterations)
+	v.nonNegative("interval", p.Interval)
+	v.nonNegative("trials", p.Trials)
+	v.seconds("mttf_seconds", p.MTTFSeconds)
+	return v.errs
+}
+
+func (p *FirstImpressionsParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+	res, err := RunFirstImpressionsContext(ctx, rs, *p)
+	if err != nil {
+		return nil, err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.Phases = &FirstImpressionsOutcome{
+		Trials:             res.Trials,
+		FailedIn:           res.FailedIn,
+		DetectedIn:         res.DetectedIn,
+		CheckpointOutcomes: res.CheckpointOutcomes,
+	}
+	return res, nil
 }
 
 // firstImpressionsTrial is one trial's classification.
@@ -436,35 +538,35 @@ type firstImpressionsTrial struct {
 // incomplete or corrupted checkpoints, or partially deleted old sets.
 // Trials are independent (each owns a private store and tracker) and fan
 // out across the campaign pool; histograms merge in trial order.
-func RunFirstImpressionsContext(ctx context.Context, cfg FirstImpressionsConfig) (*FirstImpressions, error) {
-	cfg.defaults()
-	base, err := HeatWorkloadFor(cfg.Ranks)
+func RunFirstImpressionsContext(ctx context.Context, rs RunSpec, p FirstImpressionsParams) (*FirstImpressions, error) {
+	p.defaults(&rs)
+	base, err := HeatWorkloadFor(rs.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	base.Iterations = cfg.Iterations
-	base.ExchangeInterval = cfg.Interval
-	base.CheckpointInterval = cfg.Interval
+	base.Iterations = p.Iterations
+	base.ExchangeInterval = p.Interval
+	base.CheckpointInterval = p.Interval
 
-	tasks := make([]runner.Task[firstImpressionsTrial], cfg.Trials)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := cfg.Seed + int64(trial)*1000
+	tasks := make([]runner.Task[firstImpressionsTrial], p.Trials)
+	for trial := 0; trial < p.Trials; trial++ {
+		seed := rs.Seed + int64(trial)*1000
 		tasks[trial] = runner.Task[firstImpressionsTrial]{
 			Spec: runner.Spec{Index: trial, Label: fmt.Sprintf("trial=%d", trial), Seed: seed},
 			Run: func(ctx context.Context) (firstImpressionsTrial, error) {
 				store := NewStore()
-				tracker := NewHeatTracker(cfg.Ranks)
+				tracker := NewHeatTracker(rs.Ranks)
 				hc := base
 				hc.Tracker = tracker
-				simCfg := cfg.baseConfig()
+				simCfg := rs.baseConfig()
 				simCfg.Store = store
 				camp := Campaign{
 					Base:    simCfg,
-					MTTF:    cfg.MTTF,
+					MTTF:    Seconds(p.MTTFSeconds),
 					Seed:    seed,
 					MaxRuns: 1, // observe the first failure only
 				}
-				setHeatApp(&camp, hc, cfg.ProgMode)
+				setHeatApp(&camp, hc, rs.ProgMode)
 				res, err := camp.RunContext(ctx)
 				out := firstImpressionsTrial{camp: res}
 				// The single run usually aborts, exhausting MaxRuns; that
@@ -483,21 +585,20 @@ func RunFirstImpressionsContext(ctx context.Context, cfg FirstImpressionsConfig)
 				failedRank := run.Injected.Rank
 				out.failedIn = tracker.PhaseOf(failedRank).String()
 				out.detectedIn = make(map[string]int)
-				for r := 0; r < cfg.Ranks; r++ {
+				for r := 0; r < rs.Ranks; r++ {
 					if r == failedRank {
 						continue
 					}
 					out.detectedIn[tracker.PhaseOf(r).String()]++
 				}
-				out.checkpoint = classifyCheckpoints(store, "heat", cfg.Ranks)
+				out.checkpoint = classifyCheckpoints(store, "heat", rs.Ranks)
 				return out, nil
 			},
 		}
 	}
 
-	trials, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
+	trials, rstats, err := runner.Run(ctx, rs.runnerConfig(), tasks)
 	out := &FirstImpressions{
-		Config:             cfg,
 		FailedIn:           make(map[string]int),
 		DetectedIn:         make(map[string]int),
 		CheckpointOutcomes: make(map[string]int),
@@ -594,70 +695,108 @@ const (
 	ArmHybrid = "hybrid"
 )
 
-// ReplicationCrossoverConfig parameterises the replication-vs-checkpoint
-// crossover study: the fixed-size replicated stencil runs under Poisson
-// multi-failure injection at a sweep of system MTTFs, once per protection
-// arm — plain checkpoint/restart at the Daly-optimal interval, plain
-// r-way replication, and the hybrid of both — so the table exposes the
-// MTTF below which burning r× the resources on replication beats
-// restarting, the trade redMPI was built around.
-type ReplicationCrossoverConfig struct {
-	// RunSpec carries the shared simulation parameters. Ranks (default 24)
-	// is the physical world size of every arm and must be divisible by
-	// every replication degree: the replication arms split it into
-	// Ranks/r logical ranks carrying r× the per-rank work.
-	RunSpec
-	// Degrees are the replication degrees to sweep (default 2, 3).
-	Degrees []int
-	// MTTFs are the system mean-time-to-failure values to sweep (default
-	// 50 s … 1600 s, doubling).
-	MTTFs []Duration
-	// Iterations, ComputePerIteration, and HaloBytes shape the stencil
-	// (defaults 40 iterations × 2.5 s, 1 KiB halos → a 100 s solve).
-	Iterations          int
-	ComputePerIteration Duration
-	HaloBytes           int
-	// CheckpointCost and RestartCost are Daly's δ and R (default 15 s
-	// each).
-	CheckpointCost Duration
-	RestartCost    Duration
-	// MaxRuns caps the failure/restart cycles per campaign cell (default
-	// 400; low-MTTF checkpoint cells restart often).
-	MaxRuns int
+// CrossoverParams parameterises a replication-crossover campaign: the
+// fixed-size replicated stencil runs under Poisson multi-failure injection
+// at a sweep of system MTTFs, once per protection arm — plain
+// checkpoint/restart at the Daly-optimal interval, plain r-way
+// replication, and the hybrid of both — so the table exposes the MTTF
+// below which burning r× the resources on replication beats restarting,
+// the trade redMPI was built around. Ranks (default 24) is the physical
+// world size of every arm: the replication arms split it into Ranks/r
+// logical ranks carrying r× the per-rank work.
+type CrossoverParams struct {
+	Degrees           []int     `json:"degrees" help:"replication degrees; each must divide ranks"`
+	MTTFSeconds       []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	Iterations        int       `json:"iterations" help:"stencil iterations"`
+	ComputeSeconds    float64   `json:"compute_seconds" help:"compute per iteration in seconds"`
+	HaloBytes         int       `json:"halo_bytes" help:"halo message size"`
+	CheckpointSeconds float64   `json:"checkpoint_seconds" help:"cost of one checkpoint in seconds"`
+	RestartSeconds    float64   `json:"restart_seconds" help:"cost of one restart in seconds"`
+	MaxRuns           int       `json:"max_runs" help:"cap on failure/restart cycles per cell"`
 }
 
-// crossoverDefaultRanks is the crossover's default world size; the wire
-// layer checks degree divisibility against it when a spec leaves ranks 0.
+// crossoverDefaultRanks is the crossover's default world size; validate
+// checks degree divisibility against it when a spec leaves ranks 0.
 const crossoverDefaultRanks = 24
 
-// defaults fills the zero fields.
-func (cfg *ReplicationCrossoverConfig) defaults() {
-	cfg.RunSpec.defaults(crossoverDefaultRanks)
-	if len(cfg.Degrees) == 0 {
-		cfg.Degrees = []int{2, 3}
+// defaults fills the zero fields: degrees 2 and 3; MTTFs 50 s … 1600 s,
+// doubling; 40 iterations × 2.5 s with 1 KiB halos (a 100 s solve); Daly's
+// δ and R 15 s each; 400 runs per cell (low-MTTF checkpoint cells restart
+// often).
+func (p *CrossoverParams) defaults(rs *RunSpec) {
+	rs.defaults(crossoverDefaultRanks)
+	if len(p.Degrees) == 0 {
+		p.Degrees = []int{2, 3}
 	}
-	if len(cfg.MTTFs) == 0 {
-		cfg.MTTFs = []Duration{50 * Second, 100 * Second, 200 * Second,
-			400 * Second, 800 * Second, 1600 * Second}
+	p.MTTFSeconds = secondsSlice(durationSlice(p.MTTFSeconds))
+	if len(p.MTTFSeconds) == 0 {
+		p.MTTFSeconds = []float64{50, 100, 200, 400, 800, 1600}
 	}
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 40
+	if p.Iterations == 0 {
+		p.Iterations = 40
 	}
-	if cfg.ComputePerIteration == 0 {
-		cfg.ComputePerIteration = Seconds(2.5)
+	p.ComputeSeconds = clockSeconds(p.ComputeSeconds)
+	if p.ComputeSeconds == 0 {
+		p.ComputeSeconds = 2.5
 	}
-	if cfg.HaloBytes == 0 {
-		cfg.HaloBytes = 1024
+	if p.HaloBytes == 0 {
+		p.HaloBytes = 1024
 	}
-	if cfg.CheckpointCost == 0 {
-		cfg.CheckpointCost = 15 * Second
+	p.CheckpointSeconds = clockSeconds(p.CheckpointSeconds)
+	if p.CheckpointSeconds == 0 {
+		p.CheckpointSeconds = 15
 	}
-	if cfg.RestartCost == 0 {
-		cfg.RestartCost = 15 * Second
+	p.RestartSeconds = clockSeconds(p.RestartSeconds)
+	if p.RestartSeconds == 0 {
+		p.RestartSeconds = 15
 	}
-	if cfg.MaxRuns == 0 {
-		cfg.MaxRuns = 400
+	if p.MaxRuns == 0 {
+		p.MaxRuns = 400
 	}
+}
+
+func (p *CrossoverParams) validate(ranks int, v specChecker) []error {
+	ranks = cmp.Or(ranks, crossoverDefaultRanks)
+	for i, r := range p.Degrees {
+		if r < 2 {
+			v.bad(fmt.Sprintf("degrees[%d]", i), "replication degree must be at least 2, got %d", r)
+		} else if ranks%r != 0 {
+			v.bad(fmt.Sprintf("degrees[%d]", i), "ranks %d must be divisible by degree %d", ranks, r)
+		}
+	}
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("iterations", p.Iterations)
+	v.seconds("compute_seconds", p.ComputeSeconds)
+	v.seconds("checkpoint_seconds", p.CheckpointSeconds)
+	v.seconds("restart_seconds", p.RestartSeconds)
+	v.nonNegative("halo_bytes", p.HaloBytes)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
+}
+
+func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+	res, err := RunReplicationCrossoverContext(ctx, rs, *p)
+	if err != nil {
+		return nil, err
+	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.Crossover = &CrossoverOutcome{
+		SolveNS: int64(res.Solve),
+		Rows:    make([]WireCrossoverRow, len(res.Rows)),
+	}
+	for i, r := range res.Rows {
+		out.Crossover.Rows[i] = WireCrossoverRow{
+			MTTFSeconds: r.MTTF.Seconds(),
+			Arm:         r.Arm,
+			Degree:      r.Degree,
+			Interval:    r.Interval,
+			E2NS:        int64(r.E2),
+			F:           r.F,
+			Runs:        r.Runs,
+			PredictedNS: int64(r.Predicted),
+		}
+	}
+	return res, nil
 }
 
 // ReplicationCrossoverRow is one campaign cell of the crossover table.
@@ -687,7 +826,8 @@ type ReplicationCrossoverRow struct {
 
 // ReplicationCrossover is the crossover study result.
 type ReplicationCrossover struct {
-	Config ReplicationCrossoverConfig
+	// MTTFs are the swept system MTTFs, one block of Rows each.
+	MTTFs []Duration
 	// Solve is the measured failure-free unreplicated solve time (the
 	// study's E1 baseline).
 	Solve Duration
@@ -717,37 +857,35 @@ func (t *ReplicationCrossover) Row(mttf Duration, arm string, degree int) *Repli
 // virtual time, and counts a run as done once every logical rank has a
 // surviving completed replica. Cell seeds depend only on Seed, the MTTF,
 // and the arm, so the table is identical at any pool size.
-func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossoverConfig) (*ReplicationCrossover, error) {
-	cfg.defaults()
-	for _, r := range cfg.Degrees {
-		if r < 2 {
-			return nil, fmt.Errorf("xsim: replication degree %d must be at least 2", r)
-		}
-		if cfg.Ranks%r != 0 {
-			return nil, fmt.Errorf("xsim: Ranks %d must be divisible by replication degree %d", cfg.Ranks, r)
-		}
+func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p CrossoverParams) (*ReplicationCrossover, error) {
+	p.defaults(&rs)
+	if errs := p.validate(rs.Ranks, specChecker{block: kindRow(KindCrossover).block}); len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
+	compute := Seconds(p.ComputeSeconds)
+	ckptCost, restartCost := Seconds(p.CheckpointSeconds), Seconds(p.RestartSeconds)
+	mttfs := durationSlice(p.MTTFSeconds)
 
 	stencil := func(degree, interval int) ReplicatedStencilConfig {
 		return ReplicatedStencilConfig{
 			Degree:              degree,
-			Iterations:          cfg.Iterations,
-			ComputePerIteration: cfg.ComputePerIteration,
-			HaloBytes:           cfg.HaloBytes,
+			Iterations:          p.Iterations,
+			ComputePerIteration: compute,
+			HaloBytes:           p.HaloBytes,
 			CheckpointInterval:  interval,
-			CheckpointCost:      cfg.CheckpointCost,
-			RestartCost:         cfg.RestartCost,
+			CheckpointCost:      ckptCost,
+			RestartCost:         restartCost,
 			Prefix:              "repl",
 		}
 	}
 
-	table := &ReplicationCrossover{Config: cfg}
+	table := &ReplicationCrossover{MTTFs: mttfs}
 
 	// E1: the failure-free unreplicated solve — the campaign no failure
 	// strikes, in a single run that must complete — measured (not assumed)
 	// so the Daly parameters include the simulated communication time.
 	e1, err := Campaign{
-		Base:    cfg.baseConfig(),
+		Base:    rs.baseConfig(),
 		MaxRuns: 1,
 		AppFor:  func(int) App { return RunReplicatedStencil(stencil(1, 0)) },
 	}.RunContext(ctx)
@@ -757,23 +895,23 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 	}
 	solve := Duration(e1.E2)
 	table.Solve = solve
-	perIter := solve / Duration(cfg.Iterations)
+	perIter := solve / Duration(p.Iterations)
 
 	// dalyInterval converts Daly's optimal compute-time interval into a
 	// whole number of iterations of the (possibly replicated) stencil.
 	dalyInterval := func(mttf Duration, degree int) (int, daly.Params) {
 		dp := daly.Params{
 			Solve:   Duration(degree) * solve,
-			Delta:   cfg.CheckpointCost,
-			Restart: cfg.RestartCost,
+			Delta:   ckptCost,
+			Restart: restartCost,
 			MTTF:    mttf,
 		}
 		iters := int(math.Round(dp.OptimalInterval().Seconds() / (Duration(degree) * perIter).Seconds()))
 		if iters < 1 {
 			iters = 1
 		}
-		if iters > cfg.Iterations {
-			iters = cfg.Iterations
+		if iters > p.Iterations {
+			iters = p.Iterations
 		}
 		return iters, dp
 	}
@@ -783,7 +921,7 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 		if interval <= 0 {
 			return 0
 		}
-		return cfg.CheckpointCost * Duration((cfg.Iterations-1)/interval)
+		return ckptCost * Duration((p.Iterations-1)/interval)
 	}
 
 	type cellSpec struct {
@@ -799,14 +937,14 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 			},
 			// Mix the MTTF and the arm index into the seed so every cell
 			// draws an independent failure sequence.
-			seed: cfg.Seed + int64(mttf.Seconds())*1009 + int64(len(specs))*37,
+			seed: rs.Seed + int64(mttf.Seconds())*1009 + int64(len(specs))*37,
 		})
 	}
-	for _, mttf := range cfg.MTTFs {
+	for _, mttf := range mttfs {
 		interval, dp := dalyInterval(mttf, 1)
 		addCell(mttf, ArmCheckpoint, 1, interval,
 			dp.ExpectedRuntime(Duration(interval)*perIter))
-		for _, degree := range cfg.Degrees {
+		for _, degree := range p.Degrees {
 			addCell(mttf, ArmReplication, degree, 0, Duration(degree)*solve)
 			hInterval, _ := dalyInterval(mttf, degree)
 			addCell(mttf, ArmHybrid, degree, hInterval,
@@ -821,7 +959,7 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 		// The failure horizon comfortably covers the longest single run
 		// of the cell (compute + checkpoint overhead + restart).
 		horizon := Duration(spec.row.Degree)*solve + ckptOverhead(spec.row.Interval) +
-			cfg.RestartCost + solve
+			restartCost + solve
 		tasks[i] = runner.Task[*CampaignResult]{
 			Spec: runner.Spec{
 				Index: i,
@@ -829,24 +967,24 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 				Seed:  spec.seed,
 			},
 			Run: func(ctx context.Context) (*CampaignResult, error) {
-				base := cfg.baseConfig()
+				base := rs.baseConfig()
 				base.Store = NewStore()
 				camp := Campaign{
 					Base:    base,
 					Seed:    spec.seed,
-					MaxRuns: cfg.MaxRuns,
+					MaxRuns: p.MaxRuns,
 					DrawFailures: func(run int, start Time) Schedule {
 						rng := rand.New(rand.NewSource(spec.seed + int64(run)*101))
-						return fault.PoissonSchedule(rng, cfg.Ranks, spec.row.MTTF, horizon, start)
+						return fault.PoissonSchedule(rng, rs.Ranks, spec.row.MTTF, horizon, start)
 					},
-					SuccessFor: replicatedSuccess(cfg.Ranks, spec.row.Degree),
+					SuccessFor: replicatedSuccess(rs.Ranks, spec.row.Degree),
 					// Clean checkpoint sets between runs with the
 					// replica-aware criterion: the every-world-rank test
 					// would delete sets a dead replica left incomplete but
 					// that still cover every logical rank — exactly the
 					// sets the restart resumes from.
 					CheckpointPrefix: sc.Prefix,
-					SetCompleteFor:   ReplicatedSetComplete(cfg.Ranks, spec.row.Degree),
+					SetCompleteFor:   ReplicatedSetComplete(rs.Ranks, spec.row.Degree),
 					AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 				}
 				return camp.RunContext(ctx)
@@ -854,7 +992,7 @@ func RunReplicationCrossoverContext(ctx context.Context, cfg ReplicationCrossove
 		}
 	}
 
-	cells, rstats, err := runner.Run(ctx, cfg.runnerConfig(), tasks)
+	cells, rstats, err := runner.Run(ctx, rs.runnerConfig(), tasks)
 	table.Stats.Runner = rstats
 	for _, camp := range cells {
 		table.Stats.absorbCampaign(camp)
@@ -893,70 +1031,77 @@ const (
 	IOArmTieredIncr = "tiered-incr"
 )
 
-// CheckpointIOAblationConfig parameterises the checkpoint-I/O ablation:
-// the Table II sweep rerun with the file-system cost enabled, once per
-// storage arm, to show where the paper's zero-cost checkpoint assumption
-// breaks at scale and how much of the flat-PFS overhead hierarchical
-// (and incremental) checkpointing recovers.
-type CheckpointIOAblationConfig struct {
-	// RunSpec carries the shared simulation parameters (Ranks defaults
-	// to the paper's 32,768) and the campaign-pool controls.
-	RunSpec
-	// Iterations is the total iteration count (paper: 1,000).
-	Iterations int
-	// Intervals are the checkpoint intervals to sweep (paper: 500, 250,
-	// 125). The no-failure baseline with a single final checkpoint is
-	// always included.
-	Intervals []int
-	// MTTFs are the system MTTF values to sweep (default 6,000 s only —
-	// one Table II block per arm keeps the 4-arm grid tractable).
-	MTTFs []Duration
-	// CheckpointPayload is the modelled per-rank checkpoint size
-	// (default 256 MiB). The paper's 16³-points cube is ~32 KB per rank,
-	// invisible at any bandwidth; production-scale state is what makes
-	// the I/O cost observable.
-	CheckpointPayload int
-	// DeltaFraction and FullEvery parameterise the incremental arm
-	// (defaults 0.25 and 4: deltas are a quarter of the payload, every
-	// fourth checkpoint is full).
-	DeltaFraction float64
-	FullEvery     int
-	// Flat is the flat-PFS arm's cost model (default PaperPFSShared()).
-	Flat fsmodel.Model
-	// Tiers is the tiered arms' storage hierarchy (default
-	// PaperTieredFS()).
-	Tiers fsmodel.Hierarchy
-	// MaxRuns caps failure/restart cycles per campaign cell.
-	MaxRuns int
+// IOAblationParams parameterises an io-ablation campaign: the Table II
+// sweep (Ranks defaults to the paper's 32,768) rerun with the file-system
+// cost enabled, once per storage arm, to show where the paper's zero-cost
+// checkpoint assumption breaks at scale and how much of the flat-PFS
+// overhead hierarchical (and incremental) checkpointing recovers. The
+// storage arms themselves are fixed to the paper's models.
+type IOAblationParams struct {
+	Iterations    int       `json:"iterations" help:"total iteration count"`
+	Intervals     []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
+	MTTFSeconds   []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
+	PayloadBytes  int       `json:"payload_bytes" help:"modelled checkpoint payload per rank"`
+	DeltaFraction float64   `json:"delta_fraction" help:"share of the payload an incremental checkpoint writes"`
+	FullEvery     int       `json:"full_every" help:"incremental arm: every n-th checkpoint is a full one"`
+	MaxRuns       int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
 }
 
-// defaults fills the zero fields.
-func (cfg *CheckpointIOAblationConfig) defaults() {
-	cfg.RunSpec.defaults(32768)
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 1000
+// defaults fills the zero fields: the paper's 1,000 iterations and
+// intervals; MTTF 6,000 s only (one Table II block per arm keeps the 4-arm
+// grid tractable); a 256 MiB payload per rank (the paper's 16³-points cube
+// is ~32 KB, invisible at any bandwidth; production-scale state is what
+// makes the I/O cost observable); deltas a quarter of the payload, every
+// fourth checkpoint full.
+func (p *IOAblationParams) defaults(rs *RunSpec) {
+	rs.defaults(32768)
+	if p.Iterations == 0 {
+		p.Iterations = 1000
 	}
-	if len(cfg.Intervals) == 0 {
-		cfg.Intervals = defaultIntervals(cfg.Iterations)
+	if len(p.Intervals) == 0 {
+		p.Intervals = defaultIntervals(p.Iterations)
 	}
-	if len(cfg.MTTFs) == 0 {
-		cfg.MTTFs = []Duration{6000 * Second}
+	p.MTTFSeconds = secondsSlice(durationSlice(p.MTTFSeconds))
+	if len(p.MTTFSeconds) == 0 {
+		p.MTTFSeconds = []float64{6000}
 	}
-	if cfg.CheckpointPayload == 0 {
-		cfg.CheckpointPayload = 256 << 20
+	if p.PayloadBytes == 0 {
+		p.PayloadBytes = 256 << 20
 	}
-	if cfg.DeltaFraction == 0 {
-		cfg.DeltaFraction = 0.25
+	if p.DeltaFraction == 0 {
+		p.DeltaFraction = 0.25
 	}
-	if cfg.FullEvery == 0 {
-		cfg.FullEvery = 4
+	if p.FullEvery == 0 {
+		p.FullEvery = 4
 	}
-	if cfg.Flat == (fsmodel.Model{}) {
-		cfg.Flat = fsmodel.PaperPFSShared()
+}
+
+func (p *IOAblationParams) validate(_ int, v specChecker) []error {
+	v.heatIterations("iterations", p.Iterations)
+	v.intervals("intervals", p.Intervals)
+	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
+	v.nonNegative("payload_bytes", p.PayloadBytes)
+	// The bound is the application's: the tiered-incr arm hands the
+	// fraction to the heat workload as it stands.
+	if err := heat.CheckDeltaFraction(p.DeltaFraction); err != nil {
+		v.bad("delta_fraction", "%v", err)
 	}
-	if cfg.Tiers == nil {
-		cfg.Tiers = fsmodel.PaperTieredFS()
+	v.nonNegative("full_every", p.FullEvery)
+	v.nonNegative("max_runs", p.MaxRuns)
+	return v.errs
+}
+
+func (p *IOAblationParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+	res, err := RunCheckpointIOAblationContext(ctx, rs, *p)
+	if err != nil {
+		return nil, err
 	}
+	out.SimTimeNS = int64(res.Stats.SimTime)
+	out.IOAblation = &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(res.Rows))}
+	for i, r := range res.Rows {
+		out.IOAblation.Rows[i] = WireIOAblationRow{Arm: r.Arm, WireTableIIRow: wireTableIIRow(r.TableIIRow)}
+	}
+	return res, nil
 }
 
 // CheckpointIOAblationRow is one cell of the ablation: the storage arm
@@ -969,7 +1114,10 @@ type CheckpointIOAblationRow struct {
 
 // CheckpointIOAblation is the ablation result.
 type CheckpointIOAblation struct {
-	Config CheckpointIOAblationConfig
+	// Intervals and MTTFs are the swept checkpoint intervals and system
+	// MTTFs.
+	Intervals []int
+	MTTFs     []Duration
 	// Rows holds one entry per (arm, MTTF, interval) cell plus one
 	// baseline E1 row per arm, in sweep order.
 	Rows []CheckpointIOAblationRow
@@ -1020,26 +1168,28 @@ func (t *CheckpointIOAblation) Recovered(arm string, mttf Duration, c int) float
 // its free arm — so all arms face identical failure sequences and the
 // table is identical at any pool size. On error the partial result keeps
 // its pooled Stats but no Rows.
-func RunCheckpointIOAblationContext(ctx context.Context, cfg CheckpointIOAblationConfig) (*CheckpointIOAblation, error) {
-	cfg.defaults()
-	g, err := newHeatGrid(cfg.RunSpec, cfg.Iterations, cfg.Intervals)
+func RunCheckpointIOAblationContext(ctx context.Context, rs RunSpec, p IOAblationParams) (*CheckpointIOAblation, error) {
+	p.defaults(&rs)
+	g, err := newHeatGrid(rs, p.Iterations, p.Intervals)
 	if err != nil {
 		return nil, err
 	}
-	g.base.CheckpointPayload = cfg.CheckpointPayload
-	g.base.FullEvery = cfg.FullEvery
+	g.base.CheckpointPayload = p.PayloadBytes
+	g.base.FullEvery = p.FullEvery
+	tiers := fsmodel.PaperTieredFS()
 	g.arms = []ioArm{
 		{name: IOArmFree},
-		{name: IOArmFlatPFS, model: cfg.Flat},
-		{name: IOArmTiered, hier: cfg.Tiers},
-		{name: IOArmTieredIncr, hier: cfg.Tiers, delta: cfg.DeltaFraction},
+		{name: IOArmFlatPFS, model: fsmodel.PaperPFSShared()},
+		{name: IOArmTiered, hier: tiers},
+		{name: IOArmTieredIncr, hier: tiers, delta: p.DeltaFraction},
 	}
-	g.maxRuns = cfg.MaxRuns
+	g.maxRuns = p.MaxRuns
+	mttfs := durationSlice(p.MTTFSeconds)
 	for arm := range g.arms {
-		g.sweepMTTFs(arm, cfg.MTTFs)
+		g.sweepMTTFs(arm, mttfs)
 	}
 	rows, stats, err := g.run(ctx)
-	return &CheckpointIOAblation{Config: cfg, Rows: rows, Stats: stats}, err
+	return &CheckpointIOAblation{Intervals: p.Intervals, MTTFs: mttfs, Rows: rows, Stats: stats}, err
 }
 
 // Render prints the ablation, one Table II-shaped block per arm, followed
@@ -1053,9 +1203,9 @@ func (t *CheckpointIOAblation) Render() string {
 	b.WriteString(stats.Table(append([]string{"arm"}, tableIIHeader...), rows))
 	b.WriteString("\nrecovered fraction of flat-PFS overhead (1 = I/O free again):\n")
 	for _, arm := range []string{IOArmTiered, IOArmTieredIncr} {
-		for _, c := range t.Config.Intervals {
+		for _, c := range t.Intervals {
 			fmt.Fprintf(&b, "  %-12s c=%-4d E1: %4.0f %%", arm, c, 100*t.RecoveredE1(arm, c))
-			for _, mttf := range t.Config.MTTFs {
+			for _, mttf := range t.MTTFs {
 				fmt.Fprintf(&b, "   E2@%.0fs: %4.0f %%", mttf.Seconds(), 100*t.Recovered(arm, mttf, c))
 			}
 			b.WriteByte('\n')
@@ -1069,7 +1219,7 @@ func (t *CheckpointIOAblation) Render() string {
 func (t *ReplicationCrossover) Render() string {
 	header := []string{"MTTF", "arm", "r", "c", "E2", "F", "runs", "predicted", ""}
 	var rows [][]string
-	for _, mttf := range t.Config.MTTFs {
+	for _, mttf := range t.MTTFs {
 		var best *ReplicationCrossoverRow
 		for i := range t.Rows {
 			r := &t.Rows[i]

@@ -146,14 +146,26 @@ func (c *Config) Validate(worldSize int) error {
 	if c.CheckpointPayload < 0 {
 		return fmt.Errorf("heat: CheckpointPayload must be non-negative")
 	}
-	if c.DeltaFraction < 0 || c.DeltaFraction >= 1 {
-		return fmt.Errorf("heat: DeltaFraction %g outside [0, 1)", c.DeltaFraction)
+	if err := CheckDeltaFraction(c.DeltaFraction); err != nil {
+		return err
 	}
 	if c.RealCompute && (c.CheckpointPayload > 0 || c.DeltaFraction > 0) {
 		return fmt.Errorf("heat: CheckpointPayload and DeltaFraction are modelled-compute knobs")
 	}
 	if c.FullEvery < 0 {
 		return fmt.Errorf("heat: FullEvery must be non-negative")
+	}
+	return nil
+}
+
+// CheckDeltaFraction reports whether f is a share of the payload an
+// incremental checkpoint can write: 0 (off) up to, not including, the
+// whole payload. It is Validate's rule for Config.DeltaFraction, exported
+// so a layer that accepts the fraction from outside refuses what the
+// application would.
+func CheckDeltaFraction(f float64) error {
+	if !(f >= 0 && f < 1) {
+		return fmt.Errorf("heat: DeltaFraction %g outside [0, 1)", f)
 	}
 	return nil
 }

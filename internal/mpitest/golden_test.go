@@ -57,8 +57,8 @@ func outcomeDigest(o *Outcome) uint64 {
 // random generator) to outcomes recorded before those calls became loops
 // over the step machines. The deleted closure bodies were the reference
 // TestDifferentialClosureVsProg compared against; this file took over
-// that role, so a step-machine change that shifts both modes together
-// still fails here.
+// that role, so a change that shifts both modes together — to a step
+// machine, or to the one script both modes walk — still fails here.
 func TestClosureOutcomesMatchGolden(t *testing.T) {
 	got := make([]string, goldenSeeds)
 	for seed := range got {

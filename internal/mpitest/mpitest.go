@@ -6,11 +6,12 @@
 // storms, linear and tree collectives, probes, cancels, and random
 // failure schedules.
 //
-// A Workload is pure data: Generate derives everything from the seed, and
-// Run executes the same program at any worker count. Each rank folds
-// every observation it makes (matched sources and tags, payload bytes,
-// collective results, probe outcomes, errors, clock samples) into an
-// order-sensitive FNV digest, so any divergence in matching, timing, or
+// A Workload is pure data: Generate derives everything from the seed,
+// script compiles it into each rank's flat op list, and Run (closure mode)
+// and RunProg (program mode) walk that one list at any worker count. Each
+// rank folds every observation it makes (matched sources and tags, payload
+// bytes, collective results, probe outcomes, errors, clock samples) into
+// an order-sensitive FNV digest, so any divergence in matching, timing, or
 // failure detection shows up as a digest mismatch even when the final
 // clocks happen to agree.
 //
@@ -349,16 +350,35 @@ func (w *Workload) outcome(res *xsim.Result, digests []uint64, errs []string) *O
 	}
 }
 
-// Run executes the workload at the given worker count with invariant
-// checks enabled and returns its outcome.
-func (w *Workload) Run(workers int) (*Outcome, error) {
+// Run executes the workload in closure mode at the given worker count,
+// with invariant checks enabled, and returns its outcome.
+func (w *Workload) Run(workers int) (*Outcome, error) { return w.run(workers, false) }
+
+// RunProg executes the workload in program mode: the same per-rank script
+// as Run, walked by a resumable state machine instead of goroutine-blocking
+// calls. A correct engine produces a bit-identical Outcome from both, so
+// Diff(Run(...), RunProg(...)) == "" checks the two drivers (Env.Block on a
+// goroutine, the scheduler stepping a parked program) against each other.
+func (w *Workload) RunProg(workers int) (*Outcome, error) { return w.run(workers, true) }
+
+// run builds the simulation, walks every rank's script in one of the two
+// modes, and folds the result into the comparable Outcome.
+func (w *Workload) run(workers int, prog bool) (*Outcome, error) {
 	sim, err := xsim.New(w.simConfig(workers))
 	if err != nil {
 		return nil, err
 	}
 	digests := make([]uint64, w.Ranks)
 	errs := make([]string, w.Ranks)
-	res, err := sim.Run(w.app(digests, errs))
+	newRank := func(rank int) *rankRun {
+		return &rankRun{w: w, rank: rank, ops: w.script(rank), d: newDigest(), digests: digests, errs: errs}
+	}
+	var res *xsim.Result
+	if prog {
+		res, err = sim.RunProgs(func(rank int) xsim.Prog { return newRank(rank) })
+	} else {
+		res, err = sim.Run(func(e *xsim.Env) { newRank(e.Rank()).runClosure(e) })
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -485,280 +505,4 @@ func fillF64(seed, n int) []float64 {
 func permFor(seed int64, pi, rank, n int) []int {
 	h := seed*1000003 + int64(pi)*8191 + int64(rank)*131 + 7
 	return rand.New(rand.NewSource(h)).Perm(n)
-}
-
-// app builds the per-rank program. Each rank updates digests[rank] after
-// every phase (and on bail), so a rank killed mid-run still contributes
-// the digest of everything it observed before dying.
-func (w *Workload) app(digests []uint64, errs []string) xsim.App {
-	return func(e *xsim.Env) {
-		rank := e.Rank()
-		d := newDigest()
-		err := w.runRank(e, d, digests)
-		digests[rank] = d.sum()
-		if err != nil {
-			// Bail without Finalize: a simulated process failure, which
-			// releases peers blocked on this rank via timeout detection.
-			errs[rank] = err.Error()
-			return
-		}
-		e.Finalize()
-	}
-}
-
-// runRank executes the rank's scripted program.
-func (w *Workload) runRank(e *xsim.Env, d *digest, digests []uint64) error {
-	c := e.World()
-	c.SetErrorHandler(xsim.ErrorsReturn)
-	rank := c.Rank()
-	for pi, ph := range w.phases {
-		var err error
-		switch ph.kind {
-		case phaseP2P, phaseStorm:
-			err = w.runBurst(e, d, pi, ph)
-		case phaseColl:
-			err = w.runColl(e, d, ph)
-		case phaseCompute:
-			for _, st := range ph.steps[rank] {
-				if st.sleep {
-					e.Sleep(st.d)
-				} else {
-					e.Elapse(st.d)
-				}
-			}
-		case phaseProbe:
-			err = w.runProbe(e, d, ph)
-		case phaseCancel:
-			err = w.runCancel(e, d, pi, ph)
-		}
-		if err != nil {
-			return fmt.Errorf("phase %d (%s): %w", pi, ph.kind, err)
-		}
-		d.time(e.Now())
-		digests[rank] = d.sum()
-		// The barrier quiesces the phase: every rank has matched all of
-		// its receives before anyone starts the next phase, so wildcard
-		// receives can never swallow a later phase's traffic.
-		if err := c.Barrier(); err != nil {
-			return fmt.Errorf("phase %d barrier: %w", pi, err)
-		}
-	}
-	return nil
-}
-
-// runBurst executes a p2p or storm phase: post all inbound receives, then
-// issue all outbound sends, then wait everything in the rank's seeded
-// permutation order.
-func (w *Workload) runBurst(e *xsim.Env, d *digest, pi int, ph phase) error {
-	c := e.World()
-	rank := c.Rank()
-	var reqs []*xsim.Request
-	var recvOf []int // msg index for receives, -1 for sends
-	for mi, m := range ph.msgs {
-		if m.dst != rank {
-			continue
-		}
-		src, tag := m.src, m.tag
-		if m.wildSrc {
-			src = xsim.AnySource
-		}
-		if m.anyTag {
-			tag = xsim.AnyTag
-		}
-		r, err := c.Irecv(src, tag)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, r)
-		recvOf = append(recvOf, mi)
-	}
-	for mi, m := range ph.msgs {
-		if m.src != rank {
-			continue
-		}
-		if m.pre > 0 {
-			e.Elapse(m.pre)
-		}
-		var r *xsim.Request
-		var err error
-		if m.payload {
-			r, err = c.Isend(m.dst, m.tag, fill(mi*31+m.tag, m.size))
-		} else {
-			r, err = c.IsendN(m.dst, m.tag, m.size)
-		}
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, r)
-		recvOf = append(recvOf, -1)
-	}
-	for _, i := range permFor(w.Seed, pi, rank, len(reqs)) {
-		msg, err := c.Wait(reqs[i])
-		d.num(i)
-		if err != nil {
-			return err
-		}
-		if recvOf[i] >= 0 {
-			d.msg(msg)
-			// Hand the buffer back once digested: the differential then
-			// also cross-checks that pooled-buffer reuse cannot leak one
-			// receive's bytes into another.
-			msg.Release()
-		}
-	}
-	return nil
-}
-
-// runColl executes a collectives phase.
-func (w *Workload) runColl(e *xsim.Env, d *digest, ph phase) error {
-	c := e.World()
-	rank, n := c.Rank(), c.Size()
-	ops := []mpi.ReduceOp{xsim.OpSum, xsim.OpMax, xsim.OpMin}
-	for ci, op := range ph.colls {
-		switch op.kind {
-		case collBarrier:
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		case collBcast:
-			var data []byte
-			if rank == op.root {
-				data = fill(ci*17+op.root, op.size)
-			}
-			out, err := c.Bcast(op.root, data)
-			if err != nil {
-				return err
-			}
-			d.bytes(out)
-		case collReduce:
-			out, err := c.Reduce(op.root, fillF64(rank*257+ci, 1+op.size%8), ops[op.op])
-			if err != nil {
-				return err
-			}
-			if rank == op.root {
-				d.floats(out)
-			}
-		case collAllreduce:
-			out, err := c.Allreduce(fillF64(rank*263+ci, 1+op.size%8), ops[op.op])
-			if err != nil {
-				return err
-			}
-			d.floats(out)
-		case collGather:
-			parts, err := c.Gather(op.root, fill(rank*269+ci, op.size))
-			if err != nil {
-				return err
-			}
-			for _, p := range parts {
-				d.bytes(p)
-			}
-		case collScatter:
-			var parts [][]byte
-			if rank == op.root {
-				parts = make([][]byte, n)
-				for i := range parts {
-					parts[i] = fill(i*271+ci, op.size)
-				}
-			}
-			out, err := c.Scatter(op.root, parts)
-			if err != nil {
-				return err
-			}
-			d.bytes(out)
-		case collAllgather:
-			parts, err := c.Allgather(fill(rank*277+ci, op.size))
-			if err != nil {
-				return err
-			}
-			for _, p := range parts {
-				d.bytes(p)
-			}
-		case collAlltoall:
-			parts := make([][]byte, n)
-			for i := range parts {
-				parts[i] = fill(rank*281+i*283+ci, op.size%128)
-			}
-			out, err := c.Alltoall(parts)
-			if err != nil {
-				return err
-			}
-			for _, p := range out {
-				d.bytes(p)
-			}
-		}
-	}
-	return nil
-}
-
-// runProbe executes a probe phase: receivers probe before receiving each
-// scripted message; senders send them blockingly.
-func (w *Workload) runProbe(e *xsim.Env, d *digest, ph phase) error {
-	c := e.World()
-	rank := c.Rank()
-	for mi, m := range ph.msgs {
-		switch rank {
-		case m.src:
-			if m.pre > 0 {
-				e.Elapse(m.pre)
-			}
-			var err error
-			if m.payload {
-				err = c.Send(m.dst, m.tag, fill(mi*29+m.tag, m.size))
-			} else {
-				err = c.SendN(m.dst, m.tag, m.size)
-			}
-			if err != nil {
-				return err
-			}
-		case m.dst:
-			if pm, ok, err := c.Iprobe(m.src, xsim.AnyTag); err != nil {
-				return err
-			} else {
-				d.bool(ok)
-				if ok {
-					d.num(pm.Src)
-					d.num(pm.Tag)
-					d.num(pm.Size)
-				}
-			}
-			pm, err := c.Probe(m.src, xsim.AnyTag)
-			if err != nil {
-				return err
-			}
-			d.num(pm.Src)
-			d.num(pm.Tag)
-			d.num(pm.Size)
-			msg, err := c.Recv(pm.Src, pm.Tag)
-			if err != nil {
-				return err
-			}
-			d.msg(msg)
-			msg.Release()
-		}
-	}
-	return nil
-}
-
-// runCancel executes a cancel phase: receives that can never match,
-// probed (miss) and then cancelled.
-func (w *Workload) runCancel(e *xsim.Env, d *digest, pi int, ph phase) error {
-	c := e.World()
-	rank := c.Rank()
-	for i := 0; i < ph.cancels; i++ {
-		tag := tagBase(pi) + 500_000 + i*w.Ranks + rank // nobody sends these
-		r, err := c.Irecv(xsim.AnySource, tag)
-		if err != nil {
-			return err
-		}
-		_, ok, err := c.Iprobe(xsim.AnySource, tag)
-		if err != nil {
-			return err
-		}
-		d.bool(ok)
-		d.bool(c.Cancel(r))
-		if r.Err() != nil {
-			d.str(r.Err().Error())
-		}
-	}
-	return nil
 }

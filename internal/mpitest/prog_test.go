@@ -25,9 +25,11 @@ func progSeedCount(t *testing.T) int {
 // the same step functions (waits, sends, receives, probes, sleeps, and
 // every collective algorithm), so what this compares is the two drivers —
 // Env.Block on a goroutine against the scheduler stepping a parked
-// program — and the two generators: the closure one is the only
-// randomised coverage of the public blocking API, including wildcard
-// matching, failure detection, and error bail-out paths.
+// program — each walking the same per-rank script. The closure walk is
+// the only randomised coverage of the public blocking API, including
+// wildcard matching, failure detection, and error bail-out paths; a
+// mistake in the script itself moves both modes together and is
+// TestClosureOutcomesMatchGolden's to catch.
 func TestDifferentialClosureVsProg(t *testing.T) {
 	seeds := progSeedCount(t)
 	const shard = 15

@@ -210,12 +210,16 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestServerDedupesInFlight pins leader/follower dedup: an identical
 // spec submitted while the first is still queued or running joins it
-// instead of simulating twice.
+// instead of simulating twice. The single worker is held before it runs
+// anything until both copies are in, so the join does not depend on any
+// campaign being slow.
 func TestServerDedupesInFlight(t *testing.T) {
-	_, srv := startServer(t, Config{Workers: 1})
+	svc, srv := startServer(t, Config{Workers: 1})
+	hold := make(chan struct{})
+	svc.beforeRun = func(*job) { <-hold }
 
-	// Occupy the single worker with a slower campaign so the next
-	// submissions stay queued deterministically.
+	// The worker takes the blocker and waits on hold; the leader stays
+	// queued behind it.
 	blocker, code := submit(t, srv, "alice", table2Spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("blocker submit = %d", code)
@@ -232,6 +236,7 @@ func TestServerDedupesInFlight(t *testing.T) {
 	if second.Key != first.Key {
 		t.Fatal("identical specs keyed differently")
 	}
+	close(hold)
 
 	for _, id := range []string{blocker.ID, first.ID, second.ID} {
 		streamUntilDone(t, srv, id)
@@ -283,6 +288,14 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 	if code, _ := post(``); code != http.StatusBadRequest {
 		t.Errorf("empty body = %d, want 400", code)
+	}
+	// A value the application would refuse mid-run is refused here.
+	if code, ae := post(`{"version":1,"kind":"io-ablation","io_ablation":{"delta_fraction":1}}`); code != http.StatusBadRequest ||
+		len(ae.Fields) != 1 || ae.Fields[0] != "io_ablation.delta_fraction" {
+		t.Errorf("delta_fraction 1 = %d %+v, want 400 naming io_ablation.delta_fraction", code, ae)
+	}
+	if code, _ := post(`{"version":1,"kind":"io-ablation","ranks":8,"io_ablation":{"iterations":8,"intervals":[4],"mttf_seconds":[20],"delta_fraction":0.999999}}`); code != http.StatusAccepted {
+		t.Errorf("delta_fraction 0.999999 = %d, want 202", code)
 	}
 
 	// Unknown campaign IDs are 404s.

@@ -112,6 +112,12 @@ type Service struct {
 	leaders map[string]*job // cache key → in-flight leader job
 	seq     int
 	m       Metrics
+
+	// beforeRun, when set, is called by a worker with each job it takes
+	// off the queue, before the job runs. It is nil outside this package's
+	// tests, which hold a leader in flight with it; set it before the
+	// first Submit.
+	beforeRun func(*job)
 }
 
 // New builds a Service and starts its workers.
@@ -205,6 +211,7 @@ func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, err
 	// queueing it — a worker cannot finish the job (which deletes the
 	// leader entry) before the entry exists. Lock order s.mu → q.mu is
 	// used nowhere in reverse.
+	queued := s.status(j) // before a worker can take the job and move its state
 	if err := s.q.Push(j); err != nil {
 		// Rejected submissions (quota, drain) never become jobs: undo
 		// the admission counters so metrics reflect accepted work only.
@@ -218,7 +225,7 @@ func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, err
 	s.leaders[key] = j
 	s.mu.Unlock()
 	s.logf("job %s tenant=%s key=%.12s… queued", j.id, tenant, key)
-	return s.status(j), nil
+	return queued, nil
 }
 
 // worker executes queued jobs until the queue closes and drains.
@@ -236,6 +243,9 @@ func (s *Service) worker() {
 // runJob executes one leader job through the experiment drivers, stores
 // its canonical outcome, and finishes it and its followers.
 func (s *Service) runJob(j *job) {
+	if s.beforeRun != nil {
+		s.beforeRun(j)
+	}
 	j.setState(StateRunning)
 	j.publish(map[string]any{"event": "state", "state": StateRunning})
 

@@ -181,28 +181,12 @@ func (s *CampaignSpec) RunRendered(ctx context.Context, opt RunOptions) (*Campai
 		return nil, nil, err
 	}
 	out := &CampaignOutcome{Version: SpecVersion, Kind: c.Kind}
-	// Validate accepted the kind, so its row exists.
-	res, err := kindRow(c.Kind).run(ctx, c, opt, out)
+	// Validate accepted the kind and Normalize created its block.
+	res, err := kindRow(c.Kind).get(c, false).run(ctx, c.runSpec(opt), out)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, res, nil
-}
-
-func runTableI(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunTableIContext(ctx, resolveTableI(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.TableI = &TableIOutcome{
-		Victims:       res.Victims,
-		Injections:    res.Injections,
-		Survived:      res.Survived,
-		ToFailure:     res.ToFailure,
-		KillsByRegion: res.KillsByRegion,
-		Summary:       WireSummary(res.Summary),
-	}
-	return res, nil
 }
 
 // wireTableIIRow converts a Table II row to wire form.
@@ -216,95 +200,4 @@ func wireTableIIRow(r TableIIRow) WireTableIIRow {
 		MTTFaNS:     int64(r.MTTFa),
 		Runs:        r.Runs,
 	}
-}
-
-func runTableII(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunTableIIContext(ctx, resolveTableII(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
-	for i, r := range res.Rows {
-		out.TableII.Rows[i] = wireTableIIRow(r)
-	}
-	return res, nil
-}
-
-func runSweep(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunIntervalSweepContext(ctx, resolveSweep(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.Sweep = &IntervalSweepOutcome{
-		BaselineNS:       int64(res.Baseline),
-		CheckpointCostNS: int64(res.CheckpointCost),
-		DalyOptimalIters: res.DalyOptimal,
-		BestMeasured:     res.BestMeasured,
-		Points:           make([]WireSweepPoint, len(res.Points)),
-	}
-	for i, p := range res.Points {
-		out.Sweep.Points[i] = WireSweepPoint{
-			C:        p.C,
-			E1NS:     int64(p.E1),
-			MeanE2NS: int64(p.MeanE2),
-			MeanF:    p.MeanF,
-			DalyNS:   int64(p.Daly),
-		}
-	}
-	return res, nil
-}
-
-func runPhases(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunFirstImpressionsContext(ctx, resolvePhases(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.Phases = &FirstImpressionsOutcome{
-		Trials:             res.Trials,
-		FailedIn:           res.FailedIn,
-		DetectedIn:         res.DetectedIn,
-		CheckpointOutcomes: res.CheckpointOutcomes,
-	}
-	return res, nil
-}
-
-func runCrossover(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunReplicationCrossoverContext(ctx, resolveCrossover(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.Crossover = &CrossoverOutcome{
-		SolveNS: int64(res.Solve),
-		Rows:    make([]WireCrossoverRow, len(res.Rows)),
-	}
-	for i, r := range res.Rows {
-		out.Crossover.Rows[i] = WireCrossoverRow{
-			MTTFSeconds: r.MTTF.Seconds(),
-			Arm:         r.Arm,
-			Degree:      r.Degree,
-			Interval:    r.Interval,
-			E2NS:        int64(r.E2),
-			F:           r.F,
-			Runs:        r.Runs,
-			PredictedNS: int64(r.Predicted),
-		}
-	}
-	return res, nil
-}
-
-func runIOAblation(ctx context.Context, s *CampaignSpec, opt RunOptions, out *CampaignOutcome) (renderer, error) {
-	res, err := RunCheckpointIOAblationContext(ctx, resolveIOAblation(s, opt))
-	if err != nil {
-		return nil, err
-	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.IOAblation = &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(res.Rows))}
-	for i, r := range res.Rows {
-		out.IOAblation.Rows[i] = WireIOAblationRow{Arm: r.Arm, WireTableIIRow: wireTableIIRow(r.TableIIRow)}
-	}
-	return res, nil
 }

@@ -210,22 +210,22 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	}
 }
 
-// smokeCrossoverConfig is a tiny grid for the CI smoke test.
-func smokeCrossoverConfig() ReplicationCrossoverConfig {
-	return ReplicationCrossoverConfig{
-		RunSpec:             RunSpec{Ranks: 12, Seed: 7},
-		Degrees:             []int{2, 3},
-		MTTFs:               []Duration{100 * Second},
-		Iterations:          8,
-		ComputePerIteration: Seconds(1),
-		HaloBytes:           256,
-		CheckpointCost:      2 * Second,
-		RestartCost:         2 * Second,
+// smokeCrossover is a tiny grid for the CI smoke test.
+func smokeCrossover() (RunSpec, CrossoverParams) {
+	return RunSpec{Ranks: 12, Seed: 7}, CrossoverParams{
+		Degrees:           []int{2, 3},
+		MTTFSeconds:       []float64{100},
+		Iterations:        8,
+		ComputeSeconds:    1,
+		HaloBytes:         256,
+		CheckpointSeconds: 2,
+		RestartSeconds:    2,
 	}
 }
 
 func TestReplicationCrossoverSmoke(t *testing.T) {
-	table, err := RunReplicationCrossoverContext(context.Background(), smokeCrossoverConfig())
+	rs, p := smokeCrossover()
+	table, err := RunReplicationCrossoverContext(context.Background(), rs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,14 @@ func TestReplicationCrossoverSmoke(t *testing.T) {
 }
 
 func TestReplicationCrossoverValidatesDegrees(t *testing.T) {
-	cfg := smokeCrossoverConfig()
-	cfg.Degrees = []int{5} // 12 % 5 != 0
-	if _, err := RunReplicationCrossoverContext(context.Background(), cfg); err == nil {
-		t.Fatal("expected divisibility error")
+	rs, p := smokeCrossover()
+	p.Degrees = []int{5} // 12 % 5 != 0
+	if _, err := RunReplicationCrossoverContext(context.Background(), rs, p); !IsSpecError(err) {
+		t.Fatalf("err = %v, want the block's divisibility violation", err)
 	}
-	cfg.Degrees = []int{1}
-	if _, err := RunReplicationCrossoverContext(context.Background(), cfg); err == nil {
-		t.Fatal("expected degree >= 2 error")
+	p.Degrees = []int{1}
+	if _, err := RunReplicationCrossoverContext(context.Background(), rs, p); !IsSpecError(err) {
+		t.Fatalf("err = %v, want the block's degree >= 2 violation", err)
 	}
 }
 
@@ -271,12 +271,8 @@ func TestReplicationCrossoverFrontier(t *testing.T) {
 	// restarts) beats Daly-optimal checkpoint/restart, and at 1600 s the
 	// ordering flips — paying double resources for failover only pays
 	// when failures are frequent.
-	cfg := ReplicationCrossoverConfig{
-		RunSpec: RunSpec{Ranks: 24, Seed: 11},
-		Degrees: []int{2},
-		MTTFs:   []Duration{50 * Second, 1600 * Second},
-	}
-	table, err := RunReplicationCrossoverContext(context.Background(), cfg)
+	table, err := RunReplicationCrossoverContext(context.Background(), RunSpec{Ranks: 24, Seed: 11},
+		CrossoverParams{Degrees: []int{2}, MTTFSeconds: []float64{50, 1600}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,13 @@ import (
 	"xsim/internal/runner"
 )
 
-// RunSpec is the shared trunk of every Run-family configuration
-// (TableIConfig, TableIIConfig, IntervalSweepConfig,
-// FirstImpressionsConfig, CampaignSetConfig,
-// ReplicationCrossoverConfig): the simulation parameters
-// the drivers used to copy-paste into five divergent config structs.
-// Embedding it gives every driver the same field names, the same defaults
-// path, and the same campaign-pool controls. Field access is unchanged
-// from the old per-struct fields (cfg.Ranks still works via promotion);
-// keyed composite literals set the embedded struct explicitly:
+// RunSpec is the shared trunk of every Run-family experiment: the
+// simulation parameters and campaign-pool controls every driver reads
+// under the same names, with one defaults path. The drivers take it next
+// to their kind's parameter block; TableIIConfig and CampaignSetConfig
+// embed it:
 //
+//	xsim.RunIntervalSweepContext(ctx, xsim.RunSpec{Ranks: 512, Workers: 2}, xsim.IntervalSweepParams{})
 //	xsim.TableIIConfig{RunSpec: xsim.RunSpec{Ranks: 512, Workers: 2}}
 type RunSpec struct {
 	// Ranks is the number of simulated MPI processes; each driver fills
@@ -55,7 +52,7 @@ type RunSpec struct {
 
 // defaults fills the spec's zero fields: the driver-specific default rank
 // count and the paper's calibrated per-call overhead. It is the single
-// defaults path all Run-family configs share.
+// defaults path all Run-family drivers share.
 func (s *RunSpec) defaults(defaultRanks int) {
 	if s.Ranks == 0 {
 		s.Ranks = defaultRanks

@@ -26,7 +26,7 @@ const surfaceDir = "testdata/surface"
 var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, error){
 	"table1": func(ctx context.Context, rs RunSpec) (string, error) {
 		rs.Seed = 2013
-		res, err := RunTableIContext(ctx, TableIConfig{RunSpec: rs, Victims: 10, MaxInjections: 50})
+		res, err := RunTableIContext(ctx, rs, TableIParams{Victims: 10, MaxInjections: 50})
 		if err != nil {
 			return "", err
 		}
@@ -55,9 +55,8 @@ var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, e
 	},
 	"interval-sweep": func(ctx context.Context, rs RunSpec) (string, error) {
 		rs.Ranks = 64
-		s, err := RunIntervalSweepContext(ctx, IntervalSweepConfig{
-			RunSpec: rs, Iterations: 200, Intervals: []int{100, 50, 25}, MTTF: 600 * Second,
-			Seeds: []int64{133, 134},
+		s, err := RunIntervalSweepContext(ctx, rs, IntervalSweepParams{
+			Iterations: 200, Intervals: []int{100, 50, 25}, MTTFSeconds: 600, Seeds: []int64{133, 134},
 		})
 		if err != nil {
 			return "", err
@@ -66,19 +65,16 @@ var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, e
 	},
 	"first-impressions": func(ctx context.Context, rs RunSpec) (string, error) {
 		rs.Ranks, rs.Seed = 64, 1
-		fi, err := RunFirstImpressionsContext(ctx, FirstImpressionsConfig{
-			RunSpec: rs, Iterations: 200, Interval: 25, Trials: 6,
-		})
+		fi, err := RunFirstImpressionsContext(ctx, rs, FirstImpressionsParams{Iterations: 200, Interval: 25, Trials: 6})
 		if err != nil {
 			return "", err
 		}
 		return fi.Render(), nil
 	},
 	"replication-crossover": func(ctx context.Context, rs RunSpec) (string, error) {
-		cfg := smokeCrossoverConfig()
-		rs.Ranks, rs.Seed = cfg.Ranks, cfg.Seed
-		cfg.RunSpec = rs
-		table, err := RunReplicationCrossoverContext(ctx, cfg)
+		smoke, p := smokeCrossover()
+		rs.Ranks, rs.Seed = smoke.Ranks, smoke.Seed
+		table, err := RunReplicationCrossoverContext(ctx, rs, p)
 		if err != nil {
 			return "", err
 		}
@@ -86,8 +82,8 @@ var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, e
 	},
 	"io-ablation": func(ctx context.Context, rs RunSpec) (string, error) {
 		rs.Ranks, rs.Seed = 64, 133
-		tab, err := RunCheckpointIOAblationContext(ctx, CheckpointIOAblationConfig{
-			RunSpec: rs, Iterations: 60, Intervals: []int{20}, MTTFs: []Duration{150 * Second},
+		tab, err := RunCheckpointIOAblationContext(ctx, rs, IOAblationParams{
+			Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150},
 		})
 		if err != nil {
 			return "", err
@@ -184,26 +180,19 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 }
 
 // TestWireCampaignsRunProgramVPs pins the execution mode of the one front
-// door: every heat kind resolves to a program-mode config, and a small
-// table2 campaign steps state machines without ever borrowing a carrier
+// door: the trunk every kind's block runs on is a program-mode one, and a
+// small table2 campaign steps state machines without ever borrowing a carrier
 // goroutine. (That the results are those of the closure-mode driver calls
 // is TestCampaignSurfaceMatchesGolden; the crossover's replicated stencil
 // is closure-only and ignores the mode.)
 func TestWireCampaignsRunProgramVPs(t *testing.T) {
-	spec := &CampaignSpec{Ranks: 16}
-	for kind, prog := range map[CampaignKind]bool{
-		KindTableII:          resolveTableII(spec, RunOptions{}).ProgMode,
-		KindIntervalSweep:    resolveSweep(spec, RunOptions{}).ProgMode,
-		KindFirstImpressions: resolvePhases(spec, RunOptions{}).ProgMode,
-		KindIOAblation:       resolveIOAblation(spec, RunOptions{}).ProgMode,
-	} {
-		if !prog {
-			t.Errorf("%s resolves to a closure-mode config", kind)
-		}
-	}
-	spec = &CampaignSpec{Kind: KindTableII, Ranks: 16, Seed: 133,
+	spec := &CampaignSpec{Kind: KindTableII, Ranks: 16, Seed: 133,
 		TableII: &TableIIParams{Iterations: 40, Intervals: []int{20}, MTTFSeconds: []float64{100}}}
-	tab, err := RunTableIIContext(context.Background(), resolveTableII(spec, RunOptions{}))
+	rs := spec.runSpec(RunOptions{})
+	if !rs.ProgMode {
+		t.Error("a wire spec's trunk is a closure-mode RunSpec")
+	}
+	tab, err := RunTableIIContext(context.Background(), spec.TableII.config(rs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package xsim
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -126,68 +125,6 @@ type CampaignSpec struct {
 	IOAblation *IOAblationParams       `json:"io_ablation,omitempty"`
 }
 
-// TableIParams parameterises a table1 campaign (TableIConfig's wire
-// form).
-type TableIParams struct {
-	Victims       int `json:"victims" help:"victim application instances"`
-	MaxInjections int `json:"max_injections" help:"injection cap per victim"`
-}
-
-// TableIIParams parameterises a table2 campaign (TableIIConfig's wire
-// form). PaperIO enables the paper's flat parallel-file-system cost model
-// for checkpoints (Table II proper charges nothing).
-type TableIIParams struct {
-	Iterations  int       `json:"iterations" help:"total iteration count"`
-	Intervals   []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
-	MTTFSeconds []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
-	MaxRuns     int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
-	PaperIO     bool      `json:"paper_io" help:"charge checkpoints the paper's flat parallel-file-system cost"`
-}
-
-// IntervalSweepParams parameterises an interval-sweep campaign
-// (IntervalSweepConfig's wire form).
-type IntervalSweepParams struct {
-	Iterations  int     `json:"iterations" help:"total iteration count"`
-	Intervals   []int   `json:"intervals" help:"checkpoint intervals to sweep"`
-	MTTFSeconds float64 `json:"mttf_seconds" help:"system MTTF in seconds"`
-	Seeds       []int64 `json:"seeds" help:"one restart campaign per interval and seed (the trunk seed is unused)"`
-}
-
-// FirstImpressionsParams parameterises a first-impressions campaign
-// (FirstImpressionsConfig's wire form).
-type FirstImpressionsParams struct {
-	Iterations  int     `json:"iterations" help:"total iteration count"`
-	Interval    int     `json:"interval" help:"checkpoint and halo-exchange interval (unset: 1/8 of iterations)"`
-	Trials      int     `json:"trials" help:"independent single-failure runs"`
-	MTTFSeconds float64 `json:"mttf_seconds" help:"spread of the random failure times in seconds (unset: a quarter of the run)"`
-}
-
-// CrossoverParams parameterises a replication-crossover campaign
-// (ReplicationCrossoverConfig's wire form).
-type CrossoverParams struct {
-	Degrees           []int     `json:"degrees" help:"replication degrees; each must divide ranks"`
-	MTTFSeconds       []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
-	Iterations        int       `json:"iterations" help:"stencil iterations"`
-	ComputeSeconds    float64   `json:"compute_seconds" help:"compute per iteration in seconds"`
-	HaloBytes         int       `json:"halo_bytes" help:"halo message size"`
-	CheckpointSeconds float64   `json:"checkpoint_seconds" help:"cost of one checkpoint in seconds"`
-	RestartSeconds    float64   `json:"restart_seconds" help:"cost of one restart in seconds"`
-	MaxRuns           int       `json:"max_runs" help:"cap on failure/restart cycles per cell"`
-}
-
-// IOAblationParams parameterises an io-ablation campaign
-// (CheckpointIOAblationConfig's wire form; the storage arms themselves
-// are fixed to the paper's models).
-type IOAblationParams struct {
-	Iterations    int       `json:"iterations" help:"total iteration count"`
-	Intervals     []int     `json:"intervals" help:"checkpoint and halo-exchange intervals to sweep (unset: 1/2, 1/4, 1/8 of iterations)"`
-	MTTFSeconds   []float64 `json:"mttf_seconds" help:"system MTTFs to sweep, in seconds"`
-	PayloadBytes  int       `json:"payload_bytes" help:"modelled checkpoint payload per rank"`
-	DeltaFraction float64   `json:"delta_fraction" help:"share of the payload an incremental checkpoint writes"`
-	FullEvery     int       `json:"full_every" help:"incremental arm: every n-th checkpoint is a full one"`
-	MaxRuns       int       `json:"max_runs" help:"cap on failure/restart cycles per cell (0 = 100)"`
-}
-
 // --- decoding -------------------------------------------------------------
 
 // DecodeCampaignSpec parses one JSON campaign spec. Unknown fields,
@@ -235,45 +172,66 @@ func specDecodeError(err error) error {
 
 // --- the kind table -------------------------------------------------------
 
-// campaignKind is one row of the kind table: everything the wire layer
-// knows about one campaign family. Normalize, Validate (with its one-of
-// rule) and RunWith all walk campaignKinds, so a kind is enumerated in
-// exactly one place; DESIGN.md § Campaign service lists what adding one
-// takes.
-type campaignKind struct {
-	kind CampaignKind
-	// block is the JSON name of the kind's parameter block in CampaignSpec
-	// and of its result block in CampaignOutcome.
-	block   string
-	present func(*CampaignSpec) bool
-	// normalize resolves the block with no hooks attached.
-	normalize func(*CampaignSpec)
-	// validate range-checks the block; it is only called with the block
-	// present, and its checker names every field under the block.
-	validate func(*CampaignSpec, specChecker) []error
-	// run executes the normalized, validated spec, fills the outcome's
-	// SimTimeNS and result block, and hands back the driver result, which
-	// prints itself as the table the CLI shows.
-	run func(context.Context, *CampaignSpec, RunOptions, *CampaignOutcome) (renderer, error)
+// kindBlock is what every kind's parameter block (*TableIParams, …) is:
+// the block is the configuration of the kind's experiment driver, so the
+// three things a kind decides are stated once, on the block, and read by
+// the wire layer and by Go callers of the driver alike.
+type kindBlock interface {
+	// defaults fills the block's zero fields, and the trunk's ranks and
+	// call overhead, with the driver's defaults. Applying it twice changes
+	// nothing.
+	defaults(rs *RunSpec)
+	// validate range-checks the block for a world of ranks (0 = the kind's
+	// default); the checker names every field under the block.
+	validate(ranks int, v specChecker) []error
+	// run executes the normalized, validated block on rs, fills the
+	// outcome's SimTimeNS and result block, and hands back the driver
+	// result, which prints itself as the table the CLI shows.
+	run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error)
 }
 
 // renderer is what every experiment driver's result is.
 type renderer = interface{ Render() string }
 
+// campaignKind is one row of the kind table. Normalize, Validate (with its
+// one-of rule) and RunRendered all walk campaignKinds, so a kind is
+// enumerated in exactly one place; DESIGN.md § Campaign service lists what
+// adding one takes.
+type campaignKind struct {
+	kind CampaignKind
+	// block is the JSON name of the kind's parameter block in CampaignSpec
+	// and of its result block in CampaignOutcome.
+	block string
+	// get returns the spec's block of this kind, nil when the spec carries
+	// none; with create set a missing block is allocated first.
+	get func(s *CampaignSpec, create bool) kindBlock
+}
+
+// blockOf builds a row's accessor from the address of the spec's field.
+func blockOf[T any, P interface {
+	*T
+	kindBlock
+}](field func(*CampaignSpec) **T) func(*CampaignSpec, bool) kindBlock {
+	return func(s *CampaignSpec, create bool) kindBlock {
+		p := field(s)
+		if *p == nil {
+			if !create {
+				return nil
+			}
+			*p = new(T)
+		}
+		return P(*p)
+	}
+}
+
 // campaignKinds is the kind table.
 var campaignKinds = []campaignKind{
-	{KindTableI, "table1", func(s *CampaignSpec) bool { return s.TableI != nil },
-		func(s *CampaignSpec) { resolveTableI(s, RunOptions{}) }, validateTableI, runTableI},
-	{KindTableII, "table2", func(s *CampaignSpec) bool { return s.TableII != nil },
-		func(s *CampaignSpec) { resolveTableII(s, RunOptions{}) }, validateTableII, runTableII},
-	{KindIntervalSweep, "interval_sweep", func(s *CampaignSpec) bool { return s.Sweep != nil },
-		func(s *CampaignSpec) { resolveSweep(s, RunOptions{}) }, validateSweep, runSweep},
-	{KindFirstImpressions, "first_impressions", func(s *CampaignSpec) bool { return s.Phases != nil },
-		func(s *CampaignSpec) { resolvePhases(s, RunOptions{}) }, validatePhases, runPhases},
-	{KindCrossover, "replication_crossover", func(s *CampaignSpec) bool { return s.Crossover != nil },
-		func(s *CampaignSpec) { resolveCrossover(s, RunOptions{}) }, validateCrossover, runCrossover},
-	{KindIOAblation, "io_ablation", func(s *CampaignSpec) bool { return s.IOAblation != nil },
-		func(s *CampaignSpec) { resolveIOAblation(s, RunOptions{}) }, validateIOAblation, runIOAblation},
+	{KindTableI, "table1", blockOf(func(s *CampaignSpec) **TableIParams { return &s.TableI })},
+	{KindTableII, "table2", blockOf(func(s *CampaignSpec) **TableIIParams { return &s.TableII })},
+	{KindIntervalSweep, "interval_sweep", blockOf(func(s *CampaignSpec) **IntervalSweepParams { return &s.Sweep })},
+	{KindFirstImpressions, "first_impressions", blockOf(func(s *CampaignSpec) **FirstImpressionsParams { return &s.Phases })},
+	{KindCrossover, "replication_crossover", blockOf(func(s *CampaignSpec) **CrossoverParams { return &s.Crossover })},
+	{KindIOAblation, "io_ablation", blockOf(func(s *CampaignSpec) **IOAblationParams { return &s.IOAblation })},
 }
 
 // kindRow returns the table row of kind, or nil when the kind is unknown.
@@ -321,12 +279,6 @@ func (s *CampaignSpec) runSpec(opt RunOptions) RunSpec {
 	}
 }
 
-// fromRunSpec copies the defaults-filled trunk back into wire form.
-func (s *CampaignSpec) fromRunSpec(rs RunSpec) {
-	s.Ranks = rs.Ranks
-	s.CallOverheadNS = int64(rs.CallOverhead)
-}
-
 // secondsSlice converts a Duration slice to wire float seconds.
 func secondsSlice(ds []Duration) []float64 {
 	out := make([]float64, len(ds))
@@ -345,155 +297,29 @@ func durationSlice(ss []float64) []Duration {
 	return out
 }
 
-// ensure allocates *block when the spec came without it.
-func ensure[T any](block **T) *T {
-	if *block == nil {
-		*block = new(T)
-	}
-	return *block
-}
+// clockSeconds rounds wire seconds to what the virtual clock holds, whole
+// nanoseconds. Every defaults path applies it (or its slice form,
+// secondsSlice(durationSlice(…))) to the block's seconds fields, so two
+// documents that run identically canonicalise identically, and a value the
+// clock cannot hold comes back non-positive for validate to refuse.
+func clockSeconds(s float64) float64 { return Seconds(s).Seconds() }
 
-// Normalize fills the spec's zero fields with the same defaults the
-// experiment drivers apply — the kind's table row builds the driver
-// config, runs its defaults path, and copies the result back — so a spec
-// submitted over the wire and a config built from CLI flags describe runs
-// identically, and the canonical encoding always carries explicit
-// defaults. A spec of unknown kind or version is left untouched for
-// Validate to reject.
+// Normalize fills the spec's zero fields with the defaults of the kind's
+// experiment driver — the block's own defaults method, the one the driver
+// calls — so a spec submitted over the wire and a block passed to the
+// driver from Go describe runs identically, and the canonical encoding
+// always carries explicit defaults. A spec of unknown kind or version is
+// left untouched for Validate to reject.
 func (s *CampaignSpec) Normalize() {
 	if s.Version == 0 {
 		s.Version = SpecVersion
 	}
 	if k := kindRow(s.Kind); k != nil {
-		k.normalize(s)
+		rs := s.runSpec(RunOptions{})
+		k.get(s, true).defaults(&rs)
+		s.Ranks = rs.Ranks
+		s.CallOverheadNS = int64(rs.CallOverhead)
 	}
-}
-
-// Each kind has one resolve function holding both directions of its
-// Params↔Config mapping: it builds the driver config from the kind's
-// block (created when missing), applies the driver's own defaults, and
-// writes them back, so the block and trunk end up explicit and the
-// returned config is the one they describe. Resolving twice changes
-// nothing, which is what lets Normalize and RunWith share it.
-
-func resolveTableI(s *CampaignSpec, opt RunOptions) TableIConfig {
-	p := ensure(&s.TableI)
-	cfg := TableIConfig{
-		RunSpec:       s.runSpec(opt),
-		Victims:       p.Victims,
-		MaxInjections: p.MaxInjections,
-	}
-	cfg.defaults()
-	p.Victims = cfg.Victims
-	p.MaxInjections = cfg.MaxInjections
-	return cfg
-}
-
-func resolveTableII(s *CampaignSpec, opt RunOptions) TableIIConfig {
-	p := ensure(&s.TableII)
-	cfg := TableIIConfig{
-		RunSpec:    s.runSpec(opt),
-		Iterations: p.Iterations,
-		Intervals:  p.Intervals,
-		MTTFs:      durationSlice(p.MTTFSeconds),
-		MaxRuns:    p.MaxRuns,
-	}
-	if p.PaperIO {
-		cfg.FSModel = PaperPFS()
-	}
-	cfg.defaults()
-	s.fromRunSpec(cfg.RunSpec)
-	p.Iterations = cfg.Iterations
-	p.Intervals = cfg.Intervals
-	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
-	p.MaxRuns = cfg.MaxRuns
-	return cfg
-}
-
-func resolveSweep(s *CampaignSpec, opt RunOptions) IntervalSweepConfig {
-	p := ensure(&s.Sweep)
-	cfg := IntervalSweepConfig{
-		RunSpec:    s.runSpec(opt),
-		Iterations: p.Iterations,
-		Intervals:  p.Intervals,
-		MTTF:       Seconds(p.MTTFSeconds),
-		Seeds:      p.Seeds,
-	}
-	cfg.defaults()
-	s.fromRunSpec(cfg.RunSpec)
-	p.Iterations = cfg.Iterations
-	p.Intervals = cfg.Intervals
-	p.MTTFSeconds = cfg.MTTF.Seconds()
-	p.Seeds = cfg.Seeds
-	return cfg
-}
-
-func resolvePhases(s *CampaignSpec, opt RunOptions) FirstImpressionsConfig {
-	p := ensure(&s.Phases)
-	cfg := FirstImpressionsConfig{
-		RunSpec:    s.runSpec(opt),
-		Iterations: p.Iterations,
-		Interval:   p.Interval,
-		Trials:     p.Trials,
-		MTTF:       Seconds(p.MTTFSeconds),
-	}
-	cfg.defaults()
-	s.fromRunSpec(cfg.RunSpec)
-	p.Iterations = cfg.Iterations
-	p.Interval = cfg.Interval
-	p.Trials = cfg.Trials
-	p.MTTFSeconds = cfg.MTTF.Seconds()
-	return cfg
-}
-
-func resolveCrossover(s *CampaignSpec, opt RunOptions) ReplicationCrossoverConfig {
-	p := ensure(&s.Crossover)
-	cfg := ReplicationCrossoverConfig{
-		RunSpec:             s.runSpec(opt),
-		Degrees:             p.Degrees,
-		MTTFs:               durationSlice(p.MTTFSeconds),
-		Iterations:          p.Iterations,
-		ComputePerIteration: Seconds(p.ComputeSeconds),
-		HaloBytes:           p.HaloBytes,
-		CheckpointCost:      Seconds(p.CheckpointSeconds),
-		RestartCost:         Seconds(p.RestartSeconds),
-		MaxRuns:             p.MaxRuns,
-	}
-	cfg.defaults()
-	s.fromRunSpec(cfg.RunSpec)
-	p.Degrees = cfg.Degrees
-	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
-	p.Iterations = cfg.Iterations
-	p.ComputeSeconds = cfg.ComputePerIteration.Seconds()
-	p.HaloBytes = cfg.HaloBytes
-	p.CheckpointSeconds = cfg.CheckpointCost.Seconds()
-	p.RestartSeconds = cfg.RestartCost.Seconds()
-	p.MaxRuns = cfg.MaxRuns
-	return cfg
-}
-
-func resolveIOAblation(s *CampaignSpec, opt RunOptions) CheckpointIOAblationConfig {
-	p := ensure(&s.IOAblation)
-	cfg := CheckpointIOAblationConfig{
-		RunSpec:           s.runSpec(opt),
-		Iterations:        p.Iterations,
-		Intervals:         p.Intervals,
-		MTTFs:             durationSlice(p.MTTFSeconds),
-		CheckpointPayload: p.PayloadBytes,
-		DeltaFraction:     p.DeltaFraction,
-		FullEvery:         p.FullEvery,
-		MaxRuns:           p.MaxRuns,
-	}
-	cfg.defaults()
-	s.fromRunSpec(cfg.RunSpec)
-	p.Iterations = cfg.Iterations
-	p.Intervals = cfg.Intervals
-	p.MTTFSeconds = secondsSlice(cfg.MTTFs)
-	p.PayloadBytes = cfg.CheckpointPayload
-	p.DeltaFraction = cfg.DeltaFraction
-	p.FullEvery = cfg.FullEvery
-	p.MaxRuns = cfg.MaxRuns
-	return cfg
 }
 
 // --- validation -----------------------------------------------------------
@@ -586,82 +412,17 @@ func (s *CampaignSpec) Validate() error {
 	// is range-checked.
 	for i := range campaignKinds {
 		k := &campaignKinds[i]
-		if !k.present(s) {
+		block := k.get(s, false)
+		if block == nil {
 			continue
 		}
 		if k.kind != s.Kind {
 			v.bad(k.block, "parameter block does not match kind %q", s.Kind)
 			continue
 		}
-		v.errs = k.validate(s, specChecker{block: k.block, errs: v.errs})
+		v.errs = block.validate(s.Ranks, specChecker{block: k.block, errs: v.errs})
 	}
 	return errors.Join(v.errs...)
-}
-
-func validateTableI(s *CampaignSpec, v specChecker) []error {
-	v.nonNegative("victims", s.TableI.Victims)
-	v.nonNegative("max_injections", s.TableI.MaxInjections)
-	return v.errs
-}
-
-func validateTableII(s *CampaignSpec, v specChecker) []error {
-	p := s.TableII
-	v.heatIterations("iterations", p.Iterations)
-	v.intervals("intervals", p.Intervals)
-	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
-	v.nonNegative("max_runs", p.MaxRuns)
-	return v.errs
-}
-
-func validateSweep(s *CampaignSpec, v specChecker) []error {
-	p := s.Sweep
-	v.heatIterations("iterations", p.Iterations)
-	v.intervals("intervals", p.Intervals)
-	v.seconds("mttf_seconds", p.MTTFSeconds)
-	return v.errs
-}
-
-func validatePhases(s *CampaignSpec, v specChecker) []error {
-	p := s.Phases
-	v.heatIterations("iterations", p.Iterations)
-	v.nonNegative("interval", p.Interval)
-	v.nonNegative("trials", p.Trials)
-	v.seconds("mttf_seconds", p.MTTFSeconds)
-	return v.errs
-}
-
-func validateCrossover(s *CampaignSpec, v specChecker) []error {
-	p := s.Crossover
-	ranks := cmp.Or(s.Ranks, crossoverDefaultRanks)
-	for i, r := range p.Degrees {
-		if r < 2 {
-			v.bad(fmt.Sprintf("degrees[%d]", i), "replication degree must be at least 2, got %d", r)
-		} else if ranks%r != 0 {
-			v.bad(fmt.Sprintf("degrees[%d]", i), "ranks %d must be divisible by degree %d", ranks, r)
-		}
-	}
-	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
-	v.nonNegative("iterations", p.Iterations)
-	v.seconds("compute_seconds", p.ComputeSeconds)
-	v.seconds("checkpoint_seconds", p.CheckpointSeconds)
-	v.seconds("restart_seconds", p.RestartSeconds)
-	v.nonNegative("halo_bytes", p.HaloBytes)
-	v.nonNegative("max_runs", p.MaxRuns)
-	return v.errs
-}
-
-func validateIOAblation(s *CampaignSpec, v specChecker) []error {
-	p := s.IOAblation
-	v.heatIterations("iterations", p.Iterations)
-	v.intervals("intervals", p.Intervals)
-	v.positiveSeconds("mttf_seconds", p.MTTFSeconds)
-	v.nonNegative("payload_bytes", p.PayloadBytes)
-	if p.DeltaFraction < 0 || p.DeltaFraction > 1 || math.IsNaN(p.DeltaFraction) {
-		v.bad("delta_fraction", "must be in [0, 1], got %v", p.DeltaFraction)
-	}
-	v.nonNegative("full_every", p.FullEvery)
-	v.nonNegative("max_runs", p.MaxRuns)
-	return v.errs
 }
 
 // --- canonical encoding ---------------------------------------------------

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"xsim/internal/runner"
 )
 
 // TestCampaignSpecRoundTripQuick is the wire contract's core property:
@@ -123,6 +125,8 @@ func TestValidateKindSpecificRanges(t *testing.T) {
 			Crossover: &CrossoverParams{Degrees: []int{3}}}, "replication_crossover.degrees[0]"},
 		{"delta out of range", CampaignSpec{Version: 1, Kind: KindIOAblation,
 			IOAblation: &IOAblationParams{DeltaFraction: 1.5}}, "io_ablation.delta_fraction"},
+		{"delta of the whole payload", CampaignSpec{Version: 1, Kind: KindIOAblation,
+			IOAblation: &IOAblationParams{DeltaFraction: 1}}, "io_ablation.delta_fraction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,9 +279,7 @@ func TestSpecRunMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunTableIContext(context.Background(), TableIConfig{
-		RunSpec: RunSpec{Seed: 2013}, Victims: 10, MaxInjections: 50,
-	})
+	direct, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013}, TableIParams{Victims: 10, MaxInjections: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,15 +345,12 @@ func TestSpecRunTableII(t *testing.T) {
 // change arrives as a serialized event with a sensible terminal tally.
 func TestRunSpecProgressEvents(t *testing.T) {
 	var events []ProgressEvent
-	cfg := TableIConfig{
-		RunSpec: RunSpec{
-			Seed:       2013,
-			Pool:       2,
-			OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
-		},
-		Victims: 5, MaxInjections: 50,
+	rs := RunSpec{
+		Seed:       2013,
+		Pool:       2,
+		OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	if _, err := RunTableIContext(context.Background(), cfg); err != nil {
+	if _, err := RunTableIContext(context.Background(), rs, TableIParams{Victims: 5, MaxInjections: 50}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) < 10 { // 5 victims × (started + completed)
@@ -423,9 +422,8 @@ func TestShortRunsDeriveValidIntervals(t *testing.T) {
 
 	// A trial that dies of anything but the expected abort is an error of
 	// the study, not an observation to skip.
-	_, err = RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
-		RunSpec: RunSpec{Ranks: 8}, Iterations: 4, Interval: -1, Trials: 2,
-	})
+	_, err = RunFirstImpressionsContext(context.Background(), RunSpec{Ranks: 8},
+		FirstImpressionsParams{Iterations: 4, Interval: -1, Trials: 2})
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Errorf("first-impressions with a panicking application: err = %v, want a *RunError", err)
@@ -435,8 +433,9 @@ func TestShortRunsDeriveValidIntervals(t *testing.T) {
 // TestKindTableConsistent pins the kind table against the types it
 // indexes: every row's block name is the JSON name of exactly one
 // CampaignSpec and one CampaignOutcome field, Normalize creates exactly
-// that spec block, RunWith fills exactly that outcome block, and the row's
-// validator names every violation under the block.
+// that spec block, RunWith fills exactly that outcome block, the block's
+// defaults are idempotent and valid, its validator names every violation
+// under the block, and what the validator accepts runs.
 func TestKindTableConsistent(t *testing.T) {
 	// blocks maps each pointer field's JSON name to its index.
 	blocks := func(typ reflect.Type) map[string]int {
@@ -502,8 +501,15 @@ func TestKindTableConsistent(t *testing.T) {
 		if set := setBlocks(reflect.ValueOf(*bare), specBlocks); !reflect.DeepEqual(set, []string{k.block}) {
 			t.Errorf("kind %q: Normalize set blocks %v, want only %q", k.kind, set, k.block)
 		}
-		if !k.present(bare) {
-			t.Errorf("kind %q: present is false after Normalize", k.kind)
+		// Defaults applied twice equal defaults applied once, and what they
+		// fill validates.
+		once, _ := json.Marshal(bare)
+		bare.Normalize()
+		if twice, _ := json.Marshal(bare); !bytes.Equal(once, twice) {
+			t.Errorf("kind %q: a second Normalize moved the spec:\n once %s\ntwice %s", k.kind, once, twice)
+		}
+		if err := bare.Validate(); err != nil {
+			t.Errorf("kind %q: the defaults do not validate: %v", k.kind, err)
 		}
 
 		// Drive every field of the block negative (NaN for floats): each
@@ -524,7 +530,7 @@ func TestKindTableConsistent(t *testing.T) {
 				}
 			}
 		}
-		errs := k.validate(hostile, specChecker{block: k.block})
+		errs := k.get(hostile, false).validate(hostile.Ranks, specChecker{block: k.block})
 		if len(errs) == 0 {
 			t.Errorf("kind %q: validator accepted a hostile block", k.kind)
 		}
@@ -536,6 +542,8 @@ func TestKindTableConsistent(t *testing.T) {
 		}
 	}
 
+	t.Run("accepted means runnable", func(t *testing.T) { acceptedMeansRunnable(t, specBlocks) })
+
 	// The crossover's divisibility check and its driver agree on the world
 	// size a spec without ranks gets.
 	cross := &CampaignSpec{Version: SpecVersion, Kind: KindCrossover}
@@ -545,6 +553,72 @@ func TestKindTableConsistent(t *testing.T) {
 			Crossover: &CrossoverParams{Degrees: []int{degree}}}
 		if got, want := spec.Validate() == nil, cross.Ranks%degree == 0; got != want {
 			t.Errorf("degree %d at the default %d ranks: valid = %v, want %v", degree, cross.Ranks, got, want)
+		}
+	}
+}
+
+// boundaryBases is one cheap campaign per kind, 8 ranks and at most 8
+// iterations: the spec acceptedMeansRunnable varies one field of at a time.
+var boundaryBases = map[CampaignKind]string{
+	KindTableI:           `{"version":1,"kind":"table1","table1":{"victims":2,"max_injections":5}}`,
+	KindTableII:          `{"version":1,"kind":"table2","ranks":8,"table2":{"iterations":8,"intervals":[4],"mttf_seconds":[20]}}`,
+	KindIntervalSweep:    `{"version":1,"kind":"interval-sweep","ranks":8,"interval_sweep":{"iterations":8,"intervals":[4],"mttf_seconds":20,"seeds":[1]}}`,
+	KindFirstImpressions: `{"version":1,"kind":"first-impressions","ranks":8,"first_impressions":{"iterations":8,"interval":4,"trials":2}}`,
+	KindCrossover: `{"version":1,"kind":"replication-crossover","ranks":8,"replication_crossover":{"degrees":[2],
+		"mttf_seconds":[100],"iterations":4,"compute_seconds":1,"checkpoint_seconds":1,"restart_seconds":1,"max_runs":20}}`,
+	KindIOAblation: `{"version":1,"kind":"io-ablation","ranks":8,"io_ablation":{"iterations":8,"intervals":[4],"mttf_seconds":[20]}}`,
+}
+
+// acceptedMeansRunnable walks every numeric field of every kind's block to
+// the edges of what Validate accepts — 0 (use the default), 1 (the
+// smallest count; as an MTTF, one so short the campaign exhausts max_runs)
+// and, for a fraction, the top of its range — and requires the campaign to
+// complete or to end in ErrAborted (specBlocks maps a block's JSON name to
+// its CampaignSpec field). A value Validate refuses is skipped; a
+// value it accepts must never take the application down with a panic.
+func acceptedMeansRunnable(t *testing.T, specBlocks map[string]int) {
+	for _, k := range campaignKinds {
+		ran := 0
+		blockType := reflect.TypeOf(CampaignSpec{}).Field(specBlocks[k.block]).Type.Elem()
+		for i := 0; i < blockType.NumField(); i++ {
+			field, _, _ := strings.Cut(blockType.Field(i).Tag.Get("json"), ",")
+			values := []float64{0, 1}
+			if strings.HasSuffix(field, "_fraction") {
+				values = append(values, math.Nextafter(1, 0))
+			}
+			for _, x := range values {
+				spec, err := DecodeCampaignSpec([]byte(boundaryBases[k.kind]))
+				if err != nil {
+					t.Fatalf("kind %q: %v", k.kind, err)
+				}
+				f := reflect.ValueOf(spec).Elem().Field(specBlocks[k.block]).Elem().Field(i)
+				if f.Kind() == reflect.Slice {
+					f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+					f = f.Index(0)
+				}
+				switch f.Kind() {
+				case reflect.Int, reflect.Int64:
+					f.SetInt(int64(x))
+				case reflect.Float64:
+					f.SetFloat(x)
+				default:
+					continue
+				}
+				_, err = spec.Run(context.Background())
+				if IsSpecError(err) {
+					continue
+				}
+				ran++
+				var panicked *runner.PanicError
+				if errors.As(err, &panicked) {
+					t.Errorf("kind %q: %s.%s = %v passes Validate and panics the run: %v", k.kind, k.block, field, x, err)
+				} else if err != nil && !errors.Is(err, ErrAborted) {
+					t.Errorf("kind %q: %s.%s = %v passes Validate and fails the run: %v", k.kind, k.block, field, x, err)
+				}
+			}
+		}
+		if ran == 0 {
+			t.Errorf("kind %q: Validate accepted no boundary value", k.kind)
 		}
 	}
 }

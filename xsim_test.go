@@ -296,7 +296,7 @@ func TestSavedExitTime(t *testing.T) {
 }
 
 func TestRunTableIShape(t *testing.T) {
-	res, err := RunTableIContext(context.Background(), TableIConfig{RunSpec: RunSpec{Seed: 2013}})
+	res, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013}, TableIParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +412,8 @@ func TestRunTableIIProgModeMatchesClosure(t *testing.T) {
 }
 
 func TestFirstImpressions(t *testing.T) {
-	fi, err := RunFirstImpressionsContext(context.Background(), FirstImpressionsConfig{
-		RunSpec: RunSpec{Ranks: 64, Seed: 1},
-		Trials:  6, Iterations: 200, Interval: 25,
-	})
+	fi, err := RunFirstImpressionsContext(context.Background(), RunSpec{Ranks: 64, Seed: 1},
+		FirstImpressionsParams{Trials: 6, Iterations: 200, Interval: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,10 +441,8 @@ func TestFirstImpressions(t *testing.T) {
 }
 
 func TestIntervalSweepShape(t *testing.T) {
-	s, err := RunIntervalSweepContext(context.Background(), IntervalSweepConfig{
-		RunSpec: RunSpec{Ranks: 64},
-		Seeds:   []int64{133, 134}, Intervals: []int{500, 125, 31},
-	})
+	s, err := RunIntervalSweepContext(context.Background(), RunSpec{Ranks: 64},
+		IntervalSweepParams{Seeds: []int64{133, 134}, Intervals: []int{500, 125, 31}})
 	if err != nil {
 		t.Fatal(err)
 	}
