@@ -35,8 +35,9 @@
 #                     process after one exchange step — the paper's
 #                     oversubscription scaling dimension)
 #   8d. checkpointing-workload memory gate (the full Table II loop in
-#                     program mode at 256k ranks must finish within
-#                     1.25 KiB of live memory per virtual process)
+#                     program mode at 256k ranks must peak within 3.8 KiB
+#                     and finish within 1.25 KiB of live memory per
+#                     virtual process)
 #   8e. BenchmarkHaloBurst mallocs-per-message gate (16,384 ranks post
 #                     a six-neighbour exchange at one virtual instant: a
 #                     message matched on arrival is a queue slot and two
@@ -91,20 +92,24 @@ go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/
 go test -run '^$' -fuzz '^FuzzCampaignSpecDecode$' -fuzztime 10s .
 
-# bench_gate <pkg> <bench-regex> <unit> <max> <expected-rows> [benchtime]
-# runs the benchmarks matching the regex and fails when any row reports
-# more than <max> of <unit>, or when the number of rows that ran differs
+# bench_gate <pkg> <bench-regex> <units> <maxes> <expected-rows> [benchtime]
+# runs the benchmarks matching the regex once and fails when any row
+# reports more than the i-th of the comma-separated <maxes> of the i-th of
+# the comma-separated <units>, or when the number of rows that ran differs
 # from <expected-rows> (a renamed benchmark must not pass by vanishing).
 bench_gate() {
 	bench=$(go test -run '^$' -bench "$2" -benchmem -benchtime "${6:-1x}" "$1")
 	echo "$bench"
-	echo "$bench" | awk -v unit="$3" -v max="$4" -v want="$5" -v re="$2" '
+	echo "$bench" | awk -v units="$3" -v maxes="$4" -v want="$5" -v re="$2" '
+		BEGIN { n = split(units, unit, ","); split(maxes, max, ",") }
 		/^Benchmark/ {
 			rows++
 			for (i = 2; i <= NF; i++) {
-				if ($i == unit && $(i-1) + 0 > max + 0) {
-					print "FAIL: " $1 " reports " $(i-1) " " unit ", want <= " max > "/dev/stderr"
-					exit 1
+				for (u = 1; u <= n; u++) {
+					if ($i == unit[u] && $(i-1) + 0 > max[u] + 0) {
+						print "FAIL: " $1 " reports " $(i-1) " " unit[u] ", want <= " max[u] > "/dev/stderr"
+						exit 1
+					}
 				}
 			}
 		}
@@ -141,13 +146,14 @@ bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 10
 
 echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # The full Table II loop (halo exchange + checkpoint + barrier every other
-# iteration) must leave at most 1.25 KiB of live memory per virtual
-# process once the run completes — the budget that makes 256k–1M-rank
-# campaigns feasible on one host. Gates the post-run live footprint
-# (retained-bytes/vp); the mid-run peak is reported alongside for the
-# closure-vs-program comparison but is dominated by the all-ranks halo
-# burst, which is reused capacity, not per-rank state.
-bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp 1280 1
+# iteration) at 256k ranks, gated twice from one run. The mid-run peak
+# (bytes/vp) is the all-ranks halo burst: each rank's twelve live requests
+# and six queued messages, per-rank state that sets how large a world fits
+# on one host. It read 5,619 with 200-byte requests and an event queue
+# that copied itself to grow, 3,532 since, and is gated at that + 10 %.
+# What is left once the run completes (retained-bytes/vp) must stay within
+# 1.25 KiB.
+bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp,bytes/vp 1280,3885 1
 
 echo "== BenchmarkHaloBurst mallocs-per-message gate"
 # The parent of the by-value event queue read 4.2 here (request, request,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"xsim/internal/vclock"
 )
@@ -91,91 +92,164 @@ func (e *Event) before(o *Event) bool {
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap of events ordered by the
-// deterministic key. The events themselves are the array elements, so a
-// comparison reads two slots of one contiguous array and never follows a
-// pointer, and a queued event costs its slot and nothing else. A 4-ary
-// layout halves the tree depth of a binary heap, which matters twice here:
-// fewer comparisons, and fewer slot-sized copies per sift.
+// deterministic key. The events themselves are the heap's slots, so a
+// comparison reads two slots and never follows a pointer, and a queued
+// event costs its slot and nothing else. A 4-ary layout halves the tree
+// depth of a binary heap, which matters twice here: fewer comparisons, and
+// fewer slot-sized copies per sift.
+//
+// The slots live in fixed-size chunks rather than one array: at the
+// all-ranks halo burst the queue holds every rank's messages at once, and
+// a contiguous array would hold two copies of itself while it grows and up
+// to twice the burst after. A chunk is allocated when the queue deepens
+// into it and never moved; when the queue drains below a chunk, one spare
+// chunk past the last used one is kept (so a queue oscillating around a
+// boundary does not reallocate) and any other is dropped, and an empty
+// queue keeps one chunk.
+//
+// Heap node i lives in slot i+heapRoot. With the root at slot 3, the four
+// children of the node in slot s are slots 4s-8..4s-5: four-aligned, so
+// never split across chunks, and a sift-down level finds its chunk once.
 type eventHeap struct {
-	a []Event
+	chunks []*eventChunk
+	n      int
 	// hi is the high-water depth, for Engine.Metrics.
 	hi int
-	// pushes counts events stored; grows counts the pushes that found the
-	// array full and had to grow it (Engine.Metrics).
-	pushes, grows uint64
+	// pushes counts events stored; allocs counts the pushes that had to
+	// allocate a chunk, finding none free (Engine.Metrics).
+	pushes, allocs uint64
 }
 
+const (
+	// chunkShift sets the chunk size: 1,024 events of 96 bytes, 96 KiB.
+	chunkShift  = 10
+	chunkEvents = 1 << chunkShift
+	chunkMask   = chunkEvents - 1
+	// heapRoot is the root's slot (slots 0-2 stay empty).
+	heapRoot = 3
+)
+
+type eventChunk [chunkEvents]Event
+
+// freeChunks holds chunks the event queues dropped, every slot zero (a
+// popped slot is zeroed, and slots 0-2 are never written). A queue that
+// deepens again takes one from here before allocating, so a burst that
+// drains and refills — every halo step does — does not feed the
+// allocator and the collector a burst's worth of chunks each time, while
+// chunks nobody takes back are still collected.
+var freeChunks sync.Pool
+
+// grow appends a chunk, reused if one is free; allocs counts the others.
+func (h *eventHeap) grow() {
+	c, _ := freeChunks.Get().(*eventChunk)
+	if c == nil {
+		h.allocs++
+		c = new(eventChunk)
+	}
+	h.chunks = append(h.chunks, c)
+}
+
+// shrink drops the chunks from index keep on; their slots must be zero.
+func (h *eventHeap) shrink(keep int) {
+	for i := keep; i < len(h.chunks); i++ {
+		freeChunks.Put(h.chunks[i])
+		h.chunks[i] = nil
+	}
+	h.chunks = h.chunks[:keep]
+}
+
+// slot returns slot s, which must lie in an allocated chunk.
+func slot(chunks []*eventChunk, s int) *Event { return &chunks[s>>chunkShift][s&chunkMask] }
+
 // len returns the number of queued events.
-func (h *eventHeap) len() int { return len(h.a) }
+func (h *eventHeap) len() int { return h.n }
 
 // push stores a copy of *ev.
 func (h *eventHeap) push(ev *Event) {
 	h.pushes++
-	if len(h.a) == cap(h.a) {
-		h.grows++
+	s := h.n + heapRoot
+	if s>>chunkShift == len(h.chunks) {
+		h.grow()
 	}
-	a := append(h.a, Event{})
-	if len(a) > h.hi {
-		h.hi = len(a)
+	h.n++
+	if h.n > h.hi {
+		h.hi = h.n
 	}
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !ev.before(&a[parent]) {
+	chunks := h.chunks
+	hole := slot(chunks, s)
+	for s > heapRoot {
+		ps := s>>2 + 2
+		p := slot(chunks, ps)
+		if !ev.before(p) {
 			break
 		}
-		a[i] = a[parent]
-		i = parent
+		*hole = *p
+		hole, s = p, ps
 	}
-	a[i] = *ev
-	h.a = a
+	*hole = *ev
 }
 
 // popInto removes the earliest event and stores it in *dst; it panics on an
-// empty heap. The vacated tail slot is zeroed, so the storage between len
-// and cap never retains a popped event's Payload.
+// empty heap. The vacated tail slot is zeroed, so no slot past the end
+// retains a popped event's Payload.
 func (h *eventHeap) popInto(dst *Event) {
-	a := h.a
-	n := len(a) - 1
-	*dst = a[0]
+	chunks := h.chunks
+	n := h.n - 1
+	end := n + heapRoot // the tail slot, vacated
+	root := &chunks[0][heapRoot]
+	*dst = *root
+	moved := slot(chunks, end)
 	if n > 0 {
-		moved := &a[n]
-		i := 0
+		hole, s := root, heapRoot
 		for {
-			c := i<<2 + 1
-			if c >= n {
+			c := 4*s - 8
+			if c >= end {
 				break
 			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			min := c
-			for j := c + 1; j < end; j++ {
-				if a[j].before(&a[min]) {
-					min = j
+			k := c & chunkMask
+			kids := chunks[c>>chunkShift][k : k+min(4, end-c)]
+			m := 0
+			for j := 1; j < len(kids); j++ {
+				if kids[j].before(&kids[m]) {
+					m = j
 				}
 			}
-			if !a[min].before(moved) {
+			if !kids[m].before(moved) {
 				break
 			}
-			a[i] = a[min]
-			i = min
+			*hole = kids[m]
+			hole, s = &kids[m], c+m
 		}
-		a[i] = *moved
+		*hole = *moved
 	}
-	a[n] = Event{}
-	h.a = a[:n]
+	*moved = Event{}
+	h.n = n
+	switch {
+	case n == 0 && len(chunks) > 1:
+		h.shrink(1) // empty: chunk 0 is the one spare
+	case end&chunkMask == 0 && len(chunks) > end>>chunkShift+1:
+		h.shrink(end>>chunkShift + 1)
+	}
 }
 
 // peek returns the earliest event without removing it, or nil if empty.
-// The pointer aims into the heap's array: it is valid until the next push
-// or pop.
+// The pointer aims into the heap's storage: it is valid until the next
+// push or pop.
 func (h *eventHeap) peek() *Event {
-	if len(h.a) == 0 {
+	if h.n == 0 {
 		return nil
 	}
-	return &h.a[0]
+	return &h.chunks[0][heapRoot]
+}
+
+// release drops every chunk (to freeChunks if the queue is empty, so
+// its slots are zero); the counters survive.
+func (h *eventHeap) release() {
+	if h.n == 0 {
+		h.shrink(0)
+	}
+	h.chunks = nil
+	h.n = 0
 }
 
 // readyEntry is a VP that can resume execution at a known virtual time.
@@ -225,7 +299,7 @@ func (h *readyHeap) push(e readyEntry) {
 }
 
 // pop removes and returns the earliest entry; it panics on an empty heap.
-// The vacated tail slot is zeroed, mirroring eventHeap.pop, so the backing
+// The vacated tail slot is zeroed, mirroring eventHeap.popInto, so the backing
 // array holds no stale entries.
 func (h *readyHeap) pop() readyEntry {
 	a := h.a

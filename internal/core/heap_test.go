@@ -8,16 +8,28 @@ import (
 	"xsim/internal/vclock"
 )
 
-// TestEventHeapOrder interleaves random pushes and pops and checks every
-// pop against a sorted reference. Times and sources are drawn from small
-// ranges so that equal Time and equal (Time, Src) keys, which only Src and
-// Seq separate, occur all the time.
+// TestEventHeapOrder checks every pop against a sorted reference, in two
+// phases: random pushes and pops interleaved in a shallow queue, then a
+// burst three chunks deep drained and refilled with pushes and pops
+// interleaved around every chunk boundary on the way down. Times and
+// sources are drawn from small ranges so that equal Time and equal (Time,
+// Src) keys, which only Src and Seq separate, occur all the time.
 func TestEventHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var h eventHeap
 	var ref []Event // kept sorted by the ordering key
 	var seq uint64
+	check := func() {
+		t.Helper()
+		if h.len() != len(ref) {
+			t.Fatalf("len %d, reference holds %d", h.len(), len(ref))
+		}
+		if spare := spareChunks(&h); spare > 1 {
+			t.Fatalf("%d spare chunks at len %d, want at most one", spare, h.len())
+		}
+	}
 	pop := func() {
+		t.Helper()
 		var got Event
 		h.popInto(&got)
 		want := ref[0]
@@ -25,12 +37,10 @@ func TestEventHeapOrder(t *testing.T) {
 		if got != want {
 			t.Fatalf("popped %+v, want %+v (%d left)", got, want, len(ref))
 		}
+		check()
 	}
-	for step := 0; step < 6000; step++ {
-		if len(ref) > 0 && rng.Intn(5) < 2 {
-			pop()
-			continue
-		}
+	push := func(step int) {
+		t.Helper()
 		seq++
 		ev := Event{
 			Time:    vclock.Time(rng.Intn(20)),
@@ -46,46 +56,101 @@ func TestEventHeapOrder(t *testing.T) {
 		ref = append(ref, Event{})
 		copy(ref[i+1:], ref[i:])
 		ref[i] = ev
-		if h.len() != len(ref) {
-			t.Fatalf("len %d, reference holds %d", h.len(), len(ref))
+		check()
+	}
+	for step := 0; step < 6000; step++ {
+		if len(ref) > 0 && rng.Intn(5) < 2 {
+			pop()
+		} else {
+			push(step)
 		}
 	}
 	for len(ref) > 0 {
 		pop()
 	}
-	if h.len() != 0 {
-		t.Fatalf("heap not empty after draining: len=%d", h.len())
+	for step := 0; step < 3*chunkEvents+17; step++ {
+		push(step)
 	}
-	if h.pushes != seq || h.grows == 0 || h.grows > 64 {
-		t.Fatalf("counted %d pushes, %d of them growing the array; pushed %d", h.pushes, h.grows, seq)
+	if len(h.chunks) != 4 {
+		t.Fatalf("a burst of %d events holds %d chunks, want 4", h.len(), len(h.chunks))
+	}
+	// Drain, and at each chunk boundary on the way wobble across it.
+	for len(ref) > 0 {
+		if h.len()&chunkMask == 0 {
+			for i := 0; i < 40; i++ {
+				if rng.Intn(2) == 0 {
+					push(i)
+				} else if len(ref) > 0 {
+					pop()
+				}
+			}
+		}
+		pop()
+	}
+	if h.len() != 0 || len(h.chunks) != 1 {
+		t.Fatalf("drained heap has len %d and %d chunks, want 0 and one spare", h.len(), len(h.chunks))
+	}
+	// Chunks dropped on the way down are reused from freeChunks, which
+	// other tests share, so only a bound on allocations holds.
+	if h.pushes != seq || h.allocs > 16 {
+		t.Fatalf("counted %d pushes, %d of them allocating a chunk; pushed %d", h.pushes, h.allocs, seq)
 	}
 }
 
-// TestEventHeapPopClearsSlots checks that no slot between len and cap still
-// holds a popped event's Payload: the array outlives the events, so a stale
-// slot would pin a payload object for as long as the queue stays shallow.
+// spareChunks is the number of chunks h holds past the last one in use
+// (all of them, for an empty queue).
+func spareChunks(h *eventHeap) int {
+	if h.len() == 0 {
+		return len(h.chunks)
+	}
+	return len(h.chunks) - (h.len()+heapRoot+chunkMask)>>chunkShift
+}
+
+// TestEventHeapPopClearsSlots checks that no slot outside the heap still
+// holds a popped event, nor any slot of a chunk the queue gives back: a
+// chunk outlives the events, so a stale slot would pin a payload object
+// for as long as the queue stays shallow, or be reused as a live event.
 func TestEventHeapPopClearsSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h eventHeap
-	for i := 0; i < 100; i++ {
+	for i := 0; i < chunkEvents+100; i++ {
 		h.push(&Event{Time: vclock.Time(rng.Intn(40)), Seq: uint64(i), Payload: i})
 	}
 	var ev Event
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 160; i++ {
 		h.popInto(&ev)
 	}
-	full := h.a[:cap(h.a)]
-	for i := h.len(); i < len(full); i++ {
-		if full[i] != (Event{}) {
-			t.Fatalf("slot %d (len=%d, cap=%d) retains %+v after pop", i, h.len(), cap(h.a), full[i])
+	for i := 0; i < len(h.chunks)*chunkEvents; i++ {
+		if i >= heapRoot && i < heapRoot+h.len() {
+			continue
+		}
+		if s := slot(h.chunks, i); *s != (Event{}) {
+			t.Fatalf("slot %d (len=%d, %d chunks) retains %+v after pop", i, h.len(), len(h.chunks), *s)
+		}
+	}
+	// Drained, the queue has handed its second chunk to freeChunks, which
+	// reuses chunks without clearing them: every slot must be zero.
+	held := append([]*eventChunk(nil), h.chunks...)
+	for h.len() > 0 {
+		h.popInto(&ev)
+	}
+	if len(h.chunks) != 1 {
+		t.Fatalf("drained queue holds %d chunks, want one", len(h.chunks))
+	}
+	for ci, c := range held {
+		for i := range c {
+			if c[i] != (Event{}) {
+				t.Fatalf("chunk %d slot %d retains %+v after the queue drained", ci, i, c[i])
+			}
 		}
 	}
 }
 
 // TestHandlerEmitsWhileItsEventIsDispatched makes a handler push enough
-// events to move the queue's array several times over and then checks that
-// the event it was handed still reads as emitted: the dispatcher copies an
-// event out of the queue before the handler runs.
+// events to grow the queue across several chunk boundaries, refilling the
+// slot its own event was popped from, and then checks that the event it
+// was handed still reads as emitted: the dispatcher copies an event out of
+// the queue before the handler runs.
 func TestHandlerEmitsWhileItsEventIsDispatched(t *testing.T) {
 	const kindFan, kindLeaf = kindPing + 1, kindPing + 2
 	const fan = 5000
@@ -97,12 +162,12 @@ func TestHandlerEmitsWhileItsEventIsDispatched(t *testing.T) {
 		}
 		leaves := 0
 		eng.RegisterHandler(kindFan, func(s *SchedCtx, ev *Event) {
-			before := cap(eng.parts[0].eventQ.a)
+			before := len(eng.parts[0].eventQ.chunks)
 			for i := 0; i < fan; i++ {
 				s.EmitFor(0, Event{Time: ev.Time.Add(vclock.Duration(fan - i)), Kind: kindLeaf, Target: 0, Payload: i})
 			}
-			if after := cap(eng.parts[0].eventQ.a); after <= before {
-				t.Errorf("workers=%d: queue did not grow under the handler (cap %d -> %d)", workers, before, after)
+			if after := len(eng.parts[0].eventQ.chunks); after <= before+1 {
+				t.Errorf("workers=%d: queue did not grow across a chunk boundary under the handler (%d -> %d chunks)", workers, before, after)
 			}
 			if *ev != want {
 				t.Errorf("workers=%d: event changed under its handler:\n got %+v\nwant %+v", workers, *ev, want)
@@ -125,13 +190,17 @@ func TestHandlerEmitsWhileItsEventIsDispatched(t *testing.T) {
 	}
 }
 
-// burstProg emits a burst of cross-partition events, sleeps past their
-// delivery and completes: TestRunReleasesQueueStorage's workload as a
-// Program.
-type burstProg struct{ slept bool }
+// burstProg emits a burst of events, sleeps past their delivery, checks
+// the drained queue and completes: TestRunReleasesQueueStorage's workload
+// as a Program.
+type burstProg struct {
+	t     *testing.T
+	slept bool
+}
 
 func (p *burstProg) Step(c *Ctx, wake any) (any, bool) {
 	if p.slept {
+		checkDrained(p.t, c)
 		return nil, true
 	}
 	p.slept = true
@@ -140,36 +209,58 @@ func (p *burstProg) Step(c *Ctx, wake any) (any, bool) {
 	return park, false
 }
 
+// burstEvents per rank make every partition's queue at least two chunks
+// deep at the burst's delivery.
+const burstEvents = chunkEvents / 2
+
 func burst(c *Ctx) {
 	peer := (c.Rank() + 5) % c.N()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < burstEvents; i++ {
 		c.Emit(Event{Time: c.NowQuiet().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Payload: i})
 	}
 }
 
-// TestRunReleasesQueueStorage checks that a finished engine holds none of
-// the storage its queues grew to, in either execution mode, while the
-// counters Metrics reads survive.
+// checkDrained runs on a rank after the burst was delivered: its
+// partition's queue has grown past one chunk and then drained, and may
+// keep at most one spare.
+func checkDrained(t *testing.T, c *Ctx) {
+	for _, p := range c.eng.parts {
+		if !p.owns(c.Rank()) {
+			continue
+		}
+		if p.eventQ.hi <= chunkEvents {
+			t.Errorf("partition %d queue peaked at %d events, inside one chunk", p.id, p.eventQ.hi)
+		} else if spare := spareChunks(&p.eventQ); spare > 1 {
+			t.Errorf("partition %d holds %d spare chunks after draining, want at most one", p.id, spare)
+		}
+	}
+}
+
+// TestRunReleasesQueueStorage checks that a running engine whose queue
+// drained after a burst keeps at most one spare chunk, and that a finished
+// engine holds none of its queues' storage, in either execution mode,
+// while the counters Metrics reads survive.
 func TestRunReleasesQueueStorage(t *testing.T) {
 	for _, prog := range []bool{false, true} {
 		eng := newTestEngine(t, Config{NumVPs: 9, Workers: 2, Lookahead: vclock.Microsecond})
 		registerPing(eng)
 		var err error
 		if prog {
-			_, err = eng.RunPrograms(func(c *Ctx) Program { return &burstProg{} })
+			_, err = eng.RunPrograms(func(c *Ctx) Program { return &burstProg{t: t} })
 		} else {
 			_, err = eng.Run(func(c *Ctx) {
 				burst(c)
 				c.Sleep(vclock.Second)
+				checkDrained(t, c)
 			})
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range eng.parts {
-			if p.eventQ.a != nil || p.ready.a != nil || p.cur != (Event{}) {
-				t.Errorf("prog=%v partition %d: queue storage survives the run (events cap %d, ready cap %d, cur %+v)",
-					prog, p.id, cap(p.eventQ.a), cap(p.ready.a), p.cur)
+			if p.eventQ.chunks != nil || p.ready.a != nil || p.cur != (Event{}) {
+				t.Errorf("prog=%v partition %d: queue storage survives the run (%d event chunks, ready cap %d, cur %+v)",
+					prog, p.id, len(p.eventQ.chunks), cap(p.ready.a), p.cur)
 			}
 			for q := range p.crossOut {
 				if p.crossOut[q] != nil || p.inbox[q] != nil {
@@ -177,7 +268,7 @@ func TestRunReleasesQueueStorage(t *testing.T) {
 				}
 			}
 		}
-		if m := eng.Metrics(); m.EventHeapHighWater == 0 || m.PoolHits+m.PoolMisses < 72 || m.CrossEvents == 0 {
+		if m := eng.Metrics(); m.EventHeapHighWater == 0 || m.PoolHits+m.PoolMisses < 9*burstEvents || m.CrossEvents == 0 {
 			t.Errorf("prog=%v: metrics lost with the storage: %+v", prog, m)
 		}
 	}

@@ -13,10 +13,11 @@ type MetricsSnapshot struct {
 	EventsDispatched uint64
 	Resumes          uint64
 	// PoolHits and PoolMisses count events stored in a partition's event
-	// queue without growing its array vs by growing it (events are values
-	// in that array; the names are the ones the benchmark harness reads).
-	// PoolMisses stops growing once the queue has reached the run's
-	// largest burst.
+	// queue into a chunk it already held vs into a freshly allocated chunk
+	// (events are values in the queue's chunks; the names are the ones the
+	// benchmark harness reads). A miss is one chunk allocation: one per
+	// chunk on the way up to the run's largest burst, and again after the
+	// queue has drained and dropped its chunks past the one spare.
 	PoolHits   uint64
 	PoolMisses uint64
 	// CrossEvents counts events routed between partitions (always 0 with
@@ -99,8 +100,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 	for _, p := range e.parts {
 		m.EventsDispatched += p.events
 		m.Resumes += p.resumes
-		m.PoolHits += p.eventQ.pushes - p.eventQ.grows
-		m.PoolMisses += p.eventQ.grows
+		m.PoolHits += p.eventQ.pushes - p.eventQ.allocs
+		m.PoolMisses += p.eventQ.allocs
 		m.CrossEvents += p.crossEvents
 		if p.eventQ.hi > m.EventHeapHighWater {
 			m.EventHeapHighWater = p.eventQ.hi

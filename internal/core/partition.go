@@ -35,7 +35,7 @@ type partition struct {
 
 	// cur holds the event being dispatched: it is copied out of eventQ
 	// before its handler runs, because the handler emits and a push may
-	// move the queue's array. A field rather than a local so that handing
+	// reuse the slot it was in. A field rather than a local so that handing
 	// its address to a handler allocates nothing.
 	cur Event
 
@@ -109,13 +109,12 @@ func (p *partition) nextSeq() uint64 {
 }
 
 // releaseQueues drops the storage of the partition's queues once the run
-// is over. The event queue grows to the largest burst the run produced
-// (every rank's halo messages in flight at one virtual instant) and the
-// ready heap to the partition's VP count; neither is needed to read the
-// results, and kept they would be the largest block of dead memory a
-// finished engine holds.
+// is over. The event queue keeps a spare chunk and the ready heap grows to
+// the partition's VP count; neither is needed to read the results, and
+// kept they would be the largest block of dead memory a finished engine
+// holds.
 func (p *partition) releaseQueues() {
-	p.eventQ.a = nil
+	p.eventQ.release()
 	p.ready.a = nil
 	p.cur = Event{}
 	for i := range p.crossOut {

@@ -2,6 +2,7 @@ package heat
 
 import (
 	"fmt"
+	"sync"
 
 	"xsim/internal/checkpoint"
 	"xsim/internal/mpi"
@@ -12,8 +13,11 @@ import (
 // same heatRunner Run drives on a closure VP, stepped by the scheduler
 // instead, so closure- and program-mode experiments produce the same
 // virtual timelines by construction. Program mode is what lets the
-// headline experiments run at 256k–1M ranks: a parked rank is a few
-// hundred bytes of state instead of a goroutine stack.
+// headline experiments run at 256k–1M ranks: a parked rank is its
+// heatRunner (at most 192 bytes, pinned by TestHeatRunnerLayout), its
+// grid state and its MPI process bundle, about 1 KB in all
+// (BenchmarkHeatCkptBytesPerVP's retained-bytes/vp), instead of a
+// goroutine stack.
 func NewProg(cfg Config) func(rank int) mpi.Prog {
 	// One shared, read-only Config for every rank: at a million VPs an
 	// embedded copy per runner is ~180 bytes/rank for identical data.
@@ -34,7 +38,10 @@ const (
 )
 
 // heatRunner is one rank's heat application — the only implementation of
-// the application loop — as a resumable state machine.
+// the application loop — as a resumable state machine. A million of them
+// are parked at once, so what a rank needs only inside one phase is held
+// only there: the restore state while the restart read runs, the
+// collective state while the barrier runs.
 type heatRunner struct {
 	cfg *Config // shared across ranks; read-only after NewProg
 	pc  int
@@ -50,13 +57,20 @@ type heatRunner struct {
 	full          bool
 	proactiveDone bool
 
-	rs         checkpoint.RestoreState
-	reqs       []*mpi.Request // receives first, in directions order, then sends
+	rs         *checkpoint.RestoreState // non-nil while a restore runs
+	reqs       []*mpi.Request           // receives first, in directions order, then sends
 	ws         mpi.WaitState
 	haloPosted bool
-	cs         mpi.CollectiveState
-	csArmed    bool
+	cs         *mpi.CollectiveState // non-nil while a barrier runs
 }
+
+// collStates recycles the barrier's collective state: every rank holds one
+// from BeginBarrier until it leaves the barrier, and the next barrier
+// takes it again instead of allocating a million of them. A state is
+// zeroed before it goes back: the pool is shared by every world and
+// goroutine, and the wait sets inside it would otherwise keep pointing at
+// requests their partition has since recycled.
+var collStates = sync.Pool{New: func() any { return new(mpi.CollectiveState) }}
 
 // haloStep swaps boundary faces with the six neighbours as a resumable
 // step: receives are posted first, then sends, then everything completes —
@@ -66,7 +80,9 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	s := p.st
 	if !p.haloPosted {
 		p.haloPosted = true
-		p.reqs = p.reqs[:0]
+		if p.reqs == nil {
+			p.reqs = make([]*mpi.Request, 0, 2*len(directions))
+		}
 		for _, d := range directions {
 			req, err := world.Irecv(s.neighbor(d.dx, d.dy, d.dz), oppositeTag(d.tag))
 			if err != nil {
@@ -194,10 +210,12 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.restoreIter = it
 			switch {
 			case cfg.RealCompute:
+				p.rs = new(checkpoint.RestoreState)
 				p.rs.Begin(cfg.prefix(), rank, it, false)
 			case fs.Tiered() || cfg.DeltaFraction > 0:
 				// Tier-aware restore: read the whole delta chain, each file
 				// from the fastest tier holding a surviving copy.
+				p.rs = new(checkpoint.RestoreState)
 				p.rs.Begin(cfg.prefix(), rank, it, true)
 			default:
 				env.Elapse(env.FSModel().ReadCost(cfg.payloadBytes()))
@@ -207,7 +225,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			}
 			p.pc = hpRestore
 		case hpRestore:
-			done, park, err := p.fs.RestoreStep(&p.rs)
+			done, park, err := p.fs.RestoreStep(p.rs)
 			if !done {
 				return park, false
 			}
@@ -217,6 +235,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			if cfg.RealCompute {
 				p.st.restore(p.rs.Payload())
 			}
+			p.rs = nil
 			p.startIter = p.restoreIter
 			p.pc = hpAfterRestore
 		case hpAfterRestore:
@@ -310,15 +329,17 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 		case hpBarrier:
 			// A global barrier synchronises all processes so the previous
 			// checkpoint can be deleted safely.
-			if !p.csArmed {
-				p.csArmed = true
+			if p.cs == nil {
+				p.cs = collStates.Get().(*mpi.CollectiveState)
 				p.cs.BeginBarrier()
 			}
-			done, park, err := world.CollectiveStep(&p.cs)
+			done, park, err := world.CollectiveStep(p.cs)
 			if !done {
 				return park, false
 			}
-			p.csArmed = false
+			*p.cs = mpi.CollectiveState{} // no stale request pointers across ranks or worlds
+			collStates.Put(p.cs)
+			p.cs = nil
 			if err != nil {
 				panic(fmt.Sprintf("heat: rank %d barrier after checkpoint %d: %v", rank, p.iter, err))
 			}

@@ -3,6 +3,7 @@ package heat
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"xsim/internal/checkpoint"
 	"xsim/internal/core"
@@ -156,5 +157,51 @@ func TestHeatProgRestartMatchesClosure(t *testing.T) {
 		if tr2.PhaseOf(r) != PhaseDone {
 			t.Errorf("rank %d: prog phase %v, want done", r, tr2.PhaseOf(r))
 		}
+	}
+}
+
+// TestHeatRunnerLayout pins what a parked heat rank costs. At a million
+// program VPs every byte of heatRunner is a megabyte, and the runner sits
+// beside the twelve requests each rank holds at every halo burst, so the
+// restore and barrier states (192 and 304 bytes) are held only while a
+// restore or barrier runs: a rank at a compute phase holds neither.
+func TestHeatRunnerLayout(t *testing.T) {
+	if got := unsafe.Sizeof(heatRunner{}); got > 192 {
+		t.Errorf("unsafe.Sizeof(heatRunner{}) = %d, want <= 192: one per parked rank, next to its twelve halo requests", got)
+	}
+	const n = 8
+	store := fsmodel.NewStore()
+	cfg := smallReal(n)
+	cfg.Iterations = 20
+	if _, err := testWorld(t, n, 1, store, 0, nil).RunProgs(NewProg(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	// A second, longer run on the same store restarts from iteration 20
+	// (a restore) and then checkpoints twice (two barriers).
+	cfg.Iterations = 40
+	runners := make([]*heatRunner, n)
+	phases := 0
+	cfg.onPhase = func(rank, iter int) {
+		phases++
+		p := runners[rank]
+		if p.startIter != 20 {
+			t.Fatalf("rank %d restarted from %d, want 20", rank, p.startIter)
+		}
+		if p.rs != nil || p.cs != nil {
+			t.Errorf("rank %d at compute phase %d holds restore state %v, collective state %v; want neither",
+				rank, iter, p.rs != nil, p.cs != nil)
+		}
+	}
+	progs := NewProg(cfg)
+	res, err := testWorld(t, n, 1, store, 0, nil).RunProgs(func(rank int) mpi.Prog {
+		p := progs(rank)
+		runners[rank] = p.(*heatRunner)
+		return p
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != n || phases != n*20 {
+		t.Fatalf("completed %d ranks and %d compute phases, want %d and %d", res.Completed, phases, n, n*20)
 	}
 }

@@ -46,7 +46,7 @@ func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
 	} else {
 		msg = req.TakeMsg()
 	}
-	ps.dp.reqs.put(req)
+	ps.dp.putReq(req)
 	return msg, err
 }
 

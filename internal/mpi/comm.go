@@ -205,7 +205,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	req, err := c.isend(dst, tag, len(data), data)
 	if err == nil {
 		err = c.env.wait(req)
-		c.env.ps.dp.reqs.put(req)
+		c.env.ps.dp.putReq(req)
 	}
 	return c.handleError(err)
 }
@@ -216,7 +216,7 @@ func (c *Comm) SendN(dst, tag, size int) error {
 	req, err := c.isend(dst, tag, size, nil)
 	if err == nil {
 		err = c.env.wait(req)
-		c.env.ps.dp.reqs.put(req)
+		c.env.ps.dp.putReq(req)
 	}
 	return c.handleError(err)
 }
@@ -276,12 +276,12 @@ func (c *Comm) Waitall(reqs []*Request) error {
 // oversubscription scale free their requests to keep steady-state
 // allocation flat. Requests still in flight are ignored.
 func (c *Comm) Free(r *Request) {
-	if r == nil || !r.done {
+	if r == nil || !r.Done() {
 		return
 	}
 	dp := c.env.ps.dp
 	r.releaseMsg(dp)
-	dp.reqs.put(r)
+	dp.putReq(r)
 }
 
 // String describes the communicator.

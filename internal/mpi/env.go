@@ -256,11 +256,10 @@ type procState struct {
 	// Posted receives are indexed by (communicator, source) — a small
 	// inline index (postedIdx) since most ranks only ever receive from a
 	// handful of distinct sources — with wildcard-source receives in a
-	// separate ordered intrusive list; postSeq establishes MPI's
-	// first-match-in-post-order rule across the two.
+	// separate ordered intrusive list; request ids, issued at post time,
+	// establish MPI's first-match-in-post-order rule across the two.
 	posted     postedIdx
 	postedWild reqQ
-	postSeq    uint64
 	// Unexpected envelopes sit in a per-(comm, src) FIFO and, at the
 	// same time, in their communicator's arrival-order list; arriveSeq
 	// stamps arrival order (used by validation and probes). Both maps are

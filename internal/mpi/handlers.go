@@ -111,10 +111,11 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 		return
 	}
 	req := ps.findPending(sendReqID)
-	if req == nil || req.done {
+	if req == nil || req.Done() {
 		return
 	}
 	net := w.cfg.Net
+	src, dst := int(req.src), int(req.dst)
 	// Endpoint contention: the payload queues behind the sender NIC's
 	// earlier injections.
 	start := ev.Time
@@ -123,7 +124,7 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 		ps.injectFreeAt = start.Add(occ)
 	}
 	delivery := core.Event{
-		Time:   start.Add(net.TransferTime(req.src, req.dst, req.size)),
+		Time:   start.Add(net.TransferTime(src, dst, req.size)),
 		Kind:   kindData,
 		Target: recvRank,
 		Words:  [core.EventWords]uint64{recvReqID},
@@ -133,20 +134,20 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	// is copied into a pooled one (the sender is either blocked in Wait
 	// or, for Isend, has promised not to touch it — MPI's contract).
 	// Either way it travels boxed, like an eager payload.
-	if req.data != nil {
+	if c := req.cold; c != nil && c.data != nil {
 		box := ps.dp.envs.get()
-		if req.ownedData {
-			box.data = req.data
+		if c.ownedData {
+			box.data = c.data
 		} else {
-			box.data = ps.dp.getBuf(len(req.data))
-			copy(box.data, req.data)
+			box.data = ps.dp.getBuf(len(c.data))
+			copy(box.data, c.data)
 		}
 		delivery.Payload = box
-		req.data = nil
-		req.ownedData = false
+		c.data = nil
+		c.ownedData = false
 	}
 	s.EmitFor(sender, delivery)
-	ws := completeRequest(ps, req, start.Add(net.SendOverhead(req.src, req.dst, req.size)), nil)
+	ws := completeRequest(ps, req, start.Add(net.SendOverhead(src, dst, req.size)), nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("cts")
 	}
@@ -167,7 +168,7 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		return
 	}
 	req := ps.findPending(ev.Words[0])
-	if req == nil || req.done || !req.awaitingData {
+	if req == nil || req.Done() || !req.has(reqAwaitingData) {
 		// The request already completed in error (failure detection
 		// timed out first); drop the late payload.
 		dp.putBuf(data)
@@ -179,7 +180,9 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		ps.ejectFreeAt = start.Add(occ)
 		at = ps.ejectFreeAt
 	}
-	req.data = data
+	if data != nil {
+		req.coldRec(ps.dp).data = data
+	}
 	ws := completeRequest(ps, req, at, nil)
 	if w.cfg.Validate {
 		ps.checkIndexes("data")
@@ -198,7 +201,7 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 		return
 	}
 	req := ps.findPending(reqID)
-	if req == nil || req.done {
+	if req == nil || req.Done() {
 		return
 	}
 	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})

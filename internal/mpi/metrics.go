@@ -170,9 +170,10 @@ type MetricsSnapshot struct {
 
 	// Data-plane pool behaviour (see internal/mpi/pool.go), summed across
 	// partitions. PoolHits/PoolMisses count the pooled objects the run
-	// asked for (requests, and the on-demand envelopes and messages) that
-	// were served without allocating, from a free list, vs by allocating;
-	// a message or control message that needs no object counts in neither. BufHits/BufMisses count payload-buffer reuse. Counters
+	// asked for (requests, and the on-demand cold records, envelopes and
+	// messages) that were served without allocating, from a free list, vs
+	// by allocating; a message or control message that needs no object
+	// counts in neither. BufHits/BufMisses count payload-buffer reuse. Counters
 	// are run totals, not digest material: they vary with the partition
 	// layout.
 	PoolHits   uint64
@@ -228,8 +229,8 @@ func (w *World) Metrics() MetricsSnapshot {
 		}
 	}
 	for _, p := range w.pools {
-		s.PoolHits += p.envs.hits + p.reqs.hits + p.msgs.hits
-		s.PoolMisses += p.envs.misses + p.reqs.misses + p.msgs.misses
+		s.PoolHits += p.envs.hits + p.reqs.hits + p.colds.hits + p.msgs.hits
+		s.PoolMisses += p.envs.misses + p.reqs.misses + p.colds.misses + p.msgs.misses
 		s.BufHits += p.bufHits
 		s.BufMisses += p.bufMisses
 		s.BufHighWater += p.bufHighWater

@@ -103,56 +103,64 @@ const (
 	sendReq
 )
 
+// reqFlags is a request's state, one bit per flag.
+type reqFlags uint8
+
+const (
+	// reqDone: the request has completed (successfully or not).
+	reqDone reqFlags = 1 << iota
+	// reqMatched marks a receive bound to a message header
+	// (matchEnvelope) whose message has not been taken from the request.
+	reqMatched
+	// reqPending mirrors membership of the process's pending list.
+	reqPending
+	// reqAwaitingData marks a recv matched to a rendezvous envelope whose
+	// data transfer is still in flight.
+	reqAwaitingData
+	// reqTimeoutScheduled dedupes failure-detection timeout events.
+	reqTimeoutScheduled
+	// reqPosted and reqWild: the receive is filed in the posted index,
+	// in the wildcard list if reqWild.
+	reqPosted
+	reqWild
+)
+
 // Request is a nonblocking operation handle (MPI_Request).
+//
+// Every rank holds a dozen of these at every halo exchange (six receives,
+// six sends), all live at the same virtual instant, so the struct is kept
+// to what every request uses: 112 bytes, one allocator size class. What
+// only some requests need (a payload, a built Message, an error, a message
+// header that differs from the posted one) lives in a reqCold record
+// taken from the partition's pool on first use and returned at Free; a
+// modelled, exact-source, payload-free exchange never takes one.
 type Request struct {
 	id   uint64
 	comm *Comm
 
 	// Matching fields in world ranks; src may be AnySource, tag AnyTag.
-	src, dst int
-	tag      int
+	// Both fit 32 bits: ranks are VP indices, and the tag space (internal
+	// tags are small negatives, application and digest tags non-negative
+	// ints checked at post) tops out below 2^31.
+	src, dst, tag int32
 
-	postClock vclock.Time
-	// size and data are the payload: of a send as posted (data until the
-	// transfer takes it), of a receive as matched (data from the payload's
-	// arrival until somebody reads the message or frees the request).
+	kind  reqKind
+	flags reqFlags
+
+	// size is the payload size: of a send as posted, of a receive as
+	// matched.
 	size int
-	data []byte
 
-	// msgSrc and msgTag complete the received-message header of a matched
-	// receive: the sender's rank in the communicator and the tag it sent.
-	msgSrc, msgTag int
-
-	// Completion state.
+	postClock  vclock.Time
 	completeAt vclock.Time
-	err        error
-	// msg is the received message once somebody asked for it (Msg);
-	// until then the header lives in the fields above and no Message
-	// exists.
-	msg *Message
 
-	kind reqKind
-	done bool
-	// matched marks a receive bound to a message header (matchEnvelope)
-	// whose message has not been taken from the request.
-	matched bool
-	// pending mirrors membership of the process's pending list.
-	pending bool
-	// awaitingData marks a recv matched to a rendezvous envelope whose
-	// data transfer is still in flight.
-	awaitingData bool
-	// timeoutScheduled dedupes failure-detection timeout events.
-	timeoutScheduled bool
-	// ownedData marks a send whose data buffer the MPI layer owns (a
-	// pooled buffer transferred by an internal sender): it travels
-	// without copying and is released if the send dies early.
-	ownedData bool
+	// cold is the record of the fields only some requests use; nil until
+	// one of them is first set.
+	cold *reqCold
 
 	// Posted-receive index bookkeeping: an intrusive doubly-linked list
-	// per (comm, src) key (or the wildcard list), in post order.
-	posted       bool
-	wild         bool
-	postSeq      uint64
+	// per (comm, src) key (or the wildcard list), in post order. Post
+	// order is id order: a receive is filed the moment its id is issued.
 	postQ        *reqQ
 	pNext, pPrev *Request
 
@@ -168,8 +176,75 @@ type Request struct {
 	waiter *WaitState
 }
 
+// reqCold holds a request's fields that only some requests use. A request
+// takes one from its partition's dpPool (Request.coldRec) the first time
+// it sets one of them and gives it back when the request is recycled.
+type reqCold struct {
+	// data is the payload: of a send as posted (until the transfer takes
+	// it), of a receive as matched (from the payload's arrival until
+	// somebody reads the message or frees the request). ownedData marks a
+	// send whose buffer the MPI layer owns (a pooled buffer transferred by
+	// an internal sender): it travels without copying and is released if
+	// the send dies early.
+	data      []byte
+	ownedData bool
+
+	// hdr marks msgSrc and msgTag valid: the received-message header of a
+	// matched receive (the sender's rank in the communicator and the tag
+	// it sent) where it differs from the request's own src and tag — a
+	// wildcard tag, or a communicator whose ranks are not world ranks.
+	hdr            bool
+	msgSrc, msgTag int32
+
+	// err is the completion error.
+	err error
+	// msg is the received message once somebody asked for it (Msg);
+	// until then the header lives in the request and no Message exists.
+	msg *Message
+}
+
+func (r *Request) has(f reqFlags) bool { return r.flags&f != 0 }
+func (r *Request) set(f reqFlags)      { r.flags |= f }
+func (r *Request) clear(f reqFlags)    { r.flags &^= f }
+
+// coldRec returns the request's cold record, taking one from dp on first
+// use.
+func (r *Request) coldRec(dp *dpPool) *reqCold {
+	if r.cold == nil {
+		r.cold = dp.colds.get()
+	}
+	return r.cold
+}
+
+// msgSrc and msgTag return the received-message header of a matched
+// receive.
+func (r *Request) msgSrc() int {
+	if c := r.cold; c != nil && c.hdr {
+		return int(c.msgSrc)
+	}
+	return int(r.src)
+}
+
+func (r *Request) msgTag() int {
+	if c := r.cold; c != nil && c.hdr {
+		return int(c.msgTag)
+	}
+	return int(r.tag)
+}
+
 // Done reports whether the request has completed (successfully or not).
-func (r *Request) Done() bool { return r.done }
+func (r *Request) Done() bool { return r.has(reqDone) }
+
+// buildMsg builds the pooled Message of a completed, matched receive from
+// the request (the payload buffer moves to it).
+func (r *Request) buildMsg(dp *dpPool) *Message {
+	m := dp.msgs.get()
+	m.Src, m.Tag, m.Size, m.pool = r.msgSrc(), r.msgTag(), r.size, dp
+	if c := r.cold; c != nil {
+		m.Data, c.data = c.data, nil
+	}
+	return m
+}
 
 // Msg returns the received message of a completed receive request,
 // building the pooled header from the request on first use (the payload
@@ -178,45 +253,60 @@ func (r *Request) Done() bool { return r.done }
 // message follows the usual ownership rules: the caller may keep it until
 // Message.Release or until the request is handed to Comm.Free.
 func (r *Request) Msg() *Message {
-	if r.msg == nil && r.matched && r.done {
-		dp := r.comm.env.ps.dp
-		m := dp.msgs.get()
-		m.Src, m.Tag, m.Size, m.Data, m.pool = r.msgSrc, r.msgTag, r.size, r.data, dp
-		r.data = nil
-		r.msg = m
+	if !r.has(reqMatched) || !r.Done() {
+		return nil
 	}
-	return r.msg
+	dp := r.comm.env.ps.dp
+	c := r.coldRec(dp)
+	if c.msg == nil {
+		c.msg = r.buildMsg(dp)
+	}
+	return c.msg
 }
 
 // Err returns the request's error after completion, nil on success.
-func (r *Request) Err() error { return r.err }
+func (r *Request) Err() error {
+	if r.cold == nil {
+		return nil
+	}
+	return r.cold.err
+}
 
 // TakeMsg detaches and returns the received message of a completed
 // receive request: the caller assumes ownership (and the eventual
 // Message.Release), and a subsequent Comm.Free recycles only the request.
 // It returns nil for sends, for requests still in flight, and when the
-// message was already taken.
+// message was already taken. A message nobody read before is built
+// straight for the caller, without a cold record.
 func (r *Request) TakeMsg() *Message {
-	m := r.Msg()
-	if m != nil {
-		r.msg = nil
-		r.matched = false
+	if !r.has(reqMatched) || !r.Done() {
+		return nil
 	}
-	return m
+	r.clear(reqMatched)
+	if c := r.cold; c != nil && c.msg != nil {
+		m := c.msg
+		c.msg = nil
+		return m
+	}
+	return r.buildMsg(r.comm.env.ps.dp)
 }
 
 // releaseMsg drops whatever the request still holds of a received message:
 // the materialised Message if somebody read it, else just the payload
 // buffer, without ever building a header.
 func (r *Request) releaseMsg(dp *dpPool) {
-	if r.msg != nil {
-		r.msg.Release()
-		r.msg = nil
-	} else if r.kind == recvReq && r.data != nil {
-		dp.putBuf(r.data)
-		r.data = nil
+	r.clear(reqMatched)
+	c := r.cold
+	if c == nil {
+		return
 	}
-	r.matched = false
+	if c.msg != nil {
+		c.msg.Release()
+		c.msg = nil
+	} else if r.kind == recvReq && c.data != nil {
+		dp.putBuf(c.data)
+		c.data = nil
+	}
 }
 
 // opName names the request's operation for error messages.
@@ -231,9 +321,9 @@ func (r *Request) opName() string {
 // (AnySource for wildcard receives that have not matched).
 func (r *Request) peer() int {
 	if r.kind == recvReq {
-		return r.src
+		return int(r.src)
 	}
-	return r.dst
+	return int(r.dst)
 }
 
 // involves reports whether the failure of world rank affects this pending
@@ -241,11 +331,11 @@ func (r *Request) peer() int {
 // paper also releases, since the failed process can no longer send), or a
 // send to that rank.
 func (r *Request) involves(rank int) bool {
-	if r.done {
+	if r.Done() {
 		return false
 	}
 	if r.kind == recvReq {
-		return r.src == rank || r.src == AnySource
+		return int(r.src) == rank || r.src == AnySource
 	}
-	return r.dst == rank
+	return int(r.dst) == rank
 }

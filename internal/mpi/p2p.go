@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"xsim/internal/core"
 	"xsim/internal/trace"
@@ -323,15 +324,15 @@ func tagMatches(want, got int) bool {
 	return want == got
 }
 
-// addPosted files a receive request into the posted index.
+// addPosted files a receive request into the posted index. It is called
+// on the request whose id was issued last, so post order is id order.
 func (ps *procState) addPosted(r *Request) {
-	ps.postSeq++
-	r.postSeq = ps.postSeq
-	r.posted = true
-	r.wild = r.src == AnySource
+	r.set(reqPosted)
 	q := &ps.postedWild
-	if !r.wild {
-		q = ps.posted.getOrAdd(matchKey{r.comm.id, r.src})
+	if r.src == AnySource {
+		r.set(reqWild)
+	} else {
+		q = ps.posted.getOrAdd(matchKey{r.comm.id, int(r.src)})
 	}
 	q.push(r)
 	r.postQ = q
@@ -341,10 +342,10 @@ func (ps *procState) addPosted(r *Request) {
 // (both the exact-source and wildcard lists unlink the same way); it is a
 // no-op for requests that already matched.
 func (ps *procState) removePosted(r *Request) {
-	if !r.posted {
+	if !r.has(reqPosted) {
 		return
 	}
-	r.posted = false
+	r.clear(reqPosted)
 	r.postQ.unlink(r)
 	r.postQ = nil
 }
@@ -353,20 +354,20 @@ func (ps *procState) removePosted(r *Request) {
 // matches: the earliest-posted compatible request, considering both the
 // exact-source list and wildcard receives (MPI's matching rule). Each list
 // is in post order, so the first compatible entry of each is its
-// candidate; the lower post sequence of the two wins.
+// candidate; the lower id (the earlier post) of the two wins.
 func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
 	if q := ps.posted.get(matchKey{h.commID, h.src}); q != nil {
 		for r := q.head; r != nil; r = r.pNext {
-			if tagMatches(r.tag, h.tag) {
+			if tagMatches(int(r.tag), h.tag) {
 				best = r
 				break
 			}
 		}
 	}
 	for r := ps.postedWild.head; r != nil; r = r.pNext {
-		if r.comm.id == h.commID && tagMatches(r.tag, h.tag) {
-			if best == nil || r.postSeq < best.postSeq {
+		if r.comm.id == h.commID && tagMatches(int(r.tag), h.tag) {
+			if best == nil || r.id < best.id {
 				best = r
 			}
 			break
@@ -443,7 +444,7 @@ func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 // takeUnexpected finds and removes the earliest-arrived envelope a freshly
 // posted receive matches.
 func (ps *procState) takeUnexpected(req *Request) *envelope {
-	env := ps.peekUnexpected(req.comm.id, req.src, req.tag)
+	env := ps.peekUnexpected(req.comm.id, int(req.src), int(req.tag))
 	if env != nil {
 		ps.removeUnexpected(env)
 	}
@@ -513,7 +514,7 @@ const pendSpillThreshold = 32
 // failure-notification scan depends on) and, once the set has ever grown
 // past the spill threshold, into the lookup map.
 func (ps *procState) addPending(r *Request) {
-	r.pending = true
+	r.set(reqPending)
 	r.nPrev = ps.pendTail
 	r.nNext = nil
 	if ps.pendTail != nil {
@@ -550,10 +551,10 @@ func (ps *procState) findPending(id uint64) *Request {
 // unlinkPending removes a request from the pending list (and spill map);
 // it is a no-op for requests that are not pending (eager sends never are).
 func (ps *procState) unlinkPending(r *Request) {
-	if !r.pending {
+	if !r.has(reqPending) {
 		return
 	}
-	r.pending = false
+	r.clear(reqPending)
 	if ps.pendSpill != nil {
 		delete(ps.pendSpill, r.id)
 	}
@@ -620,8 +621,8 @@ func (c *Comm) isend(dstCommRank, tag, size int, data []byte) (*Request, error) 
 	if dstCommRank < 0 || dstCommRank >= c.n {
 		return nil, fmt.Errorf("mpi: send destination rank %d out of range [0,%d)", dstCommRank, c.n)
 	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: send tag %d must be non-negative", tag)
+	if tag < 0 || tag > math.MaxInt32 {
+		return nil, fmt.Errorf("mpi: send tag %d out of range [0,%d]", tag, math.MaxInt32)
 	}
 	return c.isendTag(dstCommRank, tag, size, data), nil
 }
@@ -648,9 +649,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	req.id = e.ps.newReqID()
 	req.kind = sendReq
 	req.comm = c
-	req.src = src
-	req.dst = dst
-	req.tag = tag
+	req.src, req.dst, req.tag = int32(src), int32(dst), int32(tag)
 	req.size = size
 	req.postClock = e.ctx.NowQuiet()
 	h := envHeader{commID: c.id, src: src, dst: dst, srcCommRank: c.rank, tag: tag, size: size}
@@ -693,7 +692,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		h.dataAt = inject.Add(net.TransferTime(src, dst, size))
 		// An eager send completes locally once the message is injected;
 		// it never waits on the receiver (fire-and-forget buffering).
-		req.done = true
+		req.set(reqDone)
 		h.put(&ev, t0.Add(net.ControlTime(src, dst)), box)
 		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, size))
@@ -704,8 +703,10 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		// snapshot is taken here — the payload is read at CTS time.
 		h.rendezvous = true
 		h.sendReqID = req.id
-		req.data = data
-		req.ownedData = owned
+		if data != nil {
+			c := req.coldRec(dp)
+			c.data, c.ownedData = data, owned
+		}
 		e.ps.addPending(req)
 		h.put(&ev, t0.Add(net.ControlTime(src, dst)), nil)
 		e.ctx.Emit(ev)
@@ -725,8 +726,8 @@ func (c *Comm) irecv(srcCommRank, tag int) (*Request, error) {
 	if srcCommRank != AnySource && (srcCommRank < 0 || srcCommRank >= c.n) {
 		return nil, fmt.Errorf("mpi: receive source rank %d out of range [0,%d)", srcCommRank, c.n)
 	}
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("mpi: receive tag %d must be non-negative or AnyTag", tag)
+	if (tag < 0 && tag != AnyTag) || tag > math.MaxInt32 {
+		return nil, fmt.Errorf("mpi: receive tag %d must be in [0,%d] or AnyTag", tag, math.MaxInt32)
 	}
 	return c.irecvTag(srcCommRank, tag), nil
 }
@@ -742,9 +743,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	req.id = e.ps.newReqID()
 	req.kind = recvReq
 	req.comm = c
-	req.src = src
-	req.dst = e.Rank()
-	req.tag = tag
+	req.src, req.dst, req.tag = int32(src), int32(e.Rank()), int32(tag)
 	req.postClock = e.ctx.NowQuiet()
 	e.ps.addPending(req)
 	e.w.trace(trace.Event{At: req.postClock, Kind: trace.KindRecvPost, Rank: int32(e.Rank()), Peer: int32(src), Tag: int32(tag)})
@@ -775,13 +774,15 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 // completes when the payload delivery event fires. It returns the wait the
 // request was registered with if this completed it (see completeRequest).
 func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitter) *WaitState {
-	req.src = h.src
-	req.matched = true
-	req.msgSrc = h.srcCommRank
-	req.msgTag = h.tag
+	req.src = int32(h.src)
+	req.set(reqMatched)
+	if h.srcCommRank != h.src || h.tag != int(req.tag) {
+		c := req.coldRec(ps.dp)
+		c.hdr, c.msgSrc, c.msgTag = true, int32(h.srcCommRank), int32(h.tag)
+	}
 	req.size = h.size
 	if h.rendezvous {
-		req.awaitingData = true
+		req.set(reqAwaitingData)
 		net := w.cfg.Net
 		// The clear-to-send leaves once both the envelope has arrived
 		// (em.now() when matching on arrival) and the receive is posted
@@ -794,8 +795,10 @@ func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitt
 		})
 		return nil
 	}
-	req.data = h.data
-	h.data = nil
+	if h.data != nil {
+		req.coldRec(ps.dp).data = h.data
+		h.data = nil
+	}
 	return completeRequest(ps, req, vclock.Max(req.postClock, h.dataAt), nil)
 }
 
@@ -806,20 +809,22 @@ func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitt
 // wakes the rank exactly when that is the wait the rank is parked in
 // (wakeIfWaiting).
 func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *WaitState {
-	req.done = true
+	req.set(reqDone)
+	req.clear(reqAwaitingData)
 	req.completeAt = at
-	req.err = err
-	req.awaitingData = false
+	if err != nil {
+		req.coldRec(ps.dp).err = err
+	}
 	ws := req.waiter
 	if ws != nil {
 		ws.pending--
 		req.waiter = nil
 	}
-	if req.kind == sendReq && req.data != nil {
-		if req.ownedData {
-			ps.dp.putBuf(req.data)
+	if c := req.cold; c != nil && req.kind == sendReq && c.data != nil {
+		if c.ownedData {
+			ps.dp.putBuf(c.data)
 		}
-		req.data = nil
+		c.data, c.ownedData = nil, false
 	}
 	ps.unlinkPending(req)
 	ps.removePosted(req)
@@ -883,7 +888,7 @@ func (e *Env) wait(reqs ...*Request) error {
 // paper's purely timeout-based detection — but never before the failure is
 // knowable at this process.
 func (ps *procState) armTimeout(w *World, req *Request, em emitter) {
-	if req.done || req.timeoutScheduled {
+	if req.Done() || req.has(reqTimeoutScheduled) {
 		return
 	}
 	self := ps.env.Rank()
@@ -911,7 +916,7 @@ func (ps *procState) armTimeout(w *World, req *Request, em emitter) {
 		return
 	}
 	at := vclock.Max(best, em.now())
-	req.timeoutScheduled = true
+	req.set(reqTimeoutScheduled)
 	em.emit(core.Event{
 		Time:   at,
 		Kind:   kindReqTimeout,

@@ -1,9 +1,9 @@
 package mpi
 
-// The data-plane pools. One dpPool per engine partition holds three free
-// lists of one generic type — requests, envelopes and message headers, the
-// only objects the point-to-point path has — plus a size-classed payload
-// buffer pool. A pool is only ever touched by its partition's execution
+// The data-plane pools. One dpPool per engine partition holds four free
+// lists of one generic type — requests, their cold records, envelopes and
+// message headers, the only objects the point-to-point path has — plus a
+// size-classed payload buffer pool. A pool is only ever touched by its partition's execution
 // context (the partition worker inside a handler, or the VP currently
 // running on that partition), so gets and puts need no locks, and objects
 // that travel between ranks simply migrate from the sender's pool to the
@@ -16,7 +16,20 @@ package mpi
 // queue or to box a payload buffer for the trip, and a Message only when
 // somebody reads a completed receive: a payload-free exchange whose
 // receives are posted first takes two requests per message from the pool
-// and nothing else, eager or rendezvous. Pooling per-message objects
+// and nothing else, eager or rendezvous.
+//
+// A request's cold record (reqCold) holds what only some requests use, and
+// is taken on first use and returned with the request at Free. Taking one:
+// a send or receive that carries payload bytes (Isend/Send data, a received
+// payload until it is read), a receive whose matched header differs from
+// the posted one (AnyTag, or a wildcard source on a communicator whose
+// ranks are not world ranks), a receive whose Message somebody reads
+// through Msg, and a request that completes with an error (a failed-peer
+// timeout, a cancel). Never taking one: an exact-source, payload-free
+// exchange (IsendN/Irecv, eager or rendezvous — the heat halo in modelled
+// mode), and an eager send, which is born done.
+//
+// Pooling per-message objects
 // instead did not work at scale: every rank posts at the same virtual
 // instant, the burst is hundreds of thousands of objects deep, and a free
 // list deep enough to hold it is slower to walk than the allocator is to
@@ -96,6 +109,9 @@ type dpPool struct {
 	// because handlers look requests up by id in the pending table, and a
 	// recycled request is reissued under a fresh id.
 	reqs freeList[Request]
+	// colds: the requests' cold records (reqCold), taken by a request on
+	// first use and put back by putReq with the request.
+	colds freeList[reqCold]
 	// msgs: headers only, not their Data — detach or release that
 	// separately.
 	msgs freeList[Message]
@@ -110,6 +126,16 @@ type dpPool struct {
 	// bufHighWater is its peak — the resident cost of in-flight payloads.
 	bufOut       int64
 	bufHighWater int64
+}
+
+// putReq recycles a request and its cold record. The caller must have
+// released or transferred the request's payload and message first
+// (releaseMsg).
+func (p *dpPool) putReq(r *Request) {
+	if r.cold != nil {
+		p.colds.put(r.cold)
+	}
+	p.reqs.put(r)
 }
 
 // bufClass returns the size-class index for a payload of the given size,

@@ -116,7 +116,7 @@ func (ps *procState) removeProbe(pr *probeRec) {
 func (c *Comm) Cancel(r *Request) bool {
 	e := c.env
 	e.chargeCall()
-	if r.done {
+	if r.Done() {
 		return false
 	}
 	_ = completeRequest(e.ps, r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()}) // the caller is running, not parked

@@ -152,7 +152,7 @@ func (ws *WaitState) Begin(reqs ...*Request) {
 func (e *Env) completeWait(reqs []*Request) (done bool, err error) {
 	var latest vclock.Time
 	for _, r := range reqs {
-		if !r.done {
+		if !r.Done() {
 			return false, nil
 		}
 		if r.completeAt > latest {
@@ -166,16 +166,16 @@ func (e *Env) completeWait(reqs []*Request) (done bool, err error) {
 			if r.kind == sendReq {
 				ev.Flags |= trace.FlagSendOp
 			}
-			if r.err != nil {
+			if err := r.Err(); err != nil {
 				ev.Flags |= trace.FlagError
-				ev.Detail = r.opName() + " err=" + r.err.Error()
+				ev.Detail = r.opName() + " err=" + err.Error()
 			}
 			e.w.cfg.Tracer.Record(ev)
 		}
 	}
 	for _, r := range reqs {
-		if r.err != nil {
-			return true, r.err
+		if err := r.Err(); err != nil {
+			return true, err
 		}
 	}
 	return true, nil
@@ -209,7 +209,7 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		// already-known-failed peers; requests whose peer fails later
 		// are armed by the notification handler.
 		for _, r := range ws.reqs {
-			if !r.done {
+			if !r.Done() {
 				if r.waiter != ws {
 					r.waiter = ws
 					ws.pending++

@@ -629,7 +629,7 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 		// references so the idle state does not pin the recycled requests.
 		dp := c.env.ps.dp
 		for i, req := range cs.reqs {
-			dp.reqs.put(req)
+			dp.putReq(req)
 			cs.reqs[i] = nil
 		}
 		cs.reqs = cs.reqs[:0]

@@ -51,7 +51,7 @@ func (ps *procState) checkIndexes(where string) {
 	ps.posted.each(func(k matchKey, q *reqQ) {
 		ps.checkPostedList(where, fmt.Sprintf("%+v", k), q)
 		for r := q.head; r != nil; r = r.pNext {
-			if r.comm.id != k.comm || r.src != k.src {
+			if r.comm.id != k.comm || int(r.src) != k.src {
 				ps.fail("posted-index", where, "request %d filed under %+v is a receive on comm %d from %d",
 					r.id, k, r.comm.id, r.src)
 			}
@@ -120,7 +120,7 @@ func (ps *procState) checkIndexes(where string) {
 			ps.fail("pending-index", where, "nil request pending under id %d", id)
 		case r.id != id:
 			ps.fail("pending-index", where, "request %d pending under id %d", r.id, id)
-		case !r.pending:
+		case !r.has(reqPending):
 			ps.fail("pending-index", where, "request %d is in the spill map without its pending bit", id)
 		}
 	}
@@ -129,13 +129,13 @@ func (ps *procState) checkIndexes(where string) {
 	var prev *Request
 	for r := ps.pendHead; r != nil; r = r.nNext {
 		switch {
-		case r.done:
+		case r.Done():
 			ps.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
 		case prev != nil && r.id <= lastID:
 			ps.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
 		case r.nPrev != prev:
 			ps.fail("pending-index", where, "broken nPrev link in pending list at request %d", r.id)
-		case !r.pending:
+		case !r.has(reqPending):
 			ps.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
 		case ps.findPending(r.id) != r:
 			ps.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
@@ -159,27 +159,27 @@ func (ps *procState) checkIndexes(where string) {
 // wildcard list).
 func (ps *procState) checkPostedList(where, key string, q *reqQ) {
 	wild := key == ""
-	var lastSeq uint64
+	var lastID uint64
 	var prev *Request
 	for r := q.head; r != nil; r = r.pNext {
 		switch {
-		case r.kind != recvReq || !r.posted || r.wild != wild:
+		case r.kind != recvReq || !r.has(reqPosted) || r.has(reqWild) != wild:
 			ps.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
-				r.id, key, r.kind, r.posted, r.wild)
+				r.id, key, r.kind, r.has(reqPosted), r.has(reqWild))
 		case wild && r.src != AnySource:
 			ps.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
-		case r.done:
+		case r.Done():
 			ps.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key)
 		case r.postQ != q:
 			ps.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key)
-		case !r.pending || ps.findPending(r.id) != r:
-			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.pending)
-		case prev != nil && r.postSeq <= lastSeq:
-			ps.fail("posted-index", where, "posted list %q out of post order: seq %d after %d", key, r.postSeq, lastSeq)
+		case !r.has(reqPending) || ps.findPending(r.id) != r:
+			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.has(reqPending))
+		case prev != nil && r.id <= lastID:
+			ps.fail("posted-index", where, "posted list %q out of post order: id %d after %d", key, r.id, lastID)
 		case r.pPrev != prev:
 			ps.fail("posted-index", where, "broken pPrev link in posted list %q at request %d", key, r.id)
 		}
-		lastSeq = r.postSeq
+		lastID = r.id
 		prev = r
 	}
 	if q.tail != prev {

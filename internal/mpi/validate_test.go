@@ -53,7 +53,7 @@ func TestValidateDetectsPostedIndexCorruption(t *testing.T) {
 			return
 		}
 		// Simulate a bug: the request completes but stays filed as posted.
-		r.done = true
+		r.set(reqDone)
 		if _, err := c.Irecv(AnySource, 4); err != nil { // triggers the sweep
 			t.Error(err)
 		}
@@ -80,7 +80,7 @@ func TestValidateDetectsPendingBitMismatch(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		r.pending = false                        // still linked: completion would leave it in the list
+		r.clear(reqPending)                      // still linked: completion would leave it in the list
 		if _, err := c.Irecv(1, 4); err != nil { // triggers the sweep
 			t.Error(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +350,15 @@ func TestServerDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	svc := New(Config{Workers: 2})
+	// A worker that takes the pending job below holds it until the drain
+	// has cancelled the runs, so the job cannot finish first however fast
+	// a 64-rank campaign is.
+	var taken atomic.Int32
+	svc.beforeRun = func(*job) {
+		if taken.Add(1) > 1 {
+			<-svc.runCtx.Done()
+		}
+	}
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 

@@ -467,7 +467,7 @@ func (r *Result) MetricsReport() string {
 	var sb strings.Builder
 	sb.WriteString("engine:\n")
 	sb.WriteString(stats.Table(
-		[]string{"events", "resumes", "eventq-stores", "eventq-grows", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
+		[]string{"events", "resumes", "eventq-stores", "eventq-chunks", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
 		[][]string{{
 			fmt.Sprint(r.Engine.EventsDispatched),
 			fmt.Sprint(r.Engine.Resumes),
