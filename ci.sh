@@ -42,6 +42,10 @@
 #                     a six-neighbour exchange at one virtual instant: a
 #                     message matched on arrival is a queue slot and two
 #                     pooled requests, never five heap objects again)
+#   8f. closure carrier stack gate (16,384 closure-mode ranks exchanging
+#                     halos on the paper's torus: every rank's goroutine
+#                     stack must stay at 4 KiB, which a frame added on the
+#                     send path to the event queue would double)
 #   9. campaign-service smoke (a -race build of xsim-server serves one
 #                     campaign per kind, each result bit-for-bit the
 #                     CLI's `xsim-run -campaign` output, and for table2
@@ -162,6 +166,16 @@ echo "== BenchmarkHaloBurst mallocs-per-message gate"
 # and the run reads 0.23. 2.5 fails the build if any one of the three
 # objects comes back per message.
 bench_gate ./internal/mpi/ '^BenchmarkHaloBurst$' mallocs/msg 2.5 1 1x
+
+echo "== closure carrier stack gate (halo-16k-closure shape)"
+# A closure-mode rank's goroutine stack is sized by the deepest call the
+# rank makes, and the send path (Isend -> Ctx.Emit -> route -> the event
+# queue's push) runs a few hundred bytes short of where the runtime
+# doubles a 4 KiB stack. Crossing it moves every carrier of
+# halo-16k-closure to 8 KiB (StackInuse 65 -> 128 MiB, peak RSS 161 ->
+# 225 MiB) and no other gate sees it. The row reads ~4,100 stack-bytes/vp
+# and a doubled stack 8,192; the gate is 4 KiB + 10 %.
+bench_gate ./internal/heat/ '^BenchmarkHaloStackPerVP/closure/ranks=16384$' stack-bytes/vp 4505 1
 
 echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
 smoke_dir=$(mktemp -d)

@@ -47,22 +47,66 @@ func registerPingBench(eng *Engine) {
 	})
 }
 
-// BenchmarkEventHeap measures the event queue under a churning load.
+// BenchmarkEventHeap measures the event queue in three shapes. churn is
+// random keys 512 deep, a queue that stays on the straggler heap; an op is
+// a push and, once full, a pop. burst is the all-ranks halo burst: six
+// interleaved ascending streams (one per halo direction) pushed 196,608
+// deep, then drained; an op is the whole burst, and ns/event its cost per
+// event. timers is a ring of 4,096 equal-time timers, each popped and
+// pushed again one tick later, the shape of many VPs parked in
+// SleepPark; an op is one pop and one push.
 func BenchmarkEventHeap(b *testing.B) {
-	var h eventHeap
-	evs := make([]Event, 1024)
-	for i := range evs {
-		evs[i] = Event{Time: vclock.Time(i * 7919 % 1024), Src: i % 16, Seq: uint64(i)}
-	}
 	var out Event
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.push(&evs[i%1024])
-		if h.len() > 512 {
-			h.popInto(&out)
+	b.Run("churn", func(b *testing.B) {
+		var h eventHeap
+		evs := make([]Event, 1024)
+		for i := range evs {
+			evs[i] = Event{Time: vclock.Time(i * 7919 % 1024), Src: i % 16, Seq: uint64(i)}
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.push(&evs[i%1024])
+			if h.len() > 512 {
+				h.popInto(&out)
+			}
+		}
+	})
+	b.Run("burst", func(b *testing.B) {
+		const depth, streams = 196608, 6
+		var h eventHeap
+		evs := make([]Event, depth)
+		for i := range evs {
+			s := i % streams
+			evs[i] = Event{Time: vclock.Time(i/streams*10 + s*7%10), Src: s, Seq: uint64(i)}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range evs {
+				h.push(&evs[j])
+			}
+			for h.len() > 0 {
+				h.popInto(&out)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/event")
+	})
+	b.Run("timers", func(b *testing.B) {
+		const ring = 4096
+		var h eventHeap
+		for i := 0; i < ring; i++ {
+			h.push(&Event{Time: 1, Src: i, Seq: uint64(i)})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.popInto(&out)
+			out.Time++
+			out.Seq += ring
+			h.push(&out)
+		}
+	})
 }
 
 // BenchmarkReadyHeap measures the ready queue the same way; entries are

@@ -395,8 +395,14 @@ func (e *Engine) run() (*Result, error) {
 }
 
 // route delivers a copy of an event emitted at senderClock by from's current
-// VP or handler to the partition owning its target.
+// VP or handler to the partition owning its target. A local target is
+// answered from from's own rank range: reading the target's VP for its
+// partition would be a cache miss per event at scale.
 func (e *Engine) route(from *partition, senderClock vclock.Time, ev *Event) {
+	if from.owns(ev.Target) {
+		from.eventQ.push(ev)
+		return
+	}
 	if ev.Target < 0 || ev.Target >= len(e.vps) {
 		panic(fmt.Sprintf("core: event target %d out of range", ev.Target))
 	}

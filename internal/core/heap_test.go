@@ -1,141 +1,421 @@
 package core
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"xsim/internal/vclock"
 )
 
-// TestEventHeapOrder checks every pop against a sorted reference, in two
-// phases: random pushes and pops interleaved in a shallow queue, then a
-// burst three chunks deep drained and refilled with pushes and pops
-// interleaved around every chunk boundary on the way down. Times and
+// refQueue drives an event queue and a reference priority queue side by
+// side: every pop must return the reference's earliest event under the
+// (Time, Src, Seq) key, and after every operation the queue's structure
+// must hold (queueFault).
+type refQueue struct {
+	t   *testing.T
+	h   eventHeap
+	ref refHeap
+	seq uint64
+}
+
+// refHeap is the reference: container/heap over the key, nothing shared
+// with the queue under test.
+type refHeap []Event
+
+func (r refHeap) Len() int           { return len(r) }
+func (r refHeap) Less(i, j int) bool { return r[i].before(&r[j]) }
+func (r refHeap) Swap(i, j int)      { r[i], r[j] = r[j], r[i] }
+func (r *refHeap) Push(x any)        { *r = append(*r, x.(Event)) }
+func (r *refHeap) Pop() any {
+	old := *r
+	ev := old[len(old)-1]
+	*r = old[:len(old)-1]
+	return ev
+}
+
+// push stores ev under the next sequence number.
+func (q *refQueue) push(ev Event) {
+	q.t.Helper()
+	q.seq++
+	ev.Seq = q.seq
+	if ev.Payload == nil {
+		ev.Payload = q.seq
+	}
+	q.h.push(&ev)
+	heap.Push(&q.ref, ev)
+	q.check()
+}
+
+// pop removes the earliest event and checks it against the reference.
+func (q *refQueue) pop() Event {
+	q.t.Helper()
+	var got Event
+	q.h.popInto(&got)
+	want := heap.Pop(&q.ref).(Event)
+	if got != want {
+		q.t.Fatalf("popped %+v, want %+v (%d left)", got, want, q.ref.Len())
+	}
+	q.check()
+	return got
+}
+
+func (q *refQueue) drain() {
+	q.t.Helper()
+	for q.ref.Len() > 0 {
+		q.pop()
+	}
+}
+
+func (q *refQueue) check() {
+	q.t.Helper()
+	if q.h.len() != q.ref.Len() {
+		q.t.Fatalf("len %d, reference holds %d", q.h.len(), q.ref.Len())
+	}
+	if q.ref.Len() > 0 && *q.h.peek() != q.ref[0] {
+		q.t.Fatalf("peek reads %+v, want %+v", *q.h.peek(), q.ref[0])
+	}
+	if fault := queueFault(&q.h); fault != "" {
+		q.t.Fatalf("len %d, %d runs open: %s", q.h.len(), q.h.open, fault)
+	}
+}
+
+// queueFault returns what is wrong with h's structure, or "": open runs
+// are non-empty, hold exactly the chunks their slots span, cache their
+// tail's key and are ordered latest tail first; closed runs hold no chunk;
+// the heap keeps at most one spare; the tiers add up to the length.
+func queueFault(h *eventHeap) string {
+	if spare := spareChunks(h); spare > 1 {
+		return fmt.Sprintf("%d spare chunks, want at most one", spare)
+	}
+	n := h.heap.n
+	for i := range h.runs {
+		r := &h.runs[i]
+		if i >= h.open {
+			if len(r.chunks) != 0 {
+				return fmt.Sprintf("closed run %d holds %d chunks", i, len(r.chunks))
+			}
+			continue
+		}
+		if r.head < 0 || r.head >= chunkEvents || r.head >= r.tail {
+			return fmt.Sprintf("open run %d spans slots %d..%d", i, r.head, r.tail)
+		}
+		tail := slot(r.chunks, r.tail-1)
+		if (eventKey{tail.Time, tail.Src, tail.Seq}) != r.last {
+			return fmt.Sprintf("run %d caches tail key %+v, its tail is %s", i, r.last, eventDesc(tail))
+		}
+		if i > 0 && !tail.beforeKey(&h.runs[i-1].last) {
+			return fmt.Sprintf("run %d's tail %s is not before run %d's %+v", i, eventDesc(tail), i-1, h.runs[i-1].last)
+		}
+		n += r.tail - r.head
+	}
+	if n != h.n {
+		return fmt.Sprintf("tiers hold %d events, length says %d", n, h.n)
+	}
+	return ""
+}
+
+// spareChunks is the number of chunks h holds past the ones its events
+// occupy: the straggler heap's past its last used one (all of them when
+// it is empty), and any a run holds past its tail.
+func spareChunks(h *eventHeap) int {
+	spare := len(h.heap.chunks)
+	if h.heap.n > 0 {
+		spare -= (h.heap.n + heapRoot + chunkMask) >> chunkShift
+	}
+	for i := range h.runs[:h.open] {
+		r := &h.runs[i]
+		spare += len(r.chunks) - ((r.tail-1)>>chunkShift + 1)
+	}
+	return spare
+}
+
+// chunksHeld lists every chunk h holds, in either tier.
+func chunksHeld(h *eventHeap) []*eventChunk {
+	held := append([]*eventChunk(nil), h.heap.chunks...)
+	for i := range h.runs {
+		held = append(held, h.runs[i].chunks...)
+	}
+	return held
+}
+
+// TestEventHeapOrder checks every pop against a reference priority queue
+// in the shapes the queue sees: shallow random churn, a random burst
+// drained with pushes and pops interleaved at every chunk boundary,
+// interleaved ascending streams (1, 6 and 16 fit the runs, 21 force the
+// straggler tier) drained and refilled across the run thresholds, handler
+// emissions whose Src falls as the rank rises, same-time pushes into the
+// head while it drains, and pushes below every run's tail. Times and
 // sources are drawn from small ranges so that equal Time and equal (Time,
 // Src) keys, which only Src and Seq separate, occur all the time.
 func TestEventHeapOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var h eventHeap
-	var ref []Event // kept sorted by the ordering key
-	var seq uint64
-	check := func() {
+	newQ := func(t *testing.T) *refQueue { return &refQueue{t: t} }
+	// drained checks what an emptied queue keeps: the straggler heap's
+	// one spare chunk, no run, and counters that account for every push.
+	drained := func(t *testing.T, q *refQueue) {
 		t.Helper()
-		if h.len() != len(ref) {
-			t.Fatalf("len %d, reference holds %d", h.len(), len(ref))
+		h := &q.h
+		if h.len() != 0 || h.open != 0 || len(chunksHeld(h)) > 1 {
+			t.Fatalf("drained queue has len %d, %d open runs and %d chunks, want 0, 0 and at most one spare", h.len(), h.open, len(chunksHeld(h)))
 		}
-		if spare := spareChunks(&h); spare > 1 {
-			t.Fatalf("%d spare chunks at len %d, want at most one", spare, h.len())
+		if h.pushes != q.seq || h.appends+h.opens > h.pushes {
+			t.Fatalf("counted %d pushes (%d appends, %d to the heap); pushed %d", h.pushes, h.appends, h.heapPushes(), q.seq)
 		}
-	}
-	pop := func() {
-		t.Helper()
-		var got Event
-		h.popInto(&got)
-		want := ref[0]
-		ref = ref[1:]
-		if got != want {
-			t.Fatalf("popped %+v, want %+v (%d left)", got, want, len(ref))
-		}
-		check()
-	}
-	push := func(step int) {
-		t.Helper()
-		seq++
-		ev := Event{
-			Time:    vclock.Time(rng.Intn(20)),
-			Src:     rng.Intn(3) - 2,
-			Seq:     seq,
-			Kind:    Kind(rng.Intn(9)),
-			Target:  rng.Intn(64),
-			Payload: step,
-			Words:   [EventWords]uint64{rng.Uint64(), rng.Uint64()},
-		}
-		h.push(&ev)
-		i := sort.Search(len(ref), func(i int) bool { return ev.before(&ref[i]) })
-		ref = append(ref, Event{})
-		copy(ref[i+1:], ref[i:])
-		ref[i] = ev
-		check()
-	}
-	for step := 0; step < 6000; step++ {
-		if len(ref) > 0 && rng.Intn(5) < 2 {
-			pop()
-		} else {
-			push(step)
+		// Chunks given back on the way down are reused from freeChunks,
+		// which other tests share, so only a bound on allocations holds:
+		// the most chunks the queue can have held at once.
+		if bound := uint64(h.hi/chunkEvents + 2*maxRuns + 2); h.allocs > bound && !raceDetector {
+			t.Fatalf("%d chunk allocations for a queue %d deep, want at most %d", h.allocs, h.hi, bound)
 		}
 	}
-	for len(ref) > 0 {
-		pop()
-	}
-	for step := 0; step < 3*chunkEvents+17; step++ {
-		push(step)
-	}
-	if len(h.chunks) != 4 {
-		t.Fatalf("a burst of %d events holds %d chunks, want 4", h.len(), len(h.chunks))
-	}
-	// Drain, and at each chunk boundary on the way wobble across it.
-	for len(ref) > 0 {
-		if h.len()&chunkMask == 0 {
-			for i := 0; i < 40; i++ {
-				if rng.Intn(2) == 0 {
-					push(i)
-				} else if len(ref) > 0 {
-					pop()
-				}
+
+	t.Run("random", func(t *testing.T) {
+		q, rng := newQ(t), rand.New(rand.NewSource(42))
+		push := func(step int) {
+			q.push(Event{
+				Time:    vclock.Time(rng.Intn(20)),
+				Src:     rng.Intn(3) - 2,
+				Kind:    Kind(rng.Intn(9)),
+				Target:  rng.Intn(64),
+				Payload: step,
+				Words:   [EventWords]uint64{rng.Uint64(), rng.Uint64()},
+			})
+		}
+		for step := 0; step < 6000; step++ {
+			if q.h.len() > 0 && rng.Intn(5) < 2 {
+				q.pop()
+			} else {
+				push(step)
 			}
 		}
-		pop()
+		q.drain()
+		for step := 0; step < 3*chunkEvents+17; step++ {
+			push(step)
+		}
+		if q.h.open == 0 || q.h.heap.n <= runDepth {
+			t.Fatalf("a random burst of %d left %d runs open and %d events in the heap, want both tiers in use", q.h.len(), q.h.open, q.h.heap.n)
+		}
+		// Drain, and at each chunk boundary on the way wobble across it.
+		for q.h.len() > 0 {
+			if q.h.len()&chunkMask == 0 || q.h.heap.n > 0 && q.h.heap.n&chunkMask == 0 {
+				for i := 0; i < 40; i++ {
+					if rng.Intn(2) == 0 {
+						push(i)
+					} else if q.h.len() > 0 {
+						q.pop()
+					}
+				}
+			}
+			if q.h.len() > 0 {
+				q.pop()
+			}
+		}
+		drained(t, q)
+	})
+
+	for _, k := range []int{1, 6, 16, 21} {
+		t.Run(fmt.Sprintf("streams=%d", k), func(t *testing.T) {
+			q, rng := newQ(t), rand.New(rand.NewSource(int64(k)))
+			next := make([]vclock.Time, k)
+			for s := range next {
+				next[s] = vclock.Time(rng.Intn(50))
+			}
+			emit := func() {
+				s := rng.Intn(k)
+				q.push(Event{Time: next[s], Src: s % 3, Target: s})
+				next[s] += vclock.Time(rng.Intn(8))
+			}
+			// Past this depth every stream may have a run of its own.
+			full := (min(k, maxRuns) + 1) * runDepth
+			for q.h.len() < full {
+				emit()
+				if q.h.open*runDepth >= q.h.len() {
+					t.Fatalf("%d runs open at depth %d: each run needs %d events behind it", q.h.open, q.h.len(), runDepth)
+				}
+			}
+			pushes, appends, heaped := q.h.pushes, q.h.appends, q.h.heapPushes()
+			for i := 0; i < 2*chunkEvents; i++ {
+				emit()
+			}
+			late := q.h.pushes - pushes
+			switch {
+			case k <= maxRuns && q.h.appends-appends < late*9/10:
+				t.Fatalf("%d streams: %d of the %d pushes past depth %d appended to a run, want 90 %%", k, q.h.appends-appends, late, full)
+			case k > maxRuns && q.h.heapPushes() == heaped:
+				t.Fatalf("%d streams: none of the %d pushes past depth %d reached the straggler heap", k, late, full)
+			}
+			// Drain below the first run's threshold and refill past the
+			// last one's, pushing while draining and popping while
+			// refilling, so runs open, grow, give back their head chunks
+			// and close along the way.
+			for round := 0; round < 3; round++ {
+				for q.h.len() > runDepth/2 {
+					q.pop()
+					if rng.Intn(3) == 0 {
+						emit()
+					}
+				}
+				for q.h.len() < full+chunkEvents/2 {
+					emit()
+					if rng.Intn(3) == 0 {
+						q.pop()
+					}
+				}
+			}
+			q.drain()
+			drained(t, q)
+		})
 	}
-	if h.len() != 0 || len(h.chunks) != 1 {
-		t.Fatalf("drained heap has len %d and %d chunks, want 0 and one spare", h.len(), len(h.chunks))
+
+	t.Run("handler-sources", func(t *testing.T) {
+		// A handler emits on behalf of rank r with Src -2-r, so ranks
+		// swept upwards at one instant push descending keys: each below
+		// every tail, opening runs until they run out and then straggling.
+		q, rng := newQ(t), rand.New(rand.NewSource(3))
+		for round := 0; round < 6; round++ {
+			at := vclock.Time(100 * round)
+			for r := 0; r < 700; r++ {
+				q.push(Event{Time: at + vclock.Time(rng.Intn(3)), Src: handlerSrc(r), Target: r})
+			}
+			for i := 0; i < 300; i++ {
+				q.pop()
+			}
+		}
+		if q.h.heapPushes() == 0 || q.h.hi <= runDepth {
+			t.Fatalf("descending sources reached the heap %d times at depth %d", q.h.heapPushes(), q.h.hi)
+		}
+		q.drain()
+		drained(t, q)
+	})
+
+	t.Run("same-time-head", func(t *testing.T) {
+		// While the queue drains, the dispatched event's handler emits at
+		// the dispatched time, with sources on both sides of its own.
+		q, rng := newQ(t), rand.New(rand.NewSource(5))
+		for i := 0; i < 3*chunkEvents; i++ {
+			s := i % 3
+			q.push(Event{Time: vclock.Time(i / 3), Src: s})
+		}
+		for q.h.len() > 0 {
+			ev := q.pop()
+			if ev.Time < 2*chunkEvents/3 && rng.Intn(2) == 0 {
+				q.push(Event{Time: ev.Time, Src: ev.Src + rng.Intn(5) - 2})
+			}
+		}
+		drained(t, q)
+	})
+
+	t.Run("below-every-tail", func(t *testing.T) {
+		// Events earlier than everything queued: the first opens a run,
+		// later ones once the runs are used up go to the heap; each is
+		// the next pop.
+		q := newQ(t)
+		for i := 0; i < (maxRuns+1)*runDepth; i++ {
+			q.push(Event{Time: vclock.Time(1000 + i/6), Src: i % 6})
+		}
+		for i := 0; i < 2*maxRuns; i++ {
+			q.push(Event{Time: vclock.Time(999 - i), Src: 7})
+			if p := q.h.peek(); p.Time != vclock.Time(999-i) {
+				t.Fatalf("peek reads %s after a push at time %d below every tail", eventDesc(p), 999-i)
+			}
+		}
+		if q.h.open != maxRuns || q.h.heapPushes() <= runDepth {
+			t.Fatalf("%d runs open, %d pushes to the heap: want every run used and the rest straggling", q.h.open, q.h.heapPushes())
+		}
+		q.drain()
+		drained(t, q)
+	})
+}
+
+// TestEventHeapSteadyStateAllocatesNothing cycles a queue deep enough for
+// runs in the engine's two shapes — a burst of interleaved ascending
+// streams filled and drained, and a timer ring held at constant depth —
+// and requires that, once the queue has taken its chunks, a cycle
+// allocates nothing: chunks go to freeChunks and come back, and a run
+// that closes keeps its chunk slice for the next to open.
+func TestEventHeapSteadyStateAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops chunks at random under the race detector")
 	}
-	// Chunks dropped on the way down are reused from freeChunks, which
-	// other tests share, so only a bound on allocations holds.
-	if h.pushes != seq || h.allocs > 16 {
-		t.Fatalf("counted %d pushes, %d of them allocating a chunk; pushed %d", h.pushes, h.allocs, seq)
+	var h eventHeap
+	var ev Event
+	var seq uint64
+	burst := func() {
+		for i := 0; i < 3*chunkEvents; i++ {
+			seq++
+			h.push(&Event{Time: vclock.Time(i/6*10 + i%6*7%10), Src: i % 6, Seq: seq})
+		}
+		for h.len() > 0 {
+			h.popInto(&ev)
+		}
+	}
+	if a := testing.AllocsPerRun(20, burst); a != 0 {
+		t.Errorf("burst fill and drain: %.0f allocations per cycle, want 0", a)
+	}
+	for i := 0; i < 4096; i++ {
+		seq++
+		h.push(&Event{Time: 1, Src: i, Seq: seq})
+	}
+	ring := func() {
+		for i := 0; i < 4096; i++ {
+			h.popInto(&ev)
+			seq++
+			ev.Time, ev.Seq = ev.Time+1, seq
+			h.push(&ev)
+		}
+	}
+	if a := testing.AllocsPerRun(20, ring); a != 0 {
+		t.Errorf("timer ring: %.0f allocations per 4,096 timers, want 0", a)
 	}
 }
 
-// spareChunks is the number of chunks h holds past the last one in use
-// (all of them, for an empty queue).
-func spareChunks(h *eventHeap) int {
-	if h.len() == 0 {
-		return len(h.chunks)
-	}
-	return len(h.chunks) - (h.len()+heapRoot+chunkMask)>>chunkShift
-}
-
-// TestEventHeapPopClearsSlots checks that no slot outside the heap still
-// holds a popped event, nor any slot of a chunk the queue gives back: a
-// chunk outlives the events, so a stale slot would pin a payload object
-// for as long as the queue stays shallow, or be reused as a live event.
+// TestEventHeapPopClearsSlots checks that no slot outside the queued
+// events still holds a popped event, in either tier, nor any slot of a
+// chunk the queue gives back: a chunk outlives the events, so a stale
+// slot would pin a payload object for as long as the queue holds the
+// chunk, or be reused as a live event.
 func TestEventHeapPopClearsSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h eventHeap
-	for i := 0; i < chunkEvents+100; i++ {
-		h.push(&Event{Time: vclock.Time(rng.Intn(40)), Seq: uint64(i), Payload: i})
+	for i := 0; i < 3*chunkEvents; i++ {
+		h.push(&Event{Time: vclock.Time(i/8 + rng.Intn(40)), Seq: uint64(i), Payload: i})
 	}
 	var ev Event
-	for i := 0; i < 160; i++ {
+	for i := 0; i < chunkEvents+160; i++ {
 		h.popInto(&ev)
 	}
-	for i := 0; i < len(h.chunks)*chunkEvents; i++ {
-		if i >= heapRoot && i < heapRoot+h.len() {
+	if h.open == 0 || h.heap.n == 0 {
+		t.Fatalf("%d runs open and %d events in the heap, want both tiers in use", h.open, h.heap.n)
+	}
+	for i := 0; i < len(h.heap.chunks)*chunkEvents; i++ {
+		if i >= heapRoot && i < heapRoot+h.heap.n {
 			continue
 		}
-		if s := slot(h.chunks, i); *s != (Event{}) {
-			t.Fatalf("slot %d (len=%d, %d chunks) retains %+v after pop", i, h.len(), len(h.chunks), *s)
+		if s := slot(h.heap.chunks, i); *s != (Event{}) {
+			t.Fatalf("heap slot %d (%d queued, %d chunks) retains %+v after pop", i, h.heap.n, len(h.heap.chunks), *s)
 		}
 	}
-	// Drained, the queue has handed its second chunk to freeChunks, which
-	// reuses chunks without clearing them: every slot must be zero.
-	held := append([]*eventChunk(nil), h.chunks...)
+	for ri := range h.runs[:h.open] {
+		r := &h.runs[ri]
+		for i := 0; i < len(r.chunks)*chunkEvents; i++ {
+			if i >= r.head && i < r.tail {
+				continue
+			}
+			if s := slot(r.chunks, i); *s != (Event{}) {
+				t.Fatalf("run %d slot %d (slots %d..%d queued) retains %+v after pop", ri, i, r.head, r.tail, *s)
+			}
+		}
+	}
+	// Drained, the queue has given every chunk but the heap's spare to
+	// freeChunks, which reuses chunks without clearing them: every slot
+	// must be zero.
+	held := chunksHeld(&h)
 	for h.len() > 0 {
 		h.popInto(&ev)
 	}
-	if len(h.chunks) != 1 {
-		t.Fatalf("drained queue holds %d chunks, want one", len(h.chunks))
+	if n := len(chunksHeld(&h)); n != 1 {
+		t.Fatalf("drained queue holds %d chunks, want the heap's one spare", n)
 	}
 	for ci, c := range held {
 		for i := range c {
@@ -162,11 +442,11 @@ func TestHandlerEmitsWhileItsEventIsDispatched(t *testing.T) {
 		}
 		leaves := 0
 		eng.RegisterHandler(kindFan, func(s *SchedCtx, ev *Event) {
-			before := len(eng.parts[0].eventQ.chunks)
+			before := len(chunksHeld(&eng.parts[0].eventQ))
 			for i := 0; i < fan; i++ {
 				s.EmitFor(0, Event{Time: ev.Time.Add(vclock.Duration(fan - i)), Kind: kindLeaf, Target: 0, Payload: i})
 			}
-			if after := len(eng.parts[0].eventQ.chunks); after <= before+1 {
+			if after := len(chunksHeld(&eng.parts[0].eventQ)); after <= before+1 {
 				t.Errorf("workers=%d: queue did not grow across a chunk boundary under the handler (%d -> %d chunks)", workers, before, after)
 			}
 			if *ev != want {
@@ -236,6 +516,20 @@ func checkDrained(t *testing.T, c *Ctx) {
 	}
 }
 
+// holdsStorage reports whether h still holds any storage: a chunk, a
+// chunk slice of either tier, or a pointer to an event.
+func holdsStorage(h *eventHeap) bool {
+	if h.heap.chunks != nil || h.first != nil {
+		return true
+	}
+	for i := range h.runs {
+		if h.runs[i].chunks != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRunReleasesQueueStorage checks that a running engine whose queue
 // drained after a burst keeps at most one spare chunk, and that a finished
 // engine holds none of its queues' storage, in either execution mode,
@@ -258,9 +552,9 @@ func TestRunReleasesQueueStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range eng.parts {
-			if p.eventQ.chunks != nil || p.ready.a != nil || p.cur != (Event{}) {
+			if holdsStorage(&p.eventQ) || p.ready.a != nil || p.cur != (Event{}) {
 				t.Errorf("prog=%v partition %d: queue storage survives the run (%d event chunks, ready cap %d, cur %+v)",
-					prog, p.id, len(p.eventQ.chunks), cap(p.ready.a), p.cur)
+					prog, p.id, len(chunksHeld(&p.eventQ)), cap(p.ready.a), p.cur)
 			}
 			for q := range p.crossOut {
 				if p.crossOut[q] != nil || p.inbox[q] != nil {
@@ -268,7 +562,9 @@ func TestRunReleasesQueueStorage(t *testing.T) {
 				}
 			}
 		}
-		if m := eng.Metrics(); m.EventHeapHighWater == 0 || m.PoolHits+m.PoolMisses < 9*burstEvents || m.CrossEvents == 0 {
+		// The burst is each rank's ascending stream, so past the first
+		// chunk its pushes append to runs.
+		if m := eng.Metrics(); m.EventHeapHighWater == 0 || m.PoolHits+m.PoolMisses < 9*burstEvents || m.CrossEvents == 0 || m.EventRunAppends == 0 {
 			t.Errorf("prog=%v: metrics lost with the storage: %+v", prog, m)
 		}
 	}

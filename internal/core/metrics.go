@@ -13,18 +13,28 @@ type MetricsSnapshot struct {
 	EventsDispatched uint64
 	Resumes          uint64
 	// PoolHits and PoolMisses count events stored in a partition's event
-	// queue into a chunk it already held vs into a freshly allocated chunk
-	// (events are values in the queue's chunks; the names are the ones the
-	// benchmark harness reads). A miss is one chunk allocation: one per
-	// chunk on the way up to the run's largest burst, and again after the
-	// queue has drained and dropped its chunks past the one spare.
+	// queue into a chunk it already held or took back from the free
+	// chunks vs into a freshly allocated chunk (events are values in the
+	// queue's chunks; the names are the ones the benchmark harness reads),
+	// so their sum is every push. A miss is one chunk allocation, in either
+	// tier of the queue: a run's tail or the straggler heap reached a new
+	// chunk and no chunk given back earlier was free.
 	PoolHits   uint64
 	PoolMisses uint64
+	// EventRunAppends and EventHeapPushes split those pushes by where they
+	// went: appended to an open sorted run, or into the straggler heap
+	// (the rest opened a run). EventRunAppends over all pushes is how well
+	// the traffic fits the runs; a queue that never got deeper than one
+	// chunk opens none and sends every push to the heap.
+	EventRunAppends uint64
+	EventHeapPushes uint64
 	// CrossEvents counts events routed between partitions (always 0 with
 	// Workers = 1).
 	CrossEvents uint64
 	// EventHeapHighWater and ReadyHeapHighWater are the deepest any
-	// partition's queues got — the working-set measure for the heaps.
+	// partition's queues got — the working-set measure for the queues;
+	// EventHeapHighWater counts the events of both tiers of the event
+	// queue, runs and straggler heap together.
 	// ReadyHeapHighWater doubles as the peak-runnable-VPs gauge: every
 	// runnable (woken or not-yet-started) VP sits in a ready heap.
 	EventHeapHighWater int
@@ -63,6 +73,8 @@ func (m *MetricsSnapshot) Add(other MetricsSnapshot) {
 	m.Resumes += other.Resumes
 	m.PoolHits += other.PoolHits
 	m.PoolMisses += other.PoolMisses
+	m.EventRunAppends += other.EventRunAppends
+	m.EventHeapPushes += other.EventHeapPushes
 	m.CrossEvents += other.CrossEvents
 	if other.EventHeapHighWater > m.EventHeapHighWater {
 		m.EventHeapHighWater = other.EventHeapHighWater
@@ -84,6 +96,16 @@ func (m *MetricsSnapshot) Add(other MetricsSnapshot) {
 	m.WindowWidthSum += other.WindowWidthSum
 }
 
+// EventRunShare returns the share of event-queue pushes that appended to
+// a sorted run, or 0 when nothing was pushed.
+func (m MetricsSnapshot) EventRunShare() float64 {
+	pushes := m.PoolHits + m.PoolMisses
+	if pushes == 0 {
+		return 0
+	}
+	return float64(m.EventRunAppends) / float64(pushes)
+}
+
 // AvgWindowWidth returns the mean safe-window width per partition round,
 // or 0 for sequential runs.
 func (m MetricsSnapshot) AvgWindowWidth() vclock.Duration {
@@ -102,6 +124,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		m.Resumes += p.resumes
 		m.PoolHits += p.eventQ.pushes - p.eventQ.allocs
 		m.PoolMisses += p.eventQ.allocs
+		m.EventRunAppends += p.eventQ.appends
+		m.EventHeapPushes += p.eventQ.heapPushes()
 		m.CrossEvents += p.crossEvents
 		if p.eventQ.hi > m.EventHeapHighWater {
 			m.EventHeapHighWater = p.eventQ.hi

@@ -57,6 +57,11 @@ func TestMetricsSequential(t *testing.T) {
 	if m.EventHeapHighWater == 0 || m.ReadyHeapHighWater == 0 {
 		t.Fatalf("heap high-water not tracked: %+v", m)
 	}
+	// A queue never deeper than one chunk opens no run: every push went
+	// to the heap.
+	if m.EventRunAppends != 0 || m.EventHeapPushes != m.PoolHits+m.PoolMisses || m.EventRunShare() != 0 {
+		t.Fatalf("a shallow queue used its runs: %+v", m)
+	}
 }
 
 func TestMetricsParallel(t *testing.T) {

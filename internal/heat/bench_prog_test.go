@@ -3,12 +3,14 @@ package heat
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"xsim/internal/core"
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
 	"xsim/internal/netmodel"
+	"xsim/internal/procmodel"
 	"xsim/internal/topology"
 	"xsim/internal/vclock"
 )
@@ -166,4 +168,65 @@ func BenchmarkHeatCkptBytesPerVP(b *testing.B) {
 			})
 		})
 	}
+}
+
+// runOutOfLine is Run called through a variable, so that Run keeps the
+// frame it has when the workload calls it from another package
+// (xsim.RunHeat), where it is not inlined; inlined, it would make every
+// carrier 184 bytes shallower than the workload's.
+var runOutOfLine = Run
+
+// BenchmarkHaloStackPerVP measures the goroutine stack a closure-mode rank
+// holds mid-run, in the shape of the xsim-bench halo-16k-closure workload:
+// the paper's workload on its torus network at 16,384 ranks (32×32×16),
+// exchanging halos every iteration. A rank's carrier stack is sized by the
+// deepest call the rank ever makes, and the send path (Isend → Ctx.Emit →
+// route → the event queue's push) runs a few hundred bytes above the
+// point where the runtime doubles a 4 KiB stack — for every rank at once,
+// +64 MiB at this scale. ci.sh gates stack-bytes/vp: the StackInuse growth
+// over the rank count, read at rank 0's third compute phase, when every
+// rank has sent. No collection runs until the read, forced or not: one
+// shrinks the stacks of ranks parked shallow, so a reading after it would
+// depend on when it ran.
+func BenchmarkHaloStackPerVP(b *testing.B) {
+	const px, py, pz = 32, 32, 16
+	const n = px * py * pz
+	b.Run(fmt.Sprintf("closure/ranks=%d", n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var before, mid runtime.MemStats
+			cfg := PaperWorkload()
+			cfg.PX, cfg.PY, cfg.PZ = px, py, pz
+			cfg.NX, cfg.NY, cfg.NZ = 16*px, 16*py, 16*pz
+			cfg.Iterations, cfg.ExchangeInterval, cfg.CheckpointInterval = 4, 1, 4
+			cfg.onPhase = func(rank, iter int) {
+				if rank == 0 && iter == 3 {
+					runtime.ReadMemStats(&mid)
+				}
+			}
+			settle(&before)
+			gc := debug.SetGCPercent(-1)
+			eng, err := core.New(core.Config{NumVPs: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			net := netmodel.Paper()
+			net.Topo = topology.NewTorus3D(px, py, pz)
+			w, err := mpi.NewWorld(eng, mpi.WorldConfig{
+				Net: net, Proc: procmodel.Paper(), FSStore: fsmodel.NewStore(),
+				CallOverhead: 2900 * vclock.Microsecond,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = w.Run(func(e *mpi.Env) { runOutOfLine(e, cfg) })
+			debug.SetGCPercent(gc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if mid.StackInuse == 0 {
+				b.Fatal("rank 0 never reached its third compute phase")
+			}
+			b.ReportMetric(float64(mid.StackInuse-before.StackInuse)/n, "stack-bytes/vp")
+		}
+	})
 }

@@ -467,12 +467,13 @@ func (r *Result) MetricsReport() string {
 	var sb strings.Builder
 	sb.WriteString("engine:\n")
 	sb.WriteString(stats.Table(
-		[]string{"events", "resumes", "eventq-stores", "eventq-chunks", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
+		[]string{"events", "resumes", "eventq-stores", "eventq-chunks", "eventq-run-share", "cross-events", "eventq-hi", "ready-hi", "rounds", "avg-window"},
 		[][]string{{
 			fmt.Sprint(r.Engine.EventsDispatched),
 			fmt.Sprint(r.Engine.Resumes),
 			fmt.Sprint(r.Engine.PoolHits + r.Engine.PoolMisses),
 			fmt.Sprint(r.Engine.PoolMisses),
+			fmt.Sprintf("%.3f", r.Engine.EventRunShare()),
 			fmt.Sprint(r.Engine.CrossEvents),
 			fmt.Sprint(r.Engine.EventHeapHighWater),
 			fmt.Sprint(r.Engine.ReadyHeapHighWater),

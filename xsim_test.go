@@ -107,7 +107,7 @@ func TestMetricsReportListsVPLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.MetricsReport()
-	for _, want := range []string{"vp lifecycle:", "carriers-spawned", "carrier-reuses", "carriers-live", "program-steps"} {
+	for _, want := range []string{"vp lifecycle:", "carriers-spawned", "carrier-reuses", "carriers-live", "program-steps", "eventq-run-share"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
