@@ -66,7 +66,7 @@ func (s *CampaignSet) MeanE2() Duration {
 // within one simulation window and returns the finished results.
 func RunCampaigns(ctx context.Context, cfg CampaignSetConfig) (*CampaignSet, error) {
 	cfg.defaults(cfg.Template.Base.Ranks)
-	if err := cfg.Template.checkApp(); err != nil {
+	if err := cfg.Template.check(); err != nil {
 		return nil, err
 	}
 	if cfg.Template.Base.Store != nil {

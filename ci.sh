@@ -20,8 +20,10 @@
 #                     scheduler, and their digests must agree; the goldens,
 #                     twin tests and message-path tests that pin each side
 #                     already ran under -race in 5)
-#   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
-#                     checked-in corpora already ran as regressions in 4)
+#   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface,
+#                     and of the MPI layer's intrusive list against a
+#                     slice model; checked-in corpora already ran as
+#                     regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
 #                     must stay at 0 allocs/op — Validate must cost nothing
 #                     when off)
@@ -91,6 +93,7 @@ XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz '^FuzzDecodeF64s$' -fuzztime 10s ./internal/mpi/
+go test -run '^$' -fuzz '^FuzzList$' -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/

@@ -21,8 +21,8 @@ var (
 	// experiment drivers' single-run E1 campaigns report an unclean run.
 	ErrAborted = errors.New("xsim: application did not complete cleanly")
 	// ErrCancelled is wrapped by errors reporting a run cut short by
-	// context cancellation or a per-run deadline. The partial Result (when
-	// available) accompanies it.
+	// context cancellation. The partial Result (when available)
+	// accompanies it.
 	ErrCancelled = errors.New("xsim: run cancelled")
 	// ErrDeadlock is wrapped by errors reporting a simulation that ended
 	// with live processes blocked forever.

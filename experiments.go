@@ -977,14 +977,8 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 						rng := rand.New(rand.NewSource(spec.seed + int64(run)*101))
 						return fault.PoissonSchedule(rng, rs.Ranks, spec.row.MTTF, horizon, start)
 					},
-					SuccessFor: replicatedSuccess(rs.Ranks, spec.row.Degree),
-					// Clean checkpoint sets between runs with the
-					// replica-aware criterion: the every-world-rank test
-					// would delete sets a dead replica left incomplete but
-					// that still cover every logical rank — exactly the
-					// sets the restart resumes from.
+					Replicas:         spec.row.Degree,
 					CheckpointPrefix: sc.Prefix,
-					SetCompleteFor:   ReplicatedSetComplete(rs.Ranks, spec.row.Degree),
 					AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 				}
 				return camp.RunContext(ctx)

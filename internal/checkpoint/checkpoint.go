@@ -558,11 +558,19 @@ func Iterations(store *fsmodel.Store, prefix string) []int {
 	return out
 }
 
-// SetComplete reports whether iteration's checkpoint set has a committed,
-// well-formed file for every one of n ranks.
-func SetComplete(store *fsmodel.Store, prefix string, iteration, n int) bool {
-	for r := 0; r < n; r++ {
-		if _, _, err := openValid(store, prefix, iteration, r); err != nil {
+// SetComplete reports whether iteration's checkpoint set can be restored:
+// each of n logical ranks has a replica whose file is committed,
+// well-formed and written for this iteration and rank — the test every
+// restart probe applies (openValid). Replica k of logical rank l is world
+// rank l + k·n; with replicas 1 every one of n ranks needs its own file.
+func SetComplete(store *fsmodel.Store, prefix string, iteration, n, replicas int) bool {
+	for l := 0; l < n; l++ {
+		ok := false
+		for k := 0; k < replicas && !ok; k++ {
+			_, _, err := openValid(store, prefix, iteration, l+k*n)
+			ok = err == nil
+		}
+		if !ok {
 			return false
 		}
 	}
@@ -576,21 +584,17 @@ func SetComplete(store *fsmodel.Store, prefix string, iteration, n int) bool {
 // the store directly, outside simulated time. It returns the iterations
 // removed.
 func CleanIncompleteSets(store *fsmodel.Store, prefix string, n int) []int {
-	return CleanIncompleteSetsBy(store, prefix, func(it int) bool {
-		return SetComplete(store, prefix, it, n)
-	})
+	return CleanIncompleteReplicaSets(store, prefix, n, 1)
 }
 
-// CleanIncompleteSetsBy is CleanIncompleteSets with a pluggable
-// completeness criterion: every checkpoint set whose iteration fails the
-// test is deleted. Replicated runs need it — their restart can resume from
-// a set in which a dead replica's file is missing as long as every logical
-// rank is covered by some surviving replica, so the every-rank criterion
-// would destroy exactly the sets worth keeping.
-func CleanIncompleteSetsBy(store *fsmodel.Store, prefix string, complete func(iteration int) bool) []int {
+// CleanIncompleteReplicaSets is CleanIncompleteSets for n logical ranks
+// at the given replication degree: it keeps the sets SetComplete accepts,
+// so a dead replica's missing file does not delete a set while another
+// replica covers its logical rank.
+func CleanIncompleteReplicaSets(store *fsmodel.Store, prefix string, n, replicas int) []int {
 	var removed []int
 	for _, it := range Iterations(store, prefix) {
-		if complete(it) {
+		if SetComplete(store, prefix, it, n, replicas) {
 			continue
 		}
 		for _, name := range store.List(setPrefix(prefix, it)) {

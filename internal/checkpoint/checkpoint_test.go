@@ -181,10 +181,10 @@ func TestIterationsAndSetComplete(t *testing.T) {
 	if len(got) != 2 || got[0] != 125 || got[1] != 250 {
 		t.Fatalf("Iterations = %v", got)
 	}
-	if !SetComplete(store, "heat", 125, 1) {
+	if !SetComplete(store, "heat", 125, 1, 1) {
 		t.Error("set 125 should be complete")
 	}
-	if SetComplete(store, "heat", 125, 2) {
+	if SetComplete(store, "heat", 125, 2, 1) {
 		t.Error("set 125 should be incomplete for 2 ranks")
 	}
 }
@@ -418,7 +418,7 @@ func TestMisnamedCheckpointIsNotRestorable(t *testing.T) {
 		if _, _, err := fs.Read("heat", 40, 0); !errors.Is(err, ErrCorrupted) {
 			t.Fatalf("Read of the impostor: %v, want ErrCorrupted", err)
 		}
-		if SetComplete(store, "heat", 40, 1) {
+		if SetComplete(store, "heat", 40, 1, 1) {
 			t.Error("SetComplete(40) accepts the impostor")
 		}
 		if err := fs.WriteIncremental("heat", Meta{Iteration: 50, Rank: 0}, 40, []byte("delta")); err != nil {

@@ -154,7 +154,7 @@ func TestCheckpointFilesWritten(t *testing.T) {
 	if len(iters) != 1 || iters[0] != 20 {
 		t.Fatalf("surviving checkpoint sets = %v, want [20]", iters)
 	}
-	if !checkpoint.SetComplete(store, "heat", 20, n) {
+	if !checkpoint.SetComplete(store, "heat", 20, n, 1) {
 		t.Fatal("final checkpoint set incomplete")
 	}
 }
@@ -294,7 +294,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 			t.Fatalf("rank %d chain = %v, want [50 60]", r, chain)
 		}
 	}
-	if !checkpoint.SetComplete(store, "heat", 60, n) {
+	if !checkpoint.SetComplete(store, "heat", 60, n, 1) {
 		t.Fatal("final delta set incomplete")
 	}
 
@@ -384,7 +384,7 @@ func TestModeledModeMatchesGeometry(t *testing.T) {
 		}
 	}
 	// Synthetic checkpoints validate like real ones.
-	if !checkpoint.SetComplete(store, "heat", 20, n) {
+	if !checkpoint.SetComplete(store, "heat", 20, n, 1) {
 		t.Fatal("synthetic final set incomplete")
 	}
 }

@@ -253,7 +253,7 @@ func TestPoolMetrics(t *testing.T) {
 func TestPostedIdxTiers(t *testing.T) {
 	var ix postedIdx
 	const n = postedInline + postedLinear + 4
-	qs := make([]*reqQ, n)
+	qs := make([]*list[Request], n)
 	for i := range qs {
 		k := matchKey{comm: i % 2, src: 100 + i}
 		if ix.get(k) != nil {
@@ -267,8 +267,8 @@ func TestPostedIdxTiers(t *testing.T) {
 	if ix.n != postedInline || ix.spill.n != postedLinear || len(ix.spill.more) != 4 {
 		t.Fatalf("tiers hold %d, %d and %d keys", ix.n, ix.spill.n, len(ix.spill.more))
 	}
-	seen := map[*reqQ]matchKey{}
-	ix.each(func(k matchKey, q *reqQ) { seen[q] = k })
+	seen := map[*list[Request]]matchKey{}
+	ix.each(func(k matchKey, q *list[Request]) { seen[q] = k })
 	for i, q := range qs {
 		k := matchKey{comm: i % 2, src: 100 + i}
 		if ix.get(k) != q || ix.getOrAdd(k) != q {

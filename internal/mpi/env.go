@@ -259,24 +259,23 @@ type procState struct {
 	// separate ordered intrusive list; request ids, issued at post time,
 	// establish MPI's first-match-in-post-order rule across the two.
 	posted     postedIdx
-	postedWild reqQ
+	postedWild list[Request]
 	// Unexpected envelopes sit in a per-(comm, src) FIFO and, at the
 	// same time, in their communicator's arrival-order list; arriveSeq
 	// stamps arrival order (used by validation and probes). Both maps are
 	// created on the first unexpected arrival — a rank whose receives are
 	// always posted first (the common halo-exchange shape) never pays for
 	// them.
-	unexpBySrc  map[matchKey]*envSrcQ
-	unexpByComm map[int]*envArrQ
+	unexpBySrc  map[matchKey]*list[envelope]
+	unexpByComm map[int]*list[envelope]
 	arriveSeq   uint64
 	// Incomplete requests thread through an id-ordered intrusive list
-	// (pendHead/pendTail; ids are monotonic, so appends keep the order
-	// the failure-notification scan depends on). Handler lookups walk the
+	// (ids are monotonic, so appends keep the order the
+	// failure-notification scan depends on). Handler lookups walk the
 	// list while it is short — pending sets are a handful of requests in
 	// every common workload — and switch to the pendSpill map once
 	// pendLen ever exceeds pendSpillThreshold (fan-in collectives).
-	pendHead  *Request
-	pendTail  *Request
+	pending   list[Request]
 	pendLen   int
 	pendSpill map[uint64]*Request
 	// failedPeers is this process's own list of failed simulated MPI
@@ -287,9 +286,9 @@ type procState struct {
 	// waiting is the wait the VP is currently parked in, nil when it is not
 	// parked in one.
 	waiting *WaitState
-	// probes holds outstanding blocking probes (at most one: a process
-	// blocks in a single Probe at a time; kept as a slice for symmetry).
-	probes []*probeRec
+	// probe is the blocking probe the process is parked in, nil when it is
+	// not parked in one (a process blocks in one call at a time).
+	probe *probeRec
 	// nextReqID numbers this VP's requests.
 	nextReqID uint64
 

@@ -91,11 +91,8 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 		ps.checkIndexes("envelope-unexpected")
 	}
 	// A blocked probe matching this envelope wakes to inspect it.
-	for _, pr := range ps.probes {
-		if pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
-			s.Wake(h.dst, ev.Time, nil)
-			break
-		}
+	if pr := ps.probe; pr != nil && pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
+		s.Wake(h.dst, ev.Time, nil)
 	}
 }
 
@@ -235,18 +232,15 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 		}
 		// The pending list is id-ordered and armTimeout never unlinks,
 		// so walking it directly is deterministic and allocation-free.
-		for req := ps.pendHead; req != nil; req = req.nNext {
+		for req := ps.pending.head; req != nil; req = req.pending.next {
 			if req.involves(failed) {
-				ps.armTimeout(w, req, schedEmitter(s, rank))
+				ps.armTimeout(req, schedEmitter(s, rank))
 			}
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes
 		// to observe the failure.
-		for _, pr := range ps.probes {
-			if (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
-				s.Wake(rank, ev.Time, nil)
-				break
-			}
+		if pr := ps.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
+			s.Wake(rank, ev.Time, nil)
 		}
 	}
 }

@@ -158,16 +158,16 @@ type Request struct {
 	// one of them is first set.
 	cold *reqCold
 
-	// Posted-receive index bookkeeping: an intrusive doubly-linked list
-	// per (comm, src) key (or the wildcard list), in post order. Post
-	// order is id order: a receive is filed the moment its id is issued.
-	postQ        *reqQ
-	pNext, pPrev *Request
+	// Posted-receive index bookkeeping: postQ is the list the receive is
+	// filed in — its (comm, src) key's or the wildcard list, each in post
+	// order. Post order is id order: a receive is filed the moment its id
+	// is issued.
+	postQ  *list[Request]
+	posted links[Request]
 
-	// Pending-table links: every incomplete request sits in the
-	// id-ordered pending list (ids are monotonic, so appending keeps the
-	// order) alongside the id-keyed map.
-	nNext, nPrev *Request
+	// Every incomplete request sits in the id-ordered pending list (ids
+	// are monotonic, so appending keeps the order).
+	pending links[Request]
 
 	// waiter points at the WaitState tracking this request, so completion
 	// can decrement its pending count, and tell whether to wake the rank,

@@ -39,7 +39,7 @@ type envHeader struct {
 // envelope is a header as a pooled object (dpPool), which means one of two
 // things. The message is unexpected: no receive was posted when it arrived,
 // so it waits in two intrusive lists at once — its (comm, src) FIFO
-// (sNext/sPrev) and its communicator's arrival-order list (aNext/aPrev), so
+// (bySrc) and its communicator's arrival-order list (byComm), so
 // wildcard matching walks arrivals directly instead of scanning every
 // source — until a receive takes it, its rank dies, or finalize drains it.
 // Or it is the box a payload buffer travels in: a []byte cannot sit in an
@@ -56,8 +56,7 @@ type envelope struct {
 
 	// Unexpected-queue links: per-(comm, src) FIFO and per-communicator
 	// arrival list.
-	sNext, sPrev *envelope
-	aNext, aPrev *envelope
+	bySrc, byComm links[envelope]
 }
 
 // Everything the MPI layer has in flight is an event, its scalars in the
@@ -129,92 +128,6 @@ func (h *envHeader) take(ev *core.Event) (box *envelope) {
 // communicator and source world rank.
 type matchKey struct{ comm, src int }
 
-// reqQ is an intrusive list of posted receives in post order. The queue
-// structs live in the posted index maps and are retained when emptied, so
-// a rank that keeps receiving from the same peers never re-allocates them.
-type reqQ struct{ head, tail *Request }
-
-func (q *reqQ) push(r *Request) {
-	r.pPrev = q.tail
-	r.pNext = nil
-	if q.tail != nil {
-		q.tail.pNext = r
-	} else {
-		q.head = r
-	}
-	q.tail = r
-}
-
-func (q *reqQ) unlink(r *Request) {
-	if r.pPrev != nil {
-		r.pPrev.pNext = r.pNext
-	} else {
-		q.head = r.pNext
-	}
-	if r.pNext != nil {
-		r.pNext.pPrev = r.pPrev
-	} else {
-		q.tail = r.pPrev
-	}
-	r.pNext, r.pPrev = nil, nil
-}
-
-// envSrcQ is the per-(comm, src) unexpected FIFO (sNext/sPrev links).
-type envSrcQ struct{ head, tail *envelope }
-
-func (q *envSrcQ) push(e *envelope) {
-	e.sPrev = q.tail
-	e.sNext = nil
-	if q.tail != nil {
-		q.tail.sNext = e
-	} else {
-		q.head = e
-	}
-	q.tail = e
-}
-
-func (q *envSrcQ) unlink(e *envelope) {
-	if e.sPrev != nil {
-		e.sPrev.sNext = e.sNext
-	} else {
-		q.head = e.sNext
-	}
-	if e.sNext != nil {
-		e.sNext.sPrev = e.sPrev
-	} else {
-		q.tail = e.sPrev
-	}
-	e.sNext, e.sPrev = nil, nil
-}
-
-// envArrQ is the per-communicator arrival-order list (aNext/aPrev links).
-type envArrQ struct{ head, tail *envelope }
-
-func (q *envArrQ) push(e *envelope) {
-	e.aPrev = q.tail
-	e.aNext = nil
-	if q.tail != nil {
-		q.tail.aNext = e
-	} else {
-		q.head = e
-	}
-	q.tail = e
-}
-
-func (q *envArrQ) unlink(e *envelope) {
-	if e.aPrev != nil {
-		e.aPrev.aNext = e.aNext
-	} else {
-		q.head = e.aNext
-	}
-	if e.aNext != nil {
-		e.aNext.aPrev = e.aPrev
-	} else {
-		q.tail = e.aPrev
-	}
-	e.aNext, e.aPrev = nil, nil
-}
-
 // postedInline is the number of (comm, src) posted-receive queues kept
 // inline in procState. A 1-D halo exchange uses exactly 2 distinct sources,
 // so that shape pays no allocation and no hashing — and at a million ranks
@@ -234,8 +147,8 @@ const postedLinear = 6
 type postedSpill struct {
 	n    int
 	keys [postedLinear]matchKey
-	qs   [postedLinear]reqQ
-	more map[matchKey]*reqQ
+	qs   [postedLinear]list[Request]
+	more map[matchKey]*list[Request]
 }
 
 // postedIdx indexes the per-(comm, src) posted-receive queues: an inline
@@ -247,12 +160,12 @@ type postedSpill struct {
 type postedIdx struct {
 	n     int
 	keys  [postedInline]matchKey
-	qs    [postedInline]reqQ
+	qs    [postedInline]list[Request]
 	spill *postedSpill
 }
 
 // get returns the queue for k, or nil if none was ever created.
-func (ix *postedIdx) get(k matchKey) *reqQ {
+func (ix *postedIdx) get(k matchKey) *list[Request] {
 	for i := 0; i < ix.n; i++ {
 		if ix.keys[i] == k {
 			return &ix.qs[i]
@@ -271,7 +184,7 @@ func (ix *postedIdx) get(k matchKey) *reqQ {
 
 // getOrAdd returns the queue for k, creating it on first use in the first
 // tier with room. Queues are retained once created.
-func (ix *postedIdx) getOrAdd(k matchKey) *reqQ {
+func (ix *postedIdx) getOrAdd(k matchKey) *list[Request] {
 	if q := ix.get(k); q != nil {
 		return q
 	}
@@ -290,15 +203,15 @@ func (ix *postedIdx) getOrAdd(k matchKey) *reqQ {
 		return &sp.qs[sp.n-1]
 	}
 	if sp.more == nil {
-		sp.more = make(map[matchKey]*reqQ)
+		sp.more = make(map[matchKey]*list[Request])
 	}
-	q := new(reqQ)
+	q := new(list[Request])
 	sp.more[k] = q
 	return q
 }
 
 // each visits every queue ever created (validation and finalize sweeps).
-func (ix *postedIdx) each(f func(matchKey, *reqQ)) {
+func (ix *postedIdx) each(f func(matchKey, *list[Request])) {
 	for i := 0; i < ix.n; i++ {
 		f(ix.keys[i], &ix.qs[i])
 	}
@@ -334,7 +247,7 @@ func (ps *procState) addPosted(r *Request) {
 	} else {
 		q = ps.posted.getOrAdd(matchKey{r.comm.id, int(r.src)})
 	}
-	q.push(r)
+	q.push(r, postedAt)
 	r.postQ = q
 }
 
@@ -346,7 +259,7 @@ func (ps *procState) removePosted(r *Request) {
 		return
 	}
 	r.clear(reqPosted)
-	r.postQ.unlink(r)
+	r.postQ.unlink(r, postedAt)
 	r.postQ = nil
 }
 
@@ -358,14 +271,14 @@ func (ps *procState) removePosted(r *Request) {
 func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
 	if q := ps.posted.get(matchKey{h.commID, h.src}); q != nil {
-		for r := q.head; r != nil; r = r.pNext {
+		for r := q.head; r != nil; r = r.posted.next {
 			if tagMatches(int(r.tag), h.tag) {
 				best = r
 				break
 			}
 		}
 	}
-	for r := ps.postedWild.head; r != nil; r = r.pNext {
+	for r := ps.postedWild.head; r != nil; r = r.posted.next {
 		if r.comm.id == h.commID && tagMatches(int(r.tag), h.tag) {
 			if best == nil || r.id < best.id {
 				best = r
@@ -388,28 +301,28 @@ func (ps *procState) addUnexpected(env *envelope) {
 	sq := ps.unexpBySrc[k]
 	if sq == nil {
 		if ps.unexpBySrc == nil {
-			ps.unexpBySrc = make(map[matchKey]*envSrcQ)
+			ps.unexpBySrc = make(map[matchKey]*list[envelope])
 		}
-		sq = new(envSrcQ)
+		sq = new(list[envelope])
 		ps.unexpBySrc[k] = sq
 	}
-	sq.push(env)
+	sq.push(env, bySrcAt)
 	aq := ps.unexpByComm[env.commID]
 	if aq == nil {
 		if ps.unexpByComm == nil {
-			ps.unexpByComm = make(map[int]*envArrQ)
+			ps.unexpByComm = make(map[int]*list[envelope])
 		}
-		aq = new(envArrQ)
+		aq = new(list[envelope])
 		ps.unexpByComm[env.commID] = aq
 	}
-	aq.push(env)
+	aq.push(env, byCommAt)
 	ps.env.w.m.unexpectedDelta(env.dst, 1)
 }
 
 // removeUnexpected unlinks an envelope from both unexpected lists.
 func (ps *procState) removeUnexpected(env *envelope) {
-	ps.unexpBySrc[matchKey{env.commID, env.src}].unlink(env)
-	ps.unexpByComm[env.commID].unlink(env)
+	ps.unexpBySrc[matchKey{env.commID, env.src}].unlink(env, bySrcAt)
+	ps.unexpByComm[env.commID].unlink(env, byCommAt)
 	ps.env.w.m.unexpectedDelta(env.dst, -1)
 }
 
@@ -423,7 +336,7 @@ func (ps *procState) removeUnexpected(env *envelope) {
 func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 	if src != AnySource {
 		if q := ps.unexpBySrc[matchKey{comm, src}]; q != nil {
-			for env := q.head; env != nil; env = env.sNext {
+			for env := q.head; env != nil; env = env.bySrc.next {
 				if tagMatches(tag, env.tag) {
 					return env
 				}
@@ -432,7 +345,7 @@ func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 		return nil
 	}
 	if q := ps.unexpByComm[comm]; q != nil {
-		for env := q.head; env != nil; env = env.aNext {
+		for env := q.head; env != nil; env = env.byComm.next {
 			if tagMatches(tag, env.tag) {
 				return env
 			}
@@ -457,16 +370,16 @@ func (ps *procState) takeUnexpected(req *Request) *envelope {
 func (ps *procState) drainUnexpected() {
 	for _, q := range ps.unexpByComm {
 		for env := q.head; env != nil; {
-			next := env.aNext
+			next := env.byComm.next
 			ps.env.w.m.unexpectedDelta(env.dst, -1)
 			ps.dp.putBuf(env.data)
 			ps.dp.envs.put(env)
 			env = next
 		}
-		q.head, q.tail = nil, nil
+		*q = list[envelope]{}
 	}
 	for _, q := range ps.unexpBySrc {
-		q.head, q.tail = nil, nil
+		*q = list[envelope]{}
 	}
 }
 
@@ -489,7 +402,7 @@ func (ps *procState) releaseIndexes() {
 	ps.env.scratch = nil
 	if ps.postedWild.head == nil {
 		empty := true
-		ps.posted.each(func(_ matchKey, q *reqQ) {
+		ps.posted.each(func(_ matchKey, q *list[Request]) {
 			if q.head != nil {
 				empty = false
 			}
@@ -498,7 +411,7 @@ func (ps *procState) releaseIndexes() {
 			ps.posted = postedIdx{}
 		}
 	}
-	if ps.pendHead == nil {
+	if ps.pending.head == nil {
 		ps.pendSpill = nil
 	}
 }
@@ -515,20 +428,13 @@ const pendSpillThreshold = 32
 // past the spill threshold, into the lookup map.
 func (ps *procState) addPending(r *Request) {
 	r.set(reqPending)
-	r.nPrev = ps.pendTail
-	r.nNext = nil
-	if ps.pendTail != nil {
-		ps.pendTail.nNext = r
-	} else {
-		ps.pendHead = r
-	}
-	ps.pendTail = r
+	ps.pending.push(r, pendingAt)
 	ps.pendLen++
 	if ps.pendSpill != nil {
 		ps.pendSpill[r.id] = r
 	} else if ps.pendLen > pendSpillThreshold {
 		ps.pendSpill = make(map[uint64]*Request, 2*pendSpillThreshold)
-		for q := ps.pendHead; q != nil; q = q.nNext {
+		for q := ps.pending.head; q != nil; q = q.pending.next {
 			ps.pendSpill[q.id] = q
 		}
 	}
@@ -540,7 +446,7 @@ func (ps *procState) findPending(id uint64) *Request {
 	if ps.pendSpill != nil {
 		return ps.pendSpill[id]
 	}
-	for r := ps.pendHead; r != nil; r = r.nNext {
+	for r := ps.pending.head; r != nil; r = r.pending.next {
 		if r.id == id {
 			return r
 		}
@@ -559,17 +465,7 @@ func (ps *procState) unlinkPending(r *Request) {
 		delete(ps.pendSpill, r.id)
 	}
 	ps.pendLen--
-	if r.nPrev != nil {
-		r.nPrev.nNext = r.nNext
-	} else {
-		ps.pendHead = r.nNext
-	}
-	if r.nNext != nil {
-		r.nNext.nPrev = r.nPrev
-	} else {
-		ps.pendTail = r.nPrev
-	}
-	r.nNext, r.nPrev = nil, nil
+	ps.pending.unlink(r, pendingAt)
 }
 
 // emitter is whichever of the two contexts message matching runs in, each
@@ -851,8 +747,7 @@ func (ps *procState) BlockReason() string {
 	if ps.waiting != nil && len(ps.waiting.reqs) > 0 {
 		return waitReason(ps.waiting.reqs)
 	}
-	if n := len(ps.probes); n > 0 {
-		pr := ps.probes[n-1]
+	if pr := ps.probe; pr != nil {
 		return fmt.Sprintf("MPI probe: src %d tag %d (comm %d)", pr.src, pr.tag, pr.comm)
 	}
 	return "MPI: blocked"
@@ -882,45 +777,50 @@ func (e *Env) wait(reqs ...*Request) error {
 	}
 }
 
-// armTimeout schedules the failure-detection timeout of a pending request
-// whose peer is known to have failed. The operation completes in error at
+// detection is the failure-detection rule every blocking operation shares:
+// an operation posted at postClock on src (a world rank, or AnySource for
+// any peer) whose peer is known to have failed completes in error at
 // max(post time, time of failure) + the network tier's timeout — the
-// paper's purely timeout-based detection — but never before the failure is
-// knowable at this process.
-func (ps *procState) armTimeout(w *World, req *Request, em emitter) {
+// paper's purely timeout-based detection. Of several failed peers the
+// earliest deadline wins, ties going to the lower rank, so the choice is
+// deterministic whatever the map order; ok is false while no relevant peer
+// is known to have failed. tof is the winner's time of failure.
+func (ps *procState) detection(postClock vclock.Time, src int) (at vclock.Time, peer int, tof vclock.Time, ok bool) {
+	self := ps.env.Rank()
+	net := ps.env.w.cfg.Net
+	at, peer = vclock.Never, -1
+	consider := func(p int, t vclock.Time) {
+		d := vclock.Max(postClock, t).Add(net.Timeout(self, p))
+		if d < at || (d == at && p < peer) {
+			at, peer, tof = d, p, t
+		}
+	}
+	if src == AnySource {
+		for p, t := range ps.failedPeers {
+			consider(p, t)
+		}
+	} else if t, dead := ps.failedPeers[src]; dead {
+		consider(src, t)
+	}
+	return at, peer, tof, peer >= 0
+}
+
+// armTimeout schedules the failure-detection timeout of a pending request
+// whose peer is known to have failed, at the detection deadline but never
+// before the failure is knowable at this process.
+func (ps *procState) armTimeout(req *Request, em emitter) {
 	if req.Done() || req.has(reqTimeoutScheduled) {
 		return
 	}
-	self := ps.env.Rank()
-	best := vclock.Never
-	bestPeer := -1
-	var bestTof vclock.Time
-	// consider captures the winning peer's time of failure alongside the
-	// deadline, so the emitted timeout carries the exact value the
-	// deterministic scan chose (no second map lookup).
-	consider := func(peer int, tof vclock.Time) {
-		at := vclock.Max(req.postClock, tof).Add(w.cfg.Net.Timeout(self, peer))
-		if at < best || (at == best && peer < bestPeer) {
-			best, bestPeer, bestTof = at, peer, tof
-		}
-	}
-	if req.kind == recvReq && req.src == AnySource {
-		// Deterministic scan: pick the earliest-detectable failed peer.
-		for peer, tof := range ps.failedPeers {
-			consider(peer, tof)
-		}
-	} else if tof, ok := ps.failedPeers[req.peer()]; ok {
-		consider(req.peer(), tof)
-	}
-	if bestPeer < 0 {
+	at, peer, tof, ok := ps.detection(req.postClock, req.peer())
+	if !ok {
 		return
 	}
-	at := vclock.Max(best, em.now())
 	req.set(reqTimeoutScheduled)
 	em.emit(core.Event{
-		Time:   at,
+		Time:   vclock.Max(at, em.now()),
 		Kind:   kindReqTimeout,
-		Target: self,
-		Words:  [core.EventWords]uint64{req.id, uint64(bestPeer), uint64(bestTof)},
+		Target: ps.env.Rank(),
+		Words:  [core.EventWords]uint64{req.id, uint64(peer), uint64(tof)},
 	})
 }

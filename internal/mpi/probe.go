@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"xsim/internal/vclock"
-)
+import "fmt"
 
 // ErrCancelled is the error a cancelled request completes with.
 type CancelledError struct {
@@ -54,7 +50,7 @@ func (c *Comm) Iprobe(src, tag int) (*Message, bool, error) {
 
 // Probe blocks until a matching message has arrived and returns its
 // envelope information without consuming it (MPI_Probe). Probing a failed
-// process completes in error after the detection timeout, like a receive.
+// process completes in error at the detection deadline, like a receive.
 // It is ProbeStep driven on the calling closure VP.
 func (c *Comm) Probe(src, tag int) (*Message, error) {
 	st := &c.env.closure().probe
@@ -76,36 +72,6 @@ func (c *Comm) probeSrc(src int) (int, error) {
 		return 0, fmt.Errorf("mpi: probe source rank %d out of range [0,%d)", src, c.n)
 	}
 	return c.WorldRank(src), nil
-}
-
-// relevantFailure returns the earliest-detectable failed peer relevant to
-// an operation on worldSrc (or any peer, for AnySource), deterministically.
-func (ps *procState) relevantFailure(worldSrc int) (peer int, tof vclock.Time, ok bool) {
-	if worldSrc != AnySource {
-		t, dead := ps.failedPeers[worldSrc]
-		return worldSrc, t, dead
-	}
-	best := vclock.Never
-	bestPeer := -1
-	for p, t := range ps.failedPeers {
-		if t < best || (t == best && p < bestPeer) {
-			best, bestPeer = t, p
-		}
-	}
-	if bestPeer < 0 {
-		return 0, 0, false
-	}
-	return bestPeer, best, true
-}
-
-// removeProbe unregisters an outstanding probe.
-func (ps *procState) removeProbe(pr *probeRec) {
-	for i, p := range ps.probes {
-		if p == pr {
-			ps.probes = append(ps.probes[:i], ps.probes[i+1:]...)
-			return
-		}
-	}
 }
 
 // Cancel cancels a pending request (MPI_Cancel): the request completes

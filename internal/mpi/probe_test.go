@@ -92,6 +92,62 @@ func TestProbeFailedPeerTimesOut(t *testing.T) {
 	}
 }
 
+// Regression: a probe whose source was known to have failed (any peer, for
+// AnySource) jumped the clock to the detection deadline and failed, never
+// seeing the messages that arrived before it. It now waits for the deadline
+// the way a receive does, so both take a message that arrives first: rank
+// 2 fails at 2 ms, rank 0 sends at 10 ms, and rank 1's wildcard call at
+// 5 ms returns that message at 10.001 ms, not ProcFailedError at 105 ms.
+func TestProbeSeesArrivalBeforeDetectionDeadline(t *testing.T) {
+	for _, op := range []string{"probe", "recv"} {
+		t.Run(op, func(t *testing.T) {
+			res, err := runWorldErr(t, 3, 1, map[int]vclock.Time{2: vclock.Time(2 * vclock.Millisecond)}, func(e *Env) {
+				c := e.World()
+				c.SetErrorHandler(ErrorsReturn)
+				switch e.Rank() {
+				case 0:
+					e.Elapse(10 * vclock.Millisecond)
+					if err := c.SendN(1, 7, 8); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					e.Sleep(5 * vclock.Millisecond) // rank 2's failure is known by now
+					var m *Message
+					var err error
+					if op == "probe" {
+						m, err = c.Probe(AnySource, AnyTag)
+					} else {
+						m, err = c.Recv(AnySource, AnyTag)
+					}
+					if err != nil {
+						t.Errorf("%s: %v at %v", op, err, e.Now())
+						return
+					}
+					if m.Src != 0 || m.Tag != 7 {
+						t.Errorf("%s returned %+v", op, m)
+					}
+					if now := e.Now(); now < vclock.Time(10*vclock.Millisecond) || now > vclock.Time(11*vclock.Millisecond) {
+						t.Errorf("%s returned at %v, want the arrival at about 10.001ms", op, now)
+					}
+					if op == "probe" {
+						if _, err := c.Recv(0, 7); err != nil {
+							t.Error(err)
+						}
+					}
+				case 2:
+					e.Sleep(50 * vclock.Millisecond) // interruptible: fails at 2 ms
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed != 1 {
+				t.Fatalf("%d ranks failed, want rank 2 alone", res.Failed)
+			}
+		})
+	}
+}
+
 func TestProbeValidation(t *testing.T) {
 	runWorld(t, 2, 1, func(e *Env) {
 		c := e.World()

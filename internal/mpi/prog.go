@@ -214,7 +214,7 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 					r.waiter = ws
 					ws.pending++
 				}
-				e.ps.armTimeout(e.w, r, vpEmitter(e.ctx))
+				e.ps.armTimeout(r, vpEmitter(e.ctx))
 			}
 		}
 		e.ps.waiting = ws
@@ -347,7 +347,6 @@ func (c *Comm) sendStep(ss *SendState, dst, tag, size int, data []byte) (done bo
 // is in flight.
 type ProbeState struct {
 	begun     bool
-	parked    bool
 	worldSrc  int
 	tag       int
 	postClock vclock.Time
@@ -357,8 +356,10 @@ type ProbeState struct {
 // ProbeStep advances a blocking probe for a message from src (or
 // AnySource) with tag (or AnyTag); src and tag are ignored on resume
 // calls. On done msg carries the envelope information without consuming
-// the message; probing a failed process completes in error after the
-// detection timeout, like a receive.
+// the message. Probing a failed process completes in error at the
+// detection deadline, exactly as a receive does: until then the probe
+// stays parked, and a matching message that arrives first is what it
+// returns.
 func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg *Message, err error) {
 	e := c.env
 	if !st.begun {
@@ -375,27 +376,26 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 		st.tag = tag
 		st.postClock = e.ctx.NowQuiet()
 	}
-	if st.parked {
-		st.parked = false
-		e.ps.removeProbe(&st.pr)
-	}
+	e.ps.probe = nil
 	if env := e.ps.peekUnexpected(c.id, st.worldSrc, st.tag); env != nil {
 		st.begun = false
 		return true, nil, &Message{Src: env.srcCommRank, Tag: env.tag, Size: env.size}, nil
 	}
-	// A relevant failed peer means no message can come: complete in error
-	// after the detection timeout, like a receive would.
-	if peer, tof, ok := e.ps.relevantFailure(st.worldSrc); ok {
-		at := vclock.Max(st.postClock, tof).Add(e.w.cfg.Net.Timeout(e.Rank(), peer))
-		now := vclock.Max(at, e.ctx.NowQuiet())
-		e.ctx.AdvanceTo(now)
-		e.w.trace(trace.Event{At: now, Kind: trace.KindDetect, Rank: int32(e.Rank()), Peer: int32(peer), Aux: int64(tof)})
-		e.w.m.recordDetection(e.Rank(), peer, now)
-		st.begun = false
-		return true, nil, nil, c.handleError(&ProcFailedError{Rank: peer, FailedAt: tof, Op: "probe"})
-	}
 	st.pr = probeRec{comm: c.id, src: st.worldSrc, tag: st.tag}
-	e.ps.probes = append(e.ps.probes, &st.pr)
-	st.parked = true
-	return false, e.ps, nil, nil
+	park = e.ps
+	if at, peer, tof, ok := e.ps.detection(st.postClock, st.worldSrc); ok {
+		now := e.ctx.NowQuiet()
+		if at <= now {
+			e.ctx.AdvanceTo(now)
+			e.w.trace(trace.Event{At: now, Kind: trace.KindDetect, Rank: int32(e.Rank()), Peer: int32(peer), Aux: int64(tof)})
+			e.w.m.recordDetection(e.Rank(), peer, now)
+			st.begun = false
+			return true, nil, nil, c.handleError(&ProcFailedError{Rank: peer, FailedAt: tof, Op: "probe"})
+		}
+		// Wait for the deadline; a matching envelope or another failure
+		// notification wakes the probe before it.
+		park, _ = e.ctx.SleepPark(at.Sub(now))
+	}
+	e.ps.probe = &st.pr
+	return false, park, nil, nil
 }

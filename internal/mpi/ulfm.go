@@ -42,8 +42,8 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 		ps.revoked[commID] = true
 		// completeRequest unlinks the request from the pending list, so
 		// capture the successor before completing each one.
-		for req := ps.pendHead; req != nil; {
-			next := req.nNext
+		for req := ps.pending.head; req != nil; {
+			next := req.pending.next
 			if req.comm.id == commID {
 				ws := completeRequest(ps, req, ev.Time, &RevokedError{Comm: commID})
 				wakeIfWaiting(s, ps, ws, req.completeAt)

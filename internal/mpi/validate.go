@@ -41,68 +41,55 @@ func (ps *procState) fail(invariant, where, format string, args ...any) {
 //     in ascending id order, and every one of them carries the pending bit
 //     unlinkPending trusts instead of searching the list.
 //
+// Every list is walked once (list.walk), which checks its links and tail;
+// the sweeps below add only their own ordering and membership checks.
 // Emptied intrusive queue structs are deliberately retained in their maps
 // (they are reused by later traffic), so an empty list is not a violation.
 //
 // where names the operation just performed, for the violation dump.
 func (ps *procState) checkIndexes(where string) {
 	rank := ps.env.Rank()
-	ps.checkPostedList(where, "", &ps.postedWild)
-	ps.posted.each(func(k matchKey, q *reqQ) {
-		ps.checkPostedList(where, fmt.Sprintf("%+v", k), q)
-		for r := q.head; r != nil; r = r.pNext {
-			if r.comm.id != k.comm || int(r.src) != k.src {
-				ps.fail("posted-index", where, "request %d filed under %+v is a receive on comm %d from %d",
-					r.id, k, r.comm.id, r.src)
-			}
-		}
-	})
+	ps.checkPostedList(where, nil, &ps.postedWild)
+	ps.posted.each(func(k matchKey, q *list[Request]) { ps.checkPostedList(where, &k, q) })
 
+	// Arrival stamps start at 1, so each list's first envelope is in order.
 	total := 0
 	for k, q := range ps.unexpBySrc {
-		var lastArrive uint64
-		var prev *envelope
-		for env := q.head; env != nil; env = env.sNext {
+		var last uint64
+		broken := q.walk(bySrcAt, func(env *envelope) {
 			switch {
 			case env.commID != k.comm || env.src != k.src:
 				ps.fail("unexpected-queue", where, "envelope (comm %d, src %d, tag %d) filed under key %+v",
 					env.commID, env.src, env.tag, k)
 			case env.dst != rank:
 				ps.fail("unexpected-queue", where, "envelope for rank %d queued at rank %d", env.dst, rank)
-			case prev != nil && env.arriveSeq <= lastArrive:
+			case env.arriveSeq <= last:
 				ps.fail("unexpected-queue", where, "unexpected list %+v out of arrival order: seq %d after %d",
-					k, env.arriveSeq, lastArrive)
-			case env.sPrev != prev:
-				ps.fail("unexpected-queue", where, "broken sPrev link in unexpected list %+v at seq %d", k, env.arriveSeq)
+					k, env.arriveSeq, last)
 			}
-			lastArrive = env.arriveSeq
-			prev = env
+			last = env.arriveSeq
 			total++
-		}
-		if q.tail != prev {
-			ps.fail("unexpected-queue", where, "unexpected list %+v tail does not match last element", k)
+		})
+		if broken != "" {
+			ps.fail("unexpected-queue", where, "unexpected list %+v: %s", k, broken)
 		}
 	}
 	arrTotal := 0
 	for comm, q := range ps.unexpByComm {
-		var lastArrive uint64
-		var prev *envelope
-		for env := q.head; env != nil; env = env.aNext {
+		var last uint64
+		broken := q.walk(byCommAt, func(env *envelope) {
 			switch {
 			case env.commID != comm:
 				ps.fail("unexpected-queue", where, "envelope (comm %d) in arrival list of comm %d", env.commID, comm)
-			case prev != nil && env.arriveSeq <= lastArrive:
+			case env.arriveSeq <= last:
 				ps.fail("unexpected-queue", where, "arrival list (comm %d) out of order: seq %d after %d",
-					comm, env.arriveSeq, lastArrive)
-			case env.aPrev != prev:
-				ps.fail("unexpected-queue", where, "broken aPrev link in arrival list (comm %d) at seq %d", comm, env.arriveSeq)
+					comm, env.arriveSeq, last)
 			}
-			lastArrive = env.arriveSeq
-			prev = env
+			last = env.arriveSeq
 			arrTotal++
-		}
-		if q.tail != prev {
-			ps.fail("unexpected-queue", where, "arrival list (comm %d) tail does not match last element", comm)
+		})
+		if broken != "" {
+			ps.fail("unexpected-queue", where, "arrival list (comm %d): %s", comm, broken)
 		}
 	}
 	if arrTotal != total {
@@ -125,27 +112,23 @@ func (ps *procState) checkIndexes(where string) {
 		}
 	}
 	listed := 0
-	var lastID uint64
-	var prev *Request
-	for r := ps.pendHead; r != nil; r = r.nNext {
+	var lastID uint64 // request ids start at 1
+	broken := ps.pending.walk(pendingAt, func(r *Request) {
 		switch {
 		case r.Done():
 			ps.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
-		case prev != nil && r.id <= lastID:
+		case r.id <= lastID:
 			ps.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
-		case r.nPrev != prev:
-			ps.fail("pending-index", where, "broken nPrev link in pending list at request %d", r.id)
 		case !r.has(reqPending):
 			ps.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
 		case ps.findPending(r.id) != r:
 			ps.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
 		}
 		lastID = r.id
-		prev = r
 		listed++
-	}
-	if ps.pendTail != prev {
-		ps.fail("pending-index", where, "pending list tail does not match last element")
+	})
+	if broken != "" {
+		ps.fail("pending-index", where, "pending list: %s", broken)
 	}
 	if listed != ps.pendLen {
 		ps.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, ps.pendLen)
@@ -155,35 +138,38 @@ func (ps *procState) checkIndexes(where string) {
 	}
 }
 
-// checkPostedList sweeps one posted-receive list (key == "" means the
-// wildcard list).
-func (ps *procState) checkPostedList(where, key string, q *reqQ) {
-	wild := key == ""
-	var lastID uint64
-	var prev *Request
-	for r := q.head; r != nil; r = r.pNext {
+// checkPostedList sweeps the posted-receive list filed under k (nil means
+// the wildcard list).
+func (ps *procState) checkPostedList(where string, k *matchKey, q *list[Request]) {
+	wild := k == nil
+	key := "wildcard"
+	if !wild {
+		key = fmt.Sprintf("%+v", *k)
+	}
+	var lastID uint64 // request ids start at 1
+	broken := q.walk(postedAt, func(r *Request) {
 		switch {
 		case r.kind != recvReq || !r.has(reqPosted) || r.has(reqWild) != wild:
 			ps.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
 				r.id, key, r.kind, r.has(reqPosted), r.has(reqWild))
 		case wild && r.src != AnySource:
 			ps.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
+		case !wild && (r.comm.id != k.comm || int(r.src) != k.src):
+			ps.fail("posted-index", where, "request %d filed under %s is a receive on comm %d from %d",
+				r.id, key, r.comm.id, r.src)
 		case r.Done():
 			ps.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key)
 		case r.postQ != q:
 			ps.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key)
 		case !r.has(reqPending) || ps.findPending(r.id) != r:
 			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.has(reqPending))
-		case prev != nil && r.id <= lastID:
+		case r.id <= lastID:
 			ps.fail("posted-index", where, "posted list %q out of post order: id %d after %d", key, r.id, lastID)
-		case r.pPrev != prev:
-			ps.fail("posted-index", where, "broken pPrev link in posted list %q at request %d", key, r.id)
 		}
 		lastID = r.id
-		prev = r
-	}
-	if q.tail != prev {
-		ps.fail("posted-index", where, "posted list %q tail does not match last element", key)
+	})
+	if broken != "" {
+		ps.fail("posted-index", where, "posted list %q: %s", key, broken)
 	}
 }
 
@@ -194,7 +180,7 @@ func (ps *procState) checkFinalize() {
 	ps.checkIndexes("finalize")
 	if n := ps.pendLen; n > 0 {
 		detail := ""
-		for r := ps.pendHead; r != nil; r = r.nNext {
+		for r := ps.pending.head; r != nil; r = r.pending.next {
 			detail += fmt.Sprintf("\n    request %d: %s peer %d tag %d (comm %d)", r.id, r.opName(), r.peer(), r.tag, r.comm.id)
 		}
 		ps.fail("finalize-pending", "finalize", "%d requests still pending at Finalize:%s", n, detail)
@@ -202,12 +188,12 @@ func (ps *procState) checkFinalize() {
 	if ps.postedWild.head != nil {
 		ps.fail("finalize-pending", "finalize", "wildcard receives still posted at Finalize")
 	}
-	ps.posted.each(func(k matchKey, q *reqQ) {
+	ps.posted.each(func(k matchKey, q *list[Request]) {
 		if q.head != nil {
 			ps.fail("finalize-pending", "finalize", "receives still posted for key %+v at Finalize", k)
 		}
 	})
-	if n := len(ps.probes); n > 0 {
-		ps.fail("finalize-pending", "finalize", "%d probes still outstanding at Finalize", n)
+	if ps.probe != nil {
+		ps.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
 	}
 }

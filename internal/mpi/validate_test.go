@@ -89,3 +89,43 @@ func TestValidateDetectsPendingBitMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want a pending-index violation naming the bit", err)
 	}
 }
+
+// A posted list whose links disagree with its order (a stand-in for a
+// future unlink bug) is caught by the next index sweep: a back link that
+// skips its predecessor, and a tail left on an element that is no longer
+// last.
+func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(ps *procState, first, second *Request)
+	}{
+		{"back link", "broken back link", func(ps *procState, first, second *Request) { second.posted.prev = nil }},
+		{"stale tail", "tail is not the last element", func(ps *procState, first, second *Request) { ps.postedWild.tail = &first.posted }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runWorldErr(t, 2, 1, nil, func(e *Env) {
+				if e.Rank() != 0 {
+					return
+				}
+				c := e.World()
+				first, err := c.Irecv(AnySource, 3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				second, err := c.Irecv(AnySource, 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tc.corrupt(e.ps, first, second)
+				if _, err := c.Irecv(1, 5); err != nil { // triggers the sweep
+					t.Error(err)
+				}
+			}, withValidate())
+			if err == nil || !strings.Contains(err.Error(), "invariant violation [posted-index]") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a posted-index violation saying %q", err, tc.want)
+			}
+		})
+	}
+}

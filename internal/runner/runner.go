@@ -8,7 +8,7 @@
 //
 //   - a bounded pool (default GOMAXPROCS, composing with each run's own
 //     engine parallelism via PoolSize),
-//   - context.Context cancellation and per-run deadlines,
+//   - context.Context cancellation,
 //   - panic isolation — a crashing run becomes a typed *RunError carrying
 //     the run's Spec instead of killing the whole campaign,
 //   - deterministic seed derivation (campaign seed + run index), so a
@@ -138,9 +138,6 @@ type Config struct {
 	// default pool budget divides GOMAXPROCS by it so pool × engine
 	// workers stays at the machine's parallelism.
 	EngineWorkers int
-	// RunTimeout, when positive, is each run's deadline; a run that
-	// exceeds it fails with a cancellation error.
-	RunTimeout time.Duration
 	// OnProgress, when set, receives serialized progress reports.
 	OnProgress func(Progress)
 	// Logf, when set, receives a one-line summary per completed or
@@ -264,7 +261,7 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 				mu.Unlock()
 				report(Progress{Spec: t.Spec, State: StateStarted, Attempt: 1, Wait: wait})
 				runStart := time.Now()
-				res, err := runOne(ctx, cfg.RunTimeout, t)
+				res, err := runOne(ctx, t)
 				runWall := time.Since(runStart)
 				mu.Lock()
 				stats.RunWall += runWall
@@ -312,15 +309,9 @@ feed:
 	return results, stats, errors.Join(errs...)
 }
 
-// runOne executes one task: it applies the per-run deadline and converts a
-// panic into a *PanicError instead of unwinding the pool worker.
-func runOne[T any](ctx context.Context, timeout time.Duration, t *Task[T]) (res T, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout,
-			fmt.Errorf("runner: %s exceeded its %v deadline", t.Spec, timeout))
-		defer cancel()
-	}
+// runOne executes one task, converting a panic into a *PanicError instead
+// of unwinding the pool worker.
+func runOne[T any](ctx context.Context, t *Task[T]) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}

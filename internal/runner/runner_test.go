@@ -125,28 +125,6 @@ func TestRunCancellationSkipsAndCancels(t *testing.T) {
 	}
 }
 
-func TestRunTimeoutAppliesPerRun(t *testing.T) {
-	tasks := []Task[int]{{
-		Spec: Spec{Index: 0, Label: "slow"},
-		Run: func(ctx context.Context) (int, error) {
-			select {
-			case <-ctx.Done():
-				return 0, context.Cause(ctx)
-			case <-time.After(5 * time.Second):
-				return 1, nil
-			}
-		},
-	}}
-	start := time.Now()
-	_, _, err := Run(context.Background(), Config{RunTimeout: 20 * time.Millisecond}, tasks)
-	if err == nil {
-		t.Fatal("want a deadline error")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline did not cut the run short (%v)", elapsed)
-	}
-}
-
 func TestRunProgressIsSerializedAndComplete(t *testing.T) {
 	const n = 16
 	var completed, started int

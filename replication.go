@@ -70,9 +70,8 @@ const (
 // communicator, and optionally checkpoints. A process failure is absorbed
 // by the surviving replicas of the failed logical rank; only when every
 // replica of some logical rank has died does the application abort (and a
-// Campaign with the matching SuccessFor/DrawFailures hooks restarts it
-// from the latest replica-covered checkpoint, with continuous virtual
-// time).
+// Campaign with Replicas set to the degree restarts it from the latest
+// replica-covered checkpoint, with continuous virtual time).
 func RunReplicatedStencil(cfg ReplicatedStencilConfig) App {
 	cfg.defaults()
 	return func(env *Env) {
@@ -163,72 +162,16 @@ func RunReplicatedStencil(cfg ReplicatedStencilConfig) App {
 }
 
 // latestReplicatedCheckpoint returns the highest checkpointed iteration at
-// which every logical rank is covered by at least one replica's complete
+// which every logical rank is covered by at least one replica's valid
 // checkpoint file — the furthest point a replicated restart can resume
 // from. Files of replicas that died mid-write are incomplete and do not
 // cover their logical rank, but any surviving replica's file does.
 func latestReplicatedCheckpoint(store *Store, prefix string, n, degree int) int {
 	best := 0
 	for _, it := range checkpoint.Iterations(store, prefix) {
-		if it <= best {
-			continue
-		}
-		if replicaCovered(store, prefix, it, n, degree) {
+		if it > best && checkpoint.SetComplete(store, prefix, it, n, degree) {
 			best = it
 		}
 	}
 	return best
-}
-
-// replicaCovered reports whether iteration's checkpoint set covers every
-// one of the n logical ranks with at least one replica's complete file.
-func replicaCovered(store *Store, prefix string, iteration, n, degree int) bool {
-	for l := 0; l < n; l++ {
-		ok := false
-		for k := 0; k < degree && !ok; k++ {
-			name := checkpoint.FileName(prefix, iteration, l+k*n)
-			ok = store.Exists(name) && store.Complete(name)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// ReplicatedSetComplete builds the Campaign.SetCompleteFor criterion for a
-// replicated run over ranks world ranks at the given replication degree: a
-// checkpoint set is kept as long as every logical rank is covered by some
-// surviving replica's complete file. The default every-world-rank
-// criterion would delete exactly the sets a replicated restart resumes
-// from (a set in which one replica died mid-campaign is incomplete by
-// world-rank count but perfectly restorable).
-func ReplicatedSetComplete(ranks, degree int) func(store *Store, prefix string, iteration int) bool {
-	n := ranks / degree
-	return func(store *Store, prefix string, iteration int) bool {
-		return replicaCovered(store, prefix, iteration, n, degree)
-	}
-}
-
-// replicatedSuccess builds the Campaign.SuccessFor test for a replicated
-// run: the run is done when no rank aborted and every logical rank has at
-// least one replica that ran to completion — failed-but-covered replicas
-// do not force a restart.
-func replicatedSuccess(ranks, degree int) func(*Result) bool {
-	n := ranks / degree
-	return func(res *Result) bool {
-		if res.Aborted > 0 {
-			return false
-		}
-		for l := 0; l < n; l++ {
-			ok := false
-			for k := 0; k < degree && !ok; k++ {
-				ok = res.Deaths[l+k*n] == "completed"
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -7,46 +7,97 @@ import (
 	"xsim/internal/checkpoint"
 )
 
-// writeCkpt puts a (complete or incomplete) checkpoint file for (iter,
-// rank) into the store.
-func writeCkpt(t *testing.T, store *Store, prefix string, iter, rank int, complete bool) {
+// writeCkpts commits a real checkpoint of iter for each of ranks into the
+// store, written through the checkpoint layer by those ranks of a world
+// just large enough to hold them.
+func writeCkpts(t *testing.T, store *Store, prefix string, iter int, ranks ...int) {
 	t.Helper()
-	w := store.Create(checkpoint.FileName(prefix, iter, rank))
-	if _, err := w.Write([]byte{1}); err != nil {
+	writes := map[int]bool{}
+	world := 0
+	for _, r := range ranks {
+		writes[r] = true
+		world = max(world, r+1)
+	}
+	sim, err := New(Config{Ranks: world, Store: store})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if complete {
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
+	res, err := sim.Run(func(env *Env) {
+		defer env.Finalize()
+		if !writes[env.Rank()] {
+			return
 		}
+		fs, err := NewCheckpointFS(env)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := fs.WriteSized(prefix, CheckpointMeta{Iteration: iter, Rank: env.Rank()}, 64); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil || !res.Success() {
+		t.Fatalf("writing checkpoints: %v", err)
+	}
+}
+
+// tearCkpt leaves the uncommitted checkpoint file of a rank that died
+// mid-write.
+func tearCkpt(t *testing.T, store *Store, prefix string, iter, rank int) {
+	t.Helper()
+	if _, err := store.Create(checkpoint.FileName(prefix, iter, rank)).Write([]byte{1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLatestReplicatedCheckpointCoverage(t *testing.T) {
 	// 3 logical ranks × 2 replicas (world 0..5). A logical rank is covered
-	// by either of its replicas' complete files; one uncovered logical
-	// rank sinks the whole iteration.
+	// by either of its replicas' valid files; one uncovered logical rank
+	// sinks the whole iteration.
 	const n, degree = 3, 2
 	store := NewStore()
 	if got := latestReplicatedCheckpoint(store, "r", n, degree); got != 0 {
 		t.Fatalf("empty store: got %d, want 0", got)
 	}
 	// Iteration 5: fully covered, logical 1 only by its replica (rank 4).
-	for _, rank := range []int{0, 2, 4} {
-		writeCkpt(t, store, "r", 5, rank, true)
-	}
-	writeCkpt(t, store, "r", 5, 1, false) // replica 0 of logical 1 died mid-write
-	// Iteration 10: logical 2 has no complete file at all — not covered.
-	for _, rank := range []int{0, 1, 3, 4} {
-		writeCkpt(t, store, "r", 10, rank, true)
-	}
-	writeCkpt(t, store, "r", 10, 2, false)
+	writeCkpts(t, store, "r", 5, 0, 2, 4)
+	tearCkpt(t, store, "r", 5, 1) // replica 0 of logical 1 died mid-write
+	// Iteration 10: logical 2 has no valid file at all — not covered.
+	writeCkpts(t, store, "r", 10, 0, 1, 3, 4)
+	tearCkpt(t, store, "r", 10, 2)
 	if got := latestReplicatedCheckpoint(store, "r", n, degree); got != 5 {
 		t.Fatalf("got iteration %d, want 5 (iteration 10 leaves logical 2 uncovered)", got)
 	}
-	writeCkpt(t, store, "r", 10, 5, true) // replica of logical 2 completes
+	writeCkpts(t, store, "r", 10, 5) // replica of logical 2 completes
 	if got := latestReplicatedCheckpoint(store, "r", n, degree); got != 10 {
 		t.Fatalf("got iteration %d, want 10 after coverage completes", got)
+	}
+}
+
+// Regression: replica coverage counted any committed file as a logical
+// rank's checkpoint, so a well-framed iteration-3 checkpoint committed under
+// iteration 5's name covered iteration 5 — which every other restart probe
+// rejects — and a replicated restart resumed from iteration 5.
+func TestReplicaCoverageRejectsMisnamedCheckpoint(t *testing.T) {
+	const n, degree = 1, 2 // world ranks 0 and 1 replicate logical rank 0
+	store := NewStore()
+	writeCkpts(t, store, "r", 3, 0)
+	data, _, err := store.Open(checkpoint.FileName("r", 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := store.Create(checkpoint.FileName("r", 5, 0))
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if checkpoint.SetComplete(store, "r", 5, n, degree) {
+		t.Error("the misnamed file covers iteration 5")
+	}
+	if got := latestReplicatedCheckpoint(store, "r", n, degree); got != 3 {
+		t.Errorf("restart point %d, want 3", got)
 	}
 }
 
@@ -60,25 +111,18 @@ func TestReplicaAwareCleanupKeepsCoveredSets(t *testing.T) {
 	// Iteration 5: every logical rank covered — logical 0 by rank 0,
 	// logical 1 only by its replica (rank 4; rank 1 died mid-write),
 	// logical 2 by rank 2. Ranks 3 and 5 never wrote at all.
-	for _, rank := range []int{0, 2, 4} {
-		writeCkpt(t, store, "repl", 5, rank, true)
-	}
-	writeCkpt(t, store, "repl", 5, 1, false)
-	// Iteration 10: logical 2 (ranks 2 and 5) has no complete file.
-	for _, rank := range []int{0, 1, 3, 4} {
-		writeCkpt(t, store, "repl", 10, rank, true)
-	}
+	writeCkpts(t, store, "repl", 5, 0, 2, 4)
+	tearCkpt(t, store, "repl", 5, 1)
+	// Iteration 10: logical 2 (ranks 2 and 5) has no valid file.
+	writeCkpts(t, store, "repl", 10, 0, 1, 3, 4)
 
-	if checkpoint.SetComplete(store, "repl", 5, ranks) {
+	if checkpoint.SetComplete(store, "repl", 5, ranks, 1) {
 		t.Fatal("every-rank criterion unexpectedly accepts the covered set")
 	}
-	covered := ReplicatedSetComplete(ranks, degree)
-	if !covered(store, "repl", 5) {
+	if !checkpoint.SetComplete(store, "repl", 5, ranks/degree, degree) {
 		t.Fatal("replica criterion rejects the covered set")
 	}
-	removed := checkpoint.CleanIncompleteSetsBy(store, "repl", func(it int) bool {
-		return covered(store, "repl", it)
-	})
+	removed := checkpoint.CleanIncompleteReplicaSets(store, "repl", ranks/degree, degree)
 	if len(removed) != 1 || removed[0] != 10 {
 		t.Fatalf("removed %v, want [10]", removed)
 	}
@@ -91,19 +135,20 @@ func TestReplicaAwareCleanupKeepsCoveredSets(t *testing.T) {
 }
 
 // End-to-end: one replica dies and is absorbed; later its buddy dies too,
-// exhausting the logical rank and aborting the run. With the replica-aware
-// cleanup criterion the campaign restarts from the replica-covered
-// checkpoint; the default every-rank criterion deletes it (the first dead
-// replica's file is missing) and forces a from-scratch rerun.
+// exhausting the logical rank and aborting the run. The campaign's cleanup
+// keeps the replica-covered checkpoint (the first dead replica's file is
+// missing from it), so the restart resumes there and finishes strictly
+// sooner than the same campaign without checkpoints, which reruns from
+// scratch.
 func TestReplicatedFailoverThenRestart(t *testing.T) {
 	const ranks, degree = 8, 2
-	run := func(setComplete func(*Store, string, int) bool) *CampaignResult {
+	run := func(interval int) *CampaignResult {
 		sc := ReplicatedStencilConfig{
 			Degree:              degree,
 			Iterations:          10,
 			ComputePerIteration: Seconds(1),
 			HaloBytes:           256,
-			CheckpointInterval:  2,
+			CheckpointInterval:  interval,
 			CheckpointCost:      100 * Millisecond,
 			Prefix:              "repl",
 		}
@@ -115,9 +160,8 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 					{Rank: 5, At: Time(6500 * Millisecond)}, // replica 1 of logical 1: exhaustion
 				},
 			},
+			Replicas:         degree,
 			CheckpointPrefix: sc.Prefix,
-			SetCompleteFor:   setComplete,
-			SuccessFor:       replicatedSuccess(ranks, degree),
 			AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 		}
 		res, err := camp.Run()
@@ -129,21 +173,26 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 		}
 		return res
 	}
-	aware := run(ReplicatedSetComplete(ranks, degree))
-	def := run(nil)
-	// Both campaigns face the same failures; only the restart point
-	// differs, so the replica-aware campaign must finish strictly sooner.
-	if aware.E2 >= def.E2 {
-		t.Fatalf("replica-aware cleanup E2 %v not sooner than every-rank E2 %v",
-			Duration(aware.E2), Duration(def.E2))
+	resumed := run(2)
+	scratch := run(0)
+	if resumed.E2 >= scratch.E2 {
+		t.Fatalf("checkpointed campaign E2 %v not sooner than from-scratch E2 %v",
+			Duration(resumed.E2), Duration(scratch.E2))
 	}
+}
+
+// replicated returns the run-completion test of a campaign at the given
+// replication degree.
+func replicated(ranks, degree int) func(*Result) bool {
+	c := Campaign{Base: Config{Ranks: ranks}, Replicas: degree}
+	return c.done
 }
 
 func TestReplicatedStencilFailoverRun(t *testing.T) {
 	// A single run with one injected failure per replica sphere: every
 	// logical rank keeps a live replica, so the run completes without a
-	// restart and replicatedSuccess accepts it while Result.Success does
-	// not.
+	// restart and the replicated campaign accepts it while Result.Success
+	// does not.
 	const ranks, degree = 8, 2
 	sc := ReplicatedStencilConfig{
 		Degree:              degree,
@@ -172,15 +221,15 @@ func TestReplicatedStencilFailoverRun(t *testing.T) {
 	if res.Success() {
 		t.Fatal("Result.Success should reject a run with failed ranks")
 	}
-	if !replicatedSuccess(ranks, degree)(res) {
-		t.Fatal("replicatedSuccess should accept failed-but-covered replicas")
+	if !replicated(ranks, degree)(res) {
+		t.Fatal("a replicated campaign should accept failed-but-covered replicas")
 	}
 }
 
 func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	// Both replicas of logical 1 die: the survivors must notice the
-	// exhausted replica group and abort rather than hang, and
-	// replicatedSuccess must demand a restart.
+	// exhausted replica group and abort rather than hang, and the
+	// replicated campaign must demand a restart.
 	const ranks, degree = 8, 2
 	sc := ReplicatedStencilConfig{
 		Degree:              degree,
@@ -205,8 +254,8 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	if res.Aborted == 0 {
 		t.Fatalf("expected survivors to abort on replica exhaustion (deaths: %v)", res.Deaths)
 	}
-	if replicatedSuccess(ranks, degree)(res) {
-		t.Fatal("replicatedSuccess should reject an exhausted replica group")
+	if replicated(ranks, degree)(res) {
+		t.Fatal("a replicated campaign should reject an exhausted replica group")
 	}
 }
 

@@ -35,19 +35,17 @@ type Campaign struct {
 	// CheckpointPrefix, when set, enables the between-runs cleanup of
 	// incomplete checkpoint sets.
 	CheckpointPrefix string
-	// SuccessFor, when set, replaces Result.Success as the campaign's
-	// run-completion test. Replication campaigns need it: a run whose
-	// failed ranks were all covered by surviving replicas is done even
-	// though Result.Failed is non-zero, and Result.Success would restart
-	// it forever.
-	SuccessFor func(*Result) bool
-	// SetCompleteFor, when set, replaces the every-rank completeness test
-	// used by the between-runs checkpoint cleanup. Replication campaigns
-	// need it: a set in which a dead replica's file is missing is still
-	// restorable as long as every logical rank is covered by some
-	// surviving replica, and the every-rank criterion would delete
-	// exactly the sets worth keeping.
-	SetCompleteFor func(store *Store, prefix string, iteration int) bool
+	// Replicas is the application's replication degree r (0 and 1 mean
+	// unreplicated): world rank l + k·Ranks/r is replica k of logical rank
+	// l, the layout of RunReplicatedStencil. It decides when a run is done
+	// and which checkpoint sets the between-runs cleanup keeps. A run is
+	// done when no rank aborted and every logical rank has a replica that
+	// completed, so a failed replica whose buddy survived forces no
+	// restart. A set is kept when every logical rank has a replica whose
+	// file a restart would accept (checkpoint.SetComplete), so a dead
+	// replica's missing file does not delete a set the restart resumes
+	// from.
+	Replicas int
 	// AppFor builds the application for each run (fresh trackers etc.);
 	// use the same closure for every run if no per-run state is needed.
 	AppFor func(run int) App
@@ -124,13 +122,41 @@ func (r *CampaignResult) MTTFa() Duration {
 	return Duration(r.E2-r.Start) / Duration(r.Failures+1)
 }
 
-// checkApp reports a campaign with none of its three application hooks
-// set.
-func (c *Campaign) checkApp() error {
+// check reports a campaign that cannot run: none of its three application
+// hooks set, or a replication degree that does not divide the ranks.
+func (c *Campaign) check() error {
 	if c.AppFor == nil && c.AppForPredicted == nil && c.ProgFor == nil {
 		return fmt.Errorf("xsim: Campaign.AppFor, AppForPredicted or ProgFor is required")
 	}
+	if r := c.degree(); c.Base.Ranks%r != 0 {
+		return fmt.Errorf("xsim: Campaign.Replicas %d does not divide Ranks %d", r, c.Base.Ranks)
+	}
 	return nil
+}
+
+// degree is the replication degree, at least 1.
+func (c *Campaign) degree() int { return max(c.Replicas, 1) }
+
+// done reports whether a run finished the application (see Replicas).
+func (c *Campaign) done(res *Result) bool {
+	r := c.degree()
+	if r == 1 {
+		return res.Success()
+	}
+	if res.Aborted > 0 {
+		return false
+	}
+	n := c.Base.Ranks / r
+	for l := 0; l < n; l++ {
+		ok := false
+		for k := 0; k < r && !ok; k++ {
+			ok = res.Deaths[l+k*n] == "completed"
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes the campaign; it is RunContext without cancellation.
@@ -146,7 +172,7 @@ func (c Campaign) Run() (*CampaignResult, error) {
 // next simulation window; the partial CampaignResult accompanies an
 // error wrapping ErrCancelled.
 func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
-	if err := c.checkApp(); err != nil {
+	if err := c.check(); err != nil {
 		return nil, err
 	}
 	maxRuns := c.MaxRuns
@@ -237,11 +263,7 @@ func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 			result.Waited[r] += res.Waited[r]
 		}
 
-		success := res.Success()
-		if c.SuccessFor != nil {
-			success = c.SuccessFor(res)
-		}
-		if success {
+		if c.done(res) {
 			result.Done = true
 			result.E2 = res.SimTime
 			return result, nil
@@ -263,15 +285,8 @@ func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 			}
 		}
 		if c.CheckpointPrefix != "" {
-			complete := c.SetCompleteFor
-			if complete == nil {
-				complete = func(store *Store, prefix string, iteration int) bool {
-					return checkpoint.SetComplete(store, prefix, iteration, c.Base.Ranks)
-				}
-			}
-			checkpoint.CleanIncompleteSetsBy(store, c.CheckpointPrefix, func(it int) bool {
-				return complete(store, c.CheckpointPrefix, it)
-			})
+			r := c.degree()
+			checkpoint.CleanIncompleteReplicaSets(store, c.CheckpointPrefix, c.Base.Ranks/r, r)
 		}
 		start = res.SimTime
 	}
