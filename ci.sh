@@ -21,7 +21,8 @@
 #                     twin tests and message-path tests that pin each side
 #                     already ran under -race in 5)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface,
-#                     and of the MPI layer's intrusive list against a
+#                     the file-name/key round trip of the simulated file
+#                     system, and the MPI layer's intrusive list against a
 #                     slice model; checked-in corpora already ran as
 #                     regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -48,6 +49,10 @@
 #                     halos on the paper's torus: every rank's goroutine
 #                     stack must stay at 4 KiB, which a frame added on the
 #                     send path to the event queue would double)
+#   8g. BenchmarkCheckpointCycle allocation gate (one rank's write of a
+#                     tiered checkpoint and delete of the previous one: a
+#                     file name formatted per call or a map entry per file
+#                     that comes back fails here)
 #   9. campaign-service smoke (a -race build of xsim-server serves one
 #                     campaign per kind, each result bit-for-bit the
 #                     CLI's `xsim-run -campaign` output, and for table2
@@ -96,6 +101,7 @@ go test -run '^$' -fuzz '^FuzzDecodeF64s$' -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz '^FuzzList$' -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint/
+go test -run '^$' -fuzz '^FuzzKeyName$' -fuzztime 10s ./internal/fsmodel/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/
 go test -run '^$' -fuzz '^FuzzCampaignSpecDecode$' -fuzztime 10s .
 
@@ -179,6 +185,13 @@ echo "== closure carrier stack gate (halo-16k-closure shape)"
 # 225 MiB) and no other gate sees it. The row reads ~4,100 stack-bytes/vp
 # and a doubled stack 8,192; the gate is 4 KiB + 10 %.
 bench_gate ./internal/heat/ '^BenchmarkHaloStackPerVP/closure/ranks=16384$' stack-bytes/vp 4505 1
+
+echo "== BenchmarkCheckpointCycle allocation gate"
+# One rank writes a 1 MiB synthetic checkpoint through the paper's tiered
+# hierarchy and deletes the previous iteration's. With the store keyed by
+# (set, iteration, rank) the cycle allocates the file, its header bytes and
+# its drain list: 3 allocs/op, gated at 4. Keyed by formatted name it was 10.
+bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$' allocs/op 4 1 10000x
 
 echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
 smoke_dir=$(mktemp -d)

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 
-	"xsim/internal/checkpoint"
 	"xsim/internal/daly"
 	"xsim/internal/fault"
 	"xsim/internal/fsmodel"
@@ -619,34 +618,30 @@ func RunFirstImpressionsContext(ctx context.Context, rs RunSpec, p FirstImpressi
 	return out, err
 }
 
-// classifyCheckpoints inspects the post-abort checkpoint state.
+// classifyCheckpoints inspects the post-abort checkpoint state of ranks
+// 0..n-1 in one pass over the store's listing of the checkpoint sets.
 func classifyCheckpoints(store *Store, prefix string, n int) string {
-	iters := checkpoint.Iterations(store, prefix)
-	if len(iters) == 0 {
+	present := make(map[int]int) // by iteration: the files of ranks < n
+	corrupted := false
+	for _, f := range store.Stats(prefix) {
+		p := present[f.Key.Iteration]
+		if f.Key.Rank < n {
+			p++
+			corrupted = corrupted || !f.Complete
+		}
+		present[f.Key.Iteration] = p
+	}
+	if len(present) == 0 {
 		return "no-checkpoint"
 	}
-	corrupted := false
 	incomplete := false
-	for _, it := range iters {
-		present := 0
-		for r := 0; r < n; r++ {
-			name := checkpoint.FileName(prefix, it, r)
-			if !store.Exists(name) {
-				continue
-			}
-			present++
-			if !store.Complete(name) {
-				corrupted = true
-			}
-		}
-		if present < n {
-			incomplete = true
-		}
+	for _, p := range present {
+		incomplete = incomplete || p < n
 	}
 	switch {
 	case corrupted:
 		return "corrupted-file"
-	case incomplete && len(iters) > 1:
+	case incomplete && len(present) > 1:
 		return "partially-deleted-old-set"
 	case incomplete:
 		return "incomplete-set"

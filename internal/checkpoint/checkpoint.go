@@ -18,9 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
@@ -71,13 +68,16 @@ type Meta struct {
 }
 
 // FileName returns the checkpoint file name of one rank at one iteration.
+// The package addresses files by key and formats a name only here and in
+// error text.
 func FileName(prefix string, iteration, rank int) string {
-	return fmt.Sprintf("%s.ckpt.%d.r%d", prefix, iteration, rank)
+	return key(prefix, iteration, rank).String()
 }
 
-// setPrefix returns the common prefix of one iteration's checkpoint set.
-func setPrefix(prefix string, iteration int) string {
-	return fmt.Sprintf("%s.ckpt.%d.", prefix, iteration)
+// key returns the store key of one rank's checkpoint file at one
+// iteration: the checkpoint set is the prefix.
+func key(prefix string, iteration, rank int) fsmodel.Key {
+	return fsmodel.Key{Set: prefix, Iteration: iteration, Rank: rank}
 }
 
 // FS gives one simulated process timed access to the simulated parallel
@@ -161,21 +161,21 @@ func (fs *FS) WriteIncrementalSized(prefix string, meta Meta, baseIteration, del
 }
 
 func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
-	name := FileName(prefix, meta.Iteration, meta.Rank)
+	k := key(prefix, meta.Iteration, meta.Rank)
 	size := headerLen + meta.PayloadSize
 	var w *fsmodel.Writer
-	tier := fs.model
+	tier, origin := fs.model, 0
 	if fs.Tiered() {
 		// Staged write: the checkpoint commits to the fastest tier with
 		// room (usually node-local memory) at that tier's cost; drains to
 		// the deeper tiers are scheduled after Commit.
-		t := fs.store.PlaceTier(fs.hier, meta.Rank, size)
-		tier = fs.hier[t].Model
+		origin = fs.store.PlaceTier(fs.hier, meta.Rank, size)
+		tier = fs.hier[origin].Model
 		fs.env.Elapse(tier.MetadataCost())
-		w = fs.store.CreateAt(name, t, meta.Rank, size)
+		w = fs.store.CreateKey(k, origin, meta.Rank, size)
 	} else {
 		fs.env.Elapse(tier.MetadataCost())
-		w = fs.store.Create(name)
+		w = fs.store.CreateKey(k, 0, -1, 0)
 	}
 	var flags uint32
 	if meta.Synthetic {
@@ -206,7 +206,7 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 		return err
 	}
 	if fs.Tiered() {
-		fs.scheduleDrains(name, size)
+		fs.scheduleDrains(w, origin, size)
 	}
 	return nil
 }
@@ -217,15 +217,11 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 // application's subsequent compute. A failure of the owner before a drain
 // completes loses that drain (the source copy died with the node) — the
 // buddy-copy failure mode resolved by Store.ResolveFailure.
-func (fs *FS) scheduleDrains(name string, size int) {
-	origin := fs.store.TierOf(name)
-	if origin < 0 {
-		return
-	}
+func (fs *FS) scheduleDrains(w *fsmodel.Writer, origin, size int) {
 	at := fs.env.Now()
 	for q := origin + 1; q < len(fs.hier); q++ {
 		at = at.Add(fs.hier[q].MetadataCost() + fs.hier[q].WriteCostAmong(size, fs.clients))
-		fs.store.AddDrain(name, q, at)
+		w.AddDrain(q, at)
 	}
 }
 
@@ -249,16 +245,16 @@ func (fs *FS) restore(prefix string, rank, iteration int, chargeOnly bool) (Meta
 	}
 }
 
-// readGate resolves which tier a read of name is served from and how long
+// readGate resolves which tier a read of k is served from and how long
 // the reader must wait first: when the only surviving copy is a drain
 // still in flight, the read blocks until it lands (interruptible — a
 // failure can strike mid-wait). Splitting the gate from the read body
 // lets RestoreStep park on the wait.
-func (fs *FS) readGate(name string) (tier fsmodel.Model, wait vclock.Duration) {
+func (fs *FS) readGate(k fsmodel.Key) (tier fsmodel.Model, wait vclock.Duration) {
 	tier = fs.model
 	if fs.Tiered() {
 		// Read from the fastest tier holding a copy.
-		t, at, ok := fs.store.NearestCopy(name, fs.env.Now())
+		t, at, ok := fs.store.NearestCopyKey(k, fs.env.Now())
 		if ok {
 			if now := fs.env.Now(); at > now {
 				wait = at.Sub(now)
@@ -271,12 +267,12 @@ func (fs *FS) readGate(name string) (tier fsmodel.Model, wait vclock.Duration) {
 
 // readWithTier is the body of Read after the tier gate: metadata charge,
 // open and validation, read charge.
-func (fs *FS) readWithTier(prefix string, tier fsmodel.Model, iteration, rank int) (Meta, []byte, error) {
+func (fs *FS) readWithTier(k fsmodel.Key, tier fsmodel.Model) (Meta, []byte, error) {
 	fs.env.Elapse(tier.MetadataCost())
-	meta, payload, err := openValid(fs.store, prefix, iteration, rank)
+	meta, payload, n, err := openValid(fs.store, k)
 	if err == nil {
 		fs.env.Elapse(tier.ReadCostAmong(headerLen+meta.PayloadSize, fs.clients))
-	} else if n := fs.store.Size(FileName(prefix, iteration, rank)); n >= 0 {
+	} else if n >= 0 {
 		// A file that is there was read before it was rejected.
 		fs.env.Elapse(tier.ReadCostAmong(n, fs.clients))
 	}
@@ -306,7 +302,7 @@ type RestoreState struct {
 
 	hops    int
 	gated   bool
-	name    string
+	key     fsmodel.Key
 	tier    fsmodel.Model
 	wait    vclock.Duration
 	sl      mpi.SleepState
@@ -339,8 +335,8 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 			return true, nil, fmt.Errorf("%w: restore chain from iteration %d too long", ErrCorrupted, rs.iteration)
 		}
 		if !rs.gated {
-			rs.name = FileName(rs.prefix, rs.iteration, rs.rank)
-			rs.tier, rs.wait = fs.readGate(rs.name)
+			rs.key = key(rs.prefix, rs.iteration, rs.rank)
+			rs.tier, rs.wait = fs.readGate(rs.key)
 			rs.gated = true
 		}
 		if rs.wait > 0 {
@@ -350,7 +346,7 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 			}
 			rs.wait = 0
 		}
-		meta, payload, err := fs.readWithTier(rs.prefix, rs.tier, rs.iteration, rs.rank)
+		meta, payload, err := fs.readWithTier(rs.key, rs.tier)
 		if err != nil {
 			return true, nil, err
 		}
@@ -366,37 +362,43 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 
 // Delete removes one rank's checkpoint file (idempotent).
 func (fs *FS) Delete(prefix string, iteration, rank int) {
-	name := FileName(prefix, iteration, rank)
+	k := key(prefix, iteration, rank)
 	tier := fs.model
 	if fs.Tiered() {
-		t := fs.store.TierOf(name)
+		t := fs.store.TierOfKey(k)
 		if t < 0 {
 			t = 0
 		}
 		tier = fs.hier[t].Model
 	}
 	fs.env.Elapse(tier.MetadataCost())
-	fs.store.Delete(name)
+	fs.store.DeleteKey(k)
 }
 
-// openValid opens rank's checkpoint of the iteration and returns its
-// decoded contents if they can be trusted: committed, well-formed, and
-// written for this iteration and rank. Every reader and every probe goes
-// through it, so a file is restorable exactly when Read accepts it. It
-// returns ErrCorrupted (wrapped) for a file that fails any of that and
+// openValid opens the checkpoint file at k and returns its decoded
+// contents if they can be trusted (see trusted), and n, the bytes it read
+// (-1 when the file is missing). Every reader goes through it, and every
+// probe through trusted, so a file is restorable exactly when Read accepts
+// it. It returns ErrCorrupted (wrapped) for a file that fails the test and
 // fsmodel.ErrNotExist (wrapped) for a missing one, and charges nothing.
-func openValid(store *fsmodel.Store, prefix string, iteration, rank int) (Meta, []byte, error) {
-	name := FileName(prefix, iteration, rank)
-	data, complete, err := store.Open(name)
-	if err != nil {
-		return Meta{}, nil, err
+func openValid(store *fsmodel.Store, k fsmodel.Key) (meta Meta, payload []byte, n int, err error) {
+	data, complete, ok := store.OpenKey(k)
+	if !ok {
+		return Meta{}, nil, -1, fmt.Errorf("%w: %q", fsmodel.ErrNotExist, k)
 	}
+	meta, payload, err = trusted(k, data, complete)
+	return meta, payload, len(data), err
+}
+
+// trusted decodes the contents of the checkpoint file at k if they can be
+// trusted: committed, well-formed, and written for k's iteration and rank.
+func trusted(k fsmodel.Key, data []byte, complete bool) (Meta, []byte, error) {
 	meta, payload, err := decode(data, complete)
 	if err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: %s", err, name)
+		return Meta{}, nil, fmt.Errorf("%w: %s", err, k)
 	}
-	if meta.Iteration != iteration || meta.Rank != rank {
-		return Meta{}, nil, fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, name, meta)
+	if meta.Iteration != k.Iteration || meta.Rank != k.Rank {
+		return Meta{}, nil, fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, k, meta)
 	}
 	return meta, payload, nil
 }
@@ -457,9 +459,10 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 // last checkpoint and automatically deletes any corrupted checkpoint". The
 // second result is false when no valid checkpoint exists.
 //
-// It discovers candidate iterations by scanning the store; applications
-// that know their checkpoint cadence should prefer LatestValidAmong, which
-// probes candidates directly — a full scan per rank is quadratic at scale.
+// It takes the candidate iterations from the store's list of checkpoint
+// sets (one entry per set, not per file); applications that know their
+// checkpoint cadence can probe candidates directly with LatestValidAmong or
+// ProbeValid and need no list at all.
 func (fs *FS) LatestValid(prefix string, rank int) (int, bool) {
 	return fs.LatestValidAmong(prefix, rank, Iterations(fs.store, prefix))
 }
@@ -483,12 +486,13 @@ func (fs *FS) LatestValidAmong(prefix string, rank int, iters []int) (int, bool)
 // (a checkpoint cadence) walks them newest first through ProbeValid and
 // needs no list of them.
 func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
-	name := FileName(prefix, iteration, rank)
-	if !fs.store.Exists(name) {
+	k := key(prefix, iteration, rank)
+	data, complete, ok := fs.store.OpenKey(k)
+	if !ok {
 		return false
 	}
 	fs.env.Elapse(fs.model.MetadataCost())
-	meta, _, err := openValid(fs.store, prefix, iteration, rank)
+	meta, _, err := trusted(k, data, complete)
 	if err != nil {
 		// Corrupted: delete it; the caller keeps looking at older sets.
 		fs.Delete(prefix, iteration, rank)
@@ -517,7 +521,7 @@ func ChainValid(store *fsmodel.Store, prefix string, rank, iteration int) bool {
 func Chain(store *fsmodel.Store, prefix string, rank, iteration int) []int {
 	var rev []int
 	for hops := 0; hops < 1000; hops++ { // bound against base-pointer cycles
-		meta, _, err := openValid(store, prefix, iteration, rank)
+		meta, _, _, err := openValid(store, key(prefix, iteration, rank))
 		if err != nil {
 			return nil
 		}
@@ -538,24 +542,7 @@ func Chain(store *fsmodel.Store, prefix string, rank, iteration int) []int {
 // under prefix, ascending. It inspects the store directly without charging
 // virtual time (a bookkeeping scan).
 func Iterations(store *fsmodel.Store, prefix string) []int {
-	seen := make(map[int]bool)
-	lead := prefix + ".ckpt."
-	for _, name := range store.List(lead) {
-		rest := strings.TrimPrefix(name, lead)
-		itStr, _, ok := strings.Cut(rest, ".r")
-		if !ok {
-			continue
-		}
-		if it, err := strconv.Atoi(itStr); err == nil {
-			seen[it] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for it := range seen {
-		out = append(out, it)
-	}
-	sort.Ints(out)
-	return out
+	return store.Iterations(prefix)
 }
 
 // SetComplete reports whether iteration's checkpoint set can be restored:
@@ -567,7 +554,7 @@ func SetComplete(store *fsmodel.Store, prefix string, iteration, n, replicas int
 	for l := 0; l < n; l++ {
 		ok := false
 		for k := 0; k < replicas && !ok; k++ {
-			_, _, err := openValid(store, prefix, iteration, l+k*n)
+			_, _, _, err := openValid(store, key(prefix, iteration, l+k*n))
 			ok = err == nil
 		}
 		if !ok {
@@ -597,9 +584,7 @@ func CleanIncompleteReplicaSets(store *fsmodel.Store, prefix string, n, replicas
 		if SetComplete(store, prefix, it, n, replicas) {
 			continue
 		}
-		for _, name := range store.List(setPrefix(prefix, it)) {
-			store.Delete(name)
-		}
+		store.DeleteSet(prefix, it)
 		removed = append(removed, it)
 	}
 	return removed
@@ -608,9 +593,7 @@ func CleanIncompleteReplicaSets(store *fsmodel.Store, prefix string, n, replicas
 // DeleteSet removes iteration's entire checkpoint set from the store
 // (bookkeeping, no virtual time).
 func DeleteSet(store *fsmodel.Store, prefix string, iteration int) {
-	for _, name := range store.List(setPrefix(prefix, iteration)) {
-		store.Delete(name)
-	}
+	store.DeleteSet(prefix, iteration)
 }
 
 // exitTimeFile is the reserved name holding the simulated exit time.

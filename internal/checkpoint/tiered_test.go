@@ -14,7 +14,7 @@ import (
 
 // withTieredEnv runs body inside a 1-rank simulated world whose checkpoint
 // storage is the given multi-tier hierarchy.
-func withTieredEnv(t *testing.T, store *fsmodel.Store, h fsmodel.Hierarchy, body func(*mpi.Env)) {
+func withTieredEnv(t testing.TB, store *fsmodel.Store, h fsmodel.Hierarchy, body func(*mpi.Env)) {
 	t.Helper()
 	eng, err := core.New(core.Config{NumVPs: 1})
 	if err != nil {

@@ -7,7 +7,12 @@
 //     parallel file system outliving an application crash. Files written by
 //     a process that failed before committing remain in an incomplete state,
 //     which is how the paper's "incomplete or corrupted checkpoint" failure
-//     modes arise.
+//     modes arise. A file is addressed by a Key: a checkpoint file by its
+//     set, iteration and rank, any other file by its plain name. The store
+//     keeps each checkpoint set (set, iteration) as one entry holding its
+//     files by rank, so the write, probe and delete every rank makes per
+//     checkpoint format no name and hash no string; a name is parsed into
+//     the same key, so the name API reaches the same files.
 //
 //   - Model: the cost model (metadata latency, read/write bandwidth). The
 //     paper notes its file system model was a work in progress and excludes
@@ -18,9 +23,6 @@ package fsmodel
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"xsim/internal/vclock"
 )
@@ -209,333 +211,4 @@ func PaperPFSShared() Model {
 	m.AggregateWriteBandwidth = 256e9
 	m.AggregateReadBandwidth = 512e9
 	return m
-}
-
-// drain records one asynchronous copy of a file to a deeper tier: the
-// copy exists at tier from virtual time at on. Drain completion is a lazy
-// timed event — recorded when the write commits, consulted whenever a
-// reader asks which tiers hold the file.
-type drain struct {
-	tier int
-	at   vclock.Time
-}
-
-// file is the stored state of one simulated file.
-type file struct {
-	data     []byte
-	complete bool
-	// tier is the origin tier the file was written to (0 in flat
-	// stores); owner is the writing rank (-1 = unowned) and size the
-	// declared virtual size, both used by capacity accounting and
-	// failure resolution.
-	tier  int
-	owner int
-	size  int
-	// lost marks an origin copy destroyed by its owner's failure
-	// (volatile tier); the file then survives only through completed
-	// drains.
-	lost   bool
-	drains []drain
-}
-
-// usageKey addresses one rank's resident bytes on one tier.
-type usageKey struct {
-	tier, owner int
-}
-
-// Store holds the persistent contents of the simulated file system. It is
-// safe for concurrent use by the parallel engine's partitions.
-type Store struct {
-	mu    sync.Mutex
-	files map[string]*file
-	// usage tracks declared bytes per (tier, owner) for the hierarchy's
-	// capacity/spill decisions; nil until the first tiered create.
-	usage map[usageKey]int
-}
-
-// NewStore returns an empty simulated file system.
-func NewStore() *Store {
-	return &Store{files: make(map[string]*file)}
-}
-
-// Writer is an open simulated file being written. It is not safe for
-// concurrent use; each simulated process writes its own files.
-type Writer struct {
-	store *Store
-	name  string
-	buf   []byte
-	done  bool
-}
-
-// Create creates (or truncates) name and returns a Writer. The file exists
-// immediately but stays incomplete until Commit; a process failure between
-// Create and Commit therefore leaves a corrupted file behind, and a failure
-// before Create leaves the file missing — the two checkpoint failure modes
-// the paper's application distinguishes.
-func (s *Store) Create(name string) *Writer {
-	return s.CreateAt(name, 0, -1, 0)
-}
-
-// CreateAt is Create with tier placement: the file originates at the
-// given tier, owned by the writing rank, with size declared virtual bytes
-// charged against the owner's capacity on that tier (synthetic checkpoint
-// files declare their modelled size without materialising it).
-func (s *Store) CreateAt(name string, tier, owner, size int) *Writer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.files[name]; ok {
-		s.uncharge(old)
-	}
-	f := &file{tier: tier, owner: owner, size: size}
-	s.files[name] = f
-	s.charge(f)
-	return &Writer{store: s, name: name}
-}
-
-// charge and uncharge maintain the per-(tier, owner) capacity accounting;
-// both are called with the store lock held.
-func (s *Store) charge(f *file) {
-	if f.size == 0 {
-		return
-	}
-	if s.usage == nil {
-		s.usage = make(map[usageKey]int)
-	}
-	s.usage[usageKey{f.tier, f.owner}] += f.size
-}
-
-func (s *Store) uncharge(f *file) {
-	if f.size == 0 || s.usage == nil {
-		return
-	}
-	s.usage[usageKey{f.tier, f.owner}] -= f.size
-}
-
-// Usage returns owner's declared resident bytes on tier.
-func (s *Store) Usage(tier, owner int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.usage[usageKey{tier, owner}]
-}
-
-// PlaceTier picks the tier a new size-byte file of owner should originate
-// at: the first tier of h with room under its per-owner capacity, falling
-// through to the last (durable, unbounded-by-convention) tier.
-func (s *Store) PlaceTier(h Hierarchy, owner, size int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for t := 0; t < len(h)-1; t++ {
-		if h[t].Capacity == 0 || s.usage[usageKey{t, owner}]+size <= h[t].Capacity {
-			return t
-		}
-	}
-	return len(h) - 1
-}
-
-// Write appends p to the file. It never fails; the simulated PFS has
-// unbounded capacity. Appends are amortized O(1): the store shares the
-// writer's buffer (readers copy out under the same lock, and appends only
-// ever touch bytes past every previously published length).
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.done {
-		return 0, fmt.Errorf("fsmodel: write to committed file %q", w.name)
-	}
-	w.store.mu.Lock()
-	w.buf = append(w.buf, p...)
-	if f, ok := w.store.files[w.name]; ok {
-		f.data = w.buf
-	}
-	w.store.mu.Unlock()
-	return len(p), nil
-}
-
-// Commit marks the file complete. Further writes fail.
-func (w *Writer) Commit() error {
-	if w.done {
-		return fmt.Errorf("fsmodel: double commit of %q", w.name)
-	}
-	w.done = true
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
-	f, ok := w.store.files[w.name]
-	if !ok {
-		return fmt.Errorf("fsmodel: commit of deleted file %q", w.name)
-	}
-	f.complete = true
-	return nil
-}
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Name returns the file's name.
-func (w *Writer) Name() string { return w.name }
-
-// ErrNotExist is returned when opening a missing file.
-var ErrNotExist = fmt.Errorf("fsmodel: file does not exist")
-
-// Open returns a copy of the file's contents and whether it was committed
-// completely. Opening a missing file returns ErrNotExist.
-func (s *Store) Open(name string) (data []byte, complete bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %q", ErrNotExist, name)
-	}
-	return append([]byte(nil), f.data...), f.complete, nil
-}
-
-// Exists reports whether name exists (complete or not).
-func (s *Store) Exists(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.files[name]
-	return ok
-}
-
-// Complete reports whether name exists and was committed.
-func (s *Store) Complete(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
-	return ok && f.complete
-}
-
-// Size returns the current size of name in bytes, or -1 if it is missing.
-func (s *Store) Size(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
-	if !ok {
-		return -1
-	}
-	return len(f.data)
-}
-
-// Delete removes name (every tier's copy). Deleting a missing file is a
-// no-op, mirroring the idempotent cleanup scripts the paper's application
-// uses.
-func (s *Store) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.files[name]; ok {
-		s.uncharge(f)
-		delete(s.files, name)
-	}
-}
-
-// AddDrain records an asynchronous staging copy: name is (or will be)
-// present at tier from virtual time at on. The caller computes at from the
-// deeper tier's write cost; nothing happens at that time — readers simply
-// start seeing the copy once their clocks pass it (a lazy timed event).
-func (s *Store) AddDrain(name string, tier int, at vclock.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.files[name]; ok {
-		f.drains = append(f.drains, drain{tier: tier, at: at})
-	}
-}
-
-// TierOf returns name's origin tier, or -1 if the file is missing or its
-// origin copy was lost with its owner.
-func (s *Store) TierOf(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
-	if !ok || f.lost {
-		return -1
-	}
-	return f.tier
-}
-
-// NearestCopy returns the fastest (lowest-index) tier holding a copy of
-// name as of virtual time now, and the time that copy became (or becomes)
-// available: when no copy exists yet — the origin was lost and the only
-// surviving drain is still in flight — it returns the earliest future
-// drain with at > now. ok is false when the file is missing or no copy
-// will ever exist.
-func (s *Store) NearestCopy(name string, now vclock.Time) (tier int, at vclock.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, okf := s.files[name]
-	if !okf {
-		return 0, 0, false
-	}
-	if !f.lost {
-		return f.tier, 0, true
-	}
-	best := -1
-	var bestAt vclock.Time
-	var soonest vclock.Time
-	haveFuture := false
-	for _, d := range f.drains {
-		if d.at <= now {
-			if best == -1 || d.tier < best {
-				best, bestAt = d.tier, d.at
-			}
-		} else if !haveFuture || d.at < soonest {
-			soonest, haveFuture = d.at, true
-			tier = d.tier
-		}
-	}
-	if best >= 0 {
-		return best, bestAt, true
-	}
-	if haveFuture {
-		return tier, soonest, true
-	}
-	return 0, 0, false
-}
-
-// ResolveFailure applies the buddy-copy failure mode for one failed rank:
-// every file the rank owns on a volatile tier loses its origin copy, and
-// the drains still in flight at the time of failure (their source died
-// with the node) never complete. Files left with no surviving copy are
-// removed; files that had finished draining survive on the deeper tiers.
-// It is bookkeeping between runs, outside simulated time.
-func (s *Store) ResolveFailure(h Hierarchy, owner int, at vclock.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, f := range s.files {
-		if f.owner != owner || f.lost {
-			continue
-		}
-		if f.tier >= len(h) || !h[f.tier].Volatile {
-			continue
-		}
-		kept := f.drains[:0]
-		for _, d := range f.drains {
-			if d.at <= at {
-				kept = append(kept, d)
-			}
-		}
-		f.drains = kept
-		f.lost = true
-		if len(f.drains) == 0 {
-			s.uncharge(f)
-			delete(s.files, name)
-		}
-	}
-}
-
-// List returns the names of all files with the given prefix, sorted.
-func (s *Store) List(prefix string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var names []string
-	for name := range s.files {
-		if strings.HasPrefix(name, prefix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of files in the store.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.files)
 }

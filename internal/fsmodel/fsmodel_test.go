@@ -2,6 +2,7 @@ package fsmodel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,40 @@ func TestCommitDeletedFile(t *testing.T) {
 	}
 }
 
+// TestStaleWriterCannotTouchRecreatedFile pins that a writer holds its own
+// file: once the file is deleted and created again, the old writer's bytes
+// and commit must not land in the new one.
+func TestStaleWriterCannotTouchRecreatedFile(t *testing.T) {
+	s := NewStore()
+	w1 := s.Create("f")
+	s.Delete("f")
+	w2 := s.Create("f")
+	if _, err := w1.Write([]byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w1.Commit(); err == nil {
+		t.Error("commit of a deleted file's writer succeeded")
+	}
+	data, complete, err := s.Open("f")
+	if err != nil || complete || len(data) != 0 {
+		t.Fatalf("re-created file = %q, complete %v, err %v; want empty and incomplete", data, complete, err)
+	}
+	// A truncating Create replaces the file the same way.
+	w3 := s.Create("f")
+	if _, err := w2.Write([]byte("replaced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Commit(); err == nil {
+		t.Error("commit of a replaced file's writer succeeded")
+	}
+	if err := w3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if data, complete, _ := s.Open("f"); !complete || len(data) != 0 {
+		t.Fatalf("file = %q, complete %v; want the empty committed replacement", data, complete)
+	}
+}
+
 func TestOpenMissing(t *testing.T) {
 	s := NewStore()
 	_, _, err := s.Open("nope")
@@ -136,13 +171,14 @@ func TestDeleteIdempotent(t *testing.T) {
 
 func TestListAndLen(t *testing.T) {
 	s := NewStore()
-	for _, n := range []string{"ckpt.500.r2", "ckpt.500.r0", "ckpt.250.r1", "other"} {
+	for _, n := range []string{"h.ckpt.500.r2", "h.ckpt.500.r0", "h.ckpt.250.r1", "other"} {
 		w := s.Create(n)
 		w.Commit()
 	}
-	got := s.List("ckpt.500.")
-	if len(got) != 2 || got[0] != "ckpt.500.r0" || got[1] != "ckpt.500.r2" {
-		t.Fatalf("List = %v", got)
+	// Keys orders by set, then iteration numerically, then rank.
+	want := []Key{{"h", 250, 1}, {"h", 500, 0}, {"h", 500, 2}, {"other", -1, -1}}
+	if got := s.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("Keys = %#v, want %#v", got, want)
 	}
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())

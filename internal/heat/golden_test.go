@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +47,12 @@ func runDigest(res *core.Result, m mpi.MetricsSnapshot, tr *Tracker, heat []floa
 	for _, f := range m.Failures {
 		u64(uint64(f.Rank), uint64(f.FailedAt), uint64(f.NotifiedAt), uint64(f.LastDetectAt), uint64(f.Detections))
 	}
-	for _, name := range store.List("") {
+	var names []string
+	for _, k := range store.Keys() {
+		names = append(names, k.String())
+	}
+	slices.Sort(names) // the digests were recorded in name order
+	for _, name := range names {
 		data, complete, _ := store.Open(name)
 		h.Write([]byte(name))
 		u64(uint64(len(data)))
