@@ -433,7 +433,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 					}
 					for it := 2; it <= 8; it++ {
 						if mode.incremental {
-							err = fs.WriteIncrementalSized("app", CheckpointMeta{Iteration: it, Rank: 0}, it-1, stateBytes/10)
+							err = fs.WriteSized("app", CheckpointMeta{Iteration: it, Rank: 0, Incremental: true, BaseIteration: it - 1}, stateBytes/10)
 						} else {
 							err = fs.WriteSized("app", CheckpointMeta{Iteration: it, Rank: 0}, stateBytes)
 						}

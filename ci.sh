@@ -49,10 +49,11 @@
 #                     halos on the paper's torus: every rank's goroutine
 #                     stack must stay at 4 KiB, which a frame added on the
 #                     send path to the event queue would double)
-#   8g. BenchmarkCheckpointCycle allocation gate (one rank's write of a
-#                     tiered checkpoint and delete of the previous one: a
-#                     file name formatted per call or a map entry per file
-#                     that comes back fails here)
+#   8g. BenchmarkCheckpointCycle allocation gate (one rank's full and
+#                     incremental write of a tiered checkpoint, each with
+#                     the delete of the previous one, and its restart probe
+#                     and restore: a file name formatted per call or a map
+#                     entry per file that comes back fails here)
 #   9. campaign-service smoke (a -race build of xsim-server serves one
 #                     campaign per kind, each result bit-for-bit the
 #                     CLI's `xsim-run -campaign` output, and for table2
@@ -187,11 +188,16 @@ echo "== closure carrier stack gate (halo-16k-closure shape)"
 bench_gate ./internal/heat/ '^BenchmarkHaloStackPerVP/closure/ranks=16384$' stack-bytes/vp 4505 1
 
 echo "== BenchmarkCheckpointCycle allocation gate"
-# One rank writes a 1 MiB synthetic checkpoint through the paper's tiered
-# hierarchy and deletes the previous iteration's. With the store keyed by
-# (set, iteration, rank) the cycle allocates the file, its header bytes and
-# its drain list: 3 allocs/op, gated at 4. Keyed by formatted name it was 10.
-bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$' allocs/op 4 1 10000x
+# One rank writes a 1 MiB synthetic checkpoint (full) or a quarter-size
+# delta (incremental) through the paper's tiered hierarchy and deletes the
+# previous iteration's. With the store keyed by (set, iteration, rank) each
+# round allocates the file, its header bytes and its drain list: 3
+# allocs/op, gated at 4. Keyed by formatted name it was 10. The restart
+# probe walks three candidates newest first and restores the delta chain it
+# finds; every allocation is a copy of a 52-byte header or a chain slice
+# (8 allocs/op, gated at 9), so a name or map entry per probe shows.
+bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^(full|incremental)$' allocs/op 4 2 10000x
+bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^restart-probe$' allocs/op 9 1 10000x
 
 echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
 smoke_dir=$(mktemp -d)

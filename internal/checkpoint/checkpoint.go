@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
@@ -108,9 +109,6 @@ func NewFS(env *mpi.Env) (*FS, error) {
 	}, nil
 }
 
-// Store returns the underlying simulated file system.
-func (fs *FS) Store() *fsmodel.Store { return fs.store }
-
 // Tiered reports whether the world was configured with a multi-tier
 // storage hierarchy (staged writes and tier-aware reads) rather than the
 // flat single-tier cost model.
@@ -120,43 +118,23 @@ func (fs *FS) Tiered() bool { return len(fs.hier) > 0 }
 // the end. The virtual write time is charged *between* creating the file
 // and committing it, so a process failure during the write leaves the file
 // present but incomplete — exactly the paper's corrupted-checkpoint
-// failure mode.
+// failure mode. A meta with Incremental set writes a delta checkpoint on
+// BaseIteration (which must itself be restorable): the write time covers
+// only the delta, which is incremental checkpointing's entire point, and
+// restoring requires the whole chain back to a full checkpoint.
 func (fs *FS) Write(prefix string, meta Meta, payload []byte) error {
 	meta.PayloadSize = len(payload)
 	meta.Synthetic = false
 	return fs.write(prefix, meta, payload)
 }
 
-// WriteSized writes a synthetic checkpoint: the header records a payload
-// of size bytes and the write charges the corresponding virtual time, but
-// the bytes are not materialised. Large-scale modelled experiments use it
-// the way the MPI layer uses payload-free messages.
+// WriteSized is Write with a synthetic payload: the header records a
+// payload of size bytes and the write charges the corresponding virtual
+// time, but the bytes are not materialised. Large-scale modelled
+// experiments use it the way the MPI layer uses payload-free messages.
 func (fs *FS) WriteSized(prefix string, meta Meta, size int) error {
 	meta.PayloadSize = size
 	meta.Synthetic = true
-	meta.Incremental = false
-	return fs.write(prefix, meta, nil)
-}
-
-// WriteIncremental writes a delta checkpoint holding only the data changed
-// since baseIteration (which must itself be restorable). The virtual write
-// time covers only the delta, which is incremental checkpointing's entire
-// point; restoring requires the whole chain back to a full checkpoint.
-func (fs *FS) WriteIncremental(prefix string, meta Meta, baseIteration int, delta []byte) error {
-	meta.PayloadSize = len(delta)
-	meta.Synthetic = false
-	meta.Incremental = true
-	meta.BaseIteration = baseIteration
-	return fs.write(prefix, meta, delta)
-}
-
-// WriteIncrementalSized is WriteIncremental with a synthetic payload of
-// deltaSize bytes, for modelled experiments.
-func (fs *FS) WriteIncrementalSized(prefix string, meta Meta, baseIteration, deltaSize int) error {
-	meta.PayloadSize = deltaSize
-	meta.Synthetic = true
-	meta.Incremental = true
-	meta.BaseIteration = baseIteration
 	return fs.write(prefix, meta, nil)
 }
 
@@ -254,7 +232,7 @@ func (fs *FS) readGate(k fsmodel.Key) (tier fsmodel.Model, wait vclock.Duration)
 	tier = fs.model
 	if fs.Tiered() {
 		// Read from the fastest tier holding a copy.
-		t, at, ok := fs.store.NearestCopyKey(k, fs.env.Now())
+		t, at, ok := fs.store.NearestCopy(k, fs.env.Now())
 		if ok {
 			if now := fs.env.Now(); at > now {
 				wait = at.Sub(now)
@@ -315,10 +293,6 @@ func (rs *RestoreState) Begin(prefix string, rank, iteration int, chargeOnly boo
 	*rs = RestoreState{prefix: prefix, rank: rank, iteration: iteration, chargeOnly: chargeOnly}
 }
 
-// Meta returns the last read file's metadata after RestoreStep reports
-// done (for chargeOnly chains, the full checkpoint ending the chain).
-func (rs *RestoreState) Meta() Meta { return rs.meta }
-
 // Payload returns the requested checkpoint's payload after a
 // chargeOnly=false RestoreStep reports done.
 func (rs *RestoreState) Payload() []byte { return rs.payload }
@@ -365,14 +339,14 @@ func (fs *FS) Delete(prefix string, iteration, rank int) {
 	k := key(prefix, iteration, rank)
 	tier := fs.model
 	if fs.Tiered() {
-		t := fs.store.TierOfKey(k)
+		t := fs.store.TierOf(k)
 		if t < 0 {
 			t = 0
 		}
 		tier = fs.hier[t].Model
 	}
 	fs.env.Elapse(tier.MetadataCost())
-	fs.store.DeleteKey(k)
+	fs.store.Delete(k)
 }
 
 // openValid opens the checkpoint file at k and returns its decoded
@@ -382,7 +356,7 @@ func (fs *FS) Delete(prefix string, iteration, rank int) {
 // it. It returns ErrCorrupted (wrapped) for a file that fails the test and
 // fsmodel.ErrNotExist (wrapped) for a missing one, and charges nothing.
 func openValid(store *fsmodel.Store, k fsmodel.Key) (meta Meta, payload []byte, n int, err error) {
-	data, complete, ok := store.OpenKey(k)
+	data, complete, ok := store.Open(k)
 	if !ok {
 		return Meta{}, nil, -1, fmt.Errorf("%w: %q", fsmodel.ErrNotExist, k)
 	}
@@ -433,8 +407,14 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 	if meta.Iteration < 0 || meta.Rank < 0 || meta.PayloadSize < 0 || meta.BaseIteration < 0 {
 		return Meta{}, nil, fmt.Errorf("%w (negative header field)", ErrCorrupted)
 	}
+	// A header whose payload size pushes the file size past int would wrap
+	// headerLen+PayloadSize negative, and a read of it would charge no
+	// time at all.
+	if meta.PayloadSize > math.MaxInt-headerLen {
+		return Meta{}, nil, fmt.Errorf("%w (payload size %d overflows the file size)", ErrCorrupted, meta.PayloadSize)
+	}
 	// A delta must build on an earlier iteration; a self- or
-	// forward-referential base pointer can never restore (ChainValid would
+	// forward-referential base pointer can never restore (Chain would
 	// reject it, but Read must not accept the file in the first place).
 	if meta.Incremental && meta.BaseIteration >= meta.Iteration {
 		return Meta{}, nil, fmt.Errorf("%w (base iteration %d not before iteration %d)",
@@ -453,41 +433,17 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 	return meta, payload, nil
 }
 
-// LatestValid returns this rank's newest iteration with a valid (complete,
-// well-formed) checkpoint file, deleting any newer corrupted files it
-// encounters on the way — the paper's application "automatically loads the
-// last checkpoint and automatically deletes any corrupted checkpoint". The
-// second result is false when no valid checkpoint exists.
-//
-// It takes the candidate iterations from the store's list of checkpoint
-// sets (one entry per set, not per file); applications that know their
-// checkpoint cadence can probe candidates directly with LatestValidAmong or
-// ProbeValid and need no list at all.
-func (fs *FS) LatestValid(prefix string, rank int) (int, bool) {
-	return fs.LatestValidAmong(prefix, rank, Iterations(fs.store, prefix))
-}
-
-// LatestValidAmong is LatestValid restricted to the given candidate
-// iterations (ascending); it probes each candidate with O(1) lookups
-// instead of scanning the store.
-func (fs *FS) LatestValidAmong(prefix string, rank int, iters []int) (int, bool) {
-	for i := len(iters) - 1; i >= 0; i-- {
-		if fs.ProbeValid(prefix, rank, iters[i]) {
-			return iters[i], true
-		}
-	}
-	return 0, false
-}
-
-// ProbeValid is LatestValid's test of one candidate: it reports whether
-// rank's checkpoint of the iteration exists and can be restored, charging
-// the metadata operation when a file is there to open and deleting the
-// file when it is corrupted. An application whose candidates follow a rule
-// (a checkpoint cadence) walks them newest first through ProbeValid and
+// ProbeValid reports whether rank's checkpoint of the iteration exists and
+// can be restored, charging the metadata operation when a file is there to
+// open and deleting the file when it is corrupted. Walking the candidate
+// iterations newest first through ProbeValid finds the last valid
+// checkpoint the way the paper's application does: it "automatically loads
+// the last checkpoint and automatically deletes any corrupted checkpoint".
+// An application whose candidates follow a rule (a checkpoint cadence)
 // needs no list of them.
 func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	k := key(prefix, iteration, rank)
-	data, complete, ok := fs.store.OpenKey(k)
+	data, complete, ok := fs.store.Open(k)
 	if !ok {
 		return false
 	}
@@ -500,16 +456,7 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	}
 	// A delta checkpoint is only restorable if its chain back to a
 	// full checkpoint is intact.
-	return !meta.Incremental || ChainValid(fs.store, prefix, rank, iteration)
-}
-
-// ChainValid reports whether the checkpoint at iteration can be restored:
-// a full checkpoint must be valid; a delta additionally needs every link
-// back to a full checkpoint valid (incremental checkpointing's restore
-// requirement). It inspects the store directly without charging virtual
-// time.
-func ChainValid(store *fsmodel.Store, prefix string, rank, iteration int) bool {
-	return Chain(store, prefix, rank, iteration) != nil
+	return !meta.Incremental || Chain(fs.store, prefix, rank, iteration) != nil
 }
 
 // Chain returns the iterations of the checkpoint chain ending at
@@ -536,13 +483,6 @@ func Chain(store *fsmodel.Store, prefix string, rank, iteration int) []int {
 		iteration = meta.BaseIteration
 	}
 	return nil
-}
-
-// Iterations lists the iterations that have at least one checkpoint file
-// under prefix, ascending. It inspects the store directly without charging
-// virtual time (a bookkeeping scan).
-func Iterations(store *fsmodel.Store, prefix string) []int {
-	return store.Iterations(prefix)
 }
 
 // SetComplete reports whether iteration's checkpoint set can be restored:
@@ -580,7 +520,7 @@ func CleanIncompleteSets(store *fsmodel.Store, prefix string, n int) []int {
 // replica covers its logical rank.
 func CleanIncompleteReplicaSets(store *fsmodel.Store, prefix string, n, replicas int) []int {
 	var removed []int
-	for _, it := range Iterations(store, prefix) {
+	for _, it := range store.Iterations(prefix) {
 		if SetComplete(store, prefix, it, n, replicas) {
 			continue
 		}
@@ -590,21 +530,15 @@ func CleanIncompleteReplicaSets(store *fsmodel.Store, prefix string, n, replicas
 	return removed
 }
 
-// DeleteSet removes iteration's entire checkpoint set from the store
-// (bookkeeping, no virtual time).
-func DeleteSet(store *fsmodel.Store, prefix string, iteration int) {
-	store.DeleteSet(prefix, iteration)
-}
-
-// exitTimeFile is the reserved name holding the simulated exit time.
-const exitTimeFile = "__xsim.exit_time"
+// exitTimeKey is the reserved plain file holding the simulated exit time.
+var exitTimeKey = fsmodel.Key{Set: "__xsim.exit_time", Iteration: -1, Rank: -1}
 
 // SaveExitTime persists the simulated time of the application exit (the
 // maximum simulated process time) so a restarted run can initialise every
 // process clock from it — xSim's support for continuous virtual timing
 // across abort/restart cycles.
 func SaveExitTime(store *fsmodel.Store, t vclock.Time) error {
-	w := store.Create(exitTimeFile)
+	w := store.CreateKey(exitTimeKey, 0, -1, 0)
 	if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, uint64(t))); err != nil {
 		return err
 	}
@@ -614,8 +548,8 @@ func SaveExitTime(store *fsmodel.Store, t vclock.Time) error {
 // LoadExitTime reads the persisted exit time; ok is false when none was
 // saved.
 func LoadExitTime(store *fsmodel.Store) (t vclock.Time, ok bool) {
-	data, complete, err := store.Open(exitTimeFile)
-	if err != nil || !complete || len(data) != 8 {
+	data, complete, ok := store.Open(exitTimeKey)
+	if !ok || !complete || len(data) != 8 {
 		return 0, false
 	}
 	t = vclock.Time(binary.LittleEndian.Uint64(data))
@@ -629,4 +563,4 @@ func LoadExitTime(store *fsmodel.Store) (t vclock.Time, ok bool) {
 }
 
 // ClearExitTime removes the persisted exit time (fresh experiment).
-func ClearExitTime(store *fsmodel.Store) { store.Delete(exitTimeFile) }
+func ClearExitTime(store *fsmodel.Store) { store.Delete(exitTimeKey) }

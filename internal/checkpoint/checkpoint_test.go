@@ -16,6 +16,13 @@ import (
 // withEnv runs body inside a 1-rank simulated world with a PFS.
 func withEnv(t *testing.T, store *fsmodel.Store, model fsmodel.Model, failAt vclock.Time, body func(*mpi.Env)) *core.Result {
 	t.Helper()
+	return withWorld(t, mpi.WorldConfig{FSStore: store, FSModel: model}, failAt, body)
+}
+
+// withWorld runs body inside a 1-rank simulated world with cfg's file
+// system, failing the rank at failAt when it is positive.
+func withWorld(t testing.TB, cfg mpi.WorldConfig, failAt vclock.Time, body func(*mpi.Env)) *core.Result {
+	t.Helper()
 	eng, err := core.New(core.Config{NumVPs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +37,8 @@ func withEnv(t *testing.T, store *fsmodel.Store, model fsmodel.Model, failAt vcl
 		System: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: vclock.Second},
 		OnNode: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: vclock.Second},
 	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: procmodel.Paper(), FSStore: store, FSModel: model})
+	cfg.Net, cfg.Proc = net, procmodel.Paper()
+	w, err := mpi.NewWorld(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +111,11 @@ func TestFailureDuringWriteCorruptsCheckpoint(t *testing.T) {
 	}
 	// The file exists (created before the failure) but is incomplete:
 	// the paper's corrupted checkpoint.
-	name := FileName("heat", 2, 0)
-	if !store.Exists(name) {
+	_, complete, ok := store.Open(key("heat", 2, 0))
+	if !ok {
 		t.Fatal("corrupted checkpoint should exist")
 	}
-	if store.Complete(name) {
+	if complete {
 		t.Fatal("corrupted checkpoint should be incomplete")
 	}
 	// A later reader rejects it.
@@ -129,6 +137,23 @@ func TestReadMissing(t *testing.T) {
 	})
 }
 
+// latestValid probes rank's checkpoints of iters (ascending) newest first,
+// as a restart does, and returns the first restorable iteration.
+func latestValid(fs *FS, prefix string, rank int, iters []int) (int, bool) {
+	for i := len(iters) - 1; i >= 0; i-- {
+		if fs.ProbeValid(prefix, rank, iters[i]) {
+			return iters[i], true
+		}
+	}
+	return 0, false
+}
+
+// exists reports whether the file at k is in store.
+func exists(store *fsmodel.Store, k fsmodel.Key) bool {
+	_, _, ok := store.Open(k)
+	return ok
+}
+
 func TestLatestValidSkipsCorrupted(t *testing.T) {
 	store := fsmodel.NewStore()
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
@@ -144,13 +169,13 @@ func TestLatestValidSkipsCorrupted(t *testing.T) {
 	store.Create(FileName("heat", 300, 0)).Write([]byte("partial"))
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
-		it, ok := fs.LatestValid("heat", 0)
+		it, ok := latestValid(fs, "heat", 0, store.Iterations("heat"))
 		if !ok || it != 200 {
-			t.Fatalf("LatestValid = %d, %v; want 200, true", it, ok)
+			t.Fatalf("latest valid = %d, %v; want 200, true", it, ok)
 		}
 	})
 	// The corrupted file was deleted on the way.
-	if store.Exists(FileName("heat", 300, 0)) {
+	if exists(store, key("heat", 300, 0)) {
 		t.Error("corrupted checkpoint should have been deleted")
 	}
 }
@@ -159,7 +184,7 @@ func TestLatestValidNone(t *testing.T) {
 	store := fsmodel.NewStore()
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
-		if _, ok := fs.LatestValid("heat", 0); ok {
+		if _, ok := latestValid(fs, "heat", 0, []int{100, 200}); ok {
 			t.Error("empty store should have no valid checkpoint")
 		}
 	})
@@ -177,7 +202,7 @@ func TestIterationsAndSetComplete(t *testing.T) {
 			}
 		}
 	})
-	got := Iterations(store, "heat")
+	got := store.Iterations("heat")
 	if len(got) != 2 || got[0] != 125 || got[1] != 250 {
 		t.Fatalf("Iterations = %v", got)
 	}
@@ -212,7 +237,7 @@ func TestCleanIncompleteSets(t *testing.T) {
 	if len(removed) != 1 || removed[0] != 200 {
 		t.Fatalf("removed = %v", removed)
 	}
-	if got := Iterations(store, "heat"); len(got) != 1 || got[0] != 100 {
+	if got := store.Iterations("heat"); len(got) != 1 || got[0] != 100 {
 		t.Fatalf("surviving iterations = %v", got)
 	}
 }
@@ -224,8 +249,8 @@ func TestDeleteSet(t *testing.T) {
 		fs.Write("heat", Meta{Iteration: 1, Rank: 0}, nil)
 		fs.Write("heat", Meta{Iteration: 2, Rank: 0}, nil)
 	})
-	DeleteSet(store, "heat", 1)
-	if got := Iterations(store, "heat"); len(got) != 1 || got[0] != 2 {
+	store.DeleteSet("heat", 1)
+	if got := store.Iterations("heat"); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("iterations after delete = %v", got)
 	}
 }
@@ -253,7 +278,7 @@ func TestWriteSizedSynthetic(t *testing.T) {
 		}
 	})
 	// Tiny on disk.
-	if store.Size(FileName("heat", 5, 0)) > 100 {
+	if data, _, _ := store.Open(key("heat", 5, 0)); len(data) > 100 {
 		t.Fatal("synthetic checkpoint materialised its payload")
 	}
 }
@@ -265,26 +290,26 @@ func TestIncrementalChain(t *testing.T) {
 		if err := fs.Write("heat", Meta{Iteration: 100, Rank: 0}, []byte("full state")); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.WriteIncremental("heat", Meta{Iteration: 110, Rank: 0}, 100, []byte("delta1")); err != nil {
+		if err := fs.Write("heat", Meta{Iteration: 110, Rank: 0, Incremental: true, BaseIteration: 100}, []byte("delta1")); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.WriteIncremental("heat", Meta{Iteration: 120, Rank: 0}, 110, []byte("delta2")); err != nil {
+		if err := fs.Write("heat", Meta{Iteration: 120, Rank: 0, Incremental: true, BaseIteration: 110}, []byte("delta2")); err != nil {
 			t.Fatal(err)
 		}
-		if !ChainValid(store, "heat", 0, 120) {
+		if Chain(store, "heat", 0, 120) == nil {
 			t.Fatal("intact chain should be valid")
 		}
 		// The newest restorable iteration is the tip of the chain.
-		it, ok := fs.LatestValidAmong("heat", 0, []int{100, 110, 120})
+		it, ok := latestValid(fs, "heat", 0, []int{100, 110, 120})
 		if !ok || it != 120 {
 			t.Fatalf("latest = %d, %v", it, ok)
 		}
 		// Breaking a middle link invalidates everything above it.
 		fs.Delete("heat", 110, 0)
-		if ChainValid(store, "heat", 0, 120) {
+		if Chain(store, "heat", 0, 120) != nil {
 			t.Fatal("broken chain should be invalid")
 		}
-		it, ok = fs.LatestValidAmong("heat", 0, []int{100, 110, 120})
+		it, ok = latestValid(fs, "heat", 0, []int{100, 110, 120})
 		if !ok || it != 100 {
 			t.Fatalf("latest after break = %d, %v (want the full checkpoint)", it, ok)
 		}
@@ -301,7 +326,7 @@ func TestIncrementalSizedCost(t *testing.T) {
 		}
 		before := e.Now()
 		// A 10% delta costs a tenth of the payload write time.
-		if err := fs.WriteIncrementalSized("heat", Meta{Iteration: 2, Rank: 0}, 1, 1e5); err != nil {
+		if err := fs.WriteSized("heat", Meta{Iteration: 2, Rank: 0, Incremental: true, BaseIteration: 1}, 1e5); err != nil {
 			t.Fatal(err)
 		}
 		got := e.Now().Sub(before)
@@ -316,7 +341,7 @@ func TestIncrementalSizedCost(t *testing.T) {
 		if !meta.Incremental || meta.BaseIteration != 1 {
 			t.Fatalf("meta = %+v", meta)
 		}
-		if !ChainValid(store, "heat", 0, 2) {
+		if Chain(store, "heat", 0, 2) == nil {
 			t.Fatal("synthetic chain should be valid")
 		}
 	})
@@ -327,10 +352,10 @@ func TestChainValidCycleGuard(t *testing.T) {
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
 		// A delta claiming a base at or above itself is corrupt.
-		if err := fs.WriteIncremental("heat", Meta{Iteration: 50, Rank: 0}, 50, []byte("x")); err != nil {
+		if err := fs.Write("heat", Meta{Iteration: 50, Rank: 0, Incremental: true, BaseIteration: 50}, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if ChainValid(store, "heat", 0, 50) {
+		if Chain(store, "heat", 0, 50) != nil {
 			t.Fatal("self-referential chain should be invalid")
 		}
 	})
@@ -363,35 +388,22 @@ func TestExitTimePersistence(t *testing.T) {
 }
 
 func TestNewFSWithoutStore(t *testing.T) {
-	eng, _ := core.New(core.Config{NumVPs: 1})
-	net := &netmodel.Model{
-		Topo:   topology.NewFullyConnected(1),
-		System: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9},
-		OnNode: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9},
-	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: procmodel.Paper()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(func(e *mpi.Env) {
+	withWorld(t, mpi.WorldConfig{}, 0, func(e *mpi.Env) {
 		if _, err := NewFS(e); err == nil {
 			t.Error("NewFS without a store should fail")
 		}
-		e.Finalize()
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
-// misname commits src's bytes under dst's name: a well-framed checkpoint
-// whose header disagrees with its file name.
-func misname(t *testing.T, store *fsmodel.Store, src, dst string) {
+// misname commits the bytes of the file at src as the file at dst: a
+// well-framed checkpoint whose header disagrees with its file name.
+func misname(t *testing.T, store *fsmodel.Store, src, dst fsmodel.Key) {
 	t.Helper()
-	data, _, err := store.Open(src)
-	if err != nil {
-		t.Fatal(err)
+	data, _, ok := store.Open(src)
+	if !ok {
+		t.Fatalf("%s is missing", src)
 	}
-	w := store.Create(dst)
+	w := store.CreateKey(dst, 0, -1, 0)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -414,24 +426,24 @@ func TestMisnamedCheckpointIsNotRestorable(t *testing.T) {
 		if err := fs.Write("heat", Meta{Iteration: 20, Rank: 0}, []byte("state at 20")); err != nil {
 			t.Fatal(err)
 		}
-		misname(t, store, FileName("heat", 20, 0), FileName("heat", 40, 0))
+		misname(t, store, key("heat", 20, 0), key("heat", 40, 0))
 		if _, _, err := fs.Read("heat", 40, 0); !errors.Is(err, ErrCorrupted) {
 			t.Fatalf("Read of the impostor: %v, want ErrCorrupted", err)
 		}
 		if SetComplete(store, "heat", 40, 1, 1) {
 			t.Error("SetComplete(40) accepts the impostor")
 		}
-		if err := fs.WriteIncremental("heat", Meta{Iteration: 50, Rank: 0}, 40, []byte("delta")); err != nil {
+		if err := fs.Write("heat", Meta{Iteration: 50, Rank: 0, Incremental: true, BaseIteration: 40}, []byte("delta")); err != nil {
 			t.Fatal(err)
 		}
-		if ChainValid(store, "heat", 0, 50) || Chain(store, "heat", 0, 50) != nil {
+		if Chain(store, "heat", 0, 50) != nil {
 			t.Error("a delta on the impostor counts as a restorable chain")
 		}
-		if it, ok := fs.LatestValid("heat", 0); !ok || it != 20 {
-			t.Errorf("LatestValid = %d, %v, want 20", it, ok)
+		if it, ok := latestValid(fs, "heat", 0, store.Iterations("heat")); !ok || it != 20 {
+			t.Errorf("latest valid = %d, %v, want 20", it, ok)
 		}
-		if store.Exists(FileName("heat", 40, 0)) {
-			t.Error("LatestValid left the impostor in the store")
+		if exists(store, key("heat", 40, 0)) {
+			t.Error("the newest-first probe left the impostor in the store")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"xsim/internal/fsmodel"
@@ -22,15 +23,17 @@ func header(flags uint32, iteration, rank, payloadSize, base uint64) []byte {
 
 // FuzzDecode exercises the checkpoint file parser with arbitrary bytes:
 // it must never panic, and anything it accepts must be self-consistent —
-// non-negative header counters and a payload matching the header's size.
+// non-negative header counters, a file size within int, and a payload
+// matching the header's size.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{}, true)
 	f.Add(append(header(0, 3, 1, 2, 0), 0xAB, 0xCD), true)
 	f.Add(append(header(0, 3, 1, 2, 0), 0xAB, 0xCD), false) // uncommitted
 	f.Add(header(flagSynthetic, 10, 0, 4096, 0), true)
-	f.Add(header(flagSynthetic, 10, 0, 1<<63, 0), true) // negative PayloadSize
-	f.Add(header(0, 1<<63, 0, 0, 0), true)              // negative Iteration
-	f.Add(append(header(0, 1, 1, 1<<40, 0), 1), true)   // payload size lie
+	f.Add(header(flagSynthetic, 10, 0, 1<<63, 0), true)          // negative PayloadSize
+	f.Add(header(0, 1<<63, 0, 0, 0), true)                       // negative Iteration
+	f.Add(append(header(0, 1, 1, 1<<40, 0), 1), true)            // payload size lie
+	f.Add(header(flagSynthetic, 10, 0, math.MaxInt-10, 0), true) // file size overflows int
 	f.Fuzz(func(t *testing.T, data []byte, complete bool) {
 		meta, payload, err := decode(data, complete)
 		if err != nil {
@@ -38,6 +41,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if meta.Iteration < 0 || meta.Rank < 0 || meta.PayloadSize < 0 || meta.BaseIteration < 0 {
 			t.Fatalf("decode accepted negative header fields: %+v", meta)
+		}
+		if headerLen+meta.PayloadSize < 0 {
+			t.Fatalf("decode accepted a file size past int: %+v", meta)
 		}
 		if meta.Synthetic {
 			if payload != nil {
@@ -60,7 +66,7 @@ func FuzzLoadExitTime(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(nil, ^uint64(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := fsmodel.NewStore()
-		w := store.Create(exitTimeFile)
+		w := store.CreateKey(exitTimeKey, 0, -1, 0)
 		if _, err := w.Write(data); err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,11 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"xsim/internal/fsmodel"
+	"xsim/internal/mpi"
 )
 
 // Regression: a synthetic checkpoint header with the payload-size top bit
@@ -25,10 +27,39 @@ func TestDecodeRejectsNegativeHeaderFields(t *testing.T) {
 	}
 }
 
+// Regression: a synthetic header whose payload size is just short of the
+// int range decoded fine, but headerLen+PayloadSize wrapped negative and a
+// read of the file charged ReadCostAmong(<negative>) = 0: a corrupt file
+// restored for free.
+func TestDecodeRejectsOverflowingPayloadSize(t *testing.T) {
+	huge := header(flagSynthetic, 10, 0, math.MaxInt-10, 0)
+	if _, _, err := decode(huge, true); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("decode = %v, want ErrCorrupted", err)
+	}
+	// The largest size whose file size still fits in an int decodes.
+	if _, _, err := decode(header(flagSynthetic, 10, 0, math.MaxInt-headerLen, 0), true); err != nil {
+		t.Fatalf("largest representable size rejected: %v", err)
+	}
+	store := fsmodel.NewStore()
+	w := store.CreateKey(key("heat", 10, 0), 0, -1, 0)
+	if _, err := w.Write(huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	withEnv(t, store, fsmodel.PaperPFS(), 0, func(e *mpi.Env) {
+		fs, _ := NewFS(e)
+		if err := fs.ChargeRestore("heat", 0, 10); !errors.Is(err, ErrCorrupted) {
+			t.Errorf("ChargeRestore = %v, want ErrCorrupted", err)
+		}
+	})
+}
+
 // Regression: decode accepted an incremental checkpoint whose base
 // iteration was at or above its own iteration — a self- or
-// forward-referential chain link that can never restore. Only ChainValid
-// rejected it, so FS.Read would happily return a checkpoint that the
+// forward-referential chain link that can never restore. Only the chain
+// walk rejected it, so FS.Read would happily return a checkpoint that the
 // restart machinery could not use.
 func TestDecodeRejectsForwardBase(t *testing.T) {
 	hostile := map[string][]byte{
@@ -59,7 +90,7 @@ func TestDecodeRejectsForwardBase(t *testing.T) {
 // LoadExitTime must treat it as corrupt instead.
 func TestLoadExitTimeRejectsNegativeTime(t *testing.T) {
 	store := fsmodel.NewStore()
-	w := store.Create(exitTimeFile)
+	w := store.CreateKey(exitTimeKey, 0, -1, 0)
 	if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, 1<<63)); err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,8 @@ package checkpoint
 import (
 	"testing"
 
-	"xsim/internal/core"
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
-	"xsim/internal/netmodel"
-	"xsim/internal/procmodel"
-	"xsim/internal/topology"
 	"xsim/internal/vclock"
 )
 
@@ -16,29 +12,7 @@ import (
 // storage is the given multi-tier hierarchy.
 func withTieredEnv(t testing.TB, store *fsmodel.Store, h fsmodel.Hierarchy, body func(*mpi.Env)) {
 	t.Helper()
-	eng, err := core.New(core.Config{NumVPs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := &netmodel.Model{
-		Topo:   topology.NewFullyConnected(1),
-		System: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: vclock.Second},
-		OnNode: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: vclock.Second},
-	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{
-		Net: net, Proc: procmodel.Paper(), FSStore: store, FSHierarchy: h,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(func(e *mpi.Env) {
-		body(e)
-		if !e.Finalized() {
-			e.Finalize()
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	withWorld(t, mpi.WorldConfig{FSStore: store, FSHierarchy: h}, 0, body)
 }
 
 // drainTimes returns the expected completion times of a size-byte file's
@@ -76,8 +50,7 @@ func TestTieredWriteCommitsAtLocalTierCost(t *testing.T) {
 		if got := e.Now().Sub(before); got != want {
 			t.Fatalf("tiered write charged %v, want node-local %v", got, want)
 		}
-		name := FileName("heat", 5, 0)
-		if got := store.TierOf(name); got != 0 {
+		if got := store.TierOf(key("heat", 5, 0)); got != 0 {
 			t.Fatalf("checkpoint originated at tier %d, want 0", got)
 		}
 		// Reading it back immediately uses the node-local copy.
@@ -120,11 +93,11 @@ func TestDrainInterruptedByFailureFallsBackATier(t *testing.T) {
 	// in-flight PFS copy die with the node, the burst-buffer copy survives.
 	store.ResolveFailure(h, 0, bbAt.Add(vclock.Microsecond))
 
-	name := FileName("heat", 7, 0)
-	if got := store.TierOf(name); got != -1 {
+	k := key("heat", 7, 0)
+	if got := store.TierOf(k); got != -1 {
 		t.Fatalf("lost origin still reports tier %d", got)
 	}
-	tier, at, ok := store.NearestCopy(name, pfsAt)
+	tier, at, ok := store.NearestCopy(k, pfsAt)
 	if !ok || tier != 1 || at != bbAt {
 		t.Fatalf("NearestCopy = tier %d at %v ok %v, want bb tier 1 at %v", tier, at, ok, bbAt)
 	}
@@ -159,7 +132,7 @@ func TestDrainInterruptedByFailureFallsBackATier(t *testing.T) {
 		commit = e.Now()
 	})
 	store2.ResolveFailure(h, 0, commit)
-	if store2.Exists(name) {
+	if exists(store2, k) {
 		t.Fatal("checkpoint with no completed drain survived its owner")
 	}
 }
@@ -171,10 +144,10 @@ func TestChainWalksBasePointers(t *testing.T) {
 		if err := fs.WriteSized("heat", Meta{Iteration: 100, Rank: 0}, 10); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.WriteIncrementalSized("heat", Meta{Iteration: 110, Rank: 0}, 100, 1); err != nil {
+		if err := fs.WriteSized("heat", Meta{Iteration: 110, Rank: 0, Incremental: true, BaseIteration: 100}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.WriteIncrementalSized("heat", Meta{Iteration: 120, Rank: 0}, 110, 1); err != nil {
+		if err := fs.WriteSized("heat", Meta{Iteration: 120, Rank: 0, Incremental: true, BaseIteration: 110}, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -191,8 +164,39 @@ func TestChainWalksBasePointers(t *testing.T) {
 	if got := Chain(store, "heat", 0, 100); len(got) != 1 || got[0] != 100 {
 		t.Fatalf("full checkpoint chain = %v, want [100]", got)
 	}
-	store.Delete(FileName("heat", 110, 0))
+	store.Delete(key("heat", 110, 0))
 	if got := Chain(store, "heat", 0, 120); got != nil {
 		t.Fatalf("broken chain = %v, want nil", got)
+	}
+}
+
+// TestTieredProbeChargesFlatModelMetadata pins a known undercharge: on a
+// tiered file system every write, read and delete charges the metadata
+// latency of the tier it touches, but ProbeValid charges the flat model's
+// (the world's FSModel), which tiered configurations leave at zero. The
+// fix would charge the tier holding the nearest copy and move the
+// ckpt-32k-prog golden digest, so it waits for the next change to the
+// benchmark.
+func TestTieredProbeChargesFlatModelMetadata(t *testing.T) {
+	h := fsmodel.PaperTieredFS()
+	for _, flat := range []fsmodel.Model{{}, fsmodel.PaperPFS()} {
+		store := fsmodel.NewStore()
+		withWorld(t, mpi.WorldConfig{FSStore: store, FSModel: flat, FSHierarchy: h}, 0, func(e *mpi.Env) {
+			fs, _ := NewFS(e)
+			if err := fs.WriteSized("heat", Meta{Iteration: 5, Rank: 0}, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+			if got := store.TierOf(key("heat", 5, 0)); got != 0 {
+				t.Fatalf("checkpoint originated at tier %d, want 0", got)
+			}
+			before := e.Now()
+			if !fs.ProbeValid("heat", 0, 5) {
+				t.Fatal("valid checkpoint probed invalid")
+			}
+			if got, want := e.Now().Sub(before), flat.MetadataCost(); got != want {
+				t.Errorf("flat model %+v: probe charged %v, want the flat model's %v (node tier: %v)",
+					flat, got, want, h[0].MetadataCost())
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@
 //     set, iteration and rank, any other file by its plain name. The store
 //     keeps each checkpoint set (set, iteration) as one entry holding its
 //     files by rank, so the write, probe and delete every rank makes per
-//     checkpoint format no name and hash no string; a name is parsed into
-//     the same key, so the name API reaches the same files.
+//     checkpoint format no name and hash no string. Only file creation and
+//     drain scheduling also take a name, which parses into the same key.
 //
 //   - Model: the cost model (metadata latency, read/write bandwidth). The
 //     paper notes its file system model was a work in progress and excludes

@@ -1,7 +1,6 @@
 package fsmodel
 
 import (
-	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -60,15 +59,15 @@ func TestCreateWriteCommitOpen(t *testing.T) {
 	}
 	// Before commit, the file exists but is incomplete (corrupted if a
 	// failure strikes now).
-	if !s.Exists("ckpt.0") || s.Complete("ckpt.0") {
+	if _, complete, ok := s.Open(Named("ckpt.0")); !ok || complete {
 		t.Fatal("pre-commit state wrong")
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	data, complete, err := s.Open("ckpt.0")
-	if err != nil || !complete || string(data) != "hello world" {
-		t.Fatalf("Open = %q, %v, %v", data, complete, err)
+	data, complete, ok := s.Open(Named("ckpt.0"))
+	if !ok || !complete || string(data) != "hello world" {
+		t.Fatalf("Open = %q, %v, %v", data, complete, ok)
 	}
 	if w.Len() != 11 || w.Name() != "ckpt.0" {
 		t.Fatal("writer accessors wrong")
@@ -82,9 +81,9 @@ func TestIncompleteFileVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Never committed: simulates a process failure during checkpointing.
-	data, complete, err := s.Open("ckpt.partial")
-	if err != nil {
-		t.Fatal(err)
+	data, complete, ok := s.Open(Named("ckpt.partial"))
+	if !ok {
+		t.Fatal("uncommitted file missing")
 	}
 	if complete {
 		t.Fatal("uncommitted file must be incomplete")
@@ -111,7 +110,7 @@ func TestDoubleCommitAndWriteAfterCommit(t *testing.T) {
 func TestCommitDeletedFile(t *testing.T) {
 	s := NewStore()
 	w := s.Create("f")
-	s.Delete("f")
+	s.Delete(Named("f"))
 	if err := w.Commit(); err == nil {
 		t.Error("commit of deleted file should fail")
 	}
@@ -123,7 +122,7 @@ func TestCommitDeletedFile(t *testing.T) {
 func TestStaleWriterCannotTouchRecreatedFile(t *testing.T) {
 	s := NewStore()
 	w1 := s.Create("f")
-	s.Delete("f")
+	s.Delete(Named("f"))
 	w2 := s.Create("f")
 	if _, err := w1.Write([]byte("stale")); err != nil {
 		t.Fatal(err)
@@ -131,9 +130,9 @@ func TestStaleWriterCannotTouchRecreatedFile(t *testing.T) {
 	if err := w1.Commit(); err == nil {
 		t.Error("commit of a deleted file's writer succeeded")
 	}
-	data, complete, err := s.Open("f")
-	if err != nil || complete || len(data) != 0 {
-		t.Fatalf("re-created file = %q, complete %v, err %v; want empty and incomplete", data, complete, err)
+	data, complete, ok := s.Open(Named("f"))
+	if !ok || complete || len(data) != 0 {
+		t.Fatalf("re-created file = %q, complete %v, present %v; want empty and incomplete", data, complete, ok)
 	}
 	// A truncating Create replaces the file the same way.
 	w3 := s.Create("f")
@@ -146,25 +145,30 @@ func TestStaleWriterCannotTouchRecreatedFile(t *testing.T) {
 	if err := w3.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if data, complete, _ := s.Open("f"); !complete || len(data) != 0 {
+	if data, complete, _ := s.Open(Named("f")); !complete || len(data) != 0 {
 		t.Fatalf("file = %q, complete %v; want the empty committed replacement", data, complete)
 	}
 }
 
+// exists reports whether the file named name is in s.
+func exists(s *Store, name string) bool {
+	_, _, ok := s.Open(Named(name))
+	return ok
+}
+
 func TestOpenMissing(t *testing.T) {
 	s := NewStore()
-	_, _, err := s.Open("nope")
-	if !errors.Is(err, ErrNotExist) {
-		t.Fatalf("err = %v, want ErrNotExist", err)
+	if data, complete, ok := s.Open(Named("nope")); ok || complete || data != nil {
+		t.Fatalf("Open of a missing file = %q, %v, %v", data, complete, ok)
 	}
 }
 
 func TestDeleteIdempotent(t *testing.T) {
 	s := NewStore()
 	s.Create("f").Commit()
-	s.Delete("f")
-	s.Delete("f") // no-op
-	if s.Exists("f") {
+	s.Delete(Named("f"))
+	s.Delete(Named("f")) // no-op
+	if exists(s, "f") {
 		t.Fatal("file should be gone")
 	}
 }
@@ -183,8 +187,8 @@ func TestListAndLen(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Size("other") != 0 || s.Size("missing") != -1 {
-		t.Fatal("Size wrong")
+	if data, _, ok := s.Open(Named("other")); !ok || len(data) != 0 {
+		t.Fatal("Open of an empty file wrong")
 	}
 }
 
@@ -194,15 +198,12 @@ func TestCreateTruncates(t *testing.T) {
 	w.Write([]byte("old contents"))
 	w.Commit()
 	w2 := s.Create("f")
-	if s.Complete("f") {
-		t.Fatal("re-created file must be incomplete again")
-	}
-	if s.Size("f") != 0 {
-		t.Fatal("re-created file must be empty")
+	if data, complete, _ := s.Open(Named("f")); complete || len(data) != 0 {
+		t.Fatal("re-created file must be empty and incomplete again")
 	}
 	w2.Write([]byte("new"))
 	w2.Commit()
-	data, _, _ := s.Open("f")
+	data, _, _ := s.Open(Named("f"))
 	if string(data) != "new" {
 		t.Fatalf("contents = %q", data)
 	}
@@ -213,9 +214,9 @@ func TestOpenReturnsCopy(t *testing.T) {
 	w := s.Create("f")
 	w.Write([]byte("abc"))
 	w.Commit()
-	data, _, _ := s.Open("f")
+	data, _, _ := s.Open(Named("f"))
 	data[0] = 'X'
-	again, _, _ := s.Open("f")
+	again, _, _ := s.Open(Named("f"))
 	if string(again) != "abc" {
 		t.Fatal("Open must return a copy")
 	}
@@ -248,8 +249,8 @@ func TestQuickStoreRoundTrip(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			return false
 		}
-		data, complete, err := s.Open(name)
-		return err == nil && complete && string(data) == string(contents)
+		data, complete, ok := s.Open(Named(name))
+		return ok && complete && string(data) == string(contents)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -17,9 +17,10 @@ import (
 // reaches its file without formatting a name. Any other file has a plain
 // name: Set holds it, and Iteration and Rank are -1.
 //
-// Named parses a name into its key and String formats a key back into its
-// name, and the store files a name under its key, so a name and its key
-// are one file.
+// Every method that reaches an existing file takes its key. Three front
+// doors take a name — Create, CreateAt and Store.AddDrain — and file it
+// under Named(name), its key, so a name and its key are one file; String
+// formats a key back into its name.
 type Key struct {
 	Set       string
 	Iteration int
@@ -295,30 +296,17 @@ func (s *Store) dropSet(sk setKey, fs *fileSet) {
 // simulated process writes its own files.
 type Writer file
 
-// Create creates (or truncates) name and returns a Writer. The file exists
-// immediately but stays incomplete until Commit; a process failure between
-// Create and Commit therefore leaves a corrupted file behind, and a failure
-// before Create leaves the file missing — the two checkpoint failure modes
-// the paper's application distinguishes.
-func (s *Store) Create(name string) *Writer {
-	return s.CreateAt(name, 0, -1, 0)
-}
-
-// CreateAt is Create with tier placement: the file originates at the
-// given tier, owned by the writing rank, with size declared virtual bytes
-// charged against the owner's capacity on that tier (synthetic checkpoint
-// files declare their modelled size without materialising it). Tiers
-// count from 0 and owners from -1 (unowned).
-func (s *Store) CreateAt(name string, tier, owner, size int) *Writer {
-	return s.create(Named(name), tier, owner, size)
-}
-
-// CreateKey is CreateAt for the file at k.
+// CreateKey creates (or truncates) the file at k and returns a Writer. The
+// file originates at the given tier, owned by the writing rank, with size
+// declared virtual bytes charged against the owner's capacity on that tier
+// (synthetic checkpoint files declare their modelled size without
+// materialising it). Tiers count from 0 and owners from -1 (unowned). The
+// file exists immediately but stays incomplete until Commit; a process
+// failure between Create and Commit therefore leaves a corrupted file
+// behind, and a failure before Create leaves the file missing — the two
+// checkpoint failure modes the paper's application distinguishes.
 func (s *Store) CreateKey(k Key, tier, owner, size int) *Writer {
-	return s.create(k.canon(), tier, owner, size)
-}
-
-func (s *Store) create(k Key, tier, owner, size int) *Writer {
+	k = k.canon()
 	f := &file{store: s, key: k, tier: tier, owner: owner, size: size}
 	sk, r := slot(k)
 	s.mu.Lock()
@@ -335,6 +323,15 @@ func (s *Store) create(k Key, tier, owner, size int) *Writer {
 	fs.put(r, f)
 	s.charge(f)
 	return (*Writer)(f)
+}
+
+// Create is CreateKey for the unowned, undeclared file named name at tier
+// 0.
+func (s *Store) Create(name string) *Writer { return s.CreateAt(name, 0, -1, 0) }
+
+// CreateAt is CreateKey for the file named name.
+func (s *Store) CreateAt(name string, tier, owner, size int) *Writer {
+	return s.CreateKey(Named(name), tier, owner, size)
 }
 
 // usageAt returns owner's usage counter on tier, growing the table when
@@ -459,21 +456,13 @@ func (w *Writer) Len() int { return len(w.data) }
 // Name returns the file's name.
 func (w *Writer) Name() string { return w.key.String() }
 
-// ErrNotExist is returned when opening a missing file.
+// ErrNotExist is the error a reader of the store reports for a missing
+// file.
 var ErrNotExist = fmt.Errorf("fsmodel: file does not exist")
 
-// Open returns a copy of the file's contents and whether it was committed
-// completely. Opening a missing file returns ErrNotExist.
-func (s *Store) Open(name string) (data []byte, complete bool, err error) {
-	data, complete, ok := s.OpenKey(Named(name))
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %q", ErrNotExist, name)
-	}
-	return data, complete, nil
-}
-
-// OpenKey is Open for the file at k; ok is false when it is missing.
-func (s *Store) OpenKey(k Key) (data []byte, complete, ok bool) {
+// Open returns a copy of the contents of the file at k and whether it was
+// committed completely; ok is false when the file is missing.
+func (s *Store) Open(k Key) (data []byte, complete, ok bool) {
 	k = k.canon()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -484,42 +473,11 @@ func (s *Store) OpenKey(k Key) (data []byte, complete, ok bool) {
 	return append([]byte(nil), f.data...), f.complete, true
 }
 
-// Exists reports whether name exists (complete or not).
-func (s *Store) Exists(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookup(Named(name)) != nil
-}
-
-// Complete reports whether name exists and was committed.
-func (s *Store) Complete(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.lookup(Named(name))
-	return f != nil && f.complete
-}
-
-// Size returns the current size of name in bytes, or -1 if it is missing.
-func (s *Store) Size(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.lookup(Named(name))
-	if f == nil {
-		return -1
-	}
-	return len(f.data)
-}
-
-// Delete removes name (every tier's copy). Deleting a missing file is a
-// no-op, mirroring the idempotent cleanup scripts the paper's application
-// uses.
-func (s *Store) Delete(name string) { s.delete(Named(name)) }
-
-// DeleteKey is Delete for the file at k.
-func (s *Store) DeleteKey(k Key) { s.delete(k.canon()) }
-
-func (s *Store) delete(k Key) {
-	sk, r := slot(k)
+// Delete removes the file at k (every tier's copy). Deleting a missing
+// file is a no-op, mirroring the idempotent cleanup scripts the paper's
+// application uses.
+func (s *Store) Delete(k Key) {
+	sk, r := slot(k.canon())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if fs := s.set(sk, false); fs != nil && fs.get(r) != nil {
@@ -552,6 +510,7 @@ func (s *Store) DeleteSet(set string, iteration int) {
 // present at tier from virtual time at on. The caller computes at from the
 // deeper tier's write cost; nothing happens at that time — readers simply
 // start seeing the copy once their clocks pass it (a lazy timed event).
+// A writer schedules its own file's drains with Writer.AddDrain.
 func (s *Store) AddDrain(name string, tier int, at vclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -560,14 +519,10 @@ func (s *Store) AddDrain(name string, tier int, at vclock.Time) {
 	}
 }
 
-// TierOf returns name's origin tier, or -1 if the file is missing or its
-// origin copy was lost with its owner.
-func (s *Store) TierOf(name string) int { return s.tierOf(Named(name)) }
-
-// TierOfKey is TierOf for the file at k.
-func (s *Store) TierOfKey(k Key) int { return s.tierOf(k.canon()) }
-
-func (s *Store) tierOf(k Key) int {
+// TierOf returns the origin tier of the file at k, or -1 if the file is
+// missing or its origin copy was lost with its owner.
+func (s *Store) TierOf(k Key) int {
+	k = k.canon()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.lookup(k)
@@ -578,21 +533,13 @@ func (s *Store) tierOf(k Key) int {
 }
 
 // NearestCopy returns the fastest (lowest-index) tier holding a copy of
-// name as of virtual time now, and the time that copy became (or becomes)
-// available: when no copy exists yet — the origin was lost and the only
-// surviving drain is still in flight — it returns the earliest future
-// drain with at > now. ok is false when the file is missing or no copy
-// will ever exist.
-func (s *Store) NearestCopy(name string, now vclock.Time) (tier int, at vclock.Time, ok bool) {
-	return s.nearestCopy(Named(name), now)
-}
-
-// NearestCopyKey is NearestCopy for the file at k.
-func (s *Store) NearestCopyKey(k Key, now vclock.Time) (tier int, at vclock.Time, ok bool) {
-	return s.nearestCopy(k.canon(), now)
-}
-
-func (s *Store) nearestCopy(k Key, now vclock.Time) (tier int, at vclock.Time, ok bool) {
+// the file at k as of virtual time now, and the time that copy became (or
+// becomes) available: when no copy exists yet — the origin was lost and
+// the only surviving drain is still in flight — it returns the earliest
+// future drain with at > now. ok is false when the file is missing or no
+// copy will ever exist.
+func (s *Store) NearestCopy(k Key, now vclock.Time) (tier int, at vclock.Time, ok bool) {
+	k = k.canon()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.lookup(k)

@@ -42,7 +42,7 @@ func TestNamedParsesOnlyWhatStringWrites(t *testing.T) {
 	// A key with a negative number is the file its name formats to.
 	s := NewStore()
 	s.CreateKey(Key{"heat", -1, 3}, 0, -1, 0)
-	if !s.Exists("heat.ckpt.-1.r3") {
+	if !exists(s, "heat.ckpt.-1.r3") {
 		t.Error("Key{heat, -1, 3} is not the file heat.ckpt.-1.r3")
 	}
 	s.CreateKey(Key{"heat.ckpt.2.r1", -1, -1}, 0, -1, 0)
@@ -56,7 +56,7 @@ func TestNamedParsesOnlyWhatStringWrites(t *testing.T) {
 		t.Errorf("Stats = %v, want heat.ckpt.2.r1 and %v", got, far)
 	}
 	s.DeleteSet("heat", 2)
-	if s.Exists(far.String()) || s.Len() != 1 {
+	if _, _, ok := s.Open(far); ok || s.Len() != 1 {
 		t.Errorf("DeleteSet left %v", s.Keys())
 	}
 }
@@ -132,9 +132,10 @@ func (m *refStore) names() []string {
 }
 
 // TestStoreMatchesReferenceModel drives the store and the model with one
-// seeded random sequence of named and keyed operations over 3 sets × 4
-// iterations × 8 ranks plus plain names, and compares them after every
-// operation.
+// seeded random sequence of operations over 3 sets × 4 iterations × 8
+// ranks plus plain names, and compares them after every operation. Files
+// are created by key or through the name front doors (Create, CreateAt),
+// and drains scheduled through a writer or by name (Store.AddDrain).
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	h := Hierarchy{
 		{Name: "node", Capacity: 150, Volatile: true},
@@ -222,12 +223,8 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				if want {
 					rw.f.complete = true
 				}
-			case 4: // Delete / DeleteKey
-				if keyed() {
-					s.DeleteKey(k)
-				} else {
-					s.Delete(name)
-				}
+			case 4: // Delete
+				s.Delete(k)
 				m.remove(name)
 			case 5: // AddDrain by name or through a writer
 				tier, at := 1+rng.Intn(len(h)-1), vclock.Time(rng.Intn(1000))
@@ -243,11 +240,8 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 						f.drains = append(f.drains, drain{tier, at})
 					}
 				}
-			case 6: // TierOf / TierOfKey
-				got := s.TierOf(name)
-				if keyed() {
-					got = s.TierOfKey(k)
-				}
+			case 6: // TierOf
+				got := s.TierOf(k)
 				want := -1
 				if f := m.files[name]; f != nil && !f.lost {
 					want = f.tier
@@ -255,12 +249,9 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: TierOf = %d, want %d", where, got, want)
 				}
-			case 7: // NearestCopy / NearestCopyKey
+			case 7: // NearestCopy
 				now := vclock.Time(rng.Intn(1200))
-				tier, at, ok := s.NearestCopy(name, now)
-				if keyed() {
-					tier, at, ok = s.NearestCopyKey(k, now)
-				}
+				tier, at, ok := s.NearestCopy(k, now)
 				wt, wa, wok := refNearest(m.files[name], now)
 				if tier != wt || at != wa || ok != wok {
 					t.Fatalf("%s: NearestCopy(%d) = %d, %d, %v; want %d, %d, %v", where, now, tier, at, ok, wt, wa, wok)
@@ -290,26 +281,14 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				if got := s.PlaceTier(h, owner, size); got != want {
 					t.Fatalf("%s: PlaceTier(%d, %d) = %d, want %d", where, owner, size, got, want)
 				}
-			case 10: // Open / OpenKey, Exists, Complete, Size
+			case 10: // Open
 				f := m.files[name]
-				var data []byte
-				var complete, ok bool
-				if keyed() {
-					data, complete, ok = s.OpenKey(k)
-				} else {
-					var err error
-					data, complete, err = s.Open(name)
-					ok = err == nil
+				data, complete, ok := s.Open(k)
+				if ok != (f != nil) {
+					t.Fatalf("%s: Open ok %v, model has it %v", where, ok, f != nil)
 				}
-				if ok != (f != nil) || s.Exists(name) != (f != nil) {
-					t.Fatalf("%s: Open ok %v, Exists %v, model has it %v", where, ok, s.Exists(name), f != nil)
-				}
-				if f != nil && (!bytes.Equal(data, f.data) || complete != f.complete ||
-					s.Complete(name) != f.complete || s.Size(name) != len(f.data)) {
+				if f != nil && (!bytes.Equal(data, f.data) || complete != f.complete) {
 					t.Fatalf("%s: Open = %q, %v; want %q, %v", where, data, complete, f.data, f.complete)
-				}
-				if f == nil && s.Size(name) != -1 {
-					t.Fatalf("%s: Size of a missing file = %d", where, s.Size(name))
 				}
 			case 11: // DeleteSet
 				if k.plain() {

@@ -19,9 +19,9 @@ func TestWriterChunkedRoundTrip(t *testing.T) {
 		want = append(want, chunk...)
 	}
 	// The file is visible — and incomplete — while being written.
-	data, complete, err := store.Open("chunked")
-	if err != nil {
-		t.Fatal(err)
+	data, complete, ok := store.Open(Named("chunked"))
+	if !ok {
+		t.Fatal("file missing while being written")
 	}
 	if complete {
 		t.Fatal("file complete before Commit")
@@ -36,9 +36,9 @@ func TestWriterChunkedRoundTrip(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	data, complete, err = store.Open("chunked")
-	if err != nil {
-		t.Fatal(err)
+	data, complete, ok = store.Open(Named("chunked"))
+	if !ok {
+		t.Fatal("committed file missing")
 	}
 	if !complete || !bytes.Equal(data, want) {
 		t.Fatalf("committed contents diverged (complete=%v, %d bytes)", complete, len(data))
@@ -140,7 +140,7 @@ func TestPlaceTierSpillAndUsage(t *testing.T) {
 		t.Fatalf("other owner's placement at tier %d, want 0", got)
 	}
 	// Deleting the file releases the capacity.
-	store.Delete("a")
+	store.Delete(Named("a"))
 	if got := store.Usage(0, 0); got != 0 {
 		t.Fatalf("usage after delete %d, want 0", got)
 	}
@@ -178,35 +178,35 @@ func TestNearestCopyAndResolveFailure(t *testing.T) {
 	store.AddDrain("ckpt", 2, t200)
 
 	// Origin alive: the node copy is immediately available.
-	if tier, at, ok := store.NearestCopy("ckpt", vclock.TimeFromSeconds(50)); !ok || tier != 0 || at != 0 {
+	if tier, at, ok := store.NearestCopy(Named("ckpt"), vclock.TimeFromSeconds(50)); !ok || tier != 0 || at != 0 {
 		t.Fatalf("origin alive: tier=%d at=%v ok=%v", tier, at, ok)
 	}
 
 	// The owner fails at t=150: the bb drain (t=100) completed, the pfs
 	// drain (t=200) was still in flight and is lost with its source.
 	store.ResolveFailure(h, 3, vclock.TimeFromSeconds(150))
-	if got := store.TierOf("ckpt"); got != -1 {
+	if got := store.TierOf(Named("ckpt")); got != -1 {
 		t.Fatalf("lost origin still reports tier %d", got)
 	}
-	if !store.Exists("ckpt") {
+	if !exists(store, "ckpt") {
 		t.Fatal("file with a completed drain was deleted")
 	}
-	if tier, at, ok := store.NearestCopy("ckpt", vclock.TimeFromSeconds(150)); !ok || tier != 1 || at != t100 {
+	if tier, at, ok := store.NearestCopy(Named("ckpt"), vclock.TimeFromSeconds(150)); !ok || tier != 1 || at != t100 {
 		t.Fatalf("after failure: tier=%d at=%v ok=%v, want bb@100s", tier, at, ok)
 	}
 	// A reader whose clock is still before the drain completion sees the
 	// future availability time.
-	if tier, at, ok := store.NearestCopy("ckpt", vclock.TimeFromSeconds(10)); !ok || tier != 1 || at != t100 {
+	if tier, at, ok := store.NearestCopy(Named("ckpt"), vclock.TimeFromSeconds(10)); !ok || tier != 1 || at != t100 {
 		t.Fatalf("pre-drain reader: tier=%d at=%v ok=%v", tier, at, ok)
 	}
 	// The pfs drain never lands, even long after its scheduled time.
-	if tier, _, ok := store.NearestCopy("ckpt", vclock.TimeFromSeconds(1e6)); !ok || tier != 1 {
+	if tier, _, ok := store.NearestCopy(Named("ckpt"), vclock.TimeFromSeconds(1e6)); !ok || tier != 1 {
 		t.Fatalf("lost pfs drain resurfaced: tier=%d ok=%v", tier, ok)
 	}
 	// The surviving copy's contents are still readable.
-	data, complete, err := store.Open("ckpt")
-	if err != nil || !complete || string(data) != "0123456789" {
-		t.Fatalf("surviving copy: %q complete=%v err=%v", data, complete, err)
+	data, complete, ok := store.Open(Named("ckpt"))
+	if !ok || !complete || string(data) != "0123456789" {
+		t.Fatalf("surviving copy: %q complete=%v present=%v", data, complete, ok)
 	}
 }
 
@@ -220,19 +220,19 @@ func TestResolveFailureWithoutDrainsDeletes(t *testing.T) {
 	store.AddDrain("mine", 1, vclock.TimeFromSeconds(100))
 	store.ResolveFailure(h, 1, vclock.TimeFromSeconds(10))
 
-	if store.Exists("mine") {
+	if exists(store, "mine") {
 		t.Fatal("volatile copy with only in-flight drains survived its owner")
 	}
 	if got := store.Usage(0, 1); got != 0 {
 		t.Fatalf("lost file still charged: %d", got)
 	}
-	if !store.Exists("theirs") {
+	if !exists(store, "theirs") {
 		t.Fatal("another owner's file was resolved away")
 	}
-	if !store.Exists("durable") {
+	if !exists(store, "durable") {
 		t.Fatal("non-volatile file was resolved away")
 	}
-	if tier, _, ok := store.NearestCopy("durable", 0); !ok || tier != 1 {
+	if tier, _, ok := store.NearestCopy(Named("durable"), 0); !ok || tier != 1 {
 		t.Fatalf("durable file: tier=%d ok=%v", tier, ok)
 	}
 }

@@ -53,7 +53,7 @@ func runDigest(res *core.Result, m mpi.MetricsSnapshot, tr *Tracker, heat []floa
 	}
 	slices.Sort(names) // the digests were recorded in name order
 	for _, name := range names {
-		data, complete, _ := store.Open(name)
+		data, complete, _ := store.Open(fsmodel.Named(name))
 		h.Write([]byte(name))
 		u64(uint64(len(data)))
 		if complete {
@@ -117,7 +117,7 @@ func TestClosureRunsMatchGolden(t *testing.T) {
 			t.Fatalf("%s/failure: the injected failure did not activate: %+v", tc.name, crashed)
 		}
 		checkpoint.CleanIncompleteSets(store, "heat", n)
-		if len(checkpoint.Iterations(store, "heat")) == 0 {
+		if len(store.Iterations("heat")) == 0 {
 			t.Fatalf("%s/failure: no checkpoint set survived to restart from", tc.name)
 		}
 		if res := run("restart", store, crashed.MaxClock, nil); res.Completed != n {

@@ -150,7 +150,7 @@ func TestCheckpointFilesWritten(t *testing.T) {
 	}
 	// 20 iterations with interval 10: checkpoints at 10 and 20; the set
 	// at 10 was deleted after the one at 20 was written.
-	iters := checkpoint.Iterations(store, "heat")
+	iters := store.Iterations("heat")
 	if len(iters) != 1 || iters[0] != 20 {
 		t.Fatalf("surviving checkpoint sets = %v, want [20]", iters)
 	}
@@ -235,7 +235,7 @@ func TestRestartLoadsCheckpointData(t *testing.T) {
 		t.Skipf("failure did not activate before completion (clocks too fast): %+v", res)
 	}
 	checkpoint.CleanIncompleteSets(store, "heat", n)
-	sets := checkpoint.Iterations(store, "heat")
+	sets := store.Iterations("heat")
 	if len(sets) == 0 {
 		t.Skip("no surviving checkpoint set; failure struck too early for this test")
 	}
@@ -284,7 +284,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 	// fullEvery defaults to 4: full at 10, deltas at 20/30/40, full at 50
 	// (superseding the whole 10–40 chain), delta at 60. Only the live
 	// chain survives.
-	iters := checkpoint.Iterations(store, "heat")
+	iters := store.Iterations("heat")
 	if len(iters) != 2 || iters[0] != 50 || iters[1] != 60 {
 		t.Fatalf("surviving sets = %v, want [50 60]", iters)
 	}
@@ -306,7 +306,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 	if _, err := w2.Run(func(e *mpi.Env) { Run(e, cfg) }); err != nil {
 		t.Fatal(err)
 	}
-	iters = checkpoint.Iterations(store2, "heat")
+	iters = store2.Iterations("heat")
 	if len(iters) != 1 || iters[0] != 60 {
 		t.Fatalf("FullEvery=1 surviving sets = %v, want [60]", iters)
 	}
@@ -334,7 +334,7 @@ func TestIncrementalRestartResumesFromChain(t *testing.T) {
 		t.Skipf("failure did not activate before completion: %+v", res)
 	}
 	checkpoint.CleanIncompleteSets(store, "heat", n)
-	sets := checkpoint.Iterations(store, "heat")
+	sets := store.Iterations("heat")
 	if len(sets) == 0 {
 		t.Skip("no surviving checkpoint set; failure struck too early")
 	}
@@ -571,9 +571,9 @@ func TestRestartSkipsMisnamedCheckpoint(t *testing.T) {
 			store := fsmodel.NewStore()
 			run(store, cfg) // 20 iterations: sets 10 and 20
 			for r := 0; r < n; r++ {
-				data, _, err := store.Open(checkpoint.FileName("heat", 20, r))
-				if err != nil {
-					t.Fatal(err)
+				data, _, ok := store.Open(fsmodel.Key{Set: "heat", Iteration: 20, Rank: r})
+				if !ok {
+					t.Fatalf("rank %d has no checkpoint of iteration 20", r)
 				}
 				w := store.Create(checkpoint.FileName("heat", 40, r))
 				if _, err := w.Write(data); err != nil {

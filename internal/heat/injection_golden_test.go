@@ -101,7 +101,7 @@ func (d injectionDriver) run(t *testing.T, cfg Config, store *fsmodel.Store, sta
 func injectionLine(name string, res *core.Result, tr *Tracker, store *fsmodel.Store) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s sim=%d done=%d/%d/%d files=%v", name, res.MaxClock, res.Completed, res.Failed, res.Aborted,
-		checkpoint.Iterations(store, "heat"))
+		store.Iterations("heat"))
 	for r := range res.FinalClocks {
 		fmt.Fprintf(&b, " | %d %d it=%d ph=%d ck=%d st=%d busy=%d", res.FinalClocks[r], res.Deaths[r],
 			tr.IterOf(r), tr.PhaseOf(r), tr.CheckpointsOf(r), tr.StartIterOf(r), res.Busy[r])

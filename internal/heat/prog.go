@@ -319,7 +319,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			case p.full:
 				err = p.fs.WriteSized(cfg.prefix(), meta, cfg.payloadBytes())
 			default:
-				err = p.fs.WriteIncrementalSized(cfg.prefix(), meta, p.chain[len(p.chain)-1], cfg.deltaBytes())
+				meta.Incremental, meta.BaseIteration = true, p.chain[len(p.chain)-1]
+				err = p.fs.WriteSized(cfg.prefix(), meta, cfg.deltaBytes())
 			}
 			if err != nil {
 				panic(fmt.Sprintf("heat: rank %d checkpoint %d: %v", rank, iter, err))

@@ -123,7 +123,7 @@ func TestHeatProgRestartMatchesClosure(t *testing.T) {
 			t.Skipf("failure did not activate before completion: %+v", res)
 		}
 		checkpoint.CleanIncompleteSets(store, "heat", n)
-		if len(checkpoint.Iterations(store, "heat")) == 0 {
+		if len(store.Iterations("heat")) == 0 {
 			t.Skip("no surviving checkpoint set; failure struck too early")
 		}
 		return store, res.MaxClock

@@ -168,7 +168,7 @@ func RunReplicatedStencil(cfg ReplicatedStencilConfig) App {
 // cover their logical rank, but any surviving replica's file does.
 func latestReplicatedCheckpoint(store *Store, prefix string, n, degree int) int {
 	best := 0
-	for _, it := range checkpoint.Iterations(store, prefix) {
+	for _, it := range store.Iterations(prefix) {
 		if it > best && checkpoint.SetComplete(store, prefix, it, n, degree) {
 			best = it
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xsim/internal/checkpoint"
+	"xsim/internal/fsmodel"
 )
 
 // writeCkpts commits a real checkpoint of iter for each of ranks into the
@@ -82,9 +83,9 @@ func TestReplicaCoverageRejectsMisnamedCheckpoint(t *testing.T) {
 	const n, degree = 1, 2 // world ranks 0 and 1 replicate logical rank 0
 	store := NewStore()
 	writeCkpts(t, store, "r", 3, 0)
-	data, _, err := store.Open(checkpoint.FileName("r", 3, 0))
-	if err != nil {
-		t.Fatal(err)
+	data, _, ok := store.Open(fsmodel.Key{Set: "r", Iteration: 3, Rank: 0})
+	if !ok {
+		t.Fatal("rank 0 has no checkpoint of iteration 3")
 	}
 	w := store.Create(checkpoint.FileName("r", 5, 0))
 	if _, err := w.Write(data); err != nil {
@@ -126,7 +127,7 @@ func TestReplicaAwareCleanupKeepsCoveredSets(t *testing.T) {
 	if len(removed) != 1 || removed[0] != 10 {
 		t.Fatalf("removed %v, want [10]", removed)
 	}
-	if got := checkpoint.Iterations(store, "repl"); len(got) != 1 || got[0] != 5 {
+	if got := store.Iterations("repl"); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("surviving sets %v, want [5]", got)
 	}
 	if got := latestReplicatedCheckpoint(store, "repl", ranks/degree, degree); got != 5 {
