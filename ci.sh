@@ -22,9 +22,10 @@
 #                     already ran under -race in 5)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface,
 #                     the file-name/key round trip of the simulated file
-#                     system, and the MPI layer's intrusive list against a
-#                     slice model; checked-in corpora already ran as
-#                     regressions in 4)
+#                     system, the MPI layer's intrusive list against a
+#                     slice model, and the replication layer's digest vote
+#                     against a brute-force model; checked-in corpora
+#                     already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
 #                     must stay at 0 allocs/op — Validate must cost nothing
 #                     when off)
@@ -104,6 +105,7 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzKeyName$' -fuzztime 10s ./internal/fsmodel/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/
+go test -run '^$' -fuzz '^FuzzVote$' -fuzztime 10s ./internal/redundancy/
 go test -run '^$' -fuzz '^FuzzCampaignSpecDecode$' -fuzztime 10s .
 
 # bench_gate <pkg> <bench-regex> <units> <maxes> <expected-rows> [benchtime]

@@ -6,8 +6,8 @@
 //	go run ./examples/redundancy
 //
 // Twenty-four physical ranks run an eight-rank logical computation three
-// times over, using the mirror protocol (every copy reaches every receiver
-// replica). Mid-run a bit flips in one replica's data AND one process of a
+// times over: every copy reaches every receiver replica, which votes.
+// Mid-run a bit flips in one replica's data AND one process of a
 // different replica sphere is killed outright: the vote identifies the
 // corrupted replica and hands every receiver the majority data, while the
 // process failure is absorbed by the two surviving replicas of its logical
@@ -47,7 +47,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep.Protocol = xsim.ReplicaMirror
 
 		// Each logical rank passes a vector around the logical ring;
 		// logical rank 3's replica 2 suffers a bit flip before sending.

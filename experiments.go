@@ -14,6 +14,7 @@ import (
 	"xsim/internal/fault"
 	"xsim/internal/fsmodel"
 	"xsim/internal/heat"
+	"xsim/internal/netmodel"
 	"xsim/internal/runner"
 	"xsim/internal/softerror"
 	"xsim/internal/stats"
@@ -765,6 +766,11 @@ func (p *CrossoverParams) validate(ranks int, v specChecker) []error {
 	v.seconds("checkpoint_seconds", p.CheckpointSeconds)
 	v.seconds("restart_seconds", p.RestartSeconds)
 	v.nonNegative("halo_bytes", p.HaloBytes)
+	// The stencil sends both halos before it receives either, so a halo
+	// above the eager threshold would block every rank in its first send.
+	if limit := netmodel.Paper().EagerThreshold; p.HaloBytes > limit {
+		v.bad("halo_bytes", "must be at most the network's eager threshold of %d bytes, got %d", limit, p.HaloBytes)
+	}
 	v.nonNegative("max_runs", p.MaxRuns)
 	return v.errs
 }

@@ -53,27 +53,23 @@ type (
 type SDCError = redundancy.SDCError
 
 // WrapReplicated builds an r-way replicated communicator: the world splits
-// into Ranks/degree logical ranks of degree replicas each, and receivers
-// digest-compare messages across replicas to detect silent data corruption
-// online. Degree 2 is the redMPI-style dual-redundant communicator (the
-// upper half of the world mirrors the lower half).
+// into Ranks/degree logical ranks of degree replicas each. Every live
+// sender replica sends a copy to every live receiver replica, which
+// digest-votes the copies: silent data corruption is detected online, a
+// logical rank survives while one of its replicas lives, and at degree ≥ 3
+// the majority copy corrects the corruption. Degree 2 is the redMPI-style
+// dual-redundant communicator (the upper half of the world mirrors the
+// lower half).
 func WrapReplicated(env *Env, degree int) (*redundancy.Comm, error) {
 	return redundancy.WrapN(env, degree)
 }
-
-// ReplicaMirror is the replicated communicator's failover protocol: where
-// the default sends one payload copy within each replica sphere and
-// cross-checks digests, it sends every copy to every receiver replica,
-// which buys failover through surviving replicas (and majority-vote
-// correction at degree ≥ 3) for r² message traffic.
-const ReplicaMirror = redundancy.Mirror
 
 // ReplicaFailedError reports that an operation found no live replica of a
 // logical rank — the replica group is exhausted and failover is impossible.
 type ReplicaFailedError = redundancy.ReplicaFailedError
 
-// TagRangeError reports a user message tag at or above the replication
-// layer's reserved range, which carries its collective and digest traffic.
+// TagRangeError reports a negative message tag, AnyTag included, given to
+// a replicated communicator: its vote compares copies of one message.
 type TagRangeError = redundancy.TagRangeError
 
 // PowerModel is the per-node power model (compute/idle/overhead watts).

@@ -353,9 +353,6 @@ type SchedCtx struct {
 // Now returns the virtual time of the event being processed.
 func (s *SchedCtx) Now() vclock.Time { return s.part.watermark }
 
-// N returns the total number of VPs.
-func (s *SchedCtx) N() int { return len(s.eng.vps) }
-
 // LocalRanks returns the rank range [lo, hi) owned by this partition.
 func (s *SchedCtx) LocalRanks() (lo, hi int) { return s.part.lo, s.part.hi }
 
@@ -368,9 +365,6 @@ func (s *SchedCtx) Alive(rank int) bool { return s.local(rank).state != vpDead }
 // Blocked reports whether rank is parked in Block. rank must be local.
 func (s *SchedCtx) Blocked(rank int) bool { return s.local(rank).state == vpBlocked }
 
-// Clock returns rank's virtual clock. rank must be local.
-func (s *SchedCtx) Clock(rank int) vclock.Time { return s.local(rank).clock }
-
 // Data returns rank's attached per-VP state. rank must be local.
 func (s *SchedCtx) Data(rank int) any { return s.local(rank).userData }
 
@@ -378,17 +372,6 @@ func (s *SchedCtx) Data(rank int) any { return s.local(rank).userData }
 // current event time), delivering val as Block's return value.
 func (s *SchedCtx) Wake(rank int, at vclock.Time, val any) {
 	s.part.wake(s.local(rank), at, val)
-}
-
-// SetTimeOfFailure schedules rank's failure at t (earliest failure time);
-// it takes effect at the VP's next clock update. rank must be local. It
-// does not wake a blocked VP — emit a failure event via
-// Engine.ScheduleFailure (pre-run) or use Wake for that.
-func (s *SchedCtx) SetTimeOfFailure(rank int, t vclock.Time) {
-	v := s.local(rank)
-	if t < v.tof {
-		v.tof = t
-	}
 }
 
 // SetAbortAt schedules rank's unwind for a simulated MPI abort at time t;
@@ -419,15 +402,6 @@ func (s *SchedCtx) EmitFor(onBehalf int, ev Event) {
 	ev.Src = handlerSrc(onBehalf)
 	ev.Seq = v.nextSeq()
 	s.eng.route(s.part, s.part.watermark, &ev)
-}
-
-// Logf writes an informational message through the engine's logger. The
-// formatting cost is only paid when a logger is configured.
-func (s *SchedCtx) Logf(format string, args ...any) {
-	if s.eng.cfg.Logf == nil {
-		return
-	}
-	s.eng.logf("[sim @ %v] %s", s.part.watermark, fmt.Sprintf(format, args...))
 }
 
 func (s *SchedCtx) local(rank int) *vp {

@@ -235,13 +235,6 @@ func (c *Ctx) ElapseSteps(d vclock.Duration, n int) (taken int) {
 	return taken
 }
 
-// BusyTime returns the virtual time this VP has spent executing.
-func (c *Ctx) BusyTime() vclock.Duration { return c.vp.busy }
-
-// WaitTime returns the virtual time this VP has spent blocked on
-// communication or sleeping.
-func (c *Ctx) WaitTime() vclock.Duration { return c.vp.waited }
-
 // Sleep advances the VP's virtual clock by d while yielding to the
 // simulator, unlike Elapse: events due before the deadline (message
 // arrivals, failure activations, aborts) are processed in virtual-time
@@ -388,10 +381,6 @@ func (c *Ctx) SetTimeOfFailure(t vclock.Time) {
 	c.vp.checkUnwind()
 }
 
-// TimeOfFailure returns the VP's scheduled time of failure (vclock.Never
-// if none).
-func (c *Ctx) TimeOfFailure() vclock.Time { return c.vp.tof }
-
 // Data returns the higher layer's per-VP state attached with SetData.
 func (c *Ctx) Data() any { return c.vp.userData }
 
@@ -408,10 +397,6 @@ func (c *Ctx) Logf(format string, args ...any) {
 	}
 	c.eng.logf("[rank %d @ %v] %s", c.vp.rank, c.vp.clock, fmt.Sprintf(format, args...))
 }
-
-// Lookahead returns the engine's cross-partition lookahead. Higher layers
-// must delay cross-partition events by at least this much.
-func (c *Ctx) Lookahead() vclock.Duration { return c.eng.cfg.Lookahead }
 
 // Partition returns the id of the partition that owns this VP. Partition
 // assignment is fixed for the run, so higher layers may key

@@ -446,45 +446,55 @@ func (s *state) faceSize(d direction) int {
 	}
 }
 
+// forFace calls visit with the flat index of every cell of the face
+// plane toward d, in the order both ends of an exchange agree on. The
+// plane is this rank's outermost interior plane facing d, or with ghost
+// the ghost plane just beyond it.
+func (s *state) forFace(d direction, ghost bool, visit func(x int)) {
+	// plane picks the layer along an axis of n interior cells toward
+	// delta (±1): the first or last interior layer, or its ghost.
+	plane := func(delta, n int) int {
+		p := 1
+		if delta > 0 {
+			p = n
+		}
+		if ghost {
+			p += delta
+		}
+		return p
+	}
+	switch {
+	case d.dx != 0:
+		i := plane(d.dx, s.nx)
+		for k := 1; k <= s.nz; k++ {
+			for j := 1; j <= s.ny; j++ {
+				visit(s.idx(i, j, k))
+			}
+		}
+	case d.dy != 0:
+		j := plane(d.dy, s.ny)
+		for k := 1; k <= s.nz; k++ {
+			for i := 1; i <= s.nx; i++ {
+				visit(s.idx(i, j, k))
+			}
+		}
+	default:
+		k := plane(d.dz, s.nz)
+		for j := 1; j <= s.ny; j++ {
+			for i := 1; i <= s.nx; i++ {
+				visit(s.idx(i, j, k))
+			}
+		}
+	}
+}
+
 // packFace serialises the boundary layer the neighbour in direction d
 // needs (this rank's outermost interior plane facing d).
 func (s *state) packFace(d direction) []byte {
 	buf := make([]byte, 0, s.faceSize(d))
-	put := func(v float64) []byte {
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	switch {
-	case d.dx != 0:
-		i := 1
-		if d.dx > 0 {
-			i = s.nx
-		}
-		for k := 1; k <= s.nz; k++ {
-			for j := 1; j <= s.ny; j++ {
-				buf = put(s.cur[s.idx(i, j, k)])
-			}
-		}
-	case d.dy != 0:
-		j := 1
-		if d.dy > 0 {
-			j = s.ny
-		}
-		for k := 1; k <= s.nz; k++ {
-			for i := 1; i <= s.nx; i++ {
-				buf = put(s.cur[s.idx(i, j, k)])
-			}
-		}
-	default:
-		k := 1
-		if d.dz > 0 {
-			k = s.nz
-		}
-		for j := 1; j <= s.ny; j++ {
-			for i := 1; i <= s.nx; i++ {
-				buf = put(s.cur[s.idx(i, j, k)])
-			}
-		}
-	}
+	s.forFace(d, false, func(x int) {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cur[x]))
+	})
 	return buf
 }
 
@@ -492,45 +502,11 @@ func (s *state) packFace(d direction) []byte {
 // message came from. The neighbour in direction d sent its face toward us,
 // so it fills our ghost plane on that side.
 func (s *state) unpackFace(d direction, data []byte) {
-	get := func(n int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[8*n:]))
-	}
 	n := 0
-	switch {
-	case d.dx != 0:
-		i := 0
-		if d.dx > 0 {
-			i = s.nx + 1
-		}
-		for k := 1; k <= s.nz; k++ {
-			for j := 1; j <= s.ny; j++ {
-				s.cur[s.idx(i, j, k)] = get(n)
-				n++
-			}
-		}
-	case d.dy != 0:
-		j := 0
-		if d.dy > 0 {
-			j = s.ny + 1
-		}
-		for k := 1; k <= s.nz; k++ {
-			for i := 1; i <= s.nx; i++ {
-				s.cur[s.idx(i, j, k)] = get(n)
-				n++
-			}
-		}
-	default:
-		k := 0
-		if d.dz > 0 {
-			k = s.nz + 1
-		}
-		for j := 1; j <= s.ny; j++ {
-			for i := 1; i <= s.nx; i++ {
-				s.cur[s.idx(i, j, k)] = get(n)
-				n++
-			}
-		}
-	}
+	s.forFace(d, true, func(x int) {
+		s.cur[x] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*n:]))
+		n++
+	})
 }
 
 // encode serialises the interior grid for a checkpoint (configuration

@@ -105,8 +105,6 @@ const (
 	kindFailNotify
 	kindAbortNotify
 	kindRevoke
-	// KindEnd is the first kind available to layers above MPI.
-	KindEnd
 )
 
 // NewWorld validates cfg, registers the MPI event handlers and death hook

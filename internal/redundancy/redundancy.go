@@ -2,43 +2,22 @@
 // the simulated MPI layer — the paper's related-work system for online
 // detection of soft errors (§II-C) — generalised to r-way replication with
 // failover. Each logical rank is backed by r physical replicas (replica k
-// of logical rank L is world rank L + k·n for logical size n), and two
-// protocols govern how messages cross the replica groups:
+// of logical rank L is world rank L + k·n for logical size n).
 //
-//   - Parallel (the redMPI classic, and the default): payloads flow within
-//     a replica sphere (replica k talks only to replica k) and the
-//     receiving replicas compare message digests across spheres, so a
-//     single bit flip in any replica's data is detected the first time it
-//     crosses the network. With r ≥ 3 the digest vote also attributes the
-//     corruption to the outvoted replica. A dead partner degrades
-//     detection (its digests are skipped, online, without deadlocking),
-//     but payload delivery inside its sphere dies with it.
-//   - Mirror: every live sender replica sends a copy to every live
-//     receiver replica (r² copies per logical message), and the receiver
-//     digests the copies it got and majority-votes. This is the failover
-//     protocol: a logical rank stays alive as long as one of its replicas
-//     lives, because every surviving receiver still gets a copy from some
-//     surviving sender, and at r ≥ 3 the vote returns a majority copy —
-//     detection with correction.
-//
-// With detection disabled the Parallel protocol runs the replica spheres
-// fully isolated, which is how redMPI doubles as a fault-injection study
-// tool (comparing a corrupted replica's trajectory against the clean one).
-//
-// Reserved tag space: application tags occupy [0, UserTagLimit). The
-// layer reserves [UserTagLimit, digestTagBase) for its own collectives and
-// [digestTagBase, ∞) for digest exchange (the digest companion of tag t
-// travels on digestTagBase+t). Send and Recv reject tags outside the
-// application space with *TagRangeError — tags that collided with the
-// digest range used to corrupt the comparison stream silently.
+// Every live sender replica sends a copy of each message to every live
+// receiver replica (r² copies per logical message), and each receiver
+// digests the copies it got and votes. A single bit flip in any replica's
+// data is detected the first time it crosses the network; at r ≥ 3 a
+// strict majority also attributes the corruption to the outvoted replica
+// and hands the caller a majority copy — detection with correction. A
+// logical rank stays alive as long as one of its replicas lives, because
+// every surviving receiver still gets a copy from some surviving sender.
 package redundancy
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"xsim/internal/mpi"
 )
@@ -62,8 +41,8 @@ func (e *SDCError) Error() string {
 		e.LogicalSrc, e.Tag, e.Replica)
 }
 
-// TagRangeError reports an application tag outside [0, UserTagLimit); the
-// space above is reserved for the layer's collective and digest traffic.
+// TagRangeError reports a negative tag, AnyTag included. The vote compares
+// copies of one message, so a receive must name the tag it votes on.
 type TagRangeError struct {
 	// Tag is the rejected tag.
 	Tag int
@@ -71,8 +50,7 @@ type TagRangeError struct {
 
 // Error implements error.
 func (e *TagRangeError) Error() string {
-	return fmt.Sprintf("redundancy: tag %d outside the application tag space [0, %d): [%d, %d) is reserved for the layer's collectives and tags at and above %d for digest exchange",
-		e.Tag, UserTagLimit, UserTagLimit, digestTagBase, digestTagBase)
+	return fmt.Sprintf("redundancy: tag %d is negative; replicated messages need a concrete tag", e.Tag)
 }
 
 // ReplicaFailedError reports that every replica of a logical rank has
@@ -89,49 +67,9 @@ func (e *ReplicaFailedError) Error() string {
 	return fmt.Sprintf("redundancy: %s: every replica of logical rank %d has failed", e.Op, e.Logical)
 }
 
-// Protocol selects how messages cross the replica groups.
-type Protocol int
-
-const (
-	// Parallel is redMPI's message-efficient protocol: payloads stay
-	// within a replica sphere and only digests cross spheres. Detection
-	// without failover.
-	Parallel Protocol = iota
-	// Mirror sends every payload from every live sender replica to every
-	// live receiver replica, digesting and voting at the receiver.
-	// Failover (and correction at r ≥ 3) at r× the message volume.
-	Mirror
-)
-
-// String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case Parallel:
-		return "parallel"
-	case Mirror:
-		return "mirror"
-	}
-	return fmt.Sprintf("protocol(%d)", int(p))
-}
-
-// Tag-space layout. Application tags occupy [0, UserTagLimit); everything
-// above is reserved so layer-internal traffic can never collide with
-// payload traffic.
-const (
-	// UserTagLimit bounds the application tag space accepted by Send and
-	// Recv.
-	UserTagLimit = 1 << 19
-	// digestTagBase maps a payload tag t (application or collective) to
-	// its digest-exchange companion digestTagBase+t.
-	digestTagBase = 1 << 20
-	// collectiveTag is the base tag of the layer's own collectives; it
-	// sits in the reserved [UserTagLimit, digestTagBase) band.
-	collectiveTag = UserTagLimit + 1
-)
-
-// checkTag validates an application tag against the reserved space.
+// checkTag refuses negative tags, the wildcard among them.
 func checkTag(tag int) error {
-	if tag < 0 || tag >= UserTagLimit {
+	if tag < 0 {
 		return &TagRangeError{Tag: tag}
 	}
 	return nil
@@ -146,22 +84,7 @@ type Comm struct {
 	logical int // this process's logical rank
 	replica int // replica index in [0, r)
 	r       int // replication degree
-	// Protocol selects the replication protocol (default Parallel).
-	Protocol Protocol
-	// Detect enables online comparison of message digests between
-	// replicas (redMPI's detection mode). When false, Parallel runs the
-	// replica spheres isolated (redMPI's fault-injection mode) and Mirror
-	// skips the vote (first live copy wins).
-	Detect bool
-	// scratch backs the 8-byte digest sends so the hottest detection path
-	// does not allocate per message (eager sends copy at post time, so
-	// reusing the buffer across messages is safe).
-	scratch [8]byte
 }
-
-// Wrap builds the classic dual-redundant communicator for this process.
-// The world size must be even: the upper half mirrors the lower half.
-func Wrap(env *mpi.Env) (*Comm, error) { return WrapN(env, 2) }
 
 // WrapN builds an r-way redundant communicator: the world splits into r
 // replica groups of n = Size()/r processes each. Degree 1 is the
@@ -185,7 +108,6 @@ func WrapN(env *mpi.Env, r int) (*Comm, error) {
 		logical: env.Rank() % logical,
 		replica: env.Rank() / logical,
 		r:       r,
-		Detect:  true,
 	}
 	c.world.SetErrorHandler(mpi.ErrorsReturn)
 	return c, nil
@@ -202,12 +124,6 @@ func (c *Comm) Replica() int { return c.replica }
 
 // Degree returns the replication degree r.
 func (c *Comm) Degree() int { return c.r }
-
-// Partner returns the world rank of this process's next replica (its only
-// partner at degree 2, itself at degree 1).
-func (c *Comm) Partner() int {
-	return c.worldRankOf(c.logical, (c.replica+1)%c.r)
-}
 
 // Alive returns the number of replicas of logical rank l not known to
 // this process to have failed. It is local knowledge: a replica that died
@@ -227,12 +143,6 @@ func (c *Comm) worldRankOf(logical, replica int) int {
 	return logical + replica*c.n
 }
 
-// worldRank translates a logical rank to the world rank of this process's
-// own replica sphere.
-func (c *Comm) worldRank(logical int) int {
-	return c.worldRankOf(logical, c.replica)
-}
-
 // checkRank validates a logical rank operand.
 func (c *Comm) checkRank(kind string, l int) error {
 	if l < 0 || l >= c.n {
@@ -248,12 +158,13 @@ func digest(data []byte) uint64 {
 	return h.Sum64()
 }
 
-// Send sends data to the logical destination. Under Parallel every
-// replica of the logical sender performs the send into its own sphere
-// with its own (ideally identical) data; divergence is what detection
-// catches at the receiver. Under Mirror the payload is copied to every
-// live replica of the destination, and a destination whose replicas have
-// all failed yields *ReplicaFailedError.
+// Send delivers one copy of data to every live replica of the logical
+// destination. Every replica of the logical sender sends its own (ideally
+// identical) data; divergence is what the receiver's vote catches. A
+// replica that is known dead is skipped; one that dies in transit is
+// treated the same (its copy is covered by the copies the other sender
+// replicas deliver). A destination whose replicas have all failed yields
+// *ReplicaFailedError.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := c.checkRank("destination", dst); err != nil {
 		return err
@@ -261,23 +172,6 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := checkTag(tag); err != nil {
 		return err
 	}
-	return c.send(dst, tag, data)
-}
-
-// send is Send past validation; the layer's collectives enter here with
-// reserved tags.
-func (c *Comm) send(dst, tag int, data []byte) error {
-	if c.Protocol == Mirror {
-		return c.sendMirror(dst, tag, data)
-	}
-	return c.world.Send(c.worldRank(dst), tag, data)
-}
-
-// sendMirror delivers one copy to every live replica of dst. A replica
-// that is known dead is skipped; one that dies in transit is treated the
-// same (its copy is covered by the copies the other sender replicas
-// deliver).
-func (c *Comm) sendMirror(dst, tag int, data []byte) error {
 	delivered := 0
 	for k := 0; k < c.r; k++ {
 		w := c.worldRankOf(dst, k)
@@ -300,16 +194,14 @@ func (c *Comm) sendMirror(dst, tag int, data []byte) error {
 	return nil
 }
 
-// Recv receives from the logical source. Under Parallel the payload comes
-// from the same replica sphere and, with Detect enabled, the receiving
-// replicas then exchange digests of what they received: a mismatch means
-// some replica of the sender produced corrupted data, reported as
-// *SDCError (with the corrupt replicas attributed when r ≥ 3 forms a
-// strict majority). Under Mirror one copy is collected from every live
-// replica of the source and the digest vote happens locally; a source
-// whose replicas have all failed yields *ReplicaFailedError. In both
-// protocols a returned *SDCError still carries the received message —
-// like redMPI, corruption is reported while execution continues.
+// Recv collects one copy from every live replica of the logical source
+// and votes on their digests. A mismatch means some replica of the sender
+// produced corrupted data, reported as *SDCError; when a strict majority
+// exists (r ≥ 3) the error names the outvoted replicas and the returned
+// message is a majority copy. Like redMPI, a returned *SDCError still
+// carries the received message: corruption is reported while execution
+// continues. A source whose replicas have all failed yields
+// *ReplicaFailedError.
 func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
 	if err := c.checkRank("source", src); err != nil {
 		return nil, err
@@ -317,81 +209,6 @@ func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
 	if err := checkTag(tag); err != nil {
 		return nil, err
 	}
-	return c.recv(src, tag)
-}
-
-// recv is Recv past validation; the layer's collectives enter here with
-// reserved tags.
-func (c *Comm) recv(src, tag int) (*mpi.Message, error) {
-	if c.Protocol == Mirror {
-		return c.recvMirror(src, tag)
-	}
-	return c.recvParallel(src, tag)
-}
-
-// recvParallel receives within the replica sphere, then digest-compares
-// with the partner replicas.
-func (c *Comm) recvParallel(src, tag int) (*mpi.Message, error) {
-	msg, err := c.world.Recv(c.worldRank(src), tag)
-	if err != nil {
-		return nil, err
-	}
-	if !c.Detect || c.r < 2 {
-		return msg, nil
-	}
-	// Cross-sphere digest exchange among the receiving replicas. Each
-	// pair orders deterministically (the lower replica index sends
-	// first), and digests ride the reserved companion of the payload tag.
-	// A partner that is known dead — or dies mid-exchange — is skipped:
-	// detection degrades to the surviving replicas instead of
-	// deadlocking.
-	digests := make([]uint64, c.r)
-	present := make([]bool, c.r)
-	digests[c.replica] = digest(msg.Data)
-	present[c.replica] = true
-	binary.LittleEndian.PutUint64(c.scratch[:], digests[c.replica])
-	dtag := digestTagBase + tag
-	for j := 0; j < c.r; j++ {
-		if j == c.replica {
-			continue
-		}
-		w := c.worldRankOf(c.logical, j)
-		if c.env.PeerFailed(w) {
-			continue
-		}
-		var theirs *mpi.Message
-		var derr error
-		if c.replica < j {
-			if derr = c.world.Send(w, dtag, c.scratch[:]); derr == nil {
-				theirs, derr = c.world.Recv(w, dtag)
-			}
-		} else {
-			if theirs, derr = c.world.Recv(w, dtag); derr == nil {
-				derr = c.world.Send(w, dtag, c.scratch[:])
-			}
-		}
-		if derr != nil {
-			var pf *mpi.ProcFailedError
-			if errors.As(derr, &pf) {
-				theirs.Release()
-				continue
-			}
-			theirs.Release()
-			msg.Release()
-			return nil, derr
-		}
-		digests[j] = binary.LittleEndian.Uint64(theirs.Data)
-		present[j] = true
-		theirs.Release()
-	}
-	if corrupt, mismatch := voteDigests(digests, present); mismatch {
-		return msg, &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: corrupt}
-	}
-	return msg, nil
-}
-
-// recvMirror collects one copy from every live replica of src and votes.
-func (c *Comm) recvMirror(src, tag int) (*mpi.Message, error) {
 	// Post receives to every source replica not already known dead. A
 	// replica that died unnotified completes its receive with a
 	// process-failure error after the detection timeout, so the wait
@@ -446,7 +263,7 @@ func (c *Comm) recvMirror(src, tag int) (*mpi.Message, error) {
 	}
 	chosen := 0
 	var sdc *SDCError
-	if c.Detect && len(msgs) > 1 {
+	if len(msgs) > 1 {
 		digests := make([]uint64, c.r)
 		present := make([]bool, c.r)
 		for i, m := range msgs {
@@ -535,82 +352,4 @@ func intsContain(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// Allreduce folds contributions across the logical communicator (linear:
-// logical rank 0 gathers and broadcasts) on the layer's reserved
-// collective tags. With Detect enabled every hop is digest-compared
-// across replicas. Detection does not stop the collective — like redMPI,
-// corruption is reported while execution continues — so the result is
-// returned together with the first SDCError observed, if any.
-func (c *Comm) Allreduce(contrib []float64, op mpi.ReduceOp) ([]float64, error) {
-	const tag = collectiveTag
-	var sdc error
-	recv := func(src, tag int) (*mpi.Message, error) {
-		msg, err := c.recv(src, tag)
-		if err != nil {
-			var e *SDCError
-			if errors.As(err, &e) && msg != nil {
-				if sdc == nil {
-					sdc = err
-				}
-				return msg, nil
-			}
-			return nil, err
-		}
-		return msg, nil
-	}
-	if c.logical == 0 {
-		acc := append([]float64(nil), contrib...)
-		for r := 1; r < c.n; r++ {
-			msg, err := recv(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			vals, err := decodeF64s(msg.Data, len(contrib))
-			if err != nil {
-				return nil, err
-			}
-			op(acc, vals)
-		}
-		for r := 1; r < c.n; r++ {
-			if err := c.send(r, tag+1, encodeF64s(acc)); err != nil {
-				return nil, err
-			}
-		}
-		return acc, sdc
-	}
-	if err := c.send(0, tag, encodeF64s(contrib)); err != nil {
-		return nil, err
-	}
-	msg, err := recv(0, tag+1)
-	if err != nil {
-		return nil, err
-	}
-	out, err := decodeF64s(msg.Data, len(contrib))
-	if err != nil {
-		return nil, err
-	}
-	return out, sdc
-}
-
-// encodeF64s/decodeF64s mirror the MPI layer's helpers (kept local so the
-// package only depends on the public MPI surface).
-func encodeF64s(vals []float64) []byte {
-	buf := make([]byte, 0, 8*len(vals))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-func decodeF64s(buf []byte, n int) ([]float64, error) {
-	if len(buf) != 8*n {
-		return nil, fmt.Errorf("redundancy: payload is %d bytes, want %d", len(buf), 8*n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
 }

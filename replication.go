@@ -9,7 +9,7 @@ import (
 
 // ReplicatedStencilConfig parameterises the replicated heat-proxy stencil:
 // a ring halo exchange whose every logical rank is backed by Degree
-// replicas through the redundancy layer's Mirror protocol, so injected
+// replicas through the redundancy layer's communicator, so injected
 // process failures are absorbed as long as one replica of each logical
 // rank survives. The total problem size is fixed: at degree r the world
 // splits into Ranks/r logical ranks that each carry r× the per-rank work,
@@ -25,7 +25,10 @@ type ReplicatedStencilConfig struct {
 	// this (fixed total problem over fewer logical ranks).
 	ComputePerIteration Duration
 	// HaloBytes is the per-direction halo payload (and the synthetic
-	// per-rank checkpoint size).
+	// per-rank checkpoint size). It must not exceed the network's
+	// EagerThreshold: every rank sends both halos before it receives
+	// either, and a rendezvous send waits for its matching receive, so
+	// larger halos deadlock the ring.
 	HaloBytes int
 	// CheckpointInterval checkpoints every k iterations (0 disables).
 	CheckpointInterval int
@@ -59,14 +62,14 @@ func (c *ReplicatedStencilConfig) defaults() {
 	}
 }
 
-// Halo tags of the replicated stencil (application tag space).
+// Halo tags of the replicated stencil.
 const (
 	tagHaloRight = 0
 	tagHaloLeft  = 1
 )
 
 // RunReplicatedStencil returns the replicated stencil application: every
-// iteration computes, exchanges ring halos through an r-way Mirror
+// iteration computes, exchanges ring halos through an r-way replicated
 // communicator, and optionally checkpoints. A process failure is absorbed
 // by the surviving replicas of the failed logical rank; only when every
 // replica of some logical rank has died does the application abort (and a
@@ -82,7 +85,6 @@ func RunReplicatedStencil(cfg ReplicatedStencilConfig) App {
 			env.Abort(2)
 			return
 		}
-		rc.Protocol = redundancy.Mirror
 		n := rc.Size()
 		me := rc.Logical()
 

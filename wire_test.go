@@ -555,6 +555,14 @@ func TestKindTableConsistent(t *testing.T) {
 			t.Errorf("degree %d at the default %d ranks: valid = %v, want %v", degree, cross.Ranks, got, want)
 		}
 	}
+
+	// A halo past the eager threshold is refused by name, not deadlocked.
+	halo := &CampaignSpec{Version: SpecVersion, Kind: KindCrossover,
+		Crossover: &CrossoverParams{HaloBytes: 256*1024 + 1}}
+	var se *SpecError
+	if err := halo.Validate(); !errors.As(err, &se) || se.Field != "replication_crossover.halo_bytes" {
+		t.Errorf("halo_bytes 262145: Validate = %v, want a *SpecError on replication_crossover.halo_bytes", err)
+	}
 }
 
 // boundaryBases is one cheap campaign per kind, 8 ranks and at most 8
@@ -567,6 +575,14 @@ var boundaryBases = map[CampaignKind]string{
 	KindCrossover: `{"version":1,"kind":"replication-crossover","ranks":8,"replication_crossover":{"degrees":[2],
 		"mttf_seconds":[100],"iterations":4,"compute_seconds":1,"checkpoint_seconds":1,"restart_seconds":1,"max_runs":20}}`,
 	KindIOAblation: `{"version":1,"kind":"io-ablation","ranks":8,"io_ablation":{"iterations":8,"intervals":[4],"mttf_seconds":[20]}}`,
+}
+
+// boundaryExtras adds field-specific edges to acceptedMeansRunnable's
+// walk: the crossover stencil posts both halo sends before either receive,
+// so a halo one byte past the paper network's eager threshold deadlocks
+// the ring unless Validate refuses it, and one at the threshold must run.
+var boundaryExtras = map[string][]float64{
+	"replication_crossover.halo_bytes": {256 * 1024, 256*1024 + 1},
 }
 
 // acceptedMeansRunnable walks every numeric field of every kind's block to
@@ -586,6 +602,7 @@ func acceptedMeansRunnable(t *testing.T, specBlocks map[string]int) {
 			if strings.HasSuffix(field, "_fraction") {
 				values = append(values, math.Nextafter(1, 0))
 			}
+			values = append(values, boundaryExtras[k.block+"."+field]...)
 			for _, x := range values {
 				spec, err := DecodeCampaignSpec([]byte(boundaryBases[k.kind]))
 				if err != nil {
