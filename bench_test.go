@@ -89,43 +89,27 @@ func BenchmarkFirstImpressions(b *testing.B) {
 	b.ReportMetric(float64(fi.DetectedIn["barrier"]), "detected-in-barrier")
 }
 
-// BenchmarkCampaign measures the campaign-orchestration layer: a 16-seed
-// failure/restart campaign set over a small heat workload, sequential
-// (pool=1) vs four campaigns in flight (pool=4). pool=1 is the
-// orchestration-overhead floor; on a multi-core host the pooled run
-// approaches pool× throughput (on a single-processor host the two are
-// equal — the pool buys nothing without processors to spread over). The
-// simulated virtual seconds per run are attached as a metric.
+// BenchmarkCampaign measures the campaign-orchestration layer: a heat
+// grid of 16 seeded failure/restart campaigns (plus its two E1 runs) over
+// a small heat workload, sequential (pool=1) vs four campaigns in flight
+// (pool=4). pool=1 is the orchestration-overhead floor; on a multi-core
+// host the pooled run approaches pool× throughput (on a single-processor
+// host the two are equal — the pool buys nothing without processors to
+// spread over). The simulated virtual seconds per grid are attached as a
+// metric.
 func BenchmarkCampaign(b *testing.B) {
-	hc, err := HeatWorkloadFor(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hc.Iterations = 50
-	hc.ExchangeInterval = 10
-	hc.CheckpointInterval = 10
-	tpl := Campaign{
-		Base:             Config{Ranks: 8},
-		MTTF:             100 * Second,
-		CheckpointPrefix: "heat",
-		AppFor:           func(int) App { return RunHeat(hc) },
-	}
 	for _, pool := range []int{1, 4} {
 		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
 			var simSecs float64
 			for i := 0; i < b.N; i++ {
-				set, err := RunCampaigns(context.Background(), CampaignSetConfig{
-					RunSpec:  RunSpec{Seed: 42, Pool: pool},
-					Template: tpl,
-					Count:    16,
-				})
+				_, stats, err := failureGrid(b, RunSpec{Seed: 42, Pool: pool}, 50, 16).run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
-				if set.Stats.Runner.Completed != 16 {
-					b.Fatalf("completed = %d", set.Stats.Runner.Completed)
+				if stats.Runner.Completed != 18 {
+					b.Fatalf("completed = %d", stats.Runner.Completed)
 				}
-				simSecs = set.Stats.SimTime.Seconds()
+				simSecs = stats.SimTime.Seconds()
 			}
 			b.ReportMetric(simSecs, "simsec")
 		})
@@ -477,11 +461,15 @@ func BenchmarkAblationProactive(b *testing.B) {
 				camp := Campaign{
 					Base:             Config{Ranks: 64, Failures: Schedule{{Rank: 9, At: Time(900 * Second)}}},
 					CheckpointPrefix: "heat",
-					PredictionLead:   lead,
-					AppForPredicted: func(run int, predicted Time) App {
+					AppFor: func(run int) App {
 						h := hc
 						if lead > 0 {
-							h.ProactiveTrigger = predicted
+							// The predictor fires lead ahead of the one
+							// failure, which only the first run meets.
+							h.ProactiveTrigger = Never
+							if run == 0 {
+								h.ProactiveTrigger = Time(900*Second - lead)
+							}
 						}
 						return RunHeat(h)
 					},

@@ -4,166 +4,92 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"xsim/internal/runner"
 )
 
-// campaignHeat is the 8-rank heat workload campaignTemplate runs.
-func campaignHeat(t *testing.T, iterations int) HeatConfig {
+// failureGrid is an 8-rank heat grid at one checkpoint interval with one
+// restart campaign per seed, each at a 100 s MTTF so failures strike
+// often enough to exercise restarts.
+func failureGrid(t testing.TB, rs RunSpec, iterations, seeds int) *heatGrid {
 	t.Helper()
-	hc, err := HeatWorkloadFor(8)
+	rs.Ranks = 8
+	g, err := newHeatGrid(rs, iterations, []int{iterations / 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc.Iterations = iterations
-	hc.ExchangeInterval = iterations / 5
-	hc.CheckpointInterval = iterations / 5
-	return hc
-}
-
-// campaignTemplate builds a small heat campaign template whose random
-// failures strike often enough to exercise restarts.
-func campaignTemplate(t *testing.T, iterations int) Campaign {
-	t.Helper()
-	hc := campaignHeat(t, iterations)
-	return Campaign{
-		Base:             Config{Ranks: 8},
-		MTTF:             100 * Second,
-		CheckpointPrefix: "heat",
-		AppFor:           func(int) App { return RunHeat(hc) },
+	for i := 0; i < seeds; i++ {
+		seed := runner.DeriveSeed(rs.Seed, i)
+		g.cells = append(g.cells, gridCell{mttf: 100 * Second, seed: seed, label: fmt.Sprintf("seed=%d", seed)})
 	}
+	return g
 }
 
-// campaignDigest flattens the per-seed observable outcomes into one
-// comparable string.
-func campaignDigest(set *CampaignSet) string {
-	var b []byte
-	for i, r := range set.Results {
-		if r == nil {
-			b = fmt.Appendf(b, "%d:nil;", set.Seeds[i])
-			continue
-		}
-		b = fmt.Appendf(b, "%d:E2=%v,F=%d,runs=%d,sim=%v;", set.Seeds[i], r.E2, r.Failures, len(r.Runs), r.SimTime)
-	}
-	return string(b)
-}
-
-func TestRunCampaignsDeterministicAcrossPools(t *testing.T) {
-	// The acceptance bar for the orchestration layer: a 50-seed campaign
-	// produces bit-identical per-seed results at any pool size, because
-	// every seed derives from the campaign seed and the run index alone.
-	digests := make(map[int]string)
+func TestHeatGridDeterministicAcrossPools(t *testing.T) {
+	// The acceptance bar for the orchestration layer: a grid of 50
+	// restart campaigns produces identical rows at any pool size, because
+	// every cell's failure draws derive from its seed and run index alone.
+	var want []CheckpointIOAblationRow
 	for _, pool := range []int{1, 2, 8} {
-		set, err := RunCampaigns(context.Background(), CampaignSetConfig{
-			RunSpec:  RunSpec{Seed: 42, Pool: pool},
-			Template: campaignTemplate(t, 50),
-			Count:    50,
-		})
+		rows, stats, err := failureGrid(t, RunSpec{Seed: 42, Pool: pool}, 50, 50).run(context.Background())
 		if err != nil {
 			t.Fatalf("pool=%d: %v", pool, err)
 		}
-		if got := set.Stats.Runner.Completed; got != 50 {
-			t.Fatalf("pool=%d: completed = %d, want 50", pool, got)
+		// Baseline E1 + one interval E1 + 50 cells.
+		if got := stats.Runner.Completed; got != 52 || len(rows) != 52 {
+			t.Fatalf("pool=%d: completed = %d, rows = %d, want 52", pool, got, len(rows))
 		}
-		if set.Stats.SimTime == 0 || set.Stats.Engine.EventsDispatched == 0 {
-			t.Fatalf("pool=%d: pooled metrics empty: %+v", pool, set.Stats)
+		if stats.SimTime == 0 || stats.Engine.EventsDispatched == 0 {
+			t.Fatalf("pool=%d: pooled metrics empty: %+v", pool, stats)
 		}
-		digests[pool] = campaignDigest(set)
+		if want == nil {
+			want = rows
+			continue
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("pool=%d rows differ from pool=1:\n%+v\n%+v", pool, rows, want)
+		}
 	}
-	if digests[1] != digests[2] || digests[1] != digests[8] {
-		t.Fatalf("campaign digests differ across pool sizes:\n1: %s\n2: %s\n8: %s",
-			digests[1], digests[2], digests[8])
+	failures := 0
+	for _, r := range want[2:] {
+		failures += r.F
+	}
+	if failures == 0 {
+		t.Fatal("no cell met a failure; the grid exercises no restarts")
 	}
 }
 
-func TestRunCampaignsExplicitSeedsAndMean(t *testing.T) {
-	set, err := RunCampaigns(context.Background(), CampaignSetConfig{
-		RunSpec:  RunSpec{Pool: 2},
-		Template: campaignTemplate(t, 50),
-		Seeds:    []int64{133, 134, 135},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Results) != 3 || len(set.Seeds) != 3 {
-		t.Fatalf("results = %d, seeds = %d", len(set.Results), len(set.Seeds))
-	}
-	if mean := set.MeanE2(); mean <= 0 {
-		t.Fatalf("MeanE2 = %v", mean)
-	}
-}
-
-// TestRunCampaignsProgModeMatchesClosure pins that a template carrying only
-// the program-mode hook is accepted, like Campaign.RunContext accepts it,
-// and that the set is per-seed identical to its closure-mode twin.
-func TestRunCampaignsProgModeMatchesClosure(t *testing.T) {
-	run := func(prog bool) string {
-		tpl := campaignTemplate(t, 50)
-		if prog {
-			hc := campaignHeat(t, 50)
-			tpl.AppFor = nil
-			tpl.ProgFor = func(int) func(rank int) Prog { return RunHeatProg(hc) }
-		}
-		set, err := RunCampaigns(context.Background(), CampaignSetConfig{
-			RunSpec: RunSpec{Seed: 42, Pool: 2}, Template: tpl, Count: 8,
-		})
-		if err != nil {
-			t.Fatalf("prog=%v: %v", prog, err)
-		}
-		return campaignDigest(set)
-	}
-	if closure, prog := run(false), run(true); closure != prog {
-		t.Fatalf("campaign digests differ across execution modes:\nclosure: %s\nprog:    %s", closure, prog)
-	}
-	if _, err := RunCampaigns(context.Background(), CampaignSetConfig{Template: Campaign{Base: Config{Ranks: 8}}}); err == nil {
-		t.Fatal("a template without any application hook should be rejected")
-	}
-}
-
-func TestRunCampaignsRejectsSharedStore(t *testing.T) {
-	tpl := campaignTemplate(t, 50)
-	tpl.Base.Store = NewStore()
-	if _, err := RunCampaigns(context.Background(), CampaignSetConfig{Template: tpl}); err == nil {
-		t.Fatal("shared Template.Base.Store should be rejected")
-	}
-}
-
-func TestRunCampaignsCancelMidCampaignNoLeaks(t *testing.T) {
+func TestHeatGridCancelMidGridNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	tpl := campaignTemplate(t, 5000)
+	defer cancel()
 	var once sync.Once
-	appFor := tpl.AppFor
-	tpl.AppFor = func(run int) App {
-		// Cancel as soon as the first application run is under way, so the
-		// pool is caught mid-simulation.
-		once.Do(cancel)
-		return appFor(run)
-	}
-
-	set, err := RunCampaigns(ctx, CampaignSetConfig{
-		RunSpec:  RunSpec{Seed: 7, Pool: 2},
-		Template: tpl,
-		Count:    6,
-	})
+	rs := RunSpec{Seed: 7, Pool: 2, OnProgress: func(ev ProgressEvent) {
+		// Cancel as soon as the first cell starts, so the pool is caught
+		// mid-grid.
+		if ev.State == "started" {
+			once.Do(cancel)
+		}
+	}}
+	_, stats, err := failureGrid(t, rs, 5000, 6).run(ctx)
 	if err == nil {
-		t.Fatal("cancelled campaign set should report an error")
+		t.Fatal("cancelled grid should report an error")
 	}
 	if !errors.Is(err, ErrCancelled) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCancelled or context.Canceled in the chain", err)
-	}
-	if set == nil {
-		t.Fatal("cancelled campaign set should still return partial results")
 	}
 	var runErr *RunError
 	if !errors.As(err, &runErr) {
 		t.Fatalf("err = %v, want a *RunError in the chain", err)
 	}
-	if got := set.Stats.Runner.Failed + set.Stats.Runner.Skipped; got == 0 {
-		t.Fatalf("stats should count failed/skipped runs: %+v", set.Stats.Runner)
+	if got := stats.Runner.Failed + stats.Runner.Skipped; got == 0 {
+		t.Fatalf("stats should count failed/skipped runs: %+v", stats.Runner)
 	}
 
 	// Engine VPs die synchronously in the teardown kill; give the runtime
@@ -176,6 +102,30 @@ func TestRunCampaignsCancelMidCampaignNoLeaks(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+func TestReplicationCrossoverPoolMatchesSequential(t *testing.T) {
+	run := func(pool int) *ReplicationCrossover {
+		rs, p := smokeCrossover()
+		rs.Pool = pool
+		table, err := RunReplicationCrossoverContext(context.Background(), rs, p)
+		if err != nil {
+			t.Fatalf("pool=%d: %v", pool, err)
+		}
+		return table
+	}
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(seq.Rows, par.Rows) {
+		t.Fatalf("rows differ:\npool=1 %+v\npool=4 %+v", seq.Rows, par.Rows)
+	}
+	// Five cells run in the pool; the E1 run precedes them.
+	if seq.Stats.SimTime != par.Stats.SimTime || seq.Stats.Runner.Completed != 5 {
+		t.Fatalf("pooled stats differ: pool=1 %+v, pool=4 %+v", seq.Stats, par.Stats)
+	}
+	// Failure records pool E1 first, then the cells in list order.
+	if !reflect.DeepEqual(seq.Stats.MPI.Failures, par.Stats.MPI.Failures) {
+		t.Fatalf("pooled failure records differ:\npool=1 %+v\npool=4 %+v", seq.Stats.MPI.Failures, par.Stats.MPI.Failures)
+	}
 }
 
 func TestTableIIPoolMatchesSequential(t *testing.T) {

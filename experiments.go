@@ -325,8 +325,8 @@ func (g *heatGrid) sweepMTTFs(arm int, mttfs []Duration) {
 // stats come back without rows.
 func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, CampaignStats, error) {
 	var (
-		tasks []runner.Task[*CampaignResult]
-		rows  []CheckpointIOAblationRow // rows[i] is completed from task i's result
+		cells []campaignCell
+		rows  []CheckpointIOAblationRow // rows[i] is completed from cell i's result
 	)
 	// Every task is a restart campaign of the heat application on arm a
 	// at interval c. An E1 run is the campaign no failure strikes (MTTF
@@ -344,10 +344,7 @@ func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, Campaign
 		if a.name != "" {
 			label = a.name + " " + label
 		}
-		tasks = append(tasks, runner.Task[*CampaignResult]{
-			Spec: runner.Spec{Index: len(tasks), Label: label, Seed: seed},
-			Run:  camp.RunContext,
-		})
+		cells = append(cells, campaignCell{camp: camp, label: label})
 		rows = append(rows, CheckpointIOAblationRow{Arm: a.name, TableIIRow: TableIIRow{MTTFs: mttf, C: c}})
 	}
 	e1s := append([]int{g.base.Iterations}, g.intervals...)
@@ -360,11 +357,8 @@ func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, Campaign
 		add(g.arms[cell.arm], g.intervals[cell.interval], cell.mttf, cell.seed, g.maxRuns, cell.label)
 	}
 
-	results, rstats, err := runner.Run(ctx, g.runnerConfig(), tasks)
-	stats := CampaignStats{Runner: rstats}
-	for _, camp := range results {
-		stats.absorbCampaign(camp)
-	}
+	var stats CampaignStats
+	results, err := g.runCells(ctx, &stats, cells)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -925,20 +919,36 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 		return ckptCost * Duration((p.Iterations-1)/interval)
 	}
 
-	type cellSpec struct {
-		row  ReplicationCrossoverRow
-		seed int64
-	}
-	var specs []cellSpec
+	var (
+		cells []campaignCell
+		rows  []ReplicationCrossoverRow // rows[i] is completed from cell i's result
+	)
 	addCell := func(mttf Duration, arm string, degree, interval int, predicted Duration) {
-		specs = append(specs, cellSpec{
-			row: ReplicationCrossoverRow{
-				MTTF: mttf, Arm: arm, Degree: degree,
-				Interval: interval, Predicted: predicted,
+		// Mix the MTTF and the arm index into the seed so every cell
+		// draws an independent failure sequence.
+		seed := rs.Seed + int64(mttf.Seconds())*1009 + int64(len(cells))*37
+		sc := stencil(degree, interval)
+		// The failure horizon comfortably covers the longest single run
+		// of the cell (compute + checkpoint overhead + restart).
+		horizon := Duration(degree)*solve + ckptOverhead(interval) + restartCost + solve
+		cells = append(cells, campaignCell{
+			label: fmt.Sprintf("mttf=%.0fs %s r=%d", mttf.Seconds(), arm, degree),
+			camp: Campaign{
+				Base:    rs.baseConfig(),
+				Seed:    seed,
+				MaxRuns: p.MaxRuns,
+				DrawFailures: func(run int, start Time) Schedule {
+					rng := rand.New(rand.NewSource(seed + int64(run)*101))
+					return fault.PoissonSchedule(rng, rs.Ranks, mttf, horizon, start)
+				},
+				Replicas:         degree,
+				CheckpointPrefix: sc.Prefix,
+				AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 			},
-			// Mix the MTTF and the arm index into the seed so every cell
-			// draws an independent failure sequence.
-			seed: rs.Seed + int64(mttf.Seconds())*1009 + int64(len(specs))*37,
+		})
+		rows = append(rows, ReplicationCrossoverRow{
+			MTTF: mttf, Arm: arm, Degree: degree,
+			Interval: interval, Predicted: predicted,
 		})
 	}
 	for _, mttf := range mttfs {
@@ -953,56 +963,18 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 		}
 	}
 
-	tasks := make([]runner.Task[*CampaignResult], len(specs))
-	for i, spec := range specs {
-		spec := spec
-		sc := stencil(spec.row.Degree, spec.row.Interval)
-		// The failure horizon comfortably covers the longest single run
-		// of the cell (compute + checkpoint overhead + restart).
-		horizon := Duration(spec.row.Degree)*solve + ckptOverhead(spec.row.Interval) +
-			restartCost + solve
-		tasks[i] = runner.Task[*CampaignResult]{
-			Spec: runner.Spec{
-				Index: i,
-				Label: fmt.Sprintf("mttf=%.0fs %s r=%d", spec.row.MTTF.Seconds(), spec.row.Arm, spec.row.Degree),
-				Seed:  spec.seed,
-			},
-			Run: func(ctx context.Context) (*CampaignResult, error) {
-				base := rs.baseConfig()
-				base.Store = NewStore()
-				camp := Campaign{
-					Base:    base,
-					Seed:    spec.seed,
-					MaxRuns: p.MaxRuns,
-					DrawFailures: func(run int, start Time) Schedule {
-						rng := rand.New(rand.NewSource(spec.seed + int64(run)*101))
-						return fault.PoissonSchedule(rng, rs.Ranks, spec.row.MTTF, horizon, start)
-					},
-					Replicas:         spec.row.Degree,
-					CheckpointPrefix: sc.Prefix,
-					AppFor:           func(int) App { return RunReplicatedStencil(sc) },
-				}
-				return camp.RunContext(ctx)
-			},
-		}
-	}
-
-	cells, rstats, err := runner.Run(ctx, rs.runnerConfig(), tasks)
-	table.Stats.Runner = rstats
-	for _, camp := range cells {
-		table.Stats.absorbCampaign(camp)
-	}
+	// The E1 run is already absorbed: the pooled MPI failure records keep
+	// E1 first, then the cells in list order.
+	results, err := rs.runCells(ctx, &table.Stats, cells)
 	if err != nil {
 		return table, err
 	}
-	for i, spec := range specs {
-		row := spec.row
-		camp := cells[i]
-		row.E2 = camp.E2
-		row.F = camp.Failures
-		row.Runs = len(camp.Runs)
-		table.Rows = append(table.Rows, row)
+	for i, camp := range results {
+		rows[i].E2 = camp.E2
+		rows[i].F = camp.Failures
+		rows[i].Runs = len(camp.Runs)
 	}
+	table.Rows = rows
 	return table, nil
 }
 

@@ -69,6 +69,20 @@ func TestIndependentClocks(t *testing.T) {
 	}
 }
 
+// TestAvgClockDoesNotOverflow pins the mean of final clocks whose sum is
+// past 2^63 ns: four ranks at 4e18 ns sum to 1.6e19, which an int64 sum
+// wraps to a negative average.
+func TestAvgClockDoesNotOverflow(t *testing.T) {
+	eng := newTestEngine(t, Config{NumVPs: 4})
+	res, err := eng.Run(func(c *Ctx) { c.Elapse(vclock.Duration(4e18)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := vclock.Time(4e18); res.AvgClock != want {
+		t.Fatalf("avg = %d, want %d", int64(res.AvgClock), int64(want))
+	}
+}
+
 func TestPingWakesBlockedVP(t *testing.T) {
 	eng := newTestEngine(t, Config{NumVPs: 2})
 	registerPing(eng)

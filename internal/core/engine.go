@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 
@@ -349,7 +350,6 @@ func (e *Engine) run() (*Result, error) {
 	}
 
 	var firstPanic *vp
-	var sum vclock.Time
 	res.MinClock = vclock.Never
 	for i := range e.vps {
 		v := &e.vps[i]
@@ -375,9 +375,8 @@ func (e *Engine) run() (*Result, error) {
 		if v.clock > res.MaxClock {
 			res.MaxClock = v.clock
 		}
-		sum += v.clock
 	}
-	res.AvgClock = sum / vclock.Time(len(e.vps))
+	res.AvgClock = meanClock(res.FinalClocks)
 	e.logf("[sim] shutdown: %d completed, %d failed, %d aborted; process times min %v max %v avg %v",
 		res.Completed, res.Failed, res.Aborted, res.MinClock, res.MaxClock, res.AvgClock)
 
@@ -392,6 +391,19 @@ func (e *Engine) run() (*Result, error) {
 			ErrDeadlock, len(res.Blocked), strings.Join(res.Blocked, "\n"))
 	}
 	return res, nil
+}
+
+// meanClock is the floor of the clocks' mean. The sum is kept in 128 bits:
+// a million VPs averaging past 8,796 s overflow an int64. n summands below
+// 2^64 keep the high word below n, so Div64 cannot overflow.
+func meanClock(clocks []vclock.Time) vclock.Time {
+	var hi, lo, carry uint64
+	for _, c := range clocks {
+		lo, carry = bits.Add64(lo, uint64(c), 0)
+		hi += carry
+	}
+	avg, _ := bits.Div64(hi, lo, uint64(len(clocks)))
+	return vclock.Time(avg)
 }
 
 // route delivers a copy of an event emitted at senderClock by from's current

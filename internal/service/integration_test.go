@@ -160,7 +160,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := spec.Run(context.Background())
+	out, err := spec.RunWith(context.Background(), xsim.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

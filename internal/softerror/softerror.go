@@ -174,12 +174,6 @@ type CampaignResult struct {
 	Summary stats.Summary
 }
 
-// RunCampaign executes the injection campaign; it is RunCampaignContext
-// without cancellation.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	return RunCampaignContext(context.Background(), cfg)
-}
-
 // victimOutcome is one victim's campaign contribution. A zero value marks
 // a victim that never ran (campaign cancelled first).
 type victimOutcome struct {

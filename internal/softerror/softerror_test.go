@@ -1,6 +1,7 @@
 package softerror
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -52,7 +53,7 @@ func TestVictimDies(t *testing.T) {
 }
 
 func TestCampaignTableIShape(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestCampaignTableIShape(t *testing.T) {
 
 func TestCampaignDeterministic(t *testing.T) {
 	cfg := CampaignConfig{Victims: 50, MaxInjections: 100, Seed: 7}
-	a, err := RunCampaign(cfg)
+	a, err := RunCampaignContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(cfg)
+	b, err := RunCampaignContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +109,14 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 func TestCampaignConfigErrors(t *testing.T) {
-	if _, err := RunCampaign(CampaignConfig{Victims: 0, MaxInjections: 10}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 0, MaxInjections: 10}); err == nil {
 		t.Error("zero victims should fail")
 	}
-	if _, err := RunCampaign(CampaignConfig{Victims: 10, MaxInjections: 0}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 10, MaxInjections: 0}); err == nil {
 		t.Error("zero cap should fail")
 	}
 	bad := VictimModel{Regions: []Region{{Name: "x", Bytes: -1}}}
-	if _, err := RunCampaign(CampaignConfig{Victims: 10, MaxInjections: 10, Model: bad}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 10, MaxInjections: 10, Model: bad}); err == nil {
 		t.Error("bad model should fail")
 	}
 }
@@ -123,7 +124,7 @@ func TestCampaignConfigErrors(t *testing.T) {
 func TestCampaignCapRespected(t *testing.T) {
 	// An insensitive victim survives; counts are capped.
 	m := VictimModel{Regions: []Region{{Name: "cold", Bytes: 1024, Sensitivity: 0}}}
-	res, err := RunCampaign(CampaignConfig{Victims: 5, MaxInjections: 37, Seed: 1, Model: m})
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 5, MaxInjections: 37, Seed: 1, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCampaignCapRespected(t *testing.T) {
 }
 
 func TestKillsByRegionBias(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{Victims: 2000, MaxInjections: 100, Seed: 3})
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 2000, MaxInjections: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestKillsByRegionBias(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestTableRendering(t *testing.T) {
 // Table I command line has always printed, and names the cap only when a
 // victim reached it.
 func TestRenderIsTheWholeReport(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 100, MaxInjections: 100, Seed: 2013})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestRenderIsTheWholeReport(t *testing.T) {
 	if strings.Contains(report, "survived") {
 		t.Errorf("no victim survived, yet:\n%s", report)
 	}
-	res, err = RunCampaign(CampaignConfig{Victims: 40, MaxInjections: 5, Seed: 1})
+	res, err = RunCampaignContext(context.Background(), CampaignConfig{Victims: 40, MaxInjections: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestQuickCampaignMeanTracksProbability(t *testing.T) {
 	// average.
 	low := VictimModel{Regions: []Region{{Name: "m", Bytes: 1024, Sensitivity: 0.02}}}
 	high := VictimModel{Regions: []Region{{Name: "m", Bytes: 1024, Sensitivity: 0.2}}}
-	a, err := RunCampaign(CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: low})
+	a, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: low})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: high})
+	b, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: high})
 	if err != nil {
 		t.Fatal(err)
 	}

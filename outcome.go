@@ -155,12 +155,6 @@ func (o *CampaignOutcome) Canonical() ([]byte, error) {
 
 // --- execution ------------------------------------------------------------
 
-// Run executes the campaign the spec describes; it is RunWith without
-// hooks.
-func (s *CampaignSpec) Run(ctx context.Context) (*CampaignOutcome, error) {
-	return s.RunWith(ctx, RunOptions{})
-}
-
 // RunWith normalizes and validates the spec (leaving the receiver
 // untouched), runs the experiment driver of the kind's table row, and
 // converts the result to its deterministic wire form. Validation failures

@@ -6,7 +6,6 @@ import (
 
 	"xsim/internal/checkpoint"
 	"xsim/internal/fault"
-	"xsim/internal/vclock"
 )
 
 // Campaign drives an application through failure/restart cycles until it
@@ -49,19 +48,10 @@ type Campaign struct {
 	// AppFor builds the application for each run (fresh trackers etc.);
 	// use the same closure for every run if no per-run state is needed.
 	AppFor func(run int) App
-	// AppForPredicted, when set, is used instead of AppFor and
-	// additionally receives the run's predicted failure time (the drawn
-	// injection minus PredictionLead; vclock.Never when no failure was
-	// drawn) — proactive fault tolerance experiments build applications
-	// that checkpoint ahead of the predicted failure.
-	AppForPredicted func(run int, predicted Time) App
 	// ProgFor, when set, runs each campaign run in program mode: the
 	// returned per-rank factory is passed to Sim.RunProgs instead of
-	// executing an App closure per rank. It takes precedence over AppFor
-	// and AppForPredicted.
+	// executing an App closure per rank. It takes precedence over AppFor.
 	ProgFor func(run int) func(rank int) Prog
-	// PredictionLead is how far ahead the failure predictor fires.
-	PredictionLead Duration
 }
 
 // RunSummary describes one application run within a campaign.
@@ -122,11 +112,11 @@ func (r *CampaignResult) MTTFa() Duration {
 	return Duration(r.E2-r.Start) / Duration(r.Failures+1)
 }
 
-// check reports a campaign that cannot run: none of its three application
-// hooks set, or a replication degree that does not divide the ranks.
+// check reports a campaign that cannot run: neither application hook
+// set, or a replication degree that does not divide the ranks.
 func (c *Campaign) check() error {
-	if c.AppFor == nil && c.AppForPredicted == nil && c.ProgFor == nil {
-		return fmt.Errorf("xsim: Campaign.AppFor, AppForPredicted or ProgFor is required")
+	if c.AppFor == nil && c.ProgFor == nil {
+		return fmt.Errorf("xsim: Campaign.AppFor or ProgFor is required")
 	}
 	if r := c.degree(); c.Base.Ranks%r != 0 {
 		return fmt.Errorf("xsim: Campaign.Replicas %d does not divide Ranks %d", r, c.Base.Ranks)
@@ -166,11 +156,11 @@ func (c Campaign) Run() (*CampaignResult, error) {
 
 // RunContext executes the campaign's failure/restart chain. The chain is
 // inherently ordered — each restart resumes from the previous run's
-// persisted exit time — so its runs execute sequentially; fan campaigns
-// of independent seeds out with RunCampaigns instead. ctx cancels the
-// chain between runs and, through Sim.RunContext, within a run at the
-// next simulation window; the partial CampaignResult accompanies an
-// error wrapping ErrCancelled.
+// persisted exit time — so its runs execute sequentially; the experiment
+// drivers fan grids of independent campaigns out across the campaign
+// pool instead. ctx cancels the chain between runs and, through
+// Sim.RunContext, within a run at the next simulation window; the partial
+// CampaignResult accompanies an error wrapping ErrCancelled.
 func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -214,22 +204,7 @@ func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		if c.ProgFor != nil {
 			res, err = sim.RunProgsContext(ctx, c.ProgFor(run))
 		} else {
-			var app App
-			if c.AppForPredicted != nil {
-				// The predictor sees the run's earliest upcoming failure
-				// (explicit or drawn) and fires PredictionLead ahead of it.
-				predicted := Time(vclock.Never)
-				if sorted := cfg.Failures.Sorted(); len(sorted) > 0 {
-					predicted = sorted[0].At - Time(c.PredictionLead)
-					if predicted < start {
-						predicted = start
-					}
-				}
-				app = c.AppForPredicted(run, predicted)
-			} else {
-				app = c.AppFor(run)
-			}
-			res, err = sim.RunContext(ctx, app)
+			res, err = sim.RunContext(ctx, c.AppFor(run))
 		}
 		if err != nil {
 			return result, err
@@ -294,7 +269,3 @@ func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	return result, fmt.Errorf("%w: campaign did not complete within %d runs (%d failures)",
 		ErrAborted, maxRuns, result.Failures)
 }
-
-// SavedExitTime reads the exit time a previous aborted run persisted in
-// the store (ok is false when none was saved).
-func SavedExitTime(store *Store) (Time, bool) { return checkpoint.LoadExitTime(store) }

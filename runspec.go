@@ -1,6 +1,8 @@
 package xsim
 
 import (
+	"context"
+
 	"xsim/internal/netmodel"
 	"xsim/internal/runner"
 )
@@ -8,8 +10,7 @@ import (
 // RunSpec is the shared trunk of every Run-family experiment: the
 // simulation parameters and campaign-pool controls every driver reads
 // under the same names, with one defaults path. The drivers take it next
-// to their kind's parameter block; TableIIConfig and CampaignSetConfig
-// embed it:
+// to their kind's parameter block; TableIIConfig embeds it:
 //
 //	xsim.RunIntervalSweepContext(ctx, xsim.RunSpec{Ranks: 512, Workers: 2}, xsim.IntervalSweepParams{})
 //	xsim.TableIIConfig{RunSpec: xsim.RunSpec{Ranks: 512, Workers: 2}}
@@ -95,6 +96,34 @@ func (s *RunSpec) runnerOnProgress() func(runner.Progress) {
 	}
 	hook := s.OnProgress
 	return func(p runner.Progress) { hook(progressEvent(p)) }
+}
+
+// campaignCell is one restart campaign of an experiment grid and the
+// label its progress events and run errors carry.
+type campaignCell struct {
+	camp  Campaign
+	label string
+}
+
+// runCells fans a grid's restart campaigns out across the campaign pool,
+// one task per cell numbered in list order, and returns the results in
+// that order (nil for a cell that failed or was skipped; see the error).
+// It sets stats.Runner and absorbs the results in cell order, so the
+// pooled metrics are identical at any pool size.
+func (s *RunSpec) runCells(ctx context.Context, stats *CampaignStats, cells []campaignCell) ([]*CampaignResult, error) {
+	tasks := make([]runner.Task[*CampaignResult], len(cells))
+	for i, c := range cells {
+		tasks[i] = runner.Task[*CampaignResult]{
+			Spec: runner.Spec{Index: i, Label: c.label, Seed: c.camp.Seed},
+			Run:  c.camp.RunContext,
+		}
+	}
+	results, rstats, err := runner.Run(ctx, s.runnerConfig(), tasks)
+	stats.Runner = rstats
+	for _, r := range results {
+		stats.absorbCampaign(r)
+	}
+	return results, err
 }
 
 // CampaignStats aggregates a concurrent campaign's execution: the pool's

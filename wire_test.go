@@ -275,7 +275,7 @@ func TestSpecRunMatchesDriver(t *testing.T) {
 		Seed:    2013,
 		TableI:  &TableIParams{Victims: 10, MaxInjections: 50},
 	}
-	out, err := spec.Run(context.Background())
+	out, err := spec.RunWith(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSpecRunMatchesDriver(t *testing.T) {
 			out.TableI, direct)
 	}
 
-	again, err := spec.Run(context.Background())
+	again, err := spec.RunWith(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestSpecRunTableII(t *testing.T) {
 		Seed:    133,
 		TableII: &TableIIParams{Iterations: 200, Intervals: []int{100, 50}, MTTFSeconds: []float64{1000}},
 	}
-	out, err := spec.Run(context.Background())
+	out, err := spec.RunWith(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestShortRunsDeriveValidIntervals(t *testing.T) {
 
 	fi := &CampaignSpec{Version: 1, Kind: KindFirstImpressions, Ranks: 64,
 		Phases: &FirstImpressionsParams{Iterations: 4}}
-	out, err := fi.Run(context.Background())
+	out, err := fi.RunWith(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestKindTableConsistent(t *testing.T) {
 			t.Fatalf("%s: kind %q has no table row", path, spec.Kind)
 		}
 		ran[k.kind] = true
-		out, err := spec.Run(context.Background())
+		out, err := spec.RunWith(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -621,7 +621,7 @@ func acceptedMeansRunnable(t *testing.T, specBlocks map[string]int) {
 				default:
 					continue
 				}
-				_, err = spec.Run(context.Background())
+				_, err = spec.RunWith(context.Background(), RunOptions{})
 				if IsSpecError(err) {
 					continue
 				}

@@ -236,7 +236,6 @@ func factor3(n int) (x, y, z int) {
 type Sim struct {
 	cfg   Config
 	world *mpi.World
-	store *Store
 }
 
 // Result summarises one simulation run.
@@ -351,11 +350,8 @@ func New(cfg Config) (*Sim, error) {
 	if err := fault.Apply(eng, cfg.Failures); err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, world: world, store: cfg.Store}, nil
+	return &Sim{cfg: cfg, world: world}, nil
 }
-
-// Store returns the simulation's file system store.
-func (s *Sim) Store() *Store { return s.store }
 
 // Run executes app on every rank and drives the simulation to completion.
 // It is RunContext without cancellation.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"xsim/internal/checkpoint"
 )
 
 // The aggregate-bandwidth extension must degenerate exactly: a flat model
@@ -275,7 +277,7 @@ func TestCampaignRequiresApp(t *testing.T) {
 
 func TestSavedExitTime(t *testing.T) {
 	store := NewStore()
-	if _, ok := SavedExitTime(store); ok {
+	if _, ok := checkpoint.LoadExitTime(store); ok {
 		t.Fatal("fresh store should have no exit time")
 	}
 	hc, _ := HeatWorkloadFor(8)
@@ -290,7 +292,7 @@ func TestSavedExitTime(t *testing.T) {
 	if _, err := camp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := SavedExitTime(store); !ok {
+	if _, ok := checkpoint.LoadExitTime(store); !ok {
 		t.Fatal("campaign with a failure should persist an exit time")
 	}
 }
@@ -503,8 +505,9 @@ func TestResultEnergy(t *testing.T) {
 	}
 }
 
-// runProactiveCampaign runs a fixed-failure campaign with or without a
-// failure predictor (lead > 0 enables proactive checkpointing).
+// runProactiveCampaign runs a campaign whose one failure strikes rank 9 at
+// 900 s, with or without a failure predictor: lead > 0 makes the first run
+// checkpoint lead ahead of the failure.
 func runProactiveCampaign(t *testing.T, lead Duration) *CampaignResult {
 	t.Helper()
 	hc, err := HeatWorkloadFor(64)
@@ -517,13 +520,15 @@ func runProactiveCampaign(t *testing.T, lead Duration) *CampaignResult {
 	camp := Campaign{
 		Base:             Config{Ranks: 64, Failures: Schedule{{Rank: 9, At: Time(900 * Second)}}},
 		CheckpointPrefix: "heat",
-		PredictionLead:   lead,
-		AppForPredicted: func(run int, predicted Time) App {
+		AppFor: func(run int) App {
 			h := hc
 			if lead > 0 {
 				// Never = proactive mode without a trigger this run
 				// (restart runs still find off-cadence checkpoints).
-				h.ProactiveTrigger = predicted
+				h.ProactiveTrigger = Never
+				if run == 0 {
+					h.ProactiveTrigger = Time(900*Second - lead)
+				}
 			}
 			return RunHeat(h)
 		},
@@ -550,6 +555,12 @@ func TestProactiveCheckpointReducesLostWork(t *testing.T) {
 	saved := (Duration(reactive.E2) - Duration(proactive.E2)).Seconds()
 	if saved < 100 {
 		t.Fatalf("proactive checkpoint saved only %.0f s", saved)
+	}
+	// Pin the exact completion times, so any shift in when the trigger
+	// fires or what the restart finds shows.
+	if reactive.E2 != 1579309673736 || proactive.E2 != 1232961563352 {
+		t.Fatalf("E2 = %d reactive, %d proactive; want 1579309673736, 1232961563352",
+			int64(reactive.E2), int64(proactive.E2))
 	}
 }
 
