@@ -37,11 +37,12 @@ func benchRanks() int {
 func BenchmarkTableI(b *testing.B) {
 	var mean, median, max float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013}, TableIParams{})
+		out, _, err := runBlock(context.Background(), RunSpec{Seed: 2013}, &TableIParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mean, median, max = res.Summary.Mean, res.Summary.Median, res.Summary.Max
+		s := out.TableI.Summary
+		mean, median, max = s.Mean, s.Median, s.Max
 	}
 	b.ReportMetric(mean, "mean-inj")
 	b.ReportMetric(median, "median-inj")
@@ -54,18 +55,21 @@ func BenchmarkTableI(b *testing.B) {
 // headline E2 cells are attached as metrics.
 func BenchmarkTableII(b *testing.B) {
 	ranks := benchRanks()
-	var tab *TableII
+	var (
+		out  *CampaignOutcome
+		text string
+	)
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = RunTableIIContext(context.Background(), TableIIConfig{RunSpec: RunSpec{Ranks: ranks, Seed: 133}})
+		out, text, err = runBlock(context.Background(), RunSpec{Ranks: ranks, Seed: 133}, &TableIIParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Logf("Table II at %d ranks:\n%s", ranks, tab.Render())
-	for _, r := range tab.Rows {
-		if r.MTTFs > 0 {
-			b.ReportMetric(r.E2.Seconds(), fmt.Sprintf("E2(mttf=%.0fs,C=%d)", r.MTTFs.Seconds(), r.C))
+	b.Logf("Table II at %d ranks:\n%s", ranks, text)
+	for _, r := range out.TableII.Rows {
+		if r.MTTFSeconds > 0 {
+			b.ReportMetric(Duration(r.E2NS).Seconds(), fmt.Sprintf("E2(mttf=%.0fs,C=%d)", r.MTTFSeconds, r.C))
 		}
 	}
 }
@@ -74,16 +78,20 @@ func BenchmarkTableII(b *testing.B) {
 // failures strike during computation, are detected in the halo exchange or
 // the barrier, and leave incomplete/corrupted checkpoints behind.
 func BenchmarkFirstImpressions(b *testing.B) {
-	var fi *FirstImpressions
+	var (
+		out  *CampaignOutcome
+		text string
+	)
 	for i := 0; i < b.N; i++ {
 		var err error
-		fi, err = RunFirstImpressionsContext(context.Background(), RunSpec{Ranks: 64, Seed: 1},
-			FirstImpressionsParams{Trials: 8, Iterations: 200, Interval: 25})
+		out, text, err = runBlock(context.Background(), RunSpec{Ranks: 64, Seed: 1},
+			&FirstImpressionsParams{Trials: 8, Iterations: 200, Interval: 25})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Logf("\n%s", fi.Render())
+	b.Logf("\n%s", text)
+	fi := out.Phases
 	b.ReportMetric(float64(fi.FailedIn["compute"]), "failed-in-compute")
 	b.ReportMetric(float64(fi.DetectedIn["halo-exchange"]), "detected-in-halo")
 	b.ReportMetric(float64(fi.DetectedIn["barrier"]), "detected-in-barrier")
@@ -338,17 +346,20 @@ func BenchmarkAblationContention(b *testing.B) {
 // figure-style extension of Table II): measured E2 across intervals vs
 // Daly's analytic expected runtime, locating the optimum.
 func BenchmarkIntervalSweep(b *testing.B) {
-	var s *IntervalSweep
+	var (
+		out  *CampaignOutcome
+		text string
+	)
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = RunIntervalSweepContext(context.Background(), RunSpec{Ranks: 64}, IntervalSweepParams{Seeds: []int64{133, 134}})
+		out, text, err = runBlock(context.Background(), RunSpec{Ranks: 64}, &IntervalSweepParams{Seeds: []int64{133, 134}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Logf("\n%s", s.Render())
-	b.ReportMetric(float64(s.BestMeasured), "best-C")
-	b.ReportMetric(s.DalyOptimal, "daly-C")
+	b.Logf("\n%s", text)
+	b.ReportMetric(float64(out.Sweep.BestMeasured), "best-C")
+	b.ReportMetric(out.Sweep.DalyOptimalIters, "daly-C")
 }
 
 // BenchmarkPowerVsInterval extends Table II into the power dimension (the

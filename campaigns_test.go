@@ -34,7 +34,7 @@ func TestHeatGridDeterministicAcrossPools(t *testing.T) {
 	// The acceptance bar for the orchestration layer: a grid of 50
 	// restart campaigns produces identical rows at any pool size, because
 	// every cell's failure draws derive from its seed and run index alone.
-	var want []CheckpointIOAblationRow
+	var want []TableIIRow
 	for _, pool := range []int{1, 2, 8} {
 		rows, stats, err := failureGrid(t, RunSpec{Seed: 42, Pool: pool}, 50, 50).run(context.Background())
 		if err != nil {
@@ -105,26 +105,27 @@ func TestHeatGridCancelMidGridNoLeaks(t *testing.T) {
 }
 
 func TestReplicationCrossoverPoolMatchesSequential(t *testing.T) {
-	run := func(pool int) *ReplicationCrossover {
+	run := func(pool int) (*CrossoverOutcome, CampaignStats) {
 		rs, p := smokeCrossover()
 		rs.Pool = pool
-		table, err := RunReplicationCrossoverContext(context.Background(), rs, p)
+		table, stats, err := runCrossover(context.Background(), rs, p)
 		if err != nil {
 			t.Fatalf("pool=%d: %v", pool, err)
 		}
-		return table
+		return table, stats
 	}
-	seq, par := run(1), run(4)
-	if !reflect.DeepEqual(seq.Rows, par.Rows) {
-		t.Fatalf("rows differ:\npool=1 %+v\npool=4 %+v", seq.Rows, par.Rows)
+	seq, seqStats := run(1)
+	par, parStats := run(4)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("tables differ:\npool=1 %+v\npool=4 %+v", seq, par)
 	}
 	// Five cells run in the pool; the E1 run precedes them.
-	if seq.Stats.SimTime != par.Stats.SimTime || seq.Stats.Runner.Completed != 5 {
-		t.Fatalf("pooled stats differ: pool=1 %+v, pool=4 %+v", seq.Stats, par.Stats)
+	if seqStats.SimTime != parStats.SimTime || seqStats.Runner.Completed != 5 {
+		t.Fatalf("pooled stats differ: pool=1 %+v, pool=4 %+v", seqStats, parStats)
 	}
 	// Failure records pool E1 first, then the cells in list order.
-	if !reflect.DeepEqual(seq.Stats.MPI.Failures, par.Stats.MPI.Failures) {
-		t.Fatalf("pooled failure records differ:\npool=1 %+v\npool=4 %+v", seq.Stats.MPI.Failures, par.Stats.MPI.Failures)
+	if !reflect.DeepEqual(seqStats.MPI.Failures, parStats.MPI.Failures) {
+		t.Fatalf("pooled failure records differ:\npool=1 %+v\npool=4 %+v", seqStats.MPI.Failures, parStats.MPI.Failures)
 	}
 }
 
@@ -164,76 +165,73 @@ func TestTableIIPoolMatchesSequential(t *testing.T) {
 // strictly fastest, the tiered arm strictly beats the flat shared PFS,
 // and the recovered-overhead fractions are meaningful (in (0, 1]).
 func TestCheckpointIOAblationSmoke(t *testing.T) {
-	tab, err := RunCheckpointIOAblationContext(context.Background(), RunSpec{Ranks: 64, Seed: 133},
-		IOAblationParams{Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150}})
+	block := &IOAblationParams{Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150}}
+	out, text, err := runBlock(context.Background(), RunSpec{Ranks: 64, Seed: 133}, block)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := out.IOAblation
 	// 4 arms × (baseline E1 + one interval E1 + one campaign cell).
 	if len(tab.Rows) != 12 {
-		t.Fatalf("got %d rows, want 12:\n%s", len(tab.Rows), tab.Render())
+		t.Fatalf("got %d rows, want 12:\n%s", len(tab.Rows), text)
 	}
-	t.Logf("\n%s", tab.Render())
+	t.Logf("\n%s", text)
 
 	const c = 20
-	free := tab.Row(IOArmFree, 0, c)
-	flat := tab.Row(IOArmFlatPFS, 0, c)
-	tiered := tab.Row(IOArmTiered, 0, c)
-	incr := tab.Row(IOArmTieredIncr, 0, c)
-	if free == nil || flat == nil || tiered == nil || incr == nil {
-		t.Fatal("missing E1 rows")
+	row := func(arm string, mttfSeconds float64) *WireIOAblationRow {
+		for i := range tab.Rows {
+			if r := &tab.Rows[i]; r.Arm == arm && r.MTTFSeconds == mttfSeconds && r.C == c {
+				return r
+			}
+		}
+		t.Fatalf("no %s row at MTTF %v s, c=%d:\n%s", arm, mttfSeconds, c, text)
+		return nil
 	}
-	if !(free.E1 < tiered.E1 && tiered.E1 < flat.E1) {
+	free, flat, tiered, incr := row(IOArmFree, 0), row(IOArmFlatPFS, 0), row(IOArmTiered, 0), row(IOArmTieredIncr, 0)
+	if !(free.E1NS < tiered.E1NS && tiered.E1NS < flat.E1NS) {
 		t.Fatalf("E1 ordering broken: free %v, tiered %v, flat %v",
-			free.E1, tiered.E1, flat.E1)
+			free.E1NS, tiered.E1NS, flat.E1NS)
 	}
-	if incr.E1 > tiered.E1 {
-		t.Fatalf("incremental E1 %v above plain tiered %v", incr.E1, tiered.E1)
+	if incr.E1NS > tiered.E1NS {
+		t.Fatalf("incremental E1 %v above plain tiered %v", incr.E1NS, tiered.E1NS)
 	}
 	for _, arm := range []string{IOArmTiered, IOArmTieredIncr} {
-		if r := tab.RecoveredE1(arm, c); r <= 0 || r > 1 {
-			t.Fatalf("RecoveredE1(%s) = %v, want in (0, 1]", arm, r)
+		if r := tab.recovered(arm, 0, c); r <= 0 || r > 1 {
+			t.Fatalf("recovered E1 (%s) = %v, want in (0, 1]", arm, r)
 		}
 	}
 
 	// The campaign cells face identical failure sequences (the draws
 	// depend on seed and MTTF, not the arm), so F matches across arms
 	// and the E2 ordering mirrors E1.
-	mttf := tab.MTTFs[0]
-	cells := make([]*CheckpointIOAblationRow, 0, 4)
-	for _, arm := range []string{IOArmFree, IOArmFlatPFS, IOArmTiered, IOArmTieredIncr} {
-		cell := tab.Row(arm, mttf, c)
-		if cell == nil {
-			t.Fatalf("missing campaign cell for %s", arm)
-		}
-		cells = append(cells, cell)
-	}
+	mttf := block.MTTFSeconds[0]
+	cells := []*WireIOAblationRow{row(IOArmFree, mttf), row(IOArmFlatPFS, mttf), row(IOArmTiered, mttf), row(IOArmTieredIncr, mttf)}
 	for _, cell := range cells[1:] {
 		if cell.F != cells[0].F {
-			t.Fatalf("failure counts diverge across arms:\n%s", tab.Render())
+			t.Fatalf("failure counts diverge across arms:\n%s", text)
 		}
 	}
 	if cells[0].F == 0 {
-		t.Fatalf("no failures at MTTF %v — campaign cells degenerate", mttf)
+		t.Fatalf("no failures at MTTF %v s — campaign cells degenerate", mttf)
 	}
-	if fr, fl := cells[0], cells[1]; fr.E2 >= fl.E2 {
-		t.Fatalf("flat-PFS E2 %v not above free E2 %v", fl.E2, fr.E2)
+	if fr, fl := cells[0], cells[1]; fr.E2NS >= fl.E2NS {
+		t.Fatalf("flat-PFS E2 %v not above free E2 %v", fl.E2NS, fr.E2NS)
 	}
-	if ti, fl := cells[2], cells[1]; ti.E2 >= fl.E2 {
-		t.Fatalf("tiered E2 %v not below flat-PFS E2 %v", ti.E2, fl.E2)
+	if ti, fl := cells[2], cells[1]; ti.E2NS >= fl.E2NS {
+		t.Fatalf("tiered E2 %v not below flat-PFS E2 %v", ti.E2NS, fl.E2NS)
 	}
-	if r := tab.Recovered(IOArmTiered, mttf, c); r <= 0 || r > 1 {
-		t.Fatalf("Recovered(tiered) = %v, want in (0, 1]", r)
+	if r := tab.recovered(IOArmTiered, mttf, c); r <= 0 || r > 1 {
+		t.Fatalf("recovered E2 (tiered) = %v, want in (0, 1]", r)
 	}
 }
 
 func TestTableIPoolMatchesSequential(t *testing.T) {
-	run := func(pool int) *TableIResult {
-		res, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013, Pool: pool}, TableIParams{})
+	run := func(pool int) *TableIOutcome {
+		out, _, err := runBlock(context.Background(), RunSpec{Seed: 2013, Pool: pool}, &TableIParams{})
 		if err != nil {
 			t.Fatalf("pool=%d: %v", pool, err)
 		}
-		return res
+		return out.TableI
 	}
 	seq, par := run(1), run(8)
 	if seq.Injections != par.Injections || seq.Survived != par.Survived {

@@ -5,6 +5,7 @@
 #   1. gofmt -l      (formatting)
 #   2. go vet        (static checks)
 #   3. go build      (everything compiles, including examples and cmds)
+#   3b. examples     (every examples/* program runs to a zero exit status)
 #   4. go test       (full unit/integration suite, includes the
 #                     Workers ∈ {1,2,4} determinism cross-check)
 #   5. go test -race (whole module under the race detector; the parallel
@@ -80,6 +81,12 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== examples (each runs to a zero exit status)"
+for ex in examples/*/; do
+	echo "-- $ex"
+	go run "./$ex" >/dev/null
+done
 
 echo "== go test ./..."
 go test ./...

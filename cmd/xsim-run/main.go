@@ -239,7 +239,7 @@ func runCampaign(ctx context.Context, spec *xsim.CampaignSpec, asJSON bool, logf
 	if err != nil {
 		return err
 	}
-	text := []byte(table.Render())
+	text := []byte(table)
 	if asJSON {
 		if text, err = out.Canonical(); err != nil {
 			return err

@@ -36,21 +36,25 @@ import (
 )
 
 func main() {
-	rs := xsim.RunSpec{Ranks: 256, Seed: 133}
-	p := xsim.IOAblationParams{
-		Iterations:  200,
-		Intervals:   []int{50, 25},
-		MTTFSeconds: []float64{500},
+	spec := xsim.CampaignSpec{
+		Kind:  xsim.KindIOAblation,
+		Ranks: 256,
+		Seed:  133,
+		IOAblation: &xsim.IOAblationParams{
+			Iterations:  200,
+			Intervals:   []int{50, 25},
+			MTTFSeconds: []float64{500},
+		},
 	}
 	fmt.Printf("checkpoint-I/O ablation: %d ranks, %d iterations, %d MiB per rank\n",
-		rs.Ranks, p.Iterations, 256)
-	fmt.Printf("(node-local memory -> burst buffer -> shared PFS; seed %d)\n\n", rs.Seed)
+		spec.Ranks, spec.IOAblation.Iterations, 256)
+	fmt.Printf("(node-local memory -> burst buffer -> shared PFS; seed %d)\n\n", spec.Seed)
 
-	tab, err := xsim.RunCheckpointIOAblationContext(context.Background(), rs, p)
+	_, table, err := spec.RunRendered(context.Background(), xsim.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(tab.Render())
+	fmt.Print(table)
 
 	fmt.Println()
 	fmt.Println("Reading the table: every arm faces the identical failure sequence, so")

@@ -40,9 +40,6 @@ type TableIParams struct {
 	MaxInjections int `json:"max_injections" help:"injection cap per victim"`
 }
 
-// TableIResult is the campaign result, re-exported.
-type TableIResult = softerror.CampaignResult
-
 // defaults fills the paper's Table I parameters (100 victims, an arbitrary
 // cap of 100 injections each).
 func (p *TableIParams) defaults(*RunSpec) {
@@ -60,30 +57,13 @@ func (p *TableIParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
-	res, err := RunTableIContext(ctx, rs, *p)
-	if err != nil {
-		return nil, err
-	}
-	out.TableI = &TableIOutcome{
-		Victims:       res.Victims,
-		Injections:    res.Injections,
-		Survived:      res.Survived,
-		ToFailure:     res.ToFailure,
-		KillsByRegion: res.KillsByRegion,
-		Summary:       WireSummary(res.Summary),
-	}
-	return res, nil
-}
-
-// RunTableIContext reproduces Table I: bit flips are injected into victim
-// process images until the victims fail, and the injections-to-failure
+// run reproduces Table I: bit flips are injected into victim process
+// images until the victims fail, and the injections-to-failure
 // distribution is summarised. Victims fan out across the campaign pool;
-// each victim's random sequence depends only on Seed and its index, so
-// the distribution is identical at any pool size.
-func RunTableIContext(ctx context.Context, rs RunSpec, p TableIParams) (*TableIResult, error) {
-	p.defaults(&rs)
-	return softerror.RunCampaignContext(ctx, softerror.CampaignConfig{
+// each victim's random sequence depends only on Seed and its index, so the
+// distribution is identical at any pool size.
+func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+	res, err := softerror.RunCampaignContext(ctx, softerror.CampaignConfig{
 		Victims:       p.Victims,
 		MaxInjections: p.MaxInjections,
 		Seed:          rs.Seed,
@@ -91,6 +71,16 @@ func RunTableIContext(ctx context.Context, rs RunSpec, p TableIParams) (*TableIR
 		Logf:          rs.Logf,
 		OnProgress:    rs.runnerOnProgress(),
 	})
+	if err != nil {
+		return err
+	}
+	out.TableI = res
+	return nil
+}
+
+// render prints the whole injection report around the paper's table.
+func (p *TableIParams) render(_ RunSpec, out *CampaignOutcome) string {
+	return out.TableI.Render()
 }
 
 // --- Table II: varying the checkpoint interval and system MTTF -----------
@@ -143,17 +133,26 @@ func (p *TableIIParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *TableIIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
+func (p *TableIIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
 	res, err := RunTableIIContext(ctx, p.config(rs))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
 	for i, r := range res.Rows {
 		out.TableII.Rows[i] = wireTableIIRow(r)
 	}
-	return res, nil
+	return nil
+}
+
+// render prints the table in the paper's layout.
+func (p *TableIIParams) render(_ RunSpec, out *CampaignOutcome) string {
+	rows := make([][]string, len(out.TableII.Rows))
+	for i, r := range out.TableII.Rows {
+		rows[i] = r.columns()
+	}
+	return stats.Table(tableIIHeader, rows)
 }
 
 // TableIIConfig parameterises the Table II reproduction.
@@ -204,8 +203,7 @@ type TableIIRow struct {
 
 // TableII is the Table II reproduction.
 type TableII struct {
-	Config TableIIConfig
-	Rows   []TableIIRow
+	Rows []TableIIRow
 	// Stats pools the grid's execution accounting and simulation metrics
 	// across every E1 run and campaign cell.
 	Stats CampaignStats
@@ -323,10 +321,10 @@ func (g *heatGrid) sweepMTTFs(arm int, mttfs []Duration) {
 // the fixed task order (the order progress events number), never in
 // completion order. On error (a failed task, or cancellation) the pooled
 // stats come back without rows.
-func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, CampaignStats, error) {
+func (g *heatGrid) run(ctx context.Context) ([]TableIIRow, CampaignStats, error) {
 	var (
 		cells []campaignCell
-		rows  []CheckpointIOAblationRow // rows[i] is completed from cell i's result
+		rows  []TableIIRow // rows[i] is completed from cell i's result
 	)
 	// Every task is a restart campaign of the heat application on arm a
 	// at interval c. An E1 run is the campaign no failure strikes (MTTF
@@ -345,7 +343,7 @@ func (g *heatGrid) run(ctx context.Context) ([]CheckpointIOAblationRow, Campaign
 			label = a.name + " " + label
 		}
 		cells = append(cells, campaignCell{camp: camp, label: label})
-		rows = append(rows, CheckpointIOAblationRow{Arm: a.name, TableIIRow: TableIIRow{MTTFs: mttf, C: c}})
+		rows = append(rows, TableIIRow{MTTFs: mttf, C: c})
 	}
 	e1s := append([]int{g.base.Iterations}, g.intervals...)
 	for _, a := range g.arms {
@@ -398,46 +396,15 @@ func RunTableIIContext(ctx context.Context, cfg TableIIConfig) (*TableII, error)
 	g.sweepMTTFs(0, cfg.MTTFs)
 
 	rows, stats, err := g.run(ctx)
-	table := &TableII{Config: cfg, Stats: stats}
+	table := &TableII{Stats: stats}
 	// The paper's table prints the baseline and the campaign cells; the
 	// per-interval E1 runs appear only as the cells' E1 column.
 	for i, r := range rows {
 		if i == 0 || i > len(cfg.Intervals) {
-			table.Rows = append(table.Rows, r.TableIIRow)
+			table.Rows = append(table.Rows, r)
 		}
 	}
 	return table, err
-}
-
-// tableIIHeader names the columns TableIIRow.columns renders.
-var tableIIHeader = []string{"MTTF_s", "C", "E1", "E2", "F", "MTTF_a"}
-
-// columns renders the row in the paper's layout; a no-failure row shows
-// dashes for the columns only a campaign cell has.
-func (r TableIIRow) columns() []string {
-	secs := func(v vclock.Time) string {
-		if v == 0 {
-			return "—"
-		}
-		return fmt.Sprintf("%.0f s", v.Seconds())
-	}
-	mttf, e2, f, mttfa := "—", "—", "0", "—"
-	if r.MTTFs > 0 {
-		mttf = fmt.Sprintf("%.0f s", r.MTTFs.Seconds())
-		e2 = secs(r.E2)
-		f = fmt.Sprintf("%d", r.F)
-		mttfa = fmt.Sprintf("%.0f s", r.MTTFa.Seconds())
-	}
-	return []string{mttf, fmt.Sprintf("%d", r.C), secs(r.E1), e2, f, mttfa}
-}
-
-// Render prints the table in the paper's layout.
-func (t *TableII) Render() string {
-	rows := make([][]string, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = r.columns()
-	}
-	return stats.Table(tableIIHeader, rows)
 }
 
 // --- §V-D First impressions: failure-mode classification -----------------
@@ -452,22 +419,6 @@ type FirstImpressionsParams struct {
 	Interval    int     `json:"interval" help:"checkpoint and halo-exchange interval (unset: 1/8 of iterations)"`
 	Trials      int     `json:"trials" help:"independent single-failure runs"`
 	MTTFSeconds float64 `json:"mttf_seconds" help:"spread of the random failure times in seconds (unset: a quarter of the run)"`
-}
-
-// FirstImpressions aggregates the failure-mode study.
-type FirstImpressions struct {
-	// Trials is the number of runs in which the failure activated.
-	Trials int
-	// FailedIn histograms the phase the failed rank was in.
-	FailedIn map[string]int
-	// DetectedIn histograms the phases the surviving ranks aborted in.
-	DetectedIn map[string]int
-	// CheckpointOutcomes histograms the post-abort checkpoint state:
-	// "corrupted-file" (present but incomplete), "incomplete-set"
-	// (files missing), "partially-deleted-old-set", "clean".
-	CheckpointOutcomes map[string]int
-	// Stats pools the study's execution accounting and simulation metrics.
-	Stats CampaignStats
 }
 
 // defaults fills the zero fields.
@@ -501,19 +452,14 @@ func (p *FirstImpressionsParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *FirstImpressionsParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
-	res, err := RunFirstImpressionsContext(ctx, rs, *p)
+func (p *FirstImpressionsParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+	res, stats, err := runFirstImpressions(ctx, rs, *p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.Phases = &FirstImpressionsOutcome{
-		Trials:             res.Trials,
-		FailedIn:           res.FailedIn,
-		DetectedIn:         res.DetectedIn,
-		CheckpointOutcomes: res.CheckpointOutcomes,
-	}
-	return res, nil
+	out.SimTimeNS = int64(stats.SimTime)
+	out.Phases = res
+	return nil
 }
 
 // firstImpressionsTrial is one trial's classification.
@@ -525,18 +471,20 @@ type firstImpressionsTrial struct {
 	camp       *CampaignResult
 }
 
-// RunFirstImpressionsContext reproduces the paper's §V-D observations:
-// because the computation phase dominates, failures usually strike during
+// runFirstImpressions reproduces the paper's §V-D observations: because
+// the computation phase dominates, failures usually strike during
 // computation and are detected in the halo exchange; failures during the
 // checkpoint phase are detected in the following barrier; aborts leave
 // incomplete or corrupted checkpoints, or partially deleted old sets.
 // Trials are independent (each owns a private store and tracker) and fan
-// out across the campaign pool; histograms merge in trial order.
-func RunFirstImpressionsContext(ctx context.Context, rs RunSpec, p FirstImpressionsParams) (*FirstImpressions, error) {
+// out across the campaign pool; histograms merge in trial order. On error
+// the histograms of the trials that finished come back with the pooled
+// stats.
+func runFirstImpressions(ctx context.Context, rs RunSpec, p FirstImpressionsParams) (*FirstImpressionsOutcome, CampaignStats, error) {
 	p.defaults(&rs)
 	base, err := HeatWorkloadFor(rs.Ranks)
 	if err != nil {
-		return nil, err
+		return nil, CampaignStats{}, err
 	}
 	base.Iterations = p.Iterations
 	base.ExchangeInterval = p.Interval
@@ -592,14 +540,14 @@ func RunFirstImpressionsContext(ctx context.Context, rs RunSpec, p FirstImpressi
 	}
 
 	trials, rstats, err := runner.Run(ctx, rs.runnerConfig(), tasks)
-	out := &FirstImpressions{
+	stats := CampaignStats{Runner: rstats}
+	out := &FirstImpressionsOutcome{
 		FailedIn:           make(map[string]int),
 		DetectedIn:         make(map[string]int),
 		CheckpointOutcomes: make(map[string]int),
-		Stats:              CampaignStats{Runner: rstats},
 	}
 	for _, t := range trials {
-		out.Stats.absorbCampaign(t.camp)
+		stats.absorbCampaign(t.camp)
 		if !t.activated {
 			continue
 		}
@@ -610,7 +558,7 @@ func RunFirstImpressionsContext(ctx context.Context, rs RunSpec, p FirstImpressi
 		}
 		out.CheckpointOutcomes[t.checkpoint]++
 	}
-	return out, err
+	return out, stats, err
 }
 
 // classifyCheckpoints inspects the post-abort checkpoint state of ranks
@@ -645,8 +593,9 @@ func classifyCheckpoints(store *Store, prefix string, n int) string {
 	}
 }
 
-// Render prints the failure-mode study.
-func (f *FirstImpressions) Render() string {
+// render prints the failure-mode study.
+func (p *FirstImpressionsParams) render(_ RunSpec, out *CampaignOutcome) string {
+	f := out.Phases
 	var b strings.Builder
 	fmt.Fprintf(&b, "first impressions: %d trials with an activated failure\n\n", f.Trials)
 	section := func(title string, m map[string]int) {
@@ -766,100 +715,45 @@ func (p *CrossoverParams) validate(ranks int, v specChecker) []error {
 		v.bad("halo_bytes", "must be at most the network's eager threshold of %d bytes, got %d", limit, p.HaloBytes)
 	}
 	v.nonNegative("max_runs", p.MaxRuns)
+	// A run's modelled time must fit the virtual clock, by the rule heat's
+	// CheckClockRange applies: nothing else stops a compute phase past the
+	// clock's range, and the run would finish at once with a wrapped clock.
+	// The widest degree's stencil computes degree× per iteration; a zero
+	// field is its default.
+	d := *p
+	d.defaults(&RunSpec{})
+	widest := slices.Max(d.Degrees)
+	plan := float64(d.Iterations)*(float64(widest)*d.ComputeSeconds+d.CheckpointSeconds) + d.RestartSeconds
+	if room := vclock.Room(0).Seconds(); plan > room {
+		v.bad("compute_seconds", "%d iterations of %v s compute at degree %d, with checkpoints and a restart, take %.4g s and overrun the virtual clock (at most %.4g s fit)",
+			d.Iterations, d.ComputeSeconds, widest, plan, room)
+	}
 	return v.errs
 }
 
-func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
-	res, err := RunReplicationCrossoverContext(ctx, rs, *p)
+func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+	res, stats, err := runCrossover(ctx, rs, *p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.Crossover = &CrossoverOutcome{
-		SolveNS: int64(res.Solve),
-		Rows:    make([]WireCrossoverRow, len(res.Rows)),
-	}
-	for i, r := range res.Rows {
-		out.Crossover.Rows[i] = WireCrossoverRow{
-			MTTFSeconds: r.MTTF.Seconds(),
-			Arm:         r.Arm,
-			Degree:      r.Degree,
-			Interval:    r.Interval,
-			E2NS:        int64(r.E2),
-			F:           r.F,
-			Runs:        r.Runs,
-			PredictedNS: int64(r.Predicted),
-		}
-	}
-	return res, nil
-}
-
-// ReplicationCrossoverRow is one campaign cell of the crossover table.
-type ReplicationCrossoverRow struct {
-	// MTTF is the system mean time to failure of this cell.
-	MTTF Duration
-	// Arm is the protection strategy (ArmCheckpoint, ArmReplication,
-	// ArmHybrid).
-	Arm string
-	// Degree is the replication degree (1 for the checkpoint arm).
-	Degree int
-	// Interval is the checkpoint interval in iterations (0 = none).
-	Interval int
-	// E2 is the simulated completion time including failures/restarts.
-	E2 Time
-	// F is the number of process failures experienced.
-	F int
-	// Runs is the number of application runs (1 + restarts).
-	Runs int
-	// Predicted is the analytic expectation: Daly's T(τ) for the
-	// checkpoint arm, r×solve for failure-free replication, and
-	// r×solve plus checkpoint overhead for the hybrid. Replication
-	// predictions ignore restart cycles, so the simulated E2 exceeding
-	// Predicted measures how often replicas were exhausted.
-	Predicted Duration
-}
-
-// ReplicationCrossover is the crossover study result.
-type ReplicationCrossover struct {
-	// MTTFs are the swept system MTTFs, one block of Rows each.
-	MTTFs []Duration
-	// Solve is the measured failure-free unreplicated solve time (the
-	// study's E1 baseline).
-	Solve Duration
-	// Rows holds one entry per (MTTF, arm, degree) cell in sweep order.
-	Rows []ReplicationCrossoverRow
-	// Stats pools the grid's execution accounting and simulation metrics.
-	Stats CampaignStats
-}
-
-// Row returns the cell for (mttf, arm, degree), or nil.
-func (t *ReplicationCrossover) Row(mttf Duration, arm string, degree int) *ReplicationCrossoverRow {
-	for i := range t.Rows {
-		r := &t.Rows[i]
-		if r.MTTF == mttf && r.Arm == arm && r.Degree == degree {
-			return r
-		}
-	}
+	out.SimTimeNS = int64(stats.SimTime)
+	out.Crossover = res
 	return nil
 }
 
-// RunReplicationCrossoverContext runs the crossover study. It first
-// measures the failure-free unreplicated solve time, then fans one
-// failure/restart campaign per (MTTF, arm, degree) cell across the
-// campaign pool: every cell draws its own deterministic Poisson failure
-// schedule (multiple failures per run — a single-failure model could
-// never exhaust a replica group), restarts on abort with continuous
-// virtual time, and counts a run as done once every logical rank has a
-// surviving completed replica. Cell seeds depend only on Seed, the MTTF,
-// and the arm, so the table is identical at any pool size.
-func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p CrossoverParams) (*ReplicationCrossover, error) {
+// runCrossover runs the crossover study. It first measures the
+// failure-free unreplicated solve time, then fans one failure/restart
+// campaign per (MTTF, arm, degree) cell across the campaign pool: every
+// cell draws its own deterministic Poisson failure schedule (multiple
+// failures per run — a single-failure model could never exhaust a replica
+// group), restarts on abort with continuous virtual time, and counts a run
+// as done once every logical rank has a surviving completed replica. Cell
+// seeds depend only on Seed, the MTTF, and the arm, so the table is
+// identical at any pool size.
+func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*CrossoverOutcome, CampaignStats, error) {
 	p.defaults(&rs)
-	if errs := p.validate(rs.Ranks, specChecker{block: kindRow(KindCrossover).block}); len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
 	compute := Seconds(p.ComputeSeconds)
 	ckptCost, restartCost := Seconds(p.CheckpointSeconds), Seconds(p.RestartSeconds)
-	mttfs := durationSlice(p.MTTFSeconds)
 
 	stencil := func(degree, interval int) ReplicatedStencilConfig {
 		return ReplicatedStencilConfig{
@@ -874,22 +768,20 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 		}
 	}
 
-	table := &ReplicationCrossover{MTTFs: mttfs}
-
 	// E1: the failure-free unreplicated solve — the campaign no failure
 	// strikes, in a single run that must complete — measured (not assumed)
 	// so the Daly parameters include the simulated communication time.
+	var stats CampaignStats
 	e1, err := Campaign{
 		Base:    rs.baseConfig(),
 		MaxRuns: 1,
 		AppFor:  func(int) App { return RunReplicatedStencil(stencil(1, 0)) },
 	}.RunContext(ctx)
-	table.Stats.absorbCampaign(e1)
+	stats.absorbCampaign(e1)
 	if err != nil {
-		return table, fmt.Errorf("xsim: crossover E1 run: %w", err)
+		return nil, stats, fmt.Errorf("xsim: crossover E1 run: %w", err)
 	}
 	solve := Duration(e1.E2)
-	table.Solve = solve
 	perIter := solve / Duration(p.Iterations)
 
 	// dalyInterval converts Daly's optimal compute-time interval into a
@@ -921,7 +813,7 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 
 	var (
 		cells []campaignCell
-		rows  []ReplicationCrossoverRow // rows[i] is completed from cell i's result
+		rows  []WireCrossoverRow // rows[i] is completed from cell i's result
 	)
 	addCell := func(mttf Duration, arm string, degree, interval int, predicted Duration) {
 		// Mix the MTTF and the arm index into the seed so every cell
@@ -946,12 +838,12 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 				AppFor:           func(int) App { return RunReplicatedStencil(sc) },
 			},
 		})
-		rows = append(rows, ReplicationCrossoverRow{
-			MTTF: mttf, Arm: arm, Degree: degree,
-			Interval: interval, Predicted: predicted,
+		rows = append(rows, WireCrossoverRow{
+			MTTFSeconds: mttf.Seconds(), Arm: arm, Degree: degree,
+			Interval: interval, PredictedNS: int64(predicted),
 		})
 	}
-	for _, mttf := range mttfs {
+	for _, mttf := range durationSlice(p.MTTFSeconds) {
 		interval, dp := dalyInterval(mttf, 1)
 		addCell(mttf, ArmCheckpoint, 1, interval,
 			dp.ExpectedRuntime(Duration(interval)*perIter))
@@ -965,17 +857,59 @@ func RunReplicationCrossoverContext(ctx context.Context, rs RunSpec, p Crossover
 
 	// The E1 run is already absorbed: the pooled MPI failure records keep
 	// E1 first, then the cells in list order.
-	results, err := rs.runCells(ctx, &table.Stats, cells)
+	results, err := rs.runCells(ctx, &stats, cells)
 	if err != nil {
-		return table, err
+		return nil, stats, err
 	}
 	for i, camp := range results {
-		rows[i].E2 = camp.E2
+		rows[i].E2NS = int64(camp.E2)
 		rows[i].F = camp.Failures
 		rows[i].Runs = len(camp.Runs)
 	}
-	table.Rows = rows
-	return table, nil
+	return &CrossoverOutcome{SolveNS: int64(solve), Rows: rows}, stats, nil
+}
+
+// render prints the crossover table, one block per MTTF, marking each
+// block's winning arm.
+func (p *CrossoverParams) render(_ RunSpec, out *CampaignOutcome) string {
+	t := out.Crossover
+	header := []string{"MTTF", "arm", "r", "c", "E2", "F", "runs", "predicted", ""}
+	var rows [][]string
+	for _, mttf := range p.MTTFSeconds {
+		var best *WireCrossoverRow
+		for i := range t.Rows {
+			r := &t.Rows[i]
+			if r.MTTFSeconds == mttf && (best == nil || r.E2NS < best.E2NS) {
+				best = r
+			}
+		}
+		for i := range t.Rows {
+			r := &t.Rows[i]
+			if r.MTTFSeconds != mttf {
+				continue
+			}
+			interval := "—"
+			if r.Interval > 0 {
+				interval = fmt.Sprintf("%d", r.Interval)
+			}
+			mark := ""
+			if r == best {
+				mark = "◀ best"
+			}
+			rows = append(rows, []string{
+				fmt.Sprintf("%.0f s", r.MTTFSeconds),
+				r.Arm,
+				fmt.Sprintf("%d", r.Degree),
+				interval,
+				fmt.Sprintf("%.0f s", Duration(r.E2NS).Seconds()),
+				fmt.Sprintf("%d", r.F),
+				fmt.Sprintf("%d", r.Runs),
+				fmt.Sprintf("%.0f s", Duration(r.PredictedNS).Seconds()),
+				mark,
+			})
+		}
+	}
+	return fmt.Sprintf("solve (E1, r=1): %.0f s\n%s", Duration(t.SolveNS).Seconds(), stats.Table(header, rows))
 }
 
 // --- Checkpoint-I/O ablation: Table II with the I/O cost on --------------
@@ -1058,88 +992,28 @@ func (p *IOAblationParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *IOAblationParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error) {
-	res, err := RunCheckpointIOAblationContext(ctx, rs, *p)
+func (p *IOAblationParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+	res, stats, err := runIOAblation(ctx, rs, *p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
-	out.IOAblation = &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(res.Rows))}
-	for i, r := range res.Rows {
-		out.IOAblation.Rows[i] = WireIOAblationRow{Arm: r.Arm, WireTableIIRow: wireTableIIRow(r.TableIIRow)}
-	}
-	return res, nil
-}
-
-// CheckpointIOAblationRow is one cell of the ablation: the storage arm
-// plus Table II's columns (MTTFs is 0 on the no-failure E1 rows).
-type CheckpointIOAblationRow struct {
-	// Arm is the storage configuration (IOArmFree … IOArmTieredIncr).
-	Arm string
-	TableIIRow
-}
-
-// CheckpointIOAblation is the ablation result.
-type CheckpointIOAblation struct {
-	// Intervals and MTTFs are the swept checkpoint intervals and system
-	// MTTFs.
-	Intervals []int
-	MTTFs     []Duration
-	// Rows holds one entry per (arm, MTTF, interval) cell plus one
-	// baseline E1 row per arm, in sweep order.
-	Rows []CheckpointIOAblationRow
-	// Stats pools the grid's execution accounting and simulation metrics.
-	Stats CampaignStats
-}
-
-// Row returns the cell for (arm, mttf, c), or nil. The per-arm baseline
-// and E1 rows have mttf 0.
-func (t *CheckpointIOAblation) Row(arm string, mttf Duration, c int) *CheckpointIOAblationRow {
-	for i := range t.Rows {
-		r := &t.Rows[i]
-		if r.Arm == arm && r.MTTFs == mttf && r.C == c {
-			return r
-		}
-	}
+	out.SimTimeNS = int64(stats.SimTime)
+	out.IOAblation = res
 	return nil
 }
 
-// RecoveredE1 reports the fraction of the flat-PFS failure-free overhead
-// the given arm recovers at checkpoint interval c:
-// (E1_flat − E1_arm) / (E1_flat − E1_free). 1 means checkpoint I/O became
-// free again; 0 means the arm is as slow as the flat PFS.
-func (t *CheckpointIOAblation) RecoveredE1(arm string, c int) float64 {
-	free, flat, a := t.Row(IOArmFree, 0, c), t.Row(IOArmFlatPFS, 0, c), t.Row(arm, 0, c)
-	if free == nil || flat == nil || a == nil || flat.E1 <= free.E1 {
-		return 0
-	}
-	return float64(flat.E1-a.E1) / float64(flat.E1-free.E1)
-}
-
-// Recovered reports the fraction of the flat-PFS end-to-end overhead
-// (failures and restarts included) the given arm recovers in the
-// (mttf, c) campaign cell: (E2_flat − E2_arm) / (E2_flat − E2_free).
-func (t *CheckpointIOAblation) Recovered(arm string, mttf Duration, c int) float64 {
-	free, flat, a := t.Row(IOArmFree, mttf, c), t.Row(IOArmFlatPFS, mttf, c), t.Row(arm, mttf, c)
-	if free == nil || flat == nil || a == nil || flat.E2 <= free.E2 {
-		return 0
-	}
-	return float64(flat.E2-a.E2) / float64(flat.E2-free.E2)
-}
-
-// RunCheckpointIOAblationContext reruns the Table II sweep with checkpoint
-// I/O cost enabled, once per storage arm: free (the paper's zero-cost
-// assumption), a flat shared PFS, the multi-tier hierarchy with staged
-// writes, and the hierarchy plus incremental checkpoints. It is the heat
-// grid with four arms sweeping the same intervals and MTTFs — Table II is
-// its free arm — so all arms face identical failure sequences and the
-// table is identical at any pool size. On error the partial result keeps
-// its pooled Stats but no Rows.
-func RunCheckpointIOAblationContext(ctx context.Context, rs RunSpec, p IOAblationParams) (*CheckpointIOAblation, error) {
+// runIOAblation reruns the Table II sweep with checkpoint I/O cost
+// enabled, once per storage arm: free (the paper's zero-cost assumption),
+// a flat shared PFS, the multi-tier hierarchy with staged writes, and the
+// hierarchy plus incremental checkpoints. It is the heat grid with four
+// arms sweeping the same intervals and MTTFs — Table II is its free arm —
+// so all arms face identical failure sequences and the table is identical
+// at any pool size.
+func runIOAblation(ctx context.Context, rs RunSpec, p IOAblationParams) (*IOAblationOutcome, CampaignStats, error) {
 	p.defaults(&rs)
 	g, err := newHeatGrid(rs, p.Iterations, p.Intervals)
 	if err != nil {
-		return nil, err
+		return nil, CampaignStats{}, err
 	}
 	g.base.CheckpointPayload = p.PayloadBytes
 	g.base.FullEvery = p.FullEvery
@@ -1151,17 +1025,58 @@ func RunCheckpointIOAblationContext(ctx context.Context, rs RunSpec, p IOAblatio
 		{name: IOArmTieredIncr, hier: tiers, delta: p.DeltaFraction},
 	}
 	g.maxRuns = p.MaxRuns
-	mttfs := durationSlice(p.MTTFSeconds)
 	for arm := range g.arms {
-		g.sweepMTTFs(arm, mttfs)
+		g.sweepMTTFs(arm, durationSlice(p.MTTFSeconds))
 	}
 	rows, stats, err := g.run(ctx)
-	return &CheckpointIOAblation{Intervals: p.Intervals, MTTFs: mttfs, Rows: rows, Stats: stats}, err
+	if err != nil {
+		return nil, stats, err
+	}
+	// The grid's task order: per arm its 1 + len(intervals) E1 rows, then
+	// the cells in list order.
+	perArm, nE1 := 1+len(g.intervals), len(g.arms)*(1+len(g.intervals))
+	out := &IOAblationOutcome{Rows: make([]WireIOAblationRow, len(rows))}
+	for i, r := range rows {
+		arm := i / perArm
+		if i >= nE1 {
+			arm = g.cells[i-nE1].arm
+		}
+		out.Rows[i] = WireIOAblationRow{Arm: g.arms[arm].name, WireTableIIRow: wireTableIIRow(r)}
+	}
+	return out, stats, nil
 }
 
-// Render prints the ablation, one Table II-shaped block per arm, followed
+// recovered reports the fraction of the flat-PFS overhead the given arm
+// recovers at checkpoint interval c: (X_flat − X_arm) / (X_flat − X_free),
+// where X is E1 on the failure-free rows (mttfSeconds 0) and E2 on the
+// campaign cells at mttfSeconds. 1 means checkpoint I/O became free again;
+// 0 means the arm is as slow as the flat PFS.
+func (o *IOAblationOutcome) recovered(arm string, mttfSeconds float64, c int) float64 {
+	row := func(arm string) *WireIOAblationRow {
+		for i := range o.Rows {
+			if r := &o.Rows[i]; r.Arm == arm && r.MTTFSeconds == mttfSeconds && r.C == c {
+				return r
+			}
+		}
+		return nil
+	}
+	x := func(r *WireIOAblationRow) int64 {
+		if mttfSeconds == 0 {
+			return r.E1NS
+		}
+		return r.E2NS
+	}
+	free, flat, a := row(IOArmFree), row(IOArmFlatPFS), row(arm)
+	if free == nil || flat == nil || a == nil || x(flat) <= x(free) {
+		return 0
+	}
+	return float64(x(flat)-x(a)) / float64(x(flat)-x(free))
+}
+
+// render prints the ablation, one Table II-shaped block per arm, followed
 // by the recovered-overhead summary the tiered arms exist to demonstrate.
-func (t *CheckpointIOAblation) Render() string {
+func (p *IOAblationParams) render(_ RunSpec, out *CampaignOutcome) string {
+	t := out.IOAblation
 	rows := make([][]string, len(t.Rows))
 	for i, r := range t.Rows {
 		rows[i] = append([]string{r.Arm}, r.columns()...)
@@ -1170,55 +1085,13 @@ func (t *CheckpointIOAblation) Render() string {
 	b.WriteString(stats.Table(append([]string{"arm"}, tableIIHeader...), rows))
 	b.WriteString("\nrecovered fraction of flat-PFS overhead (1 = I/O free again):\n")
 	for _, arm := range []string{IOArmTiered, IOArmTieredIncr} {
-		for _, c := range t.Intervals {
-			fmt.Fprintf(&b, "  %-12s c=%-4d E1: %4.0f %%", arm, c, 100*t.RecoveredE1(arm, c))
-			for _, mttf := range t.MTTFs {
-				fmt.Fprintf(&b, "   E2@%.0fs: %4.0f %%", mttf.Seconds(), 100*t.Recovered(arm, mttf, c))
+		for _, c := range p.Intervals {
+			fmt.Fprintf(&b, "  %-12s c=%-4d E1: %4.0f %%", arm, c, 100*t.recovered(arm, 0, c))
+			for _, mttf := range p.MTTFSeconds {
+				fmt.Fprintf(&b, "   E2@%.0fs: %4.0f %%", mttf, 100*t.recovered(arm, mttf, c))
 			}
 			b.WriteByte('\n')
 		}
 	}
 	return b.String()
-}
-
-// Render prints the crossover table, one block per MTTF, marking each
-// block's winning arm.
-func (t *ReplicationCrossover) Render() string {
-	header := []string{"MTTF", "arm", "r", "c", "E2", "F", "runs", "predicted", ""}
-	var rows [][]string
-	for _, mttf := range t.MTTFs {
-		var best *ReplicationCrossoverRow
-		for i := range t.Rows {
-			r := &t.Rows[i]
-			if r.MTTF == mttf && (best == nil || r.E2 < best.E2) {
-				best = r
-			}
-		}
-		for i := range t.Rows {
-			r := &t.Rows[i]
-			if r.MTTF != mttf {
-				continue
-			}
-			interval := "—"
-			if r.Interval > 0 {
-				interval = fmt.Sprintf("%d", r.Interval)
-			}
-			mark := ""
-			if r == best {
-				mark = "◀ best"
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%.0f s", r.MTTF.Seconds()),
-				r.Arm,
-				fmt.Sprintf("%d", r.Degree),
-				interval,
-				fmt.Sprintf("%.0f s", r.E2.Seconds()),
-				fmt.Sprintf("%d", r.F),
-				fmt.Sprintf("%d", r.Runs),
-				fmt.Sprintf("%.0f s", r.Predicted.Seconds()),
-				mark,
-			})
-		}
-	}
-	return fmt.Sprintf("solve (E1, r=1): %.0f s\n%s", t.Solve.Seconds(), stats.Table(header, rows))
 }

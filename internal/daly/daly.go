@@ -93,19 +93,3 @@ func (p Params) ExpectedRuntime(tau vclock.Duration) vclock.Duration {
 	}
 	return vclock.FromSeconds(t)
 }
-
-// ExpectedFailures returns the expected number of failures during a run of
-// the given expected duration.
-func (p Params) ExpectedFailures(runtime vclock.Duration) float64 {
-	return runtime.Seconds() / p.MTTF.Seconds()
-}
-
-// Efficiency returns the failure-free solve time divided by the expected
-// runtime at interval tau (1.0 = no overhead).
-func (p Params) Efficiency(tau vclock.Duration) float64 {
-	rt := p.ExpectedRuntime(tau)
-	if rt <= 0 {
-		return 0
-	}
-	return p.Solve.Seconds() / rt.Seconds()
-}

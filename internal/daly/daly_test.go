@@ -103,25 +103,6 @@ func TestExpectedRuntimeZeroTau(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	p := params()
-	eff := p.Efficiency(p.OptimalInterval())
-	if eff <= 0 || eff >= 1 {
-		t.Fatalf("efficiency = %v, want in (0,1)", eff)
-	}
-	// Very frequent checkpointing is less efficient than the optimum.
-	if worse := p.Efficiency(10 * vclock.Second); worse >= eff {
-		t.Fatalf("10 s interval efficiency %v should be below optimum's %v", worse, eff)
-	}
-}
-
-func TestExpectedFailures(t *testing.T) {
-	p := params()
-	if got := p.ExpectedFailures(12000 * vclock.Second); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("expected failures = %v, want 2", got)
-	}
-}
-
 func TestShorterMTTFShortensOptimum(t *testing.T) {
 	p := params()
 	long := p.OptimalInterval()

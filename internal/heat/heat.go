@@ -190,15 +190,12 @@ func (e *ClockRangeError) Error() string {
 
 // CheckClockRange returns a *ClockRangeError when Iterations iterations of
 // perIteration modelled compute, on a clock that starts at start, take more
-// than half of what is left of the clock's range. The other half is
-// headroom for what the check does not model: communication, checkpoint
-// I/O, waiting, and the detection timeout a failure adds.
+// than vclock.Room(start).
 func (c *Config) CheckClockRange(start vclock.Time, perIteration vclock.Duration) error {
 	if perIteration <= 0 {
 		return nil
 	}
-	room := vclock.Never.Sub(max(start, 0)) / 2
-	if fit := int64(room / perIteration); int64(c.Iterations) > fit {
+	if fit := int64(vclock.Room(start) / perIteration); int64(c.Iterations) > fit {
 		return &ClockRangeError{Iterations: c.Iterations, PerIteration: perIteration, Start: start, Max: int(fit)}
 	}
 	return nil

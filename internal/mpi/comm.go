@@ -143,7 +143,7 @@ func (c *Comm) Abort(code int) {
 	e.Logf("MPI_Abort invoked (rank %d, time %v, code %d)", e.Rank(), at, code)
 	e.w.trace(trace.Event{At: at, Kind: trace.KindAbort, Rank: int32(e.Rank()), Peer: -1, Aux: int64(code)})
 	e.ctx.EmitBroadcast(core.Event{
-		Time:  at.Add(e.w.cfg.NotifyDelay),
+		Time:  at.Add(e.w.notifyDelay()),
 		Kind:  kindAbortNotify,
 		Words: [core.EventWords]uint64{uint64(at)},
 	})

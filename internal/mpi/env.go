@@ -37,10 +37,6 @@ type WorldConfig struct {
 	Net *netmodel.Model
 	// Proc is the processor model used by Env.Compute.
 	Proc procmodel.Model
-	// NotifyDelay is the latency of simulator-internal failure/abort
-	// notifications. Zero defaults to the system link latency. With a
-	// parallel engine it must be at least the engine lookahead.
-	NotifyDelay vclock.Duration
 	// CallOverhead is the per-MPI-call CPU cost charged to the caller.
 	CallOverhead vclock.Duration
 	// Collectives selects the collective algorithm (default Linear, as
@@ -125,11 +121,8 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 	if err := cfg.FSHierarchy.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NotifyDelay == 0 {
-		cfg.NotifyDelay = cfg.Net.System.Latency
-	}
-	if cfg.NotifyDelay < 0 || cfg.CallOverhead < 0 {
-		return nil, fmt.Errorf("mpi: NotifyDelay and CallOverhead must be non-negative")
+	if cfg.CallOverhead < 0 {
+		return nil, fmt.Errorf("mpi: CallOverhead must be non-negative")
 	}
 	if cfg.Net.Topo.Nodes() < eng.NumVPs() {
 		return nil, fmt.Errorf("mpi: topology has %d nodes for %d ranks (one rank per node)",
@@ -140,13 +133,7 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 	}
 	if eng.Workers() > 1 {
 		la := eng.Lookahead()
-		minDelay := cfg.NotifyDelay
-		for _, d := range []vclock.Duration{cfg.Net.System.Latency, cfg.Net.OnNode.Latency} {
-			if d < minDelay {
-				minDelay = d
-			}
-		}
-		if la > minDelay {
+		if minDelay := min(cfg.Net.System.Latency, cfg.Net.OnNode.Latency); la > minDelay {
 			return nil, fmt.Errorf("mpi: engine lookahead %v exceeds minimum event delay %v", la, minDelay)
 		}
 	}
@@ -172,6 +159,11 @@ func (w *World) Engine() *core.Engine { return w.eng }
 
 // Config returns the world configuration.
 func (w *World) Config() WorldConfig { return w.cfg }
+
+// notifyDelay is the latency of simulator-internal failure, abort and
+// revoke notifications: the system link latency, which is never below the
+// engine lookahead.
+func (w *World) notifyDelay() vclock.Duration { return w.cfg.Net.System.Latency }
 
 // Run executes app once per simulated MPI process and drives the
 // simulation to completion. An application that returns without calling
@@ -233,9 +225,9 @@ func (w *World) onDeath(c *core.Ctx, reason core.DeathReason) {
 	at := c.NowQuiet()
 	c.Logf("simulated MPI process failure injected (rank %d, time of failure %v)", c.Rank(), at)
 	w.trace(trace.Event{At: at, Kind: trace.KindFailure, Rank: int32(c.Rank()), Peer: -1})
-	w.m.recordFailure(c.Rank(), at, at.Add(w.cfg.NotifyDelay))
+	w.m.recordFailure(c.Rank(), at, at.Add(w.notifyDelay()))
 	c.EmitBroadcast(core.Event{
-		Time:  at.Add(w.cfg.NotifyDelay),
+		Time:  at.Add(w.notifyDelay()),
 		Kind:  kindFailNotify,
 		Words: [core.EventWords]uint64{uint64(c.Rank()), uint64(at)},
 	})

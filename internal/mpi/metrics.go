@@ -131,7 +131,7 @@ type FailureMetric struct {
 	// FailedAt is the time of failure.
 	FailedAt vclock.Time
 	// NotifiedAt is when the simulator-internal failure notification
-	// reached the surviving processes (FailedAt + NotifyDelay).
+	// reached the surviving processes (FailedAt plus the system link latency).
 	NotifiedAt vclock.Time
 	// LastDetectAt is the virtual time the last surviving rank first
 	// detected the failure (a pending operation completed with

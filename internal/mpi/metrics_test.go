@@ -166,7 +166,7 @@ func TestDetectionLatencyMetric(t *testing.T) {
 	if f.Rank != 3 || f.FailedAt != vclock.TimeFromSeconds(2) {
 		t.Fatalf("failure record = %+v", f)
 	}
-	nd := w.Config().NotifyDelay
+	nd := w.Config().Net.System.Latency
 	if f.NotifiedAt != f.FailedAt.Add(nd) {
 		t.Fatalf("notified at %v, want %v", f.NotifiedAt, f.FailedAt.Add(nd))
 	}

@@ -62,7 +62,7 @@ func (c *Comm) Revoke() {
 	c.markRevoked()
 	e.Logf("MPI_Comm_revoke on comm %d", c.id)
 	e.ctx.EmitBroadcast(core.Event{
-		Time:  e.ctx.NowQuiet().Add(e.w.cfg.NotifyDelay),
+		Time:  e.ctx.NowQuiet().Add(e.w.notifyDelay()),
 		Kind:  kindRevoke,
 		Words: [core.EventWords]uint64{uint64(c.id)},
 	})

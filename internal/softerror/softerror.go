@@ -157,21 +157,22 @@ type CampaignConfig struct {
 	OnProgress func(runner.Progress)
 }
 
-// CampaignResult summarises an injection campaign in Table I's terms.
+// CampaignResult summarises an injection campaign in Table I's terms. The
+// JSON names are its wire form, the table1 block of a campaign outcome.
 type CampaignResult struct {
 	// Victims is the number of victim instances.
-	Victims int
+	Victims int `json:"victims"`
 	// Injections is the number of injected faults across all runs.
-	Injections int
+	Injections int `json:"injections"`
 	// ToFailure holds each victim's injections-to-failure count
 	// (victims surviving the cap record the cap).
-	ToFailure []int
+	ToFailure []int `json:"to_failure"`
 	// Survived counts victims that outlived the injection cap.
-	Survived int
+	Survived int `json:"survived"`
 	// KillsByRegion counts fatal flips per region.
-	KillsByRegion map[string]int
+	KillsByRegion map[string]int `json:"kills_by_region"`
 	// Summary are the Table I statistics over ToFailure.
-	Summary stats.Summary
+	Summary stats.Summary `json:"summary"`
 }
 
 // victimOutcome is one victim's campaign contribution. A zero value marks

@@ -15,14 +15,14 @@ import (
 // Summary holds the descriptive statistics of a sample, matching the fields
 // of Table I in the paper.
 type Summary struct {
-	N      int     // sample size
-	Sum    float64 // sum of all observations
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	Mode   float64 // smallest most-frequent value (observations rounded to integers)
-	StdDev float64 // population standard deviation
+	N      int     `json:"n"`   // sample size
+	Sum    float64 `json:"sum"` // sum of all observations
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+	Mean   float64 `json:"mean"`
+	Median float64 `json:"median"`
+	Mode   float64 `json:"mode"`   // smallest most-frequent value (observations rounded to integers)
+	StdDev float64 `json:"stddev"` // population standard deviation
 }
 
 // Summarize computes a Summary over xs. It returns the zero Summary for an

@@ -89,54 +89,8 @@ func ringDist(a, b, n int) int {
 	return d
 }
 
-// Diameter returns the maximum route length between any pair of nodes.
-func (t *Torus3D) Diameter() int { return t.X/2 + t.Y/2 + t.Z/2 }
-
 // Name implements Topology.
 func (t *Torus3D) Name() string { return fmt.Sprintf("%dx%dx%d torus", t.X, t.Y, t.Z) }
-
-// Mesh3D is a 3-dimensional mesh (no wrap-around links) with
-// dimension-ordered routing. Useful for topology ablations.
-type Mesh3D struct {
-	X, Y, Z int
-}
-
-// NewMesh3D returns an x×y×z mesh. It panics if any dimension is not
-// positive.
-func NewMesh3D(x, y, z int) *Mesh3D {
-	if x <= 0 || y <= 0 || z <= 0 {
-		panic(fmt.Sprintf("topology: invalid mesh dimensions %d×%d×%d", x, y, z))
-	}
-	return &Mesh3D{X: x, Y: y, Z: z}
-}
-
-// Nodes implements Topology.
-func (m *Mesh3D) Nodes() int { return m.X * m.Y * m.Z }
-
-// Coord returns the (x, y, z) coordinate of node id, with x varying fastest.
-func (m *Mesh3D) Coord(id int) (x, y, z int) {
-	x = id % m.X
-	y = (id / m.X) % m.Y
-	z = id / (m.X * m.Y)
-	return
-}
-
-// Hops implements Topology: the Manhattan distance between the coordinates.
-func (m *Mesh3D) Hops(src, dst int) int {
-	sx, sy, sz := m.Coord(src)
-	dx, dy, dz := m.Coord(dst)
-	return abs(sx-dx) + abs(sy-dy) + abs(sz-dz)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// Name implements Topology.
-func (m *Mesh3D) Name() string { return fmt.Sprintf("%dx%dx%d mesh", m.X, m.Y, m.Z) }
 
 // FullyConnected is a crossbar: every pair of distinct nodes is one hop
 // apart. It is the simplest model and a useful baseline.

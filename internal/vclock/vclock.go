@@ -37,6 +37,12 @@ const (
 // failure at virtual time 0 remains expressible.
 const Never Time = math.MaxInt64
 
+// Room returns the virtual time a run starting at start may plan to
+// spend: half of what is left of the clock's range. The other half is
+// headroom for what such a plan does not model, such as communication,
+// checkpoint I/O, waiting, and the detection timeout a failure adds.
+func Room(start Time) Duration { return Never.Sub(max(start, 0)) / 2 }
+
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

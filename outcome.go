@@ -1,6 +1,6 @@
-// outcome.go defines the wire form of campaign results and the execution
-// of a CampaignSpec through the kind table. A CampaignOutcome carries only
-// the deterministic portion of a driver's result — the simulated rows,
+// outcome.go defines campaign results and the execution of a CampaignSpec
+// through the kind table. Each kind's outcome block is its driver's one
+// result type, and it holds only deterministic data — the simulated rows,
 // points, and histograms that depend solely on the spec and seed — never
 // wall-clock accounting, so the same spec produces byte-identical
 // canonical outcomes whether it ran via the CLI, the campaign service, or
@@ -10,6 +10,8 @@ package xsim
 import (
 	"context"
 	"fmt"
+
+	"xsim/internal/softerror"
 )
 
 // RunOptions carries the non-serializable execution hooks a caller
@@ -45,47 +47,36 @@ type CampaignOutcome struct {
 	IOAblation *IOAblationOutcome       `json:"io_ablation,omitempty"`
 }
 
-// WireSummary is the wire form of a sample summary: stats.Summary's fields
-// under JSON names, so one converts to the other.
-type WireSummary struct {
-	N      int     `json:"n"`
-	Sum    float64 `json:"sum"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Mean   float64 `json:"mean"`
-	Median float64 `json:"median"`
-	Mode   float64 `json:"mode"`
-	StdDev float64 `json:"stddev"`
-}
-
-// TableIOutcome is the wire form of the Table I bit-flip campaign result.
-type TableIOutcome struct {
-	Victims       int            `json:"victims"`
-	Injections    int            `json:"injections"`
-	Survived      int            `json:"survived"`
-	ToFailure     []int          `json:"to_failure"`
-	KillsByRegion map[string]int `json:"kills_by_region"`
-	Summary       WireSummary    `json:"summary"`
-}
+// TableIOutcome is the Table I bit-flip campaign result: the injection
+// campaign's own report, whose fields carry their wire names.
+type TableIOutcome = softerror.CampaignResult
 
 // WireTableIIRow is one Table II cell on the wire; virtual times travel
 // as _ns nanosecond integers.
 type WireTableIIRow struct {
+	// MTTFSeconds is the system MTTF (0 on the no-failure E1 rows, whose
+	// E2, F and MTTFa are 0).
 	MTTFSeconds float64 `json:"mttf_seconds"`
-	C           int     `json:"c"`
-	E1NS        int64   `json:"e1_ns"`
-	E2NS        int64   `json:"e2_ns"`
-	F           int     `json:"f"`
-	MTTFaNS     int64   `json:"mttfa_ns"`
-	Runs        int     `json:"runs"`
+	// C is the checkpoint interval in iterations.
+	C    int   `json:"c"`
+	E1NS int64 `json:"e1_ns"`
+	E2NS int64 `json:"e2_ns"`
+	F    int   `json:"f"`
+	// MTTFaNS is the experienced application MTTF, E2/(F+1).
+	MTTFaNS int64 `json:"mttfa_ns"`
+	// Runs is the number of application runs (1 + restarts).
+	Runs int `json:"runs"`
 }
 
-// TableIIOutcome is the wire form of the Table II grid.
+// TableIIOutcome is the Table II grid: the baseline row, then one row per
+// (MTTF, interval) cell.
 type TableIIOutcome struct {
 	Rows []WireTableIIRow `json:"rows"`
 }
 
-// WireSweepPoint is one interval-sweep point on the wire.
+// WireSweepPoint is one interval-sweep point: the no-failure E1 at
+// interval C, E2 and F averaged over the seeds, and Daly's expected
+// runtime at C.
 type WireSweepPoint struct {
 	C        int     `json:"c"`
 	E1NS     int64   `json:"e1_ns"`
@@ -94,17 +85,26 @@ type WireSweepPoint struct {
 	DalyNS   int64   `json:"daly_ns"`
 }
 
-// IntervalSweepOutcome is the wire form of the interval sweep.
+// IntervalSweepOutcome is the interval sweep, one point per swept interval
+// in sweep order.
 type IntervalSweepOutcome struct {
-	BaselineNS       int64            `json:"baseline_ns"`
-	CheckpointCostNS int64            `json:"checkpoint_cost_ns"`
-	DalyOptimalIters float64          `json:"daly_optimal_iters"`
-	BestMeasured     int              `json:"best_measured"`
-	Points           []WireSweepPoint `json:"points"`
+	// BaselineNS is the no-failure, single-checkpoint execution time.
+	BaselineNS int64 `json:"baseline_ns"`
+	// CheckpointCostNS is the per-checkpoint-cycle cost derived from the
+	// E1 measurements (Daly's δ).
+	CheckpointCostNS int64 `json:"checkpoint_cost_ns"`
+	// DalyOptimalIters is Daly's optimal interval in iterations.
+	DalyOptimalIters float64 `json:"daly_optimal_iters"`
+	// BestMeasured is the interval with the lowest mean E2.
+	BestMeasured int              `json:"best_measured"`
+	Points       []WireSweepPoint `json:"points"`
 }
 
-// FirstImpressionsOutcome is the wire form of the §V-D failure-mode
-// histograms.
+// FirstImpressionsOutcome holds the §V-D failure-mode histograms over the
+// trials in which the failure activated: the phase the failed rank was
+// in, the phases the surviving ranks aborted in (rank counts), and the
+// post-abort checkpoint state ("corrupted-file", "incomplete-set",
+// "partially-deleted-old-set", "clean", or "no-checkpoint").
 type FirstImpressionsOutcome struct {
 	Trials             int            `json:"trials"`
 	FailedIn           map[string]int `json:"failed_in"`
@@ -112,32 +112,44 @@ type FirstImpressionsOutcome struct {
 	CheckpointOutcomes map[string]int `json:"checkpoint_outcomes"`
 }
 
-// WireCrossoverRow is one replication-crossover cell on the wire.
+// WireCrossoverRow is one replication-crossover cell.
 type WireCrossoverRow struct {
 	MTTFSeconds float64 `json:"mttf_seconds"`
-	Arm         string  `json:"arm"`
-	Degree      int     `json:"degree"`
-	Interval    int     `json:"interval"`
-	E2NS        int64   `json:"e2_ns"`
-	F           int     `json:"f"`
-	Runs        int     `json:"runs"`
-	PredictedNS int64   `json:"predicted_ns"`
+	// Arm is ArmCheckpoint, ArmReplication or ArmHybrid.
+	Arm string `json:"arm"`
+	// Degree is the replication degree (1 for the checkpoint arm).
+	Degree int `json:"degree"`
+	// Interval is the checkpoint interval in iterations (0 = none).
+	Interval int   `json:"interval"`
+	E2NS     int64 `json:"e2_ns"`
+	F        int   `json:"f"`
+	Runs     int   `json:"runs"`
+	// PredictedNS is the analytic expectation: Daly's T(τ) for the
+	// checkpoint arm, r×solve for failure-free replication, and r×solve
+	// plus checkpoint overhead for the hybrid. Replication predictions
+	// ignore restart cycles, so an E2 above the prediction measures how
+	// often replicas were exhausted.
+	PredictedNS int64 `json:"predicted_ns"`
 }
 
-// CrossoverOutcome is the wire form of the replication-crossover study.
+// CrossoverOutcome is the replication-crossover study: the measured
+// failure-free unreplicated solve time (the study's E1), then one row per
+// (MTTF, arm, degree) cell in sweep order.
 type CrossoverOutcome struct {
 	SolveNS int64              `json:"solve_ns"`
 	Rows    []WireCrossoverRow `json:"rows"`
 }
 
-// WireIOAblationRow is one checkpoint-I/O-ablation cell on the wire: the
-// storage arm plus Table II's columns, flattened into one JSON object.
+// WireIOAblationRow is one checkpoint-I/O-ablation cell: the storage arm
+// plus Table II's columns, flattened into one JSON object.
 type WireIOAblationRow struct {
+	// Arm is IOArmFree, IOArmFlatPFS, IOArmTiered or IOArmTieredIncr.
 	Arm string `json:"arm"`
 	WireTableIIRow
 }
 
-// IOAblationOutcome is the wire form of the checkpoint-I/O ablation.
+// IOAblationOutcome is the checkpoint-I/O ablation: per arm its baseline
+// and interval E1 rows, then every arm's campaign cells.
 type IOAblationOutcome struct {
 	Rows []WireIOAblationRow `json:"rows"`
 }
@@ -156,31 +168,31 @@ func (o *CampaignOutcome) Canonical() ([]byte, error) {
 // --- execution ------------------------------------------------------------
 
 // RunWith normalizes and validates the spec (leaving the receiver
-// untouched), runs the experiment driver of the kind's table row, and
-// converts the result to its deterministic wire form. Validation failures
-// return the same typed *SpecError values the decode path produces;
-// driver errors (including cancellation) pass through unwrapped.
+// untouched) and runs the experiment driver of the kind's table row, which
+// fills the kind's outcome block. Validation failures return the same typed
+// *SpecError values the decode path produces; driver errors (including
+// cancellation) pass through unwrapped.
 func (s *CampaignSpec) RunWith(ctx context.Context, opt RunOptions) (*CampaignOutcome, error) {
 	out, _, err := s.RunRendered(ctx, opt)
 	return out, err
 }
 
-// RunRendered is RunWith that also hands back the driver's own result,
-// whose Render is the human-readable table of the same campaign (what
-// `xsim-run <kind>` prints).
-func (s *CampaignSpec) RunRendered(ctx context.Context, opt RunOptions) (*CampaignOutcome, interface{ Render() string }, error) {
+// RunRendered is RunWith that also prints the outcome as the
+// human-readable table of the same campaign (what `xsim-run <kind>`
+// prints).
+func (s *CampaignSpec) RunRendered(ctx context.Context, opt RunOptions) (*CampaignOutcome, string, error) {
 	c := s.clone()
 	c.Normalize()
 	if err := c.Validate(); err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
 	out := &CampaignOutcome{Version: SpecVersion, Kind: c.Kind}
 	// Validate accepted the kind and Normalize created its block.
-	res, err := kindRow(c.Kind).get(c, false).run(ctx, c.runSpec(opt), out)
-	if err != nil {
-		return nil, nil, err
+	block, rs := kindRow(c.Kind).get(c, false), c.runSpec(opt)
+	if err := block.run(ctx, rs, out); err != nil {
+		return nil, "", err
 	}
-	return out, res, nil
+	return out, block.render(rs, out), nil
 }
 
 // wireTableIIRow converts a Table II row to wire form.
@@ -194,4 +206,26 @@ func wireTableIIRow(r TableIIRow) WireTableIIRow {
 		MTTFaNS:     int64(r.MTTFa),
 		Runs:        r.Runs,
 	}
+}
+
+// tableIIHeader names the columns WireTableIIRow.columns renders.
+var tableIIHeader = []string{"MTTF_s", "C", "E1", "E2", "F", "MTTF_a"}
+
+// columns renders the row in the paper's layout; a no-failure row shows
+// dashes for the columns only a campaign cell has.
+func (r WireTableIIRow) columns() []string {
+	secs := func(ns int64) string {
+		if ns == 0 {
+			return "—"
+		}
+		return fmt.Sprintf("%.0f s", Duration(ns).Seconds())
+	}
+	mttf, e2, f, mttfa := "—", "—", "0", "—"
+	if r.MTTFSeconds > 0 {
+		mttf = fmt.Sprintf("%.0f s", r.MTTFSeconds)
+		e2 = secs(r.E2NS)
+		f = fmt.Sprintf("%d", r.F)
+		mttfa = fmt.Sprintf("%.0f s", Duration(r.MTTFaNS).Seconds())
+	}
+	return []string{mttf, fmt.Sprintf("%d", r.C), secs(r.E1NS), e2, f, mttfa}
 }

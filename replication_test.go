@@ -275,20 +275,21 @@ func smokeCrossover() (RunSpec, CrossoverParams) {
 
 func TestReplicationCrossoverSmoke(t *testing.T) {
 	rs, p := smokeCrossover()
-	table, err := RunReplicationCrossoverContext(context.Background(), rs, p)
+	out, text, err := runBlock(context.Background(), rs, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := out.Crossover
 	// 1 MTTF × (checkpoint + 2 degrees × {replication, hybrid}) = 5 cells.
 	if len(table.Rows) != 5 {
-		t.Fatalf("got %d rows, want 5:\n%s", len(table.Rows), table.Render())
+		t.Fatalf("got %d rows, want 5:\n%s", len(table.Rows), text)
 	}
-	if table.Solve <= 0 {
-		t.Fatalf("non-positive solve %v", table.Solve)
+	if table.SolveNS <= 0 {
+		t.Fatalf("non-positive solve %v ns", table.SolveNS)
 	}
 	for _, row := range table.Rows {
-		if row.E2 <= 0 || row.Runs < 1 {
-			t.Fatalf("degenerate cell %+v:\n%s", row, table.Render())
+		if row.E2NS <= 0 || row.Runs < 1 {
+			t.Fatalf("degenerate cell %+v:\n%s", row, text)
 		}
 		if row.Arm == ArmReplication && row.Interval != 0 {
 			t.Fatalf("replication arm with checkpoint interval %d", row.Interval)
@@ -297,17 +298,18 @@ func TestReplicationCrossoverSmoke(t *testing.T) {
 			t.Fatalf("arm %s without checkpoint interval", row.Arm)
 		}
 	}
-	t.Logf("\n%s", table.Render())
+	t.Logf("\n%s", text)
 }
 
 func TestReplicationCrossoverValidatesDegrees(t *testing.T) {
 	rs, p := smokeCrossover()
+	spec := &CampaignSpec{Kind: KindCrossover, Ranks: rs.Ranks, Seed: rs.Seed, Crossover: &p}
 	p.Degrees = []int{5} // 12 % 5 != 0
-	if _, err := RunReplicationCrossoverContext(context.Background(), rs, p); !IsSpecError(err) {
+	if _, err := spec.RunWith(context.Background(), RunOptions{}); !IsSpecError(err) {
 		t.Fatalf("err = %v, want the block's divisibility violation", err)
 	}
 	p.Degrees = []int{1}
-	if _, err := RunReplicationCrossoverContext(context.Background(), rs, p); !IsSpecError(err) {
+	if _, err := spec.RunWith(context.Background(), RunOptions{}); !IsSpecError(err) {
 		t.Fatalf("err = %v, want the block's degree >= 2 violation", err)
 	}
 }
@@ -321,28 +323,31 @@ func TestReplicationCrossoverFrontier(t *testing.T) {
 	// restarts) beats Daly-optimal checkpoint/restart, and at 1600 s the
 	// ordering flips — paying double resources for failover only pays
 	// when failures are frequent.
-	table, err := RunReplicationCrossoverContext(context.Background(), RunSpec{Ranks: 24, Seed: 11},
-		CrossoverParams{Degrees: []int{2}, MTTFSeconds: []float64{50, 1600}})
+	out, text, err := runBlock(context.Background(), RunSpec{Ranks: 24, Seed: 11},
+		&CrossoverParams{Degrees: []int{2}, MTTFSeconds: []float64{50, 1600}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", table.Render())
+	t.Logf("\n%s", text)
 
-	low, high := 50*Second, 1600*Second
-	ckptLow := table.Row(low, ArmCheckpoint, 1)
-	replLow := table.Row(low, ArmReplication, 2)
-	ckptHigh := table.Row(high, ArmCheckpoint, 1)
-	replHigh := table.Row(high, ArmReplication, 2)
-	if ckptLow == nil || replLow == nil || ckptHigh == nil || replHigh == nil {
-		t.Fatal("missing frontier cells")
+	row := func(mttfSeconds float64, arm string, degree int) *WireCrossoverRow {
+		for i := range out.Crossover.Rows {
+			if r := &out.Crossover.Rows[i]; r.MTTFSeconds == mttfSeconds && r.Arm == arm && r.Degree == degree {
+				return r
+			}
+		}
+		t.Fatalf("missing frontier cell: MTTF %v s, %s, r=%d", mttfSeconds, arm, degree)
+		return nil
 	}
-	if replLow.E2 >= ckptLow.E2 {
-		t.Errorf("MTTF=50s: replication E2 %v should beat checkpoint E2 %v",
-			replLow.E2, ckptLow.E2)
+	ckptLow, replLow := row(50, ArmCheckpoint, 1), row(50, ArmReplication, 2)
+	ckptHigh, replHigh := row(1600, ArmCheckpoint, 1), row(1600, ArmReplication, 2)
+	if replLow.E2NS >= ckptLow.E2NS {
+		t.Errorf("MTTF=50s: replication E2 %v ns should beat checkpoint E2 %v ns",
+			replLow.E2NS, ckptLow.E2NS)
 	}
-	if ckptHigh.E2 >= replHigh.E2 {
-		t.Errorf("MTTF=1600s: checkpoint E2 %v should beat replication E2 %v",
-			ckptHigh.E2, replHigh.E2)
+	if ckptHigh.E2NS >= replHigh.E2NS {
+		t.Errorf("MTTF=1600s: checkpoint E2 %v ns should beat replication E2 %v ns",
+			ckptHigh.E2NS, replHigh.E2NS)
 	}
 	// Failover proof: the low-MTTF replication cell experienced failures,
 	// and fewer restarts than failures — some failures were absorbed by

@@ -9,10 +9,9 @@ import (
 
 // RunSpec is the shared trunk of every Run-family experiment: the
 // simulation parameters and campaign-pool controls every driver reads
-// under the same names, with one defaults path. The drivers take it next
-// to their kind's parameter block; TableIIConfig embeds it:
+// under the same names, with one defaults path. A CampaignSpec's trunk
+// fields build it for the kind's driver; TableIIConfig embeds it:
 //
-//	xsim.RunIntervalSweepContext(ctx, xsim.RunSpec{Ranks: 512, Workers: 2}, xsim.IntervalSweepParams{})
 //	xsim.TableIIConfig{RunSpec: xsim.RunSpec{Ranks: 512, Workers: 2}}
 type RunSpec struct {
 	// Ranks is the number of simulated MPI processes; each driver fills

@@ -14,82 +14,58 @@ import (
 // which Table II, the interval sweep and the checkpoint-I/O ablation each
 // had a grid body of their own and wire.go/outcome.go switched on the kind
 // five times: the canonical outcome bytes, the Pool=1 progress sequence as
-// (index, label, seed, state), and the matching driver's Render() text. A
+// (index, label, seed, state), and the kind's rendered table. A
 // change that is meant to alter any of them replaces the golden with the
 // text the failing test prints. ci.sh's campaign-service smoke serves the
 // same spec files.
 const surfaceDir = "testdata/surface"
 
-// surfaceDrivers builds, by hand, the experiment-driver call equivalent to
-// each spec file, so the goldens also pin that a wire spec and a flag-built
-// config describe the same campaign.
-var surfaceDrivers = map[string]func(ctx context.Context, rs RunSpec) (string, error){
-	"table1": func(ctx context.Context, rs RunSpec) (string, error) {
+// surfaceBlocks builds, by hand, the trunk and parameter block equivalent
+// to each spec file, so the goldens also pin that a wire spec and a block
+// written in Go describe the same campaign.
+var surfaceBlocks = map[string]func(rs *RunSpec) kindBlock{
+	"table1": func(rs *RunSpec) kindBlock {
 		rs.Seed = 2013
-		res, err := RunTableIContext(ctx, rs, TableIParams{Victims: 10, MaxInjections: 50})
-		if err != nil {
-			return "", err
-		}
-		return res.Table(), nil
+		return &TableIParams{Victims: 10, MaxInjections: 50}
 	},
-	"table2": func(ctx context.Context, rs RunSpec) (string, error) {
+	"table2": func(rs *RunSpec) kindBlock {
 		rs.Ranks, rs.Seed = 64, 133
-		tab, err := RunTableIIContext(ctx, TableIIConfig{
-			RunSpec: rs, Iterations: 200, Intervals: []int{100, 50}, MTTFs: []Duration{1000 * Second},
-		})
-		if err != nil {
-			return "", err
-		}
-		return tab.Render(), nil
+		return &TableIIParams{Iterations: 200, Intervals: []int{100, 50}, MTTFSeconds: []float64{1000}}
 	},
-	"table2-paper-io": func(ctx context.Context, rs RunSpec) (string, error) {
+	"table2-paper-io": func(rs *RunSpec) kindBlock {
 		rs.Ranks, rs.Seed = 64, 133
-		tab, err := RunTableIIContext(ctx, TableIIConfig{
-			RunSpec: rs, Iterations: 200, Intervals: []int{100, 50}, MTTFs: []Duration{1000 * Second},
-			FSModel: PaperPFS(),
-		})
-		if err != nil {
-			return "", err
-		}
-		return tab.Render(), nil
+		return &TableIIParams{Iterations: 200, Intervals: []int{100, 50}, MTTFSeconds: []float64{1000}, PaperIO: true}
 	},
-	"interval-sweep": func(ctx context.Context, rs RunSpec) (string, error) {
+	"interval-sweep": func(rs *RunSpec) kindBlock {
 		rs.Ranks = 64
-		s, err := RunIntervalSweepContext(ctx, rs, IntervalSweepParams{
-			Iterations: 200, Intervals: []int{100, 50, 25}, MTTFSeconds: 600, Seeds: []int64{133, 134},
-		})
-		if err != nil {
-			return "", err
-		}
-		return s.Render(), nil
+		return &IntervalSweepParams{Iterations: 200, Intervals: []int{100, 50, 25}, MTTFSeconds: 600, Seeds: []int64{133, 134}}
 	},
-	"first-impressions": func(ctx context.Context, rs RunSpec) (string, error) {
+	"first-impressions": func(rs *RunSpec) kindBlock {
 		rs.Ranks, rs.Seed = 64, 1
-		fi, err := RunFirstImpressionsContext(ctx, rs, FirstImpressionsParams{Iterations: 200, Interval: 25, Trials: 6})
-		if err != nil {
-			return "", err
-		}
-		return fi.Render(), nil
+		return &FirstImpressionsParams{Iterations: 200, Interval: 25, Trials: 6}
 	},
-	"replication-crossover": func(ctx context.Context, rs RunSpec) (string, error) {
+	"replication-crossover": func(rs *RunSpec) kindBlock {
 		smoke, p := smokeCrossover()
 		rs.Ranks, rs.Seed = smoke.Ranks, smoke.Seed
-		table, err := RunReplicationCrossoverContext(ctx, rs, p)
-		if err != nil {
-			return "", err
-		}
-		return table.Render(), nil
+		return &p
 	},
-	"io-ablation": func(ctx context.Context, rs RunSpec) (string, error) {
+	"io-ablation": func(rs *RunSpec) kindBlock {
 		rs.Ranks, rs.Seed = 64, 133
-		tab, err := RunCheckpointIOAblationContext(ctx, rs, IOAblationParams{
-			Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150},
-		})
-		if err != nil {
-			return "", err
-		}
-		return tab.Render(), nil
+		return &IOAblationParams{Iterations: 60, Intervals: []int{20}, MTTFSeconds: []float64{150}}
 	},
+}
+
+// runBlock runs a parameter block on a trunk built in Go the way
+// RunRendered runs a spec's: the block's defaults, then its driver, then
+// its rendering. Unless rs.ProgMode is set, the heat ranks run as closure
+// VPs.
+func runBlock(ctx context.Context, rs RunSpec, block kindBlock) (*CampaignOutcome, string, error) {
+	block.defaults(&rs)
+	out := &CampaignOutcome{Version: SpecVersion}
+	if err := block.run(ctx, rs, out); err != nil {
+		return nil, "", err
+	}
+	return out, block.render(rs, out), nil
 }
 
 // surfaceCacheKeys are the surface specs' content addresses, recorded at
@@ -114,24 +90,24 @@ func progressLines(into *[]string) func(ProgressEvent) {
 }
 
 // TestCampaignSurfaceMatchesGolden replays every spec under surfaceDir
-// through CampaignSpec.RunWith and through its hand-built driver call, both
-// at Pool=1, and compares outcome bytes, task order and rendering with the
-// golden. The two progress feeds must also agree with each other: the wire
-// dispatch adds no task and reorders none.
+// through CampaignSpec.RunRendered (program VPs) and its hand-built block
+// through runBlock (closure VPs), both at Pool=1. The two must agree on
+// outcome bytes, task order and rendered text, and the golden pins all
+// three.
 func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 	specs, err := filepath.Glob(filepath.Join(surfaceDir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != len(surfaceDrivers) {
-		t.Fatalf("%d spec files under %s, %d drivers", len(specs), surfaceDir, len(surfaceDrivers))
+	if len(specs) != len(surfaceBlocks) {
+		t.Fatalf("%d spec files under %s, %d blocks", len(specs), surfaceDir, len(surfaceBlocks))
 	}
 	for _, path := range specs {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run(name, func(t *testing.T) {
-			driver, ok := surfaceDrivers[name]
+			build, ok := surfaceBlocks[name]
 			if !ok {
-				t.Fatalf("no driver for %s", path)
+				t.Fatalf("no block for %s", path)
 			}
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -143,7 +119,7 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 			}
 			spec.Pool = 1
 			var wireFeed, driverFeed []string
-			out, table, err := spec.RunRendered(context.Background(), RunOptions{OnProgress: progressLines(&wireFeed)})
+			out, text, err := spec.RunRendered(context.Background(), RunOptions{OnProgress: progressLines(&wireFeed)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,17 +130,29 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			render, err := driver(context.Background(), RunSpec{Pool: 1, OnProgress: progressLines(&driverFeed)})
+
+			rs := RunSpec{Pool: 1, OnProgress: progressLines(&driverFeed)}
+			driverOut, render, err := runBlock(context.Background(), rs, build(&rs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The renderer the wire dispatch hands back is the driver's own
-			// (Table I's wraps its table in the full injection report).
-			if got := table.Render(); !strings.Contains(got, render) {
-				t.Errorf("RunRendered's table lacks the driver's rendering:\n got:\n%s\n want:\n%s", got, render)
+			driverOut.Kind = spec.Kind
+			if driverCanon, err := driverOut.Canonical(); err != nil || string(driverCanon) != string(canon) {
+				t.Errorf("closure-mode outcome differs (err %v):\n got: %s\nwant: %s", err, driverCanon, canon)
 			}
 			if w, d := strings.Join(wireFeed, "\n"), strings.Join(driverFeed, "\n"); w != d {
 				t.Errorf("progress feeds differ:\n wire:\n%s\n driver:\n%s", w, d)
+			}
+			if render != text {
+				t.Errorf("RunRendered's text differs from the block's rendering:\n got:\n%s\n want:\n%s", text, render)
+			}
+			// Table I's golden holds the paper's table alone, which the
+			// full injection report contains.
+			if name == "table1" {
+				render = driverOut.TableI.Table()
+				if !strings.Contains(text, render) {
+					t.Errorf("Table I report lacks the paper's table:\n%s", text)
+				}
 			}
 			got := fmt.Sprintf("outcome %s\n%s\nrender:\n%s", canon, strings.Join(wireFeed, "\n"), render)
 			goldenPath := strings.TrimSuffix(path, ".json") + ".golden"

@@ -38,23 +38,19 @@ type CampaignKind string
 
 // The campaign kinds: one per Run-family experiment driver.
 const (
-	// KindTableI is the paper's Table I bit-flip injection campaign
-	// (RunTableIContext).
+	// KindTableI is the paper's Table I bit-flip injection campaign.
 	KindTableI CampaignKind = "table1"
 	// KindTableII is the paper's Table II checkpoint-interval × MTTF
 	// sweep (RunTableIIContext).
 	KindTableII CampaignKind = "table2"
 	// KindIntervalSweep is the checkpoint-interval sweep against Daly's
-	// model (RunIntervalSweepContext).
+	// model.
 	KindIntervalSweep CampaignKind = "interval-sweep"
-	// KindFirstImpressions is the §V-D failure-mode classification
-	// (RunFirstImpressionsContext).
+	// KindFirstImpressions is the §V-D failure-mode classification.
 	KindFirstImpressions CampaignKind = "first-impressions"
-	// KindCrossover is the replication-vs-checkpoint crossover study
-	// (RunReplicationCrossoverContext).
+	// KindCrossover is the replication-vs-checkpoint crossover study.
 	KindCrossover CampaignKind = "replication-crossover"
-	// KindIOAblation is the Table II rerun with checkpoint-I/O cost on
-	// (RunCheckpointIOAblationContext).
+	// KindIOAblation is the Table II rerun with checkpoint-I/O cost on.
 	KindIOAblation CampaignKind = "io-ablation"
 )
 
@@ -173,9 +169,9 @@ func specDecodeError(err error) error {
 // --- the kind table -------------------------------------------------------
 
 // kindBlock is what every kind's parameter block (*TableIParams, …) is:
-// the block is the configuration of the kind's experiment driver, so the
-// three things a kind decides are stated once, on the block, and read by
-// the wire layer and by Go callers of the driver alike.
+// the block is the configuration of the kind's experiment driver, and the
+// kind's outcome block is the driver's one result type, so the four things
+// a kind decides are stated once, on the block.
 type kindBlock interface {
 	// defaults fills the block's zero fields, and the trunk's ranks and
 	// call overhead, with the driver's defaults. Applying it twice changes
@@ -184,14 +180,13 @@ type kindBlock interface {
 	// validate range-checks the block for a world of ranks (0 = the kind's
 	// default); the checker names every field under the block.
 	validate(ranks int, v specChecker) []error
-	// run executes the normalized, validated block on rs, fills the
-	// outcome's SimTimeNS and result block, and hands back the driver
-	// result, which prints itself as the table the CLI shows.
-	run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (renderer, error)
+	// run executes the normalized, validated block on rs and fills the
+	// outcome's SimTimeNS and the kind's result block.
+	run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error
+	// render prints the result block run filled as the table the CLI
+	// shows; rs and the block are the ones run was given.
+	render(rs RunSpec, out *CampaignOutcome) string
 }
-
-// renderer is what every experiment driver's result is.
-type renderer = interface{ Render() string }
 
 // campaignKind is one row of the kind table. Normalize, Validate (with its
 // one-of rule) and RunRendered all walk campaignKinds, so a kind is

@@ -127,6 +127,9 @@ func TestValidateKindSpecificRanges(t *testing.T) {
 			IOAblation: &IOAblationParams{DeltaFraction: 1.5}}, "io_ablation.delta_fraction"},
 		{"delta of the whole payload", CampaignSpec{Version: 1, Kind: KindIOAblation,
 			IOAblation: &IOAblationParams{DeltaFraction: 1}}, "io_ablation.delta_fraction"},
+		{"compute past the clock", CampaignSpec{Version: 1, Kind: KindCrossover, Ranks: 4,
+			Crossover: &CrossoverParams{Degrees: []int{2}, MTTFSeconds: []float64{1e9}, Iterations: 10000,
+				ComputeSeconds: 1e6, MaxRuns: 2}}, "replication_crossover.compute_seconds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,6 +170,36 @@ func TestValidateRefusesClockOverrun(t *testing.T) {
 		if _, err := decode(1_000_000).CacheKey(); err != nil {
 			t.Errorf("%s: a million iterations refused: %v", kind, err)
 		}
+	}
+}
+
+// TestCrossoverLargestComputeRuns runs the largest compute_seconds
+// Validate accepts for a 10-iteration crossover: the measured solve must be
+// the iterations' compute plus a little communication, where a spec past
+// the clock's range used to print a solve the virtual clock had wrapped.
+func TestCrossoverLargestComputeRuns(t *testing.T) {
+	const iterations = 10
+	spec := func(computeNS int64) *CampaignSpec {
+		return &CampaignSpec{Version: SpecVersion, Kind: KindCrossover, Ranks: 4, Seed: 1,
+			Crossover: &CrossoverParams{Degrees: []int{2}, MTTFSeconds: []float64{9e9}, Iterations: iterations,
+				ComputeSeconds: Duration(computeNS).Seconds()}}
+	}
+	// Bisect whole nanoseconds: lo is accepted, hi refused.
+	lo, hi := int64(Second), int64(math.MaxInt64)
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; spec(mid).Validate() == nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	out, err := spec(lo).RunWith(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatalf("compute %v s: %v", Duration(lo).Seconds(), err)
+	}
+	compute := iterations * lo
+	if solve := out.Crossover.SolveNS; solve < compute || solve-compute > iterations*int64(Second) {
+		t.Errorf("solve %d ns, want %d ns of compute plus under a second per iteration", solve, compute)
 	}
 }
 
@@ -279,10 +312,11 @@ func TestSpecRunMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunTableIContext(context.Background(), RunSpec{Seed: 2013}, TableIParams{Victims: 10, MaxInjections: 50})
+	directOut, _, err := runBlock(context.Background(), RunSpec{Seed: 2013}, &TableIParams{Victims: 10, MaxInjections: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := directOut.TableI
 	if out.TableI == nil {
 		t.Fatal("outcome has no table1 block")
 	}
@@ -350,7 +384,7 @@ func TestRunSpecProgressEvents(t *testing.T) {
 		Pool:       2,
 		OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
 	}
-	if _, err := RunTableIContext(context.Background(), rs, TableIParams{Victims: 5, MaxInjections: 50}); err != nil {
+	if _, _, err := runBlock(context.Background(), rs, &TableIParams{Victims: 5, MaxInjections: 50}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) < 10 { // 5 victims × (started + completed)
@@ -422,7 +456,7 @@ func TestShortRunsDeriveValidIntervals(t *testing.T) {
 
 	// A trial that dies of anything but the expected abort is an error of
 	// the study, not an observation to skip.
-	_, err = RunFirstImpressionsContext(context.Background(), RunSpec{Ranks: 8},
+	_, _, err = runFirstImpressions(context.Background(), RunSpec{Ranks: 8},
 		FirstImpressionsParams{Iterations: 4, Interval: -1, Trials: 2})
 	var runErr *RunError
 	if !errors.As(err, &runErr) {

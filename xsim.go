@@ -169,9 +169,6 @@ type Config struct {
 	// Collectives selects linear (default, as in the paper) or
 	// binomial-tree collective algorithms.
 	Collectives mpi.CollectiveAlgo
-	// NotifyDelay overrides the simulator-internal notification latency
-	// (default: the system link latency).
-	NotifyDelay Duration
 	// Logf, when set, receives the simulator's informational messages
 	// (failure injections, aborts, shutdown statistics).
 	Logf func(format string, args ...any)
@@ -307,13 +304,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	lookahead := Duration(0)
 	if cfg.Workers > 1 {
-		lookahead = cfg.Net.System.Latency
-		if cfg.Net.OnNode.Latency < lookahead {
-			lookahead = cfg.Net.OnNode.Latency
-		}
-		if cfg.NotifyDelay > 0 && cfg.NotifyDelay < lookahead {
-			lookahead = cfg.NotifyDelay
-		}
+		lookahead = min(cfg.Net.System.Latency, cfg.Net.OnNode.Latency)
 		if lookahead <= 0 {
 			return nil, fmt.Errorf("xsim: Workers > 1 requires positive network latencies for conservative synchronisation")
 		}
@@ -332,7 +323,6 @@ func New(cfg Config) (*Sim, error) {
 	wcfg := mpi.WorldConfig{
 		Net:          cfg.Net,
 		Proc:         cfg.Proc,
-		NotifyDelay:  cfg.NotifyDelay,
 		CallOverhead: cfg.CallOverhead,
 		Collectives:  cfg.Collectives,
 		FSStore:      cfg.Store,
