@@ -30,6 +30,10 @@
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
 #                     must stay at 0 allocs/op — Validate must cost nothing
 #                     when off)
+#                     and BenchmarkRecord allocation gate (a trace event
+#                     recorded into a full shard ring overwrites in place:
+#                     0 allocs/op on the path every traced run takes once
+#                     the bounded buffer has wrapped)
 #   8b. BenchmarkPingPong and BenchmarkAllreduce allocation gates (the MPI
 #                     data plane recycles envelopes/requests/payload
 #                     buffers, point-to-point and through the collective
@@ -142,6 +146,12 @@ bench_gate() {
 
 echo "== BenchmarkHandoff allocation gate"
 bench_gate ./internal/core/ '^BenchmarkHandoff$' allocs/op 0 1 1000x
+
+echo "== BenchmarkRecord allocation gate"
+# 100000 records run far past the shard's 4,096-event ring, so the
+# overwrite path dominates; at 1000x the ring never fills and only the
+# appends are measured.
+bench_gate ./internal/trace/ '^BenchmarkRecord$' allocs/op 0 1 100000x
 
 echo "== BenchmarkPingPong allocation gate"
 # Pre-pooling the round-trip cost 20 (eager) / 26 (rendezvous) allocs/op;

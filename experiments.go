@@ -755,8 +755,8 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 	compute := Seconds(p.ComputeSeconds)
 	ckptCost, restartCost := Seconds(p.CheckpointSeconds), Seconds(p.RestartSeconds)
 
-	stencil := func(degree, interval int) ReplicatedStencilConfig {
-		return ReplicatedStencilConfig{
+	stencil := func(degree, interval int) replicatedStencil {
+		return replicatedStencil{
 			Degree:              degree,
 			Iterations:          p.Iterations,
 			ComputePerIteration: compute,
@@ -775,7 +775,7 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 	e1, err := Campaign{
 		Base:    rs.baseConfig(),
 		MaxRuns: 1,
-		AppFor:  func(int) App { return RunReplicatedStencil(stencil(1, 0)) },
+		AppFor:  func(int) App { return runReplicatedStencil(stencil(1, 0)) },
 	}.RunContext(ctx)
 	stats.absorbCampaign(e1)
 	if err != nil {
@@ -835,7 +835,7 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 				},
 				Replicas:         degree,
 				CheckpointPrefix: sc.Prefix,
-				AppFor:           func(int) App { return RunReplicatedStencil(sc) },
+				AppFor:           func(int) App { return runReplicatedStencil(sc) },
 			},
 		})
 		rows = append(rows, WireCrossoverRow{

@@ -5,48 +5,19 @@ import (
 	"xsim/internal/fsmodel"
 	"xsim/internal/powermodel"
 	"xsim/internal/redundancy"
-	"xsim/internal/reliability"
 	"xsim/internal/softerror"
 	"xsim/internal/trace"
 	"xsim/internal/ulfm"
 )
 
 // TraceBuffer records simulator events for timeline analysis; attach one
-// via Config.Trace and read it after the run (Events, OfRank, Counts,
-// WriteCSV).
+// via Config.Trace and read it after the run (Events, WriteCSV,
+// WriteChromeTrace, WriteSummary).
 type TraceBuffer = trace.Buffer
-
-// TraceComplete is the completed-operation trace event kind, re-exported
-// for OfKind queries.
-const TraceComplete = trace.KindComplete
 
 // NewTrace returns a trace buffer retaining at most max events (<= 0 for
 // unbounded).
 func NewTrace(max int) *TraceBuffer { return trace.New(max) }
-
-// ReliabilitySystem is a component-based system reliability model: nodes
-// composed of components with exponential/Weibull/lognormal time-to-
-// failure distributions. Its CampaignSource method plugs into
-// Campaign.DrawFailures, replacing the paper's worst-case uniform draw
-// with model-driven failures.
-type ReliabilitySystem = reliability.System
-
-// ReliabilityNode is one node's component composition.
-type ReliabilityNode = reliability.Node
-
-// ReliabilityComponent is one component and its failure distribution.
-type ReliabilityComponent = reliability.Component
-
-// Failure distributions for reliability components.
-type (
-	// Exponential is the constant-hazard distribution.
-	Exponential = reliability.Exponential
-	// Weibull covers infant mortality (shape < 1) and wear-out
-	// (shape > 1).
-	Weibull = reliability.Weibull
-	// LogNormal is the lognormal time-to-failure distribution.
-	LogNormal = reliability.LogNormal
-)
 
 // SDCError reports a detected silent data corruption in a redundant
 // communicator.
@@ -63,14 +34,6 @@ type SDCError = redundancy.SDCError
 func WrapReplicated(env *Env, degree int) (*redundancy.Comm, error) {
 	return redundancy.WrapN(env, degree)
 }
-
-// ReplicaFailedError reports that an operation found no live replica of a
-// logical rank — the replica group is exhausted and failover is impossible.
-type ReplicaFailedError = redundancy.ReplicaFailedError
-
-// TagRangeError reports a negative message tag, AnyTag included, given to
-// a replicated communicator: its vote compares copies of one message.
-type TagRangeError = redundancy.TagRangeError
 
 // PowerModel is the per-node power model (compute/idle/overhead watts).
 type PowerModel = powermodel.Model
@@ -96,9 +59,6 @@ func RunWithRecovery(c *Comm, maxAttempts int, work ulfm.Work) (*Comm, error) {
 // IsProcFailed reports whether err is (or wraps) a detected process
 // failure.
 func IsProcFailed(err error) (*ProcFailedError, bool) { return ulfm.IsProcFailed(err) }
-
-// IsRevoked reports whether err is (or wraps) a communicator revocation.
-func IsRevoked(err error) bool { return ulfm.IsRevoked(err) }
 
 // FlipFloat64 flips one bit of a float64 in place — the soft-error
 // injection building block for studying silent data corruption in

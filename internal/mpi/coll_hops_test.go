@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"xsim/internal/core"
 	"xsim/internal/trace"
 	"xsim/internal/vclock"
 )
@@ -184,7 +185,7 @@ func TestCollectiveHopsMatchGolden(t *testing.T) {
 						// An odd call overhead makes every per-fan charge
 						// (and a missing or doubled one) visible in the
 						// clocks.
-						opt := func(c *WorldConfig) {
+						opt := func(_ *core.Config, c *WorldConfig) {
 							c.Collectives = algo
 							c.Tracer = buf
 							c.CallOverhead = 3 * vclock.Microsecond

@@ -190,17 +190,9 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	return out, err
 }
 
-// encodeF64s encodes floats little-endian.
-func encodeF64s(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// encodeF64sPool is encodeF64s into a pooled buffer; the caller owns it
-// (transfer it with an owned send or release it with putBuf).
+// encodeF64sPool encodes floats little-endian into a pooled buffer; the
+// caller owns it (transfer it with an owned send or release it with
+// putBuf).
 func encodeF64sPool(dp *dpPool, vals []float64) []byte {
 	buf := dp.getBuf(8 * len(vals))
 	for i, v := range vals {
@@ -243,24 +235,9 @@ func decodeF64s(buf []byte, n int) ([]float64, error) {
 	return out, nil
 }
 
-// frame length-prefixes a slice of byte slices into one buffer.
-func frame(parts [][]byte) []byte {
-	total := 4
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	buf := make([]byte, 0, total)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(parts)))
-	for _, p := range parts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// framePool is frame into a pooled buffer; the caller owns it. The appends
-// stay within the buffer's capacity, so the pooled backing array survives
-// for a later putBuf.
+// framePool length-prefixes a slice of byte slices into one pooled
+// buffer; the caller owns it. The appends stay within the buffer's
+// capacity, so the pooled backing array survives for a later putBuf.
 func framePool(dp *dpPool, parts [][]byte) []byte {
 	total := 4
 	for _, p := range parts {
@@ -275,7 +252,7 @@ func framePool(dp *dpPool, parts [][]byte) []byte {
 	return buf
 }
 
-// unframe reverses frame.
+// unframe reverses framePool.
 func unframe(buf []byte) ([][]byte, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("mpi: framed buffer too short")

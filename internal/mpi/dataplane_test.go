@@ -13,11 +13,11 @@ import (
 // tests can schedule failures up front and read pool metrics after Run.
 func newWorldT(t *testing.T, n, workers int, failures map[int]vclock.Time) (*core.Engine, *World) {
 	t.Helper()
-	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond})
+	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(eng, WorldConfig{Net: testNet(n), Proc: procmodel.Paper(), Validate: true})
+	w, err := NewWorld(eng, WorldConfig{Net: testNet(n), Proc: procmodel.Paper()})
 	if err != nil {
 		t.Fatal(err)
 	}

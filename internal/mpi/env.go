@@ -55,23 +55,8 @@ type WorldConfig struct {
 	FSHierarchy fsmodel.Hierarchy
 	// Tracer, when set, receives one typed event per MPI operation
 	// (sends, receive posts, completions, failures, detections, aborts)
-	// for timeline analysis. It must be safe for concurrent use
-	// (partitions record in parallel).
-	Tracer Tracer
-	// Validate compiles the MPI layer's internal invariant checks into
-	// the run: posted-receive index consistency, unexpected-queue
-	// conservation, and a pending-request sweep at Finalize. It is forced
-	// on when the engine itself was built with Validate. Violations panic
-	// with a *check.Violation naming the rank, operation and virtual
-	// time.
-	Validate bool
-}
-
-// Tracer receives typed simulator events; internal/trace.Buffer implements
-// it. Events carry fixed fields only — no strings are formatted on the
-// record path.
-type Tracer interface {
-	Record(ev trace.Event)
+	// for timeline analysis. Partitions record into it in parallel.
+	Tracer *trace.Buffer
 }
 
 // trace records an event if tracing is enabled.
@@ -86,7 +71,13 @@ func (w *World) trace(ev trace.Event) {
 type World struct {
 	cfg WorldConfig
 	eng *core.Engine
-	m   metrics
+	// validate compiles the MPI layer's internal invariant checks into
+	// the run: posted-receive index consistency, unexpected-queue
+	// conservation, and a pending-request sweep at Finalize. It follows
+	// the engine's Validate switch. Violations panic with a
+	// *check.Violation naming the rank, operation and virtual time.
+	validate bool
+	m        metrics
 	// pools holds one data-plane pool per engine partition; a pool is
 	// only touched by its partition's execution context (see pool.go).
 	pools []*dpPool
@@ -128,16 +119,13 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("mpi: topology has %d nodes for %d ranks (one rank per node)",
 			cfg.Net.Topo.Nodes(), eng.NumVPs())
 	}
-	if eng.ValidateEnabled() {
-		cfg.Validate = true
-	}
 	if eng.Workers() > 1 {
 		la := eng.Lookahead()
 		if minDelay := min(cfg.Net.System.Latency, cfg.Net.OnNode.Latency); la > minDelay {
 			return nil, fmt.Errorf("mpi: engine lookahead %v exceeds minimum event delay %v", la, minDelay)
 		}
 	}
-	w := &World{cfg: cfg, eng: eng}
+	w := &World{cfg: cfg, eng: eng, validate: eng.ValidateEnabled()}
 	w.m.init(eng.NumVPs())
 	w.pools = make([]*dpPool, eng.Workers())
 	for i := range w.pools {
@@ -426,7 +414,7 @@ func (e *Env) Sleep(d vclock.Duration) {
 // requests, no posted receives, no outstanding probes, and an unexpected
 // queue consistent with its depth gauge.
 func (e *Env) Finalize() {
-	if e.w.cfg.Validate && !e.finalized {
+	if e.w.validate && !e.finalized {
 		e.ps.checkFinalize()
 	}
 	if !e.finalized {

@@ -8,12 +8,15 @@ import (
 
 // FuzzUnframe exercises the collective payload deframer with arbitrary
 // bytes: it must never panic or over-allocate, and anything it accepts
-// must survive a frame/unframe round trip unchanged.
+// must survive a framePool/unframe round trip unchanged. The frames come
+// from one pool and go back to it, so later inputs are framed into
+// recycled buffers that still hold earlier bytes.
 func FuzzUnframe(f *testing.F) {
+	dp := new(dpPool)
 	f.Add([]byte{})
-	f.Add(frame(nil))
-	f.Add(frame([][]byte{nil}))
-	f.Add(frame([][]byte{[]byte("a"), {}, []byte("bcd")}))
+	f.Add(framePool(dp, nil))
+	f.Add(framePool(dp, [][]byte{nil}))
+	f.Add(framePool(dp, [][]byte{[]byte("a"), {}, []byte("bcd")}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                   // hostile part count
 	f.Add([]byte{2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0}) // hostile part length
 	f.Add([]byte{1, 0, 0, 0})                               // count without part
@@ -22,7 +25,9 @@ func FuzzUnframe(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := unframe(frame(parts))
+		buf := framePool(dp, parts)
+		defer dp.putBuf(buf)
+		again, err := unframe(buf)
 		if err != nil {
 			t.Fatalf("re-framed buffer rejected: %v", err)
 		}
@@ -38,11 +43,13 @@ func FuzzUnframe(f *testing.F) {
 }
 
 // FuzzDecodeF64s exercises the reduction payload decoder: it must accept
-// exactly the buffers encodeF64s produces and reproduce them bitwise.
+// exactly the buffers encodeF64sPool produces and reproduce them bitwise.
+// Encodings go back to one pool, so later ones land in recycled buffers.
 func FuzzDecodeF64s(f *testing.F) {
+	dp := new(dpPool)
 	f.Add([]byte{}, 0)
-	f.Add(encodeF64s([]float64{1.5, -2.25}), 2)
-	f.Add(encodeF64s([]float64{0}), 2) // length mismatch
+	f.Add(encodeF64sPool(dp, []float64{1.5, -2.25}), 2)
+	f.Add(encodeF64sPool(dp, []float64{0}), 2) // length mismatch
 	f.Add([]byte{1, 2, 3}, 1)
 	f.Add([]byte{}, -1)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
@@ -53,7 +60,9 @@ func FuzzDecodeF64s(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeF64s(vals), data) {
+		buf := encodeF64sPool(dp, vals)
+		defer dp.putBuf(buf)
+		if !bytes.Equal(buf, data) {
 			t.Fatalf("encode/decode round trip changed %d-float payload", n)
 		}
 	})
@@ -61,7 +70,7 @@ func FuzzDecodeF64s(f *testing.F) {
 
 // sanity check used by the fuzz seeds above.
 func TestFrameLayout(t *testing.T) {
-	buf := frame([][]byte{[]byte("xy")})
+	buf := framePool(new(dpPool), [][]byte{[]byte("xy")})
 	if binary.LittleEndian.Uint32(buf) != 1 {
 		t.Fatalf("frame header = %v", buf)
 	}

@@ -75,7 +75,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 		if box != nil {
 			ps.dp.envs.put(box)
 		}
-		if w.cfg.Validate {
+		if w.validate {
 			ps.checkIndexes("envelope-match")
 		}
 		wakeIfWaiting(s, ps, ws, req.completeAt)
@@ -87,7 +87,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	}
 	env.envHeader = h
 	ps.addUnexpected(env)
-	if w.cfg.Validate {
+	if w.validate {
 		ps.checkIndexes("envelope-unexpected")
 	}
 	// A blocked probe matching this envelope wakes to inspect it.
@@ -145,7 +145,7 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	}
 	s.EmitFor(sender, delivery)
 	ws := completeRequest(ps, req, start.Add(net.SendOverhead(src, dst, req.size)), nil)
-	if w.cfg.Validate {
+	if w.validate {
 		ps.checkIndexes("cts")
 	}
 	wakeIfWaiting(s, ps, ws, req.completeAt)
@@ -181,7 +181,7 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		req.coldRec(ps.dp).data = data
 	}
 	ws := completeRequest(ps, req, at, nil)
-	if w.cfg.Validate {
+	if w.validate {
 		ps.checkIndexes("data")
 	}
 	wakeIfWaiting(s, ps, ws, req.completeAt)
@@ -204,7 +204,7 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})
 	w.trace(trace.Event{At: ev.Time, Kind: trace.KindDetect, Rank: int32(ev.Target), Peer: int32(peer), Aux: int64(failedAt)})
 	w.m.recordDetection(ev.Target, peer, ev.Time)
-	if w.cfg.Validate {
+	if w.validate {
 		ps.checkIndexes("timeout")
 	}
 	wakeIfWaiting(s, ps, ws, req.completeAt)

@@ -386,7 +386,7 @@ func TestCollectiveRootOutOfRange(t *testing.T) {
 	} {
 		for _, root := range []int{-1, n} {
 			for _, mode := range []string{"closure", "prog"} {
-				for _, opt := range []worldOpt{func(*WorldConfig) {}, withTree()} {
+				for _, opt := range []worldOpt{func(*core.Config, *WorldConfig) {}, withTree()} {
 					errs := make([]error, n)
 					var res *core.Result
 					var err error
@@ -474,7 +474,7 @@ func TestFailedCollectiveLeavesScratchEmpty(t *testing.T) {
 // pooled payload it arrived in goes back to the pool first. It used to
 // stay checked out for the life of the partition.
 func TestReduceLengthMismatchReleasesMessage(t *testing.T) {
-	for _, opt := range []worldOpt{func(*WorldConfig) {}, withTree()} {
+	for _, opt := range []worldOpt{func(*core.Config, *WorldConfig) {}, withTree()} {
 		checked := false
 		runWorld(t, 2, 1, func(e *Env) {
 			c := e.World()

@@ -32,9 +32,10 @@ func testNet(n int) *netmodel.Model {
 	}
 }
 
-type worldOpt func(*WorldConfig)
+// worldOpt adjusts the engine and world configurations of a test world.
+type worldOpt func(*core.Config, *WorldConfig)
 
-func withTree() worldOpt { return func(c *WorldConfig) { c.Collectives = Tree } }
+func withTree() worldOpt { return func(_ *core.Config, c *WorldConfig) { c.Collectives = Tree } }
 
 // runWorld builds an engine+world over n ranks and runs app; the app need
 // not call Finalize (the harness appends it).
@@ -51,13 +52,14 @@ func runWorld(t *testing.T, n, workers int, app func(*Env), opts ...worldOpt) *c
 // the failures map (rank -> time).
 func runWorldErr(t *testing.T, n, workers int, failures map[int]vclock.Time, app func(*Env), opts ...worldOpt) (*core.Result, error) {
 	t.Helper()
-	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ecfg := core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond}
 	cfg := WorldConfig{Net: testNet(n), Proc: procmodel.Paper()}
 	for _, o := range opts {
-		o(&cfg)
+		o(&ecfg, &cfg)
+	}
+	eng, err := core.New(ecfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	w, err := NewWorld(eng, cfg)
 	if err != nil {

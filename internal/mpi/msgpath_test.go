@@ -336,7 +336,7 @@ func TestDroppedMessagesReturnTheirBuffers(t *testing.T) {
 func TestUnreadReceiveCreatesNoMessage(t *testing.T) {
 	for _, size := range []int{64, 4096} { // testNet's eager threshold is 1 KiB
 		_, w := newWorldT(t, 1, 1, nil)
-		w.cfg.Validate = false // the sweeps format their keys
+		w.validate = false // the sweeps format their keys
 		const runs = 200
 		var allocs float64
 		var gets uint64

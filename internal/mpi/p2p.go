@@ -648,13 +648,13 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	if env := e.ps.takeUnexpected(req); env != nil {
 		matchEnvelope(e.w, e.ps, req, &env.envHeader, vpEmitter(e.ctx))
 		e.ps.dp.envs.put(env)
-		if e.w.cfg.Validate {
+		if e.w.validate {
 			e.ps.checkIndexes("irecv-match")
 		}
 		return req
 	}
 	e.ps.addPosted(req)
-	if e.w.cfg.Validate {
+	if e.w.validate {
 		e.ps.checkIndexes("irecv-post")
 	}
 	return req

@@ -12,13 +12,14 @@ import (
 // runProgWorldErr mirrors runWorldErr for program mode.
 func runProgWorldErr(t *testing.T, n, workers int, failures map[int]vclock.Time, newProg func(rank int) Prog, opts ...worldOpt) (*core.Result, error) {
 	t.Helper()
-	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ecfg := core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond}
 	cfg := WorldConfig{Net: testNet(n), Proc: procmodel.Paper()}
 	for _, o := range opts {
-		o(&cfg)
+		o(&ecfg, &cfg)
+	}
+	eng, err := core.New(ecfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	w, err := NewWorld(eng, cfg)
 	if err != nil {

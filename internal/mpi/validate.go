@@ -1,12 +1,12 @@
 package mpi
 
 // Validate-mode invariant checks for the MPI matching state, compiled in
-// behind WorldConfig.Validate. Each mutation of the posted-receive index
-// or the unexpected queue is followed by a full consistency sweep; a
-// clean Finalize additionally runs the conservation sweep (no pending
-// requests, no posted receives, no outstanding probes). Violations panic
-// with a *check.Violation; in VP context the engine surfaces it as the
-// run's error with the diagnostic dump.
+// behind the engine's Validate switch. Each mutation of the
+// posted-receive index or the unexpected queue is followed by a full
+// consistency sweep; a clean Finalize additionally runs the conservation
+// sweep (no pending requests, no posted receives, no outstanding probes).
+// Violations panic with a *check.Violation; in VP context the engine
+// surfaces it as the run's error with the diagnostic dump.
 
 import (
 	"fmt"

@@ -3,9 +3,11 @@ package mpi
 import (
 	"strings"
 	"testing"
+
+	"xsim/internal/core"
 )
 
-func withValidate() worldOpt { return func(c *WorldConfig) { c.Validate = true } }
+func withValidate() worldOpt { return func(c *core.Config, _ *WorldConfig) { c.Validate = true } }
 
 // Finalize with a receive still pending is an application protocol bug;
 // under Validate it fails the run with a dump naming the leaked request.

@@ -23,11 +23,9 @@ var ErrQueueClosed = errors.New("service: queue closed")
 
 // QueueConfig parameterises the fair queue.
 type QueueConfig struct {
-	// DefaultWeight is a tenant's round-robin weight when Weights has no
-	// entry (default 1). A tenant with weight w is granted w consecutive
+	// Weights sets per-tenant round-robin weights; a tenant without an
+	// entry has weight 1. A tenant with weight w is granted w consecutive
 	// pops per cycle while it has work.
-	DefaultWeight int
-	// Weights overrides per-tenant weights.
 	Weights map[string]int
 	// DefaultQuota caps a tenant's unfinished jobs — queued plus running
 	// — when Quotas has no entry (0 = unlimited).
@@ -66,9 +64,6 @@ type queue struct {
 
 // newQueue builds an empty queue.
 func newQueue(cfg QueueConfig) *queue {
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
-	}
 	q := &queue{cfg: cfg, tenants: make(map[string]*tenantQueue)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -79,7 +74,7 @@ func (q *queue) weight(tenant string) int {
 	if w, ok := q.cfg.Weights[tenant]; ok && w > 0 {
 		return w
 	}
-	return q.cfg.DefaultWeight
+	return 1
 }
 
 // quota returns a tenant's configured quota (0 = unlimited).

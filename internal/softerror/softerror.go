@@ -144,8 +144,6 @@ type CampaignConfig struct {
 	MaxInjections int
 	// Seed makes the campaign deterministic.
 	Seed int64
-	// Model is the victim model (DefaultVictim when zero).
-	Model VictimModel
 	// Pool caps the number of victims injected concurrently (0 = one per
 	// processor); each victim's random sequence depends only on Seed and
 	// its index, so the result is identical at any pool size.
@@ -196,13 +194,7 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 	if cfg.MaxInjections <= 0 {
 		return nil, fmt.Errorf("softerror: MaxInjections must be positive")
 	}
-	model := cfg.Model
-	if len(model.Regions) == 0 {
-		model = DefaultVictim()
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
+	model := DefaultVictim()
 
 	tasks := make([]runner.Task[victimOutcome], cfg.Victims)
 	for i := 0; i < cfg.Victims; i++ {

@@ -116,25 +116,49 @@ func TestCampaignConfigErrors(t *testing.T) {
 		t.Error("zero cap should fail")
 	}
 	bad := VictimModel{Regions: []Region{{Name: "x", Bytes: -1}}}
-	if _, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 10, MaxInjections: 10, Model: bad}); err == nil {
+	if bad.Validate() == nil {
 		t.Error("bad model should fail")
 	}
 }
 
+// injectionsToFailure injects into one victim of model m until it dies or
+// max injections, returning the count.
+func injectionsToFailure(m VictimModel, seed int64, max int) int {
+	v := NewVictim(m, rand.New(rand.NewSource(seed)))
+	n := 0
+	for n < max && !v.Dead() {
+		n++
+		v.Inject()
+	}
+	return n
+}
+
 func TestCampaignCapRespected(t *testing.T) {
-	// An insensitive victim survives; counts are capped.
+	// An insensitive victim survives every injection.
 	m := VictimModel{Regions: []Region{{Name: "cold", Bytes: 1024, Sensitivity: 0}}}
-	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 5, MaxInjections: 37, Seed: 1, Model: m})
+	if n := injectionsToFailure(m, 1, 37); n != 37 {
+		t.Fatalf("insensitive victim took %d injections, want 37", n)
+	}
+	// The campaign caps every victim's count, and a survivor records the
+	// cap.
+	res, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 20, MaxInjections: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Survived != 5 {
-		t.Fatalf("survived = %d", res.Survived)
+	if res.Survived == 0 {
+		t.Fatal("no victim survived 3 injections")
 	}
+	capped := 0
 	for _, n := range res.ToFailure {
-		if n != 37 {
-			t.Fatalf("capped count = %d, want 37", n)
+		if n > 3 {
+			t.Fatalf("count %d exceeds the cap of 3", n)
 		}
+		if n == 3 {
+			capped++
+		}
+	}
+	if capped < res.Survived {
+		t.Fatalf("%d victims survived but only %d recorded the cap", res.Survived, capped)
 	}
 }
 
@@ -244,15 +268,14 @@ func TestQuickCampaignMeanTracksProbability(t *testing.T) {
 	// average.
 	low := VictimModel{Regions: []Region{{Name: "m", Bytes: 1024, Sensitivity: 0.02}}}
 	high := VictimModel{Regions: []Region{{Name: "m", Bytes: 1024, Sensitivity: 0.2}}}
-	a, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: low})
-	if err != nil {
-		t.Fatal(err)
+	mean := func(m VictimModel) float64 {
+		sum := 0
+		for i := int64(0); i < 300; i++ {
+			sum += injectionsToFailure(m, 5+i, 1000)
+		}
+		return float64(sum) / 300
 	}
-	b, err := RunCampaignContext(context.Background(), CampaignConfig{Victims: 300, MaxInjections: 1000, Seed: 5, Model: high})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Summary.Mean <= b.Summary.Mean {
-		t.Fatalf("mean(low)=%v should exceed mean(high)=%v", a.Summary.Mean, b.Summary.Mean)
+	if a, b := mean(low), mean(high); a <= b {
+		t.Fatalf("mean(low)=%v should exceed mean(high)=%v", a, b)
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,8 +10,8 @@ import (
 )
 
 // legacyBuffer replicates the pre-sharding tracer — one global mutex, one
-// string-formatted record per event, full re-copy + re-sort per query — so
-// the benchmarks document what the rewrite bought.
+// string-formatted record per event — so the benchmarks document what the
+// rewrite bought.
 type legacyBuffer struct {
 	mu     sync.Mutex
 	events []legacyEvent
@@ -36,29 +35,6 @@ func (b *legacyBuffer) Record(rank int, at vclock.Time, kind, detail string) {
 	}
 	b.events = append(b.events, legacyEvent{Rank: rank, At: at, Kind: kind, Detail: detail})
 	b.mu.Unlock()
-}
-
-func (b *legacyBuffer) Events() []legacyEvent {
-	b.mu.Lock()
-	out := append([]legacyEvent(nil), b.events...)
-	b.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
-}
-
-func (b *legacyBuffer) OfKind(kind string) []legacyEvent {
-	var out []legacyEvent
-	for _, ev := range b.Events() {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // BenchmarkRecord measures one goroutine recording typed events into a
@@ -124,45 +100,4 @@ func BenchmarkRecordLegacyParallel4(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// BenchmarkOfKind measures repeated filtered queries against a populated
-// buffer. The snapshot is sorted once per buffer version, so each query is
-// a linear filter.
-func BenchmarkOfKind(b *testing.B) {
-	buf := New(0)
-	for i := 0; i < 1<<14; i++ {
-		k := KindSend
-		if i%3 == 0 {
-			k = KindRecvPost
-		}
-		buf.Record(Event{Rank: int32(i % 16), At: vclock.Time(i), Kind: k})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(buf.OfKind(KindSend)) == 0 {
-			b.Fatal("no events")
-		}
-	}
-}
-
-// BenchmarkOfKindLegacy re-copies and re-sorts the whole buffer per query,
-// as OfKind did before the fix.
-func BenchmarkOfKindLegacy(b *testing.B) {
-	buf := newLegacy(0)
-	for i := 0; i < 1<<14; i++ {
-		k := "send"
-		if i%3 == 0 {
-			k = "recv-post"
-		}
-		buf.Record(i%16, vclock.Time(i), k, "")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(buf.OfKind("send")) == 0 {
-			b.Fatal("no events")
-		}
-	}
 }

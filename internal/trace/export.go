@@ -60,7 +60,7 @@ func (b *Buffer) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"time_s", "rank", "kind", "peer", "tag", "size", "detail"}); err != nil {
 		return err
 	}
-	evs := b.snapshot()
+	evs := b.Events()
 	row := make([]string, 7)
 	for i := range evs {
 		ev := &evs[i]
@@ -112,7 +112,7 @@ type chromeEvent struct {
 // Load the file in Perfetto (ui.perfetto.dev) or chrome://tracing. A
 // trailing process-scoped "dropped" instant marks truncated timelines.
 func (b *Buffer) WriteChromeTrace(w io.Writer) error {
-	evs := b.snapshot()
+	evs := b.Events()
 	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}
@@ -236,7 +236,7 @@ type Summary struct {
 func (b *Buffer) Summarize() Summary {
 	byRank := make(map[int32]*RankSummary)
 	var order []int32
-	evs := b.snapshot()
+	evs := b.Events()
 	for i := range evs {
 		ev := &evs[i]
 		rs := byRank[ev.Rank]

@@ -50,7 +50,6 @@ const (
 	KindDetect
 	// KindAbort is a simulated MPI abort (Aux = exit code).
 	KindAbort
-	numKinds
 )
 
 // String names the kind as used in exports.
@@ -126,9 +125,9 @@ type shard struct {
 	max     int     // capacity bound; 0 = unbounded
 	seq     uint64
 	dropped uint64
-	counts  [numKinds]uint64
-	// Pad shards apart so neighbouring locks don't false-share.
-	_ [24]byte
+	// Pad shards to two cache lines so neighbouring locks don't
+	// false-share.
+	_ [64]byte
 }
 
 // Buffer is a bounded, thread-safe event recorder. The zero value is not
@@ -136,15 +135,6 @@ type shard struct {
 type Buffer struct {
 	shards []shard
 	mask   uint32
-
-	// Export-side cache: the merged time-ordered snapshot is built once
-	// per buffer version (sum of shard sequence numbers), so repeated
-	// queries (OfKind, OfRank, exporters) sort only when new events
-	// arrived since the last merge.
-	cacheMu  sync.Mutex
-	cache    []Event
-	cacheVer uint64
-	cached   bool
 
 	// Counter tracks (RecordCounter): sampled gauges exported as Chrome
 	// trace counter events. Low volume, so one lock suffices.
@@ -213,9 +203,6 @@ func (b *Buffer) Record(ev Event) {
 	s.mu.Lock()
 	s.seq++
 	ev.Seq = s.seq
-	if ev.Kind < numKinds {
-		s.counts[ev.Kind]++
-	}
 	if s.max > 0 && len(s.events) == s.max {
 		s.events[s.start] = ev
 		s.start++
@@ -270,34 +257,14 @@ func (b *Buffer) Dropped() int {
 	return int(n)
 }
 
-// version sums the shard sequence numbers — it changes iff any event was
-// recorded since the last observation.
-func (b *Buffer) version() uint64 {
-	var v uint64
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		v += s.seq
-		s.mu.Unlock()
-	}
-	return v
-}
-
-// snapshot returns the merged events ordered by (virtual time, rank,
-// arrival sequence), building the sorted merge at most once per buffer
-// version. Callers must treat the returned slice as read-only.
-func (b *Buffer) snapshot() []Event {
-	b.cacheMu.Lock()
-	defer b.cacheMu.Unlock()
-	if b.cached && b.version() == b.cacheVer {
-		return b.cache
-	}
-	var ver uint64
+// Events returns the retained events merged across shards and ordered by
+// (virtual time, rank, arrival sequence). It is the one read of the
+// timeline: every exporter renders from it.
+func (b *Buffer) Events() []Event {
 	var out []Event
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		ver += s.seq
 		out = append(out, s.events[s.start:]...)
 		out = append(out, s.events[:s.start]...)
 		s.mu.Unlock()
@@ -311,53 +278,5 @@ func (b *Buffer) snapshot() []Event {
 		}
 		return out[i].Seq < out[j].Seq
 	})
-	b.cache, b.cacheVer, b.cached = out, ver, true
-	return out
-}
-
-// Events returns a copy of the retained events ordered by (virtual time,
-// rank, arrival sequence).
-func (b *Buffer) Events() []Event {
-	return append([]Event(nil), b.snapshot()...)
-}
-
-// OfKind returns the retained events of one kind, time-ordered. The
-// underlying snapshot is sorted once per buffer version and filtered per
-// query, so repeated queries cost O(n), not O(n log n).
-func (b *Buffer) OfKind(kind Kind) []Event {
-	var out []Event
-	for _, ev := range b.snapshot() {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// OfRank returns the retained events of one rank, time-ordered.
-func (b *Buffer) OfRank(rank int) []Event {
-	var out []Event
-	for _, ev := range b.snapshot() {
-		if ev.Rank == int32(rank) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Counts histograms all recorded events (including ones later overwritten
-// by the ring bound) by kind name.
-func (b *Buffer) Counts() map[string]int {
-	out := make(map[string]int)
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		for k, c := range s.counts {
-			if c > 0 {
-				out[Kind(k).String()] += int(c)
-			}
-		}
-		s.mu.Unlock()
-	}
 	return out
 }

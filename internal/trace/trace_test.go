@@ -54,10 +54,6 @@ func TestRingBound(t *testing.T) {
 	if evs[0].At != 3 || evs[1].At != 4 {
 		t.Fatalf("ring should retain the newest events: %+v", evs)
 	}
-	// Counts cover everything recorded, including overwritten events.
-	if got := b.Counts()["user"]; got != 5 {
-		t.Fatalf("counts = %d, want 5", got)
-	}
 }
 
 // TestDropMarkerAtMaxOne is the satellite regression: with max=1 every
@@ -100,23 +96,6 @@ func TestDropMarkerAtMaxOne(t *testing.T) {
 	}
 	if s := b.Summarize(); s.Dropped != 1 {
 		t.Fatalf("Summarize().Dropped = %d", s.Dropped)
-	}
-}
-
-func TestFiltersAndCounts(t *testing.T) {
-	b := New(0)
-	b.Record(Event{Rank: 0, At: 1, Kind: KindSend})
-	b.Record(Event{Rank: 1, At: 2, Kind: KindSend})
-	b.Record(Event{Rank: 0, At: 3, Kind: KindAbort})
-	if got := b.OfKind(KindSend); len(got) != 2 {
-		t.Fatalf("OfKind = %d", len(got))
-	}
-	if got := b.OfRank(0); len(got) != 2 {
-		t.Fatalf("OfRank = %d", len(got))
-	}
-	counts := b.Counts()
-	if counts["send"] != 2 || counts["abort"] != 1 {
-		t.Fatalf("counts = %v", counts)
 	}
 }
 
@@ -300,18 +279,6 @@ func TestConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if b.Len() != 800 {
 		t.Fatalf("len = %d", b.Len())
-	}
-}
-
-func TestSnapshotCacheInvalidation(t *testing.T) {
-	b := New(0)
-	b.Record(Event{Rank: 0, At: 1, Kind: KindSend})
-	if n := len(b.Events()); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
-	b.Record(Event{Rank: 0, At: 2, Kind: KindSend})
-	if n := len(b.Events()); n != 2 {
-		t.Fatalf("cache not invalidated: len = %d", n)
 	}
 }
 

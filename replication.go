@@ -7,15 +7,16 @@ import (
 	"xsim/internal/redundancy"
 )
 
-// ReplicatedStencilConfig parameterises the replicated heat-proxy stencil:
-// a ring halo exchange whose every logical rank is backed by Degree
-// replicas through the redundancy layer's communicator, so injected
-// process failures are absorbed as long as one replica of each logical
-// rank survives. The total problem size is fixed: at degree r the world
-// splits into Ranks/r logical ranks that each carry r× the per-rank work,
-// which is what makes the replication arms comparable to the unreplicated
-// checkpoint arm in the crossover experiment.
-type ReplicatedStencilConfig struct {
+// replicatedStencil parameterises the replication crossover's
+// application, a heat-proxy stencil: a ring halo exchange whose every
+// logical rank is backed by Degree replicas through the redundancy layer's
+// communicator, so injected process failures are absorbed as long as one
+// replica of each logical rank survives. The total problem size is fixed:
+// at degree r the world splits into Ranks/r logical ranks that each carry
+// r× the per-rank work, which is what makes the replication arms
+// comparable to the unreplicated checkpoint arm. Every field but the
+// checkpoint ones must be set.
+type replicatedStencil struct {
 	// Degree is the replication degree r (1 = unreplicated baseline).
 	Degree int
 	// Iterations is the iteration count of the full solve.
@@ -43,40 +44,20 @@ type ReplicatedStencilConfig struct {
 	Prefix string
 }
 
-// defaults fills the zero fields.
-func (c *ReplicatedStencilConfig) defaults() {
-	if c.Degree == 0 {
-		c.Degree = 2
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 40
-	}
-	if c.ComputePerIteration == 0 {
-		c.ComputePerIteration = Seconds(2.5)
-	}
-	if c.HaloBytes == 0 {
-		c.HaloBytes = 1024
-	}
-	if c.Prefix == "" {
-		c.Prefix = "repl"
-	}
-}
-
 // Halo tags of the replicated stencil.
 const (
 	tagHaloRight = 0
 	tagHaloLeft  = 1
 )
 
-// RunReplicatedStencil returns the replicated stencil application: every
+// runReplicatedStencil returns the replicated stencil application: every
 // iteration computes, exchanges ring halos through an r-way replicated
 // communicator, and optionally checkpoints. A process failure is absorbed
 // by the surviving replicas of the failed logical rank; only when every
 // replica of some logical rank has died does the application abort (and a
 // Campaign with Replicas set to the degree restarts it from the latest
 // replica-covered checkpoint, with continuous virtual time).
-func RunReplicatedStencil(cfg ReplicatedStencilConfig) App {
-	cfg.defaults()
+func runReplicatedStencil(cfg replicatedStencil) App {
 	return func(env *Env) {
 		defer env.Finalize()
 		rc, err := redundancy.WrapN(env, cfg.Degree)

@@ -144,7 +144,7 @@ func TestReplicaAwareCleanupKeepsCoveredSets(t *testing.T) {
 func TestReplicatedFailoverThenRestart(t *testing.T) {
 	const ranks, degree = 8, 2
 	run := func(interval int) *CampaignResult {
-		sc := ReplicatedStencilConfig{
+		sc := replicatedStencil{
 			Degree:              degree,
 			Iterations:          10,
 			ComputePerIteration: Seconds(1),
@@ -163,7 +163,7 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 			},
 			Replicas:         degree,
 			CheckpointPrefix: sc.Prefix,
-			AppFor:           func(int) App { return RunReplicatedStencil(sc) },
+			AppFor:           func(int) App { return runReplicatedStencil(sc) },
 		}
 		res, err := camp.Run()
 		if err != nil {
@@ -195,7 +195,7 @@ func TestReplicatedStencilFailoverRun(t *testing.T) {
 	// restart and the replicated campaign accepts it while Result.Success
 	// does not.
 	const ranks, degree = 8, 2
-	sc := ReplicatedStencilConfig{
+	sc := replicatedStencil{
 		Degree:              degree,
 		Iterations:          10,
 		ComputePerIteration: Seconds(1),
@@ -211,7 +211,7 @@ func TestReplicatedStencilFailoverRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(RunReplicatedStencil(sc))
+	res, err := sim.Run(runReplicatedStencil(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	// exhausted replica group and abort rather than hang, and the
 	// replicated campaign must demand a restart.
 	const ranks, degree = 8, 2
-	sc := ReplicatedStencilConfig{
+	sc := replicatedStencil{
 		Degree:              degree,
 		Iterations:          10,
 		ComputePerIteration: Seconds(1),
@@ -248,7 +248,7 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(RunReplicatedStencil(sc))
+	res, err := sim.Run(runReplicatedStencil(sc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type Campaign struct {
 	MTTF Duration
 	// DrawFailures, when set, replaces the MTTF draw: it returns the
 	// failure schedule for each run (e.g. a component-based reliability
-	// model via ReliabilitySystem.CampaignSource).
+	// model's CampaignSource, the model `xsim-run reliability` explores).
 	DrawFailures func(run int, start Time) Schedule
 	// Seed makes the campaign's random failures repeatable.
 	Seed int64
@@ -36,7 +36,7 @@ type Campaign struct {
 	CheckpointPrefix string
 	// Replicas is the application's replication degree r (0 and 1 mean
 	// unreplicated): world rank l + k·Ranks/r is replica k of logical rank
-	// l, the layout of RunReplicatedStencil. It decides when a run is done
+	// l, the layout of runReplicatedStencil. It decides when a run is done
 	// and which checkpoint sets the between-runs cleanup keeps. A run is
 	// done when no rank aborted and every logical rank has a replica that
 	// completed, so a failed replica whose buddy survived forces no

@@ -22,6 +22,7 @@ import (
 	"math"
 	"strings"
 
+	"xsim/internal/heat"
 	"xsim/internal/procmodel"
 	"xsim/internal/runner"
 )
@@ -348,7 +349,7 @@ func (v *specChecker) nonNegative(field string, n int) {
 // cached, with the error the application itself would refuse it with.
 func (v *specChecker) heatIterations(field string, n int) {
 	v.nonNegative(field, n)
-	hc := PaperHeatWorkload()
+	hc := heat.PaperWorkload()
 	hc.Iterations = n
 	perIter := procmodel.Paper().ComputeTime(float64(hc.PointsPerRank()) * hc.PointCost)
 	if err := hc.CheckClockRange(0, perIter); err != nil {

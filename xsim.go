@@ -328,10 +328,7 @@ func New(cfg Config) (*Sim, error) {
 		FSStore:      cfg.Store,
 		FSModel:      cfg.FSModel,
 		FSHierarchy:  cfg.FSHierarchy,
-		Validate:     cfg.Validate,
-	}
-	if cfg.Trace != nil {
-		wcfg.Tracer = cfg.Trace
+		Tracer:       cfg.Trace,
 	}
 	world, err := mpi.NewWorld(eng, wcfg)
 	if err != nil {
@@ -522,11 +519,6 @@ type HeatConfig = heat.Config
 // HeatTracker records the heat application's per-rank progress and
 // phases, re-exported.
 type HeatTracker = heat.Tracker
-
-// PaperHeatWorkload returns the paper's Table II workload (512³ grid,
-// 32,768 ranks, 1,000 iterations); see HeatWorkloadFor for scaled-down
-// variants.
-func PaperHeatWorkload() HeatConfig { return heat.PaperWorkload() }
 
 // HeatWorkloadFor scales the paper's workload to n ranks, keeping 16³
 // grid points per rank so the per-rank compute and checkpoint sizes match

@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 
 	"xsim/internal/checkpoint"
+	"xsim/internal/heat"
+	"xsim/internal/reliability"
+	"xsim/internal/trace"
 )
 
 // The aggregate-bandwidth extension must degenerate exactly: a flat model
@@ -183,7 +186,7 @@ func TestHeatWorkloadFor(t *testing.T) {
 	if _, err := HeatWorkloadFor(0); err == nil {
 		t.Error("zero ranks should fail")
 	}
-	full := PaperHeatWorkload()
+	full := heat.PaperWorkload()
 	if err := full.Validate(32768); err != nil {
 		t.Fatal(err)
 	}
@@ -567,10 +570,10 @@ func TestReliabilityDrivenCampaign(t *testing.T) {
 	hc.CheckpointInterval = 20
 	// A fragile system: one component whose 8-node fleet fails every
 	// ~65 s — several failures during the ~530 s run.
-	sys := ReliabilitySystem{
+	sys := reliability.System{
 		Nodes: 8,
-		Node: ReliabilityNode{Components: []ReliabilityComponent{
-			{Name: "flaky-dimm", Dist: Exponential{MTBF: 520 * Second}},
+		Node: reliability.Node{Components: []reliability.Component{
+			{Name: "flaky-dimm", Dist: reliability.Exponential{MTBF: 520 * Second}},
 		}},
 	}
 	camp := Campaign{
@@ -621,19 +624,20 @@ func TestTraceRecordsOperations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.Counts()
-	if counts["send"] == 0 || counts["recv-post"] == 0 || counts["complete"] == 0 {
-		t.Fatalf("missing operation events: %v", counts)
-	}
-	if counts["failure"] != 1 {
-		t.Fatalf("failure events = %d, want 1 (%v)", counts["failure"], counts)
-	}
-	// The failed receive's completion carries the error detail.
+	counts := make(map[trace.Kind]int)
 	found := false
-	for _, ev := range tr.OfKind(TraceComplete) {
-		if strings.Contains(ev.Detail, "err=") {
+	for _, ev := range tr.Events() {
+		counts[ev.Kind]++
+		// The failed receive's completion carries the error detail.
+		if ev.Kind == trace.KindComplete && strings.Contains(ev.Detail, "err=") {
 			found = true
 		}
+	}
+	if counts[trace.KindSend] == 0 || counts[trace.KindRecvPost] == 0 || counts[trace.KindComplete] == 0 {
+		t.Fatalf("missing operation events: %v", counts)
+	}
+	if counts[trace.KindFailure] != 1 {
+		t.Fatalf("failure events = %d, want 1 (%v)", counts[trace.KindFailure], counts)
 	}
 	if !found {
 		t.Error("no completion recorded the detection error")
