@@ -240,6 +240,11 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ok" ] || { echo "FAIL: xsim-server never became healthy" >&2; exit 1; }
 
+# A progress line's wire layout (what TestProgressEventWireBytes pins),
+# with label, seed and error omitted when empty.
+jstr='"([^"\\]|\\.)*"'
+progress_line='^\{"data":\{"index":[0-9]+(,"label":'"$jstr"')?(,"seed":-?[0-9]+)?,"state":"(started|completed|failed)","attempt":1(,"error":'"$jstr"')?,"elapsed_ns":[0-9]+,"wait_ns":[0-9]+,"done":[0-9]+,"failed":[0-9]+,"total":[0-9]+\},"event":"progress"\}$'
+
 # One cheap spec per campaign kind: the files whose outcome bytes
 # TestCampaignSurfaceMatchesGolden pins.
 kinds=0
@@ -249,9 +254,14 @@ for spec in testdata/surface/*.json; do
 		"$addr/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 	[ -n "$id" ] || { echo "FAIL: submitting $spec returned no campaign id" >&2; exit 1; }
 
-	# The NDJSON stream must carry progress events and end at the terminal line.
+	# The NDJSON stream must carry progress events, each in the wire layout,
+	# and end at the terminal line.
 	curl -fsS --no-buffer "$addr/v1/campaigns/$id/events" > "$smoke_dir/events.ndjson"
 	grep -q '"event":"progress"' "$smoke_dir/events.ndjson"
+	if grep '"event":"progress"' "$smoke_dir/events.ndjson" | grep -Ev "$progress_line" >&2; then
+		echo "FAIL: $spec: progress line(s) above break the wire layout" >&2
+		exit 1
+	fi
 	grep -q '"event":"done"' "$smoke_dir/events.ndjson"
 	grep -q '"state":"completed"' "$smoke_dir/events.ndjson"
 

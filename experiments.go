@@ -69,7 +69,7 @@ func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome
 		Seed:          rs.Seed,
 		Pool:          rs.Pool,
 		Logf:          rs.Logf,
-		OnProgress:    rs.runnerOnProgress(),
+		OnProgress:    rs.OnProgress,
 	})
 	if err != nil {
 		return err

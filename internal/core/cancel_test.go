@@ -46,7 +46,7 @@ func TestCancelStopsSequentialRun(t *testing.T) {
 	if res.Deadlocked {
 		t.Fatal("a cancelled run must not be reported as a deadlock")
 	}
-	if res.EventsProcessed == 0 {
+	if eng.Metrics().EventsDispatched == 0 {
 		t.Fatal("the run should have made progress before the cancel")
 	}
 	for r, d := range res.Deaths {

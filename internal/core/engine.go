@@ -193,10 +193,6 @@ func New(cfg Config) (*Engine, error) {
 	return eng, nil
 }
 
-// vpAt returns the VP for a rank. The pointer is stable for the engine's
-// lifetime.
-func (e *Engine) vpAt(rank int) *vp { return &e.vps[rank] }
-
 // RegisterHandler installs the handler for an event kind. Kinds below the
 // engine-reserved range or duplicate registrations panic (programming
 // errors).
@@ -219,7 +215,10 @@ func (e *Engine) RegisterHandler(kind Kind, h Handler) {
 func (e *Engine) OnDeath(hook func(*Ctx, DeathReason)) { e.onDeath = hook }
 
 // ScheduleFailure schedules a process failure of rank at virtual time t
-// (the earliest failure time). Must be called before Run.
+// (the earliest failure time wins). It is the one way a scheduled failure
+// enters a run: the failure event it pushes wakes a blocked VP at t, and
+// a running VP fails at its first clock update at or past t. Must be
+// called before Run.
 func (e *Engine) ScheduleFailure(rank int, t vclock.Time) error {
 	if e.ran {
 		return errors.New("core: ScheduleFailure after Run")
@@ -262,10 +261,6 @@ type Result struct {
 	// forever; Blocked describes them.
 	Deadlocked bool
 	Blocked    []string
-	// EventsProcessed and Resumes count the engine's processed work
-	// items (events dispatched and VP resumes) — throughput telemetry.
-	EventsProcessed uint64
-	Resumes         uint64
 }
 
 // Run executes body once per VP and drives the simulation to completion.
@@ -336,8 +331,6 @@ func (e *Engine) run() (*Result, error) {
 				res.Blocked = append(res.Blocked, p.blockedReport()...)
 			}
 		}
-		res.EventsProcessed += p.events
-		res.Resumes += p.resumes
 	}
 	// Tear down surviving VPs, then retire the idle carrier goroutines so
 	// nothing leaks. Both are synchronous: when run returns, every VP is

@@ -8,8 +8,8 @@ import "xsim/internal/vclock"
 // accumulated per partition without synchronisation — each is only touched
 // by its partition's worker — and aggregated here after Run.
 type MetricsSnapshot struct {
-	// EventsDispatched and Resumes count the processed work items (same
-	// quantities as Result.EventsProcessed/Resumes).
+	// EventsDispatched and Resumes count the processed work items: events
+	// dispatched and VP resumes.
 	EventsDispatched uint64
 	Resumes          uint64
 	// PoolHits and PoolMisses count events stored in a partition's event

@@ -366,19 +366,13 @@ func (c *Ctx) EmitBroadcast(ev Event) {
 	}
 }
 
-// FailNow triggers an immediate process failure of this VP (used for
-// application-triggered failures such as returning from main without
-// calling Finalize, or an explicit self-injection).
+// FailNow triggers an immediate process failure of this VP: the unwind
+// path for an application that returns without calling Finalize. A
+// failure scheduled ahead of time enters through Engine.ScheduleFailure
+// instead, whose event wakes a blocked VP at its time of failure.
 func (c *Ctx) FailNow() {
 	c.vp.tof = c.vp.clock
 	panic(unwindSentinel{DeathFailed})
-}
-
-// SetTimeOfFailure schedules this VP's own failure at t (the earliest
-// failure time). Passing vclock.Never clears a pending schedule.
-func (c *Ctx) SetTimeOfFailure(t vclock.Time) {
-	c.vp.tof = t
-	c.vp.checkUnwind()
 }
 
 // Data returns the higher layer's per-VP state attached with SetData.

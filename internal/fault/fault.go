@@ -18,10 +18,6 @@ import (
 	"xsim/internal/vclock"
 )
 
-// EnvVar is the environment variable conventionally holding a failure
-// schedule for the command-line tools (rank@seconds pairs).
-const EnvVar = "XSIM_FAILURES"
-
 // Injection schedules a simulated MPI process failure: rank fails at the
 // earliest failure time At (the actual failure happens when the simulator
 // regains control at or after At).

@@ -94,13 +94,14 @@ func runDeterminismWorkload(t *testing.T, seed int64, workers int) determinismOu
 	if err != nil {
 		t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 	}
+	m := eng.Metrics()
 	return determinismOutcome{
 		clocks: res.FinalClocks,
 		deaths: res.Deaths,
 		busy:   res.Busy,
 		waited: res.Waited,
-		events: res.EventsProcessed,
-		resume: res.Resumes,
+		events: m.EventsDispatched,
+		resume: m.Resumes,
 	}
 }
 

@@ -432,15 +432,6 @@ func (e *Env) Finalized() bool { return e.finalized }
 // the world communicator). It does not return.
 func (e *Env) Abort(code int) { e.world.Abort(code) }
 
-// FailNow makes this process fail immediately (an application-triggered
-// process failure). It does not return.
-func (e *Env) FailNow() { e.ctx.FailNow() }
-
-// ScheduleFailure schedules this process's own failure at virtual time t
-// (the earliest failure time; the actual failure happens at the next clock
-// update at or past t).
-func (e *Env) ScheduleFailure(t vclock.Time) { e.ctx.SetTimeOfFailure(t) }
-
 // FailedPeers returns a snapshot of this process's failed-peer list as a
 // map from world rank to time of failure.
 func (e *Env) FailedPeers() map[int]vclock.Time {
@@ -477,6 +468,3 @@ func (e *Env) Logf(format string, args ...any) { e.ctx.Logf(format, args...) }
 // chargeCall charges the per-call CPU overhead; every MPI call is a clock
 // update point where pending failures and aborts activate.
 func (e *Env) chargeCall() { e.ctx.Elapse(e.w.cfg.CallOverhead) }
-
-// coreCtx exposes the core context to sibling packages (ULFM).
-func (e *Env) coreCtx() *core.Ctx { return e.ctx }

@@ -35,8 +35,9 @@ import (
 // goroutine to park, so it panics there with a typed *ClosureOnlyError
 // naming the op and rank. Closure-style calls that finish without parking
 // (an eager Send, a Wait on completed requests) work on a program VP too.
-// Comm.Abort and Env.FailNow unwind the VP via panic, which the scheduler
-// classifies, so programs may call them directly.
+// Comm.Abort unwinds the VP via panic, which the scheduler classifies, so
+// programs may call it directly; a program that finishes without
+// Env.Finalize fails the same way (progVP.Step calls Ctx.FailNow).
 
 // Prog is a resumable MPI program: one simulated process expressed as
 // explicit steps between waits. Step is called once to start (wake == nil)

@@ -61,53 +61,35 @@ type Task[T any] struct {
 	Run func(ctx context.Context) (T, error)
 }
 
-// State is a run's lifecycle stage, as seen by progress callbacks.
-type State int
-
-const (
-	// StateStarted means the run was handed to a pool worker.
-	StateStarted State = iota
-	// StateCompleted means the run finished successfully.
-	StateCompleted
-	// StateFailed means the run failed terminally (error, panic, or
-	// cancellation).
-	StateFailed
-)
-
-// String returns a human-readable state.
-func (s State) String() string {
-	switch s {
-	case StateStarted:
-		return "started"
-	case StateCompleted:
-		return "completed"
-	case StateFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
-// Progress is one streaming progress report. Callbacks are invoked
-// serially (never concurrently), but from pool worker goroutines.
+// Progress is one streaming progress report, in the wire layout the
+// campaign service streams to clients as NDJSON: its JSON form is the
+// progress event's bytes. Callbacks are invoked serially (never
+// concurrently), but from pool worker goroutines.
 type Progress struct {
-	Spec  Spec
-	State State
+	// Index, Label, Seed identify the run within its campaign (its Spec).
+	Index int    `json:"index"`
+	Label string `json:"label,omitempty"`
+	Seed  int64  `json:"seed,omitempty"`
+	// State is "started" (handed to a pool worker), "completed" or
+	// "failed" (error, panic, or cancellation).
+	State string `json:"state"`
 	// Attempt is always 1: a deterministic simulation has no transient
 	// failure to retry. The field stays because progress streams carry it.
-	Attempt int
-	// Err is the run's error for StateFailed.
-	Err error
-	// Elapsed is the run's wall time (zero for StateStarted).
-	Elapsed time.Duration
-	// Wait is the run's queue wait: the wall time between the campaign
-	// starting and this run being handed to a pool worker. Fairness
-	// metrics need it separated from Elapsed — a run can spend seconds
-	// queued behind other tenants and milliseconds executing.
-	Wait time.Duration
+	Attempt int `json:"attempt"`
+	// Error carries the run's error text for the failed state.
+	Error string `json:"error,omitempty"`
+	// ElapsedNS is the run's execution wall time in nanoseconds (zero when
+	// started). WaitNS is its queue wait: the wall time between the
+	// campaign starting and this run being handed to a pool worker.
+	// Fairness metrics need the two apart — a run can spend seconds queued
+	// behind other tenants and milliseconds executing.
+	ElapsedNS int64 `json:"elapsed_ns"`
+	WaitNS    int64 `json:"wait_ns"`
 	// Done, Failed, Total summarise the campaign so far: Done counts
 	// finished runs (completed or failed), Failed the terminal failures.
-	Done, Failed, Total int
+	Done   int `json:"done"`
+	Failed int `json:"failed"`
+	Total  int `json:"total"`
 }
 
 // Stats aggregates a campaign's execution counters.
@@ -175,19 +157,17 @@ func DeriveSeed(campaignSeed int64, index int) int64 {
 }
 
 // RunError is the typed error a failing run becomes: it carries the run's
-// spec, the attempt count (1, or 0 for a run skipped by cancellation), and
-// the underlying cause, so a campaign error names the grid cell instead of
-// killing the campaign anonymously.
+// spec and the underlying cause, so a campaign error names the grid cell
+// instead of killing the campaign anonymously.
 type RunError struct {
-	Spec     Spec
-	Attempts int
+	Spec Spec
 	// Err is the run's error; for a recovered panic it is a *PanicError.
 	Err error
 }
 
 // Error implements error.
 func (e *RunError) Error() string {
-	return fmt.Sprintf("runner: %s failed after %d attempt(s): %v", e.Spec, e.Attempts, e.Err)
+	return fmt.Sprintf("runner: %s failed: %v", e.Spec, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
@@ -225,23 +205,31 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 		stats Stats
 		done  int
 	)
-	report := func(p Progress) {
+	// report streams one state change of t; err and elapsed are zero
+	// for "started". The Logf line is written for finished runs only.
+	report := func(t *Task[T], state string, err error, elapsed, wait time.Duration) {
 		if cfg.OnProgress == nil && cfg.Logf == nil {
 			return
 		}
 		mu.Lock()
-		p.Done = done
-		p.Failed = stats.Failed
-		p.Total = len(tasks)
 		if cfg.OnProgress != nil {
+			p := Progress{
+				Index: t.Spec.Index, Label: t.Spec.Label, Seed: t.Spec.Seed,
+				State: state, Attempt: 1,
+				ElapsedNS: elapsed.Nanoseconds(), WaitNS: wait.Nanoseconds(),
+				Done: done, Failed: stats.Failed, Total: len(tasks),
+			}
+			if err != nil {
+				p.Error = err.Error()
+			}
 			cfg.OnProgress(p)
 		}
-		if cfg.Logf != nil && (p.State == StateCompleted || p.State == StateFailed) {
+		if cfg.Logf != nil && state != "started" {
 			status := "ok"
-			if p.State == StateFailed {
-				status = fmt.Sprintf("FAILED: %v", p.Err)
+			if err != nil {
+				status = fmt.Sprintf("FAILED: %v", err)
 			}
-			cfg.Logf("[campaign %d/%d] %s: %s (%v)", p.Done, p.Total, p.Spec, status, p.Elapsed.Round(time.Millisecond))
+			cfg.Logf("[campaign %d/%d] %s: %s (%v)", done, len(tasks), t.Spec, status, elapsed.Round(time.Millisecond))
 		}
 		mu.Unlock()
 	}
@@ -259,7 +247,7 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 				stats.Started++
 				stats.QueueWait += wait
 				mu.Unlock()
-				report(Progress{Spec: t.Spec, State: StateStarted, Attempt: 1, Wait: wait})
+				report(t, "started", nil, 0, wait)
 				runStart := time.Now()
 				res, err := runOne(ctx, t)
 				runWall := time.Since(runStart)
@@ -270,18 +258,18 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T]) ([]T, Stats, e
 				}
 				if err != nil {
 					stats.Failed++
-					errs[i] = &RunError{Spec: t.Spec, Attempts: 1, Err: err}
+					errs[i] = &RunError{Spec: t.Spec, Err: err}
 				} else {
 					stats.Completed++
 					results[i] = res
 				}
 				done++
 				mu.Unlock()
-				state := StateCompleted
+				state := "completed"
 				if err != nil {
-					state = StateFailed
+					state = "failed"
 				}
-				report(Progress{Spec: t.Spec, State: state, Attempt: 1, Err: err, Elapsed: runWall, Wait: wait})
+				report(t, state, err, runWall, wait)
 			}
 		}()
 	}
@@ -296,7 +284,7 @@ feed:
 			mu.Lock()
 			for j := i; j < len(tasks); j++ {
 				stats.Skipped++
-				errs[j] = &RunError{Spec: tasks[j].Spec, Attempts: 0, Err: context.Cause(ctx)}
+				errs[j] = &RunError{Spec: tasks[j].Spec, Err: context.Cause(ctx)}
 			}
 			mu.Unlock()
 			break feed

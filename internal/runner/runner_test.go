@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -87,8 +88,8 @@ func TestRunDoesNotRetryTerminalErrors(t *testing.T) {
 		t.Fatalf("terminal error was attempted %d times, want 1", attempts.Load())
 	}
 	var re *RunError
-	if !errors.As(err, &re) || re.Attempts != 1 {
-		t.Fatalf("RunError = %+v, want Attempts 1", re)
+	if !errors.As(err, &re) || re.Spec.Index != 0 {
+		t.Fatalf("RunError = %+v, want one naming run 0", re)
 	}
 }
 
@@ -138,9 +139,9 @@ func TestRunProgressIsSerializedAndComplete(t *testing.T) {
 			// No mutex here: the runner promises serialized callbacks, so
 			// -race flags any violation.
 			switch p.State {
-			case StateStarted:
+			case "started":
 				started++
-			case StateCompleted:
+			case "completed":
 				completed++
 				if p.Total != n {
 					t.Errorf("Total = %d, want %d", p.Total, n)
@@ -188,9 +189,9 @@ func TestPoolSizeComposition(t *testing.T) {
 }
 
 func TestRunErrorNamesTheSpec(t *testing.T) {
-	err := &RunError{Spec: Spec{Index: 3, Label: "mttf=3000 c=125"}, Attempts: 2, Err: errors.New("boom")}
+	err := &RunError{Spec: Spec{Index: 3, Label: "mttf=3000 c=125"}, Err: errors.New("boom")}
 	msg := err.Error()
-	for _, want := range []string{"run 3", "mttf=3000 c=125", "2 attempt"} {
+	for _, want := range []string{"run 3", "mttf=3000 c=125", "boom"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}
@@ -213,7 +214,7 @@ func TestRunSplitsQueueWaitFromRunWall(t *testing.T) {
 	}
 	var started []Progress
 	cfg := Config{Pool: 1, OnProgress: func(p Progress) {
-		if p.State == StateStarted {
+		if p.State == "started" {
 			started = append(started, p)
 		}
 	}}
@@ -228,14 +229,56 @@ func TestRunSplitsQueueWaitFromRunWall(t *testing.T) {
 	// first's sleep.
 	var second Progress
 	for _, p := range started {
-		if p.Spec.Index == 1 {
+		if p.Index == 1 {
 			second = p
 		}
 	}
-	if second.Wait < block/2 {
-		t.Fatalf("second run's queue wait = %v, want ≥ %v", second.Wait, block/2)
+	if wait := time.Duration(second.WaitNS); wait < block/2 {
+		t.Fatalf("second run's queue wait = %v, want ≥ %v", wait, block/2)
 	}
-	if stats.QueueWait < second.Wait {
-		t.Fatalf("stats.QueueWait = %v < second run's wait %v", stats.QueueWait, second.Wait)
+	if stats.QueueWait < time.Duration(second.WaitNS) {
+		t.Fatalf("stats.QueueWait = %v < second run's wait %v", stats.QueueWait, time.Duration(second.WaitNS))
+	}
+}
+
+// TestRunFailedProgressCarriesErrorText checks that a finished run's
+// report carries its error text, that the failure is counted before the
+// report goes out, and that the Logf summary line names the cause.
+func TestRunFailedProgressCarriesErrorText(t *testing.T) {
+	tasks := []Task[int]{
+		{Spec: Spec{Index: 0, Label: "bad", Seed: 5}, Run: func(ctx context.Context) (int, error) {
+			return 0, errors.New("boom")
+		}},
+		{Spec: Spec{Index: 1, Label: "good"}, Run: func(ctx context.Context) (int, error) {
+			return 1, nil
+		}},
+	}
+	var finished []Progress
+	var lines []string
+	cfg := Config{
+		Pool: 1,
+		OnProgress: func(p Progress) {
+			if p.State != "started" {
+				finished = append(finished, p)
+			}
+		},
+		Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	}
+	if _, _, err := Run(context.Background(), cfg, tasks); err == nil {
+		t.Fatal("want the failed run's error")
+	}
+	if len(finished) != 2 {
+		t.Fatalf("finished reports = %+v, want 2", finished)
+	}
+	bad, good := finished[0], finished[1]
+	if bad.State != "failed" || bad.Error != "boom" || bad.Label != "bad" || bad.Seed != 5 || bad.Failed != 1 || bad.Done != 1 {
+		t.Errorf("failed run's report = %+v", bad)
+	}
+	if good.State != "completed" || good.Error != "" || good.Failed != 1 || good.Done != 2 {
+		t.Errorf("completed run's report = %+v", good)
+	}
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "[campaign 1/2] run 0 (bad): FAILED: boom (") ||
+		!strings.HasPrefix(lines[1], "[campaign 2/2] run 1 (good): ok (") {
+		t.Errorf("log lines = %q", lines)
 	}
 }

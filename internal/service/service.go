@@ -62,7 +62,6 @@ type job struct {
 	// followers are jobs for the same cache key submitted while this
 	// leader was in flight; they finish when the leader does.
 	followers []*job
-	done      chan struct{}
 }
 
 // JobStatus is a job's wire-form status document.
@@ -177,7 +176,6 @@ func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, err
 		created: time.Now(),
 		state:   StateQueued,
 		subs:    make(map[chan []byte]struct{}),
-		done:    make(chan struct{}),
 	}
 	s.m.Submitted++
 
@@ -461,7 +459,7 @@ func (j *job) publishLocked(line []byte) {
 }
 
 // finish moves the job to a terminal state, publishes the terminal
-// event, and wakes waiters.
+// event, and closes every live subscriber.
 func (j *job) finish(state, errMsg string, cached bool) {
 	term := map[string]any{"event": "done", "state": state}
 	if errMsg != "" {
@@ -486,19 +484,6 @@ func (j *job) finish(state, errMsg string, cached bool) {
 		close(ch)
 	}
 	j.mu.Unlock()
-	close(j.done)
-}
-
-// Done exposes a job's completion channel (used by tests and the HTTP
-// wait path).
-func (s *Service) Done(id string) (<-chan struct{}, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return j.done, true
 }
 
 // subscribe attaches a live channel carrying the replay buffer followed

@@ -7,7 +7,6 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, measured in nanoseconds from the start of
@@ -57,9 +56,6 @@ func (t Time) After(u Time) bool { return t > u }
 
 // Seconds returns the time as floating-point seconds since the epoch.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Duration converts a standard library duration into a virtual duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }

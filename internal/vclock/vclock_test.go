@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestConstants(t *testing.T) {
@@ -46,12 +45,6 @@ func TestSecondsRoundTrip(t *testing.T) {
 		if got := d.Seconds(); math.Abs(got-s) > 1e-9*math.Max(1, s) {
 			t.Errorf("FromSeconds(%v).Seconds() = %v", s, got)
 		}
-	}
-}
-
-func TestFromStd(t *testing.T) {
-	if FromStd(3*time.Millisecond) != 3*Millisecond {
-		t.Fatal("FromStd mismatch")
 	}
 }
 

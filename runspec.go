@@ -82,19 +82,8 @@ func (s *RunSpec) runnerConfig() runner.Config {
 		Pool:          s.Pool,
 		EngineWorkers: s.Workers,
 		Logf:          s.Logf,
-		OnProgress:    s.runnerOnProgress(),
+		OnProgress:    s.OnProgress,
 	}
-}
-
-// runnerOnProgress adapts the spec's wire-typed progress hook to the
-// runner's callback type (nil when unset, so the runner skips the
-// reporting path entirely).
-func (s *RunSpec) runnerOnProgress() func(runner.Progress) {
-	if s.OnProgress == nil {
-		return nil
-	}
-	hook := s.OnProgress
-	return func(p runner.Progress) { hook(progressEvent(p)) }
 }
 
 // campaignCell is one restart campaign of an experiment grid and the

@@ -480,49 +480,8 @@ func canonicalJSON(raw []byte) ([]byte, error) {
 
 // --- progress events ------------------------------------------------------
 
-// ProgressEvent is the wire form of one campaign-pool progress report:
-// the event RunSpec.OnProgress receives and the campaign service streams
-// to clients as NDJSON. Wall-clock quantities are split the way fairness
-// accounting needs them: WaitNS is how long the run sat queued behind the
-// pool, ElapsedNS how long it executed.
-type ProgressEvent struct {
-	// Index, Label, Seed identify the run within its campaign.
-	Index int    `json:"index"`
-	Label string `json:"label,omitempty"`
-	Seed  int64  `json:"seed,omitempty"`
-	// State is "started", "completed", or "failed".
-	State string `json:"state"`
-	// Attempt is always 1 (runs are never retried); the field stays so
-	// recorded streams keep their bytes.
-	Attempt int `json:"attempt"`
-	// Error carries the run's error text for the failed state.
-	Error string `json:"error,omitempty"`
-	// ElapsedNS is the run's execution wall time in nanoseconds; WaitNS
-	// its queue wait before a pool worker took it.
-	ElapsedNS int64 `json:"elapsed_ns"`
-	WaitNS    int64 `json:"wait_ns"`
-	// Done, Failed, Total summarise the campaign so far.
-	Done   int `json:"done"`
-	Failed int `json:"failed"`
-	Total  int `json:"total"`
-}
-
-// progressEvent converts the runner's progress report to wire form.
-func progressEvent(p runner.Progress) ProgressEvent {
-	ev := ProgressEvent{
-		Index:     p.Spec.Index,
-		Label:     p.Spec.Label,
-		Seed:      p.Spec.Seed,
-		State:     p.State.String(),
-		Attempt:   p.Attempt,
-		ElapsedNS: p.Elapsed.Nanoseconds(),
-		WaitNS:    p.Wait.Nanoseconds(),
-		Done:      p.Done,
-		Failed:    p.Failed,
-		Total:     p.Total,
-	}
-	if p.Err != nil {
-		ev.Error = p.Err.Error()
-	}
-	return ev
-}
+// ProgressEvent is one campaign-pool progress report: the event
+// RunSpec.OnProgress receives and the campaign service streams to clients
+// as NDJSON. The pool fills it in wire form; see runner.Progress for the
+// fields.
+type ProgressEvent = runner.Progress

@@ -404,6 +404,31 @@ func TestRunSpecProgressEvents(t *testing.T) {
 	}
 }
 
+// TestProgressEventWireBytes pins the progress event's JSON layout: field
+// names, order, types and which fields are omitted when empty. A change
+// here breaks every client that reads the service's events stream.
+func TestProgressEventWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		ev   ProgressEvent
+		want string
+	}{{
+		ev: ProgressEvent{Index: 3, Label: "mttf=1000s c=100", Seed: -42, State: "failed", Attempt: 1,
+			Error: `run panicked: "x"`, ElapsedNS: 1500000, WaitNS: 250, Done: 4, Failed: 1, Total: 9},
+		want: `{"index":3,"label":"mttf=1000s c=100","seed":-42,"state":"failed","attempt":1,"error":"run panicked: \"x\"","elapsed_ns":1500000,"wait_ns":250,"done":4,"failed":1,"total":9}`,
+	}, {
+		ev:   ProgressEvent{State: "started", Attempt: 1, WaitNS: 7, Total: 2},
+		want: `{"index":0,"state":"started","attempt":1,"elapsed_ns":0,"wait_ns":7,"done":0,"failed":0,"total":2}`,
+	}} {
+		got, err := json.Marshal(tc.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("ProgressEvent bytes:\n got %s\nwant %s", got, tc.want)
+		}
+	}
+}
+
 func TestNormalizeFillsDriverDefaults(t *testing.T) {
 	spec := &CampaignSpec{Version: 1, Kind: KindTableII}
 	spec.Normalize()
