@@ -27,9 +27,14 @@
 #                     slice model, and the replication layer's digest vote
 #                     against a brute-force model; checked-in corpora
 #                     already ran as regressions in 4)
-#   8. BenchmarkHandoff allocation gate (the context-switch hot path
-#                     must stay at 0 allocs/op — Validate must cost nothing
-#                     when off)
+#   8. BenchmarkHandoff allocation gate (the context-switch hot path, a
+#                     coroutine switch each way between the partition
+#                     worker and the VP's carrier, must stay at 0 allocs/op
+#                     — Validate must cost nothing when off)
+#                     and BenchmarkParallelFanIn round gate (one partition
+#                     consuming a 4,095-event fan-in alone must finish it
+#                     in one window: 6 rounds/op over 2 workers, where a
+#                     window bounded by the global minimum takes 8,196)
 #                     and BenchmarkRecord allocation gate (a trace event
 #                     recorded into a full shard ring overwrites in place:
 #                     0 allocs/op on the path every traced run takes once
@@ -52,9 +57,10 @@
 #                     message matched on arrival is a queue slot and two
 #                     pooled requests, never five heap objects again)
 #   8f. closure carrier stack gate (16,384 closure-mode ranks exchanging
-#                     halos on the paper's torus: every rank's goroutine
-#                     stack must stay at 4 KiB, which a frame added on the
-#                     send path to the event queue would double)
+#                     halos on the paper's torus: every rank's carrier
+#                     coroutine stack must stay at 4 KiB, which a frame
+#                     added on the send path to the event queue, or a
+#                     wrapper around the coroutine body, would double)
 #   8g. BenchmarkCheckpointCycle allocation gate (one rank's full and
 #                     incremental write of a tiered checkpoint, each with
 #                     the delete of the previous one, and its restart probe
@@ -147,6 +153,13 @@ bench_gate() {
 echo "== BenchmarkHandoff allocation gate"
 bench_gate ./internal/core/ '^BenchmarkHandoff$' allocs/op 0 1 1000x
 
+echo "== BenchmarkParallelFanIn round gate"
+# The count is exact (a deterministic run, not a timing): 3 rounds on each
+# of 2 partitions since a window ends one lookahead past its partition's
+# own first cross-partition send. Bounded by the global minimum instead,
+# it was 2 per fan-in event, 8,196, growing with the rank count.
+bench_gate ./internal/core/ '^BenchmarkParallelFanIn$' rounds/op 6 1 1x
+
 echo "== BenchmarkRecord allocation gate"
 # 100000 records run far past the shard's 4,096-event ring, so the
 # overwrite path dominates; at 1000x the ring never fills and only the
@@ -197,12 +210,15 @@ echo "== BenchmarkHaloBurst mallocs-per-message gate"
 bench_gate ./internal/mpi/ '^BenchmarkHaloBurst$' mallocs/msg 2.5 1 1x
 
 echo "== closure carrier stack gate (halo-16k-closure shape)"
-# A closure-mode rank's goroutine stack is sized by the deepest call the
+# A closure-mode rank's carrier stack is sized by the deepest call the
 # rank makes, and the send path (Isend -> Ctx.Emit -> route -> the event
-# queue's push) runs a few hundred bytes short of where the runtime
-# doubles a 4 KiB stack. Crossing it moves every carrier of
+# queue's push) runs 64-128 bytes short of where the runtime doubles a
+# 4 KiB stack. Crossing it moves every carrier of
 # halo-16k-closure to 8 KiB (StackInuse 65 -> 128 MiB, peak RSS 161 ->
-# 225 MiB) and no other gate sees it. The row reads ~4,100 stack-bytes/vp
+# 225 MiB) and no other gate sees it. The carrier is an iter.Pull
+# coroutine whose body is the carrier loop's method value; its entry
+# frames sit under every rank's stack, so a closure wrapped around that
+# body would spend the margin too. The row reads ~4,120 stack-bytes/vp
 # and a doubled stack 8,192; the gate is 4 KiB + 10 %.
 bench_gate ./internal/heat/ '^BenchmarkHaloStackPerVP/closure/ranks=16384$' stack-bytes/vp 4505 1
 

@@ -220,3 +220,61 @@ func BenchmarkParallelWindows(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkParallelFanIn pins the parallel window protocol's round count on
+// a phase in which one partition works alone: 4,096 VPs on 2 workers, every
+// rank sends one event to rank 0, which consumes them one at a time (each
+// a Sleep longer than two lookaheads, so no two fit in a window bounded by
+// the global minimum) and then releases every rank. A window that ends only
+// at the partition's own first cross-partition send runs the whole fan-in
+// in one round; rounds/op is BarrierRounds per run, which is exact, so CI
+// gates it.
+func BenchmarkParallelFanIn(b *testing.B) {
+	const (
+		vps       = 4096
+		lookahead = vclock.Microsecond
+	)
+	var rounds uint64
+	for i := 0; i < b.N; i++ {
+		eng, err := New(Config{NumVPs: vps, Workers: 2, Lookahead: lookahead})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// pending and waiting are rank 0's inbox, touched only by rank 0 and
+		// by handlers on its partition.
+		pending, waiting := 0, false
+		eng.RegisterHandler(kindPingBench, func(s *SchedCtx, ev *Event) {
+			if ev.Target != 0 {
+				s.Wake(ev.Target, ev.Time, nil)
+				return
+			}
+			pending++
+			if waiting {
+				waiting = false
+				s.Wake(0, ev.Time, nil)
+			}
+		})
+		if _, err := eng.Run(func(c *Ctx) {
+			if c.Rank() != 0 {
+				c.Emit(Event{Time: c.NowQuiet().Add(lookahead), Kind: kindPingBench, Target: 0})
+				c.Block("release")
+				return
+			}
+			for got := 0; got < vps-1; got++ {
+				if pending == 0 {
+					waiting = true
+					c.Block("fan-in")
+				}
+				pending--
+				c.Sleep(3 * lookahead)
+			}
+			for r := 1; r < vps; r++ {
+				c.Emit(Event{Time: c.NowQuiet().Add(lookahead), Kind: kindPingBench, Target: r})
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+		rounds += eng.Metrics().BarrierRounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}

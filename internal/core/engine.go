@@ -184,7 +184,7 @@ func New(cfg Config) (*Engine, error) {
 			v.clock = cfg.StartClock
 			v.tof = vclock.Never
 			v.abortAt = vclock.Never
-			// No gate, no goroutine: a VP that has never executed is pure
+			// No carrier, no stack: a VP that has never executed is pure
 			// data. Its first resume borrows a carrier (carrier.go).
 			v.ctx = Ctx{eng: eng, vp: v}
 		}
@@ -269,7 +269,7 @@ type Result struct {
 // returned for inspection).
 //
 // No goroutine is spawned per VP up front: every VP starts as pure data in
-// the ready heap, and its first resume borrows a carrier goroutine from
+// the ready heap, and its first resume borrows a carrier coroutine from
 // its partition's pool (carrier.go). Live goroutine count therefore scales
 // with the VPs that have started and not yet died, not with world size.
 func (e *Engine) Run(body func(*Ctx)) (*Result, error) {
@@ -332,9 +332,9 @@ func (e *Engine) run() (*Result, error) {
 			}
 		}
 	}
-	// Tear down surviving VPs, then retire the idle carrier goroutines so
+	// Tear down surviving VPs, then retire the idle carrier coroutines so
 	// nothing leaks. Both are synchronous: when run returns, every VP is
-	// dead and every carrier has been handed its shutdown token.
+	// dead and every carrier's coroutine has exited.
 	for _, p := range e.parts {
 		for r := p.lo; r < p.hi; r++ {
 			p.kill(&e.vps[r])
@@ -434,6 +434,11 @@ func (e *Engine) routeToPartition(from *partition, senderClock vclock.Time, to *
 	}
 	from.crossEvents++
 	from.crossOut[to.id] = append(from.crossOut[to.id], *ev)
+	// A reply to this event can reach from no earlier than one lookahead
+	// after it arrives: from's window must end there (parallel.go).
+	if h := ev.Time.Add(e.cfg.Lookahead); h < from.horizon {
+		from.horizon = h
+	}
 }
 
 // NumVPs returns the number of simulated processes.

@@ -61,8 +61,9 @@ type MetricsSnapshot struct {
 	// rounds, so this is rounds × Workers).
 	BarrierRounds uint64
 	// WindowWidthSum accumulates each partition round's safe-window width
-	// (horizon − global minimum); WindowWidthSum / BarrierRounds is the
-	// mean width, which the horizon extension pushes past one lookahead.
+	// (final horizon − global minimum; a window whose bound stayed open
+	// counts up to one lookahead past its last item); WindowWidthSum /
+	// BarrierRounds is the mean width, at least one lookahead.
 	WindowWidthSum vclock.Duration
 }
 

@@ -22,17 +22,28 @@ import (
 // count above GOMAXPROCS buys nothing), where P comparisons are noise
 // against the futex wake that ends the wait.
 //
-// Horizon extension: partition i's window is bounded by the earliest event
-// that can still reach it. A lower bound on any future item at partition j
-// is L(j) = min(next[j], globalMin+lookahead): j's own queue holds nothing
-// below next[j], and anything j can still receive was (or will be) emitted
-// at a clock at or after the global minimum, hence arrives at or after
-// globalMin+lookahead. (The bound is a fixpoint: multi-hop chains pay the
-// lookahead once per hop, so two hops already exceed it.) Partition i may
-// therefore process every item strictly below
+// Horizon: partition i's window is bounded by the earliest event that can
+// still reach it. Within a round nothing crosses partitions (cross events
+// wait in crossOut for the barrier), so the question is what later rounds
+// can deliver. Every other partition j holds nothing below next[j] ≥
+// otherMin(i), and until it hears from i it only ever processes its own
+// items and what third partitions send it, all at or after otherMin(i);
+// whatever it emits to i therefore arrives at or after otherMin(i) +
+// lookahead. The rest of what can reach i is a reply (direct or through
+// further hops) to an event i itself emitted across partitions this round;
+// the earliest of those, E(i), is answered at or after E(i) + lookahead.
+// Partition i may therefore process every item strictly below
 //
-//	horizon(i) = min over j≠i of L(j) + lookahead
-//	           = min(otherMin(i), globalMin+lookahead) + lookahead
+//	horizon(i) = min(otherMin(i), E(i)) + lookahead
+//
+// E(i) is not known when the window opens: it starts at vclock.Never,
+// routeToPartition (the only cross-emission site) lowers p.horizon as i
+// emits, and processWindow re-reads the horizon before every item. A
+// partition alone with work that sends nothing across (the linear barrier
+// at rank 0, with every other rank parked) thus finishes its whole phase in
+// one round. The bound is never below the global-minimum rule it replaces,
+// min(otherMin, globalMin+lookahead) + lookahead, because i emits at a
+// clock at or after globalMin, so E(i) ≥ globalMin + lookahead.
 //
 // The fold computes the triple (min1, argmin1, min2) — the global minimum,
 // which partition holds it, and the second-smallest value — from which
@@ -140,25 +151,36 @@ func (p *partition) workerLoop() {
 		if g.min1 == vclock.Never {
 			return // global termination: everyone observes the same triple
 		}
-		globalMin := g.min1
 		otherMin := g.min1
 		if g.arg1 == p.id {
 			otherMin = g.min2
 		}
-		// horizon = min(otherMin, globalMin+lookahead) + lookahead; see the
-		// derivation at the top of this file.
-		bound := globalMin.Add(e.cfg.Lookahead)
-		if otherMin < bound {
-			bound = otherMin
+		// horizon = min(otherMin, E) + lookahead; see the derivation at the
+		// top of this file. E enters as routeToPartition lowers p.horizon.
+		horizon := vclock.Never
+		if otherMin != vclock.Never {
+			horizon = otherMin.Add(e.cfg.Lookahead)
 		}
-		horizon := bound.Add(e.cfg.Lookahead)
 		p.rounds++
-		p.widthSum += horizon.Sub(globalMin)
 		p.processWindow(horizon)
+		p.widthSum += p.windowWidth(g.min1)
 		p.publishCross()
 		e.round.arrive(p.id, vclock.Never) // all cross buffers published
 		p.collectCross()
 	}
+}
+
+// windowWidth is the width of the window just processed, for
+// WindowWidthSum: from the global minimum to its final horizon, or, when
+// the bound stayed open, to one lookahead past the last item processed (the
+// tightest bound that would have processed the same items), so the sum
+// stays finite.
+func (p *partition) windowWidth(globalMin vclock.Time) vclock.Duration {
+	end := p.horizon
+	if end == vclock.Never {
+		end = vclock.Max(p.watermark, globalMin).Add(p.eng.cfg.Lookahead)
+	}
+	return end.Sub(globalMin)
 }
 
 // publishCross swaps this partition's outgoing buffers into the

@@ -7,16 +7,15 @@ import (
 	"xsim/internal/vclock"
 )
 
-// yieldKind is the VP→scheduler handoff message. The scheduler→VP resume
-// token travels on the same per-VP gate channel (see vp.gate), so a full
-// block/wake cycle costs exactly one channel operation pair per direction
-// and allocates nothing.
+// yieldKind is the VP→scheduler handoff message a carrier yields from its
+// coroutine (carrier.go). The resume carries no message — the wake data
+// already sits in the VP's fields — so a full block/wake cycle is one
+// coroutine switch each way and allocates nothing.
 type yieldKind int
 
 const (
 	yieldBlocked yieldKind = iota // VP parked in Block
 	yieldDead                     // VP terminated
-	gateResume                    // scheduler→VP: resume (wake data in vp fields)
 )
 
 // partition owns a contiguous range of VPs and executes them one at a time,
@@ -59,13 +58,18 @@ type partition struct {
 	// it (that would break deterministic global time order).
 	watermark vclock.Time
 
+	// horizon bounds the window being processed: items strictly before it
+	// are safe. processWindow sets it and re-reads it per item, because a
+	// cross-partition emission may lower it mid-window (parallel.go).
+	horizon vclock.Time
+
 	// seq numbers the engine's own pre-run events (ScheduleFailure).
 	seq uint64
 
 	live int // VPs not yet dead
 
-	// idle is the carrier pool: goroutines whose previous VP died, parked
-	// on their gate awaiting the next startVP assignment (carrier.go).
+	// idle is the carrier pool: coroutines whose previous VP died, parked
+	// in their yield awaiting the next startVP assignment (carrier.go).
 	idle []*carrier
 
 	// validate mirrors Config.Validate: when set, the invariant checks in
@@ -147,10 +151,13 @@ const stopStrideMask = 1<<10 - 1
 // processWindow processes all pending items with virtual time strictly
 // before horizon, in deterministic (time, src, seq) order, preferring
 // events over VP resumes on equal times. Items generated during the window
-// that still fall before the horizon are processed too. A Cancel observed
+// that still fall before the horizon are processed too, and the horizon is
+// re-read per item: a cross-partition emission lowers it (routeToPartition),
+// so the window ends one lookahead past the earliest one. A Cancel observed
 // mid-window returns early; the run is being torn down, so the unprocessed
 // remainder of the window is irrelevant.
 func (p *partition) processWindow(horizon vclock.Time) {
+	p.horizon = horizon
 	for n := uint(0); ; n++ {
 		if n&stopStrideMask == 0 && p.eng.stop.Load() {
 			return
@@ -158,7 +165,7 @@ func (p *partition) processWindow(horizon vclock.Time) {
 		next := p.eventQ.peek()
 		re, haveReady := p.ready.peek()
 		switch {
-		case next != nil && next.Time < horizon && (!haveReady || next.Time <= re.at):
+		case next != nil && next.Time < p.horizon && (!haveReady || next.Time <= re.at):
 			ev := &p.cur
 			p.eventQ.popInto(ev)
 			if p.validate && ev.Time < p.watermark {
@@ -169,7 +176,7 @@ func (p *partition) processWindow(horizon vclock.Time) {
 			p.events++
 			p.dispatch(ev)
 			ev.Payload = nil
-		case haveReady && re.at < horizon:
+		case haveReady && re.at < p.horizon:
 			p.ready.pop()
 			if p.validate && re.at < p.watermark {
 				check.Failf("watermark-monotonic", re.rank, re.at, "",
@@ -248,8 +255,8 @@ func (p *partition) wake(v *vp, at vclock.Time, val any) {
 
 // resume hands execution to a ready VP and waits for it to block or die.
 // In program mode the step runs inline on the scheduler stack; in closure
-// mode it is one send on the VP's gate (the wake data already sits in the
-// VP's fields) and one receive of the yield notification, with a carrier
+// mode it is one call of the carrier's next (the wake data already sits in
+// the VP's fields), which returns when the VP yields, with a carrier
 // attached lazily on the VP's first resume.
 func (p *partition) resume(rank int) {
 	v := &p.eng.vps[rank]
@@ -261,8 +268,7 @@ func (p *partition) resume(rank int) {
 		if v.state == vpCreated {
 			p.startVP(v)
 		}
-		v.gate <- gateResume
-		if k := <-v.gate; k == yieldDead {
+		if k, _ := v.car.next(); k == yieldDead {
 			p.recycleCarrier(v)
 			dead = true
 		}
@@ -301,8 +307,7 @@ func (p *partition) kill(v *vp) {
 	}
 	v.wakeVal = nil
 	v.killed = true
-	v.gate <- gateResume
-	if k := <-v.gate; k != yieldDead {
+	if k, _ := v.car.next(); k != yieldDead {
 		panic("core: killed VP yielded without dying")
 	}
 	p.recycleCarrier(v)

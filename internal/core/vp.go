@@ -85,19 +85,9 @@ type vp struct {
 	// reason on every block (see BlockReasonString).
 	blockReason any
 
-	// gate is the bidirectional handoff channel: the scheduler sends
-	// gateResume to hand control to the VP, and the VP sends its
-	// yieldKind back on the same channel when it blocks or dies. Strict
-	// alternation (only the running VP communicates with its scheduler)
-	// makes the shared use race-free, and the channel ordering makes the
-	// field-based resume data below safely visible on both sides.
-	//
-	// The channel is owned by the VP's carrier (carrier.go) and aliased
-	// here only while the VP is assigned one: nil for VPs that have never
-	// executed and for program VPs, which park as pure data.
-	gate chan yieldKind
 	// car is the carrier currently executing this VP's body, nil when the
-	// VP has none (never started, program-mode, or dead).
+	// VP has none (never started, program-mode, or dead). Block parks the
+	// VP by yielding from the carrier's coroutine.
 	car *carrier
 	// prog is the VP's resumable program in RunPrograms mode, created
 	// lazily at the first step.
@@ -296,16 +286,16 @@ func (c *Ctx) AbortNow() {
 // printed.
 func (c *Ctx) Block(reason any) any {
 	v := c.vp
-	if v.gate == nil {
-		// Program VPs have no goroutine to park: they must park by
+	cr := v.car
+	if cr == nil {
+		// Program VPs have no coroutine to park: they must park by
 		// returning from Step. A blocking call reaching here is a
-		// programming error, not a deadlock waiting on a nil channel.
+		// programming error.
 		panic(fmt.Sprintf("core: rank %d called Block from a program VP (park by returning from Program.Step)", v.rank))
 	}
 	v.state = vpBlocked
 	v.blockReason = reason
-	v.gate <- yieldBlocked // hand control to the scheduler
-	<-v.gate               // wait for SchedCtx.Wake's resume
+	cr.yield(yieldBlocked) // back to the scheduler until SchedCtx.Wake's resume
 	if v.killed {
 		panic(unwindSentinel{DeathKilled})
 	}

@@ -6,7 +6,7 @@
 //
 // Every live sender replica sends a copy of each message to every live
 // receiver replica (r² copies per logical message), and each receiver
-// digests the copies it got and votes. A single bit flip in any replica's
+// compares the copies it got byte for byte and votes. A single bit flip in any replica's
 // data is detected the first time it crosses the network; at r ≥ 3 a
 // strict majority also attributes the corruption to the outvoted replica
 // and hands the caller a majority copy — detection with correction. A
@@ -15,9 +15,9 @@
 package redundancy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"xsim/internal/mpi"
 )
@@ -151,13 +151,6 @@ func (c *Comm) checkRank(kind string, l int) error {
 	return nil
 }
 
-// digest hashes a payload for the replica comparison.
-func digest(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
 // Send delivers one copy of data to every live replica of the logical
 // destination. Every replica of the logical sender sends its own (ideally
 // identical) data; divergence is what the receiver's vote catches. A
@@ -195,7 +188,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 }
 
 // Recv collects one copy from every live replica of the logical source
-// and votes on their digests. A mismatch means some replica of the sender
+// and votes on their contents. A mismatch means some replica of the sender
 // produced corrupted data, reported as *SDCError; when a strict majority
 // exists (r ≥ 3) the error names the outvoted replicas and the returned
 // message is a majority copy. Like redMPI, a returned *SDCError still
@@ -266,8 +259,19 @@ func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
 	if len(msgs) > 1 {
 		digests := make([]uint64, c.r)
 		present := make([]bool, c.r)
+		// Each copy's digest is its class: the index of the first copy
+		// with the same bytes. With r ≤ 3 copies that is at most three
+		// comparisons, and unlike a hash no corrupt copy can collide into
+		// the majority.
 		for i, m := range msgs {
-			digests[from[i]] = digest(m.Data)
+			class := i
+			for j := range i {
+				if bytes.Equal(msgs[j].Data, m.Data) {
+					class = j
+					break
+				}
+			}
+			digests[from[i]] = uint64(class)
 			present[from[i]] = true
 		}
 		if corrupt, mismatch := voteDigests(digests, present); mismatch {

@@ -317,6 +317,47 @@ func TestMirrorTripleVotesAndCorrects(t *testing.T) {
 	}
 }
 
+func TestVoteSeesLastByteOfLargePayload(t *testing.T) {
+	// The vote compares whole copies: three 64 KiB payloads that differ
+	// only in replica 2's last byte must name replica 2 and return a
+	// majority copy.
+	const size = 64 << 10
+	ok := make([]bool, 6)
+	blamed := make([][]int, 6)
+	runReplicated(t, 2, 3, nil, func(e *mpi.Env, c *Comm) {
+		if c.Logical() == 0 {
+			payload := make([]byte, size)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			if c.Replica() == 2 {
+				payload[size-1] ^= 1
+			}
+			if err := c.Send(1, 0, payload); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		} else {
+			msg, err := c.Recv(0, 0)
+			var sdc *SDCError
+			if !errors.As(err, &sdc) {
+				t.Errorf("rank %d: recv err = %v, want *SDCError", e.Rank(), err)
+				return
+			}
+			blamed[e.Rank()] = sdc.Corrupt
+			ok[e.Rank()] = len(msg.Data) == size && msg.Data[size-1] == byte((size-1)%256)
+			msg.Release()
+		}
+	})
+	for _, rank := range []int{1, 3, 5} {
+		if len(blamed[rank]) != 1 || blamed[rank][0] != 2 {
+			t.Errorf("rank %d blamed %v, want [2]", rank, blamed[rank])
+		}
+		if !ok[rank] {
+			t.Errorf("rank %d did not get a majority copy", rank)
+		}
+	}
+}
+
 func TestMirrorFailoverSurvivesReplicaDeath(t *testing.T) {
 	// Logical rank 1 loses its replica-1 process (world rank 3) mid-run;
 	// the Mirror protocol keeps the logical rank alive through replica 0,
