@@ -262,13 +262,14 @@ func BenchmarkAblationCheckpointIO(b *testing.B) {
 		{"free-io", func(*TableIIConfig) {}},
 		// A realistic PFS barely moves E1 — the per-rank checkpoints are
 		// tiny, which is exactly why the paper excluded the overhead.
-		{"paper-pfs", func(c *TableIIConfig) { c.FSModel = PaperPFS() }},
+		{"paper-pfs", func(c *TableIIConfig) { c.FSHierarchy = PaperPFS() }},
 		// A pathological PFS (1 s metadata ops, 1 MB/s) makes the cost
 		// model's contribution visible.
 		{"slow-pfs", func(c *TableIIConfig) {
-			c.FSModel.MetadataLatency = Second
-			c.FSModel.WriteBandwidth = 1e6
-			c.FSModel.ReadBandwidth = 1e6
+			c.FSHierarchy = PaperPFS()
+			c.FSHierarchy[0].MetadataLatency = Second
+			c.FSHierarchy[0].WriteBandwidth = 1e6
+			c.FSHierarchy[0].ReadBandwidth = 1e6
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -411,7 +412,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var ckptTime float64
 			for i := 0; i < b.N; i++ {
-				sim, err := New(Config{Ranks: 1, FSModel: PaperPFS()})
+				sim, err := New(Config{Ranks: 1, FSHierarchy: PaperPFS()})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,12 +21,14 @@
 #                     scheduler, and their digests must agree; the goldens,
 #                     twin tests and message-path tests that pin each side
 #                     already ran under -race in 5)
-#   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface,
-#                     the file-name/key round trip of the simulated file
-#                     system, the MPI layer's intrusive list against a
-#                     slice model, and the replication layer's digest vote
-#                     against a brute-force model; checked-in corpora
-#                     already ran as regressions in 4)
+#   7. fuzz smoke     (10s of coverage-guided fuzzing for every Fuzz*
+#                     target of every package, found with go test -list,
+#                     so a new target joins without an edit here: the
+#                     parsing surfaces, the file-name/key round trip of
+#                     the simulated file system, the MPI layer's intrusive
+#                     list against a slice model, and the replication
+#                     layer's digest vote against a brute-force model;
+#                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path, a
 #                     coroutine switch each way between the partition
 #                     worker and the VP's carrier, must stay at 0 allocs/op
@@ -115,15 +117,14 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
 
 echo "== fuzz smoke (10s per target)"
-go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/mpi/
-go test -run '^$' -fuzz '^FuzzDecodeF64s$' -fuzztime 10s ./internal/mpi/
-go test -run '^$' -fuzz '^FuzzList$' -fuzztime 10s ./internal/mpi/
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/checkpoint/
-go test -run '^$' -fuzz '^FuzzLoadExitTime$' -fuzztime 10s ./internal/checkpoint/
-go test -run '^$' -fuzz '^FuzzKeyName$' -fuzztime 10s ./internal/fsmodel/
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/fault/
-go test -run '^$' -fuzz '^FuzzVote$' -fuzztime 10s ./internal/redundancy/
-go test -run '^$' -fuzz '^FuzzCampaignSpecDecode$' -fuzztime 10s .
+# -fuzz takes one package and one target per run, so list them first.
+for pkg in $(go list ./...); do
+	listed=$(go test -list '^Fuzz' "$pkg")
+	for target in $(printf '%s\n' "$listed" | grep '^Fuzz' || true); do
+		echo "-- $pkg $target"
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"
+	done
+done
 
 # bench_gate <pkg> <bench-regex> <units> <maxes> <expected-rows> [benchtime]
 # runs the benchmarks matching the regex once and fails when any row

@@ -99,8 +99,8 @@ type TableIIParams struct {
 // config maps the block to Table II's Go configuration: the one
 // Params→Config mapping left, one direction. Table II keeps a config of
 // its own because the benchmark harness constructs it, and because its Go
-// form says what a document cannot: any fsmodel.Model where the wire has
-// paper_io, and Duration-exact MTTFs, which feed the cell seed.
+// form says what a document cannot: any fsmodel.Hierarchy where the wire
+// has paper_io, and Duration-exact MTTFs, which feed the cell seed.
 func (p *TableIIParams) config(rs RunSpec) TableIIConfig {
 	cfg := TableIIConfig{
 		RunSpec:    rs,
@@ -110,7 +110,7 @@ func (p *TableIIParams) config(rs RunSpec) TableIIConfig {
 		MaxRuns:    p.MaxRuns,
 	}
 	if p.PaperIO {
-		cfg.FSModel = PaperPFS()
+		cfg.FSHierarchy = PaperPFS()
 	}
 	return cfg
 }
@@ -171,11 +171,11 @@ type TableIIConfig struct {
 	// MTTFs are the system mean-time-to-failure values to sweep
 	// (paper: 6,000 s and 3,000 s).
 	MTTFs []Duration
-	// FSModel is the file-system cost model. The paper's Table II
+	// FSHierarchy is the checkpoint storage. The paper's Table II
 	// excludes checkpoint I/O overhead (its file system model was a work
-	// in progress), so the zero value charges nothing; the checkpoint-I/O
-	// ablation sets PaperPFS().
-	FSModel fsmodel.Model
+	// in progress), so the empty hierarchy, one free tier, charges
+	// nothing; paper_io sets PaperPFS().
+	FSHierarchy fsmodel.Hierarchy
 	// MaxRuns caps failure/restart cycles per cell.
 	MaxRuns int
 }
@@ -255,9 +255,8 @@ func setHeatApp(camp *Campaign, hc HeatConfig, prog bool) {
 type ioArm struct {
 	// name fills the arm's Arm column and prefixes its progress labels
 	// ("" = no prefix).
-	name  string
-	model fsmodel.Model
-	hier  fsmodel.Hierarchy
+	name string
+	hier fsmodel.Hierarchy
 	// delta is the incremental-checkpoint fraction (0 = full checkpoints).
 	delta float64
 }
@@ -331,7 +330,6 @@ func (g *heatGrid) run(ctx context.Context) ([]TableIIRow, CampaignStats, error)
 	// 0): it gets a single run, which must complete.
 	add := func(a ioArm, c int, mttf Duration, seed int64, maxRuns int, label string) {
 		simCfg := g.baseConfig()
-		simCfg.FSModel = a.model
 		simCfg.FSHierarchy = a.hier
 		hc := g.base
 		hc.ExchangeInterval = c
@@ -381,7 +379,7 @@ func (g *heatGrid) run(ctx context.Context) ([]TableIIRow, CampaignStats, error)
 // Ranks simulated MPI processes with the checkpoint interval and the
 // system MTTF varied; each cell reports E1 (no failures), E2 (with
 // failures and restarts), F, and MTTFa. It is the heat grid's free arm
-// (charging FSModel when set) with one cell per (MTTF, interval), fanned
+// (charging FSHierarchy when set) with one cell per (MTTF, interval), fanned
 // out across the campaign pool and identical at any pool size. On error
 // (a failed cell, or cancellation) the partial table keeps its pooled
 // Stats but no Rows.
@@ -391,7 +389,7 @@ func RunTableIIContext(ctx context.Context, cfg TableIIConfig) (*TableII, error)
 	if err != nil {
 		return nil, err
 	}
-	g.arms[0].model = cfg.FSModel
+	g.arms[0].hier = cfg.FSHierarchy
 	g.maxRuns = cfg.MaxRuns
 	g.sweepMTTFs(0, cfg.MTTFs)
 
@@ -764,7 +762,6 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 			CheckpointInterval:  interval,
 			CheckpointCost:      ckptCost,
 			RestartCost:         restartCost,
-			Prefix:              "repl",
 		}
 	}
 
@@ -834,7 +831,7 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 					return fault.PoissonSchedule(rng, rs.Ranks, mttf, horizon, start)
 				},
 				Replicas:         degree,
-				CheckpointPrefix: sc.Prefix,
+				CheckpointPrefix: replPrefix,
 				AppFor:           func(int) App { return runReplicatedStencil(sc) },
 			},
 		})
@@ -1020,7 +1017,7 @@ func runIOAblation(ctx context.Context, rs RunSpec, p IOAblationParams) (*IOAbla
 	tiers := fsmodel.PaperTieredFS()
 	g.arms = []ioArm{
 		{name: IOArmFree},
-		{name: IOArmFlatPFS, model: fsmodel.PaperPFSShared()},
+		{name: IOArmFlatPFS, hier: fsmodel.PaperPFSShared()},
 		{name: IOArmTiered, hier: tiers},
 		{name: IOArmTieredIncr, hier: tiers, delta: p.DeltaFraction},
 	}

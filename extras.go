@@ -67,25 +67,20 @@ func FlipFloat64(vals []float64, idx, bit int) (old, flipped float64) {
 	return softerror.FlipFloat64(vals, idx, bit)
 }
 
-// FSModel is the flat file-system cost model (metadata latency,
-// per-client and aggregate bandwidth); Config.FSModel and every tier of
-// an FSHierarchy carry one.
-type FSModel = fsmodel.Model
+// FSHierarchy is an ordered list of storage tiers, fastest (node-local)
+// first, stable backing store (PFS) last; a flat file system is one tier.
+type FSHierarchy = fsmodel.Hierarchy
 
-// PaperPFS returns the parallel-file-system cost model used by the
-// checkpoint-I/O ablation (1 ms metadata operations, 1 GB/s writes,
-// 2 GB/s reads per client).
-func PaperPFS() fsmodel.Model { return fsmodel.PaperPFS() }
+// PaperPFS returns the one-tier parallel file system of Table II's
+// paper_io variant (1 ms metadata operations, 1 GB/s writes, 2 GB/s
+// reads per client).
+func PaperPFS() FSHierarchy { return fsmodel.PaperPFS() }
 
 // PaperPFSShared is PaperPFS with a finite aggregate backplane, so
 // per-client bandwidth degrades as 1/clients once the shared links
 // saturate — the configuration that breaks the zero-cost checkpoint
 // assumption at scale.
-func PaperPFSShared() fsmodel.Model { return fsmodel.PaperPFSShared() }
-
-// FSHierarchy is an ordered list of storage tiers, fastest (node-local)
-// first, stable backing store (PFS) last.
-type FSHierarchy = fsmodel.Hierarchy
+func PaperPFSShared() FSHierarchy { return fsmodel.PaperPFSShared() }
 
 // PaperTieredFS returns the three-tier hierarchy used by the checkpoint
 // I/O ablation: node-local memory → burst buffer → parallel file system,

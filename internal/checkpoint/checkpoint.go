@@ -83,12 +83,13 @@ func key(prefix string, iteration, rank int) fsmodel.Key {
 
 // FS gives one simulated process timed access to the simulated parallel
 // file system: operations advance the process's virtual clock according to
-// the file-system cost model, and a process failure mid-write leaves a
-// corrupted (incomplete) file behind.
+// the cost model of the storage tier they touch, and a process failure
+// mid-write leaves a corrupted (incomplete) file behind. A flat file
+// system is a one-tier hierarchy, so every write, read and delete takes
+// the same path on any store.
 type FS struct {
 	env     *mpi.Env
 	store   *fsmodel.Store
-	model   fsmodel.Model
 	hier    fsmodel.Hierarchy
 	clients int
 }
@@ -103,16 +104,10 @@ func NewFS(env *mpi.Env) (*FS, error) {
 	return &FS{
 		env:     env,
 		store:   store,
-		model:   env.FSModel(),
 		hier:    env.FSHierarchy(),
 		clients: env.Size(),
 	}, nil
 }
-
-// Tiered reports whether the world was configured with a multi-tier
-// storage hierarchy (staged writes and tier-aware reads) rather than the
-// flat single-tier cost model.
-func (fs *FS) Tiered() bool { return len(fs.hier) > 0 }
 
 // Write writes one rank's checkpoint: header, then payload, committed at
 // the end. The virtual write time is charged *between* creating the file
@@ -141,20 +136,13 @@ func (fs *FS) WriteSized(prefix string, meta Meta, size int) error {
 func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	k := key(prefix, meta.Iteration, meta.Rank)
 	size := headerLen + meta.PayloadSize
-	var w *fsmodel.Writer
-	tier, origin := fs.model, 0
-	if fs.Tiered() {
-		// Staged write: the checkpoint commits to the fastest tier with
-		// room (usually node-local memory) at that tier's cost; drains to
-		// the deeper tiers are scheduled after Commit.
-		origin = fs.store.PlaceTier(fs.hier, meta.Rank, size)
-		tier = fs.hier[origin].Model
-		fs.env.Elapse(tier.MetadataCost())
-		w = fs.store.CreateKey(k, origin, meta.Rank, size)
-	} else {
-		fs.env.Elapse(tier.MetadataCost())
-		w = fs.store.CreateKey(k, 0, -1, 0)
-	}
+	// Staged write: the checkpoint commits to the fastest tier with room
+	// (usually node-local memory) at that tier's cost; drains to the
+	// deeper tiers are scheduled after Commit.
+	origin := fs.store.PlaceTier(fs.hier, meta.Rank, size)
+	tier := fs.hier[origin].Model
+	fs.env.Elapse(tier.MetadataCost())
+	w := fs.store.CreateKey(k, origin, meta.Rank, size)
 	var flags uint32
 	if meta.Synthetic {
 		flags |= flagSynthetic
@@ -183,9 +171,7 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	if err := w.Commit(); err != nil {
 		return err
 	}
-	if fs.Tiered() {
-		fs.scheduleDrains(w, origin, size)
-	}
+	fs.scheduleDrains(w, origin, size)
 	return nil
 }
 
@@ -223,24 +209,19 @@ func (fs *FS) restore(prefix string, rank, iteration int, chargeOnly bool) (Meta
 	}
 }
 
-// readGate resolves which tier a read of k is served from and how long
-// the reader must wait first: when the only surviving copy is a drain
-// still in flight, the read blocks until it lands (interruptible — a
-// failure can strike mid-wait). Splitting the gate from the read body
-// lets RestoreStep park on the wait.
+// readGate resolves which tier a read of k is served from — the fastest
+// holding a copy, the first tier for a missing file — and how long the
+// reader must wait first: when the only surviving copy is a drain still
+// in flight, the read blocks until it lands (interruptible — a failure can
+// strike mid-wait). Splitting the gate from the read body lets
+// RestoreStep park on the wait.
 func (fs *FS) readGate(k fsmodel.Key) (tier fsmodel.Model, wait vclock.Duration) {
-	tier = fs.model
-	if fs.Tiered() {
-		// Read from the fastest tier holding a copy.
-		t, at, ok := fs.store.NearestCopy(k, fs.env.Now())
-		if ok {
-			if now := fs.env.Now(); at > now {
-				wait = at.Sub(now)
-			}
-			tier = fs.hier[t].Model
-		}
+	now := fs.env.Now()
+	t, at, _ := fs.store.NearestCopy(k, now)
+	if at > now {
+		wait = at.Sub(now)
 	}
-	return tier, wait
+	return fs.hier[t].Model, wait
 }
 
 // readWithTier is the body of Read after the tier gate: metadata charge,
@@ -337,15 +318,8 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 // Delete removes one rank's checkpoint file (idempotent).
 func (fs *FS) Delete(prefix string, iteration, rank int) {
 	k := key(prefix, iteration, rank)
-	tier := fs.model
-	if fs.Tiered() {
-		t := fs.store.TierOf(k)
-		if t < 0 {
-			t = 0
-		}
-		tier = fs.hier[t].Model
-	}
-	fs.env.Elapse(tier.MetadataCost())
+	t := max(fs.store.TierOf(k), 0)
+	fs.env.Elapse(fs.hier[t].MetadataCost())
 	fs.store.Delete(k)
 }
 
@@ -447,7 +421,12 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	if !ok {
 		return false
 	}
-	fs.env.Elapse(fs.model.MetadataCost())
+	if len(fs.hier) == 1 {
+		// ROADMAP 1b pins this undercharge: a probe charges the metadata
+		// latency of a one-tier store and nothing on a tiered one, where
+		// every other operation charges the tier it touches.
+		fs.env.Elapse(fs.hier[0].MetadataCost())
+	}
 	meta, _, err := trusted(k, data, complete)
 	if err != nil {
 		// Corrupted: delete it; the caller keeps looking at older sets.

@@ -13,10 +13,11 @@ import (
 	"xsim/internal/vclock"
 )
 
-// withEnv runs body inside a 1-rank simulated world with a PFS.
+// withEnv runs body inside a 1-rank simulated world with a one-tier PFS
+// of the given cost model.
 func withEnv(t *testing.T, store *fsmodel.Store, model fsmodel.Model, failAt vclock.Time, body func(*mpi.Env)) *core.Result {
 	t.Helper()
-	return withWorld(t, mpi.WorldConfig{FSStore: store, FSModel: model}, failAt, body)
+	return withWorld(t, mpi.WorldConfig{FSStore: store, FSHierarchy: fsmodel.Hierarchy{{Model: model}}}, failAt, body)
 }
 
 // withWorld runs body inside a 1-rank simulated world with cfg's file
@@ -77,7 +78,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestWriteChargesTime(t *testing.T) {
 	store := fsmodel.NewStore()
-	model := fsmodel.PaperPFS()
+	model := fsmodel.PaperPFS()[0].Model
 	payload := make([]byte, 1e6)
 	withEnv(t, store, model, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
@@ -94,7 +95,7 @@ func TestWriteChargesTime(t *testing.T) {
 
 func TestFailureDuringWriteCorruptsCheckpoint(t *testing.T) {
 	store := fsmodel.NewStore()
-	model := fsmodel.PaperPFS() // 1 MB takes ~1 ms: fail in the middle
+	model := fsmodel.PaperPFS()[0].Model // 1 MB takes ~1 ms: fail in the middle
 	payload := make([]byte, 1e6)
 	// Timeline: 1 ms metadata (file not yet created), then create, then
 	// ~1 ms payload write. Failing at 1.5 ms lands mid-write, after the
@@ -257,7 +258,7 @@ func TestDeleteSet(t *testing.T) {
 
 func TestWriteSizedSynthetic(t *testing.T) {
 	store := fsmodel.NewStore()
-	model := fsmodel.PaperPFS()
+	model := fsmodel.PaperPFS()[0].Model
 	withEnv(t, store, model, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
 		before := e.Now()
@@ -318,7 +319,7 @@ func TestIncrementalChain(t *testing.T) {
 
 func TestIncrementalSizedCost(t *testing.T) {
 	store := fsmodel.NewStore()
-	model := fsmodel.PaperPFS()
+	model := fsmodel.PaperPFS()[0].Model
 	withEnv(t, store, model, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
 		if err := fs.WriteSized("heat", Meta{Iteration: 1, Rank: 0}, 1e6); err != nil {

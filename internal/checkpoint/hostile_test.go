@@ -48,7 +48,7 @@ func TestDecodeRejectsOverflowingPayloadSize(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	withEnv(t, store, fsmodel.PaperPFS(), 0, func(e *mpi.Env) {
+	withEnv(t, store, fsmodel.PaperPFS()[0].Model, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
 		if err := fs.ChargeRestore("heat", 0, 10); !errors.Is(err, ErrCorrupted) {
 			t.Errorf("ChargeRestore = %v, want ErrCorrupted", err)

@@ -29,7 +29,7 @@ func TestPooledPayloadRoundTrip(t *testing.T) {
 		OnNode: netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: vclock.Second},
 	}
 	store := fsmodel.NewStore()
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: procmodel.Paper(), FSStore: store, FSModel: fsmodel.Model{}})
+	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: procmodel.Paper(), FSStore: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // withTieredEnv runs body inside a 1-rank simulated world whose checkpoint
-// storage is the given multi-tier hierarchy.
+// storage is the given hierarchy.
 func withTieredEnv(t testing.TB, store *fsmodel.Store, h fsmodel.Hierarchy, body func(*mpi.Env)) {
 	t.Helper()
 	withWorld(t, mpi.WorldConfig{FSStore: store, FSHierarchy: h}, 0, body)
@@ -35,9 +35,6 @@ func TestTieredWriteCommitsAtLocalTierCost(t *testing.T) {
 		fs, err := NewFS(e)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !fs.Tiered() {
-			t.Fatal("hierarchy-configured FS reports flat")
 		}
 		before := e.Now()
 		if err := fs.WriteSized("heat", Meta{Iteration: 5, Rank: 0}, payload); err != nil {
@@ -170,32 +167,36 @@ func TestChainWalksBasePointers(t *testing.T) {
 	}
 }
 
-// TestTieredProbeChargesFlatModelMetadata pins a known undercharge: on a
-// tiered file system every write, read and delete charges the metadata
-// latency of the tier it touches, but ProbeValid charges the flat model's
-// (the world's FSModel), which tiered configurations leave at zero. The
-// fix would charge the tier holding the nearest copy and move the
-// ckpt-32k-prog golden digest, so it waits for the next change to the
-// benchmark.
-func TestTieredProbeChargesFlatModelMetadata(t *testing.T) {
-	h := fsmodel.PaperTieredFS()
-	for _, flat := range []fsmodel.Model{{}, fsmodel.PaperPFS()} {
+// TestProbeChargesMetadataOnlyOnOneTierStore pins a known undercharge
+// (ROADMAP 1b): every write, read and delete charges the metadata latency
+// of the tier it touches, but ProbeValid charges a one-tier store's and
+// nothing on a tiered one. The fix would charge the tier holding the
+// nearest copy and move the ckpt-32k-prog golden digest, so it waits for
+// the next change to the benchmark.
+func TestProbeChargesMetadataOnlyOnOneTierStore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hier fsmodel.Hierarchy
+		want vclock.Duration
+	}{
+		{"tiered", fsmodel.PaperTieredFS(), 0},
+		{"one tier", fsmodel.PaperPFS(), fsmodel.PaperPFS()[0].MetadataCost()},
+	} {
 		store := fsmodel.NewStore()
-		withWorld(t, mpi.WorldConfig{FSStore: store, FSModel: flat, FSHierarchy: h}, 0, func(e *mpi.Env) {
+		withTieredEnv(t, store, tc.hier, func(e *mpi.Env) {
 			fs, _ := NewFS(e)
 			if err := fs.WriteSized("heat", Meta{Iteration: 5, Rank: 0}, 1<<20); err != nil {
 				t.Fatal(err)
 			}
 			if got := store.TierOf(key("heat", 5, 0)); got != 0 {
-				t.Fatalf("checkpoint originated at tier %d, want 0", got)
+				t.Fatalf("%s: checkpoint originated at tier %d, want 0", tc.name, got)
 			}
 			before := e.Now()
 			if !fs.ProbeValid("heat", 0, 5) {
-				t.Fatal("valid checkpoint probed invalid")
+				t.Fatalf("%s: valid checkpoint probed invalid", tc.name)
 			}
-			if got, want := e.Now().Sub(before), flat.MetadataCost(); got != want {
-				t.Errorf("flat model %+v: probe charged %v, want the flat model's %v (node tier: %v)",
-					flat, got, want, h[0].MetadataCost())
+			if got := e.Now().Sub(before); got != tc.want {
+				t.Errorf("%s: probe charged %v, want %v", tc.name, got, tc.want)
 			}
 		})
 	}

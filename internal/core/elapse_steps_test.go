@@ -8,12 +8,11 @@ import (
 )
 
 // stepOutcome is what a run of clock steps leaves behind: how many were
-// taken (the one that unwound the VP included), the clock and busy time,
-// and whether and why the VP unwound.
+// taken (the one that unwound the VP included), the clock (which fixes the
+// busy time the run reports), and whether and why the VP unwound.
 type stepOutcome struct {
 	taken  int
 	clock  vclock.Time
-	busy   vclock.Duration
 	died   bool
 	reason DeathReason
 }
@@ -40,7 +39,7 @@ func elapseLoop(v vp, d vclock.Duration, n int) stepOutcome {
 			c.Elapse(d)
 		}
 	})
-	out.clock, out.busy = v.clock, v.busy
+	out.clock = v.clock
 	return out
 }
 
@@ -53,7 +52,7 @@ func elapseSteps(v vp, d vclock.Duration, n int) stepOutcome {
 	if out.taken > 0 { // n <= 0 is no Elapse call at all, so no activation either
 		out.died, out.reason = catchUnwind(func() { c.Elapse(0) })
 	}
-	out.clock, out.busy = v.clock, v.busy
+	out.clock = v.clock
 	return out
 }
 
@@ -85,7 +84,7 @@ func TestElapseStepsEdges(t *testing.T) {
 		{"both at the same instant", 100, 121, 121, 7, 9},
 		{"negative clock, far threshold", -5, never - 1, never, 3, 4},
 	} {
-		v := vp{clock: tc.clock, tof: tc.tof, abortAt: tc.abortAt, busy: 11}
+		v := vp{clock: tc.clock, tof: tc.tof, abortAt: tc.abortAt}
 		if want, got := elapseLoop(v, tc.d, tc.n), elapseSteps(v, tc.d, tc.n); got != want {
 			t.Errorf("%s: ElapseSteps left %+v, the Elapse loop %+v", tc.name, got, want)
 		}
@@ -94,9 +93,10 @@ func TestElapseStepsEdges(t *testing.T) {
 
 // Property: ElapseSteps followed by the activation point is
 // indistinguishable from the loop of Elapse calls it replaces — same steps
-// taken, same clock and busy time, same unwind — over clocks, step sizes
-// (zero and negative too), counts, and failure and abort times that are
-// unset, already passed, exactly on a step, or anywhere around the run.
+// taken, same clock (so the same busy time), same unwind — over clocks,
+// step sizes (zero and negative too), counts, and failure and abort times
+// that are unset, already passed, exactly on a step, or anywhere around
+// the run.
 func TestQuickElapseStepsMatchesElapseLoop(t *testing.T) {
 	// threshold picks a pending time from two random words.
 	threshold := func(clock vclock.Time, d vclock.Duration, n int, sel uint8, off int16) vclock.Time {
@@ -113,7 +113,7 @@ func TestQuickElapseStepsMatchesElapseLoop(t *testing.T) {
 		}
 	}
 	f := func(clock int32, d int8, n uint8, tofSel, abortSel uint8, tofOff, abortOff int16) bool {
-		v := vp{clock: vclock.Time(clock), busy: 5}
+		v := vp{clock: vclock.Time(clock)}
 		step, count := vclock.Duration(d), int(n)
 		if d < -2 {
 			step = vclock.Duration(-int(d)) * 37 // mostly positive steps; keep 0, -1, -2

@@ -348,7 +348,7 @@ func (e *Engine) run() (*Result, error) {
 		v := &e.vps[i]
 		res.FinalClocks[i] = v.clock
 		res.Deaths[i] = v.death
-		res.Busy[i] = v.busy
+		res.Busy[i] = v.clock.Sub(e.cfg.StartClock) - v.waited
 		res.Waited[i] = v.waited
 		switch v.death {
 		case DeathCompleted:

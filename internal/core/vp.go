@@ -112,11 +112,10 @@ type vp struct {
 	sleeping bool
 	sleepSeq uint64
 
-	// busy accumulates virtual time spent executing (Elapse/Compute and
-	// charged I/O); waited accumulates virtual time spent blocked or
-	// advanced to operation completions. busy + waited equals the clock
-	// advance since start, which the power model turns into energy.
-	busy   vclock.Duration
+	// waited accumulates virtual time spent blocked or advanced to
+	// operation completions; the rest of the clock's advance since start
+	// is busy time (Elapse/Compute and charged I/O). The power model
+	// turns the two into energy.
 	waited vclock.Duration
 
 	// seq numbers this VP's emitted events for deterministic ordering.
@@ -194,18 +193,17 @@ func (c *Ctx) NowQuiet() vclock.Time { return c.vp.clock }
 func (c *Ctx) Elapse(d vclock.Duration) {
 	if d > 0 {
 		c.vp.clock = c.vp.clock.Add(d)
-		c.vp.busy += d
 	}
 	c.vp.checkUnwind()
 }
 
 // ElapseSteps is up to n consecutive Elapse(d) calls in O(1). It advances
-// the clock, and the busy time, by taken × d and returns taken: n, or
-// fewer when a pending failure or abort would have unwound the VP inside
-// the loop, in which case the taken-th step is the one whose clock update
-// reaches it (the first at or past the earlier of the two times, found by
-// one ceiling division). The total is a multiple of the already-rounded d,
-// so clocks are bit-identical to the loop's.
+// the clock by taken × d and returns taken: n, or fewer when a pending
+// failure or abort would have unwound the VP inside the loop, in which case
+// the taken-th step is the one whose clock update reaches it (the first at
+// or past the earlier of the two times, found by one ceiling division). The
+// total is a multiple of the already-rounded d, so clocks are bit-identical
+// to the loop's.
 //
 // Unlike Elapse it is not itself an activation point: the caller first
 // records what the taken steps were (an iteration count, a tracker) and
@@ -218,9 +216,7 @@ func (c *Ctx) ElapseSteps(d vclock.Duration, n int) (taken int) {
 	}
 	taken = min(n, vclock.StepsToReach(v.clock, d, vclock.Min(v.tof, v.abortAt)))
 	if d > 0 {
-		total := vclock.Duration(taken) * d
-		v.clock = v.clock.Add(total)
-		v.busy += total
+		v.clock = v.clock.Add(vclock.Duration(taken) * d)
 	}
 	return taken
 }

@@ -14,11 +14,13 @@
 //     checkpoint format no name and hash no string. Only file creation and
 //     drain scheduling also take a name, which parses into the same key.
 //
-//   - Model: the cost model (metadata latency, read/write bandwidth). The
-//     paper notes its file system model was a work in progress and excludes
-//     checkpoint I/O overhead from the Table II experiments; Model therefore
-//     supports a disabled mode in which all operations are free, plus a
-//     full cost mode used by the checkpoint-I/O ablation.
+//   - Model and Hierarchy: the cost model (metadata latency, read/write
+//     bandwidth) and the ordered storage tiers that carry one each; a flat
+//     file system is a one-tier hierarchy. The paper notes its file system
+//     model was a work in progress and excludes checkpoint I/O overhead
+//     from the Table II experiments; Model therefore supports a disabled
+//     mode in which all operations are free, plus a full cost mode used by
+//     the checkpoint-I/O ablation.
 package fsmodel
 
 import (
@@ -45,17 +47,6 @@ type Model struct {
 	// contention that breaks the zero-cost assumption at 32k ranks.
 	AggregateWriteBandwidth float64
 	AggregateReadBandwidth  float64
-}
-
-// PaperPFS returns a plausible parallel-file-system cost model used by the
-// checkpoint-I/O ablation: 1 ms metadata operations, 1 GB/s writes and
-// 2 GB/s reads per client.
-func PaperPFS() Model {
-	return Model{
-		MetadataLatency: vclock.Millisecond,
-		WriteBandwidth:  1e9,
-		ReadBandwidth:   2e9,
-	}
 }
 
 // Validate reports a configuration error, if any.
@@ -137,9 +128,10 @@ type Tier struct {
 	Volatile bool
 }
 
-// Hierarchy is an ordered multi-tier storage system, fastest (and most
-// volatile) tier first, most durable tier last. An empty hierarchy means
-// flat single-tier storage under the plain Model.
+// Hierarchy is an ordered storage system, fastest (and most volatile)
+// tier first, most durable tier last. A flat file system is a one-tier
+// hierarchy; an empty one stands for a single free tier, which the MPI
+// world fills in.
 type Hierarchy []Tier
 
 // Validate reports a configuration error, if any.
@@ -155,8 +147,14 @@ func (h Hierarchy) Validate() error {
 			return fmt.Errorf("fsmodel: tier %d (%s): Capacity must be non-negative", i, t.Name)
 		}
 	}
-	if h[len(h)-1].Volatile {
+	last := h[len(h)-1]
+	if last.Volatile {
 		return fmt.Errorf("fsmodel: the last (most durable) tier must not be volatile")
+	}
+	if last.Capacity != 0 {
+		// PlaceTier spills everything that fits nowhere else to the last
+		// tier, so a bound there would never be enforced.
+		return fmt.Errorf("fsmodel: the last tier (%s) takes every spill and cannot have a Capacity", last.Name)
 	}
 	return nil
 }
@@ -189,26 +187,31 @@ func PaperTieredFS() Hierarchy {
 				AggregateReadBandwidth:  2e12,
 			},
 		},
-		{
-			Name: "pfs",
-			Model: Model{
-				MetadataLatency:         vclock.Millisecond,
-				WriteBandwidth:          1e9,
-				ReadBandwidth:           2e9,
-				AggregateWriteBandwidth: 256e9,
-				AggregateReadBandwidth:  512e9,
-			},
-		},
+		PaperPFSShared()[0],
 	}
 }
 
-// PaperPFSShared returns the flat parallel-file-system model of the
-// ablation's flat arm: PaperPFS per-client parameters plus the same
-// aggregate bandwidth cap as PaperTieredFS's PFS tier, so the two arms
-// differ only in the hierarchy, not in the disk system behind it.
-func PaperPFSShared() Model {
-	m := PaperPFS()
-	m.AggregateWriteBandwidth = 256e9
-	m.AggregateReadBandwidth = 512e9
-	return m
+// PaperPFS returns the one-tier parallel file system used by the paper_io
+// Table II variant: 1 ms metadata operations, 1 GB/s writes and 2 GB/s
+// reads per client.
+func PaperPFS() Hierarchy {
+	return Hierarchy{{
+		Name: "pfs",
+		Model: Model{
+			MetadataLatency: vclock.Millisecond,
+			WriteBandwidth:  1e9,
+			ReadBandwidth:   2e9,
+		},
+	}}
+}
+
+// PaperPFSShared returns the one-tier file system of the I/O ablation's
+// flat arm: PaperPFS plus a shared aggregate bandwidth that 32k concurrent
+// writers must split. It is also PaperTieredFS's last tier, so the two
+// arms differ only in the hierarchy, not in the disk system behind it.
+func PaperPFSShared() Hierarchy {
+	h := PaperPFS()
+	h[0].AggregateWriteBandwidth = 256e9
+	h[0].AggregateReadBandwidth = 512e9
+	return h
 }

@@ -19,10 +19,14 @@ func TestZeroModelIsFree(t *testing.T) {
 }
 
 func TestPaperPFSCosts(t *testing.T) {
-	m := PaperPFS()
-	if err := m.Validate(); err != nil {
+	h := PaperPFS()
+	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if len(h) != 1 {
+		t.Fatalf("PaperPFS has %d tiers, want one", len(h))
+	}
+	m := h[0]
 	// 1 GB at 1 GB/s = 1 s.
 	if got := m.WriteCost(1e9); got != vclock.Second {
 		t.Fatalf("WriteCost = %v", got)
@@ -223,7 +227,7 @@ func TestOpenReturnsCopy(t *testing.T) {
 }
 
 func TestQuickCostsMonotone(t *testing.T) {
-	m := PaperPFS()
+	m := PaperPFS()[0]
 	f := func(a, b uint32) bool {
 		x, y := int(a%1e9), int(b%1e9)
 		if x > y {

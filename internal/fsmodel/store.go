@@ -114,8 +114,8 @@ type file struct {
 	store *Store
 	key   Key
 	data  []byte
-	// tier is the origin tier the file was written to (0 in flat
-	// stores); owner is the writing rank (-1 = unowned) and size the
+	// tier is the origin tier the file was written to (0 on a one-tier
+	// store); owner is the writing rank (-1 = unowned) and size the
 	// declared virtual size, both used by capacity accounting and
 	// failure resolution.
 	tier  int
@@ -385,7 +385,8 @@ func (s *Store) Usage(tier, owner int) int {
 
 // PlaceTier picks the tier a new size-byte file of owner should originate
 // at: the first tier of h with room under its per-owner capacity, falling
-// through to the last (durable, unbounded-by-convention) tier.
+// through to the last (durable, unbounded: Hierarchy.Validate refuses a
+// capacity there) tier.
 func (s *Store) PlaceTier(h Hierarchy, owner, size int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -536,8 +537,8 @@ func (s *Store) TierOf(k Key) int {
 // the file at k as of virtual time now, and the time that copy became (or
 // becomes) available: when no copy exists yet — the origin was lost and
 // the only surviving drain is still in flight — it returns the earliest
-// future drain with at > now. ok is false when the file is missing or no
-// copy will ever exist.
+// future drain with at > now. ok is false, with tier and at 0, when the
+// file is missing or no copy will ever exist.
 func (s *Store) NearestCopy(k Key, now vclock.Time) (tier int, at vclock.Time, ok bool) {
 	k = k.canon()
 	s.mu.Lock()

@@ -73,8 +73,10 @@ func TestHierarchyValidate(t *testing.T) {
 	if err := (Hierarchy{}).Validate(); err != nil {
 		t.Fatalf("empty hierarchy: %v", err)
 	}
-	if err := PaperTieredFS().Validate(); err != nil {
-		t.Fatalf("paper hierarchy: %v", err)
+	for _, h := range []Hierarchy{PaperTieredFS(), PaperPFS(), PaperPFSShared()} {
+		if err := h.Validate(); err != nil {
+			t.Fatalf("paper hierarchy %+v: %v", h, err)
+		}
 	}
 	bad := Hierarchy{{Name: "node", Volatile: true}}
 	if err := bad.Validate(); err == nil {
@@ -87,6 +89,16 @@ func TestHierarchyValidate(t *testing.T) {
 	bad = Hierarchy{{Name: "node", Model: Model{WriteBandwidth: -1}}, {Name: "pfs"}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid tier model accepted")
+	}
+	// The last tier takes every spill (PlaceTier), so a capacity there
+	// would be silently unbounded: one-tier and tiered stores alike.
+	for _, bad := range []Hierarchy{
+		{{Name: "pfs", Model: PaperPFS()[0].Model, Capacity: 1 << 30}},
+		{{Name: "node", Capacity: 1 << 20}, {Name: "pfs", Capacity: 1 << 30}},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("capacity on the last tier accepted: %+v", bad)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func benchWorld(b testing.TB, n int) *mpi.World {
 	}
 	w, err := mpi.NewWorld(eng, mpi.WorldConfig{
 		Net: net, Proc: fastProc,
-		FSStore: fsmodel.NewStore(), FSModel: fsmodel.Model{},
+		FSStore:     fsmodel.NewStore(),
 		Collectives: mpi.Tree,
 	})
 	if err != nil {

@@ -49,16 +49,11 @@ type Config struct {
 	// final iteration always writes a checkpoint (the baseline run's
 	// single result checkpoint).
 	CheckpointInterval int
-	// Prefix names the checkpoint files (default "heat").
-	Prefix string
 	// RealCompute selects real grids and stencils over modelled time.
 	RealCompute bool
 	// PointCost is the modelled work per point update in reference-core
 	// cycles; see PaperWorkload for the calibration.
 	PointCost float64
-	// Alpha is the diffusion coefficient of the explicit update (real
-	// compute mode); stability requires Alpha <= 1/6.
-	Alpha float64
 	// Tracker, when set, records per-rank progress and phases for the
 	// failure-mode analysis (§V-D of the paper).
 	Tracker *Tracker
@@ -109,9 +104,7 @@ func PaperWorkload() Config {
 		Iterations:         1000,
 		ExchangeInterval:   1000,
 		CheckpointInterval: 1000,
-		Prefix:             "heat",
 		PointCost:          2178, // 4096 points × 2178 cycles / 1.7e6 Hz ≈ 5.25 s/iteration
-		Alpha:              1.0 / 6.0,
 	}
 }
 
@@ -139,9 +132,6 @@ func (c *Config) Validate(worldSize int) error {
 	}
 	if c.PointCost < 0 {
 		return fmt.Errorf("heat: PointCost must be non-negative")
-	}
-	if c.RealCompute && (c.Alpha <= 0 || c.Alpha > 1.0/6.0) {
-		return fmt.Errorf("heat: Alpha %g outside stable range (0, 1/6]", c.Alpha)
 	}
 	if c.CheckpointPayload < 0 {
 		return fmt.Errorf("heat: CheckpointPayload must be non-negative")
@@ -250,13 +240,12 @@ func (c *Config) fullEvery() int {
 	return 4
 }
 
-// prefix returns the configured or default checkpoint prefix.
-func (c *Config) prefix() string {
-	if c.Prefix == "" {
-		return "heat"
-	}
-	return c.Prefix
-}
+// prefix names the checkpoint files.
+const prefix = "heat"
+
+// alpha is the diffusion coefficient of the explicit update (real compute
+// mode), at the stability limit of 1/6.
+const alpha = 1.0 / 6.0
 
 // Phase identifies where in its cycle a rank currently is; the paper's
 // "first impressions" analysis classifies failures and detections by
@@ -399,13 +388,12 @@ func (s *state) neighbor(dx, dy, dz int) int {
 // stencil runs one sweep of the explicit update over the cube (real
 // compute); the runner has already charged its modelled time.
 func (s *state) stencil() {
-	a := s.cfg.Alpha
 	for k := 1; k <= s.nz; k++ {
 		for j := 1; j <= s.ny; j++ {
 			for i := 1; i <= s.nx; i++ {
 				c := s.idx(i, j, k)
 				u := s.cur[c]
-				s.next[c] = u + a*(s.cur[c-1]+s.cur[c+1]+
+				s.next[c] = u + alpha*(s.cur[c-1]+s.cur[c+1]+
 					s.cur[c-(s.nx+2)]+s.cur[c+(s.nx+2)]+
 					s.cur[c-(s.nx+2)*(s.ny+2)]+s.cur[c+(s.nx+2)*(s.ny+2)]-6*u)
 			}

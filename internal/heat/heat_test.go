@@ -55,7 +55,6 @@ func smallReal(n int) Config {
 		CheckpointInterval: 10,
 		RealCompute:        true,
 		PointCost:          1000, // ≈300 µs of modelled compute per iteration
-		Alpha:              1.0 / 6.0,
 	}
 }
 
@@ -81,12 +80,6 @@ func TestValidate(t *testing.T) {
 	bad.CheckpointInterval = 0
 	if err := bad.Validate(32768); err == nil {
 		t.Error("zero checkpoint interval should fail")
-	}
-	bad = cfg
-	bad.RealCompute = true
-	bad.Alpha = 0.5
-	if err := bad.Validate(32768); err == nil {
-		t.Error("unstable alpha should fail")
 	}
 }
 
@@ -465,7 +458,7 @@ func TestTrackerPhaseCounts(t *testing.T) {
 
 func TestPackUnpackFaces(t *testing.T) {
 	cfg := Config{NX: 4, NY: 6, NZ: 8, PX: 1, PY: 1, PZ: 1, Iterations: 1,
-		ExchangeInterval: 1, CheckpointInterval: 1, RealCompute: true, Alpha: 1.0 / 6.0}
+		ExchangeInterval: 1, CheckpointInterval: 1, RealCompute: true}
 	s := newState(&cfg, 0)
 	// Fill the interior with position-coded values.
 	for k := 1; k <= s.nz; k++ {
@@ -506,7 +499,7 @@ func TestPackUnpackFaces(t *testing.T) {
 
 func TestEncodeRestoreRoundTrip(t *testing.T) {
 	cfg := Config{NX: 4, NY: 4, NZ: 4, PX: 1, PY: 1, PZ: 1, Iterations: 1,
-		ExchangeInterval: 1, CheckpointInterval: 1, RealCompute: true, Alpha: 1.0 / 6.0}
+		ExchangeInterval: 1, CheckpointInterval: 1, RealCompute: true}
 	s := newState(&cfg, 0)
 	for i := range s.cur {
 		s.cur[i] = float64(i) * 1.5

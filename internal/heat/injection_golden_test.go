@@ -37,7 +37,9 @@ func injectionWorld(t *testing.T, workers int, store *fsmodel.Store, start vcloc
 	t.Helper()
 	return testWorldWith(t, 8, workers, start, failures, mpi.WorldConfig{
 		FSStore: store,
-		FSModel: fsmodel.Model{MetadataLatency: 3 * vclock.Microsecond, WriteBandwidth: 1e9, ReadBandwidth: 2e9},
+		FSHierarchy: fsmodel.Hierarchy{{
+			Model: fsmodel.Model{MetadataLatency: 3 * vclock.Microsecond, WriteBandwidth: 1e9, ReadBandwidth: 2e9},
+		}},
 	})
 }
 

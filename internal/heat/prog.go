@@ -150,7 +150,7 @@ func (p *heatRunner) latestCheckpoint(rank int) (int, bool) {
 		every = 1
 	}
 	for it := cfg.Iterations; it > 0; it = (it - 1) / every * every {
-		if p.fs.ProbeValid(cfg.prefix(), rank, it) {
+		if p.fs.ProbeValid(prefix, rank, it) {
 			return it, true
 		}
 	}
@@ -208,20 +208,24 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 				continue
 			}
 			p.restoreIter = it
-			switch {
+			switch hier := env.FSHierarchy(); {
 			case cfg.RealCompute:
 				p.rs = new(checkpoint.RestoreState)
-				p.rs.Begin(cfg.prefix(), rank, it, false)
-			case fs.Tiered() || cfg.DeltaFraction > 0:
-				// Tier-aware restore: read the whole delta chain, each file
-				// from the fastest tier holding a surviving copy.
-				p.rs = new(checkpoint.RestoreState)
-				p.rs.Begin(cfg.prefix(), rank, it, true)
-			default:
-				env.Elapse(env.FSModel().ReadCost(cfg.payloadBytes()))
+				p.rs.Begin(prefix, rank, it, false)
+			case len(hier) == 1 && cfg.DeltaFraction == 0:
+				// ROADMAP 1b pins this undercharge: a modelled restart
+				// from a one-tier store reads the payload at one client's
+				// bandwidth, with no metadata operation and no header,
+				// where the write it restores charged the contended cost.
+				env.Elapse(hier[0].ReadCost(cfg.payloadBytes()))
 				p.startIter = it
 				p.pc = hpAfterRestore
 				continue
+			default:
+				// Tier-aware restore: read the whole delta chain, each file
+				// from the fastest tier holding a surviving copy.
+				p.rs = new(checkpoint.RestoreState)
+				p.rs.Begin(prefix, rank, it, true)
 			}
 			p.pc = hpRestore
 		case hpRestore:
@@ -246,7 +250,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.incr = !cfg.RealCompute && cfg.DeltaFraction > 0
 			if p.incr && p.startIter > 0 {
 				// The current incremental chain, base (full checkpoint) first.
-				p.chain = checkpoint.Chain(env.FSStore(), cfg.prefix(), rank, p.startIter)
+				p.chain = checkpoint.Chain(env.FSStore(), prefix, rank, p.startIter)
 			}
 			// Initialise the ghost layers of the (initial or restored) state
 			// so the first computation phase sees its neighbours' boundaries.
@@ -315,12 +319,12 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			var err error
 			switch {
 			case cfg.RealCompute:
-				err = p.fs.Write(cfg.prefix(), meta, p.st.encode())
+				err = p.fs.Write(prefix, meta, p.st.encode())
 			case p.full:
-				err = p.fs.WriteSized(cfg.prefix(), meta, cfg.payloadBytes())
+				err = p.fs.WriteSized(prefix, meta, cfg.payloadBytes())
 			default:
 				meta.Incremental, meta.BaseIteration = true, p.chain[len(p.chain)-1]
-				err = p.fs.WriteSized(cfg.prefix(), meta, cfg.deltaBytes())
+				err = p.fs.WriteSized(prefix, meta, cfg.deltaBytes())
 			}
 			if err != nil {
 				panic(fmt.Sprintf("heat: rank %d checkpoint %d: %v", rank, iter, err))
@@ -353,7 +357,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 				if p.full {
 					for _, old := range p.chain {
 						if old != iter {
-							p.fs.Delete(cfg.prefix(), old, rank)
+							p.fs.Delete(prefix, old, rank)
 						}
 					}
 					p.chain = append(p.chain[:0], iter)
@@ -361,7 +365,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 					p.chain = append(p.chain, iter)
 				}
 			} else if p.prevCkpt > 0 && p.prevCkpt != iter {
-				p.fs.Delete(cfg.prefix(), p.prevCkpt, rank)
+				p.fs.Delete(prefix, p.prevCkpt, rank)
 			}
 			if tr != nil {
 				tr.ckpts[rank]++

@@ -13,7 +13,7 @@ import (
 	"xsim/internal/vclock"
 )
 
-// testWorldH is testWorld with a multi-tier storage hierarchy.
+// testWorldH is testWorld with the given storage hierarchy.
 func testWorldH(t *testing.T, n, workers int, store *fsmodel.Store, h fsmodel.Hierarchy, start vclock.Time, failures fault.Schedule) *mpi.World {
 	t.Helper()
 	return testWorldWith(t, n, workers, start, failures, mpi.WorldConfig{FSStore: store, FSHierarchy: h})
@@ -156,6 +156,57 @@ func TestHeatProgRestartMatchesClosure(t *testing.T) {
 		}
 		if tr2.PhaseOf(r) != PhaseDone {
 			t.Errorf("rank %d: prog phase %v, want done", r, tr2.PhaseOf(r))
+		}
+	}
+}
+
+// TestModelledRestartReadChargesOnePayloadRead pins a known undercharge
+// (ROADMAP 1b): a modelled restart from a one-tier store charges its read
+// as the tier's ReadCost(payload) — one client's bandwidth, no header, no
+// metadata operation — where the write it restores charged the contended
+// cost of header and payload. Restarts from a PaperPFSShared store and
+// from the same store with free reads differ by exactly that charge.
+func TestModelledRestartReadChargesOnePayloadRead(t *testing.T) {
+	const n = 8
+	cfg := smallReal(n)
+	cfg.RealCompute = false
+	cfg.Iterations = 20
+	cfg.CheckpointInterval = 10
+	cfg.CheckpointPayload = 64 << 20
+	pfs := fsmodel.PaperPFSShared()
+	freeReads := fsmodel.PaperPFSShared()
+	freeReads[0].ReadBandwidth, freeReads[0].AggregateReadBandwidth = 0, 0
+
+	// restart completes a run, then reruns it on the same store: every
+	// rank restores the final checkpoint. It returns each rank's clock
+	// advance in the rerun.
+	restart := func(h fsmodel.Hierarchy) []vclock.Duration {
+		store := fsmodel.NewStore()
+		first, err := testWorldH(t, n, 1, store, h, 0, nil).RunProgs(NewProg(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTracker(n)
+		rcfg := cfg
+		rcfg.Tracker = tr
+		res, err := testWorldH(t, n, 1, store, h, first.MaxClock, nil).RunProgs(NewProg(rcfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]vclock.Duration, n)
+		for r := range out {
+			if tr.StartIterOf(r) != cfg.Iterations {
+				t.Fatalf("rank %d restarted from %d, want %d", r, tr.StartIterOf(r), cfg.Iterations)
+			}
+			out[r] = res.FinalClocks[r].Sub(first.MaxClock)
+		}
+		return out
+	}
+	charged, free := restart(pfs), restart(freeReads)
+	want := pfs[0].ReadCost(cfg.payloadBytes())
+	for r := range charged {
+		if got := charged[r] - free[r]; got != want {
+			t.Errorf("rank %d: restart read charged %d ns, want ReadCost(payload) = %d ns", r, got, want)
 		}
 	}
 }

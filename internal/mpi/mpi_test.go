@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -708,22 +709,28 @@ func TestWorldConfigValidation(t *testing.T) {
 }
 
 func TestFSAccessors(t *testing.T) {
-	eng, _ := core.New(core.Config{NumVPs: 1})
-	store := fsmodel.NewStore()
-	w, err := NewWorld(eng, WorldConfig{Net: testNet(1), Proc: procmodel.Paper(), FSStore: store, FSModel: fsmodel.PaperPFS()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(func(e *Env) {
-		if e.FSStore() != store {
-			t.Error("FSStore mismatch")
+	// An empty hierarchy is one free tier.
+	for _, tc := range []struct{ hier, want fsmodel.Hierarchy }{
+		{fsmodel.PaperPFS(), fsmodel.PaperPFS()},
+		{nil, fsmodel.Hierarchy{{}}},
+	} {
+		eng, _ := core.New(core.Config{NumVPs: 1})
+		store := fsmodel.NewStore()
+		w, err := NewWorld(eng, WorldConfig{Net: testNet(1), Proc: procmodel.Paper(), FSStore: store, FSHierarchy: tc.hier})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.FSModel().MetadataLatency != vclock.Millisecond {
-			t.Error("FSModel mismatch")
+		if _, err := w.Run(func(e *Env) {
+			if e.FSStore() != store {
+				t.Error("FSStore mismatch")
+			}
+			if got := e.FSHierarchy(); !slices.Equal(got, tc.want) {
+				t.Errorf("FSHierarchy %+v, want %+v", got, tc.want)
+			}
+			e.Finalize()
+		}); err != nil {
+			t.Fatal(err)
 		}
-		e.Finalize()
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -40,9 +40,10 @@ type replicatedStencil struct {
 	// RestartCost is charged once at the start of every restarted run
 	// (Daly's R).
 	RestartCost Duration
-	// Prefix names the checkpoint files.
-	Prefix string
 }
+
+// replPrefix names the replicated stencil's checkpoint files.
+const replPrefix = "repl"
 
 // Halo tags of the replicated stencil.
 const (
@@ -76,7 +77,7 @@ func runReplicatedStencil(cfg replicatedStencil) App {
 		ckpts := cfg.CheckpointInterval > 0 && store != nil
 		startIter := 0
 		if ckpts {
-			startIter = latestReplicatedCheckpoint(store, cfg.Prefix, n, cfg.Degree)
+			startIter = latestReplicatedCheckpoint(store, replPrefix, n, cfg.Degree)
 		}
 		if store != nil {
 			if _, restarted := checkpoint.LoadExitTime(store); restarted && cfg.RestartCost > 0 {
@@ -135,7 +136,7 @@ func runReplicatedStencil(cfg replicatedStencil) App {
 					env.Elapse(cfg.CheckpointCost)
 				}
 				meta := CheckpointMeta{Iteration: done, Rank: env.Rank(), PayloadSize: cfg.HaloBytes}
-				if err := fs.WriteSized(cfg.Prefix, meta, cfg.HaloBytes); err != nil {
+				if err := fs.WriteSized(replPrefix, meta, cfg.HaloBytes); err != nil {
 					abort(err)
 					return
 				}

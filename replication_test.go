@@ -151,7 +151,6 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 			HaloBytes:           256,
 			CheckpointInterval:  interval,
 			CheckpointCost:      100 * Millisecond,
-			Prefix:              "repl",
 		}
 		camp := Campaign{
 			Base: Config{
@@ -162,7 +161,7 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 				},
 			},
 			Replicas:         degree,
-			CheckpointPrefix: sc.Prefix,
+			CheckpointPrefix: replPrefix,
 			AppFor:           func(int) App { return runReplicatedStencil(sc) },
 		}
 		res, err := camp.Run()

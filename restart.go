@@ -248,15 +248,12 @@ func (c Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		if err := checkpoint.SaveExitTime(store, res.SimTime); err != nil {
 			return result, err
 		}
-		if len(c.Base.FSHierarchy) > 0 {
-			// Tiered storage: a failed node takes its volatile tier copies
-			// (and any drains still in flight at the failure) down with
-			// it, so the next run's restart falls back to a deeper tier or
-			// an older set.
-			for _, inj := range cfg.Failures {
-				if inj.At <= res.SimTime {
-					store.ResolveFailure(c.Base.FSHierarchy, inj.Rank, inj.At)
-				}
+		// A failed node takes its volatile tier copies (and any drains
+		// still in flight at the failure) down with it, so the next run's
+		// restart falls back to a deeper tier or an older set.
+		for _, inj := range cfg.Failures {
+			if inj.At <= res.SimTime {
+				store.ResolveFailure(c.Base.FSHierarchy, inj.Rank, inj.At)
 			}
 		}
 		if c.CheckpointPrefix != "" {

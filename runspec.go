@@ -3,7 +3,6 @@ package xsim
 import (
 	"context"
 
-	"xsim/internal/netmodel"
 	"xsim/internal/runner"
 )
 
@@ -27,9 +26,6 @@ type RunSpec struct {
 	// CallOverhead is the per-MPI-call CPU cost; experiment drivers
 	// default it to PaperCallOverhead.
 	CallOverhead Duration
-	// Net is the network model; nil uses the paper's parameters sized to
-	// Ranks.
-	Net *netmodel.Model
 	// Logf receives simulator and campaign progress messages; nil
 	// discards them (every driver treats nil the same way).
 	Logf func(format string, args ...any)
@@ -67,7 +63,6 @@ func (s *RunSpec) baseConfig() Config {
 	return Config{
 		Ranks:        s.Ranks,
 		Workers:      s.Workers,
-		Net:          s.Net,
 		CallOverhead: s.CallOverhead,
 		Logf:         s.Logf,
 	}

@@ -150,13 +150,11 @@ type Config struct {
 	// Store is the simulated parallel file system shared across runs;
 	// nil means the simulation gets a fresh private one.
 	Store *Store
-	// FSModel is the file-system cost model; the zero value charges
-	// nothing, matching the paper's Table II configuration.
-	FSModel fsmodel.Model
-	// FSHierarchy, when non-empty, enables hierarchical multi-tier
-	// checkpoint storage (node-local memory → burst buffer → PFS) with
-	// staged writes and asynchronous drains; it takes precedence over
-	// FSModel on the checkpoint path.
+	// FSHierarchy is the checkpoint storage and its cost model: one tier
+	// for a flat file system (PaperPFS), several (node-local memory →
+	// burst buffer → PFS, PaperTieredFS) for staged writes and
+	// asynchronous drains. Empty means one free tier, matching the
+	// paper's Table II configuration.
 	FSHierarchy fsmodel.Hierarchy
 	// Failures is an explicit failure-injection schedule.
 	Failures Schedule
@@ -326,7 +324,6 @@ func New(cfg Config) (*Sim, error) {
 		CallOverhead: cfg.CallOverhead,
 		Collectives:  cfg.Collectives,
 		FSStore:      cfg.Store,
-		FSModel:      cfg.FSModel,
 		FSHierarchy:  cfg.FSHierarchy,
 		Tracer:       cfg.Trace,
 	}

@@ -18,7 +18,7 @@ import (
 // configurations (and the 500-seed differential harness's zero-cost
 // model) keep their digests.
 func TestFlatModelDigestUnchangedByAggregateHeadroom(t *testing.T) {
-	run := func(m FSModel) []Time {
+	run := func(h FSHierarchy) []Time {
 		hc, err := HeatWorkloadFor(8)
 		if err != nil {
 			t.Fatal(err)
@@ -26,7 +26,7 @@ func TestFlatModelDigestUnchangedByAggregateHeadroom(t *testing.T) {
 		hc.Iterations = 40
 		hc.ExchangeInterval = 10
 		hc.CheckpointInterval = 10
-		sim, err := New(Config{Ranks: 8, FSModel: m})
+		sim, err := New(Config{Ranks: 8, FSHierarchy: h})
 		if err != nil {
 			t.Fatal(err)
 		}
