@@ -68,14 +68,19 @@
 #                     the delete of the previous one, and its restart probe
 #                     and restore: a file name formatted per call or a map
 #                     entry per file that comes back fails here)
-#   9. campaign-service smoke (a -race build of xsim-server serves one
-#                     campaign per kind, each result bit-for-bit the
-#                     CLI's `xsim-run -campaign` output, and for table2
-#                     also the output of the same campaign spelled as
+#   9. campaign-service smoke (a -race build of xsim-server on a
+#                     directory result store serves one campaign per
+#                     kind, each result bit-for-bit the CLI's
+#                     `xsim-run -campaign` output, and for table2 also
+#                     the output of the same campaign spelled as
 #                     `xsim-run table2 <flags> -json`: three transports,
 #                     one byte string; resubmission is a cache hit with
 #                     zero new simulations per /metrics; SIGTERM drains
-#                     and exits cleanly)
+#                     and exits cleanly; after table1's stored entry is
+#                     truncated to zero bytes, a server restarted on the
+#                     same directory answers table2 from its cache with
+#                     no simulation, and re-runs table1 — one simulation —
+#                     to the CLI's bytes again)
 set -eu
 
 cd "$(dirname "$0")"
@@ -235,7 +240,7 @@ echo "== BenchmarkCheckpointCycle allocation gate"
 bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^(full|incremental)$' allocs/op 4 2 10000x
 bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^restart-probe$' allocs/op 9 1 10000x
 
-echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain)"
+echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain, restart over a torn entry)"
 smoke_dir=$(mktemp -d)
 server_pid=""
 cleanup_smoke() {
@@ -248,14 +253,24 @@ go build -race -o "$smoke_dir/xsim-server" ./cmd/xsim-server
 go build -o "$smoke_dir/xsim-run" ./cmd/xsim-run
 
 addr=localhost:18462
-"$smoke_dir/xsim-server" -addr "$addr" -workers 2 &
-server_pid=$!
-ok=""
-for _ in $(seq 1 100); do
-	if curl -fsS "$addr/healthz" >/dev/null 2>&1; then ok=1; break; fi
-	sleep 0.1
-done
-[ -n "$ok" ] || { echo "FAIL: xsim-server never became healthy" >&2; exit 1; }
+start_server() {
+	"$smoke_dir/xsim-server" -addr "$addr" -workers 2 -data "$smoke_dir/store" &
+	server_pid=$!
+	ok=""
+	for _ in $(seq 1 100); do
+		if curl -fsS "$addr/healthz" >/dev/null 2>&1; then ok=1; break; fi
+		sleep 0.1
+	done
+	[ -n "$ok" ] || { echo "FAIL: xsim-server never became healthy" >&2; exit 1; }
+}
+# submit SPEC TENANT posts a spec file and leaves the response in
+# $smoke_dir/submit.json and the campaign id in $id.
+submit() {
+	curl -fsS -X POST -H "X-Tenant: $2" --data-binary @"$1" "$addr/v1/campaigns" > "$smoke_dir/submit.json"
+	id=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$smoke_dir/submit.json")
+	[ -n "$id" ] || { echo "FAIL: submitting $1 returned no campaign id" >&2; exit 1; }
+}
+start_server
 
 # A progress line's wire layout (what TestProgressEventWireBytes pins),
 # with label, seed and error omitted when empty.
@@ -267,9 +282,10 @@ progress_line='^\{"data":\{"index":[0-9]+(,"label":'"$jstr"')?(,"seed":-?[0-9]+)
 kinds=0
 for spec in testdata/surface/*.json; do
 	kinds=$((kinds + 1))
-	id=$(curl -fsS -X POST -H 'X-Tenant: ci' --data-binary @"$spec" \
-		"$addr/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-	[ -n "$id" ] || { echo "FAIL: submitting $spec returned no campaign id" >&2; exit 1; }
+	submit "$spec" ci
+	if [ "$spec" = testdata/surface/table1.json ]; then
+		table1_key=$(sed -n 's/.*"key": *"\([^"]*\)".*/\1/p' "$smoke_dir/submit.json")
+	fi
 
 	# The NDJSON stream must carry progress events, each in the wire layout,
 	# and end at the terminal line.
@@ -306,6 +322,29 @@ grep -q "^xsim_cache_misses_total $kinds\$" "$smoke_dir/metrics.txt"
 
 # Graceful drain: SIGTERM must exit 0 (the -race build also verifies the
 # shutdown path is data-race free).
+kill -TERM "$server_pid"
+wait "$server_pid"
+server_pid=""
+
+# Restart over a torn entry: a zero-length stored result (what a crash
+# leaves of a file whose data never reached the disk) must not be served.
+# The restarted server answers the untouched table2 spec from the
+# directory without simulating, and re-runs table1 to the CLI's bytes.
+[ -s "$smoke_dir/store/$table1_key.json" ] || { echo "FAIL: no stored table1 entry" >&2; exit 1; }
+: > "$smoke_dir/store/$table1_key.json"
+start_server
+submit testdata/surface/table2.json ci
+grep -q '"cached": *true' "$smoke_dir/submit.json"
+curl -fsS "$addr/metrics" > "$smoke_dir/metrics.txt"
+grep -q '^xsim_sim_runs_total 0$' "$smoke_dir/metrics.txt"
+submit testdata/surface/table1.json ci
+grep -q '"cached": *false' "$smoke_dir/submit.json"
+curl -fsS --no-buffer "$addr/v1/campaigns/$id/events" > "$smoke_dir/events.ndjson"
+grep -q '"state":"completed"' "$smoke_dir/events.ndjson"
+curl -fsS "$addr/v1/campaigns/$id/result" > "$smoke_dir/server-result.json"
+cmp "$smoke_dir/server-result.json" "$smoke_dir/cli-table1.json"
+curl -fsS "$addr/metrics" > "$smoke_dir/metrics.txt"
+grep -q '^xsim_sim_runs_total 1$' "$smoke_dir/metrics.txt"
 kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=""

@@ -2,10 +2,10 @@
 // result store: canonical outcome bytes filed under the canonical spec
 // hash. Because keys are content addresses of deterministic results, a
 // key maps to exactly one value forever — stores need no versioning, no
-// invalidation, and concurrent writers of the same key are harmless
-// (both write the same bytes). Two implementations: an in-memory map for
-// tests and ephemeral servers, and a directory store whose entries
-// survive restarts.
+// invalidation, and concurrent or repeated writers of the same key are
+// harmless (they write the same bytes). Two implementations: an
+// in-memory map for tests and ephemeral servers, and a directory store
+// whose entries survive restarts.
 package jobstore
 
 import (
@@ -22,8 +22,9 @@ import (
 type Store interface {
 	// Get returns the bytes stored under key, or ok=false when absent.
 	Get(key string) (data []byte, ok bool, err error)
-	// Put files data under key. Re-putting an existing key is a no-op
-	// (content addressing makes the values identical by construction).
+	// Put files data under key, replacing any entry already there
+	// (content addressing makes a whole entry's replacement identical,
+	// and a torn one's a repair).
 	Put(key string, data []byte) error
 	// Len reports the number of stored entries.
 	Len() (int, error)
@@ -53,9 +54,7 @@ func (s *Mem) Put(key string, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.m[key] = append([]byte(nil), data...)
-	}
+	s.m[key] = append([]byte(nil), data...)
 	return nil
 }
 
@@ -66,9 +65,12 @@ func (s *Mem) Len() (int, error) {
 	return len(s.m), nil
 }
 
-// Dir is a directory-backed Store: one file per key, written atomically
-// (temp file + rename), so a crashed writer never leaves a torn entry
-// and restarted servers resume with their cache warm.
+// Dir is a directory-backed Store: one file per key, written as temp
+// file + rename, so restarted servers resume with their cache warm. Each
+// file is the value followed by a newline, and Get serves only entries
+// that end in it: an entry that is empty or cut short — what a crash
+// leaves of a file whose data never reached the disk — reads as absent,
+// so its campaign runs again and its Put replaces it.
 type Dir struct {
 	dir string
 }
@@ -97,7 +99,11 @@ func (s *Dir) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("jobstore: %w", err)
 	}
-	return data, true, nil
+	n := len(data) - 1
+	if n < 0 || data[n] != '\n' {
+		return nil, false, nil // torn entry
+	}
+	return data[:n], true, nil
 }
 
 // Put implements Store.
@@ -105,15 +111,11 @@ func (s *Dir) Put(key string, data []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	dst := s.path(key)
-	if _, err := os.Stat(dst); err == nil {
-		return nil // content-addressed: already present means already identical
-	}
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(append(data[:len(data):len(data)], '\n')); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobstore: %w", err)
@@ -122,7 +124,7 @@ func (s *Dir) Put(key string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("jobstore: %w", err)
 	}

@@ -2,6 +2,8 @@ package jobstore
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -44,21 +46,58 @@ func TestStorePutIsIdempotent(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			key := "feedc0de"
-			if err := s.Put(key, []byte("first")); err != nil {
-				t.Fatalf("Put: %v", err)
+			want := []byte(`{"rows":[4,5]}`)
+			// Content addressing means every Put of a key carries the same
+			// bytes, so putting twice must leave exactly one entry holding
+			// them.
+			for i := 0; i < 2; i++ {
+				if err := s.Put(key, want); err != nil {
+					t.Fatalf("Put #%d: %v", i+1, err)
+				}
 			}
-			// A second Put of the same key must not clobber: content
-			// addressing means the bytes are identical by construction,
-			// so keeping the original is both safe and cheapest.
-			if err := s.Put(key, []byte("second")); err != nil {
-				t.Fatalf("re-Put: %v", err)
-			}
-			got, _, _ := s.Get(key)
-			if string(got) != "first" {
-				t.Fatalf("after re-Put, Get = %q, want %q", got, "first")
+			got, ok, err := s.Get(key)
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("after re-Put, Get = %q ok=%v err=%v, want %q", got, ok, err, want)
 			}
 			if n, _ := s.Len(); n != 1 {
 				t.Fatalf("Len = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestDirTornEntryReadsAbsent pins that a directory entry a crash or a
+// short write left behind — zero bytes, or a prefix of the value — is
+// never served: Get reports it absent, and the next Put of the key
+// replaces it with the whole value.
+func TestDirTornEntryReadsAbsent(t *testing.T) {
+	want := []byte(`{"kind":"table1","rows":[{"victim":3,"detected":true}]}`)
+	for name, tear := range map[string]func(path string) error{
+		"empty":     func(path string) error { return os.WriteFile(path, nil, 0o644) },
+		"truncated": func(path string) error { return os.Truncate(path, int64(len(want)/2)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := "0badc0de"
+			if err := s.Put(key, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := tear(filepath.Join(dir, key+".json")); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := s.Get(key); err != nil || ok {
+				t.Fatalf("Get of a torn entry = %q ok=%v err=%v, want absent", got, ok, err)
+			}
+			if err := s.Put(key, want); err != nil {
+				t.Fatal(err)
+			}
+			got, ok, err := s.Get(key)
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("Get after re-Put = %q ok=%v err=%v, want %q", got, ok, err, want)
 			}
 		})
 	}

@@ -123,7 +123,7 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 		}
 	}
 	w := &World{cfg: cfg, eng: eng, validate: eng.ValidateEnabled()}
-	w.m.init(eng.NumVPs())
+	w.m.failures = make(map[int]*failureRec)
 	w.pools = make([]*dpPool, eng.Workers())
 	for i := range w.pools {
 		w.pools[i] = new(dpPool)
@@ -244,6 +244,9 @@ type procState struct {
 	unexpBySrc  map[matchKey]*list[envelope]
 	unexpByComm map[int]*list[envelope]
 	arriveSeq   uint64
+	// unexpNow is the number of envelopes queued unexpected (the gauge
+	// behind the partition's high-water mark).
+	unexpNow int
 	// Incomplete requests thread through an id-ordered intrusive list
 	// (ids are monotonic, so appends keep the order the
 	// failure-notification scan depends on). Handler lookups walk the

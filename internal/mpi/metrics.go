@@ -12,28 +12,35 @@ import (
 // unexpected-queue pressure, and — the Section V quantity — failure
 // detection latency (time of failure → last surviving rank's detection).
 //
-// Per-rank counters are partition-confined: each rank's counters are only
-// touched by the VP itself or its partition's handlers, so increments need
-// no atomics and no locks — the aggregation in Metrics runs after the
-// engine has joined its workers. Failure records are shared across
-// partitions and guarded by a mutex; failures are rare, so the lock is off
-// every message path.
+// Traffic counters live where they are touched: sends and collectives
+// count on the calling rank's partition pool (dpPool), and the
+// unexpected-queue depth on the receiving rank's procState, with its
+// high-water mark on that rank's pool. A pool is only touched by its
+// partition, so increments need no atomics and no locks — the
+// aggregation in Metrics runs after the engine has joined its workers.
+// Failure records are shared across partitions and guarded by a mutex;
+// failures are rare, so the lock is off every message path.
 
-// rankCounters is one rank's partition-confined traffic counters.
-type rankCounters struct {
-	eagerMsgs   uint64
-	eagerBytes  uint64
-	rdvMsgs     uint64
-	rdvBytes    uint64
-	collectives uint64
-	unexpNow    int
-	unexpMax    int
+// countSend tallies one point-to-point send.
+func (p *dpPool) countSend(size int, rendezvous bool) {
+	if rendezvous {
+		p.rdvMsgs++
+		p.rdvBytes += uint64(size)
+	} else {
+		p.eagerMsgs++
+		p.eagerBytes += uint64(size)
+	}
 }
 
-// metrics is the world's counter state.
-type metrics struct {
-	perRank []rankCounters
+// unexpectedDelta moves a rank's unexpected-queue depth and raises its
+// partition's high-water mark.
+func (ps *procState) unexpectedDelta(delta int) {
+	ps.unexpNow += delta
+	ps.dp.unexpMax = max(ps.dp.unexpMax, ps.unexpNow)
+}
 
+// metrics holds the world's failure-detection records.
+type metrics struct {
 	mu       sync.Mutex
 	failures map[int]*failureRec // by failed world rank
 }
@@ -44,55 +51,6 @@ type failureRec struct {
 	notifiedAt   vclock.Time
 	lastDetectAt vclock.Time
 	detectors    map[int]bool
-}
-
-func (m *metrics) init(n int) {
-	m.perRank = make([]rankCounters, n)
-	m.failures = make(map[int]*failureRec)
-}
-
-// counters returns rank's counter block (nil for simulator-level ranks).
-func (m *metrics) counters(rank int) *rankCounters {
-	if rank < 0 || rank >= len(m.perRank) {
-		return nil
-	}
-	return &m.perRank[rank]
-}
-
-// countSend tallies one point-to-point send on the sender.
-func (m *metrics) countSend(rank, size int, rendezvous bool) {
-	c := m.counters(rank)
-	if c == nil {
-		return
-	}
-	if rendezvous {
-		c.rdvMsgs++
-		c.rdvBytes += uint64(size)
-	} else {
-		c.eagerMsgs++
-		c.eagerBytes += uint64(size)
-	}
-}
-
-// countCollective tallies one collective call at its public entry point
-// (composite collectives count once, not once per building block).
-func (m *metrics) countCollective(rank int) {
-	if c := m.counters(rank); c != nil {
-		c.collectives++
-	}
-}
-
-// unexpectedDelta tracks the unexpected-queue depth and its high-water
-// mark at one rank.
-func (m *metrics) unexpectedDelta(rank, delta int) {
-	c := m.counters(rank)
-	if c == nil {
-		return
-	}
-	c.unexpNow += delta
-	if c.unexpNow > c.unexpMax {
-		c.unexpMax = c.unexpNow
-	}
 }
 
 // recordFailure opens the detection record for a failed rank.
@@ -212,23 +170,18 @@ func (s *MetricsSnapshot) Add(other MetricsSnapshot) {
 	s.Failures = append(s.Failures, other.Failures...)
 }
 
-// Metrics aggregates the per-rank counters into a snapshot. Call it after
-// Run returns; it is not synchronised against a running engine's
+// Metrics aggregates the partitions' counters into a snapshot. Call it
+// after Run returns; it is not synchronised against a running engine's
 // partitions.
 func (w *World) Metrics() MetricsSnapshot {
 	var s MetricsSnapshot
-	for i := range w.m.perRank {
-		c := &w.m.perRank[i]
-		s.EagerMsgs += c.eagerMsgs
-		s.EagerBytes += c.eagerBytes
-		s.RendezvousMsgs += c.rdvMsgs
-		s.RendezvousBytes += c.rdvBytes
-		s.CollectiveOps += c.collectives
-		if c.unexpMax > s.UnexpectedMax {
-			s.UnexpectedMax = c.unexpMax
-		}
-	}
 	for _, p := range w.pools {
+		s.EagerMsgs += p.eagerMsgs
+		s.EagerBytes += p.eagerBytes
+		s.RendezvousMsgs += p.rdvMsgs
+		s.RendezvousBytes += p.rdvBytes
+		s.CollectiveOps += p.collectives
+		s.UnexpectedMax = max(s.UnexpectedMax, p.unexpMax)
 		s.PoolHits += p.envs.hits + p.reqs.hits + p.colds.hits + p.msgs.hits
 		s.PoolMisses += p.envs.misses + p.reqs.misses + p.colds.misses + p.msgs.misses
 		s.BufHits += p.bufHits

@@ -316,14 +316,14 @@ func (ps *procState) addUnexpected(env *envelope) {
 		ps.unexpByComm[env.commID] = aq
 	}
 	aq.push(env, byCommAt)
-	ps.env.w.m.unexpectedDelta(env.dst, 1)
+	ps.unexpectedDelta(1)
 }
 
 // removeUnexpected unlinks an envelope from both unexpected lists.
 func (ps *procState) removeUnexpected(env *envelope) {
 	ps.unexpBySrc[matchKey{env.commID, env.src}].unlink(env, bySrcAt)
 	ps.unexpByComm[env.commID].unlink(env, byCommAt)
-	ps.env.w.m.unexpectedDelta(env.dst, -1)
+	ps.unexpectedDelta(-1)
 }
 
 // peekUnexpected finds (without consuming) the earliest-arrived unexpected
@@ -371,7 +371,7 @@ func (ps *procState) drainUnexpected() {
 	for _, q := range ps.unexpByComm {
 		for env := q.head; env != nil; {
 			next := env.byComm.next
-			ps.env.w.m.unexpectedDelta(env.dst, -1)
+			ps.unexpectedDelta(-1)
 			ps.dp.putBuf(env.data)
 			ps.dp.envs.put(env)
 			env = next
@@ -552,7 +552,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	var ev core.Event
 	t0 := req.postClock
 	eager := net.Eager(size)
-	e.w.m.countSend(src, size, !eager)
+	dp.countSend(size, !eager)
 	if e.w.cfg.Tracer != nil {
 		ev := trace.Event{At: t0, Kind: trace.KindSend, Rank: int32(src), Peer: int32(dst), Tag: int32(tag), Size: int64(size)}
 		if !eager {

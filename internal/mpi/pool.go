@@ -118,6 +118,13 @@ type dpPool struct {
 
 	bufs [nBufClasses][][]byte
 
+	// Traffic counters (metrics.go): sends and collectives posted by the
+	// partition's ranks, and the deepest any of their unexpected queues got.
+	eagerMsgs, eagerBytes uint64
+	rdvMsgs, rdvBytes     uint64
+	collectives           uint64
+	unexpMax              int
+
 	// Buffer counters, partition-confined like the lists; World.Metrics
 	// sums them (and the lists' hits and misses) after the run.
 	bufHits   uint64

@@ -209,7 +209,7 @@ func (cs *CollectiveState) Parts() [][]byte { return cs.out }
 // error aborts and this call does not return).
 func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err error) {
 	if !cs.counted {
-		c.env.w.m.countCollective(c.env.Rank())
+		c.env.ps.dp.collectives++ // once per public call: a composite collective counts once
 		cs.counted = true
 		// Every member passes the same root, so every member rejects a bad
 		// one here, before any traffic: unchecked, a negative root reads as

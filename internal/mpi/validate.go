@@ -96,9 +96,9 @@ func (ps *procState) checkIndexes(where string) {
 		ps.fail("unexpected-queue", where,
 			"arrival lists hold %d envelopes but the source lists hold %d", arrTotal, total)
 	}
-	if c := ps.env.w.m.counters(rank); c != nil && c.unexpNow != total {
+	if ps.unexpNow != total {
 		ps.fail("unexpected-conservation", where,
-			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, c.unexpNow)
+			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, ps.unexpNow)
 	}
 
 	for id, r := range ps.pendSpill {

@@ -169,7 +169,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
+			// Every subscriber, and every follower of a leader, shares
+			// line: append the newline to a copy.
+			if _, err := w.Write(append(line[:len(line):len(line)], '\n')); err != nil {
 				return
 			}
 			if flusher != nil {

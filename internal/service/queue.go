@@ -3,13 +3,14 @@
 // at submission. Fairness is a property of pop order alone — a tenant
 // with weight w receives w consecutive grants per cycle across the
 // tenants that have work — so it is deterministic given the push
-// sequence and testable without wall-clock.
+// sequence and testable without wall-clock. The queue holds no lock and
+// never blocks: the Service's mutex guards it, and workers wait for work
+// on the Service's condition variable.
 package service
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrQuotaExceeded reports a submission rejected because the tenant
@@ -47,13 +48,10 @@ type tenantQueue struct {
 	credit int
 }
 
-// queue is the weighted fair scheduler. Pop blocks until work arrives or
-// intake closes with the queue empty.
+// queue is the weighted fair scheduler.
 type queue struct {
 	cfg QueueConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond
 	tenants map[string]*tenantQueue
 	// order fixes the round-robin scan sequence (first-seen order), so
 	// scheduling is deterministic.
@@ -64,9 +62,7 @@ type queue struct {
 
 // newQueue builds an empty queue.
 func newQueue(cfg QueueConfig) *queue {
-	q := &queue{cfg: cfg, tenants: make(map[string]*tenantQueue)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &queue{cfg: cfg, tenants: make(map[string]*tenantQueue)}
 }
 
 // weight returns a tenant's configured round-robin weight.
@@ -99,8 +95,6 @@ func (q *queue) tenant(name string) *tenantQueue {
 // Push enqueues a job for its tenant, enforcing the tenant's quota
 // against its unfinished (queued + running) count.
 func (q *queue) Push(j *job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
@@ -112,34 +106,20 @@ func (q *queue) Push(j *job) error {
 	tq.inflight++
 	tq.jobs = append(tq.jobs, j)
 	q.queued++
-	q.cond.Signal()
 	return nil
 }
 
-// Pop removes and returns the next job by weighted round-robin, blocking
-// while the queue is open and empty. It returns ok=false once the queue
-// is closed and drained.
+// Pop removes and returns the next job by weighted round-robin, or
+// ok=false when nothing is queued. It scans tenants in first-seen order
+// for one with queued work and remaining credit; when every tenant with
+// work is out of credit, it refills all credits (one cycle ends) and
+// scans again. Each grant consumes one credit, so a cycle gives tenant t
+// at most weight(t) pops — the bounded-skew fairness the service
+// promises.
 func (q *queue) Pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.queued > 0 {
-			return q.popLocked(), true
-		}
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
+	if q.queued == 0 {
+		return nil, false
 	}
-}
-
-// popLocked picks the next tenant by weighted round-robin: scan tenants
-// in first-seen order for one with queued work and remaining credit;
-// when every tenant with work is out of credit, refill all credits (one
-// cycle ends) and scan again. Each grant consumes one credit, so a cycle
-// gives tenant t at most weight(t) pops — the bounded-skew fairness the
-// service promises.
-func (q *queue) popLocked() *job {
 	for {
 		for _, tq := range q.order {
 			if len(tq.jobs) == 0 || tq.credit <= 0 {
@@ -149,7 +129,7 @@ func (q *queue) popLocked() *job {
 			j := tq.jobs[0]
 			tq.jobs = tq.jobs[1:]
 			q.queued--
-			return j
+			return j, true
 		}
 		// Every tenant with work exhausted its credit: start a new cycle.
 		for _, tq := range q.order {
@@ -161,40 +141,23 @@ func (q *queue) popLocked() *job {
 // Release returns one unit of a tenant's quota when a job finishes
 // (completed, failed, or cancelled).
 func (q *queue) Release(tenant string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if tq, ok := q.tenants[tenant]; ok && tq.inflight > 0 {
 		tq.inflight--
 	}
 }
 
-// Close stops intake: subsequent Pushes fail with ErrQueueClosed and
-// Pops drain the backlog then return ok=false.
-func (q *queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
+// Close stops intake: subsequent Pushes fail with ErrQueueClosed, while
+// Pops still drain the backlog.
+func (q *queue) Close() { q.closed = true }
 
 // Flush removes and returns every queued job without running them — the
 // drain path uses it to mark the backlog cancelled.
 func (q *queue) Flush() []*job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	var out []*job
 	for _, tq := range q.order {
 		out = append(out, tq.jobs...)
 		tq.jobs = nil
 	}
 	q.queued = 0
-	q.cond.Broadcast()
 	return out
-}
-
-// Depth reports the number of queued jobs.
-func (q *queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued
 }

@@ -44,7 +44,9 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// job is one submitted campaign.
+// job is one submitted campaign. The fields from state on change over
+// the job's life: they, and the job methods, are under Service.mu, and
+// the event lines the methods publish are marshalled before it is taken.
 type job struct {
 	id      string
 	tenant  string
@@ -53,7 +55,6 @@ type job struct {
 	spec    *xsim.CampaignSpec
 	created time.Time
 
-	mu     sync.Mutex
 	state  string
 	cached bool // satisfied from cache or by joining an in-flight leader
 	errMsg string
@@ -95,17 +96,21 @@ type Metrics struct {
 	StoredKeys int `json:"stored_keys"`
 }
 
-// Service is the campaign service core.
+// Service is the campaign service core. Its one mutex, mu, guards every
+// job's mutable fields, the fair queue, the leader table and the
+// counters, so each job transition is one critical section; idle workers
+// wait on work, a condition bound to mu.
 type Service struct {
 	cfg   Config
 	store jobstore.Store
-	q     *queue
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
 
 	mu      sync.Mutex
+	work    sync.Cond
+	q       *queue
 	jobs    map[string]*job
 	order   []*job
 	leaders map[string]*job // cache key → in-flight leader job
@@ -137,6 +142,7 @@ func New(cfg Config) *Service {
 		jobs:      make(map[string]*job),
 		leaders:   make(map[string]*job),
 	}
+	s.work.L = &s.mu
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -155,7 +161,8 @@ func (s *Service) logf(format string, args ...any) {
 // is computed from the canonical encoding; a stored result completes the
 // job instantly (cache hit), an in-flight computation of the same key is
 // joined (dedup), and otherwise the job is enqueued under the tenant's
-// quota (ErrQuotaExceeded → 429).
+// quota (ErrQuotaExceeded → 429). A rejected submission uses up a job id
+// but counts in no metric.
 func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, error) {
 	if tenant == "" {
 		tenant = "default"
@@ -165,6 +172,7 @@ func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, err
 		return JobStatus{}, err
 	}
 
+	hitLine := doneLine(StateCompleted, "", true)
 	s.mu.Lock()
 	s.seq++
 	j := &job{
@@ -177,63 +185,63 @@ func (s *Service) Submit(tenant string, spec *xsim.CampaignSpec) (JobStatus, err
 		state:   StateQueued,
 		subs:    make(map[chan []byte]struct{}),
 	}
-	s.m.Submitted++
-
-	// Cache: a stored canonical outcome answers the job instantly.
-	if _, ok, serr := s.store.Get(key); serr == nil && ok {
+	var outcome string
+	leader := s.leaders[key]
+	_, stored, serr := s.store.Get(key)
+	switch {
+	case serr == nil && stored:
+		// Cache: a stored canonical outcome answers the job instantly.
 		s.m.CacheHits++
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		s.mu.Unlock()
-		j.finish(StateCompleted, "", true)
-		s.logf("job %s tenant=%s key=%.12s… cache hit", j.id, tenant, key)
-		return s.status(j), nil
-	}
-	s.m.CacheMiss++
-
-	// Dedup: join an in-flight leader computing the same key — the cell
-	// is deterministic, so computing it twice buys nothing.
-	if leader, ok := s.leaders[key]; ok {
+		j.finish(StateCompleted, "", true, hitLine)
+		outcome = "cache hit"
+	case leader != nil:
+		// Dedup: join the in-flight leader computing the same key — the
+		// cell is deterministic, so computing it twice buys nothing.
+		s.m.CacheMiss++
 		s.m.DedupJoins++
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		leader.mu.Lock()
 		leader.followers = append(leader.followers, j)
-		leader.mu.Unlock()
-		s.mu.Unlock()
-		s.logf("job %s tenant=%s key=%.12s… joined %s", j.id, tenant, key, leader.id)
-		return s.status(j), nil
+		outcome = "joined " + leader.id
+	default:
+		// Leader: enqueue under the tenant's quota.
+		if err := s.q.Push(j); err != nil {
+			s.mu.Unlock()
+			return JobStatus{}, err
+		}
+		s.m.CacheMiss++
+		s.leaders[key] = j
+		s.work.Signal()
+		outcome = "queued"
 	}
-	// Leader: enqueue under the tenant's quota. The push happens while
-	// s.mu is still held so that registering the leader is atomic with
-	// queueing it — a worker cannot finish the job (which deletes the
-	// leader entry) before the entry exists. Lock order s.mu → q.mu is
-	// used nowhere in reverse.
-	queued := s.status(j) // before a worker can take the job and move its state
-	if err := s.q.Push(j); err != nil {
-		// Rejected submissions (quota, drain) never become jobs: undo
-		// the admission counters so metrics reflect accepted work only.
-		s.m.Submitted--
-		s.m.CacheMiss--
-		s.mu.Unlock()
-		return JobStatus{}, err
-	}
+	s.m.Submitted++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.leaders[key] = j
+	status := j.status()
 	s.mu.Unlock()
-	s.logf("job %s tenant=%s key=%.12s… queued", j.id, tenant, key)
-	return queued, nil
+	s.logf("job %s tenant=%s key=%.12s… %s", j.id, tenant, key, outcome)
+	return status, nil
 }
 
-// worker executes queued jobs until the queue closes and drains.
+// next takes the next job off the queue, waiting while intake is open
+// and nothing is queued; it returns nil once intake has closed and the
+// backlog is gone.
+func (s *Service) next() *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if j, ok := s.q.Pop(); ok {
+			return j
+		}
+		if s.q.closed {
+			return nil
+		}
+		s.work.Wait()
+	}
+}
+
+// worker executes queued jobs until intake closes and the queue drains.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	for {
-		j, ok := s.q.Pop()
-		if !ok {
-			return
-		}
+	for j := s.next(); j != nil; j = s.next() {
 		s.runJob(j)
 	}
 }
@@ -244,17 +252,20 @@ func (s *Service) runJob(j *job) {
 	if s.beforeRun != nil {
 		s.beforeRun(j)
 	}
-	j.setState(StateRunning)
-	j.publish(map[string]any{"event": "state", "state": StateRunning})
-
+	running, _ := json.Marshal(map[string]any{"event": "state", "state": StateRunning})
 	s.mu.Lock()
+	j.state = StateRunning
+	j.publish(running)
 	s.m.SimRuns++
 	s.mu.Unlock()
 
 	out, err := j.spec.RunWith(s.runCtx, xsim.RunOptions{
 		Logf: func(format string, args ...any) { s.logf("job %s: "+format, append([]any{j.id}, args...)...) },
 		OnProgress: func(ev xsim.ProgressEvent) {
-			j.publish(map[string]any{"event": "progress", "data": ev})
+			line, _ := json.Marshal(map[string]any{"event": "progress", "data": ev})
+			s.mu.Lock()
+			j.publish(line)
+			s.mu.Unlock()
 		},
 	})
 	if err != nil {
@@ -279,39 +290,27 @@ func (s *Service) runJob(j *job) {
 	s.completeJob(j, StateCompleted, "")
 }
 
-// completeJob finishes a leader and its followers, releases quota, and
-// updates counters.
+// completeJob finishes a leader and its followers, releases the leader's
+// quota, and counts the outcomes.
 func (s *Service) completeJob(j *job, state, errMsg string) {
+	leaderLine, followerLine := doneLine(state, errMsg, false), doneLine(state, errMsg, true)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.leaders, j.key)
-	s.countFinish(state)
-	s.mu.Unlock()
-
-	j.mu.Lock()
-	followers := j.followers
-	j.followers = nil
-	j.mu.Unlock()
-
-	j.finish(state, errMsg, false)
 	s.q.Release(j.tenant)
-	for _, f := range followers {
-		s.mu.Lock()
-		s.countFinish(state)
-		s.mu.Unlock()
-		f.finish(state, errMsg, true)
+	j.finish(state, errMsg, false, leaderLine)
+	for _, f := range j.followers {
+		f.finish(state, errMsg, true, followerLine)
 	}
-}
-
-// countFinish updates the outcome counters for one finished job.
-// Callers hold s.mu.
-func (s *Service) countFinish(state string) {
+	n := 1 + len(j.followers)
+	j.followers = nil
 	switch state {
 	case StateCompleted:
-		s.m.Completed++
+		s.m.Completed += n
 	case StateFailed:
-		s.m.Failed++
+		s.m.Failed += n
 	case StateCancelled:
-		s.m.Cancelled++
+		s.m.Cancelled += n
 	}
 }
 
@@ -323,8 +322,12 @@ func (s *Service) countFinish(state string) {
 // flushed to the store by the time their jobs finish, so a drained
 // server loses only cancelled work.
 func (s *Service) Drain(ctx context.Context) error {
+	s.mu.Lock()
 	s.q.Close()
-	for _, j := range s.q.Flush() {
+	backlog := s.q.Flush()
+	s.work.Broadcast()
+	s.mu.Unlock()
+	for _, j := range backlog {
 		s.completeJob(j, StateCancelled, "server draining")
 	}
 	s.runCancel()
@@ -343,41 +346,24 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // --- introspection --------------------------------------------------------
 
-// status snapshots a job's wire status.
-func (s *Service) status(j *job) JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return JobStatus{
-		ID:      j.id,
-		Tenant:  j.tenant,
-		Kind:    j.kind,
-		Key:     j.key,
-		State:   j.state,
-		Cached:  j.cached,
-		Error:   j.errMsg,
-		Created: j.created,
-	}
-}
-
 // Job returns a job's status by ID.
 func (s *Service) Job(id string) (JobStatus, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	s.mu.Unlock()
 	if !ok {
 		return JobStatus{}, false
 	}
-	return s.status(j), true
+	return j.status(), true
 }
 
 // Jobs lists every job in submission order.
 func (s *Service) Jobs() []JobStatus {
 	s.mu.Lock()
-	order := append([]*job(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(order))
-	for _, j := range order {
-		out = append(out, s.status(j))
+	defer s.mu.Unlock()
+	out := make([]JobStatus, 0, len(s.order))
+	for _, j := range s.order {
+		out = append(out, j.status())
 	}
 	return out
 }
@@ -386,25 +372,20 @@ func (s *Service) Jobs() []JobStatus {
 func (s *Service) Result(id string) ([]byte, bool, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	completed := ok && j.state == StateCompleted
 	s.mu.Unlock()
-	if !ok {
+	if !completed {
 		return nil, false, nil
 	}
-	j.mu.Lock()
-	state, key := j.state, j.key
-	j.mu.Unlock()
-	if state != StateCompleted {
-		return nil, false, nil
-	}
-	return s.store.Get(key)
+	return s.store.Get(j.key)
 }
 
 // Metrics snapshots the service counters.
 func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	m := s.m
+	m.QueueDepth = s.q.queued
 	s.mu.Unlock()
-	m.QueueDepth = s.q.Depth()
 	if n, err := s.store.Len(); err == nil {
 		m.StoredKeys = n
 	}
@@ -417,36 +398,71 @@ func (s *Service) Metrics() Metrics {
 // unknown job.
 func (s *Service) Subscribe(id string) (lines <-chan []byte, cancel func(), ok bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, found := s.jobs[id]
-	s.mu.Unlock()
 	if !found {
 		return nil, nil, false
 	}
-	return j.subscribe()
+	// Capacity for the whole replay plus live headroom; the fan-out
+	// drops subscribers whose buffers fill.
+	ch := make(chan []byte, len(j.events)+256)
+	for _, line := range j.events {
+		ch <- line
+	}
+	if terminal(j.state) {
+		close(ch)
+		return ch, func() {}, true
+	}
+	j.subs[ch] = struct{}{}
+	cancel = func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := j.subs[ch]; ok {
+			delete(j.subs, ch)
+			close(ch)
+		}
+	}
+	return ch, cancel, true
 }
 
 // --- job internals --------------------------------------------------------
 
-func (j *job) setState(state string) {
-	j.mu.Lock()
-	j.state = state
-	j.mu.Unlock()
+// terminal reports whether a job in state has finished.
+func terminal(state string) bool {
+	return state == StateCompleted || state == StateFailed || state == StateCancelled
+}
+
+// doneLine is a job's terminal event.
+func doneLine(state, errMsg string, cached bool) []byte {
+	term := map[string]any{"event": "done", "state": state}
+	if errMsg != "" {
+		term["error"] = errMsg
+	}
+	if cached {
+		term["cached"] = true
+	}
+	line, _ := json.Marshal(term)
+	return line
+}
+
+// status snapshots a job's wire status.
+func (j *job) status() JobStatus {
+	return JobStatus{
+		ID:      j.id,
+		Tenant:  j.tenant,
+		Kind:    j.kind,
+		Key:     j.key,
+		State:   j.state,
+		Cached:  j.cached,
+		Error:   j.errMsg,
+		Created: j.created,
+	}
 }
 
 // publish appends one event line to the replay buffer and fans it out to
 // live subscribers. A subscriber too slow to keep up is dropped (its
 // channel closed) rather than allowed to stall the campaign.
-func (j *job) publish(ev map[string]any) {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.publishLocked(line)
-}
-
-func (j *job) publishLocked(line []byte) {
+func (j *job) publish(line []byte) {
 	j.events = append(j.events, line)
 	for ch := range j.subs {
 		select {
@@ -458,58 +474,19 @@ func (j *job) publishLocked(line []byte) {
 	}
 }
 
-// finish moves the job to a terminal state, publishes the terminal
-// event, and closes every live subscriber.
-func (j *job) finish(state, errMsg string, cached bool) {
-	term := map[string]any{"event": "done", "state": state}
-	if errMsg != "" {
-		term["error"] = errMsg
-	}
-	if cached {
-		term["cached"] = true
-	}
-	line, _ := json.Marshal(term)
-
-	j.mu.Lock()
-	if j.state == StateCompleted || j.state == StateFailed || j.state == StateCancelled {
-		j.mu.Unlock()
+// finish moves the job to a terminal state, publishes the terminal line,
+// and closes every live subscriber. A job finishes once; later calls do
+// nothing.
+func (j *job) finish(state, errMsg string, cached bool, line []byte) {
+	if terminal(j.state) {
 		return
 	}
 	j.state = state
 	j.errMsg = errMsg
 	j.cached = cached
-	j.publishLocked(line)
+	j.publish(line)
 	for ch := range j.subs {
 		delete(j.subs, ch)
 		close(ch)
 	}
-	j.mu.Unlock()
-}
-
-// subscribe attaches a live channel carrying the replay buffer followed
-// by future events.
-func (j *job) subscribe() (<-chan []byte, func(), bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// Capacity for the whole replay plus live headroom; the fan-out
-	// drops subscribers whose buffers fill.
-	ch := make(chan []byte, len(j.events)+256)
-	for _, line := range j.events {
-		ch <- line
-	}
-	terminal := j.state == StateCompleted || j.state == StateFailed || j.state == StateCancelled
-	if terminal {
-		close(ch)
-		return ch, func() {}, true
-	}
-	j.subs[ch] = struct{}{}
-	cancel := func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-	return ch, cancel, true
 }
