@@ -231,9 +231,10 @@ var ringStride = []int{1}
 // 16,384-rank world in program mode on one partition, every rank
 // exchanging with six neighbours for eight steps, all of them posting at
 // the same virtual instant. It reports host allocations per simulated
-// message. A message matched on arrival is a queue slot and two pooled
-// requests, so the figure is what the ranks' own set-up costs spread over
-// the traffic; the five objects per message it replaced read 4.2 here.
+// message. A message matched on arrival is a queue slot and the receive's
+// pooled request (an eager send's is the shared eagerSent), so the figure
+// is what the ranks' own set-up costs spread over the traffic; the five
+// objects per message it replaced read 4.2 here.
 // ci.sh fails the build above 2.5.
 func BenchmarkHaloBurst(b *testing.B) {
 	const n, steps = 16384, 8

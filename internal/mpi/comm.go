@@ -274,9 +274,10 @@ func (c *Comm) Waitall(reqs []*Request) error {
 // caller must not touch the request afterwards. Freeing is optional — dropped
 // requests fall to the garbage collector — but long-running programs at
 // oversubscription scale free their requests to keep steady-state
-// allocation flat. Requests still in flight are ignored.
+// allocation flat. Requests still in flight, and the shared request an
+// eager send returns, are ignored.
 func (c *Comm) Free(r *Request) {
-	if r == nil || !r.Done() {
+	if r == nil || r == &eagerSent || !r.Done() {
 		return
 	}
 	dp := c.env.ps.dp

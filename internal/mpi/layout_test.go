@@ -7,15 +7,15 @@ import (
 	"xsim/internal/vclock"
 )
 
-// TestRequestLayout pins the size of a Request. Every rank holds twelve of
-// them live at every halo exchange (six receives, six sends, all posted at
-// one virtual instant), so at the all-ranks burst this struct is the
-// largest share of the heap: 200 bytes each read 47 % of it at 32k ranks.
-// 112 is an allocator size class; a field that only some requests use
-// belongs in reqCold.
+// TestRequestLayout pins the size of a Request. Every rank holds six of
+// them live at every halo exchange (one per receive, all posted at one
+// virtual instant; its eager sends share eagerSent), so at the all-ranks
+// burst this struct is a large share of the heap: 200 bytes each, twelve
+// per rank, read 47 % of it at 32k ranks. 112 is an allocator size class;
+// a field that only some requests use belongs in reqCold.
 func TestRequestLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got > 112 {
-		t.Errorf("unsafe.Sizeof(Request{}) = %d, want <= 112: twelve live per rank at every halo burst", got)
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want <= 112: six live per rank at every halo burst", got)
 	}
 }
 

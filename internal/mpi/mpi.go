@@ -127,13 +127,14 @@ const (
 
 // Request is a nonblocking operation handle (MPI_Request).
 //
-// Every rank holds a dozen of these at every halo exchange (six receives,
-// six sends), all live at the same virtual instant, so the struct is kept
-// to what every request uses: 112 bytes, one allocator size class. What
-// only some requests need (a payload, a built Message, an error, a message
-// header that differs from the posted one) lives in a reqCold record
-// taken from the partition's pool on first use and returned at Free; a
-// modelled, exact-source, payload-free exchange never takes one.
+// Every rank holds six of these at every halo exchange (one per receive;
+// its eager sends share eagerSent), all live at the same virtual instant,
+// so the struct is kept to what every request uses: 112 bytes, one
+// allocator size class. What only some requests need (a payload, a built
+// Message, an error, a message header that differs from the posted one)
+// lives in a reqCold record taken from the partition's pool on first use
+// and returned at Free; a modelled, exact-source, payload-free exchange
+// never takes one.
 type Request struct {
 	id   uint64
 	comm *Comm

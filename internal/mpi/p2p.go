@@ -532,6 +532,16 @@ func (c *Comm) isendTag(dstCommRank, tag, size int, data []byte) *Request {
 	return c.isendDP(dstCommRank, tag, size, data, false)
 }
 
+// eagerSent is the request every eager send in an untraced world returns:
+// such a send is complete when Isend returns and nobody reads its request
+// but Done, Wait and Free, so they all share this one, born done. Nothing
+// writes to it — putReq and Free skip it, and Cancel and a wait only read
+// a done request (its zero completeAt is behind every sender's clock). A
+// traced world gives each eager send a request of its own: completeWait
+// records the send's peer, size and completion time where a wait observes
+// it.
+var eagerSent = Request{kind: sendReq, flags: reqDone}
+
 // isendDP is isendTag with the ownership of data explicit: owned data is a
 // pooled buffer the caller transfers to the MPI layer, with no copy at post
 // or transfer time. The collective send hop uses it for encoded reductions.
@@ -541,17 +551,24 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	net := e.w.cfg.Net
 	src := e.Rank()
 	dst := c.WorldRank(dstCommRank)
-	req := dp.reqs.get()
-	req.id = e.ps.newReqID()
-	req.kind = sendReq
-	req.comm = c
-	req.src, req.dst, req.tag = int32(src), int32(dst), int32(tag)
-	req.size = size
-	req.postClock = e.ctx.NowQuiet()
+	t0 := e.ctx.NowQuiet()
+	eager := net.Eager(size)
+	// An untraced eager send takes no request from the pool (eagerSent) but
+	// still issues an id, so ids do not depend on which sends took one.
+	req := &eagerSent
+	if !eager || e.w.cfg.Tracer != nil {
+		req = dp.reqs.get()
+		req.id = e.ps.newReqID()
+		req.kind = sendReq
+		req.comm = c
+		req.src, req.dst, req.tag = int32(src), int32(dst), int32(tag)
+		req.size = size
+		req.postClock = t0
+	} else {
+		e.ps.newReqID()
+	}
 	h := envHeader{commID: c.id, src: src, dst: dst, srcCommRank: c.rank, tag: tag, size: size}
 	var ev core.Event
-	t0 := req.postClock
-	eager := net.Eager(size)
 	dp.countSend(size, !eager)
 	if e.w.cfg.Tracer != nil {
 		ev := trace.Event{At: t0, Kind: trace.KindSend, Rank: int32(src), Peer: int32(dst), Tag: int32(tag), Size: int64(size)}
@@ -586,13 +603,15 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 			e.ps.injectFreeAt = inject.Add(occ)
 		}
 		h.dataAt = inject.Add(net.TransferTime(src, dst, size))
-		// An eager send completes locally once the message is injected;
-		// it never waits on the receiver (fire-and-forget buffering).
-		req.set(reqDone)
 		h.put(&ev, t0.Add(net.ControlTime(src, dst)), box)
 		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, size))
-		req.completeAt = e.ctx.NowQuiet()
+		// An eager send completes locally once the message is injected;
+		// it never waits on the receiver (fire-and-forget buffering).
+		if req != &eagerSent {
+			req.set(reqDone)
+			req.completeAt = e.ctx.NowQuiet()
+		}
 	} else {
 		// Rendezvous: send the ready-to-send envelope and wait for the
 		// receiver's clear-to-send before transferring the payload. No

@@ -15,8 +15,9 @@ package mpi
 // object is taken only for a message that has to wait in the unexpected
 // queue or to box a payload buffer for the trip, and a Message only when
 // somebody reads a completed receive: a payload-free exchange whose
-// receives are posted first takes two requests per message from the pool
-// and nothing else, eager or rendezvous.
+// receives are posted first takes one request per message from the pool
+// if it is eager (the send returns the shared eagerSent), two if it is a
+// rendezvous, and nothing else.
 //
 // A request's cold record (reqCold) holds what only some requests use, and
 // is taken on first use and returned with the request at Free. Taking one:
@@ -135,10 +136,13 @@ type dpPool struct {
 	bufHighWater int64
 }
 
-// putReq recycles a request and its cold record. The caller must have
-// released or transferred the request's payload and message first
-// (releaseMsg).
+// putReq recycles a request and its cold record; the shared eagerSent is
+// nobody's to recycle and is left alone. The caller must have released or
+// transferred the request's payload and message first (releaseMsg).
 func (p *dpPool) putReq(r *Request) {
+	if r == &eagerSent {
+		return
+	}
 	if r.cold != nil {
 		p.colds.put(r.cold)
 	}

@@ -132,7 +132,9 @@ type WaitState struct {
 
 // Begin arms the wait for a new request set. Call it once per wait, then
 // call WaitStep/WaitallStep from every step until it reports done. A
-// request must appear at most once in the set. A set abandoned mid-wait is
+// pending request must appear at most once in the set; a completed one,
+// such as the shared request of an eager send, may appear any number of
+// times, since a wait only reads it. A set abandoned mid-wait is
 // unregistered first: a completion wakes the rank parked on the wait the
 // request is registered with, and must not mistake this one for it.
 func (ws *WaitState) Begin(reqs ...*Request) {
