@@ -27,7 +27,7 @@
 #                     parsing surfaces, the file-name/key round trip of
 #                     the simulated file system, the MPI layer's intrusive
 #                     list against a slice model, and the replication
-#                     layer's digest vote against a brute-force model;
+#                     layer's vote against a brute-force model;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path, a
 #                     coroutine switch each way between the partition

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 
 	"xsim"
 )
@@ -84,18 +85,24 @@ func main() {
 
 	fmt.Printf("simulated time %v: %d completed, %d failed (absorbed by failover)\n\n",
 		res.SimTime, res.Completed, res.Failed)
+	// Logical rank 4 receives from the corrupted logical rank 3: every
+	// one of its replicas must vote the corruption out.
 	found := 0
-	for _, d := range detections {
+	for rank, d := range detections {
 		if d != "" {
 			fmt.Println(d)
-			found++
+			if rank%logical == 4 {
+				found++
+			}
 		}
 	}
 	switch {
-	case found == 0:
-		fmt.Println("no corruption detected (unexpected!)")
+	case found != degree:
+		fmt.Printf("%d of logical rank 4's %d replicas detected the corruption (unexpected!)\n", found, degree)
+		os.Exit(1)
 	case res.Failed != 1 || res.Aborted != 0:
 		fmt.Println("process failure was not absorbed (unexpected!)")
+		os.Exit(1)
 	default:
 		fmt.Printf("\n%d receiver replica(s) voted out the corruption, and logical rank 5\n", found)
 		fmt.Println("survived the death of its replica 1 — r-way redundancy handled both faults")

@@ -26,7 +26,7 @@ type SDCError = redundancy.SDCError
 // WrapReplicated builds an r-way replicated communicator: the world splits
 // into Ranks/degree logical ranks of degree replicas each. Every live
 // sender replica sends a copy to every live receiver replica, which
-// digest-votes the copies: silent data corruption is detected online, a
+// votes on the copies: silent data corruption is detected online, a
 // logical rank survives while one of its replicas lives, and at degree ≥ 3
 // the majority copy corrects the corruption. Degree 2 is the redMPI-style
 // dual-redundant communicator (the upper half of the world mirrors the

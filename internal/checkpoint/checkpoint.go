@@ -22,6 +22,7 @@ import (
 
 	"xsim/internal/fsmodel"
 	"xsim/internal/mpi"
+	"xsim/internal/redundancy"
 	"xsim/internal/vclock"
 )
 
@@ -465,22 +466,15 @@ func Chain(store *fsmodel.Store, prefix string, rank, iteration int) []int {
 }
 
 // SetComplete reports whether iteration's checkpoint set can be restored:
-// each of n logical ranks has a replica whose file is committed,
-// well-formed and written for this iteration and rank — the test every
-// restart probe applies (openValid). Replica k of logical rank l is world
-// rank l + k·n; with replicas 1 every one of n ranks needs its own file.
+// each of n logical ranks has a replica (redundancy.Covered) whose file is
+// committed, well-formed and written for this iteration and rank — the
+// test every restart probe applies (openValid). With replicas 1 every one
+// of n ranks needs its own file.
 func SetComplete(store *fsmodel.Store, prefix string, iteration, n, replicas int) bool {
-	for l := 0; l < n; l++ {
-		ok := false
-		for k := 0; k < replicas && !ok; k++ {
-			_, _, _, err := openValid(store, key(prefix, iteration, l+k*n))
-			ok = err == nil
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return redundancy.Covered(n, replicas, func(rank int) bool {
+		_, _, _, err := openValid(store, key(prefix, iteration, rank))
+		return err == nil
+	})
 }
 
 // CleanIncompleteSets deletes every checkpoint set that is missing files

@@ -74,15 +74,16 @@ func (c *Comm) probeSrc(src int) (int, error) {
 	return c.WorldRank(src), nil
 }
 
-// Cancel cancels a pending request (MPI_Cancel): the request completes
-// with CancelledError at the current virtual time. Cancelling a completed
-// request reports false. A cancelled receive leaves later-arriving
-// messages in the unexpected queue for other receives; a cancelled
-// rendezvous send drops the eventual clear-to-send.
+// Cancel cancels a pending receive (MPI_Cancel): the request completes
+// with CancelledError at the current virtual time, leaving later-arriving
+// messages in the unexpected queue for other receives. Cancelling a
+// completed request or a send reports false and changes nothing: a send's
+// envelope left when it was posted, so the send completes as usual (MPI
+// lets a send's cancel fail, and MPI-4.0 deprecates cancelling sends).
 func (c *Comm) Cancel(r *Request) bool {
 	e := c.env
 	e.chargeCall()
-	if r.Done() {
+	if r.Done() || r.kind == sendReq {
 		return false
 	}
 	_ = completeRequest(e.ps, r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()}) // the caller is running, not parked

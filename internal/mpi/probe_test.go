@@ -197,21 +197,43 @@ func TestCancelRecv(t *testing.T) {
 }
 
 func TestCancelRendezvousSend(t *testing.T) {
+	// Cancelling a send fails and leaves the request as it was: an eager
+	// send is already complete, and a rendezvous send's envelope has
+	// already left, so it stays pending until its receiver matches it.
 	runWorld(t, 2, 1, func(e *Env) {
 		c := e.World()
 		if e.Rank() == 0 {
-			req, err := c.IsendN(1, 0, 1<<20) // rendezvous: pends on the CTS
+			eager, _ := c.IsendN(1, 0, 8)
+			req, err := c.IsendN(1, 1, 1<<20) // rendezvous: pends on the CTS
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.Cancel(req) {
-				t.Fatal("cancel of pending send should succeed")
+			if c.Cancel(eager) {
+				t.Error("cancel of an eager send reported true")
 			}
+			if c.Cancel(req) {
+				t.Error("cancel of a pending rendezvous send reported true")
+			}
+			if req.Done() || req.Err() != nil {
+				t.Errorf("refused cancel touched the request: done %v, err %v", req.Done(), req.Err())
+			}
+			if _, err := c.Wait(req); err != nil {
+				t.Errorf("wait: %v", err)
+			}
+			c.Free(eager)
+			c.Free(req)
 			return
 		}
-		// The receiver never posts: without the cancel this would
-		// deadlock; with it, both ranks complete.
+		// The receiver posts late; the rendezvous send waits for it.
 		e.Elapse(vclock.Millisecond)
+		for tag := range 2 {
+			m, err := c.Recv(0, tag)
+			if err != nil {
+				t.Errorf("recv tag %d: %v", tag, err)
+				continue
+			}
+			m.Release()
+		}
 	})
 }
 

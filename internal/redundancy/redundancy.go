@@ -29,8 +29,8 @@ type SDCError struct {
 	LogicalSrc, Tag int
 	// Replica is the receiving replica that detected the mismatch.
 	Replica int
-	// Corrupt lists the replica indices outvoted by a strict digest
-	// majority (r ≥ 3 voting); nil when no strict majority exists — dual
+	// Corrupt lists the replica indices outvoted by a strict majority
+	// (r ≥ 3 voting); nil when no strict majority exists — dual
 	// redundancy detects but cannot attribute.
 	Corrupt []int
 }
@@ -143,6 +143,22 @@ func (c *Comm) worldRankOf(logical, replica int) int {
 	return logical + replica*c.n
 }
 
+// Covered reports whether each of n logical ranks has one of its r
+// replicas for which ok holds; replica k of logical rank l is world rank
+// l + k·n. A dead replica's logical rank is covered by any other replica.
+func Covered(n, r int, ok func(rank int) bool) bool {
+next:
+	for l := range n {
+		for k := range r {
+			if ok(l + k*n) {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
 // checkRank validates a logical rank operand.
 func (c *Comm) checkRank(kind string, l int) error {
 	if l < 0 || l >= c.n {
@@ -207,8 +223,7 @@ func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
 	// process-failure error after the detection timeout, so the wait
 	// below never deadlocks — and a copy the replica sent before dying
 	// still matches and delivers.
-	reqs := make([]*mpi.Request, 0, c.r)
-	idxs := make([]int, 0, c.r)
+	posted := make([]replicaCopy, 0, c.r)
 	for k := 0; k < c.r; k++ {
 		w := c.worldRankOf(src, k)
 		if c.env.PeerFailed(w) {
@@ -218,142 +233,96 @@ func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
 		if err != nil {
 			// Drain what was already posted (copies arrive or failure
 			// timeouts fire), then surface the posting error.
-			for _, r := range reqs {
-				_, _ = c.world.Wait(r)
-				c.world.Free(r)
+			for _, p := range posted {
+				_, _ = c.world.Wait(p.req)
+				c.world.Free(p.req)
 			}
 			return nil, err
 		}
-		reqs = append(reqs, req)
-		idxs = append(idxs, k)
+		posted = append(posted, replicaCopy{replica: k, req: req})
 	}
-	msgs := make([]*mpi.Message, 0, len(reqs))
-	from := make([]int, 0, len(reqs))
+	// Wait in posting order, keeping the copies that arrived in place.
+	got := posted[:0]
 	var hard error
-	for i, req := range reqs {
-		_, err := c.world.Wait(req)
-		if err != nil {
-			var pf *mpi.ProcFailedError
-			if !errors.As(err, &pf) && hard == nil {
-				hard = err
-			}
-			c.world.Free(req)
-			continue
+	var pf *mpi.ProcFailedError
+	for _, p := range posted {
+		_, err := c.world.Wait(p.req)
+		switch {
+		case err == nil:
+			p.msg = p.req.TakeMsg()
+			got = append(got, p)
+		case !errors.As(err, &pf) && hard == nil:
+			hard = err
 		}
-		m := req.TakeMsg()
-		c.world.Free(req)
-		msgs = append(msgs, m)
-		from = append(from, idxs[i])
+		c.world.Free(p.req)
 	}
 	if hard != nil {
-		for _, m := range msgs {
-			m.Release()
+		for _, p := range got {
+			p.msg.Release()
 		}
 		return nil, hard
 	}
-	if len(msgs) == 0 {
+	if len(got) == 0 {
 		return nil, &ReplicaFailedError{Logical: src, Op: "recv"}
 	}
-	chosen := 0
-	var sdc *SDCError
-	if len(msgs) > 1 {
-		digests := make([]uint64, c.r)
-		present := make([]bool, c.r)
-		// Each copy's digest is its class: the index of the first copy
-		// with the same bytes. With r ≤ 3 copies that is at most three
-		// comparisons, and unlike a hash no corrupt copy can collide into
-		// the majority.
-		for i, m := range msgs {
-			class := i
-			for j := range i {
-				if bytes.Equal(msgs[j].Data, m.Data) {
-					class = j
-					break
-				}
-			}
-			digests[from[i]] = uint64(class)
-			present[from[i]] = true
-		}
-		if corrupt, mismatch := voteDigests(digests, present); mismatch {
-			sdc = &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: corrupt}
-			if len(corrupt) > 0 {
-				// A strict majority exists: return a majority copy, so
-				// the vote corrects the corruption for the application.
-				for i, k := range from {
-					if !intsContain(corrupt, k) {
-						chosen = i
-						break
-					}
-				}
-			}
-		}
+	data := make([][]byte, len(got))
+	for i, p := range got {
+		data[i] = p.msg.Data
 	}
-	out := msgs[chosen]
-	for i, m := range msgs {
+	chosen, outvoted, mismatch := vote(data)
+	for i, p := range got {
 		if i != chosen {
-			m.Release()
-		}
-	}
-	if sdc != nil {
-		return out, sdc
-	}
-	return out, nil
-}
-
-// voteDigests compares the present digests. mismatch reports any
-// disagreement; corrupt lists the replica indices outvoted by a strict
-// majority, nil when none exists (r = 2, or an even split).
-func voteDigests(digests []uint64, present []bool) (corrupt []int, mismatch bool) {
-	total := 0
-	var ref uint64
-	seen := false
-	for i, ok := range present {
-		if !ok {
-			continue
-		}
-		total++
-		if !seen {
-			ref, seen = digests[i], true
-		} else if digests[i] != ref {
-			mismatch = true
+			p.msg.Release()
 		}
 	}
 	if !mismatch {
-		return nil, false
+		return got[chosen].msg, nil
 	}
-	var best uint64
-	bestN := 0
-	for i, ok := range present {
-		if !ok {
-			continue
-		}
-		n := 0
-		for j, ok2 := range present {
-			if ok2 && digests[j] == digests[i] {
-				n++
-			}
-		}
-		if n > bestN {
-			best, bestN = digests[i], n
-		}
+	for i, j := range outvoted {
+		outvoted[i] = got[j].replica
 	}
-	if 2*bestN <= total {
-		return nil, true
-	}
-	for i, ok := range present {
-		if ok && digests[i] != best {
-			corrupt = append(corrupt, i)
-		}
-	}
-	return corrupt, true
+	return got[chosen].msg, &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: outvoted}
 }
 
-// intsContain reports whether s contains v.
-func intsContain(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+// replicaCopy is one receive Recv posted: the source replica it names,
+// its request, and the copy it delivered (nil until it arrives).
+type replicaCopy struct {
+	replica int
+	req     *mpi.Request
+	msg     *mpi.Message
+}
+
+// vote groups copies, at least one, by their bytes in one pass. mismatch
+// reports that two copies differ. With a strict majority, chosen is the
+// majority's first copy and outvoted lists the other copies in ascending
+// order; without one (r = 2, or an even split) chosen is copy 0 and
+// outvoted is nil.
+func vote(copies [][]byte) (chosen int, outvoted []int, mismatch bool) {
+	// group[i] is the first copy with copy i's bytes; size[g] counts group g.
+	group := make([]int, len(copies))
+	size := make([]int, len(copies))
+	for i, c := range copies {
+		g := i
+		for j := range i {
+			if group[j] == j && bytes.Equal(copies[j], c) {
+				g = j
+				break
+			}
+		}
+		group[i] = g
+		size[g]++
+		if size[g] > size[chosen] {
+			chosen = g
 		}
 	}
-	return false
+	mismatch = size[0] < len(copies)
+	if 2*size[chosen] <= len(copies) {
+		return 0, nil, mismatch
+	}
+	for i, g := range group {
+		if g != chosen {
+			outvoted = append(outvoted, i)
+		}
+	}
+	return chosen, outvoted, mismatch
 }

@@ -1,9 +1,11 @@
 package redundancy
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"xsim/internal/core"
@@ -420,82 +422,134 @@ func TestMirrorAllReplicasDead(t *testing.T) {
 	}
 }
 
-// FuzzVote checks voteDigests against a brute-force model over up to five
-// replicas: mismatch holds exactly when two present digests differ, and
-// corrupt lists, in replica order, the present replicas that do not hold
-// the strict-majority digest when one exists, and is nil otherwise.
-// Digests are drawn from four values so ties and majorities both occur.
-func FuzzVote(f *testing.F) {
-	f.Add(uint8(0), uint8(0b1), []byte{0})                 // r = 1
-	f.Add(uint8(1), uint8(0b11), []byte{0, 1})             // dual split
-	f.Add(uint8(2), uint8(0b111), []byte{0, 1, 0})         // r = 3, replica 1 outvoted
-	f.Add(uint8(2), uint8(0b101), []byte{0, 1, 2})         // replica 1 dead, split
-	f.Add(uint8(3), uint8(0b1111), []byte{0, 0, 1, 1})     // even split
-	f.Add(uint8(4), uint8(0b11111), []byte{3, 3, 3, 1, 2}) // majority of five
-	f.Add(uint8(4), uint8(0), []byte{0, 1, 2, 3, 0})       // nobody present
-	f.Fuzz(func(t *testing.T, n, mask uint8, ds []byte) {
-		r := int(n)%5 + 1
-		digests := make([]uint64, r)
-		present := make([]bool, r)
-		for i := range digests {
-			present[i] = mask>>i&1 == 1
-			if i < len(ds) {
-				digests[i] = uint64(ds[i]%4) * 0x9e3779b97f4a7c15
+func TestNoMajorityWithDeadReplica(t *testing.T) {
+	// At r = 3 the source's replica 0 dies before it sends, and replicas
+	// 1 and 2 send different bytes: two copies against each other are no
+	// majority, so every receiver replica detects without attributing and
+	// gets the first copy that arrived, replica 1's.
+	failures := map[int]vclock.Time{0: vclock.Time(100 * vclock.Microsecond)}
+	got := make([]string, 6)
+	runReplicated(t, 2, 3, failures, func(e *mpi.Env, c *Comm) {
+		if c.Logical() == 0 {
+			if c.Replica() == 0 {
+				e.Elapse(vclock.Second) // die before ever sending
+				return
 			}
+			if err := c.Send(1, 0, []byte{byte('0' + c.Replica())}); err != nil {
+				t.Errorf("rank %d send: %v", e.Rank(), err)
+			}
+			return
 		}
-		corrupt, mismatch := voteDigests(digests, present)
+		msg, err := c.Recv(0, 0)
+		var sdc *SDCError
+		if !errors.As(err, &sdc) {
+			t.Errorf("rank %d: recv err = %v, want *SDCError", e.Rank(), err)
+			return
+		}
+		if sdc.Corrupt != nil {
+			t.Errorf("rank %d blamed %v, want nil without a majority", e.Rank(), sdc.Corrupt)
+		}
+		got[e.Rank()] = string(msg.Data)
+		msg.Release()
+	})
+	for _, rank := range []int{1, 3, 5} {
+		if got[rank] != "1" {
+			t.Errorf("rank %d got %q, want replica 1's copy", rank, got[rank])
+		}
+	}
+}
 
-		total := 0
-		wantMismatch := false
-		for i := range digests {
-			if !present[i] {
-				continue
+func TestCovered(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, r int
+		ok   []int // world ranks for which ok holds
+		want bool
+		asks int
+	}{
+		{"r=1 all ranks", 4, 1, []int{0, 1, 2, 3}, true, 4},
+		{"r=1 one rank missing", 4, 1, []int{0, 1, 3}, false, 3},
+		{"every replica of logical 1 fails", 3, 3, []int{0, 2, 3, 5, 6, 8}, false, 4},
+		{"last replica only", 2, 3, []int{4, 5}, true, 6},
+		{"mixed replicas", 2, 2, []int{1, 2}, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			asked := make(map[int]bool)
+			got := Covered(tc.n, tc.r, func(rank int) bool {
+				if rank < 0 || rank >= tc.n*tc.r || asked[rank] {
+					t.Errorf("asked about rank %d (asked before: %v)", rank, asked[rank])
+				}
+				asked[rank] = true
+				return slices.Contains(tc.ok, rank)
+			})
+			if got != tc.want || len(asked) != tc.asks {
+				t.Errorf("Covered = %v after %d ranks, want %v after %d", got, len(asked), tc.want, tc.asks)
 			}
-			total++
-			for j := range digests {
-				if present[j] && digests[j] != digests[i] {
+		})
+	}
+}
+
+// FuzzVote checks vote against a brute-force model over one to five
+// copies: mismatch holds exactly when two copies differ; when a strict
+// majority exists, chosen is a majority copy and outvoted lists, in
+// ascending order, the copies that differ from it; otherwise chosen is 0
+// and outvoted is nil. Copies are drawn from four contents, the empty one
+// among them, so ties and majorities both occur.
+func FuzzVote(f *testing.F) {
+	f.Add(uint8(0), []byte{0})             // one copy
+	f.Add(uint8(1), []byte{0, 1})          // dual split
+	f.Add(uint8(2), []byte{0, 1, 0})       // copy 1 outvoted
+	f.Add(uint8(2), []byte{1, 0, 0})       // copy 0 outvoted
+	f.Add(uint8(2), []byte{0, 1, 2})       // three-way split
+	f.Add(uint8(3), []byte{0, 0, 1, 1})    // even split
+	f.Add(uint8(3), []byte{0, 1, 1, 2})    // no majority, largest group not first
+	f.Add(uint8(4), []byte{3, 3, 3, 1, 2}) // majority of five
+	f.Fuzz(func(t *testing.T, n uint8, ds []byte) {
+		copies := make([][]byte, int(n)%5+1)
+		for i := range copies {
+			v := byte(0)
+			if i < len(ds) {
+				v = ds[i] % 4
+			}
+			copies[i] = bytes.Repeat([]byte{'a' + v}, int(v))
+		}
+		chosen, outvoted, mismatch := vote(copies)
+
+		wantMismatch := false
+		majority := -1
+		for i := range copies {
+			count := 0
+			for j := range copies {
+				if bytes.Equal(copies[i], copies[j]) {
+					count++
+				} else {
 					wantMismatch = true
 				}
 			}
-		}
-		var majority uint64
-		hasMajority := false
-		for i := range digests {
-			count := 0
-			for j := range digests {
-				if present[i] && present[j] && digests[j] == digests[i] {
-					count++
-				}
-			}
-			if 2*count > total {
-				majority, hasMajority = digests[i], true
+			if 2*count > len(copies) {
+				majority = i
 			}
 		}
 		var want []int
-		if hasMajority {
-			for i := range digests {
-				if present[i] && digests[i] != majority {
+		if majority >= 0 {
+			for i := range copies {
+				if !bytes.Equal(copies[i], copies[majority]) {
 					want = append(want, i)
 				}
 			}
 		}
 
 		if mismatch != wantMismatch {
-			t.Fatalf("digests %v present %v: mismatch = %v, want %v", digests, present, mismatch, wantMismatch)
+			t.Fatalf("copies %q: mismatch = %v, want %v", copies, mismatch, wantMismatch)
 		}
-		if want == nil && corrupt != nil {
-			t.Fatalf("digests %v present %v: corrupt = %v, want nil", digests, present, corrupt)
+		if (want == nil) != (outvoted == nil) || !slices.Equal(outvoted, want) {
+			t.Fatalf("copies %q: outvoted = %v, want %v", copies, outvoted, want)
 		}
-		if len(corrupt) != len(want) {
-			t.Fatalf("digests %v present %v: corrupt = %v, want %v", digests, present, corrupt, want)
+		if majority < 0 && chosen != 0 {
+			t.Fatalf("copies %q: chosen = %d without a majority, want 0", copies, chosen)
 		}
-		for i, k := range corrupt {
-			if k != want[i] {
-				t.Fatalf("digests %v present %v: corrupt = %v, want %v", digests, present, corrupt, want)
-			}
-			if !present[k] || (hasMajority && digests[k] == majority) {
-				t.Fatalf("digests %v present %v: corrupt lists majority holder or absent replica %d", digests, present, k)
-			}
+		if majority >= 0 && (chosen < 0 || chosen >= len(copies) || !bytes.Equal(copies[chosen], copies[majority])) {
+			t.Fatalf("copies %q: chosen = %d, not a majority copy", copies, chosen)
 		}
 	})
 }

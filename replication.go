@@ -74,15 +74,13 @@ func runReplicatedStencil(cfg replicatedStencil) App {
 		// every rank resumes from the same iteration: the scan sees the
 		// store exactly as the previous run left it.
 		store := env.FSStore()
-		ckpts := cfg.CheckpointInterval > 0 && store != nil
+		ckpts := cfg.CheckpointInterval > 0
 		startIter := 0
 		if ckpts {
 			startIter = latestReplicatedCheckpoint(store, replPrefix, n, cfg.Degree)
 		}
-		if store != nil {
-			if _, restarted := checkpoint.LoadExitTime(store); restarted && cfg.RestartCost > 0 {
-				env.Elapse(cfg.RestartCost)
-			}
+		if _, restarted := checkpoint.LoadExitTime(store); restarted && cfg.RestartCost > 0 {
+			env.Elapse(cfg.RestartCost)
 		}
 		var fs *CheckpointFS
 		if ckpts {

@@ -6,6 +6,7 @@ import (
 
 	"xsim/internal/checkpoint"
 	"xsim/internal/fault"
+	"xsim/internal/redundancy"
 )
 
 // Campaign drives an application through failure/restart cycles until it
@@ -35,15 +36,12 @@ type Campaign struct {
 	// incomplete checkpoint sets.
 	CheckpointPrefix string
 	// Replicas is the application's replication degree r (0 and 1 mean
-	// unreplicated): world rank l + k·Ranks/r is replica k of logical rank
-	// l, the layout of runReplicatedStencil. It decides when a run is done
-	// and which checkpoint sets the between-runs cleanup keeps. A run is
-	// done when no rank aborted and every logical rank has a replica that
-	// completed, so a failed replica whose buddy survived forces no
-	// restart. A set is kept when every logical rank has a replica whose
-	// file a restart would accept (checkpoint.SetComplete), so a dead
-	// replica's missing file does not delete a set the restart resumes
-	// from.
+	// unreplicated), laid out as redundancy.Covered says. A run is done
+	// when no rank aborted and Covered finds, for every logical rank, a
+	// replica that completed; the between-runs cleanup keeps a checkpoint
+	// set when Covered finds one whose file a restart would accept
+	// (checkpoint.SetComplete). So a failed replica whose buddy survived
+	// forces no restart, and its missing file deletes no set.
 	Replicas int
 	// AppFor builds the application for each run (fresh trackers etc.);
 	// use the same closure for every run if no per-run state is needed.
@@ -127,26 +125,13 @@ func (c *Campaign) check() error {
 // degree is the replication degree, at least 1.
 func (c *Campaign) degree() int { return max(c.Replicas, 1) }
 
-// done reports whether a run finished the application (see Replicas).
+// done reports whether a run finished the application (see Replicas). At
+// degree 1 it is Success, since a killed or panicked rank is an error.
 func (c *Campaign) done(res *Result) bool {
 	r := c.degree()
-	if r == 1 {
-		return res.Success()
-	}
-	if res.Aborted > 0 {
-		return false
-	}
-	n := c.Base.Ranks / r
-	for l := 0; l < n; l++ {
-		ok := false
-		for k := 0; k < r && !ok; k++ {
-			ok = res.Deaths[l+k*n] == "completed"
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return res.Aborted == 0 && redundancy.Covered(c.Base.Ranks/r, r, func(rank int) bool {
+		return res.Deaths[rank] == "completed"
+	})
 }
 
 // Run executes the campaign; it is RunContext without cancellation.
