@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +256,33 @@ func TestRunContextPreCancelled(t *testing.T) {
 	_, err = sim.RunContext(ctx, func(e *Env) { e.Finalize() })
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+}
+
+// TestClockOverflowSpecEndsInTypedError is the regression for a spec that
+// passes Validate yet asks for more virtual time than the clock holds: in
+// testdata/clock-overflow.json a 10^16 ns call overhead carries the restart
+// chain's clocks to the end of virtual time. The campaign must fail with
+// ErrClockOverflow naming the rank, not with the false deadlock the wrapped
+// clocks used to produce. ci.sh runs the same file through xsim-run.
+func TestClockOverflowSpecEndsInTypedError(t *testing.T) {
+	data, err := os.ReadFile("testdata/clock-overflow.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := DecodeCampaignSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("the pinned spec no longer passes Validate (%v): refusing it up front is the admission budget's job", err)
+	}
+	_, err = spec.RunWith(context.Background(), RunOptions{})
+	if !errors.Is(err, ErrClockOverflow) || errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrClockOverflow and not ErrDeadlock", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "rank 0 at ") {
+		t.Fatalf("err = %q does not name the rank", msg)
 	}
 }
 

@@ -81,6 +81,11 @@
 #                     same directory answers table2 from its cache with
 #                     no simulation, and re-runs table1 — one simulation —
 #                     to the CLI's bytes again)
+#  10. clock-overflow outcome (testdata/clock-overflow.json passes Validate
+#                     but its call overhead carries the clocks past the
+#                     end of virtual time: `xsim-run -campaign` must exit 1
+#                     with the typed clock-overflow error, and must not
+#                     report a deadlock)
 set -eu
 
 cd "$(dirname "$0")"
@@ -349,5 +354,20 @@ grep -q '^xsim_sim_runs_total 1$' "$smoke_dir/metrics.txt"
 kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=""
+
+echo "== clock-overflow outcome (a spec that wraps the clock fails typed, not as a deadlock)"
+if "$smoke_dir/xsim-run" -campaign testdata/clock-overflow.json > "$smoke_dir/overflow.txt" 2>&1; then
+	status=0
+else
+	status=$?
+fi
+cat "$smoke_dir/overflow.txt"
+[ "$status" -eq 1 ] || { echo "FAIL: clock-overflow spec exited $status, want 1" >&2; exit 1; }
+grep -q 'clock overflow: rank [0-9]* at ' "$smoke_dir/overflow.txt" ||
+	{ echo "FAIL: clock-overflow spec did not report the typed overflow" >&2; exit 1; }
+if grep -qi deadlock "$smoke_dir/overflow.txt"; then
+	echo "FAIL: clock-overflow spec reported a deadlock" >&2
+	exit 1
+fi
 
 echo "CI OK"

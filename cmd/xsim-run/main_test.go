@@ -74,6 +74,7 @@ func TestExitStatusTable(t *testing.T) {
 		{fmt.Errorf("skipped: %w", context.Canceled), 130},
 		{fmt.Errorf("cell 2: %w", xsim.ErrAborted), 1},
 		{fmt.Errorf("run 0: %w", xsim.ErrDeadlock), 1},
+		{fmt.Errorf("run 2: %w", xsim.ErrClockOverflow), 1},
 		{os.ErrNotExist, 1},
 	} {
 		if got := exitStatus(tc.err); got != tc.want {

@@ -27,6 +27,10 @@ var (
 	// ErrDeadlock is wrapped by errors reporting a simulation that ended
 	// with live processes blocked forever.
 	ErrDeadlock = core.ErrDeadlock
+	// ErrClockOverflow is wrapped by errors reporting a run in which a
+	// process asked to advance its virtual clock past the clock's end
+	// (2^63 ns); the error names the rank, its clock and the advance.
+	ErrClockOverflow = core.ErrClockOverflow
 )
 
 // RunError is the typed error a failing campaign run becomes: it carries

@@ -139,9 +139,9 @@ func BenchmarkEngineStartup(b *testing.B) {
 
 // BenchmarkSpawnTeardown measures the per-VP cost of standing up and
 // tearing down a 64k-rank world where every rank runs to completion:
-// carrier borrow + body + recycle in closure mode, a single inline step in
-// program mode. Reported per VP so the numbers stay comparable across
-// scales.
+// a carrier coroutine created, run and exited per VP in closure mode, a
+// single inline step in program mode. Reported per VP so the numbers stay
+// comparable across scales.
 func BenchmarkSpawnTeardown(b *testing.B) {
 	const n = 65536
 	run := func(b *testing.B, exec func() error) {

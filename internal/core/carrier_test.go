@@ -51,6 +51,30 @@ func TestParkedVPKilledAtRunEnd(t *testing.T) {
 	}
 }
 
+// TestDeadVPsCarrierExitsBeforeTeardown reads the live-carrier gauge mid-run
+// (one partition, so the read races nothing): rank 0 has died by the time
+// rank 1 wakes, and its carrier has exited with it, so only rank 1's own
+// carrier is live.
+func TestDeadVPsCarrierExitsBeforeTeardown(t *testing.T) {
+	eng := newTestEngine(t, Config{NumVPs: 2})
+	live := -1
+	_, err := eng.Run(func(c *Ctx) {
+		c.Sleep(vclock.Duration(c.Rank()+1) * vclock.Second)
+		if c.Rank() == 1 {
+			live = eng.Metrics().CarriersLive
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != 1 {
+		t.Fatalf("CarriersLive after rank 0 died = %d, want 1", live)
+	}
+	if m := eng.Metrics(); m.CarriersLive != 0 {
+		t.Fatalf("CarriersLive = %d after teardown", m.CarriersLive)
+	}
+}
+
 // TestBodyPanicWhileOthersParked panics one body with a plain value while
 // the other VPs are parked on their carriers: the panic stays inside its
 // VP (DeathPanicked, with its message), the parked VPs are woken and

@@ -55,6 +55,16 @@ func (e *panicError) Unwrap() error {
 // ended with live VPs blocked forever.
 var ErrDeadlock = errors.New("core: deadlock detected")
 
+// ErrClockOverflow is wrapped by the error Run returns when a VP asked to
+// advance its clock (Elapse, ElapseSteps, or a sleep's timer) to or past
+// the end of virtual time, vclock.Never. The VP dies where it asked; the
+// others run on and are torn down as at any run end.
+var ErrClockOverflow = errors.New("core: clock overflow")
+
+// clockOverflow is the panic value that unwinds such a VP, carrying the
+// error Run returns: the rank, its clock and the advance it asked for.
+type clockOverflow struct{ err error }
+
 // Config parameterises an Engine.
 type Config struct {
 	// NumVPs is the number of simulated MPI processes.
@@ -185,7 +195,7 @@ func New(cfg Config) (*Engine, error) {
 			v.tof = vclock.Never
 			v.abortAt = vclock.Never
 			// No carrier, no stack: a VP that has never executed is pure
-			// data. Its first resume borrows a carrier (carrier.go).
+			// data. Its first resume creates its carrier (carrier.go).
 			v.ctx = Ctx{eng: eng, vp: v}
 		}
 		lo = hi
@@ -269,9 +279,10 @@ type Result struct {
 // returned for inspection).
 //
 // No goroutine is spawned per VP up front: every VP starts as pure data in
-// the ready heap, and its first resume borrows a carrier coroutine from
-// its partition's pool (carrier.go). Live goroutine count therefore scales
-// with the VPs that have started and not yet died, not with world size.
+// the ready heap, its first resume creates its carrier coroutine, and the
+// carrier exits when the VP dies (carrier.go). Live goroutine count
+// therefore scales with the VPs that have started and not yet died, not
+// with world size.
 func (e *Engine) Run(body func(*Ctx)) (*Result, error) {
 	if e.ran {
 		return nil, errors.New("core: engine can only run once")
@@ -332,14 +343,12 @@ func (e *Engine) run() (*Result, error) {
 			}
 		}
 	}
-	// Tear down surviving VPs, then retire the idle carrier coroutines so
-	// nothing leaks. Both are synchronous: when run returns, every VP is
-	// dead and every carrier's coroutine has exited.
+	// Tear down surviving VPs. The kills are synchronous and a dead VP's
+	// carrier has exited, so when run returns every coroutine is gone.
 	for _, p := range e.parts {
 		for r := p.lo; r < p.hi; r++ {
 			p.kill(&e.vps[r])
 		}
-		p.drainCarriers()
 	}
 
 	var firstPanic *vp
@@ -374,6 +383,9 @@ func (e *Engine) run() (*Result, error) {
 		res.Completed, res.Failed, res.Aborted, res.MinClock, res.MaxClock, res.AvgClock)
 
 	if firstPanic != nil {
+		if o, ok := firstPanic.panicVal.(clockOverflow); ok {
+			return res, o.err
+		}
 		return res, &panicError{msg: firstPanic.panicMsg, val: firstPanic.panicVal}
 	}
 	if cancelled && alive > 0 {

@@ -40,20 +40,16 @@ type MetricsSnapshot struct {
 	EventHeapHighWater int
 	ReadyHeapHighWater int
 	// VP-lifecycle gauges for the carrier execution model (carrier.go).
-	// CarriersSpawned counts carrier goroutines created over the run and
-	// CarrierReuses counts VP starts served by an already-pooled carrier;
-	// their sum is the number of VP starts in closure mode. CarriersHighWater
-	// is the live-goroutine high-water over partitions (the bounded-execution
-	// claim: it tracks peak concurrently-live VPs, not world size), and
-	// CarrierIdleHighWater the deepest any partition's idle pool got.
-	// CarriersLive is the number of carrier goroutines still alive when the
+	// CarriersSpawned counts carrier coroutines created over the run, one
+	// per VP started in closure mode. CarriersHighWater is the
+	// live-coroutine high-water over partitions (the bounded-execution
+	// claim: it tracks peak concurrently-live VPs, not world size).
+	// CarriersLive is the number of carrier coroutines still alive when the
 	// snapshot was taken — 0 after a clean teardown, making it the leak
 	// gauge.
-	CarriersSpawned      uint64
-	CarrierReuses        uint64
-	CarriersHighWater    int
-	CarrierIdleHighWater int
-	CarriersLive         int
+	CarriersSpawned   uint64
+	CarriersHighWater int
+	CarriersLive      int
 	// ProgramSteps counts Program.Step invocations (0 in closure mode).
 	ProgramSteps uint64
 	// BarrierRounds counts parallel window rounds summed over partitions
@@ -84,12 +80,8 @@ func (m *MetricsSnapshot) Add(other MetricsSnapshot) {
 		m.ReadyHeapHighWater = other.ReadyHeapHighWater
 	}
 	m.CarriersSpawned += other.CarriersSpawned
-	m.CarrierReuses += other.CarrierReuses
 	if other.CarriersHighWater > m.CarriersHighWater {
 		m.CarriersHighWater = other.CarriersHighWater
-	}
-	if other.CarrierIdleHighWater > m.CarrierIdleHighWater {
-		m.CarrierIdleHighWater = other.CarrierIdleHighWater
 	}
 	m.CarriersLive += other.CarriersLive
 	m.ProgramSteps += other.ProgramSteps
@@ -135,12 +127,8 @@ func (e *Engine) Metrics() MetricsSnapshot {
 			m.ReadyHeapHighWater = p.ready.hi
 		}
 		m.CarriersSpawned += p.carriersSpawned
-		m.CarrierReuses += p.carrierReuses
 		if p.carriersHi > m.CarriersHighWater {
 			m.CarriersHighWater = p.carriersHi
-		}
-		if p.carrierIdleHi > m.CarrierIdleHighWater {
-			m.CarrierIdleHighWater = p.carrierIdleHi
 		}
 		m.CarriersLive += p.carriersLive
 		m.ProgramSteps += p.progSteps

@@ -7,17 +7,6 @@ import (
 	"xsim/internal/vclock"
 )
 
-// yieldKind is the VP→scheduler handoff message a carrier yields from its
-// coroutine (carrier.go). The resume carries no message — the wake data
-// already sits in the VP's fields — so a full block/wake cycle is one
-// coroutine switch each way and allocates nothing.
-type yieldKind int
-
-const (
-	yieldBlocked yieldKind = iota // VP parked in Block
-	yieldDead                     // VP terminated
-)
-
 // partition owns a contiguous range of VPs and executes them one at a time,
 // interleaved by virtual timestamps — the analogue of one native MPI
 // process in xSim's oversubscribed execution. With Workers > 1 the engine
@@ -68,10 +57,6 @@ type partition struct {
 
 	live int // VPs not yet dead
 
-	// idle is the carrier pool: coroutines whose previous VP died, parked
-	// in their yield awaiting the next startVP assignment (carrier.go).
-	idle []*carrier
-
 	// validate mirrors Config.Validate: when set, the invariant checks in
 	// this file and parallel.go are live; when clear they are single
 	// untaken branches.
@@ -86,12 +71,10 @@ type partition struct {
 	rounds      uint64
 	widthSum    vclock.Duration
 
-	// Carrier-pool and program-mode lifecycle gauges (Engine.Metrics).
+	// Carrier and program-mode lifecycle gauges (Engine.Metrics).
 	carriersSpawned uint64
-	carrierReuses   uint64
 	carriersLive    int
 	carriersHi      int
-	carrierIdleHi   int
 	progSteps       uint64
 }
 
@@ -256,8 +239,8 @@ func (p *partition) wake(v *vp, at vclock.Time, val any) {
 // resume hands execution to a ready VP and waits for it to block or die.
 // In program mode the step runs inline on the scheduler stack; in closure
 // mode it is one call of the carrier's next (the wake data already sits in
-// the VP's fields), which returns when the VP yields, with a carrier
-// attached lazily on the VP's first resume.
+// the VP's fields), which returns when the VP parks or dies, with a carrier
+// created on the VP's first resume.
 func (p *partition) resume(rank int) {
 	v := &p.eng.vps[rank]
 	clockBefore := v.clock
@@ -268,8 +251,8 @@ func (p *partition) resume(rank int) {
 		if v.state == vpCreated {
 			p.startVP(v)
 		}
-		if k, _ := v.car.next(); k == yieldDead {
-			p.recycleCarrier(v)
+		if _, ok := v.car.next(); !ok {
+			p.endCarrier(v)
 			dead = true
 		}
 	}
@@ -307,10 +290,10 @@ func (p *partition) kill(v *vp) {
 	}
 	v.wakeVal = nil
 	v.killed = true
-	if k, _ := v.car.next(); k != yieldDead {
+	if _, ok := v.car.next(); ok {
 		panic("core: killed VP yielded without dying")
 	}
-	p.recycleCarrier(v)
+	p.endCarrier(v)
 	p.live--
 }
 

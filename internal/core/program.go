@@ -37,7 +37,7 @@ type Program interface {
 func (p *partition) stepProgram(v *vp) bool {
 	var wake any
 	if v.state == vpCreated {
-		// First entry: mirror the carrier-loop preamble.
+		// First entry: mirror the carrier's start preamble.
 		v.state = vpRunning
 		v.clock = vclock.Max(v.clock, v.wakeAt)
 	} else {
@@ -60,7 +60,7 @@ func (p *partition) stepProgram(v *vp) bool {
 }
 
 // runStep invokes Program.Step under the same recover/classify wrapper a
-// carrier's runBody uses, so kills, failures, and stray panics inside a
+// carrier's run uses, so kills, failures, and stray panics inside a
 // step land in the identical death taxonomy. died reports that the step
 // unwound; park/done are only meaningful when it did not.
 func (p *partition) runStep(v *vp, wake any) (park any, done bool, died bool) {

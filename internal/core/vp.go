@@ -192,9 +192,26 @@ func (c *Ctx) NowQuiet() vclock.Time { return c.vp.clock }
 // phase — is one ElapseSteps call instead of a loop over Elapse.
 func (c *Ctx) Elapse(d vclock.Duration) {
 	if d > 0 {
+		if uint64(d) >= c.vp.room() {
+			c.vp.overflow(d, 1)
+		}
 		c.vp.clock = c.vp.clock.Add(d)
 	}
 	c.vp.checkUnwind()
+}
+
+// room is how far the VP's clock may still advance before it reaches
+// vclock.Never, exact for any clock in unsigned arithmetic.
+func (v *vp) room() uint64 { return uint64(vclock.Never) - uint64(v.clock) }
+
+// overflow unwinds the VP for asking to advance its clock by steps × d to
+// or past vclock.Never (ErrClockOverflow).
+func (v *vp) overflow(d vclock.Duration, steps int) {
+	adv := d.String()
+	if steps > 1 {
+		adv = fmt.Sprintf("%d × %v", steps, d)
+	}
+	panic(clockOverflow{fmt.Errorf("%w: rank %d at %v + %s", ErrClockOverflow, v.rank, v.clock, adv)})
 }
 
 // ElapseSteps is up to n consecutive Elapse(d) calls in O(1). It advances
@@ -205,10 +222,12 @@ func (c *Ctx) Elapse(d vclock.Duration) {
 // total is a multiple of the already-rounded d, so clocks are bit-identical
 // to the loop's.
 //
-// Unlike Elapse it is not itself an activation point: the caller first
-// records what the taken steps were (an iteration count, a tracker) and
-// then calls Elapse(0), where the VP unwinds at exactly the clock, and with
-// exactly the record, the loop's last Elapse would have left.
+// Like Elapse it unwinds the VP with ErrClockOverflow if the taken steps
+// would carry the clock to vclock.Never. Unlike Elapse it is not itself an
+// activation point: the caller first records what the taken steps were (an
+// iteration count, a tracker) and then calls Elapse(0), where the VP
+// unwinds at exactly the clock, and with exactly the record, the loop's
+// last Elapse would have left.
 func (c *Ctx) ElapseSteps(d vclock.Duration, n int) (taken int) {
 	v := c.vp
 	if n <= 0 {
@@ -216,6 +235,10 @@ func (c *Ctx) ElapseSteps(d vclock.Duration, n int) (taken int) {
 	}
 	taken = min(n, vclock.StepsToReach(v.clock, d, vclock.Min(v.tof, v.abortAt)))
 	if d > 0 {
+		// taken × d < room, tested without forming the product.
+		if uint64(d) > (v.room()-1)/uint64(taken) {
+			v.overflow(d, taken)
+		}
 		v.clock = v.clock.Add(vclock.Duration(taken) * d)
 	}
 	return taken
@@ -247,6 +270,9 @@ func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 	if d <= 0 {
 		v.checkUnwind()
 		return nil, false
+	}
+	if uint64(d) >= v.room() {
+		v.overflow(d, 1)
 	}
 	v.sleepSeq++
 	// The timer generation rides in the event's first scalar word.
@@ -291,7 +317,7 @@ func (c *Ctx) Block(reason any) any {
 	}
 	v.state = vpBlocked
 	v.blockReason = reason
-	cr.yield(yieldBlocked) // back to the scheduler until SchedCtx.Wake's resume
+	cr.yield(struct{}{}) // back to the scheduler until SchedCtx.Wake's resume
 	if v.killed {
 		panic(unwindSentinel{DeathKilled})
 	}
@@ -393,6 +419,9 @@ func (v *vp) finishDeath(eng *Engine, r any) {
 		v.death = DeathCompleted
 	case unwindSentinel:
 		v.death = s.reason
+	case clockOverflow: // a typed outcome, returned by Run without a stack
+		v.death = DeathPanicked
+		v.panicVal = s
 	default:
 		v.death = DeathPanicked
 		v.panicVal = r

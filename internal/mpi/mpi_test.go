@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -785,6 +786,42 @@ func TestDeadlockReportNamesWait(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "recv from 1") {
 		t.Fatalf("err = %v, want deadlock naming the recv", err)
+	}
+}
+
+// TestDeadlockReportNamesWaitallPeers has two ranks each wait on six
+// receives from the other, one of which the other's lone eager send
+// completes: the report lists the first four still-pending receives of
+// each rank by peer and tag and counts the fifth, the done one absent.
+func TestDeadlockReportNamesWaitallPeers(t *testing.T) {
+	_, err := runWorldErr(t, 2, 1, nil, func(e *Env) {
+		peer := 1 - e.Rank()
+		reqs := make([]*Request, 6)
+		for tag := range reqs {
+			r, err := e.World().Irecv(peer, tag)
+			if err != nil {
+				t.Errorf("irecv: %v", err)
+				return
+			}
+			reqs[tag] = r
+		}
+		if _, err := e.World().IsendN(peer, 2, 8); err != nil {
+			t.Errorf("isend: %v", err)
+		}
+		if err := e.World().Waitall(reqs); err != nil {
+			t.Errorf("waitall: %v", err)
+		}
+	})
+	if !errors.Is(err, core.ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	for rank := 0; rank < 2; rank++ {
+		peer := 1 - rank
+		want := fmt.Sprintf("MPI waitall: 6 requests: recv from %[1]d tag 0 (comm 0), recv from %[1]d tag 1 (comm 0), "+
+			"recv from %[1]d tag 3 (comm 0), recv from %[1]d tag 4 (comm 0) and 1 more", peer)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report lacks rank %d's %q:\n%v", rank, want, err)
+		}
 	}
 }
 

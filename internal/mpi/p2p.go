@@ -746,17 +746,39 @@ func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *Wa
 	return ws
 }
 
-// waitReason describes a wait for deadlock reports. It is only called if
-// a report is actually printed (see procState.BlockReason).
+// waitReason describes a wait for deadlock reports: a single request in
+// full, a wait on several as their count and the first listed of those
+// still pending (the rest counted), so a report says whom each rank waits
+// on. It is only called if a report is actually printed (see
+// procState.BlockReason).
 func waitReason(reqs []*Request) string {
 	if len(reqs) == 1 {
-		r := reqs[0]
-		if r.kind == recvReq {
-			return fmt.Sprintf("MPI wait: recv from %d tag %d (comm %d)", r.src, r.tag, r.comm.id)
-		}
-		return fmt.Sprintf("MPI wait: send to %d tag %d (comm %d)", r.dst, r.tag, r.comm.id)
+		return "MPI wait: " + reqs[0].peerString()
 	}
-	return fmt.Sprintf("MPI waitall: %d requests", len(reqs))
+	const listed = 4
+	s := fmt.Sprintf("MPI waitall: %d requests", len(reqs))
+	sep, pending := ": ", 0
+	for _, r := range reqs {
+		if r.Done() {
+			continue
+		}
+		if pending++; pending <= listed {
+			s += sep + r.peerString()
+			sep = ", "
+		}
+	}
+	if pending > listed {
+		s += fmt.Sprintf(" and %d more", pending-listed)
+	}
+	return s
+}
+
+// peerString names the peer, tag and communicator a request waits on.
+func (r *Request) peerString() string {
+	if r.kind == recvReq {
+		return fmt.Sprintf("recv from %d tag %d (comm %d)", r.src, r.tag, r.comm.id)
+	}
+	return fmt.Sprintf("send to %d tag %d (comm %d)", r.dst, r.tag, r.comm.id)
 }
 
 // BlockReason renders the process's block reason lazily for deadlock

@@ -413,16 +413,14 @@ func (s *Sim) runContext(ctx context.Context, run func() (*core.Result, error)) 
 	}
 	if s.cfg.Trace != nil {
 		// Export the VP-lifecycle gauges as Chrome-trace counter tracks so
-		// a loaded timeline graphs the run's carrier-pool and scheduler
+		// a loaded timeline graphs the run's carrier and scheduler
 		// high-water marks alongside the per-rank events.
 		for _, c := range []struct {
 			name  string
 			value float64
 		}{
 			{"carriers-spawned", float64(result.Engine.CarriersSpawned)},
-			{"carrier-reuses", float64(result.Engine.CarrierReuses)},
 			{"carriers-hi", float64(result.Engine.CarriersHighWater)},
-			{"carrier-idle-hi", float64(result.Engine.CarrierIdleHighWater)},
 			{"ready-hi", float64(result.Engine.ReadyHeapHighWater)},
 			{"program-steps", float64(result.Engine.ProgramSteps)},
 		} {
@@ -435,8 +433,9 @@ func (s *Sim) runContext(ctx context.Context, run func() (*core.Result, error)) 
 	case errors.Is(err, core.ErrStopped):
 		return result, fmt.Errorf("%w at %v: %v", ErrCancelled, result.SimTime, context.Cause(ctx))
 	default:
-		// Deadlocks (wrapping ErrDeadlock) and VP panics pass through
-		// with the partial result attached.
+		// Deadlocks (wrapping ErrDeadlock), clock overflows (wrapping
+		// ErrClockOverflow) and VP panics pass through with the partial
+		// result attached.
 		return result, err
 	}
 }
@@ -463,12 +462,10 @@ func (r *Result) MetricsReport() string {
 	))
 	sb.WriteString("vp lifecycle:\n")
 	sb.WriteString(stats.Table(
-		[]string{"carriers-spawned", "carrier-reuses", "carriers-hi", "carrier-idle-hi", "carriers-live", "program-steps"},
+		[]string{"carriers-spawned", "carriers-hi", "carriers-live", "program-steps"},
 		[][]string{{
 			fmt.Sprint(r.Engine.CarriersSpawned),
-			fmt.Sprint(r.Engine.CarrierReuses),
 			fmt.Sprint(r.Engine.CarriersHighWater),
-			fmt.Sprint(r.Engine.CarrierIdleHighWater),
 			fmt.Sprint(r.Engine.CarriersLive),
 			fmt.Sprint(r.Engine.ProgramSteps),
 		}},

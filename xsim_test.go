@@ -112,7 +112,7 @@ func TestMetricsReportListsVPLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.MetricsReport()
-	for _, want := range []string{"vp lifecycle:", "carriers-spawned", "carrier-reuses", "carriers-live", "program-steps", "eventq-run-share"} {
+	for _, want := range []string{"vp lifecycle:", "carriers-spawned", "carriers-hi", "carriers-live", "program-steps", "eventq-run-share"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
