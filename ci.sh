@@ -12,9 +12,12 @@
 #                     window protocol must be data-race free)
 #   6. differential harness (500 random MPI workloads under -race,
 #                     sequential vs Workers ∈ {2,4}, engine/MPI invariants
-#                     enabled; payload digests double as a check that
-#                     data-plane pooling never leaks one message's bytes
-#                     into another)
+#                     enabled, including box conservation: a clean run
+#                     must end with every partition's payload-box table
+#                     free, each slot freed once, so no handle is lost or
+#                     released twice; payload digests double as a check
+#                     that data-plane pooling never leaks one message's
+#                     bytes into another)
 #   6b. driver equivalence (500 random MPI workloads under -race, closure
 #                     vs program mode: both run the same step machines,
 #                     one through Env.Block and one stepped by the
@@ -56,13 +59,16 @@
 #                     virtual process)
 #   8e. BenchmarkHaloBurst mallocs-per-message gate (16,384 ranks post
 #                     a six-neighbour exchange at one virtual instant: a
-#                     message matched on arrival is a queue slot and one
-#                     pooled request, never five heap objects again)
+#                     message matched on arrival is a 64-byte,
+#                     pointer-free queue slot and one pooled request,
+#                     never five heap objects again)
 #   8f. closure carrier stack gate (16,384 closure-mode ranks exchanging
 #                     halos on the paper's torus: every rank's carrier
 #                     coroutine stack must stay at 4 KiB, which a frame
 #                     added on the send path to the event queue, or a
-#                     wrapper around the coroutine body, would double)
+#                     wrapper around the coroutine body, would double;
+#                     Ctx.Emit takes its 64-byte Event by value, so the
+#                     event's size is part of that path's frames)
 #   8g. BenchmarkCheckpointCycle allocation gate (one rank's full and
 #                     incremental write of a tiered checkpoint, each with
 #                     the delete of the previous one, and its restart probe

@@ -61,7 +61,7 @@ func BenchmarkEventHeap(b *testing.B) {
 		var h eventHeap
 		evs := make([]Event, 1024)
 		for i := range evs {
-			evs[i] = Event{Time: vclock.Time(i * 7919 % 1024), Src: i % 16, Seq: uint64(i)}
+			evs[i] = Event{Time: vclock.Time(i * 7919 % 1024), Src: int32(i % 16), Seq: uint64(i)}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -78,7 +78,7 @@ func BenchmarkEventHeap(b *testing.B) {
 		evs := make([]Event, depth)
 		for i := range evs {
 			s := i % streams
-			evs[i] = Event{Time: vclock.Time(i/streams*10 + s*7%10), Src: s, Seq: uint64(i)}
+			evs[i] = Event{Time: vclock.Time(i/streams*10 + s*7%10), Src: int32(s), Seq: uint64(i)}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -96,7 +96,7 @@ func BenchmarkEventHeap(b *testing.B) {
 		const ring = 4096
 		var h eventHeap
 		for i := 0; i < ring; i++ {
-			h.push(&Event{Time: 1, Src: i, Seq: uint64(i)})
+			h.push(&Event{Time: 1, Src: int32(i), Seq: uint64(i)})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -24,7 +24,7 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 func registerPing(eng *Engine) {
 	eng.RegisterHandler(kindPing, func(s *SchedCtx, ev *Event) {
 		if s.Alive(ev.Target) && s.Blocked(ev.Target) {
-			s.Wake(ev.Target, ev.Time, ev.Payload)
+			s.Wake(ev.Target, ev.Time, ev.Words[0])
 		}
 	})
 }
@@ -92,7 +92,7 @@ func TestPingWakesBlockedVP(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.Elapse(vclock.Second)
-			c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: 1, Payload: "hello"})
+			c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: 1, Words: [EventWords]uint64{42}})
 		case 1:
 			got = c.Block("waiting for ping")
 			gotClock = c.Now()
@@ -101,8 +101,8 @@ func TestPingWakesBlockedVP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "hello" {
-		t.Fatalf("payload = %v", got)
+	if got != uint64(42) {
+		t.Fatalf("woken with %v, want the event's first word 42", got)
 	}
 	want := vclock.TimeFromSeconds(1.001)
 	if gotClock != want {
@@ -473,15 +473,15 @@ func pingPongWorkload(t *testing.T, workers int) []vclock.Time {
 		for i := 0; i < 10; i++ {
 			if c.Rank() < peer {
 				c.Elapse(vclock.Duration(c.Rank()+1) * vclock.Millisecond)
-				c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Payload: i})
+				c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Words: [EventWords]uint64{uint64(i)}})
 				got := c.Block("pong")
-				if got.(int) != i {
+				if got.(uint64) != uint64(i) {
 					t.Errorf("bad pong %v", got)
 				}
 			} else {
 				got := c.Block("ping")
 				c.Elapse(2 * vclock.Millisecond)
-				c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Payload: got})
+				c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Words: [EventWords]uint64{got.(uint64)}})
 			}
 		}
 	})

@@ -142,8 +142,8 @@ func (e *Engine) Cancel() { e.stop.Store(true) }
 
 // New validates cfg and builds an engine.
 func New(cfg Config) (*Engine, error) {
-	if cfg.NumVPs <= 0 {
-		return nil, fmt.Errorf("core: NumVPs must be positive, got %d", cfg.NumVPs)
+	if cfg.NumVPs <= 0 || cfg.NumVPs > maxVPs {
+		return nil, fmt.Errorf("core: NumVPs must be in [1,%d], got %d", maxVPs, cfg.NumVPs)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1

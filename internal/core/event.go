@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"xsim/internal/vclock"
@@ -10,7 +11,7 @@ import (
 // Kind identifies the handler that processes an event. Kinds below
 // reservedKinds are reserved by the engine; higher layers (the simulated MPI
 // layer) register their own kinds.
-type Kind int
+type Kind int32
 
 // Engine-internal event kinds.
 const (
@@ -44,34 +45,40 @@ const BroadcastTarget = -1
 // into the queue's array, and the dispatcher copies the earliest entry out
 // again before its handler runs. There is no per-event object, so nothing
 // is allocated or recycled per event. The *Event a handler receives is
-// valid for the duration of that call only; retaining the Payload value is
-// safe.
+// valid for the duration of that call only.
+//
+// An Event is 64 bytes, one cache line, and holds no pointer: the queue's
+// chunks are noscan memory the collector never marks, and a sift, a run
+// append or a cross-partition copy moves plain words without a write
+// barrier. Whatever an event has to say rides in its Words by value; a
+// layer that hands an object over (the MPI layer's payload bytes) keeps it
+// in a table of its own and sends the slot's number.
 type Event struct {
 	// Time is the virtual time at which the event takes effect.
 	Time vclock.Time
-	// Src is the rank of the VP that emitted the event, or EngineSrc.
-	Src int
 	// Seq is the per-source sequence number, assigned by the engine.
 	Seq uint64
-	// Kind selects the registered handler.
-	Kind Kind
 	// Target is the rank of the VP the event concerns, or BroadcastTarget
 	// for partition-level events.
 	Target int
-	// Payload carries what cannot ride in Words: a pointer to an object
-	// the emitter hands over to the handler (for the MPI layer, only the
-	// pooled box of a message's payload bytes). Storing a non-pointer
-	// value here allocates per event; scalars belong in Words.
-	Payload any
-	// Words carries handler-specific scalars by value, so that whatever an
-	// event has to say (the MPI layer's message envelope and every control
-	// message, the engine's own timer generation) travels inside it and
-	// needs no Payload object. Their meaning belongs to the event's Kind.
+	// Src is the rank of the VP that emitted the event, or EngineSrc (or,
+	// for a handler's emission on behalf of rank r, -2-r; see handlerSrc).
+	// New bounds the rank count so that every one of them fits (maxVPs).
+	Src int32
+	// Kind selects the registered handler.
+	Kind Kind
+	// Words carries handler-specific scalars by value: the MPI layer's
+	// message envelope and every control message, the engine's own timer
+	// generation. Their meaning belongs to the event's Kind.
 	Words [EventWords]uint64
 }
 
 // EventWords is the number of scalar payload words an Event carries.
-const EventWords = 5
+const EventWords = 4
+
+// maxVPs is the largest NumVPs New accepts: every rank's handler source
+// id, -2-rank, must fit an Event's int32 Src.
+const maxVPs = math.MaxInt32
 
 // eventDesc renders an event for invariant-violation dumps. Only called
 // on failure paths — never on the steady-state event path.
@@ -94,7 +101,7 @@ func (e *Event) before(o *Event) bool {
 // eventKey is an event's ordering key, as a run caches its tail's.
 type eventKey struct {
 	time vclock.Time
-	src  int
+	src  int32
 	seq  uint64
 }
 
@@ -184,7 +191,7 @@ type eventRun struct {
 }
 
 const (
-	// chunkShift sets the chunk size: 1,024 events of 96 bytes, 96 KiB.
+	// chunkShift sets the chunk size: 1,024 events of 64 bytes, 64 KiB.
 	chunkShift  = 10
 	chunkEvents = 1 << chunkShift
 	chunkMask   = chunkEvents - 1
@@ -203,12 +210,13 @@ const (
 
 type eventChunk [chunkEvents]Event
 
-// freeChunks holds chunks the event queues gave back, every slot zero (a
-// popped slot is zeroed, and slots a heap or run never reached were never
-// written). A queue that deepens again takes one from here before
-// allocating, so a burst that drains and refills — every halo step does —
-// does not feed the allocator and the collector a burst's worth of chunks
-// each time, while chunks nobody takes back are still collected.
+// freeChunks holds chunks the event queues gave back. Their slots keep
+// the events they last held, which reference nothing, and a slot is only
+// read after a push has written it. A queue that deepens again takes one
+// from here before allocating, so a burst that drains and refills — every
+// halo step does — does not feed the allocator and the collector a
+// burst's worth of chunks each time, while chunks nobody takes back are
+// still collected.
 var freeChunks sync.Pool
 
 // takeChunk returns a free chunk, or a new one counted in *allocs.
@@ -290,15 +298,13 @@ func (h *eventHeap) openRun(ev *Event) {
 }
 
 // popInto removes the earliest event and stores it in *dst; it panics on
-// an empty queue. The vacated slot is zeroed, so no slot outside the
-// queued events retains a popped event's Payload.
+// an empty queue.
 func (h *eventHeap) popInto(dst *Event) {
 	var first *Event
 	if h.firstRun < 0 {
 		first = h.heap.popInto(dst)
 	} else {
 		*dst = *h.first
-		*h.first = Event{}
 		r := &h.runs[h.firstRun]
 		r.head++
 		switch {
@@ -346,12 +352,10 @@ func (r *eventRun) dropHead() {
 	r.tail -= chunkEvents
 }
 
-// release drops every chunk (to freeChunks if the queue is empty, so
-// their slots are zero); the counters survive.
+// release drops every chunk, the heap's to freeChunks (an empty queue has
+// no open run, and so no run chunk); the counters survive.
 func (h *eventHeap) release() {
-	if h.n == 0 {
-		h.heap.shrink(0) // an empty queue has no open run, and so no run chunk
-	}
+	h.heap.shrink(0)
 	h.heap = chunkHeap{}
 	h.runs = [maxRuns]eventRun{}
 	h.open, h.n, h.first, h.firstRun = 0, 0, nil, -1
@@ -376,8 +380,7 @@ type chunkHeap struct {
 	n      int
 }
 
-// shrink gives back the chunks from index keep on; their slots must be
-// zero.
+// shrink gives back the chunks from index keep on.
 func (q *chunkHeap) shrink(keep int) {
 	for i := keep; i < len(q.chunks); i++ {
 		freeChunks.Put(q.chunks[i])
@@ -423,7 +426,7 @@ func (q *chunkHeap) push(ev *Event, allocs *uint64) *Event {
 
 // popInto removes the earliest event and stores it in *dst, and returns
 // the new root slot, or nil if the heap is now empty; it panics on an
-// empty heap. The vacated tail slot is zeroed.
+// empty heap.
 func (q *chunkHeap) popInto(dst *Event) *Event {
 	chunks := q.chunks
 	n := q.n - 1
@@ -454,7 +457,6 @@ func (q *chunkHeap) popInto(dst *Event) *Event {
 		}
 		*hole = *moved
 	}
-	*moved = Event{}
 	q.n = n
 	switch {
 	case n == 0:
@@ -515,8 +517,8 @@ func (h *readyHeap) push(e readyEntry) {
 }
 
 // pop removes and returns the earliest entry; it panics on an empty heap.
-// The vacated tail slot is zeroed, mirroring chunkHeap.popInto, so the backing
-// array holds no stale entries.
+// The vacated tail slot is zeroed, so the backing array holds no stale
+// entries.
 func (h *readyHeap) pop() readyEntry {
 	a := h.a
 	n := len(a) - 1

@@ -40,8 +40,8 @@ func (q *refQueue) push(ev Event) {
 	q.t.Helper()
 	q.seq++
 	ev.Seq = q.seq
-	if ev.Payload == nil {
-		ev.Payload = q.seq
+	if ev.Words[EventWords-1] == 0 {
+		ev.Words[EventWords-1] = q.seq
 	}
 	q.h.push(&ev)
 	heap.Push(&q.ref, ev)
@@ -174,12 +174,11 @@ func TestEventHeapOrder(t *testing.T) {
 		q, rng := newQ(t), rand.New(rand.NewSource(42))
 		push := func(step int) {
 			q.push(Event{
-				Time:    vclock.Time(rng.Intn(20)),
-				Src:     rng.Intn(3) - 2,
-				Kind:    Kind(rng.Intn(9)),
-				Target:  rng.Intn(64),
-				Payload: step,
-				Words:   [EventWords]uint64{rng.Uint64(), rng.Uint64()},
+				Time:   vclock.Time(rng.Intn(20)),
+				Src:    int32(rng.Intn(3) - 2),
+				Kind:   Kind(rng.Intn(9)),
+				Target: rng.Intn(64),
+				Words:  [EventWords]uint64{rng.Uint64(), rng.Uint64(), uint64(step)},
 			})
 		}
 		for step := 0; step < 6000; step++ {
@@ -223,7 +222,7 @@ func TestEventHeapOrder(t *testing.T) {
 			}
 			emit := func() {
 				s := rng.Intn(k)
-				q.push(Event{Time: next[s], Src: s % 3, Target: s})
+				q.push(Event{Time: next[s], Src: int32(s % 3), Target: s})
 				next[s] += vclock.Time(rng.Intn(8))
 			}
 			// Past this depth every stream may have a run of its own.
@@ -295,12 +294,12 @@ func TestEventHeapOrder(t *testing.T) {
 		q, rng := newQ(t), rand.New(rand.NewSource(5))
 		for i := 0; i < 3*chunkEvents; i++ {
 			s := i % 3
-			q.push(Event{Time: vclock.Time(i / 3), Src: s})
+			q.push(Event{Time: vclock.Time(i / 3), Src: int32(s)})
 		}
 		for q.h.len() > 0 {
 			ev := q.pop()
 			if ev.Time < 2*chunkEvents/3 && rng.Intn(2) == 0 {
-				q.push(Event{Time: ev.Time, Src: ev.Src + rng.Intn(5) - 2})
+				q.push(Event{Time: ev.Time, Src: ev.Src + int32(rng.Intn(5)-2)})
 			}
 		}
 		drained(t, q)
@@ -312,7 +311,7 @@ func TestEventHeapOrder(t *testing.T) {
 		// the next pop.
 		q := newQ(t)
 		for i := 0; i < (maxRuns+1)*runDepth; i++ {
-			q.push(Event{Time: vclock.Time(1000 + i/6), Src: i % 6})
+			q.push(Event{Time: vclock.Time(1000 + i/6), Src: int32(i % 6)})
 		}
 		for i := 0; i < 2*maxRuns; i++ {
 			q.push(Event{Time: vclock.Time(999 - i), Src: 7})
@@ -344,7 +343,7 @@ func TestEventHeapSteadyStateAllocatesNothing(t *testing.T) {
 	burst := func() {
 		for i := 0; i < 3*chunkEvents; i++ {
 			seq++
-			h.push(&Event{Time: vclock.Time(i/6*10 + i%6*7%10), Src: i % 6, Seq: seq})
+			h.push(&Event{Time: vclock.Time(i/6*10 + i%6*7%10), Src: int32(i % 6), Seq: seq})
 		}
 		for h.len() > 0 {
 			h.popInto(&ev)
@@ -355,7 +354,7 @@ func TestEventHeapSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	for i := 0; i < 4096; i++ {
 		seq++
-		h.push(&Event{Time: 1, Src: i, Seq: seq})
+		h.push(&Event{Time: 1, Src: int32(i), Seq: seq})
 	}
 	ring := func() {
 		for i := 0; i < 4096; i++ {
@@ -367,62 +366,6 @@ func TestEventHeapSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, ring); a != 0 {
 		t.Errorf("timer ring: %.0f allocations per 4,096 timers, want 0", a)
-	}
-}
-
-// TestEventHeapPopClearsSlots checks that no slot outside the queued
-// events still holds a popped event, in either tier, nor any slot of a
-// chunk the queue gives back: a chunk outlives the events, so a stale
-// slot would pin a payload object for as long as the queue holds the
-// chunk, or be reused as a live event.
-func TestEventHeapPopClearsSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var h eventHeap
-	for i := 0; i < 3*chunkEvents; i++ {
-		h.push(&Event{Time: vclock.Time(i/8 + rng.Intn(40)), Seq: uint64(i), Payload: i})
-	}
-	var ev Event
-	for i := 0; i < chunkEvents+160; i++ {
-		h.popInto(&ev)
-	}
-	if h.open == 0 || h.heap.n == 0 {
-		t.Fatalf("%d runs open and %d events in the heap, want both tiers in use", h.open, h.heap.n)
-	}
-	for i := 0; i < len(h.heap.chunks)*chunkEvents; i++ {
-		if i >= heapRoot && i < heapRoot+h.heap.n {
-			continue
-		}
-		if s := slot(h.heap.chunks, i); *s != (Event{}) {
-			t.Fatalf("heap slot %d (%d queued, %d chunks) retains %+v after pop", i, h.heap.n, len(h.heap.chunks), *s)
-		}
-	}
-	for ri := range h.runs[:h.open] {
-		r := &h.runs[ri]
-		for i := 0; i < len(r.chunks)*chunkEvents; i++ {
-			if i >= r.head && i < r.tail {
-				continue
-			}
-			if s := slot(r.chunks, i); *s != (Event{}) {
-				t.Fatalf("run %d slot %d (slots %d..%d queued) retains %+v after pop", ri, i, r.head, r.tail, *s)
-			}
-		}
-	}
-	// Drained, the queue has given every chunk but the heap's spare to
-	// freeChunks, which reuses chunks without clearing them: every slot
-	// must be zero.
-	held := chunksHeld(&h)
-	for h.len() > 0 {
-		h.popInto(&ev)
-	}
-	if n := len(chunksHeld(&h)); n != 1 {
-		t.Fatalf("drained queue holds %d chunks, want the heap's one spare", n)
-	}
-	for ci, c := range held {
-		for i := range c {
-			if c[i] != (Event{}) {
-				t.Fatalf("chunk %d slot %d retains %+v after the queue drained", ci, i, c[i])
-			}
-		}
 	}
 }
 
@@ -438,13 +381,13 @@ func TestHandlerEmitsWhileItsEventIsDispatched(t *testing.T) {
 		eng := newTestEngine(t, Config{NumVPs: 4, Workers: workers, Lookahead: vclock.Microsecond, Validate: true})
 		want := Event{
 			Time: vclock.Time(vclock.Millisecond), Src: 0, Seq: 1, Kind: kindFan, Target: 0,
-			Payload: "fan", Words: [EventWords]uint64{11, 22, 33, 44, 55},
+			Words: [EventWords]uint64{11, 22, 33, 44},
 		}
 		leaves := 0
 		eng.RegisterHandler(kindFan, func(s *SchedCtx, ev *Event) {
 			before := len(chunksHeld(&eng.parts[0].eventQ))
 			for i := 0; i < fan; i++ {
-				s.EmitFor(0, Event{Time: ev.Time.Add(vclock.Duration(fan - i)), Kind: kindLeaf, Target: 0, Payload: i})
+				s.EmitFor(0, Event{Time: ev.Time.Add(vclock.Duration(fan - i)), Kind: kindLeaf, Target: 0, Words: [EventWords]uint64{uint64(i)}})
 			}
 			if after := len(chunksHeld(&eng.parts[0].eventQ)); after <= before+1 {
 				t.Errorf("workers=%d: queue did not grow across a chunk boundary under the handler (%d -> %d chunks)", workers, before, after)
@@ -496,7 +439,7 @@ const burstEvents = chunkEvents / 2
 func burst(c *Ctx) {
 	peer := (c.Rank() + 5) % c.N()
 	for i := 0; i < burstEvents; i++ {
-		c.Emit(Event{Time: c.NowQuiet().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Payload: i})
+		c.Emit(Event{Time: c.NowQuiet().Add(vclock.Millisecond), Kind: kindPing, Target: peer, Words: [EventWords]uint64{uint64(i)}})
 	}
 }
 

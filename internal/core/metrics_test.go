@@ -17,17 +17,17 @@ func runMetricsWorkload(t *testing.T, workers int) (*Result, MetricsSnapshot) {
 	kind := FirstUserKind
 	eng.RegisterHandler(kind, func(s *SchedCtx, ev *Event) {
 		if s.Blocked(ev.Target) {
-			s.Wake(ev.Target, ev.Time, ev.Payload)
+			s.Wake(ev.Target, ev.Time, ev.Words[0])
 		}
 	})
 	res, err := eng.Run(func(c *Ctx) {
 		peer := c.Rank() ^ 1
 		for i := 0; i < 50; i++ {
-			c.Emit(Event{Time: c.Now().Add(la), Kind: kind, Target: peer, Payload: i})
+			c.Emit(Event{Time: c.Now().Add(la), Kind: kind, Target: peer, Words: [EventWords]uint64{uint64(i)}})
 			c.Block("ping")
 		}
 		// Release the peer's final block.
-		c.Emit(Event{Time: c.Now().Add(la), Kind: kind, Target: peer, Payload: -1})
+		c.Emit(Event{Time: c.Now().Add(la), Kind: kind, Target: peer})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -199,9 +199,10 @@ func (p *partition) publishCross() {
 }
 
 // collectCross drains the inbox buffers other partitions published this
-// round into the event queue, then truncates them (zeroed, so no Payload
-// stays referenced) for their owners to reuse. The heap orders merged
-// events by the deterministic key, so drain order does not matter.
+// round into the event queue, then truncates them for their owners to
+// reuse (an event references nothing, so the slots need no clearing). The
+// queue orders merged events by the deterministic key, so drain order does
+// not matter.
 func (p *partition) collectCross() {
 	for q, evs := range p.inbox {
 		if len(evs) == 0 {
@@ -217,7 +218,6 @@ func (p *partition) collectCross() {
 					q, p.id, p.watermark)
 			}
 			p.eventQ.push(ev)
-			*ev = Event{}
 		}
 		p.inbox[q] = evs[:0]
 	}

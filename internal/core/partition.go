@@ -86,7 +86,7 @@ type partition struct {
 // partition-derived source, two handler emissions meeting in one queue at
 // the same time would order by partition layout, which differs between
 // the sequential and parallel engines.
-func handlerSrc(rank int) int { return -2 - rank }
+func handlerSrc(rank int) int32 { return int32(-2 - rank) }
 
 func (p *partition) owns(rank int) bool { return rank >= p.lo && rank < p.hi }
 
@@ -158,7 +158,6 @@ func (p *partition) processWindow(horizon vclock.Time) {
 			p.watermark = ev.Time
 			p.events++
 			p.dispatch(ev)
-			ev.Payload = nil
 		case haveReady && re.at < p.horizon:
 			p.ready.pop()
 			if p.validate && re.at < p.watermark {

@@ -23,7 +23,7 @@ func (p *pingProg) Step(c *Ctx, wake any) (any, bool) {
 	switch c.Rank() {
 	case 0:
 		c.Elapse(vclock.Second)
-		c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: 1, Payload: "hello"})
+		c.Emit(Event{Time: c.Now().Add(vclock.Millisecond), Kind: kindPing, Target: 1, Words: [EventWords]uint64{42}})
 		return nil, true
 	default:
 		if p.phase == 0 {
@@ -47,8 +47,8 @@ func TestProgramPingMatchesClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "hello" {
-		t.Fatalf("payload = %v", got)
+	if got != uint64(42) {
+		t.Fatalf("woken with %v, want the event's first word 42", got)
 	}
 	if want := vclock.TimeFromSeconds(1.001); gotClock != want {
 		t.Fatalf("wake clock = %v, want %v", gotClock, want)

@@ -357,7 +357,7 @@ func (c *Ctx) Emit(ev Event) {
 		check.Failf("emit-before-now", v.rank, ev.Time, eventDesc(&ev),
 			"rank %d emitted an event before its clock %v", v.rank, v.clock)
 	}
-	ev.Src = v.rank
+	ev.Src = int32(v.rank)
 	ev.Seq = v.nextSeq()
 	c.eng.route(v.part, v.clock, &ev)
 }
@@ -371,7 +371,7 @@ func (c *Ctx) EmitBroadcast(ev Event) {
 			"rank %d broadcast an event before its clock %v", v.rank, v.clock)
 	}
 	ev.Target = BroadcastTarget
-	ev.Src = v.rank
+	ev.Src = int32(v.rank)
 	for _, p := range c.eng.parts {
 		ev.Seq = v.nextSeq()
 		c.eng.routeToPartition(v.part, v.clock, p, &ev)

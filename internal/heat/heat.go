@@ -376,13 +376,25 @@ func (s *state) idx(i, j, k int) int {
 }
 
 // neighbor returns the world rank of the process-grid neighbour in the
-// given direction (periodic).
+// given direction (periodic); each offset is -1, 0 or 1.
 func (s *state) neighbor(dx, dy, dz int) int {
 	cfg := s.cfg
-	x := (s.px + dx + cfg.PX) % cfg.PX
-	y := (s.py + dy + cfg.PY) % cfg.PY
-	z := (s.pz + dz + cfg.PZ) % cfg.PZ
+	x := wrapStep(s.px+dx, cfg.PX)
+	y := wrapStep(s.py+dy, cfg.PY)
+	z := wrapStep(s.pz+dz, cfg.PZ)
 	return x + y*cfg.PX + z*cfg.PX*cfg.PY
+}
+
+// wrapStep wraps a coordinate at most one step outside [0, n) back into
+// it, by comparison rather than a division.
+func wrapStep(c, n int) int {
+	switch {
+	case c < 0:
+		return c + n
+	case c >= n:
+		return c - n
+	}
+	return c
 }
 
 // stencil runs one sweep of the explicit update over the cube (real

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xsim/internal/core"
 	"xsim/internal/fsmodel"
@@ -70,14 +71,19 @@ type World struct {
 	eng *core.Engine
 	// validate compiles the MPI layer's internal invariant checks into
 	// the run: posted-receive index consistency, unexpected-queue
-	// conservation, and a pending-request sweep at Finalize. It follows
-	// the engine's Validate switch. Violations panic with a
-	// *check.Violation naming the rank, operation and virtual time.
+	// conservation, a pending-request sweep at Finalize, and the
+	// box-conservation sweep when a run ends cleanly (checkBoxes). It
+	// follows the engine's Validate switch. Violations panic with a
+	// *check.Violation naming the rank, operation and virtual time; the
+	// box sweep's is the run's error.
 	validate bool
 	m        metrics
 	// pools holds one data-plane pool per engine partition; a pool is
 	// only touched by its partition's execution context (see pool.go).
 	pools []*dpPool
+	// boxShift is the number of low bits of a box handle that name the
+	// owner partition (World.box).
+	boxShift uint
 }
 
 // Event kinds registered by the MPI layer.
@@ -126,8 +132,9 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 	w.m.failures = make(map[int]*failureRec)
 	w.pools = make([]*dpPool, eng.Workers())
 	for i := range w.pools {
-		w.pools[i] = new(dpPool)
+		w.pools[i] = &dpPool{part: uint32(i)}
 	}
+	w.boxShift = uint(bits.Len(uint(len(w.pools) - 1)))
 	eng.RegisterHandler(kindEnvelope, w.handleEnvelope)
 	eng.RegisterHandler(kindCts, w.handleCts)
 	eng.RegisterHandler(kindData, w.handleData)
@@ -155,14 +162,23 @@ func (w *World) notifyDelay() vclock.Duration { return w.cfg.Net.System.Latency 
 // Env.Finalize is treated as a process failure, mirroring the paper's
 // fault model (returning from main or calling exit without MPI_Finalize).
 func (w *World) Run(app func(*Env)) (*core.Result, error) {
-	return w.eng.Run(func(c *core.Ctx) {
+	return w.checkRun(w.eng.Run(func(c *core.Ctx) {
 		env := newProcEnv(w, c)
 		app(env)
 		if !env.finalized {
 			c.Logf("exited without MPI_Finalize: simulated MPI process failure")
 			c.FailNow()
 		}
-	})
+	}))
+}
+
+// checkRun runs the box-conservation sweep after a clean run in Validate
+// mode, and makes a violation the run's error.
+func (w *World) checkRun(res *core.Result, err error) (*core.Result, error) {
+	if w.validate && err == nil {
+		err = w.checkBoxes(res.MaxClock)
+	}
+	return res, err
 }
 
 // procBundle packs one process's MPI state — procState, Env, and the world

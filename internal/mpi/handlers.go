@@ -9,17 +9,17 @@ import (
 // Event handlers in this file receive a *core.Event that is valid for the
 // call only: events are values owned by the engine's queue, and the engine
 // hands each handler its own copy of the one being dispatched. Handlers
-// read what they need (Time, Words, Payload) during the call and never
-// store the event itself. Every kind's scalars are in Words (layout beside
-// envHeader.put); the only Payload is the box of an envelope or data event
-// that carries bytes, a pooled object its handler releases or keeps.
+// read what they need (Time, Words) during the call and never store the
+// event itself. Every kind's scalars are in Words (layout beside
+// envHeader.put); an envelope or data event that carries bytes names the
+// box they wait in by its handle, and its handler takes them out and frees
+// the box (World.unbox) whatever becomes of the message.
 //
 // Two objects of the point-to-point path exist only on demand. An envelope
-// object means "unexpected" (or "payload box"): a header that matches a
-// posted receive on arrival is rebuilt on handleEnvelope's stack and never
-// becomes one. A Message means "somebody asked": matching records the
-// header in the Request, and Request.Msg builds the Message when it is
-// read.
+// object means "unexpected": a header that matches a posted receive on
+// arrival is rebuilt on handleEnvelope's stack and never becomes one. A
+// Message means "somebody asked": matching records the header in the
+// Request, and Request.Msg builds the Message when it is read.
 
 // localState returns the procState of a local, still-alive rank, or nil.
 func localState(s *core.SchedCtx, rank int) *procState {
@@ -51,13 +51,11 @@ func wakeIfWaiting(s *core.SchedCtx, ps *procState, ws *WaitState, at vclock.Tim
 func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	var h envHeader
 	box := h.take(ev)
+	dp := w.pools[s.Partition()]
+	h.data = w.unbox(dp, box)
 	ps := localState(s, h.dst)
 	if ps == nil {
-		dp := w.pools[s.Partition()]
 		dp.putBuf(h.data)
-		if box != nil {
-			dp.envs.put(box)
-		}
 		return
 	}
 	// Endpoint contention: eager payloads serialise through the
@@ -72,19 +70,13 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	}
 	if req := ps.takePosted(&h); req != nil {
 		ws := matchEnvelope(w, ps, req, &h, schedEmitter(s, h.dst))
-		if box != nil {
-			ps.dp.envs.put(box)
-		}
 		if w.validate {
 			ps.checkIndexes("envelope-match")
 		}
 		wakeIfWaiting(s, ps, ws, req.completeAt)
 		return
 	}
-	env := box
-	if env == nil {
-		env = ps.dp.envs.get()
-	}
+	env := ps.dp.envs.get()
 	env.envHeader = h
 	ps.addUnexpected(env)
 	if w.validate {
@@ -132,14 +124,12 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	// or, for Isend, has promised not to touch it — MPI's contract).
 	// Either way it travels boxed, like an eager payload.
 	if c := req.cold; c != nil && c.data != nil {
-		box := ps.dp.envs.get()
-		if c.ownedData {
-			box.data = c.data
-		} else {
-			box.data = ps.dp.getBuf(len(c.data))
-			copy(box.data, c.data)
+		buf := c.data
+		if !c.ownedData {
+			buf = ps.dp.getBuf(len(c.data))
+			copy(buf, c.data)
 		}
-		delivery.Payload = box
+		delivery.Words[1] = uint64(w.box(ps.dp, buf))
 		c.data = nil
 		c.ownedData = false
 	}
@@ -154,11 +144,7 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 // handleData delivers a rendezvous payload at the receiver.
 func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 	dp := w.pools[s.Partition()]
-	var data []byte
-	if box, _ := ev.Payload.(*envelope); box != nil {
-		data = box.data
-		dp.envs.put(box)
-	}
+	data := w.unbox(dp, uint32(ev.Words[1]))
 	ps := localState(s, ev.Target)
 	if ps == nil {
 		dp.putBuf(data)

@@ -36,18 +36,14 @@ type envHeader struct {
 	sendReqID  uint64
 }
 
-// envelope is a header as a pooled object (dpPool), which means one of two
-// things. The message is unexpected: no receive was posted when it arrived,
-// so it waits in two intrusive lists at once — its (comm, src) FIFO
-// (bySrc) and its communicator's arrival-order list (byComm), so
-// wildcard matching walks arrivals directly instead of scanning every
-// source — until a receive takes it, its rank dies, or finalize drains it.
-// Or it is the box a payload buffer travels in: a []byte cannot sit in an
-// event's Payload without a slice header allocated per message, so an eager
-// send or a rendezvous delivery that carries bytes takes an envelope from
-// the sender's pool and fills in data alone. The receiver releases the box
-// on arrival, or, for an eager message that turns out unexpected, keeps
-// that very object as the queue entry.
+// envelope is a header as a pooled object (dpPool), which means the
+// message is unexpected: no receive was posted when it arrived, so it
+// waits in two intrusive lists at once — its (comm, src) FIFO (bySrc) and
+// its communicator's arrival-order list (byComm), so wildcard matching
+// walks arrivals directly instead of scanning every source — until a
+// receive takes it, its rank dies, or finalize drains it. An eager
+// payload that arrived with it is in data, taken out of its box on
+// arrival.
 type envelope struct {
 	envHeader
 
@@ -60,12 +56,12 @@ type envelope struct {
 }
 
 // Everything the MPI layer has in flight is an event, its scalars in the
-// event's Words; the only Payload any of them carries is a payload box. The
-// word layout of the seven kinds:
+// event's four Words; a payload buffer travels as the handle of its box
+// (World.box), 0 for none. The word layout of the seven kinds:
 //
-//	kindEnvelope     the envWord constants below; Payload: box, if any bytes
+//	kindEnvelope     the envWord constants below
 //	kindCts          send request id, receive request id, receiver's world rank
-//	kindData         receive request id; Payload: box, if any bytes
+//	kindData         receive request id, box handle
 //	kindReqTimeout   request id, failed peer, its time of failure
 //	kindFailNotify   failed rank, its time of failure
 //	kindAbortNotify  abort time
@@ -75,53 +71,47 @@ type envelope struct {
 // (the sending VP emitted it) and Target. The other six are few enough
 // scalars to be written and read by position.
 const (
-	envWordComm    = iota // commID<<1 | rendezvous bit
-	envWordCommSrc        // sender's rank within the communicator
-	envWordTag
-	envWordSize
-	envWordData // eager: dataAt; rendezvous: sendReqID
+	envWordComm = iota // commID<<32 | sender's rank within the communicator
+	envWordTag         // tag<<32 | box handle
+	envWordSize        // size<<1 | rendezvous bit
+	envWordData        // eager: dataAt; rendezvous: sendReqID
 )
 
 // put writes the header into the envelope event that carries it to its
-// destination. box is the pooled envelope holding h.data, nil for
-// payload-free messages. (Header and event are filled in place through
-// pointers: both are large enough that returning them by value shows up
-// as copying in the per-message profile.)
-func (h *envHeader) put(ev *core.Event, at vclock.Time, box *envelope) {
+// destination. box is the handle of the box holding h.data, 0 for
+// payload-free messages. Each half-word field fits: a communicator id
+// counts the communicators a rank created, a rank is below core's int32
+// bound, and a tag is an int32 (isend). (Header and event are filled in
+// place through pointers: both are large enough that returning them by
+// value shows up as copying in the per-message profile.)
+func (h *envHeader) put(ev *core.Event, at vclock.Time, box uint32) {
 	ev.Time, ev.Kind, ev.Target = at, kindEnvelope, h.dst
-	ev.Words[envWordComm] = uint64(h.commID) << 1
-	ev.Words[envWordCommSrc] = uint64(h.srcCommRank)
-	ev.Words[envWordTag] = uint64(h.tag)
-	ev.Words[envWordSize] = uint64(h.size)
+	ev.Words[envWordComm] = uint64(h.commID)<<32 | uint64(uint32(h.srcCommRank))
+	ev.Words[envWordTag] = uint64(uint32(h.tag))<<32 | uint64(box)
+	ev.Words[envWordSize] = uint64(h.size) << 1
 	if h.rendezvous {
-		ev.Words[envWordComm] |= 1
+		ev.Words[envWordSize] |= 1
 		ev.Words[envWordData] = h.sendReqID
 	} else {
 		ev.Words[envWordData] = uint64(h.dataAt)
 	}
-	if box != nil {
-		ev.Payload = box
-	}
 }
 
 // take rebuilds the header an envelope event carries, and returns the
-// payload box if the message has one (its data is then the header's).
-func (h *envHeader) take(ev *core.Event) (box *envelope) {
-	h.commID = int(ev.Words[envWordComm] >> 1)
-	h.src, h.dst = ev.Src, ev.Target
-	h.srcCommRank = int(ev.Words[envWordCommSrc])
-	h.tag = int(ev.Words[envWordTag])
-	h.size = int(ev.Words[envWordSize])
-	if ev.Words[envWordComm]&1 != 0 {
+// handle of its payload box, 0 if it has none.
+func (h *envHeader) take(ev *core.Event) (box uint32) {
+	h.commID = int(ev.Words[envWordComm] >> 32)
+	h.src, h.dst = int(ev.Src), ev.Target
+	h.srcCommRank = int(uint32(ev.Words[envWordComm]))
+	h.tag = int(int32(ev.Words[envWordTag] >> 32))
+	h.size = int(ev.Words[envWordSize] >> 1)
+	if ev.Words[envWordSize]&1 != 0 {
 		h.rendezvous = true
 		h.sendReqID = ev.Words[envWordData]
 	} else {
 		h.dataAt = vclock.Time(ev.Words[envWordData])
 	}
-	if box, _ = ev.Payload.(*envelope); box != nil {
-		h.data = box.data
-	}
-	return box
+	return uint32(ev.Words[envWordTag])
 }
 
 // matchKey indexes posted receives and unexpected envelopes by
@@ -581,9 +571,8 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		// The payload travels with the envelope: transfer an owned
 		// buffer outright, or copy the caller's bytes into a pooled one
 		// (the caller may reuse its buffer immediately — a broadcast
-		// root does exactly that). Only then does the message need an
-		// object, the box its buffer rides in (see envelope).
-		var box *envelope
+		// root does exactly that), and park it in a box for the trip.
+		var box uint32
 		if data != nil {
 			buf := data
 			if !owned {
@@ -591,8 +580,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 				copy(buf, data)
 			}
 			if buf != nil {
-				box = dp.envs.get()
-				box.data = buf
+				box = e.w.box(dp, buf)
 			}
 		}
 		// Endpoint contention: the payload queues behind earlier
@@ -602,8 +590,11 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 			inject = vclock.Max(t0, e.ps.injectFreeAt)
 			e.ps.injectFreeAt = inject.Add(occ)
 		}
-		h.dataAt = inject.Add(net.TransferTime(src, dst, size))
-		h.put(&ev, t0.Add(net.ControlTime(src, dst)), box)
+		// One route for both times: the transfer time is the control
+		// time plus serialisation (netmodel.TransferTime).
+		ctl := net.ControlTime(src, dst)
+		h.dataAt = inject.Add(ctl + net.SerializationTime(src, dst, size))
+		h.put(&ev, t0.Add(ctl), box)
 		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, size))
 		// An eager send completes locally once the message is injected;
@@ -623,7 +614,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 			c.data, c.ownedData = data, owned
 		}
 		e.ps.addPending(req)
-		h.put(&ev, t0.Add(net.ControlTime(src, dst)), nil)
+		h.put(&ev, t0.Add(net.ControlTime(src, dst)), 0)
 		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, 0))
 	}

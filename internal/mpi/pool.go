@@ -1,23 +1,31 @@
 package mpi
 
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
+
 // The data-plane pools. One dpPool per engine partition holds four free
 // lists of one generic type — requests, their cold records, envelopes and
 // message headers, the only objects the point-to-point path has — plus a
-// size-classed payload buffer pool. A pool is only ever touched by its partition's execution
-// context (the partition worker inside a handler, or the VP currently
-// running on that partition), so gets and puts need no locks, and objects
-// that travel between ranks simply migrate from the sender's pool to the
-// receiver's.
+// size-classed payload buffer pool and the table of payload boxes. A pool
+// is only ever touched by its partition's execution context (the
+// partition worker inside a handler, or the VP currently running on that
+// partition), so gets and puts need no locks, and objects that travel
+// between ranks simply migrate from the sender's pool to the receiver's.
+// The one exception is a box's release by a receiver in another partition
+// (boxTable).
 //
 // What is not here is anything in flight. A message, a clear-to-send, a
 // rendezvous delivery, a timeout or a notification is a slot in the
-// engine's event queue with its scalars in the event's words. An envelope
-// object is taken only for a message that has to wait in the unexpected
-// queue or to box a payload buffer for the trip, and a Message only when
-// somebody reads a completed receive: a payload-free exchange whose
-// receives are posted first takes one request per message from the pool
-// if it is eager (the send returns the shared eagerSent), two if it is a
-// rendezvous, and nothing else.
+// engine's event queue with its scalars in the event's words; a payload
+// buffer rides beside it in a box, whose handle is one of those words. An
+// envelope object is taken only for a message that has to wait in the
+// unexpected queue, and a Message only when somebody reads a completed
+// receive: a payload-free exchange whose receives are posted first takes
+// one request per message from the pool if it is eager (the send returns
+// the shared eagerSent), two if it is a rendezvous, and nothing else.
 //
 // A request's cold record (reqCold) holds what only some requests use, and
 // is taken on first use and returned with the request at Free. Taking one:
@@ -98,6 +106,12 @@ func (l *freeList[T]) put(x *T) {
 
 // dpPool is one partition's data-plane free lists.
 type dpPool struct {
+	// part is the index of the partition the pool belongs to, the low
+	// bits of every box handle it issues (World.box).
+	part uint32
+	// boxes holds the payload buffers the partition's senders have in
+	// flight.
+	boxes boxTable
 	// envs: the caller of put must have transferred or released env.data
 	// first (putBuf) — put drops the reference without returning the
 	// buffer.
@@ -211,4 +225,105 @@ func (p *dpPool) bufCheckout(n int64) {
 	if p.bufOut > p.bufHighWater {
 		p.bufHighWater = p.bufOut
 	}
+}
+
+// boxTable is a partition's payload boxes. An event holds no pointer, so a
+// payload buffer in flight (an eager message's bytes, a rendezvous
+// delivery's) waits in a slot of its sender's partition's table and the
+// event carries the slot's handle (World.box). The receiver takes the
+// buffer out and frees the slot (World.unbox): into free if it runs in the
+// owner partition, and otherwise into back, a return list under mu,
+// because it runs mid-window while the owner may be taking slots. The
+// owner drains back when free runs dry.
+//
+// Slots live in chunks that never move, listed by dir. The owner grows
+// dir by replacing it, never in place, so a receiver in another partition
+// can resolve a handle while the owner takes new slots. A slot belongs to
+// whoever holds its handle: the owner writes it before the event leaves,
+// the receiver reads and clears it before giving it back.
+type boxTable struct {
+	dir atomic.Pointer[[]*boxChunk]
+	// n is one past the highest slot made. Slot 0 is never used, so no
+	// handle is 0, the word of a message without bytes.
+	n    uint32
+	free []uint32
+	mu   sync.Mutex
+	back []uint32
+}
+
+const (
+	boxChunkShift = 8
+	boxChunkMask  = 1<<boxChunkShift - 1
+)
+
+type boxChunk [1 << boxChunkShift][]byte
+
+// slot returns slot s, which must have been made.
+func (t *boxTable) slot(s uint32) *[]byte {
+	return &(*t.dir.Load())[s>>boxChunkShift][s&boxChunkMask]
+}
+
+// take stores b in a free slot, making one if none is free, and returns
+// the slot's number. Owner partition only.
+func (t *boxTable) take(b []byte) uint32 {
+	if len(t.free) == 0 {
+		t.mu.Lock()
+		t.free, t.back = t.back, t.free
+		t.mu.Unlock()
+	}
+	var s uint32
+	if n := len(t.free) - 1; n >= 0 {
+		s = t.free[n]
+		t.free = t.free[:n]
+	} else {
+		s = max(t.n, 1)
+		t.n = s + 1
+		var dir []*boxChunk
+		if d := t.dir.Load(); d != nil {
+			dir = *d
+		}
+		if int(s>>boxChunkShift) == len(dir) {
+			dir = append(dir[:len(dir):len(dir)], new(boxChunk))
+			t.dir.Store(&dir)
+		}
+	}
+	*t.slot(s) = b
+	return s
+}
+
+// release empties slot s and frees it, and returns the buffer it held.
+// owner says whether the caller runs in the table's own partition.
+func (t *boxTable) release(s uint32, owner bool) []byte {
+	p := t.slot(s)
+	b := *p
+	*p = nil
+	if owner {
+		t.free = append(t.free, s)
+	} else {
+		t.mu.Lock()
+		t.back = append(t.back, s)
+		t.mu.Unlock()
+	}
+	return b
+}
+
+// box parks b in a slot of dp's box table and returns the handle an event
+// carries it by: the slot's number above the owner partition's index, in
+// the boxShift low bits.
+func (w *World) box(dp *dpPool, b []byte) uint32 {
+	s := dp.boxes.take(b)
+	if limit := uint64(1) << (32 - w.boxShift); uint64(s) >= limit {
+		panic(fmt.Sprintf("mpi: partition %d has more than %d payloads in flight", dp.part, limit-1))
+	}
+	return s<<w.boxShift | dp.part
+}
+
+// unbox returns the buffer handle h names, nil for 0, and frees its slot;
+// dp is the pool of the partition the receiver runs in.
+func (w *World) unbox(dp *dpPool, h uint32) []byte {
+	if h == 0 {
+		return nil
+	}
+	owner := w.pools[h&(1<<w.boxShift-1)]
+	return owner.boxes.release(h>>w.boxShift, owner == dp)
 }

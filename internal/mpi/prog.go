@@ -55,13 +55,13 @@ type Prog interface {
 // that reports done without having called Env.Finalize is treated as a
 // process failure, exactly as in Run.
 func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
-	return w.eng.RunPrograms(func(c *core.Ctx) core.Program {
+	return w.checkRun(w.eng.RunPrograms(func(c *core.Ctx) core.Program {
 		b := &progBundle{}
 		initProcEnv(&b.procBundle, w, c)
 		b.env.prog = true
 		b.pv = progVP{env: &b.env, user: newProg(c.Rank())}
 		return &b.pv
-	})
+	}))
 }
 
 // ClosureOnlyError is the panic value Env.Block raises when a program VP

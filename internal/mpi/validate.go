@@ -4,7 +4,8 @@ package mpi
 // behind the engine's Validate switch. Each mutation of the
 // posted-receive index or the unexpected queue is followed by a full
 // consistency sweep; a clean Finalize additionally runs the conservation
-// sweep (no pending requests, no posted receives, no outstanding probes).
+// sweep (no pending requests, no posted receives, no outstanding probes),
+// and a clean run ends with the box-conservation sweep (World.checkBoxes).
 // Violations panic with a *check.Violation; in VP context the engine
 // surfaces it as the run's error with the diagnostic dump.
 
@@ -12,6 +13,7 @@ import (
 	"fmt"
 
 	"xsim/internal/check"
+	"xsim/internal/vclock"
 )
 
 // fail raises a violation attributed to this process at its current
@@ -196,4 +198,40 @@ func (ps *procState) checkFinalize() {
 	if ps.probe != nil {
 		ps.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
 	}
+}
+
+// checkBoxes is the box-conservation sweep of a run that ended cleanly:
+// every event has been dispatched, so every slot of every partition's box
+// table must be free, and free exactly once. A slot still live is a lost
+// handle (its buffer never reached a receiver); one freed twice was
+// released by two receivers. at stamps the violation.
+func (w *World) checkBoxes(at vclock.Time) error {
+	for _, dp := range w.pools {
+		t := &dp.boxes
+		seen := make([]bool, max(t.n, 1))
+		seen[0] = true
+		for _, list := range [][]uint32{t.free, t.back} {
+			for _, s := range list {
+				if seen[s] {
+					return boxViolation(at, "partition %d freed box slot %d twice", dp.part, s)
+				}
+				seen[s] = true
+			}
+		}
+		var live []uint32
+		for s, free := range seen {
+			if !free {
+				live = append(live, uint32(s)<<w.boxShift|dp.part)
+			}
+		}
+		if len(live) > 0 {
+			return boxViolation(at, "partition %d holds %d live payload boxes at the end of the run (handles %v)",
+				dp.part, len(live), live[:min(len(live), 8)])
+		}
+	}
+	return nil
+}
+
+func boxViolation(at vclock.Time, format string, args ...any) error {
+	return &check.Violation{Invariant: "box-conservation", Rank: -1, Time: at, Detail: fmt.Sprintf(format, args...)}
 }

@@ -141,22 +141,29 @@ func (m *Model) Eager(size int) bool { return size <= m.EagerThreshold }
 // link bandwidth. Intra-node transfers use the on-node tier with one
 // latency charge.
 func (m *Model) TransferTime(src, dst, size int) vclock.Duration {
-	lp := m.tier(src, dst)
+	return m.ControlTime(src, dst) + m.SerializationTime(src, dst, size)
+}
+
+// ControlTime returns the wire time of a zero-payload control message
+// (rendezvous handshake, acknowledgements) from src to dst: the route's
+// latency plus the software overhead. A caller that needs both a message's
+// control and transfer time adds SerializationTime to this one, which
+// routes the pair once.
+func (m *Model) ControlTime(src, dst int) vclock.Duration {
 	hops := 1
 	if src != dst {
 		hops = m.Topo.Hops(src, dst)
 	}
-	wire := vclock.Duration(hops) * lp.Latency
-	if size > 0 {
-		wire += vclock.FromSeconds(float64(size) / lp.Bandwidth)
-	}
-	return wire + m.SoftwareOverhead
+	return vclock.Duration(hops)*m.tier(src, dst).Latency + m.SoftwareOverhead
 }
 
-// ControlTime returns the wire time of a zero-payload control message
-// (rendezvous handshake, acknowledgements) from src to dst.
-func (m *Model) ControlTime(src, dst int) vclock.Duration {
-	return m.TransferTime(src, dst, 0)
+// SerializationTime returns the time a size-byte payload takes to cross a
+// src→dst link at its bandwidth: TransferTime less ControlTime.
+func (m *Model) SerializationTime(src, dst, size int) vclock.Duration {
+	if size <= 0 {
+		return 0
+	}
+	return vclock.FromSeconds(float64(size) / m.tier(src, dst).Bandwidth)
 }
 
 // SendOverhead returns the time the *sender* is busy injecting a size-byte
@@ -164,12 +171,7 @@ func (m *Model) ControlTime(src, dst int) vclock.Duration {
 // serialisation); the message then propagates without the sender.
 // Rendezvous senders instead block until the transfer completes.
 func (m *Model) SendOverhead(src, dst, size int) vclock.Duration {
-	lp := m.tier(src, dst)
-	o := m.SoftwareOverhead
-	if size > 0 {
-		o += vclock.FromSeconds(float64(size) / lp.Bandwidth)
-	}
-	return o
+	return m.SoftwareOverhead + m.SerializationTime(src, dst, size)
 }
 
 // Timeout returns the failure-detection timeout governing communication
