@@ -29,8 +29,9 @@
 #                     so a new target joins without an edit here: the
 #                     parsing surfaces, the file-name/key round trip of
 #                     the simulated file system, the MPI layer's intrusive
-#                     list against a slice model, and the replication
-#                     layer's vote against a brute-force model;
+#                     list against a slice model, the rank-list codec
+#                     of ULFM's Shrink, and the replication layer's vote
+#                     against a brute-force model;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path, a
 #                     coroutine switch each way between the partition
@@ -54,8 +55,8 @@
 #                     process after one exchange step — the paper's
 #                     oversubscription scaling dimension)
 #   8d. checkpointing-workload memory gate (the full Table II loop in
-#                     program mode at 256k ranks must peak within 2.9 KiB
-#                     and finish within 1.25 KiB of live memory per
+#                     program mode at 256k ranks must stay within 2.9 KiB
+#                     mid-run and 1.25 KiB of live memory after, per
 #                     virtual process)
 #   8e. BenchmarkHaloBurst mallocs-per-message gate (16,384 ranks post
 #                     a six-neighbour exchange at one virtual instant: a
@@ -209,12 +210,14 @@ bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 10
 
 echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # The full Table II loop (halo exchange + checkpoint + barrier every other
-# iteration) at 256k ranks, gated twice from one run. The mid-run peak
-# (bytes/vp) is the all-ranks halo burst: each rank's six live requests
-# and six queued messages, per-rank state that sets how large a world fits
-# on one host. It read 5,619 with 200-byte requests and an event queue
-# that copied itself to grow, 3,532 with a pooled request per eager send,
-# 2,700 since those share one, and is gated at that + 10 %.
+# iteration) at 256k ranks, gated twice from one run. The mid-run sample
+# (bytes/vp) is taken between checkpoint rounds, with every other rank
+# parked in the barrier and the halo exchange drained: per-rank state that
+# sets how large a world fits on one host. It read 5,619 with 200-byte
+# requests and an event queue that copied itself to grow, 3,532 with a
+# pooled request per eager send, 2,700 since those share one, and is
+# gated at that + 10 %. The halo burst itself (burst-bytes/vp: each
+# rank's six live requests and six queued messages) reads 2,517, ungated.
 # What is left once the run completes (retained-bytes/vp) must stay within
 # 1.25 KiB.
 bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp,bytes/vp 1280,2970 1

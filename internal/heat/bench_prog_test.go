@@ -29,10 +29,13 @@ var benchGrids = map[int]struct{ px, py, pz, nx, ny, nz int }{
 // paper's Table II loop: modelled compute every iteration, and a halo
 // exchange, 1 MiB modelled checkpoint, global barrier, and checkpoint
 // delete every CheckpointInterval — two full checkpoint rounds over four
-// iterations. Rank 0 calls sample at the start of iteration 3, right
-// after it leaves the first checkpoint's barrier, when every other rank
-// is parked inside it — the steady state between checkpoint rounds.
-func benchConfig(n int, sample func()) Config {
+// iterations. ms samples twice. Its burst sample is taken inside the first
+// halo exchange, when the last rank has posted its receives and sends and
+// every message of the all-ranks burst is in flight. Its mid sample is
+// taken by rank 0 at the start of iteration 3, right after it leaves the
+// first checkpoint's barrier, when every other rank is parked inside it —
+// the steady state between checkpoint rounds, with the exchanges drained.
+func benchConfig(n int, ms *memSampler) Config {
 	g, ok := benchGrids[n]
 	if !ok {
 		panic(fmt.Sprintf("heat bench: no grid for %d ranks", n))
@@ -47,7 +50,13 @@ func benchConfig(n int, sample func()) Config {
 		CheckpointPayload:  1 << 20,
 		onPhase: func(rank, iter int) {
 			if rank == 0 && iter == 3 {
-				sample()
+				settle(&ms.mid)
+			}
+		},
+		// The world runs on one partition, so the ranks post one at a time.
+		onHaloPosted: func(int) {
+			if ms.posted++; ms.posted == n {
+				settle(&ms.burst)
 			}
 		},
 	}
@@ -79,13 +88,15 @@ func benchWorld(b testing.TB, n int) *mpi.World {
 	return w
 }
 
-// memSampler reads the baseline before the world is built; sample
-// (called from rank 0 mid-run, when all other ranks are parked) records
-// the live heap+stack after a GC. The delta is the simulation's resident
-// footprint — in closure mode it includes every parked rank's goroutine
-// stack, in program mode only the parked state machines.
+// memSampler reads the baseline before the world is built; the mid-run
+// samples (taken from a rank while all others are parked) record the live
+// heap+stack after a GC. The delta is the simulation's resident footprint
+// — in closure mode it includes every parked rank's goroutine stack, in
+// program mode only the parked state machines.
 type memSampler struct {
-	before, mid, after runtime.MemStats
+	before, burst, mid, after runtime.MemStats
+	// posted counts the halo exchanges posted so far, over all ranks.
+	posted int
 }
 
 // settle runs two collections so the second cycle finishes sweeping the
@@ -99,21 +110,26 @@ func settle(into *runtime.MemStats) {
 
 func (m *memSampler) baseline() { settle(&m.before) }
 
-func (m *memSampler) sample() { settle(&m.mid) }
-
 // final records the post-run footprint (world and checkpoint store still
 // live): the retained cost once every rank has finished — the accounting
 // the ci.sh memory gates use, matching mpi.BenchmarkBytesPerVP.
 func (m *memSampler) final() { settle(&m.after) }
 
-// bytesPerVP is the mid-run peak: heap spans plus goroutine stacks
-// (HeapInuse + StackInuse). Spans count whole 8 KiB pages, so this
-// includes the allocator geometry the message burst really occupies
-// while the simulation runs — the honest "does it fit in RAM" number.
-func (m *memSampler) bytesPerVP(n int) float64 {
-	grew := (m.mid.HeapInuse + m.mid.StackInuse) - (m.before.HeapInuse + m.before.StackInuse)
+// inusePerVP is the growth of heap spans plus goroutine stacks
+// (HeapInuse + StackInuse) from the baseline to a mid-run sample. Spans
+// count whole 8 KiB pages, so this includes the allocator geometry the
+// simulation occupies while it runs — the honest "does it fit in RAM"
+// number. At the burst sample it is the halo exchange's peak (burstPerVP);
+// at the mid sample, the footprint between checkpoint rounds (bytesPerVP),
+// which still holds the spans the drained burst left behind.
+func (m *memSampler) inusePerVP(at *runtime.MemStats, n int) float64 {
+	grew := (at.HeapInuse + at.StackInuse) - (m.before.HeapInuse + m.before.StackInuse)
 	return float64(grew) / float64(n)
 }
+
+func (m *memSampler) burstPerVP(n int) float64 { return m.inusePerVP(&m.burst, n) }
+
+func (m *memSampler) bytesPerVP(n int) float64 { return m.inusePerVP(&m.mid, n) }
 
 // retainedPerVP is the post-run live footprint: reachable bytes plus
 // stacks (HeapAlloc + StackInuse). It deliberately excludes span
@@ -135,7 +151,7 @@ func BenchmarkHeatCkptBytesPerVP(b *testing.B) {
 	measure := func(b *testing.B, n int, run func(w *mpi.World, cfg Config) error) {
 		for i := 0; i < b.N; i++ {
 			var ms memSampler
-			cfg := benchConfig(n, ms.sample)
+			cfg := benchConfig(n, &ms)
 			ms.baseline()
 			w := benchWorld(b, n)
 			start := b.Elapsed()
@@ -144,6 +160,7 @@ func BenchmarkHeatCkptBytesPerVP(b *testing.B) {
 			}
 			elapsed := (b.Elapsed() - start).Seconds()
 			ms.final()
+			b.ReportMetric(ms.burstPerVP(n), "burst-bytes/vp")
 			b.ReportMetric(ms.bytesPerVP(n), "bytes/vp")
 			b.ReportMetric(ms.retainedPerVP(n), "retained-bytes/vp")
 			b.ReportMetric(float64(n)*float64(iters)/elapsed, "rankstep/s")

@@ -80,6 +80,11 @@ type Config struct {
 	// is package-private: the scale benchmarks use it to sample the
 	// simulator's resident footprint at a deterministic mid-run point.
 	onPhase func(rank, iter int)
+	// onHaloPosted, when set, is called with the rank once it has posted
+	// every receive and send of a halo exchange. Package-private like
+	// onPhase: the scale benchmarks sample the all-ranks message burst with
+	// it.
+	onHaloPosted func(rank int)
 	// ProactiveTrigger, when non-zero, makes every rank write one extra
 	// off-interval checkpoint at the first iteration boundary at or past
 	// this virtual time — proactive fault tolerance driven by a failure

@@ -103,6 +103,9 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 			}
 			p.reqs = append(p.reqs, req)
 		}
+		if s.cfg.onHaloPosted != nil {
+			s.cfg.onHaloPosted(s.rank)
+		}
 		p.ws.Begin(p.reqs...)
 	}
 	done, park, err := world.WaitallStep(&p.ws)

@@ -214,7 +214,7 @@ func TestModelledRestartReadChargesOnePayloadRead(t *testing.T) {
 // TestHeatRunnerLayout pins what a parked heat rank costs. At a million
 // program VPs every byte of heatRunner is a megabyte, and the runner sits
 // beside the six requests each rank holds at every halo burst, so the
-// restore and barrier states (192 and 304 bytes) are held only while a
+// restore and barrier states (192 and 312 bytes) are held only while a
 // restore or barrier runs: a rank at a compute phase holds neither.
 func TestHeatRunnerLayout(t *testing.T) {
 	if got := unsafe.Sizeof(heatRunner{}); got > 192 {

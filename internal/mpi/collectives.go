@@ -17,9 +17,10 @@ const (
 	tagScatter
 	tagAlltoall
 	tagAllgather
-	// TagULFMBase is the first internal tag available to the ULFM
-	// extension package.
-	TagULFMBase = -100
+	tagShrinkReport // ULFM's survivor exchanges (ulfm.go)
+	tagShrinkResult
+	tagAgreeReport
+	tagAgreeResult
 )
 
 // Collectives are built from the same point-to-point primitives the
@@ -48,22 +49,6 @@ func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
 	}
 	ps.dp.putReq(req)
 	return msg, err
-}
-
-// sendTag performs a blocking internal send (raw error, no handler),
-// recycling the request. With recvTag it is the closure-mode hop the ULFM
-// operations are written in.
-func (c *Comm) sendTag(dst, tag, size int, data []byte) error {
-	req := c.isendTag(dst, tag, size, data)
-	_, err := c.env.ps.finishReq(req, c.env.wait(req))
-	return err
-}
-
-// recvTag performs a blocking internal receive (raw error, no handler),
-// recycling the request. The caller owns the returned message.
-func (c *Comm) recvTag(src, tag int) (*Message, error) {
-	req := c.irecvTag(src, tag)
-	return c.env.ps.finishReq(req, c.env.wait(req))
 }
 
 // detachData takes the payload out of a message that is about to escape to

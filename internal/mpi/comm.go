@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xsim/internal/core"
@@ -163,31 +164,30 @@ func (c *Comm) checkRevoked(op string) error {
 	return nil
 }
 
-// markRevoked records a revocation locally (used by the ULFM extension).
-func (c *Comm) markRevoked() {
-	if c.env.ps.revoked == nil {
-		c.env.ps.revoked = make(map[int]bool)
+// revoke records a revocation of commID at the process and reports whether
+// it is news.
+func (ps *procState) revoke(commID int) bool {
+	if ps.revoked[commID] {
+		return false
 	}
-	c.env.ps.revoked[c.id] = true
+	if ps.revoked == nil {
+		ps.revoked = make(map[int]bool)
+	}
+	ps.revoked[commID] = true
+	return true
 }
 
 // FailedInComm returns the communicator ranks this process knows to have
 // failed, in ascending order (ULFM's failure acknowledgement reads this).
+// It walks the (small) failed-peer list, not the membership.
 func (c *Comm) FailedInComm() []int {
 	var out []int
-	if c.group == nil {
-		// Identity mapping: scan the (small) failed-peer list instead
-		// of the full membership.
-		for wr := range c.env.ps.failedPeers {
-			if wr < c.n {
-				out = append(out, wr)
-			}
+	for wr := range c.env.ps.failedPeers {
+		cr := wr
+		if c.group != nil {
+			cr = slices.Index(c.group, wr)
 		}
-		sort.Ints(out)
-		return out
-	}
-	for cr, wr := range c.group {
-		if _, dead := c.env.ps.failedPeers[wr]; dead {
+		if cr >= 0 && cr < c.n {
 			out = append(out, cr)
 		}
 	}
@@ -201,19 +201,15 @@ func (c *Comm) FailedInComm() []int {
 // (eager sends complete locally; larger-than-threshold sends use the
 // rendezvous protocol and wait for the receiver). The request never
 // escapes, so it is recycled on return.
-func (c *Comm) Send(dst, tag int, data []byte) error {
-	req, err := c.isend(dst, tag, len(data), data)
-	if err == nil {
-		err = c.env.wait(req)
-		c.env.ps.dp.putReq(req)
-	}
-	return c.handleError(err)
-}
+func (c *Comm) Send(dst, tag int, data []byte) error { return c.send(dst, tag, len(data), data) }
 
 // SendN is Send with a payload-free message of the given size in bytes;
 // the network model charges the same time without allocating the payload.
-func (c *Comm) SendN(dst, tag, size int) error {
-	req, err := c.isend(dst, tag, size, nil)
+func (c *Comm) SendN(dst, tag, size int) error { return c.send(dst, tag, size, nil) }
+
+// send is Send and SendN: post, wait, recycle the request.
+func (c *Comm) send(dst, tag, size int, data []byte) error {
+	req, err := c.isend(dst, tag, size, data)
 	if err == nil {
 		err = c.env.wait(req)
 		c.env.ps.dp.putReq(req)

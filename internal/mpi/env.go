@@ -163,9 +163,10 @@ func (w *World) notifyDelay() vclock.Duration { return w.cfg.Net.System.Latency 
 // fault model (returning from main or calling exit without MPI_Finalize).
 func (w *World) Run(app func(*Env)) (*core.Result, error) {
 	return w.checkRun(w.eng.Run(func(c *core.Ctx) {
-		env := newProcEnv(w, c)
-		app(env)
-		if !env.finalized {
+		b := &procBundle{}
+		initProcEnv(b, w, c)
+		app(&b.env)
+		if !b.env.finalized {
 			c.Logf("exited without MPI_Finalize: simulated MPI process failure")
 			c.FailNow()
 		}
@@ -190,14 +191,6 @@ type procBundle struct {
 	ps    procState
 	env   Env
 	world Comm
-}
-
-// newProcEnv builds and attaches the per-process MPI state for the VP in
-// whose context it runs.
-func newProcEnv(w *World, c *core.Ctx) *Env {
-	b := &procBundle{}
-	initProcEnv(b, w, c)
-	return &b.env
 }
 
 // initProcEnv wires up a (possibly embedded) procBundle in VP context.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -64,6 +65,35 @@ func FuzzDecodeF64s(f *testing.F) {
 		defer dp.putBuf(buf)
 		if !bytes.Equal(buf, data) {
 			t.Fatalf("encode/decode round trip changed %d-float payload", n)
+		}
+	})
+}
+
+// FuzzDecodeRanks exercises the rank-list codec that Shrink's reports and
+// decisions travel in. Any list of ranks in uint32 range survives an
+// encodeRanks/decodeRanks round trip unchanged, and arbitrary bytes either
+// decode, to a list that re-encodes to the same bytes, or are refused with
+// an error; neither panics.
+func FuzzDecodeRanks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(encodeRanks(nil))
+	f.Add(encodeRanks([]int{0, 3, 1<<32 - 1}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile count
+	f.Add([]byte{1, 0, 0, 0, 7})          // truncated rank
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ranks := make([]int, len(data)/4)
+		for i := range ranks {
+			ranks[i] = int(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		if got, err := decodeRanks(encodeRanks(ranks)); err != nil || !slices.Equal(got, ranks) {
+			t.Fatalf("round trip of %v gave %v, %v", ranks, got, err)
+		}
+		decoded, err := decodeRanks(data)
+		if err != nil {
+			return
+		}
+		if again := encodeRanks(decoded); !bytes.Equal(again, data) {
+			t.Fatalf("decoded %v re-encodes to %x, want %x", decoded, again, data)
 		}
 	})
 }

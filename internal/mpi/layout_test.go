@@ -19,6 +19,16 @@ func TestRequestLayout(t *testing.T) {
 	}
 }
 
+// TestCollectiveStateLayout pins the size of a CollectiveState: every
+// program that runs a collective embeds one, and so does every closure
+// VP's scratch. The survivor exchange's failed set (Shrink, Agree) is its
+// only field beyond the collectives' own.
+func TestCollectiveStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(CollectiveState{}); got > 312 {
+		t.Errorf("unsafe.Sizeof(CollectiveState{}) = %d, want <= 312", got)
+	}
+}
+
 // coldGets is the number of cold records a pool has handed out.
 func coldGets(dp *dpPool) uint64 { return dp.colds.hits + dp.colds.misses }
 

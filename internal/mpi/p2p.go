@@ -510,16 +510,7 @@ func (c *Comm) isend(dstCommRank, tag, size int, data []byte) (*Request, error) 
 	if tag < 0 || tag > math.MaxInt32 {
 		return nil, fmt.Errorf("mpi: send tag %d out of range [0,%d]", tag, math.MaxInt32)
 	}
-	return c.isendTag(dstCommRank, tag, size, data), nil
-}
-
-// isendTag posts a send with any tag value (internal tags are negative).
-// The caller keeps ownership of data; the eager path copies it into a
-// pooled buffer at post time, the rendezvous path reads it when the
-// clear-to-send arrives (the MPI contract: the buffer is untouched until
-// the send completes).
-func (c *Comm) isendTag(dstCommRank, tag, size int, data []byte) *Request {
-	return c.isendDP(dstCommRank, tag, size, data, false)
+	return c.isendDP(dstCommRank, tag, size, data, false), nil
 }
 
 // eagerSent is the request every eager send in an untraced world returns:
@@ -532,9 +523,13 @@ func (c *Comm) isendTag(dstCommRank, tag, size int, data []byte) *Request {
 // it.
 var eagerSent = Request{kind: sendReq, flags: reqDone}
 
-// isendDP is isendTag with the ownership of data explicit: owned data is a
-// pooled buffer the caller transfers to the MPI layer, with no copy at post
-// or transfer time. The collective send hop uses it for encoded reductions.
+// isendDP posts a send with any tag value (internal tags are negative).
+// Unless owned, data stays the caller's: the eager path copies it into a
+// pooled buffer at post time, the rendezvous path reads it when the
+// clear-to-send arrives (the MPI contract: the buffer is untouched until
+// the send completes). Owned data is a pooled buffer the caller transfers
+// to the MPI layer, with no copy at post or transfer time; the collective
+// send hop uses it for encoded reductions.
 func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Request {
 	e := c.env
 	dp := e.ps.dp

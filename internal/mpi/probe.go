@@ -32,16 +32,11 @@ func (p *probeRec) matchesEnvelope(env *envHeader) bool {
 // without consuming it, or ok=false. Only messages whose envelope has
 // reached this process are visible — exactly MPI's semantics.
 func (c *Comm) Iprobe(src, tag int) (*Message, bool, error) {
-	e := c.env
-	e.chargeCall()
-	if err := c.checkRevoked("iprobe"); err != nil {
-		return nil, false, c.handleError(err)
-	}
-	worldSrc, err := c.probeSrc(src)
+	worldSrc, err := c.probeBegin(src)
 	if err != nil {
 		return nil, false, c.handleError(err)
 	}
-	env := e.ps.peekUnexpected(c.id, worldSrc, tag)
+	env := c.env.ps.peekUnexpected(c.id, worldSrc, tag)
 	if env == nil {
 		return nil, false, nil
 	}
@@ -63,8 +58,13 @@ func (c *Comm) Probe(src, tag int) (*Message, error) {
 	}
 }
 
-// probeSrc validates and translates a probe source rank.
-func (c *Comm) probeSrc(src int) (int, error) {
+// probeBegin charges a probe's call, checks the communicator, and
+// validates and translates the source rank.
+func (c *Comm) probeBegin(src int) (int, error) {
+	c.env.chargeCall()
+	if err := c.checkRevoked("probe"); err != nil {
+		return 0, err
+	}
 	if src == AnySource {
 		return AnySource, nil
 	}

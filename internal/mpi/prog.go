@@ -19,17 +19,17 @@ import (
 // SendState for blocking point-to-point, ProbeState for MPI_Probe,
 // SleepState for interruptible sleeps (checkpoint I/O charging), and
 // CollectiveState (prog_coll.go) for barrier/bcast/reduce/allreduce/
-// gather/scatter/allgather/alltoall. Its *Step function either finishes
-// the operation or returns a park value.
+// gather/scatter/allgather/alltoall and ULFM's shrink/agree. Its *Step
+// function either finishes the operation or returns a park value.
 //
 //   - A Prog's Step runs MPI calls that complete without blocking — Irecv,
 //     Isend/IsendN (rendezvous sends included), Elapse/Compute — calls the
 //     *Step functions, and returns their park values to the scheduler.
 //   - The closure-style blocking entry points (Comm.Wait/Waitall/Recv,
-//     rendezvous Comm.Send, Comm.Probe, the collective methods, Env.Sleep)
-//     call the same *Step functions and hand the park values to Env.Block,
-//     which parks the VP's goroutine. Env.RunProg does that for a whole
-//     Prog.
+//     rendezvous Comm.Send, Comm.Probe, the collective methods and
+//     Shrink/Agree, Env.Sleep) call the same *Step functions and hand the
+//     park values to Env.Block, which parks the VP's goroutine.
+//     Env.RunProg does that for a whole Prog.
 //
 // Env.Block is the only place the two differ: a program VP has no
 // goroutine to park, so it panics there with a typed *ClosureOnlyError
@@ -66,10 +66,12 @@ func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
 
 // ClosureOnlyError is the panic value Env.Block raises when a program VP
 // reaches it — through a blocking MPI entry point (Comm.Recv, a rendezvous
-// Comm.Send, Comm.Probe, a collective method, Env.Sleep, Env.RunProg) that
-// had to park: a program has no goroutine to block, so the error names the
-// op and rank and points at the step-based form. It doubles as the typed
-// error path for ops that stay closure-only.
+// Comm.Send, Comm.Probe, a collective method, Comm.Shrink/Agree,
+// Env.Sleep, Env.RunProg) that had to park: a program has no goroutine to
+// block, so the error names the op and rank and points at the step-based
+// form. Every operation of this package has one; the stacks above it
+// still written on the blocking calls (replicated Recv, RunWithRecovery)
+// surface here when a program reaches them.
 type ClosureOnlyError struct {
 	// Op describes the blocking operation (e.g. "MPI wait: recv from 3
 	// tag 0 (comm 0)", "MPI probe: src 1 tag -1 (comm 0)", "sleep").
@@ -366,11 +368,7 @@ type ProbeState struct {
 func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg *Message, err error) {
 	e := c.env
 	if !st.begun {
-		e.chargeCall()
-		if err := c.checkRevoked("probe"); err != nil {
-			return true, nil, nil, c.handleError(err)
-		}
-		worldSrc, err := c.probeSrc(src)
+		worldSrc, err := c.probeBegin(src)
 		if err != nil {
 			return true, nil, nil, c.handleError(err)
 		}

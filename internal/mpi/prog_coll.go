@@ -8,15 +8,15 @@ import "fmt"
 // collectives.go drive the same machine and Block on its park values, so
 // the two modes cannot diverge.
 //
-// Every collective except alltoall is data: a row of collTable listing one
-// or two fans. A fan moves one message between the root and every other
-// member — a fan-in toward the root, a fan-out away from it — linearly (the
-// paper's configuration) or, where the row allows it, along a binomial tree
-// (ablation). stepFan holds the only rank-order loop and the only tree
-// walks, and sendHop/recvHop the only two blocking hop sites (post the
-// request, park on its WaitState, recycle it at completion), so detection,
-// release-on-error and revocation inside a collective are each decided
-// once.
+// Every collective but alltoall and ULFM's survivor exchange is data: a
+// row of collTable listing one or two fans. A fan moves one message between
+// the root and every other member — a fan-in toward the root, a fan-out
+// away from it — linearly (the paper's configuration) or, where the row
+// allows it, along a binomial tree (ablation). stepFan holds the fans'
+// rank-order loop and the only tree walks, and sendHop/recvHop the only two
+// blocking hop sites (post the request, park on its WaitState, recycle it
+// at completion), so detection, release-on-error and revocation inside a
+// collective are each decided once.
 //
 // What travels is the row's business, through two hooks per fan:
 //
@@ -81,14 +81,17 @@ const (
 	collScatter
 	collAllgather
 	collAlltoall
+	collShrink
+	collAgree
 )
 
 // CollectiveState carries one collective operation (Barrier, Bcast,
 // Reduce, Allreduce, Gather, Scatter, Allgather or Alltoall) across steps.
 // Arm it with the matching Begin method, then call CollectiveStep from
 // every step until it reports done; read the result with
-// Bytes/Floats/Parts. Zero value ready; reused collective after
-// collective. One state drives one collective at a time.
+// Bytes/Floats/Parts. ShrinkStep and AgreeStep arm and read it themselves.
+// Zero value ready; reused collective after collective. One state drives
+// one collective at a time.
 type CollectiveState struct {
 	kind    collKind
 	counted bool
@@ -113,6 +116,8 @@ type CollectiveState struct {
 	out     [][]byte
 
 	hop hopState
+	// failed is a survivor exchange's set of members known failed.
+	failed map[int]bool
 	// ws and reqs/recvs serve alltoall's single posted-all wait.
 	ws    WaitState
 	reqs  []*Request
@@ -131,42 +136,35 @@ func (cs *CollectiveState) arm(kind collKind) {
 	*cs = CollectiveState{kind: kind, hop: cs.hop, ws: cs.ws, reqs: cs.reqs[:0], recvs: cs.recvs[:0]}
 }
 
+// armData arms a collective whose operand is data, sent at its length.
+func (cs *CollectiveState) armData(kind collKind, root int, data []byte) {
+	cs.arm(kind)
+	cs.root, cs.data, cs.size = root, data, len(data)
+}
+
 // BeginBarrier arms a Barrier.
 func (cs *CollectiveState) BeginBarrier() { cs.arm(collBarrier) }
 
 // BeginBcast arms a Bcast of root's data; non-root callers pass nil.
 // Bytes returns the broadcast payload on done.
-func (cs *CollectiveState) BeginBcast(root int, data []byte) {
-	cs.arm(collBcast)
-	cs.root = root
-	cs.data = data
-	cs.size = len(data)
-}
+func (cs *CollectiveState) BeginBcast(root int, data []byte) { cs.armData(collBcast, root, data) }
 
 // BeginReduce arms a Reduce of contrib at root with op. Floats returns
 // the reduction at the root (nil elsewhere) on done.
 func (cs *CollectiveState) BeginReduce(root int, contrib []float64, op ReduceOp) {
 	cs.arm(collReduce)
-	cs.root = root
-	cs.contrib = contrib
-	cs.op = op
+	cs.root, cs.contrib, cs.op = root, contrib, op
 }
 
 // BeginAllreduce arms an Allreduce; Floats returns the reduction on done.
 func (cs *CollectiveState) BeginAllreduce(contrib []float64, op ReduceOp) {
 	cs.arm(collAllreduce)
-	cs.contrib = contrib
-	cs.op = op
+	cs.contrib, cs.op = contrib, op
 }
 
 // BeginGather arms a Gather of data at root; Parts returns one slice per
 // rank at the root (nil elsewhere) on done.
-func (cs *CollectiveState) BeginGather(root int, data []byte) {
-	cs.arm(collGather)
-	cs.root = root
-	cs.data = data
-	cs.size = len(data)
-}
+func (cs *CollectiveState) BeginGather(root int, data []byte) { cs.armData(collGather, root, data) }
 
 // BeginScatter arms a Scatter of parts from root; non-root callers pass
 // nil. Bytes returns this rank's part on done.
@@ -178,11 +176,7 @@ func (cs *CollectiveState) BeginScatter(root int, parts [][]byte) {
 
 // BeginAllgather arms an Allgather; Parts returns one slice per rank on
 // done.
-func (cs *CollectiveState) BeginAllgather(data []byte) {
-	cs.arm(collAllgather)
-	cs.data = data
-	cs.size = len(data)
-}
+func (cs *CollectiveState) BeginAllgather(data []byte) { cs.armData(collAllgather, 0, data) }
 
 // BeginAlltoall arms an Alltoall of parts[i] to rank i; Parts returns
 // one received slice per rank on done.
@@ -225,6 +219,8 @@ func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err err
 		panic("mpi: CollectiveStep without a Begin")
 	case collAlltoall:
 		done, park, err = c.stepAlltoall(cs)
+	case collShrink, collAgree:
+		done, park, err = c.stepSurvivors(cs)
 	default:
 		done, park, err = c.stepFans(cs, &collTable[cs.kind])
 	}
@@ -599,7 +595,7 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 			if r == c.rank {
 				continue
 			}
-			cs.reqs = append(cs.reqs, c.isendTag(r, tagAlltoall, len(cs.parts[r]), cs.parts[r]))
+			cs.reqs = append(cs.reqs, c.isendDP(r, tagAlltoall, len(cs.parts[r]), cs.parts[r], false))
 		}
 		cs.ws.Begin(cs.reqs...)
 		cs.phase = 1
@@ -627,19 +623,99 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 		}
 		// None of the requests escaped; recycle them all and drop the
 		// references so the idle state does not pin the recycled requests.
-		dp := c.env.ps.dp
-		for i, req := range cs.reqs {
-			dp.putReq(req)
-			cs.reqs[i] = nil
+		for _, req := range cs.reqs {
+			c.env.ps.dp.putReq(req)
 		}
-		cs.reqs = cs.reqs[:0]
-		for i := range cs.recvs {
-			cs.recvs[i] = nil
-		}
-		cs.recvs = cs.recvs[:0]
+		clear(cs.reqs)
+		clear(cs.recvs)
+		cs.reqs, cs.recvs = cs.reqs[:0], cs.recvs[:0]
 		cs.out = out
 		return true, nil, nil
 	default:
 		panic(fmt.Sprintf("mpi: alltoall state machine in phase %d", cs.phase))
+	}
+}
+
+// Stages of a survivor exchange (cs.phase).
+const (
+	survElect   uint8 = iota // elect the lowest member not known failed as root
+	survReports              // the reports travel to the root
+	survResult               // the decision travels back
+)
+
+// stepSurvivors is ULFM's survivor exchange, the one body of Shrink and
+// Agree. Each member elects as root the lowest member it does not know
+// failed, sends it its report (cs.data) and receives the decision into
+// cs.data. The root folds one report from every other member not known
+// failed, marking failed each whose receive fails, and sends the decision
+// to the members still not failed, skipping any that died since. A member
+// whose report to its root or decision from it fails with a
+// ProcFailedError marks that root failed and elects again, so survivors
+// that learned of a failure at different instants still meet at one root;
+// that root must then stay alive through the exchange. The exchange keeps
+// off stepFan on purpose: its survivor filter and tolerated deaths would
+// make the shared loop branch on its caller.
+func (c *Comm) stepSurvivors(cs *CollectiveState) (done bool, park any, err error) {
+	if cs.failed == nil {
+		c.env.chargeCall()
+		cs.failed = make(map[int]bool)
+	}
+	for {
+		if cs.phase == survElect {
+			for _, cr := range c.FailedInComm() {
+				cs.failed[cr] = true
+			}
+			for cs.root = 0; cs.failed[cs.root]; cs.root++ { // stops at c.rank at the latest
+			}
+			cs.r, cs.phase = 0, survReports
+		}
+		f := &survivorFans[cs.kind-collShrink][cs.phase-survReports]
+		hop := (*Comm).recvHop
+		if (c.rank == cs.root) != f.in {
+			hop = (*Comm).sendHop
+		}
+		if c.rank != cs.root {
+			done, park, err := hop(c, cs, f, cs.root)
+			switch _, dead := err.(*ProcFailedError); {
+			case !done:
+				return false, park, nil
+			case dead:
+				cs.failed[cs.root] = true
+				cs.phase = survElect
+			case err != nil || cs.phase == survResult:
+				return true, nil, err
+			default:
+				cs.phase = survResult
+			}
+			continue
+		}
+		for ; cs.r < c.n; cs.r++ {
+			if cs.r == cs.root || cs.failed[cs.r] {
+				continue
+			}
+			done, park, err := hop(c, cs, f, cs.r)
+			if !done {
+				return false, park, nil
+			}
+			if _, dead := err.(*ProcFailedError); dead {
+				cs.failed[cs.r] = true
+			} else if err != nil {
+				return true, nil, err
+			}
+		}
+		if cs.phase == survResult {
+			return true, nil, nil
+		}
+		if cs.kind == collShrink { // the decision is the survivors' list
+			var live []int
+			for cr := 0; cr < c.n; cr++ {
+				if !cs.failed[cr] {
+					live = append(live, cr)
+				}
+			}
+			cs.data = encodeRanks(live)
+			cs.size = len(cs.data)
+		}
+		cs.r, cs.phase = 0, survResult
 	}
 }

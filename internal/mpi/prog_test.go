@@ -256,6 +256,8 @@ func TestProgClosureOnlyEntriesPanicTyped(t *testing.T) {
 		{"rendezvous-send", onRank0(func(c *Comm) error { return c.SendN(1, 0, 1<<20) }), "MPI wait: send to 1"},
 		{"probe", onRank0(func(c *Comm) error { _, err := c.Probe(1, 0); return err }), "MPI probe: src 1"},
 		{"barrier", func(e *Env) error { return e.World().Barrier() }, "MPI wait: recv from 1 tag"},
+		{"shrink", func(e *Env) error { _, err := e.World().Shrink(); return err }, "MPI wait: recv from 1 tag"},
+		{"agree", func(e *Env) error { _, err := e.World().Agree(1); return err }, "MPI wait: recv from 1 tag"},
 		{"sleep", func(e *Env) error { e.Sleep(vclock.Millisecond); return nil }, "sleep"},
 		{"run-prog", func(e *Env) error { e.RunProg(&parkedRecvProg{}); return nil }, "MPI wait: recv from -1 tag 7"},
 		{"eager-send", onRank0(func(c *Comm) error { return c.Send(1, 0, []byte("x")) }), ""},

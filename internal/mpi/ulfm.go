@@ -14,14 +14,6 @@ import (
 // (MPI_Comm_revoke), and communicator reconfiguration (MPI_Comm_shrink),
 // plus a simplified fault-tolerant agreement (MPI_Comm_agree).
 
-// Internal ULFM tags (within the reserved negative tag space).
-const (
-	tagShrinkReport = TagULFMBase - iota
-	tagShrinkResult
-	tagAgreeReport
-	tagAgreeResult
-)
-
 // handleRevoke processes a communicator revocation at one partition:
 // every local process marks the communicator revoked, and pending
 // operations on it complete with RevokedError.
@@ -30,16 +22,9 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		ps := localState(s, rank)
-		if ps == nil {
+		if ps == nil || !ps.revoke(commID) {
 			continue
 		}
-		if ps.revoked == nil {
-			ps.revoked = make(map[int]bool)
-		}
-		if ps.revoked[commID] {
-			continue
-		}
-		ps.revoked[commID] = true
 		// completeRequest unlinks the request from the pending list, so
 		// capture the successor before completing each one.
 		for req := ps.pending.head; req != nil; {
@@ -59,7 +44,7 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 // (Shrink) becomes possible. Revoke itself never blocks.
 func (c *Comm) Revoke() {
 	e := c.env
-	c.markRevoked()
+	e.ps.revoke(c.id)
 	e.Logf("MPI_Comm_revoke on comm %d", c.id)
 	e.ctx.EmitBroadcast(core.Event{
 		Time:  e.ctx.NowQuiet().Add(e.w.notifyDelay()),
@@ -93,80 +78,37 @@ func decodeRanks(buf []byte) ([]int, error) {
 	return out, nil
 }
 
-// survivorExchange is the body Shrink and Agree share. The lowest-ranked
-// member not known failed collects one report from every other such member
-// and folds it; a report that times out reveals a further failure, and that
-// member is marked failed. decide then turns what was folded, and the
-// members still not failed, into the decision; it goes to those members, and
-// the sends tolerate deaths: a member that died after the decision was
-// taken is skipped and the survivors proceed. Every other member reports
-// and waits for the decision. All members return the decision's bytes. The
-// simplification relative to full ULFM is that the collecting survivor must
-// stay alive throughout.
-func (c *Comm) survivorExchange(op, prep string, reportTag, resultTag int, report []byte,
-	fold func(failed map[int]bool, report []byte) error,
-	decide func(live []int) []byte,
-) ([]byte, error) {
-	c.env.chargeCall()
-	failed := make(map[int]bool)
-	for _, cr := range c.FailedInComm() {
-		failed[cr] = true
+// survivorFans are the two waves of each survivor exchange (stepSurvivors),
+// indexed by cs.kind-collShrink: the report a member sends its root, which
+// take folds, and the decision the root sends back, which take keeps.
+var survivorFans = [...][2]fan{
+	{{in: true, tag: tagShrinkReport, give: giveData, take: takeFailed}, {tag: tagShrinkResult, give: giveData, take: takeData}},
+	{{in: true, tag: tagAgreeReport, give: giveData, take: takeAnd}, {tag: tagAgreeResult, give: giveData, take: takeData}},
+}
+
+// takeFailed folds a member's known-failed ranks into the root's set.
+func takeFailed(_ *Comm, cs *CollectiveState, _ int, msg *Message) error {
+	ranks, err := decodeRanks(msg.Data)
+	for _, fr := range ranks {
+		cs.failed[fr] = true
 	}
-	root := 0
-	for root < c.n && failed[root] {
-		root++
+	return err
+}
+
+// takeAnd folds a member's flag into the root's, in its report buffer.
+func takeAnd(_ *Comm, cs *CollectiveState, _ int, msg *Message) error {
+	if len(msg.Data) != 4 {
+		return fmt.Errorf("mpi: agree report is %d bytes", len(msg.Data))
 	}
-	if root == c.n {
-		return nil, fmt.Errorf("mpi: %s %s comm %d: no survivors", op, prep, c.id)
-	}
-	if c.rank != root {
-		if err := c.sendTag(root, reportTag, len(report), report); err != nil {
-			return nil, fmt.Errorf("mpi: %s report to root failed: %w", op, err)
-		}
-		msg, err := c.recvTag(root, resultTag)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: %s result from root failed: %w", op, err)
-		}
-		decision := append([]byte(nil), msg.Data...)
-		msg.Release()
-		return decision, nil
-	}
-	for cr := 0; cr < c.n; cr++ {
-		if cr == root || failed[cr] {
-			continue
-		}
-		msg, err := c.recvTag(cr, reportTag)
-		if err != nil {
-			if _, ok := err.(*ProcFailedError); ok {
-				failed[cr] = true
-				continue
-			}
-			return nil, err
-		}
-		err = fold(failed, msg.Data)
-		msg.Release() // fold copied out what it keeps
-		if err != nil {
-			return nil, err
-		}
-	}
-	var live []int
-	for cr := 0; cr < c.n; cr++ {
-		if !failed[cr] {
-			live = append(live, cr)
-		}
-	}
-	decision := decide(live)
-	for _, cr := range live {
-		if cr == root {
-			continue
-		}
-		if err := c.sendTag(cr, resultTag, len(decision), decision); err != nil {
-			if _, ok := err.(*ProcFailedError); !ok {
-				return nil, err
-			}
-		}
-	}
-	return decision, nil
+	binary.LittleEndian.PutUint32(cs.data, binary.LittleEndian.Uint32(cs.data)&binary.LittleEndian.Uint32(msg.Data))
+	return nil
+}
+
+// beginSurvivors arms a survivor exchange of report. ULFM's recovery is not
+// an application collective, so CollectiveOps does not count it.
+func (cs *CollectiveState) beginSurvivors(kind collKind, report []byte) {
+	cs.armData(kind, 0, report)
+	cs.counted = true
 }
 
 // Shrink builds a new communicator containing the surviving members
@@ -174,58 +116,72 @@ func (c *Comm) survivorExchange(op, prep string, reportTag, resultTag int, repor
 // its locally known failed set to the lowest-ranked survivor, which unions
 // them (treating report timeouts as further failures), decides the new
 // membership, and distributes it. Survivors return the new communicator
-// with their new rank; the root survivor must stay alive through the
+// with their new rank. A survivor that finds its root dead elects the next
+// one; the root every survivor finally elects must stay alive through the
 // shrink.
 func (c *Comm) Shrink() (*Comm, error) {
-	decision, err := c.survivorExchange("shrink", "of", tagShrinkReport, tagShrinkResult, encodeRanks(c.FailedInComm()),
-		func(failed map[int]bool, report []byte) error {
-			ranks, err := decodeRanks(report)
-			for _, fr := range ranks {
-				failed[fr] = true
-			}
-			return err
-		},
-		encodeRanks)
-	if err != nil {
-		return nil, err
-	}
-	live, err := decodeRanks(decision)
-	if err != nil {
-		return nil, err
-	}
-	return c.commFromCommRanks(live), nil
+	cs := &c.env.closure().coll
+	cs.beginSurvivors(collShrink, encodeRanks(c.FailedInComm()))
+	decision, _, _, err := c.drive(cs)
+	return c.shrunk(decision, err)
 }
 
-// commFromCommRanks derives a communicator from a list of this
-// communicator's ranks.
-func (c *Comm) commFromCommRanks(commRanks []int) *Comm {
-	group := make([]int, len(commRanks))
-	for i, cr := range commRanks {
-		group[i] = c.WorldRank(cr)
+// ShrinkStep advances a Shrink on cs, the step form of Comm.Shrink: the
+// first call arms cs, and on done it returns the new communicator.
+func (c *Comm) ShrinkStep(cs *CollectiveState) (done bool, park any, shrunk *Comm, err error) {
+	if cs.kind != collShrink {
+		cs.beginSurvivors(collShrink, encodeRanks(c.FailedInComm()))
 	}
-	return c.env.newComm(group, c.env.Rank())
+	if done, park, err = c.CollectiveStep(cs); done {
+		shrunk, err = c.shrunk(cs.data, err)
+		cs.arm(collNone)
+	}
+	return done, park, shrunk, err
+}
+
+// shrunk derives the communicator a Shrink decided on.
+func (c *Comm) shrunk(decision []byte, err error) (*Comm, error) {
+	var live []int
+	if err == nil {
+		live, err = decodeRanks(decision)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.Sub(live), nil
 }
 
 // Agree performs a simplified fault-tolerant agreement (MPI_Comm_agree):
 // the survivors' flags are combined with bitwise AND and every survivor
 // whose flag arrived receives the result, even if other members failed.
-// The root survivor must stay alive through the agreement.
+// Its root is elected as Shrink's is.
 func (c *Comm) Agree(flag uint32) (uint32, error) {
-	acc := flag
-	decision, err := c.survivorExchange("agree", "on", tagAgreeReport, tagAgreeResult, binary.LittleEndian.AppendUint32(nil, flag),
-		func(_ map[int]bool, report []byte) error {
-			if len(report) != 4 {
-				return fmt.Errorf("mpi: agree report is %d bytes", len(report))
-			}
-			acc &= binary.LittleEndian.Uint32(report)
-			return nil
-		},
-		func([]int) []byte { return binary.LittleEndian.AppendUint32(nil, acc) })
+	cs := &c.env.closure().coll
+	cs.beginSurvivors(collAgree, binary.LittleEndian.AppendUint32(nil, flag))
+	decision, _, _, err := c.drive(cs)
+	return agreed(decision, err)
+}
+
+// AgreeStep advances an Agree on cs, the step form of Comm.Agree: the
+// first call arms cs with flag, and on done it returns the agreed flags.
+func (c *Comm) AgreeStep(cs *CollectiveState, flag uint32) (done bool, park any, result uint32, err error) {
+	if cs.kind != collAgree {
+		cs.beginSurvivors(collAgree, binary.LittleEndian.AppendUint32(nil, flag))
+	}
+	if done, park, err = c.CollectiveStep(cs); done {
+		result, err = agreed(cs.data, err)
+		cs.arm(collNone)
+	}
+	return done, park, result, err
+}
+
+// agreed decodes the flags an Agree decided on.
+func agreed(decision []byte, err error) (uint32, error) {
+	if err == nil && len(decision) != 4 {
+		err = fmt.Errorf("mpi: agree result is %d bytes", len(decision))
+	}
 	if err != nil {
 		return 0, err
-	}
-	if len(decision) != 4 {
-		return 0, fmt.Errorf("mpi: agree result is %d bytes", len(decision))
 	}
 	return binary.LittleEndian.Uint32(decision), nil
 }
