@@ -21,9 +21,15 @@
 #   6b. driver equivalence (500 random MPI workloads under -race, closure
 #                     vs program mode: both run the same step machines,
 #                     one through Env.Block and one stepped by the
-#                     scheduler, and their digests must agree; the goldens,
-#                     twin tests and message-path tests that pin each side
-#                     already ran under -race in 5)
+#                     scheduler, and their digests must agree; then the
+#                     replicated stencil of the replication crossover,
+#                     one Prog run through Sim.RunProgs and through
+#                     Env.RunProg at Workers 1 and 2, degrees 2 and 3,
+#                     with no failure, failover and replica-group
+#                     exhaustion plus its restart, which must agree rank
+#                     for rank; the goldens, twin tests and message-path
+#                     tests that pin each side already ran under -race
+#                     in 5)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing for every Fuzz*
 #                     target of every package, found with go test -list,
 #                     so a new target joins without an edit here: the
@@ -132,6 +138,9 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # runs all 500 random workloads both ways (Workers in {1,2,4}; the
 # override is honoured unclamped) and compares digests.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
+# The replicated stencil runs on the redundancy layer's step forms: one
+# Prog through both drivers, rank for rank.
+go test -race -count=1 -run '^TestReplicatedStencilDriversAgree$' .
 
 echo "== fuzz smoke (10s per target)"
 # -fuzz takes one package and one target per run, so list them first.

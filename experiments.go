@@ -62,7 +62,7 @@ func (p *TableIParams) validate(_ int, v specChecker) []error {
 // distribution is summarised. Victims fan out across the campaign pool;
 // each victim's random sequence depends only on Seed and its index, so the
 // distribution is identical at any pool size.
-func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, err := softerror.RunCampaignContext(ctx, softerror.CampaignConfig{
 		Victims:       p.Victims,
 		MaxInjections: p.MaxInjections,
@@ -71,11 +71,8 @@ func (p *TableIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome
 		Logf:          rs.Logf,
 		OnProgress:    rs.OnProgress,
 	})
-	if err != nil {
-		return err
-	}
 	out.TableI = res
-	return nil
+	return CampaignStats{}, err
 }
 
 // render prints the whole injection report around the paper's table.
@@ -133,17 +130,16 @@ func (p *TableIIParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *TableIIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *TableIIParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, err := RunTableIIContext(ctx, p.config(rs))
 	if err != nil {
-		return err
+		return CampaignStats{}, err
 	}
-	out.SimTimeNS = int64(res.Stats.SimTime)
 	out.TableII = &TableIIOutcome{Rows: make([]WireTableIIRow, len(res.Rows))}
 	for i, r := range res.Rows {
 		out.TableII.Rows[i] = wireTableIIRow(r)
 	}
-	return nil
+	return res.Stats, nil
 }
 
 // render prints the table in the paper's layout.
@@ -239,13 +235,15 @@ func defaultIntervals(iterations int) []int {
 
 // --- The heat grid: the one shape behind Table II, sweep and ablation ----
 
-// setHeatApp installs the heat application on the campaign in the
-// requested execution mode.
-func setHeatApp(camp *Campaign, hc HeatConfig, prog bool) {
+// setApp installs one program per rank on the campaign in the requested
+// execution mode: stepped by the scheduler on program VPs, or driven to
+// completion on closure VPs by Env.RunProg. Either way every experiment
+// kind runs one body.
+func setApp(camp *Campaign, newProg func(rank int) Prog, prog bool) {
 	if prog {
-		camp.ProgFor = func(int) func(rank int) Prog { return RunHeatProg(hc) }
+		camp.ProgFor = func(int) func(rank int) Prog { return newProg }
 	} else {
-		camp.AppFor = func(int) App { return RunHeat(hc) }
+		camp.AppFor = func(int) App { return func(e *Env) { e.RunProg(newProg(e.Rank())) } }
 	}
 }
 
@@ -336,7 +334,7 @@ func (g *heatGrid) run(ctx context.Context) ([]TableIIRow, CampaignStats, error)
 		hc.CheckpointInterval = c
 		hc.DeltaFraction = a.delta
 		camp := Campaign{Base: simCfg, MTTF: mttf, Seed: seed, MaxRuns: maxRuns, CheckpointPrefix: "heat"}
-		setHeatApp(&camp, hc, g.ProgMode)
+		setApp(&camp, RunHeatProg(hc), g.ProgMode)
 		if a.name != "" {
 			label = a.name + " " + label
 		}
@@ -450,14 +448,10 @@ func (p *FirstImpressionsParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *FirstImpressionsParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *FirstImpressionsParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, stats, err := runFirstImpressions(ctx, rs, *p)
-	if err != nil {
-		return err
-	}
-	out.SimTimeNS = int64(stats.SimTime)
 	out.Phases = res
-	return nil
+	return stats, err
 }
 
 // firstImpressionsTrial is one trial's classification.
@@ -506,7 +500,7 @@ func runFirstImpressions(ctx context.Context, rs RunSpec, p FirstImpressionsPara
 					Seed:    seed,
 					MaxRuns: 1, // observe the first failure only
 				}
-				setHeatApp(&camp, hc, rs.ProgMode)
+				setApp(&camp, RunHeatProg(hc), rs.ProgMode)
 				res, err := camp.RunContext(ctx)
 				out := firstImpressionsTrial{camp: res}
 				// The single run usually aborts, exhausting MaxRuns; that
@@ -729,14 +723,10 @@ func (p *CrossoverParams) validate(ranks int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, stats, err := runCrossover(ctx, rs, *p)
-	if err != nil {
-		return err
-	}
-	out.SimTimeNS = int64(stats.SimTime)
 	out.Crossover = res
-	return nil
+	return stats, err
 }
 
 // runCrossover runs the crossover study. It first measures the
@@ -750,30 +740,15 @@ func (p *CrossoverParams) run(ctx context.Context, rs RunSpec, out *CampaignOutc
 // identical at any pool size.
 func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*CrossoverOutcome, CampaignStats, error) {
 	p.defaults(&rs)
-	compute := Seconds(p.ComputeSeconds)
 	ckptCost, restartCost := Seconds(p.CheckpointSeconds), Seconds(p.RestartSeconds)
-
-	stencil := func(degree, interval int) replicatedStencil {
-		return replicatedStencil{
-			Degree:              degree,
-			Iterations:          p.Iterations,
-			ComputePerIteration: compute,
-			HaloBytes:           p.HaloBytes,
-			CheckpointInterval:  interval,
-			CheckpointCost:      ckptCost,
-			RestartCost:         restartCost,
-		}
-	}
 
 	// E1: the failure-free unreplicated solve — the campaign no failure
 	// strikes, in a single run that must complete — measured (not assumed)
 	// so the Daly parameters include the simulated communication time.
 	var stats CampaignStats
-	e1, err := Campaign{
-		Base:    rs.baseConfig(),
-		MaxRuns: 1,
-		AppFor:  func(int) App { return runReplicatedStencil(stencil(1, 0)) },
-	}.RunContext(ctx)
+	e1camp := Campaign{Base: rs.baseConfig(), MaxRuns: 1}
+	setApp(&e1camp, newReplicatedStencil(p, 1, 0), rs.ProgMode)
+	e1, err := e1camp.RunContext(ctx)
 	stats.absorbCampaign(e1)
 	if err != nil {
 		return nil, stats, fmt.Errorf("xsim: crossover E1 run: %w", err)
@@ -816,25 +791,22 @@ func runCrossover(ctx context.Context, rs RunSpec, p CrossoverParams) (*Crossove
 		// Mix the MTTF and the arm index into the seed so every cell
 		// draws an independent failure sequence.
 		seed := rs.Seed + int64(mttf.Seconds())*1009 + int64(len(cells))*37
-		sc := stencil(degree, interval)
 		// The failure horizon comfortably covers the longest single run
 		// of the cell (compute + checkpoint overhead + restart).
 		horizon := Duration(degree)*solve + ckptOverhead(interval) + restartCost + solve
-		cells = append(cells, campaignCell{
-			label: fmt.Sprintf("mttf=%.0fs %s r=%d", mttf.Seconds(), arm, degree),
-			camp: Campaign{
-				Base:    rs.baseConfig(),
-				Seed:    seed,
-				MaxRuns: p.MaxRuns,
-				DrawFailures: func(run int, start Time) Schedule {
-					rng := rand.New(rand.NewSource(seed + int64(run)*101))
-					return fault.PoissonSchedule(rng, rs.Ranks, mttf, horizon, start)
-				},
-				Replicas:         degree,
-				CheckpointPrefix: replPrefix,
-				AppFor:           func(int) App { return runReplicatedStencil(sc) },
+		camp := Campaign{
+			Base:    rs.baseConfig(),
+			Seed:    seed,
+			MaxRuns: p.MaxRuns,
+			DrawFailures: func(run int, start Time) Schedule {
+				rng := rand.New(rand.NewSource(seed + int64(run)*101))
+				return fault.PoissonSchedule(rng, rs.Ranks, mttf, horizon, start)
 			},
-		})
+			Replicas:         degree,
+			CheckpointPrefix: replPrefix,
+		}
+		setApp(&camp, newReplicatedStencil(p, degree, interval), rs.ProgMode)
+		cells = append(cells, campaignCell{label: fmt.Sprintf("mttf=%.0fs %s r=%d", mttf.Seconds(), arm, degree), camp: camp})
 		rows = append(rows, WireCrossoverRow{
 			MTTFSeconds: mttf.Seconds(), Arm: arm, Degree: degree,
 			Interval: interval, PredictedNS: int64(predicted),
@@ -989,14 +961,10 @@ func (p *IOAblationParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *IOAblationParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *IOAblationParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, stats, err := runIOAblation(ctx, rs, *p)
-	if err != nil {
-		return err
-	}
-	out.SimTimeNS = int64(stats.SimTime)
 	out.IOAblation = res
-	return nil
+	return stats, err
 }
 
 // runIOAblation reruns the Table II sweep with checkpoint I/O cost

@@ -69,9 +69,9 @@ func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
 // Comm.Send, Comm.Probe, a collective method, Comm.Shrink/Agree,
 // Env.Sleep, Env.RunProg) that had to park: a program has no goroutine to
 // block, so the error names the op and rank and points at the step-based
-// form. Every operation of this package has one; the stacks above it
-// still written on the blocking calls (replicated Recv, RunWithRecovery)
-// surface here when a program reaches them.
+// form. Every operation of this package has one, and so has the
+// replicated messaging above it; ulfm.RunWithRecovery, still written on
+// the blocking calls, surfaces here when a program reaches it.
 type ClosureOnlyError struct {
 	// Op describes the blocking operation (e.g. "MPI wait: recv from 3
 	// tag 0 (comm 0)", "MPI probe: src 1 tag -1 (comm 0)", "sleep").

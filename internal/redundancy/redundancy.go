@@ -12,6 +12,9 @@
 // and hands the caller a majority copy — detection with correction. A
 // logical rank stays alive as long as one of its replicas lives, because
 // every surviving receiver still gets a copy from some surviving sender.
+//
+// Send and Recv block a closure VP; a program VP steps the same bodies
+// through SendStep and RecvStep.
 package redundancy
 
 import (
@@ -67,23 +70,17 @@ func (e *ReplicaFailedError) Error() string {
 	return fmt.Sprintf("redundancy: %s: every replica of logical rank %d has failed", e.Op, e.Logical)
 }
 
-// checkTag refuses negative tags, the wildcard among them.
-func checkTag(tag int) error {
-	if tag < 0 {
-		return &TagRangeError{Tag: tag}
-	}
-	return nil
-}
-
 // Comm is an r-way redundant communicator: a logical communicator of size
 // Size() whose every rank is r physical replicas.
 type Comm struct {
 	world   *mpi.Comm
 	env     *mpi.Env
-	n       int // logical size
-	logical int // this process's logical rank
-	replica int // replica index in [0, r)
-	r       int // replication degree
+	n       int       // logical size
+	logical int       // this process's logical rank
+	replica int       // replica index in [0, r)
+	r       int       // replication degree
+	send    SendState // Send's state, reused call after call
+	recv    RecvState // Recv's state, reused call after call
 }
 
 // WrapN builds an r-way redundant communicator: the world splits into r
@@ -159,10 +156,14 @@ next:
 	return true
 }
 
-// checkRank validates a logical rank operand.
-func (c *Comm) checkRank(kind string, l int) error {
+// check validates the logical rank operand of a send or receive, then
+// refuses a negative tag, the wildcard among them.
+func (c *Comm) check(kind string, l, tag int) error {
 	if l < 0 || l >= c.n {
 		return fmt.Errorf("redundancy: %s %d out of range [0,%d)", kind, l, c.n)
+	}
+	if tag < 0 {
+		return &TagRangeError{Tag: tag}
 	}
 	return nil
 }
@@ -173,34 +174,15 @@ func (c *Comm) checkRank(kind string, l int) error {
 // replica that is known dead is skipped; one that dies in transit is
 // treated the same (its copy is covered by the copies the other sender
 // replicas deliver). A destination whose replicas have all failed yields
-// *ReplicaFailedError.
+// *ReplicaFailedError. It is SendStep driven on the calling closure VP.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	if err := c.checkRank("destination", dst); err != nil {
-		return err
-	}
-	if err := checkTag(tag); err != nil {
-		return err
-	}
-	delivered := 0
-	for k := 0; k < c.r; k++ {
-		w := c.worldRankOf(dst, k)
-		if c.env.PeerFailed(w) {
-			continue
-		}
-		err := c.world.Send(w, tag, data)
-		if err != nil {
-			var pf *mpi.ProcFailedError
-			if errors.As(err, &pf) {
-				continue
-			}
+	for {
+		done, park, err := c.SendStep(&c.send, dst, tag, data)
+		if done {
 			return err
 		}
-		delivered++
+		c.env.Block(park)
 	}
-	if delivered == 0 {
-		return &ReplicaFailedError{Logical: dst, Op: "send"}
-	}
-	return nil
 }
 
 // Recv collects one copy from every live replica of the logical source
@@ -210,86 +192,151 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // message is a majority copy. Like redMPI, a returned *SDCError still
 // carries the received message: corruption is reported while execution
 // continues. A source whose replicas have all failed yields
-// *ReplicaFailedError.
+// *ReplicaFailedError. It is RecvStep driven on the calling closure VP.
 func (c *Comm) Recv(src, tag int) (*mpi.Message, error) {
-	if err := c.checkRank("source", src); err != nil {
-		return nil, err
+	for {
+		done, park, msg, err := c.RecvStep(&c.recv, src, tag)
+		if done {
+			return msg, err
+		}
+		c.env.Block(park)
 	}
-	if err := checkTag(tag); err != nil {
-		return nil, err
+}
+
+// SendState carries one replicated send across program steps: the step
+// form of Send. Zero value ready; reused send after send.
+type SendState struct {
+	k         int  // the destination replica being served
+	posted    bool // its copy is in flight
+	delivered int
+	send      mpi.SendState
+}
+
+// SendStep advances a replicated send: one blocking send of the world
+// communicator per live destination replica, in replica order, each
+// posted once the previous one completed. It returns done == false with
+// the park value to return from Prog.Step; pass the same arguments on
+// every call until it reports done.
+func (c *Comm) SendStep(st *SendState, dst, tag int, data []byte) (done bool, park any, err error) {
+	if err := c.check("destination", dst, tag); err != nil {
+		return true, nil, err
 	}
-	// Post receives to every source replica not already known dead. A
-	// replica that died unnotified completes its receive with a
-	// process-failure error after the detection timeout, so the wait
-	// below never deadlocks — and a copy the replica sent before dying
-	// still matches and delivers.
-	posted := make([]replicaCopy, 0, c.r)
-	for k := 0; k < c.r; k++ {
-		w := c.worldRankOf(src, k)
-		if c.env.PeerFailed(w) {
+	for ; st.k < c.r; st.k++ {
+		w := c.worldRankOf(dst, st.k)
+		if !st.posted && c.env.PeerFailed(w) {
 			continue
 		}
-		req, err := c.world.Irecv(w, tag)
-		if err != nil {
-			// Drain what was already posted (copies arrive or failure
-			// timeouts fire), then surface the posting error.
-			for _, p := range posted {
-				_, _ = c.world.Wait(p.req)
-				c.world.Free(p.req)
-			}
-			return nil, err
+		st.posted = true
+		if done, park, err = c.world.SendStep(&st.send, w, tag, data); !done {
+			return false, park, nil
 		}
-		posted = append(posted, replicaCopy{replica: k, req: req})
+		st.posted = false
+		if err == nil {
+			st.delivered++
+		} else if pf := (*mpi.ProcFailedError)(nil); !errors.As(err, &pf) {
+			break
+		}
+		err = nil // a replica that died in transit is covered by the others
 	}
-	// Wait in posting order, keeping the copies that arrived in place.
-	got := posted[:0]
-	var hard error
-	var pf *mpi.ProcFailedError
-	for _, p := range posted {
-		_, err := c.world.Wait(p.req)
-		switch {
-		case err == nil:
-			p.msg = p.req.TakeMsg()
-			got = append(got, p)
-		case !errors.As(err, &pf) && hard == nil:
-			hard = err
+	if err == nil && st.delivered == 0 {
+		err = &ReplicaFailedError{Logical: dst, Op: "send"}
+	}
+	*st = SendState{send: st.send}
+	return true, nil, err
+}
+
+// RecvState carries one replicated receive across program steps: the step
+// form of Recv. Zero value ready; reused receive after receive.
+type RecvState struct {
+	copies []replicaCopy // posted, in replica order; the delivered ones move to the front
+	next   int           // copies[next] is the one waited on
+	got    int           // copies[:got] delivered
+	armed  bool          // ws waits on copies[next]
+	hard   error         // the first error that is no process failure
+	ws     mpi.WaitState
+}
+
+// RecvStep advances a replicated receive. The first call posts a receive
+// to every source replica not already known dead; each copy is then waited
+// on in posting order and, once all have completed, the copies are voted
+// on. A replica that died unnotified completes its receive with a
+// process-failure error after the detection timeout, so the wait never
+// deadlocks — and a copy the replica sent before dying still matches and
+// delivers. It returns done == false with the park value to return from
+// Prog.Step; pass the same arguments on every call until it reports done
+// with what Recv returns.
+func (c *Comm) RecvStep(st *RecvState, src, tag int) (done bool, park any, msg *mpi.Message, err error) {
+	if err := c.check("source", src, tag); err != nil {
+		return true, nil, nil, err
+	}
+	if len(st.copies) == 0 { // a receive that parked holds a copy
+		for k := 0; k < c.r; k++ {
+			w := c.worldRankOf(src, k)
+			if c.env.PeerFailed(w) {
+				continue
+			}
+			req, err := c.world.Irecv(w, tag)
+			if err != nil {
+				// Wait out what was already posted (copies arrive or
+				// failure timeouts fire), then surface the posting error.
+				st.hard = err
+				break
+			}
+			st.copies = append(st.copies, replicaCopy{replica: k, req: req})
+		}
+	}
+	for ; st.next < len(st.copies); st.next++ {
+		p := &st.copies[st.next]
+		if !st.armed {
+			st.ws.Begin(p.req)
+			st.armed = true
+		}
+		if done, park, err = c.world.WaitallStep(&st.ws); !done {
+			return false, park, nil, nil
+		}
+		st.armed = false
+		if err == nil {
+			st.copies[st.got] = *p
+			st.got++
+			continue
+		}
+		if pf := (*mpi.ProcFailedError)(nil); !errors.As(err, &pf) && st.hard == nil {
+			st.hard = err
 		}
 		c.world.Free(p.req)
 	}
-	if hard != nil {
-		for _, p := range got {
-			p.msg.Release()
+	// Vote on the delivered copies and take the chosen one's message;
+	// freeing the requests releases every other copy.
+	got := st.copies[:st.got]
+	if err = st.hard; err == nil && len(got) == 0 {
+		err = &ReplicaFailedError{Logical: src, Op: "recv"}
+	} else if err == nil {
+		data := make([][]byte, len(got))
+		for i, p := range got {
+			data[i] = p.req.Msg().Data
 		}
-		return nil, hard
-	}
-	if len(got) == 0 {
-		return nil, &ReplicaFailedError{Logical: src, Op: "recv"}
-	}
-	data := make([][]byte, len(got))
-	for i, p := range got {
-		data[i] = p.msg.Data
-	}
-	chosen, outvoted, mismatch := vote(data)
-	for i, p := range got {
-		if i != chosen {
-			p.msg.Release()
+		chosen, outvoted, mismatch := vote(data)
+		msg = got[chosen].req.TakeMsg()
+		if mismatch {
+			for i, j := range outvoted {
+				outvoted[i] = got[j].replica
+			}
+			err = &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: outvoted}
 		}
 	}
-	if !mismatch {
-		return got[chosen].msg, nil
+	for _, p := range got {
+		c.world.Free(p.req)
 	}
-	for i, j := range outvoted {
-		outvoted[i] = got[j].replica
-	}
-	return got[chosen].msg, &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: outvoted}
+	clear(st.copies)
+	*st = RecvState{copies: st.copies[:0], ws: st.ws}
+	return true, nil, msg, err
 }
 
-// replicaCopy is one receive Recv posted: the source replica it names,
-// its request, and the copy it delivered (nil until it arrives).
+// replicaCopy is one receive RecvStep posted: the source replica it names
+// and its request.
 type replicaCopy struct {
 	replica int
 	req     *mpi.Request
-	msg     *mpi.Message
 }
 
 // vote groups copies, at least one, by their bytes in one pass. mismatch

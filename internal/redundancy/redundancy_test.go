@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -20,34 +21,7 @@ import (
 // runDMR runs app on a 2×logical world.
 func runDMR(t *testing.T, logical int, app func(*mpi.Env, *Comm)) *core.Result {
 	t.Helper()
-	n := 2 * logical
-	eng, err := core.New(core.Config{NumVPs: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := &netmodel.Model{
-		Topo:           topology.NewFullyConnected(n),
-		System:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		OnNode:         netmodel.LinkParams{Latency: vclock.Microsecond, Bandwidth: 1e9, DetectionTimeout: 10 * vclock.Millisecond},
-		EagerThreshold: 256 * 1024,
-	}
-	w, err := mpi.NewWorld(eng, mpi.WorldConfig{Net: net, Proc: procmodel.Paper()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run(func(e *mpi.Env) {
-		defer e.Finalize()
-		dmr, err := WrapN(e, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		app(e, dmr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runReplicated(t, logical, 2, nil, app)
 }
 
 func TestGeometry(t *testing.T) {
@@ -151,22 +125,19 @@ func TestBitFlipDetected(t *testing.T) {
 }
 
 func TestSendRecvValidation(t *testing.T) {
-	runDMR(t, 2, func(e *mpi.Env, d *Comm) {
-		if err := d.Send(5, 0, nil); err == nil {
-			t.Error("out-of-range logical dst should fail")
-		}
-		if _, err := d.Recv(-1, 0); err == nil {
-			t.Error("out-of-range logical src should fail")
-		}
-	})
+	// An out-of-range logical rank is refused before any message moves.
+	bad := []string{"send to 5: redundancy: destination 5 out of range [0,2)", `recv from -1: "" redundancy: source -1 out of range [0,2)`}
+	scenario{logical: 2, r: 2, script: func(*Comm) []op {
+		return []op{send(5, 0, nil), recv(-1, 0)}
+	}}.expect(t, map[int][]string{0: bad, 1: bad, 2: bad, 3: bad})
 }
 
-// runReplicated runs app on an r×logical world with optional injected
-// process failures (world rank → failure time).
-func runReplicated(t *testing.T, logical, r int, failures map[int]vclock.Time, app func(*mpi.Env, *Comm)) *core.Result {
+// replicatedWorld builds an r×logical world on workers workers with
+// optional injected process failures (world rank → failure time).
+func replicatedWorld(t *testing.T, logical, r, workers int, failures map[int]vclock.Time) *mpi.World {
 	t.Helper()
 	n := r * logical
-	eng, err := core.New(core.Config{NumVPs: n})
+	eng, err := core.New(core.Config{NumVPs: n, Workers: workers, Lookahead: vclock.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +156,14 @@ func runReplicated(t *testing.T, logical, r int, failures map[int]vclock.Time, a
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Run(func(e *mpi.Env) {
+	return w
+}
+
+// runReplicated runs app on an r×logical world with optional injected
+// process failures (world rank → failure time).
+func runReplicated(t *testing.T, logical, r int, failures map[int]vclock.Time, app func(*mpi.Env, *Comm)) *core.Result {
+	t.Helper()
+	res, err := replicatedWorld(t, logical, r, 1, failures).Run(func(e *mpi.Env) {
 		defer e.Finalize()
 		c, err := WrapN(e, r)
 		if err != nil {
@@ -285,38 +263,21 @@ func TestMirrorCleanDelivery(t *testing.T) {
 func TestMirrorTripleVotesAndCorrects(t *testing.T) {
 	// At r = 3 the Mirror receiver holds all three copies: the vote both
 	// attributes the corruption and hands the caller majority data.
-	got := make([]string, 6)
-	blamed := make([][]int, 6)
-	runReplicated(t, 2, 3, nil, func(e *mpi.Env, c *Comm) {
-		if c.Logical() == 0 {
-			payload := []byte("good-data")
-			if c.Replica() == 1 {
-				payload = []byte("bad--data")
-			}
-			if err := c.Send(1, 0, payload); err != nil {
-				t.Errorf("send: %v", err)
-			}
-		} else {
-			msg, err := c.Recv(0, 0)
-			var sdc *SDCError
-			if errors.As(err, &sdc) {
-				blamed[e.Rank()] = sdc.Corrupt
-			} else if err != nil {
-				t.Errorf("recv: %v", err)
-				return
-			}
-			got[e.Rank()] = string(msg.Data)
-			msg.Release()
-		}
-	})
-	for _, rank := range []int{1, 3, 5} {
-		if got[rank] != "good-data" {
-			t.Errorf("rank %d got %q, want majority data", rank, got[rank])
-		}
-		if len(blamed[rank]) != 1 || blamed[rank][0] != 1 {
-			t.Errorf("rank %d blamed %v, want [1]", rank, blamed[rank])
-		}
+	sent := []string{"send to 1: <nil>"}
+	voted := func(replica int) []string {
+		return []string{fmt.Sprintf(`recv from 0: "good-data" %v corrupt=[]int{1}`,
+			&SDCError{LogicalSrc: 0, Tag: 0, Replica: replica})}
 	}
+	scenario{logical: 2, r: 3, script: func(c *Comm) []op {
+		if c.Logical() == 1 {
+			return []op{recv(0, 0)}
+		}
+		payload := []byte("good-data")
+		if c.Replica() == 1 {
+			payload = []byte("bad--data")
+		}
+		return []op{send(1, 0, payload)}
+	}}.expect(t, map[int][]string{0: sent, 2: sent, 4: sent, 1: voted(0), 3: voted(1), 5: voted(2)})
 }
 
 func TestVoteSeesLastByteOfLargePayload(t *testing.T) {
@@ -365,23 +326,19 @@ func TestMirrorFailoverSurvivesReplicaDeath(t *testing.T) {
 	// the Mirror protocol keeps the logical rank alive through replica 0,
 	// and the whole 5-iteration ping-pong completes without a deadlock.
 	const iters = 5
-	failures := map[int]vclock.Time{3: vclock.Time(2500 * vclock.Microsecond)}
-	res := runReplicated(t, 2, 2, failures, func(e *mpi.Env, c *Comm) {
-		for i := 0; i < iters; i++ {
-			e.Elapse(vclock.Millisecond)
-			peer := 1 - c.Logical()
-			if err := c.Send(peer, 0, []byte("ping")); err != nil {
-				t.Errorf("rank %d iter %d send: %v", e.Rank(), i, err)
-				return
+	pingPong := func(peer int) []string {
+		return slices.Repeat([]string{fmt.Sprintf("send to %d: <nil>", peer), fmt.Sprintf(`recv from %d: "ping" <nil>`, peer)}, iters)
+	}
+	res := scenario{logical: 2, r: 2,
+		failures: map[int]vclock.Time{3: vclock.Time(2500 * vclock.Microsecond)},
+		script: func(c *Comm) []op {
+			var ops []op
+			for range iters {
+				peer := 1 - c.Logical()
+				ops = append(ops, elapse(vclock.Millisecond), send(peer, 0, []byte("ping")), recv(peer, 0))
 			}
-			msg, err := c.Recv(peer, 0)
-			if err != nil {
-				t.Errorf("rank %d iter %d recv: %v", e.Rank(), i, err)
-				return
-			}
-			msg.Release()
-		}
-	})
+			return ops
+		}}.expect(t, map[int][]string{0: pingPong(1), 1: pingPong(0), 2: pingPong(1)})
 	if res.Completed != 3 || res.Failed != 1 {
 		t.Fatalf("completed=%d failed=%d, want 3/1", res.Completed, res.Failed)
 	}
@@ -391,32 +348,15 @@ func TestMirrorAllReplicasDead(t *testing.T) {
 	// Both replicas of logical rank 0 die before sending: the receiver's
 	// Recv must return ReplicaFailedError once the timeouts expire, not
 	// hang.
-	failures := map[int]vclock.Time{
-		0: vclock.Time(100 * vclock.Microsecond),
-		2: vclock.Time(200 * vclock.Microsecond),
-	}
-	sawExhaustion := false
-	res := runReplicated(t, 2, 2, failures, func(e *mpi.Env, c *Comm) {
-		if c.Logical() == 0 {
-			e.Elapse(vclock.Second) // die before ever sending
-			return
-		}
-		_, err := c.Recv(0, 0)
-		var rfe *ReplicaFailedError
-		if errors.As(err, &rfe) {
-			if rfe.Logical != 0 || rfe.Op != "recv" {
-				t.Errorf("exhaustion error = %+v", rfe)
+	exhausted := []string{fmt.Sprintf(`recv from 0: "" %v`, &ReplicaFailedError{Logical: 0, Op: "recv"})}
+	res := scenario{logical: 2, r: 2,
+		failures: map[int]vclock.Time{0: vclock.Time(100 * vclock.Microsecond), 2: vclock.Time(200 * vclock.Microsecond)},
+		script: func(c *Comm) []op {
+			if c.Logical() == 0 {
+				return []op{elapse(vclock.Second)} // die before ever sending
 			}
-			if e.Rank() == 1 {
-				sawExhaustion = true
-			}
-		} else {
-			t.Errorf("rank %d: got %v, want ReplicaFailedError", e.Rank(), err)
-		}
-	})
-	if !sawExhaustion {
-		t.Fatal("receiver never observed replica exhaustion")
-	}
+			return []op{recv(0, 0)}
+		}}.expect(t, map[int][]string{0: nil, 2: nil, 1: exhausted, 3: exhausted})
 	if res.Failed != 2 {
 		t.Fatalf("failed = %d, want 2", res.Failed)
 	}
@@ -427,36 +367,22 @@ func TestNoMajorityWithDeadReplica(t *testing.T) {
 	// 1 and 2 send different bytes: two copies against each other are no
 	// majority, so every receiver replica detects without attributing and
 	// gets the first copy that arrived, replica 1's.
-	failures := map[int]vclock.Time{0: vclock.Time(100 * vclock.Microsecond)}
-	got := make([]string, 6)
-	runReplicated(t, 2, 3, failures, func(e *mpi.Env, c *Comm) {
-		if c.Logical() == 0 {
-			if c.Replica() == 0 {
-				e.Elapse(vclock.Second) // die before ever sending
-				return
-			}
-			if err := c.Send(1, 0, []byte{byte('0' + c.Replica())}); err != nil {
-				t.Errorf("rank %d send: %v", e.Rank(), err)
-			}
-			return
-		}
-		msg, err := c.Recv(0, 0)
-		var sdc *SDCError
-		if !errors.As(err, &sdc) {
-			t.Errorf("rank %d: recv err = %v, want *SDCError", e.Rank(), err)
-			return
-		}
-		if sdc.Corrupt != nil {
-			t.Errorf("rank %d blamed %v, want nil without a majority", e.Rank(), sdc.Corrupt)
-		}
-		got[e.Rank()] = string(msg.Data)
-		msg.Release()
-	})
-	for _, rank := range []int{1, 3, 5} {
-		if got[rank] != "1" {
-			t.Errorf("rank %d got %q, want replica 1's copy", rank, got[rank])
-		}
+	sent := []string{"send to 1: <nil>"}
+	split := func(replica int) []string {
+		return []string{fmt.Sprintf(`recv from 0: "1" %v corrupt=[]int(nil)`,
+			&SDCError{LogicalSrc: 0, Tag: 0, Replica: replica})}
 	}
+	scenario{logical: 2, r: 3,
+		failures: map[int]vclock.Time{0: vclock.Time(100 * vclock.Microsecond)},
+		script: func(c *Comm) []op {
+			switch {
+			case c.Logical() == 1:
+				return []op{recv(0, 0)}
+			case c.Replica() == 0:
+				return []op{elapse(vclock.Second)} // die before ever sending
+			}
+			return []op{send(1, 0, []byte{byte('0' + c.Replica())})}
+		}}.expect(t, map[int][]string{0: nil, 2: sent, 4: sent, 1: split(0), 3: split(1), 5: split(2)})
 }
 
 func TestCovered(t *testing.T) {

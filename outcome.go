@@ -189,9 +189,11 @@ func (s *CampaignSpec) RunRendered(ctx context.Context, opt RunOptions) (*Campai
 	out := &CampaignOutcome{Version: SpecVersion, Kind: c.Kind}
 	// Validate accepted the kind and Normalize created its block.
 	block, rs := kindRow(c.Kind).get(c, false), c.runSpec(opt)
-	if err := block.run(ctx, rs, out); err != nil {
+	stats, err := block.run(ctx, rs, out)
+	if err != nil {
 		return nil, "", err
 	}
+	out.SimTimeNS = int64(stats.SimTime)
 	return out, block.render(rs, out), nil
 }
 

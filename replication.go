@@ -7,140 +7,132 @@ import (
 	"xsim/internal/redundancy"
 )
 
-// replicatedStencil parameterises the replication crossover's
-// application, a heat-proxy stencil: a ring halo exchange whose every
-// logical rank is backed by Degree replicas through the redundancy layer's
-// communicator, so injected process failures are absorbed as long as one
-// replica of each logical rank survives. The total problem size is fixed:
-// at degree r the world splits into Ranks/r logical ranks that each carry
-// r× the per-rank work, which is what makes the replication arms
-// comparable to the unreplicated checkpoint arm. Every field but the
-// checkpoint ones must be set.
-type replicatedStencil struct {
-	// Degree is the replication degree r (1 = unreplicated baseline).
-	Degree int
-	// Iterations is the iteration count of the full solve.
-	Iterations int
-	// ComputePerIteration is the per-iteration compute time of one
-	// logical rank at degree 1; at degree r every replica computes r×
-	// this (fixed total problem over fewer logical ranks).
-	ComputePerIteration Duration
-	// HaloBytes is the per-direction halo payload (and the synthetic
-	// per-rank checkpoint size). It must not exceed the network's
-	// EagerThreshold: every rank sends both halos before it receives
-	// either, and a rendezvous send waits for its matching receive, so
-	// larger halos deadlock the ring.
-	HaloBytes int
-	// CheckpointInterval checkpoints every k iterations (0 disables).
-	CheckpointInterval int
-	// CheckpointCost is the simulated cost of writing one checkpoint
-	// (Daly's δ), charged explicitly so the zero-cost file-system model
-	// still produces the checkpoint/restart trade-off.
-	CheckpointCost Duration
-	// RestartCost is charged once at the start of every restarted run
-	// (Daly's R).
-	RestartCost Duration
-}
-
 // replPrefix names the replicated stencil's checkpoint files.
 const replPrefix = "repl"
 
-// Halo tags of the replicated stencil.
-const (
-	tagHaloRight = 0
-	tagHaloLeft  = 1
-)
+// haloHops is one iteration's ring exchange through the replicated
+// communicator, in order: both halos out, then both in. A hop's peer is
+// dir logical ranks away; tag 0 carries the rightward halo, tag 1 the
+// leftward one.
+var haloHops = [...]struct {
+	send     bool
+	dir, tag int
+}{{send: true, dir: 1, tag: 0}, {send: true, dir: -1, tag: 1}, {dir: -1, tag: 0}, {dir: 1, tag: 1}}
 
-// runReplicatedStencil returns the replicated stencil application: every
-// iteration computes, exchanges ring halos through an r-way replicated
-// communicator, and optionally checkpoints. A process failure is absorbed
-// by the surviving replicas of the failed logical rank; only when every
-// replica of some logical rank has died does the application abort (and a
-// Campaign with Replicas set to the degree restarts it from the latest
-// replica-covered checkpoint, with continuous virtual time).
-func runReplicatedStencil(cfg replicatedStencil) App {
-	return func(env *Env) {
-		defer env.Finalize()
-		rc, err := redundancy.WrapN(env, cfg.Degree)
+// newReplicatedStencil returns the replication crossover's application, a
+// heat-proxy stencil, one program per rank: every iteration computes,
+// exchanges ring halos of p.HaloBytes (the synthetic checkpoint size too)
+// through a degree-way replicated communicator, and every interval
+// iterations (0 = never) checkpoints at p.CheckpointSeconds (Daly's δ,
+// charged explicitly so the zero-cost file system still produces the
+// checkpoint/restart trade-off); a restarted run first charges
+// p.RestartSeconds (Daly's R). The total problem is fixed: at degree r
+// the world splits into Ranks/r logical ranks that each compute r×
+// p.ComputeSeconds per iteration, which is what makes the replication
+// arms comparable to the unreplicated checkpoint arm. A process failure
+// is absorbed by the surviving replicas of the failed logical rank; only
+// when every replica of some logical rank has died does the application
+// abort (and a Campaign with Replicas set to the degree restarts it from
+// the latest replica-covered checkpoint, with continuous virtual time).
+func newReplicatedStencil(p CrossoverParams, degree, interval int) func(rank int) Prog {
+	// The halo is only ever read (an eager send copies it), so every rank
+	// sends the same zero bytes.
+	halo := make([]byte, p.HaloBytes)
+	return func(int) Prog { return &stencilRank{cfg: &p, degree: degree, interval: interval, halo: halo} }
+}
+
+// stencilRank is one rank of the replicated stencil as a resumable state
+// machine; rc is nil until the first step. Once an iteration has
+// computed, exchanging holds until its last halo hop (hop indexes
+// haloHops) completes.
+type stencilRank struct {
+	cfg              *CrossoverParams
+	degree, interval int
+	halo             []byte
+	rc               *redundancy.Comm
+	fs               *CheckpointFS
+	iter, hop        int
+	exchanging       bool
+	send             redundancy.SendState
+	recv             redundancy.RecvState
+}
+
+// Step advances the rank: setup on the first call, then one iteration's
+// compute, halo hops and checkpoint per pass of the loop.
+func (p *stencilRank) Step(env *Env, _ any) (any, bool) {
+	if p.rc == nil {
+		// Wrap the world and resume from the latest replica-covered
+		// checkpoint. The restart bookkeeping happens before any virtual
+		// time passes, so every rank resumes from the same iteration: the
+		// scan sees the store exactly as the previous run left it.
+		rc, err := redundancy.WrapN(env, p.degree)
+		if err == nil && p.interval > 0 {
+			p.fs, err = NewCheckpointFS(env)
+		}
 		if err != nil {
 			env.Logf("replicated stencil: %v", err)
 			env.Abort(2)
-			return
 		}
-		n := rc.Size()
-		me := rc.Logical()
-
-		// Restart bookkeeping happens before any virtual time passes, so
-		// every rank resumes from the same iteration: the scan sees the
-		// store exactly as the previous run left it.
-		store := env.FSStore()
-		ckpts := cfg.CheckpointInterval > 0
-		startIter := 0
-		if ckpts {
-			startIter = latestReplicatedCheckpoint(store, replPrefix, n, cfg.Degree)
+		p.rc = rc
+		if p.interval > 0 {
+			p.iter = latestReplicatedCheckpoint(env.FSStore(), replPrefix, rc.Size(), p.degree)
 		}
-		if _, restarted := checkpoint.LoadExitTime(store); restarted && cfg.RestartCost > 0 {
-			env.Elapse(cfg.RestartCost)
+		if _, restarted := checkpoint.LoadExitTime(env.FSStore()); restarted && Seconds(p.cfg.RestartSeconds) > 0 {
+			env.Elapse(Seconds(p.cfg.RestartSeconds))
 		}
-		var fs *CheckpointFS
-		if ckpts {
-			fs, err = NewCheckpointFS(env)
-			if err != nil {
-				env.Logf("replicated stencil: %v", err)
-				env.Abort(2)
-				return
+	}
+	for ; p.iter < p.cfg.Iterations; p.iter++ {
+		if !p.exchanging {
+			env.Elapse(Duration(p.degree) * Seconds(p.cfg.ComputeSeconds))
+			p.exchanging = true
+		}
+		for n := p.rc.Size(); p.hop < len(haloHops) && n > 1; p.hop++ {
+			h := haloHops[p.hop]
+			peer := (p.rc.Logical() + h.dir + n) % n
+			if h.send {
+				done, park, err := p.rc.SendStep(&p.send, peer, h.tag, p.halo)
+				if !done {
+					return park, false
+				}
+				if err != nil {
+					p.abort(env, err)
+				}
+				continue
 			}
-		}
-
-		abort := func(err error) {
-			env.Logf("replicated stencil: rank %d (logical %d replica %d): %v",
-				env.Rank(), me, rc.Replica(), err)
-			env.Abort(1)
-		}
-		// drain consumes one halo: silent-data-corruption reports carry
-		// the message and do not stop the solve; everything else (a
-		// logical rank with no live replicas, above all) aborts the run.
-		drain := func(src, tag int) bool {
-			msg, err := rc.Recv(src, tag)
+			// Silent-data-corruption reports carry the message and do not
+			// stop the solve; everything else (a logical rank with no live
+			// replicas, above all) aborts the run.
+			done, park, msg, err := p.rc.RecvStep(&p.recv, peer, h.tag)
+			if !done {
+				return park, false
+			}
 			var sdc *redundancy.SDCError
 			if err != nil && !errors.As(err, &sdc) {
-				abort(err)
-				return false
+				p.abort(env, err)
 			}
 			msg.Release()
-			return true
 		}
-
-		halo := make([]byte, cfg.HaloBytes)
-		right := (me + 1) % n
-		left := (me - 1 + n) % n
-		for iter := startIter; iter < cfg.Iterations; iter++ {
-			env.Elapse(Duration(cfg.Degree) * cfg.ComputePerIteration)
-			if n > 1 {
-				if err := rc.Send(right, tagHaloRight, halo); err != nil {
-					abort(err)
-					return
-				}
-				if err := rc.Send(left, tagHaloLeft, halo); err != nil {
-					abort(err)
-					return
-				}
-				if !drain(left, tagHaloRight) || !drain(right, tagHaloLeft) {
-					return
-				}
+		p.hop, p.exchanging = 0, false
+		if done := p.iter + 1; p.fs != nil && done%p.interval == 0 && done < p.cfg.Iterations {
+			if cost := Seconds(p.cfg.CheckpointSeconds); cost > 0 {
+				env.Elapse(cost)
 			}
-			if done := iter + 1; ckpts && done%cfg.CheckpointInterval == 0 && done < cfg.Iterations {
-				if cfg.CheckpointCost > 0 {
-					env.Elapse(cfg.CheckpointCost)
-				}
-				meta := CheckpointMeta{Iteration: done, Rank: env.Rank(), PayloadSize: cfg.HaloBytes}
-				if err := fs.WriteSized(replPrefix, meta, cfg.HaloBytes); err != nil {
-					abort(err)
-					return
-				}
+			meta := CheckpointMeta{Iteration: done, Rank: env.Rank(), PayloadSize: p.cfg.HaloBytes}
+			if err := p.fs.WriteSized(replPrefix, meta, p.cfg.HaloBytes); err != nil {
+				p.abort(env, err)
 			}
 		}
 	}
+	env.Finalize()
+	return nil, true
+}
+
+// abort ends the run from this rank: err leaves some logical rank, or
+// this one's checkpoint, beyond repair.
+func (p *stencilRank) abort(env *Env, err error) {
+	env.Logf("replicated stencil: rank %d (logical %d replica %d): %v",
+		env.Rank(), p.rc.Logical(), p.rc.Replica(), err)
+	env.Abort(1)
 }
 
 // latestReplicatedCheckpoint returns the highest checkpointed iteration at

@@ -2,6 +2,8 @@ package xsim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"xsim/internal/checkpoint"
@@ -144,14 +146,7 @@ func TestReplicaAwareCleanupKeepsCoveredSets(t *testing.T) {
 func TestReplicatedFailoverThenRestart(t *testing.T) {
 	const ranks, degree = 8, 2
 	run := func(interval int) *CampaignResult {
-		sc := replicatedStencil{
-			Degree:              degree,
-			Iterations:          10,
-			ComputePerIteration: Seconds(1),
-			HaloBytes:           256,
-			CheckpointInterval:  interval,
-			CheckpointCost:      100 * Millisecond,
-		}
+		sc := CrossoverParams{Iterations: 10, ComputeSeconds: 1, HaloBytes: 256, CheckpointSeconds: 0.1}
 		camp := Campaign{
 			Base: Config{
 				Ranks: ranks,
@@ -162,7 +157,7 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 			},
 			Replicas:         degree,
 			CheckpointPrefix: replPrefix,
-			AppFor:           func(int) App { return runReplicatedStencil(sc) },
+			AppFor:           func(int) App { return stencilApp(sc, degree, interval) },
 		}
 		res, err := camp.Run()
 		if err != nil {
@@ -181,6 +176,117 @@ func TestReplicatedFailoverThenRestart(t *testing.T) {
 	}
 }
 
+// stencilApp drives the replicated stencil's programs on closure VPs, the
+// way setApp installs them outside program mode.
+func stencilApp(sc CrossoverParams, degree, interval int) App {
+	var camp Campaign
+	setApp(&camp, newReplicatedStencil(sc, degree, interval), false)
+	return camp.AppFor(0)
+}
+
+// TestReplicatedStencilDriversAgree runs one replicated stencil through
+// Sim.RunProgs on program VPs and through Env.RunProg on closure VPs, at
+// Workers 1 and 2 and degrees 2 and 3, with no failure, with one replica
+// of logical rank 1 failing (failover), and with every replica of it
+// failing (abort). Every run must match the closure run at Workers 1 rank
+// for rank: final clock, death, busy and waited time. The abort schedule
+// also runs as a replicated campaign, which restarts from the
+// replica-covered checkpoint; the two modes must agree on its runs, its
+// E2 and every rank's busy and waited time.
+func TestReplicatedStencilDriversAgree(t *testing.T) {
+	const logical = 4
+	for _, degree := range []int{2, 3} {
+		ranks := logical * degree
+		sc := CrossoverParams{Iterations: 10, ComputeSeconds: 1, HaloBytes: 256, CheckpointSeconds: 0.1, RestartSeconds: 0.3}
+		// Replica k of logical rank 1 is world rank 1 + k·logical; the
+		// replicas die 2 s apart, starting inside the third iteration.
+		exhaust := Schedule{}
+		for k := range degree {
+			exhaust = append(exhaust, Injection{Rank: 1 + k*logical, At: Time(2500*Millisecond + Duration(k)*2*Second)})
+		}
+		schedules := []struct {
+			name     string
+			failures Schedule
+		}{
+			{"none", nil},
+			{"failover", exhaust[:1]},
+			{"exhaustion", exhaust},
+		}
+		for _, sched := range schedules {
+			t.Run(fmt.Sprintf("r=%d/%s", degree, sched.name), func(t *testing.T) {
+				var ref *Result
+				for _, prog := range []bool{false, true} {
+					for _, workers := range []int{1, 2} {
+						var camp Campaign
+						setApp(&camp, newReplicatedStencil(sc, degree, 2), prog)
+						sim, err := New(Config{Ranks: ranks, Workers: workers, Failures: sched.failures})
+						if err != nil {
+							t.Fatal(err)
+						}
+						var res *Result
+						if prog {
+							res, err = sim.RunProgs(camp.ProgFor(0))
+						} else {
+							res, err = sim.Run(camp.AppFor(0))
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref == nil {
+							ref = res
+							continue
+						}
+						for r := range ranks {
+							if res.PerRank[r] != ref.PerRank[r] || res.Deaths[r] != ref.Deaths[r] ||
+								res.Busy[r] != ref.Busy[r] || res.Waited[r] != ref.Waited[r] {
+								t.Errorf("prog=%v workers=%d rank %d: clock %v death %s busy %v waited %v, want %v %s %v %v",
+									prog, workers, r, res.PerRank[r], res.Deaths[r], res.Busy[r], res.Waited[r],
+									ref.PerRank[r], ref.Deaths[r], ref.Busy[r], ref.Waited[r])
+							}
+						}
+					}
+				}
+				wantAborted := sched.name == "exhaustion"
+				if (ref.Aborted > 0) != wantAborted || ref.Failed != len(sched.failures) {
+					t.Fatalf("failed=%d aborted=%d, want %d failed and aborted=%v (deaths: %v)",
+						ref.Failed, ref.Aborted, len(sched.failures), wantAborted, ref.Deaths)
+				}
+				if !wantAborted {
+					return
+				}
+				var want *CampaignResult
+				for _, prog := range []bool{false, true} {
+					for _, workers := range []int{1, 2} {
+						camp := Campaign{
+							Base:             Config{Ranks: ranks, Workers: workers, Failures: sched.failures},
+							Replicas:         degree,
+							CheckpointPrefix: replPrefix,
+						}
+						setApp(&camp, newReplicatedStencil(sc, degree, 2), prog)
+						res, err := camp.Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Done || len(res.Runs) != 2 {
+							t.Fatalf("prog=%v workers=%d: campaign %+v, want done in 2 runs", prog, workers, res)
+						}
+						if want == nil {
+							want = res
+							continue
+						}
+						if !reflect.DeepEqual(res.Runs, want.Runs) || res.E2 != want.E2 || res.Failures != want.Failures ||
+							!reflect.DeepEqual(res.Busy, want.Busy) || !reflect.DeepEqual(res.Waited, want.Waited) {
+							t.Errorf("prog=%v workers=%d: campaign runs %+v E2 %v F %d busy %v waited %v, want %+v %v %d %v %v",
+								prog, workers, res.Runs, res.E2, res.Failures, res.Busy, res.Waited,
+								want.Runs, want.E2, want.Failures, want.Busy, want.Waited)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // replicated returns the run-completion test of a campaign at the given
 // replication degree.
 func replicated(ranks, degree int) func(*Result) bool {
@@ -194,12 +300,7 @@ func TestReplicatedStencilFailoverRun(t *testing.T) {
 	// restart and the replicated campaign accepts it while Result.Success
 	// does not.
 	const ranks, degree = 8, 2
-	sc := replicatedStencil{
-		Degree:              degree,
-		Iterations:          10,
-		ComputePerIteration: Seconds(1),
-		HaloBytes:           256,
-	}
+	sc := CrossoverParams{Iterations: 10, ComputeSeconds: 1, HaloBytes: 256}
 	sim, err := New(Config{
 		Ranks: ranks,
 		Failures: Schedule{
@@ -210,7 +311,7 @@ func TestReplicatedStencilFailoverRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(runReplicatedStencil(sc))
+	res, err := sim.Run(stencilApp(sc, degree, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +332,7 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	// exhausted replica group and abort rather than hang, and the
 	// replicated campaign must demand a restart.
 	const ranks, degree = 8, 2
-	sc := replicatedStencil{
-		Degree:              degree,
-		Iterations:          10,
-		ComputePerIteration: Seconds(1),
-		HaloBytes:           256,
-	}
+	sc := CrossoverParams{Iterations: 10, ComputeSeconds: 1, HaloBytes: 256}
 	sim, err := New(Config{
 		Ranks: ranks,
 		Failures: Schedule{
@@ -247,7 +343,7 @@ func TestReplicatedStencilExhaustionAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(runReplicatedStencil(sc))
+	res, err := sim.Run(stencilApp(sc, degree, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,11 @@ type RunSpec struct {
 	// Pool caps the number of simulation runs in flight (0 = the
 	// GOMAXPROCS/Workers composition; 1 = sequential execution).
 	Pool int
-	// ProgMode runs the experiment's simulated applications in program
-	// mode (resumable per-rank state machines instead of goroutine-backed
-	// closures) where the driver supports it. The two modes are
-	// observationally identical; program mode cuts per-rank memory from a
-	// goroutine stack to a few hundred bytes, which is what makes the
-	// headline experiments practical at 256k–1M ranks.
+	// ProgMode steps every kind's per-rank programs on program VPs;
+	// unset, closure VPs drive the same programs (Env.RunProg). The two
+	// modes are observationally identical; program mode cuts per-rank
+	// memory from a goroutine stack to a few hundred bytes, which is what
+	// makes the experiments practical at 256k–1M ranks.
 	ProgMode bool
 	// OnProgress, when set, receives one serialized ProgressEvent per
 	// run state change of the campaign pool (started, completed, failed)

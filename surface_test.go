@@ -57,14 +57,17 @@ var surfaceBlocks = map[string]func(rs *RunSpec) kindBlock{
 
 // runBlock runs a parameter block on a trunk built in Go the way
 // RunRendered runs a spec's: the block's defaults, then its driver, then
-// its rendering. Unless rs.ProgMode is set, the heat ranks run as closure
-// VPs.
+// its rendering. Unless rs.ProgMode is set, every kind's simulated ranks
+// run as closure VPs, each driving the kind's program through
+// Env.RunProg.
 func runBlock(ctx context.Context, rs RunSpec, block kindBlock) (*CampaignOutcome, string, error) {
 	block.defaults(&rs)
 	out := &CampaignOutcome{Version: SpecVersion}
-	if err := block.run(ctx, rs, out); err != nil {
+	stats, err := block.run(ctx, rs, out)
+	if err != nil {
 		return nil, "", err
 	}
+	out.SimTimeNS = int64(stats.SimTime)
 	return out, block.render(rs, out), nil
 }
 
@@ -168,23 +171,40 @@ func TestCampaignSurfaceMatchesGolden(t *testing.T) {
 }
 
 // TestWireCampaignsRunProgramVPs pins the execution mode of the one front
-// door: the trunk every kind's block runs on is a program-mode one, and a
-// small table2 campaign steps state machines without ever borrowing a carrier
-// goroutine. (That the results are those of the closure-mode driver calls
-// is TestCampaignSurfaceMatchesGolden; the crossover's replicated stencil
-// is closure-only and ignores the mode.)
+// door: a wire spec's trunk is a program-mode one, and the surface spec of
+// every kind that simulates ranks steps state machines without ever
+// borrowing a carrier goroutine. (That the results are those of the
+// closure-mode driver calls is TestCampaignSurfaceMatchesGolden.)
 func TestWireCampaignsRunProgramVPs(t *testing.T) {
-	spec := &CampaignSpec{Kind: KindTableII, Ranks: 16, Seed: 133,
-		TableII: &TableIIParams{Iterations: 40, Intervals: []int{20}, MTTFSeconds: []float64{100}}}
-	rs := spec.runSpec(RunOptions{})
-	if !rs.ProgMode {
-		t.Error("a wire spec's trunk is a closure-mode RunSpec")
-	}
-	tab, err := RunTableIIContext(context.Background(), spec.TableII.config(rs))
+	specs, err := filepath.Glob(filepath.Join(surfaceDir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := tab.Stats.Engine; e.ProgramSteps == 0 || e.CarriersSpawned != 0 {
-		t.Errorf("engine ran %d program steps and spawned %d carriers, want only program steps", e.ProgramSteps, e.CarriersSpawned)
+	for _, path := range specs {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".json"), func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := DecodeCampaignSpec(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Normalize()
+			rs := spec.runSpec(RunOptions{})
+			if !rs.ProgMode {
+				t.Error("a wire spec's trunk is a closure-mode RunSpec")
+			}
+			stats, err := kindRow(spec.Kind).get(spec, false).run(context.Background(), rs, &CampaignOutcome{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec.Kind == KindTableI {
+				return // its victims are process-image models, not ranks
+			}
+			if e := stats.Engine; e.ProgramSteps == 0 || e.CarriersSpawned != 0 {
+				t.Errorf("engine ran %d program steps and spawned %d carriers, want only program steps", e.ProgramSteps, e.CarriersSpawned)
+			}
+		})
 	}
 }

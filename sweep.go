@@ -50,14 +50,10 @@ func (p *IntervalSweepParams) validate(_ int, v specChecker) []error {
 	return v.errs
 }
 
-func (p *IntervalSweepParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error {
+func (p *IntervalSweepParams) run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error) {
 	res, stats, err := runIntervalSweep(ctx, rs, *p)
-	if err != nil {
-		return err
-	}
-	out.SimTimeNS = int64(stats.SimTime)
 	out.Sweep = res
-	return nil
+	return stats, err
 }
 
 // runIntervalSweep measures E2 across checkpoint intervals and fits Daly's

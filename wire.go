@@ -181,9 +181,10 @@ type kindBlock interface {
 	// validate range-checks the block for a world of ranks (0 = the kind's
 	// default); the checker names every field under the block.
 	validate(ranks int, v specChecker) []error
-	// run executes the normalized, validated block on rs and fills the
-	// outcome's SimTimeNS and the kind's result block.
-	run(ctx context.Context, rs RunSpec, out *CampaignOutcome) error
+	// run executes the normalized, validated block on rs, fills the
+	// outcome's result block and returns the stats pooled over its
+	// simulations (zero for table1, which simulates no ranks).
+	run(ctx context.Context, rs RunSpec, out *CampaignOutcome) (CampaignStats, error)
 	// render prints the result block run filled as the table the CLI
 	// shows; rs and the block are the ones run was given.
 	render(rs RunSpec, out *CampaignOutcome) string
@@ -259,7 +260,7 @@ func (s *CampaignSpec) clone() *CampaignSpec {
 }
 
 // runSpec builds the RunSpec trunk the spec describes, attaching the
-// caller's logger and progress hook. A wire campaign always runs its heat
+// caller's logger and progress hook. A wire campaign always runs its
 // ranks as program VPs: the two modes are digest-identical, so the choice
 // is not part of the document.
 func (s *CampaignSpec) runSpec(opt RunOptions) RunSpec {

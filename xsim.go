@@ -528,8 +528,7 @@ func HeatWorkloadFor(n int) (HeatConfig, error) {
 	return cfg, nil
 }
 
-// RunHeat executes the heat application under cfg; it is the App used by
-// the Table II experiments.
+// RunHeat executes the heat application under cfg on closure VPs.
 func RunHeat(hc HeatConfig) App {
 	return func(e *Env) { heat.Run(e, hc) }
 }
