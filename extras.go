@@ -98,4 +98,10 @@ type CheckpointMeta = checkpoint.Meta
 // NewCheckpointFS returns the process's checkpoint file-system handle; the
 // simulation must have a file-system store (Config.Store is created by
 // default).
-func NewCheckpointFS(env *Env) (*CheckpointFS, error) { return checkpoint.NewFS(env) }
+func NewCheckpointFS(env *Env) (*CheckpointFS, error) {
+	fs, err := checkpoint.NewFS(env)
+	if err != nil {
+		return nil, err
+	}
+	return &fs, nil
+}

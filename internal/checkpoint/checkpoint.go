@@ -87,27 +87,19 @@ func key(prefix string, iteration, rank int) fsmodel.Key {
 // the cost model of the storage tier they touch, and a process failure
 // mid-write leaves a corrupted (incomplete) file behind. A flat file
 // system is a one-tier hierarchy, so every write, read and delete takes
-// the same path on any store.
+// the same path on any store. It is a value of one pointer: the store, the
+// hierarchy and the client count are the world's, read through the Env.
 type FS struct {
-	env     *mpi.Env
-	store   *fsmodel.Store
-	hier    fsmodel.Hierarchy
-	clients int
+	env *mpi.Env
 }
 
 // NewFS returns the process's file-system handle; the world must have been
 // configured with a file-system store.
-func NewFS(env *mpi.Env) (*FS, error) {
-	store := env.FSStore()
-	if store == nil {
-		return nil, errors.New("checkpoint: world has no file-system store")
+func NewFS(env *mpi.Env) (FS, error) {
+	if env.FSStore() == nil {
+		return FS{}, errors.New("checkpoint: world has no file-system store")
 	}
-	return &FS{
-		env:     env,
-		store:   store,
-		hier:    env.FSHierarchy(),
-		clients: env.Size(),
-	}, nil
+	return FS{env: env}, nil
 }
 
 // Write writes one rank's checkpoint: header, then payload, committed at
@@ -140,10 +132,11 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	// Staged write: the checkpoint commits to the fastest tier with room
 	// (usually node-local memory) at that tier's cost; drains to the
 	// deeper tiers are scheduled after Commit.
-	origin := fs.store.PlaceTier(fs.hier, meta.Rank, size)
-	tier := fs.hier[origin].Model
+	store := fs.env.FSStore()
+	origin := store.PlaceTier(fs.env.FSHierarchy(), meta.Rank, size)
+	tier := fs.env.FSHierarchy()[origin].Model
 	fs.env.Elapse(tier.MetadataCost())
-	w := fs.store.CreateKey(k, origin, meta.Rank, size)
+	w := store.CreateKey(k, origin, meta.Rank, size)
 	var flags uint32
 	if meta.Synthetic {
 		flags |= flagSynthetic
@@ -164,7 +157,7 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	}
 	// The write cost elapses while the file is incomplete: a failure
 	// activating here corrupts the checkpoint.
-	fs.env.Elapse(tier.WriteCostAmong(size, fs.clients))
+	fs.env.Elapse(tier.WriteCostAmong(size, fs.env.Size()))
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
@@ -183,9 +176,9 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 // completes loses that drain (the source copy died with the node) — the
 // buddy-copy failure mode resolved by Store.ResolveFailure.
 func (fs *FS) scheduleDrains(w *fsmodel.Writer, origin, size int) {
-	at := fs.env.Now()
-	for q := origin + 1; q < len(fs.hier); q++ {
-		at = at.Add(fs.hier[q].MetadataCost() + fs.hier[q].WriteCostAmong(size, fs.clients))
+	at, hier := fs.env.Now(), fs.env.FSHierarchy()
+	for q := origin + 1; q < len(hier); q++ {
+		at = at.Add(hier[q].MetadataCost() + hier[q].WriteCostAmong(size, fs.env.Size()))
 		w.AddDrain(q, at)
 	}
 }
@@ -218,23 +211,23 @@ func (fs *FS) restore(prefix string, rank, iteration int, chargeOnly bool) (Meta
 // RestoreStep park on the wait.
 func (fs *FS) readGate(k fsmodel.Key) (tier fsmodel.Model, wait vclock.Duration) {
 	now := fs.env.Now()
-	t, at, _ := fs.store.NearestCopy(k, now)
+	t, at, _ := fs.env.FSStore().NearestCopy(k, now)
 	if at > now {
 		wait = at.Sub(now)
 	}
-	return fs.hier[t].Model, wait
+	return fs.env.FSHierarchy()[t].Model, wait
 }
 
 // readWithTier is the body of Read after the tier gate: metadata charge,
 // open and validation, read charge.
 func (fs *FS) readWithTier(k fsmodel.Key, tier fsmodel.Model) (Meta, []byte, error) {
 	fs.env.Elapse(tier.MetadataCost())
-	meta, payload, n, err := openValid(fs.store, k)
+	meta, payload, n, err := openValid(fs.env.FSStore(), k)
 	if err == nil {
-		fs.env.Elapse(tier.ReadCostAmong(headerLen+meta.PayloadSize, fs.clients))
+		fs.env.Elapse(tier.ReadCostAmong(headerLen+meta.PayloadSize, fs.env.Size()))
 	} else if n >= 0 {
 		// A file that is there was read before it was rejected.
-		fs.env.Elapse(tier.ReadCostAmong(n, fs.clients))
+		fs.env.Elapse(tier.ReadCostAmong(n, fs.env.Size()))
 	}
 	return meta, payload, err
 }
@@ -319,9 +312,9 @@ func (fs *FS) RestoreStep(rs *RestoreState) (done bool, park any, err error) {
 // Delete removes one rank's checkpoint file (idempotent).
 func (fs *FS) Delete(prefix string, iteration, rank int) {
 	k := key(prefix, iteration, rank)
-	t := max(fs.store.TierOf(k), 0)
-	fs.env.Elapse(fs.hier[t].MetadataCost())
-	fs.store.Delete(k)
+	t := max(fs.env.FSStore().TierOf(k), 0)
+	fs.env.Elapse(fs.env.FSHierarchy()[t].MetadataCost())
+	fs.env.FSStore().Delete(k)
 }
 
 // openValid opens the checkpoint file at k and returns its decoded
@@ -418,15 +411,15 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 // needs no list of them.
 func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	k := key(prefix, iteration, rank)
-	data, complete, ok := fs.store.Open(k)
+	data, complete, ok := fs.env.FSStore().Open(k)
 	if !ok {
 		return false
 	}
-	if len(fs.hier) == 1 {
+	if len(fs.env.FSHierarchy()) == 1 {
 		// ROADMAP 1b pins this undercharge: a probe charges the metadata
 		// latency of a one-tier store and nothing on a tiered one, where
 		// every other operation charges the tier it touches.
-		fs.env.Elapse(fs.hier[0].MetadataCost())
+		fs.env.Elapse(fs.env.FSHierarchy()[0].MetadataCost())
 	}
 	meta, _, err := trusted(k, data, complete)
 	if err != nil {
@@ -436,7 +429,7 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	}
 	// A delta checkpoint is only restorable if its chain back to a
 	// full checkpoint is intact.
-	return !meta.Incremental || Chain(fs.store, prefix, rank, iteration) != nil
+	return !meta.Incremental || Chain(fs.env.FSStore(), prefix, rank, iteration) != nil
 }
 
 // Chain returns the iterations of the checkpoint chain ending at

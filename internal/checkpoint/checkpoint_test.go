@@ -170,7 +170,7 @@ func TestLatestValidSkipsCorrupted(t *testing.T) {
 	store.Create(FileName("heat", 300, 0)).Write([]byte("partial"))
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
-		it, ok := latestValid(fs, "heat", 0, store.Iterations("heat"))
+		it, ok := latestValid(&fs, "heat", 0, store.Iterations("heat"))
 		if !ok || it != 200 {
 			t.Fatalf("latest valid = %d, %v; want 200, true", it, ok)
 		}
@@ -185,7 +185,7 @@ func TestLatestValidNone(t *testing.T) {
 	store := fsmodel.NewStore()
 	withEnv(t, store, fsmodel.Model{}, 0, func(e *mpi.Env) {
 		fs, _ := NewFS(e)
-		if _, ok := latestValid(fs, "heat", 0, []int{100, 200}); ok {
+		if _, ok := latestValid(&fs, "heat", 0, []int{100, 200}); ok {
 			t.Error("empty store should have no valid checkpoint")
 		}
 	})
@@ -301,7 +301,7 @@ func TestIncrementalChain(t *testing.T) {
 			t.Fatal("intact chain should be valid")
 		}
 		// The newest restorable iteration is the tip of the chain.
-		it, ok := latestValid(fs, "heat", 0, []int{100, 110, 120})
+		it, ok := latestValid(&fs, "heat", 0, []int{100, 110, 120})
 		if !ok || it != 120 {
 			t.Fatalf("latest = %d, %v", it, ok)
 		}
@@ -310,7 +310,7 @@ func TestIncrementalChain(t *testing.T) {
 		if Chain(store, "heat", 0, 120) != nil {
 			t.Fatal("broken chain should be invalid")
 		}
-		it, ok = latestValid(fs, "heat", 0, []int{100, 110, 120})
+		it, ok = latestValid(&fs, "heat", 0, []int{100, 110, 120})
 		if !ok || it != 100 {
 			t.Fatalf("latest after break = %d, %v (want the full checkpoint)", it, ok)
 		}
@@ -440,7 +440,7 @@ func TestMisnamedCheckpointIsNotRestorable(t *testing.T) {
 		if Chain(store, "heat", 0, 50) != nil {
 			t.Error("a delta on the impostor counts as a restorable chain")
 		}
-		if it, ok := latestValid(fs, "heat", 0, store.Iterations("heat")); !ok || it != 20 {
+		if it, ok := latestValid(&fs, "heat", 0, store.Iterations("heat")); !ok || it != 20 {
 			t.Errorf("latest valid = %d, %v, want 20", it, ok)
 		}
 		if exists(store, key("heat", 40, 0)) {

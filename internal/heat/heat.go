@@ -344,39 +344,42 @@ func (t *Tracker) setPhase(rank int, p Phase) {
 // (prog.go) that NewProg hands to program mode; Run drives the same runner
 // to completion on the calling VP.
 func Run(env *mpi.Env, cfg Config) {
-	env.RunProg(&heatRunner{cfg: &cfg})
+	env.RunProg(&heatRunner{state: state{cfg: &cfg}})
 }
 
-// state holds one rank's grid (real mode) or just its geometry (modelled
-// mode).
+// state holds one rank's geometry and, in real mode, behind one pointer,
+// its grid. It is a value inside the rank's heatRunner, whose every byte a
+// million parked ranks pay, so its rank and coordinates are 32-bit.
 type state struct {
 	cfg        *Config
-	rank       int
-	px, py, pz int // this rank's coordinates in the process grid
+	rank       int32
+	px, py, pz int32 // this rank's coordinates in the process grid
+	*grid            // nil in modelled mode
+}
+
+// grid is one rank's ghosted cube of real-compute data.
+type grid struct {
 	nx, ny, nz int // local cube dimensions
 	cur, next  []float64
 }
 
 // newState builds the per-rank state; real mode initialises the grid with
 // a deterministic hot spot per rank so heat actually flows.
-func newState(cfg *Config, rank int) *state {
-	nx, ny, nz := cfg.Local()
-	s := &state{cfg: cfg, rank: rank, nx: nx, ny: ny, nz: nz}
-	s.px = rank % cfg.PX
-	s.py = (rank / cfg.PX) % cfg.PY
-	s.pz = rank / (cfg.PX * cfg.PY)
+func newState(cfg *Config, rank int) state {
+	s := state{cfg: cfg, rank: int32(rank),
+		px: int32(rank % cfg.PX), py: int32(rank / cfg.PX % cfg.PY), pz: int32(rank / (cfg.PX * cfg.PY))}
 	if cfg.RealCompute {
+		nx, ny, nz := cfg.Local()
 		// Ghost layers on every side: (nx+2)(ny+2)(nz+2).
 		n := (nx + 2) * (ny + 2) * (nz + 2)
-		s.cur = make([]float64, n)
-		s.next = make([]float64, n)
+		s.grid = &grid{nx: nx, ny: ny, nz: nz, cur: make([]float64, n), next: make([]float64, n)}
 		s.cur[s.idx(1+rank%nx, 1+rank%ny, 1+rank%nz)] = 1000
 	}
 	return s
 }
 
 // idx addresses the ghosted local grid; interior points are 1..n.
-func (s *state) idx(i, j, k int) int {
+func (s *grid) idx(i, j, k int) int {
 	return i + j*(s.nx+2) + k*(s.nx+2)*(s.ny+2)
 }
 
@@ -384,9 +387,9 @@ func (s *state) idx(i, j, k int) int {
 // given direction (periodic); each offset is -1, 0 or 1.
 func (s *state) neighbor(dx, dy, dz int) int {
 	cfg := s.cfg
-	x := wrapStep(s.px+dx, cfg.PX)
-	y := wrapStep(s.py+dy, cfg.PY)
-	z := wrapStep(s.pz+dz, cfg.PZ)
+	x := wrapStep(int(s.px)+dx, cfg.PX)
+	y := wrapStep(int(s.py)+dy, cfg.PY)
+	z := wrapStep(int(s.pz)+dz, cfg.PZ)
 	return x + y*cfg.PX + z*cfg.PX*cfg.PY
 }
 
@@ -404,7 +407,7 @@ func wrapStep(c, n int) int {
 
 // stencil runs one sweep of the explicit update over the cube (real
 // compute); the runner has already charged its modelled time.
-func (s *state) stencil() {
+func (s *grid) stencil() {
 	for k := 1; k <= s.nz; k++ {
 		for j := 1; j <= s.ny; j++ {
 			for i := 1; i <= s.nx; i++ {
@@ -427,7 +430,7 @@ type direction struct {
 
 // directions lists the six face exchanges; tags pair opposite directions
 // so a rank's send in +x matches its neighbour's receive in -x.
-var directions = []direction{
+var directions = [...]direction{
 	{+1, 0, 0, 0}, {-1, 0, 0, 1},
 	{0, +1, 0, 2}, {0, -1, 0, 3},
 	{0, 0, +1, 4}, {0, 0, -1, 5},
@@ -438,13 +441,14 @@ func oppositeTag(tag int) int { return tag ^ 1 }
 
 // faceSize returns the byte size of the face payload in a direction.
 func (s *state) faceSize(d direction) int {
+	nx, ny, nz := s.cfg.Local()
 	switch {
 	case d.dx != 0:
-		return 8 * s.ny * s.nz
+		return 8 * ny * nz
 	case d.dy != 0:
-		return 8 * s.nx * s.nz
+		return 8 * nx * nz
 	default:
-		return 8 * s.nx * s.ny
+		return 8 * nx * ny
 	}
 }
 
@@ -452,7 +456,7 @@ func (s *state) faceSize(d direction) int {
 // plane toward d, in the order both ends of an exchange agree on. The
 // plane is this rank's outermost interior plane facing d, or with ghost
 // the ghost plane just beyond it.
-func (s *state) forFace(d direction, ghost bool, visit func(x int)) {
+func (s *grid) forFace(d direction, ghost bool, visit func(x int)) {
 	// plane picks the layer along an axis of n interior cells toward
 	// delta (±1): the first or last interior layer, or its ghost.
 	plane := func(delta, n int) int {
@@ -515,7 +519,7 @@ func (s *state) unpackFace(d direction, data []byte) {
 // header plus the current data, per the paper).
 func (s *state) encode() []byte {
 	buf := make([]byte, 0, 8*s.cfg.PointsPerRank()+64)
-	for _, v := range []int{s.cfg.NX, s.cfg.NY, s.cfg.NZ, s.cfg.PX, s.cfg.PY, s.cfg.PZ, s.rank, s.cfg.Iterations} {
+	for _, v := range []int{s.cfg.NX, s.cfg.NY, s.cfg.NZ, s.cfg.PX, s.cfg.PY, s.cfg.PZ, int(s.rank), s.cfg.Iterations} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	for k := 1; k <= s.nz; k++ {
@@ -546,7 +550,7 @@ func (s *state) restore(payload []byte) {
 
 // TotalHeat sums the interior grid (a conserved quantity under the
 // periodic stencil); the correctness tests check it.
-func (s *state) TotalHeat() float64 {
+func (s *grid) TotalHeat() float64 {
 	var sum float64
 	for k := 1; k <= s.nz; k++ {
 		for j := 1; j <= s.ny; j++ {

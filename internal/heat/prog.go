@@ -14,14 +14,14 @@ import (
 // instead, so closure- and program-mode experiments produce the same
 // virtual timelines by construction. Program mode is what lets the
 // headline experiments run at 256k–1M ranks: a parked rank is its
-// heatRunner (at most 192 bytes, pinned by TestHeatRunnerLayout), its
-// grid state and its MPI process bundle, about 1 KB in all
-// (BenchmarkHeatCkptBytesPerVP's retained-bytes/vp), instead of a
+// heatRunner, one object of at most 320 bytes holding its geometry, its
+// file-system handle and its halo requests (TestHeatRunnerLayout), and
+// its MPI process bundle and posted-receive block, instead of a
 // goroutine stack.
 func NewProg(cfg Config) func(rank int) mpi.Prog {
 	// One shared, read-only Config for every rank: at a million VPs an
 	// embedded copy per runner is ~180 bytes/rank for identical data.
-	return func(rank int) mpi.Prog { return &heatRunner{cfg: &cfg} }
+	return func(rank int) mpi.Prog { return &heatRunner{state: state{cfg: &cfg}} }
 }
 
 // heatRunner phases, in control-flow order.
@@ -39,29 +39,30 @@ const (
 
 // heatRunner is one rank's heat application — the only implementation of
 // the application loop — as a resumable state machine. A million of them
-// are parked at once, so what a rank needs only inside one phase is held
-// only there: the restore state while the restart read runs, the
-// collective state while the barrier runs.
+// are parked at once, so a rank is this one object, and what it needs only
+// inside one phase is held only there: the restore state while the
+// restart read runs, the collective state while the barrier runs.
 type heatRunner struct {
-	cfg *Config // shared across ranks; read-only after NewProg
-	pc  int
+	state // its cfg is shared across ranks; read-only after NewProg
+	pc    int
 
-	fs            *checkpoint.FS
-	st            *state
+	fs            checkpoint.FS
 	startIter     int
 	restoreIter   int
 	prevCkpt      int
-	incr          bool
-	chain         []int
 	iter          int
+	chain         []int
+	incr          bool
 	full          bool
 	proactiveDone bool
+	haloPosted    bool
 
-	rs         *checkpoint.RestoreState // non-nil while a restore runs
-	reqs       []*mpi.Request           // receives first, in directions order, then sends
-	ws         mpi.WaitState
-	haloPosted bool
-	cs         *mpi.CollectiveState // non-nil while a barrier runs
+	rs *checkpoint.RestoreState // non-nil while a restore runs
+	// reqs is the halo exchange's one request list, receives first, in
+	// directions order, then sends; ws waits on it in place.
+	reqs [2 * len(directions)]*mpi.Request
+	ws   mpi.WaitState
+	cs   *mpi.CollectiveState // non-nil while a barrier runs
 }
 
 // collStates recycles the barrier's collective state: every rank holds one
@@ -77,36 +78,32 @@ var collStates = sync.Pool{New: func() any { return new(mpi.CollectiveState) }}
 // the standard deadlock-free pattern. In modelled mode the messages carry
 // sizes only.
 func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
-	s := p.st
 	if !p.haloPosted {
 		p.haloPosted = true
-		if p.reqs == nil {
-			p.reqs = make([]*mpi.Request, 0, 2*len(directions))
-		}
-		for _, d := range directions {
-			req, err := world.Irecv(s.neighbor(d.dx, d.dy, d.dz), oppositeTag(d.tag))
+		for i, d := range directions {
+			req, err := world.Irecv(p.neighbor(d.dx, d.dy, d.dz), oppositeTag(d.tag))
 			if err != nil {
 				panic(fmt.Sprintf("heat: halo irecv: %v", err))
 			}
-			p.reqs = append(p.reqs, req)
+			p.reqs[i] = req
 		}
-		for _, d := range directions {
+		for i, d := range directions {
 			var req *mpi.Request
 			var err error
-			if s.cfg.RealCompute {
-				req, err = world.Isend(s.neighbor(d.dx, d.dy, d.dz), d.tag, s.packFace(d))
+			if p.cfg.RealCompute {
+				req, err = world.Isend(p.neighbor(d.dx, d.dy, d.dz), d.tag, p.packFace(d))
 			} else {
-				req, err = world.IsendN(s.neighbor(d.dx, d.dy, d.dz), d.tag, s.faceSize(d))
+				req, err = world.IsendN(p.neighbor(d.dx, d.dy, d.dz), d.tag, p.faceSize(d))
 			}
 			if err != nil {
 				panic(fmt.Sprintf("heat: halo isend: %v", err))
 			}
-			p.reqs = append(p.reqs, req)
+			p.reqs[len(directions)+i] = req
 		}
-		if s.cfg.onHaloPosted != nil {
-			s.cfg.onHaloPosted(s.rank)
+		if p.cfg.onHaloPosted != nil {
+			p.cfg.onHaloPosted(int(p.rank))
 		}
-		p.ws.Begin(p.reqs...)
+		p.ws.Begin(p.reqs[:]...)
 	}
 	done, park, err := world.WaitallStep(&p.ws)
 	if !done {
@@ -115,7 +112,7 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	if err != nil {
 		panic(fmt.Sprintf("heat: halo waitall: %v", err))
 	}
-	if s.cfg.RealCompute {
+	if p.cfg.RealCompute {
 		// The requests are complete, so these waits cannot block; each
 		// charges the per-receive wait call an MPI application pays to
 		// read a face out of its request.
@@ -124,18 +121,17 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 			if err != nil {
 				panic(fmt.Sprintf("heat: halo wait: %v", err))
 			}
-			s.unpackFace(d, msg.Data)
+			p.unpackFace(d, msg.Data)
 		}
 	}
 	// Recycle the completed requests (freeing charges nothing and keeps
 	// steady-state allocation flat at oversubscription scale) and drop the
-	// references: the truncated slice's backing array must not pin a dozen
-	// dead Requests per parked rank until the next exchange.
+	// references: a parked rank must not pin a dozen dead Requests until
+	// the next exchange.
 	for i := range p.reqs {
 		world.Free(p.reqs[i])
 		p.reqs[i] = nil
 	}
-	p.reqs = p.reqs[:0]
 	p.haloPosted = false
 	return true, nil
 }
@@ -201,7 +197,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 				panic(err)
 			}
 			p.fs = fs
-			p.st = newState(cfg, rank)
+			p.state = newState(cfg, rank)
 			// Restart support: load the newest valid checkpoint, deleting
 			// any corrupted ones encountered (the cleanup script outside
 			// the simulation already removed incomplete sets).
@@ -240,7 +236,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 				panic(fmt.Sprintf("heat: rank %d cannot reload checkpoint %d: %v", rank, p.restoreIter, err))
 			}
 			if cfg.RealCompute {
-				p.st.restore(p.rs.Payload())
+				p.restore(p.rs.Payload())
 			}
 			p.rs = nil
 			p.startIter = p.restoreIter
@@ -288,7 +284,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			}
 			env.Elapse(0)
 			if cfg.RealCompute {
-				p.st.stencil()
+				p.stencil()
 			}
 			if p.iter%cfg.ExchangeInterval == 0 || p.iter == cfg.Iterations {
 				tr.setPhase(rank, PhaseHalo)
@@ -322,7 +318,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			var err error
 			switch {
 			case cfg.RealCompute:
-				err = p.fs.Write(prefix, meta, p.st.encode())
+				err = p.fs.Write(prefix, meta, p.encode())
 			case p.full:
 				err = p.fs.WriteSized(prefix, meta, cfg.payloadBytes())
 			default:
@@ -378,7 +374,7 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 		case hpFinish:
 			tr.setPhase(rank, PhaseDone)
 			if cfg.OnFinal != nil && cfg.RealCompute {
-				cfg.OnFinal(rank, p.st.TotalHeat())
+				cfg.OnFinal(rank, p.TotalHeat())
 			}
 			env.Finalize()
 			return nil, true

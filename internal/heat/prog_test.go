@@ -211,47 +211,75 @@ func TestModelledRestartReadChargesOnePayloadRead(t *testing.T) {
 	}
 }
 
-// TestHeatRunnerLayout pins what a parked heat rank costs. At a million
-// program VPs every byte of heatRunner is a megabyte, and the runner sits
-// beside the six requests each rank holds at every halo burst, so the
-// restore and barrier states (192 and 312 bytes) are held only while a
-// restore or barrier runs: a rank at a compute phase holds neither.
+// TestHeatRunnerLayout pins the heat side of a parked rank: one object of
+// at most 320 bytes, allocated by NewProg's factory, that holds the rank's
+// geometry, its file-system handle and its one halo request list. At a
+// million program VPs every byte of it is a megabyte, so the restore and
+// barrier states (192 and 312 bytes) are held only while a restore or
+// barrier runs, and only real compute holds a grid: a modelled rank at a
+// compute phase holds none of them.
 func TestHeatRunnerLayout(t *testing.T) {
-	if got := unsafe.Sizeof(heatRunner{}); got > 192 {
-		t.Errorf("unsafe.Sizeof(heatRunner{}) = %d, want <= 192: one per parked rank, next to its twelve halo requests", got)
+	if got := unsafe.Sizeof(heatRunner{}); got > 320 {
+		t.Errorf("unsafe.Sizeof(heatRunner{}) = %d, want <= 320: one per parked rank", got)
+	}
+	factory := NewProg(PaperWorkload())
+	if got := testing.AllocsPerRun(100, func() { factory(7) }); got != 1 {
+		t.Errorf("NewProg's factory allocates %v objects per rank, want 1", got)
 	}
 	const n = 8
+	// run runs cfg on store in program mode and calls atPhase with each
+	// rank's runner at every compute phase.
+	run := func(cfg Config, store *fsmodel.Store, atPhase func(p *heatRunner, iter int)) *core.Result {
+		t.Helper()
+		runners := make([]*heatRunner, n)
+		cfg.onPhase = func(rank, iter int) { atPhase(runners[rank], iter) }
+		progs := NewProg(cfg)
+		res, err := testWorld(t, n, 1, store, 0, nil).RunProgs(func(rank int) mpi.Prog {
+			p := progs(rank)
+			runners[rank] = p.(*heatRunner)
+			return p
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	phases := 0
+	holdsNone := func(p *heatRunner, iter int) {
+		phases++
+		if p.rs != nil || p.cs != nil {
+			t.Errorf("rank %d at compute phase %d holds restore state %v, collective state %v; want neither",
+				p.rank, iter, p.rs != nil, p.cs != nil)
+		}
+	}
+
+	modelled := PaperWorkload()
+	modelled.NX, modelled.NY, modelled.NZ, modelled.PX, modelled.PY, modelled.PZ = 8, 8, 8, 2, 2, 2
+	modelled.Iterations, modelled.ExchangeInterval, modelled.CheckpointInterval = 4, 1, 2
+	run(modelled, fsmodel.NewStore(), func(p *heatRunner, iter int) {
+		holdsNone(p, iter)
+		if p.grid != nil {
+			t.Errorf("modelled rank %d holds a grid", p.rank)
+		}
+	})
+	if phases != n*4 {
+		t.Fatalf("modelled run: %d compute phases, want %d", phases, n*4)
+	}
+
 	store := fsmodel.NewStore()
 	cfg := smallReal(n)
 	cfg.Iterations = 20
-	if _, err := testWorld(t, n, 1, store, 0, nil).RunProgs(NewProg(cfg)); err != nil {
-		t.Fatal(err)
-	}
+	run(cfg, store, func(*heatRunner, int) {})
 	// A second, longer run on the same store restarts from iteration 20
 	// (a restore) and then checkpoints twice (two barriers).
 	cfg.Iterations = 40
-	runners := make([]*heatRunner, n)
-	phases := 0
-	cfg.onPhase = func(rank, iter int) {
-		phases++
-		p := runners[rank]
+	phases = 0
+	res := run(cfg, store, func(p *heatRunner, iter int) {
 		if p.startIter != 20 {
-			t.Fatalf("rank %d restarted from %d, want 20", rank, p.startIter)
+			t.Fatalf("rank %d restarted from %d, want 20", p.rank, p.startIter)
 		}
-		if p.rs != nil || p.cs != nil {
-			t.Errorf("rank %d at compute phase %d holds restore state %v, collective state %v; want neither",
-				rank, iter, p.rs != nil, p.cs != nil)
-		}
-	}
-	progs := NewProg(cfg)
-	res, err := testWorld(t, n, 1, store, 0, nil).RunProgs(func(rank int) mpi.Prog {
-		p := progs(rank)
-		runners[rank] = p.(*heatRunner)
-		return p
+		holdsNone(p, iter)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Completed != n || phases != n*20 {
 		t.Fatalf("completed %d ranks and %d compute phases, want %d and %d", res.Completed, phases, n, n*20)
 	}

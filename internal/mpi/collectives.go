@@ -200,10 +200,11 @@ func decodeF64sInto(dst []float64, buf []byte) error {
 
 // scratchF64 returns the process's reusable n-float scratch slice.
 func (ps *procState) scratchF64(n int) []float64 {
-	if cap(ps.f64s) < n {
-		ps.f64s = make([]float64, n)
+	c := ps.coldRec()
+	if cap(c.f64s) < n {
+		c.f64s = make([]float64, n)
 	}
-	return ps.f64s[:n]
+	return c.f64s[:n]
 }
 
 // decodeF64s decodes exactly n floats. The n bound is checked before the

@@ -153,7 +153,7 @@ func (c *Comm) Abort(code int) {
 
 // Revoked reports whether the communicator was revoked (ULFM extension).
 func (c *Comm) Revoked() bool {
-	return c.env.ps.revoked != nil && c.env.ps.revoked[c.id]
+	return c.env.ps.cold.revoked[c.id]
 }
 
 // checkRevoked fails operations on revoked communicators.
@@ -167,13 +167,14 @@ func (c *Comm) checkRevoked(op string) error {
 // revoke records a revocation of commID at the process and reports whether
 // it is news.
 func (ps *procState) revoke(commID int) bool {
-	if ps.revoked[commID] {
+	c := ps.coldRec()
+	if c.revoked[commID] {
 		return false
 	}
-	if ps.revoked == nil {
-		ps.revoked = make(map[int]bool)
+	if c.revoked == nil {
+		c.revoked = make(map[int]bool)
 	}
-	ps.revoked[commID] = true
+	c.revoked[commID] = true
 	return true
 }
 
@@ -182,10 +183,10 @@ func (ps *procState) revoke(commID int) bool {
 // It walks the (small) failed-peer list, not the membership.
 func (c *Comm) FailedInComm() []int {
 	var out []int
-	for wr := range c.env.ps.failedPeers {
-		cr := wr
+	for _, f := range c.env.ps.failures() {
+		cr := f.rank
 		if c.group != nil {
-			cr = slices.Index(c.group, wr)
+			cr = slices.Index(c.group, f.rank)
 		}
 		if cr >= 0 && cr < c.n {
 			out = append(out, cr)

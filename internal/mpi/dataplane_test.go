@@ -255,7 +255,7 @@ func TestPostedIdxTiers(t *testing.T) {
 	const n = postedInline + postedLinear + 4
 	qs := make([]*list[Request], n)
 	for i := range qs {
-		k := matchKey{comm: i % 2, src: 100 + i}
+		k := keyOf(i%2, 100+i)
 		if ix.get(k) != nil {
 			t.Fatalf("key %d found before it was added", i)
 		}
@@ -270,7 +270,7 @@ func TestPostedIdxTiers(t *testing.T) {
 	seen := map[*list[Request]]matchKey{}
 	ix.each(func(k matchKey, q *list[Request]) { seen[q] = k })
 	for i, q := range qs {
-		k := matchKey{comm: i % 2, src: 100 + i}
+		k := keyOf(i%2, 100+i)
 		if ix.get(k) != q || ix.getOrAdd(k) != q {
 			t.Errorf("key %d: queue moved", i)
 		}

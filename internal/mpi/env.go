@@ -198,6 +198,8 @@ func initProcEnv(b *procBundle, w *World, c *core.Ctx) {
 	b.env = Env{w: w, ctx: c, ps: &b.ps, world: &b.world}
 	b.world = Comm{env: &b.env, id: 0, n: c.N(), rank: c.Rank()}
 	b.ps.dp = w.pools[c.Partition()]
+	b.ps.failBase = len(b.ps.dp.failed)
+	b.ps.cold = &noCold
 	b.ps.env = &b.env
 	c.SetData(&b.ps)
 }
@@ -244,53 +246,69 @@ type procState struct {
 	// establish MPI's first-match-in-post-order rule across the two.
 	posted     postedIdx
 	postedWild list[Request]
-	// Unexpected envelopes sit in a per-(comm, src) FIFO and, at the
-	// same time, in their communicator's arrival-order list; arriveSeq
-	// stamps arrival order (used by validation and probes). Both maps are
-	// created on the first unexpected arrival — a rank whose receives are
-	// always posted first (the common halo-exchange shape) never pays for
-	// them.
-	unexpBySrc  map[matchKey]*list[envelope]
-	unexpByComm map[int]*list[envelope]
-	arriveSeq   uint64
-	// unexpNow is the number of envelopes queued unexpected (the gauge
-	// behind the partition's high-water mark).
-	unexpNow int
 	// Incomplete requests thread through an id-ordered intrusive list
 	// (ids are monotonic, so appends keep the order the
 	// failure-notification scan depends on). Handler lookups walk the
 	// list while it is short — pending sets are a handful of requests in
-	// every common workload — and switch to the pendSpill map once
-	// pendLen ever exceeds pendSpillThreshold (fan-in collectives).
-	pending   list[Request]
-	pendLen   int
-	pendSpill map[uint64]*Request
-	// failedPeers is this process's own list of failed simulated MPI
-	// processes and their times of failure (the paper's per-process
-	// failed list, filled in by notification events; nil until the first
-	// notification arrives).
-	failedPeers map[int]vclock.Time
+	// every common workload — and switch to the cold record's pendSpill
+	// map once pendLen ever exceeds pendSpillThreshold (fan-in
+	// collectives).
+	pending list[Request]
+	pendLen int
+	// failBase counts the partition's failure notifications from before
+	// this state was built, which the process never received (failures).
+	failBase int
 	// waiting is the wait the VP is currently parked in, nil when it is not
 	// parked in one.
 	waiting *WaitState
+	// nextReqID numbers this VP's requests.
+	nextReqID uint64
+	// cold holds what only some processes ever touch: the shared, empty
+	// noCold until the process first writes to it (coldRec).
+	cold *procCold
+}
+
+// procCold is the MPI state that a rank of the paper's halo exchange (but
+// the barrier root) never touches: its receives are posted first, and it
+// never probes, revokes, reduces or contends for its NIC.
+type procCold struct {
+	// Unexpected envelopes sit in a per-(comm, src) FIFO and, at the
+	// same time, in their communicator's arrival-order list; arriveSeq
+	// stamps arrival order (used by validation and probes). unexpNow is
+	// the number queued (the gauge behind the partition's high-water
+	// mark).
+	unexpBySrc  map[matchKey]*list[envelope]
+	unexpByComm map[int]*list[envelope]
+	arriveSeq   uint64
+	unexpNow    int
+	// pendSpill indexes the pending list by id once it has ever grown
+	// past pendSpillThreshold.
+	pendSpill map[uint64]*Request
 	// probe is the blocking probe the process is parked in, nil when it is
 	// not parked in one (a process blocks in one call at a time).
 	probe *probeRec
-	// nextReqID numbers this VP's requests.
-	nextReqID uint64
-
 	// revoked communicator ids (ULFM extension).
 	revoked map[int]bool
-
 	// f64s is the collectives' per-process scratch for decoded operands
 	// (see scratchF64); reused across reduction hops.
 	f64s []float64
-
 	// injectFreeAt and ejectFreeAt model endpoint contention: the
 	// virtual times this node's NIC finishes its current injection and
 	// ejection (used only when the network model enables contention).
 	injectFreeAt vclock.Time
 	ejectFreeAt  vclock.Time
+}
+
+// noCold is the cold record of every process without one of its own. It
+// stays empty: it is only ever read, and every write goes through coldRec.
+var noCold procCold
+
+// coldRec returns the process's own cold record, allocating it on first use.
+func (ps *procState) coldRec() *procCold {
+	if ps.cold == &noCold {
+		ps.cold = new(procCold)
+	}
+	return ps.cold
 }
 
 func (ps *procState) newReqID() uint64 {
@@ -325,6 +343,7 @@ type Env struct {
 // values. A process blocks in one call at a time, so one of each suffices.
 type closureScratch struct {
 	wait  WaitState
+	reqs  []*Request // the set wait waits on
 	probe ProbeState
 	coll  CollectiveState
 }
@@ -442,11 +461,13 @@ func (e *Env) Finalized() bool { return e.finalized }
 func (e *Env) Abort(code int) { e.world.Abort(code) }
 
 // FailedPeers returns a snapshot of this process's failed-peer list as a
-// map from world rank to time of failure.
+// map from world rank to time of failure. The list belongs to the
+// partition: one table holds every notification its ranks received, and
+// a process reads the entries that arrived after its state was built.
 func (e *Env) FailedPeers() map[int]vclock.Time {
-	out := make(map[int]vclock.Time, len(e.ps.failedPeers))
-	for r, t := range e.ps.failedPeers {
-		out[r] = t
+	out := make(map[int]vclock.Time)
+	for _, f := range e.ps.failures() {
+		out[f.rank] = f.tof
 	}
 	return out
 }
@@ -456,7 +477,7 @@ func (e *Env) FailedPeers() map[int]vclock.Time {
 // hot paths that only test one peer's liveness (the redundancy layer's
 // failover checks).
 func (e *Env) PeerFailed(rank int) bool {
-	_, dead := e.ps.failedPeers[rank]
+	_, dead := e.ps.failedAt(rank)
 	return dead
 }
 

@@ -63,9 +63,9 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	// data delivery instead — their envelope is control-sized).
 	if !h.rendezvous {
 		if occ := w.cfg.Net.EjectOccupancy(h.size); occ > 0 {
-			start := vclock.Max(ev.Time, ps.ejectFreeAt)
-			ps.ejectFreeAt = start.Add(occ)
-			h.dataAt = vclock.Max(h.dataAt, ps.ejectFreeAt)
+			start := vclock.Max(ev.Time, ps.coldRec().ejectFreeAt)
+			ps.cold.ejectFreeAt = start.Add(occ)
+			h.dataAt = vclock.Max(h.dataAt, ps.cold.ejectFreeAt)
 		}
 	}
 	if req := ps.takePosted(&h); req != nil {
@@ -83,7 +83,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 		ps.checkIndexes("envelope-unexpected")
 	}
 	// A blocked probe matching this envelope wakes to inspect it.
-	if pr := ps.probe; pr != nil && pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
+	if pr := ps.cold.probe; pr != nil && pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
 		s.Wake(h.dst, ev.Time, nil)
 	}
 }
@@ -109,8 +109,8 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	// earlier injections.
 	start := ev.Time
 	if occ := net.InjectOccupancy(req.size); occ > 0 {
-		start = vclock.Max(start, ps.injectFreeAt)
-		ps.injectFreeAt = start.Add(occ)
+		start = vclock.Max(start, ps.coldRec().injectFreeAt)
+		ps.cold.injectFreeAt = start.Add(occ)
 	}
 	delivery := core.Event{
 		Time:   start.Add(net.TransferTime(src, dst, req.size)),
@@ -159,9 +159,9 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 	}
 	at := ev.Time
 	if occ := w.cfg.Net.EjectOccupancy(req.size); occ > 0 {
-		start := vclock.Max(at, ps.ejectFreeAt)
-		ps.ejectFreeAt = start.Add(occ)
-		at = ps.ejectFreeAt
+		start := vclock.Max(at, ps.coldRec().ejectFreeAt)
+		ps.cold.ejectFreeAt = start.Add(occ)
+		at = ps.cold.ejectFreeAt
 	}
 	if data != nil {
 		req.coldRec(ps.dp).data = data
@@ -197,24 +197,21 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 }
 
 // handleFailNotify processes the simulator-internal failure notification
-// at one partition: every local process records the failed rank and its
-// time of failure in its own failed-peer list, and failure-detection
-// timeouts are armed for pending requests that involve the failed rank —
-// releasing (and failing) unmatched receives, MPI_ANY_SOURCE receives, and
-// waited-on sends, per the paper's detection design.
+// at one partition: the failed rank and its time of failure go into the
+// partition's failed-peer list, which every local process reads as its
+// own, and failure-detection timeouts are armed for pending requests that
+// involve the failed rank — releasing (and failing) unmatched receives,
+// MPI_ANY_SOURCE receives, and waited-on sends, per the paper's detection
+// design.
 func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 	failed, tof := int(ev.Words[0]), vclock.Time(ev.Words[1])
+	dp := w.pools[s.Partition()]
+	dp.failed = append(dp.failed, peerFailure{rank: failed, tof: tof}) // a rank dies, and is announced, once
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		ps := localState(s, rank)
 		if ps == nil {
 			continue
-		}
-		if old, ok := ps.failedPeers[failed]; !ok || tof < old {
-			if ps.failedPeers == nil {
-				ps.failedPeers = make(map[int]vclock.Time)
-			}
-			ps.failedPeers[failed] = tof
 		}
 		// The pending list is id-ordered and armTimeout never unlinks,
 		// so walking it directly is deterministic and allocation-free.
@@ -225,10 +222,34 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes
 		// to observe the failure.
-		if pr := ps.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
+		if pr := ps.cold.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
 			s.Wake(rank, ev.Time, nil)
 		}
 	}
+}
+
+// peerFailure is one entry of a partition's failed-peer list.
+type peerFailure struct {
+	rank int
+	tof  vclock.Time
+}
+
+// failures returns the process's failed-peer list, in notification order.
+// A process built after a notification arrived (a program VP's state is
+// built at its first step) never received it, so the entries before its
+// failBase are not its own.
+func (ps *procState) failures() []peerFailure { return ps.dp.failed[ps.failBase:] }
+
+// failedAt returns the time of failure of a world rank this process has
+// been notified of. The list grows by one entry per failure in the world,
+// so a scan is enough while failures are few.
+func (ps *procState) failedAt(rank int) (tof vclock.Time, ok bool) {
+	for _, f := range ps.failures() {
+		if f.rank == rank {
+			return f.tof, true
+		}
+	}
+	return 0, false
 }
 
 // handleAbortNotify processes the simulator-internal abort notification at

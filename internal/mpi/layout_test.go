@@ -19,6 +19,107 @@ func TestRequestLayout(t *testing.T) {
 	}
 }
 
+// TestRankBundleLayout pins what every rank holds for its world's life.
+// A parked program-mode rank of the paper's halo exchange is its progBundle,
+// its application's own state and the postedSpill block its six sources and
+// the barrier root fill; at a million ranks each of these bytes is a
+// megabyte of resident memory, and each crossing of an allocator size
+// class a step up. The closure-mode procBundle sits beside a carrier stack.
+func TestRankBundleLayout(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"progBundle", unsafe.Sizeof(progBundle{}), 320},
+		{"procBundle", unsafe.Sizeof(procBundle{}), 288},
+		{"postedSpill", unsafe.Sizeof(postedSpill{}), 160},
+	} {
+		if c.got > c.max {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want <= %d: one per rank for its world's life", c.name, c.got, c.max)
+		}
+	}
+}
+
+// haloRank is the paper's heat application as far as its posted-receive
+// index sees it: a six-neighbour exchange on a periodic 3-D process grid
+// with a barrier after each round.
+type haloRank struct {
+	side, rounds int
+	reqs         [12]*Request
+	ws           WaitState
+	cs           CollectiveState
+	phase        int
+	onDone       func(*procState)
+}
+
+func (p *haloRank) Step(e *Env, _ any) (any, bool) {
+	c, r, s := e.World(), e.Rank(), p.side
+	for ; p.rounds > 0; p.rounds-- {
+		if p.phase == 0 {
+			x, y, z := r%s, r/s%s, r/(s*s)
+			nbrs := [6]int{
+				(x+1)%s + y*s + z*s*s, (x+s-1)%s + y*s + z*s*s,
+				x + (y+1)%s*s + z*s*s, x + (y+s-1)%s*s + z*s*s,
+				x + y*s + (z+1)%s*s*s, x + y*s + (z+s-1)%s*s*s,
+			}
+			for i, nb := range nbrs {
+				p.reqs[i], _ = c.Irecv(nb, i^1)
+			}
+			for i, nb := range nbrs {
+				p.reqs[6+i], _ = c.IsendN(nb, i, 512)
+			}
+			p.ws.Begin(p.reqs[:]...)
+			p.phase = 1
+		}
+		if p.phase == 1 {
+			if done, park, _ := c.WaitallStep(&p.ws); !done {
+				return park, false
+			}
+			for i, req := range p.reqs {
+				c.Free(req)
+				p.reqs[i] = nil
+			}
+			p.cs.BeginBarrier()
+			p.phase = 2
+		}
+		if done, park, _ := c.CollectiveStep(&p.cs); !done {
+			return park, false
+		}
+		p.phase = 0
+	}
+	p.onDone(e.ps)
+	e.Finalize()
+	return nil, true
+}
+
+// TestHaloRankPostedIndexStaysOffMap: a rank of the paper's halo exchange
+// receives from seven (communicator, source) keys, its six neighbours and
+// the barrier root, and the posted index keeps all seven in its inline
+// slots and its one spill block. Only the barrier root, which receives
+// from every rank, builds the map tier. With one slot fewer in the block,
+// every non-root rank would carry a map for its world's life (+5 % peak
+// RSS at 64k ranks).
+func TestHaloRankPostedIndexStaysOffMap(t *testing.T) {
+	const side = 4
+	_, w := newWorldT(t, side*side*side, 1, nil)
+	keys := make([]int, side*side*side)
+	if _, err := w.RunProgs(func(rank int) Prog {
+		return &haloRank{side: side, rounds: 2, onDone: func(ps *procState) {
+			n := 0
+			ps.posted.each(func(matchKey, *list[Request]) { n++ })
+			if sp := ps.posted.spill; rank != 0 && sp != nil && sp.more != nil {
+				t.Errorf("rank %d: posted index built its map tier for %d keys", rank, n)
+			}
+			keys[rank] = n
+		}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if keys[side*side+side+1] != 7 {
+		t.Errorf("a rank off the root's neighbourhood posted to %d keys, want 7", keys[side*side+side+1])
+	}
+}
+
 // TestCollectiveStateLayout pins the size of a CollectiveState: every
 // program that runs a collective embeds one, and so does every closure
 // VP's scratch. The survivor exchange's failed set (Shrink, Agree) is its

@@ -35,8 +35,8 @@ func (p *dpPool) countSend(size int, rendezvous bool) {
 // unexpectedDelta moves a rank's unexpected-queue depth and raises its
 // partition's high-water mark.
 func (ps *procState) unexpectedDelta(delta int) {
-	ps.unexpNow += delta
-	ps.dp.unexpMax = max(ps.dp.unexpMax, ps.unexpNow)
+	ps.cold.unexpNow += delta
+	ps.dp.unexpMax = max(ps.dp.unexpMax, ps.cold.unexpNow)
 }
 
 // metrics holds the world's failure-detection records.

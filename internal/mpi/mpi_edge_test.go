@@ -446,6 +446,7 @@ func TestFailedCollectiveLeavesScratchEmpty(t *testing.T) {
 			"coll.ws.reqs":  sc.coll.ws.reqs[:cap(sc.coll.ws.reqs)],
 			"coll.hop.reqs": sc.coll.hop.ws.reqs[:cap(sc.coll.hop.ws.reqs)],
 			"wait.reqs":     sc.wait.reqs[:cap(sc.wait.reqs)],
+			"reqs":          sc.reqs[:cap(sc.reqs)],
 		} {
 			for i, r := range reqs {
 				if r != nil {
@@ -453,7 +454,7 @@ func TestFailedCollectiveLeavesScratchEmpty(t *testing.T) {
 				}
 			}
 		}
-		if sc.coll.hop.req != nil || sc.coll.parts != nil || sc.coll.out != nil || sc.coll.data != nil {
+		if sc.coll.hop.inFlight() || sc.coll.parts != nil || sc.coll.out != nil || sc.coll.data != nil {
 			t.Errorf("rank %d: collective scratch still holds operands or results: %+v", e.Rank(), sc.coll)
 		}
 		if cap(sc.coll.reqs) < 2*(n-1) {

@@ -115,8 +115,12 @@ func (h *envHeader) take(ev *core.Event) (box uint32) {
 }
 
 // matchKey indexes posted receives and unexpected envelopes by
-// communicator and source world rank.
-type matchKey struct{ comm, src int }
+// communicator and source world rank, 32 bits each (as a Request keeps
+// its source): the posted index holds eight of them per rank.
+type matchKey struct{ comm, src int32 }
+
+// keyOf returns the match key of a communicator id and source world rank.
+func keyOf(comm, src int) matchKey { return matchKey{int32(comm), int32(src)} }
 
 // postedInline is the number of (comm, src) posted-receive queues kept
 // inline in procState. A 1-D halo exchange uses exactly 2 distinct sources,
@@ -235,7 +239,7 @@ func (ps *procState) addPosted(r *Request) {
 	if r.src == AnySource {
 		r.set(reqWild)
 	} else {
-		q = ps.posted.getOrAdd(matchKey{r.comm.id, int(r.src)})
+		q = ps.posted.getOrAdd(matchKey{int32(r.comm.id), r.src})
 	}
 	q.push(r, postedAt)
 	r.postQ = q
@@ -260,7 +264,7 @@ func (ps *procState) removePosted(r *Request) {
 // candidate; the lower id (the earlier post) of the two wins.
 func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
-	if q := ps.posted.get(matchKey{h.commID, h.src}); q != nil {
+	if q := ps.posted.get(keyOf(h.commID, h.src)); q != nil {
 		for r := q.head; r != nil; r = r.posted.next {
 			if tagMatches(int(r.tag), h.tag) {
 				best = r
@@ -285,25 +289,26 @@ func (ps *procState) takePosted(h *envHeader) *Request {
 // addUnexpected queues an envelope that matched no posted receive: into
 // its (comm, src) FIFO and its communicator's arrival list.
 func (ps *procState) addUnexpected(env *envelope) {
-	ps.arriveSeq++
-	env.arriveSeq = ps.arriveSeq
-	k := matchKey{env.commID, env.src}
-	sq := ps.unexpBySrc[k]
+	c := ps.coldRec()
+	c.arriveSeq++
+	env.arriveSeq = c.arriveSeq
+	k := keyOf(env.commID, env.src)
+	sq := c.unexpBySrc[k]
 	if sq == nil {
-		if ps.unexpBySrc == nil {
-			ps.unexpBySrc = make(map[matchKey]*list[envelope])
+		if c.unexpBySrc == nil {
+			c.unexpBySrc = make(map[matchKey]*list[envelope])
 		}
 		sq = new(list[envelope])
-		ps.unexpBySrc[k] = sq
+		c.unexpBySrc[k] = sq
 	}
 	sq.push(env, bySrcAt)
-	aq := ps.unexpByComm[env.commID]
+	aq := c.unexpByComm[env.commID]
 	if aq == nil {
-		if ps.unexpByComm == nil {
-			ps.unexpByComm = make(map[int]*list[envelope])
+		if c.unexpByComm == nil {
+			c.unexpByComm = make(map[int]*list[envelope])
 		}
 		aq = new(list[envelope])
-		ps.unexpByComm[env.commID] = aq
+		c.unexpByComm[env.commID] = aq
 	}
 	aq.push(env, byCommAt)
 	ps.unexpectedDelta(1)
@@ -311,8 +316,8 @@ func (ps *procState) addUnexpected(env *envelope) {
 
 // removeUnexpected unlinks an envelope from both unexpected lists.
 func (ps *procState) removeUnexpected(env *envelope) {
-	ps.unexpBySrc[matchKey{env.commID, env.src}].unlink(env, bySrcAt)
-	ps.unexpByComm[env.commID].unlink(env, byCommAt)
+	ps.cold.unexpBySrc[keyOf(env.commID, env.src)].unlink(env, bySrcAt)
+	ps.cold.unexpByComm[env.commID].unlink(env, byCommAt)
 	ps.unexpectedDelta(-1)
 }
 
@@ -325,7 +330,7 @@ func (ps *procState) removeUnexpected(env *envelope) {
 // matching O(compatible-head) instead of a scan over every source.
 func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 	if src != AnySource {
-		if q := ps.unexpBySrc[matchKey{comm, src}]; q != nil {
+		if q := ps.cold.unexpBySrc[keyOf(comm, src)]; q != nil {
 			for env := q.head; env != nil; env = env.bySrc.next {
 				if tagMatches(tag, env.tag) {
 					return env
@@ -334,7 +339,7 @@ func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 		}
 		return nil
 	}
-	if q := ps.unexpByComm[comm]; q != nil {
+	if q := ps.cold.unexpByComm[comm]; q != nil {
 		for env := q.head; env != nil; env = env.byComm.next {
 			if tagMatches(tag, env.tag) {
 				return env
@@ -358,7 +363,7 @@ func (ps *procState) takeUnexpected(req *Request) *envelope {
 // buffer — the unmatched-message release path, run at a clean Finalize
 // and at process death.
 func (ps *procState) drainUnexpected() {
-	for _, q := range ps.unexpByComm {
+	for _, q := range ps.cold.unexpByComm {
 		for env := q.head; env != nil; {
 			next := env.byComm.next
 			ps.unexpectedDelta(-1)
@@ -368,27 +373,23 @@ func (ps *procState) drainUnexpected() {
 		}
 		*q = list[envelope]{}
 	}
-	for _, q := range ps.unexpBySrc {
+	for _, q := range ps.cold.unexpBySrc {
 		*q = list[envelope]{}
 	}
 }
 
 // releaseIndexes drops the per-rank matching structures a dead rank no
-// longer needs: the posted-receive index, the unexpected-message map
-// shells (their queues were just emptied by drainUnexpected), the
-// collective scratch, the closure-mode step states, and the
-// pending-lookup spill map. Every one of
-// them is recreated on demand by its writer, so releasing an empty
-// structure is behavior-neutral — and only empty ones are released: a
-// failed rank that still has receives posted (or requests pending) keeps
-// those structures, and with them the matching semantics for whatever is
-// still in flight. At a million ranks the released maps are the dominant
+// longer needs: the posted-receive index, the closure-mode step states,
+// and the cold record with its unexpected-message map shells (their
+// queues were just emptied by drainUnexpected), collective scratch and
+// pending-lookup spill map. Every one of them is recreated on demand by
+// its writer, so releasing an empty structure is behavior-neutral — and
+// only empty ones are released: a failed rank that still has receives
+// posted (or requests pending) keeps those structures, and with them the
+// matching semantics for whatever is still in flight. At a million ranks the released maps are the dominant
 // retained cost of a finished rank that ever received from more than
 // postedInline distinct peers (the spill block and map go with the index).
 func (ps *procState) releaseIndexes() {
-	ps.unexpBySrc = nil
-	ps.unexpByComm = nil
-	ps.f64s = nil
 	ps.env.scratch = nil
 	if ps.postedWild.head == nil {
 		empty := true
@@ -402,14 +403,14 @@ func (ps *procState) releaseIndexes() {
 		}
 	}
 	if ps.pending.head == nil {
-		ps.pendSpill = nil
+		ps.cold = &noCold
 	}
 }
 
 // pendSpillThreshold is the pending-set size past which id lookups switch
-// from walking the intrusive list to the pendSpill map. Point-to-point
-// shapes keep a handful of requests pending; fan-in collectives at the
-// root can hold thousands at once.
+// from walking the intrusive list to the cold record's pendSpill map.
+// Point-to-point shapes keep a handful of requests pending; fan-in
+// collectives at the root can hold thousands at once.
 const pendSpillThreshold = 32
 
 // addPending files an incomplete request into the id-ordered pending list
@@ -420,21 +421,22 @@ func (ps *procState) addPending(r *Request) {
 	r.set(reqPending)
 	ps.pending.push(r, pendingAt)
 	ps.pendLen++
-	if ps.pendSpill != nil {
-		ps.pendSpill[r.id] = r
+	if sp := ps.cold.pendSpill; sp != nil {
+		sp[r.id] = r
 	} else if ps.pendLen > pendSpillThreshold {
-		ps.pendSpill = make(map[uint64]*Request, 2*pendSpillThreshold)
+		sp = make(map[uint64]*Request, 2*pendSpillThreshold)
 		for q := ps.pending.head; q != nil; q = q.pending.next {
-			ps.pendSpill[q.id] = q
+			sp[q.id] = q
 		}
+		ps.coldRec().pendSpill = sp
 	}
 }
 
 // findPending returns the pending request with the given id, or nil. The
 // common case walks the short list; ranks that ever spilled use the map.
 func (ps *procState) findPending(id uint64) *Request {
-	if ps.pendSpill != nil {
-		return ps.pendSpill[id]
+	if sp := ps.cold.pendSpill; sp != nil {
+		return sp[id]
 	}
 	for r := ps.pending.head; r != nil; r = r.pending.next {
 		if r.id == id {
@@ -451,9 +453,7 @@ func (ps *procState) unlinkPending(r *Request) {
 		return
 	}
 	r.clear(reqPending)
-	if ps.pendSpill != nil {
-		delete(ps.pendSpill, r.id)
-	}
+	delete(ps.cold.pendSpill, r.id) // a no-op on noCold's nil map
 	ps.pendLen--
 	ps.pending.unlink(r, pendingAt)
 }
@@ -582,8 +582,8 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		// injections at this node's NIC.
 		inject := t0
 		if occ := net.InjectOccupancy(size); occ > 0 {
-			inject = vclock.Max(t0, e.ps.injectFreeAt)
-			e.ps.injectFreeAt = inject.Add(occ)
+			inject = vclock.Max(t0, e.ps.coldRec().injectFreeAt)
+			e.ps.cold.injectFreeAt = inject.Add(occ)
 		}
 		// One route for both times: the transfer time is the control
 		// time plus serialisation (netmodel.TransferTime).
@@ -774,7 +774,7 @@ func (ps *procState) BlockReason() string {
 	if ps.waiting != nil && len(ps.waiting.reqs) > 0 {
 		return waitReason(ps.waiting.reqs)
 	}
-	if pr := ps.probe; pr != nil {
+	if pr := ps.cold.probe; pr != nil {
 		return fmt.Sprintf("MPI probe: src %d tag %d (comm %d)", pr.src, pr.tag, pr.comm)
 	}
 	return "MPI: blocked"
@@ -792,12 +792,16 @@ func (e *Env) wait(reqs ...*Request) error {
 	if done, err := e.completeWait(reqs); done {
 		return err
 	}
-	ws := &e.closure().wait
-	ws.Begin(reqs...)
+	// The wait reads its set in place; reqs, the variadic, must not escape.
+	cs := e.closure()
+	cs.reqs = append(cs.reqs[:0], reqs...)
+	ws := &cs.wait
+	ws.Begin(cs.reqs...)
 	ws.charged = true // the call overhead was charged above
 	for {
 		done, park, err := e.waitStep(ws)
 		if done {
+			clear(cs.reqs) // an idle scratch must not pin completed requests
 			return err
 		}
 		e.Block(park)
@@ -823,10 +827,10 @@ func (ps *procState) detection(postClock vclock.Time, src int) (at vclock.Time, 
 		}
 	}
 	if src == AnySource {
-		for p, t := range ps.failedPeers {
-			consider(p, t)
+		for _, f := range ps.failures() {
+			consider(f.rank, f.tof)
 		}
-	} else if t, dead := ps.failedPeers[src]; dead {
+	} else if t, dead := ps.failedAt(src); dead {
 		consider(src, t)
 	}
 	return at, peer, tof, peer >= 0

@@ -133,6 +133,12 @@ type dpPool struct {
 
 	bufs [nBufClasses][][]byte
 
+	// failed is the partition's failed-peer list: every failure
+	// notification the partition has handled, in arrival order. Each
+	// notification reaches every local rank at one instant, so one list
+	// serves them all (procState.failures).
+	failed []peerFailure
+
 	// Traffic counters (metrics.go): sends and collectives posted by the
 	// partition's ranks, and the deepest any of their unexpected queues got.
 	eagerMsgs, eagerBytes uint64

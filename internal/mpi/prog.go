@@ -122,10 +122,10 @@ func (pv *progVP) Step(c *core.Ctx, wake any) (park any, done bool) {
 // decrements it through Request.waiter), so a wake that does not finish
 // the wait re-parks in O(1) instead of re-scanning the request set. It is
 // embedded in the user's program state (or the closure scratch) and reused
-// wait after wait; Begin never allocates once the request slice has grown
-// to the process's steady-state width.
+// wait after wait. It keeps no copy of the set: the caller's slice is the
+// one list of the wait's requests, so Begin never allocates.
 type WaitState struct {
-	reqs    []*Request
+	reqs    []*Request // the caller's, until the wait completes
 	charged bool
 	// pending counts the tracked not-yet-complete requests; valid once
 	// the wait has parked (waitStep's first not-done pass fills it).
@@ -133,19 +133,22 @@ type WaitState struct {
 }
 
 // Begin arms the wait for a new request set. Call it once per wait, then
-// call WaitStep/WaitallStep from every step until it reports done. A
-// pending request must appear at most once in the set; a completed one,
-// such as the shared request of an eager send, may appear any number of
-// times, since a wait only reads it. A set abandoned mid-wait is
-// unregistered first: a completion wakes the rank parked on the wait the
-// request is registered with, and must not mistake this one for it.
+// call WaitStep/WaitallStep from every step until it reports done; the
+// wait reads reqs in place, so the caller leaves the slice's elements as
+// they are until then. A pending request must appear at most once in the
+// set; a completed one, such as the shared request of an eager send, may
+// appear any number of times, since a wait only reads it. A set abandoned
+// mid-wait is unregistered first, through the previous slice, which must
+// therefore still hold that set: a completion wakes the rank parked on the
+// wait the request is registered with, and must not mistake this one for
+// it.
 func (ws *WaitState) Begin(reqs ...*Request) {
 	for _, r := range ws.reqs {
-		if r.waiter == ws {
+		if r != nil && r.waiter == ws {
 			r.waiter = nil
 		}
 	}
-	ws.reqs = append(ws.reqs[:0], reqs...)
+	ws.reqs = reqs
 	ws.charged = false
 	ws.pending = 0
 }
@@ -226,16 +229,9 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		return false, e.ps, nil
 	}
 	e.ps.waiting = nil
-	// Drop the request references (capacity stays for the next Begin): an
-	// idle WaitState must not pin completed — and possibly recycled —
-	// requests in memory while the process is parked elsewhere. At a
-	// million ranks those stale pointers are the difference between a
-	// parked rank costing its state machine and costing its state machine
-	// plus a dozen dead Requests.
-	for i := range ws.reqs {
-		ws.reqs[i] = nil
-	}
-	ws.reqs = ws.reqs[:0]
+	// Drop the caller's slice: what it holds is the caller's to recycle
+	// or reuse from here on.
+	ws.reqs = nil
 	return true, nil, err
 }
 
@@ -377,7 +373,7 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 		st.tag = tag
 		st.postClock = e.ctx.NowQuiet()
 	}
-	e.ps.probe = nil
+	e.ps.coldRec().probe = nil
 	if env := e.ps.peekUnexpected(c.id, st.worldSrc, st.tag); env != nil {
 		st.begun = false
 		return true, nil, &Message{Src: env.srcCommRank, Tag: env.tag, Size: env.size}, nil
@@ -397,6 +393,6 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 		// notification wakes the probe before it.
 		park, _ = e.ctx.SleepPark(at.Sub(now))
 	}
-	e.ps.probe = &st.pr
+	e.ps.cold.probe = &st.pr
 	return false, park, nil, nil
 }

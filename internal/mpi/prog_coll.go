@@ -40,18 +40,18 @@ import "fmt"
 // point-to-point operation (RecvState, SendState).
 type hopState struct {
 	ws  WaitState
-	req *Request
+	req [1]*Request // the set ws waits on
 }
 
 // inFlight reports whether a hop has been posted and not yet completed;
 // the machines use it to distinguish "start the next hop" from "resume the
 // parked one".
-func (h *hopState) inFlight() bool { return h.req != nil }
+func (h *hopState) inFlight() bool { return h.req[0] != nil }
 
 // post starts the hop on a freshly posted request.
 func (h *hopState) post(req *Request) {
-	h.req = req
-	h.ws.Begin(req)
+	h.req[0] = req
+	h.ws.Begin(h.req[:]...)
 }
 
 // hopStep advances the hop (raw error, no handler); on done the request
@@ -62,8 +62,8 @@ func (c *Comm) hopStep(h *hopState) (done bool, park any, msg *Message, err erro
 	if !done {
 		return false, park, nil, nil
 	}
-	req := h.req
-	h.req = nil
+	req := h.req[0]
+	h.req[0] = nil
 	msg, err = c.env.ps.finishReq(req, err)
 	return true, nil, msg, err
 }

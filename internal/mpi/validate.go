@@ -56,11 +56,11 @@ func (ps *procState) checkIndexes(where string) {
 
 	// Arrival stamps start at 1, so each list's first envelope is in order.
 	total := 0
-	for k, q := range ps.unexpBySrc {
+	for k, q := range ps.cold.unexpBySrc {
 		var last uint64
 		broken := q.walk(bySrcAt, func(env *envelope) {
 			switch {
-			case env.commID != k.comm || env.src != k.src:
+			case keyOf(env.commID, env.src) != k:
 				ps.fail("unexpected-queue", where, "envelope (comm %d, src %d, tag %d) filed under key %+v",
 					env.commID, env.src, env.tag, k)
 			case env.dst != rank:
@@ -77,7 +77,7 @@ func (ps *procState) checkIndexes(where string) {
 		}
 	}
 	arrTotal := 0
-	for comm, q := range ps.unexpByComm {
+	for comm, q := range ps.cold.unexpByComm {
 		var last uint64
 		broken := q.walk(byCommAt, func(env *envelope) {
 			switch {
@@ -98,12 +98,12 @@ func (ps *procState) checkIndexes(where string) {
 		ps.fail("unexpected-queue", where,
 			"arrival lists hold %d envelopes but the source lists hold %d", arrTotal, total)
 	}
-	if ps.unexpNow != total {
+	if ps.cold.unexpNow != total {
 		ps.fail("unexpected-conservation", where,
-			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, ps.unexpNow)
+			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, ps.cold.unexpNow)
 	}
 
-	for id, r := range ps.pendSpill {
+	for id, r := range ps.cold.pendSpill {
 		switch {
 		case r == nil:
 			ps.fail("pending-index", where, "nil request pending under id %d", id)
@@ -135,8 +135,8 @@ func (ps *procState) checkIndexes(where string) {
 	if listed != ps.pendLen {
 		ps.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, ps.pendLen)
 	}
-	if ps.pendSpill != nil && listed != len(ps.pendSpill) {
-		ps.fail("pending-index", where, "pending list holds %d requests but the spill map holds %d", listed, len(ps.pendSpill))
+	if ps.cold.pendSpill != nil && listed != len(ps.cold.pendSpill) {
+		ps.fail("pending-index", where, "pending list holds %d requests but the spill map holds %d", listed, len(ps.cold.pendSpill))
 	}
 }
 
@@ -156,7 +156,7 @@ func (ps *procState) checkPostedList(where string, k *matchKey, q *list[Request]
 				r.id, key, r.kind, r.has(reqPosted), r.has(reqWild))
 		case wild && r.src != AnySource:
 			ps.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
-		case !wild && (r.comm.id != k.comm || int(r.src) != k.src):
+		case !wild && keyOf(r.comm.id, int(r.src)) != *k:
 			ps.fail("posted-index", where, "request %d filed under %s is a receive on comm %d from %d",
 				r.id, key, r.comm.id, r.src)
 		case r.Done():
@@ -195,7 +195,7 @@ func (ps *procState) checkFinalize() {
 			ps.fail("finalize-pending", "finalize", "receives still posted for key %+v at Finalize", k)
 		}
 	})
-	if ps.probe != nil {
+	if ps.cold.probe != nil {
 		ps.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
 	}
 }

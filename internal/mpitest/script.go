@@ -412,7 +412,7 @@ func (r *rankRun) Step(e *xsim.Env, wake any) (any, bool) {
 			done, park = e.SleepStep(&r.sl, o.d)
 		case opWait:
 			if !r.armed {
-				r.ws.Begin(r.reqs[o.slot])
+				r.ws.Begin(r.reqs[o.slot : o.slot+1]...)
 			}
 			if done, park, msg, err = c.WaitStep(&r.ws); done {
 				err = r.foldWait(o, msg, err)

@@ -246,14 +246,18 @@ func (c *Comm) SendStep(st *SendState, dst, tag int, data []byte) (done bool, pa
 }
 
 // RecvState carries one replicated receive across program steps: the step
-// form of Recv. Zero value ready; reused receive after receive.
+// form of Recv. Zero value ready; reused receive after receive, and a
+// receive past the first at the same degree allocates nothing of its own.
 type RecvState struct {
-	copies []replicaCopy // posted, in replica order; the delivered ones move to the front
-	next   int           // copies[next] is the one waited on
-	got    int           // copies[:got] delivered
-	armed  bool          // ws waits on copies[next]
-	hard   error         // the first error that is no process failure
-	ws     mpi.WaitState
+	reqs     []*mpi.Request // posted, in replica order; the delivered ones move to the front
+	replicas []int          // replicas[i] is the source replica of reqs[i]
+	next     int            // reqs[next] is the one waited on
+	got      int            // reqs[:got] delivered
+	armed    bool           // ws waits on reqs[next]
+	hard     error          // the first error that is no process failure
+	ws       mpi.WaitState
+	data     [][]byte // the delivered copies' bytes, for the vote
+	votes    []int    // the vote's scratch
 }
 
 // RecvStep advances a replicated receive. The first call posts a receive
@@ -269,7 +273,7 @@ func (c *Comm) RecvStep(st *RecvState, src, tag int) (done bool, park any, msg *
 	if err := c.check("source", src, tag); err != nil {
 		return true, nil, nil, err
 	}
-	if len(st.copies) == 0 { // a receive that parked holds a copy
+	if len(st.reqs) == 0 { // a receive that parked holds a copy
 		for k := 0; k < c.r; k++ {
 			w := c.worldRankOf(src, k)
 			if c.env.PeerFailed(w) {
@@ -282,13 +286,13 @@ func (c *Comm) RecvStep(st *RecvState, src, tag int) (done bool, park any, msg *
 				st.hard = err
 				break
 			}
-			st.copies = append(st.copies, replicaCopy{replica: k, req: req})
+			st.reqs = append(st.reqs, req)
+			st.replicas = append(st.replicas, k)
 		}
 	}
-	for ; st.next < len(st.copies); st.next++ {
-		p := &st.copies[st.next]
+	for ; st.next < len(st.reqs); st.next++ {
 		if !st.armed {
-			st.ws.Begin(p.req)
+			st.ws.Begin(st.reqs[st.next : st.next+1]...)
 			st.armed = true
 		}
 		if done, park, err = c.world.WaitallStep(&st.ws); !done {
@@ -296,58 +300,55 @@ func (c *Comm) RecvStep(st *RecvState, src, tag int) (done bool, park any, msg *
 		}
 		st.armed = false
 		if err == nil {
-			st.copies[st.got] = *p
+			st.reqs[st.got], st.replicas[st.got] = st.reqs[st.next], st.replicas[st.next]
 			st.got++
 			continue
 		}
 		if pf := (*mpi.ProcFailedError)(nil); !errors.As(err, &pf) && st.hard == nil {
 			st.hard = err
 		}
-		c.world.Free(p.req)
+		c.world.Free(st.reqs[st.next])
 	}
 	// Vote on the delivered copies and take the chosen one's message;
 	// freeing the requests releases every other copy.
-	got := st.copies[:st.got]
+	got := st.reqs[:st.got]
 	if err = st.hard; err == nil && len(got) == 0 {
 		err = &ReplicaFailedError{Logical: src, Op: "recv"}
 	} else if err == nil {
-		data := make([][]byte, len(got))
-		for i, p := range got {
-			data[i] = p.req.Msg().Data
+		for _, req := range got {
+			st.data = append(st.data, req.Msg().Data)
 		}
-		chosen, outvoted, mismatch := vote(data)
-		msg = got[chosen].req.TakeMsg()
+		if cap(st.votes) < 2*len(got) {
+			st.votes = make([]int, 2*len(got))
+		}
+		chosen, outvoted, mismatch := vote(st.data, st.votes[:2*len(got)])
+		msg = got[chosen].TakeMsg()
 		if mismatch {
 			for i, j := range outvoted {
-				outvoted[i] = got[j].replica
+				outvoted[i] = st.replicas[j]
 			}
 			err = &SDCError{LogicalSrc: src, Tag: tag, Replica: c.replica, Corrupt: outvoted}
 		}
 	}
-	for _, p := range got {
-		c.world.Free(p.req)
+	for _, req := range got {
+		c.world.Free(req)
 	}
-	clear(st.copies)
-	*st = RecvState{copies: st.copies[:0], ws: st.ws}
+	clear(st.reqs)
+	clear(st.data)
+	st.reqs, st.replicas, st.data = st.reqs[:0], st.replicas[:0], st.data[:0]
+	st.next, st.got, st.hard = 0, 0, nil
 	return true, nil, msg, err
-}
-
-// replicaCopy is one receive RecvStep posted: the source replica it names
-// and its request.
-type replicaCopy struct {
-	replica int
-	req     *mpi.Request
 }
 
 // vote groups copies, at least one, by their bytes in one pass. mismatch
 // reports that two copies differ. With a strict majority, chosen is the
 // majority's first copy and outvoted lists the other copies in ascending
 // order; without one (r = 2, or an even split) chosen is copy 0 and
-// outvoted is nil.
-func vote(copies [][]byte) (chosen int, outvoted []int, mismatch bool) {
+// outvoted is nil. scratch holds 2·len(copies) ints of the caller's.
+func vote(copies [][]byte, scratch []int) (chosen int, outvoted []int, mismatch bool) {
 	// group[i] is the first copy with copy i's bytes; size[g] counts group g.
-	group := make([]int, len(copies))
-	size := make([]int, len(copies))
+	group, size := scratch[:len(copies)], scratch[len(copies):2*len(copies)]
+	clear(size)
 	for i, c := range copies {
 		g := i
 		for j := range i {

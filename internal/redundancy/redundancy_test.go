@@ -237,6 +237,37 @@ func TestTagRangeRejected(t *testing.T) {
 	})
 }
 
+// TestWarmReceiveAllocatesNothingOfItsOwn: once a replicated receive has
+// run at a degree, the next one keeps its copy list and the vote's scratch
+// in its RecvState, so a receive whose three copies already arrived
+// allocates nothing.
+func TestWarmReceiveAllocatesNothingOfItsOwn(t *testing.T) {
+	const rounds = 50
+	payload := []byte("tripled")
+	runReplicated(t, 2, 3, nil, func(e *mpi.Env, c *Comm) {
+		if c.Logical() == 0 {
+			for range rounds + 2 { // warm-up, AllocsPerRun's own warm-up, then the measured runs
+				if err := c.Send(1, 0, payload); err != nil {
+					t.Errorf("send: %v", err)
+				}
+			}
+			return
+		}
+		e.Sleep(vclock.Second) // every copy arrives before the first receive
+		recv := func() {
+			msg, err := c.Recv(0, 0)
+			if err != nil || !bytes.Equal(msg.Data, payload) {
+				t.Errorf("recv: %q, %v", msg.Data, err)
+			}
+			msg.Release()
+		}
+		recv()
+		if got := testing.AllocsPerRun(rounds, recv); got != 0 {
+			t.Errorf("replica %d: a warm r = 3 receive allocates %v objects, want 0", c.Replica(), got)
+		}
+	})
+}
+
 func TestMirrorCleanDelivery(t *testing.T) {
 	res := runReplicated(t, 2, 2, nil, func(e *mpi.Env, c *Comm) {
 		if c.Logical() == 0 {
@@ -439,7 +470,7 @@ func FuzzVote(f *testing.F) {
 			}
 			copies[i] = bytes.Repeat([]byte{'a' + v}, int(v))
 		}
-		chosen, outvoted, mismatch := vote(copies)
+		chosen, outvoted, mismatch := vote(copies, make([]int, 2*len(copies)))
 
 		wantMismatch := false
 		majority := -1
