@@ -10,7 +10,8 @@
 #                     Workers ∈ {1,2,4} determinism cross-check)
 #   5. go test -race (whole module under the race detector; the parallel
 #                     window protocol must be data-race free)
-#   6. differential harness (500 random MPI workloads under -race,
+#   6. differential harness (500 random MPI workloads of 2-8 ranks and
+#                     40 of 24-64 ranks under -race,
 #                     sequential vs Workers ∈ {2,4}, engine/MPI invariants
 #                     enabled, including box conservation: a clean run
 #                     must end with every partition's payload-box table
@@ -18,7 +19,8 @@
 #                     released twice; payload digests double as a check
 #                     that data-plane pooling never leaks one message's
 #                     bytes into another)
-#   6b. driver equivalence (500 random MPI workloads under -race, closure
+#   6b. driver equivalence (500 random MPI workloads, and 40 wide ones,
+#                     under -race, closure
 #                     vs program mode: both run the same step machines,
 #                     one through Env.Block and one stepped by the
 #                     scheduler, and their digests must agree; then the
@@ -35,7 +37,8 @@
 #                     so a new target joins without an edit here: the
 #                     parsing surfaces, the file-name/key round trip of
 #                     the simulated file system, the MPI layer's intrusive
-#                     list against a slice model, the rank-list codec
+#                     list and its per-source queue index (across the move
+#                     to a dense table) against slice models, the rank-list codec
 #                     of ULFM's Shrink, and the replication layer's vote
 #                     against a brute-force model;
 #                     checked-in corpora already ran as regressions in 4)
@@ -131,6 +134,9 @@ go test -race ./...
 
 echo "== differential harness (500 seeds, Validate on, -race)"
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialSeqVsParallel$' ./internal/mpitest/
+# The same sweep on 24- to 64-rank worlds with linear collectives, whose
+# fan-in roots move their matching queues to dense tables.
+XSIM_WIDE_SEEDS=40 go test -race -count=1 -run '^TestWideDifferentialSeqVsParallel$' ./internal/mpitest/
 
 echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # Closure and program mode run one set of step machines through two
@@ -138,6 +144,7 @@ echo "== driver equivalence (closure vs prog digests, 500 seeds, -race)"
 # runs all 500 random workloads both ways (Workers in {1,2,4}; the
 # override is honoured unclamped) and compares digests.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
+XSIM_WIDE_SEEDS=40 go test -race -count=1 -run '^TestWideDifferentialClosureVsProg$' ./internal/mpitest/
 # The replicated stencil runs on the redundancy layer's step forms: one
 # Prog through both drivers, rank for rank.
 go test -race -count=1 -run '^TestReplicatedStencilDriversAgree$' .
@@ -219,6 +226,7 @@ echo "== bytes-per-VP budget gate (program mode, 256k ranks)"
 # 320 bytes, its posted-receive block 208 -> 160); it is gated at that
 # + 10 %, so a regression that reintroduces a per-VP map, goroutine, or
 # unbounded pool, or a field that crosses a size class, fails loudly.
+# It reads 655 since the bundle fits the 288-byte class.
 bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 759 1
 
 echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
@@ -235,6 +243,7 @@ echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # (burst-bytes/vp: each rank's six live requests and six queued messages)
 # reads 2,101, ungated. What is left once the run completes
 # (retained-bytes/vp) read ~853 and then 760; it is gated at that + 10 %.
+# With the MPI bundle at 288 bytes the three read 2,242, 2,067 and 725.
 bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp,bytes/vp 836,2495 1
 
 echo "== BenchmarkHaloBurst mallocs-per-message gate"

@@ -171,7 +171,7 @@ func BenchmarkHeatCkptBytesPerVP(b *testing.B) {
 		n := n
 		b.Run(fmt.Sprintf("closure/ranks=%d", n), func(b *testing.B) {
 			measure(b, n, func(w *mpi.World, cfg Config) error {
-				_, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+				_, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 				return err
 			})
 		})
@@ -235,7 +235,7 @@ func BenchmarkHaloStackPerVP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, err = w.Run(func(e *mpi.Env) { runOutOfLine(e, cfg) })
+			_, err = w.Run(func(e *mpi.Env) { runOutOfLine(e, &cfg) })
 			debug.SetGCPercent(gc)
 			if err != nil {
 				b.Fatal(err)

@@ -38,7 +38,7 @@ func TestClockRangeRefusedAtInit(t *testing.T) {
 		if mode == "prog" {
 			_, err = w.RunProgs(NewProg(cfg))
 		} else {
-			_, err = w.Run(func(e *mpi.Env) { Run(e, cfg) })
+			_, err = w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 		}
 		var cre *ClockRangeError
 		if !errors.As(err, &cre) {

@@ -101,7 +101,7 @@ func TestClosureRunsMatchGolden(t *testing.T) {
 			rcfg.Tracker = NewTracker(n)
 			heat := make([]float64, n)
 			rcfg.OnFinal = func(rank int, h float64) { heat[rank] = h }
-			res, err := w.Run(func(e *mpi.Env) { Run(e, rcfg) })
+			res, err := w.Run(func(e *mpi.Env) { Run(e, &rcfg) })
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, kind, err)
 			}

@@ -342,9 +342,10 @@ func (t *Tracker) setPhase(rank int, p Phase) {
 // halo-exchange, checkpoint, barrier and delete phases, and finalise
 // cleanly. The loop itself is written once, as the resumable heatRunner
 // (prog.go) that NewProg hands to program mode; Run drives the same runner
-// to completion on the calling VP.
-func Run(env *mpi.Env, cfg Config) {
-	env.RunProg(&heatRunner{state: state{cfg: &cfg}})
+// to completion on the calling VP. As under NewProg, every rank of a world
+// shares the one read-only cfg.
+func Run(env *mpi.Env, cfg *Config) {
+	env.RunProg(&heatRunner{state: state{cfg: cfg}})
 }
 
 // state holds one rank's geometry and, in real mode, behind one pointer,

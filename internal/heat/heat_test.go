@@ -108,7 +108,7 @@ func TestRealComputeConservation(t *testing.T) {
 	heats := make([]float64, n)
 	cfg.OnFinal = func(rank int, h float64) { heats[rank] = h }
 	w := testWorld(t, n, 1, store, 0, nil)
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCheckpointFilesWritten(t *testing.T) {
 	store := fsmodel.NewStore()
 	cfg := smallReal(n)
 	w := testWorld(t, n, 1, store, 0, nil)
-	if _, err := w.Run(func(e *mpi.Env) { Run(e, cfg) }); err != nil {
+	if _, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) }); err != nil {
 		t.Fatal(err)
 	}
 	// 20 iterations with interval 10: checkpoints at 10 and 20; the set
@@ -163,7 +163,7 @@ func TestFailureAbortsAndRestartResumes(t *testing.T) {
 
 	// First run: rank 3 fails mid-computation; everyone aborts.
 	w := testWorld(t, n, 1, store, 0, fault.Schedule{{Rank: 3, At: vclock.Time(vclock.Millisecond)}})
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFailureAbortsAndRestartResumes(t *testing.T) {
 	tr2 := NewTracker(n)
 	cfg.Tracker = tr2
 	w2 := testWorld(t, n, 1, store, start, nil)
-	res2, err := w2.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res2, err := w2.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRestartLoadsCheckpointData(t *testing.T) {
 	// Fail late (≈iteration 24 of 30, one iteration ≈ 38 µs) so at least
 	// one checkpoint set (iteration 10 or 20) completes before the abort.
 	w := testWorld(t, n, 1, store, 0, fault.Schedule{{Rank: 0, At: vclock.Time(900 * vclock.Microsecond)}})
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRestartLoadsCheckpointData(t *testing.T) {
 	heats := make([]float64, n)
 	cfg.OnFinal = func(rank int, h float64) { heats[rank] = h }
 	w2 := testWorld(t, n, 1, store, res.MaxClock, nil)
-	if _, err := w2.Run(func(e *mpi.Env) { Run(e, cfg) }); err != nil {
+	if _, err := w2.Run(func(e *mpi.Env) { Run(e, &cfg) }); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < n; r++ {
@@ -267,7 +267,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 	cfg.CheckpointPayload = 1000
 	cfg.DeltaFraction = 0.25
 	w := testWorld(t, n, 1, store, 0, nil)
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 	store2 := fsmodel.NewStore()
 	cfg.FullEvery = 1
 	w2 := testWorld(t, n, 1, store2, 0, nil)
-	if _, err := w2.Run(func(e *mpi.Env) { Run(e, cfg) }); err != nil {
+	if _, err := w2.Run(func(e *mpi.Env) { Run(e, &cfg) }); err != nil {
 		t.Fatal(err)
 	}
 	iters = store2.Iterations("heat")
@@ -319,7 +319,7 @@ func TestIncrementalRestartResumesFromChain(t *testing.T) {
 	// One modelled iteration ≈ 40 µs: 1 ms lands near iteration 25, after
 	// the sets at 10 and 20 completed.
 	w := testWorld(t, n, 1, store, 0, fault.Schedule{{Rank: 2, At: vclock.Time(vclock.Millisecond)}})
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestIncrementalRestartResumesFromChain(t *testing.T) {
 	tr := NewTracker(n)
 	cfg.Tracker = tr
 	w2 := testWorld(t, n, 1, store, res.MaxClock, nil)
-	res2, err := w2.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res2, err := w2.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestModeledModeMatchesGeometry(t *testing.T) {
 	tr := NewTracker(n)
 	cfg.Tracker = tr
 	w := testWorld(t, n, 1, store, 0, nil)
-	res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+	res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestModeledAndRealSameVirtualTime(t *testing.T) {
 		cfg := smallReal(n)
 		cfg.RealCompute = real
 		w := testWorld(t, n, 1, store, 0, nil)
-		res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+		res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestParallelEngineSameResult(t *testing.T) {
 		store := fsmodel.NewStore()
 		cfg := smallReal(n)
 		w := testWorld(t, n, workers, store, 0, nil)
-		res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+		res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +555,7 @@ func TestRestartSkipsMisnamedCheckpoint(t *testing.T) {
 				if prog {
 					res, err = w.RunProgs(NewProg(cfg))
 				} else {
-					res, err = w.Run(func(e *mpi.Env) { Run(e, cfg) })
+					res, err = w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 				}
 				if err != nil || res.Completed != n {
 					t.Fatalf("real=%v prog=%v: %v, %+v", real, prog, err, res)

@@ -86,7 +86,7 @@ func (d injectionDriver) run(t *testing.T, cfg Config, store *fsmodel.Store, sta
 	} else {
 		res, err = w.Run(func(e *mpi.Env) {
 			abortOnRank3(e, abortAfter)
-			Run(e, cfg)
+			Run(e, &cfg)
 		})
 	}
 	if err != nil {

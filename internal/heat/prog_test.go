@@ -71,7 +71,7 @@ func TestHeatProgMatchesClosure(t *testing.T) {
 			if cfg.RealCompute {
 				cfg.OnFinal = func(rank int, h float64) { refHeat += h }
 			}
-			ref, err := newWorld(1, fsmodel.NewStore()).Run(func(e *mpi.Env) { Run(e, cfg) })
+			ref, err := newWorld(1, fsmodel.NewStore()).Run(func(e *mpi.Env) { Run(e, &cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestHeatProgRestartMatchesClosure(t *testing.T) {
 	crash := func() (*fsmodel.Store, vclock.Time) {
 		store := fsmodel.NewStore()
 		w := testWorld(t, n, 1, store, 0, fault.Schedule{{Rank: 2, At: vclock.Time(vclock.Millisecond)}})
-		res, err := w.Run(func(e *mpi.Env) { Run(e, cfg) })
+		res, err := w.Run(func(e *mpi.Env) { Run(e, &cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestHeatProgRestartMatchesClosure(t *testing.T) {
 	tr1 := NewTracker(n)
 	ccfg := cfg
 	ccfg.Tracker = tr1
-	ref, err := testWorld(t, n, 1, store1, start1, nil).Run(func(e *mpi.Env) { Run(e, ccfg) })
+	ref, err := testWorld(t, n, 1, store1, start1, nil).Run(func(e *mpi.Env) { Run(e, &ccfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

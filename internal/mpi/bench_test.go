@@ -87,8 +87,22 @@ func BenchmarkSendRecvTraced(b *testing.B) {
 }
 
 // BenchmarkBarrier measures the linear barrier at several scales (one
-// barrier per iteration).
+// barrier per iteration). The program-mode row is the paper's checkpoint
+// barrier at 32,768 ranks, whose root receives one message from each
+// rank, most of them unexpected: ns/arrival is the whole world's time per
+// message the root takes in.
 func BenchmarkBarrier(b *testing.B) {
+	b.Run("prog/ranks=32768", func(b *testing.B) {
+		const n = 32768
+		rounds := b.N
+		w := benchWorld(b, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := w.RunProgs(func(int) Prog { return &barrierRank{rounds: rounds} }); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds*(n-1)), "ns/arrival")
+	})
 	for _, n := range []int{16, 256, 1024} {
 		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
 			rounds := b.N
@@ -106,6 +120,32 @@ func BenchmarkBarrier(b *testing.B) {
 			}
 		})
 	}
+}
+
+// barrierRank runs rounds world barriers as a program VP.
+type barrierRank struct {
+	rounds int
+	begun  bool
+	cs     CollectiveState
+}
+
+func (p *barrierRank) Step(e *Env, _ any) (any, bool) {
+	for ; p.rounds > 0; p.rounds-- {
+		if !p.begun {
+			p.cs.BeginBarrier()
+			p.begun = true
+		}
+		done, park, err := e.World().CollectiveStep(&p.cs)
+		if !done {
+			return park, false
+		}
+		if err != nil {
+			panic(err)
+		}
+		p.begun = false
+	}
+	e.Finalize()
+	return nil, true
 }
 
 // BenchmarkUnexpectedMatching measures the indexed unexpected-queue path:

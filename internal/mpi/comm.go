@@ -53,7 +53,7 @@ func (e *Env) newComm(group []int, myWorldRank int) *Comm {
 			break
 		}
 	}
-	return &Comm{env: e, id: e.nextCommID, n: len(group), group: append([]int(nil), group...), rank: rank}
+	return &Comm{env: e, id: int(e.nextCommID), n: len(group), group: append([]int(nil), group...), rank: rank}
 }
 
 // Rank returns this process's rank in the communicator.

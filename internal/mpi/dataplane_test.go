@@ -244,41 +244,3 @@ func TestPoolMetrics(t *testing.T) {
 		t.Errorf("Add mis-aggregated pool counters: %+v vs %+v", agg, m)
 	}
 }
-
-// TestPostedIdxTiers files queues for more sources than the inline array
-// and the linear block hold and checks the index tier by tier: the first
-// two keys inline, the next six in the one spill block (a 3-D stencil's
-// six sources never build a map), the rest in the map; every queue keeps
-// the address Request.postQ recorded, and each visits all of them once.
-func TestPostedIdxTiers(t *testing.T) {
-	var ix postedIdx
-	const n = postedInline + postedLinear + 4
-	qs := make([]*list[Request], n)
-	for i := range qs {
-		k := keyOf(i%2, 100+i)
-		if ix.get(k) != nil {
-			t.Fatalf("key %d found before it was added", i)
-		}
-		qs[i] = ix.getOrAdd(k)
-		if i == postedInline+postedLinear-1 && (ix.spill == nil || ix.spill.more != nil) {
-			t.Fatalf("%d keys: spill block %v, map %v; want a block and no map", i+1, ix.spill != nil, ix.spill != nil && ix.spill.more != nil)
-		}
-	}
-	if ix.n != postedInline || ix.spill.n != postedLinear || len(ix.spill.more) != 4 {
-		t.Fatalf("tiers hold %d, %d and %d keys", ix.n, ix.spill.n, len(ix.spill.more))
-	}
-	seen := map[*list[Request]]matchKey{}
-	ix.each(func(k matchKey, q *list[Request]) { seen[q] = k })
-	for i, q := range qs {
-		k := keyOf(i%2, 100+i)
-		if ix.get(k) != q || ix.getOrAdd(k) != q {
-			t.Errorf("key %d: queue moved", i)
-		}
-		if seen[q] != k {
-			t.Errorf("key %d: each reported %+v for its queue", i, seen[q])
-		}
-	}
-	if len(seen) != n {
-		t.Errorf("each visited %d queues, want %d", len(seen), n)
-	}
-}

@@ -198,7 +198,7 @@ func initProcEnv(b *procBundle, w *World, c *core.Ctx) {
 	b.env = Env{w: w, ctx: c, ps: &b.ps, world: &b.world}
 	b.world = Comm{env: &b.env, id: 0, n: c.N(), rank: c.Rank()}
 	b.ps.dp = w.pools[c.Partition()]
-	b.ps.failBase = len(b.ps.dp.failed)
+	b.ps.failBase = int32(len(b.ps.dp.failed))
 	b.ps.cold = &noCold
 	b.ps.env = &b.env
 	c.SetData(&b.ps)
@@ -239,12 +239,12 @@ type procState struct {
 	// shared by every local rank (only one of them executes at a time).
 	dp *dpPool
 
-	// Posted receives are indexed by (communicator, source) — a small
-	// inline index (postedIdx) since most ranks only ever receive from a
-	// handful of distinct sources — with wildcard-source receives in a
-	// separate ordered intrusive list; request ids, issued at post time,
+	// Posted receives are indexed by (communicator, source) — a srcIndex,
+	// whose inline tier is all most ranks use, since they only ever receive
+	// from a handful of distinct sources — with wildcard-source receives in
+	// a separate ordered intrusive list; request ids, issued at post time,
 	// establish MPI's first-match-in-post-order rule across the two.
-	posted     postedIdx
+	posted     srcIndex[Request]
 	postedWild list[Request]
 	// Incomplete requests thread through an id-ordered intrusive list
 	// (ids are monotonic, so appends keep the order the
@@ -254,10 +254,10 @@ type procState struct {
 	// map once pendLen ever exceeds pendSpillThreshold (fan-in
 	// collectives).
 	pending list[Request]
-	pendLen int
+	pendLen int32
 	// failBase counts the partition's failure notifications from before
 	// this state was built, which the process never received (failures).
-	failBase int
+	failBase int32
 	// waiting is the wait the VP is currently parked in, nil when it is not
 	// parked in one.
 	waiting *WaitState
@@ -272,15 +272,15 @@ type procState struct {
 // the barrier root) never touches: its receives are posted first, and it
 // never probes, revokes, reduces or contends for its NIC.
 type procCold struct {
-	// Unexpected envelopes sit in a per-(comm, src) FIFO and, at the
-	// same time, in their communicator's arrival-order list; arriveSeq
-	// stamps arrival order (used by validation and probes). unexpNow is
-	// the number queued (the gauge behind the partition's high-water
-	// mark).
-	unexpBySrc  map[matchKey]*list[envelope]
-	unexpByComm map[int]*list[envelope]
-	arriveSeq   uint64
-	unexpNow    int
+	// Unexpected envelopes sit in a per-(comm, src) FIFO (unexp) and, at
+	// the same time, in their communicator's arrival-order list (byComm,
+	// one entry per communicator, few per rank); arriveSeq stamps arrival
+	// order (used by validation and probes). unexpNow is the number
+	// queued (the gauge behind the partition's high-water mark).
+	unexp     srcIndex[envelope]
+	byComm    []arrivalList
+	arriveSeq uint64
+	unexpNow  int
 	// pendSpill indexes the pending list by id once it has ever grown
 	// past pendSpillThreshold.
 	pendSpill map[uint64]*Request
@@ -327,10 +327,10 @@ type Env struct {
 	finalized bool
 	// prog marks a process executing as a program VP (World.RunProgs): it
 	// has no goroutine to park, so Block refuses with a typed
-	// ClosureOnlyError. The two flags sit together so the scratch pointer
-	// below adds nothing to the per-rank bundle a million program VPs pay.
+	// ClosureOnlyError. The two flags and the communicator counter share
+	// one word of the per-rank bundle a million program VPs pay.
 	prog       bool
-	nextCommID int
+	nextCommID int32
 	// scratch holds the step states the closure-mode blocking calls drive
 	// (see closure); nil until the first call that has to park, so a
 	// program VP, which parks through states of its own, never pays for it.

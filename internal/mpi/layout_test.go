@@ -21,18 +21,20 @@ func TestRequestLayout(t *testing.T) {
 
 // TestRankBundleLayout pins what every rank holds for its world's life.
 // A parked program-mode rank of the paper's halo exchange is its progBundle,
-// its application's own state and the postedSpill block its six sources and
-// the barrier root fill; at a million ranks each of these bytes is a
-// megabyte of resident memory, and each crossing of an allocator size
-// class a step up. The closure-mode procBundle sits beside a carrier stack.
+// its application's own state and the posted index's spill block its six
+// sources and the barrier root fill; at a million ranks each of these
+// bytes is a megabyte of resident memory, and each crossing of an
+// allocator size class a step up (progBundle read 304 bytes, in the
+// 320-byte class, before its counters became 32-bit). The closure-mode
+// procBundle sits beside a carrier stack.
 func TestRankBundleLayout(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		got, max uintptr
 	}{
-		{"progBundle", unsafe.Sizeof(progBundle{}), 320},
+		{"progBundle", unsafe.Sizeof(progBundle{}), 288},
 		{"procBundle", unsafe.Sizeof(procBundle{}), 288},
-		{"postedSpill", unsafe.Sizeof(postedSpill{}), 160},
+		{"srcSpill[Request]", unsafe.Sizeof(srcSpill[Request]{}), 160},
 	} {
 		if c.got > c.max {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want <= %d: one per rank for its world's life", c.name, c.got, c.max)
@@ -95,10 +97,11 @@ func (p *haloRank) Step(e *Env, _ any) (any, bool) {
 // TestHaloRankPostedIndexStaysOffMap: a rank of the paper's halo exchange
 // receives from seven (communicator, source) keys, its six neighbours and
 // the barrier root, and the posted index keeps all seven in its inline
-// slots and its one spill block. Only the barrier root, which receives
-// from every rank, builds the map tier. With one slot fewer in the block,
-// every non-root rank would carry a map for its world's life (+5 % peak
-// RSS at 64k ranks).
+// slots and its one spill block. With one slot fewer in the block, every
+// non-root rank would carry a map for its world's life (+5 % peak RSS at
+// 64k ranks). Only the barrier root, which hears from every rank, goes
+// past the block: its world communicator's queues end in a dense table,
+// with no map left beside it.
 func TestHaloRankPostedIndexStaysOffMap(t *testing.T) {
 	const side = 4
 	_, w := newWorldT(t, side*side*side, 1, nil)
@@ -107,8 +110,14 @@ func TestHaloRankPostedIndexStaysOffMap(t *testing.T) {
 		return &haloRank{side: side, rounds: 2, onDone: func(ps *procState) {
 			n := 0
 			ps.posted.each(func(matchKey, *list[Request]) { n++ })
-			if sp := ps.posted.spill; rank != 0 && sp != nil && sp.more != nil {
-				t.Errorf("rank %d: posted index built its map tier for %d keys", rank, n)
+			pm, pt := ps.posted.farTier()
+			um, ut := ps.cold.unexp.farTier()
+			maps, tables := pm+um, pt+ut
+			switch {
+			case rank != 0 && (maps != 0 || tables != 0):
+				t.Errorf("rank %d: its indexes built %d map queues and %d dense tables", rank, maps, tables)
+			case rank == 0 && (maps != 0 || tables == 0):
+				t.Errorf("barrier root: %d map queues and %d dense tables, want none and at least one", maps, tables)
 			}
 			keys[rank] = n
 		}}

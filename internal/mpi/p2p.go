@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"xsim/internal/core"
 	"xsim/internal/trace"
@@ -115,108 +116,228 @@ func (h *envHeader) take(ev *core.Event) (box uint32) {
 }
 
 // matchKey indexes posted receives and unexpected envelopes by
-// communicator and source world rank, 32 bits each (as a Request keeps
-// its source): the posted index holds eight of them per rank.
+// communicator and the source's rank in it, 32 bits each (as a Request
+// keeps its source): the posted index holds eight of them per rank.
 type matchKey struct{ comm, src int32 }
 
-// keyOf returns the match key of a communicator id and source world rank.
+// keyOf returns the match key of a communicator id and source rank in
+// that communicator.
 func keyOf(comm, src int) matchKey { return matchKey{int32(comm), int32(src)} }
 
-// postedInline is the number of (comm, src) posted-receive queues kept
-// inline in procState. A 1-D halo exchange uses exactly 2 distinct sources,
-// so that shape pays no allocation and no hashing — and at a million ranks
-// every inline slot is ~32 bytes/rank of resident footprint, so the array
-// stays minimal.
-const postedInline = 2
+// srcInline is the number of (comm, src) queues a srcIndex keeps inline.
+// A 1-D halo exchange uses exactly 2 distinct sources, so that shape pays
+// no allocation and no hashing — and at a million ranks every inline slot
+// of the posted index is ~32 bytes/rank of resident footprint, so the
+// array stays minimal.
+const srcInline = 2
 
-// postedLinear is the number of further queues kept in one linearly scanned
-// block before the index falls back on a map. The paper's application is a
-// 3-D stencil with six sources: two inline and four in the block, one
-// allocation and no hashing. Only fan-in roots (a linear barrier's root
-// receives from every rank) ever reach the map.
-const postedLinear = 6
+// srcLinear is the number of further queues kept in one linearly scanned
+// block before the index moves to its per-communicator tier. The paper's
+// application is a 3-D stencil with six sources: two inline and four in
+// the block, one allocation and no hashing. Only fan-in roots (a linear
+// barrier's root receives from every rank) ever reach the next tier.
+const srcLinear = 6
 
-// postedSpill holds the queues beyond the inline ones: a fixed block
-// scanned linearly, then a map.
-type postedSpill struct {
-	n    int
-	keys [postedLinear]matchKey
-	qs   [postedLinear]list[Request]
-	more map[matchKey]*list[Request]
-}
+// mapQueueBytes is what one queue costs in a communicator's map: its
+// separately allocated 16-byte list plus its map slot, a 4-byte key and an
+// 8-byte pointer padded to 16, with the table's control bytes and
+// load-factor slack (~40 B in all). A dense table costs one list value
+// (16 B) per member, so a communicator's queues go dense once the map
+// holds this many bytes' worth of the table: about 0.4 of its members.
+const mapQueueBytes = 40
 
-// postedIdx indexes the per-(comm, src) posted-receive queues: an inline
-// array of queue values, then a spill block, then a map, in the order the
-// keys first appeared. Queue addresses are stable wherever a queue lives
-// (the inline array is part of procState, which never moves; the block is
-// allocated once; map queues are allocated one by one), so Request.postQ
-// may point at them.
-type postedIdx struct {
+// srcIndex indexes per-(comm, src) FIFO queues of *T, for the posted
+// receives (T = Request) and the unexpected envelopes (T = envelope):
+// an inline array of queues, then a spill block, then per communicator a
+// map by source rank that becomes a dense table indexed by source rank
+// once it holds a large share of the communicator's members. A key lives
+// in exactly one tier, the first that had room when it first appeared,
+// and its queue is retained once created. Queue addresses are stable
+// except at a communicator's move from map to dense table, which tells its
+// caller where each moved queue now is (a posted receive records the list
+// it sits in, Request.postQ). Every lookup is a scan of at most eight
+// keys and the communicator list, then an index or a hash.
+type srcIndex[T any] struct {
 	n     int
-	keys  [postedInline]matchKey
-	qs    [postedInline]list[Request]
-	spill *postedSpill
+	keys  [srcInline]matchKey
+	qs    [srcInline]list[T]
+	spill *srcSpill[T]
 }
 
-// get returns the queue for k, or nil if none was ever created.
-func (ix *postedIdx) get(k matchKey) *list[Request] {
+// srcSpill holds the queues beyond the inline ones: a fixed block scanned
+// linearly, then the per-communicator tier behind one pointer, which keeps
+// the block in the 160-byte size class every rank of the paper's halo
+// exchange pays for.
+type srcSpill[T any] struct {
+	n     int
+	keys  [srcLinear]matchKey
+	qs    [srcLinear]list[T]
+	comms *[]commQueues[T]
+}
+
+// commQueues holds one communicator's queues past the block: a map by
+// source rank until it holds mapQueueBytes' worth of a dense table, then
+// the table, indexed by source rank. A source outside the table (no
+// member has such a rank) stays in the map.
+type commQueues[T any] struct {
+	comm  int32
+	byMap map[int32]*list[T]
+	dense []list[T]
+}
+
+// far returns comm's entry in the per-communicator tier, nil if it has none.
+func (sp *srcSpill[T]) far(comm int32) *commQueues[T] {
+	if sp.comms == nil {
+		return nil
+	}
+	cs := *sp.comms
+	for i := range cs {
+		if cs[i].comm == comm {
+			return &cs[i]
+		}
+	}
+	return nil
+}
+
+// get returns the queue for k, or nil if none was ever created. In a
+// communicator with a dense table every member's slot is a queue. The
+// inline and block scans stay small enough to inline into every matching
+// call; only a fan-in root calls on into the per-communicator tier.
+func (ix *srcIndex[T]) get(k matchKey) *list[T] {
 	for i := 0; i < ix.n; i++ {
 		if ix.keys[i] == k {
 			return &ix.qs[i]
 		}
 	}
-	if sp := ix.spill; sp != nil {
-		for i := 0; i < sp.n; i++ {
-			if sp.keys[i] == k {
-				return &sp.qs[i]
-			}
-		}
-		return sp.more[k]
+	sp := ix.spill
+	if sp == nil {
+		return nil
 	}
-	return nil
+	for i := 0; i < sp.n; i++ {
+		if sp.keys[i] == k {
+			return &sp.qs[i]
+		}
+	}
+	if sp.comms == nil {
+		return nil
+	}
+	return sp.farGet(k)
+}
+
+// farGet returns the queue for k from the per-communicator tier, or nil.
+// It is kept out of line so that get stays inlinable.
+//
+//go:noinline
+func (sp *srcSpill[T]) farGet(k matchKey) *list[T] {
+	cq := sp.far(k.comm)
+	if cq == nil {
+		return nil
+	}
+	if uint32(k.src) < uint32(len(cq.dense)) {
+		return &cq.dense[k.src]
+	}
+	return cq.byMap[k.src]
 }
 
 // getOrAdd returns the queue for k, creating it on first use in the first
-// tier with room. Queues are retained once created.
-func (ix *postedIdx) getOrAdd(k matchKey) *list[Request] {
+// tier with room. n bounds the sources of k's communicator: a table for
+// it has n slots. moved, if not nil, is called on every queue a move to a
+// dense table relocates, at its new address.
+func (ix *srcIndex[T]) getOrAdd(k matchKey, n int, moved func(*list[T])) *list[T] {
 	if q := ix.get(k); q != nil {
 		return q
 	}
-	if ix.n < postedInline {
+	if ix.n < srcInline {
 		ix.keys[ix.n] = k
 		ix.n++
 		return &ix.qs[ix.n-1]
 	}
 	if ix.spill == nil {
-		ix.spill = new(postedSpill)
+		ix.spill = new(srcSpill[T])
 	}
 	sp := ix.spill
-	if sp.n < postedLinear {
+	if sp.n < srcLinear {
 		sp.keys[sp.n] = k
 		sp.n++
 		return &sp.qs[sp.n-1]
 	}
-	if sp.more == nil {
-		sp.more = make(map[matchKey]*list[Request])
+	cq := sp.far(k.comm)
+	if cq == nil {
+		if sp.comms == nil {
+			sp.comms = new([]commQueues[T])
+		}
+		*sp.comms = append(*sp.comms, commQueues[T]{comm: k.comm})
+		cs := *sp.comms
+		cq = &cs[len(cs)-1]
 	}
-	q := new(list[Request])
-	sp.more[k] = q
+	if cq.byMap == nil {
+		cq.byMap = make(map[int32]*list[T])
+	}
+	q := new(list[T])
+	cq.byMap[k.src] = q
+	if cq.dense == nil && len(cq.byMap)*mapQueueBytes >= n*int(unsafe.Sizeof(list[T]{})) {
+		cq.toDense(n, moved)
+		return ix.get(k)
+	}
 	return q
 }
 
-// each visits every queue ever created (validation and finalize sweeps).
-func (ix *postedIdx) each(f func(matchKey, *list[Request])) {
+// toDense moves a communicator's map queues into a table of n slots,
+// indexed by source rank. A list value relocates as it is (nothing in it
+// points at the list itself); moved re-points whatever records a queue's
+// address. A source outside the table keeps its map entry.
+func (cq *commQueues[T]) toDense(n int, moved func(*list[T])) {
+	cq.dense = make([]list[T], n)
+	for src, q := range cq.byMap {
+		if uint32(src) >= uint32(n) {
+			continue
+		}
+		cq.dense[src] = *q
+		delete(cq.byMap, src)
+		if moved != nil {
+			moved(&cq.dense[src])
+		}
+	}
+	if len(cq.byMap) == 0 {
+		cq.byMap = nil
+	}
+}
+
+// each visits every queue: those ever created, and every slot of a dense
+// table (validation, finalize and release sweeps).
+func (ix *srcIndex[T]) each(f func(matchKey, *list[T])) {
 	for i := 0; i < ix.n; i++ {
 		f(ix.keys[i], &ix.qs[i])
 	}
-	if sp := ix.spill; sp != nil {
-		for i := 0; i < sp.n; i++ {
-			f(sp.keys[i], &sp.qs[i])
+	sp := ix.spill
+	if sp == nil {
+		return
+	}
+	for i := 0; i < sp.n; i++ {
+		f(sp.keys[i], &sp.qs[i])
+	}
+	if sp.comms == nil {
+		return
+	}
+	for _, cq := range *sp.comms {
+		for src := range cq.dense {
+			f(matchKey{cq.comm, int32(src)}, &cq.dense[src])
 		}
-		for k, q := range sp.more {
-			f(k, q)
+		for src, q := range cq.byMap {
+			f(matchKey{cq.comm, src}, q)
 		}
 	}
+}
+
+// empty reports whether every queue of the index is empty.
+func (ix *srcIndex[T]) empty() bool {
+	empty := true
+	ix.each(func(_ matchKey, q *list[T]) {
+		if q.head != nil {
+			empty = false
+		}
+	})
+	return empty
 }
 
 // tagMatches reports whether a receive or probe for tag want accepts a
@@ -231,18 +352,27 @@ func tagMatches(want, got int) bool {
 	return want == got
 }
 
-// addPosted files a receive request into the posted index. It is called
-// on the request whose id was issued last, so post order is id order.
-func (ps *procState) addPosted(r *Request) {
+// addPosted files a receive request into the posted index; srcCommRank is
+// its source's rank in its communicator, or AnySource. It is called on the
+// request whose id was issued last, so post order is id order.
+func (ps *procState) addPosted(r *Request, srcCommRank int) {
 	r.set(reqPosted)
 	q := &ps.postedWild
 	if r.src == AnySource {
 		r.set(reqWild)
 	} else {
-		q = ps.posted.getOrAdd(matchKey{int32(r.comm.id), r.src})
+		q = ps.posted.getOrAdd(keyOf(r.comm.id, srcCommRank), r.comm.n, repointPosted)
 	}
 	q.push(r, postedAt)
 	r.postQ = q
+}
+
+// repointPosted records a relocated posted-receive queue in each of its
+// requests.
+func repointPosted(q *list[Request]) {
+	for r := q.head; r != nil; r = r.posted.next {
+		r.postQ = q
+	}
 }
 
 // removePosted unfiles a receive request in O(1) via its intrusive links
@@ -264,7 +394,7 @@ func (ps *procState) removePosted(r *Request) {
 // candidate; the lower id (the earlier post) of the two wins.
 func (ps *procState) takePosted(h *envHeader) *Request {
 	var best *Request
-	if q := ps.posted.get(keyOf(h.commID, h.src)); q != nil {
+	if q := ps.posted.get(keyOf(h.commID, h.srcCommRank)); q != nil {
 		for r := q.head; r != nil; r = r.posted.next {
 			if tagMatches(int(r.tag), h.tag) {
 				best = r
@@ -286,51 +416,54 @@ func (ps *procState) takePosted(h *envHeader) *Request {
 	return best
 }
 
-// addUnexpected queues an envelope that matched no posted receive: into
-// its (comm, src) FIFO and its communicator's arrival list.
-func (ps *procState) addUnexpected(env *envelope) {
-	c := ps.coldRec()
+// arrivalList is one communicator's unexpected envelopes in arrival order.
+type arrivalList struct {
+	comm int
+	q    list[envelope]
+}
+
+// arrivals returns comm's arrival list, nil if it has none.
+func (c *procCold) arrivals(comm int) *list[envelope] {
+	for i := range c.byComm {
+		if c.byComm[i].comm == comm {
+			return &c.byComm[i].q
+		}
+	}
+	return nil
+}
+
+// file stamps an envelope's arrival and queues it into its (comm, src)
+// FIFO and its communicator's arrival list. n bounds the source ranks of
+// its communicator.
+func (c *procCold) file(env *envelope, n int) {
 	c.arriveSeq++
 	env.arriveSeq = c.arriveSeq
-	k := keyOf(env.commID, env.src)
-	sq := c.unexpBySrc[k]
-	if sq == nil {
-		if c.unexpBySrc == nil {
-			c.unexpBySrc = make(map[matchKey]*list[envelope])
-		}
-		sq = new(list[envelope])
-		c.unexpBySrc[k] = sq
-	}
-	sq.push(env, bySrcAt)
-	aq := c.unexpByComm[env.commID]
+	c.unexp.getOrAdd(keyOf(env.commID, env.srcCommRank), n, nil).push(env, bySrcAt)
+	aq := c.arrivals(env.commID)
 	if aq == nil {
-		if c.unexpByComm == nil {
-			c.unexpByComm = make(map[int]*list[envelope])
-		}
-		aq = new(list[envelope])
-		c.unexpByComm[env.commID] = aq
+		c.byComm = append(c.byComm, arrivalList{comm: env.commID})
+		aq = &c.byComm[len(c.byComm)-1].q
 	}
 	aq.push(env, byCommAt)
-	ps.unexpectedDelta(1)
 }
 
-// removeUnexpected unlinks an envelope from both unexpected lists.
-func (ps *procState) removeUnexpected(env *envelope) {
-	ps.cold.unexpBySrc[keyOf(env.commID, env.src)].unlink(env, bySrcAt)
-	ps.cold.unexpByComm[env.commID].unlink(env, byCommAt)
-	ps.unexpectedDelta(-1)
+// unfile unlinks a queued envelope from both of its lists.
+func (c *procCold) unfile(env *envelope) {
+	c.unexp.get(keyOf(env.commID, env.srcCommRank)).unlink(env, bySrcAt)
+	c.arrivals(env.commID).unlink(env, byCommAt)
 }
 
-// peekUnexpected finds (without consuming) the earliest-arrived unexpected
-// envelope matching (comm, src, tag); src is a world rank or AnySource.
-// Both branches are head hits in the common case: each list is in arrival
-// order, so the first compatible entry is the earliest arrival — the
-// exact-source branch walks the (comm, src) FIFO, and the wildcard branch
-// walks the communicator's arrival list directly, making MPI_ANY_SOURCE
-// matching O(compatible-head) instead of a scan over every source.
-func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
+// peek finds (without consuming) the earliest-arrived queued envelope
+// matching (comm, src, tag); src is a rank in the communicator or
+// AnySource. Both branches are head hits in the common case: each list is
+// in arrival order, so the first compatible entry is the earliest arrival
+// — the exact-source branch walks the (comm, src) FIFO, and the wildcard
+// branch walks the communicator's arrival list directly, making
+// MPI_ANY_SOURCE matching O(compatible-head) instead of a scan over every
+// source.
+func (c *procCold) peek(comm, src, tag int) *envelope {
 	if src != AnySource {
-		if q := ps.cold.unexpBySrc[keyOf(comm, src)]; q != nil {
+		if q := c.unexp.get(keyOf(comm, src)); q != nil {
 			for env := q.head; env != nil; env = env.bySrc.next {
 				if tagMatches(tag, env.tag) {
 					return env
@@ -339,7 +472,7 @@ func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 		}
 		return nil
 	}
-	if q := ps.cold.unexpByComm[comm]; q != nil {
+	if q := c.arrivals(comm); q != nil {
 		for env := q.head; env != nil; env = env.byComm.next {
 			if tagMatches(tag, env.tag) {
 				return env
@@ -349,10 +482,24 @@ func (ps *procState) peekUnexpected(comm, src, tag int) *envelope {
 	return nil
 }
 
+// addUnexpected queues an envelope that matched no posted receive. An
+// envelope names its communicator by id only, so its source index is
+// bounded by the world's size, which bounds every communicator's ranks.
+func (ps *procState) addUnexpected(env *envelope) {
+	ps.coldRec().file(env, ps.env.Size())
+	ps.unexpectedDelta(1)
+}
+
+// removeUnexpected unlinks an envelope from both unexpected lists.
+func (ps *procState) removeUnexpected(env *envelope) {
+	ps.cold.unfile(env)
+	ps.unexpectedDelta(-1)
+}
+
 // takeUnexpected finds and removes the earliest-arrived envelope a freshly
-// posted receive matches.
-func (ps *procState) takeUnexpected(req *Request) *envelope {
-	env := ps.peekUnexpected(req.comm.id, int(req.src), int(req.tag))
+// posted receive from srcCommRank (or AnySource) matches.
+func (ps *procState) takeUnexpected(req *Request, srcCommRank int) *envelope {
+	env := ps.cold.peek(req.comm.id, srcCommRank, int(req.tag))
 	if env != nil {
 		ps.removeUnexpected(env)
 	}
@@ -361,46 +508,39 @@ func (ps *procState) takeUnexpected(req *Request) *envelope {
 
 // drainUnexpected releases every queued unexpected envelope and its
 // buffer — the unmatched-message release path, run at a clean Finalize
-// and at process death.
+// and at process death — and drops the emptied index.
 func (ps *procState) drainUnexpected() {
-	for _, q := range ps.cold.unexpByComm {
-		for env := q.head; env != nil; {
+	c := ps.cold
+	if c == &noCold {
+		return
+	}
+	for i := range c.byComm {
+		for env := c.byComm[i].q.head; env != nil; {
 			next := env.byComm.next
 			ps.unexpectedDelta(-1)
 			ps.dp.putBuf(env.data)
 			ps.dp.envs.put(env)
 			env = next
 		}
-		*q = list[envelope]{}
 	}
-	for _, q := range ps.cold.unexpBySrc {
-		*q = list[envelope]{}
-	}
+	c.unexp, c.byComm = srcIndex[envelope]{}, nil
 }
 
 // releaseIndexes drops the per-rank matching structures a dead rank no
 // longer needs: the posted-receive index, the closure-mode step states,
-// and the cold record with its unexpected-message map shells (their
-// queues were just emptied by drainUnexpected), collective scratch and
-// pending-lookup spill map. Every one of them is recreated on demand by
-// its writer, so releasing an empty structure is behavior-neutral — and
-// only empty ones are released: a failed rank that still has receives
-// posted (or requests pending) keeps those structures, and with them the
-// matching semantics for whatever is still in flight. At a million ranks the released maps are the dominant
-// retained cost of a finished rank that ever received from more than
-// postedInline distinct peers (the spill block and map go with the index).
+// and the cold record with its unexpected-message index (just emptied by
+// drainUnexpected), collective scratch and pending-lookup spill map.
+// Every one of them is recreated on demand by its writer, so releasing an
+// empty structure is behavior-neutral — and only empty ones are released:
+// a failed rank that still has receives posted (or requests pending)
+// keeps those structures, and with them the matching semantics for
+// whatever is still in flight. At a million ranks the released tiers are
+// the dominant retained cost of a finished rank that ever received from
+// more than srcInline distinct peers.
 func (ps *procState) releaseIndexes() {
 	ps.env.scratch = nil
-	if ps.postedWild.head == nil {
-		empty := true
-		ps.posted.each(func(_ matchKey, q *list[Request]) {
-			if q.head != nil {
-				empty = false
-			}
-		})
-		if empty {
-			ps.posted = postedIdx{}
-		}
+	if ps.postedWild.head == nil && ps.posted.empty() {
+		ps.posted = srcIndex[Request]{}
 	}
 	if ps.pending.head == nil {
 		ps.cold = &noCold
@@ -650,7 +790,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	e.w.trace(trace.Event{At: req.postClock, Kind: trace.KindRecvPost, Rank: int32(e.Rank()), Peer: int32(src), Tag: int32(tag)})
 	// Match the earliest compatible unexpected envelope first (arrival
 	// order preserves MPI's non-overtaking rule).
-	if env := e.ps.takeUnexpected(req); env != nil {
+	if env := e.ps.takeUnexpected(req, srcCommRank); env != nil {
 		matchEnvelope(e.w, e.ps, req, &env.envHeader, vpEmitter(e.ctx))
 		e.ps.dp.envs.put(env)
 		if e.w.validate {
@@ -658,7 +798,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 		}
 		return req
 	}
-	e.ps.addPosted(req)
+	e.ps.addPosted(req, srcCommRank)
 	if e.w.validate {
 		e.ps.checkIndexes("irecv-post")
 	}

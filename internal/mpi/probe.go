@@ -32,11 +32,10 @@ func (p *probeRec) matchesEnvelope(env *envHeader) bool {
 // without consuming it, or ok=false. Only messages whose envelope has
 // reached this process are visible — exactly MPI's semantics.
 func (c *Comm) Iprobe(src, tag int) (*Message, bool, error) {
-	worldSrc, err := c.probeBegin(src)
-	if err != nil {
+	if _, err := c.probeBegin(src); err != nil {
 		return nil, false, c.handleError(err)
 	}
-	env := c.env.ps.peekUnexpected(c.id, worldSrc, tag)
+	env := c.env.ps.cold.peek(c.id, src, tag)
 	if env == nil {
 		return nil, false, nil
 	}

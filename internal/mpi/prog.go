@@ -348,7 +348,7 @@ func (c *Comm) sendStep(ss *SendState, dst, tag, size int, data []byte) (done bo
 // is in flight.
 type ProbeState struct {
 	begun     bool
-	worldSrc  int
+	src       int // a communicator rank or AnySource; pr.src is its world rank
 	tag       int
 	postClock vclock.Time
 	pr        probeRec
@@ -369,18 +369,17 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 			return true, nil, nil, c.handleError(err)
 		}
 		st.begun = true
-		st.worldSrc = worldSrc
-		st.tag = tag
+		st.src, st.tag = src, tag
 		st.postClock = e.ctx.NowQuiet()
+		st.pr = probeRec{comm: c.id, src: worldSrc, tag: tag}
 	}
 	e.ps.coldRec().probe = nil
-	if env := e.ps.peekUnexpected(c.id, st.worldSrc, st.tag); env != nil {
+	if env := e.ps.cold.peek(c.id, st.src, st.tag); env != nil {
 		st.begun = false
 		return true, nil, &Message{Src: env.srcCommRank, Tag: env.tag, Size: env.size}, nil
 	}
-	st.pr = probeRec{comm: c.id, src: st.worldSrc, tag: st.tag}
 	park = e.ps
-	if at, peer, tof, ok := e.ps.detection(st.postClock, st.worldSrc); ok {
+	if at, peer, tof, ok := e.ps.detection(st.postClock, st.pr.src); ok {
 		now := e.ctx.NowQuiet()
 		if at <= now {
 			e.ctx.AdvanceTo(now)

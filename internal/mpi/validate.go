@@ -26,18 +26,22 @@ func (ps *procState) fail(invariant, where, format string, args ...any) {
 // checkIndexes verifies the posted-receive index and unexpected-queue
 // invariants:
 //
-//   - every request linked under (comm, src) is an incomplete, posted,
-//     exact-source receive for that key, present in the pending table,
-//     with its postQ backpointer set to that list;
+//   - every request linked under (comm, src) — src the source's rank in
+//     the communicator — is an incomplete, posted, exact-source receive
+//     for that key, present in the pending table, with its postQ
+//     backpointer set to that list (a move to a dense table re-points it);
 //   - every wildcard entry is an incomplete, posted AnySource receive,
 //     present in the pending table;
 //   - both structures are ordered by post sequence (MPI's
 //     first-match-in-post-order rule depends on it);
 //   - every unexpected envelope is linked under its own (comm, src) key,
 //     addressed to this rank, in arrival order; the per-communicator
-//     arrival lists are in arrival order and hold exactly the same
-//     envelopes; and the total count matches the metrics layer's
-//     queue-depth gauge;
+//     arrival lists (one per communicator) are in arrival order and hold
+//     exactly the same envelopes; and the total count matches the metrics
+//     layer's queue-depth gauge;
+//   - in both indexes a non-empty queue is the one its key's lookup
+//     finds, whichever tier (inline, block, map or dense table) holds it;
+//     with the key check this covers every slot of a dense table;
 //   - the pending table holds only incomplete requests under their own
 //     ids, the id-ordered pending list threads exactly the table's entries
 //     in ascending id order, and every one of them carries the pending bit
@@ -45,24 +49,29 @@ func (ps *procState) fail(invariant, where, format string, args ...any) {
 //
 // Every list is walked once (list.walk), which checks its links and tail;
 // the sweeps below add only their own ordering and membership checks.
-// Emptied intrusive queue structs are deliberately retained in their maps
-// (they are reused by later traffic), so an empty list is not a violation.
+// Emptied queues are deliberately retained in their tiers (they are
+// reused by later traffic), so an empty list is not a violation.
 //
 // where names the operation just performed, for the violation dump.
 func (ps *procState) checkIndexes(where string) {
 	rank := ps.env.Rank()
 	ps.checkPostedList(where, nil, &ps.postedWild)
-	ps.posted.each(func(k matchKey, q *list[Request]) { ps.checkPostedList(where, &k, q) })
+	ps.posted.each(func(k matchKey, q *list[Request]) {
+		ps.checkPostedList(where, &k, q)
+		if q.head != nil && ps.posted.get(k) != q {
+			ps.fail("posted-index", where, "posted list %+v is filed in a tier its lookup does not reach", k)
+		}
+	})
 
 	// Arrival stamps start at 1, so each list's first envelope is in order.
 	total := 0
-	for k, q := range ps.cold.unexpBySrc {
+	ps.cold.unexp.each(func(k matchKey, q *list[envelope]) {
 		var last uint64
 		broken := q.walk(bySrcAt, func(env *envelope) {
 			switch {
-			case keyOf(env.commID, env.src) != k:
+			case keyOf(env.commID, env.srcCommRank) != k:
 				ps.fail("unexpected-queue", where, "envelope (comm %d, src %d, tag %d) filed under key %+v",
-					env.commID, env.src, env.tag, k)
+					env.commID, env.srcCommRank, env.tag, k)
 			case env.dst != rank:
 				ps.fail("unexpected-queue", where, "envelope for rank %d queued at rank %d", env.dst, rank)
 			case env.arriveSeq <= last:
@@ -75,9 +84,16 @@ func (ps *procState) checkIndexes(where string) {
 		if broken != "" {
 			ps.fail("unexpected-queue", where, "unexpected list %+v: %s", k, broken)
 		}
-	}
+		if q.head != nil && ps.cold.unexp.get(k) != q {
+			ps.fail("unexpected-queue", where, "unexpected list %+v is filed in a tier its lookup does not reach", k)
+		}
+	})
 	arrTotal := 0
-	for comm, q := range ps.cold.unexpByComm {
+	for i := range ps.cold.byComm {
+		comm, q := ps.cold.byComm[i].comm, &ps.cold.byComm[i].q
+		if ps.cold.arrivals(comm) != q {
+			ps.fail("unexpected-queue", where, "communicator %d has two arrival lists", comm)
+		}
 		var last uint64
 		broken := q.walk(byCommAt, func(env *envelope) {
 			switch {
@@ -132,7 +148,7 @@ func (ps *procState) checkIndexes(where string) {
 	if broken != "" {
 		ps.fail("pending-index", where, "pending list: %s", broken)
 	}
-	if listed != ps.pendLen {
+	if listed != int(ps.pendLen) {
 		ps.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, ps.pendLen)
 	}
 	if ps.cold.pendSpill != nil && listed != len(ps.cold.pendSpill) {
@@ -156,7 +172,7 @@ func (ps *procState) checkPostedList(where string, k *matchKey, q *list[Request]
 				r.id, key, r.kind, r.has(reqPosted), r.has(reqWild))
 		case wild && r.src != AnySource:
 			ps.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
-		case !wild && keyOf(r.comm.id, int(r.src)) != *k:
+		case !wild && !r.filedUnder(*k):
 			ps.fail("posted-index", where, "request %d filed under %s is a receive on comm %d from %d",
 				r.id, key, r.comm.id, r.src)
 		case r.Done():
@@ -173,6 +189,12 @@ func (ps *procState) checkPostedList(where string, k *matchKey, q *list[Request]
 	if broken != "" {
 		ps.fail("posted-index", where, "posted list %q: %s", key, broken)
 	}
+}
+
+// filedUnder reports whether k is the match key of an exact-source
+// receive: its communicator, and the rank there of its source.
+func (r *Request) filedUnder(k matchKey) bool {
+	return int(k.comm) == r.comm.id && k.src >= 0 && int(k.src) < r.comm.n && r.comm.WorldRank(int(k.src)) == int(r.src)
 }
 
 // checkFinalize is the conservation sweep run by a clean Finalize: after

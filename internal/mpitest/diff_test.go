@@ -12,18 +12,26 @@ import (
 
 // seedCount returns how many seeds the differential test sweeps:
 // XSIM_DIFF_SEEDS if set, else 60 in -short mode, else 500.
-func seedCount(t *testing.T) int {
-	if s := os.Getenv("XSIM_DIFF_SEEDS"); s != "" {
+func seedCount(t *testing.T) int { return envSeeds(t, "XSIM_DIFF_SEEDS", 60, 500) }
+
+// wideSeedCount returns how many seeds the wide-world differentials
+// sweep: XSIM_WIDE_SEEDS if set, else 4 in -short mode, else 16.
+func wideSeedCount(t *testing.T) int { return envSeeds(t, "XSIM_WIDE_SEEDS", 4, 16) }
+
+// envSeeds returns the seed count the environment variable name sets,
+// else short in -short mode, else full.
+func envSeeds(t *testing.T, name string, short, full int) int {
+	if s := os.Getenv(name); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			t.Fatalf("bad XSIM_DIFF_SEEDS=%q", s)
+			t.Fatalf("bad %s=%q", name, s)
 		}
 		return n
 	}
 	if testing.Short() {
-		return 60
+		return short
 	}
-	return 500
+	return full
 }
 
 // TestDifferentialSeqVsParallel runs every seeded workload sequentially
@@ -31,8 +39,20 @@ func seedCount(t *testing.T) int {
 // bit-identical outcomes: simulated times, per-rank clocks and
 // terminations, per-rank observation digests, and MPI metrics.
 func TestDifferentialSeqVsParallel(t *testing.T) {
-	seeds := seedCount(t)
-	const shard = 25
+	diffSeqVsParallel(t, Generate, seedCount(t), 25)
+}
+
+// TestWideDifferentialSeqVsParallel is TestDifferentialSeqVsParallel on
+// 24- to 64-rank worlds (GenerateWide), where a fan-in root's matching
+// queues move to a dense table.
+func TestWideDifferentialSeqVsParallel(t *testing.T) {
+	diffSeqVsParallel(t, GenerateWide, wideSeedCount(t), 4)
+}
+
+// diffSeqVsParallel runs seeds workloads of gen, shard seeds to a parallel
+// subtest, sequentially and at 2 and 4 workers, and requires identical
+// outcomes.
+func diffSeqVsParallel(t *testing.T, gen func(int64) *Workload, seeds, shard int) {
 	for lo := 0; lo < seeds; lo += shard {
 		lo := lo
 		hi := lo + shard
@@ -42,7 +62,7 @@ func TestDifferentialSeqVsParallel(t *testing.T) {
 		t.Run(fmt.Sprintf("seeds%d-%d", lo, hi-1), func(t *testing.T) {
 			t.Parallel()
 			for seed := lo; seed < hi; seed++ {
-				w := Generate(int64(seed))
+				w := gen(int64(seed))
 				ref, err := w.Run(1)
 				if err != nil {
 					t.Fatalf("%s: sequential run: %v", w, err)

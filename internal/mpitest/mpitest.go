@@ -138,12 +138,30 @@ func (w *Workload) String() string {
 // tagBase returns the tag namespace of phase pi; phases never share tags.
 func tagBase(pi int) int { return (pi + 1) * 1_000_000 }
 
-// Generate derives a workload from the seed.
-func Generate(seed int64) *Workload {
+// Generate derives a workload from the seed: 2 to 8 ranks.
+func Generate(seed int64) *Workload { return generate(seed, 2, 8) }
+
+// GenerateWide derives a workload of 24 to 64 ranks from the seed, with
+// linear collectives: every barrier between its phases, and every gather
+// and reduce of a collective phase, is a fan-in in which the root receives
+// from every other rank, enough sources to move the root's matching
+// queues past the inline and block tiers into a dense table (an alltoall
+// does the same at every rank). Validate's sweeps walk every queue after
+// every match, so a run's host cost grows with the square of its width:
+// up to 64 ranks a run takes milliseconds, and one of 93 ranks with an
+// alltoall took 2 s.
+func GenerateWide(seed int64) *Workload {
+	w := generate(seed, 24, 64)
+	w.Tree = false
+	return w
+}
+
+// generate derives a workload of lo to hi ranks from the seed.
+func generate(seed int64, lo, hi int) *Workload {
 	rng := rand.New(rand.NewSource(seed))
 	w := &Workload{
 		Seed:       seed,
-		Ranks:      2 + rng.Intn(7), // 2..8
+		Ranks:      lo + rng.Intn(hi-lo+1),
 		Tree:       rng.Intn(2) == 1,
 		NetVariant: rng.Intn(4),
 	}

@@ -31,8 +31,20 @@ func progSeedCount(t *testing.T) int {
 // mistake in the script itself moves both modes together and is
 // TestClosureOutcomesMatchGolden's to catch.
 func TestDifferentialClosureVsProg(t *testing.T) {
-	seeds := progSeedCount(t)
-	const shard = 15
+	diffClosureVsProg(t, Generate, progSeedCount(t), 15)
+}
+
+// TestWideDifferentialClosureVsProg is TestDifferentialClosureVsProg on
+// 24- to 64-rank worlds (GenerateWide), where a fan-in root's matching
+// queues move to a dense table.
+func TestWideDifferentialClosureVsProg(t *testing.T) {
+	diffClosureVsProg(t, GenerateWide, wideSeedCount(t), 4)
+}
+
+// diffClosureVsProg runs seeds workloads of gen, shard seeds to a parallel
+// subtest, in closure mode sequentially and in program mode at 1, 2 and 4
+// workers, and requires identical outcomes.
+func diffClosureVsProg(t *testing.T, gen func(int64) *Workload, seeds, shard int) {
 	for lo := 0; lo < seeds; lo += shard {
 		lo := lo
 		hi := lo + shard
@@ -42,7 +54,7 @@ func TestDifferentialClosureVsProg(t *testing.T) {
 		t.Run(fmt.Sprintf("seeds%d-%d", lo, hi-1), func(t *testing.T) {
 			t.Parallel()
 			for seed := lo; seed < hi; seed++ {
-				w := Generate(int64(seed))
+				w := gen(int64(seed))
 				ref, err := w.Run(1)
 				if err != nil {
 					t.Fatalf("%s: closure run: %v", w, err)

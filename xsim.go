@@ -530,7 +530,7 @@ func HeatWorkloadFor(n int) (HeatConfig, error) {
 
 // RunHeat executes the heat application under cfg on closure VPs.
 func RunHeat(hc HeatConfig) App {
-	return func(e *Env) { heat.Run(e, hc) }
+	return func(e *Env) { heat.Run(e, &hc) }
 }
 
 // RunHeatProg is RunHeat in program mode: the per-rank factory passed to
