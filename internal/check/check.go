@@ -16,9 +16,9 @@ import (
 	"xsim/internal/vclock"
 )
 
-// Violation describes one broken invariant. The engine surfaces it like
-// any VP panic (the run's error contains the dump below); tests recover
-// it directly via AsViolation.
+// Violation describes one broken invariant. It is raised as a panic; the
+// engine recovers it wherever it is raised during a run and returns the
+// earliest one as the run's error, whose text is the dump below.
 type Violation struct {
 	// Invariant is the short stable name of the broken invariant, e.g.
 	// "window-horizon" or "posted-index".

@@ -88,9 +88,12 @@ type Config struct {
 	// Validate compiles the engine's internal invariant checks into the
 	// run: per-VP clock monotonicity across resumes, monotonic partition
 	// watermarks, wake ordering, and parallel-window horizon safety.
-	// A violation panics with a *check.Violation naming the VP, event and
-	// virtual time. When false the checks reduce to an untaken branch on
-	// the hot paths (no allocation, no work).
+	// A violation raises a *check.Violation naming the VP, event and
+	// virtual time, in a handler, a scheduler check or a VP alike; the
+	// run stops at the next window boundary and returns the earliest
+	// violation, by (virtual time, rank), as its error with the partial
+	// Result. When false the checks reduce to an untaken branch on the
+	// hot paths (no allocation, no work).
 	Validate bool
 }
 
@@ -327,6 +330,13 @@ func (e *Engine) run() (*Result, error) {
 		p.releaseQueues()
 	}
 	cancelled := e.stop.Load()
+	var violation *check.Violation
+	for _, p := range e.parts {
+		if v := p.violation; v != nil && (violation == nil || v.Time < violation.Time ||
+			v.Time == violation.Time && v.Rank < violation.Rank) {
+			violation = v
+		}
+	}
 	res := &Result{
 		FinalClocks: make([]vclock.Time, len(e.vps)),
 		Deaths:      make([]DeathReason, len(e.vps)),
@@ -382,6 +392,9 @@ func (e *Engine) run() (*Result, error) {
 	e.logf("[sim] shutdown: %d completed, %d failed, %d aborted; process times min %v max %v avg %v",
 		res.Completed, res.Failed, res.Aborted, res.MinClock, res.MaxClock, res.AvgClock)
 
+	if violation != nil {
+		return res, violation
+	}
 	if firstPanic != nil {
 		if o, ok := firstPanic.panicVal.(clockOverflow); ok {
 			return res, o.err

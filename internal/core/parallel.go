@@ -204,6 +204,7 @@ func (p *partition) publishCross() {
 // queue orders merged events by the deterministic key, so drain order does
 // not matter.
 func (p *partition) collectCross() {
+	defer p.recoverViolation()
 	for q, evs := range p.inbox {
 		if len(evs) == 0 {
 			continue

@@ -62,6 +62,10 @@ type partition struct {
 	// untaken branches.
 	validate bool
 
+	// violation is the first invariant violation raised on this
+	// partition, by a handler, a scheduler check or one of its VPs.
+	violation *check.Violation
+
 	// events and resumes count processed work items for the engine's
 	// statistics; the remaining counters feed Engine.Metrics. All are
 	// touched only by the partition's own worker.
@@ -138,8 +142,10 @@ const stopStrideMask = 1<<10 - 1
 // re-read per item: a cross-partition emission lowers it (routeToPartition),
 // so the window ends one lookahead past the earliest one. A Cancel observed
 // mid-window returns early; the run is being torn down, so the unprocessed
-// remainder of the window is irrelevant.
+// remainder of the window is irrelevant. An invariant violation cancels
+// the run (violate).
 func (p *partition) processWindow(horizon vclock.Time) {
+	defer p.recoverViolation()
 	p.horizon = horizon
 	for n := uint(0); ; n++ {
 		if n&stopStrideMask == 0 && p.eng.stop.Load() {
@@ -171,6 +177,29 @@ func (p *partition) processWindow(horizon vclock.Time) {
 			return
 		}
 	}
+}
+
+// recoverViolation, deferred around the partition's own processing,
+// records an invariant violation a handler or scheduler check raised there
+// (violate); any other panic propagates.
+func (p *partition) recoverViolation() {
+	if r := recover(); r != nil && !p.violate(r) {
+		panic(r)
+	}
+}
+
+// violate reports whether r, a recovered panic value, is an invariant
+// violation, and if so records the partition's first one and cancels the
+// run, whose error is then the earliest of any partition (Engine.run).
+func (p *partition) violate(r any) bool {
+	v, ok := check.AsViolation(r)
+	if ok {
+		if p.violation == nil {
+			p.violation = v
+		}
+		p.eng.Cancel()
+	}
+	return ok
 }
 
 // dispatch routes an event to its handler.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -33,40 +34,37 @@ func TestEmitBeforeNowViolation(t *testing.T) {
 }
 
 // A handler emitting an event before the partition watermark via EmitFor
-// panics with a *check.Violation carrying the diagnostic dump.
+// raises a *check.Violation carrying the diagnostic dump, which the engine
+// recovers and returns as the run's error with the partial result, at
+// every worker count.
 func TestHandlerEmitForBeforeWatermarkViolation(t *testing.T) {
-	eng := newTestEngine(t, Config{NumVPs: 2})
-	const kindStale = reservedKinds + 100
-	eng.RegisterHandler(kindPing, func(s *SchedCtx, ev *Event) {
-		// Emitting at time zero while processing an event at 1s is a
-		// simulator bug; EmitFor must refuse it.
-		s.EmitFor(ev.Target, Event{Kind: kindStale, Time: 0, Target: ev.Target})
-	})
-	var v *check.Violation
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				var ok bool
-				if v, ok = check.AsViolation(r); !ok {
-					panic(r)
-				}
-			}
-		}()
-		eng.Run(func(c *Ctx) {
+	for _, workers := range []int{1, 2, 3} {
+		eng := newTestEngine(t, Config{NumVPs: 4, Workers: workers, Lookahead: vclock.Millisecond})
+		const kindStale = reservedKinds + 100
+		eng.RegisterHandler(kindPing, func(s *SchedCtx, ev *Event) {
+			// Emitting at time zero while processing an event at 1s is a
+			// simulator bug; EmitFor must refuse it.
+			s.EmitFor(ev.Target, Event{Kind: kindStale, Time: 0, Target: ev.Target})
+		})
+		res, err := eng.Run(func(c *Ctx) {
 			if c.Rank() == 0 {
-				c.Emit(Event{Kind: kindPing, Time: vclock.TimeFromSeconds(1), Target: 1})
+				c.Emit(Event{Kind: kindPing, Time: vclock.TimeFromSeconds(1), Target: 3})
 			}
 			c.Elapse(2 * vclock.Second)
 		})
-	}()
-	if v == nil {
-		t.Fatal("stale EmitFor should panic with a violation")
-	}
-	if v.Invariant != "emit-before-now" || v.Rank != 1 {
-		t.Fatalf("violation = %+v", v)
-	}
-	if !strings.Contains(v.Error(), "kind=") {
-		t.Errorf("violation dump %q should describe the event", v.Error())
+		var v *check.Violation
+		if !errors.As(err, &v) {
+			t.Fatalf("workers=%d: err = %v, want the stale EmitFor's violation", workers, err)
+		}
+		if v.Invariant != "emit-before-now" || v.Rank != 3 {
+			t.Fatalf("workers=%d: violation = %+v", workers, v)
+		}
+		if !strings.Contains(v.Error(), "kind=") {
+			t.Errorf("workers=%d: violation dump %q should describe the event", workers, v.Error())
+		}
+		if res == nil || res.Deadlocked {
+			t.Errorf("workers=%d: result %+v, want the partial result and no deadlock", workers, res)
+		}
 	}
 }
 

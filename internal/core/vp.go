@@ -426,6 +426,7 @@ func (v *vp) finishDeath(eng *Engine, r any) {
 		v.death = DeathPanicked
 		v.panicVal = r
 		v.panicMsg = fmt.Sprintf("rank %d panicked: %v\n%s", v.rank, r, debug.Stack())
+		v.part.violate(r)
 	}
 	v.deathTime = v.clock
 	v.state = vpDead
@@ -437,6 +438,7 @@ func (v *vp) finishDeath(eng *Engine, r any) {
 		func() {
 			defer func() {
 				if r2 := recover(); r2 != nil {
+					v.part.violate(r2)
 					v.panicMsg = fmt.Sprintf("rank %d death hook panicked: %v\n%s", v.rank, r2, debug.Stack())
 					if v.death != DeathPanicked {
 						v.death = DeathPanicked

@@ -157,7 +157,7 @@ func TestBoxSweepCatchesLostAndDoubleReleasedHandles(t *testing.T) {
 	_, w := newWorldT(t, 4, 4, nil)
 	if _, err := w.Run(func(e *Env) {
 		if e.Rank() == 2 {
-			w.box(e.ps.dp, []byte{7}) // lost: no event carries it
+			w.box(e.dp, []byte{7}) // lost: no event carries it
 		}
 		e.Finalize()
 	}); !isBoxViolation(err, "1 live payload boxes") {

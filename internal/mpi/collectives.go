@@ -40,14 +40,14 @@ const (
 // application and hands its received message (nil for sends) to the
 // caller, who must Release it (or detach its Data) once consumed. On error
 // the message, if any, is released here and nil is returned.
-func (ps *procState) finishReq(req *Request, err error) (*Message, error) {
+func (e *Env) finishReq(req *Request, err error) (*Message, error) {
 	var msg *Message
 	if err != nil {
-		req.releaseMsg(ps.dp)
+		req.releaseMsg(e.dp)
 	} else {
 		msg = req.TakeMsg()
 	}
-	ps.dp.putReq(req)
+	e.dp.putReq(req)
 	return msg, err
 }
 
@@ -199,8 +199,8 @@ func decodeF64sInto(dst []float64, buf []byte) error {
 }
 
 // scratchF64 returns the process's reusable n-float scratch slice.
-func (ps *procState) scratchF64(n int) []float64 {
-	c := ps.coldRec()
+func (e *Env) scratchF64(n int) []float64 {
+	c := e.coldRec()
 	if cap(c.f64s) < n {
 		c.f64s = make([]float64, n)
 	}

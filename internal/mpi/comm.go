@@ -153,7 +153,7 @@ func (c *Comm) Abort(code int) {
 
 // Revoked reports whether the communicator was revoked (ULFM extension).
 func (c *Comm) Revoked() bool {
-	return c.env.ps.cold.revoked[c.id]
+	return c.env.cold.revoked[c.id]
 }
 
 // checkRevoked fails operations on revoked communicators.
@@ -166,8 +166,8 @@ func (c *Comm) checkRevoked(op string) error {
 
 // revoke records a revocation of commID at the process and reports whether
 // it is news.
-func (ps *procState) revoke(commID int) bool {
-	c := ps.coldRec()
+func (e *Env) revoke(commID int) bool {
+	c := e.coldRec()
 	if c.revoked[commID] {
 		return false
 	}
@@ -183,7 +183,7 @@ func (ps *procState) revoke(commID int) bool {
 // It walks the (small) failed-peer list, not the membership.
 func (c *Comm) FailedInComm() []int {
 	var out []int
-	for _, f := range c.env.ps.failures() {
+	for _, f := range c.env.failures() {
 		cr := f.rank
 		if c.group != nil {
 			cr = slices.Index(c.group, f.rank)
@@ -213,7 +213,7 @@ func (c *Comm) send(dst, tag, size int, data []byte) error {
 	req, err := c.isend(dst, tag, size, data)
 	if err == nil {
 		err = c.env.wait(req)
-		c.env.ps.dp.putReq(req)
+		c.env.dp.putReq(req)
 	}
 	return c.handleError(err)
 }
@@ -240,7 +240,7 @@ func (c *Comm) Recv(src, tag int) (*Message, error) {
 	}
 	// The request never escapes; the message does (the caller owns it and
 	// may hand its buffer back with Message.Release).
-	msg, err := c.env.ps.finishReq(req, c.env.wait(req))
+	msg, err := c.env.finishReq(req, c.env.wait(req))
 	return msg, c.handleError(err)
 }
 
@@ -277,7 +277,7 @@ func (c *Comm) Free(r *Request) {
 	if r == nil || r == &eagerSent || !r.Done() {
 		return
 	}
-	dp := c.env.ps.dp
+	dp := c.env.dp
 	r.releaseMsg(dp)
 	dp.putReq(r)
 }

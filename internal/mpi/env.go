@@ -73,11 +73,14 @@ type World struct {
 	// the run: posted-receive index consistency, unexpected-queue
 	// conservation, a pending-request sweep at Finalize, and the
 	// box-conservation sweep when a run ends cleanly (checkBoxes). It
-	// follows the engine's Validate switch. Violations panic with a
-	// *check.Violation naming the rank, operation and virtual time; the
-	// box sweep's is the run's error.
+	// follows the engine's Validate switch. A violation is a
+	// *check.Violation naming the rank, operation and virtual time, and
+	// becomes the run's error.
 	validate bool
-	m        metrics
+	// sweeps holds each rank's Validate-mode budget (checkOp), kept off
+	// the Env; nil when Validate is off.
+	sweeps []sweepBudget
+	m      metrics
 	// pools holds one data-plane pool per engine partition; a pool is
 	// only touched by its partition's execution context (see pool.go).
 	pools []*dpPool
@@ -129,6 +132,9 @@ func NewWorld(eng *core.Engine, cfg WorldConfig) (*World, error) {
 		}
 	}
 	w := &World{cfg: cfg, eng: eng, validate: eng.ValidateEnabled()}
+	if w.validate {
+		w.sweeps = make([]sweepBudget, eng.NumVPs())
+	}
 	w.m.failures = make(map[int]*failureRec)
 	w.pools = make([]*dpPool, eng.Workers())
 	for i := range w.pools {
@@ -163,10 +169,10 @@ func (w *World) notifyDelay() vclock.Duration { return w.cfg.Net.System.Latency 
 // fault model (returning from main or calling exit without MPI_Finalize).
 func (w *World) Run(app func(*Env)) (*core.Result, error) {
 	return w.checkRun(w.eng.Run(func(c *core.Ctx) {
-		b := &procBundle{}
-		initProcEnv(b, w, c)
-		app(&b.env)
-		if !b.env.finalized {
+		e := &Env{}
+		e.init(w, c)
+		app(e)
+		if !e.finalized {
 			c.Logf("exited without MPI_Finalize: simulated MPI process failure")
 			c.FailNow()
 		}
@@ -182,26 +188,14 @@ func (w *World) checkRun(res *core.Result, err error) (*core.Result, error) {
 	return res, err
 }
 
-// procBundle packs one process's MPI state — procState, Env, and the world
-// communicator — into a single allocation. At million-rank scale the
-// per-VP allocation count is the memory bill: one bundle instead of three
-// objects, and every index inside procState starts empty (inline or nil)
-// instead of six pre-made maps.
-type procBundle struct {
-	ps    procState
-	env   Env
-	world Comm
-}
-
-// initProcEnv wires up a (possibly embedded) procBundle in VP context.
-func initProcEnv(b *procBundle, w *World, c *core.Ctx) {
-	b.env = Env{w: w, ctx: c, ps: &b.ps, world: &b.world}
-	b.world = Comm{env: &b.env, id: 0, n: c.N(), rank: c.Rank()}
-	b.ps.dp = w.pools[c.Partition()]
-	b.ps.failBase = int32(len(b.ps.dp.failed))
-	b.ps.cold = &noCold
-	b.ps.env = &b.env
-	c.SetData(&b.ps)
+// init wires up a (possibly embedded) Env in VP context.
+func (e *Env) init(w *World, c *core.Ctx) {
+	e.w, e.ctx = w, c
+	e.world = Comm{env: e, id: 0, n: c.N(), rank: c.Rank()}
+	e.dp = w.pools[c.Partition()]
+	e.failBase = int32(len(e.dp.failed))
+	e.cold = &noCold
+	c.SetData(e)
 }
 
 // onDeath broadcasts the simulator-internal failure notification when a
@@ -211,9 +205,12 @@ func initProcEnv(b *procBundle, w *World, c *core.Ctx) {
 func (w *World) onDeath(c *core.Ctx, reason core.DeathReason) {
 	// Whatever the death reason, the rank's queued unexpected envelopes
 	// are unreachable now — release them and their payload buffers.
-	if ps, ok := c.Data().(*procState); ok {
-		ps.drainUnexpected()
-		ps.releaseIndexes()
+	if e, ok := c.Data().(*Env); ok {
+		if w.validate {
+			e.checkIndexes("death")
+		}
+		e.drainUnexpected()
+		e.releaseIndexes()
 	}
 	if reason != core.DeathFailed {
 		return
@@ -229,11 +226,16 @@ func (w *World) onDeath(c *core.Ctx, reason core.DeathReason) {
 	})
 }
 
-// procState is the MPI layer's per-VP state, attached as the core VP's
-// user data. It is only touched from the owning partition (either the VP's
-// own goroutine while running, or its partition's event handlers).
-type procState struct {
-	env *Env
+// Env is one simulated MPI process: the handle its application calls and
+// the MPI library state behind it, in one object that is also the core
+// VP's data, where handlers find it. Only the owning partition touches it:
+// the VP while it runs, or the partition's handlers. At a million ranks it
+// is the per-VP memory bill, so every index starts empty and what few
+// processes touch sits behind cold. An Env is never copied once in use: a
+// posted receive's Request.postQ may point at one of its queues.
+type Env struct {
+	w   *World
+	ctx *core.Ctx
 
 	// dp is the data-plane pool of the partition this VP lives on,
 	// shared by every local rank (only one of them executes at a time).
@@ -266,6 +268,20 @@ type procState struct {
 	// cold holds what only some processes ever touch: the shared, empty
 	// noCold until the process first writes to it (coldRec).
 	cold *procCold
+
+	finalized bool
+	// prog marks a process executing as a program VP (World.RunProgs): it
+	// has no goroutine to park, so Block refuses with a typed
+	// ClosureOnlyError.
+	prog       bool
+	nextCommID int32
+	// scratch holds the step states the closure-mode blocking calls drive
+	// (see closure); nil until the first call that has to park, so a
+	// program VP, which parks through states of its own, never pays for it.
+	scratch *closureScratch
+
+	// world is the world communicator (id 0, every rank).
+	world Comm
 }
 
 // procCold is the MPI state that a rank of the paper's halo exchange (but
@@ -304,37 +320,16 @@ type procCold struct {
 var noCold procCold
 
 // coldRec returns the process's own cold record, allocating it on first use.
-func (ps *procState) coldRec() *procCold {
-	if ps.cold == &noCold {
-		ps.cold = new(procCold)
+func (e *Env) coldRec() *procCold {
+	if e.cold == &noCold {
+		e.cold = new(procCold)
 	}
-	return ps.cold
+	return e.cold
 }
 
-func (ps *procState) newReqID() uint64 {
-	ps.nextReqID++
-	return ps.nextReqID
-}
-
-// Env is the per-process handle a simulated application uses: the analogue
-// of the MPI library state inside one MPI process.
-type Env struct {
-	w     *World
-	ctx   *core.Ctx
-	ps    *procState
-	world *Comm
-
-	finalized bool
-	// prog marks a process executing as a program VP (World.RunProgs): it
-	// has no goroutine to park, so Block refuses with a typed
-	// ClosureOnlyError. The two flags and the communicator counter share
-	// one word of the per-rank bundle a million program VPs pay.
-	prog       bool
-	nextCommID int32
-	// scratch holds the step states the closure-mode blocking calls drive
-	// (see closure); nil until the first call that has to park, so a
-	// program VP, which parks through states of its own, never pays for it.
-	scratch *closureScratch
+func (e *Env) newReqID() uint64 {
+	e.nextReqID++
+	return e.nextReqID
 }
 
 // closureScratch is the step state behind the closure-mode blocking calls:
@@ -395,7 +390,7 @@ func (e *Env) Rank() int { return e.ctx.Rank() }
 func (e *Env) Size() int { return e.ctx.N() }
 
 // World returns the world communicator (all ranks).
-func (e *Env) World() *Comm { return e.world }
+func (e *Env) World() *Comm { return &e.world }
 
 // Now returns the process's virtual clock. Like a timing function in xSim
 // (gettimeofday), it updates the clock and lets a pending failure or abort
@@ -443,12 +438,12 @@ func (e *Env) Sleep(d vclock.Duration) {
 // queue consistent with its depth gauge.
 func (e *Env) Finalize() {
 	if e.w.validate && !e.finalized {
-		e.ps.checkFinalize()
+		e.checkFinalize()
 	}
 	if !e.finalized {
 		// Unmatched messages are unreachable after a clean exit: release
 		// the envelopes and their payload buffers back to the pool.
-		e.ps.drainUnexpected()
+		e.drainUnexpected()
 	}
 	e.finalized = true
 }
@@ -466,7 +461,7 @@ func (e *Env) Abort(code int) { e.world.Abort(code) }
 // a process reads the entries that arrived after its state was built.
 func (e *Env) FailedPeers() map[int]vclock.Time {
 	out := make(map[int]vclock.Time)
-	for _, f := range e.ps.failures() {
+	for _, f := range e.failures() {
 		out[f.rank] = f.tof
 	}
 	return out
@@ -477,7 +472,7 @@ func (e *Env) FailedPeers() map[int]vclock.Time {
 // hot paths that only test one peer's liveness (the redundancy layer's
 // failover checks).
 func (e *Env) PeerFailed(rank int) bool {
-	_, dead := e.ps.failedAt(rank)
+	_, dead := e.failedAt(rank)
 	return dead
 }
 

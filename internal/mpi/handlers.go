@@ -21,23 +21,23 @@ import (
 // Message means "somebody asked": matching records the header in the
 // Request, and Request.Msg builds the Message when it is read.
 
-// localState returns the procState of a local, still-alive rank, or nil.
-func localState(s *core.SchedCtx, rank int) *procState {
+// localEnv returns the Env of a local, still-alive rank, or nil.
+func localEnv(s *core.SchedCtx, rank int) *Env {
 	if !s.Alive(rank) {
 		return nil
 	}
-	ps, _ := s.Data(rank).(*procState)
-	return ps
+	e, _ := s.Data(rank).(*Env)
+	return e
 }
 
 // wakeIfWaiting resumes the rank if it is parked in ws, the wait a request
 // that just completed at time at was registered with (completeRequest's
 // result; nil when nobody waits on the request).
-func wakeIfWaiting(s *core.SchedCtx, ps *procState, ws *WaitState, at vclock.Time) {
-	if ws == nil || ws != ps.waiting {
+func wakeIfWaiting(s *core.SchedCtx, e *Env, ws *WaitState, at vclock.Time) {
+	if ws == nil || ws != e.waiting {
 		return
 	}
-	if rank := ps.env.Rank(); s.Blocked(rank) {
+	if rank := e.Rank(); s.Blocked(rank) {
 		s.Wake(rank, at, nil)
 	}
 }
@@ -53,8 +53,8 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	box := h.take(ev)
 	dp := w.pools[s.Partition()]
 	h.data = w.unbox(dp, box)
-	ps := localState(s, h.dst)
-	if ps == nil {
+	e := localEnv(s, h.dst)
+	if e == nil {
 		dp.putBuf(h.data)
 		return
 	}
@@ -63,27 +63,29 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 	// data delivery instead — their envelope is control-sized).
 	if !h.rendezvous {
 		if occ := w.cfg.Net.EjectOccupancy(h.size); occ > 0 {
-			start := vclock.Max(ev.Time, ps.coldRec().ejectFreeAt)
-			ps.cold.ejectFreeAt = start.Add(occ)
-			h.dataAt = vclock.Max(h.dataAt, ps.cold.ejectFreeAt)
+			start := vclock.Max(ev.Time, e.coldRec().ejectFreeAt)
+			e.cold.ejectFreeAt = start.Add(occ)
+			h.dataAt = vclock.Max(h.dataAt, e.cold.ejectFreeAt)
 		}
 	}
-	if req := ps.takePosted(&h); req != nil {
-		ws := matchEnvelope(w, ps, req, &h, schedEmitter(s, h.dst))
+	if req := e.takePosted(&h); req != nil {
+		ws := e.matchEnvelope(req, &h, schedEmitter(s, h.dst))
 		if w.validate {
-			ps.checkIndexes("envelope-match")
+			k := keyOf(h.commID, h.srcCommRank)
+			e.checkOp("envelope-match", &k, req, nil)
 		}
-		wakeIfWaiting(s, ps, ws, req.completeAt)
+		wakeIfWaiting(s, e, ws, req.completeAt)
 		return
 	}
-	env := ps.dp.envs.get()
+	env := e.dp.envs.get()
 	env.envHeader = h
-	ps.addUnexpected(env)
+	e.addUnexpected(env)
 	if w.validate {
-		ps.checkIndexes("envelope-unexpected")
+		k := keyOf(h.commID, h.srcCommRank)
+		e.checkOp("envelope-unexpected", &k, nil, env)
 	}
 	// A blocked probe matching this envelope wakes to inspect it.
-	if pr := ps.cold.probe; pr != nil && pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
+	if pr := e.cold.probe; pr != nil && pr.matchesEnvelope(&h) && s.Blocked(h.dst) {
 		s.Wake(h.dst, ev.Time, nil)
 	}
 }
@@ -95,11 +97,11 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	sendReqID, recvReqID, recvRank := ev.Words[0], ev.Words[1], int(ev.Words[2])
 	sender := ev.Target
-	ps := localState(s, sender)
-	if ps == nil {
+	e := localEnv(s, sender)
+	if e == nil {
 		return
 	}
-	req := ps.findPending(sendReqID)
+	req := e.findPending(sendReqID)
 	if req == nil || req.Done() {
 		return
 	}
@@ -109,8 +111,8 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	// earlier injections.
 	start := ev.Time
 	if occ := net.InjectOccupancy(req.size); occ > 0 {
-		start = vclock.Max(start, ps.coldRec().injectFreeAt)
-		ps.cold.injectFreeAt = start.Add(occ)
+		start = vclock.Max(start, e.coldRec().injectFreeAt)
+		e.cold.injectFreeAt = start.Add(occ)
 	}
 	delivery := core.Event{
 		Time:   start.Add(net.TransferTime(src, dst, req.size)),
@@ -126,31 +128,31 @@ func (w *World) handleCts(s *core.SchedCtx, ev *core.Event) {
 	if c := req.cold; c != nil && c.data != nil {
 		buf := c.data
 		if !c.ownedData {
-			buf = ps.dp.getBuf(len(c.data))
+			buf = e.dp.getBuf(len(c.data))
 			copy(buf, c.data)
 		}
-		delivery.Words[1] = uint64(w.box(ps.dp, buf))
+		delivery.Words[1] = uint64(w.box(e.dp, buf))
 		c.data = nil
 		c.ownedData = false
 	}
 	s.EmitFor(sender, delivery)
-	ws := completeRequest(ps, req, start.Add(net.SendOverhead(src, dst, req.size)), nil)
+	ws := e.completeRequest(req, start.Add(net.SendOverhead(src, dst, req.size)), nil)
 	if w.validate {
-		ps.checkIndexes("cts")
+		e.checkOp("cts", nil, req, nil)
 	}
-	wakeIfWaiting(s, ps, ws, req.completeAt)
+	wakeIfWaiting(s, e, ws, req.completeAt)
 }
 
 // handleData delivers a rendezvous payload at the receiver.
 func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 	dp := w.pools[s.Partition()]
 	data := w.unbox(dp, uint32(ev.Words[1]))
-	ps := localState(s, ev.Target)
-	if ps == nil {
+	e := localEnv(s, ev.Target)
+	if e == nil {
 		dp.putBuf(data)
 		return
 	}
-	req := ps.findPending(ev.Words[0])
+	req := e.findPending(ev.Words[0])
 	if req == nil || req.Done() || !req.has(reqAwaitingData) {
 		// The request already completed in error (failure detection
 		// timed out first); drop the late payload.
@@ -159,18 +161,18 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 	}
 	at := ev.Time
 	if occ := w.cfg.Net.EjectOccupancy(req.size); occ > 0 {
-		start := vclock.Max(at, ps.coldRec().ejectFreeAt)
-		ps.cold.ejectFreeAt = start.Add(occ)
-		at = ps.cold.ejectFreeAt
+		start := vclock.Max(at, e.coldRec().ejectFreeAt)
+		e.cold.ejectFreeAt = start.Add(occ)
+		at = e.cold.ejectFreeAt
 	}
 	if data != nil {
-		req.coldRec(ps.dp).data = data
+		req.coldRec(e.dp).data = data
 	}
-	ws := completeRequest(ps, req, at, nil)
+	ws := e.completeRequest(req, at, nil)
 	if w.validate {
-		ps.checkIndexes("data")
+		e.checkOp("data", nil, req, nil)
 	}
-	wakeIfWaiting(s, ps, ws, req.completeAt)
+	wakeIfWaiting(s, e, ws, req.completeAt)
 }
 
 // handleReqTimeout fires a failure-detection timeout: if the request is
@@ -179,21 +181,21 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 // process failures.
 func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 	reqID, peer, failedAt := ev.Words[0], int(ev.Words[1]), vclock.Time(ev.Words[2])
-	ps := localState(s, ev.Target)
-	if ps == nil {
+	e := localEnv(s, ev.Target)
+	if e == nil {
 		return
 	}
-	req := ps.findPending(reqID)
+	req := e.findPending(reqID)
 	if req == nil || req.Done() {
 		return
 	}
-	ws := completeRequest(ps, req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})
+	ws := e.completeRequest(req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})
 	w.trace(trace.Event{At: ev.Time, Kind: trace.KindDetect, Rank: int32(ev.Target), Peer: int32(peer), Aux: int64(failedAt)})
 	w.m.recordDetection(ev.Target, peer, ev.Time)
 	if w.validate {
-		ps.checkIndexes("timeout")
+		e.checkIndexes("timeout")
 	}
-	wakeIfWaiting(s, ps, ws, req.completeAt)
+	wakeIfWaiting(s, e, ws, req.completeAt)
 }
 
 // handleFailNotify processes the simulator-internal failure notification
@@ -209,20 +211,20 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 	dp.failed = append(dp.failed, peerFailure{rank: failed, tof: tof}) // a rank dies, and is announced, once
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
-		ps := localState(s, rank)
-		if ps == nil {
+		e := localEnv(s, rank)
+		if e == nil {
 			continue
 		}
 		// The pending list is id-ordered and armTimeout never unlinks,
 		// so walking it directly is deterministic and allocation-free.
-		for req := ps.pending.head; req != nil; req = req.pending.next {
+		for req := e.pending.head; req != nil; req = req.pending.next {
 			if req.involves(failed) {
-				ps.armTimeout(req, schedEmitter(s, rank))
+				e.armTimeout(req, schedEmitter(s, rank))
 			}
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes
 		// to observe the failure.
-		if pr := ps.cold.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
+		if pr := e.cold.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {
 			s.Wake(rank, ev.Time, nil)
 		}
 	}
@@ -238,13 +240,13 @@ type peerFailure struct {
 // A process built after a notification arrived (a program VP's state is
 // built at its first step) never received it, so the entries before its
 // failBase are not its own.
-func (ps *procState) failures() []peerFailure { return ps.dp.failed[ps.failBase:] }
+func (e *Env) failures() []peerFailure { return e.dp.failed[e.failBase:] }
 
 // failedAt returns the time of failure of a world rank this process has
 // been notified of. The list grows by one entry per failure in the world,
 // so a scan is enough while failures are few.
-func (ps *procState) failedAt(rank int) (tof vclock.Time, ok bool) {
-	for _, f := range ps.failures() {
+func (e *Env) failedAt(rank int) (tof vclock.Time, ok bool) {
+	for _, f := range e.failures() {
 		if f.rank == rank {
 			return f.tof, true
 		}

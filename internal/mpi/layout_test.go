@@ -20,20 +20,22 @@ func TestRequestLayout(t *testing.T) {
 }
 
 // TestRankBundleLayout pins what every rank holds for its world's life.
-// A parked program-mode rank of the paper's halo exchange is its progBundle,
-// its application's own state and the posted index's spill block its six
-// sources and the barrier root fill; at a million ranks each of these
-// bytes is a megabyte of resident memory, and each crossing of an
-// allocator size class a step up (progBundle read 304 bytes, in the
-// 320-byte class, before its counters became 32-bit). The closure-mode
-// procBundle sits beside a carrier stack.
+// A parked program-mode rank of the paper's halo exchange is its progEnv
+// (its Env and its Prog in one object), its application's own state and
+// the posted index's spill block its six sources and the barrier root
+// fill; at a million ranks each of these bytes is a megabyte of resident
+// memory, and each crossing of an allocator size class a step up (the
+// program-mode object read 304 bytes, in the 320-byte class, before its
+// counters became 32-bit, and 288 while the Env reached its state and its
+// world communicator through pointers). A closure-mode rank is its Env,
+// beside a carrier stack while it runs and alone once it has finished.
 func TestRankBundleLayout(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		got, max uintptr
 	}{
-		{"progBundle", unsafe.Sizeof(progBundle{}), 288},
-		{"procBundle", unsafe.Sizeof(procBundle{}), 288},
+		{"progEnv", unsafe.Sizeof(progEnv{}), 256},
+		{"Env", unsafe.Sizeof(Env{}), 240},
 		{"srcSpill[Request]", unsafe.Sizeof(srcSpill[Request]{}), 160},
 	} {
 		if c.got > c.max {
@@ -51,7 +53,7 @@ type haloRank struct {
 	ws           WaitState
 	cs           CollectiveState
 	phase        int
-	onDone       func(*procState)
+	onDone       func(*Env)
 }
 
 func (p *haloRank) Step(e *Env, _ any) (any, bool) {
@@ -89,7 +91,7 @@ func (p *haloRank) Step(e *Env, _ any) (any, bool) {
 		}
 		p.phase = 0
 	}
-	p.onDone(e.ps)
+	p.onDone(e)
 	e.Finalize()
 	return nil, true
 }
@@ -107,11 +109,11 @@ func TestHaloRankPostedIndexStaysOffMap(t *testing.T) {
 	_, w := newWorldT(t, side*side*side, 1, nil)
 	keys := make([]int, side*side*side)
 	if _, err := w.RunProgs(func(rank int) Prog {
-		return &haloRank{side: side, rounds: 2, onDone: func(ps *procState) {
+		return &haloRank{side: side, rounds: 2, onDone: func(e *Env) {
 			n := 0
-			ps.posted.each(func(matchKey, *list[Request]) { n++ })
-			pm, pt := ps.posted.farTier()
-			um, ut := ps.cold.unexp.farTier()
+			e.posted.each(func(matchKey, *list[Request]) { n++ })
+			pm, pt := e.posted.farTier()
+			um, ut := e.cold.unexp.farTier()
 			maps, tables := pm+um, pt+ut
 			switch {
 			case rank != 0 && (maps != 0 || tables != 0):

@@ -61,6 +61,16 @@ func (q *list[T]) unlink(e *T, at func(*T) *links[T]) {
 	*l = links[T]{}
 }
 
+// linked reports whether e, which must be in the list, is linked in
+// place: each neighbour links back to it, and the head or tail is e where
+// it has none. Validation checks an element an operation touched with it
+// instead of walking the whole list.
+func (q *list[T]) linked(e *T, at func(*T) *links[T]) bool {
+	l := at(e)
+	return (l.prev == nil && q.head == e || l.prev != nil && l.prev.next == e) &&
+		(l.next == nil && q.tail == l || l.next != nil && at(l.next).prev == l)
+}
+
 // walk visits the elements head to tail and checks the links on the way:
 // it stops at, and describes, the first element whose back link is not its
 // predecessor, or a tail that is not the last element. It returns "" for

@@ -14,7 +14,7 @@ import (
 //
 // Traffic counters live where they are touched: sends and collectives
 // count on the calling rank's partition pool (dpPool), and the
-// unexpected-queue depth on the receiving rank's procState, with its
+// unexpected-queue depth on the receiving rank's Env, with its
 // high-water mark on that rank's pool. A pool is only touched by its
 // partition, so increments need no atomics and no locks — the
 // aggregation in Metrics runs after the engine has joined its workers.
@@ -34,9 +34,9 @@ func (p *dpPool) countSend(size int, rendezvous bool) {
 
 // unexpectedDelta moves a rank's unexpected-queue depth and raises its
 // partition's high-water mark.
-func (ps *procState) unexpectedDelta(delta int) {
-	ps.cold.unexpNow += delta
-	ps.dp.unexpMax = max(ps.dp.unexpMax, ps.cold.unexpNow)
+func (e *Env) unexpectedDelta(delta int) {
+	e.cold.unexpNow += delta
+	e.dp.unexpMax = max(e.dp.unexpMax, e.cold.unexpNow)
 }
 
 // metrics holds the world's failure-detection records.

@@ -257,7 +257,7 @@ func (r *Request) Msg() *Message {
 	if !r.has(reqMatched) || !r.Done() {
 		return nil
 	}
-	dp := r.comm.env.ps.dp
+	dp := r.comm.env.dp
 	c := r.coldRec(dp)
 	if c.msg == nil {
 		c.msg = r.buildMsg(dp)
@@ -289,7 +289,7 @@ func (r *Request) TakeMsg() *Message {
 		c.msg = nil
 		return m
 	}
-	return r.buildMsg(r.comm.env.ps.dp)
+	return r.buildMsg(r.comm.env.dp)
 }
 
 // releaseMsg drops whatever the request still holds of a received message:

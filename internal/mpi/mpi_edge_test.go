@@ -487,7 +487,7 @@ func TestReduceLengthMismatchReleasesMessage(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "reduce payload") {
 				t.Errorf("reduce of 2 and 3 floats: err = %v, want a payload-length error", err)
 			}
-			if out := e.ps.dp.bufOut; out != 0 {
+			if out := e.dp.bufOut; out != 0 {
 				t.Errorf("%d pooled payload bytes still checked out after the failed reduce", out)
 			}
 			checked = true

@@ -191,7 +191,7 @@ func TestUnexpectedThenPostedDeliversAllThreeForms(t *testing.T) {
 					t.Errorf("%s: taken message damaged by Free: tag %d, %d bytes", mode, taken.Tag, len(taken.Data))
 				}
 				taken.Release()
-				if out := e.ps.dp.bufOut; out != 0 {
+				if out := e.dp.bufOut; out != 0 {
 					t.Errorf("%s: %d payload bytes still checked out after every message was released", mode, out)
 				}
 				reached[mode] = true
@@ -309,7 +309,7 @@ func TestDroppedMessagesReturnTheirBuffers(t *testing.T) {
 					if m, ok, _ := e.World().Iprobe(0, 2); !ok || m.Size != len(small) {
 						t.Errorf("%s: the unread message never arrived", mode)
 					}
-					if e.ps.dp.bufOut == 0 {
+					if e.dp.bufOut == 0 {
 						t.Errorf("%s: no payload checked out while one waits unexpected", mode)
 					}
 				}),
@@ -343,7 +343,7 @@ func TestUnreadReceiveCreatesNoMessage(t *testing.T) {
 		var gets uint64
 		if _, err := w.Run(func(e *Env) {
 			defer e.Finalize()
-			c, dp := e.World(), e.ps.dp
+			c, dp := e.World(), e.dp
 			poolGets := func() uint64 {
 				return dp.envs.hits + dp.envs.misses + dp.reqs.hits + dp.reqs.misses + dp.msgs.hits + dp.msgs.misses
 			}

@@ -355,13 +355,13 @@ func tagMatches(want, got int) bool {
 // addPosted files a receive request into the posted index; srcCommRank is
 // its source's rank in its communicator, or AnySource. It is called on the
 // request whose id was issued last, so post order is id order.
-func (ps *procState) addPosted(r *Request, srcCommRank int) {
+func (e *Env) addPosted(r *Request, srcCommRank int) {
 	r.set(reqPosted)
-	q := &ps.postedWild
+	q := &e.postedWild
 	if r.src == AnySource {
 		r.set(reqWild)
 	} else {
-		q = ps.posted.getOrAdd(keyOf(r.comm.id, srcCommRank), r.comm.n, repointPosted)
+		q = e.posted.getOrAdd(keyOf(r.comm.id, srcCommRank), r.comm.n, repointPosted)
 	}
 	q.push(r, postedAt)
 	r.postQ = q
@@ -378,7 +378,7 @@ func repointPosted(q *list[Request]) {
 // removePosted unfiles a receive request in O(1) via its intrusive links
 // (both the exact-source and wildcard lists unlink the same way); it is a
 // no-op for requests that already matched.
-func (ps *procState) removePosted(r *Request) {
+func (e *Env) removePosted(r *Request) {
 	if !r.has(reqPosted) {
 		return
 	}
@@ -392,9 +392,9 @@ func (ps *procState) removePosted(r *Request) {
 // exact-source list and wildcard receives (MPI's matching rule). Each list
 // is in post order, so the first compatible entry of each is its
 // candidate; the lower id (the earlier post) of the two wins.
-func (ps *procState) takePosted(h *envHeader) *Request {
+func (e *Env) takePosted(h *envHeader) *Request {
 	var best *Request
-	if q := ps.posted.get(keyOf(h.commID, h.srcCommRank)); q != nil {
+	if q := e.posted.get(keyOf(h.commID, h.srcCommRank)); q != nil {
 		for r := q.head; r != nil; r = r.posted.next {
 			if tagMatches(int(r.tag), h.tag) {
 				best = r
@@ -402,7 +402,7 @@ func (ps *procState) takePosted(h *envHeader) *Request {
 			}
 		}
 	}
-	for r := ps.postedWild.head; r != nil; r = r.posted.next {
+	for r := e.postedWild.head; r != nil; r = r.posted.next {
 		if r.comm.id == h.commID && tagMatches(int(r.tag), h.tag) {
 			if best == nil || r.id < best.id {
 				best = r
@@ -411,7 +411,7 @@ func (ps *procState) takePosted(h *envHeader) *Request {
 		}
 	}
 	if best != nil {
-		ps.removePosted(best)
+		e.removePosted(best)
 	}
 	return best
 }
@@ -485,23 +485,23 @@ func (c *procCold) peek(comm, src, tag int) *envelope {
 // addUnexpected queues an envelope that matched no posted receive. An
 // envelope names its communicator by id only, so its source index is
 // bounded by the world's size, which bounds every communicator's ranks.
-func (ps *procState) addUnexpected(env *envelope) {
-	ps.coldRec().file(env, ps.env.Size())
-	ps.unexpectedDelta(1)
+func (e *Env) addUnexpected(env *envelope) {
+	e.coldRec().file(env, e.Size())
+	e.unexpectedDelta(1)
 }
 
 // removeUnexpected unlinks an envelope from both unexpected lists.
-func (ps *procState) removeUnexpected(env *envelope) {
-	ps.cold.unfile(env)
-	ps.unexpectedDelta(-1)
+func (e *Env) removeUnexpected(env *envelope) {
+	e.cold.unfile(env)
+	e.unexpectedDelta(-1)
 }
 
 // takeUnexpected finds and removes the earliest-arrived envelope a freshly
 // posted receive from srcCommRank (or AnySource) matches.
-func (ps *procState) takeUnexpected(req *Request, srcCommRank int) *envelope {
-	env := ps.cold.peek(req.comm.id, srcCommRank, int(req.tag))
+func (e *Env) takeUnexpected(req *Request, srcCommRank int) *envelope {
+	env := e.cold.peek(req.comm.id, srcCommRank, int(req.tag))
 	if env != nil {
-		ps.removeUnexpected(env)
+		e.removeUnexpected(env)
 	}
 	return env
 }
@@ -509,17 +509,17 @@ func (ps *procState) takeUnexpected(req *Request, srcCommRank int) *envelope {
 // drainUnexpected releases every queued unexpected envelope and its
 // buffer — the unmatched-message release path, run at a clean Finalize
 // and at process death — and drops the emptied index.
-func (ps *procState) drainUnexpected() {
-	c := ps.cold
+func (e *Env) drainUnexpected() {
+	c := e.cold
 	if c == &noCold {
 		return
 	}
 	for i := range c.byComm {
 		for env := c.byComm[i].q.head; env != nil; {
 			next := env.byComm.next
-			ps.unexpectedDelta(-1)
-			ps.dp.putBuf(env.data)
-			ps.dp.envs.put(env)
+			e.unexpectedDelta(-1)
+			e.dp.putBuf(env.data)
+			e.dp.envs.put(env)
 			env = next
 		}
 	}
@@ -537,13 +537,13 @@ func (ps *procState) drainUnexpected() {
 // whatever is still in flight. At a million ranks the released tiers are
 // the dominant retained cost of a finished rank that ever received from
 // more than srcInline distinct peers.
-func (ps *procState) releaseIndexes() {
-	ps.env.scratch = nil
-	if ps.postedWild.head == nil && ps.posted.empty() {
-		ps.posted = srcIndex[Request]{}
+func (e *Env) releaseIndexes() {
+	e.scratch = nil
+	if e.postedWild.head == nil && e.posted.empty() {
+		e.posted = srcIndex[Request]{}
 	}
-	if ps.pending.head == nil {
-		ps.cold = &noCold
+	if e.pending.head == nil {
+		e.cold = &noCold
 	}
 }
 
@@ -557,28 +557,28 @@ const pendSpillThreshold = 32
 // (ids are monotonic, so tail-append preserves the order the
 // failure-notification scan depends on) and, once the set has ever grown
 // past the spill threshold, into the lookup map.
-func (ps *procState) addPending(r *Request) {
+func (e *Env) addPending(r *Request) {
 	r.set(reqPending)
-	ps.pending.push(r, pendingAt)
-	ps.pendLen++
-	if sp := ps.cold.pendSpill; sp != nil {
+	e.pending.push(r, pendingAt)
+	e.pendLen++
+	if sp := e.cold.pendSpill; sp != nil {
 		sp[r.id] = r
-	} else if ps.pendLen > pendSpillThreshold {
+	} else if e.pendLen > pendSpillThreshold {
 		sp = make(map[uint64]*Request, 2*pendSpillThreshold)
-		for q := ps.pending.head; q != nil; q = q.pending.next {
+		for q := e.pending.head; q != nil; q = q.pending.next {
 			sp[q.id] = q
 		}
-		ps.coldRec().pendSpill = sp
+		e.coldRec().pendSpill = sp
 	}
 }
 
 // findPending returns the pending request with the given id, or nil. The
 // common case walks the short list; ranks that ever spilled use the map.
-func (ps *procState) findPending(id uint64) *Request {
-	if sp := ps.cold.pendSpill; sp != nil {
+func (e *Env) findPending(id uint64) *Request {
+	if sp := e.cold.pendSpill; sp != nil {
 		return sp[id]
 	}
-	for r := ps.pending.head; r != nil; r = r.pending.next {
+	for r := e.pending.head; r != nil; r = r.pending.next {
 		if r.id == id {
 			return r
 		}
@@ -588,14 +588,14 @@ func (ps *procState) findPending(id uint64) *Request {
 
 // unlinkPending removes a request from the pending list (and spill map);
 // it is a no-op for requests that are not pending (eager sends never are).
-func (ps *procState) unlinkPending(r *Request) {
+func (e *Env) unlinkPending(r *Request) {
 	if !r.has(reqPending) {
 		return
 	}
 	r.clear(reqPending)
-	delete(ps.cold.pendSpill, r.id) // a no-op on noCold's nil map
-	ps.pendLen--
-	ps.pending.unlink(r, pendingAt)
+	delete(e.cold.pendSpill, r.id) // a no-op on noCold's nil map
+	e.pendLen--
+	e.pending.unlink(r, pendingAt)
 }
 
 // emitter is whichever of the two contexts message matching runs in, each
@@ -672,7 +672,7 @@ var eagerSent = Request{kind: sendReq, flags: reqDone}
 // send hop uses it for encoded reductions.
 func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Request {
 	e := c.env
-	dp := e.ps.dp
+	dp := e.dp
 	net := e.w.cfg.Net
 	src := e.Rank()
 	dst := c.WorldRank(dstCommRank)
@@ -683,14 +683,14 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 	req := &eagerSent
 	if !eager || e.w.cfg.Tracer != nil {
 		req = dp.reqs.get()
-		req.id = e.ps.newReqID()
+		req.id = e.newReqID()
 		req.kind = sendReq
 		req.comm = c
 		req.src, req.dst, req.tag = int32(src), int32(dst), int32(tag)
 		req.size = size
 		req.postClock = t0
 	} else {
-		e.ps.newReqID()
+		e.newReqID()
 	}
 	h := envHeader{commID: c.id, src: src, dst: dst, srcCommRank: c.rank, tag: tag, size: size}
 	var ev core.Event
@@ -722,8 +722,8 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 		// injections at this node's NIC.
 		inject := t0
 		if occ := net.InjectOccupancy(size); occ > 0 {
-			inject = vclock.Max(t0, e.ps.coldRec().injectFreeAt)
-			e.ps.cold.injectFreeAt = inject.Add(occ)
+			inject = vclock.Max(t0, e.coldRec().injectFreeAt)
+			e.cold.injectFreeAt = inject.Add(occ)
 		}
 		// One route for both times: the transfer time is the control
 		// time plus serialisation (netmodel.TransferTime).
@@ -748,7 +748,7 @@ func (c *Comm) isendDP(dstCommRank, tag, size int, data []byte, owned bool) *Req
 			c := req.coldRec(dp)
 			c.data, c.ownedData = data, owned
 		}
-		e.ps.addPending(req)
+		e.addPending(req)
 		h.put(&ev, t0.Add(net.ControlTime(src, dst)), 0)
 		e.ctx.Emit(ev)
 		e.ctx.Elapse(net.SendOverhead(src, dst, 0))
@@ -780,27 +780,29 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	if srcCommRank != AnySource {
 		src = c.WorldRank(srcCommRank)
 	}
-	req := e.ps.dp.reqs.get()
-	req.id = e.ps.newReqID()
+	req := e.dp.reqs.get()
+	req.id = e.newReqID()
 	req.kind = recvReq
 	req.comm = c
 	req.src, req.dst, req.tag = int32(src), int32(e.Rank()), int32(tag)
 	req.postClock = e.ctx.NowQuiet()
-	e.ps.addPending(req)
+	e.addPending(req)
 	e.w.trace(trace.Event{At: req.postClock, Kind: trace.KindRecvPost, Rank: int32(e.Rank()), Peer: int32(src), Tag: int32(tag)})
 	// Match the earliest compatible unexpected envelope first (arrival
 	// order preserves MPI's non-overtaking rule).
-	if env := e.ps.takeUnexpected(req, srcCommRank); env != nil {
-		matchEnvelope(e.w, e.ps, req, &env.envHeader, vpEmitter(e.ctx))
-		e.ps.dp.envs.put(env)
+	if env := e.takeUnexpected(req, srcCommRank); env != nil {
+		e.matchEnvelope(req, &env.envHeader, vpEmitter(e.ctx))
 		if e.w.validate {
-			e.ps.checkIndexes("irecv-match")
+			k := keyOf(env.commID, env.srcCommRank)
+			e.checkOp("irecv-match", &k, req, nil)
 		}
+		e.dp.envs.put(env)
 		return req
 	}
-	e.ps.addPosted(req, srcCommRank)
+	e.addPosted(req, srcCommRank)
 	if e.w.validate {
-		e.ps.checkIndexes("irecv-post")
+		k := keyOf(c.id, srcCommRank)
+		e.checkOp("irecv-post", &k, req, nil)
 	}
 	return req
 }
@@ -814,17 +816,17 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 // rendezvous header a clear-to-send goes back to the sender and the request
 // completes when the payload delivery event fires. It returns the wait the
 // request was registered with if this completed it (see completeRequest).
-func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitter) *WaitState {
+func (e *Env) matchEnvelope(req *Request, h *envHeader, em emitter) *WaitState {
 	req.src = int32(h.src)
 	req.set(reqMatched)
 	if h.srcCommRank != h.src || h.tag != int(req.tag) {
-		c := req.coldRec(ps.dp)
+		c := req.coldRec(e.dp)
 		c.hdr, c.msgSrc, c.msgTag = true, int32(h.srcCommRank), int32(h.tag)
 	}
 	req.size = h.size
 	if h.rendezvous {
 		req.set(reqAwaitingData)
-		net := w.cfg.Net
+		net := e.w.cfg.Net
 		// The clear-to-send leaves once both the envelope has arrived
 		// (em.now() when matching on arrival) and the receive is posted
 		// (postClock when the envelope waited in the unexpected queue).
@@ -837,10 +839,10 @@ func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitt
 		return nil
 	}
 	if h.data != nil {
-		req.coldRec(ps.dp).data = h.data
+		req.coldRec(e.dp).data = h.data
 		h.data = nil
 	}
-	return completeRequest(ps, req, vclock.Max(req.postClock, h.dataAt), nil)
+	return e.completeRequest(req, vclock.Max(req.postClock, h.dataAt), nil)
 }
 
 // completeRequest finalises a request at virtual time at. A send still
@@ -849,12 +851,12 @@ func matchEnvelope(w *World, ps *procState, req *Request, h *envHeader, em emitt
 // was registered with, nil for a request nobody is parked on: a handler
 // wakes the rank exactly when that is the wait the rank is parked in
 // (wakeIfWaiting).
-func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *WaitState {
+func (e *Env) completeRequest(req *Request, at vclock.Time, err error) *WaitState {
 	req.set(reqDone)
 	req.clear(reqAwaitingData)
 	req.completeAt = at
 	if err != nil {
-		req.coldRec(ps.dp).err = err
+		req.coldRec(e.dp).err = err
 	}
 	ws := req.waiter
 	if ws != nil {
@@ -863,12 +865,12 @@ func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *Wa
 	}
 	if c := req.cold; c != nil && req.kind == sendReq && c.data != nil {
 		if c.ownedData {
-			ps.dp.putBuf(c.data)
+			e.dp.putBuf(c.data)
 		}
 		c.data, c.ownedData = nil, false
 	}
-	ps.unlinkPending(req)
-	ps.removePosted(req)
+	e.unlinkPending(req)
+	e.removePosted(req)
 	return ws
 }
 
@@ -876,7 +878,7 @@ func completeRequest(ps *procState, req *Request, at vclock.Time, err error) *Wa
 // full, a wait on several as their count and the first listed of those
 // still pending (the rest counted), so a report says whom each rank waits
 // on. It is only called if a report is actually printed (see
-// procState.BlockReason).
+// Env.BlockReason).
 func waitReason(reqs []*Request) string {
 	if len(reqs) == 1 {
 		return "MPI wait: " + reqs[0].peerString()
@@ -908,13 +910,13 @@ func (r *Request) peerString() string {
 }
 
 // BlockReason renders the process's block reason lazily for deadlock
-// reports: the wait fast path parks with the procState itself instead of
+// reports: the wait fast path parks with the Env itself instead of
 // formatting a string per block.
-func (ps *procState) BlockReason() string {
-	if ps.waiting != nil && len(ps.waiting.reqs) > 0 {
-		return waitReason(ps.waiting.reqs)
+func (e *Env) BlockReason() string {
+	if e.waiting != nil && len(e.waiting.reqs) > 0 {
+		return waitReason(e.waiting.reqs)
 	}
-	if pr := ps.cold.probe; pr != nil {
+	if pr := e.cold.probe; pr != nil {
 		return fmt.Sprintf("MPI probe: src %d tag %d (comm %d)", pr.src, pr.tag, pr.comm)
 	}
 	return "MPI: blocked"
@@ -956,9 +958,9 @@ func (e *Env) wait(reqs ...*Request) error {
 // earliest deadline wins, ties going to the lower rank, so the choice is
 // deterministic whatever the map order; ok is false while no relevant peer
 // is known to have failed. tof is the winner's time of failure.
-func (ps *procState) detection(postClock vclock.Time, src int) (at vclock.Time, peer int, tof vclock.Time, ok bool) {
-	self := ps.env.Rank()
-	net := ps.env.w.cfg.Net
+func (e *Env) detection(postClock vclock.Time, src int) (at vclock.Time, peer int, tof vclock.Time, ok bool) {
+	self := e.Rank()
+	net := e.w.cfg.Net
 	at, peer = vclock.Never, -1
 	consider := func(p int, t vclock.Time) {
 		d := vclock.Max(postClock, t).Add(net.Timeout(self, p))
@@ -967,10 +969,10 @@ func (ps *procState) detection(postClock vclock.Time, src int) (at vclock.Time, 
 		}
 	}
 	if src == AnySource {
-		for _, f := range ps.failures() {
+		for _, f := range e.failures() {
 			consider(f.rank, f.tof)
 		}
-	} else if t, dead := ps.failedAt(src); dead {
+	} else if t, dead := e.failedAt(src); dead {
 		consider(src, t)
 	}
 	return at, peer, tof, peer >= 0
@@ -979,11 +981,11 @@ func (ps *procState) detection(postClock vclock.Time, src int) (at vclock.Time, 
 // armTimeout schedules the failure-detection timeout of a pending request
 // whose peer is known to have failed, at the detection deadline but never
 // before the failure is knowable at this process.
-func (ps *procState) armTimeout(req *Request, em emitter) {
+func (e *Env) armTimeout(req *Request, em emitter) {
 	if req.Done() || req.has(reqTimeoutScheduled) {
 		return
 	}
-	at, peer, tof, ok := ps.detection(req.postClock, req.peer())
+	at, peer, tof, ok := e.detection(req.postClock, req.peer())
 	if !ok {
 		return
 	}
@@ -991,7 +993,7 @@ func (ps *procState) armTimeout(req *Request, em emitter) {
 	em.emit(core.Event{
 		Time:   vclock.Max(at, em.now()),
 		Kind:   kindReqTimeout,
-		Target: ps.env.Rank(),
+		Target: e.Rank(),
 		Words:  [core.EventWords]uint64{req.id, uint64(peer), uint64(tof)},
 	})
 }

@@ -136,7 +136,7 @@ type dpPool struct {
 	// failed is the partition's failed-peer list: every failure
 	// notification the partition has handled, in arrival order. Each
 	// notification reaches every local rank at one instant, so one list
-	// serves them all (procState.failures).
+	// serves them all (Env.failures).
 	failed []peerFailure
 
 	// Traffic counters (metrics.go): sends and collectives posted by the

@@ -35,7 +35,7 @@ func (c *Comm) Iprobe(src, tag int) (*Message, bool, error) {
 	if _, err := c.probeBegin(src); err != nil {
 		return nil, false, c.handleError(err)
 	}
-	env := c.env.ps.cold.peek(c.id, src, tag)
+	env := c.env.cold.peek(c.id, src, tag)
 	if env == nil {
 		return nil, false, nil
 	}
@@ -85,6 +85,6 @@ func (c *Comm) Cancel(r *Request) bool {
 	if r.Done() || r.kind == sendReq {
 		return false
 	}
-	_ = completeRequest(e.ps, r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()}) // the caller is running, not parked
+	_ = e.completeRequest(r, e.ctx.NowQuiet(), &CancelledError{Op: r.opName()}) // the caller is running, not parked
 	return true
 }

@@ -37,7 +37,7 @@ import (
 // (an eager Send, a Wait on completed requests) work on a program VP too.
 // Comm.Abort unwinds the VP via panic, which the scheduler classifies, so
 // programs may call it directly; a program that finishes without
-// Env.Finalize fails the same way (progVP.Step calls Ctx.FailNow).
+// Env.Finalize fails the same way (progEnv.Step calls Ctx.FailNow).
 
 // Prog is a resumable MPI program: one simulated process expressed as
 // explicit steps between waits. Step is called once to start (wake == nil)
@@ -56,11 +56,10 @@ type Prog interface {
 // process failure, exactly as in Run.
 func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
 	return w.checkRun(w.eng.RunPrograms(func(c *core.Ctx) core.Program {
-		b := &progBundle{}
-		initProcEnv(&b.procBundle, w, c)
-		b.env.prog = true
-		b.pv = progVP{env: &b.env, user: newProg(c.Rank())}
-		return &b.pv
+		pe := &progEnv{user: newProg(c.Rank())}
+		pe.env.init(w, c)
+		pe.env.prog = true
+		return pe
 	}))
 }
 
@@ -85,33 +84,27 @@ func (e *ClosureOnlyError) Error() string {
 	return fmt.Sprintf("mpi: rank %d: %s would block, which a program VP cannot do (closure-mode-only; use the step-based state instead)", e.Rank, e.Op)
 }
 
-// progBundle extends the per-process allocation with the program adapter,
-// keeping program mode at one allocation per rank too.
-type progBundle struct {
-	procBundle
-	pv progVP
-}
-
-// progVP adapts a Prog to the core engine's Program interface and applies
-// the MPI layer's finalize discipline at completion.
-type progVP struct {
-	env  *Env
+// progEnv is a program-mode process: its Env and its Prog in one
+// allocation, adapted to the core engine's Program interface, which
+// applies the MPI layer's finalize discipline at completion.
+type progEnv struct {
+	env  Env
 	user Prog
 }
 
-func (pv *progVP) Step(c *core.Ctx, wake any) (park any, done bool) {
-	park, done = pv.user.Step(pv.env, wake)
+func (pe *progEnv) Step(c *core.Ctx, wake any) (park any, done bool) {
+	park, done = pe.user.Step(&pe.env, wake)
 	if done {
-		if !pv.env.finalized {
+		if !pe.env.finalized {
 			c.Logf("exited without MPI_Finalize: simulated MPI process failure")
 			c.FailNow()
 		}
 		// The rank is done: drop the user program (and everything its
 		// state machine pins — request slices, grids, wait sets) while
-		// the per-process bundle lives on for post-run accounting. At a
-		// million ranks the finished programs would otherwise be the
-		// largest block of dead memory in the residual footprint.
-		pv.user = nil
+		// the Env lives on for post-run accounting. At a million ranks
+		// the finished programs would otherwise be the largest block of
+		// dead memory in the residual footprint.
+		pe.user = nil
 	}
 	return park, done
 }
@@ -203,8 +196,8 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 		// done. No re-scan and no timeout re-arm is needed — timeouts
 		// for peers that failed while parked are armed by the
 		// failure-notification handler.
-		e.ps.waiting = ws
-		return false, e.ps, nil
+		e.waiting = ws
+		return false, e, nil
 	}
 	if !ws.charged {
 		e.chargeCall()
@@ -222,13 +215,13 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 					r.waiter = ws
 					ws.pending++
 				}
-				e.ps.armTimeout(r, vpEmitter(e.ctx))
+				e.armTimeout(r, vpEmitter(e.ctx))
 			}
 		}
-		e.ps.waiting = ws
-		return false, e.ps, nil
+		e.waiting = ws
+		return false, e, nil
 	}
-	e.ps.waiting = nil
+	e.waiting = nil
 	// Drop the caller's slice: what it holds is the caller's to recycle
 	// or reuse from here on.
 	ws.reqs = nil
@@ -373,13 +366,13 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 		st.postClock = e.ctx.NowQuiet()
 		st.pr = probeRec{comm: c.id, src: worldSrc, tag: tag}
 	}
-	e.ps.coldRec().probe = nil
-	if env := e.ps.cold.peek(c.id, st.src, st.tag); env != nil {
+	e.coldRec().probe = nil
+	if env := e.cold.peek(c.id, st.src, st.tag); env != nil {
 		st.begun = false
 		return true, nil, &Message{Src: env.srcCommRank, Tag: env.tag, Size: env.size}, nil
 	}
-	park = e.ps
-	if at, peer, tof, ok := e.ps.detection(st.postClock, st.pr.src); ok {
+	park = e
+	if at, peer, tof, ok := e.detection(st.postClock, st.pr.src); ok {
 		now := e.ctx.NowQuiet()
 		if at <= now {
 			e.ctx.AdvanceTo(now)
@@ -392,6 +385,6 @@ func (c *Comm) ProbeStep(st *ProbeState, src, tag int) (done bool, park any, msg
 		// notification wakes the probe before it.
 		park, _ = e.ctx.SleepPark(at.Sub(now))
 	}
-	e.ps.cold.probe = &st.pr
+	e.cold.probe = &st.pr
 	return false, park, nil, nil
 }

@@ -64,7 +64,7 @@ func (c *Comm) hopStep(h *hopState) (done bool, park any, msg *Message, err erro
 	}
 	req := h.req[0]
 	h.req[0] = nil
-	msg, err = c.env.ps.finishReq(req, err)
+	msg, err = c.env.finishReq(req, err)
 	return true, nil, msg, err
 }
 
@@ -203,7 +203,7 @@ func (cs *CollectiveState) Parts() [][]byte { return cs.out }
 // error aborts and this call does not return).
 func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err error) {
 	if !cs.counted {
-		c.env.ps.dp.collectives++ // once per public call: a composite collective counts once
+		c.env.dp.collectives++ // once per public call: a composite collective counts once
 		cs.counted = true
 		// Every member passes the same root, so every member rejects a bad
 		// one here, before any traffic: unchecked, a negative root reads as
@@ -475,7 +475,7 @@ func giveFold(c *Comm, cs *CollectiveState, _ int) (int, []byte, bool) {
 		vals = cs.contrib
 	}
 	cs.acc = nil
-	return 8 * len(vals), encodeF64sPool(c.env.ps.dp, vals), true
+	return 8 * len(vals), encodeF64sPool(c.env.dp, vals), true
 }
 
 // takeFold folds one contribution into the accumulator (an interior tree
@@ -486,7 +486,7 @@ func takeFold(c *Comm, cs *CollectiveState, _ int, msg *Message) error {
 	if cs.acc == nil {
 		cs.acc = append([]float64(nil), cs.contrib...)
 	}
-	vals := c.env.ps.scratchF64(len(cs.contrib))
+	vals := c.env.scratchF64(len(cs.contrib))
 	if err := decodeF64sInto(vals, msg.Data); err != nil {
 		return err
 	}
@@ -499,7 +499,7 @@ func takeFold(c *Comm, cs *CollectiveState, _ int, msg *Message) error {
 func turnAllreduce(c *Comm, cs *CollectiveState) error {
 	cs.size = 8 * len(cs.contrib)
 	if c.rank == cs.root {
-		cs.data = encodeF64sPool(c.env.ps.dp, cs.acc)
+		cs.data = encodeF64sPool(c.env.dp, cs.acc)
 	}
 	return nil
 }
@@ -514,7 +514,7 @@ func leaveAllreduce(c *Comm, cs *CollectiveState) (err error) {
 	if c.rank != cs.root {
 		cs.acc, err = decodeF64s(buf, len(cs.contrib))
 	}
-	c.env.ps.dp.putBuf(buf)
+	c.env.dp.putBuf(buf)
 	return err
 }
 
@@ -545,7 +545,7 @@ func enterScatter(c *Comm, cs *CollectiveState) error {
 func turnAllgather(c *Comm, cs *CollectiveState) error {
 	cs.data, cs.size = nil, 0
 	if c.rank == cs.root {
-		dp := c.env.ps.dp
+		dp := c.env.dp
 		cs.data = framePool(dp, cs.out)
 		cs.size = len(cs.data)
 		for r, p := range cs.out {
@@ -564,7 +564,7 @@ func leaveAllgather(c *Comm, cs *CollectiveState) (err error) {
 	framed := cs.data
 	cs.data = nil
 	cs.out, err = unframe(framed)
-	c.env.ps.dp.putBuf(framed)
+	c.env.dp.putBuf(framed)
 	return err
 }
 
@@ -624,7 +624,7 @@ func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error
 		// None of the requests escaped; recycle them all and drop the
 		// references so the idle state does not pin the recycled requests.
 		for _, req := range cs.reqs {
-			c.env.ps.dp.putReq(req)
+			c.env.dp.putReq(req)
 		}
 		clear(cs.reqs)
 		clear(cs.recvs)

@@ -138,8 +138,8 @@ var srcModelComms = [...]*Comm{{id: 0, n: 5}, {id: 3, n: 40}, {id: 7, n: 200}}
 // Each check walks every queue, so a stream is cut at maxSrcOps.
 func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 	ops = ops[:min(len(ops), 3*maxSrcOps)]
-	var ps procState
-	ps.cold = new(procCold)
+	var e Env
+	e.cold = new(procCold)
 	m := srcModel{posted: map[matchKey][]*Request{}, unexp: map[matchKey][]*envelope{}, arrivals: map[int][]*envelope{}}
 	var nextID uint64
 	for i := 0; i+2 < len(ops); i += 3 {
@@ -150,7 +150,7 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 		switch op {
 		case 0: // an envelope arrives unexpected
 			env := &envelope{envHeader: envHeader{commID: c.id, srcCommRank: src, tag: tag}}
-			ps.cold.file(env, c.n)
+			e.cold.file(env, c.n)
 			m.unexp[k] = append(m.unexp[k], env)
 			m.arrivals[c.id] = append(m.arrivals[c.id], env)
 		case 1, 2: // a receive takes the earliest match, from src or from any source
@@ -172,18 +172,18 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 					break
 				}
 			}
-			got := ps.cold.peek(c.id, src, want)
+			got := e.cold.peek(c.id, src, want)
 			if got != exp {
 				t.Fatalf("op %d: peek(comm %d, src %d, tag %d) = %p, want %p", i/3, c.id, src, want, got, exp)
 			}
 			if got != nil {
-				ps.cold.unfile(got)
+				e.cold.unfile(got)
 				m.dropEnvelope(got)
 			}
 		case 3: // an envelope leaves from the middle of its lists (a tag-selective receive passes earlier ones)
 			if q := m.arrivals[c.id]; len(q) > 0 {
 				env := q[int(b)%len(q)]
-				ps.cold.unfile(env)
+				e.cold.unfile(env)
 				m.dropEnvelope(env)
 			}
 		case 4: // a receive is posted, from src or from any source
@@ -194,10 +194,10 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 			}
 			if a&0x40 != 0 {
 				r.src = AnySource
-				ps.addPosted(r, AnySource)
+				e.addPosted(r, AnySource)
 				m.wild = append(m.wild, r)
 			} else {
-				ps.addPosted(r, src)
+				e.addPosted(r, src)
 				m.posted[k] = append(m.posted[k], r)
 			}
 		case 5: // a message arrives and takes a posted receive, or a posted receive is cancelled
@@ -209,7 +209,7 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 				if all = append(all, m.wild...); len(all) > 0 {
 					slices.SortFunc(all, func(x, y *Request) int { return cmp.Compare(x.id, y.id) })
 					r := all[int(b)%len(all)]
-					ps.removePosted(r)
+					e.removePosted(r)
 					m.dropRequest(r)
 				}
 				break
@@ -229,7 +229,7 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 					break
 				}
 			}
-			got := ps.takePosted(&envHeader{commID: c.id, srcCommRank: src, tag: tag})
+			got := e.takePosted(&envHeader{commID: c.id, srcCommRank: src, tag: tag})
 			if got != exp {
 				t.Fatalf("op %d: message (comm %d, src %d, tag %d) took request %v, want %v", i/3, c.id, src, tag, reqID(got), reqID(exp))
 			}
@@ -237,10 +237,10 @@ func runSrcIndexOps(t *testing.T, ops []byte) (dense int) {
 				m.dropRequest(got)
 			}
 		}
-		m.check(t, i/3, &ps)
+		m.check(t, i/3, &e)
 	}
-	_, pt := ps.posted.farTier()
-	_, ut := ps.cold.unexp.farTier()
+	_, pt := e.posted.farTier()
+	_, ut := e.cold.unexp.farTier()
 	return pt + ut
 }
 
@@ -288,7 +288,7 @@ func without[T comparable](xs []T, x T) []T {
 }
 
 // check compares both indexes with the model.
-func (m *srcModel) check(t *testing.T, op int, ps *procState) {
+func (m *srcModel) check(t *testing.T, op int, e *Env) {
 	t.Helper()
 	walk := func(what string, q *list[Request], want []*Request) {
 		var got []*Request
@@ -304,21 +304,21 @@ func (m *srcModel) check(t *testing.T, op int, ps *procState) {
 			}
 		}
 	}
-	walk("wildcard list", &ps.postedWild, m.wild)
+	walk("wildcard list", &e.postedWild, m.wild)
 	postedTotal, unexpTotal := 0, 0
 	// A dense slot whose key an earlier tier holds is visited too, and
 	// must stay empty.
-	ps.posted.each(func(k matchKey, q *list[Request]) {
-		if ps.posted.get(k) != q {
+	e.posted.each(func(k matchKey, q *list[Request]) {
+		if e.posted.get(k) != q {
 			walk("shadowed posted slot "+keyString(k), q, nil)
 			return
 		}
 		walk("posted list "+keyString(k), q, m.posted[k])
 		postedTotal += len(m.posted[k])
 	})
-	ps.cold.unexp.each(func(k matchKey, q *list[envelope]) {
+	e.cold.unexp.each(func(k matchKey, q *list[envelope]) {
 		i, want := 0, m.unexp[k]
-		if ps.cold.unexp.get(k) != q {
+		if e.cold.unexp.get(k) != q {
 			want = nil
 		}
 		if broken := q.walk(bySrcAt, func(env *envelope) {
@@ -336,7 +336,7 @@ func (m *srcModel) check(t *testing.T, op int, ps *procState) {
 	})
 	for k, q := range m.posted {
 		postedTotal -= len(q)
-		if len(q) > 0 && ps.posted.get(k) == nil {
+		if len(q) > 0 && e.posted.get(k) == nil {
 			t.Fatalf("op %d: posted list %s missing", op, keyString(k))
 		}
 	}
@@ -347,7 +347,7 @@ func (m *srcModel) check(t *testing.T, op int, ps *procState) {
 		t.Fatalf("op %d: the indexes hold %+d receives and %+d envelopes the model does not", op, postedTotal, unexpTotal)
 	}
 	for comm, want := range m.arrivals {
-		q := ps.cold.arrivals(comm)
+		q := e.cold.arrivals(comm)
 		if q == nil {
 			if len(want) > 0 {
 				t.Fatalf("op %d: communicator %d has no arrival list", op, comm)
@@ -436,12 +436,12 @@ func TestValidateSeesDenseTables(t *testing.T) {
 			}
 			reqs = append(reqs, r)
 		}
-		postedDense = e.ps.posted.spill.far(0).dense != nil
+		postedDense = e.posted.spill.far(0).dense != nil
 		if err := c.Waitall(reqs); err != nil {
 			t.Error(err)
 		}
 		e.Sleep(vclock.Millisecond)
-		unexpDense = e.ps.cold.unexp.spill.far(0).dense != nil
+		unexpDense = e.cold.unexp.spill.far(0).dense != nil
 		for _, src := range []int{AnySource, AnySource} {
 			if _, err := c.Recv(src, 2); err != nil {
 				t.Error(err)

@@ -21,17 +21,17 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 	commID := int(ev.Words[0])
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
-		ps := localState(s, rank)
-		if ps == nil || !ps.revoke(commID) {
+		e := localEnv(s, rank)
+		if e == nil || !e.revoke(commID) {
 			continue
 		}
 		// completeRequest unlinks the request from the pending list, so
 		// capture the successor before completing each one.
-		for req := ps.pending.head; req != nil; {
+		for req := e.pending.head; req != nil; {
 			next := req.pending.next
 			if req.comm.id == commID {
-				ws := completeRequest(ps, req, ev.Time, &RevokedError{Comm: commID})
-				wakeIfWaiting(s, ps, ws, req.completeAt)
+				ws := e.completeRequest(req, ev.Time, &RevokedError{Comm: commID})
+				wakeIfWaiting(s, e, ws, req.completeAt)
 			}
 			req = next
 		}
@@ -44,7 +44,7 @@ func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 // (Shrink) becomes possible. Revoke itself never blocks.
 func (c *Comm) Revoke() {
 	e := c.env
-	e.ps.revoke(c.id)
+	e.revoke(c.id)
 	e.Logf("MPI_Comm_revoke on comm %d", c.id)
 	e.ctx.EmitBroadcast(core.Event{
 		Time:  e.ctx.NowQuiet().Add(e.w.notifyDelay()),

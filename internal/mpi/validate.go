@@ -1,13 +1,14 @@
 package mpi
 
 // Validate-mode invariant checks for the MPI matching state, compiled in
-// behind the engine's Validate switch. Each mutation of the
-// posted-receive index or the unexpected queue is followed by a full
-// consistency sweep; a clean Finalize additionally runs the conservation
-// sweep (no pending requests, no posted receives, no outstanding probes),
-// and a clean run ends with the box-conservation sweep (World.checkBoxes).
-// Violations panic with a *check.Violation; in VP context the engine
-// surfaces it as the run's error with the diagnostic dump.
+// behind the engine's Validate switch. Each match or post is followed by a
+// check of what it changed (checkOp) and, within a bounded number of
+// operations, by a full consistency sweep (checkIndexes), which also runs
+// at every death, so a clean run ends with every rank swept. A clean
+// Finalize additionally runs the conservation sweep (no pending requests,
+// no posted receives, no outstanding probes), and a clean run ends with
+// the box-conservation sweep (World.checkBoxes). Violations panic with a
+// *check.Violation, which the engine makes the run's error.
 
 import (
 	"fmt"
@@ -18,13 +19,60 @@ import (
 
 // fail raises a violation attributed to this process at its current
 // virtual clock.
-func (ps *procState) fail(invariant, where, format string, args ...any) {
-	rank := ps.env.Rank()
-	check.Failf(invariant, rank, ps.env.ctx.NowQuiet(), where, format, args...)
+func (e *Env) fail(invariant, where, format string, args ...any) {
+	check.Failf(invariant, e.Rank(), e.ctx.NowQuiet(), where, format, args...)
 }
 
-// checkIndexes verifies the posted-receive index and unexpected-queue
-// invariants:
+// sweepBudget is one rank's count of operations since its last full sweep
+// and of the queues and elements that sweep walked (World.sweeps).
+type sweepBudget struct{ ops, walked int }
+
+// checkOp is the check after one match or post (where names it): the
+// posted and unexpected queues under *k (k nil: none), the wildcard list
+// if r is a wildcard receive, and r's and env's places in the pending and
+// arrival lists (either may be nil). Once the rank's operations since its
+// last full sweep reach what that sweep walked, it runs the full sweep
+// instead, so every invariant is checked within a bounded number of
+// operations at a cost linear in them: an n-rank fan-in no longer sweeps
+// the root's n queues after each of its n arrivals.
+func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
+	b := &e.w.sweeps[e.Rank()]
+	if b.ops++; b.ops >= b.walked {
+		e.checkIndexes(where)
+		return
+	}
+	if k != nil {
+		if q := e.posted.get(*k); q != nil {
+			e.checkPostedList(where, k, q)
+		}
+		if q := e.cold.unexp.get(*k); q != nil {
+			e.checkUnexpList(where, *k, q)
+		}
+	}
+	if r != nil {
+		if r.has(reqWild) {
+			e.checkPostedList(where, nil, &e.postedWild)
+		}
+		pending, next := r.has(reqPending), r.pending.next
+		switch {
+		case pending && (r.Done() || !e.pending.linked(r, pendingAt) || e.findPending(r.id) != r):
+			e.fail("pending-index", where, "pending request %d (done %v) is not linked in place in the pending list or its lookup", r.id, r.Done())
+		case pending && next != nil && next.id <= r.id:
+			e.fail("pending-index", where, "pending list out of id order: %d after %d", next.id, r.id)
+		case !pending && (r.pending != (links[Request]{}) || e.findPending(r.id) == r):
+			e.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
+		}
+	}
+	if env != nil {
+		q, next := e.cold.arrivals(env.commID), env.byComm.next
+		if q == nil || !q.linked(env, byCommAt) || next != nil && next.arriveSeq <= env.arriveSeq {
+			e.fail("unexpected-queue", where, "envelope (comm %d, seq %d) is not linked in place in its arrival list", env.commID, env.arriveSeq)
+		}
+	}
+}
+
+// checkIndexes is the full sweep of the posted-receive index,
+// unexpected-queue and pending-list invariants:
 //
 //   - every request linked under (comm, src) — src the source's rank in
 //     the communicator — is an incomplete, posted, exact-source receive
@@ -50,145 +98,162 @@ func (ps *procState) fail(invariant, where, format string, args ...any) {
 // Every list is walked once (list.walk), which checks its links and tail;
 // the sweeps below add only their own ordering and membership checks.
 // Emptied queues are deliberately retained in their tiers (they are
-// reused by later traffic), so an empty list is not a violation.
+// reused by later traffic), so an empty list is not a violation. The
+// number of queues and elements walked becomes the rank's budget of
+// operations until the next full sweep (checkOp).
 //
 // where names the operation just performed, for the violation dump.
-func (ps *procState) checkIndexes(where string) {
-	rank := ps.env.Rank()
-	ps.checkPostedList(where, nil, &ps.postedWild)
-	ps.posted.each(func(k matchKey, q *list[Request]) {
-		ps.checkPostedList(where, &k, q)
-		if q.head != nil && ps.posted.get(k) != q {
-			ps.fail("posted-index", where, "posted list %+v is filed in a tier its lookup does not reach", k)
+func (e *Env) checkIndexes(where string) {
+	walked := 1 + e.checkPostedList(where, nil, &e.postedWild)
+	e.posted.each(func(k matchKey, q *list[Request]) {
+		walked += 1 + e.checkPostedList(where, &k, q)
+		if q.head != nil && e.posted.get(k) != q {
+			e.fail("posted-index", where, "posted list %+v is filed in a tier its lookup does not reach", k)
 		}
 	})
 
-	// Arrival stamps start at 1, so each list's first envelope is in order.
 	total := 0
-	ps.cold.unexp.each(func(k matchKey, q *list[envelope]) {
-		var last uint64
-		broken := q.walk(bySrcAt, func(env *envelope) {
-			switch {
-			case keyOf(env.commID, env.srcCommRank) != k:
-				ps.fail("unexpected-queue", where, "envelope (comm %d, src %d, tag %d) filed under key %+v",
-					env.commID, env.srcCommRank, env.tag, k)
-			case env.dst != rank:
-				ps.fail("unexpected-queue", where, "envelope for rank %d queued at rank %d", env.dst, rank)
-			case env.arriveSeq <= last:
-				ps.fail("unexpected-queue", where, "unexpected list %+v out of arrival order: seq %d after %d",
-					k, env.arriveSeq, last)
-			}
-			last = env.arriveSeq
-			total++
-		})
-		if broken != "" {
-			ps.fail("unexpected-queue", where, "unexpected list %+v: %s", k, broken)
-		}
-		if q.head != nil && ps.cold.unexp.get(k) != q {
-			ps.fail("unexpected-queue", where, "unexpected list %+v is filed in a tier its lookup does not reach", k)
+	e.cold.unexp.each(func(k matchKey, q *list[envelope]) {
+		n := e.checkUnexpList(where, k, q)
+		walked += 1 + n
+		total += n
+		if q.head != nil && e.cold.unexp.get(k) != q {
+			e.fail("unexpected-queue", where, "unexpected list %+v is filed in a tier its lookup does not reach", k)
 		}
 	})
 	arrTotal := 0
-	for i := range ps.cold.byComm {
-		comm, q := ps.cold.byComm[i].comm, &ps.cold.byComm[i].q
-		if ps.cold.arrivals(comm) != q {
-			ps.fail("unexpected-queue", where, "communicator %d has two arrival lists", comm)
+	for i := range e.cold.byComm {
+		comm, q := e.cold.byComm[i].comm, &e.cold.byComm[i].q
+		if e.cold.arrivals(comm) != q {
+			e.fail("unexpected-queue", where, "communicator %d has two arrival lists", comm)
 		}
 		var last uint64
 		broken := q.walk(byCommAt, func(env *envelope) {
 			switch {
 			case env.commID != comm:
-				ps.fail("unexpected-queue", where, "envelope (comm %d) in arrival list of comm %d", env.commID, comm)
+				e.fail("unexpected-queue", where, "envelope (comm %d) in arrival list of comm %d", env.commID, comm)
 			case env.arriveSeq <= last:
-				ps.fail("unexpected-queue", where, "arrival list (comm %d) out of order: seq %d after %d",
+				e.fail("unexpected-queue", where, "arrival list (comm %d) out of order: seq %d after %d",
 					comm, env.arriveSeq, last)
 			}
 			last = env.arriveSeq
 			arrTotal++
 		})
 		if broken != "" {
-			ps.fail("unexpected-queue", where, "arrival list (comm %d): %s", comm, broken)
+			e.fail("unexpected-queue", where, "arrival list (comm %d): %s", comm, broken)
 		}
 	}
+	walked += len(e.cold.byComm) + arrTotal
 	if arrTotal != total {
-		ps.fail("unexpected-queue", where,
+		e.fail("unexpected-queue", where,
 			"arrival lists hold %d envelopes but the source lists hold %d", arrTotal, total)
 	}
-	if ps.cold.unexpNow != total {
-		ps.fail("unexpected-conservation", where,
-			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, ps.cold.unexpNow)
+	if e.cold.unexpNow != total {
+		e.fail("unexpected-conservation", where,
+			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, e.cold.unexpNow)
 	}
 
-	for id, r := range ps.cold.pendSpill {
+	for id, r := range e.cold.pendSpill {
 		switch {
 		case r == nil:
-			ps.fail("pending-index", where, "nil request pending under id %d", id)
+			e.fail("pending-index", where, "nil request pending under id %d", id)
 		case r.id != id:
-			ps.fail("pending-index", where, "request %d pending under id %d", r.id, id)
+			e.fail("pending-index", where, "request %d pending under id %d", r.id, id)
 		case !r.has(reqPending):
-			ps.fail("pending-index", where, "request %d is in the spill map without its pending bit", id)
+			e.fail("pending-index", where, "request %d is in the spill map without its pending bit", id)
 		}
 	}
 	listed := 0
 	var lastID uint64 // request ids start at 1
-	broken := ps.pending.walk(pendingAt, func(r *Request) {
+	broken := e.pending.walk(pendingAt, func(r *Request) {
 		switch {
 		case r.Done():
-			ps.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
+			e.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
 		case r.id <= lastID:
-			ps.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
+			e.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
 		case !r.has(reqPending):
-			ps.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
-		case ps.findPending(r.id) != r:
-			ps.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
+			e.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
+		case e.findPending(r.id) != r:
+			e.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
 		}
 		lastID = r.id
 		listed++
 	})
 	if broken != "" {
-		ps.fail("pending-index", where, "pending list: %s", broken)
+		e.fail("pending-index", where, "pending list: %s", broken)
 	}
-	if listed != int(ps.pendLen) {
-		ps.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, ps.pendLen)
+	if listed != int(e.pendLen) {
+		e.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, e.pendLen)
 	}
-	if ps.cold.pendSpill != nil && listed != len(ps.cold.pendSpill) {
-		ps.fail("pending-index", where, "pending list holds %d requests but the spill map holds %d", listed, len(ps.cold.pendSpill))
+	if e.cold.pendSpill != nil && listed != len(e.cold.pendSpill) {
+		e.fail("pending-index", where, "pending list holds %d requests but the spill map holds %d", listed, len(e.cold.pendSpill))
 	}
+	b := &e.w.sweeps[e.Rank()]
+	b.ops, b.walked = 0, walked+listed
 }
 
 // checkPostedList sweeps the posted-receive list filed under k (nil means
-// the wildcard list).
-func (ps *procState) checkPostedList(where string, k *matchKey, q *list[Request]) {
+// the wildcard list) and returns its length.
+func (e *Env) checkPostedList(where string, k *matchKey, q *list[Request]) (n int) {
 	wild := k == nil
-	key := "wildcard"
-	if !wild {
-		key = fmt.Sprintf("%+v", *k)
+	key := func() string {
+		if wild {
+			return "wildcard"
+		}
+		return fmt.Sprintf("%+v", *k)
 	}
 	var lastID uint64 // request ids start at 1
 	broken := q.walk(postedAt, func(r *Request) {
 		switch {
 		case r.kind != recvReq || !r.has(reqPosted) || r.has(reqWild) != wild:
-			ps.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
-				r.id, key, r.kind, r.has(reqPosted), r.has(reqWild))
+			e.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
+				r.id, key(), r.kind, r.has(reqPosted), r.has(reqWild))
 		case wild && r.src != AnySource:
-			ps.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
+			e.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
 		case !wild && !r.filedUnder(*k):
-			ps.fail("posted-index", where, "request %d filed under %s is a receive on comm %d from %d",
-				r.id, key, r.comm.id, r.src)
+			e.fail("posted-index", where, "request %d filed under %s is a receive on comm %d from %d",
+				r.id, key(), r.comm.id, r.src)
 		case r.Done():
-			ps.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key)
+			e.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key())
 		case r.postQ != q:
-			ps.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key)
-		case !r.has(reqPending) || ps.findPending(r.id) != r:
-			ps.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.has(reqPending))
+			e.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key())
+		case !r.has(reqPending) || e.findPending(r.id) != r:
+			e.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.has(reqPending))
 		case r.id <= lastID:
-			ps.fail("posted-index", where, "posted list %q out of post order: id %d after %d", key, r.id, lastID)
+			e.fail("posted-index", where, "posted list %q out of post order: id %d after %d", key(), r.id, lastID)
 		}
 		lastID = r.id
+		n++
 	})
 	if broken != "" {
-		ps.fail("posted-index", where, "posted list %q: %s", key, broken)
+		e.fail("posted-index", where, "posted list %q: %s", key(), broken)
 	}
+	return n
+}
+
+// checkUnexpList sweeps the unexpected list filed under k and returns its
+// length. Arrival stamps start at 1, so its first envelope is in order.
+func (e *Env) checkUnexpList(where string, k matchKey, q *list[envelope]) (n int) {
+	rank := e.Rank()
+	var last uint64
+	broken := q.walk(bySrcAt, func(env *envelope) {
+		switch {
+		case keyOf(env.commID, env.srcCommRank) != k:
+			e.fail("unexpected-queue", where, "envelope (comm %d, src %d, tag %d) filed under key %+v",
+				env.commID, env.srcCommRank, env.tag, k)
+		case env.dst != rank:
+			e.fail("unexpected-queue", where, "envelope for rank %d queued at rank %d", env.dst, rank)
+		case env.arriveSeq <= last:
+			e.fail("unexpected-queue", where, "unexpected list %+v out of arrival order: seq %d after %d",
+				k, env.arriveSeq, last)
+		}
+		last = env.arriveSeq
+		n++
+	})
+	if broken != "" {
+		e.fail("unexpected-queue", where, "unexpected list %+v: %s", k, broken)
+	}
+	return n
 }
 
 // filedUnder reports whether k is the match key of an exact-source
@@ -200,25 +265,25 @@ func (r *Request) filedUnder(k matchKey) bool {
 // checkFinalize is the conservation sweep run by a clean Finalize: after
 // a correct application quiesces, nothing may remain in flight at this
 // process.
-func (ps *procState) checkFinalize() {
-	ps.checkIndexes("finalize")
-	if n := ps.pendLen; n > 0 {
+func (e *Env) checkFinalize() {
+	e.checkIndexes("finalize")
+	if n := e.pendLen; n > 0 {
 		detail := ""
-		for r := ps.pending.head; r != nil; r = r.pending.next {
+		for r := e.pending.head; r != nil; r = r.pending.next {
 			detail += fmt.Sprintf("\n    request %d: %s peer %d tag %d (comm %d)", r.id, r.opName(), r.peer(), r.tag, r.comm.id)
 		}
-		ps.fail("finalize-pending", "finalize", "%d requests still pending at Finalize:%s", n, detail)
+		e.fail("finalize-pending", "finalize", "%d requests still pending at Finalize:%s", n, detail)
 	}
-	if ps.postedWild.head != nil {
-		ps.fail("finalize-pending", "finalize", "wildcard receives still posted at Finalize")
+	if e.postedWild.head != nil {
+		e.fail("finalize-pending", "finalize", "wildcard receives still posted at Finalize")
 	}
-	ps.posted.each(func(k matchKey, q *list[Request]) {
+	e.posted.each(func(k matchKey, q *list[Request]) {
 		if q.head != nil {
-			ps.fail("finalize-pending", "finalize", "receives still posted for key %+v at Finalize", k)
+			e.fail("finalize-pending", "finalize", "receives still posted for key %+v at Finalize", k)
 		}
 	})
-	if ps.cold.probe != nil {
-		ps.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
+	if e.cold.probe != nil {
+		e.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
 	}
 }
 

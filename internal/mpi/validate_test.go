@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"xsim/internal/check"
 	"xsim/internal/core"
+	"xsim/internal/vclock"
 )
 
 func withValidate() worldOpt { return func(c *core.Config, _ *WorldConfig) { c.Validate = true } }
@@ -99,10 +102,10 @@ func TestValidateDetectsPendingBitMismatch(t *testing.T) {
 func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		corrupt    func(ps *procState, first, second *Request)
+		corrupt    func(e *Env, first, second *Request)
 	}{
-		{"back link", "broken back link", func(ps *procState, first, second *Request) { second.posted.prev = nil }},
-		{"stale tail", "tail is not the last element", func(ps *procState, first, second *Request) { ps.postedWild.tail = &first.posted }},
+		{"back link", "broken back link", func(e *Env, first, second *Request) { second.posted.prev = nil }},
+		{"stale tail", "tail is not the last element", func(e *Env, first, second *Request) { e.postedWild.tail = &first.posted }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := runWorldErr(t, 2, 1, nil, func(e *Env) {
@@ -120,7 +123,7 @@ func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tc.corrupt(e.ps, first, second)
+				tc.corrupt(e, first, second)
 				if _, err := c.Irecv(1, 5); err != nil { // triggers the sweep
 					t.Error(err)
 				}
@@ -129,5 +132,49 @@ func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
 				t.Fatalf("err = %v, want a posted-index violation saying %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A violation raised in an event handler is the run's error, with the
+// partial result, at every worker count; it never escapes the run as a
+// panic. Rank 3 clears the pending bit of its second posted receive, and
+// the sweep after the envelope that matches its first one (in the
+// handler, on rank 3's partition) finds it.
+func TestHandlerViolationIsRunError(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		res, err := runWorldErr(t, 4, workers, nil, func(e *Env) {
+			c := e.World()
+			switch e.Rank() {
+			case 0:
+				e.Elapse(vclock.Millisecond)
+				if err := c.Send(3, 1, []byte{1}); err != nil {
+					t.Error(err)
+				}
+			case 3:
+				first, err := c.Irecv(0, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				second, err := c.Irecv(0, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				second.clear(reqPending)
+				c.Waitall([]*Request{first, second})
+			}
+			e.Finalize()
+		}, withValidate())
+		var v *check.Violation
+		if !errors.As(err, &v) {
+			t.Fatalf("workers=%d: err = %v, want a violation", workers, err)
+		}
+		if v.Invariant != "posted-index" || v.Rank != 3 || v.Event != "envelope-match" {
+			t.Errorf("workers=%d: violation = %+v, want rank 3's posted-index violation at envelope-match", workers, v)
+		}
+		if res == nil || res.Deadlocked {
+			t.Errorf("workers=%d: result %+v, want the partial result and no deadlock", workers, res)
+		}
 	}
 }

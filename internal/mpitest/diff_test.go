@@ -43,7 +43,7 @@ func TestDifferentialSeqVsParallel(t *testing.T) {
 }
 
 // TestWideDifferentialSeqVsParallel is TestDifferentialSeqVsParallel on
-// 24- to 64-rank worlds (GenerateWide), where a fan-in root's matching
+// 24- to 128-rank worlds (GenerateWide), where a fan-in root's matching
 // queues move to a dense table.
 func TestWideDifferentialSeqVsParallel(t *testing.T) {
 	diffSeqVsParallel(t, GenerateWide, wideSeedCount(t), 4)

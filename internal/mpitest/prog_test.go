@@ -35,7 +35,7 @@ func TestDifferentialClosureVsProg(t *testing.T) {
 }
 
 // TestWideDifferentialClosureVsProg is TestDifferentialClosureVsProg on
-// 24- to 64-rank worlds (GenerateWide), where a fan-in root's matching
+// 24- to 128-rank worlds (GenerateWide), where a fan-in root's matching
 // queues move to a dense table.
 func TestWideDifferentialClosureVsProg(t *testing.T) {
 	diffClosureVsProg(t, GenerateWide, wideSeedCount(t), 4)
