@@ -60,16 +60,16 @@
 #                     hops; a regression that reintroduces per-message
 #                     allocation fails here)
 #   8c. bytes-per-VP budget gate (a 256k-rank program-mode world must
-#                     stay within 690 bytes of resident memory per virtual
+#                     stay within 610 bytes of resident memory per virtual
 #                     process after one exchange step — the paper's
 #                     oversubscription scaling dimension — and a 64k-rank
-#                     closure-mode world within 1,614 bytes once its ranks
+#                     closure-mode world within 1,535 bytes once its ranks
 #                     have finished, which a closure-mode Env that crosses
 #                     a size class fails)
 #   8d. checkpointing-workload memory gate (the full Table II loop in
-#                     program mode at 256k ranks must stay within 2,495
-#                     bytes mid-run and 836 bytes of live memory after, per
-#                     virtual process)
+#                     program mode at 256k ranks must stay within 2,024
+#                     bytes at the halo burst, 2,218 bytes mid-run and 683
+#                     bytes of live memory after, per virtual process)
 #   8e. BenchmarkHaloBurst mallocs-per-message gate (16,384 ranks post
 #                     a six-neighbour exchange at one virtual instant: a
 #                     message matched on arrival is a 64-byte,
@@ -229,15 +229,18 @@ echo "== bytes-per-VP budget gate (program mode, 256k ranks; closure mode, 64k r
 # 320 bytes, its posted-receive block 208 -> 160); it is gated at that
 # + 10 %, so a regression that reintroduces a per-VP map, goroutine, or
 # unbounded pool, or a field that crosses a size class, fails loudly.
-# It read 655 once the bundle fitted the 288-byte class, and reads 627
-# since a rank's MPI state is one Env holding its world communicator (240
-# bytes, 256 with its program); the gate is that + 10 %.
-bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 690 1
+# It read 655 once the bundle fitted the 288-byte class, and 627 since a
+# rank's MPI state is one Env holding its world communicator (240 bytes,
+# 256 with its program). It reads 555 (some runs 426) since the engine's
+# slab entry is 160 bytes (232 before) and a request 96 (112); the gate
+# is that + 10 %.
+bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/prog/ranks=262144$' bytes/vp 610 1
 # The closure-mode row measures what finished ranks keep (their Envs and
 # engine VPs), so it sees the Env's size class, which nothing else gates.
-# It read 1,511 with the 264-byte bundle in the 288-byte class, and 1,467
-# with the 240-byte Env; the gate is that + 10 %.
-bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/closure/ranks=65536$' bytes/vp 1614 1
+# It read 1,511 with the 264-byte bundle in the 288-byte class, 1,467
+# with the 240-byte Env, and 1,395 with the 160-byte engine slab entry;
+# the gate is that + 10 %.
+bench_gate ./internal/mpi/ '^BenchmarkBytesPerVP/closure/ranks=65536$' bytes/vp 1535 1
 
 echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # The full Table II loop (halo exchange + checkpoint + barrier every other
@@ -249,13 +252,14 @@ echo "== checkpointing-workload memory gate (program mode, 256k ranks)"
 # pooled request per eager send, 2,700 since those share one, and 2,268
 # since a heat rank is one 288-byte runner object beside a 320-byte MPI
 # bundle and a 160-byte posted-receive block (1,168 bytes in seven
-# objects before), and is gated at that + 10 %. The halo burst itself
-# (burst-bytes/vp: each rank's six live requests and six queued messages)
-# reads 2,101, ungated. What is left once the run completes
-# (retained-bytes/vp) read ~853 and then 760; it is gated at that + 10 %.
-# With the MPI bundle at 288 bytes the three read 2,242, 2,067 and 725,
-# and with the Env at 256 bytes 2,213, 2,038 and 693.
-bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp,bytes/vp 836,2495 1
+# objects before). The halo burst itself (burst-bytes/vp: each rank's six
+# live requests and six queued messages) read 2,101. What is left once the
+# run completes (retained-bytes/vp) read ~853 and then 760. With the MPI
+# bundle at 288 bytes the three read 2,242, 2,067 and 725, with the Env at
+# 256 bytes 2,213, 2,038 and 693, and with the engine's slab entry at 160
+# bytes, a request at 96 and the heat runner at 256, 2,016, 1,840 and 621.
+# Each is gated at its reading + 10 %.
+bench_gate ./internal/heat/ '^BenchmarkHeatCkptBytesPerVP/prog/ranks=262144$' retained-bytes/vp,bytes/vp,burst-bytes/vp 683,2218,2024 1
 
 echo "== BenchmarkHaloBurst mallocs-per-message gate"
 # The parent of the by-value event queue read 4.2 here (request, request,
@@ -286,9 +290,10 @@ echo "== BenchmarkCheckpointCycle allocation gate"
 # allocs/op, gated at 4. Keyed by formatted name it was 10. The restart
 # probe walks three candidates newest first and restores the delta chain it
 # finds; every allocation is a copy of a 52-byte header or a chain slice
-# (8 allocs/op, gated at 9), so a name or map entry per probe shows.
+# (8 allocs/op, and 7 since the probe reads its header into a buffer on
+# its stack, gated at 8), so a name or map entry per probe shows.
 bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^(full|incremental)$' allocs/op 4 2 10000x
-bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^restart-probe$' allocs/op 9 1 10000x
+bench_gate ./internal/checkpoint/ '^BenchmarkCheckpointCycle$/^restart-probe$' allocs/op 8 1 10000x
 
 echo "== campaign-service smoke (server vs spec file vs flags bit-for-bit, cache hit, drain, restart over a torn entry)"
 smoke_dir=$(mktemp -d)

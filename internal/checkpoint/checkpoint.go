@@ -136,7 +136,6 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	origin := store.PlaceTier(fs.env.FSHierarchy(), meta.Rank, size)
 	tier := fs.env.FSHierarchy()[origin].Model
 	fs.env.Elapse(tier.MetadataCost())
-	w := store.CreateKey(k, origin, meta.Rank, size)
 	var flags uint32
 	if meta.Synthetic {
 		flags |= flagSynthetic
@@ -144,17 +143,15 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 	if meta.Incremental {
 		flags |= flagIncremental
 	}
-	hdr := make([]byte, 0, headerLen)
-	hdr = append(hdr, magic[:]...)
+	var buf [headerLen]byte
+	hdr := append(buf[:0], magic[:]...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, version)
 	hdr = binary.LittleEndian.AppendUint32(hdr, flags)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(meta.Iteration))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(meta.Rank))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(meta.PayloadSize))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(meta.BaseIteration))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
+	w := store.CreateKeyWith(k, origin, meta.Rank, size, hdr)
 	// The write cost elapses while the file is incomplete: a failure
 	// activating here corrupts the checkpoint.
 	fs.env.Elapse(tier.WriteCostAmong(size, fs.env.Size()))
@@ -162,25 +159,26 @@ func (fs *FS) write(prefix string, meta Meta, payload []byte) error {
 		return err
 	}
 	fs.env.Elapse(tier.MetadataCost())
-	if err := w.Commit(); err != nil {
-		return err
-	}
-	fs.scheduleDrains(w, origin, size)
-	return nil
+	// The commit's clock is the last Elapse's, which has already let any
+	// pending failure activate, so the drains can be stamped from it and
+	// recorded with the commit.
+	var drains [3]fsmodel.Drain
+	return w.CommitDrains(fs.drains(drains[:0], origin, size))
 }
 
-// scheduleDrains records the asynchronous staging of a committed file down
-// the hierarchy: each deeper tier's copy completes one write (at that
+// drains appends to ds the asynchronous staging of a file committed now
+// down the hierarchy: each deeper tier's copy completes one write (at that
 // tier's shared cost) after the previous one, overlapping the
 // application's subsequent compute. A failure of the owner before a drain
 // completes loses that drain (the source copy died with the node) — the
 // buddy-copy failure mode resolved by Store.ResolveFailure.
-func (fs *FS) scheduleDrains(w *fsmodel.Writer, origin, size int) {
+func (fs *FS) drains(ds []fsmodel.Drain, origin, size int) []fsmodel.Drain {
 	at, hier := fs.env.Now(), fs.env.FSHierarchy()
 	for q := origin + 1; q < len(hier); q++ {
 		at = at.Add(hier[q].MetadataCost() + hier[q].WriteCostAmong(size, fs.env.Size()))
-		w.AddDrain(q, at)
+		ds = append(ds, fsmodel.Drain{Tier: q, At: at})
 	}
+	return ds
 }
 
 // Read loads and validates one rank's checkpoint. It returns ErrCorrupted
@@ -336,35 +334,55 @@ func openValid(store *fsmodel.Store, k fsmodel.Key) (meta Meta, payload []byte, 
 // trusted: committed, well-formed, and written for k's iteration and rank.
 func trusted(k fsmodel.Key, data []byte, complete bool) (Meta, []byte, error) {
 	meta, payload, err := decode(data, complete)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: %s", err, k)
-	}
-	if meta.Iteration != k.Iteration || meta.Rank != k.Rank {
-		return Meta{}, nil, fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, k, meta)
+	if err = writtenFor(k, meta, err); err != nil {
+		return Meta{}, nil, err
 	}
 	return meta, payload, nil
 }
 
+// writtenFor is the verdict on the file at k given its header's decoding:
+// the decoding's error, naming k, or an error unless the header was
+// written for k's iteration and rank.
+func writtenFor(k fsmodel.Key, meta Meta, err error) error {
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: %s", err, k)
+	case meta.Iteration != k.Iteration || meta.Rank != k.Rank:
+		return fmt.Errorf("%w: %s has meta %+v", ErrCorrupted, k, meta)
+	}
+	return nil
+}
+
 // decode parses and validates a checkpoint file's bytes.
 func decode(data []byte, complete bool) (Meta, []byte, error) {
+	meta, err := decodeHeader(data, len(data), complete)
+	if err != nil || meta.Synthetic {
+		return meta, nil, err
+	}
+	return meta, data[headerLen:], nil
+}
+
+// decodeHeader parses and validates the header of a checkpoint file of n
+// bytes, whose first min(n, headerLen) bytes are head.
+func decodeHeader(head []byte, n int, complete bool) (Meta, error) {
 	if !complete {
-		return Meta{}, nil, fmt.Errorf("%w (uncommitted)", ErrCorrupted)
+		return Meta{}, fmt.Errorf("%w (uncommitted)", ErrCorrupted)
 	}
-	if len(data) < headerLen {
-		return Meta{}, nil, fmt.Errorf("%w (truncated header)", ErrCorrupted)
+	if n < headerLen {
+		return Meta{}, fmt.Errorf("%w (truncated header)", ErrCorrupted)
 	}
-	if string(data[:4]) != string(magic[:]) {
-		return Meta{}, nil, fmt.Errorf("%w (bad magic)", ErrCorrupted)
+	if string(head[:4]) != string(magic[:]) {
+		return Meta{}, fmt.Errorf("%w (bad magic)", ErrCorrupted)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
-		return Meta{}, nil, fmt.Errorf("%w (version %d)", ErrCorrupted, v)
+	if v := binary.LittleEndian.Uint32(head[4:]); v != version {
+		return Meta{}, fmt.Errorf("%w (version %d)", ErrCorrupted, v)
 	}
-	flags := binary.LittleEndian.Uint32(data[8:])
+	flags := binary.LittleEndian.Uint32(head[8:])
 	meta := Meta{
-		Iteration:     int(binary.LittleEndian.Uint64(data[12:])),
-		Rank:          int(binary.LittleEndian.Uint64(data[20:])),
-		PayloadSize:   int(binary.LittleEndian.Uint64(data[28:])),
-		BaseIteration: int(binary.LittleEndian.Uint64(data[36:])),
+		Iteration:     int(binary.LittleEndian.Uint64(head[12:])),
+		Rank:          int(binary.LittleEndian.Uint64(head[20:])),
+		PayloadSize:   int(binary.LittleEndian.Uint64(head[28:])),
+		BaseIteration: int(binary.LittleEndian.Uint64(head[36:])),
 		Synthetic:     flags&flagSynthetic != 0,
 		Incremental:   flags&flagIncremental != 0,
 	}
@@ -373,32 +391,29 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 	// PayloadSize on a synthetic checkpoint would otherwise reach
 	// ReadCost() as a negative size and charge a negative read time.
 	if meta.Iteration < 0 || meta.Rank < 0 || meta.PayloadSize < 0 || meta.BaseIteration < 0 {
-		return Meta{}, nil, fmt.Errorf("%w (negative header field)", ErrCorrupted)
+		return Meta{}, fmt.Errorf("%w (negative header field)", ErrCorrupted)
 	}
 	// A header whose payload size pushes the file size past int would wrap
 	// headerLen+PayloadSize negative, and a read of it would charge no
 	// time at all.
 	if meta.PayloadSize > math.MaxInt-headerLen {
-		return Meta{}, nil, fmt.Errorf("%w (payload size %d overflows the file size)", ErrCorrupted, meta.PayloadSize)
+		return Meta{}, fmt.Errorf("%w (payload size %d overflows the file size)", ErrCorrupted, meta.PayloadSize)
 	}
 	// A delta must build on an earlier iteration; a self- or
 	// forward-referential base pointer can never restore (Chain would
 	// reject it, but Read must not accept the file in the first place).
 	if meta.Incremental && meta.BaseIteration >= meta.Iteration {
-		return Meta{}, nil, fmt.Errorf("%w (base iteration %d not before iteration %d)",
+		return Meta{}, fmt.Errorf("%w (base iteration %d not before iteration %d)",
 			ErrCorrupted, meta.BaseIteration, meta.Iteration)
 	}
-	payload := data[headerLen:]
-	if meta.Synthetic {
-		if len(payload) != 0 {
-			return Meta{}, nil, fmt.Errorf("%w (synthetic checkpoint carries %d payload bytes)", ErrCorrupted, len(payload))
-		}
-		return meta, nil, nil
+	payload := n - headerLen
+	if meta.Synthetic && payload != 0 {
+		return Meta{}, fmt.Errorf("%w (synthetic checkpoint carries %d payload bytes)", ErrCorrupted, payload)
 	}
-	if len(payload) != meta.PayloadSize {
-		return Meta{}, nil, fmt.Errorf("%w (payload %d bytes, header says %d)", ErrCorrupted, len(payload), meta.PayloadSize)
+	if !meta.Synthetic && payload != meta.PayloadSize {
+		return Meta{}, fmt.Errorf("%w (payload %d bytes, header says %d)", ErrCorrupted, payload, meta.PayloadSize)
 	}
-	return meta, payload, nil
+	return meta, nil
 }
 
 // ProbeValid reports whether rank's checkpoint of the iteration exists and
@@ -411,7 +426,8 @@ func decode(data []byte, complete bool) (Meta, []byte, error) {
 // needs no list of them.
 func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 	k := key(prefix, iteration, rank)
-	data, complete, ok := fs.env.FSStore().Open(k)
+	var head [headerLen]byte
+	n, complete, ok := fs.env.FSStore().ReadHead(k, head[:])
 	if !ok {
 		return false
 	}
@@ -421,8 +437,8 @@ func (fs *FS) ProbeValid(prefix string, rank, iteration int) bool {
 		// every other operation charges the tier it touches.
 		fs.env.Elapse(fs.env.FSHierarchy()[0].MetadataCost())
 	}
-	meta, _, err := trusted(k, data, complete)
-	if err != nil {
+	meta, err := decodeHeader(head[:min(n, headerLen)], n, complete)
+	if err = writtenFor(k, meta, err); err != nil {
 		// Corrupted: delete it; the caller keeps looking at older sets.
 		fs.Delete(prefix, iteration, rank)
 		return false

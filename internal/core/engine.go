@@ -192,7 +192,7 @@ func New(cfg Config) (*Engine, error) {
 		eng.parts[i] = p
 		for r := lo; r < hi; r++ {
 			v := &eng.vps[r]
-			v.rank = r
+			v.rank = int32(r)
 			v.part = p
 			v.clock = cfg.StartClock
 			v.tof = vclock.Never
@@ -314,7 +314,7 @@ func (e *Engine) run() (*Result, error) {
 	for i := range e.vps {
 		v := &e.vps[i]
 		v.wakeAt = e.cfg.StartClock
-		v.part.ready.push(readyEntry{at: e.cfg.StartClock, rank: v.rank})
+		v.part.ready.push(readyEntry{at: e.cfg.StartClock, rank: int(v.rank)})
 	}
 
 	if len(e.parts) == 1 {
@@ -396,10 +396,11 @@ func (e *Engine) run() (*Result, error) {
 		return res, violation
 	}
 	if firstPanic != nil {
-		if o, ok := firstPanic.panicVal.(clockOverflow); ok {
+		pr := firstPanic.panicked
+		if o, ok := pr.val.(clockOverflow); ok {
 			return res, o.err
 		}
-		return res, &panicError{msg: firstPanic.panicMsg, val: firstPanic.panicVal}
+		return res, &panicError{msg: pr.msg, val: pr.val}
 	}
 	if cancelled && alive > 0 {
 		return res, fmt.Errorf("%w with %d VPs still alive at %v", ErrStopped, alive, res.MaxClock)

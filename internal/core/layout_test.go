@@ -20,6 +20,17 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// TestVPLayout pins the engine's per-rank slab entry at 160 bytes. Every
+// rank of a world holds one for the run's life, parked or not, so at a
+// million ranks each byte of it is a megabyte; what only a panicked VP
+// needs sits behind one pointer, and the rank and lifecycle fields share
+// a word. It read 232 bytes before.
+func TestVPLayout(t *testing.T) {
+	if got := unsafe.Sizeof(vp{}); got > 160 {
+		t.Errorf("unsafe.Sizeof(vp{}) = %d, want <= 160: one per rank for the run's life", got)
+	}
+}
+
 // pointerIn returns the path to the first field of t whose type holds a
 // pointer (a pointer, interface, slice, map, string, channel or func), or
 // "" if t holds none.

@@ -210,7 +210,7 @@ func (p *partition) dispatch(ev *Event) {
 		return
 	case kindTimer:
 		v := &p.eng.vps[ev.Target]
-		if v.state == vpBlocked && v.sleeping && ev.Words[0] == v.sleepSeq {
+		if v.asleepUntil(ev.Time) {
 			p.wake(v, ev.Time, nil)
 		}
 		return
@@ -252,7 +252,7 @@ func (p *partition) wake(v *vp, at vclock.Time, val any) {
 		panic(fmt.Sprintf("core: wake of rank %d in state %d", v.rank, v.state))
 	}
 	if p.validate && at < p.watermark {
-		check.Failf("wake-monotonic", v.rank, at, "",
+		check.Failf("wake-monotonic", int(v.rank), at, "",
 			"wake of rank %d at %v precedes partition %d's watermark %v", v.rank, at, p.id, p.watermark)
 	}
 	if at < p.watermark {
@@ -261,7 +261,7 @@ func (p *partition) wake(v *vp, at vclock.Time, val any) {
 	v.state = vpReady
 	v.wakeAt = at
 	v.wakeVal = val
-	p.ready.push(readyEntry{at: vclock.Max(at, v.clock), rank: v.rank})
+	p.ready.push(readyEntry{at: vclock.Max(at, v.clock), rank: int(v.rank)})
 }
 
 // resume hands execution to a ready VP and waits for it to block or die.
@@ -311,7 +311,6 @@ func (p *partition) kill(v *vp) {
 		v.wakeVal = nil
 		v.blockReason = nil
 		v.death = DeathKilled
-		v.deathTime = v.clock
 		v.state = vpDead
 		p.live--
 		return

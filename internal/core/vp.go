@@ -9,7 +9,7 @@ import (
 )
 
 // DeathReason records why a VP stopped executing.
-type DeathReason int
+type DeathReason uint8
 
 const (
 	// DeathCompleted means the VP body returned normally.
@@ -51,7 +51,7 @@ func (r DeathReason) String() string {
 type unwindSentinel struct{ reason DeathReason }
 
 // vpState tracks where a VP is in its lifecycle.
-type vpState int
+type vpState uint8
 
 const (
 	vpCreated vpState = iota // never executed: pure data, no carrier
@@ -64,9 +64,17 @@ const (
 // vp is one simulated MPI process (virtual process). All fields are owned
 // by the VP's partition: they are touched either by the VP goroutine while
 // it runs (its partition's scheduler is parked) or by the partition
-// scheduler while the VP is not running.
+// scheduler while the VP is not running. The engine holds one per rank in
+// a flat slab, so the entry keeps only what dispatch, wake and resume
+// touch; what only a panicked VP needs lives behind panicked.
 type vp struct {
-	rank  int
+	// rank, state, death and killed share one word. killed tears the VP
+	// down instead of resuming it (see wakeAt).
+	rank   int32
+	state  vpState
+	death  DeathReason
+	killed bool
+
 	part  *partition
 	clock vclock.Time
 
@@ -78,11 +86,11 @@ type vp struct {
 	// abortAt is the time of a pending simulated MPI abort, or Never.
 	abortAt vclock.Time
 
-	state vpState
 	// blockReason is the value passed to Block, rendered only if a
 	// deadlock report is ever printed: a string, or a value implementing
 	// BlockReason() string for callers that want to avoid formatting a
-	// reason on every block (see BlockReasonString).
+	// reason on every block (see BlockReasonString). A VP parked on
+	// sleepPark{} is asleep, which is what lets its timer wake it.
 	blockReason any
 
 	// car is the carrier currently executing this VP's body, nil when the
@@ -93,24 +101,14 @@ type vp struct {
 	// lazily at the first step.
 	prog Program
 
-	// wakeAt, wakeVal, killed carry the resume data while the VP sits in
-	// the ready heap: clock becomes max(clock, wakeAt), wakeVal is
-	// returned from Block, and killed tears the VP down instead of
-	// resuming it. Plain fields instead of a heap-allocated message keep
-	// the block/wake cycle allocation-free.
+	// wakeAt and wakeVal carry the resume data while the VP sits in the
+	// ready heap: clock becomes max(clock, wakeAt) and wakeVal is returned
+	// from Block. Plain fields instead of a heap-allocated message keep the
+	// block/wake cycle allocation-free. While the VP sleeps, wakeAt is the
+	// deadline, which is how a timer tells its own sleep from one the VP
+	// already left (SleepPark).
 	wakeAt  vclock.Time
 	wakeVal any
-	killed  bool
-
-	death     DeathReason
-	deathTime vclock.Time
-	panicVal  any
-	panicMsg  string
-
-	// sleeping and sleepSeq guard Ctx.Sleep against stale timer events
-	// (a timer for a sleep the VP already left must be dropped).
-	sleeping bool
-	sleepSeq uint64
 
 	// waited accumulates virtual time spent blocked or advanced to
 	// operation completions; the rest of the clock's advance since start
@@ -128,6 +126,17 @@ type vp struct {
 	// VP slab means bodies, programs and death hooks share one Ctx without
 	// a per-call allocation.
 	ctx Ctx
+
+	// panicked is the panic of a VP that died of one (DeathPanicked), nil
+	// for every other VP.
+	panicked *panicRecord
+}
+
+// panicRecord is what a VP that panicked leaves for the run's error: the
+// panic value, and the message with the stack where it was raised.
+type panicRecord struct {
+	val any
+	msg string
 }
 
 func (v *vp) nextSeq() uint64 {
@@ -166,7 +175,7 @@ type Ctx struct {
 }
 
 // Rank returns the VP's rank.
-func (c *Ctx) Rank() int { return c.vp.rank }
+func (c *Ctx) Rank() int { return int(c.vp.rank) }
 
 // N returns the total number of VPs in the simulation.
 func (c *Ctx) N() int { return len(c.eng.vps) }
@@ -262,9 +271,16 @@ func (c *Ctx) Sleep(d vclock.Duration) {
 // will wake the VP after d and returns the park value to block on (a
 // closure VP passes it to Block, a Program returns it from Step) with ok
 // true. For d <= 0 it returns (nil, false) after an activation check — the
-// sleep has already elapsed and the caller continues without parking. The
-// resume (Block's return, or the scheduler's next Step) clears the
-// sleeping flag, which guards against stale timers from abandoned sleeps.
+// sleep has already elapsed and the caller continues without parking.
+//
+// A timer wakes the VP only if it is still parked on sleepPark{} with the
+// timer's time as its deadline (wakeAt, free while the VP is blocked), so
+// the timer of a sleep the VP left early, woken by something else, is
+// dropped. Two outstanding timers can share a deadline only if the later
+// sleep began at or before the earlier one's end; whichever fires first
+// wakes the VP at that deadline, after which it is no longer asleep, and
+// since a ready VP resumes only after every event at its wake time, the
+// resume is the same either way.
 func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 	v := c.vp
 	if d <= 0 {
@@ -274,11 +290,22 @@ func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 	if uint64(d) >= v.room() {
 		v.overflow(d, 1)
 	}
-	v.sleepSeq++
-	// The timer generation rides in the event's first scalar word.
-	c.Emit(Event{Time: v.clock.Add(d), Kind: kindTimer, Target: v.rank, Words: [EventWords]uint64{v.sleepSeq}})
-	v.sleeping = true
-	return "sleep", true
+	v.wakeAt = v.clock.Add(d)
+	c.Emit(Event{Time: v.wakeAt, Kind: kindTimer, Target: int(v.rank)})
+	return sleepPark{}, true
+}
+
+// sleepPark is the park value of a sleep (SleepPark); deadlock reports
+// render it as "sleep".
+type sleepPark struct{}
+
+func (sleepPark) BlockReason() string { return "sleep" }
+
+// asleepUntil reports whether the VP is parked in a sleep whose deadline
+// is t.
+func (v *vp) asleepUntil(t vclock.Time) bool {
+	_, ok := v.blockReason.(sleepPark)
+	return ok && v.state == vpBlocked && v.wakeAt == t
 }
 
 // AdvanceTo moves the VP's clock forward to t if t is later (e.g. to the
@@ -328,13 +355,12 @@ func (c *Ctx) Block(reason any) any {
 
 // resumed is the wake side of a park, for both drivers (Block on a carrier,
 // stepProgram on the scheduler stack): the VP runs again, its block reason
-// and sleeping flag are cleared (the latter guards against stale timers
-// from abandoned sleeps), and its clock advances to the wake time, the
-// difference counted as waited. It returns the waker's value.
+// is cleared (which ends a sleep, so a stale timer finds the VP awake),
+// and its clock advances to the wake time, the difference counted as
+// waited. It returns the waker's value.
 func (v *vp) resumed() any {
 	v.state = vpRunning
 	v.blockReason = nil
-	v.sleeping = false
 	val := v.wakeVal
 	v.wakeVal = nil // don't retain the value past this resume
 	if v.wakeAt > v.clock {
@@ -354,10 +380,10 @@ func (v *vp) resumed() any {
 func (c *Ctx) Emit(ev Event) {
 	v := c.vp
 	if ev.Time < v.clock {
-		check.Failf("emit-before-now", v.rank, ev.Time, eventDesc(&ev),
+		check.Failf("emit-before-now", int(v.rank), ev.Time, eventDesc(&ev),
 			"rank %d emitted an event before its clock %v", v.rank, v.clock)
 	}
-	ev.Src = int32(v.rank)
+	ev.Src = v.rank
 	ev.Seq = v.nextSeq()
 	c.eng.route(v.part, v.clock, &ev)
 }
@@ -367,11 +393,11 @@ func (c *Ctx) Emit(ev Event) {
 func (c *Ctx) EmitBroadcast(ev Event) {
 	v := c.vp
 	if ev.Time < v.clock {
-		check.Failf("emit-before-now", v.rank, ev.Time, eventDesc(&ev),
+		check.Failf("emit-before-now", int(v.rank), ev.Time, eventDesc(&ev),
 			"rank %d broadcast an event before its clock %v", v.rank, v.clock)
 	}
 	ev.Target = BroadcastTarget
-	ev.Src = int32(v.rank)
+	ev.Src = v.rank
 	for _, p := range c.eng.parts {
 		ev.Seq = v.nextSeq()
 		c.eng.routeToPartition(v.part, v.clock, p, &ev)
@@ -421,14 +447,12 @@ func (v *vp) finishDeath(eng *Engine, r any) {
 		v.death = s.reason
 	case clockOverflow: // a typed outcome, returned by Run without a stack
 		v.death = DeathPanicked
-		v.panicVal = s
+		v.panicked = &panicRecord{val: s}
 	default:
 		v.death = DeathPanicked
-		v.panicVal = r
-		v.panicMsg = fmt.Sprintf("rank %d panicked: %v\n%s", v.rank, r, debug.Stack())
+		v.panicked = &panicRecord{val: r, msg: fmt.Sprintf("rank %d panicked: %v\n%s", v.rank, r, debug.Stack())}
 		v.part.violate(r)
 	}
-	v.deathTime = v.clock
 	v.state = vpDead
 	v.blockReason = nil
 	if v.death != DeathKilled && eng.onDeath != nil {
@@ -439,11 +463,12 @@ func (v *vp) finishDeath(eng *Engine, r any) {
 			defer func() {
 				if r2 := recover(); r2 != nil {
 					v.part.violate(r2)
-					v.panicMsg = fmt.Sprintf("rank %d death hook panicked: %v\n%s", v.rank, r2, debug.Stack())
+					msg := fmt.Sprintf("rank %d death hook panicked: %v\n%s", v.rank, r2, debug.Stack())
 					if v.death != DeathPanicked {
 						v.death = DeathPanicked
-						v.panicVal = r2
+						v.panicked = &panicRecord{val: r2}
 					}
+					v.panicked.msg = msg
 				}
 			}()
 			eng.onDeath(&v.ctx, v.death)

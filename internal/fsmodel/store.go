@@ -98,13 +98,13 @@ func (k Key) canon() Key {
 	return Named(k.String())
 }
 
-// drain records one asynchronous copy of a file to a deeper tier: the
-// copy exists at tier from virtual time at on. Drain completion is a lazy
+// Drain records one asynchronous copy of a file to a deeper tier: the
+// copy exists at Tier from virtual time At on. Drain completion is a lazy
 // timed event — recorded when the write commits, consulted whenever a
 // reader asks which tiers hold the file.
-type drain struct {
-	tier int
-	at   vclock.Time
+type Drain struct {
+	Tier int
+	At   vclock.Time
 }
 
 // file is the stored state of one simulated file. Its writing process
@@ -122,7 +122,7 @@ type file struct {
 	owner int
 	size  int
 	// drains are the copies staged to deeper tiers.
-	drains   []drain
+	drains   []Drain
 	complete bool
 	// lost marks an origin copy destroyed by its owner's failure
 	// (volatile tier); the file then survives only through completed
@@ -306,11 +306,20 @@ type Writer file
 // behind, and a failure before Create leaves the file missing — the two
 // checkpoint failure modes the paper's application distinguishes.
 func (s *Store) CreateKey(k Key, tier, owner, size int) *Writer {
+	return s.CreateKeyWith(k, tier, owner, size, nil)
+}
+
+// CreateKeyWith is CreateKey followed by writing head, under one hold of
+// the store's lock: nothing can happen to the file between the two.
+func (s *Store) CreateKeyWith(k Key, tier, owner, size int, head []byte) *Writer {
 	k = k.canon()
 	f := &file{store: s, key: k, tier: tier, owner: owner, size: size}
 	sk, r := slot(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(head) > 0 {
+		f.data = append(f.data, head...)
+	}
 	fs := s.set(sk, true)
 	if old := fs.get(r); old != nil {
 		// Truncation replaces the file: its old writer loses it.
@@ -402,11 +411,15 @@ func (s *Store) PlaceTier(h Hierarchy, owner, size int) int {
 // unbounded capacity. Appends are amortized O(1): the writer appends to
 // the stored bytes in place (readers copy out under the same lock, and
 // appends only ever touch bytes past every previously published length).
-// Once the file is deleted or replaced the bytes reach nobody.
+// Once the file is deleted or replaced the bytes reach nobody. An empty
+// write changes nothing and takes no lock.
 func (w *Writer) Write(p []byte) (int, error) {
 	f := (*file)(w)
 	if f.closed {
 		return 0, fmt.Errorf("fsmodel: write to committed file %q", f.key)
+	}
+	if len(p) == 0 {
+		return 0, nil
 	}
 	f.store.mu.Lock()
 	f.data = append(f.data, p...)
@@ -416,7 +429,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 // Commit marks the file complete. Further writes fail, and so does the
 // commit of a file deleted or replaced since its Create.
-func (w *Writer) Commit() error {
+func (w *Writer) Commit() error { return w.CommitDrains(nil) }
+
+// CommitDrains is Commit followed by AddDrain for each of drains, under
+// one hold of the store's lock; a failed commit schedules none.
+func (w *Writer) CommitDrains(drains []Drain) error {
 	f := (*file)(w)
 	if f.closed {
 		return fmt.Errorf("fsmodel: double commit of %q", f.key)
@@ -428,27 +445,19 @@ func (w *Writer) Commit() error {
 		return fmt.Errorf("fsmodel: commit of deleted file %q", f.key)
 	}
 	f.complete = true
-	return nil
-}
-
-// AddDrain records an asynchronous staging copy of the writer's file (see
-// Store.AddDrain); it does nothing once the file is deleted or replaced.
-func (w *Writer) AddDrain(tier int, at vclock.Time) {
-	f := (*file)(w)
-	f.store.mu.Lock()
-	defer f.store.mu.Unlock()
-	if !f.gone {
-		f.addDrain(tier, at)
+	for _, d := range drains {
+		f.addDrain(d.Tier, d.At)
 	}
+	return nil
 }
 
 // addDrain appends a drain; the first one makes room for the two a
 // three-tier hierarchy stages. It is called with the lock held.
 func (f *file) addDrain(tier int, at vclock.Time) {
 	if f.drains == nil {
-		f.drains = make([]drain, 0, 2)
+		f.drains = make([]Drain, 0, 2)
 	}
-	f.drains = append(f.drains, drain{tier: tier, at: at})
+	f.drains = append(f.drains, Drain{Tier: tier, At: at})
 }
 
 // Len returns the number of bytes written so far.
@@ -460,6 +469,22 @@ func (w *Writer) Name() string { return w.key.String() }
 // ErrNotExist is the error a reader of the store reports for a missing
 // file.
 var ErrNotExist = fmt.Errorf("fsmodel: file does not exist")
+
+// ReadHead copies the first len(head) bytes of the file at k (fewer if the
+// file is shorter) into head and returns the file's length and whether it
+// was committed completely; ok is false when the file is missing. A reader
+// that needs only a file's header reads it into a buffer of its own.
+func (s *Store) ReadHead(k Key, head []byte) (n int, complete, ok bool) {
+	k = k.canon()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.lookup(k)
+	if f == nil {
+		return 0, false, false
+	}
+	copy(head, f.data)
+	return len(f.data), f.complete, true
+}
 
 // Open returns a copy of the contents of the file at k and whether it was
 // committed completely; ok is false when the file is missing.
@@ -511,7 +536,7 @@ func (s *Store) DeleteSet(set string, iteration int) {
 // present at tier from virtual time at on. The caller computes at from the
 // deeper tier's write cost; nothing happens at that time — readers simply
 // start seeing the copy once their clocks pass it (a lazy timed event).
-// A writer schedules its own file's drains with Writer.AddDrain.
+// A writer schedules its own file's drains with Writer.CommitDrains.
 func (s *Store) AddDrain(name string, tier int, at vclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -555,13 +580,13 @@ func (s *Store) NearestCopy(k Key, now vclock.Time) (tier int, at vclock.Time, o
 	var soonest vclock.Time
 	haveFuture := false
 	for _, d := range f.drains {
-		if d.at <= now {
-			if best == -1 || d.tier < best {
-				best, bestAt = d.tier, d.at
+		if d.At <= now {
+			if best == -1 || d.Tier < best {
+				best, bestAt = d.Tier, d.At
 			}
-		} else if !haveFuture || d.at < soonest {
-			soonest, haveFuture = d.at, true
-			tier = d.tier
+		} else if !haveFuture || d.At < soonest {
+			soonest, haveFuture = d.At, true
+			tier = d.Tier
 		}
 	}
 	if best >= 0 {
@@ -589,7 +614,7 @@ func (s *Store) ResolveFailure(h Hierarchy, owner int, at vclock.Time) {
 			}
 			kept := f.drains[:0]
 			for _, d := range f.drains {
-				if d.at <= at {
+				if d.At <= at {
 					kept = append(kept, d)
 				}
 			}

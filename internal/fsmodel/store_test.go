@@ -98,7 +98,7 @@ type refFile struct {
 	data              []byte
 	complete, lost    bool
 	tier, owner, size int
-	drains            []drain
+	drains            []Drain
 	gone              bool
 }
 
@@ -134,8 +134,9 @@ func (m *refStore) names() []string {
 // TestStoreMatchesReferenceModel drives the store and the model with one
 // seeded random sequence of operations over 3 sets × 4 iterations × 8
 // ranks plus plain names, and compares them after every operation. Files
-// are created by key or through the name front doors (Create, CreateAt),
-// and drains scheduled through a writer or by name (Store.AddDrain).
+// are created by key, with or without their first bytes, or through the
+// name front doors (Create, CreateAt), and drains scheduled at a writer's
+// commit or by name (Store.AddDrain).
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	h := Hierarchy{
 		{Name: "node", Capacity: 150, Volatile: true},
@@ -174,7 +175,11 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 					tier, owner, size = rng.Intn(len(h)), rng.Intn(ranks+1)-1, rng.Intn(100)
 				}
 				var w *Writer
+				var head []byte
 				switch {
+				case keyed() && keyed():
+					head = []byte(fmt.Sprint("head", step))
+					w = s.CreateKeyWith(k, tier, owner, size, head)
 				case keyed():
 					w = s.CreateKey(k, tier, owner, size)
 				case op == 0:
@@ -183,10 +188,10 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 					w = s.CreateAt(name, tier, owner, size)
 				}
 				m.remove(name)
-				f := &refFile{tier: tier, owner: owner, size: size}
+				f := &refFile{tier: tier, owner: owner, size: size, data: head}
 				m.files[name] = f
 				m.usage[[2]int{tier, owner}] += size
-				writers = append(writers, &refWriter{f: f, w: w})
+				writers = append(writers, &refWriter{f: f, w: w, n: len(head)})
 				if w.Name() != name {
 					t.Fatalf("%s: writer named %q", where, w.Name())
 				}
@@ -209,12 +214,21 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				if rw.w.Len() != rw.n {
 					t.Fatalf("%s: Len = %d, want %d", where, rw.w.Len(), rw.n)
 				}
-			case 3: // Commit
+			case 3: // Commit, or CommitDrains
 				if len(writers) == 0 {
 					continue
 				}
 				rw := writers[rng.Intn(len(writers))]
-				err := rw.w.Commit()
+				var drains []Drain
+				for range rng.Intn(3) {
+					drains = append(drains, Drain{1 + rng.Intn(len(h)-1), vclock.Time(rng.Intn(1000))})
+				}
+				var err error
+				if drains == nil && keyed() {
+					err = rw.w.Commit()
+				} else {
+					err = rw.w.CommitDrains(drains)
+				}
 				want := !rw.closed && !rw.f.gone
 				if (err == nil) != want {
 					t.Fatalf("%s: Commit err = %v, want success %v", where, err, want)
@@ -222,23 +236,16 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				rw.closed = true
 				if want {
 					rw.f.complete = true
+					rw.f.drains = append(rw.f.drains, drains...)
 				}
 			case 4: // Delete
 				s.Delete(k)
 				m.remove(name)
-			case 5: // AddDrain by name or through a writer
+			case 5: // AddDrain by name
 				tier, at := 1+rng.Intn(len(h)-1), vclock.Time(rng.Intn(1000))
-				if keyed() && len(writers) > 0 {
-					rw := writers[rng.Intn(len(writers))]
-					rw.w.AddDrain(tier, at)
-					if !rw.f.gone {
-						rw.f.drains = append(rw.f.drains, drain{tier, at})
-					}
-				} else {
-					s.AddDrain(name, tier, at)
-					if f := m.files[name]; f != nil {
-						f.drains = append(f.drains, drain{tier, at})
-					}
+				s.AddDrain(name, tier, at)
+				if f := m.files[name]; f != nil {
+					f.drains = append(f.drains, Drain{tier, at})
 				}
 			case 6: // TierOf
 				got := s.TierOf(k)
@@ -263,7 +270,7 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 					if f.owner != owner || f.lost || f.tier >= len(h) || !h[f.tier].Volatile {
 						continue
 					}
-					f.drains = slices.DeleteFunc(f.drains, func(d drain) bool { return d.at > at })
+					f.drains = slices.DeleteFunc(f.drains, func(d Drain) bool { return d.At > at })
 					f.lost = true
 					if len(f.drains) == 0 {
 						m.remove(n)
@@ -289,6 +296,12 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				}
 				if f != nil && (!bytes.Equal(data, f.data) || complete != f.complete) {
 					t.Fatalf("%s: Open = %q, %v; want %q, %v", where, data, complete, f.data, f.complete)
+				}
+				var head [3]byte
+				n, complete, ok := s.ReadHead(k, head[:])
+				if ok != (f != nil) || f != nil && (n != len(f.data) || complete != f.complete ||
+					!bytes.Equal(head[:min(n, len(head))], f.data[:min(n, len(head))])) {
+					t.Fatalf("%s: ReadHead = %q, %d, %v, %v; want the model's %q, %v", where, head, n, complete, ok, f.data, f.complete)
 				}
 			case 11: // DeleteSet
 				if k.plain() {
@@ -356,10 +369,10 @@ func refNearest(f *refFile, now vclock.Time) (int, vclock.Time, bool) {
 	future, futureAt := -1, vclock.Time(0)
 	for _, d := range f.drains {
 		switch {
-		case d.at <= now && (best == -1 || d.tier < best):
-			best, bestAt = d.tier, d.at
-		case d.at > now && (future == -1 || d.at < futureAt):
-			future, futureAt = d.tier, d.at
+		case d.At <= now && (best == -1 || d.Tier < best):
+			best, bestAt = d.Tier, d.At
+		case d.At > now && (future == -1 || d.At < futureAt):
+			future, futureAt = d.Tier, d.At
 		}
 	}
 	if best >= 0 {

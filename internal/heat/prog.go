@@ -24,9 +24,12 @@ func NewProg(cfg Config) func(rank int) mpi.Prog {
 	return func(rank int) mpi.Prog { return &heatRunner{state: state{cfg: &cfg}} }
 }
 
+// phase is a heatRunner's place in its control flow.
+type phase uint8
+
 // heatRunner phases, in control-flow order.
 const (
-	hpInit = iota
+	hpInit phase = iota
 	hpRestore
 	hpAfterRestore
 	hpInitialHalo
@@ -44,7 +47,6 @@ const (
 // restart read runs, the collective state while the barrier runs.
 type heatRunner struct {
 	state // its cfg is shared across ranks; read-only after NewProg
-	pc    int
 
 	fs            checkpoint.FS
 	startIter     int
@@ -52,6 +54,7 @@ type heatRunner struct {
 	prevCkpt      int
 	iter          int
 	chain         []int
+	pc            phase // beside the flags, in the word they pad
 	incr          bool
 	full          bool
 	proactiveDone bool

@@ -248,13 +248,14 @@ type Env struct {
 	// establish MPI's first-match-in-post-order rule across the two.
 	posted     srcIndex[Request]
 	postedWild list[Request]
-	// Incomplete requests thread through an id-ordered intrusive list
-	// (ids are monotonic, so appends keep the order the
-	// failure-notification scan depends on). Handler lookups walk the
-	// list while it is short — pending sets are a handful of requests in
-	// every common workload — and switch to the cold record's pendSpill
-	// map once pendLen ever exceeds pendSpillThreshold (fan-in
-	// collectives).
+	// Requests that have more to wait for once posted or matched — a
+	// rendezvous send until its clear-to-send, a receive matched to a
+	// rendezvous envelope until its data — thread through the pending
+	// list, in filing order; a receive waiting for a match is in its
+	// posted list instead, never in both (Env.incomplete collects the
+	// two in id order). Handler lookups walk the list while it is short
+	// and switch to the cold record's pendSpill map once pendLen ever
+	// exceeds pendSpillThreshold.
 	pending list[Request]
 	pendLen int32
 	// failBase counts the partition's failure notifications from before

@@ -176,7 +176,7 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 }
 
 // handleReqTimeout fires a failure-detection timeout: if the request is
-// still pending, it completes in error after the simulated network
+// still incomplete, it completes in error after the simulated network
 // communication timeout, which is how the simulated MPI layer detects
 // process failures.
 func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
@@ -185,8 +185,8 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 	if e == nil {
 		return
 	}
-	req := e.findPending(reqID)
-	if req == nil || req.Done() {
+	req := e.findRequest(reqID, ev.Words[3])
+	if req == nil {
 		return
 	}
 	ws := e.completeRequest(req, ev.Time, &ProcFailedError{Rank: peer, FailedAt: failedAt, Op: req.opName()})
@@ -201,10 +201,10 @@ func (w *World) handleReqTimeout(s *core.SchedCtx, ev *core.Event) {
 // handleFailNotify processes the simulator-internal failure notification
 // at one partition: the failed rank and its time of failure go into the
 // partition's failed-peer list, which every local process reads as its
-// own, and failure-detection timeouts are armed for pending requests that
-// involve the failed rank — releasing (and failing) unmatched receives,
-// MPI_ANY_SOURCE receives, and waited-on sends, per the paper's detection
-// design.
+// own, and failure-detection timeouts are armed for incomplete requests
+// that involve the failed rank — releasing (and failing) unmatched
+// receives, MPI_ANY_SOURCE receives, and waited-on sends, per the paper's
+// detection design. Each rank arms them in request-id order.
 func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 	failed, tof := int(ev.Words[0]), vclock.Time(ev.Words[1])
 	dp := w.pools[s.Partition()]
@@ -215,13 +215,11 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 		if e == nil {
 			continue
 		}
-		// The pending list is id-ordered and armTimeout never unlinks,
-		// so walking it directly is deterministic and allocation-free.
-		for req := e.pending.head; req != nil; req = req.pending.next {
-			if req.involves(failed) {
-				e.armTimeout(req, schedEmitter(s, rank))
-			}
+		dp.walk = e.incomplete(dp.walk, func(r *Request) bool { return r.involves(failed) })
+		for _, req := range dp.walk {
+			e.armTimeout(req, schedEmitter(s, rank))
 		}
+		clear(dp.walk)
 		// A blocked probe on the failed rank (or a wildcard probe) wakes
 		// to observe the failure.
 		if pr := e.cold.probe; pr != nil && (pr.src == failed || pr.src == AnySource) && s.Blocked(rank) {

@@ -4,7 +4,8 @@ import "strconv"
 
 // links is one element's place in one intrusive list: the next element,
 // and the links of the previous one (nil at the head). An element that sits
-// in several lists at once carries one links field per list.
+// in several lists at once carries one links field per list; one that moves
+// from list to list (a request) carries one for all of them.
 //
 // prev points at links, not at the element, and list.tail does too: unlink
 // then rewrites the predecessor's next without asking which field of which
@@ -19,7 +20,7 @@ type links[T any] struct {
 
 // list is an intrusive doubly-linked list of *T in insertion order. It
 // allocates nothing: every operation names, through an accessor such as
-// postedAt, the links field of T the list threads. A list's zero value is
+// reqAt, the links field of T the list threads. A list's zero value is
 // empty, and its address stays valid for as long as it lives (a posted
 // receive records the list it sits in).
 type list[T any] struct {
@@ -27,9 +28,8 @@ type list[T any] struct {
 	tail *links[T]
 }
 
-// The accessors, one per list an element can sit in.
-func postedAt(r *Request) *links[Request]   { return &r.posted }
-func pendingAt(r *Request) *links[Request]  { return &r.pending }
+// The accessors, one per links field.
+func reqAt(r *Request) *links[Request]      { return &r.link }
 func bySrcAt(e *envelope) *links[envelope]  { return &e.bySrc }
 func byCommAt(e *envelope) *links[envelope] { return &e.byComm }
 

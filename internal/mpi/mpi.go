@@ -112,15 +112,17 @@ const (
 	// reqMatched marks a receive bound to a message header
 	// (matchEnvelope) whose message has not been taken from the request.
 	reqMatched
-	// reqPending mirrors membership of the process's pending list.
+	// reqPending mirrors membership of the process's pending list: a
+	// rendezvous send waiting for its clear-to-send, or a receive matched
+	// to a rendezvous envelope and waiting for its data.
 	reqPending
 	// reqAwaitingData marks a recv matched to a rendezvous envelope whose
 	// data transfer is still in flight.
 	reqAwaitingData
 	// reqTimeoutScheduled dedupes failure-detection timeout events.
 	reqTimeoutScheduled
-	// reqPosted and reqWild: the receive is filed in the posted index,
-	// in the wildcard list if reqWild.
+	// reqPosted and reqWild: the receive waits for a match, filed in the
+	// posted index, in the wildcard list if reqWild.
 	reqPosted
 	reqWild
 )
@@ -129,7 +131,7 @@ const (
 //
 // Every rank holds six of these at every halo exchange (one per receive;
 // its eager sends share eagerSent), all live at the same virtual instant,
-// so the struct is kept to what every request uses: 112 bytes, one
+// so the struct is kept to what every request uses: 96 bytes, one
 // allocator size class. What only some requests need (a payload, a built
 // Message, an error, a message header that differs from the posted one)
 // lives in a reqCold record taken from the partition's pool on first use
@@ -159,16 +161,15 @@ type Request struct {
 	// one of them is first set.
 	cold *reqCold
 
-	// Posted-receive index bookkeeping: postQ is the list the receive is
-	// filed in — its (comm, src) key's or the wildcard list, each in post
-	// order. Post order is id order: a receive is filed the moment its id
-	// is issued.
-	postQ  *list[Request]
-	posted links[Request]
-
-	// Every incomplete request sits in the id-ordered pending list (ids
-	// are monotonic, so appending keeps the order).
-	pending links[Request]
+	// An incomplete request sits in exactly one queue, through link: a
+	// receive in its posted list until it matches, and after that only a
+	// request with more to wait for in the process's pending list (see
+	// reqPending). postQ is the posted list of a receive waiting for a
+	// match — its (comm, src) key's or the wildcard list, each in post
+	// order — and nil otherwise. Post order is id order: a receive is
+	// filed the moment its id is issued.
+	postQ *list[Request]
+	link  links[Request]
 
 	// waiter points at the WaitState tracking this request, so completion
 	// can decrement its pending count, and tell whether to wake the rank,

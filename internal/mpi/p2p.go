@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"xsim/internal/core"
@@ -63,7 +65,7 @@ type envelope struct {
 //	kindEnvelope     the envWord constants below
 //	kindCts          send request id, receive request id, receiver's world rank
 //	kindData         receive request id, box handle
-//	kindReqTimeout   request id, failed peer, its time of failure
+//	kindReqTimeout   request id, failed peer, its time of failure, Request.postedWord
 //	kindFailNotify   failed rank, its time of failure
 //	kindAbortNotify  abort time
 //	kindRevoke       communicator id
@@ -363,14 +365,14 @@ func (e *Env) addPosted(r *Request, srcCommRank int) {
 	} else {
 		q = e.posted.getOrAdd(keyOf(r.comm.id, srcCommRank), r.comm.n, repointPosted)
 	}
-	q.push(r, postedAt)
+	q.push(r, reqAt)
 	r.postQ = q
 }
 
 // repointPosted records a relocated posted-receive queue in each of its
 // requests.
 func repointPosted(q *list[Request]) {
-	for r := q.head; r != nil; r = r.posted.next {
+	for r := q.head; r != nil; r = r.link.next {
 		r.postQ = q
 	}
 }
@@ -383,7 +385,7 @@ func (e *Env) removePosted(r *Request) {
 		return
 	}
 	r.clear(reqPosted)
-	r.postQ.unlink(r, postedAt)
+	r.postQ.unlink(r, reqAt)
 	r.postQ = nil
 }
 
@@ -395,14 +397,14 @@ func (e *Env) removePosted(r *Request) {
 func (e *Env) takePosted(h *envHeader) *Request {
 	var best *Request
 	if q := e.posted.get(keyOf(h.commID, h.srcCommRank)); q != nil {
-		for r := q.head; r != nil; r = r.posted.next {
+		for r := q.head; r != nil; r = r.link.next {
 			if tagMatches(int(r.tag), h.tag) {
 				best = r
 				break
 			}
 		}
 	}
-	for r := e.postedWild.head; r != nil; r = r.posted.next {
+	for r := e.postedWild.head; r != nil; r = r.link.next {
 		if r.comm.id == h.commID && tagMatches(int(r.tag), h.tag) {
 			if best == nil || r.id < best.id {
 				best = r
@@ -539,33 +541,35 @@ func (e *Env) drainUnexpected() {
 // more than srcInline distinct peers.
 func (e *Env) releaseIndexes() {
 	e.scratch = nil
-	if e.postedWild.head == nil && e.posted.empty() {
+	posted := e.postedWild.head != nil || !e.posted.empty()
+	if !posted {
 		e.posted = srcIndex[Request]{}
 	}
-	if e.pending.head == nil {
+	if !posted && e.pending.head == nil {
 		e.cold = &noCold
 	}
 }
 
 // pendSpillThreshold is the pending-set size past which id lookups switch
 // from walking the intrusive list to the cold record's pendSpill map.
-// Point-to-point shapes keep a handful of requests pending; fan-in
-// collectives at the root can hold thousands at once.
+// Point-to-point shapes keep a handful of requests pending; a rank that
+// starts many rendezvous transfers at once can hold thousands.
 const pendSpillThreshold = 32
 
-// addPending files an incomplete request into the id-ordered pending list
-// (ids are monotonic, so tail-append preserves the order the
-// failure-notification scan depends on) and, once the set has ever grown
-// past the spill threshold, into the lookup map.
+// addPending files a request that has more to wait for — a rendezvous
+// send until its clear-to-send, a receive matched to a rendezvous
+// envelope until its data — into the pending list, in filing order, and,
+// once the set has ever grown past the spill threshold, into the lookup
+// map. A receive waiting for a match is in its posted list instead.
 func (e *Env) addPending(r *Request) {
 	r.set(reqPending)
-	e.pending.push(r, pendingAt)
+	e.pending.push(r, reqAt)
 	e.pendLen++
 	if sp := e.cold.pendSpill; sp != nil {
 		sp[r.id] = r
 	} else if e.pendLen > pendSpillThreshold {
 		sp = make(map[uint64]*Request, 2*pendSpillThreshold)
-		for q := e.pending.head; q != nil; q = q.pending.next {
+		for q := e.pending.head; q != nil; q = q.link.next {
 			sp[q.id] = q
 		}
 		e.coldRec().pendSpill = sp
@@ -578,7 +582,7 @@ func (e *Env) findPending(id uint64) *Request {
 	if sp := e.cold.pendSpill; sp != nil {
 		return sp[id]
 	}
-	for r := e.pending.head; r != nil; r = r.pending.next {
+	for r := e.pending.head; r != nil; r = r.link.next {
 		if r.id == id {
 			return r
 		}
@@ -587,7 +591,8 @@ func (e *Env) findPending(id uint64) *Request {
 }
 
 // unlinkPending removes a request from the pending list (and spill map);
-// it is a no-op for requests that are not pending (eager sends never are).
+// it is a no-op for requests that are not pending (eager sends and
+// receives that never matched a rendezvous envelope).
 func (e *Env) unlinkPending(r *Request) {
 	if !r.has(reqPending) {
 		return
@@ -595,7 +600,7 @@ func (e *Env) unlinkPending(r *Request) {
 	r.clear(reqPending)
 	delete(e.cold.pendSpill, r.id) // a no-op on noCold's nil map
 	e.pendLen--
-	e.pending.unlink(r, pendingAt)
+	e.pending.unlink(r, reqAt)
 }
 
 // emitter is whichever of the two contexts message matching runs in, each
@@ -786,7 +791,6 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	req.comm = c
 	req.src, req.dst, req.tag = int32(src), int32(e.Rank()), int32(tag)
 	req.postClock = e.ctx.NowQuiet()
-	e.addPending(req)
 	e.w.trace(trace.Event{At: req.postClock, Kind: trace.KindRecvPost, Rank: int32(e.Rank()), Peer: int32(src), Tag: int32(tag)})
 	// Match the earliest compatible unexpected envelope first (arrival
 	// order preserves MPI's non-overtaking rule).
@@ -826,6 +830,7 @@ func (e *Env) matchEnvelope(req *Request, h *envHeader, em emitter) *WaitState {
 	req.size = h.size
 	if h.rendezvous {
 		req.set(reqAwaitingData)
+		e.addPending(req)
 		net := e.w.cfg.Net
 		// The clear-to-send leaves once both the envelope has arrived
 		// (em.now() when matching on arrival) and the receive is posted
@@ -978,9 +983,9 @@ func (e *Env) detection(postClock vclock.Time, src int) (at vclock.Time, peer in
 	return at, peer, tof, peer >= 0
 }
 
-// armTimeout schedules the failure-detection timeout of a pending request
-// whose peer is known to have failed, at the detection deadline but never
-// before the failure is knowable at this process.
+// armTimeout schedules the failure-detection timeout of an incomplete
+// request whose peer is known to have failed, at the detection deadline
+// but never before the failure is knowable at this process.
 func (e *Env) armTimeout(req *Request, em emitter) {
 	if req.Done() || req.has(reqTimeoutScheduled) {
 		return
@@ -994,6 +999,70 @@ func (e *Env) armTimeout(req *Request, em emitter) {
 		Time:   vclock.Max(at, em.now()),
 		Kind:   kindReqTimeout,
 		Target: e.Rank(),
-		Words:  [core.EventWords]uint64{req.id, uint64(peer), uint64(tof)},
+		Words:  [core.EventWords]uint64{req.id, uint64(peer), uint64(tof), req.postedWord()},
 	})
+}
+
+// postedBit marks a timeout's fourth word as naming a posted list.
+const postedBit = 1 << 63
+
+// postedWord is what a timeout event carries for its request to be found
+// again: for a receive waiting for a match, postedBit and its posted
+// list's key (the communicator id above, the source's rank in it, or
+// AnySource, below), and 0 for a request on the pending list. A receive
+// that matches before the timeout fires moves to the pending list or
+// completes, and findRequest looks there too.
+func (r *Request) postedWord() uint64 {
+	if !r.has(reqPosted) {
+		return 0
+	}
+	src := AnySource
+	if !r.has(reqWild) {
+		src = int(r.src)
+		if g := r.comm.group; g != nil {
+			src = slices.Index(g, src)
+		}
+	}
+	return postedBit | uint64(r.comm.id)<<32 | uint64(uint32(src))
+}
+
+// findRequest returns the incomplete request with the given id, or nil:
+// from the pending list, or, where word (postedWord) names one, from that
+// posted list.
+func (e *Env) findRequest(id, word uint64) *Request {
+	if r := e.findPending(id); r != nil || word&postedBit == 0 {
+		return r
+	}
+	q := &e.postedWild
+	if k := keyOf(int(word>>32&math.MaxInt32), int(int32(word))); k.src != AnySource {
+		if q = e.posted.get(k); q == nil {
+			return nil
+		}
+	}
+	for r := q.head; r != nil; r = r.link.next {
+		if r.id == id {
+			return r
+		}
+	}
+	return nil
+}
+
+// incomplete collects into buf (emptied first) the process's incomplete
+// requests that keep reports true, from the pending list, the posted index
+// and the wildcard list, sorted by id: the order in which the failure,
+// revocation and finalize walks act on them.
+func (e *Env) incomplete(buf []*Request, keep func(*Request) bool) []*Request {
+	buf = buf[:0]
+	collect := func(q *list[Request]) {
+		for r := q.head; r != nil; r = r.link.next {
+			if keep(r) {
+				buf = append(buf, r)
+			}
+		}
+	}
+	collect(&e.pending)
+	collect(&e.postedWild)
+	e.posted.each(func(_ matchKey, q *list[Request]) { collect(q) })
+	slices.SortFunc(buf, func(a, b *Request) int { return cmp.Compare(a.id, b.id) })
+	return buf
 }

@@ -121,8 +121,9 @@ type dpPool struct {
 	// application has freed may be put: the next get hands the same
 	// pointer to an unrelated operation. The request must be complete and
 	// out of every index — stale in-flight events cannot resurrect it
-	// because handlers look requests up by id in the pending table, and a
-	// recycled request is reissued under a fresh id.
+	// because handlers look requests up by id in the pending list or the
+	// posted list their event names, and a recycled request is reissued
+	// under a fresh id.
 	reqs freeList[Request]
 	// colds: the requests' cold records (reqCold), taken by a request on
 	// first use and put back by putReq with the request.
@@ -138,6 +139,9 @@ type dpPool struct {
 	// notification reaches every local rank at one instant, so one list
 	// serves them all (Env.failures).
 	failed []peerFailure
+	// walk is the scratch list of the requests a failure, revocation or
+	// finalize walk acts on (Env.incomplete).
+	walk []*Request
 
 	// Traffic counters (metrics.go): sends and collectives posted by the
 	// partition's ranks, and the deepest any of their unexpected queues got.

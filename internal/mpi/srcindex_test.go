@@ -73,7 +73,7 @@ func TestSrcIndexGoesDense(t *testing.T) {
 	wantDenseAt := srcInline + srcLinear + (n*16+mapQueueBytes-1)/mapQueueBytes
 	for src := 0; src < n; src++ {
 		q := ix.getOrAdd(keyOf(0, src), n, moved)
-		q.push(&reqs[src], postedAt)
+		q.push(&reqs[src], reqAt)
 		reqs[src].postQ = q
 		dense := ix.spill != nil && ix.spill.comms != nil && (*ix.spill.comms)[0].dense != nil
 		if want := src+1 >= wantDenseAt; dense != want {
@@ -292,7 +292,7 @@ func (m *srcModel) check(t *testing.T, op int, e *Env) {
 	t.Helper()
 	walk := func(what string, q *list[Request], want []*Request) {
 		var got []*Request
-		if broken := q.walk(postedAt, func(r *Request) { got = append(got, r) }); broken != "" {
+		if broken := q.walk(reqAt, func(r *Request) { got = append(got, r) }); broken != "" {
 			t.Fatalf("op %d: %s: %s", op, what, broken)
 		}
 		if len(got) != len(want) {

@@ -15,26 +15,23 @@ import (
 // plus a simplified fault-tolerant agreement (MPI_Comm_agree).
 
 // handleRevoke processes a communicator revocation at one partition:
-// every local process marks the communicator revoked, and pending
-// operations on it complete with RevokedError.
+// every local process marks the communicator revoked, and incomplete
+// operations on it complete with RevokedError, in request-id order.
 func (w *World) handleRevoke(s *core.SchedCtx, ev *core.Event) {
 	commID := int(ev.Words[0])
+	dp := w.pools[s.Partition()]
 	lo, hi := s.LocalRanks()
 	for rank := lo; rank < hi; rank++ {
 		e := localEnv(s, rank)
 		if e == nil || !e.revoke(commID) {
 			continue
 		}
-		// completeRequest unlinks the request from the pending list, so
-		// capture the successor before completing each one.
-		for req := e.pending.head; req != nil; {
-			next := req.pending.next
-			if req.comm.id == commID {
-				ws := e.completeRequest(req, ev.Time, &RevokedError{Comm: commID})
-				wakeIfWaiting(s, e, ws, req.completeAt)
-			}
-			req = next
+		dp.walk = e.incomplete(dp.walk, func(r *Request) bool { return r.comm.id == commID })
+		for _, req := range dp.walk {
+			ws := e.completeRequest(req, ev.Time, &RevokedError{Comm: commID})
+			wakeIfWaiting(s, e, ws, req.completeAt)
 		}
+		clear(dp.walk)
 	}
 }
 

@@ -29,12 +29,13 @@ type sweepBudget struct{ ops, walked int }
 
 // checkOp is the check after one match or post (where names it): the
 // posted and unexpected queues under *k (k nil: none), the wildcard list
-// if r is a wildcard receive, and r's and env's places in the pending and
-// arrival lists (either may be nil). Once the rank's operations since its
-// last full sweep reach what that sweep walked, it runs the full sweep
-// instead, so every invariant is checked within a bounded number of
-// operations at a cost linear in them: an n-rank fan-in no longer sweeps
-// the root's n queues after each of its n arrivals.
+// if r is a wildcard receive, r's place in the one queue it may sit in
+// (checkQueued) and env's in its arrival list (either may be nil). Once
+// the rank's operations since its last full sweep reach what that sweep
+// walked, it runs the full sweep instead, so every invariant is checked
+// within a bounded number of operations at a cost linear in them: an
+// n-rank fan-in no longer sweeps the root's n queues after each of its n
+// arrivals.
 func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
 	b := &e.w.sweeps[e.Rank()]
 	if b.ops++; b.ops >= b.walked {
@@ -53,15 +54,7 @@ func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
 		if r.has(reqWild) {
 			e.checkPostedList(where, nil, &e.postedWild)
 		}
-		pending, next := r.has(reqPending), r.pending.next
-		switch {
-		case pending && (r.Done() || !e.pending.linked(r, pendingAt) || e.findPending(r.id) != r):
-			e.fail("pending-index", where, "pending request %d (done %v) is not linked in place in the pending list or its lookup", r.id, r.Done())
-		case pending && next != nil && next.id <= r.id:
-			e.fail("pending-index", where, "pending list out of id order: %d after %d", next.id, r.id)
-		case !pending && (r.pending != (links[Request]{}) || e.findPending(r.id) == r):
-			e.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
-		}
+		e.checkQueued(where, r)
 	}
 	if env != nil {
 		q, next := e.cold.arrivals(env.commID), env.byComm.next
@@ -71,15 +64,36 @@ func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
 	}
 }
 
+// checkQueued checks the one-queue rule on a request an operation just
+// touched: a receive waiting for a match is linked in place in its posted
+// list and is not pending; every other incomplete request is linked in
+// place in the pending list, found by its id there, and in no posted list;
+// a completed request is in no list at all.
+func (e *Env) checkQueued(where string, r *Request) {
+	posted, pending := r.has(reqPosted), r.has(reqPending)
+	switch {
+	case posted && pending:
+		e.fail("pending-index", where, "request %d is both a posted receive and pending", r.id)
+	case posted && (r.Done() || r.postQ == nil || !r.postQ.linked(r, reqAt) || e.findPending(r.id) == r):
+		e.fail("posted-index", where, "posted receive %d (done %v) is not linked in place in its posted list alone", r.id, r.Done())
+	case pending && (r.Done() || r.postQ != nil || !e.pending.linked(r, reqAt) || e.findPending(r.id) != r):
+		e.fail("pending-index", where, "pending request %d (done %v) is not linked in place in the pending list or its lookup", r.id, r.Done())
+	case !posted && !pending && !r.Done():
+		e.fail("pending-index", where, "incomplete %s %d is neither a posted receive nor pending", r.opName(), r.id)
+	case !posted && !pending && (r.link != (links[Request]{}) || r.postQ != nil || e.findPending(r.id) == r):
+		e.fail("pending-index", where, "completed request %d is still linked in a queue", r.id)
+	}
+}
+
 // checkIndexes is the full sweep of the posted-receive index,
 // unexpected-queue and pending-list invariants:
 //
 //   - every request linked under (comm, src) — src the source's rank in
 //     the communicator — is an incomplete, posted, exact-source receive
-//     for that key, present in the pending table, with its postQ
-//     backpointer set to that list (a move to a dense table re-points it);
-//   - every wildcard entry is an incomplete, posted AnySource receive,
-//     present in the pending table;
+//     for that key, not pending, with its postQ backpointer set to that
+//     list (a move to a dense table re-points it);
+//   - every wildcard entry is an incomplete, posted AnySource receive, not
+//     pending;
 //   - both structures are ordered by post sequence (MPI's
 //     first-match-in-post-order rule depends on it);
 //   - every unexpected envelope is linked under its own (comm, src) key,
@@ -90,10 +104,12 @@ func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
 //   - in both indexes a non-empty queue is the one its key's lookup
 //     finds, whichever tier (inline, block, map or dense table) holds it;
 //     with the key check this covers every slot of a dense table;
-//   - the pending table holds only incomplete requests under their own
-//     ids, the id-ordered pending list threads exactly the table's entries
-//     in ascending id order, and every one of them carries the pending bit
-//     unlinkPending trusts instead of searching the list.
+//   - the pending list holds only incomplete requests with the pending
+//     bit unlinkPending trusts instead of searching the list, none of them
+//     posted: rendezvous sends, and receives matched to a rendezvous
+//     envelope and waiting for its data; its length is the pendLen gauge,
+//     and the spill map, once there is one, holds exactly its requests
+//     under their own ids.
 //
 // Every list is walked once (list.walk), which checks its links and tail;
 // the sweeps below add only their own ordering and membership checks.
@@ -164,19 +180,19 @@ func (e *Env) checkIndexes(where string) {
 		}
 	}
 	listed := 0
-	var lastID uint64 // request ids start at 1
-	broken := e.pending.walk(pendingAt, func(r *Request) {
+	broken := e.pending.walk(reqAt, func(r *Request) {
 		switch {
 		case r.Done():
 			e.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
-		case r.id <= lastID:
-			e.fail("pending-index", where, "pending list out of id order: %d after %d", r.id, lastID)
 		case !r.has(reqPending):
 			e.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
-		case e.findPending(r.id) != r:
-			e.fail("pending-index", where, "pending-list request %d missing from the pending lookup", r.id)
+		case r.has(reqPosted) || r.postQ != nil:
+			e.fail("pending-index", where, "pending request %d is also a posted receive", r.id)
+		case r.kind == recvReq && !r.has(reqAwaitingData):
+			e.fail("pending-index", where, "pending receive %d is not waiting for rendezvous data", r.id)
+		case e.cold.pendSpill != nil && e.cold.pendSpill[r.id] != r:
+			e.fail("pending-index", where, "pending-list request %d missing from the spill map", r.id)
 		}
-		lastID = r.id
 		listed++
 	})
 	if broken != "" {
@@ -203,7 +219,7 @@ func (e *Env) checkPostedList(where string, k *matchKey, q *list[Request]) (n in
 		return fmt.Sprintf("%+v", *k)
 	}
 	var lastID uint64 // request ids start at 1
-	broken := q.walk(postedAt, func(r *Request) {
+	broken := q.walk(reqAt, func(r *Request) {
 		switch {
 		case r.kind != recvReq || !r.has(reqPosted) || r.has(reqWild) != wild:
 			e.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
@@ -217,8 +233,8 @@ func (e *Env) checkPostedList(where string, k *matchKey, q *list[Request]) (n in
 			e.fail("posted-index", where, "completed request %d (%s) still in posted list %q", r.id, r.opName(), key())
 		case r.postQ != q:
 			e.fail("posted-index", where, "request %d in posted list %q has a stale postQ backpointer", r.id, key())
-		case !r.has(reqPending) || e.findPending(r.id) != r:
-			e.fail("posted-index", where, "posted receive %d missing from the pending lookup (pending bit %v)", r.id, r.has(reqPending))
+		case r.has(reqPending):
+			e.fail("posted-index", where, "posted receive %d also carries the pending bit", r.id)
 		case r.id <= lastID:
 			e.fail("posted-index", where, "posted list %q out of post order: id %d after %d", key(), r.id, lastID)
 		}
@@ -267,21 +283,13 @@ func (r *Request) filedUnder(k matchKey) bool {
 // process.
 func (e *Env) checkFinalize() {
 	e.checkIndexes("finalize")
-	if n := e.pendLen; n > 0 {
+	if left := e.incomplete(nil, func(*Request) bool { return true }); len(left) > 0 {
 		detail := ""
-		for r := e.pending.head; r != nil; r = r.pending.next {
+		for _, r := range left {
 			detail += fmt.Sprintf("\n    request %d: %s peer %d tag %d (comm %d)", r.id, r.opName(), r.peer(), r.tag, r.comm.id)
 		}
-		e.fail("finalize-pending", "finalize", "%d requests still pending at Finalize:%s", n, detail)
+		e.fail("finalize-pending", "finalize", "%d requests still pending at Finalize:%s", len(left), detail)
 	}
-	if e.postedWild.head != nil {
-		e.fail("finalize-pending", "finalize", "wildcard receives still posted at Finalize")
-	}
-	e.posted.each(func(k matchKey, q *list[Request]) {
-		if q.head != nil {
-			e.fail("finalize-pending", "finalize", "receives still posted for key %+v at Finalize", k)
-		}
-	})
 	if e.cold.probe != nil {
 		e.fail("finalize-pending", "finalize", "a probe is still outstanding at Finalize")
 	}

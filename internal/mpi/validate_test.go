@@ -104,8 +104,8 @@ func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
 		name, want string
 		corrupt    func(e *Env, first, second *Request)
 	}{
-		{"back link", "broken back link", func(e *Env, first, second *Request) { second.posted.prev = nil }},
-		{"stale tail", "tail is not the last element", func(e *Env, first, second *Request) { e.postedWild.tail = &first.posted }},
+		{"back link", "broken back link", func(e *Env, first, second *Request) { second.link.prev = nil }},
+		{"stale tail", "tail is not the last element", func(e *Env, first, second *Request) { e.postedWild.tail = &first.link }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := runWorldErr(t, 2, 1, nil, func(e *Env) {
@@ -137,9 +137,10 @@ func TestValidateDetectsBrokenPostedLinks(t *testing.T) {
 
 // A violation raised in an event handler is the run's error, with the
 // partial result, at every worker count; it never escapes the run as a
-// panic. Rank 3 clears the pending bit of its second posted receive, and
-// the sweep after the envelope that matches its first one (in the
-// handler, on rank 3's partition) finds it.
+// panic. Rank 3 sets the pending bit of its second posted receive (a
+// receive waiting for a match is never pending), and the check after the
+// envelope that matches its first one (in the handler, on rank 3's
+// partition) finds it.
 func TestHandlerViolationIsRunError(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		res, err := runWorldErr(t, 4, workers, nil, func(e *Env) {
@@ -161,7 +162,7 @@ func TestHandlerViolationIsRunError(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				second.clear(reqPending)
+				second.set(reqPending)
 				c.Waitall([]*Request{first, second})
 			}
 			e.Finalize()
