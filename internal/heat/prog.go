@@ -14,10 +14,10 @@ import (
 // instead, so closure- and program-mode experiments produce the same
 // virtual timelines by construction. Program mode is what lets the
 // headline experiments run at 256k–1M ranks: a parked rank is its
-// heatRunner, one object of at most 320 bytes holding its geometry, its
+// heatRunner, one object of at most 256 bytes holding its geometry, its
 // file-system handle and its halo requests (TestHeatRunnerLayout), and
-// its MPI process bundle and posted-receive block, instead of a
-// goroutine stack.
+// its MPI process (package mpi's 256-byte progEnv) and posted-receive
+// block, instead of a goroutine stack.
 func NewProg(cfg Config) func(rank int) mpi.Prog {
 	// One shared, read-only Config for every rank: at a million VPs an
 	// embedded copy per runner is ~180 bytes/rank for identical data.

@@ -253,11 +253,8 @@ type Env struct {
 	// rendezvous envelope until its data — thread through the pending
 	// list, in filing order; a receive waiting for a match is in its
 	// posted list instead, never in both (Env.incomplete collects the
-	// two in id order). Handler lookups walk the list while it is short
-	// and switch to the cold record's pendSpill map once pendLen ever
-	// exceeds pendSpillThreshold.
+	// two in id order). Handler lookups walk the list.
 	pending list[Request]
-	pendLen int32
 	// failBase counts the partition's failure notifications from before
 	// this state was built, which the process never received (failures).
 	failBase int32
@@ -298,9 +295,6 @@ type procCold struct {
 	byComm    []arrivalList
 	arriveSeq uint64
 	unexpNow  int
-	// pendSpill indexes the pending list by id once it has ever grown
-	// past pendSpillThreshold.
-	pendSpill map[uint64]*Request
 	// probe is the blocking probe the process is parked in, nil when it is
 	// not parked in one (a process blocks in one call at a time).
 	probe *probeRec

@@ -65,6 +65,7 @@ func (p *failWalkProg) Step(e *Env, _ any) (any, bool) {
 				post(w.Irecv(3, 1))
 				post(p.sub.Irecv(rev(3), 2))
 				post(w.Irecv(1, 7))
+				*p.log = append(*p.log, walkOrder(e))
 				p.ws.Begin(p.reqs...)
 				p.phase = 2
 			case 2, 4:
@@ -85,6 +86,7 @@ func (p *failWalkProg) Step(e *Env, _ any) (any, bool) {
 					}
 					p.reqs = append(p.reqs, r)
 				}
+				*p.log = append(*p.log, walkOrder(e))
 				p.ws.Begin(p.reqs[n:]...)
 				p.phase = 4
 			case 5:
@@ -130,6 +132,17 @@ func (p *failWalkProg) Step(e *Env, _ any) (any, bool) {
 	return nil, true
 }
 
+// walkOrder logs the ids of the process's incomplete requests in the
+// order the failure, revocation and finalize walks take them
+// (Env.incomplete).
+func walkOrder(e *Env) string {
+	var ids []uint64
+	for _, r := range e.incomplete(nil, func(*Request) bool { return true }) {
+		ids = append(ids, r.id)
+	}
+	return fmt.Sprintf("walk order %v", ids)
+}
+
 // TestFailureWalksActInRequestOrder pins what the failure notification's
 // timeout arming, the timeout lookup and the revocation walk do to a rank
 // whose incomplete requests sit in every queue the MPI layer has: exact
@@ -140,8 +153,18 @@ func (p *failWalkProg) Step(e *Env, _ any) (any, bool) {
 // engine's event count and every rank's final clock, and must read the
 // same in both execution modes at every worker count, and as they did
 // when every incomplete request sat on the pending list.
+//
+// Those records are listed by id, and the walks' order does not show in
+// them: one rank's timeouts armed for one failure fire at one instant and
+// all complete before the rank resumes, and a revocation completes its
+// requests in one handler. So the order the walks take the requests in is
+// logged as well, once after each batch of posts, from every queue at
+// once: it is id order, which keeps the walks' event order independent of
+// which queue or tier holds a request.
 func TestFailureWalksActInRequestOrder(t *testing.T) {
-	const want = `request 1: armed true, done at 100001500 ns, err *mpi.ProcFailedError
+	const want = `walk order [1 2 3 4 5 6 7 8 9]
+walk order [10 11 12]
+request 1: armed true, done at 100001500 ns, err *mpi.ProcFailedError
 request 2: armed false, done at 150001008 ns, err <nil>
 request 3: armed true, done at 100001500 ns, err *mpi.ProcFailedError
 request 4: armed true, done at 100001500 ns, err *mpi.ProcFailedError

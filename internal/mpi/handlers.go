@@ -153,7 +153,7 @@ func (w *World) handleData(s *core.SchedCtx, ev *core.Event) {
 		return
 	}
 	req := e.findPending(ev.Words[0])
-	if req == nil || req.Done() || !req.has(reqAwaitingData) {
+	if req == nil {
 		// The request already completed in error (failure detection
 		// timed out first); drop the late payload.
 		dp.putBuf(data)

@@ -29,7 +29,10 @@ func TestRequestLayout(t *testing.T) {
 // program-mode object read 304 bytes, in the 320-byte class, before its
 // counters became 32-bit, and 288 while the Env reached its state and its
 // world communicator through pointers). A closure-mode rank is its Env,
-// beside a carrier stack while it runs and alone once it has finished.
+// beside a carrier stack while it runs and alone once it has finished. A
+// rank that ever queues an unexpected envelope, probes or revokes adds
+// its procCold (168 bytes, in the 176-byte class, while it held a map
+// for a pending list longer than any workload builds).
 func TestRankBundleLayout(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -38,6 +41,7 @@ func TestRankBundleLayout(t *testing.T) {
 		{"progEnv", unsafe.Sizeof(progEnv{}), 256},
 		{"Env", unsafe.Sizeof(Env{}), 240},
 		{"srcSpill[Request]", unsafe.Sizeof(srcSpill[Request]{}), 160},
+		{"procCold", unsafe.Sizeof(procCold{}), 160},
 	} {
 		if c.got > c.max {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want <= %d: one per rank for its world's life", c.name, c.got, c.max)

@@ -114,16 +114,13 @@ const (
 	reqMatched
 	// reqPending mirrors membership of the process's pending list: a
 	// rendezvous send waiting for its clear-to-send, or a receive matched
-	// to a rendezvous envelope and waiting for its data.
+	// to a rendezvous envelope and waiting for its data. (A one-element
+	// list's links cannot say whether the request is on it.)
 	reqPending
-	// reqAwaitingData marks a recv matched to a rendezvous envelope whose
-	// data transfer is still in flight.
-	reqAwaitingData
 	// reqTimeoutScheduled dedupes failure-detection timeout events.
 	reqTimeoutScheduled
-	// reqPosted and reqWild: the receive waits for a match, filed in the
-	// posted index, in the wildcard list if reqWild.
-	reqPosted
+	// reqWild marks a wildcard-source receive, filed in the wildcard list
+	// while it waits for a match (Request.postQ).
 	reqWild
 )
 

@@ -179,8 +179,11 @@ type srcSpill[T any] struct {
 
 // commQueues holds one communicator's queues past the block: a map by
 // source rank until it holds mapQueueBytes' worth of a dense table, then
-// the table, indexed by source rank. A source outside the table (no
-// member has such a rank) stays in the map.
+// the table, indexed by source rank. A key's source is always below the n
+// its getOrAdd caller passes (a posted receive's is a validated rank of its
+// communicator, an unexpected envelope's its sender's rank in one no larger
+// than the world, whose size file is given), so the table has a slot for
+// every queue the map held.
 type commQueues[T any] struct {
 	comm  int32
 	byMap map[int32]*list[T]
@@ -287,22 +290,16 @@ func (ix *srcIndex[T]) getOrAdd(k matchKey, n int, moved func(*list[T])) *list[T
 // toDense moves a communicator's map queues into a table of n slots,
 // indexed by source rank. A list value relocates as it is (nothing in it
 // points at the list itself); moved re-points whatever records a queue's
-// address. A source outside the table keeps its map entry.
+// address.
 func (cq *commQueues[T]) toDense(n int, moved func(*list[T])) {
 	cq.dense = make([]list[T], n)
 	for src, q := range cq.byMap {
-		if uint32(src) >= uint32(n) {
-			continue
-		}
 		cq.dense[src] = *q
-		delete(cq.byMap, src)
 		if moved != nil {
 			moved(&cq.dense[src])
 		}
 	}
-	if len(cq.byMap) == 0 {
-		cq.byMap = nil
-	}
+	cq.byMap = nil
 }
 
 // each visits every queue: those ever created, and every slot of a dense
@@ -358,7 +355,6 @@ func tagMatches(want, got int) bool {
 // its source's rank in its communicator, or AnySource. It is called on the
 // request whose id was issued last, so post order is id order.
 func (e *Env) addPosted(r *Request, srcCommRank int) {
-	r.set(reqPosted)
 	q := &e.postedWild
 	if r.src == AnySource {
 		r.set(reqWild)
@@ -381,10 +377,9 @@ func repointPosted(q *list[Request]) {
 // (both the exact-source and wildcard lists unlink the same way); it is a
 // no-op for requests that already matched.
 func (e *Env) removePosted(r *Request) {
-	if !r.has(reqPosted) {
+	if r.postQ == nil {
 		return
 	}
-	r.clear(reqPosted)
 	r.postQ.unlink(r, reqAt)
 	r.postQ = nil
 }
@@ -531,7 +526,7 @@ func (e *Env) drainUnexpected() {
 // releaseIndexes drops the per-rank matching structures a dead rank no
 // longer needs: the posted-receive index, the closure-mode step states,
 // and the cold record with its unexpected-message index (just emptied by
-// drainUnexpected), collective scratch and pending-lookup spill map.
+// drainUnexpected) and collective scratch.
 // Every one of them is recreated on demand by its writer, so releasing an
 // empty structure is behavior-neutral — and only empty ones are released:
 // a failed rank that still has receives posted (or requests pending)
@@ -550,38 +545,19 @@ func (e *Env) releaseIndexes() {
 	}
 }
 
-// pendSpillThreshold is the pending-set size past which id lookups switch
-// from walking the intrusive list to the cold record's pendSpill map.
-// Point-to-point shapes keep a handful of requests pending; a rank that
-// starts many rendezvous transfers at once can hold thousands.
-const pendSpillThreshold = 32
-
 // addPending files a request that has more to wait for — a rendezvous
 // send until its clear-to-send, a receive matched to a rendezvous
-// envelope until its data — into the pending list, in filing order, and,
-// once the set has ever grown past the spill threshold, into the lookup
-// map. A receive waiting for a match is in its posted list instead.
+// envelope until its data — into the pending list, in filing order. A
+// receive waiting for a match is in its posted list instead. Only
+// rendezvous transfers in flight are pending, and every message of the
+// paper's workloads is eager, so the list is walked, never indexed.
 func (e *Env) addPending(r *Request) {
 	r.set(reqPending)
 	e.pending.push(r, reqAt)
-	e.pendLen++
-	if sp := e.cold.pendSpill; sp != nil {
-		sp[r.id] = r
-	} else if e.pendLen > pendSpillThreshold {
-		sp = make(map[uint64]*Request, 2*pendSpillThreshold)
-		for q := e.pending.head; q != nil; q = q.link.next {
-			sp[q.id] = q
-		}
-		e.coldRec().pendSpill = sp
-	}
 }
 
-// findPending returns the pending request with the given id, or nil. The
-// common case walks the short list; ranks that ever spilled use the map.
+// findPending returns the pending request with the given id, or nil.
 func (e *Env) findPending(id uint64) *Request {
-	if sp := e.cold.pendSpill; sp != nil {
-		return sp[id]
-	}
 	for r := e.pending.head; r != nil; r = r.link.next {
 		if r.id == id {
 			return r
@@ -590,16 +566,14 @@ func (e *Env) findPending(id uint64) *Request {
 	return nil
 }
 
-// unlinkPending removes a request from the pending list (and spill map);
-// it is a no-op for requests that are not pending (eager sends and
-// receives that never matched a rendezvous envelope).
+// unlinkPending removes a request from the pending list; it is a no-op
+// for requests that are not pending (eager sends and receives that never
+// matched a rendezvous envelope).
 func (e *Env) unlinkPending(r *Request) {
 	if !r.has(reqPending) {
 		return
 	}
 	r.clear(reqPending)
-	delete(e.cold.pendSpill, r.id) // a no-op on noCold's nil map
-	e.pendLen--
 	e.pending.unlink(r, reqAt)
 }
 
@@ -829,7 +803,6 @@ func (e *Env) matchEnvelope(req *Request, h *envHeader, em emitter) *WaitState {
 	}
 	req.size = h.size
 	if h.rendezvous {
-		req.set(reqAwaitingData)
 		e.addPending(req)
 		net := e.w.cfg.Net
 		// The clear-to-send leaves once both the envelope has arrived
@@ -858,7 +831,6 @@ func (e *Env) matchEnvelope(req *Request, h *envHeader, em emitter) *WaitState {
 // (wakeIfWaiting).
 func (e *Env) completeRequest(req *Request, at vclock.Time, err error) *WaitState {
 	req.set(reqDone)
-	req.clear(reqAwaitingData)
 	req.completeAt = at
 	if err != nil {
 		req.coldRec(e.dp).err = err
@@ -1013,7 +985,7 @@ const postedBit = 1 << 63
 // that matches before the timeout fires moves to the pending list or
 // completes, and findRequest looks there too.
 func (r *Request) postedWord() uint64 {
-	if !r.has(reqPosted) {
+	if r.postQ == nil {
 		return 0
 	}
 	src := AnySource

@@ -65,22 +65,22 @@ func (e *Env) checkOp(where string, k *matchKey, r *Request, env *envelope) {
 }
 
 // checkQueued checks the one-queue rule on a request an operation just
-// touched: a receive waiting for a match is linked in place in its posted
-// list and is not pending; every other incomplete request is linked in
-// place in the pending list, found by its id there, and in no posted list;
-// a completed request is in no list at all.
+// touched: a receive waiting for a match (postQ set) is linked in place in
+// its posted list and is not pending; every other incomplete request is
+// linked in place in the pending list, found by its id there; a completed
+// request is in no list at all.
 func (e *Env) checkQueued(where string, r *Request) {
-	posted, pending := r.has(reqPosted), r.has(reqPending)
+	posted, pending := r.postQ != nil, r.has(reqPending)
 	switch {
 	case posted && pending:
 		e.fail("pending-index", where, "request %d is both a posted receive and pending", r.id)
-	case posted && (r.Done() || r.postQ == nil || !r.postQ.linked(r, reqAt) || e.findPending(r.id) == r):
+	case posted && (r.Done() || !r.postQ.linked(r, reqAt) || e.findPending(r.id) == r):
 		e.fail("posted-index", where, "posted receive %d (done %v) is not linked in place in its posted list alone", r.id, r.Done())
-	case pending && (r.Done() || r.postQ != nil || !e.pending.linked(r, reqAt) || e.findPending(r.id) != r):
+	case pending && (r.Done() || !e.pending.linked(r, reqAt) || e.findPending(r.id) != r):
 		e.fail("pending-index", where, "pending request %d (done %v) is not linked in place in the pending list or its lookup", r.id, r.Done())
 	case !posted && !pending && !r.Done():
 		e.fail("pending-index", where, "incomplete %s %d is neither a posted receive nor pending", r.opName(), r.id)
-	case !posted && !pending && (r.link != (links[Request]{}) || r.postQ != nil || e.findPending(r.id) == r):
+	case !posted && !pending && (r.link != (links[Request]{}) || e.findPending(r.id) == r):
 		e.fail("pending-index", where, "completed request %d is still linked in a queue", r.id)
 	}
 }
@@ -89,11 +89,11 @@ func (e *Env) checkQueued(where string, r *Request) {
 // unexpected-queue and pending-list invariants:
 //
 //   - every request linked under (comm, src) — src the source's rank in
-//     the communicator — is an incomplete, posted, exact-source receive
-//     for that key, not pending, with its postQ backpointer set to that
-//     list (a move to a dense table re-points it);
-//   - every wildcard entry is an incomplete, posted AnySource receive, not
-//     pending;
+//     the communicator — is an incomplete exact-source receive for that
+//     key, not pending, with its postQ backpointer set to that list (a
+//     move to a dense table re-points it);
+//   - every wildcard entry is an incomplete AnySource receive, not
+//     pending, with its postQ set to the wildcard list;
 //   - both structures are ordered by post sequence (MPI's
 //     first-match-in-post-order rule depends on it);
 //   - every unexpected envelope is linked under its own (comm, src) key,
@@ -107,9 +107,7 @@ func (e *Env) checkQueued(where string, r *Request) {
 //   - the pending list holds only incomplete requests with the pending
 //     bit unlinkPending trusts instead of searching the list, none of them
 //     posted: rendezvous sends, and receives matched to a rendezvous
-//     envelope and waiting for its data; its length is the pendLen gauge,
-//     and the spill map, once there is one, holds exactly its requests
-//     under their own ids.
+//     envelope and waiting for its data.
 //
 // Every list is walked once (list.walk), which checks its links and tail;
 // the sweeps below add only their own ordering and membership checks.
@@ -169,16 +167,6 @@ func (e *Env) checkIndexes(where string) {
 			"unexpected queue holds %d envelopes but the depth gauge reads %d", total, e.cold.unexpNow)
 	}
 
-	for id, r := range e.cold.pendSpill {
-		switch {
-		case r == nil:
-			e.fail("pending-index", where, "nil request pending under id %d", id)
-		case r.id != id:
-			e.fail("pending-index", where, "request %d pending under id %d", r.id, id)
-		case !r.has(reqPending):
-			e.fail("pending-index", where, "request %d is in the spill map without its pending bit", id)
-		}
-	}
 	listed := 0
 	broken := e.pending.walk(reqAt, func(r *Request) {
 		switch {
@@ -186,23 +174,15 @@ func (e *Env) checkIndexes(where string) {
 			e.fail("pending-index", where, "completed request %d (%s) still pending", r.id, r.opName())
 		case !r.has(reqPending):
 			e.fail("pending-index", where, "request %d is in the pending list without its pending bit", r.id)
-		case r.has(reqPosted) || r.postQ != nil:
+		case r.postQ != nil:
 			e.fail("pending-index", where, "pending request %d is also a posted receive", r.id)
-		case r.kind == recvReq && !r.has(reqAwaitingData):
-			e.fail("pending-index", where, "pending receive %d is not waiting for rendezvous data", r.id)
-		case e.cold.pendSpill != nil && e.cold.pendSpill[r.id] != r:
-			e.fail("pending-index", where, "pending-list request %d missing from the spill map", r.id)
+		case r.kind == recvReq && !r.has(reqMatched):
+			e.fail("pending-index", where, "pending receive %d never matched a rendezvous envelope", r.id)
 		}
 		listed++
 	})
 	if broken != "" {
 		e.fail("pending-index", where, "pending list: %s", broken)
-	}
-	if listed != int(e.pendLen) {
-		e.fail("pending-index", where, "pending list holds %d requests but the count gauge reads %d", listed, e.pendLen)
-	}
-	if e.cold.pendSpill != nil && listed != len(e.cold.pendSpill) {
-		e.fail("pending-index", where, "pending list holds %d requests but the spill map holds %d", listed, len(e.cold.pendSpill))
 	}
 	b := &e.w.sweeps[e.Rank()]
 	b.ops, b.walked = 0, walked+listed
@@ -221,9 +201,9 @@ func (e *Env) checkPostedList(where string, k *matchKey, q *list[Request]) (n in
 	var lastID uint64 // request ids start at 1
 	broken := q.walk(reqAt, func(r *Request) {
 		switch {
-		case r.kind != recvReq || !r.has(reqPosted) || r.has(reqWild) != wild:
-			e.fail("posted-index", where, "request %d in posted list %q is not a posted receive of the right flavour (kind=%d posted=%v wild=%v)",
-				r.id, key(), r.kind, r.has(reqPosted), r.has(reqWild))
+		case r.kind != recvReq || r.has(reqWild) != wild:
+			e.fail("posted-index", where, "request %d in posted list %q is not a receive of the right flavour (kind=%d wild=%v)",
+				r.id, key(), r.kind, r.has(reqWild))
 		case wild && r.src != AnySource:
 			e.fail("posted-index", where, "request %d in wildcard list has source %d", r.id, r.src)
 		case !wild && !r.filedUnder(*k):
